@@ -1,8 +1,9 @@
 //! Shared scheduling context.
 
+use std::sync::OnceLock;
 use vod_cost_model::{Catalog, CostModel, Dollars, Schedule, VideoSchedule};
 use vod_obs::Recorder;
-use vod_topology::{RouteTable, Topology};
+use vod_topology::{NodeId, RouteTable, Topology};
 
 /// Everything the scheduler needs to price and route candidate service
 /// plans: the topology, its all-pairs cheapest routes, the cost model, and
@@ -20,18 +21,16 @@ pub struct SchedCtx<'a> {
     pub catalog: &'a Catalog,
     /// Telemetry sink; the default is the disabled no-op recorder.
     pub recorder: Recorder,
+    /// Per `(src, local)` pair, see [`SchedCtx::relay_order`]; each row is
+    /// sorted on first use, so a context that never places a relay cache
+    /// (or a short-lived degraded one) pays only for the rows it walks.
+    relay: Vec<OnceLock<Box<[NodeId]>>>,
 }
 
 impl<'a> SchedCtx<'a> {
     /// Build a context, computing the route table for `topo`.
     pub fn new(topo: &'a Topology, model: &'a CostModel, catalog: &'a Catalog) -> Self {
-        Self {
-            topo,
-            routes: RouteTable::build(topo),
-            model,
-            catalog,
-            recorder: Recorder::disabled(),
-        }
+        Self::with_routes(topo, RouteTable::build(topo), model, catalog)
     }
 
     /// Build a context over an explicit route table — e.g. a degraded
@@ -43,7 +42,25 @@ impl<'a> SchedCtx<'a> {
         model: &'a CostModel,
         catalog: &'a Catalog,
     ) -> Self {
-        Self { topo, routes, model, catalog, recorder: Recorder::disabled() }
+        let relay = vec![OnceLock::new(); routes.node_count() * routes.node_count()];
+        Self { topo, routes, model, catalog, recorder: Recorder::disabled(), relay }
+    }
+
+    /// The storages in ascending order of the relay detour
+    /// `rate(src, m) + rate(m, local)`, ties by id. A new cache at `m`
+    /// fed from `src` for a user at `local` costs the detour times the
+    /// shipped bytes plus a term independent of `m`, so this is the
+    /// greedy's relay candidates in cost order; by the triangle
+    /// inequality no detour undercuts `rate(src, local)`, which `local`
+    /// itself attains. Unreachable storages (infinite detour) sort last.
+    pub(crate) fn relay_order(&self, src: NodeId, local: NodeId) -> &[NodeId] {
+        let n = self.routes.node_count();
+        self.relay[src.index() * n + local.index()].get_or_init(|| {
+            let detour = |m: NodeId| self.routes.rate(src, m) + self.routes.rate(m, local);
+            let mut order: Vec<NodeId> = self.topo.storages().collect();
+            order.sort_by(|&a, &b| detour(a).total_cmp(&detour(b)).then(a.cmp(&b)));
+            order.into_boxed_slice()
+        })
     }
 
     /// The same context with a (typically enabled) telemetry recorder

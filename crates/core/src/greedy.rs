@@ -29,7 +29,6 @@ use crate::{
     AdmissionCheck, Interval, LedgerCursor, LedgerDelta, SchedCtx, StorageLedger, TrialTrace,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use vod_cost_model::{
     Dollars, Request, RequestBatch, Residency, Schedule, Secs, SpaceProfile, Transfer, Video,
     VideoId, VideoSchedule,
@@ -107,7 +106,13 @@ impl Constraints<'_> {
     /// recorded — banned and infinite-capacity answers with `fits =
     /// None` (they are ledger-independent but still ban-dependent), and
     /// ledger-consulting answers with their capacity sub-verdict.
-    fn admits(
+    ///
+    /// Monotone in the residency's extension: on one ledger and one set
+    /// of windows, a profile rejected when extended to `t` is rejected
+    /// when extended to any later `t' > t` — its support only grows and
+    /// its occupancy only rises, pointwise. The greedy's dead-source memo
+    /// rests on this.
+    pub fn admits(
         &self,
         ctx: &SchedCtx<'_>,
         loc: NodeId,
@@ -343,6 +348,17 @@ fn greedy(
     greedy_with_cursor(ctx, requests, constraints, policy, &mut cursor)
 }
 
+/// What one greedy run knows about a storage node.
+#[derive(Clone, Copy, PartialEq)]
+enum Slot {
+    /// Hosts no copy of the video: a relay-cache candidate.
+    Free,
+    /// Hosts a copy that can still be extended to serve a request.
+    Cache,
+    /// Hosts a copy whose extension was rejected (ban or capacity).
+    Dead,
+}
+
 fn greedy_with_cursor(
     ctx: &SchedCtx<'_>,
     requests: &[Request],
@@ -360,8 +376,10 @@ fn greedy_with_cursor(
     let vw = ctx.topo.warehouse();
     let amortized = video.amortized_bytes();
 
-    // Active caches, keyed by hosting storage for deterministic iteration.
-    let mut caches: BTreeMap<NodeId, Residency> = BTreeMap::new();
+    // Active caches, sorted by hosting storage for deterministic
+    // iteration, mirrored densely by node index in `slots`.
+    let mut caches: Vec<Residency> = Vec::new();
+    let mut slots = vec![Slot::Free; ctx.topo.node_count()];
     let mut schedule = VideoSchedule::new(vid);
 
     for req in requests {
@@ -381,16 +399,25 @@ fn greedy_with_cursor(
             }
         };
 
-        // Enumerate sources: the warehouse plus every existing cache.
-        for src in std::iter::once(vw).chain(caches.keys().copied()) {
+        // Enumerate sources: the warehouse plus every live cache.
+        for cache in std::iter::once(None).chain(caches.iter().map(Some)) {
+            let src = cache.map_or(vw, |r| r.loc);
             // Cost and admissibility of extending the source copy to serve
             // at req.start.
-            let ext = match caches.get(&src) {
+            let ext = match cache {
+                None => 0.0,
+                Some(_) if slots[src.index()] == Slot::Dead => continue,
                 Some(r) => match extension(ctx, video, r, req.start, constraints, cursor) {
                     Some(cost) => cost,
-                    None => continue, // extension inadmissible: skip source
+                    None => {
+                        // Requests arrive chronologically and a longer
+                        // extension only occupies more, over a longer
+                        // support: rejected once, rejected for the rest of
+                        // the run — never tested (or traced) again.
+                        slots[src.index()] = Slot::Dead;
+                        continue;
+                    }
                 },
-                None => 0.0,
             };
 
             if !policy.allow_remote_placement && src != vw && src != local {
@@ -424,23 +451,40 @@ fn greedy_with_cursor(
             if !policy.allow_new_caches {
                 continue;
             }
-            for m in ctx.topo.storages() {
-                if m == src || caches.contains_key(&m) {
+            let relay = |m: NodeId| Candidate {
+                cost: amortized * (ctx.routes.rate(src, m) + ctx.routes.rate(m, local)) + ext,
+                priority: if policy.prefer_local_cache_on_ties && m != local { 3 } else { 0 },
+                src,
+                new_cache: Some(m),
+            };
+            if !policy.allow_remote_placement {
+                if slots[local.index()] == Slot::Free {
+                    consider(relay(local), &mut best);
+                }
+                continue;
+            }
+            // Walk the storages by ascending detour: the first free one is
+            // the cheapest new cache from `src`, and only the ones within
+            // the tie band of its cost can still beat it (on priority or
+            // id); everything further down the order loses to it outright.
+            let mut band = f64::INFINITY;
+            for &m in ctx.relay_order(src, local) {
+                if slots[m.index()] != Slot::Free {
                     continue;
                 }
-                if !policy.allow_remote_placement && m != local {
-                    continue;
+                let cand = relay(m);
+                if !cand.cost.is_finite() || cand.cost > band {
+                    break;
                 }
-                let cost = amortized * (ctx.routes.rate(src, m) + ctx.routes.rate(m, local)) + ext;
-                let priority = if policy.prefer_local_cache_on_ties && m != local { 3 } else { 0 };
-                consider(Candidate { cost, priority, src, new_cache: Some(m) }, &mut best);
+                band = band.min(cand.cost + 2.0 * COST_EPS * (1.0 + cand.cost));
+                consider(cand, &mut best);
             }
         }
 
         let plan = best.expect("direct warehouse delivery is always admissible");
 
         // Apply the chosen plan.
-        if let Some(src_cache) = caches.get_mut(&plan.src) {
+        if let Some(src_cache) = caches.iter_mut().find(|r| r.loc == plan.src) {
             src_cache.extend(*req);
         }
         match plan.new_cache {
@@ -456,12 +500,14 @@ fn greedy_with_cursor(
                     start: req.start,
                     user: Some(req.user),
                 });
-                caches.insert(m, Residency::begin(m, plan.src, *req));
+                let at = caches.partition_point(|r| r.loc < m);
+                caches.insert(at, Residency::begin(m, plan.src, *req));
+                slots[m.index()] = Slot::Cache;
             }
         }
     }
 
-    schedule.residencies.extend(caches.into_values());
+    schedule.residencies = caches;
     schedule
 }
 

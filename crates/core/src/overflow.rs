@@ -14,8 +14,8 @@
 //! float cancellation.
 
 use crate::capacity::LedgerMode;
-use crate::StorageLedger;
-use vod_cost_model::{Bytes, Residency, Schedule, Secs};
+use crate::{StorageLedger, EXTERNAL_OCCUPANCY};
+use vod_cost_model::{Bytes, Secs, SpaceProfile, VideoId};
 use vod_topology::{NodeId, Topology};
 
 /// Relative tolerance applied to capacity comparisons so that schedules
@@ -246,30 +246,29 @@ impl OverflowScan {
     }
 }
 
-/// `Overflow_Set(ISj, Δt)`: the residencies of `schedule` hosted at the
-/// overflow's storage whose occupancy intersects the overflow window with
-/// positive space (paper §4.1). Returned in deterministic
-/// (video, start) order.
-pub fn overflow_set<'s>(
-    schedule: &'s Schedule,
-    catalog: &vod_cost_model::Catalog,
-    of: &Overflow,
-) -> Vec<&'s Residency> {
-    let mut set: Vec<&Residency> = schedule
-        .residencies_at(of.loc)
-        .filter(|r| {
-            let p = r.profile(catalog.get(r.video));
-            p.peak() > 0.0 && Interval::new(p.start, p.end).overlaps(&of.window)
+/// `Overflow_Set(ISj, Δt)`: the occupancy profiles of the schedule's
+/// residencies hosted at the overflow's storage that intersect the
+/// overflow window (paper §4.1), as `(video, profile)` in deterministic
+/// (video, start) order. Read from the ledger's entries at that one node
+/// — it holds exactly the schedule's positive-space residencies plus the
+/// external occupancy, which can never be rescheduled and is left out.
+pub fn overflow_set(ledger: &StorageLedger, of: &Overflow) -> Vec<(VideoId, SpaceProfile)> {
+    let mut set: Vec<(VideoId, SpaceProfile)> = ledger
+        .profiles_at(of.loc)
+        .iter()
+        .filter(|(v, p)| {
+            *v != EXTERNAL_OCCUPANCY && Interval::new(p.start, p.end).overlaps(&of.window)
         })
+        .copied()
         .collect();
-    set.sort_by(|a, b| a.video.cmp(&b.video).then(a.start.total_cmp(&b.start)));
+    set.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.start.total_cmp(&b.1.start)));
     set
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_cost_model::{Catalog, Request, Residency, Video, VideoId, VideoSchedule};
+    use vod_cost_model::{Catalog, Request, Residency, Schedule, Video, VideoSchedule};
     use vod_topology::{builders, units, UserId};
 
     fn setup(capacity_gb: f64) -> (Topology, Catalog) {
@@ -395,11 +394,11 @@ mod tests {
             schedule_with(vec![residency(0, 1, 0.0, 10_000.0), residency(1, 1, 2_000.0, 12_000.0)]);
         let ledger = StorageLedger::from_schedule(&topo, &catalog, &s);
         let ofs = detect_overflows(&topo, &ledger);
-        let set = overflow_set(&s, &catalog, &ofs[0]);
+        let set = overflow_set(&ledger, &ofs[0]);
         assert_eq!(set.len(), 2);
         // Deterministic order by video id.
-        assert_eq!(set[0].video, VideoId(0));
-        assert_eq!(set[1].video, VideoId(1));
+        assert_eq!(set[0].0, VideoId(0));
+        assert_eq!(set[1].0, VideoId(1));
     }
 
     #[test]
@@ -415,7 +414,7 @@ mod tests {
         let ledger = StorageLedger::from_schedule(&topo, &catalog, &s);
         let ofs = detect_overflows(&topo, &ledger);
         assert_eq!(ofs.len(), 1);
-        let set = overflow_set(&s, &catalog, &ofs[0]);
+        let set = overflow_set(&ledger, &ofs[0]);
         assert_eq!(set.len(), 2, "degenerate residency must be excluded");
     }
 

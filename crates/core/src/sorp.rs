@@ -60,7 +60,7 @@ use crate::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use vod_cost_model::{Dollars, Request, Schedule, SpaceProfile, VideoId, VideoSchedule};
+use vod_cost_model::{Dollars, Schedule, SpaceProfile, VideoId, VideoSchedule};
 use vod_parallel::{map_with_mode, ExecMode};
 use vod_topology::NodeId;
 
@@ -237,13 +237,14 @@ pub fn sorp_solve_seeded(
 /// One trial-reschedule unit of work: everything a worker needs to
 /// re-derive a candidate independently of its siblings. Materialized in
 /// deterministic (overflow, participant) order before fanning out.
-struct TrialJob {
+struct TrialJob<'s> {
     /// Index into this iteration's overflow list.
     of_idx: usize,
     /// The participating video.
     vid: VideoId,
-    /// Its delivered requests (the reschedule input).
-    requests: Vec<Request>,
+    /// Its current schedule; the delivered requests (the reschedule
+    /// input) are rebuilt from it only when the trial actually runs.
+    old_vs: &'s VideoSchedule,
     /// Accumulated forbidden windows plus this overflow's window.
     bans: Vec<(NodeId, Interval)>,
     /// The participating residency's space profile (heat input).
@@ -302,7 +303,9 @@ const MAX_TRIALS_PER_VIDEO: usize = 128;
 /// a bit-identical replay, at the cost of a few near-O(1) probes instead
 /// of a full greedy re-run. Validating lazily (rather than sweeping the
 /// cache on every commit) means entries never consulted again — dominant
-/// once a video leaves the overflow set — cost nothing.
+/// once a video leaves the overflow set — cost nothing. `suffixes` memoizes
+/// the merged `deltas[epoch..]` per epoch for the lookups of one
+/// iteration (the delta list is frozen between commits).
 ///
 /// The hit is *removed* rather than borrowed so that several jobs for
 /// the same video within one iteration (one per overflow, with different
@@ -314,8 +317,9 @@ const MAX_TRIALS_PER_VIDEO: usize = 128;
 /// overflow's job.
 fn take_cached(
     cache: &mut HashMap<VideoId, Vec<CachedTrial>>,
-    job: &TrialJob,
+    job: &TrialJob<'_>,
     deltas: &[LedgerDelta],
+    suffixes: &mut HashMap<usize, LedgerDelta>,
     ctx: &SchedCtx<'_>,
     ledger: &StorageLedger,
 ) -> Option<CachedTrial> {
@@ -328,10 +332,13 @@ fn take_cached(
     while i > 0 {
         i -= 1;
         let e = &list[i];
-        let mut dirty = LedgerDelta::new();
-        for d in &deltas[e.epoch..] {
-            dirty.merge(d);
-        }
+        let dirty = &*suffixes.entry(e.epoch).or_insert_with(|| {
+            let mut merged = LedgerDelta::new();
+            for d in &deltas[e.epoch..] {
+                merged.merge(d);
+            }
+            merged
+        });
         let bans_same = e.bans == job.bans;
         let valid = if bans_same {
             // Identical bans replay every ban outcome a priori (same
@@ -352,7 +359,7 @@ fn take_cached(
                 })
         } else {
             let cons = Constraints { ledger, exclude: Some(job.vid), forbidden: &job.bans };
-            e.trace.checks.iter().all(|c| cons.check_replays(ctx.topo, c, &dirty, &mut cursor))
+            e.trace.checks.iter().all(|c| cons.check_replays(ctx.topo, c, dirty, &mut cursor))
         };
         if valid {
             // A successful replay re-verified every ledger-consulting
@@ -384,8 +391,8 @@ fn take_cached(
 /// stale predecessor of this one), and the per-video cap drops the
 /// oldest entry first — both deterministic, so the cache contents are a
 /// pure function of the commit history.
-fn bank_trial(cache: &mut HashMap<VideoId, Vec<CachedTrial>>, vid: VideoId, trial: CachedTrial) {
-    let list = cache.entry(vid).or_default();
+fn bank_trial(cache: &mut HashMap<VideoId, Vec<CachedTrial>>, trial: CachedTrial) {
+    let list = cache.entry(trial.new_vs.video).or_default();
     list.retain(|e| e.bans != trial.bans);
     if list.len() >= MAX_TRIALS_PER_VIDEO {
         list.remove(0);
@@ -399,7 +406,7 @@ fn bank_trial(cache: &mut HashMap<VideoId, Vec<CachedTrial>>, vid: VideoId, tria
 /// index)`. Identical comparisons in identical order — the cached path
 /// selects the exact victim the uncached path would, bit for bit.
 fn select_victim(
-    jobs: &[TrialJob],
+    jobs: &[TrialJob<'_>],
     overflows: &[Overflow],
     scored: &[(f64, Dollars)],
 ) -> Option<(f64, Dollars, usize)> {
@@ -542,15 +549,13 @@ impl SolveState {
                 // Fallback: force one participant of the first overflow to
                 // direct-only delivery. Strictly reduces stored bytes, so
                 // this loop tail terminates.
-                let of = &overflows[0];
-                let set = overflow_set(self.priced.schedule(), ctx.catalog, of);
-                let Some(victim) = set.first() else {
+                let victim = overflow_set(&self.ledger, &overflows[0])
+                    .first()
+                    .and_then(|&(vid, _)| self.priced.schedule().video(vid));
+                let Some(old) = victim else {
                     break; // purely external overflow: unresolvable
                 };
-                let vid = victim.video;
-                let old =
-                    self.priced.schedule().video(vid).expect("victim video is scheduled").clone();
-                let new_vs = force_direct(ctx, &old);
+                let new_vs = force_direct(ctx, old);
                 let mut delta = LedgerDelta::new();
                 commit(ctx, &mut self.priced, &mut self.ledger, new_vs, &mut delta);
                 if cached {
@@ -562,22 +567,23 @@ impl SolveState {
             self.iterations += 1;
 
             // Materialize every overflow participant's trial in scan order.
-            let mut jobs: Vec<TrialJob> = Vec::new();
+            let mut jobs: Vec<TrialJob<'_>> = Vec::new();
             for (of_idx, of) in overflows.iter().enumerate() {
-                for c in overflow_set(self.priced.schedule(), ctx.catalog, of) {
-                    let vid = c.video;
-                    let old_vs =
-                        self.priced.schedule().video(vid).expect("resident video is scheduled");
-                    let requests = old_vs.delivered_requests();
-                    if requests.is_empty() {
-                        continue; // residency without deliveries cannot occur
+                for (vid, profile) in overflow_set(&self.ledger, of) {
+                    // The ledger holds only scheduled, priced videos, and a
+                    // residency without deliveries cannot occur; a job that
+                    // broke either would have nothing to reschedule.
+                    let (Some(old_vs), Some(old_cost)) =
+                        (self.priced.schedule().video(vid), self.priced.video_cost(vid))
+                    else {
+                        continue;
+                    };
+                    if old_vs.delivered().next().is_none() {
+                        continue;
                     }
                     let mut bans = self.forbidden.get(&vid).cloned().unwrap_or_default();
                     bans.push((of.loc, of.window));
-                    let profile = c.profile(ctx.catalog.get(vid));
-                    let old_cost =
-                        self.priced.video_cost(vid).expect("every scheduled video is in the memo");
-                    jobs.push(TrialJob { of_idx, vid, requests, bans, profile, old_cost });
+                    jobs.push(TrialJob { of_idx, vid, old_vs, bans, profile, old_cost });
                 }
             }
 
@@ -589,9 +595,13 @@ impl SolveState {
                 // Pull each job's trial out of the cache where a memoized
                 // one still replays under the job's bans and the current
                 // ledger.
+                let (ledger, deltas) = (&self.ledger, &self.deltas);
+                let mut suffixes = HashMap::new();
                 let mut slots: Vec<Option<CachedTrial>> = jobs
                     .iter()
-                    .map(|job| take_cached(&mut self.cache, job, &self.deltas, ctx, &self.ledger))
+                    .map(|job| {
+                        take_cached(&mut self.cache, job, deltas, &mut suffixes, ctx, ledger)
+                    })
                     .collect();
                 for e in slots.iter_mut().flatten() {
                     if e.carried {
@@ -608,12 +618,12 @@ impl SolveState {
                 // Fan out only the cache misses: each is a pure function of
                 // its job, the (frozen) ledger, and the context, and carries
                 // its dependency trace home for future lookups.
-                let (ledger, deltas) = (&self.ledger, &self.deltas);
                 let fresh = map_with_mode(mode, &miss_idx, |&ji| {
                     let job = &jobs[ji];
                     let cons = Constraints { ledger, exclude: Some(job.vid), forbidden: &job.bans };
+                    let requests = job.old_vs.delivered_requests();
                     let (new_vs, trace) =
-                        reschedule_video_traced_with(ctx, &job.requests, &cons, cfg.policy);
+                        reschedule_video_traced_with(ctx, &requests, &cons, cfg.policy);
                     let new_cost = ctx.video_cost(&new_vs);
                     CachedTrial {
                         new_vs,
@@ -624,16 +634,17 @@ impl SolveState {
                         carried: false,
                     }
                 });
-                for (&ji, trial) in miss_idx.iter().zip(fresh) {
-                    slots[ji] = Some(trial);
-                }
+                // The misses ran in job order, so refilling the empty slots
+                // in order hands each job its own trial.
+                let mut fresh = fresh.into_iter();
+                let mut trials: Vec<CachedTrial> =
+                    slots.into_iter().filter_map(|slot| slot.or_else(|| fresh.next())).collect();
 
                 let scored: Vec<(f64, Dollars)> = jobs
                     .iter()
-                    .enumerate()
-                    .map(|(ji, job)| {
-                        let entry = slots[ji].as_ref().expect("every job holds a trial by now");
-                        let overhead = entry.new_cost - job.old_cost;
+                    .zip(&trials)
+                    .map(|(job, trial)| {
+                        let overhead = trial.new_cost - job.old_cost;
                         (
                             heat_of(cfg.metric, &overflows[job.of_idx], &job.profile, overhead),
                             overhead,
@@ -643,13 +654,11 @@ impl SolveState {
                 let Some((heat, overhead, ji)) = select_victim(&jobs, &overflows, &scored) else {
                     break; // purely external overflows: nothing to reschedule
                 };
-                let winner = slots[ji].take().expect("the winning trial is held in its slot");
+                let winner = trials.remove(ji);
                 // Bank every non-winning trial for later iterations, in job
                 // order.
-                for (j, slot) in slots.into_iter().enumerate() {
-                    if let Some(trial) = slot {
-                        bank_trial(&mut self.cache, jobs[j].vid, trial);
-                    }
+                for trial in trials {
+                    bank_trial(&mut self.cache, trial);
                 }
                 (ji, heat, overhead, winner.new_vs)
             } else {
@@ -658,7 +667,8 @@ impl SolveState {
                 let ledger = &self.ledger;
                 let mut trials = map_with_mode(mode, &jobs, |job| {
                     let cons = Constraints { ledger, exclude: Some(job.vid), forbidden: &job.bans };
-                    let new_vs = reschedule_video_with(ctx, &job.requests, &cons, cfg.policy);
+                    let requests = job.old_vs.delivered_requests();
+                    let new_vs = reschedule_video_with(ctx, &requests, &cons, cfg.policy);
                     let overhead = ctx.video_cost(&new_vs) - job.old_cost;
                     let heat = heat_of(cfg.metric, &overflows[job.of_idx], &job.profile, overhead);
                     (heat, overhead, new_vs)

@@ -245,13 +245,11 @@ impl WarmState {
             ..WarmStats::default()
         };
 
-        let ended = |requests: &[Request], ctx: &SchedCtx<'_>| {
-            requests.iter().all(|r| r.start + ctx.catalog.get(r.video).playback <= window_start)
-        };
+        let ended = |r: &Request| r.start + ctx.catalog.get(r.video).playback <= window_start;
         let mut evicted = 0;
         self.trials.retain(|_, list| {
             list.retain(|e| {
-                let keep = !ended(&e.new_vs.delivered_requests(), ctx);
+                let keep = !e.new_vs.delivered().all(|r| ended(&r));
                 evicted += usize::from(!keep);
                 keep
             });
@@ -261,7 +259,7 @@ impl WarmState {
         let mut memos_evicted = 0;
         self.phase1.retain(|_, list| {
             list.retain(|m| {
-                let keep = !ended(&m.requests, ctx);
+                let keep = !m.requests.iter().all(ended);
                 memos_evicted += usize::from(!keep);
                 keep
             });
@@ -356,7 +354,9 @@ impl WarmState {
         for (vid, group) in batch.groups() {
             let Some(mut list) = self.trials.remove(&vid) else { continue };
             let before = list.len();
-            list.retain(|e| e.new_vs.delivered_requests().as_slice() == group);
+            // A trial is a greedy output, so its deliveries are already in
+            // the group's (start, user) order.
+            list.retain(|e| e.new_vs.delivered().eq(group.iter().copied()));
             self.stats.trials_evicted += before - list.len();
             self.stats.trials_adopted += list.len();
             if !list.is_empty() {

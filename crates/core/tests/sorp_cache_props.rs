@@ -9,10 +9,12 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use vod_core::{
-    ivsp_solve_priced, sorp_solve_priced, ExecMode, HeatMetric, SchedCtx, SorpConfig, SorpOutcome,
+    detect_overflows, ivsp_solve_priced, overflow_set, reschedule_video_traced_with,
+    sorp_solve_priced, Constraints, ExecMode, GreedyPolicy, HeatMetric, Interval, LedgerDelta,
+    SchedCtx, SorpConfig, SorpOutcome, StorageLedger,
 };
-use vod_cost_model::CostModel;
-use vod_topology::{builders, Topology};
+use vod_cost_model::{CostModel, VideoId};
+use vod_topology::{builders, NodeId, Topology};
 use vod_workload::{CatalogConfig, RequestConfig, Workload};
 
 /// One randomized solver scenario.
@@ -193,4 +195,101 @@ fn cache_and_monitor_actually_save_work_on_the_paper_instance() {
         cached.nodes_rescanned,
         oracle.nodes_rescanned
     );
+}
+
+/// Whether the resolution's first commit lands in a *dead gap* of another
+/// participant's first-iteration trial: the trial holds a cache that was
+/// capacity-rejected at some request and has later requests behind it —
+/// which the greedy no longer tests or traces, where it used to record
+/// one ever-longer support per later request — and the commit dirties
+/// that storage only beyond the rejected support, inside the span those
+/// unrecorded checks would have covered, touching nothing the trace does
+/// record. The second iteration's lookup then takes the trial on the
+/// disjoint-footprint fast path instead of re-deriving the implied
+/// rejections, and must still agree with the oracle.
+fn first_commit_lands_in_a_dead_gap(
+    ctx: &SchedCtx<'_>,
+    wl: &Workload,
+    oracle: &SorpOutcome,
+) -> bool {
+    let Some(first) = oracle.victims.first() else { return false };
+    let phase1 = ivsp_solve_priced(ctx, &wl.requests);
+    let schedule = phase1.schedule();
+    let ledger = StorageLedger::from_schedule(ctx.topo, ctx.catalog, schedule);
+    let trial = |vid: VideoId, ban: (NodeId, Interval)| {
+        let requests = schedule.video(vid).expect("participant is scheduled").delivered_requests();
+        let cons = Constraints { ledger: &ledger, exclude: Some(vid), forbidden: &[ban] };
+        let (vs, trace) =
+            reschedule_video_traced_with(ctx, &requests, &cons, GreedyPolicy::default());
+        (vs, trace, requests)
+    };
+
+    // The first commit's delta: every positive-space profile it removes
+    // (the victim's phase-1 residencies) or adds (its winning trial's).
+    let ban = (first.loc, Interval::new(first.window_start, first.window_end));
+    let (committed, _, _) = trial(first.video, ban);
+    let outgoing = &schedule.video(first.video).expect("victim is scheduled").residencies;
+    let mut delta = LedgerDelta::new();
+    for r in outgoing.iter().chain(&committed.residencies) {
+        let p = r.profile(ctx.catalog.get(r.video));
+        if p.peak() > 0.0 {
+            delta.record(r.loc, p.start, p.end);
+        }
+    }
+
+    detect_overflows(ctx.topo, &ledger).iter().any(|of| {
+        overflow_set(&ledger, of).iter().any(|&(vid, _)| {
+            if vid == first.video {
+                return false;
+            }
+            let (_, trace, requests) = trial(vid, (of.loc, of.window));
+            let last = requests.last().expect("participants deliver");
+            let drained = last.start + ctx.catalog.get(vid).playback;
+            !delta.intersects(&trace.footprint)
+                && trace.checks.iter().any(|c| {
+                    // Capacity-rejected away from the banned storage, so
+                    // every implied check would have consulted the ledger.
+                    c.fits == Some(false)
+                        && c.loc != of.loc
+                        && c.candidate.last < last.start
+                        && delta.intersects(&[(c.loc, c.candidate.start, drained)])
+                })
+        })
+    })
+}
+
+/// Few titles and three reservations per user give every video a long
+/// request chain, so trials are full of caches that die early; the
+/// shortened traces must leave the cached solver bit-identical to the
+/// oracle, in particular on the instances whose first commit lands in a
+/// dead gap (of which the seed range must contain some).
+#[test]
+fn shortened_traces_stay_exact_when_commits_land_in_dead_gaps() {
+    let topo =
+        builders::paper_fig4(&builders::PaperFig4Config { capacity_gb: 5.0, ..Default::default() });
+    let requests = RequestConfig { requests_per_user: 3, ..RequestConfig::paper() };
+    let s = Scenario {
+        topo_kind: 0,
+        storages: 19,
+        capacity_gb: 5.0,
+        workload_seed: 0,
+        metric: HeatMetric::TimeSpacePerCost,
+        parallel: false,
+        reference_ledger: false,
+        max_iterations: 10_000,
+    };
+    let mut in_class = 0usize;
+    for seed in 0..40 {
+        let wl = Workload::generate(&topo, &CatalogConfig::small(8), &requests, seed);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+        let cached = solve(&ctx, &wl, &s, false);
+        let oracle = solve(&ctx, &wl, &s, true);
+        if let Err(e) = assert_bit_identical(&cached, &oracle) {
+            panic!("seed {seed}: {e:?}");
+        }
+        assert_eq!(cached.trials_run + cached.trials_cached, oracle.trials_run, "seed {seed}");
+        in_class += usize::from(first_commit_lands_in_a_dead_gap(&ctx, &wl, &oracle));
+    }
+    assert!(in_class > 0, "no instance exercised a commit landing in a dead gap");
 }

@@ -167,15 +167,22 @@ impl VideoSchedule {
         self.residencies.iter().filter(move |r| r.loc == loc)
     }
 
+    /// The requests this schedule delivers, one per delivery transfer, in
+    /// transfer order and without allocating. The greedy emits deliveries
+    /// in the order of its chronologically sorted input, so on its
+    /// outputs this is already the order of
+    /// [`VideoSchedule::delivered_requests`].
+    pub fn delivered(&self) -> impl Iterator<Item = Request> + '_ {
+        self.transfers
+            .iter()
+            .filter_map(|t| t.user.map(|user| Request { user, video: self.video, start: t.start }))
+    }
+
     /// Reconstruct the request set this schedule delivers (one per
     /// delivery transfer), sorted chronologically — the input needed to
     /// re-schedule this video from scratch.
     pub fn delivered_requests(&self) -> Vec<Request> {
-        let mut out: Vec<Request> = self
-            .transfers
-            .iter()
-            .filter_map(|t| t.user.map(|user| Request { user, video: self.video, start: t.start }))
-            .collect();
+        let mut out: Vec<Request> = self.delivered().collect();
         out.sort_by(|a, b| a.start.total_cmp(&b.start).then(a.user.cmp(&b.user)));
         out
     }

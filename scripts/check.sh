@@ -60,6 +60,12 @@ cargo run -q --release --offline -p vod-experiments --bin vodx -- service --fast
 cargo run -q --release --offline -p vod-experiments --bin vodx -- trace "$rec" >/dev/null
 rm -f "$rec"
 
+echo "==> service benchmark (smoke run, harness tests and lints)"
+# The harness is its own package calling the core API through
+# benchmark/src/adapter.rs; a core change that breaks it must fail here.
+benchmark/run.sh --smoke >/dev/null
+(cd benchmark && cargo test -q --offline && cargo clippy --offline --all-targets -- -D warnings)
+
 echo "==> comparator lint (no panicking partial_cmp in first-party code)"
 # NaN-poisoned sorts panic at runtime; f64::total_cmp is the workspace rule.
 if grep -rn --include='*.rs' -E 'partial_cmp\([^)]*\)\s*\.\s*(unwrap|expect)' \
