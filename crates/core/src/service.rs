@@ -765,7 +765,12 @@ impl ServiceLoop {
         }
 
         // 5. Solve on the chosen rung. An empty batch still opens the
-        //    cycle (eviction + stats) so idle ticks stay visible.
+        //    cycle (eviction + stats) so idle ticks stay visible. The
+        //    tickets go into batch order first, so that batch entry `i`
+        //    is ticket `i`; of tickets holding one request, the most
+        //    recently enqueued takes the first slot.
+        kept.reverse();
+        kept.sort_by(|a, b| a.request.batch_order(&b.request));
         let batch = RequestBatch::new(kept.iter().map(|t| t.request).collect());
         let mut shard_cfg = self.cfg.shard.clone();
         match rung {
@@ -816,20 +821,8 @@ impl ServiceLoop {
         // 7. Repair against the window's faults; displaced requests
         //    re-enter the backoff pipeline.
         let mut served: Vec<Request> = batch.iter().copied().collect();
-        // Pair each batch entry with its original reservation (the batch
-        // is the kept multiset, normalized), so the outcome can report
-        // what the caller actually offered.
-        let mut origin: HashMap<(u32, u32, u64), Vec<Request>> = HashMap::new();
-        for t in &kept {
-            origin.entry(request_key(&t.request)).or_default().push(t.original);
-        }
-        let mut survivors: Vec<(Request, Request)> = batch
-            .iter()
-            .map(|r| {
-                let orig = origin.get_mut(&request_key(r)).and_then(Vec::pop).unwrap_or(*r);
-                (*r, orig)
-            })
-            .collect();
+        // Tickets repair shed; the others are what the schedule serves.
+        let mut repair_shed = vec![false; kept.len()];
         let cycle_faults: Vec<Fault> = self
             .cfg
             .faults
@@ -845,28 +838,24 @@ impl ServiceLoop {
             // against this topology, so validation cannot fail here.
             let repair = repair_schedule(ctx, priced, &sub, &self.cfg.repair)
                 .expect("sub-plan of the plan validated at construction");
-            if !repair.shed.is_empty() {
-                // Map repair-shed requests back to their tickets so
-                // attempts and originals survive the round trip.
-                let mut by_key: HashMap<(u32, u32, u64), Vec<Ticket>> = HashMap::new();
-                for t in &kept {
-                    by_key.entry(request_key(&t.request)).or_default().push(*t);
-                }
-                for s in &repair.shed {
-                    stats.shed += 1;
-                    shed_now.push(s.request);
-                    if let Some(pos) = survivors
-                        .iter()
-                        .position(|(c, _)| request_key(c) == request_key(&s.request))
-                    {
-                        survivors.remove(pos);
+            for s in &repair.shed {
+                stats.shed += 1;
+                shed_now.push(s.request);
+                // Map the request back to its ticket — the first of its
+                // run not shed yet — so attempts and the original
+                // reservation survive the round trip.
+                let run = kept.partition_point(|t| t.request.batch_order(&s.request).is_lt());
+                let hit = (run..kept.len())
+                    .take_while(|&i| kept[i].request.batch_order(&s.request).is_eq())
+                    .find(|&i| !repair_shed[i]);
+                let t = match hit {
+                    Some(i) => {
+                        repair_shed[i] = true;
+                        kept[i]
                     }
-                    let t = by_key
-                        .get_mut(&request_key(&s.request))
-                        .and_then(Vec::pop)
-                        .unwrap_or(Ticket { request: s.request, original: s.request, attempts: 0 });
-                    dropped_now.extend(self.defer_or_drop(t, k, &mut stats));
-                }
+                    None => Ticket { request: s.request, original: s.request, attempts: 0 },
+                };
+                dropped_now.extend(self.defer_or_drop(t, k, &mut stats));
             }
             stats.delayed = repair.delayed.len();
             served = repair.adjusted_requests(&served);
@@ -877,13 +866,11 @@ impl ServiceLoop {
 
         // A request is late when repair delayed it or when backoff moved
         // it into a window after its original reservation.
-        let shed_keys: std::collections::HashSet<(u32, u32, u64)> =
-            shed_now.iter().map(request_key).collect();
-        stats.deadline_misses = stats.delayed
-            + kept
-                .iter()
-                .filter(|t| t.attempts > 0 && !shed_keys.contains(&request_key(&t.request)))
-                .count();
+        let mut shed_sorted = shed_now.clone();
+        shed_sorted.sort_by(Request::batch_order);
+        let was_shed = |r: &Request| shed_sorted.binary_search_by(|s| s.batch_order(r)).is_ok();
+        stats.deadline_misses =
+            stats.delayed + kept.iter().filter(|t| t.attempts > 0 && !was_shed(&t.request)).count();
         stats.served = served.len();
 
         ctx.recorder.event("cycle_end", |e| {
@@ -925,7 +912,12 @@ impl ServiceLoop {
             overflow_free,
             warm: warm_stats,
             served,
-            served_originals: survivors.into_iter().map(|(_, o)| o).collect(),
+            served_originals: kept
+                .iter()
+                .zip(&repair_shed)
+                .filter(|(_, &shed)| !shed)
+                .map(|(t, _)| t.original)
+                .collect(),
             shed_now,
             dropped_now,
         }

@@ -356,19 +356,17 @@ fn shard_solve_seeded_inner(
 }
 
 /// [`shard_solve_seeded`] with a cross-cycle warm start: committed
-/// occupancy, carried trial-cache entries, and phase-1 pricing memos all
-/// come from `warm` (updated in place for the next cycle) instead of a
-/// flat external profile list and cold caches. `window_start` is the new
-/// cycle's window origin: [`WarmState::begin_cycle`] first evicts
-/// everything fully drained before it.
+/// occupancy and carried trial-cache entries come from `warm` (updated
+/// in place for the next cycle) instead of a flat external profile list
+/// and cold caches. `window_start` is the new cycle's window origin:
+/// [`WarmState::begin_cycle`] first evicts everything fully drained
+/// before it.
 ///
 /// Structure mirrors [`shard_solve_seeded`] exactly — same partition,
-/// same per-shard pipeline, same reconciliation — with three warm
+/// same per-shard pipeline, same reconciliation — with two warm
 /// substitutions, each argued equivalence-preserving in the [`crate::warm`]
 /// module docs:
 ///
-/// * phase 1 runs through the pricing memo ([`WarmState`]'s
-///   `phase1_warm`), bit-identical to [`ivsp_solve_priced_with`];
 /// * every [`SolveState`] starts from a clone of the incrementally
 ///   maintained committed ledger ([`SolveState::new_with_base`]) instead
 ///   of re-adding the external list;
@@ -407,7 +405,7 @@ fn shard_solve_warm_inner(
     warm.stats.shards_used = 1;
 
     if cfg.sorp.use_monolithic_solver {
-        let priced = warm.phase1_warm(ctx, batch, cfg.sorp.policy, mode);
+        let priced = ivsp_solve_priced_with(ctx, batch, cfg.sorp.policy, mode);
         let mut state = SolveState::new_with_base(ctx, priced, warm.committed().ledger().clone());
         let trials = warm.take_matching_trials(batch);
         warm.seed_state(&mut state, trials);
@@ -433,7 +431,7 @@ fn shard_solve_warm_inner(
 
     let mut states = Vec::with_capacity(batches.len());
     for shard_batch in &batches {
-        let priced = warm.phase1_warm(ctx, shard_batch, cfg.sorp.policy, mode);
+        let priced = ivsp_solve_priced_with(ctx, shard_batch, cfg.sorp.policy, mode);
         let mut state = SolveState::new_with_base(ctx, priced, warm.committed().ledger().clone());
         let trials = warm.take_matching_trials(shard_batch);
         warm.seed_state(&mut state, trials);

@@ -2,21 +2,19 @@
 //! service.
 //!
 //! The rolling-horizon loop (`vod_experiments::cycles`) historically
-//! threw away three expensive artifacts at every cycle boundary:
+//! threw away two expensive artifacts at every cycle boundary:
 //!
 //! * the **SORP trial cache** — per-video memoized reschedules with
 //!   dependency traces;
-//! * the **phase-1 pricing memos** — each video group's greedy schedule
-//!   and its Ψ;
 //! * the **committed-occupancy ledger** — rebuilt from the
 //!   ever-growing flat `external` profile list on every cycle.
 //!
-//! [`WarmState`] keeps all three alive between
+//! [`WarmState`] keeps both alive between
 //! [`crate::shard_solve_warm`] calls. Validity rests on the same
 //! machinery PR 4 built for *within*-solve reuse:
 //!
-//! * a carried trial or phase-1 memo is only ever consulted for a job
-//!   whose request set is **exactly** the one the entry was derived from
+//! * a carried trial is only ever consulted for a job whose request
+//!   set is **exactly** the one the entry was derived from
 //!   (checked at adoption time, the same request-invariance rule that
 //!   makes the sharded solver drop split videos' entries);
 //! * every carried trial re-enters a solve at epoch 0 with the solve's
@@ -33,21 +31,18 @@
 //!   any admission test of a batch whose reservations start inside the
 //!   window, so eviction is invisible to every verdict.
 //!
-//! Accumulation is bounded: [`WarmState::begin_cycle`] evicts trial and
-//! memo entries whose reservations all ended before the window, and the
+//! Accumulation is bounded: [`WarmState::begin_cycle`] evicts trial
+//! entries whose reservations all ended before the window, and the
 //! per-video cache cap carries over unchanged. [`WarmStats`] counts
 //! carried / evicted / revalidated / hit entries per cycle; the
 //! rolling-horizon report surfaces it.
 
 use crate::adaptive::ShardSelector;
 use crate::sorp::{CachedTrial, SolveState};
-use crate::{
-    GreedyPolicy, LedgerDelta, PricedSchedule, SchedCtx, StorageLedger, EXTERNAL_OCCUPANCY,
-};
+use crate::{LedgerDelta, SchedCtx, StorageLedger, EXTERNAL_OCCUPANCY};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use vod_cost_model::{Dollars, Request, RequestBatch, Schedule, Secs, VideoId, VideoSchedule};
-use vod_parallel::{map_with_mode, ExecMode};
+use vod_cost_model::{Request, RequestBatch, Schedule, Secs, VideoId};
 use vod_topology::{NodeId, Topology};
 
 /// Per-cycle warm-start accounting, reset by [`WarmState::begin_cycle`].
@@ -66,11 +61,10 @@ pub struct WarmStats {
     /// Total trial jobs answered from cache this cycle (carried plus
     /// same-solve entries; the solver's `trials_cached`).
     pub trials_hit: usize,
-    /// Phase-1 pricing memos alive at the start of the cycle.
-    pub phase1_carried: usize,
-    /// Phase-1 memos evicted (expired reservations).
-    pub phase1_evicted: usize,
-    /// Video groups priced straight from a carried memo this cycle.
+    /// Always 0: the phase-1 pricing memo it counted hits of never hit
+    /// on a service workload and is gone. The field stays only because
+    /// the frozen benchmark harness reads it; drop it with the next
+    /// benchmark revision.
     pub phase1_hits: usize,
     /// Committed occupancy profiles still active after eviction.
     pub committed_active: usize,
@@ -98,25 +92,12 @@ impl WarmStats {
                 .u64("trials_adopted", self.trials_adopted as u64)
                 .u64("trials_revalidated", self.trials_revalidated as u64)
                 .u64("trials_hit", self.trials_hit as u64)
-                .u64("phase1_carried", self.phase1_carried as u64)
-                .u64("phase1_evicted", self.phase1_evicted as u64)
-                .u64("phase1_hits", self.phase1_hits as u64)
                 .u64("committed_active", self.committed_active as u64)
                 .u64("committed_evicted", self.committed_evicted as u64)
                 .u64("shards_used", self.shards_used as u64)
                 .f64("spillover_bytes", self.spillover_bytes);
         });
     }
-}
-
-/// One memoized phase-1 result: the greedy is a pure function of
-/// `(requests, policy)` given a fixed context, so an exact match prices
-/// the group without re-running it — bit-identically.
-struct Phase1Memo {
-    requests: Vec<Request>,
-    policy: GreedyPolicy,
-    vs: VideoSchedule,
-    cost: Dollars,
 }
 
 /// Incrementally maintained cross-cycle occupancy: every committed
@@ -188,11 +169,6 @@ impl CommittedBook {
 pub struct WarmState {
     /// Carried trial-cache entries, per video.
     pub(crate) trials: HashMap<VideoId, Vec<CachedTrial>>,
-    /// Carried phase-1 pricing memos, per video. A video keeps one memo
-    /// per distinct request subset it was priced with (a video split
-    /// across shards is priced per shard subset), so the list stays
-    /// bounded by the shard count plus the monolithic grouping.
-    phase1: HashMap<VideoId, Vec<Phase1Memo>>,
     /// Committed cross-cycle occupancy.
     committed: CommittedBook,
     /// Footprint of the previous cycle's final ledger: everywhere a
@@ -218,7 +194,6 @@ impl WarmState {
     pub fn with_selector(topo: &Topology, selector: ShardSelector) -> Self {
         Self {
             trials: HashMap::new(),
-            phase1: HashMap::new(),
             committed: CommittedBook::new(topo),
             dirty: LedgerDelta::new(),
             selector,
@@ -233,17 +208,12 @@ impl WarmState {
 
     /// Open a new cycle whose reservations start at `window_start`:
     /// reset the per-cycle stats, evict committed profiles that drained
-    /// before the window, and evict trial/memo entries whose
+    /// before the window, and evict trial entries whose
     /// reservations all ended before it (they can never match a batch
     /// in this or any later window).
     pub fn begin_cycle(&mut self, ctx: &SchedCtx<'_>, window_start: Secs) {
         let carried_trials: usize = self.trials.values().map(Vec::len).sum();
-        let carried_memos: usize = self.phase1.values().map(Vec::len).sum();
-        self.stats = WarmStats {
-            trials_carried: carried_trials,
-            phase1_carried: carried_memos,
-            ..WarmStats::default()
-        };
+        self.stats = WarmStats { trials_carried: carried_trials, ..WarmStats::default() };
 
         let ended = |r: &Request| r.start + ctx.catalog.get(r.video).playback <= window_start;
         let mut evicted = 0;
@@ -256,87 +226,10 @@ impl WarmState {
             !list.is_empty()
         });
         self.stats.trials_evicted += evicted;
-        let mut memos_evicted = 0;
-        self.phase1.retain(|_, list| {
-            list.retain(|m| {
-                let keep = !m.requests.iter().all(ended);
-                memos_evicted += usize::from(!keep);
-                keep
-            });
-            !list.is_empty()
-        });
-        self.stats.phase1_evicted += memos_evicted;
 
         self.stats.committed_evicted = self.committed.evict_expired(window_start);
         self.stats.committed_active = self.committed.active();
         self.stats.spillover_bytes = self.committed.spillover_at(window_start);
-    }
-
-    /// Phase 1 over one shard's batch with the carried memo: groups whose
-    /// request set (and policy) match a memo are priced from it
-    /// bit-identically; the misses fan out through the standard greedy
-    /// and refresh the memo. Output is identical to
-    /// [`crate::ivsp_solve_priced_with`] on the same batch.
-    pub(crate) fn phase1_warm(
-        &mut self,
-        ctx: &SchedCtx<'_>,
-        batch: &RequestBatch,
-        policy: GreedyPolicy,
-        mode: ExecMode,
-    ) -> PricedSchedule {
-        let groups: Vec<_> = batch.groups().collect();
-        let mut pairs: Vec<Option<(VideoSchedule, Dollars)>> = Vec::with_capacity(groups.len());
-        let mut misses: Vec<usize> = Vec::new();
-        for (gi, (vid, group)) in groups.iter().enumerate() {
-            let hit = self
-                .phase1
-                .get(vid)
-                .and_then(|list| {
-                    list.iter().find(|m| m.policy == policy && m.requests.as_slice() == *group)
-                })
-                .map(|m| (m.vs.clone(), m.cost));
-            match hit {
-                Some(priced) => {
-                    self.stats.phase1_hits += 1;
-                    pairs.push(Some(priced));
-                }
-                None => {
-                    misses.push(gi);
-                    pairs.push(None);
-                }
-            }
-        }
-        let fresh = map_with_mode(mode, &misses, |&gi| {
-            let (_, group) = groups[gi];
-            let vs = crate::find_video_schedule_with(ctx, group, policy);
-            let cost = ctx.video_cost(&vs);
-            (vs, cost)
-        });
-        for (&gi, (vs, cost)) in misses.iter().zip(fresh) {
-            let (vid, group) = groups[gi];
-            let list = self.phase1.entry(vid).or_default();
-            list.retain(|m| m.requests.as_slice() != group);
-            list.push(Phase1Memo { requests: group.to_vec(), policy, vs: vs.clone(), cost });
-            pairs[gi] = Some((vs, cost));
-        }
-        PricedSchedule::from_priced_videos(
-            pairs
-                .into_iter()
-                .zip(&groups)
-                .map(|(p, &(_, group))| {
-                    // Every slot was filled above (memo hit or fresh
-                    // greedy). If the invariant ever breaks, re-running
-                    // the pure greedy is bit-identical to the missing
-                    // fill — degrade to that instead of panicking under
-                    // the service loop.
-                    p.unwrap_or_else(|| {
-                        let vs = crate::find_video_schedule_with(ctx, group, policy);
-                        let cost = ctx.video_cost(&vs);
-                        (vs, cost)
-                    })
-                })
-                .collect(),
-        )
     }
 
     /// Remove and return the carried trial entries that may legally seed
@@ -470,46 +363,23 @@ mod tests {
     }
 
     #[test]
-    fn phase1_memo_hits_are_bit_identical() {
-        let (topo, wl) = world(2);
-        let model = CostModel::per_hop();
-        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let mut warm = WarmState::new(&topo);
-        let policy = GreedyPolicy::default();
-        let cold = crate::ivsp_solve_priced_with(&ctx, &wl.requests, policy, ExecMode::Sequential);
-        let first = warm.phase1_warm(&ctx, &wl.requests, policy, ExecMode::Sequential);
-        assert_eq!(warm.stats.phase1_hits, 0);
-        assert_eq!(first.total().to_bits(), cold.total().to_bits());
-        assert!(first.schedule() == cold.schedule());
-        // Second pass over the identical batch: all hits, same bits.
-        let again = warm.phase1_warm(&ctx, &wl.requests, policy, ExecMode::Sequential);
-        assert_eq!(warm.stats.phase1_hits, wl.requests.groups().count());
-        assert_eq!(again.total().to_bits(), cold.total().to_bits());
-        assert!(again.schedule() == cold.schedule());
-        // A different policy must miss (the memo keys on it).
-        let local = GreedyPolicy { allow_remote_placement: false, ..GreedyPolicy::default() };
-        warm.stats = WarmStats::default();
-        let _ = warm.phase1_warm(&ctx, &wl.requests, local, ExecMode::Sequential);
-        assert_eq!(warm.stats.phase1_hits, 0, "policy change must invalidate memos");
-    }
-
-    #[test]
     fn begin_cycle_evicts_expired_entries_only() {
         let (topo, wl) = world(3);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
         let mut warm = WarmState::new(&topo);
-        let policy = GreedyPolicy::default();
-        let _ = warm.phase1_warm(&ctx, &wl.requests, policy, ExecMode::Sequential);
-        let memos = warm.phase1.len();
-        assert!(memos > 0);
+        let cfg = crate::ShardConfig::default();
+        let mode = vod_parallel::ExecMode::Sequential;
+        let _ = crate::shard_solve_warm(&ctx, &wl.requests, &cfg, &mut warm, 0.0, mode);
+        let carried: usize = warm.trials.values().map(Vec::len).sum();
+        assert!(carried > 0, "5 GB stores must leave trials to carry");
         // A window starting before any reservation ends keeps them all…
         warm.begin_cycle(&ctx, 0.0);
-        assert_eq!(warm.stats.phase1_carried, memos);
-        assert_eq!(warm.stats.phase1_evicted, 0);
+        assert_eq!(warm.stats.trials_carried, carried);
+        assert_eq!(warm.stats.trials_evicted, 0);
         // …and one far past every drain evicts every entry.
         warm.begin_cycle(&ctx, 1e9);
-        assert_eq!(warm.stats.phase1_evicted, memos);
-        assert!(warm.phase1.is_empty());
+        assert_eq!(warm.stats.trials_evicted, carried);
+        assert!(warm.trials.is_empty());
     }
 }

@@ -234,3 +234,44 @@ proptest! {
         }
     }
 }
+
+/// Backoff re-entry can make two tickets hold one `(user, video, start)`
+/// request with different original reservations. The cycle that serves
+/// both pairs the most recently enqueued ticket with the first batch
+/// slot, and across cycles every offered reservation is served once.
+#[test]
+fn colliding_tickets_keep_their_original_pairing() {
+    use vod_core::ServiceLoop;
+    use vod_cost_model::VideoId;
+    use vod_topology::UserId;
+
+    let (topo, catalog) = world(7);
+    let model = CostModel::per_hop();
+    let ctx = SchedCtx::new(&topo, &model, &catalog);
+    // Room for two greedy-rung requests per cycle: cycle 0 holds three,
+    // so the ladder sheds the one on the coldest video.
+    let cfg = ServiceConfig { budget_ns: Some(2.0 * 4_200.0), ..ServiceConfig::default() };
+    let mut svc = ServiceLoop::new(&topo, cfg).unwrap();
+    let req = |user, video, start| Request { user: UserId(user), video: VideoId(video), start };
+    let early = req(0, 5, 100.0);
+    let late = req(0, 5, HORIZON + 100.0);
+    let offered = [early, req(1, 1, 200.0), req(2, 1, 300.0), late];
+
+    for r in &offered[..3] {
+        svc.offer(*r).unwrap();
+    }
+    let c0 = svc.run_cycle(&ctx, ExecMode::Sequential);
+    assert_eq!(c0.shed_now, vec![early]);
+    assert_eq!(c0.served_originals, vec![offered[1], offered[2]]);
+
+    // `early` comes back shifted onto `late`'s slot, behind it in the queue.
+    svc.offer(late).unwrap();
+    let c1 = svc.run_cycle(&ctx, ExecMode::Sequential);
+    assert_eq!(c1.served, vec![late, late]);
+    assert_eq!(c1.served_originals, vec![early, late]);
+    assert_eq!(c1.stats.deadline_misses, 1);
+
+    let served = key_counts(c0.served_originals.iter().chain(c1.served_originals.iter()));
+    assert_eq!(served, key_counts(offered.iter()));
+    assert_eq!(svc.finish().conservation_error(), 0);
+}

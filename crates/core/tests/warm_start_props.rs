@@ -170,12 +170,11 @@ proptest! {
     }
 }
 
-/// Re-submitting the same window's batch re-prices every video group
-/// straight from the carried phase-1 memos, and the result still agrees
-/// with the cold oracle solved against the first pass's committed
-/// occupancy.
+/// Re-submitting the same window's batch carries the first pass's
+/// trials, and the result still agrees with the cold oracle solved
+/// against the first pass's committed occupancy.
 #[test]
-fn repeated_batch_reuses_phase1_memos() {
+fn repeated_batch_agrees_with_cold_oracle() {
     let (topo, catalog) = world(5.0, 9);
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &catalog);
@@ -184,19 +183,7 @@ fn repeated_batch_reuses_phase1_memos() {
 
     let mut warm = WarmState::new(&topo);
     let first = shard_solve_warm(&ctx, &batch, &cfg, &mut warm, 0.0, ExecMode::Sequential);
-    assert_eq!(warm.stats.phase1_hits, 0, "a fresh state has nothing to hit");
-
     let second = shard_solve_warm(&ctx, &batch, &cfg, &mut warm, 0.0, ExecMode::Sequential);
-    let groups = batch.groups().count();
-    // Every per-shard group re-prices from the memo; videos split across
-    // shards contribute one hit per shard, so hits meet or exceed the
-    // full-batch group count.
-    assert!(
-        warm.stats.phase1_hits >= groups,
-        "an identical batch must price every group from the memo ({} hits < {} groups)",
-        warm.stats.phase1_hits,
-        groups
-    );
     assert!(warm.stats.trials_carried > 0 || first.sorp.victims.is_empty());
 
     // Cold oracle for the second pass: from-scratch solve over the first

@@ -18,6 +18,18 @@ pub struct Request {
     pub start: Secs,
 }
 
+impl Request {
+    /// The total order a [`RequestBatch`] iterates in: video, then start
+    /// (`total_cmp`), then user. Two requests compare equal only when all
+    /// three fields are bit-identical.
+    pub fn batch_order(&self, other: &Self) -> std::cmp::Ordering {
+        self.video
+            .cmp(&other.video)
+            .then(self.start.total_cmp(&other.start))
+            .then(self.user.cmp(&other.user))
+    }
+}
+
 /// The batch of requests collected for one scheduling cycle, pre-grouped
 /// per video: the scheduler "collects the requests for the cycle and
 /// partitions them into sets R_i with each of the m distinct video files
@@ -34,9 +46,7 @@ impl RequestBatch {
     /// Partition a flat request list into chronological per-video groups.
     pub fn new(mut requests: Vec<Request>) -> Self {
         let total = requests.len();
-        requests.sort_by(|a, b| {
-            a.video.cmp(&b.video).then(a.start.total_cmp(&b.start)).then(a.user.cmp(&b.user))
-        });
+        requests.sort_by(Request::batch_order);
         let mut groups: Vec<(VideoId, Vec<Request>)> = Vec::new();
         for r in requests {
             match groups.last_mut() {

@@ -1,10 +1,9 @@
 //! The replay engine: expands a schedule into events, replays them while
 //! tracking resources, and cross-checks the cost model.
 
-use crate::event::{Event, EventKind, PendingQueue};
+use crate::event::{Event, EventKind};
 use crate::report::{Metrics, SimReport, Violation};
-use crate::validate::{check_finite_times, structural_checks};
-use std::collections::HashMap;
+use crate::validate::{check_finite_times, structural_checks, take_match};
 use vod_cost_model::{
     Catalog, ChargingBasis, CostModel, Request, RequestBatch, Schedule, Secs, SpaceProfile, VideoId,
 };
@@ -61,7 +60,7 @@ pub fn simulate(
 }
 
 /// Replay `schedule` with an injected [`FaultPlan`] merged into the event
-/// queue: node outages, link failures, and bandwidth degradations open and
+/// list: node outages, link failures, and bandwidth degradations open and
 /// close as timed events, and the replay reports exactly which streams and
 /// cached copies each fault breaks ([`Violation::StreamOnFailedLink`],
 /// [`Violation::ResidencyLostToOutage`]). Requests deliberately dropped by
@@ -100,32 +99,16 @@ pub(crate) fn replay(
     for r in shed {
         violations.push(Violation::RequestShed { user: r.user, video: r.video, start: r.start });
     }
-    // Shed requests are accounted for above; remove them from the batch so
-    // coverage does not re-report them as missing deliveries.
-    let filtered: Option<RequestBatch> = match (options.requests, shed.is_empty()) {
-        (Some(batch), false) => {
-            let mut drop: HashMap<(u32, u32, u64), usize> = HashMap::new();
-            for r in shed {
-                *drop.entry((r.user.0, r.video.0, r.start.to_bits())).or_insert(0) += 1;
-            }
-            Some(RequestBatch::new(
-                batch
-                    .iter()
-                    .filter(|r| match drop.get_mut(&(r.user.0, r.video.0, r.start.to_bits())) {
-                        Some(n) if *n > 0 => {
-                            *n -= 1;
-                            false
-                        }
-                        _ => true,
-                    })
-                    .copied()
-                    .collect(),
-            ))
-        }
-        _ => None,
-    };
-    let requests = filtered.as_ref().or(options.requests);
-    structural_checks(topo, schedule, requests, &mut violations);
+    // Shed requests are accounted for above; take them out of the batch
+    // (as a multiset, one merge over the two sorted lists) so coverage
+    // does not re-report them as missing deliveries.
+    let wanted: Option<Vec<Request>> = options.requests.map(|batch| {
+        let mut excused = shed.to_vec();
+        excused.sort_by(Request::batch_order);
+        let mut excused = excused.iter().peekable();
+        batch.iter().filter(|r| !take_match(&mut excused, r)).copied().collect()
+    });
+    structural_checks(topo, schedule, wanted.as_deref(), &mut violations);
     let times_ok = check_finite_times(schedule, &mut violations);
 
     // Flatten transfers and residencies for index-based events.
@@ -135,83 +118,61 @@ pub(crate) fn replay(
         .iter()
         .map(|r| r.profile_with(catalog.get(r.video), model.space_model()))
         .collect();
+    // Residency indices per hosting node, ascending, so a node's occupancy
+    // sums the same terms in the same order as a scan of every residency.
+    // A residency at a node the topology lacks is indexed nowhere: as a
+    // relay point it raises no event, and nothing else looks it up.
+    let n = topo.node_count();
+    let mut residencies_at: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (i, r) in residencies.iter().enumerate() {
+        if let Some(list) = residencies_at.get_mut(r.loc.index()) {
+            list.push(i);
+        }
+    }
 
     let faults = plan.faults();
     let relay_points = residencies.iter().zip(&profiles).filter(|(_, p)| p.peak() == 0.0).count();
-    // Streaming replay: the queue is seeded with one *head* event per
-    // source (transfer, materialized residency, fault) and each source's
-    // remaining events are generated lazily as its predecessors pop —
-    // O(sources) heap instead of O(events), same pop order bit for bit
-    // (see [`PendingQueue`]).
+    // Expand every source's event chain (transfer, materialized residency,
+    // fault) and sort once; see [`crate::event`] for why that is the order
+    // a streaming queue over the chain heads would pop.
     //
-    // A non-finite time anywhere would break the queue's ordering; the
-    // offenders are already reported, so leave the queue empty and skip
+    // A non-finite time anywhere would make the order meaningless; the
+    // offenders are already reported, so leave the list empty and skip
     // the dynamic replay.
-    let mut seeds: Vec<Event> = Vec::new();
+    let mut events: Vec<Event> = Vec::new();
     if times_ok {
-        seeds.reserve(transfers.len() + residencies.len() - relay_points + faults.len());
+        events.reserve(2 * (transfers.len() + faults.len()) + 4 * residencies.len());
+        let mut push = |time, video, node, kind| events.push(Event { time, video, node, kind });
         for (i, t) in transfers.iter().enumerate() {
-            seeds.push(Event {
-                time: t.start,
-                video: t.video,
-                node: t.src(),
-                kind: EventKind::StreamStart { transfer: i },
-            });
+            let end = t.start + catalog.get(t.video).playback;
+            push(t.start, t.video, t.src(), EventKind::StreamStart { transfer: i });
+            push(end, t.video, t.src(), EventKind::StreamEnd { transfer: i });
         }
         for (i, (r, p)) in residencies.iter().zip(&profiles).enumerate() {
             if p.peak() == 0.0 {
                 continue;
             }
-            seeds.push(Event {
-                time: p.start,
-                video: r.video,
-                node: r.loc,
-                kind: EventKind::CacheFillStart { residency: i },
-            });
+            push(p.start, r.video, r.loc, EventKind::CacheFillStart { residency: i });
+            if p.full > p.start {
+                push(p.full, r.video, r.loc, EventKind::CacheFillComplete { residency: i });
+            }
+            push(p.last, r.video, r.loc, EventKind::CacheDrainStart { residency: i });
+            push(p.end, r.video, r.loc, EventKind::CacheDrainEnd { residency: i });
         }
         for (i, f) in faults.iter().enumerate() {
-            let (from, _) = f.window();
+            let (from, until) = f.window();
             let node = match *f {
                 Fault::NodeOutage { node, .. } => node,
                 Fault::LinkFailure { a, .. } | Fault::LinkDegraded { a, .. } => a,
             };
             let video = VideoId(0); // tracing only; the key's idx disambiguates
-            seeds.push(Event { time: from, video, node, kind: EventKind::FaultStart { fault: i } });
+            push(from, video, node, EventKind::FaultStart { fault: i });
+            push(until, video, node, EventKind::FaultEnd { fault: i });
         }
+        events.sort_unstable_by(Event::replay_order);
     }
-    let advance = |ev: &Event| -> Option<Event> {
-        let next = |time, kind| Some(Event { time, video: ev.video, node: ev.node, kind });
-        match ev.kind {
-            EventKind::StreamStart { transfer } => {
-                let t = transfers[transfer];
-                next(t.start + catalog.get(t.video).playback, EventKind::StreamEnd { transfer })
-            }
-            EventKind::CacheFillStart { residency } => {
-                let p = &profiles[residency];
-                if p.full > p.start {
-                    next(p.full, EventKind::CacheFillComplete { residency })
-                } else {
-                    next(p.last, EventKind::CacheDrainStart { residency })
-                }
-            }
-            EventKind::CacheFillComplete { residency } => {
-                next(profiles[residency].last, EventKind::CacheDrainStart { residency })
-            }
-            EventKind::CacheDrainStart { residency } => {
-                next(profiles[residency].end, EventKind::CacheDrainEnd { residency })
-            }
-            EventKind::FaultStart { fault } => {
-                next(faults[fault].window().1, EventKind::FaultEnd { fault })
-            }
-            EventKind::StreamEnd { .. }
-            | EventKind::CacheDrainEnd { .. }
-            | EventKind::FaultEnd { .. } => None,
-        }
-    };
-    let mut queue = PendingQueue::new(seeds, advance);
 
     // Replay state.
-    let n = topo.node_count();
     let mut peak_occupancy = vec![0.0f64; n];
     let mut link_demand = vec![0.0f64; topo.edge_count()]; // bytes/s
     let mut link_streams = vec![0usize; topo.edge_count()];
@@ -242,20 +203,14 @@ pub(crate) fn replay(
         }
     }
 
-    let occupancy_at = |node: vod_topology::NodeId, t: Secs| -> f64 {
-        residencies
-            .iter()
-            .zip(&profiles)
-            .filter(|(r, _)| r.loc == node)
-            .map(|(_, p)| p.space_at(t))
-            .sum()
+    let occupancy_at = |node: NodeId, t: Secs| -> f64 {
+        residencies_at[node.index()].iter().map(|&i| profiles[i].space_at(t)).sum()
     };
 
-    let mut events_processed = 0usize;
+    let events_processed = events.len();
     let mut makespan: Secs = 0.0;
 
-    while let Some(ev) = queue.pop() {
-        events_processed += 1;
+    for ev in events {
         makespan = makespan.max(ev.time);
 
         match ev.kind {
@@ -308,10 +263,10 @@ pub(crate) fn replay(
                 Fault::NodeOutage { node, .. } => {
                     node_down[node.index()] += 1;
                     // Every live copy with blocks on the dead node is lost.
-                    for (i, (r, p)) in residencies.iter().zip(&profiles).enumerate() {
-                        if r.loc == node && residency_active[i] && p.space_at(ev.time) > 0.0 {
+                    for &i in &residencies_at[node.index()] {
+                        if residency_active[i] && profiles[i].space_at(ev.time) > 0.0 {
                             violations.push(Violation::ResidencyLostToOutage {
-                                video: r.video,
+                                video: residencies[i].video,
                                 loc: node,
                                 time: ev.time,
                             });

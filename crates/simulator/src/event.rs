@@ -1,7 +1,15 @@
-//! The discrete-event core: typed events and a time-ordered queue.
+//! The discrete-event core: typed events and their replay order.
+//!
+//! Each source's events form a fixed chain (`StreamStart → StreamEnd`;
+//! `CacheFillStart → [CacheFillComplete] → CacheDrainStart →
+//! CacheDrainEnd`; `FaultStart → FaultEnd`). The replay expands every
+//! chain up front, sorts the flat list once by [`Event::replay_order`],
+//! and sweeps it — no queue. Along a chain the times are non-decreasing
+//! and the order's kind rank strictly increases, so the sorted list is
+//! exactly the sequence a streaming min-heap over the chain heads would
+//! pop (the `replay_props` suite holds that heap as its oracle).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use vod_cost_model::{Secs, VideoId};
 use vod_topology::NodeId;
 
@@ -87,119 +95,13 @@ impl Event {
         };
         (d, self.video.0, self.node.0, idx)
     }
-}
 
-/// Min-heap of events ordered by `(time, deterministic key)`.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<HeapItem>,
-}
-
-#[derive(Debug)]
-struct HeapItem(Event);
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        // `total_cmp` keeps the ordering total even for times a buggy
-        // caller sneaks past the push-time assertion.
-        other.0.time.total_cmp(&self.0.time).then_with(|| other.0.key().cmp(&self.0.key()))
-    }
-}
-
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedule an event.
-    pub fn push(&mut self, e: Event) {
-        assert!(e.time.is_finite(), "event time must be finite");
-        self.heap.push(HeapItem(e));
-    }
-
-    /// Pop the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop().map(|h| h.0)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is drained.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-/// A streaming event source over per-source *chains*.
-///
-/// The build-up-front replay materialized every event of every transfer,
-/// residency, and fault before popping the first one — an O(events)
-/// allocation and an O(events)-deep heap. Each source's events, however,
-/// form a fixed chain (`StreamStart → StreamEnd`; `CacheFillStart →
-/// [CacheFillComplete] → CacheDrainStart → CacheDrainEnd`; `FaultStart →
-/// FaultEnd`), so it suffices to keep **one pending event per source**:
-/// the queue is seeded with every chain's head, and popping an event
-/// re-arms its chain with the successor supplied by `advance`. The heap
-/// never holds more than one entry per source, and each event still
-/// costs O(log sources) — streaming, not batch.
-///
-/// **Order preservation.** The streamed pop sequence is bit-identical to
-/// sorting all events up front, because along every chain the times are
-/// non-decreasing *and* the deterministic key's discriminant strictly
-/// increases — so a chain's unpopped earliest event is always its
-/// pending head, and the heap's minimum over heads is the global
-/// minimum over all remaining events. `pop` debug-asserts the
-/// non-decreasing half of that contract on every advance.
-pub struct PendingQueue<F: FnMut(&Event) -> Option<Event>> {
-    queue: EventQueue,
-    advance: F,
-}
-
-impl<F: FnMut(&Event) -> Option<Event>> PendingQueue<F> {
-    /// Seed the queue with every chain's head event.
-    pub fn new(seeds: impl IntoIterator<Item = Event>, advance: F) -> Self {
-        let mut queue = EventQueue::new();
-        for e in seeds {
-            queue.push(e);
-        }
-        Self { queue, advance }
-    }
-
-    /// Pop the earliest pending event, re-arming its chain.
-    pub fn pop(&mut self) -> Option<Event> {
-        let ev = self.queue.pop()?;
-        if let Some(succ) = (self.advance)(&ev) {
-            debug_assert!(
-                succ.time >= ev.time,
-                "chain successor moved backwards: {} after {}",
-                succ.time,
-                ev.time
-            );
-            self.queue.push(succ);
-        }
-        Some(ev)
-    }
-
-    /// Number of chains still pending (≤ the number of sources, never
-    /// the total remaining event count).
-    pub fn pending(&self) -> usize {
-        self.queue.len()
+    /// The total order events replay in: time (`total_cmp`), then the
+    /// deterministic key. Distinct events of one replay never compare
+    /// equal (the key carries the source index), so an unstable sort by
+    /// this order is deterministic.
+    pub fn replay_order(&self, other: &Self) -> Ordering {
+        self.time.total_cmp(&other.time).then_with(|| self.key().cmp(&other.key()))
     }
 }
 
@@ -211,27 +113,34 @@ mod tests {
         Event { time, video: VideoId(0), node: NodeId(0), kind }
     }
 
+    fn sorted(mut events: Vec<Event>) -> Vec<Event> {
+        events.sort_unstable_by(Event::replay_order);
+        events
+    }
+
     #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(ev(5.0, EventKind::StreamStart { transfer: 0 }));
-        q.push(ev(1.0, EventKind::StreamStart { transfer: 1 }));
-        q.push(ev(3.0, EventKind::StreamEnd { transfer: 1 }));
-        let times: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
+    fn sorts_in_time_order() {
+        let times: Vec<f64> = sorted(vec![
+            ev(5.0, EventKind::StreamStart { transfer: 0 }),
+            ev(1.0, EventKind::StreamStart { transfer: 1 }),
+            ev(3.0, EventKind::StreamEnd { transfer: 1 }),
+        ])
+        .iter()
+        .map(|e| e.time)
+        .collect();
         assert_eq!(times, vec![1.0, 3.0, 5.0]);
     }
 
     #[test]
     fn simultaneous_events_order_deterministically() {
-        let make = || {
-            let mut q = EventQueue::new();
-            q.push(ev(2.0, EventKind::StreamEnd { transfer: 7 }));
-            q.push(ev(2.0, EventKind::StreamStart { transfer: 3 }));
-            q.push(ev(2.0, EventKind::CacheFillStart { residency: 1 }));
-            std::iter::from_fn(move || q.pop()).map(|e| e.kind).collect::<Vec<_>>()
-        };
-        let a = make();
-        let b = make();
+        let mut events = vec![
+            ev(2.0, EventKind::StreamEnd { transfer: 7 }),
+            ev(2.0, EventKind::StreamStart { transfer: 3 }),
+            ev(2.0, EventKind::CacheFillStart { residency: 1 }),
+        ];
+        let a: Vec<_> = sorted(events.clone()).iter().map(|e| e.kind).collect();
+        events.reverse();
+        let b: Vec<_> = sorted(events).iter().map(|e| e.kind).collect();
         assert_eq!(a, b);
         // Starts sort before ends at the same instant.
         assert_eq!(a[0], EventKind::StreamStart { transfer: 3 });
@@ -240,93 +149,16 @@ mod tests {
 
     #[test]
     fn faults_bracket_everything_else_at_equal_times() {
-        let mut q = EventQueue::new();
-        q.push(ev(2.0, EventKind::StreamStart { transfer: 0 }));
-        q.push(ev(2.0, EventKind::FaultEnd { fault: 0 }));
-        q.push(ev(2.0, EventKind::FaultStart { fault: 1 }));
-        q.push(ev(2.0, EventKind::CacheDrainEnd { residency: 0 }));
-        let kinds: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
+        let kinds: Vec<_> = sorted(vec![
+            ev(2.0, EventKind::StreamStart { transfer: 0 }),
+            ev(2.0, EventKind::FaultEnd { fault: 0 }),
+            ev(2.0, EventKind::FaultStart { fault: 1 }),
+            ev(2.0, EventKind::CacheDrainEnd { residency: 0 }),
+        ])
+        .iter()
+        .map(|e| e.kind)
+        .collect();
         assert_eq!(kinds.first(), Some(&EventKind::FaultStart { fault: 1 }));
         assert_eq!(kinds.last(), Some(&EventKind::FaultEnd { fault: 0 }));
-    }
-
-    #[test]
-    fn len_and_is_empty_track_contents() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(ev(1.0, EventKind::StreamStart { transfer: 0 }));
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn non_finite_time_rejected() {
-        EventQueue::new().push(ev(f64::NAN, EventKind::StreamStart { transfer: 0 }));
-    }
-
-    #[test]
-    fn streamed_pops_match_build_all_order() {
-        // Synthetic chains with colliding times: transfers i start at
-        // (i % 3) and end 2 s later; residencies fill at (i % 2), reach
-        // the plateau 1 s later, drain from 3 s, gone at 4 s.
-        let mk = |i: usize, time: f64, kind: EventKind| Event {
-            time,
-            video: VideoId((i % 4) as u32),
-            node: NodeId((i % 3) as u32),
-            kind,
-        };
-        let chains: Vec<Vec<Event>> = (0..8)
-            .map(|i| {
-                let t0 = (i % 3) as f64;
-                vec![
-                    mk(i, t0, EventKind::StreamStart { transfer: i }),
-                    mk(i, t0 + 2.0, EventKind::StreamEnd { transfer: i }),
-                ]
-            })
-            .chain((0..6).map(|i| {
-                let t0 = (i % 2) as f64;
-                vec![
-                    mk(i, t0, EventKind::CacheFillStart { residency: i }),
-                    mk(i, t0 + 1.0, EventKind::CacheFillComplete { residency: i }),
-                    mk(i, t0 + 3.0, EventKind::CacheDrainStart { residency: i }),
-                    mk(i, t0 + 4.0, EventKind::CacheDrainEnd { residency: i }),
-                ]
-            }))
-            .collect();
-
-        // Reference: push everything, pop everything.
-        let mut all = EventQueue::new();
-        for c in &chains {
-            for &e in c {
-                all.push(e);
-            }
-        }
-        let reference: Vec<(u64, EventKind)> =
-            std::iter::from_fn(|| all.pop()).map(|e| (e.time.to_bits(), e.kind)).collect();
-
-        // Streamed: seed heads, advance within each chain on pop.
-        let chains_ref = &chains;
-        let position = |e: &Event| -> (usize, usize) {
-            for (ci, c) in chains_ref.iter().enumerate() {
-                if let Some(pi) = c.iter().position(|x| x.kind == e.kind) {
-                    return (ci, pi);
-                }
-            }
-            unreachable!("event not from a chain")
-        };
-        let mut q = PendingQueue::new(chains.iter().map(|c| c[0]), |e| {
-            let (ci, pi) = position(e);
-            chains_ref[ci].get(pi + 1).copied()
-        });
-        let sources = chains.len();
-        let mut streamed = Vec::new();
-        while let Some(e) = q.pop() {
-            assert!(q.pending() <= sources, "pending exceeded one entry per source");
-            streamed.push((e.time.to_bits(), e.kind));
-        }
-        assert_eq!(streamed, reference, "streaming reordered the replay");
     }
 }

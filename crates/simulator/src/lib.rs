@@ -2,8 +2,8 @@
 //!
 //! The scheduler crates reason about schedules symbolically; this crate
 //! *runs* them. [`simulate`] expands a [`Schedule`] into a time-ordered
-//! event stream (stream starts/ends, cache fill begin/complete, residency
-//! drain-out), replays it while tracking per-storage occupancy and
+//! event list (stream starts/ends, cache fill begin/complete, residency
+//! drain-out), sweeps it while tracking per-storage occupancy and
 //! per-link concurrency, and checks the invariants a real deployment would
 //! need:
 //!
@@ -25,7 +25,7 @@
 //!
 //! [`simulate_with_faults`] additionally merges a deterministic
 //! [`FaultPlan`] (timed node outages, link failures, bandwidth
-//! degradations) into the event queue and reports exactly which streams
+//! degradations) into the event list and reports exactly which streams
 //! and cached copies each fault breaks — the ground truth the repair
 //! scheduler in `vod-core` is measured against.
 //!
@@ -62,7 +62,7 @@ pub mod service;
 mod validate;
 
 pub use engine::{simulate, simulate_with_faults, SimOptions};
-pub use event::{Event, EventKind, EventQueue, PendingQueue};
+pub use event::{Event, EventKind};
 pub use report::{Metrics, SimReport, Violation};
 pub use service::{check_service_accounting, cycle_is_clean, replay_service_cycle};
 // Re-exported so replay callers can build fault plans without a separate

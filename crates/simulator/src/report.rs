@@ -6,7 +6,11 @@ use vod_topology::{NodeId, UserId};
 /// An invariant the schedule failed to satisfy under replay.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Violation {
-    /// A request from the batch received no delivery transfer.
+    /// A request from the batch received no delivery transfer. A report
+    /// lists these in (video, start, user) order — the batch's own
+    /// [`vod_cost_model::Request::batch_order`] — once per unanswered copy
+    /// of the request, so the same schedule yields the same sequence on
+    /// every run.
     MissingDelivery {
         /// The requesting user.
         user: UserId,

@@ -12,9 +12,10 @@
 //! guarantees (conservation, shed disposition, backoff histogram,
 //! queue-bound respect).
 
+use crate::validate::take_match;
 use crate::{simulate, SimOptions, SimReport, Violation};
 use vod_core::{ServiceCycleOutcome, ServiceReport};
-use vod_cost_model::{Catalog, CostModel, RequestBatch};
+use vod_cost_model::{Catalog, CostModel, Request, RequestBatch};
 use vod_topology::Topology;
 
 /// Strictly replay one service cycle's committed schedule. The expected
@@ -51,16 +52,15 @@ pub fn replay_service_cycle_recorded(
     let batch = RequestBatch::new(expected);
     let mut report = simulate(topo, catalog, model, &cycle.schedule, &SimOptions::strict(&batch));
     // Re-tag the excused shed deliveries: `simulate` has no shed list, so
-    // coverage reports them as missing — convert exactly those back.
-    let mut shed: Vec<_> =
-        cycle.shed_now.iter().map(|r| (r.user, r.video, r.start.to_bits())).collect();
+    // coverage reports them as missing — convert exactly those back, one
+    // per shed entry. Missing deliveries arrive in `batch_order`, so one
+    // merge against the sorted shed list finds them.
+    let mut shed = cycle.shed_now.clone();
+    shed.sort_by(Request::batch_order);
+    let mut shed = shed.iter().peekable();
     for v in &mut report.violations {
         if let Violation::MissingDelivery { user, video, start } = *v {
-            if let Some(pos) = shed
-                .iter()
-                .position(|&(u, vid, s)| u == user && vid == video && s == start.to_bits())
-            {
-                shed.swap_remove(pos);
+            if take_match(&mut shed, &Request { user, video, start }) {
                 *v = Violation::RequestShed { user, video, start };
             }
         }

@@ -2,62 +2,93 @@
 //! data availability at stream sources, and residency feeds.
 
 use crate::report::Violation;
-use vod_cost_model::{RequestBatch, Schedule};
+use std::cmp::Ordering;
+use vod_cost_model::{Request, Schedule};
 use vod_topology::Topology;
 
-/// Run every structural check, appending failures to `out`.
+/// Run every structural check, appending failures to `out`. `wanted` is
+/// the request multiset the schedule must deliver, in
+/// [`Request::batch_order`].
 pub fn structural_checks(
     topo: &Topology,
     schedule: &Schedule,
-    requests: Option<&RequestBatch>,
+    wanted: Option<&[Request]>,
     out: &mut Vec<Violation>,
 ) {
     check_routes(topo, schedule, out);
     check_sources(topo, schedule, out);
     check_residency_feeds(schedule, out);
-    if let Some(batch) = requests {
-        check_coverage(topo, schedule, batch, out);
+    if let Some(wanted) = wanted {
+        check_coverage(topo, schedule, wanted, out);
     }
 }
 
+/// One step of a merge over request lists in [`Request::batch_order`]:
+/// skip everything in `sorted` that orders before `r`, then consume one
+/// entry equal to `r` and report whether there was one. Callers feed it
+/// ascending `r`s.
+pub(crate) fn take_match<'a>(
+    sorted: &mut std::iter::Peekable<impl Iterator<Item = &'a Request>>,
+    r: &Request,
+) -> bool {
+    while sorted.next_if(|s| s.batch_order(r).is_lt()).is_some() {}
+    sorted.next_if(|s| s.batch_order(r).is_eq()).is_some()
+}
+
 /// Every request must receive exactly one delivery, ending at the user's
-/// local storage at the reserved time.
+/// local storage at the reserved time. A request's identity includes its
+/// start time bit pattern: a user may reserve the same video twice at
+/// different times.
+///
+/// Wrong destinations are reported first, in transfer order; the rest
+/// comes from one merge of `wanted` against the sorted deliveries, so
+/// duplicate, unrequested and missing deliveries appear in
+/// [`Request::batch_order`] of their key.
 fn check_coverage(
     topo: &Topology,
     schedule: &Schedule,
-    batch: &RequestBatch,
+    wanted: &[Request],
     out: &mut Vec<Violation>,
 ) {
-    use std::collections::HashMap;
-    // Key includes the start time bit pattern: a user may reserve the same
-    // video twice at different times.
-    let mut wanted: HashMap<(u32, u32, u64), usize> = HashMap::new();
-    for r in batch.iter() {
-        *wanted.entry((r.user.0, r.video.0, r.start.to_bits())).or_insert(0) += 1;
-    }
+    debug_assert!(wanted.windows(2).all(|w| w[0].batch_order(&w[1]).is_le()));
+    let mut delivered: Vec<Request> = Vec::with_capacity(wanted.len());
     for t in schedule.transfers() {
         let Some(user) = t.user else { continue };
         let expected = topo.home_of(user);
         if t.dst() != expected {
             out.push(Violation::WrongDestination { user, got: t.dst(), expected });
         }
-        match wanted.get_mut(&(user.0, t.video.0, t.start.to_bits())) {
-            Some(n) if *n > 0 => *n -= 1,
-            // Count exhausted: the request existed but was already served.
-            Some(_) => out.push(Violation::DuplicateDelivery { user, video: t.video }),
-            // Key absent: nobody reserved this (user, video, start) at all.
-            None => {
-                out.push(Violation::UnrequestedDelivery { user, video: t.video, start: t.start })
-            }
-        }
+        delivered.push(Request { user, video: t.video, start: t.start });
     }
-    for ((user, video, start), n) in wanted {
-        for _ in 0..n {
-            out.push(Violation::MissingDelivery {
-                user: vod_topology::UserId(user),
-                video: vod_cost_model::VideoId(video),
-                start: f64::from_bits(start),
-            });
+    delivered.sort_by(Request::batch_order);
+    let (mut w, mut d) = (0, 0);
+    while w < wanted.len() || d < delivered.len() {
+        let order = match (wanted.get(w), delivered.get(d)) {
+            (Some(want), Some(got)) => want.batch_order(got),
+            (Some(_), None) => Ordering::Less,
+            _ => Ordering::Greater,
+        };
+        match order {
+            Ordering::Less => {
+                let Request { user, video, start } = wanted[w];
+                out.push(Violation::MissingDelivery { user, video, start });
+                w += 1;
+            }
+            Ordering::Equal => {
+                w += 1;
+                d += 1;
+            }
+            Ordering::Greater => {
+                let Request { user, video, start } = delivered[d];
+                // An extra delivery of a key the batch holds (just
+                // matched) is a duplicate; of an absent key, unrequested.
+                if w > 0 && wanted[w - 1].batch_order(&delivered[d]).is_eq() {
+                    out.push(Violation::DuplicateDelivery { user, video });
+                } else {
+                    out.push(Violation::UnrequestedDelivery { user, video, start });
+                }
+                d += 1;
+            }
         }
     }
 }
@@ -146,7 +177,7 @@ fn check_residency_feeds(schedule: &Schedule, out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_cost_model::{Request, Residency, Transfer, Video, VideoId, VideoSchedule};
+    use vod_cost_model::{RequestBatch, Residency, Transfer, Video, VideoId, VideoSchedule};
     use vod_topology::{builders, units, NodeId, UserId};
 
     fn topo() -> Topology {
@@ -166,8 +197,9 @@ mod tests {
     }
 
     fn run(schedule: &Schedule, b: Option<&RequestBatch>) -> Vec<Violation> {
+        let wanted: Option<Vec<Request>> = b.map(|b| b.iter().copied().collect());
         let mut out = Vec::new();
-        structural_checks(&topo(), schedule, b, &mut out);
+        structural_checks(&topo(), schedule, wanted.as_deref(), &mut out);
         out
     }
 
@@ -193,6 +225,39 @@ mod tests {
         let s = Schedule::new();
         let v = run(&s, Some(&batch(vec![req(0, 100.0)])));
         assert!(matches!(v[0], Violation::MissingDelivery { user: UserId(0), .. }));
+    }
+
+    #[test]
+    fn missing_deliveries_are_listed_in_batch_order() {
+        let t = topo();
+        let at = |user: u32, video: u32, start: f64| Request {
+            user: UserId(user),
+            video: VideoId(video),
+            start,
+        };
+        // One of four reservations is answered; the other three are
+        // offered in an order that is not the batch's.
+        let served = at(0, 0, 200.0);
+        let b = batch(vec![at(3, 1, 50.0), at(2, 0, 300.0), served, at(1, 0, 300.0)]);
+        let mut vs = VideoSchedule::new(VideoId(0));
+        vs.transfers.push(Transfer {
+            video: served.video,
+            route: vec![t.warehouse(), t.home_of(served.user)],
+            start: served.start,
+            user: Some(served.user),
+        });
+        let mut s = Schedule::new();
+        s.upsert(vs);
+        let missing = |r: Request| Violation::MissingDelivery {
+            user: r.user,
+            video: r.video,
+            start: r.start,
+        };
+        let expected =
+            vec![missing(at(1, 0, 300.0)), missing(at(2, 0, 300.0)), missing(at(3, 1, 50.0))];
+        for _ in 0..2 {
+            assert_eq!(run(&s, Some(&b)), expected);
+        }
     }
 
     #[test]

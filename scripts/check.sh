@@ -50,6 +50,7 @@ cargo test -q --offline -p vod-faults
 cargo test -q --offline -p vod-core repair
 cargo test -q --offline -p vod-core --test repair_props
 cargo test -q --offline --test fault_injection_e2e --test failure_injection
+cargo test -q --offline -p vod-simulator --test replay_props
 
 echo "==> telemetry suite (obs crate + recorder transparency + e2e reconcile)"
 cargo test -q --offline -p vod-obs
@@ -71,6 +72,14 @@ echo "==> comparator lint (no panicking partial_cmp in first-party code)"
 if grep -rn --include='*.rs' -E 'partial_cmp\([^)]*\)\s*\.\s*(unwrap|expect)' \
     crates src tests examples 2>/dev/null; then
   echo "error: use f64::total_cmp instead of partial_cmp().unwrap()" >&2
+  exit 1
+fi
+
+echo "==> determinism lint (no hash containers in the replay simulator)"
+# Whatever reaches a SimReport must come out in the same order on every
+# run; RandomState iteration order does not.
+if grep -rn --include='*.rs' -E 'Hash(Map|Set)' crates/simulator/src; then
+  echo "error: keep HashMap/HashSet out of crates/simulator/src (sort, or use BTreeMap)" >&2
   exit 1
 fi
 
