@@ -72,11 +72,8 @@ pub fn link_loads(topo: &Topology, catalog: &Catalog, schedule: &Schedule) -> Ve
     for t in schedule.transfers() {
         let video = catalog.get(t.video);
         for hop in t.route.windows(2) {
-            let (_, edge_idx) = topo
-                .neighbors(hop[0])
-                .iter()
-                .find(|(n, _)| *n == hop[1])
-                .copied()
+            let edge_idx = topo
+                .edge_index(hop[0], hop[1])
                 .unwrap_or_else(|| panic!("transfer hop {}-{} is not a link", hop[0], hop[1]));
             loads[edge_idx].add(t.start, video.playback, video.bandwidth);
         }

@@ -82,11 +82,11 @@ impl LinkLedger {
         bw: f64,
     ) -> bool {
         route.windows(2).all(|hop| {
-            let Some((_, edge)) = topo.neighbors(hop[0]).iter().find(|(n, _)| *n == hop[1]) else {
+            let Some(edge) = topo.edge_index(hop[0], hop[1]) else {
                 return false;
             };
-            match topo.edges()[*edge].bandwidth {
-                Some(cap) => self.fits(*edge, t0, t0 + dur, bw, cap),
+            match topo.edges()[edge].bandwidth {
+                Some(cap) => self.fits(edge, t0, t0 + dur, bw, cap),
                 None => true,
             }
         })
@@ -102,12 +102,7 @@ impl LinkLedger {
         bw: f64,
     ) {
         for hop in route.windows(2) {
-            let (_, edge) = topo
-                .neighbors(hop[0])
-                .iter()
-                .find(|(n, _)| *n == hop[1])
-                .copied()
-                .expect("committed route hops are links");
+            let edge = topo.edge_index(hop[0], hop[1]).expect("committed route hops are links");
             self.streams[edge].push((t0, t0 + dur, bw));
         }
     }
@@ -367,7 +362,7 @@ pub fn bandwidth_aware_solve(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Bandwi
         let vs = per_video.entry(req.video).or_insert_with(|| VideoSchedule::new(req.video));
         vs.transfers.push(Transfer {
             video: req.video,
-            route: plan.route.clone(),
+            route: plan.route.into(),
             start: req.start,
             user: Some(req.user),
         });

@@ -12,7 +12,7 @@
 
 use crate::SchedCtx;
 use std::collections::BTreeMap;
-use vod_cost_model::{RequestBatch, Residency, Schedule, Transfer, VideoSchedule};
+use vod_cost_model::{RequestBatch, Residency, Schedule, VideoSchedule};
 use vod_topology::NodeId;
 
 /// Schedule every request as a direct warehouse stream (no residencies).
@@ -23,10 +23,7 @@ pub fn network_only(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Schedule {
         .groups()
         .map(|(video, group)| {
             let mut vs = VideoSchedule::new(video);
-            for req in group {
-                let local = ctx.topo.home_of(req.user);
-                vs.transfers.push(Transfer::for_user(req, ctx.routes.path(vw, local)));
-            }
+            vs.transfers.extend(group.iter().map(|req| ctx.delivery(req, vw, None)));
             vs
         })
         .collect()
@@ -50,10 +47,10 @@ pub fn cache_local_always(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Schedule 
                     Some(copy) => {
                         copy.extend(*req);
                         // Zero network hops: served out of the local copy.
-                        vs.transfers.push(Transfer::for_user(req, ctx.routes.path(local, local)));
+                        vs.transfers.push(ctx.delivery(req, local, None));
                     }
                     None => {
-                        vs.transfers.push(Transfer::for_user(req, ctx.routes.path(vw, local)));
+                        vs.transfers.push(ctx.delivery(req, vw, None));
                         local_copies.insert(local, Residency::begin(local, vw, *req));
                     }
                 }

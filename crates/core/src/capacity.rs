@@ -47,9 +47,12 @@ pub enum LedgerMode {
 }
 
 /// Reusable scratch buffers for the timeline admission test, so the hot
-/// `fits` path performs no per-call allocations. One cursor per worker:
-/// the rejective greedy allocates one per reschedule and threads it
-/// through every admission test of that video.
+/// `fits` path performs no per-call allocations. One cursor per greedy
+/// run: each run builds its own and threads it through every admission
+/// test of that video. Cursors are deliberately not pooled across runs:
+/// the thread-local pool prototyped for ISSUE 14 measured 0 % on every
+/// benchmark workload (the allocator's thread cache already serves
+/// these sizes).
 #[derive(Clone, Debug, Default)]
 pub struct LedgerCursor {
     /// Overlay deltas: the candidate's breakpoints plus the negated

@@ -1,9 +1,9 @@
 //! Shared scheduling context.
 
-use std::sync::OnceLock;
-use vod_cost_model::{Catalog, CostModel, Dollars, Schedule, VideoSchedule};
+use std::sync::{Arc, OnceLock};
+use vod_cost_model::{Catalog, CostModel, Dollars, Request, Schedule, Transfer, VideoSchedule};
 use vod_obs::Recorder;
-use vod_topology::{NodeId, RouteTable, Topology};
+use vod_topology::{NodeId, RouteTable, Topology, TopologyError};
 
 /// Everything the scheduler needs to price and route candidate service
 /// plans: the topology, its all-pairs cheapest routes, the cost model, and
@@ -22,9 +22,19 @@ pub struct SchedCtx<'a> {
     /// Telemetry sink; the default is the disabled no-op recorder.
     pub recorder: Recorder,
     /// Per `(src, local)` pair, see [`SchedCtx::relay_order`]; each row is
-    /// sorted on first use, so a context that never places a relay cache
+    /// built on first use, so a context that never places a relay cache
     /// (or a short-lived degraded one) pays only for the rows it walks.
-    relay: Vec<OnceLock<Box<[NodeId]>>>,
+    relay: Vec<OnceLock<RelayRow>>,
+}
+
+/// What the greedy knows about relaying `src → m → local`, per `m`.
+#[derive(Clone, Debug)]
+struct RelayRow {
+    /// The storages by ascending detour.
+    order: Box<[NodeId]>,
+    /// `via[m]`: the node sequence `src → m → local`, joined on first use
+    /// (see [`SchedCtx::relay_route`]).
+    via: Box<[OnceLock<Arc<[NodeId]>>]>,
 }
 
 impl<'a> SchedCtx<'a> {
@@ -54,13 +64,55 @@ impl<'a> SchedCtx<'a> {
     /// inequality no detour undercuts `rate(src, local)`, which `local`
     /// itself attains. Unreachable storages (infinite detour) sort last.
     pub(crate) fn relay_order(&self, src: NodeId, local: NodeId) -> &[NodeId] {
+        &self.relay_row(src, local).order
+    }
+
+    fn relay_row(&self, src: NodeId, local: NodeId) -> &RelayRow {
         let n = self.routes.node_count();
         self.relay[src.index() * n + local.index()].get_or_init(|| {
             let detour = |m: NodeId| self.routes.rate(src, m) + self.routes.rate(m, local);
             let mut order: Vec<NodeId> = self.topo.storages().collect();
             order.sort_by(|&a, &b| detour(a).total_cmp(&detour(b)).then(a.cmp(&b)));
-            order.into_boxed_slice()
+            RelayRow { order: order.into_boxed_slice(), via: vec![OnceLock::new(); n].into() }
         })
+    }
+
+    /// The route of a stream that fills a new cache at `m` on its way from
+    /// `src` to `local`: the cheapest route `src → m` followed by the
+    /// cheapest route `m → local`, as a shared handle. A cache at `local`
+    /// itself is on the direct route, which is then the one handed out.
+    pub fn relay_route(
+        &self,
+        src: NodeId,
+        m: NodeId,
+        local: NodeId,
+    ) -> Result<Arc<[NodeId]>, TopologyError> {
+        if m == local {
+            return self.routes.shared_path(src, local);
+        }
+        let cell = &self.relay_row(src, local).via[m.index()];
+        if let Some(route) = cell.get() {
+            return Ok(route.clone());
+        }
+        let (head, tail) = (self.routes.shared_path(src, m)?, self.routes.shared_path(m, local)?);
+        let joined: Arc<[NodeId]> = head.iter().chain(&tail[1..]).copied().collect();
+        Ok(cell.get_or_init(|| joined).clone())
+    }
+
+    /// The delivery transfer of `req` streamed from `src`, through a new
+    /// cache at `via` when the plan introduces one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this context's table has no such route; a scheduler only
+    /// materialises plans it priced at a finite rate.
+    pub(crate) fn delivery(&self, req: &Request, src: NodeId, via: Option<NodeId>) -> Transfer {
+        let local = self.topo.home_of(req.user);
+        let route = match via {
+            None => self.routes.shared_path(src, local),
+            Some(m) => self.relay_route(src, m, local),
+        };
+        Transfer::for_user(req, route.expect("a plan priced at a finite rate has a route"))
     }
 
     /// The same context with a (typically enabled) telemetry recorder
@@ -85,8 +137,8 @@ impl<'a> SchedCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_cost_model::{Request, Transfer, Video, VideoId};
-    use vod_topology::{builders, units, NodeId, UserId};
+    use vod_cost_model::{Video, VideoId};
+    use vod_topology::{builders, units, UserId};
 
     #[test]
     fn context_prices_like_the_model() {

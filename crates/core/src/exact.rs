@@ -23,7 +23,7 @@
 //! bound prune keeps typical cases far below the worst case).
 
 use crate::SchedCtx;
-use vod_cost_model::{Dollars, Request, Residency, SpaceProfile, Transfer, VideoSchedule};
+use vod_cost_model::{Dollars, Request, Residency, SpaceProfile, VideoSchedule};
 use vod_topology::NodeId;
 
 /// Outcome of the exact search.
@@ -222,25 +222,12 @@ fn materialise(ctx: &SchedCtx<'_>, requests: &[Request], plans: &[Plan]) -> Vide
     let mut caches: Vec<Residency> = Vec::new();
 
     for (req, plan) in requests.iter().zip(plans) {
-        let local = ctx.topo.home_of(req.user);
         if let Some(cache) = caches.iter_mut().find(|c| c.loc == plan.src) {
             cache.extend(*req);
         }
-        match plan.new_cache {
-            None => {
-                vs.transfers.push(Transfer::for_user(req, ctx.routes.path(plan.src, local)));
-            }
-            Some(m) => {
-                let mut route = ctx.routes.path(plan.src, m).nodes;
-                route.extend_from_slice(&ctx.routes.path(m, local).nodes[1..]);
-                vs.transfers.push(Transfer {
-                    video,
-                    route,
-                    start: req.start,
-                    user: Some(req.user),
-                });
-                caches.push(Residency::begin(m, plan.src, *req));
-            }
+        vs.transfers.push(ctx.delivery(req, plan.src, plan.new_cache));
+        if let Some(m) = plan.new_cache {
+            caches.push(Residency::begin(m, plan.src, *req));
         }
     }
     vs.residencies.extend(caches);

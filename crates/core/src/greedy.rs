@@ -30,8 +30,8 @@ use crate::{
 };
 use serde::{Deserialize, Serialize};
 use vod_cost_model::{
-    Dollars, Request, RequestBatch, Residency, Schedule, Secs, SpaceProfile, Transfer, Video,
-    VideoId, VideoSchedule,
+    Dollars, Request, RequestBatch, Residency, Schedule, Secs, SpaceProfile, Video, VideoId,
+    VideoSchedule,
 };
 use vod_parallel::{map_with_mode, ExecMode};
 use vod_topology::{NodeId, Topology};
@@ -381,6 +381,8 @@ fn greedy_with_cursor(
     let mut caches: Vec<Residency> = Vec::new();
     let mut slots = vec![Slot::Free; ctx.topo.node_count()];
     let mut schedule = VideoSchedule::new(vid);
+    // One delivery per request.
+    schedule.transfers.reserve_exact(requests.len());
 
     for req in requests {
         let local = ctx.topo.home_of(req.user);
@@ -487,23 +489,11 @@ fn greedy_with_cursor(
         if let Some(src_cache) = caches.iter_mut().find(|r| r.loc == plan.src) {
             src_cache.extend(*req);
         }
-        match plan.new_cache {
-            None => {
-                schedule.transfers.push(Transfer::for_user(req, ctx.routes.path(plan.src, local)));
-            }
-            Some(m) => {
-                let mut route = ctx.routes.path(plan.src, m).nodes;
-                route.extend_from_slice(&ctx.routes.path(m, local).nodes[1..]);
-                schedule.transfers.push(Transfer {
-                    video: vid,
-                    route,
-                    start: req.start,
-                    user: Some(req.user),
-                });
-                let at = caches.partition_point(|r| r.loc < m);
-                caches.insert(at, Residency::begin(m, plan.src, *req));
-                slots[m.index()] = Slot::Cache;
-            }
+        schedule.transfers.push(ctx.delivery(req, plan.src, plan.new_cache));
+        if let Some(m) = plan.new_cache {
+            let at = caches.partition_point(|r| r.loc < m);
+            caches.insert(at, Residency::begin(m, plan.src, *req));
+            slots[m.index()] = Slot::Cache;
         }
     }
 
@@ -602,7 +592,7 @@ mod tests {
         let cost = ctx.video_cost(&vs);
         assert!((cost - 64.8).abs() < 1e-9);
         assert_eq!(vs.transfers.len(), 1);
-        assert_eq!(vs.transfers[0].route, vec![NodeId(0), NodeId(1)]);
+        assert_eq!(*vs.transfers[0].route, [NodeId(0), NodeId(1)]);
     }
 
     #[test]

@@ -217,7 +217,10 @@ pub fn repair_schedule(
             // The original cheapest route exists on the full topology;
             // deliver over it in the first backoff window where every
             // hop stays up for the whole playback.
-            let route = ctx.routes.path(vw, ctx.topo.home_of(req.user));
+            let route = ctx
+                .routes
+                .shared_path(vw, ctx.topo.home_of(req.user))
+                .expect("the intact topology reaches every home");
             let mut served = false;
             for k in 0..=cfg.max_retries {
                 let t = if k == 0 {
@@ -232,7 +235,6 @@ pub fn repair_schedule(
                     req.start + cfg.base_backoff * (1u64 << exp) as f64
                 };
                 let clear = route
-                    .nodes
                     .windows(2)
                     .all(|hop| !plan.link_failed_during(hop[0], hop[1], t, t + playback));
                 if clear {

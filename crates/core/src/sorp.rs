@@ -806,10 +806,7 @@ fn commit(
 fn force_direct(ctx: &SchedCtx<'_>, old: &VideoSchedule) -> VideoSchedule {
     let mut vs = VideoSchedule::new(old.video);
     let vw = ctx.topo.warehouse();
-    for req in old.delivered_requests() {
-        let local = ctx.topo.home_of(req.user);
-        vs.transfers.push(vod_cost_model::Transfer::for_user(&req, ctx.routes.path(vw, local)));
-    }
+    vs.transfers.extend(old.delivered_requests().iter().map(|req| ctx.delivery(req, vw, None)));
     vs
 }
 

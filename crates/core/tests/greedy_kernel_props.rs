@@ -3,7 +3,8 @@
 //! The production kernel walks a precomputed per-`(src, local)` relay
 //! order and memoizes dead sources; `pre_pr` below is the nested-scan
 //! greedy it replaced — every cache re-tested per request, every storage
-//! scanned per source — kept here, and only here, as the oracle. Across
+//! scanned per source, every route walked and concatenated into a fresh
+//! `Vec` — kept here, and only here, as the oracle. Across
 //! random topologies (uniform and random link rates), degraded route
 //! tables with unreachable pairs, every [`GreedyPolicy`], both
 //! [`SpaceModel`]s and with or without [`Constraints`], both must emit
@@ -174,7 +175,7 @@ mod pre_pr {
                     route.extend_from_slice(&ctx.routes.path(m, local).nodes[1..]);
                     schedule.transfers.push(Transfer {
                         video: vid,
-                        route,
+                        route: route.into(),
                         start: req.start,
                         user: Some(req.user),
                     });

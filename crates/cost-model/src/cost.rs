@@ -253,8 +253,12 @@ mod tests {
         let (is1, is2) = (NodeId(1), NodeId(2));
         // A detour VW→IS1→IS2→IS1 (artificial) pays for all three hops
         // under per-hop charging.
-        let d =
-            Transfer { video: video.id, route: vec![vw, is1, is2, is1], start: 0.0, user: None };
+        let d = Transfer {
+            video: video.id,
+            route: vec![vw, is1, is2, is1].into(),
+            start: 0.0,
+            user: None,
+        };
         let per_hop = CostModel::per_hop().transfer_cost(&topo, &video, &d);
         // 16 + 8 + 8 = 32 $/GB on 4.05 GB.
         assert!((per_hop - 4.05 * 32.0).abs() < 1e-9);

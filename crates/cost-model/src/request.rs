@@ -36,61 +36,66 @@ impl Request {
 /// requested" (§3.2).
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RequestBatch {
-    /// Non-empty per-video request groups, each sorted chronologically
-    /// (ties broken by user id), groups ordered by video id.
-    groups: Vec<(VideoId, Vec<Request>)>,
-    total: usize,
+    /// Every request, in [`Request::batch_order`]: groups ordered by video
+    /// id, each sorted chronologically (ties broken by user id).
+    requests: Vec<Request>,
+    /// One `(video, end)` per distinct video, ascending: its group is
+    /// `requests[previous end..end]`.
+    index: Vec<(VideoId, usize)>,
 }
 
 impl RequestBatch {
     /// Partition a flat request list into chronological per-video groups.
     pub fn new(mut requests: Vec<Request>) -> Self {
-        let total = requests.len();
         requests.sort_by(Request::batch_order);
-        let mut groups: Vec<(VideoId, Vec<Request>)> = Vec::new();
-        for r in requests {
-            match groups.last_mut() {
-                Some((v, g)) if *v == r.video => g.push(r),
-                _ => groups.push((r.video, vec![r])),
+        let mut index: Vec<(VideoId, usize)> = Vec::new();
+        for (i, r) in requests.iter().enumerate() {
+            match index.last_mut() {
+                Some((v, end)) if *v == r.video => *end = i + 1,
+                _ => index.push((r.video, i + 1)),
             }
         }
-        Self { groups, total }
+        Self { requests, index }
     }
 
     /// Total number of requests in the batch.
     #[inline]
     pub fn len(&self) -> usize {
-        self.total
+        self.requests.len()
     }
 
     /// Whether the batch is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.requests.is_empty()
     }
 
     /// Number of distinct videos requested (`m` in the paper).
     #[inline]
     pub fn video_count(&self) -> usize {
-        self.groups.len()
+        self.index.len()
     }
 
     /// Iterate over `(video, chronologically sorted requests)` groups.
     pub fn groups(&self) -> impl Iterator<Item = (VideoId, &[Request])> + '_ {
-        self.groups.iter().map(|(v, g)| (*v, g.as_slice()))
+        let mut start = 0;
+        self.index.iter().map(move |&(video, end)| {
+            let group = &self.requests[start..end];
+            start = end;
+            (video, group)
+        })
     }
 
     /// The request group for one video, if any were made.
     pub fn group(&self, video: VideoId) -> Option<&[Request]> {
-        self.groups
-            .binary_search_by(|(v, _)| v.cmp(&video))
-            .ok()
-            .map(|i| self.groups[i].1.as_slice())
+        let i = self.index.binary_search_by(|(v, _)| v.cmp(&video)).ok()?;
+        let start = if i == 0 { 0 } else { self.index[i - 1].1 };
+        Some(&self.requests[start..self.index[i].1])
     }
 
     /// Iterate over every request in the batch (video-major order).
     pub fn iter(&self) -> impl Iterator<Item = &Request> + '_ {
-        self.groups.iter().flat_map(|(_, g)| g.iter())
+        self.requests.iter()
     }
 }
 
@@ -147,6 +152,8 @@ mod tests {
         assert!(batch.is_empty());
         assert_eq!(batch.video_count(), 0);
         assert_eq!(batch.iter().count(), 0);
+        assert_eq!(batch.groups().count(), 0);
+        assert!(batch.group(VideoId(0)).is_none());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 
 use crate::{Request, Secs, SpaceProfile, Video, VideoId};
 use serde::{Deserialize, Serialize};
-use vod_topology::{NodeId, Route, UserId};
+use std::sync::Arc;
+use vod_topology::{NodeId, UserId};
 
 /// Network transfer information `d_i = (route_i, t_i, id_i)`: the stream of
 /// file `id_i` flows along `route_i` (a sequence of storage nodes, source
@@ -17,8 +18,10 @@ pub struct Transfer {
     pub video: VideoId,
     /// Node sequence from source to destination, inclusive. A route of
     /// length 1 means the stream never crosses a charged link (the source
-    /// is already the user's local IS).
-    pub route: Vec<NodeId>,
+    /// is already the user's local IS). A handle to the environment's
+    /// shared node sequence ([`vod_topology::RouteTable::shared_path`]):
+    /// cloning a transfer copies no nodes, and equality is by content.
+    pub route: Arc<[NodeId]>,
     /// Stream start time (`t_i`); for a delivery this equals the request's
     /// reserved presentation time.
     pub start: Secs,
@@ -31,18 +34,18 @@ impl Transfer {
     /// A delivery transfer for `request` along `route` (the route's
     /// destination must be the user's local IS; validated by the
     /// simulator).
-    pub fn for_user(request: &Request, route: Route) -> Self {
+    pub fn for_user(request: &Request, route: impl Into<Arc<[NodeId]>>) -> Self {
         Self {
             video: request.video,
-            route: route.nodes,
+            route: route.into(),
             start: request.start,
             user: Some(request.user),
         }
     }
 
     /// A cache-fill transfer (no delivered user).
-    pub fn cache_fill(video: VideoId, route: Route, start: Secs) -> Self {
-        Self { video, route: route.nodes, start, user: None }
+    pub fn cache_fill(video: VideoId, route: impl Into<Arc<[NodeId]>>, start: Secs) -> Self {
+        Self { video, route: route.into(), start, user: None }
     }
 
     /// Source node of the stream.
@@ -266,6 +269,7 @@ impl FromIterator<VideoSchedule> for Schedule {
 mod tests {
     use super::*;
     use crate::Video;
+    use vod_topology::Route;
 
     fn req(u: u32, v: u32, t: Secs) -> Request {
         Request { user: UserId(u), video: VideoId(v), start: t }

@@ -193,9 +193,6 @@ pub(crate) fn replay(
     let mut link_factors: Vec<Vec<f64>> = vec![Vec::new(); topo.edge_count()];
     let mut stream_active = vec![false; transfers.len()];
     let mut residency_active = vec![false; residencies.len()];
-    let edge_index = |a: NodeId, b: NodeId| -> Option<usize> {
-        topo.neighbors(a).iter().find(|(nb, _)| *nb == b).map(|&(_, e)| e)
-    };
     fn note_overload(worst: &mut Option<(Secs, f64, f64)>, demand: f64, cap: f64, time: Secs) {
         let excess = demand - cap;
         if excess > cap * 1e-9 && worst.is_none_or(|(_, e, _)| excess > e) {
@@ -220,7 +217,7 @@ pub(crate) fn replay(
                 let bw = catalog.get(t.video).bandwidth;
                 let mut failed_hop_reported = false;
                 for hop in t.route.windows(2) {
-                    if let Some(eidx) = edge_index(hop[0], hop[1]) {
+                    if let Some(eidx) = topo.edge_index(hop[0], hop[1]) {
                         link_demand[eidx] += bw;
                         link_streams[eidx] += 1;
                         peak_link_streams[eidx] = peak_link_streams[eidx].max(link_streams[eidx]);
@@ -253,7 +250,7 @@ pub(crate) fn replay(
                 stream_active[transfer] = false;
                 let bw = catalog.get(t.video).bandwidth;
                 for hop in t.route.windows(2) {
-                    if let Some(eidx) = edge_index(hop[0], hop[1]) {
+                    if let Some(eidx) = topo.edge_index(hop[0], hop[1]) {
                         link_demand[eidx] -= bw;
                         link_streams[eidx] = link_streams[eidx].saturating_sub(1);
                     }
@@ -274,7 +271,7 @@ pub(crate) fn replay(
                     }
                 }
                 Fault::LinkFailure { a, b, .. } => {
-                    if let Some(eidx) = edge_index(a, b) {
+                    if let Some(eidx) = topo.edge_index(a, b) {
                         link_failed[eidx] += 1;
                     }
                     // Streams caught mid-flight lose their feed.
@@ -293,7 +290,7 @@ pub(crate) fn replay(
                     }
                 }
                 Fault::LinkDegraded { a, b, factor, .. } => {
-                    if let Some(eidx) = edge_index(a, b) {
+                    if let Some(eidx) = topo.edge_index(a, b) {
                         link_factors[eidx].push(factor);
                         if options.check_bandwidth {
                             if let Some(cap) = topo.edges()[eidx].bandwidth {
@@ -315,12 +312,12 @@ pub(crate) fn replay(
                     node_down[ni] = node_down[ni].saturating_sub(1);
                 }
                 Fault::LinkFailure { a, b, .. } => {
-                    if let Some(eidx) = edge_index(a, b) {
+                    if let Some(eidx) = topo.edge_index(a, b) {
                         link_failed[eidx] = link_failed[eidx].saturating_sub(1);
                     }
                 }
                 Fault::LinkDegraded { a, b, factor, .. } => {
-                    if let Some(eidx) = edge_index(a, b) {
+                    if let Some(eidx) = topo.edge_index(a, b) {
                         if let Some(pos) = link_factors[eidx].iter().position(|&f| f == factor) {
                             link_factors[eidx].remove(pos);
                         }

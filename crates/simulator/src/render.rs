@@ -132,13 +132,13 @@ mod tests {
         let mut vs = VideoSchedule::new(VideoId(0));
         vs.transfers.push(Transfer {
             video: VideoId(0),
-            route: vec![topo.warehouse(), NodeId(1)],
+            route: vec![topo.warehouse(), NodeId(1)].into(),
             start: 0.0,
             user: Some(UserId(0)),
         });
         vs.transfers.push(Transfer {
             video: VideoId(0),
-            route: vec![NodeId(1), NodeId(2)],
+            route: vec![NodeId(1), NodeId(2)].into(),
             start: 7_200.0,
             user: Some(UserId(1)),
         });

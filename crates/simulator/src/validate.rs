@@ -211,7 +211,7 @@ mod tests {
         let mut vs = VideoSchedule::new(VideoId(0));
         vs.transfers.push(Transfer {
             video: VideoId(0),
-            route: vec![t.warehouse(), NodeId(1)],
+            route: vec![t.warehouse(), NodeId(1)].into(),
             start: 100.0,
             user: Some(UserId(0)),
         });
@@ -242,7 +242,7 @@ mod tests {
         let mut vs = VideoSchedule::new(VideoId(0));
         vs.transfers.push(Transfer {
             video: served.video,
-            route: vec![t.warehouse(), t.home_of(served.user)],
+            route: vec![t.warehouse(), t.home_of(served.user)].into(),
             start: served.start,
             user: Some(served.user),
         });
@@ -267,7 +267,7 @@ mod tests {
         for _ in 0..2 {
             vs.transfers.push(Transfer {
                 video: VideoId(0),
-                route: vec![t.warehouse(), NodeId(1)],
+                route: vec![t.warehouse(), NodeId(1)].into(),
                 start: 100.0,
                 user: Some(UserId(0)),
             });
@@ -285,7 +285,7 @@ mod tests {
         let mut vs = VideoSchedule::new(VideoId(0));
         vs.transfers.push(Transfer {
             video: VideoId(0),
-            route: vec![t.warehouse(), NodeId(1)],
+            route: vec![t.warehouse(), NodeId(1)].into(),
             start: 100.0,
             user: Some(UserId(0)),
         });
@@ -314,7 +314,7 @@ mod tests {
         let mut vs = VideoSchedule::new(VideoId(0));
         vs.transfers.push(Transfer {
             video: VideoId(0),
-            route: vec![t.warehouse(), NodeId(1)],
+            route: vec![t.warehouse(), NodeId(1)].into(),
             start: f64::NAN,
             user: Some(UserId(0)),
         });
@@ -336,7 +336,7 @@ mod tests {
         let mut vs = VideoSchedule::new(VideoId(0));
         vs.transfers.push(Transfer {
             video: VideoId(0),
-            route: vec![t.warehouse(), NodeId(1), NodeId(2)],
+            route: vec![t.warehouse(), NodeId(1), NodeId(2)].into(),
             start: 100.0,
             user: Some(UserId(0)),
         });
@@ -353,7 +353,7 @@ mod tests {
         let mut vs = VideoSchedule::new(VideoId(0));
         vs.transfers.push(Transfer {
             video: VideoId(0),
-            route: vec![t.warehouse(), NodeId(2)],
+            route: vec![t.warehouse(), NodeId(2)].into(),
             start: 100.0,
             user: None,
         });
@@ -369,7 +369,7 @@ mod tests {
         let mut vs = VideoSchedule::new(VideoId(0));
         vs.transfers.push(Transfer {
             video: VideoId(0),
-            route: vec![NodeId(1), NodeId(2)],
+            route: vec![NodeId(1), NodeId(2)].into(),
             start: 100.0,
             user: None,
         });
@@ -386,14 +386,14 @@ mod tests {
         // Fill stream at t=50 creates the copy at IS1…
         vs.transfers.push(Transfer {
             video: VideoId(0),
-            route: vec![t.warehouse(), NodeId(1)],
+            route: vec![t.warehouse(), NodeId(1)].into(),
             start: 50.0,
             user: Some(UserId(0)),
         });
         // …and a later stream serves from it.
         vs.transfers.push(Transfer {
             video: VideoId(0),
-            route: vec![NodeId(1), NodeId(2)],
+            route: vec![NodeId(1), NodeId(2)].into(),
             start: 100.0,
             user: Some(UserId(1)),
         });
@@ -423,7 +423,7 @@ mod tests {
         let mut vs = VideoSchedule::new(VideoId(0));
         vs.transfers.push(Transfer {
             video: VideoId(0),
-            route: vec![t.warehouse(), NodeId(1)],
+            route: vec![t.warehouse(), NodeId(1)].into(),
             start: 50.0,
             user: Some(UserId(0)),
         });
@@ -431,7 +431,7 @@ mod tests {
         // reading dropped blocks.
         vs.transfers.push(Transfer {
             video: VideoId(0),
-            route: vec![NodeId(1), NodeId(2)],
+            route: vec![NodeId(1), NodeId(2)].into(),
             start: 9_999.0,
             user: Some(UserId(1)),
         });

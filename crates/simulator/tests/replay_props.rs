@@ -981,12 +981,14 @@ fn tamper(topo: &Topology, schedule: &Schedule, how: Tamper, salt: u64) -> Sched
             vec![t, extra]
         }),
         Tamper::WrongDestination => edit_transfer(schedule, nth, is_delivery, |mut t| {
-            if t.route.len() > 1 {
-                t.route.pop();
+            let mut route = t.route.to_vec();
+            if route.len() > 1 {
+                route.pop();
             } else {
-                let (next, _) = topo.neighbors(t.route[0])[0];
-                t.route.push(next);
+                let (next, _) = topo.neighbors(route[0])[0];
+                route.push(next);
             }
+            t.route = route.into();
             vec![t]
         }),
         Tamper::BrokenRoute => edit_transfer(schedule, nth, is_delivery, |mut t| {
@@ -995,7 +997,7 @@ fn tamper(topo: &Topology, schedule: &Schedule, how: Tamper, salt: u64) -> Sched
                 .storages()
                 .find(|&n| n != dst && topo.edge_between(n, dst).is_none())
                 .expect("no generated topology is a clique");
-            t.route = vec![stranger, dst];
+            t.route = vec![stranger, dst].into();
             vec![t]
         }),
         Tamper::UnfedResidency => {

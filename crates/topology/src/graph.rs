@@ -55,6 +55,10 @@ pub struct Topology {
     edges: Vec<Edge>,
     /// `adj[n]` lists `(neighbor, edge index)` pairs for node `n`.
     adj: Vec<Vec<(NodeId, usize)>>,
+    /// `edge_at[a * n + b]`: index of the link between `a` and `b`, or
+    /// [`NO_EDGE`]. Pricing asks once per hop of every transfer, so the
+    /// lookup is a load rather than a scan of `adj[a]`.
+    edge_at: Vec<u32>,
     warehouse: NodeId,
     users: Vec<User>,
     /// `neighborhood[n]` lists the users homed at node `n`.
@@ -141,9 +145,22 @@ impl Topology {
         &self.adj[n.index()]
     }
 
+    /// Index into [`Topology::edges`] of the link between `a` and `b`, if
+    /// one exists (`None` also for ids outside the graph).
+    #[inline]
+    pub fn edge_index(&self, a: NodeId, b: NodeId) -> Option<usize> {
+        let n = self.nodes.len();
+        if a.index() >= n || b.index() >= n {
+            return None;
+        }
+        let e = self.edge_at[a.index() * n + b.index()];
+        (e != NO_EDGE).then_some(e as usize)
+    }
+
     /// The edge between `a` and `b`, if one exists.
+    #[inline]
     pub fn edge_between(&self, a: NodeId, b: NodeId) -> Option<&Edge> {
-        self.adj[a.index()].iter().find(|(n, _)| *n == b).map(|&(_, e)| &self.edges[e])
+        self.edge_index(a, b).map(|e| &self.edges[e])
     }
 
     /// All users.
@@ -242,11 +259,7 @@ impl Topology {
         };
         let edges: Vec<Edge> = self.edges.iter().filter(|e| !cut(e.a, e.b)).cloned().collect();
 
-        let mut adj = vec![Vec::new(); self.nodes.len()];
-        for (i, e) in edges.iter().enumerate() {
-            adj[e.a.index()].push((e.b, i));
-            adj[e.b.index()].push((e.a, i));
-        }
+        let (adj, edge_at) = wire(self.nodes.len(), &edges);
 
         // Connectivity check, as in TopologyBuilder::build.
         let mut seen = vec![false; self.nodes.len()];
@@ -269,11 +282,29 @@ impl Topology {
             nodes: self.nodes.clone(),
             edges,
             adj,
+            edge_at,
             warehouse: self.warehouse,
             users: self.users.clone(),
             neighborhood: self.neighborhood.clone(),
         })
     }
+}
+
+/// The `edge_at` entry of a pair with no link.
+const NO_EDGE: u32 = u32::MAX;
+
+/// The adjacency lists and the dense edge-index table of `edges` over
+/// `n` nodes.
+fn wire(n: usize, edges: &[Edge]) -> (Vec<Vec<(NodeId, usize)>>, Vec<u32>) {
+    let mut adj = vec![Vec::new(); n];
+    let mut edge_at = vec![NO_EDGE; n * n];
+    for (i, e) in edges.iter().enumerate() {
+        adj[e.a.index()].push((e.b, i));
+        adj[e.b.index()].push((e.a, i));
+        edge_at[e.a.index() * n + e.b.index()] = i as u32;
+        edge_at[e.b.index() * n + e.a.index()] = i as u32;
+    }
+    (adj, edge_at)
 }
 
 fn validate_rate(what: &'static str, value: f64) -> Result<(), TopologyError> {
@@ -405,11 +436,7 @@ impl TopologyBuilder {
             }
         }
 
-        let mut adj = vec![Vec::new(); self.nodes.len()];
-        for (i, e) in self.edges.iter().enumerate() {
-            adj[e.a.index()].push((e.b, i));
-            adj[e.b.index()].push((e.a, i));
-        }
+        let (adj, edge_at) = wire(self.nodes.len(), &self.edges);
 
         // Connectivity check: BFS from the warehouse.
         let mut seen = vec![false; self.nodes.len()];
@@ -437,6 +464,7 @@ impl TopologyBuilder {
             nodes: self.nodes,
             edges: self.edges,
             adj,
+            edge_at,
             warehouse,
             users: self.users,
             neighborhood,
@@ -490,6 +518,20 @@ mod tests {
         let e2 = t.edge_between(NodeId(1), NodeId(0)).unwrap();
         assert_eq!(e1.nrate, e2.nrate);
         assert!(t.edge_between(NodeId(0), NodeId(2)).is_none());
+    }
+
+    #[test]
+    fn edge_index_mirrors_the_adjacency_lists() {
+        let t = two_is();
+        for a in t.nodes() {
+            for b in t.nodes() {
+                let scanned = t.neighbors(a).iter().find(|(n, _)| *n == b).map(|&(_, e)| e);
+                assert_eq!(t.edge_index(a, b), scanned, "{a}-{b}");
+            }
+        }
+        // Ids outside the graph have no links (and must not alias a row).
+        assert_eq!(t.edge_index(NodeId(0), NodeId(3)), None);
+        assert_eq!(t.edge_index(NodeId(7), NodeId(1)), None);
     }
 
     #[test]
@@ -628,6 +670,8 @@ mod tests {
         assert_eq!(cut.edge_count(), 2);
         assert!(cut.edge_between(is1, is2).is_none());
         assert!(cut.edge_between(vw, is1).is_some());
+        // Surviving links are renumbered; the table follows.
+        assert_eq!(cut.edge_index(vw, is2), Some(1));
         assert_eq!(cut.user_count(), 2);
         assert_eq!(cut.users_at(is1).len(), 2);
         // Adjacency was rebuilt consistently.

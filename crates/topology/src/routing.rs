@@ -6,11 +6,14 @@
 //! network transmission cost of transferring the file there). Since the
 //! evaluation topologies are small (20 nodes) and rates are static per
 //! scheduling cycle, we precompute all-pairs cheapest routes with one
-//! Dijkstra per source.
+//! Dijkstra per source. A route is a property of the environment, fixed
+//! for the cycle, so every transfer that takes it holds a handle to one
+//! shared node sequence ([`RouteTable::shared_path`]) rather than a copy.
 
 use crate::{NodeId, Topology, TopologyError};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::{Arc, OnceLock};
 
 /// A concrete route: the node sequence `n_src, …, n_dst` (inclusive) plus
 /// its per-byte charging rate.
@@ -40,6 +43,12 @@ impl Route {
     }
 }
 
+impl From<Route> for Arc<[NodeId]> {
+    fn from(route: Route) -> Self {
+        route.nodes.into()
+    }
+}
+
 /// All-pairs cheapest routes by per-byte rate.
 #[derive(Clone, Debug)]
 pub struct RouteTable {
@@ -48,6 +57,9 @@ pub struct RouteTable {
     rate: Vec<f64>,
     /// `next[src * n + dst]`: the first hop on the cheapest route.
     next: Vec<Option<NodeId>>,
+    /// `paths[src * n + dst]`: the route's node sequence, walked out of
+    /// `next` on first use. Clones of the table share the filled cells.
+    paths: Vec<OnceLock<Arc<[NodeId]>>>,
 }
 
 /// Max-heap entry ordered so the *smallest* cost pops first.
@@ -141,7 +153,7 @@ impl RouteTable {
             }
         }
 
-        Self { n, rate, next }
+        Self { n, rate, next, paths: vec![OnceLock::new(); n * n] }
     }
 
     /// Per-byte rate of the cheapest route from `a` to `b` ($ /byte).
@@ -165,7 +177,9 @@ impl RouteTable {
     /// Reconstruct the cheapest route from `a` to `b`, or
     /// [`TopologyError::Unreachable`] when the table has no route (a
     /// degraded table built with [`build_avoiding`](Self::build_avoiding)
-    /// can legitimately lack one).
+    /// can legitimately lack one). Walks `next` into a fresh `Vec` on
+    /// every call; per-request code takes
+    /// [`shared_path`](Self::shared_path) instead.
     pub fn try_path(&self, a: NodeId, b: NodeId) -> Result<Route, TopologyError> {
         let mut nodes = vec![a];
         let mut cur = a;
@@ -176,6 +190,19 @@ impl RouteTable {
             cur = hop;
         }
         Ok(Route { nodes, rate: self.rate(a, b) })
+    }
+
+    /// The node sequence of [`try_path`](Self::try_path) as a shared
+    /// handle: the first call per pair walks the route, every later one
+    /// clones the handle. An unreachable pair errs every time and leaves
+    /// its cell empty.
+    pub fn shared_path(&self, a: NodeId, b: NodeId) -> Result<Arc<[NodeId]>, TopologyError> {
+        let cell = &self.paths[a.index() * self.n + b.index()];
+        if let Some(path) = cell.get() {
+            return Ok(path.clone());
+        }
+        let path: Arc<[NodeId]> = self.try_path(a, b)?.into();
+        Ok(cell.get_or_init(|| path).clone())
     }
 
     /// Whether the table has a route from `a` to `b`.

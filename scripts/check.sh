@@ -52,6 +52,11 @@ cargo test -q --offline -p vod-core --test repair_props
 cargo test -q --offline --test fault_injection_e2e --test failure_injection
 cargo test -q --offline -p vod-simulator --test replay_props
 
+echo "==> data-model suites (shared routes, flat batches, allocation budget)"
+cargo test -q --offline -p vod-core --test route_props
+cargo test -q --offline -p vod-cost-model --test batch_props
+cargo test -q --offline --test alloc_budget
+
 echo "==> telemetry suite (obs crate + recorder transparency + e2e reconcile)"
 cargo test -q --offline -p vod-obs
 cargo test -q --offline -p vod-core --test telemetry_props
@@ -82,6 +87,18 @@ if grep -rn --include='*.rs' -E 'Hash(Map|Set)' crates/simulator/src; then
   echo "error: keep HashMap/HashSet out of crates/simulator/src (sort, or use BTreeMap)" >&2
   exit 1
 fi
+
+echo "==> route lint (a transfer's route is a shared handle, never a per-request Vec)"
+# Outside their test modules the schedulers take routes from the interning
+# cells (RouteTable::shared_path, SchedCtx::relay_route); RouteTable::path /
+# try_path build a fresh Vec per call and are for tests and one-off queries.
+for f in crates/cost-model/src/schedule.rs crates/core/src/{greedy,sorp,repair,baselines}.rs; do
+  if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$f" \
+      | grep -E 'route: Vec<NodeId>|\.(try_)?path\('; then
+    echo "error: use RouteTable::shared_path / SchedCtx::relay_route (Arc<[NodeId]>) in $f" >&2
+    exit 1
+  fi
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -87,7 +87,7 @@ fn rerouting_to_the_wrong_neighborhood_is_detected() {
     let t = tampered.transfers.iter_mut().find(|t| t.user.is_some()).expect("delivery exists");
     // Terminate the route one hop early (or extend it) so dst ≠ home.
     if t.route.len() >= 2 {
-        t.route.pop();
+        t.route = t.route[..t.route.len() - 1].into();
     }
     let expected_dst = w.topo.home_of(t.user.unwrap());
     if *t.route.last().unwrap() == expected_dst {
@@ -117,7 +117,7 @@ fn teleporting_route_is_detected() {
         .storages()
         .find(|&n| w.topo.edge_between(w.topo.warehouse(), n).is_none())
         .expect("fig4 has leaves not adjacent to the warehouse");
-    tampered.transfers[0].route = vec![w.topo.warehouse(), leaf];
+    tampered.transfers[0].route = vec![w.topo.warehouse(), leaf].into();
     s.upsert(tampered);
     let v = violations(&w, &s);
     assert!(v.iter().any(|x| matches!(x, Violation::BrokenRoute { .. })), "got {v:?}");
@@ -141,7 +141,7 @@ fn streaming_from_an_empty_cache_is_detected() {
         if hub != local {
             route.push(local);
         }
-        tampered.transfers[0].route = route;
+        tampered.transfers[0].route = route.into();
     }
     s.upsert(tampered);
     let v = violations(&w, &s);
