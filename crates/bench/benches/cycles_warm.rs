@@ -1,7 +1,7 @@
 //! Rolling-horizon warm start: the cross-cycle pipeline (persistent
-//! committed-occupancy book, carried trial cache and phase-1 memos,
-//! adaptive shard count) against the from-scratch oracle at ~1k / ~4k
-//! requests per cycle over 5 and 20 cycles.
+//! committed-occupancy book, adaptive shard count) against the
+//! from-scratch oracle at ~1k / ~4k requests per cycle over 5 and 20
+//! cycles.
 //!
 //! Four arms per size: the cold monolithic oracle (the original
 //! re-solve-everything loop), cold sharded at 4 shards, warm sharded at
@@ -30,14 +30,16 @@ fn params(rpu: usize) -> EnvParams {
     EnvParams { videos: 120, requests_per_user: rpu, ..EnvParams::paper() }
 }
 
+/// `mono` is the monolithic arm: one shard instead of the default four.
 fn shard_cfg(mono: bool) -> ShardConfig {
+    let base = ShardConfig::default();
     ShardConfig {
+        shards: if mono { 1 } else { base.shards },
         sorp: SorpConfig {
             policy: GreedyPolicy { allow_remote_placement: false, ..GreedyPolicy::default() },
-            use_monolithic_solver: mono,
             ..SorpConfig::default()
         },
-        ..ShardConfig::default()
+        ..base
     }
 }
 

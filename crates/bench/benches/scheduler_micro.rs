@@ -6,9 +6,10 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use vod_bench::Fixture;
 use vod_core::{
     baselines, detect_overflows, find_video_schedule, ivsp_solve, ivsp_solve_priced,
-    ivsp_solve_with_mode, sorp_solve, sorp_solve_priced, ExecMode, GreedyPolicy, SorpConfig,
-    StorageLedger,
+    ivsp_solve_with_mode, sorp_solve, sorp_solve_priced, ExecMode, GreedyPolicy, LedgerMode,
+    SorpConfig, StorageLedger,
 };
+use vod_oracles::sorp_solve_naive;
 use vod_simulator::{simulate, SimOptions};
 use vod_topology::RouteTable;
 
@@ -74,16 +75,25 @@ fn bench(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    // End-to-end resolution on the naive reference ledger (bit-identical
-    // schedule, slower admission tests) — the timeline's e2e comparator.
-    let reference_cfg = SorpConfig { use_reference_ledger: true, ..SorpConfig::default() };
-    g.bench_function("priced_sequential_reference_ledger", |b| {
-        b.iter_batched(
-            || priced.clone(),
-            |p1| sorp_solve_priced(&ctx, p1, &reference_cfg, &[], ExecMode::Sequential),
-            BatchSize::LargeInput,
-        )
-    });
+    // End-to-end resolution by the naive loop (bit-identical schedule, no
+    // trial cache) on each ledger implementation: against the rows above
+    // the timeline arm isolates the cache and the monitor, and the gap
+    // between the two arms is the occupancy timeline's.
+    for (name, ledger) in [
+        ("naive_sequential_timeline", LedgerMode::Timeline),
+        ("naive_sequential_reference", LedgerMode::Reference),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || priced.clone(),
+                |p1| {
+                    let cfg = SorpConfig::default();
+                    sorp_solve_naive(&ctx, p1, &cfg, &[], ledger, ExecMode::Sequential)
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
     g.finish();
 
     c.bench_function("baseline_network_only", |b| {

@@ -1,6 +1,6 @@
 //! End-to-end SORP scaling: the conflict-scoped solver (cross-iteration
-//! trial cache + incremental overflow monitor) against the uncached
-//! oracle at 100 / 500 / 1000 / 2000 requests on a generated 24-storage
+//! trial cache + incremental overflow monitor) against the naive-loop
+//! oracle (`vod_oracles::sorp_solve_naive`) at 100 / 500 / 1000 / 2000 requests on a generated 24-storage
 //! topology with tight 1.8 GB stores. Each commit perturbs one video at
 //! a handful of (node, window) pairs, so the cached solver's
 //! per-iteration work tracks the conflict footprint instead of the
@@ -15,8 +15,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
-use vod_core::{ivsp_solve_priced, sorp_solve_priced, ExecMode, SchedCtx, SorpConfig, SorpOutcome};
+use vod_core::{
+    ivsp_solve_priced, sorp_solve_priced, ExecMode, LedgerMode, SchedCtx, SorpConfig, SorpOutcome,
+};
 use vod_cost_model::{CostModel, Request, RequestBatch};
+use vod_oracles::sorp_solve_naive;
 use vod_topology::{builders, Topology};
 use vod_workload::{CatalogConfig, RequestConfig, Workload};
 
@@ -68,9 +71,13 @@ fn truncated(wl: &Workload, n: usize) -> RequestBatch {
 }
 
 fn solve(ctx: &SchedCtx<'_>, batch: &RequestBatch, uncached: bool) -> SorpOutcome {
-    let cfg = SorpConfig { use_uncached_solver: uncached, ..SorpConfig::default() };
+    let (cfg, mode) = (SorpConfig::default(), ExecMode::default());
     let phase1 = ivsp_solve_priced(ctx, batch);
-    sorp_solve_priced(ctx, phase1, &cfg, &[], ExecMode::default())
+    if uncached {
+        sorp_solve_naive(ctx, phase1, &cfg, &[], LedgerMode::Timeline, mode)
+    } else {
+        sorp_solve_priced(ctx, phase1, &cfg, &[], mode)
+    }
 }
 
 /// Median ns per call of `f` over `samples` runs (1 in smoke mode).

@@ -44,14 +44,14 @@ fn world() -> Topology {
     )
 }
 
+/// `mono` is the monolithic arm: one shard, whatever `shards` says.
 fn shard_cfg(shards: usize, mono: bool) -> ShardConfig {
     ShardConfig {
-        shards,
+        shards: if mono { 1 } else { shards },
         strategy: ShardStrategy::ByRegion,
         seed: 0x5EED,
         sorp: SorpConfig {
             policy: GreedyPolicy { allow_remote_placement: false, ..GreedyPolicy::default() },
-            use_monolithic_solver: mono,
             ..SorpConfig::default()
         },
     }

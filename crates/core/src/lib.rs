@@ -96,7 +96,7 @@ pub use shard::{
     shard_solve, shard_solve_seeded, shard_solve_warm, ShardConfig, ShardOutcome, ShardStats,
 };
 pub use sorp::{
-    sorp_solve, sorp_solve_priced, sorp_solve_seeded, SorpConfig, SorpOutcome, VictimRecord,
+    heats_tie, sorp_solve, sorp_solve_priced, SorpConfig, SorpOutcome, VictimRecord,
     EXTERNAL_OCCUPANCY,
 };
 pub use timeline::{OccupancyTimeline, Prefix};

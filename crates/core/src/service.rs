@@ -784,7 +784,7 @@ impl ServiceLoop {
         let solve_started = std::time::Instant::now();
         let (mut schedule, mut cost, initial_cost, victims, overflow_free, iterations, fallbacks) =
             if batch.is_empty() {
-                self.warm.begin_cycle(ctx, t0);
+                self.warm.begin_cycle(t0);
                 (Schedule::new(), 0.0, 0.0, 0, true, 0, 0)
             } else {
                 let out = shard_solve_warm(ctx, &batch, &shard_cfg, &mut self.warm, t0, mode);

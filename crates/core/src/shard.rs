@@ -10,11 +10,14 @@
 //!    ([`PricedSchedule::merge`]: Ψ is additive over transfers and
 //!    residencies);
 //! 2. a fresh global [`SolveState`] is built over the merged schedule
-//!    and seeded with one [`crate::LedgerDelta`] covering every merged
-//!    residency footprint, so transplanted trial-cache entries
-//!    (epoch 0) lazily re-validate against the occupancy the *other*
-//!    shards contributed — the PR-4 conflict-detection machinery reused
-//!    across shard boundaries;
+//!    and seeded with one [`crate::LedgerDelta`] covering the global
+//!    ledger's whole footprint ([`crate::StorageLedger::span_delta`]),
+//!    so transplanted trial-cache entries (epoch 0) lazily re-validate
+//!    against the occupancy the *other* shards contributed — the
+//!    conflict-detection machinery of [`crate::sorp_solve_priced`]
+//!    reused across shard boundaries. The delta only selects which
+//!    entries are re-checked; the re-check itself is exact, so any
+//!    delta covering the foreign occupancy keeps the same survivors;
 //! 3. cross-shard capacity overflows (storages individually feasible
 //!    per shard but jointly over capacity) are detected by the standard
 //!    scan and resolved by one bounded global SORP pass whose victim
@@ -24,11 +27,13 @@
 //! ## Determinism and equivalence contract
 //!
 //! * The partition is a pure function of `(batch, spec)`; per-shard
-//!   solves run under [`ExecMode::inner`] (always sequential) and the
-//!   global pass reduces sequentially in job order — so the sharded
+//!   solves run under [`ExecMode::inner`] (always sequential; a lone
+//!   shard keeps the caller's mode, there being no fan-out above it) and
+//!   the global pass reduces sequentially in job order — so the sharded
 //!   output is **bit-identical across runs** in both [`ExecMode`]s, and
-//!   `shards = 1` (or a 1-region batch) takes the monolithic code path
-//!   exactly, producing bit-identical output to [`sorp_solve_priced`].
+//!   `shards = 1` (or a 1-region batch) *is* the monolith: its output is
+//!   bit-identical to [`crate::sorp_solve_priced`] over
+//!   [`ivsp_solve_priced_with`] on the whole batch.
 //! * Reconciliation guarantees **feasibility**: every request served,
 //!   no overflow, for any shard count, strategy, or policy.
 //! * **Ψ-equality with the monolith** additionally holds in the
@@ -43,14 +48,20 @@
 //!   a split video across regions in ways no shard sees, so only
 //!   feasibility — not Ψ-equality — is promised.
 //!
-//! The monolithic pipeline stays available behind
-//! [`SorpConfig::use_monolithic_solver`] as the equivalence oracle,
-//! following the reference-ledger / uncached-solver discipline.
+//! ## One body, three entry points
+//!
+//! [`shard_solve`], [`shard_solve_seeded`] and [`shard_solve_warm`] run
+//! the same pipeline body over a *base ledger* — the occupancy committed
+//! outside this batch, which no pass may victimise. They differ only in
+//! where the base comes from: empty, built from a flat profile list, or
+//! the warm state's incrementally maintained [`crate::CommittedBook`].
+//! A cold solve is the warm solve over an empty book.
 
-use crate::sorp::SolveState;
+use crate::sorp::{external_ledger, SolveState};
 use crate::warm::WarmState;
 use crate::{
     detect_overflows, ivsp_solve_priced_with, PricedSchedule, SchedCtx, SorpConfig, SorpOutcome,
+    StorageLedger,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -121,10 +132,9 @@ pub struct ShardOutcome {
     /// `victims`, `forced_fallbacks`, and the trial counters cover the
     /// per-shard passes *and* the global pass.
     pub sorp: SorpOutcome,
-    /// Effective shard count after clamping (1 for the monolithic
-    /// oracle).
+    /// Effective shard count after clamping.
     pub shards: usize,
-    /// Per-shard diagnostics (empty for the monolithic oracle).
+    /// Per-shard diagnostics.
     pub per_shard: Vec<ShardStats>,
     /// Videos whose requests landed in more than one shard.
     pub split_videos: usize,
@@ -180,10 +190,11 @@ pub fn shard_solve(
     shard_solve_seeded(ctx, batch, cfg, &[], mode)
 }
 
-/// [`shard_solve`] with immutable external occupancy (the rolling-horizon
-/// seed, as in [`crate::sorp_solve_seeded`]). Every shard's ledger and
-/// the merged ledger all carry the external occupancy; it can never be
-/// victimised.
+/// [`shard_solve`] with immutable external occupancy: residencies from
+/// earlier scheduling cycles that are still draining when this one
+/// starts. Every shard's ledger and the merged ledger carry it; it can
+/// never be victimised, and an overflow consisting *only* of external
+/// occupancy is unresolvable and leaves `overflow_free = false`.
 pub fn shard_solve_seeded(
     ctx: &SchedCtx<'_>,
     batch: &RequestBatch,
@@ -191,32 +202,52 @@ pub fn shard_solve_seeded(
     external: &[(NodeId, SpaceProfile)],
     mode: ExecMode,
 ) -> ShardOutcome {
-    let out = shard_solve_seeded_inner(ctx, batch, cfg, external, mode);
-    out.record(&ctx.recorder, batch.len());
-    out
+    solve_over(ctx, batch, cfg, &external_ledger(ctx, external), mode)
 }
 
-fn shard_solve_seeded_inner(
+/// [`shard_solve_seeded`] over the committed occupancy of `warm` instead
+/// of a flat profile list. `window_start` is the new cycle's window
+/// origin: [`WarmState::begin_cycle`] first evicts every committed
+/// profile fully drained before it, and the resolved schedule is
+/// absorbed into the book afterwards for the cycles to come.
+pub fn shard_solve_warm(
     ctx: &SchedCtx<'_>,
     batch: &RequestBatch,
     cfg: &ShardConfig,
-    external: &[(NodeId, SpaceProfile)],
+    warm: &mut WarmState,
+    window_start: Secs,
     mode: ExecMode,
 ) -> ShardOutcome {
-    if cfg.sorp.use_monolithic_solver {
-        return monolithic(ctx, batch, cfg, external, mode);
-    }
+    warm.begin_cycle(window_start);
+    let out = solve_over(ctx, batch, cfg, warm.committed().ledger(), mode);
+    warm.stats.trials_hit = out.sorp.trials_cached;
+    warm.stats.shards_used = out.shards;
+    warm.absorb_schedule(ctx, &out.sorp.schedule);
+    out
+}
 
+/// The pipeline body: partition, per-shard IVSP + resolution over a
+/// clone of `base`, then — unless one shard took the whole batch —
+/// cross-shard reconciliation.
+fn solve_over(
+    ctx: &SchedCtx<'_>,
+    batch: &RequestBatch,
+    cfg: &ShardConfig,
+    base: &StorageLedger,
+    mode: ExecMode,
+) -> ShardOutcome {
     let spec = ShardSpec { shards: cfg.shards, strategy: cfg.strategy, seed: cfg.seed };
     let batches = partition_requests(ctx.topo, batch, &spec);
 
     // Per-shard pipeline: IVSP then a full resolution pass, each under
     // the inner (sequential) mode — the fan-out across shards is where
-    // this call's parallelism lives.
+    // this call's parallelism lives. A lone shard has no fan-out (a
+    // one-item map runs inline), so it keeps the caller's full mode.
+    let inner = if batches.len() == 1 { mode } else { mode.inner() };
     let states = map_with_mode(mode, &batches, |shard_batch| {
-        let priced = ivsp_solve_priced_with(ctx, shard_batch, cfg.sorp.policy, mode.inner());
-        let mut state = SolveState::new(ctx, priced, &cfg.sorp, external);
-        state.resolve(ctx, &cfg.sorp, mode.inner());
+        let priced = ivsp_solve_priced_with(ctx, shard_batch, cfg.sorp.policy, inner);
+        let mut state = SolveState::new(ctx, priced, base.clone());
+        state.resolve(ctx, &cfg.sorp, inner);
         state
     });
 
@@ -233,27 +264,37 @@ fn shard_solve_seeded_inner(
         })
         .collect();
 
-    // One shard is the monolithic pipeline verbatim: reuse the shard's
-    // state (and its delta-accumulated running total) so the output is
-    // bit-identical to `sorp_solve_priced` on the whole batch. The array
-    // pattern proves the shard exists — no panic path.
-    let states = match <[SolveState; 1]>::try_from(states) {
-        Ok([state]) => {
-            return ShardOutcome {
-                sorp: state.into_outcome(ctx),
-                shards: 1,
-                per_shard,
-                split_videos: 0,
-                shared_storages: 0,
-                cross_shard_overflows: 0,
-                reconcile_iterations: 0,
-                reconcile_victims: 0,
-                trials_transplanted: 0,
-            };
-        }
-        Err(states) => states,
+    // One shard is the monolithic pipeline verbatim: its state (and its
+    // delta-accumulated running total) is the outcome, bit-identical to
+    // `sorp_solve_priced` on the whole batch. The array pattern proves
+    // the shard exists — no panic path.
+    let out = match <[SolveState; 1]>::try_from(states) {
+        Ok([state]) => ShardOutcome {
+            sorp: state.into_outcome(ctx),
+            shards: 1,
+            per_shard,
+            split_videos: 0,
+            shared_storages: 0,
+            cross_shard_overflows: 0,
+            reconcile_iterations: 0,
+            reconcile_victims: 0,
+            trials_transplanted: 0,
+        },
+        Err(states) => reconcile(ctx, cfg, base, states, per_shard, mode),
     };
+    out.record(&ctx.recorder, batch.len());
+    out
+}
 
+/// Merge the resolved shard states and run the global pass over them.
+fn reconcile(
+    ctx: &SchedCtx<'_>,
+    cfg: &ShardConfig,
+    base: &StorageLedger,
+    states: Vec<SolveState>,
+    per_shard: Vec<ShardStats>,
+    mode: ExecMode,
+) -> ShardOutcome {
     // Which videos landed in several shards, and which storages hold
     // residencies from several shards — both straight off the per-shard
     // schedules, before any merging.
@@ -300,23 +341,14 @@ fn shard_solve_seeded_inner(
     }
 
     let merged = PricedSchedule::merge(parts);
-    let mut global = SolveState::new(ctx, merged, &cfg.sorp, external);
+    let mut global = SolveState::new(ctx, merged, base.clone());
 
-    // One delta covering every merged residency footprint (plus the
-    // external occupancy): transplanted entries re-validate against it
-    // on first lookup, which is exactly "did any *other* shard's
-    // occupancy flip one of my recorded admission answers?".
-    let mut cross = crate::LedgerDelta::new();
-    for vs in global.priced.schedule().videos() {
-        for r in &vs.residencies {
-            let p = r.profile(ctx.catalog.get(r.video));
-            cross.record(r.loc, p.start, p.end);
-        }
-    }
-    for (loc, p) in external {
-        cross.record(*loc, p.start, p.end);
-    }
-    global.deltas = vec![cross];
+    // One delta covering the global ledger's whole footprint (merged
+    // residencies and the base occupancy): transplanted entries
+    // re-validate against it on first lookup, which is exactly "did any
+    // *other* shard's occupancy flip one of my recorded admission
+    // answers?".
+    global.deltas = vec![global.ledger.span_delta()];
 
     let mut trials_transplanted = 0;
     for (cache, forbidden) in handovers {
@@ -355,258 +387,18 @@ fn shard_solve_seeded_inner(
     }
 }
 
-/// [`shard_solve_seeded`] with a cross-cycle warm start: committed
-/// occupancy and carried trial-cache entries come from `warm` (updated
-/// in place for the next cycle) instead of a flat external profile list
-/// and cold caches. `window_start` is the new cycle's window origin:
-/// [`WarmState::begin_cycle`] first evicts everything fully drained
-/// before it.
-///
-/// Structure mirrors [`shard_solve_seeded`] exactly — same partition,
-/// same per-shard pipeline, same reconciliation — with two warm
-/// substitutions, each argued equivalence-preserving in the [`crate::warm`]
-/// module docs:
-///
-/// * every [`SolveState`] starts from a clone of the incrementally
-///   maintained committed ledger ([`SolveState::new_with_base`]) instead
-///   of re-adding the external list;
-/// * carried trials adopt at epoch 0 behind a first delta that unions
-///   the previous cycle's final ledger footprint with the new state's
-///   own — so the standard lazy validation answers every cross-cycle
-///   staleness question before an entry is reused.
-///
-/// Shards are prepared and resolved in sequence (the warm state is one
-/// mutable resource); each shard's greedy fan-out and resolution pass
-/// run under the caller's full `mode`, which per the [`map_with_mode`]
-/// order-preservation contract leaves outputs bit-identical to the cold
-/// sharded pipeline's `inner`-mode passes.
-pub fn shard_solve_warm(
-    ctx: &SchedCtx<'_>,
-    batch: &RequestBatch,
-    cfg: &ShardConfig,
-    warm: &mut WarmState,
-    window_start: Secs,
-    mode: ExecMode,
-) -> ShardOutcome {
-    let out = shard_solve_warm_inner(ctx, batch, cfg, warm, window_start, mode);
-    out.record(&ctx.recorder, batch.len());
-    out
-}
-
-fn shard_solve_warm_inner(
-    ctx: &SchedCtx<'_>,
-    batch: &RequestBatch,
-    cfg: &ShardConfig,
-    warm: &mut WarmState,
-    window_start: Secs,
-    mode: ExecMode,
-) -> ShardOutcome {
-    warm.begin_cycle(ctx, window_start);
-    warm.stats.shards_used = 1;
-
-    if cfg.sorp.use_monolithic_solver {
-        let priced = ivsp_solve_priced_with(ctx, batch, cfg.sorp.policy, mode);
-        let mut state = SolveState::new_with_base(ctx, priced, warm.committed().ledger().clone());
-        let trials = warm.take_matching_trials(batch);
-        warm.seed_state(&mut state, trials);
-        state.resolve(ctx, &cfg.sorp, mode);
-        warm.harvest(&mut state);
-        let sorp = state.into_outcome(ctx);
-        warm.absorb_schedule(ctx, &sorp.schedule);
-        return ShardOutcome {
-            sorp,
-            shards: 1,
-            per_shard: Vec::new(),
-            split_videos: 0,
-            shared_storages: 0,
-            cross_shard_overflows: 0,
-            reconcile_iterations: 0,
-            reconcile_victims: 0,
-            trials_transplanted: 0,
-        };
-    }
-
-    let spec = ShardSpec { shards: cfg.shards, strategy: cfg.strategy, seed: cfg.seed };
-    let batches = partition_requests(ctx.topo, batch, &spec);
-
-    let mut states = Vec::with_capacity(batches.len());
-    for shard_batch in &batches {
-        let priced = ivsp_solve_priced_with(ctx, shard_batch, cfg.sorp.policy, mode);
-        let mut state = SolveState::new_with_base(ctx, priced, warm.committed().ledger().clone());
-        let trials = warm.take_matching_trials(shard_batch);
-        warm.seed_state(&mut state, trials);
-        state.resolve(ctx, &cfg.sorp, mode);
-        states.push(state);
-    }
-
-    let per_shard: Vec<ShardStats> = batches
-        .iter()
-        .zip(&states)
-        .map(|(b, s)| ShardStats {
-            requests: b.len(),
-            videos: s.priced.schedule().videos().count(),
-            initial_cost: s.initial_cost,
-            resolved_cost: s.priced.total(),
-            iterations: s.iterations,
-            victims: s.victims.len(),
-        })
-        .collect();
-
-    // As in the cold path: the array pattern proves the single shard
-    // exists, so there is no panic path.
-    let states = match <[SolveState; 1]>::try_from(states) {
-        Ok([mut state]) => {
-            warm.harvest(&mut state);
-            let sorp = state.into_outcome(ctx);
-            warm.absorb_schedule(ctx, &sorp.schedule);
-            return ShardOutcome {
-                sorp,
-                shards: 1,
-                per_shard,
-                split_videos: 0,
-                shared_storages: 0,
-                cross_shard_overflows: 0,
-                reconcile_iterations: 0,
-                reconcile_victims: 0,
-                trials_transplanted: 0,
-            };
-        }
-        Err(states) => states,
-    };
-
-    let mut video_shards: BTreeMap<VideoId, usize> = BTreeMap::new();
-    let mut storage_shards: BTreeMap<NodeId, BTreeSet<usize>> = BTreeMap::new();
-    for (si, s) in states.iter().enumerate() {
-        for vs in s.priced.schedule().videos() {
-            *video_shards.entry(vs.video).or_insert(0) += 1;
-            for r in &vs.residencies {
-                storage_shards.entry(r.loc).or_default().insert(si);
-            }
-        }
-    }
-    let split: BTreeSet<VideoId> =
-        video_shards.iter().filter(|&(_, &n)| n > 1).map(|(&v, _)| v).collect();
-    let shared_storages = storage_shards.values().filter(|s| s.len() > 1).count();
-
-    let mut parts = Vec::with_capacity(states.len());
-    let mut handovers = Vec::with_capacity(states.len());
-    let mut initial_cost = 0.0;
-    let mut iterations = 0;
-    let mut forced_fallbacks = 0;
-    let mut trials_run = 0;
-    let mut trials_cached = 0;
-    let mut nodes_rescanned = 0;
-    let mut carried_revalidated = 0;
-    let mut victims = Vec::new();
-    for mut s in states {
-        initial_cost += s.initial_cost;
-        iterations += s.iterations;
-        forced_fallbacks += s.forced_fallbacks;
-        trials_run += s.trials_run;
-        trials_cached += s.trials_cached;
-        nodes_rescanned += s.nodes_rescanned;
-        carried_revalidated += s.carried_revalidated;
-        victims.append(&mut s.victims);
-        s.cache.retain(|vid, _| !split.contains(vid));
-        handovers.push((s.cache, s.forbidden));
-        parts.push(s.priced);
-    }
-
-    let merged = PricedSchedule::merge(parts);
-    let mut global = SolveState::new_with_base(ctx, merged, warm.committed().ledger().clone());
-
-    // The cross-shard validation delta: the global ledger's full
-    // footprint (merged residencies *and* committed occupancy — a
-    // superset of the cold path's delta, safe in the conservative
-    // direction) unioned with the previous cycle's final footprint, so
-    // carried entries that were never consulted during their shard's
-    // pass still answer the cross-cycle staleness question here.
-    let mut cross = global.ledger.span_delta();
-    cross.merge(&warm.dirty);
-    global.deltas = vec![cross];
-
-    let mut trials_transplanted = 0;
-    for (cache, forbidden) in handovers {
-        trials_transplanted += global.adopt(cache, forbidden);
-    }
-
-    let cross_shard_overflows = detect_overflows(ctx.topo, &global.ledger).len();
-
-    global.initial_cost = initial_cost;
-    global.iterations = iterations;
-    global.forced_fallbacks = forced_fallbacks;
-    global.trials_run = trials_run;
-    global.trials_cached = trials_cached;
-    global.nodes_rescanned = nodes_rescanned;
-    global.carried_revalidated = carried_revalidated;
-    global.victims = victims;
-
-    let victims_before = global.victims.len();
-    let iters_before = global.iterations;
-    global.resolve(ctx, &cfg.sorp, mode);
-    let reconcile_iterations = global.iterations - iters_before;
-    let reconcile_victims = global.victims.len() - victims_before;
-
-    warm.harvest(&mut global);
-    warm.stats.shards_used = per_shard.len();
-    let sorp = global.into_outcome(ctx);
-    warm.absorb_schedule(ctx, &sorp.schedule);
-
-    ShardOutcome {
-        sorp,
-        shards: per_shard.len(),
-        per_shard,
-        split_videos: split.len(),
-        shared_storages,
-        cross_shard_overflows,
-        reconcile_iterations,
-        reconcile_victims,
-        trials_transplanted,
-    }
-}
-
-/// The monolithic oracle: the whole batch through IVSP + SORP under the
-/// same policy and mode, wrapped in a [`ShardOutcome`].
-fn monolithic(
-    ctx: &SchedCtx<'_>,
-    batch: &RequestBatch,
-    cfg: &ShardConfig,
-    external: &[(NodeId, SpaceProfile)],
-    mode: ExecMode,
-) -> ShardOutcome {
-    let priced = ivsp_solve_priced_with(ctx, batch, cfg.sorp.policy, mode);
-    let mut state = SolveState::new(ctx, priced, &cfg.sorp, external);
-    state.resolve(ctx, &cfg.sorp, mode);
-    ShardOutcome {
-        sorp: state.into_outcome(ctx),
-        shards: 1,
-        per_shard: Vec::new(),
-        split_videos: 0,
-        shared_storages: 0,
-        cross_shard_overflows: 0,
-        reconcile_iterations: 0,
-        reconcile_victims: 0,
-        trials_transplanted: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GreedyPolicy, StorageLedger};
     use vod_cost_model::CostModel;
     use vod_topology::builders::{self, PaperFig4Config};
-    use vod_workload::{generate_regional_requests, CatalogConfig, RequestConfig, Workload};
+    use vod_workload::{CatalogConfig, RequestConfig, Workload};
 
     fn world(capacity_gb: f64, seed: u64) -> (vod_topology::Topology, Workload) {
         let topo = builders::paper_fig4(&PaperFig4Config { capacity_gb, ..Default::default() });
         let wl =
             Workload::generate(&topo, &CatalogConfig::small(80), &RequestConfig::paper(), seed);
         (topo, wl)
-    }
-
-    fn local_only() -> GreedyPolicy {
-        GreedyPolicy { allow_remote_placement: false, ..GreedyPolicy::default() }
     }
 
     #[test]
@@ -626,24 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_is_bit_identical_to_monolithic() {
-        let (topo, wl) = world(5.0, 2);
-        let model = CostModel::per_hop();
-        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let cfg = ShardConfig { shards: 1, ..ShardConfig::default() };
-        let sharded = shard_solve(&ctx, &wl.requests, &cfg, ExecMode::Sequential);
-        let mono_cfg = ShardConfig {
-            sorp: SorpConfig { use_monolithic_solver: true, ..SorpConfig::default() },
-            ..cfg
-        };
-        let mono = shard_solve(&ctx, &wl.requests, &mono_cfg, ExecMode::Sequential);
-        assert!(sharded.sorp.schedule == mono.sorp.schedule);
-        assert_eq!(sharded.sorp.cost.to_bits(), mono.sorp.cost.to_bits());
-        assert_eq!(sharded.sorp.iterations, mono.sorp.iterations);
-        assert_eq!(sharded.sorp.victims.len(), mono.sorp.victims.len());
-    }
-
-    #[test]
     fn sequential_sharded_output_is_run_to_run_deterministic_and_matches_parallel() {
         let (topo, wl) = world(5.0, 3);
         let model = CostModel::per_hop();
@@ -657,46 +431,6 @@ mod tests {
         assert!(a.sorp.schedule == p.sorp.schedule, "parallel diverged from sequential");
         assert_eq!(a.sorp.cost.to_bits(), p.sorp.cost.to_bits());
         assert_eq!(a.reconcile_iterations, p.reconcile_iterations);
-    }
-
-    #[test]
-    fn regional_regime_matches_monolithic_psi() {
-        // ByRegion shards + local-only policy + region-unique videos:
-        // the decomposition is exact up to float summation order.
-        let topo =
-            builders::paper_fig4(&PaperFig4Config { capacity_gb: 5.0, ..Default::default() });
-        let catalog = vod_workload::generate_catalog(&CatalogConfig::small(95), 7);
-        let requests = generate_regional_requests(
-            &topo,
-            &catalog,
-            &RequestConfig { requests_per_user: 2, ..RequestConfig::paper() },
-            7,
-        );
-        let model = CostModel::per_hop();
-        let ctx = SchedCtx::new(&topo, &model, &catalog);
-        let sorp = SorpConfig { policy: local_only(), ..SorpConfig::default() };
-        for shards in [2, 4, 6] {
-            let cfg = ShardConfig { shards, sorp: sorp.clone(), ..ShardConfig::default() };
-            let sharded = shard_solve(&ctx, &requests, &cfg, ExecMode::Sequential);
-            let mono_cfg = ShardConfig {
-                sorp: SorpConfig { use_monolithic_solver: true, ..sorp.clone() },
-                ..cfg
-            };
-            let mono = shard_solve(&ctx, &requests, &mono_cfg, ExecMode::Sequential);
-            assert!(sharded.sorp.overflow_free && mono.sorp.overflow_free);
-            assert_eq!(sharded.split_videos, 0, "regional workload must not split videos");
-            let rel = (sharded.sorp.cost - mono.sorp.cost).abs() / mono.sorp.cost.max(1.0);
-            assert!(
-                rel <= 1e-9,
-                "{shards} shards: Ψ {} vs monolithic {} (rel {rel:e})",
-                sharded.sorp.cost,
-                mono.sorp.cost
-            );
-            assert!(
-                sharded.sorp.schedule == mono.sorp.schedule,
-                "{shards} shards: schedules diverged"
-            );
-        }
     }
 
     #[test]

@@ -47,16 +47,17 @@
 //! * the [`crate::OverflowMonitor`] rescans only storages whose ledger
 //!   version moved, instead of every node's full timeline.
 //!
-//! The pre-cache solver survives behind
-//! [`SorpConfig::use_uncached_solver`] as the equivalence oracle (same
-//! discipline as [`SorpConfig::use_reference_ledger`]): the property
-//! tests assert both paths produce bit-identical schedules, costs,
-//! victims, and iteration counts.
+//! The naive loop this replaced — re-detect every overflow with a full
+//! scan and re-run every participant's trial, every iteration — is the
+//! equivalence oracle `vod_oracles::sorp_solve_naive` (a dev-only crate
+//! written against this crate's public API): the property tests assert
+//! both produce bit-identical schedules, costs, victims, and iteration
+//! counts, on the timeline and on the reference ledger.
 
 use crate::{
-    detect_overflows, heat_of, overflow_set, reschedule_video_traced_with, reschedule_video_with,
-    Constraints, GreedyPolicy, HeatMetric, Interval, LedgerCursor, LedgerDelta, LedgerMode,
-    Overflow, OverflowMonitor, PricedSchedule, SchedCtx, StorageLedger, TrialTrace,
+    detect_overflows, heat_of, overflow_set, reschedule_video_traced_with, Constraints,
+    GreedyPolicy, HeatMetric, Interval, LedgerCursor, LedgerDelta, Overflow, OverflowMonitor,
+    PricedSchedule, SchedCtx, StorageLedger, TrialTrace,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -73,8 +74,9 @@ const HEAT_EPS: f64 = 1e-9;
 /// Whether two heats are equal up to [`HEAT_EPS`] (relative). Infinite
 /// heats (the ratio metrics return `+∞` for non-positive overhead) tie
 /// only with themselves — `∞ − ∞` is NaN, so they never enter the
-/// epsilon comparison.
-fn heats_tie(a: f64, b: f64) -> bool {
+/// epsilon comparison. Public so the naive-loop oracle applies the same
+/// tolerance instead of a copy of it.
+pub fn heats_tie(a: f64, b: f64) -> bool {
     if a == b {
         return true;
     }
@@ -103,22 +105,6 @@ pub struct SorpConfig {
     /// here and in phase 1 so overflow resolution searches the same
     /// placement space the schedule was built in.
     pub policy: GreedyPolicy,
-    /// Run every admission test on the naive reference ledger instead of
-    /// the occupancy timeline ([`LedgerMode::Reference`]). Only for
-    /// equivalence testing and benchmarking — the timeline is the
-    /// production path and the outputs are identical.
-    pub use_reference_ledger: bool,
-    /// Disable the cross-iteration trial cache and the incremental
-    /// overflow monitor: every iteration re-detects every overflow with a
-    /// full scan and re-runs every participant's trial reschedule. Only
-    /// for equivalence testing and benchmarking — the cached solver is
-    /// the production path and the outputs are identical.
-    pub use_uncached_solver: bool,
-    /// Make [`crate::shard_solve`] bypass partitioning entirely and run
-    /// the monolithic IVSP + SORP pipeline on the whole batch — the
-    /// equivalence oracle for the sharded path, following the
-    /// `use_reference_ledger` / `use_uncached_solver` discipline.
-    pub use_monolithic_solver: bool,
 }
 
 impl Default for SorpConfig {
@@ -127,9 +113,6 @@ impl Default for SorpConfig {
             metric: HeatMetric::TimeSpacePerCost,
             max_iterations: 10_000,
             policy: GreedyPolicy::default(),
-            use_reference_ledger: false,
-            use_uncached_solver: false,
-            use_monolithic_solver: false,
         }
     }
 }
@@ -182,11 +165,10 @@ pub struct SorpOutcome {
     /// materialized across all iterations.
     pub trials_run: usize,
     /// Trial jobs answered from the cross-iteration cache without
-    /// re-running the greedy (always 0 for the uncached oracle).
+    /// re-running the greedy.
     pub trials_cached: usize,
     /// Finite-capacity storages whose occupancy timeline was rescanned by
-    /// overflow detection, summed over all loop iterations (the uncached
-    /// oracle rescans every one, every iteration).
+    /// overflow detection, summed over all loop iterations.
     pub nodes_rescanned: usize,
 }
 
@@ -210,28 +192,8 @@ impl SorpOutcome {
 
 /// Run storage overflow resolution on an integrated schedule.
 pub fn sorp_solve(ctx: &SchedCtx<'_>, initial: &Schedule, cfg: &SorpConfig) -> SorpOutcome {
-    sorp_solve_seeded(ctx, initial, cfg, &[])
-}
-
-/// [`sorp_solve`] with additional immutable occupancy already committed
-/// at the storages — the rolling-horizon case where residencies from a
-/// previous scheduling cycle are still draining when this cycle starts.
-/// External occupancy can never be victimised; an overflow consisting
-/// *only* of external occupancy is unresolvable and leaves
-/// `overflow_free = false`.
-pub fn sorp_solve_seeded(
-    ctx: &SchedCtx<'_>,
-    initial: &Schedule,
-    cfg: &SorpConfig,
-    external: &[(NodeId, SpaceProfile)],
-) -> SorpOutcome {
-    sorp_solve_priced(
-        ctx,
-        PricedSchedule::price(ctx, initial.clone()),
-        cfg,
-        external,
-        ExecMode::default(),
-    )
+    let priced = PricedSchedule::price(ctx, initial.clone());
+    sorp_solve_priced(ctx, priced, cfg, &[], ExecMode::default())
 }
 
 /// One trial-reschedule unit of work: everything a worker needs to
@@ -266,7 +228,7 @@ struct TrialJob<'s> {
 /// occupancy is invisible to its trials.
 pub(crate) struct CachedTrial {
     /// The trial reschedule's output.
-    pub(crate) new_vs: VideoSchedule,
+    new_vs: VideoSchedule,
     /// `ctx.video_cost(&new_vs)`, computed once at trial time.
     new_cost: Dollars,
     /// The forbidden windows the entry is currently known valid under.
@@ -277,12 +239,7 @@ pub(crate) struct CachedTrial {
     /// Number of commit deltas already accounted for: the entry is known
     /// to replay bit-identically against the ledger as of
     /// `deltas[..epoch]`.
-    pub(crate) epoch: usize,
-    /// Whether the entry was carried in from a previous scheduling cycle
-    /// by a warm start (cleared on its first successful revalidation;
-    /// purely diagnostic — validation treats carried and fresh entries
-    /// identically).
-    pub(crate) carried: bool,
+    epoch: usize,
 }
 
 /// Cap on memoized trials per video. A video keeps one entry per
@@ -400,11 +357,11 @@ fn bank_trial(cache: &mut HashMap<VideoId, Vec<CachedTrial>>, trial: CachedTrial
     list.push(trial);
 }
 
-/// The sequential reduce both solver paths share: scan `(heat, overhead)`
-/// scores in job order with the epsilon-aware comparison and the
-/// deterministic tie-break, returning the winning `(heat, overhead, job
-/// index)`. Identical comparisons in identical order — the cached path
-/// selects the exact victim the uncached path would, bit for bit.
+/// The sequential reduce: scan `(heat, overhead)` scores in job order
+/// with the epsilon-aware comparison and the deterministic tie-break,
+/// returning the winning `(heat, overhead, job index)`. The scores do
+/// not depend on whether a trial was replayed from the cache or re-run,
+/// so the victim is the one the naive loop would pick, bit for bit.
 fn select_victim(
     jobs: &[TrialJob<'_>],
     overflows: &[Overflow],
@@ -437,11 +394,10 @@ fn select_victim(
 /// one machine: the priced schedule, the occupancy ledger, the
 /// accumulated bans, the incremental [`OverflowMonitor`], and the trial
 /// cache with its commit-delta history. [`SolveState::new`] +
-/// [`SolveState::resolve`] + [`SolveState::into_outcome`] compose to
-/// exactly the monolithic [`sorp_solve_priced`]; the sharded path
-/// instead resolves one state per shard, merges them (transplanting
-/// surviving trial-cache entries and bans), and resolves the merged
-/// state once more.
+/// [`SolveState::resolve`] + [`SolveState::into_outcome`] *are*
+/// [`sorp_solve_priced`]; the sharded path resolves one state per shard,
+/// merges them (transplanting surviving trial-cache entries and bans),
+/// and resolves the merged state once more.
 pub(crate) struct SolveState {
     pub(crate) priced: PricedSchedule,
     pub(crate) ledger: StorageLedger,
@@ -458,57 +414,25 @@ pub(crate) struct SolveState {
     pub(crate) trials_cached: usize,
     pub(crate) nodes_rescanned: usize,
     pub(crate) initial_cost: Dollars,
-    /// Cache hits answered by entries carried in from a previous cycle
-    /// (each counted once, at the entry's first reuse this solve).
-    pub(crate) carried_revalidated: usize,
 }
 
 impl SolveState {
-    /// Fresh state for one resolution pass: builds the occupancy ledger
-    /// from the priced schedule and seeds the immutable external
-    /// occupancy.
-    pub(crate) fn new(
-        ctx: &SchedCtx<'_>,
-        priced: PricedSchedule,
-        cfg: &SorpConfig,
-        external: &[(NodeId, SpaceProfile)],
-    ) -> Self {
-        let initial_cost = priced.total();
-        let mut ledger = StorageLedger::from_schedule(ctx.topo, ctx.catalog, priced.schedule());
-        if cfg.use_reference_ledger {
-            ledger.set_mode(LedgerMode::Reference);
-        }
-        for (loc, profile) in external {
-            ledger.add(*loc, EXTERNAL_OCCUPANCY, *profile);
-        }
-        Self::with_ledger(priced, ledger, initial_cost)
-    }
-
-    /// Fresh state over an already-built occupancy ledger holding the
-    /// external (cross-cycle) occupancy: the warm-start path clones the
-    /// incrementally maintained committed-occupancy ledger instead of
-    /// re-adding the full external profile list, then lays this cycle's
-    /// schedule on top. Per-node entry order is external-then-schedule
-    /// (the cold [`SolveState::new`] builds schedule-then-external);
-    /// aggregate occupancy is order-independent, so admission verdicts
-    /// agree — only reference-mode float summation order would differ,
-    /// which is why the warm path keeps the timeline mode.
-    pub(crate) fn new_with_base(
-        ctx: &SchedCtx<'_>,
-        priced: PricedSchedule,
-        mut base: StorageLedger,
-    ) -> Self {
-        let initial_cost = priced.total();
+    /// Fresh state for one resolution pass: lays the priced schedule's
+    /// residencies on top of `base`, the occupancy committed outside this
+    /// schedule (every entry under [`EXTERNAL_OCCUPANCY`]; empty for a
+    /// stand-alone solve). Base first, schedule second, on every path —
+    /// aggregate occupancy does not depend on the order, but the
+    /// per-node float summation does, and a cold solve over a flat
+    /// external list must agree bit for bit with a warm one over the
+    /// incrementally maintained [`crate::CommittedBook`] ledger.
+    pub(crate) fn new(ctx: &SchedCtx<'_>, priced: PricedSchedule, mut base: StorageLedger) -> Self {
         for r in priced.schedule().residencies() {
             base.add(r.loc, r.video, r.profile(ctx.catalog.get(r.video)));
         }
-        Self::with_ledger(priced, base, initial_cost)
-    }
-
-    fn with_ledger(priced: PricedSchedule, ledger: StorageLedger, initial_cost: Dollars) -> Self {
         Self {
+            initial_cost: priced.total(),
             priced,
-            ledger,
+            ledger: base,
             forbidden: HashMap::new(),
             victims: Vec::new(),
             iterations: 0,
@@ -519,8 +443,6 @@ impl SolveState {
             trials_run: 0,
             trials_cached: 0,
             nodes_rescanned: 0,
-            initial_cost,
-            carried_revalidated: 0,
         }
     }
 
@@ -530,18 +452,10 @@ impl SolveState {
     /// returns immediately — which is how the sharded path's global pass
     /// degenerates to a no-op when the shards never conflicted.
     pub(crate) fn resolve(&mut self, ctx: &SchedCtx<'_>, cfg: &SorpConfig, mode: ExecMode) {
-        let cached = !cfg.use_uncached_solver;
         let cap = self.iterations + cfg.max_iterations;
         loop {
-            let overflows = if cached {
-                let ofs = self.monitor.refresh(ctx.topo, &self.ledger);
-                self.nodes_rescanned += self.monitor.nodes_rescanned();
-                ofs
-            } else {
-                self.nodes_rescanned +=
-                    ctx.topo.storages().filter(|&l| ctx.topo.capacity(l).is_finite()).count();
-                detect_overflows(ctx.topo, &self.ledger)
-            };
+            let overflows = self.monitor.refresh(ctx.topo, &self.ledger);
+            self.nodes_rescanned += self.monitor.nodes_rescanned();
             if overflows.is_empty() {
                 break;
             }
@@ -556,11 +470,7 @@ impl SolveState {
                     break; // purely external overflow: unresolvable
                 };
                 let new_vs = force_direct(ctx, old);
-                let mut delta = LedgerDelta::new();
-                commit(ctx, &mut self.priced, &mut self.ledger, new_vs, &mut delta);
-                if cached {
-                    self.deltas.push(delta);
-                }
+                self.commit(ctx, new_vs);
                 self.forced_fallbacks += 1;
                 continue;
             }
@@ -587,98 +497,57 @@ impl SolveState {
                 }
             }
 
+            // Pull each job's trial out of the cache where a memoized one
+            // still replays under the job's bans and the current ledger.
+            let (ledger, deltas) = (&self.ledger, &self.deltas);
+            let mut suffixes = HashMap::new();
+            let slots: Vec<Option<CachedTrial>> = jobs
+                .iter()
+                .map(|job| take_cached(&mut self.cache, job, deltas, &mut suffixes, ctx, ledger))
+                .collect();
+            let miss_idx: Vec<usize> = (0..jobs.len()).filter(|&ji| slots[ji].is_none()).collect();
+            self.trials_run += miss_idx.len();
+            self.trials_cached += jobs.len() - miss_idx.len();
+
+            // Fan out only the cache misses: each is a pure function of
+            // its job, the (frozen) ledger, and the context, and carries
+            // its dependency trace home for future lookups.
+            let fresh = map_with_mode(mode, &miss_idx, |&ji| {
+                let job = &jobs[ji];
+                let cons = Constraints { ledger, exclude: Some(job.vid), forbidden: &job.bans };
+                let requests = job.old_vs.delivered_requests();
+                let (new_vs, trace) =
+                    reschedule_video_traced_with(ctx, &requests, &cons, cfg.policy);
+                let new_cost = ctx.video_cost(&new_vs);
+                CachedTrial { new_vs, new_cost, bans: job.bans.clone(), trace, epoch: deltas.len() }
+            });
+            // The misses ran in job order, so refilling the empty slots
+            // in order hands each job its own trial.
+            let mut fresh = fresh.into_iter();
+            let mut trials: Vec<CachedTrial> =
+                slots.into_iter().filter_map(|slot| slot.or_else(|| fresh.next())).collect();
+
             // Score every job, then reduce sequentially in job order. The
             // heat inputs that are cheap and iteration-local (the overflow,
             // the participant's profile, the memoized current cost) are
             // always read fresh; only the greedy's output is memoized.
-            let (ji, heat, overhead, new_vs) = if cached {
-                // Pull each job's trial out of the cache where a memoized
-                // one still replays under the job's bans and the current
-                // ledger.
-                let (ledger, deltas) = (&self.ledger, &self.deltas);
-                let mut suffixes = HashMap::new();
-                let mut slots: Vec<Option<CachedTrial>> = jobs
-                    .iter()
-                    .map(|job| {
-                        take_cached(&mut self.cache, job, deltas, &mut suffixes, ctx, ledger)
-                    })
-                    .collect();
-                for e in slots.iter_mut().flatten() {
-                    if e.carried {
-                        // First reuse of a cross-cycle entry this solve.
-                        e.carried = false;
-                        self.carried_revalidated += 1;
-                    }
-                }
-                let miss_idx: Vec<usize> =
-                    (0..jobs.len()).filter(|&ji| slots[ji].is_none()).collect();
-                self.trials_run += miss_idx.len();
-                self.trials_cached += jobs.len() - miss_idx.len();
-
-                // Fan out only the cache misses: each is a pure function of
-                // its job, the (frozen) ledger, and the context, and carries
-                // its dependency trace home for future lookups.
-                let fresh = map_with_mode(mode, &miss_idx, |&ji| {
-                    let job = &jobs[ji];
-                    let cons = Constraints { ledger, exclude: Some(job.vid), forbidden: &job.bans };
-                    let requests = job.old_vs.delivered_requests();
-                    let (new_vs, trace) =
-                        reschedule_video_traced_with(ctx, &requests, &cons, cfg.policy);
-                    let new_cost = ctx.video_cost(&new_vs);
-                    CachedTrial {
-                        new_vs,
-                        new_cost,
-                        bans: job.bans.clone(),
-                        trace,
-                        epoch: deltas.len(),
-                        carried: false,
-                    }
-                });
-                // The misses ran in job order, so refilling the empty slots
-                // in order hands each job its own trial.
-                let mut fresh = fresh.into_iter();
-                let mut trials: Vec<CachedTrial> =
-                    slots.into_iter().filter_map(|slot| slot.or_else(|| fresh.next())).collect();
-
-                let scored: Vec<(f64, Dollars)> = jobs
-                    .iter()
-                    .zip(&trials)
-                    .map(|(job, trial)| {
-                        let overhead = trial.new_cost - job.old_cost;
-                        (
-                            heat_of(cfg.metric, &overflows[job.of_idx], &job.profile, overhead),
-                            overhead,
-                        )
-                    })
-                    .collect();
-                let Some((heat, overhead, ji)) = select_victim(&jobs, &overflows, &scored) else {
-                    break; // purely external overflows: nothing to reschedule
-                };
-                let winner = trials.remove(ji);
-                // Bank every non-winning trial for later iterations, in job
-                // order.
-                for trial in trials {
-                    bank_trial(&mut self.cache, trial);
-                }
-                (ji, heat, overhead, winner.new_vs)
-            } else {
-                // The pre-cache oracle: re-run every participant's trial.
-                self.trials_run += jobs.len();
-                let ledger = &self.ledger;
-                let mut trials = map_with_mode(mode, &jobs, |job| {
-                    let cons = Constraints { ledger, exclude: Some(job.vid), forbidden: &job.bans };
-                    let requests = job.old_vs.delivered_requests();
-                    let new_vs = reschedule_video_with(ctx, &requests, &cons, cfg.policy);
-                    let overhead = ctx.video_cost(&new_vs) - job.old_cost;
-                    let heat = heat_of(cfg.metric, &overflows[job.of_idx], &job.profile, overhead);
-                    (heat, overhead, new_vs)
-                });
-                let scored: Vec<(f64, Dollars)> = trials.iter().map(|&(h, o, _)| (h, o)).collect();
-                let Some((heat, overhead, ji)) = select_victim(&jobs, &overflows, &scored) else {
-                    break; // purely external overflows: nothing to reschedule
-                };
-                (ji, heat, overhead, trials.swap_remove(ji).2)
+            let scored: Vec<(f64, Dollars)> = jobs
+                .iter()
+                .zip(&trials)
+                .map(|(job, trial)| {
+                    let overhead = trial.new_cost - job.old_cost;
+                    (heat_of(cfg.metric, &overflows[job.of_idx], &job.profile, overhead), overhead)
+                })
+                .collect();
+            let Some((heat, overhead, ji)) = select_victim(&jobs, &overflows, &scored) else {
+                break; // purely external overflows: nothing to reschedule
             };
+            let winner = trials.remove(ji);
+            // Bank every non-winning trial for later iterations, in job
+            // order.
+            for trial in trials {
+                bank_trial(&mut self.cache, trial);
+            }
 
             let (vid, of) = (jobs[ji].vid, &overflows[jobs[ji].of_idx]);
             self.forbidden.entry(vid).or_default().push((of.loc, of.window));
@@ -690,12 +559,34 @@ impl SolveState {
                 overhead,
                 heat,
             });
-            let mut delta = LedgerDelta::new();
-            commit(ctx, &mut self.priced, &mut self.ledger, new_vs, &mut delta);
-            if cached {
-                self.deltas.push(delta);
+            self.commit(ctx, winner.new_vs);
+        }
+    }
+
+    /// Replace a video's schedule, updating ledger and pricing
+    /// incrementally: occupancy is dropped only at the storages the
+    /// outgoing schedule actually used, and the running Ψ moves by the
+    /// commit's delta. The supports of every profile actually removed or
+    /// added become the commit's [`LedgerDelta`] — its (node, window)
+    /// footprint, which scopes trial-cache invalidation.
+    fn commit(&mut self, ctx: &SchedCtx<'_>, new_vs: VideoSchedule) {
+        let vid = new_vs.video;
+        let mut delta = LedgerDelta::new();
+        if let Some(old_vs) = self.priced.schedule().video(vid) {
+            for r in &old_vs.residencies {
+                self.ledger.remove_tracked(r.loc, vid, &mut delta);
             }
         }
+        debug_assert!(
+            !self.ledger.contains_video(vid),
+            "ledger held occupancy for video {vid:?} outside its scheduled residencies"
+        );
+        for r in &new_vs.residencies {
+            let profile = r.profile(ctx.catalog.get(r.video));
+            self.ledger.add_tracked(r.loc, r.video, profile, &mut delta);
+        }
+        self.priced.commit(ctx, new_vs);
+        self.deltas.push(delta);
     }
 
     /// Transplant another pass's surviving trial-cache entries and bans
@@ -768,38 +659,22 @@ pub fn sorp_solve_priced(
     external: &[(NodeId, SpaceProfile)],
     mode: ExecMode,
 ) -> SorpOutcome {
-    let mut state = SolveState::new(ctx, priced, cfg, external);
+    let mut state = SolveState::new(ctx, priced, external_ledger(ctx, external));
     state.resolve(ctx, cfg, mode);
     state.into_outcome(ctx)
 }
 
-/// Replace a video's schedule, updating ledger and pricing incrementally:
-/// occupancy is dropped only at the storages the outgoing schedule
-/// actually used, and the running Ψ moves by the commit's delta. The
-/// supports of every profile actually removed or added are recorded into
-/// `delta` — the commit's (node, window) footprint, which scopes trial
-/// cache invalidation.
-fn commit(
+/// The base ledger of a solve seeded from a flat profile list: every
+/// `(storage, profile)` pair under [`EXTERNAL_OCCUPANCY`], in list order.
+pub(crate) fn external_ledger(
     ctx: &SchedCtx<'_>,
-    priced: &mut PricedSchedule,
-    ledger: &mut StorageLedger,
-    new_vs: VideoSchedule,
-    delta: &mut LedgerDelta,
-) {
-    let vid = new_vs.video;
-    if let Some(old_vs) = priced.schedule().video(vid) {
-        for r in &old_vs.residencies {
-            ledger.remove_tracked(r.loc, vid, delta);
-        }
+    external: &[(NodeId, SpaceProfile)],
+) -> StorageLedger {
+    let mut ledger = StorageLedger::new(ctx.topo);
+    for (loc, profile) in external {
+        ledger.add(*loc, EXTERNAL_OCCUPANCY, *profile);
     }
-    debug_assert!(
-        !ledger.contains_video(vid),
-        "ledger held occupancy for video {vid:?} outside its scheduled residencies"
-    );
-    for r in &new_vs.residencies {
-        ledger.add_tracked(r.loc, r.video, r.profile(ctx.catalog.get(r.video)), delta);
-    }
-    priced.commit(ctx, new_vs);
+    ledger
 }
 
 /// All-direct delivery schedule for a video (no residencies at all).
@@ -945,37 +820,6 @@ mod tests {
         assert_eq!(seq.cost.to_bits(), par.cost.to_bits());
         assert_eq!(seq.iterations, par.iterations);
         assert_eq!(seq.victims.len(), par.victims.len());
-    }
-
-    #[test]
-    fn timeline_and_reference_ledgers_give_bit_identical_schedules() {
-        use crate::{ivsp_solve_priced, ExecMode};
-        for seed in [1, 7, 11] {
-            let cfgb = builders::PaperFig4Config { capacity_gb: 5.0, ..Default::default() };
-            let topo = builders::paper_fig4(&cfgb);
-            let wl =
-                Workload::generate(&topo, &CatalogConfig::small(80), &RequestConfig::paper(), seed);
-            let model = CostModel::per_hop();
-            let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-            let priced = ivsp_solve_priced(&ctx, &wl.requests);
-            let fast = sorp_solve_priced(
-                &ctx,
-                priced.clone(),
-                &SorpConfig::default(),
-                &[],
-                ExecMode::Sequential,
-            );
-            let oracle_cfg = SorpConfig { use_reference_ledger: true, ..SorpConfig::default() };
-            let oracle = sorp_solve_priced(&ctx, priced, &oracle_cfg, &[], ExecMode::Sequential);
-            assert!(fast.resolved_anything(), "seed {seed}: nothing to resolve");
-            assert!(
-                fast.schedule == oracle.schedule,
-                "seed {seed}: schedules diverged between ledger modes"
-            );
-            assert_eq!(fast.cost.to_bits(), oracle.cost.to_bits(), "seed {seed}");
-            assert_eq!(fast.iterations, oracle.iterations, "seed {seed}");
-            assert_eq!(fast.victims.len(), oracle.victims.len(), "seed {seed}");
-        }
     }
 
     #[test]

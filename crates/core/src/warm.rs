@@ -1,71 +1,50 @@
-//! Cross-cycle warm start: persistent solver state for rolling-horizon
-//! service.
+//! Cross-cycle warm start: the state a rolling-horizon service keeps
+//! between [`crate::shard_solve_warm`] calls.
 //!
-//! The rolling-horizon loop (`vod_experiments::cycles`) historically
-//! threw away two expensive artifacts at every cycle boundary:
+//! What crosses a cycle boundary is the **committed occupancy** and
+//! nothing else: every residency profile of every earlier cycle's
+//! resolved schedule, in an incrementally maintained [`StorageLedger`]
+//! under [`EXTERNAL_OCCUPANCY`] ([`CommittedBook`]), instead of a flat
+//! profile list re-added on every cycle. Profiles whose drain completed
+//! before the new cycle's window are evicted
+//! ([`StorageLedger::remove_drained`]) — they can no longer intersect
+//! any admission test of a batch whose reservations start inside the
+//! window, so eviction is invisible to every verdict. A cycle's solve
+//! reads the book as its base ledger and is otherwise the cold solve:
+//! a fresh [`WarmState`] *is* the cold path.
 //!
-//! * the **SORP trial cache** — per-video memoized reschedules with
-//!   dependency traces;
-//! * the **committed-occupancy ledger** — rebuilt from the
-//!   ever-growing flat `external` profile list on every cycle.
-//!
-//! [`WarmState`] keeps both alive between
-//! [`crate::shard_solve_warm`] calls. Validity rests on the same
-//! machinery PR 4 built for *within*-solve reuse:
-//!
-//! * a carried trial is only ever consulted for a job whose request
-//!   set is **exactly** the one the entry was derived from
-//!   (checked at adoption time, the same request-invariance rule that
-//!   makes the sharded solver drop split videos' entries);
-//! * every carried trial re-enters a solve at epoch 0 with the solve's
-//!   first [`crate::LedgerDelta`] covering both the previous cycle's
-//!   final ledger footprint ([`WarmState`] records it at harvest) and
-//!   the new solve's entire ledger footprint — so the standard lazy
-//!   validation re-derives every admission answer that occupancy
-//!   changes in *either* direction could have flipped, and a surviving
-//!   entry replays bit-identically to the greedy re-run it saves;
-//! * committed occupancy lives in an incrementally maintained
-//!   [`StorageLedger`] under [`EXTERNAL_OCCUPANCY`]; profiles whose
-//!   drain completed before the new cycle's window are evicted
-//!   ([`StorageLedger::remove_drained`]) — they can no longer intersect
-//!   any admission test of a batch whose reservations start inside the
-//!   window, so eviction is invisible to every verdict.
-//!
-//! Accumulation is bounded: [`WarmState::begin_cycle`] evicts trial
-//! entries whose reservations all ended before the window, and the
-//! per-video cache cap carries over unchanged. [`WarmStats`] counts
-//! carried / evicted / revalidated / hit entries per cycle; the
-//! rolling-horizon report surfaces it.
+//! The SORP trial cache does **not** cross the boundary. A memoized
+//! trial may only answer a job over exactly the request set it was
+//! derived from, and no driver ever re-solves a request: the rolling
+//! horizon draws a fresh batch per cycle, and the service loop re-stamps
+//! a deferred request's start into the later window. Carried entries
+//! were adopted 0 times on every service workload (EXPERIMENTS.md), so
+//! the carry is gone and the trial counters in [`WarmStats`] read 0.
 
 use crate::adaptive::ShardSelector;
-use crate::sorp::{CachedTrial, SolveState};
-use crate::{LedgerDelta, SchedCtx, StorageLedger, EXTERNAL_OCCUPANCY};
+use crate::{SchedCtx, StorageLedger, EXTERNAL_OCCUPANCY};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use vod_cost_model::{Request, RequestBatch, Schedule, Secs, VideoId};
+use vod_cost_model::{Schedule, Secs, VideoId};
 use vod_topology::{NodeId, Topology};
 
 /// Per-cycle warm-start accounting, reset by [`WarmState::begin_cycle`].
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct WarmStats {
-    /// Trial-cache entries alive at the start of the cycle.
+    /// Always 0, like the three fields below: nothing they counted
+    /// exists any more (no trial is carried across a cycle boundary, and
+    /// the phase-1 pricing memo never hit on a service workload). The
+    /// four stay only because the frozen benchmark harness reads them;
+    /// drop them with the next benchmark revision.
     pub trials_carried: usize,
-    /// Trial-cache entries evicted this cycle: reservations ended before
-    /// the window, or request set no longer matches the batch.
-    pub trials_evicted: usize,
-    /// Carried entries seeded into the solve (request set matched).
+    /// Always 0, see [`WarmStats::trials_carried`].
     pub trials_adopted: usize,
-    /// Carried entries that survived delta validation and answered a
-    /// trial job (each counted once, at first reuse).
+    /// Always 0, see [`WarmStats::trials_carried`].
     pub trials_revalidated: usize,
-    /// Total trial jobs answered from cache this cycle (carried plus
-    /// same-solve entries; the solver's `trials_cached`).
-    pub trials_hit: usize,
-    /// Always 0: the phase-1 pricing memo it counted hits of never hit
-    /// on a service workload and is gone. The field stays only because
-    /// the frozen benchmark harness reads it; drop it with the next
-    /// benchmark revision.
+    /// Always 0, see [`WarmStats::trials_carried`].
     pub phase1_hits: usize,
+    /// Trial jobs answered from the solve's own trial cache this cycle
+    /// (the solver's `trials_cached`).
+    pub trials_hit: usize,
     /// Committed occupancy profiles still active after eviction.
     pub committed_active: usize,
     /// Committed profiles evicted (drained before the window).
@@ -87,11 +66,7 @@ impl WarmStats {
     /// side stamp (and in `WarmStats` itself for reports).
     pub fn record(&self, rec: &vod_obs::Recorder) {
         rec.event("warm", |e| {
-            e.u64("trials_carried", self.trials_carried as u64)
-                .u64("trials_evicted", self.trials_evicted as u64)
-                .u64("trials_adopted", self.trials_adopted as u64)
-                .u64("trials_revalidated", self.trials_revalidated as u64)
-                .u64("trials_hit", self.trials_hit as u64)
+            e.u64("trials_hit", self.trials_hit as u64)
                 .u64("committed_active", self.committed_active as u64)
                 .u64("committed_evicted", self.committed_evicted as u64)
                 .u64("shards_used", self.shards_used as u64)
@@ -165,17 +140,10 @@ impl CommittedBook {
 }
 
 /// Persistent solver state carried across rolling-horizon cycles. See
-/// the module docs for the validity argument.
+/// the module docs for what it holds and why.
 pub struct WarmState {
-    /// Carried trial-cache entries, per video.
-    pub(crate) trials: HashMap<VideoId, Vec<CachedTrial>>,
     /// Committed cross-cycle occupancy.
     committed: CommittedBook,
-    /// Footprint of the previous cycle's final ledger: everywhere a
-    /// carried trial's last-known ledger held occupancy. Unioned into
-    /// every new solve's first delta so validation covers occupancy
-    /// *removals* as well as additions.
-    pub(crate) dirty: LedgerDelta,
     /// The adaptive shard-count selector (used only when the caller opts
     /// in; carrying it here lets its online calibration persist exactly
     /// as long as the rest of the warm state).
@@ -192,13 +160,7 @@ impl WarmState {
 
     /// Fresh warm state with an explicit selector.
     pub fn with_selector(topo: &Topology, selector: ShardSelector) -> Self {
-        Self {
-            trials: HashMap::new(),
-            committed: CommittedBook::new(topo),
-            dirty: LedgerDelta::new(),
-            selector,
-            stats: WarmStats::default(),
-        }
+        Self { committed: CommittedBook::new(topo), selector, stats: WarmStats::default() }
     }
 
     /// The committed cross-cycle occupancy.
@@ -207,96 +169,16 @@ impl WarmState {
     }
 
     /// Open a new cycle whose reservations start at `window_start`:
-    /// reset the per-cycle stats, evict committed profiles that drained
-    /// before the window, and evict trial entries whose
-    /// reservations all ended before it (they can never match a batch
-    /// in this or any later window).
-    pub fn begin_cycle(&mut self, ctx: &SchedCtx<'_>, window_start: Secs) {
-        let carried_trials: usize = self.trials.values().map(Vec::len).sum();
-        self.stats = WarmStats { trials_carried: carried_trials, ..WarmStats::default() };
-
-        let ended = |r: &Request| r.start + ctx.catalog.get(r.video).playback <= window_start;
-        let mut evicted = 0;
-        self.trials.retain(|_, list| {
-            list.retain(|e| {
-                let keep = !e.new_vs.delivered().all(|r| ended(&r));
-                evicted += usize::from(!keep);
-                keep
-            });
-            !list.is_empty()
-        });
-        self.stats.trials_evicted += evicted;
-
-        self.stats.committed_evicted = self.committed.evict_expired(window_start);
-        self.stats.committed_active = self.committed.active();
-        self.stats.spillover_bytes = self.committed.spillover_at(window_start);
-    }
-
-    /// Remove and return the carried trial entries that may legally seed
-    /// a solve over `batch`: only entries whose recorded request set
-    /// exactly matches the batch's group for that video (the cache's
-    /// request-invariance precondition). Non-matching entries for
-    /// batched videos are dropped — `take_cached` performs no request
-    /// check, so they must never become reachable. Entries for videos
-    /// outside the batch stay carried.
-    pub(crate) fn take_matching_trials(
-        &mut self,
-        batch: &RequestBatch,
-    ) -> HashMap<VideoId, Vec<CachedTrial>> {
-        let mut adopted: HashMap<VideoId, Vec<CachedTrial>> = HashMap::new();
-        for (vid, group) in batch.groups() {
-            let Some(mut list) = self.trials.remove(&vid) else { continue };
-            let before = list.len();
-            // A trial is a greedy output, so its deliveries are already in
-            // the group's (start, user) order.
-            list.retain(|e| e.new_vs.delivered().eq(group.iter().copied()));
-            self.stats.trials_evicted += before - list.len();
-            self.stats.trials_adopted += list.len();
-            if !list.is_empty() {
-                adopted.insert(vid, list);
-            }
-        }
-        adopted
-    }
-
-    /// Seed a fresh [`SolveState`] with carried trials: install the
-    /// cross-cycle validation delta (previous final ledger footprint ∪
-    /// the state's current ledger footprint) as the state's first delta
-    /// and adopt the entries at epoch 0 against it. Must run before the
-    /// state commits anything. Bans are *not* carried — a cold solve
-    /// starts unconstrained, and the equivalence oracle requires the
-    /// warm solve to search the same space.
-    pub(crate) fn seed_state(
-        &mut self,
-        state: &mut SolveState,
-        trials: HashMap<VideoId, Vec<CachedTrial>>,
-    ) {
-        debug_assert!(state.deltas.is_empty(), "seed_state must precede any commit");
-        let mut delta = state.ledger.span_delta();
-        delta.merge(&self.dirty);
-        state.deltas = vec![delta];
-        let mut trials = trials;
-        for list in trials.values_mut() {
-            for e in list.iter_mut() {
-                e.carried = true;
-            }
-        }
-        state.adopt(trials, HashMap::new());
-    }
-
-    /// Close the cycle: reclaim the final solve state's trial cache
-    /// (every entry becomes a carried one), record the final ledger
-    /// footprint for next cycle's validation delta, and aggregate the
-    /// carried-entry reuse counter.
-    pub(crate) fn harvest(&mut self, state: &mut SolveState) {
-        self.stats.trials_revalidated += state.carried_revalidated;
-        self.stats.trials_hit += state.trials_cached;
-        self.dirty = state.ledger.span_delta();
-        for (vid, list) in state.cache.drain() {
-            // Replaces any leftover entries for the video: the solve's
-            // final cache is strictly fresher.
-            self.trials.insert(vid, list);
-        }
+    /// reset the per-cycle stats and evict committed profiles that
+    /// drained before the window.
+    pub fn begin_cycle(&mut self, window_start: Secs) {
+        let committed_evicted = self.committed.evict_expired(window_start);
+        self.stats = WarmStats {
+            committed_evicted,
+            committed_active: self.committed.active(),
+            spillover_bytes: self.committed.spillover_at(window_start),
+            ..WarmStats::default()
+        };
     }
 
     /// Commit the cycle's resolved schedule into the book so later
@@ -329,21 +211,13 @@ impl WarmState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_cost_model::{CostModel, SpaceProfile};
+    use vod_cost_model::SpaceProfile;
     use vod_topology::{builders, units};
-    use vod_workload::{CatalogConfig, RequestConfig, Workload};
-
-    fn world(seed: u64) -> (vod_topology::Topology, Workload) {
-        let cfg = builders::PaperFig4Config { capacity_gb: 5.0, ..Default::default() };
-        let topo = builders::paper_fig4(&cfg);
-        let wl =
-            Workload::generate(&topo, &CatalogConfig::small(60), &RequestConfig::paper(), seed);
-        (topo, wl)
-    }
 
     #[test]
     fn committed_book_commits_and_evicts() {
-        let (topo, _) = world(1);
+        let cfg = builders::PaperFig4Config { capacity_gb: 5.0, ..Default::default() };
+        let topo = builders::paper_fig4(&cfg);
         let mut book = CommittedBook::new(&topo);
         let loc = topo.storages().next().expect("a storage");
         let early = SpaceProfile::new(0.0, 5_000.0, units::gb(2.0), 1_000.0);
@@ -360,26 +234,5 @@ mod tests {
         assert_eq!(book.profiles().count(), 1);
         assert_eq!(book.spillover_at(1_000.0), 0.0, "evicted profile holds nothing");
         assert!(book.spillover_at(90_000.0) > 0.0);
-    }
-
-    #[test]
-    fn begin_cycle_evicts_expired_entries_only() {
-        let (topo, wl) = world(3);
-        let model = CostModel::per_hop();
-        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let mut warm = WarmState::new(&topo);
-        let cfg = crate::ShardConfig::default();
-        let mode = vod_parallel::ExecMode::Sequential;
-        let _ = crate::shard_solve_warm(&ctx, &wl.requests, &cfg, &mut warm, 0.0, mode);
-        let carried: usize = warm.trials.values().map(Vec::len).sum();
-        assert!(carried > 0, "5 GB stores must leave trials to carry");
-        // A window starting before any reservation ends keeps them all…
-        warm.begin_cycle(&ctx, 0.0);
-        assert_eq!(warm.stats.trials_carried, carried);
-        assert_eq!(warm.stats.trials_evicted, 0);
-        // …and one far past every drain evicts every entry.
-        warm.begin_cycle(&ctx, 1e9);
-        assert_eq!(warm.stats.trials_evicted, carried);
-        assert!(warm.trials.is_empty());
     }
 }

@@ -1,19 +1,26 @@
 //! Property tests for the sharded scheduler: feasibility must be
 //! invariant in the shard count and strategy, the shard merge must
 //! conserve request accounting exactly, one shard must coincide
-//! bit-for-bit with the monolithic solver, and in the regional regime
+//! bit-for-bit with the monolithic solver, in the regional regime
 //! (region shards + neighborhood-local policy + region-unique videos)
-//! the sharded Ψ must equal the monolithic Ψ within 1e-9 relative.
+//! the sharded Ψ must equal the monolithic Ψ within 1e-9 relative, and
+//! the warm entry point must be the cold one over an empty book, in
+//! either execution mode.
+//!
+//! The monolith is the two phases composed directly on the whole batch:
+//! [`sorp_solve_priced`] over [`ivsp_solve_priced_with`].
 
 use proptest::prelude::*;
 use vod_core::{
-    detect_overflows, shard_solve, GreedyPolicy, SchedCtx, ShardConfig, SorpConfig, StorageLedger,
+    detect_overflows, ivsp_solve_priced_with, shard_solve, shard_solve_warm, sorp_solve_priced,
+    ExecMode, GreedyPolicy, SchedCtx, ShardConfig, SorpConfig, SorpOutcome, StorageLedger,
+    WarmState,
 };
-use vod_cost_model::{CostModel, RequestBatch};
+use vod_cost_model::{CostModel, Request, RequestBatch};
 use vod_topology::{builders, Topology};
 use vod_workload::{
-    generate_catalog, generate_regional_requests, partition_requests, CatalogConfig, RequestConfig,
-    ShardSpec, ShardStrategy, Workload,
+    generate_catalog, generate_regional_requests, generate_requests, partition_requests,
+    CatalogConfig, RequestConfig, ShardSpec, ShardStrategy, Workload,
 };
 
 /// A random sharded-scheduling scenario.
@@ -60,6 +67,12 @@ fn build(s: &Scenario) -> (Topology, Workload, ShardConfig) {
         sorp: SorpConfig::default(),
     };
     (topo, wl, shard_cfg)
+}
+
+/// The monolithic two-phase solve of the whole batch.
+fn monolith(ctx: &SchedCtx<'_>, batch: &RequestBatch, sorp: &SorpConfig) -> SorpOutcome {
+    let mode = ExecMode::Sequential;
+    sorp_solve_priced(ctx, ivsp_solve_priced_with(ctx, batch, sorp.policy, mode), sorp, &[], mode)
 }
 
 fn delivered_multiset(schedule: &vod_cost_model::Schedule) -> Vec<(u32, u32, u64)> {
@@ -132,9 +145,8 @@ proptest! {
         prop_assert_eq!(union, batch_multiset(&wl.requests), "shard union lost or duplicated requests");
     }
 
-    /// One shard takes the monolithic code path exactly: schedule, cost
-    /// bits, iteration count, and victim sequence all coincide with the
-    /// `use_monolithic_solver` oracle.
+    /// One shard is the monolith exactly: schedule, cost bits, iteration
+    /// count, and victim sequence all coincide.
     #[test]
     fn one_shard_is_bit_identical_to_monolithic(s in scenario_strategy()) {
         let (topo, wl, mut cfg) = build(&s);
@@ -142,16 +154,12 @@ proptest! {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
         let sharded = shard_solve(&ctx, &wl.requests, &cfg, vod_core::ExecMode::Sequential);
-        let mono_cfg = ShardConfig {
-            sorp: SorpConfig { use_monolithic_solver: true, ..cfg.sorp.clone() },
-            ..cfg
-        };
-        let mono = shard_solve(&ctx, &wl.requests, &mono_cfg, vod_core::ExecMode::Sequential);
-        prop_assert_eq!(&sharded.sorp.schedule, &mono.sorp.schedule);
-        prop_assert_eq!(sharded.sorp.cost.to_bits(), mono.sorp.cost.to_bits());
-        prop_assert_eq!(sharded.sorp.iterations, mono.sorp.iterations);
-        prop_assert_eq!(sharded.sorp.victims.len(), mono.sorp.victims.len());
-        prop_assert_eq!(sharded.sorp.forced_fallbacks, mono.sorp.forced_fallbacks);
+        let mono = monolith(&ctx, &wl.requests, &cfg.sorp);
+        prop_assert_eq!(&sharded.sorp.schedule, &mono.schedule);
+        prop_assert_eq!(sharded.sorp.cost.to_bits(), mono.cost.to_bits());
+        prop_assert_eq!(sharded.sorp.iterations, mono.iterations);
+        prop_assert_eq!(sharded.sorp.victims.len(), mono.victims.len());
+        prop_assert_eq!(sharded.sorp.forced_fallbacks, mono.forced_fallbacks);
     }
 
     /// The regional regime: region shards, neighborhood-local policy,
@@ -187,16 +195,127 @@ proptest! {
             sorp: sorp.clone(),
         };
         let sharded = shard_solve(&ctx, &requests, &cfg, vod_core::ExecMode::Sequential);
-        let mono_cfg = ShardConfig {
-            sorp: SorpConfig { use_monolithic_solver: true, ..sorp },
-            ..cfg
-        };
-        let mono = shard_solve(&ctx, &requests, &mono_cfg, vod_core::ExecMode::Sequential);
-        prop_assert!(sharded.sorp.overflow_free && mono.sorp.overflow_free);
+        let mono = monolith(&ctx, &requests, &sorp);
+        prop_assert!(sharded.sorp.overflow_free && mono.overflow_free);
         prop_assert_eq!(sharded.split_videos, 0, "regional workload must never split a video");
-        prop_assert_eq!(&sharded.sorp.schedule, &mono.sorp.schedule, "schedules diverged");
-        let rel = (sharded.sorp.cost - mono.sorp.cost).abs() / mono.sorp.cost.abs().max(1.0);
+        prop_assert_eq!(&sharded.sorp.schedule, &mono.schedule, "schedules diverged");
+        let rel = (sharded.sorp.cost - mono.cost).abs() / mono.cost.abs().max(1.0);
         prop_assert!(rel <= 1e-9, "Ψ {} vs monolithic {} (rel {rel:e})",
-            sharded.sorp.cost, mono.sorp.cost);
+            sharded.sorp.cost, mono.cost);
     }
+}
+
+fn paper_world(capacity_gb: f64, seed: u64) -> (Topology, Workload) {
+    let topo =
+        builders::paper_fig4(&builders::PaperFig4Config { capacity_gb, ..Default::default() });
+    let wl = Workload::generate(&topo, &CatalogConfig::small(80), &RequestConfig::paper(), seed);
+    (topo, wl)
+}
+
+#[test]
+fn one_shard_is_bit_identical_to_monolithic_on_the_paper_instance() {
+    let (topo, wl) = paper_world(5.0, 2);
+    let model = CostModel::per_hop();
+    let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+    let cfg = ShardConfig { shards: 1, ..ShardConfig::default() };
+    let sharded = shard_solve(&ctx, &wl.requests, &cfg, ExecMode::Sequential);
+    let mono = monolith(&ctx, &wl.requests, &cfg.sorp);
+    assert!(sharded.sorp.schedule == mono.schedule);
+    assert_eq!(sharded.sorp.cost.to_bits(), mono.cost.to_bits());
+    assert_eq!(sharded.sorp.iterations, mono.iterations);
+    assert_eq!(sharded.sorp.victims.len(), mono.victims.len());
+}
+
+#[test]
+fn regional_regime_matches_monolithic_psi() {
+    // ByRegion shards + local-only policy + region-unique videos:
+    // the decomposition is exact up to float summation order.
+    let topo =
+        builders::paper_fig4(&builders::PaperFig4Config { capacity_gb: 5.0, ..Default::default() });
+    let catalog = generate_catalog(&CatalogConfig::small(95), 7);
+    let requests = generate_regional_requests(
+        &topo,
+        &catalog,
+        &RequestConfig { requests_per_user: 2, ..RequestConfig::paper() },
+        7,
+    );
+    let model = CostModel::per_hop();
+    let ctx = SchedCtx::new(&topo, &model, &catalog);
+    let sorp = SorpConfig {
+        policy: GreedyPolicy { allow_remote_placement: false, ..GreedyPolicy::default() },
+        ..SorpConfig::default()
+    };
+    let mono = monolith(&ctx, &requests, &sorp);
+    for shards in [2, 4, 6] {
+        let cfg = ShardConfig { shards, sorp: sorp.clone(), ..ShardConfig::default() };
+        let sharded = shard_solve(&ctx, &requests, &cfg, ExecMode::Sequential);
+        assert!(sharded.sorp.overflow_free && mono.overflow_free);
+        assert_eq!(sharded.split_videos, 0, "regional workload must not split videos");
+        let rel = (sharded.sorp.cost - mono.cost).abs() / mono.cost.max(1.0);
+        assert!(
+            rel <= 1e-9,
+            "{shards} shards: Ψ {} vs monolithic {} (rel {rel:e})",
+            sharded.sorp.cost,
+            mono.cost
+        );
+        assert!(sharded.sorp.schedule == mono.schedule, "{shards} shards: schedules diverged");
+    }
+}
+
+/// The warm entry point over a fresh [`WarmState`] is the cold solve,
+/// bit for bit: same schedule, Ψ, and work counters, for every shard
+/// count and both strategies.
+#[test]
+fn warm_solve_over_an_empty_book_is_the_cold_solve() {
+    let (topo, wl) = paper_world(5.0, 4);
+    let model = CostModel::per_hop();
+    let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+    for strategy in [ShardStrategy::ByRegion, ShardStrategy::ByTimeSlice] {
+        for shards in 1..=6 {
+            let cfg = ShardConfig { shards, strategy, ..ShardConfig::default() };
+            let cold = shard_solve(&ctx, &wl.requests, &cfg, ExecMode::Sequential);
+            let mut warm = WarmState::new(&topo);
+            let w =
+                shard_solve_warm(&ctx, &wl.requests, &cfg, &mut warm, 0.0, ExecMode::Sequential);
+            let what = format!("{strategy:?}, {shards} shards");
+            assert!(w.sorp.schedule == cold.sorp.schedule, "{what}: schedules diverged");
+            assert_eq!(w.sorp.cost.to_bits(), cold.sorp.cost.to_bits(), "{what}");
+            assert_eq!(w.sorp.iterations, cold.sorp.iterations, "{what}");
+            assert_eq!(w.sorp.victims.len(), cold.sorp.victims.len(), "{what}");
+            assert_eq!(w.sorp.trials_run, cold.sorp.trials_run, "{what}");
+            assert_eq!(w.sorp.trials_cached, cold.sorp.trials_cached, "{what}");
+            assert_eq!(warm.stats.trials_hit, cold.sorp.trials_cached, "{what}");
+            assert_eq!(warm.stats.shards_used, cold.shards, "{what}");
+        }
+    }
+}
+
+/// Shard-level fan-out on the warm path: three consecutive cycles under
+/// `Parallel` agree bit for bit with `Sequential`, cycle by cycle.
+#[test]
+fn warm_solve_is_bit_identical_across_exec_modes() {
+    let (topo, wl) = paper_world(4.0, 5);
+    let model = CostModel::per_hop();
+    let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+    let horizon = 24.0 * 3_600.0;
+    let cfg = ShardConfig::by_time_slice(4);
+    let (mut seq, mut par) = (WarmState::new(&topo), WarmState::new(&topo));
+    let mut reconciled = 0;
+    for k in 0..3usize {
+        let t0 = k as f64 * horizon;
+        let raw = generate_requests(&topo, &wl.catalog, &RequestConfig::paper(), 5 + k as u64);
+        let batch =
+            RequestBatch::new(raw.iter().map(|r| Request { start: r.start + t0, ..*r }).collect());
+        let a = shard_solve_warm(&ctx, &batch, &cfg, &mut seq, t0, ExecMode::Sequential);
+        let b = shard_solve_warm(&ctx, &batch, &cfg, &mut par, t0, ExecMode::Parallel);
+        assert!(a.sorp.schedule == b.sorp.schedule, "cycle {k}: schedules diverged");
+        assert_eq!(a.sorp.cost.to_bits(), b.sorp.cost.to_bits(), "cycle {k}");
+        assert_eq!(a.sorp.iterations, b.sorp.iterations, "cycle {k}");
+        assert_eq!(a.reconcile_iterations, b.reconcile_iterations, "cycle {k}");
+        assert_eq!(a.trials_transplanted, b.trials_transplanted, "cycle {k}");
+        assert_eq!(seq.stats, par.stats, "cycle {k}: warm stats diverged");
+        reconciled += a.reconcile_iterations;
+    }
+    assert!(reconciled > 0, "no cycle reached the global pass");
+    assert!(seq.committed().active() > 0, "nothing was committed across the cycles");
 }

@@ -170,9 +170,9 @@ proptest! {
     }
 }
 
-/// Re-submitting the same window's batch carries the first pass's
-/// trials, and the result still agrees with the cold oracle solved
-/// against the first pass's committed occupancy.
+/// Re-submitting the same window's batch solves it again over the first
+/// pass's committed occupancy, and the result agrees with the cold
+/// oracle seeded with that occupancy as a flat list.
 #[test]
 fn repeated_batch_agrees_with_cold_oracle() {
     let (topo, catalog) = world(5.0, 9);
@@ -184,7 +184,6 @@ fn repeated_batch_agrees_with_cold_oracle() {
     let mut warm = WarmState::new(&topo);
     let first = shard_solve_warm(&ctx, &batch, &cfg, &mut warm, 0.0, ExecMode::Sequential);
     let second = shard_solve_warm(&ctx, &batch, &cfg, &mut warm, 0.0, ExecMode::Sequential);
-    assert!(warm.stats.trials_carried > 0 || first.sorp.victims.is_empty());
 
     // Cold oracle for the second pass: from-scratch solve over the first
     // pass's committed occupancy.

@@ -11,13 +11,13 @@
 //! The default configuration runs **warm**: one [`WarmState`] survives
 //! the whole run, carrying the committed-occupancy ledger (maintained
 //! incrementally instead of being rebuilt from an ever-growing flat
-//! profile list), the SORP trial cache, and the phase-1 pricing memos
-//! across cycle boundaries. [`RollingConfig::use_cold_start`] keeps the
-//! from-scratch pipeline as the equivalence oracle — per-cycle Ψ agrees
-//! within 1e-9 relative, asserted in this module's tests, the
-//! `warm_start_props` suite, and the `cycles_warm` bench — and
-//! [`SorpConfig::use_monolithic_solver`] recovers the original
-//! single-solver loop below both. [`RollingConfig::adaptive`] additionally
+//! profile list) across cycle boundaries — and nothing else; each
+//! cycle's solve is otherwise a cold one. [`RollingConfig::use_cold_start`]
+//! keeps the flat-list loop as the equivalence oracle — per-cycle Ψ
+//! agrees within 1e-9 relative, asserted in this module's tests, the
+//! `warm_start_props` suite, and the `cycles_warm` bench — and one shard
+//! (`shard.shards = 1`) is the original single-solver loop below both,
+//! bit for bit. [`RollingConfig::adaptive`] additionally
 //! lets the warm state's calibration-driven [`vod_core::ShardSelector`]
 //! pick the shard count per cycle from the batch size and populated
 //! region count, refined online from each cycle's measured wall-clock;
@@ -44,9 +44,8 @@ use vod_workload::{
 /// Configuration of a rolling-horizon run.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RollingConfig {
-    /// The sharded-solver configuration every cycle runs under. Its
-    /// [`vod_core::SorpConfig::use_monolithic_solver`] flag selects the
-    /// single-solver oracle exactly as in [`vod_core::shard_solve`].
+    /// The sharded-solver configuration every cycle runs under; one
+    /// shard is the monolithic solver.
     pub shard: ShardConfig,
     /// Re-solve every cycle from scratch (the original pipeline): cold
     /// caches, and the committed occupancy re-seeded from the flat
@@ -165,7 +164,7 @@ impl RollingOutcome {
                 c.victims,
                 c.spillover_gb,
                 c.warm.shards_used,
-                c.warm.trials_hit + c.warm.phase1_hits,
+                c.warm.trials_hit,
                 c.warm.solve_ns as f64 / 1e6,
                 c.wall_ns as f64 / 1e6,
                 if c.overflow_free { "yes" } else { "NO" }
@@ -405,10 +404,7 @@ mod tests {
         assert_psi_close(&warm, &cold, "warm sharded vs cold sharded");
         // The same equivalence below the monolithic solver.
         let mono = RollingConfig {
-            shard: ShardConfig {
-                sorp: SorpConfig { use_monolithic_solver: true, ..SorpConfig::default() },
-                ..ShardConfig::default()
-            },
+            shard: ShardConfig { shards: 1, ..ShardConfig::default() },
             ..RollingConfig::default()
         };
         let warm_mono = rolling_horizon_with(&params, 3, &mono);
@@ -423,10 +419,7 @@ mod tests {
         // the flat committed list) bit for bit.
         let params = cheap_params();
         let mono = RollingConfig {
-            shard: ShardConfig {
-                sorp: SorpConfig { use_monolithic_solver: true, ..SorpConfig::default() },
-                ..ShardConfig::default()
-            },
+            shard: ShardConfig { shards: 1, ..ShardConfig::default() },
             use_cold_start: true,
             ..RollingConfig::default()
         };
@@ -512,7 +505,6 @@ mod tests {
         let params = cheap_params();
         let out = rolling_horizon(&params, 3);
         // Cycle 0 starts empty.
-        assert_eq!(out.cycles[0].warm.trials_carried, 0);
         assert_eq!(out.cycles[0].warm.committed_active, out.cycles[0].warm.committed_evicted);
         // Later cycles carry committed occupancy; within the 24 h horizon
         // nothing has fully drained yet, so the book only grows.

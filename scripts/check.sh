@@ -34,7 +34,9 @@ cargo bench --offline -p vod-bench --bench service_overload -- --test
 echo "==> bench smoke run (telemetry_overhead --test)"
 cargo bench --offline -p vod-bench --bench telemetry_overhead -- --test
 
-echo "==> sharded-scheduler property suite"
+echo "==> oracle crate + solver equivalence suites"
+cargo test -q --offline -p vod-oracles
+cargo test -q --offline -p vod-core --test sorp_cache_props
 cargo test -q --offline -p vod-core --test shard_props
 
 echo "==> warm-start property suite"
@@ -99,6 +101,31 @@ for f in crates/cost-model/src/schedule.rs crates/core/src/{greedy,sorp,repair,b
     exit 1
   fi
 done
+
+echo "==> one-pipeline lint (no oracle switches in core, one pipeline body in shard.rs)"
+# Reference implementations live in crates/oracles, not behind a bool on a
+# production struct; and the solve pipeline exists once, so the partition
+# and the merge are each called from exactly one place.
+if grep -rn --include='*.rs' -E 'use_[a-z_]*: bool' crates/core/src; then
+  echo "error: no use_* switches in crates/core/src (put the reference in crates/oracles)" >&2
+  exit 1
+fi
+for call in 'partition_requests(' 'PricedSchedule::merge('; do
+  n="$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/shard.rs | grep -cF "$call" || true)"
+  if [ "$n" -gt 1 ]; then
+    echo "error: $n calls of $call in crates/core/src/shard.rs; the pipeline has one body" >&2
+    exit 1
+  fi
+done
+# vod-oracles is dev-only: outside its own manifest and the workspace
+# table it may be named under [dev-dependencies] alone.
+if awk 'FNR == 1 { sec = "" } /^\[/ { sec = $0 }
+        /vod-oracles/ && sec != "[dev-dependencies]" && sec != "[workspace.dependencies]" && sec != "[package]" {
+          print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' Cargo.toml crates/*/Cargo.toml; then
+  echo "error: vod-oracles may appear under [dev-dependencies] only" >&2
+  exit 1
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --check

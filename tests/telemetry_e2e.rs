@@ -134,7 +134,7 @@ fn per_stage_events_are_complete_and_ordered() {
     }
     for (ev, cr) in recording.events_of("warm").zip(&outcome.cycles) {
         assert_eq!(ev.u64("shards_used"), Some(cr.warm.shards_used as u64));
-        assert_eq!(ev.u64("trials_carried"), Some(cr.warm.trials_carried as u64));
+        assert_eq!(ev.u64("committed_active"), Some(cr.warm.committed_active as u64));
         assert_eq!(ev.u64("trials_hit"), Some(cr.warm.trials_hit as u64));
     }
 
