@@ -94,13 +94,21 @@ pub struct AdmissionCheck {
 /// disjointness pre-filtering, and the exact admission-check sequence for
 /// verdict replay under possibly-changed bans.
 ///
-/// Invariant relied on by SORP's cache validation: every check with
-/// `fits == None` is either rejected by the forbidden windows the trace
-/// is currently bound to, or sits at an infinite-capacity storage — in
-/// both cases ledger-independent — and every other check's support is
-/// covered by `footprint`. [`LedgerCursor::record_admission`] establishes
-/// it at trial time; [`crate::Constraints::rebind_trace`] restores it
-/// when a cached trace is revalidated under different forbidden windows.
+/// Invariant relied on by SORP's cache validation, in both directions: a
+/// check at a finite-capacity storage has `fits == None` **iff** the
+/// forbidden windows the trace is currently bound to reject it (at an
+/// infinite-capacity storage `fits` is always `None`) — so every `None`
+/// is ledger-independent under those windows, and every `Some(v)` is a
+/// sub-verdict the ledger actually gave, re-derived whenever a commit
+/// since the entry's epoch touched its support, and covered by
+/// `footprint`. A `Some(v)` left on a check the bound windows reject
+/// would sit out every replay behind the ban while commits flip it, and
+/// be trusted, stale, once the ban lifts.
+/// [`LedgerCursor::record_admission`] establishes the invariant at trial
+/// time; [`crate::Constraints::rebind_trace`] restores it — demoting as
+/// well as promoting — when a cached trace is revalidated under
+/// different forbidden windows. (The footprint only grows: after a
+/// demotion it is a superset, which costs a fast-path hit at worst.)
 #[derive(Clone, Debug, Default)]
 pub struct TrialTrace {
     /// Per-node union of every ledger-consulting check's candidate

@@ -111,7 +111,9 @@ impl Constraints<'_> {
     /// of windows, a profile rejected when extended to `t` is rejected
     /// when extended to any later `t' > t` — its support only grows and
     /// its occupancy only rises, pointwise. The greedy's dead-source memo
-    /// rests on this.
+    /// rests on this, and so does its asking only about a source that is
+    /// about to take the lead: the rejection it did not ask for is the
+    /// one a later request gets.
     pub fn admits(
         &self,
         ctx: &SchedCtx<'_>,
@@ -184,24 +186,29 @@ impl Constraints<'_> {
     }
 
     /// Rebind a trace whose every check was just verified (via
-    /// [`Constraints::check_replays`]) to *these* forbidden windows. A
-    /// check recorded as ban-rejected (`fits == None`, finite capacity)
-    /// that is no longer banned has just had its capacity sub-verdict
-    /// derived from the ledger by the successful replay — it answered
-    /// exactly `verdict`, or the replay would have failed — so the
-    /// dependency is materialized (`fits = Some(verdict)`) and its
-    /// support unioned into the ledger footprint. This restores the
-    /// [`TrialTrace`] invariant that makes later fast-path validations
-    /// sound: every `fits == None` check is ledger-independent *under
-    /// the bans the trace is bound to*, and every other check is covered
-    /// by the footprint.
+    /// [`Constraints::check_replays`]) to *these* forbidden windows, in
+    /// both directions. A finite-capacity check the new windows ban
+    /// answered without the ledger, so whatever capacity sub-verdict it
+    /// carried was *not* re-derived by the replay and goes stale with the
+    /// next commit inside its support: it is demoted to `fits = None`. A
+    /// check recorded as ban-rejected (`fits == None`) that is no longer
+    /// banned has just had its capacity sub-verdict derived from the
+    /// ledger by the successful replay — it answered exactly `verdict`,
+    /// or the replay would have failed — so the dependency is
+    /// materialized (`fits = Some(verdict)`) and its support unioned into
+    /// the ledger footprint. This restores the [`TrialTrace`] invariant
+    /// that makes later validations sound: a finite-capacity check has
+    /// `fits == None` iff the bans the trace is bound to reject it, and
+    /// every other one is covered by the footprint.
     pub fn rebind_trace(&self, topo: &Topology, trace: &mut TrialTrace) {
         for i in 0..trace.checks.len() {
             let c = trace.checks[i];
-            if c.fits.is_none()
-                && topo.capacity(c.loc).is_finite()
-                && !self.banned(c.loc, &c.candidate)
-            {
+            if !topo.capacity(c.loc).is_finite() {
+                continue;
+            }
+            if self.banned(c.loc, &c.candidate) {
+                trace.checks[i].fits = None;
+            } else if c.fits.is_none() {
                 trace.checks[i].fits = Some(c.verdict);
                 trace.record_footprint(c.loc, c.candidate.start, c.candidate.end);
             }
@@ -404,27 +411,28 @@ fn greedy_with_cursor(
         // Enumerate sources: the warehouse plus every live cache.
         for cache in std::iter::once(None).chain(caches.iter().map(Some)) {
             let src = cache.map_or(vw, |r| r.loc);
-            // Cost and admissibility of extending the source copy to serve
-            // at req.start.
-            let ext = match cache {
-                None => 0.0,
-                Some(_) if slots[src.index()] == Slot::Dead => continue,
-                Some(r) => match extension(ctx, video, r, req.start, constraints, cursor) {
-                    Some(cost) => cost,
-                    None => {
-                        // Requests arrive chronologically and a longer
-                        // extension only occupies more, over a longer
-                        // support: rejected once, rejected for the rest of
-                        // the run — never tested (or traced) again.
-                        slots[src.index()] = Slot::Dead;
-                        continue;
-                    }
-                },
-            };
-
+            if slots[src.index()] == Slot::Dead {
+                continue;
+            }
             if !policy.allow_remote_placement && src != vw && src != local {
                 continue;
             }
+
+            // Direct-hop bound: no plan out of `src` undercuts shipping
+            // the stream straight to `local` (triangle inequality on the
+            // route table's rates; an extension never refunds storage), so
+            // when even that loses to the incumbent beyond `beats`'
+            // tolerance, every candidate of this source would be refused.
+            let hop = amortized * ctx.routes.rate(src, local);
+            if best.is_some_and(|b| hop * (1.0 - 3.0 * COST_EPS) > b.cost + 2.0 * COST_EPS) {
+                continue;
+            }
+            let grown = cache.map(|r| extension(ctx, video, r, req.start));
+            let ext = grown.map_or(0.0, |(cost, _)| cost);
+
+            // Fold this source's plans into a copy of the incumbent; the
+            // copy replaces it only once the source is known admissible.
+            let mut lead = best;
 
             // (a) Deliver src → local.
             let priority = if !policy.prefer_local_cache_on_ties {
@@ -436,51 +444,58 @@ fn greedy_with_cursor(
             } else {
                 2
             };
-            consider(
-                Candidate {
-                    cost: amortized * ctx.routes.rate(src, local) + ext,
-                    priority,
-                    src,
-                    new_cache: None,
-                },
-                &mut best,
-            );
+            consider(Candidate { cost: hop + ext, priority, src, new_cache: None }, &mut lead);
 
             // (b) Deliver src → m → local, introducing a cache at m. The
             // new residency starts degenerate ([t, t], zero space), which
             // is always admissible; only later extensions are charged and
             // capacity-checked.
-            if !policy.allow_new_caches {
-                continue;
-            }
-            let relay = |m: NodeId| Candidate {
-                cost: amortized * (ctx.routes.rate(src, m) + ctx.routes.rate(m, local)) + ext,
-                priority: if policy.prefer_local_cache_on_ties && m != local { 3 } else { 0 },
-                src,
-                new_cache: Some(m),
-            };
-            if !policy.allow_remote_placement {
-                if slots[local.index()] == Slot::Free {
-                    consider(relay(local), &mut best);
+            if policy.allow_new_caches {
+                let relay = |m: NodeId| Candidate {
+                    cost: amortized * (ctx.routes.rate(src, m) + ctx.routes.rate(m, local)) + ext,
+                    priority: if policy.prefer_local_cache_on_ties && m != local { 3 } else { 0 },
+                    src,
+                    new_cache: Some(m),
+                };
+                if !policy.allow_remote_placement {
+                    if slots[local.index()] == Slot::Free {
+                        consider(relay(local), &mut lead);
+                    }
+                } else {
+                    // Walk the storages by ascending detour: the first free
+                    // one is the cheapest new cache from `src`, and only the
+                    // ones within the tie band of its cost can still beat it
+                    // (on priority or id); everything further down the order
+                    // loses to it outright.
+                    let mut band = f64::INFINITY;
+                    for &m in ctx.relay_order(src, local) {
+                        if slots[m.index()] != Slot::Free {
+                            continue;
+                        }
+                        let cand = relay(m);
+                        if !cand.cost.is_finite() || cand.cost > band {
+                            break;
+                        }
+                        band = band.min(cand.cost + 2.0 * COST_EPS * (1.0 + cand.cost));
+                        consider(cand, &mut lead);
+                    }
                 }
-                continue;
             }
-            // Walk the storages by ascending detour: the first free one is
-            // the cheapest new cache from `src`, and only the ones within
-            // the tie band of its cost can still beat it (on priority or
-            // id); everything further down the order loses to it outright.
-            let mut band = f64::INFINITY;
-            for &m in ctx.relay_order(src, local) {
-                if slots[m.index()] != Slot::Free {
+
+            // Admission is asked only of a cache about to take the lead:
+            // a source that leads nowhere contributes nothing whether or
+            // not its extension fits. Requests arrive chronologically and
+            // a longer extension only occupies more, over a longer
+            // support: rejected once, rejected for the rest of the run —
+            // never tested (or traced) again — and a rejection not asked
+            // for now is the one a later request would get.
+            if let (Some(cons), Some((_, profile))) = (constraints, &grown) {
+                if lead.is_some_and(|c| c.src == src) && !cons.admits(ctx, src, profile, cursor) {
+                    slots[src.index()] = Slot::Dead;
                     continue;
                 }
-                let cand = relay(m);
-                if !cand.cost.is_finite() || cand.cost > band {
-                    break;
-                }
-                band = band.min(cand.cost + 2.0 * COST_EPS * (1.0 + cand.cost));
-                consider(cand, &mut best);
             }
+            best = lead;
         }
 
         let plan = best.expect("direct warehouse delivery is always admissible");
@@ -501,27 +516,16 @@ fn greedy_with_cursor(
     schedule
 }
 
-/// Incremental storage cost of extending cache `r` so its last service
-/// starts at `t`, or `None` if the extension is inadmissible under the
-/// constraints.
-fn extension(
-    ctx: &SchedCtx<'_>,
-    video: &Video,
-    r: &Residency,
-    t: Secs,
-    constraints: Option<&Constraints<'_>>,
-    cursor: &mut LedgerCursor,
-) -> Option<Dollars> {
+/// Extending cache `r` so its last service starts at `t`: the incremental
+/// storage cost, and the grown occupancy profile an admission test would
+/// have to place. Pure arithmetic — whether the extension is admissible
+/// is the caller's question, asked only when the answer matters.
+fn extension(ctx: &SchedCtx<'_>, video: &Video, r: &Residency, t: Secs) -> (Dollars, SpaceProfile) {
     debug_assert!(t >= r.last_service, "requests are processed chronologically");
     let model = ctx.model.space_model();
     let old = r.profile_with(video, model);
     let new = SpaceProfile::with_model(r.start, t, video.size, video.playback, model);
-    if let Some(cons) = constraints {
-        if !cons.admits(ctx, r.loc, &new, cursor) {
-            return None;
-        }
-    }
-    Some(ctx.topo.srate(r.loc) * (new.integral() - old.integral()))
+    (ctx.topo.srate(r.loc) * (new.integral() - old.integral()), new)
 }
 
 #[cfg(test)]

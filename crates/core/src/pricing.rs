@@ -76,39 +76,52 @@ impl PricedSchedule {
     }
 
     /// Merge per-shard priced schedules into one global memo **without
-    /// recomputation**: Ψ is additive over a video's transfers and
-    /// residencies (`video_cost` is their ordered sum), so a video split
-    /// across shards prices its concatenated schedule at exactly the sum
-    /// of its per-shard memo costs — up to float summation order, which
-    /// is why every consumer compares through [`PRICING_EPS`]-relative
-    /// checks rather than bit equality. Videos owned by a single shard
-    /// keep their memo entry verbatim. A single part is returned
-    /// unchanged (bit-identical total), which is what makes the 1-shard
-    /// sharded pipeline coincide with the monolithic one.
-    pub fn merge(mut parts: Vec<PricedSchedule>) -> Self {
+    /// recomputation**, and name the videos more than one part held (in
+    /// id order): Ψ is additive over a video's transfers and residencies
+    /// (`video_cost` is their ordered sum), so a video split across
+    /// shards prices its concatenated schedule at exactly the sum of its
+    /// per-shard memo costs — up to float summation order, which is why
+    /// every consumer compares through [`PRICING_EPS`]-relative checks
+    /// rather than bit equality. Videos owned by a single shard keep
+    /// their memo entry verbatim. A single part is returned unchanged
+    /// (bit-identical total), which is what makes the 1-shard sharded
+    /// pipeline coincide with the monolithic one.
+    ///
+    /// Every part lists its videos in id order, so this is a k-way merge:
+    /// the smallest id at any part's head comes next, and the parts
+    /// holding it are concatenated (and their costs added) in part order.
+    pub fn merge(mut parts: Vec<PricedSchedule>) -> (Self, Vec<VideoId>) {
         if parts.len() == 1 {
-            return parts.pop().expect("one part is present");
+            return (parts.pop().expect("one part is present"), Vec::new());
         }
-        let mut merged: std::collections::BTreeMap<VideoId, (VideoSchedule, Dollars)> =
-            std::collections::BTreeMap::new();
-        for part in parts {
-            let Self { schedule, costs, .. } = part;
-            for vs in schedule.into_videos() {
-                let cost = costs[&vs.video];
-                match merged.entry(vs.video) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert((vs, cost));
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        let (acc, acc_cost) = e.get_mut();
-                        acc.transfers.extend(vs.transfers);
-                        acc.residencies.extend(vs.residencies);
-                        *acc_cost += cost;
-                    }
-                }
+        // Per part: what is left of its videos, and its memo.
+        let videos = parts.iter().map(|p| p.schedule.video_count()).sum();
+        let mut parts: Vec<_> = parts
+            .into_iter()
+            .map(|p| (p.schedule.into_videos().into_iter().peekable(), p.costs))
+            .collect();
+        let mut pairs: Vec<(VideoSchedule, Dollars)> = Vec::with_capacity(videos);
+        let mut split = Vec::new();
+        while let Some(vid) =
+            parts.iter_mut().filter_map(|(head, _)| head.peek()).map(|vs| vs.video).min()
+        {
+            let mut holders = parts.iter_mut().filter_map(|(head, costs)| {
+                Some((head.next_if(|vs| vs.video == vid)?, costs[&vid]))
+            });
+            let (mut acc, mut acc_cost) = holders.next().expect("some head holds the smallest id");
+            let mut several = false;
+            for (vs, cost) in holders {
+                several = true;
+                acc.transfers.extend(vs.transfers);
+                acc.residencies.extend(vs.residencies);
+                acc_cost += cost;
             }
+            if several {
+                split.push(vid);
+            }
+            pairs.push((acc, acc_cost));
         }
-        Self::from_priced_videos(merged.into_values().collect())
+        (Self::from_priced_videos(pairs), split)
     }
 
     /// The running total Ψ of the whole schedule.
@@ -219,6 +232,49 @@ mod tests {
         let priced = ivsp_solve_priced(&ctx, &wl.requests);
         assert_eq!(priced.total(), ctx.schedule_cost(&plain));
         assert!(priced.schedule() == &plain, "schedules must be identical");
+    }
+
+    #[test]
+    fn merge_concatenates_split_videos_in_part_order() {
+        use vod_workload::{partition_requests, ShardSpec, ShardStrategy};
+        let (topo, wl) = world(14);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+        let spec = ShardSpec { shards: 3, strategy: ShardStrategy::ByTimeSlice, seed: 0 };
+        let parts: Vec<PricedSchedule> = partition_requests(&topo, &wl.requests, &spec)
+            .iter()
+            .map(|b| ivsp_solve_priced(&ctx, b))
+            .collect();
+        assert_eq!(parts.len(), 3);
+
+        let (merged, split) = PricedSchedule::merge(parts.clone());
+        let ids: Vec<VideoId> = merged.schedule().videos().map(|vs| vs.video).collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "videos come out in id order, once each");
+        let mut total = 0.0;
+        let mut held_by_several = Vec::new();
+        for vs in merged.schedule().videos() {
+            let holders: Vec<&PricedSchedule> =
+                parts.iter().filter(|p| p.schedule().video(vs.video).is_some()).collect();
+            let pieces = || holders.iter().map(|p| p.schedule().video(vs.video).expect("held"));
+            let transfers: Vec<_> = pieces().flat_map(|piece| piece.transfers.clone()).collect();
+            let residencies: Vec<_> =
+                pieces().flat_map(|piece| piece.residencies.clone()).collect();
+            assert!(vs.transfers == transfers && vs.residencies == residencies);
+            let mut cost = holders[0].video_cost(vs.video).expect("priced");
+            for p in &holders[1..] {
+                cost += p.video_cost(vs.video).expect("priced");
+            }
+            assert_eq!(merged.video_cost(vs.video).map(f64::to_bits), Some(cost.to_bits()));
+            total += cost;
+            if holders.len() > 1 {
+                held_by_several.push(vs.video);
+            }
+        }
+        assert_eq!(merged.total().to_bits(), total.to_bits());
+        assert_eq!(merged.schedule().delivery_count(), wl.requests.len());
+        assert!(!split.is_empty(), "time slices split the popular titles");
+        assert_eq!(split, held_by_several);
+        assert!(merged.consistent_with(&ctx));
     }
 
     #[test]

@@ -64,8 +64,7 @@ use crate::{
     StorageLedger,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
-use vod_cost_model::{Dollars, RequestBatch, Secs, SpaceProfile, VideoId};
+use vod_cost_model::{Dollars, RequestBatch, Secs, SpaceProfile};
 use vod_parallel::{map_with_mode, ExecMode};
 use vod_topology::NodeId;
 use vod_workload::{partition_requests, ShardSpec, ShardStrategy};
@@ -295,22 +294,24 @@ fn reconcile(
     per_shard: Vec<ShardStats>,
     mode: ExecMode,
 ) -> ShardOutcome {
-    // Which videos landed in several shards, and which storages hold
-    // residencies from several shards — both straight off the per-shard
-    // schedules, before any merging.
-    let mut video_shards: BTreeMap<VideoId, usize> = BTreeMap::new();
-    let mut storage_shards: BTreeMap<NodeId, BTreeSet<usize>> = BTreeMap::new();
+    // Which storages hold residencies from several shards, straight off
+    // the per-shard schedules: each node remembers the one shard seen
+    // there until a second one shows up.
+    const NOBODY: usize = usize::MAX;
+    const SEVERAL: usize = usize::MAX - 1;
+    let mut tenant = vec![NOBODY; ctx.topo.node_count()];
+    let mut shared_storages = 0;
     for (si, s) in states.iter().enumerate() {
-        for vs in s.priced.schedule().videos() {
-            *video_shards.entry(vs.video).or_insert(0) += 1;
-            for r in &vs.residencies {
-                storage_shards.entry(r.loc).or_default().insert(si);
+        for r in s.priced.schedule().residencies() {
+            let seen = &mut tenant[r.loc.index()];
+            if *seen == NOBODY {
+                *seen = si;
+            } else if *seen != si && *seen != SEVERAL {
+                *seen = SEVERAL;
+                shared_storages += 1;
             }
         }
     }
-    let split: BTreeSet<VideoId> =
-        video_shards.iter().filter(|&(_, &n)| n > 1).map(|(&v, _)| v).collect();
-    let shared_storages = storage_shards.values().filter(|s| s.len() > 1).count();
 
     // Tear the shard states apart: schedules merge, caches and bans
     // transplant, counters aggregate.
@@ -331,16 +332,13 @@ fn reconcile(
         trials_cached += s.trials_cached;
         nodes_rescanned += s.nodes_rescanned;
         victims.append(&mut s.victims);
-        // A split video's per-shard request set is a strict subset of
-        // its global one, so its memoized trials violate the cache's
-        // request-invariance assumption in the merged state: drop them.
-        // Unsplit videos' entries carry over and re-validate lazily.
-        s.cache.retain(|vid, _| !split.contains(vid));
         handovers.push((s.cache, s.forbidden));
         parts.push(s.priced);
     }
 
-    let merged = PricedSchedule::merge(parts);
+    // The merge meets every video of every shard once, so it also knows
+    // which ones landed in several.
+    let (merged, split) = PricedSchedule::merge(parts);
     let mut global = SolveState::new(ctx, merged, base.clone());
 
     // One delta covering the global ledger's whole footprint (merged
@@ -351,7 +349,12 @@ fn reconcile(
     global.deltas = vec![global.ledger.span_delta()];
 
     let mut trials_transplanted = 0;
-    for (cache, forbidden) in handovers {
+    for (mut cache, forbidden) in handovers {
+        // A split video's per-shard request set is a strict subset of
+        // its global one, so its memoized trials violate the cache's
+        // request-invariance assumption in the merged state: drop them.
+        // Unsplit videos' entries carry over and re-validate lazily.
+        cache.retain(|vid, _| split.binary_search(vid).is_err());
         trials_transplanted += global.adopt(cache, forbidden);
     }
 

@@ -1,23 +1,33 @@
 //! Equivalence and invariant tests for the greedy placement kernel.
 //!
 //! The production kernel walks a precomputed per-`(src, local)` relay
-//! order and memoizes dead sources; `pre_pr` below is the nested-scan
-//! greedy it replaced — every cache re-tested per request, every storage
-//! scanned per source, every route walked and concatenated into a fresh
-//! `Vec` — kept here, and only here, as the oracle. Across
+//! order, memoizes dead sources, skips every source whose direct hop
+//! already loses to the incumbent, and admission-tests a cache only when
+//! it is about to take the lead; `pre_pr` below is the nested-scan greedy
+//! all of that replaced — every cache re-tested per request, every
+//! storage scanned per source, every route walked and concatenated into a
+//! fresh `Vec` — kept here, and only here, as the oracle. Across
 //! random topologies (uniform and random link rates), degraded route
 //! tables with unreachable pairs, every [`GreedyPolicy`], both
 //! [`SpaceModel`]s and with or without [`Constraints`], both must emit
-//! the same schedule, `==` and Ψ bit for bit. The second property is the
-//! invariant the dead-source memo rests on: admission is monotone in a
-//! residency's extension.
+//! the same schedule, `==` and Ψ bit for bit, and the production trace
+//! must be a subsequence of the oracle's: tests are skipped, never
+//! invented or re-answered. The remaining properties are the facts the
+//! shortcuts rest on: admission is monotone in a residency's extension
+//! (the dead-source memo, and deferring a rejection to a later request),
+//! and no plan out of a source undercuts its direct hop — an extension
+//! never refunds storage and relay detours obey the triangle inequality
+//! (the direct-hop bound).
 
 use proptest::prelude::*;
 use vod_core::{
     find_video_schedule_with, ivsp_solve_with, reschedule_video_traced_with, reschedule_video_with,
-    Constraints, GreedyPolicy, Interval, LedgerCursor, LedgerMode, SchedCtx, StorageLedger,
+    AdmissionCheck, Constraints, GreedyPolicy, Interval, LedgerCursor, LedgerMode, SchedCtx,
+    StorageLedger,
 };
-use vod_cost_model::{CostModel, Request, RequestBatch, SpaceModel, SpaceProfile};
+use vod_cost_model::{
+    CostModel, Request, RequestBatch, SpaceModel, SpaceProfile, Video, VideoSchedule,
+};
 use vod_topology::{builders, units, NodeId, RouteTable, Topology, TopologyBuilder};
 use vod_workload::{CatalogConfig, RequestConfig, SplitMix64, Workload};
 
@@ -305,6 +315,56 @@ fn policies() -> impl Iterator<Item = GreedyPolicy> {
     })
 }
 
+/// What a production trace owes the nested scan's (`asked`: every live
+/// cache, every request) and its own schedule:
+///
+/// * it is a subsequence of `asked` — same candidates, same answers, in
+///   the same order, so the kernel only ever *skips* tests;
+/// * a rejected storage is never tested again (the dead-source memo);
+/// * an admitted cache was leading when it was tested, so only a source
+///   enumerated after it (the warehouse first, then caches by id) can
+///   have taken the request — the plan's source never precedes it.
+fn trace_is_verdict_minimal(
+    ctx: &SchedCtx<'_>,
+    video: &Video,
+    group: &[Request],
+    schedule: &VideoSchedule,
+    checks: &[AdmissionCheck],
+    asked: &[AdmissionCheck],
+) -> Result<(), &'static str> {
+    let mut rest = asked.iter();
+    if !checks.iter().all(|c| rest.any(|a| a == c)) {
+        return Err("a recorded check is not one the nested scan asks, in its order");
+    }
+    let turn = |n: NodeId| if n == ctx.topo.warehouse() { 0 } else { 1 + n.0 };
+    let space = ctx.model.space_model();
+    for (i, c) in checks.iter().enumerate() {
+        if !c.verdict {
+            if checks[i + 1..].iter().any(|later| later.loc == c.loc) {
+                return Err("dead source re-tested");
+            }
+            continue;
+        }
+        // The requests this extension could have been priced for (several
+        // only when reservations coincide), and who served them.
+        let mut served = group.iter().zip(&schedule.transfers).filter(|(req, _)| {
+            req.start >= c.candidate.start
+                && c.candidate
+                    == SpaceProfile::with_model(
+                        c.candidate.start,
+                        req.start,
+                        video.size,
+                        video.playback,
+                        space,
+                    )
+        });
+        if !served.any(|(_, delivery)| turn(delivery.src()) >= turn(c.loc)) {
+            return Err("a cache was admission-tested without holding the lead");
+        }
+    }
+    Ok(())
+}
+
 /// Both kernels over every video group of `batch`, under every policy,
 /// with and without constraints; `Err` names the first divergence.
 fn kernels_agree(
@@ -356,12 +416,17 @@ fn kernels_agree(
             if !same(&traced, &old) {
                 return Err(at("traced rejective greedy diverged"));
             }
-            // The memo at work: a storage whose extension was rejected is
-            // never tested again in the same run.
-            for (i, c) in trace.checks.iter().enumerate() {
-                if !c.verdict && trace.checks[i + 1..].iter().any(|later| later.loc == c.loc) {
-                    return Err(at("dead source re-tested"));
-                }
+            let mut asked = LedgerCursor::tracing();
+            pre_pr::greedy_with_cursor(ctx, group, Some(&cons), policy, &mut asked);
+            if let Err(what) = trace_is_verdict_minimal(
+                ctx,
+                ctx.catalog.get(vid),
+                group,
+                &traced,
+                &trace.checks,
+                &asked.take_trace().checks,
+            ) {
+                return Err(at(what));
             }
         }
     }
@@ -390,6 +455,57 @@ proptest! {
             let ctx = SchedCtx::with_routes(&topo, routes.clone(), &model, &wl.catalog);
             if let Err(what) = kernels_agree(&ctx, &batch, &mut rng) {
                 prop_assert!(false, "{what}, {space:?}, {s:?}");
+            }
+        }
+    }
+
+    /// The two facts the direct-hop bound rests on, over the same
+    /// networks and cut-link tables: extending a residency never lowers
+    /// its storage charge, and no relay detour undercuts the direct hop
+    /// beyond the candidate comparison's tolerance.
+    #[test]
+    fn no_plan_out_of_a_source_undercuts_its_direct_hop(s in scenario_strategy()) {
+        const COST_EPS: f64 = 1e-9;
+        let topo = build_topo(&s);
+        let wl = Workload::generate(&topo, &CatalogConfig::small(12), &RequestConfig::paper(), s.seed);
+        let mut rng = SplitMix64::new(s.seed ^ 0xD1_2EC7);
+        let avoid: Vec<(NodeId, NodeId)> = (0..s.cut_links)
+            .map(|_| {
+                let e = &topo.edges()[rng.index(topo.edge_count())];
+                (e.a, e.b)
+            })
+            .collect();
+        let routes = RouteTable::build_avoiding(&topo, &avoid);
+        let nodes: Vec<NodeId> = std::iter::once(topo.warehouse()).chain(topo.storages()).collect();
+        for video in wl.catalog.iter() {
+            let amortized = video.amortized_bytes();
+            for &src in &nodes {
+                for &local in &nodes {
+                    let hop = amortized * routes.rate(src, local);
+                    for &m in &nodes {
+                        let detour = amortized * (routes.rate(src, m) + routes.rate(m, local));
+                        prop_assert!(
+                            detour >= hop * (1.0 - COST_EPS),
+                            "{:?} → {:?} → {:?} at {} undercuts the direct {}", src, m, local, detour, hop
+                        );
+                    }
+                }
+            }
+            for space in [SpaceModel::InstantReservation, SpaceModel::GradualFill] {
+                for _ in 0..64 {
+                    let t_s = rng.range_f64(0.0, units::hours(24.0));
+                    let t_f = t_s + rng.range_f64(0.0, units::hours(3.0));
+                    let t = t_f + rng.range_f64(0.0, units::hours(3.0));
+                    let held = SpaceProfile::with_model(t_s, t_f, video.size, video.playback, space);
+                    let grown = SpaceProfile::with_model(t_s, t, video.size, video.playback, space);
+                    for loc in topo.storages() {
+                        let ext = topo.srate(loc) * (grown.integral() - held.integral());
+                        prop_assert!(
+                            ext >= 0.0,
+                            "extending [{}, {}] to {} refunds {} at {:?}, {:?}", t_s, t_f, t, ext, loc, space
+                        );
+                    }
+                }
             }
         }
     }

@@ -11,14 +11,18 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use vod_core::{
-    detect_overflows, ivsp_solve_priced, overflow_set, reschedule_video_traced_with,
-    sorp_solve_priced, Constraints, ExecMode, GreedyPolicy, HeatMetric, Interval, LedgerDelta,
-    LedgerMode, SchedCtx, SorpConfig, SorpOutcome, StorageLedger,
+    detect_overflows, ivsp_solve_priced, ivsp_solve_priced_with, overflow_set,
+    reschedule_video_traced_with, shard_solve_warm, sorp_solve_priced, Constraints, ExecMode,
+    GreedyPolicy, HeatMetric, Interval, LedgerCursor, LedgerDelta, LedgerMode, SchedCtx,
+    ShardConfig, SorpConfig, SorpOutcome, StorageLedger, TrialTrace, WarmState,
 };
-use vod_cost_model::{CostModel, VideoId};
+use vod_cost_model::{CostModel, RequestBatch, SpaceProfile, VideoId};
 use vod_oracles::sorp_solve_naive;
 use vod_topology::{builders, NodeId, Topology};
-use vod_workload::{CatalogConfig, RequestConfig, Workload};
+use vod_workload::{
+    generate_arrivals, generate_catalog, partition_requests, ArrivalConfig, CatalogConfig,
+    RequestConfig, ShardSpec, Workload,
+};
 
 /// One randomized solver scenario.
 #[derive(Clone, Debug)]
@@ -379,4 +383,149 @@ fn shortened_traces_stay_exact_when_commits_land_in_dead_gaps() {
         in_class += usize::from(first_commit_lands_in_a_dead_gap(&ctx, &wl, &oracle));
     }
     assert!(in_class > 0, "no instance exercised a commit landing in a dead gap");
+}
+
+/// The smallest instance of a rebind that must forget: on the paper's
+/// Fig. 2 line a trial finds IS1 full and records the capacity rejection
+/// of its cache there; a commit then empties IS1; the entry is hit under
+/// a ban that covers the rejected extension (the ban answers, the ledger
+/// is not asked, the entry's epoch moves past the commit); and is looked
+/// up once more under a ban elsewhere. The extension now fits, so a fresh
+/// trial serves U2 from IS1 and the memoized one must not be handed out.
+/// The lookup is [`Constraints::check_replays`] over every check, the hit
+/// [`Constraints::rebind_trace`] — the solver's protocol, step for step.
+#[test]
+fn rebinding_under_a_ban_forgets_the_capacity_verdict_it_skipped() {
+    use vod_cost_model::{Catalog, Request, Video};
+    use vod_topology::{units, UserId};
+
+    let topo = builders::paper_fig2(16.0, 8.0, 1.0, 5.0);
+    let vid = VideoId(0);
+    let catalog =
+        Catalog::new(vec![Video::new(vid, units::gb(2.5), units::minutes(90.0), units::mbps(6.0))]);
+    let model = CostModel::per_hop();
+    let ctx = SchedCtx::new(&topo, &model, &catalog);
+    let (t1, t2, t3) = (units::hours(13.0), units::hours(14.5), units::hours(16.0));
+    let requests = [
+        Request { user: UserId(0), video: vid, start: t1 },
+        Request { user: UserId(1), video: vid, start: t2 },
+        Request { user: UserId(2), video: vid, start: t3 },
+    ];
+    let is1 = NodeId(1);
+    let squatter = VideoId(9);
+    let mut ledger = StorageLedger::new(&topo);
+    ledger.add(is1, squatter, SpaceProfile::new(0.0, 1e6, units::gb(5.0), units::minutes(90.0)));
+    let trial = |ledger: &StorageLedger, bans: &[(NodeId, Interval)]| {
+        let cons = Constraints { ledger, exclude: Some(vid), forbidden: bans };
+        reschedule_video_traced_with(&ctx, &requests, &cons, GreedyPolicy::default())
+    };
+    let replays = |ledger: &StorageLedger,
+                   bans: &[(NodeId, Interval)],
+                   trace: &TrialTrace,
+                   dirty: &LedgerDelta| {
+        let cons = Constraints { ledger, exclude: Some(vid), forbidden: bans };
+        let mut cursor = LedgerCursor::new();
+        trace.checks.iter().all(|c| cons.check_replays(&topo, c, dirty, &mut cursor))
+    };
+
+    // The memoized trial: IS1's copy cannot be extended to serve U2.
+    let (memo, mut trace) = trial(&ledger, &[]);
+    let rejected = *trace
+        .checks
+        .iter()
+        .find(|c| c.loc == is1 && c.fits == Some(false))
+        .expect("the full store rejects IS1's extension on capacity");
+
+    // A commit vacates IS1, inside the rejected check's support.
+    let mut commit = LedgerDelta::new();
+    ledger.remove_tracked(is1, squatter, &mut commit);
+    assert!(commit.intersects(&[(is1, rejected.candidate.start, rejected.candidate.end)]));
+
+    // Hit under a ban over that support: same answer, for another reason.
+    let over = [(is1, Interval::new(t1, t2))];
+    assert!(replays(&ledger, &over, &trace, &commit), "the ban re-rejects the extension");
+    assert!(trial(&ledger, &over).0 == memo, "and a fresh trial agrees");
+    Constraints { ledger: &ledger, exclude: Some(vid), forbidden: &over }
+        .rebind_trace(&topo, &mut trace);
+
+    // The entry is now current as of the commit. Under a ban that misses
+    // the extension, nothing rejects it any more.
+    let elsewhere = [(is1, Interval::new(0.0, units::hours(1.0)))];
+    let fresh = trial(&ledger, &elsewhere).0;
+    assert!(fresh != memo, "IS1 has room now: U2 is served from its copy");
+    assert!(
+        !replays(&ledger, &elsewhere, &trace, &LedgerDelta::new()),
+        "a stale capacity verdict was reused across the rebind"
+    );
+}
+
+/// The benchmark's `contended` cell (24 stores of 1.8 GB, 150 titles, 672
+/// requests a cycle in four time slices, seed 1997), cycle by cycle over
+/// the occupancy earlier cycles committed: every solve the sharded
+/// pipeline starts from a fresh state — each shard's, and the whole batch
+/// as one — must match the naive loop over the same external occupancy.
+/// Tight stores keep dozens of overflows open at once, so trials are
+/// rebound from one overflow's bans to the next while commits land inside
+/// the checks those bans skipped; a rebind that kept such a check's
+/// capacity sub-verdict first diverged here in cycle 4.
+#[test]
+fn contended_cell_stays_exact_through_rebinds_under_bans() {
+    const HORIZON: f64 = 24.0 * 3_600.0;
+    const CYCLES: usize = 8;
+    let gen = builders::GenConfig {
+        storages: 24,
+        capacity_gb: 1.8,
+        users_per_neighborhood: 4,
+        ..builders::GenConfig::default()
+    };
+    let topo = builders::random_connected(&gen, 3, 0xB0B);
+    let catalog = generate_catalog(&CatalogConfig::small(150), 0xCA7A_10C0_FFEE_0001);
+    let arrivals = generate_arrivals(
+        &topo,
+        &catalog,
+        &ArrivalConfig {
+            request: RequestConfig { requests_per_user: 7, ..RequestConfig::with_alpha(0.271) },
+            cycles: CYCLES,
+            ..ArrivalConfig::default()
+        },
+        1997,
+    );
+    let model = CostModel::per_hop();
+    let ctx = SchedCtx::new(&topo, &model, &catalog);
+    let cfg = ShardConfig::by_time_slice(4);
+    let spec = ShardSpec { shards: cfg.shards, strategy: cfg.strategy, seed: cfg.seed };
+    let mut warm = WarmState::new(&topo);
+
+    let mut next = 0;
+    for k in 0..CYCLES {
+        let t0 = k as f64 * HORIZON;
+        let first = next;
+        while next < arrivals.len() && arrivals[next].at <= t0 {
+            next += 1;
+        }
+        let batch = RequestBatch::new(arrivals[first..next].iter().map(|a| a.request).collect());
+        warm.begin_cycle(t0);
+        let external: Vec<(NodeId, SpaceProfile)> = warm.committed().profiles().collect();
+
+        let mut solves = partition_requests(&topo, &batch, &spec);
+        solves.push(batch.clone());
+        for (si, part) in solves.iter().enumerate() {
+            let phase1 = ivsp_solve_priced_with(&ctx, part, cfg.sorp.policy, ExecMode::Sequential);
+            let cached =
+                sorp_solve_priced(&ctx, phase1.clone(), &cfg.sorp, &external, ExecMode::Sequential);
+            let oracle = sorp_solve_naive(
+                &ctx,
+                phase1,
+                &cfg.sorp,
+                &external,
+                LedgerMode::Timeline,
+                ExecMode::Sequential,
+            );
+            if let Err(e) = assert_bit_identical(&cached, &oracle) {
+                panic!("cycle {k}, solve {si} of {}: {e:?}", solves.len());
+            }
+            assert_eq!(cached.trials_run + cached.trials_cached, oracle.trials_run);
+        }
+        shard_solve_warm(&ctx, &batch, &cfg, &mut warm, t0, ExecMode::Sequential);
+    }
 }

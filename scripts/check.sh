@@ -36,8 +36,11 @@ cargo bench --offline -p vod-bench --bench telemetry_overhead -- --test
 
 echo "==> oracle crate + solver equivalence suites"
 cargo test -q --offline -p vod-oracles
+# sorp_cache_props carries the trial-cache exactness regressions (the
+# contended cell against the naive loop, and the hand-built rebind).
 cargo test -q --offline -p vod-core --test sorp_cache_props
 cargo test -q --offline -p vod-core --test shard_props
+cargo test -q --offline -p vod-core --test greedy_kernel_props
 
 echo "==> warm-start property suite"
 cargo test -q --offline -p vod-core --test warm_start_props
@@ -54,10 +57,11 @@ cargo test -q --offline -p vod-core --test repair_props
 cargo test -q --offline --test fault_injection_e2e --test failure_injection
 cargo test -q --offline -p vod-simulator --test replay_props
 
-echo "==> data-model suites (shared routes, flat batches, allocation budget)"
+echo "==> data-model suites (shared routes, flat batches) and the per-request budgets"
 cargo test -q --offline -p vod-core --test route_props
 cargo test -q --offline -p vod-cost-model --test batch_props
 cargo test -q --offline --test alloc_budget
+cargo test -q --offline --test admission_budget
 
 echo "==> telemetry suite (obs crate + recorder transparency + e2e reconcile)"
 cargo test -q --offline -p vod-obs
@@ -101,6 +105,20 @@ for f in crates/cost-model/src/schedule.rs crates/core/src/{greedy,sorp,repair,b
     exit 1
   fi
 done
+
+echo "==> admission lint (the kernel asks the constraints in one place, after the placement filter)"
+# A trial's trace is the list of questions the kernel asked; a second call
+# site, or one ahead of the allow_remote_placement filter, would ask (and
+# record) about sources that cannot take the request.
+awk '/^#\[cfg\(test\)\]/ { exit }
+     /^fn greedy_with_cursor/ { kernel = 1 }
+     /^}/ { kernel = 0 }
+     kernel && /!policy\.allow_remote_placement/ && !filter { filter = FNR }
+     /\.admits\(/ { calls++; if (!kernel || !filter) stray = FNR }
+     END {
+       if (calls != 1) { print "error: " calls + 0 " .admits( call sites in " FILENAME "; the kernel has one"; exit 1 }
+       if (stray) { print "error: " FILENAME ":" stray ": .admits( outside the source loop or ahead of its allow_remote_placement filter"; exit 1 }
+     }' crates/core/src/greedy.rs >&2
 
 echo "==> one-pipeline lint (no oracle switches in core, one pipeline body in shard.rs)"
 # Reference implementations live in crates/oracles, not behind a bool on a
