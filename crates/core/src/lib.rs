@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod adaptive;
 pub mod bandwidth;
 pub mod bandwidth_aware;
 pub mod baselines;
@@ -68,7 +67,6 @@ mod sorp;
 mod timeline;
 mod warm;
 
-pub use adaptive::{CalibPoint, ShardSelector};
 pub use bandwidth_aware::{
     bandwidth_aware_solve, constrained_cheapest_path, BandwidthAwareOutcome, LinkLedger,
 };

@@ -1,6 +1,7 @@
 //! Async service frontend: admission control, a deadline-budgeted
-//! degradation ladder, and overload shedding for the rolling-horizon
-//! scheduler.
+//! degradation ladder, and overload shedding around the warm sharded
+//! solve. [`ServiceLoop`], driven by [`service_run`], is the only code
+//! that advances a cycle.
 //!
 //! The paper frames VOR as a *service*: requests arrive continuously
 //! ahead of their reserved start times, and the provider must keep
@@ -17,9 +18,8 @@
 //!   (`max_iterations = 0`, the deterministic direct-delivery fallback)
 //!   → heat-ranked shedding. The rung is chosen by a [`BudgetModel`] —
 //!   an EMA over **simulated** nanoseconds derived from the solver's
-//!   deterministic work counters, in the style of
-//!   [`crate::ShardSelector`] — never from the wall clock, so a run's
-//!   rung sequence is bit-reproducible across machines and
+//!   deterministic work counters — never from the wall clock, so a
+//!   run's rung sequence is bit-reproducible across machines and
 //!   [`ExecMode`]s;
 //! * shed and fault-displaced requests **re-enqueue into later cycles**
 //!   with capped exponential backoff and a drop-after-N policy
@@ -31,16 +31,16 @@
 //!   counts, deadline misses, and the backoff histogram, with a
 //!   [`ServiceReport::conservation_error`] balance check.
 //!
-//! ## Equivalence oracle
+//! ## Oracle configuration
 //!
 //! With an unbounded queue, an infinite budget, no saturation limit,
 //! and an empty fault plan, every cycle runs the [`Rung::Full`] solve
-//! on exactly the batch the rolling-horizon loop would have built
+//! on exactly the window's arrivals
 //! ([`vod_cost_model::RequestBatch::new`] normalises request order, so
-//! queue ordering is invisible to the solver), against the same
-//! [`WarmState`] evolution — committed schedules and Ψ are
-//! bit-identical to `rolling_horizon` on the same arrival trace. The
-//! `service_props` suite asserts this.
+//! queue ordering is invisible to the solver) — committed schedules and
+//! Ψ are bit-identical to calling [`crate::shard_solve_warm`] on each
+//! window's batch over one [`WarmState`]. The `service_props` suite
+//! asserts this.
 //!
 //! ## Determinism of the ladder
 //!
@@ -168,7 +168,8 @@ impl BackoffPolicy {
 
 /// Configuration of the service loop. The default is the *oracle*
 /// configuration: unbounded queue, infinite budget, no admission limit,
-/// no faults — bit-identical to the rolling-horizon loop.
+/// no faults — bit-identical to the plain warm loop (see the module
+/// docs).
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// The sharded-solver configuration the [`Rung::Full`] solve runs
@@ -212,8 +213,7 @@ impl Default for ServiceConfig {
     }
 }
 
-/// EMA weight of a new observation, mirroring
-/// [`crate::ShardSelector`]'s online calibration.
+/// EMA weight of a new observation.
 const EMA_ALPHA: f64 = 0.3;
 
 /// Simulated cost per scheduled request (the phase-1 greedy share).
@@ -241,11 +241,10 @@ pub struct BudgetModel {
 impl Default for BudgetModel {
     fn default() -> Self {
         // Seeds in the same currency as `simulated_ns`: a ~1k-request
-        // full solve runs a few hundred iterations (cf. the
-        // `BENCH_cycles` calibration behind `ShardSelector`), the
-        // reduced rung saves most of them, and the greedy rung is the
-        // bare per-request form. The EMA replaces the seeds within a
-        // couple of cycles.
+        // full solve runs a few hundred iterations, the reduced rung
+        // saves most of them, and the greedy rung is the bare
+        // per-request form. The EMA replaces the seeds within a couple
+        // of cycles.
         Self { unit_ns: [9_700.0, 7_000.0, 4_200.0] }
     }
 }
@@ -342,8 +341,8 @@ fn request_key(r: &Request) -> (u32, u32, u64) {
     (r.user.0, r.video.0, r.start.to_bits())
 }
 
-/// Per-cycle service accounting, threaded into the rolling-horizon
-/// [`ServiceReport`] and `vod_experiments`' `CycleReport`.
+/// Per-cycle service accounting, threaded into the [`ServiceReport`]
+/// and `vod_experiments`' `CycleReport`.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServiceCycleStats {
     /// Cycle index (0-based).
@@ -580,7 +579,7 @@ impl ServiceLoop {
         })
     }
 
-    /// The carried warm state (committed occupancy, caches, selector).
+    /// The carried warm state (the committed-occupancy book).
     pub fn warm(&self) -> &WarmState {
         &self.warm
     }

@@ -1,4 +1,4 @@
-//! Cross-cycle warm start: the state a rolling-horizon service keeps
+//! Cross-cycle warm start: the state [`crate::ServiceLoop`] keeps
 //! between [`crate::shard_solve_warm`] calls.
 //!
 //! What crosses a cycle boundary is the **committed occupancy** and
@@ -15,13 +15,12 @@
 //!
 //! The SORP trial cache does **not** cross the boundary. A memoized
 //! trial may only answer a job over exactly the request set it was
-//! derived from, and no driver ever re-solves a request: the rolling
-//! horizon draws a fresh batch per cycle, and the service loop re-stamps
-//! a deferred request's start into the later window. Carried entries
+//! derived from, and the service loop never re-solves a request: every
+//! window drains a fresh batch, and a deferred request has its start
+//! re-stamped into the later window. Carried entries
 //! were adopted 0 times on every service workload (EXPERIMENTS.md), so
 //! the carry is gone and the trial counters in [`WarmStats`] read 0.
 
-use crate::adaptive::ShardSelector;
 use crate::{SchedCtx, StorageLedger, EXTERNAL_OCCUPANCY};
 use serde::{Deserialize, Serialize};
 use vod_cost_model::{Schedule, Secs, VideoId};
@@ -139,28 +138,19 @@ impl CommittedBook {
     }
 }
 
-/// Persistent solver state carried across rolling-horizon cycles. See
-/// the module docs for what it holds and why.
+/// Persistent solver state carried across service cycles. See the
+/// module docs for what it holds and why.
 pub struct WarmState {
     /// Committed cross-cycle occupancy.
     committed: CommittedBook,
-    /// The adaptive shard-count selector (used only when the caller opts
-    /// in; carrying it here lets its online calibration persist exactly
-    /// as long as the rest of the warm state).
-    pub selector: ShardSelector,
     /// Current cycle's accounting.
     pub stats: WarmStats,
 }
 
 impl WarmState {
-    /// Fresh warm state with the bench-seeded [`ShardSelector`].
+    /// Fresh warm state: an empty book.
     pub fn new(topo: &Topology) -> Self {
-        Self::with_selector(topo, ShardSelector::seeded_from_bench())
-    }
-
-    /// Fresh warm state with an explicit selector.
-    pub fn with_selector(topo: &Topology, selector: ShardSelector) -> Self {
-        Self { committed: CommittedBook::new(topo), selector, stats: WarmStats::default() }
+        Self { committed: CommittedBook::new(topo), stats: WarmStats::default() }
     }
 
     /// The committed cross-cycle occupancy.

@@ -3,7 +3,8 @@
 //! conserve request accounting exactly, one shard must coincide
 //! bit-for-bit with the monolithic solver, in the regional regime
 //! (region shards + neighborhood-local policy + region-unique videos)
-//! the sharded Ψ must equal the monolithic Ψ within 1e-9 relative, and
+//! the sharded Ψ must equal the monolithic Ψ within 1e-9 relative, one
+//! shard must stay the monolith over non-empty external occupancy, and
 //! the warm entry point must be the cold one over an empty book, in
 //! either execution mode.
 //!
@@ -12,12 +13,12 @@
 
 use proptest::prelude::*;
 use vod_core::{
-    detect_overflows, ivsp_solve_priced_with, shard_solve, shard_solve_warm, sorp_solve_priced,
-    ExecMode, GreedyPolicy, SchedCtx, ShardConfig, SorpConfig, SorpOutcome, StorageLedger,
-    WarmState,
+    detect_overflows, ivsp_solve_priced, ivsp_solve_priced_with, shard_solve, shard_solve_seeded,
+    shard_solve_warm, sorp_solve_priced, ExecMode, GreedyPolicy, SchedCtx, ShardConfig, SorpConfig,
+    SorpOutcome, StorageLedger, WarmState,
 };
-use vod_cost_model::{CostModel, Request, RequestBatch};
-use vod_topology::{builders, Topology};
+use vod_cost_model::{CostModel, Request, RequestBatch, SpaceProfile};
+use vod_topology::{builders, NodeId, Topology};
 use vod_workload::{
     generate_catalog, generate_regional_requests, generate_requests, partition_requests,
     CatalogConfig, RequestConfig, ShardSpec, ShardStrategy, Workload,
@@ -259,6 +260,44 @@ fn regional_regime_matches_monolithic_psi() {
             mono.cost
         );
         assert!(sharded.sorp.schedule == mono.schedule, "{shards} shards: schedules diverged");
+    }
+}
+
+/// One shard over *non-empty* external occupancy is still the monolith,
+/// bit for bit: three consecutive cycles, each solved against the flat
+/// list of every earlier cycle's residency profiles — the original
+/// rolling loop (`ivsp` + `sorp_solve_priced` over the committed list).
+#[test]
+fn cold_monolithic_matches_the_legacy_loop() {
+    let (topo, wl) = paper_world(5.0, 3);
+    let model = CostModel::per_hop();
+    let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+    let cfg = ShardConfig { shards: 1, ..ShardConfig::default() };
+    let horizon = 24.0 * 3_600.0;
+    let mut committed: Vec<(NodeId, SpaceProfile)> = Vec::new();
+    for k in 0..3usize {
+        let raw =
+            generate_requests(&topo, &wl.catalog, &RequestConfig::paper(), 3 ^ (k as u64 + 1));
+        let batch = RequestBatch::new(
+            raw.iter().map(|r| Request { start: r.start + k as f64 * horizon, ..*r }).collect(),
+        );
+        let ours = shard_solve_seeded(&ctx, &batch, &cfg, &committed, ExecMode::default());
+        let legacy = sorp_solve_priced(
+            &ctx,
+            ivsp_solve_priced(&ctx, &batch),
+            &SorpConfig::default(),
+            &committed,
+            ExecMode::default(),
+        );
+        assert_eq!(ours.sorp.cost.to_bits(), legacy.cost.to_bits(), "cycle {k}");
+        assert_eq!(ours.sorp.victims.len(), legacy.victims.len(), "cycle {k}");
+        for r in legacy.schedule.residencies() {
+            let p = r.profile(wl.catalog.get(r.video));
+            if p.peak() > 0.0 {
+                committed.push((r.loc, p));
+            }
+        }
+        assert!(!committed.is_empty(), "cycle {k} committed nothing for the next one");
     }
 }
 

@@ -1,15 +1,11 @@
 //! Property tests for the cross-cycle warm start: warm-started Ψ must
 //! equal the cold-start oracle's Ψ on every cycle across seeds and
-//! shard counts, the warm state must never resurrect an expired
+//! shard counts, and the warm state must never resurrect an expired
 //! reservation (neither in the committed book nor in the delivered
-//! schedule), and the adaptive shard pick must be a deterministic,
-//! region-clamped function of its calibration table.
+//! schedule).
 
 use proptest::prelude::*;
-use vod_core::{
-    shard_solve_seeded, shard_solve_warm, CalibPoint, ExecMode, SchedCtx, ShardConfig,
-    ShardSelector, WarmState,
-};
+use vod_core::{shard_solve_seeded, shard_solve_warm, ExecMode, SchedCtx, ShardConfig, WarmState};
 use vod_cost_model::{Catalog, CostModel, Request, RequestBatch, SpaceProfile};
 use vod_topology::{builders, NodeId, Topology};
 use vod_workload::{generate_catalog, generate_requests, CatalogConfig, RequestConfig};
@@ -138,35 +134,6 @@ proptest! {
             );
             prev_active = warm.committed().active();
         }
-    }
-
-    /// The adaptive pick is a pure function of the calibration table:
-    /// rebuilt tables pick identically, repeated calls pick identically,
-    /// and the pick always lands in `[1, max(regions, 1)]`.
-    #[test]
-    fn adaptive_pick_is_deterministic_and_clamped(
-        points in proptest::collection::vec(
-            (1usize..20_000, 1usize..17, 1_000u64..10_000_000_000),
-            0..12,
-        ),
-        requests in 1usize..20_000,
-        regions in 0usize..20,
-    ) {
-        let pts: Vec<CalibPoint> = points
-            .iter()
-            .map(|&(requests, shards, nanos)| CalibPoint { requests, shards, nanos: nanos as f64 })
-            .collect();
-        let sel = ShardSelector::from_points(&pts);
-        let pick = sel.pick(requests, regions);
-        prop_assert_eq!(pick, sel.pick(requests, regions), "repeated pick diverged");
-        let rebuilt = ShardSelector::from_points(&pts);
-        prop_assert_eq!(pick, rebuilt.pick(requests, regions), "rebuilt table picked differently");
-        prop_assert!((1..=regions.max(1)).contains(&pick), "pick {} outside clamp", pick);
-        // The bench-seeded table is deterministic too.
-        prop_assert_eq!(
-            ShardSelector::seeded_from_bench().pick(requests, regions),
-            ShardSelector::seeded_from_bench().pick(requests, regions)
-        );
     }
 }
 

@@ -1,8 +1,9 @@
 //! `vodx` — run the paper's experiments from the command line.
 //!
 //! ```text
-//! vodx <fig5|fig6|fig7|fig8|fig9|table5|gap|bandwidth|cycles|inspect|all>
-//!      [--fast] [--out DIR] [--rpu N]
+//! vodx <fig5|fig6|fig7|fig8|fig9|table5|gap|bandwidth|cycles|service|inspect|all>
+//!      [--fast] [--out DIR] [--rpu N] [--burst N] [--budget-ns B] [--record FILE]
+//! vodx trace FILE
 //! ```
 //!
 //! Prints each experiment as an aligned text table (the rows the paper
@@ -12,17 +13,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use vod_core::{ivsp_solve_priced, sorp_solve_priced, ExecMode, SchedCtx, SorpConfig};
 use vod_cost_model::CostModel;
-use vod_experiments::{
-    cycles, ext, figures, render_csv, render_table, service, table5, EnvParams, Preset,
-};
+use vod_experiments::{ext, figures, render_csv, render_table, service, table5, EnvParams, Preset};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut preset = Preset::Paper;
     let mut out_dir: Option<PathBuf> = None;
     let mut rpu: Option<usize> = None;
-    let mut cold = false;
-    let mut adaptive = false;
     let mut burst: Option<usize> = None;
     let mut budget_ns: Option<f64> = None;
     let mut record: Option<PathBuf> = None;
@@ -32,8 +29,6 @@ fn main() -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--fast" => preset = Preset::Fast,
-            "--cold" => cold = true,
-            "--adaptive" => adaptive = true,
             "--out" => match it.next() {
                 Some(dir) => out_dir = Some(PathBuf::from(dir)),
                 None => {
@@ -86,8 +81,8 @@ fn main() -> ExitCode {
     }
     // `trace FILE` — dump and summarize a flight recording, no solving.
     if targets[0] == "trace" {
-        let Some(path) = targets.get(1) else {
-            eprintln!("trace needs a recording file argument\n{}", usage());
+        let (2, [_, path]) = (args.len(), targets.as_slice()) else {
+            eprintln!("trace takes one recording file argument and no flags\n{}", usage());
             return ExitCode::FAILURE;
         };
         let text = match std::fs::read_to_string(path) {
@@ -126,6 +121,19 @@ fn main() -> ExitCode {
         .map(|s| s.to_string())
         .collect();
     }
+    // A flag no selected target reads is a mistake, not a no-op.
+    let readers: [(&str, bool, &[&str]); 4] = [
+        ("--rpu", rpu.is_some(), &["table5"]),
+        ("--burst", burst.is_some(), &["service"]),
+        ("--budget-ns", budget_ns.is_some(), &["service"]),
+        ("--record", record.is_some(), &["cycles", "service"]),
+    ];
+    for (flag, given, read_by) in readers {
+        if given && !targets.iter().any(|t| read_by.contains(&t.as_str())) {
+            eprintln!("{flag} is only read by {}\n{}", read_by.join(", "), usage());
+            return ExitCode::FAILURE;
+        }
+    }
 
     if let Some(dir) = &out_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -136,7 +144,7 @@ fn main() -> ExitCode {
 
     for target in &targets {
         let started = std::time::Instant::now();
-        match target.as_str() {
+        let done = match target.as_str() {
             "inspect" => {
                 let params = EnvParams::for_preset(preset);
                 let (topo, wl) = params.build();
@@ -174,129 +182,76 @@ fn main() -> ExitCode {
                         40
                     )
                 );
-                if let Some(dir) = &out_dir {
-                    let path = dir.join("topology.dot");
-                    if let Err(e) = std::fs::write(&path, vod_topology::dot::to_dot(&topo)) {
-                        eprintln!("cannot write {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
+                write_out(&out_dir, "topology.dot", &vod_topology::dot::to_dot(&topo))
             }
-            "cycles" => {
+            "cycles" | "service" => {
                 let params = EnvParams::for_preset(preset);
-                let n = if preset == Preset::Fast { 3 } else { 7 };
-                let cfg = cycles::RollingConfig {
-                    use_cold_start: cold,
-                    adaptive,
-                    ..cycles::RollingConfig::default()
+                let fast = preset == Preset::Fast;
+                // `cycles` is the service loop's oracle configuration;
+                // `service` bounds the queue and the budget under a burst.
+                let (n, sp) = if target == "cycles" {
+                    (if fast { 3 } else { 7 }, service::ServiceParams::default())
+                } else {
+                    let sp = service::ServiceParams {
+                        queue_bound: Some(4 * params.users_per_neighborhood * 19),
+                        budget_ns: budget_ns.or(Some(500.0 * 9_700.0)),
+                        burst: vec![(1, burst.unwrap_or(4))],
+                        ..service::ServiceParams::default()
+                    };
+                    (if fast { 4 } else { 8 }, sp)
                 };
                 let recorder = match &record {
                     Some(_) => vod_obs::Recorder::enabled(),
                     None => vod_obs::Recorder::disabled(),
                 };
-                let r = cycles::rolling_horizon_recorded(&params, n, &cfg, &recorder);
-                println!("{}", r.render());
-                if let Some(path) = &record {
-                    if let Err(e) = write_recording(path, &recorder) {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                if let Some(dir) = &out_dir {
-                    let path = dir.join("cycles.txt");
-                    if let Err(e) = std::fs::write(&path, r.render()) {
-                        eprintln!("cannot write {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "service" => {
-                let params = EnvParams::for_preset(preset);
-                let n = if preset == Preset::Fast { 4 } else { 8 };
-                let sp = service::ServiceParams {
-                    queue_bound: Some(4 * params.users_per_neighborhood * 19),
-                    budget_ns: budget_ns.or(Some(500.0 * 9_700.0)),
-                    burst: vec![(1, burst.unwrap_or(4))],
-                    ..service::ServiceParams::default()
-                };
-                let recorder = match &record {
-                    Some(_) => vod_obs::Recorder::enabled(),
-                    None => vod_obs::Recorder::disabled(),
-                };
-                let (r, report, _) = service::service_horizon_recorded(&params, n, &sp, &recorder);
-                println!("{}", r.render());
-                println!("{}", report.render());
-                if let Some(path) = &record {
-                    if let Err(e) = write_recording(path, &recorder) {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                if let Some(dir) = &out_dir {
-                    let path = dir.join("service.txt");
-                    let body = format!("{}\n{}", r.render(), report.render());
-                    if let Err(e) = std::fs::write(&path, body) {
-                        eprintln!("cannot write {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let (r, report, _) = service::service_horizon(&params, n, &sp, &recorder);
+                let text = format!("{}\n{}", r.render(), report.render());
+                println!("{text}");
+                write_recording(&record, &recorder)
+                    .and_then(|()| write_out(&out_dir, &format!("{target}.txt"), &text))
             }
             "gap" => {
-                let r = ext::gap(preset);
-                println!("{}", r.render());
-                if let Some(dir) = &out_dir {
-                    let path = dir.join("gap.txt");
-                    if let Err(e) = std::fs::write(&path, r.render()) {
-                        eprintln!("cannot write {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let text = ext::gap(preset).render();
+                println!("{text}");
+                write_out(&out_dir, "gap.txt", &text)
             }
             "bandwidth" => {
-                let r = ext::bandwidth(preset);
-                println!("{}", r.render());
-                if let Some(dir) = &out_dir {
-                    let path = dir.join("bandwidth.txt");
-                    if let Err(e) = std::fs::write(&path, r.render()) {
-                        eprintln!("cannot write {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let text = ext::bandwidth(preset).render();
+                println!("{text}");
+                write_out(&out_dir, "bandwidth.txt", &text)
             }
             "table5" => {
-                let r = table5::run_with(preset, rpu);
-                println!("{}", r.render());
-                if let Some(dir) = &out_dir {
-                    let path = dir.join("table5.txt");
-                    if let Err(e) = std::fs::write(&path, r.render()) {
-                        eprintln!("cannot write {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let text = table5::run_with(preset, rpu).render();
+                println!("{text}");
+                write_out(&out_dir, "table5.txt", &text)
             }
             fig => match figures::by_id(fig, preset) {
                 Some(result) => {
                     println!("{}", render_table(&result));
-                    if let Some(dir) = &out_dir {
-                        let path = dir.join(format!("{fig}.csv"));
-                        if let Err(e) = std::fs::write(&path, render_csv(&result)) {
-                            eprintln!("cannot write {}: {e}", path.display());
-                            return ExitCode::FAILURE;
-                        }
-                    }
+                    write_out(&out_dir, &format!("{fig}.csv"), &render_csv(&result))
                 }
-                None => {
-                    eprintln!("unknown experiment {fig}\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
+                None => Err(format!("unknown experiment {fig}\n{}", usage())),
             },
+        };
+        if let Err(e) = done {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
         eprintln!("[{target} done in {:.1}s]", started.elapsed().as_secs_f64());
     }
     ExitCode::SUCCESS
 }
 
-fn write_recording(path: &PathBuf, recorder: &vod_obs::Recorder) -> Result<(), String> {
+/// With `--out`, write `body` to `file` in that directory.
+fn write_out(out_dir: &Option<PathBuf>, file: &str, body: &str) -> Result<(), String> {
+    let Some(dir) = out_dir else { return Ok(()) };
+    let path = dir.join(file);
+    std::fs::write(&path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// With `--record`, write the recorder's capture to that file.
+fn write_recording(record: &Option<PathBuf>, recorder: &vod_obs::Recorder) -> Result<(), String> {
+    let Some(path) = record else { return Ok(()) };
     let rec = recorder.recording().expect("recorder was enabled for --record");
     std::fs::write(path, rec.to_jsonl())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -312,8 +267,6 @@ fn usage() -> &'static str {
      --fast   use reduced grids/workload (smoke run)\n\
      --out D  additionally write CSV/text outputs into directory D\n\
      --rpu N  reservations per user per cycle for table5 (default 2)\n\
-     --cold     cycles: re-solve each cycle from scratch (oracle path)\n\
-     --adaptive cycles: let the warm selector pick the shard count\n\
      --burst N     service: arrival multiplier for the burst cycle (default 4)\n\
      --budget-ns B service: per-cycle deadline budget in simulated ns\n\
      --record F    cycles/service: write a JSONL flight recording to F\n\

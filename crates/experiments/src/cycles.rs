@@ -1,79 +1,17 @@
-//! Rolling-horizon operation: consecutive Video-On-Reservation cycles.
+//! Per-cycle report types of a service run: what `vodx cycles` and
+//! `vodx service` print, one row per cycle.
 //!
 //! The paper schedules one cycle's request batch in isolation; a deployed
 //! service runs cycle after cycle, and copies cached late in cycle `k`
-//! are still draining when cycle `k+1` starts. This module simulates `N`
-//! consecutive cycles: each cycle's batch is scheduled with the sharded
-//! two-phase pipeline, overflow resolution seeded with the residual
-//! occupancy of every earlier cycle, so capacity commitments carry
-//! across the cycle boundary exactly as they would on real disks.
-//!
-//! The default configuration runs **warm**: one [`WarmState`] survives
-//! the whole run, carrying the committed-occupancy ledger (maintained
-//! incrementally instead of being rebuilt from an ever-growing flat
-//! profile list) across cycle boundaries — and nothing else; each
-//! cycle's solve is otherwise a cold one. [`RollingConfig::use_cold_start`]
-//! keeps the flat-list loop as the equivalence oracle — per-cycle Ψ
-//! agrees within 1e-9 relative, asserted in this module's tests, the
-//! `warm_start_props` suite, and the `cycles_warm` bench — and one shard
-//! (`shard.shards = 1`) is the original single-solver loop below both,
-//! bit for bit. [`RollingConfig::adaptive`] additionally
-//! lets the warm state's calibration-driven [`vod_core::ShardSelector`]
-//! pick the shard count per cycle from the batch size and populated
-//! region count, refined online from each cycle's measured wall-clock;
-//! it is off by default because feeding measured time back into the
-//! decision makes the pick (not the per-pick arithmetic) vary across
-//! machines, and the default configuration promises run-to-run
-//! bit-stability.
+//! are still draining when cycle `k+1` starts. [`crate::service`] runs
+//! `N` consecutive cycles through `vod_core::ServiceLoop`, whose warm
+//! state carries every earlier cycle's residual occupancy into the next
+//! solve, so capacity commitments cross the cycle boundary exactly as
+//! they would on real disks. Nothing in this module runs a cycle.
 
-use crate::EnvParams;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::time::Instant;
-use vod_core::{
-    detect_overflows, shard_solve_seeded, shard_solve_warm, ExecMode, SchedCtx, ServiceCycleStats,
-    ShardConfig, SorpOutcome, StorageLedger, WarmState, WarmStats, EXTERNAL_OCCUPANCY,
-};
-use vod_cost_model::{CostModel, Request, RequestBatch, SpaceProfile};
-use vod_topology::{units, NodeId};
-use vod_workload::{
-    generate_catalog, generate_regional_requests, generate_requests, populated_regions,
-    CatalogConfig, RequestConfig,
-};
-
-/// Configuration of a rolling-horizon run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct RollingConfig {
-    /// The sharded-solver configuration every cycle runs under; one
-    /// shard is the monolithic solver.
-    pub shard: ShardConfig,
-    /// Re-solve every cycle from scratch (the original pipeline): cold
-    /// caches, and the committed occupancy re-seeded from the flat
-    /// profile list. The warm path must match its per-cycle Ψ within
-    /// 1e-9 relative.
-    pub use_cold_start: bool,
-    /// Let the warm state's [`vod_core::ShardSelector`] pick
-    /// `shard.shards` per cycle and refine itself from measured
-    /// wall-clock. Ignored on the cold path (there is no carried
-    /// selector to refine). Off by default: the feedback loop is
-    /// deterministic *given* the table, but the table absorbs measured
-    /// time, so picks vary across machines and runs.
-    pub adaptive: bool,
-    /// Draw each cycle's workload from
-    /// [`vod_workload::generate_regional_requests`] (every video
-    /// requested from a single neighborhood) instead of the paper
-    /// workload — the regime in which sharded Ψ provably matches the
-    /// monolith, used by the bench oracles.
-    pub regional: bool,
-}
-
-impl RollingConfig {
-    /// The cold-start oracle for this configuration: identical in every
-    /// respect except solving from scratch.
-    pub fn cold(&self) -> Self {
-        Self { use_cold_start: true, adaptive: false, ..self.clone() }
-    }
-}
+use vod_core::{ServiceCycleStats, WarmStats};
 
 /// Per-cycle report.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -93,21 +31,14 @@ pub struct CycleReport {
     /// Whether every overflow was resolved (false only if spillover alone
     /// over-commits a storage).
     pub overflow_free: bool,
-    /// Wall-clock of the whole cycle (workload generation / intake,
-    /// solve, repair, commit), nanoseconds. `warm.solve_ns` is the
-    /// solver-only share.
-    pub wall_ns: u64,
-    /// Warm-start accounting for the cycle. On the cold path only
-    /// `shards_used`, `spillover_bytes`, and `solve_ns` are populated
-    /// (there is no carried state to count).
+    /// Warm-start accounting for the cycle; `warm.solve_ns` is the
+    /// solve's wall clock.
     pub warm: WarmStats,
-    /// Service-frontend accounting, populated only by
-    /// [`crate::service::service_horizon`] (rolling-horizon runs have no
-    /// intake layer).
-    pub service: Option<ServiceCycleStats>,
+    /// Service-frontend accounting for the cycle.
+    pub service: ServiceCycleStats,
 }
 
-/// Result of a rolling-horizon run.
+/// Result of a [`crate::service::service_horizon`] run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RollingOutcome {
     /// One report per cycle.
@@ -120,22 +51,16 @@ impl RollingOutcome {
         self.cycles.iter().map(|c| c.cost).sum()
     }
 
-    /// Total solve wall-clock across cycles, nanoseconds.
-    pub fn total_solve_ns(&self) -> u64 {
-        self.cycles.iter().map(|c| c.warm.solve_ns).sum()
-    }
-
     /// Render as an aligned table. Every cycle gets a row — including
     /// idle ones with zero requests (the service loop's idle ticks) —
-    /// with per-cycle solve and wall time in milliseconds. Runs that
-    /// carry service-frontend stats gain a trailing rung/shed section.
+    /// with the solve time in milliseconds and a trailing rung/shed
+    /// section.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# Rolling-horizon operation ({} cycles)", self.cycles.len());
-        let with_service = self.cycles.iter().any(|c| c.service.is_some());
-        let _ = write!(
+        let _ = writeln!(
             out,
-            "{:>7}{:>10}{:>14}{:>10}{:>10}{:>14}{:>8}{:>8}{:>11}{:>10}{:>7}",
+            "{:>7}{:>10}{:>14}{:>10}{:>10}{:>14}{:>8}{:>8}{:>11}{:>7}{:>9}{:>7}{:>7}{:>7}{:>7}",
             "cycle",
             "requests",
             "cost $",
@@ -145,18 +70,17 @@ impl RollingOutcome {
             "shards",
             "hits",
             "solve ms",
-            "wall ms",
-            "clean"
+            "clean",
+            "rung",
+            "shed",
+            "defer",
+            "drop",
+            "queue"
         );
-        if with_service {
-            let _ =
-                write!(out, "{:>9}{:>7}{:>7}{:>7}{:>7}", "rung", "shed", "defer", "drop", "queue");
-        }
-        let _ = writeln!(out);
         for c in &self.cycles {
-            let _ = write!(
+            let _ = writeln!(
                 out,
-                "{:>7}{:>10}{:>14.0}{:>9.1}%{:>10}{:>14.2}{:>8}{:>8}{:>11.2}{:>10.2}{:>7}",
+                "{:>7}{:>10}{:>14.0}{:>9.1}%{:>10}{:>14.2}{:>8}{:>8}{:>11.2}{:>7}{:>9}{:>7}{:>7}{:>7}{:>7}",
                 c.cycle,
                 c.requests,
                 c.cost,
@@ -166,415 +90,15 @@ impl RollingOutcome {
                 c.warm.shards_used,
                 c.warm.trials_hit,
                 c.warm.solve_ns as f64 / 1e6,
-                c.wall_ns as f64 / 1e6,
-                if c.overflow_free { "yes" } else { "NO" }
+                if c.overflow_free { "yes" } else { "NO" },
+                c.service.rung.label(),
+                c.service.shed,
+                c.service.deferred,
+                c.service.dropped,
+                c.service.queue_depth
             );
-            if with_service {
-                match &c.service {
-                    Some(s) => {
-                        let _ = write!(
-                            out,
-                            "{:>9}{:>7}{:>7}{:>7}{:>7}",
-                            s.rung.label(),
-                            s.shed,
-                            s.deferred,
-                            s.dropped,
-                            s.queue_depth
-                        );
-                    }
-                    None => {
-                        let _ = write!(out, "{:>9}{:>7}{:>7}{:>7}{:>7}", "-", "-", "-", "-", "-");
-                    }
-                }
-            }
-            let _ = writeln!(out);
         }
         let _ = writeln!(out, "total: ${:.0}", self.total_cost());
         out
-    }
-}
-
-/// Run `n_cycles` consecutive cycles of the given environment under the
-/// default configuration: warm-started, four region shards, paper
-/// workload. Cycle `k`'s reservations fall in `[k·H, (k+1)·H)`
-/// (H = 24 h); the workload differs per cycle (seed offset) but the
-/// environment stays fixed.
-pub fn rolling_horizon(params: &EnvParams, n_cycles: usize) -> RollingOutcome {
-    rolling_horizon_with(params, n_cycles, &RollingConfig::default())
-}
-
-/// [`rolling_horizon`] under an explicit configuration.
-pub fn rolling_horizon_with(
-    params: &EnvParams,
-    n_cycles: usize,
-    cfg: &RollingConfig,
-) -> RollingOutcome {
-    rolling_horizon_recorded(params, n_cycles, cfg, &vod_obs::Recorder::disabled())
-}
-
-/// [`rolling_horizon_with`] with a telemetry recorder attached: shard
-/// solves, warm-start stats, and — under `cfg.adaptive` — the
-/// `ShardSelector`'s picks and (wall-clock) fit observations all land in
-/// the recording, scoped per cycle in simulated time.
-pub fn rolling_horizon_recorded(
-    params: &EnvParams,
-    n_cycles: usize,
-    cfg: &RollingConfig,
-    recorder: &vod_obs::Recorder,
-) -> RollingOutcome {
-    assert!(n_cycles >= 1, "need at least one cycle");
-    let (topo, _) = params.build();
-    let catalog_cfg = CatalogConfig { videos: params.videos, ..CatalogConfig::paper() };
-    let catalog = generate_catalog(&catalog_cfg, params.seed ^ 0xCA7A_10C0_FFEE_0001);
-    let model = CostModel::per_hop();
-    let ctx = SchedCtx::new(&topo, &model, &catalog).with_recorder(recorder.clone());
-    let horizon = 24.0 * 3_600.0;
-
-    let mut warm = WarmState::new(&topo);
-    let mut committed: Vec<(NodeId, SpaceProfile)> = Vec::new();
-    let mut cycles = Vec::with_capacity(n_cycles);
-
-    for k in 0..n_cycles {
-        let cycle_started = Instant::now();
-        // Fresh reservations for this cycle, shifted onto its window.
-        let request_cfg = RequestConfig {
-            requests_per_user: params.requests_per_user,
-            ..RequestConfig::with_alpha(params.zipf_alpha)
-        };
-        let seed = params.seed ^ (k as u64 + 1);
-        let raw = if cfg.regional {
-            generate_regional_requests(&topo, &catalog, &request_cfg, seed)
-        } else {
-            generate_requests(&topo, &catalog, &request_cfg, seed)
-        };
-        let shifted: Vec<Request> =
-            raw.iter().map(|r| Request { start: r.start + k as f64 * horizon, ..*r }).collect();
-        let batch = RequestBatch::new(shifted);
-        let t0 = k as f64 * horizon;
-        ctx.recorder.begin_cycle(k as u64, t0);
-
-        let mut shard_cfg = cfg.shard.clone();
-        if cfg.adaptive && !cfg.use_cold_start {
-            shard_cfg.shards = warm.selector.pick_recorded(
-                batch.len(),
-                populated_regions(&topo, &batch),
-                &ctx.recorder,
-            );
-        }
-
-        let started = Instant::now();
-        let (outcome, mut warm_stats) = if cfg.use_cold_start {
-            let out = shard_solve_seeded(&ctx, &batch, &shard_cfg, &committed, ExecMode::default());
-            let spillover_bytes: f64 =
-                committed.iter().map(|(_, p)| p.space_at(t0)).sum::<f64>().max(0.0);
-            let stats =
-                WarmStats { shards_used: out.shards, spillover_bytes, ..WarmStats::default() };
-            (out, stats)
-        } else {
-            let out =
-                shard_solve_warm(&ctx, &batch, &shard_cfg, &mut warm, t0, ExecMode::default());
-            (out, warm.stats.clone())
-        };
-        let solve_ns = started.elapsed().as_nanos() as u64;
-        warm_stats.solve_ns = solve_ns;
-        warm_stats.record(&ctx.recorder);
-
-        if cfg.adaptive && !cfg.use_cold_start {
-            warm.selector.observe_recorded(
-                batch.len(),
-                warm_stats.shards_used,
-                solve_ns as f64,
-                outcome.reconcile_iterations as f64,
-                &ctx.recorder,
-            );
-        }
-
-        if cfg.use_cold_start {
-            // Commit this cycle's residencies for the cycles to come.
-            for r in outcome.sorp.schedule.residencies() {
-                let p = r.profile(catalog.get(r.video));
-                if p.peak() > 0.0 {
-                    committed.push((r.loc, p));
-                }
-            }
-        }
-        // The warm path's commitments live inside `warm`'s committed
-        // book, absorbed by `shard_solve_warm` itself.
-
-        let mut report = report_for(k, &batch, &outcome.sorp, &warm_stats, outcome.shards);
-        report.wall_ns = cycle_started.elapsed().as_nanos() as u64;
-        cycles.push(report);
-    }
-    RollingOutcome { cycles }
-}
-
-pub(crate) fn report_for(
-    cycle: usize,
-    batch: &RequestBatch,
-    sorp: &SorpOutcome,
-    warm: &WarmStats,
-    shards: usize,
-) -> CycleReport {
-    let mut warm = warm.clone();
-    warm.shards_used = shards;
-    CycleReport {
-        cycle,
-        requests: batch.len(),
-        cost: sorp.cost,
-        rel_increase: sorp.relative_cost_increase(),
-        victims: sorp.victims.len(),
-        spillover_gb: warm.spillover_bytes / units::GB,
-        overflow_free: sorp.overflow_free,
-        wall_ns: 0,
-        warm,
-        service: None,
-    }
-}
-
-/// Verify (for tests) that the union of all cycles' commitments never
-/// over-commits a storage.
-pub fn committed_is_feasible(
-    params: &EnvParams,
-    outcome_committed: &[(NodeId, SpaceProfile)],
-) -> bool {
-    let (topo, _) = params.build();
-    let mut ledger = StorageLedger::new(&topo);
-    for (loc, p) in outcome_committed {
-        ledger.add(*loc, EXTERNAL_OCCUPANCY, *p);
-    }
-    detect_overflows(&topo, &ledger).is_empty()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vod_core::{ivsp_solve_priced, sorp_solve_priced, SorpConfig};
-
-    fn cheap_params() -> EnvParams {
-        EnvParams { videos: 50, users_per_neighborhood: 4, ..EnvParams::fast() }
-    }
-
-    fn assert_psi_close(a: &RollingOutcome, b: &RollingOutcome, what: &str) {
-        assert_eq!(a.cycles.len(), b.cycles.len());
-        for (x, y) in a.cycles.iter().zip(&b.cycles) {
-            let rel = (x.cost - y.cost).abs() / y.cost.max(1.0);
-            assert!(
-                rel <= 1e-9,
-                "{what}: cycle {} Ψ {} vs oracle {} (rel {rel:e})",
-                x.cycle,
-                x.cost,
-                y.cost
-            );
-        }
-    }
-
-    #[test]
-    fn three_cycles_run_cleanly() {
-        let out = rolling_horizon(&cheap_params(), 3);
-        assert_eq!(out.cycles.len(), 3);
-        for c in &out.cycles {
-            assert!(c.cost > 0.0);
-            assert!(c.overflow_free, "cycle {} left an overflow", c.cycle);
-            assert!(c.requests > 0);
-        }
-        // Spillover starts at zero and is non-negative afterwards.
-        assert_eq!(out.cycles[0].spillover_gb, 0.0);
-        for c in &out.cycles[1..] {
-            assert!(c.spillover_gb >= 0.0);
-        }
-        assert!(out.total_cost() > out.cycles[0].cost);
-    }
-
-    #[test]
-    fn rolling_horizon_is_deterministic() {
-        let a = rolling_horizon(&cheap_params(), 2);
-        let b = rolling_horizon(&cheap_params(), 2);
-        for (x, y) in a.cycles.iter().zip(&b.cycles) {
-            assert_eq!(x.cost, y.cost);
-            assert_eq!(x.victims, y.victims);
-        }
-    }
-
-    #[test]
-    fn warm_psi_matches_cold_oracle_per_cycle() {
-        let params = cheap_params();
-        let cfg = RollingConfig::default();
-        let warm = rolling_horizon_with(&params, 4, &cfg);
-        let cold = rolling_horizon_with(&params, 4, &cfg.cold());
-        assert_psi_close(&warm, &cold, "warm sharded vs cold sharded");
-        // The same equivalence below the monolithic solver.
-        let mono = RollingConfig {
-            shard: ShardConfig { shards: 1, ..ShardConfig::default() },
-            ..RollingConfig::default()
-        };
-        let warm_mono = rolling_horizon_with(&params, 3, &mono);
-        let cold_mono = rolling_horizon_with(&params, 3, &mono.cold());
-        assert_psi_close(&warm_mono, &cold_mono, "warm monolithic vs cold monolithic");
-    }
-
-    #[test]
-    fn cold_monolithic_matches_the_legacy_loop() {
-        // The cold monolithic configuration must reproduce the original
-        // rolling-horizon implementation (ivsp + sorp_solve_priced with
-        // the flat committed list) bit for bit.
-        let params = cheap_params();
-        let mono = RollingConfig {
-            shard: ShardConfig { shards: 1, ..ShardConfig::default() },
-            use_cold_start: true,
-            ..RollingConfig::default()
-        };
-        let ours = rolling_horizon_with(&params, 3, &mono);
-
-        let (topo, _) = params.build();
-        let catalog = generate_catalog(
-            &CatalogConfig { videos: params.videos, ..CatalogConfig::paper() },
-            params.seed ^ 0xCA7A_10C0_FFEE_0001,
-        );
-        let model = CostModel::per_hop();
-        let ctx = SchedCtx::new(&topo, &model, &catalog);
-        let horizon = 24.0 * 3_600.0;
-        let mut committed: Vec<(NodeId, SpaceProfile)> = Vec::new();
-        for k in 0..3usize {
-            let cfg = RequestConfig {
-                requests_per_user: params.requests_per_user,
-                ..RequestConfig::with_alpha(params.zipf_alpha)
-            };
-            let raw = generate_requests(&topo, &catalog, &cfg, params.seed ^ (k as u64 + 1));
-            let shifted: Vec<Request> =
-                raw.iter().map(|r| Request { start: r.start + k as f64 * horizon, ..*r }).collect();
-            let batch = RequestBatch::new(shifted);
-            let out = sorp_solve_priced(
-                &ctx,
-                ivsp_solve_priced(&ctx, &batch),
-                &SorpConfig::default(),
-                &committed,
-                ExecMode::default(),
-            );
-            assert_eq!(ours.cycles[k].cost.to_bits(), out.cost.to_bits(), "cycle {k}");
-            assert_eq!(ours.cycles[k].victims, out.victims.len());
-            for r in out.schedule.residencies() {
-                let p = r.profile(catalog.get(r.video));
-                if p.peak() > 0.0 {
-                    committed.push((r.loc, p));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn spillover_is_reported_in_gigabytes() {
-        let params = cheap_params();
-        let out = rolling_horizon(&params, 3);
-        let capacity_budget_gb = 19.0 * params.capacity_gb; // every storage full
-        let mut seen_positive = false;
-        for c in &out.cycles {
-            // The column is the byte counter scaled by exactly 1 GB.
-            assert_eq!(c.spillover_gb, c.warm.spillover_bytes / units::GB);
-            // Sanity: a GB figure fits the hardware; the raw byte count
-            // (1e9× larger) could not.
-            assert!(
-                c.spillover_gb <= capacity_budget_gb,
-                "cycle {}: {} GB exceeds the {} GB of disk that exists",
-                c.cycle,
-                c.spillover_gb,
-                capacity_budget_gb
-            );
-            seen_positive |= c.spillover_gb > 0.0;
-        }
-        assert!(seen_positive, "no cycle saw spillover; the unit check never engaged");
-    }
-
-    #[test]
-    fn adaptive_run_is_clean_and_bounded() {
-        let params = cheap_params();
-        let cfg = RollingConfig { adaptive: true, ..RollingConfig::default() };
-        let out = rolling_horizon_with(&params, 3, &cfg);
-        for c in &out.cycles {
-            assert!(c.overflow_free);
-            assert!(
-                (1..=19).contains(&c.warm.shards_used),
-                "cycle {} used {} shards",
-                c.cycle,
-                c.warm.shards_used
-            );
-        }
-    }
-
-    #[test]
-    fn warm_stats_account_for_carried_state() {
-        let params = cheap_params();
-        let out = rolling_horizon(&params, 3);
-        // Cycle 0 starts empty.
-        assert_eq!(out.cycles[0].warm.committed_active, out.cycles[0].warm.committed_evicted);
-        // Later cycles carry committed occupancy; within the 24 h horizon
-        // nothing has fully drained yet, so the book only grows.
-        for c in &out.cycles[1..] {
-            assert!(c.warm.committed_active > 0, "cycle {} carried no occupancy", c.cycle);
-        }
-    }
-
-    #[test]
-    fn combined_occupancy_respects_capacity_across_cycles() {
-        let params = cheap_params();
-        let (topo, _) = params.build();
-        let catalog = generate_catalog(
-            &CatalogConfig { videos: params.videos, ..CatalogConfig::paper() },
-            params.seed ^ 0xCA7A_10C0_FFEE_0001,
-        );
-        let model = CostModel::per_hop();
-        let ctx = SchedCtx::new(&topo, &model, &catalog);
-        let horizon = 24.0 * 3_600.0;
-
-        // Re-run the rolling logic, collecting every commitment.
-        let mut committed: Vec<(NodeId, SpaceProfile)> = Vec::new();
-        for k in 0..3usize {
-            let cfg = RequestConfig {
-                requests_per_user: params.requests_per_user,
-                ..RequestConfig::with_alpha(params.zipf_alpha)
-            };
-            let raw = generate_requests(&topo, &catalog, &cfg, params.seed ^ (k as u64 + 1));
-            let shifted: Vec<Request> =
-                raw.iter().map(|r| Request { start: r.start + k as f64 * horizon, ..*r }).collect();
-            let batch = RequestBatch::new(shifted);
-            let out = sorp_solve_priced(
-                &ctx,
-                ivsp_solve_priced(&ctx, &batch),
-                &SorpConfig::default(),
-                &committed,
-                ExecMode::default(),
-            );
-            assert!(out.overflow_free);
-            for r in out.schedule.residencies() {
-                let p = r.profile(catalog.get(r.video));
-                if p.peak() > 0.0 {
-                    committed.push((r.loc, p));
-                }
-            }
-        }
-        assert!(committed_is_feasible(&params, &committed));
-    }
-
-    #[test]
-    fn per_cycle_times_are_reported_in_stable_units() {
-        let out = rolling_horizon(&cheap_params(), 2);
-        for c in &out.cycles {
-            assert!(c.wall_ns >= c.warm.solve_ns, "wall time must contain the solve");
-            assert!(c.wall_ns > 0, "cycle {} reported no wall time", c.cycle);
-            assert!(c.service.is_none(), "rolling runs have no intake layer");
-        }
-        let text = out.render();
-        assert!(text.contains("solve ms") && text.contains("wall ms"));
-        assert!(!text.contains("rung"), "no service column without service stats");
-    }
-
-    #[test]
-    fn render_has_one_row_per_cycle() {
-        let out = rolling_horizon(&cheap_params(), 2);
-        let text = out.render();
-        assert!(text.contains("cycle"));
-        assert_eq!(
-            text.lines().filter(|l| l.trim_start().starts_with(char::is_numeric)).count(),
-            2
-        );
     }
 }

@@ -8,7 +8,7 @@
 //!   under link bandwidth constraints, reporting blocking probability and
 //!   cost as link capacity varies.
 
-use crate::{parallel_map, EnvParams, Preset};
+use crate::{EnvParams, Preset};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use vod_core::{
@@ -16,6 +16,7 @@ use vod_core::{
     sorp_solve_priced, ExecMode, SchedCtx, SorpConfig,
 };
 use vod_cost_model::CostModel;
+use vod_parallel::parallel_map;
 use vod_topology::{builders, units};
 use vod_workload::{generate_catalog, generate_requests, CatalogConfig, RequestConfig};
 

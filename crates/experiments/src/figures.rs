@@ -6,8 +6,9 @@
 //! where the paper draws it). All runs use the default heat metric
 //! (Eq. 11), the paper's best.
 
-use crate::{parallel_map, EnvParams, FigureResult, Preset, Series};
+use crate::{EnvParams, FigureResult, Preset, Series};
 use vod_core::HeatMetric;
+use vod_parallel::parallel_map;
 
 const METRIC: HeatMetric = HeatMetric::TimeSpacePerCost;
 

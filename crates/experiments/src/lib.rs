@@ -28,11 +28,9 @@ pub mod cycles;
 mod env;
 pub mod ext;
 pub mod figures;
-mod parallel;
 mod report;
 pub mod service;
 pub mod table5;
 
 pub use env::{evaluate_cell, evaluate_cell_all_metrics, EnvParams, EvalResult, Preset};
-pub use parallel::{map_with_mode, parallel_map, ExecMode};
 pub use report::{render_csv, render_table, FigureResult, Series};

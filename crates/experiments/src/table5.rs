@@ -12,10 +12,11 @@
 //! extra 17 combinations are not specified; documented deviation in
 //! DESIGN.md) — and report the same statistics.
 
-use crate::{parallel_map, EnvParams, Preset};
+use crate::{EnvParams, Preset};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use vod_core::HeatMetric;
+use vod_parallel::parallel_map;
 
 /// Aggregate statistics mirroring the paper's Table 5.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -7,24 +7,21 @@
 //! - a **flight recorder** ([`Recorder`]): typed events stamped in
 //!   *simulated* time, capturing every per-cycle decision the service
 //!   loop makes (rung picks, shed/backoff counts, warm-start stats,
-//!   shard-count selection, SORP trial reuse, repair retries).
+//!   SORP trial reuse, repair retries).
 //!
 //! Recordings export to JSONL ([`Recording::to_jsonl`]) and reload
 //! bit-identically ([`Recording::from_jsonl`]); the wire format is
 //! hand-rolled in [`json`] because this workspace's serde is a no-op
 //! shim. The default [`Recorder`] is a static no-op sink so the
-//! disabled path costs a single branch — asserted by the
-//! `telemetry_overhead` bench.
+//! disabled path costs a single branch — asserted by
+//! `telemetry_props`.
 //!
 //! ## Determinism rules
 //!
 //! 1. Event timestamps are simulated seconds (`sim_t`) and cycle
 //!    numbers; wall-clock nanoseconds are an optional side field that
 //!    equality ignores.
-//! 2. Event payloads carry only scheduler state, never clock reads —
-//!    with one documented exception: the adaptive `ShardSelector`
-//!    *feeds on* measured solve nanoseconds, so `shard_observe`
-//!    events faithfully record those machine-dependent inputs.
+//! 2. Event payloads carry only scheduler state, never clock reads.
 //! 3. Floats round-trip by bit pattern (NaN/±inf included) via a
 //!    tagged-string encoding, so a reloaded recording compares equal
 //!    to the live one.

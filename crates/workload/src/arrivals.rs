@@ -2,13 +2,13 @@
 //! unrolled into a time-ordered trace of *when each reservation is
 //! offered to the service*, one horizon ahead of its reserved start.
 //!
-//! The rolling-horizon loop consumes pre-cut per-cycle batches; the
-//! service frontend (`vod_core::service`) consumes this stream instead
-//! and cuts its own cycles. With a burst multiplier of 1 everywhere the
-//! stream partitions back into exactly the batches
-//! `vod_experiments::cycles::rolling_horizon` generates — same per-cycle
-//! seeds, same shifted starts — which is what makes the infinite-budget
-//! service run bit-identical to the rolling-horizon oracle.
+//! The service frontend (`vod_core::service`) consumes this stream and
+//! cuts its own cycles. With a burst multiplier of 1 everywhere the
+//! reservations falling in service window `k` are exactly
+//! [`crate::generate_requests`]' draw under seed `seed ^ (k + 1)`,
+//! shifted onto `[k·H, (k+1)·H)` — the per-cycle batch every paper
+//! experiment schedules — which is what makes the infinite-budget
+//! service run bit-identical to solving those batches one by one.
 
 use crate::{generate_regional_requests, generate_requests, RequestConfig};
 use serde::{Deserialize, Serialize};
@@ -59,11 +59,10 @@ impl ArrivalConfig {
 /// Generate a deterministic arrival trace of `cfg.cycles` cycles.
 ///
 /// Cycle `k` draws `base · multiplier(k)` requests per user with seed
-/// `seed ^ (k + 1)` — the rolling-horizon loop's per-cycle seed — then
-/// shifts every reserved start by `k · horizon` into the cycle's
-/// absolute window. A reservation is offered one horizon ahead of its
-/// start (clamped to 0 for the first cycle), and the trace is sorted by
-/// `(at, start, video, user)`.
+/// `seed ^ (k + 1)`, then shifts every reserved start by `k · horizon`
+/// into the cycle's absolute window. A reservation is offered one
+/// horizon ahead of its start (clamped to 0 for the first cycle), and
+/// the trace is sorted by `(at, start, video, user)`.
 pub fn generate_arrivals(
     topo: &Topology,
     catalog: &Catalog,
@@ -129,19 +128,19 @@ mod tests {
     }
 
     #[test]
-    fn unit_multiplier_partitions_into_rolling_horizon_batches() {
+    fn unit_multiplier_partitions_into_service_window_batches() {
         let (topo, catalog) = setup();
         let cfg = ArrivalConfig { cycles: 2, ..ArrivalConfig::default() };
         let trace = generate_arrivals(&topo, &catalog, &cfg, 9);
         let horizon = 24.0 * 3_600.0;
         for k in 0..2usize {
-            // The batch rolling_horizon builds for cycle k…
+            // The per-cycle draw shifted onto service window k…
             let mut expect: Vec<_> =
                 generate_requests(&topo, &catalog, &RequestConfig::paper(), 9 ^ (k as u64 + 1))
                     .iter()
                     .map(|r| Request { start: r.start + k as f64 * horizon, ..*r })
                     .collect();
-            // …equals the trace's slice of starts in cycle k's window.
+            // …equals the trace's slice of starts in that window.
             let mut got: Vec<_> = trace
                 .iter()
                 .filter(|a| {

@@ -41,7 +41,7 @@ pub use arrivals::{generate_arrivals, Arrival, ArrivalConfig};
 pub use catalog::{generate_catalog, CatalogConfig};
 pub use requests::{generate_regional_requests, generate_requests, ArrivalPattern, RequestConfig};
 pub use rng::SplitMix64;
-pub use shard::{partition_requests, populated_regions, ShardSpec, ShardStrategy};
+pub use shard::{partition_requests, ShardSpec, ShardStrategy};
 pub use zipf::Zipf;
 
 use vod_cost_model::{Catalog, RequestBatch};

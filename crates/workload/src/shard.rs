@@ -91,15 +91,6 @@ pub fn partition_requests(
     }
 }
 
-/// Number of populated neighborhoods in `batch`: distinct home storages
-/// across its requesting users. This is the hard ceiling on useful
-/// [`ShardStrategy::ByRegion`] shard counts (the partitioner clamps to
-/// it), which is what the adaptive shard-count selector feeds as its
-/// region clamp.
-pub fn populated_regions(topo: &Topology, batch: &RequestBatch) -> usize {
-    batch.iter().map(|r| topo.home_of(r.user)).collect::<std::collections::BTreeSet<_>>().len()
-}
-
 fn partition_by_region(
     topo: &Topology,
     batch: &RequestBatch,

@@ -25,15 +25,6 @@ cargo bench --offline -p vod-bench --bench sorp_scaling -- --test
 echo "==> bench smoke run (sorp_sharded --test)"
 cargo bench --offline -p vod-bench --bench sorp_sharded -- --test
 
-echo "==> bench smoke run (cycles_warm --test)"
-cargo bench --offline -p vod-bench --bench cycles_warm -- --test
-
-echo "==> bench smoke run (service_overload --test)"
-cargo bench --offline -p vod-bench --bench service_overload -- --test
-
-echo "==> bench smoke run (telemetry_overhead --test)"
-cargo bench --offline -p vod-bench --bench telemetry_overhead -- --test
-
 echo "==> oracle crate + solver equivalence suites"
 cargo test -q --offline -p vod-oracles
 # sorp_cache_props carries the trial-cache exactness regressions (the
@@ -49,6 +40,7 @@ echo "==> service-frontend property + overload suites"
 cargo test -q --offline -p vod-core --test service_props
 cargo test -q --offline --test service_overload_e2e
 cargo run -q --release --offline -p vod-experiments --bin vodx -- service >/dev/null
+cargo run -q --release --offline -p vod-experiments --bin vodx -- cycles --fast >/dev/null
 
 echo "==> fault-injection suite"
 cargo test -q --offline -p vod-faults
@@ -120,12 +112,12 @@ awk '/^#\[cfg\(test\)\]/ { exit }
        if (stray) { print "error: " FILENAME ":" stray ": .admits( outside the source loop or ahead of its allow_remote_placement filter"; exit 1 }
      }' crates/core/src/greedy.rs >&2
 
-echo "==> one-pipeline lint (no oracle switches in core, one pipeline body in shard.rs)"
+echo "==> one-pipeline lint (no oracle switches, one pipeline body in shard.rs)"
 # Reference implementations live in crates/oracles, not behind a bool on a
 # production struct; and the solve pipeline exists once, so the partition
 # and the merge are each called from exactly one place.
-if grep -rn --include='*.rs' -E 'use_[a-z_]*: bool' crates/core/src; then
-  echo "error: no use_* switches in crates/core/src (put the reference in crates/oracles)" >&2
+if grep -rn --include='*.rs' -E 'use_[a-z_]*: bool' crates/core/src crates/experiments/src; then
+  echo "error: no use_* switches in crates/{core,experiments}/src (put the reference in crates/oracles)" >&2
   exit 1
 fi
 for call in 'partition_requests(' 'PricedSchedule::merge('; do
@@ -142,6 +134,30 @@ if awk 'FNR == 1 { sec = "" } /^\[/ { sec = $0 }
           print FILENAME ":" FNR ": " $0; bad = 1 }
         END { exit !bad }' Cargo.toml crates/*/Cargo.toml; then
   echo "error: vod-oracles may appear under [dev-dependencies] only" >&2
+  exit 1
+fi
+
+echo "==> one-driver lint (service_run over ServiceLoop is the only code that runs a cycle)"
+# Outside test modules: ServiceLoop::run_cycle is called once, from
+# service_run; the warm solve is called from the service loop alone; and no
+# entry point has a *_recorded twin (the recorder rides in SchedCtx) — the
+# replay event's producer in the simulator excepted.
+driver_hits="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { test = 0; fn = "" }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    test { next }
+    match($0, /fn [a-z_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    /\.run_cycle\(/ && !(FILENAME == "crates/core/src/service.rs" && fn == "service_run") {
+      print FILENAME ":" FNR ": run_cycle called outside service_run" }
+    /\.run_cycle\(/ { calls++ }
+    /fn [a-z_]*_recorded[(<]/ && fn != "replay_service_cycle_recorded" {
+      print FILENAME ":" FNR ": a *_recorded twin" }
+    /shard_solve_warm\(/ && !/pub fn shard_solve_warm\(/ && FILENAME != "crates/core/src/service.rs" {
+      print FILENAME ":" FNR ": shard_solve_warm called outside the service loop" }
+    END { if (calls != 1) print calls + 0 " .run_cycle( calls under crates/*/src; service_run has the one" }')"
+if [ -n "$driver_hits" ]; then
+  echo "$driver_hits" >&2
+  echo "error: drive cycles through vod_core::service_run" >&2
   exit 1
 fi
 

@@ -27,8 +27,7 @@ fn recorded_run() -> (RollingOutcome, ServiceReport, Vec<vod_core::ServiceCycleO
         ..service::ServiceParams::default()
     };
     let recorder = Recorder::enabled();
-    let (outcome, report, cycles) =
-        service::service_horizon_recorded(&params, N_CYCLES, &sp, &recorder);
+    let (outcome, report, cycles) = service::service_horizon(&params, N_CYCLES, &sp, &recorder);
     let recording = recorder.recording().expect("recorder is enabled");
     (outcome, report, cycles, recording)
 }
@@ -77,8 +76,7 @@ fn cycle_records_reconcile_with_the_service_report() {
 
     // The per-cycle rows also agree with the experiment-side CycleReport.
     for (ev, cr) in ends.iter().zip(&outcome.cycles) {
-        let stats = cr.service.as_ref().expect("service horizon fills service stats");
-        assert_eq!(ev.u64("served"), Some(stats.served as u64));
+        assert_eq!(ev.u64("served"), Some(cr.service.served as u64));
         assert_eq!(
             ev.f64("cost").map(f64::to_bits),
             Some(cr.cost.to_bits()),
@@ -170,7 +168,7 @@ fn replay_events_validate_every_cycle() {
         ..service::ServiceParams::default()
     };
     let recorder = Recorder::enabled();
-    let (_, _, cycles) = service::service_horizon_recorded(&params, 3, &sp, &recorder);
+    let (_, _, cycles) = service::service_horizon(&params, 3, &sp, &recorder);
 
     let (topo, _) = params.build();
     let catalog = service::service_catalog(&params);
@@ -188,36 +186,4 @@ fn replay_events_validate_every_cycle() {
         assert_eq!(ev.bool("clean"), Some(true), "cycle {} replay dirty", c.stats.cycle);
         assert_eq!(ev.u64("shed_excused"), Some(c.shed_now.len() as u64));
     }
-}
-
-/// The adaptive rolling horizon records its shard picks: one
-/// `shard_pick` per cycle whose chosen count matches the cycle's
-/// `WarmStats.shards_used`, paired with one (machine-dependent, by
-/// documented exception) `shard_observe` feedback event.
-#[test]
-fn shard_pick_events_reconcile_with_warm_stats() {
-    use vod_experiments::cycles::{rolling_horizon_recorded, RollingConfig};
-
-    let params = EnvParams::for_preset(Preset::Fast);
-    let cfg = RollingConfig { adaptive: true, ..RollingConfig::default() };
-    let recorder = Recorder::enabled();
-    let outcome = rolling_horizon_recorded(&params, 3, &cfg, &recorder);
-
-    let recording = recorder.recording().expect("enabled");
-    let picks: Vec<_> = recording.events_of("shard_pick").collect();
-    assert_eq!(picks.len(), outcome.cycles.len(), "one shard_pick per cycle");
-    for (ev, cr) in picks.iter().zip(&outcome.cycles) {
-        assert_eq!(ev.cycle, cr.cycle as u64);
-        assert_eq!(
-            ev.u64("picked"),
-            Some(cr.warm.shards_used as u64),
-            "cycle {} picked shard count diverged from WarmStats",
-            cr.cycle
-        );
-    }
-    assert_eq!(
-        recording.events_of("shard_observe").count(),
-        outcome.cycles.len(),
-        "every pick gets its feedback observation"
-    );
 }
