@@ -94,8 +94,6 @@ pub struct OverflowMonitor {
     /// Per finite-capacity storage, in `topo.storages()` order:
     /// `(node, version at last scan, overflows found then)`.
     cache: Vec<(NodeId, u64, Vec<Overflow>)>,
-    /// Nodes rescanned by the most recent [`OverflowMonitor::refresh`].
-    rescanned: usize,
 }
 
 impl OverflowMonitor {
@@ -104,11 +102,12 @@ impl OverflowMonitor {
         Self::default()
     }
 
-    /// Recompute the overflow set, rescanning only storages whose ledger
-    /// version moved since the last refresh. Must always be called with
-    /// the same `topo` (the cache is keyed by its storage order).
-    pub fn refresh(&mut self, topo: &Topology, ledger: &StorageLedger) -> Vec<Overflow> {
-        self.rescanned = 0;
+    /// Bring the overflow set up to date, rescanning only storages whose
+    /// ledger version moved since the last refresh, and return how many
+    /// were rescanned. Must always be called with the same `topo` (the
+    /// cache is keyed by its storage order).
+    pub fn refresh(&mut self, topo: &Topology, ledger: &StorageLedger) -> usize {
+        let mut rescanned = 0;
         let mut slot = 0usize;
         for loc in topo.storages() {
             let capacity = topo.capacity(loc);
@@ -122,22 +121,27 @@ impl OverflowMonitor {
                     if *v != version {
                         *v = version;
                         *ofs = overflows_at(ledger, loc, capacity);
-                        self.rescanned += 1;
+                        rescanned += 1;
                     }
                 }
                 None => {
                     self.cache.push((loc, version, overflows_at(ledger, loc, capacity)));
-                    self.rescanned += 1;
+                    rescanned += 1;
                 }
             }
             slot += 1;
         }
-        self.cache.iter().flat_map(|(_, _, ofs)| ofs.iter().cloned()).collect()
+        rescanned
     }
 
-    /// How many storages the last refresh actually rescanned.
-    pub fn nodes_rescanned(&self) -> usize {
-        self.rescanned
+    /// Every finite-capacity storage as of the last refresh: `(node, its
+    /// ledger version then, its overflows in window order)`, in
+    /// `topo.storages()` order — flattened, [`detect_overflows`]'s output.
+    /// The version is the "did this storage move" signal: work derived
+    /// from a storage's overflows and kept beside the version it was
+    /// derived at still stands while the two are equal.
+    pub fn scans(&self) -> &[(NodeId, u64, Vec<Overflow>)] {
+        &self.cache
     }
 }
 
@@ -452,16 +456,18 @@ mod tests {
         let s =
             schedule_with(vec![residency(0, 1, 0.0, 10_000.0), residency(1, 1, 2_000.0, 12_000.0)]);
         let mut ledger = StorageLedger::from_schedule(&topo, &catalog, &s);
+        let flat = |mon: &OverflowMonitor| -> Vec<Overflow> {
+            mon.scans().iter().flat_map(|(_, _, ofs)| ofs.iter().cloned()).collect()
+        };
 
         let mut mon = OverflowMonitor::new();
-        let inc = mon.refresh(&topo, &ledger);
+        assert!(mon.refresh(&topo, &ledger) > 0, "first refresh scans everything");
+        let inc = flat(&mon);
         assert!(same_overflows(&inc, &detect_overflows(&topo, &ledger)));
-        assert!(mon.nodes_rescanned() > 0, "first refresh scans everything");
 
         // No mutation: nothing rescanned, same answer.
-        let again = mon.refresh(&topo, &ledger);
-        assert_eq!(mon.nodes_rescanned(), 0);
-        assert!(same_overflows(&again, &inc));
+        assert_eq!(mon.refresh(&topo, &ledger), 0);
+        assert!(same_overflows(&flat(&mon), &inc));
 
         // Mutate one node: exactly that node is rescanned and the answer
         // tracks the full scan.
@@ -471,8 +477,11 @@ mod tests {
             vod_cost_model::VideoId(1),
             SpaceProfile::new(2_000.0, 12_000.0, units::gb(2.5), units::minutes(90.0)),
         );
-        let after = mon.refresh(&topo, &ledger);
-        assert_eq!(mon.nodes_rescanned(), 2, "both mutated nodes rescan");
+        assert_eq!(mon.refresh(&topo, &ledger), 2, "both mutated nodes rescan");
+        for (loc, version, _) in mon.scans() {
+            assert_eq!(*version, ledger.node_version(*loc), "a scan carries the version it read");
+        }
+        let after = flat(&mon);
         assert!(same_overflows(&after, &detect_overflows(&topo, &ledger)));
         assert!(after.iter().all(|of| of.loc != NodeId(1)), "node 1 resolved");
     }

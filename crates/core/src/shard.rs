@@ -322,6 +322,7 @@ fn reconcile(
     let mut forced_fallbacks = 0;
     let mut trials_run = 0;
     let mut trials_cached = 0;
+    let mut jobs_rebuilt = 0;
     let mut nodes_rescanned = 0;
     let mut victims = Vec::new();
     for mut s in states {
@@ -330,6 +331,7 @@ fn reconcile(
         forced_fallbacks += s.forced_fallbacks;
         trials_run += s.trials_run;
         trials_cached += s.trials_cached;
+        jobs_rebuilt += s.jobs_rebuilt;
         nodes_rescanned += s.nodes_rescanned;
         victims.append(&mut s.victims);
         handovers.push((s.cache, s.forbidden));
@@ -368,6 +370,7 @@ fn reconcile(
     global.forced_fallbacks = forced_fallbacks;
     global.trials_run = trials_run;
     global.trials_cached = trials_cached;
+    global.jobs_rebuilt = jobs_rebuilt;
     global.nodes_rescanned = nodes_rescanned;
     global.victims = victims;
 

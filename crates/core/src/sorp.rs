@@ -23,36 +23,50 @@
 //! ## Conflict-scoped incrementality
 //!
 //! Each commit perturbs exactly one video's residencies at a handful of
-//! (node, time-window) pairs, yet the naive loop re-derives *everything*
-//! per iteration. The production solver therefore scopes the per-iteration
-//! work to the footprint of the last commit:
+//! (node, time-window) pairs, so an iteration re-derives only what the
+//! last commit touched:
 //!
-//! * a **trial cache** memoizes each video's latest trial together with
-//!   its dependency trace (recorded by the tracing
+//! * trial jobs **stand** across iterations. A storage whose
+//!   [`crate::StorageLedger::node_version`] did not move holds
+//!   bit-identical entries in identical order, hence the same overflows
+//!   and the same `overflow_set`s in the same participant order; each of
+//!   those participants holds a positive-space profile there, so had it
+//!   been the victim the commit would have removed that profile and moved
+//!   the storage — hence its bans, memoized cost and request set are
+//!   unchanged too. Such a storage keeps its jobs verbatim, each with the
+//!   trial and the score it last had; only a storage that moved rebuilds
+//!   its jobs, in place, so the list stays in (storage, window start,
+//!   participant) order — the order the victim reduce, whose ε-tie rule
+//!   is not transitive, is defined over;
+//! * a trial carries its dependency trace (recorded by the tracing
 //!   [`crate::LedgerCursor`]): the bans it ran under, a coarse per-node
 //!   footprint of the ledger-consulting checks, and the exact sequence
 //!   of admission tests with their answers. Each commit records its
-//!   mutations into a [`crate::LedgerDelta`]; entries validate *lazily
-//!   at lookup* against the job's (possibly shifted) bans and the deltas
-//!   that landed since they were last known good — identical bans plus a
-//!   disjoint footprint means nothing moved, and otherwise the entry
-//!   survives iff every recorded admission answer re-evaluates unchanged
-//!   under the new bans and current ledger
+//!   mutations into a [`crate::LedgerDelta`], and a trial is re-checked
+//!   against the deltas that landed since it was last known good: under
+//!   unchanged bans — a standing job's, in place — a disjoint footprint
+//!   means nothing moved and otherwise only the touched capacity
+//!   sub-verdicts are re-derived; under other bans it survives iff every
+//!   recorded admission answer re-evaluates unchanged
 //!   ([`crate::Constraints::check_replays`]), the exact condition for a
-//!   bit-identical replay. Keying by video alone (instead of `(video,
-//!   bans)`) is what lets an entry survive a commit that merely *shifts*
-//!   an overflow window without changing any greedy decision — the
-//!   dominant case once a victim vacates a contended node. The parallel
-//!   fan-out then evaluates cache misses only;
+//!   bit-identical replay;
+//! * a **trial cache** keyed by video holds the trials no job has
+//!   attached: those a moved storage's jobs handed back, and every one
+//!   still attached when a pass returns. A rebuilt job looks up there,
+//!   entries bound to its own bans first; one bound to other bans that
+//!   still replays is rebound — which is what lets a trial survive a
+//!   commit that merely *shifts* an overflow window without changing any
+//!   greedy decision, the dominant case once a victim vacates a
+//!   contended node. The parallel fan-out evaluates the misses only;
 //! * the [`crate::OverflowMonitor`] rescans only storages whose ledger
 //!   version moved, instead of every node's full timeline.
 //!
-//! The naive loop this replaced — re-detect every overflow with a full
-//! scan and re-run every participant's trial, every iteration — is the
-//! equivalence oracle `vod_oracles::sorp_solve_naive` (a dev-only crate
-//! written against this crate's public API): the property tests assert
-//! both produce bit-identical schedules, costs, victims, and iteration
-//! counts, on the timeline and on the reference ledger.
+//! The naive loop — re-detect every overflow with a full scan and re-run
+//! every participant's trial, every iteration — is the equivalence oracle
+//! `vod_oracles::sorp_solve_naive` (a dev-only crate written against this
+//! crate's public API): the property tests assert both produce
+//! bit-identical schedules, costs, victims, and iteration counts, on the
+//! timeline and on the reference ledger.
 
 use crate::{
     detect_overflows, heat_of, overflow_set, reschedule_video_traced_with, Constraints,
@@ -161,12 +175,16 @@ pub struct SorpOutcome {
     /// Number of videos forced to all-direct delivery by the fallback.
     pub forced_fallbacks: usize,
     /// Trial reschedules actually executed by the rejective greedy.
-    /// `trials_run + trials_cached` equals the total number of trial jobs
-    /// materialized across all iterations.
+    /// `trials_run + trials_cached` equals the number of trial jobs
+    /// scored, summed over all iterations.
     pub trials_run: usize,
-    /// Trial jobs answered from the cross-iteration cache without
-    /// re-running the greedy.
+    /// Trial jobs scored without re-running the greedy: a standing job's
+    /// trial re-checked in place, or a lookup answered from the cache.
     pub trials_cached: usize,
+    /// Trial jobs materialized from an `overflow_set` — every job of a
+    /// storage the last commit moved; the others stood. The naive oracle
+    /// rebuilds every job it scores.
+    pub jobs_rebuilt: usize,
     /// Finite-capacity storages whose occupancy timeline was rescanned by
     /// overflow detection, summed over all loop iterations.
     pub nodes_rescanned: usize,
@@ -196,36 +214,53 @@ pub fn sorp_solve(ctx: &SchedCtx<'_>, initial: &Schedule, cfg: &SorpConfig) -> S
     sorp_solve_priced(ctx, priced, cfg, &[], ExecMode::default())
 }
 
-/// One trial-reschedule unit of work: everything a worker needs to
-/// re-derive a candidate independently of its siblings. Materialized in
-/// deterministic (overflow, participant) order before fanning out.
-struct TrialJob<'s> {
-    /// Index into this iteration's overflow list.
-    of_idx: usize,
+/// One overflow participant's trial reschedule, kept from iteration to
+/// iteration while its storage does not move (see the module docs).
+struct StandingJob {
+    /// The overflow the job would relieve, as the monitor scanned it.
+    of: Overflow,
+    /// `of.loc`'s ledger version when the job was built: the job stands
+    /// for as long as the storage still reads it.
+    version: u64,
     /// The participating video.
     vid: VideoId,
-    /// Its current schedule; the delivered requests (the reschedule
-    /// input) are rebuilt from it only when the trial actually runs.
-    old_vs: &'s VideoSchedule,
-    /// Accumulated forbidden windows plus this overflow's window.
-    bans: Vec<(NodeId, Interval)>,
     /// The participating residency's space profile (heat input).
     profile: SpaceProfile,
     /// The video's current cost, read from the pricing memo.
     old_cost: Dollars,
+    /// Accumulated forbidden windows plus this overflow's window.
+    bans: Vec<(NodeId, Interval)>,
+    /// The trial that answers the job, bound to `bans`; `None` only
+    /// inside an iteration, between the rebuild and the scoring.
+    trial: Option<CachedTrial>,
+    /// The attached trial's `new_cost − old_cost`.
+    overhead: Dollars,
+    /// [`heat_of`] rescheduling `profile` out of `of` at that overhead.
+    heat: f64,
+}
+
+impl StandingJob {
+    /// Attach the job's trial and score it. Only the greedy's output is
+    /// memoized; the other heat inputs are the job's own.
+    fn attach(&mut self, trial: CachedTrial, metric: HeatMetric) {
+        self.overhead = trial.new_cost - self.old_cost;
+        self.heat = heat_of(metric, &self.of, &self.profile, self.overhead);
+        self.trial = Some(trial);
+    }
 }
 
 /// A memoized trial: the greedy's output, its cost, and the dependency
-/// it was derived under. The cache holds a short *list* of these per
-/// video (one per distinct bans-behavior) — the bans are part of the
-/// entry and are re-validated (not merely compared) at lookup time, so
-/// an entry survives overflow windows that shifted without changing any
-/// admission answer, and is *rebound* to the new bans when it does
-/// (see [`crate::Constraints::rebind_trace`]). The inputs that are not validated explicitly — the
-/// video's current requests and the effective ledger (ledger minus the
-/// video's own profiles, `exclude`) — need no check: a video's delivered
-/// request set is invariant across reschedules, and the video's own
-/// occupancy is invisible to its trials.
+/// it was derived under. A trial is either attached to the standing job
+/// it answers or waits in the cache, a short *list* per video (one per
+/// distinct bans-behavior). The bans are part of the entry and are
+/// re-validated (not merely compared) at lookup time, so an entry
+/// survives overflow windows that shifted without changing any admission
+/// answer, and is *rebound* to the new bans when it does (see
+/// [`crate::Constraints::rebind_trace`]). The inputs that are not
+/// validated explicitly — the video's current requests and the effective
+/// ledger (ledger minus the video's own profiles, `exclude`) — need no
+/// check: a video's delivered request set is invariant across
+/// reschedules, and the video's own occupancy is invisible to its trials.
 pub(crate) struct CachedTrial {
     /// The trial reschedule's output.
     new_vs: VideoSchedule,
@@ -249,105 +284,117 @@ pub(crate) struct CachedTrial {
 /// deterministically.
 const MAX_TRIALS_PER_VIDEO: usize = 128;
 
-/// Lazy conflict-scoped cache lookup: remove and return the first of the
-/// video's memoized trials that would replay bit-identically under
-/// `job`'s bans and the *current* ledger, or report a miss. Per entry,
-/// the fast path — bans unchanged and the commit deltas accumulated
-/// since the entry's epoch disjoint from its ledger footprint — answers
-/// without re-evaluating anything; otherwise the entry qualifies iff
-/// every recorded admission test re-answers identically under the new
-/// constraints ([`Constraints::check_replays`]), the exact condition for
-/// a bit-identical replay, at the cost of a few near-O(1) probes instead
-/// of a full greedy re-run. Validating lazily (rather than sweeping the
-/// cache on every commit) means entries never consulted again — dominant
-/// once a video leaves the overflow set — cost nothing. `suffixes` memoizes
-/// the merged `deltas[epoch..]` per epoch for the lookups of one
-/// iteration (the delta list is frozen between commits).
-///
-/// The hit is *removed* rather than borrowed so that several jobs for
-/// the same video within one iteration (one per overflow, with different
-/// bans) stay independent: each consumes at most one entry, and
-/// [`bank_trial`] returns the survivors afterwards. An entry that fails
-/// with bans equal to the job's is evicted (only a ledger flip can have
-/// failed it, so it is stale for everyone); one that fails under
-/// *different* bans is kept — it may replay verbatim for another
-/// overflow's job.
-fn take_cached(
-    cache: &mut HashMap<VideoId, Vec<CachedTrial>>,
-    job: &TrialJob<'_>,
-    deltas: &[LedgerDelta],
-    suffixes: &mut HashMap<usize, LedgerDelta>,
-    ctx: &SchedCtx<'_>,
-    ledger: &StorageLedger,
-) -> Option<CachedTrial> {
-    let list = cache.get_mut(&job.vid)?;
-    let mut cursor = LedgerCursor::new();
-    // Newest entries first: the trial banked in the previous iteration is
-    // by far the likeliest to replay, so it should be reached before any
-    // lingering older variants are (expensively) ruled out.
-    let mut i = list.len();
-    while i > 0 {
-        i -= 1;
-        let e = &list[i];
-        let dirty = &*suffixes.entry(e.epoch).or_insert_with(|| {
+/// What the trial validations of one iteration share: the ledger and the
+/// commit deltas (both frozen between commits), the merged
+/// `deltas[epoch..]` memoized per epoch — a list, an iteration meets a
+/// handful of epochs and mostly the last — and one scratch cursor.
+struct Replayer<'a, 'c> {
+    ctx: &'a SchedCtx<'c>,
+    ledger: &'a StorageLedger,
+    deltas: &'a [LedgerDelta],
+    suffixes: Vec<(usize, LedgerDelta)>,
+    cursor: LedgerCursor,
+}
+
+impl Replayer<'_, '_> {
+    /// Whether `e` would replay bit-identically under `bans` and the
+    /// *current* ledger. With the bans it is bound to, every ban outcome
+    /// replays a priori (same windows, same candidates): the fast path —
+    /// the deltas since the entry's epoch disjoint from its ledger
+    /// footprint — answers without re-evaluating anything, and otherwise
+    /// only the capacity sub-verdicts the dirty spans could have touched
+    /// are re-derived. Under other bans the entry qualifies iff every
+    /// recorded admission test re-answers identically
+    /// ([`Constraints::check_replays`]), a few near-O(1) probes instead
+    /// of a full greedy re-run. A `true` re-verified every
+    /// ledger-consulting sub-verdict the dirty spans could have touched:
+    /// the entry is then current as of the full delta list.
+    fn replays(&mut self, e: &CachedTrial, bans: &[(NodeId, Interval)]) -> bool {
+        let (ctx, ledger, deltas, vid) = (self.ctx, self.ledger, self.deltas, e.new_vs.video);
+        let cursor = &mut self.cursor;
+        let memo = self.suffixes.iter().position(|(epoch, _)| *epoch == e.epoch);
+        let memo = memo.unwrap_or_else(|| {
             let mut merged = LedgerDelta::new();
             for d in &deltas[e.epoch..] {
                 merged.merge(d);
             }
-            merged
+            self.suffixes.push((e.epoch, merged));
+            self.suffixes.len() - 1
         });
-        let bans_same = e.bans == job.bans;
-        let valid = if bans_same {
-            // Identical bans replay every ban outcome a priori (same
-            // windows, same candidates); only the capacity sub-verdicts
-            // the dirty spans could have touched need re-deriving.
+        let dirty = &self.suffixes[memo].1;
+        if e.bans == bans {
             !dirty.intersects(&e.trace.footprint)
                 || e.trace.checks.iter().all(|c| match c.fits {
                     Some(v) if dirty.intersects(&[(c.loc, c.candidate.start, c.candidate.end)]) => {
-                        ledger.fits_cursor(
-                            ctx.topo,
-                            c.loc,
-                            &c.candidate,
-                            Some(job.vid),
-                            &mut cursor,
-                        ) == v
+                        ledger.fits_cursor(ctx.topo, c.loc, &c.candidate, Some(vid), cursor) == v
                     }
                     _ => true,
                 })
         } else {
-            let cons = Constraints { ledger, exclude: Some(job.vid), forbidden: &job.bans };
-            e.trace.checks.iter().all(|c| cons.check_replays(ctx.topo, c, dirty, &mut cursor))
-        };
-        if valid {
-            // A successful replay re-verified every ledger-consulting
-            // sub-verdict the dirty spans could have touched, so the
-            // entry is current as of the full delta list — and valid
-            // under the job's bans.
-            let mut e = list.remove(i);
-            e.epoch = deltas.len();
-            if !bans_same {
-                e.bans.clone_from(&job.bans);
-                // Rebinding can turn a ban-rejected check into a
-                // ledger-dependent one; materialize that dependency in
-                // the trace so later fast-path validations see it.
-                let cons = Constraints { ledger, exclude: Some(job.vid), forbidden: &job.bans };
-                cons.rebind_trace(ctx.topo, &mut e.trace);
+            let cons = Constraints { ledger, exclude: Some(vid), forbidden: bans };
+            e.trace.checks.iter().all(|c| cons.check_replays(ctx.topo, c, dirty, cursor))
+        }
+    }
+}
+
+/// Lazy conflict-scoped cache lookup: remove and return the first of the
+/// video's memoized trials that [`Replayer::replays`] under `bans`, or
+/// report a miss. Entries bound to these very bans are tried first,
+/// then the others, newest first within each: a video in several
+/// overflows banks one entry per overflow, and each job's own is the
+/// likeliest — and by far the cheapest — to validate. Any valid entry is
+/// an exact replay of the same greedy run, so the order decides only
+/// which entry answers, never what the answer is. Validating lazily
+/// (rather than sweeping the cache on every commit) means entries never
+/// consulted again — dominant once a video leaves the overflow set —
+/// cost nothing.
+///
+/// The hit is *removed* rather than borrowed: it goes to the job, and
+/// comes back through [`bank_trial`] when the job's storage moves. An
+/// entry that fails under the bans it is bound to is evicted (only a
+/// ledger flip can have failed it, so it is stale for everyone); one
+/// that fails under *different* bans is kept — it may replay verbatim
+/// for another overflow's job.
+fn take_cached(
+    cache: &mut HashMap<VideoId, Vec<CachedTrial>>,
+    vid: VideoId,
+    bans: &[(NodeId, Interval)],
+    replayer: &mut Replayer<'_, '_>,
+) -> Option<CachedTrial> {
+    let list = cache.get_mut(&vid)?;
+    for exact in [true, false] {
+        let mut i = list.len();
+        while i > 0 {
+            i -= 1;
+            if exact && list[i].bans != bans {
+                continue;
             }
-            return Some(e);
-        } else if bans_same {
-            // Only a ledger flip can have failed an identical-bans
-            // entry: stale for every job, drop it.
-            list.remove(i);
+            if replayer.replays(&list[i], bans) {
+                let mut e = list.remove(i);
+                e.epoch = replayer.deltas.len();
+                if !exact {
+                    e.bans = bans.to_vec();
+                    // Rebinding can turn a ban-rejected check into a
+                    // ledger-dependent one; materialize that dependency in
+                    // the trace so later fast-path validations see it.
+                    let (ctx, ledger) = (replayer.ctx, replayer.ledger);
+                    let cons = Constraints { ledger, exclude: Some(vid), forbidden: bans };
+                    cons.rebind_trace(ctx.topo, &mut e.trace);
+                }
+                return Some(e);
+            } else if exact {
+                list.remove(i);
+            }
         }
     }
     None
 }
 
-/// Return a trial to the cache after an iteration's victim selection.
-/// Any existing entry with the same bans is replaced (it must be the
-/// stale predecessor of this one), and the per-video cap drops the
-/// oldest entry first — both deterministic, so the cache contents are a
-/// pure function of the commit history.
+/// Return a trial no job holds any longer to the cache. Any existing
+/// entry with the same bans is replaced (it must be the stale
+/// predecessor of this one), and the per-video cap drops the oldest
+/// entry first — both deterministic, so the cache contents are a pure
+/// function of the commit history.
 fn bank_trial(cache: &mut HashMap<VideoId, Vec<CachedTrial>>, trial: CachedTrial) {
     let list = cache.entry(trial.new_vs.video).or_default();
     list.retain(|e| e.bans != trial.bans);
@@ -357,33 +404,25 @@ fn bank_trial(cache: &mut HashMap<VideoId, Vec<CachedTrial>>, trial: CachedTrial
     list.push(trial);
 }
 
-/// The sequential reduce: scan `(heat, overhead)` scores in job order
-/// with the epsilon-aware comparison and the deterministic tie-break,
-/// returning the winning `(heat, overhead, job index)`. The scores do
-/// not depend on whether a trial was replayed from the cache or re-run,
-/// so the victim is the one the naive loop would pick, bit for bit.
-fn select_victim(
-    jobs: &[TrialJob<'_>],
-    overflows: &[Overflow],
-    scored: &[(f64, Dollars)],
-) -> Option<(f64, Dollars, usize)> {
-    let mut best: Option<(f64, Dollars, usize)> = None;
-    for (ji, &(heat, overhead)) in scored.iter().enumerate() {
-        let better = match &best {
-            None => true,
-            Some((bh, boh, bji)) => {
-                if heats_tie(heat, *bh) {
-                    let (job, bjob) = (&jobs[ji], &jobs[*bji]);
-                    let (of, bof) = (&overflows[job.of_idx], &overflows[bjob.of_idx]);
-                    (overhead, job.vid.0, of.loc.0, of.window.start)
-                        < (*boh, bjob.vid.0, bof.loc.0, bof.window.start)
-                } else {
-                    heat > *bh
-                }
+/// The sequential reduce: scan the scored jobs in order with the
+/// epsilon-aware comparison and the deterministic tie-break, returning
+/// the winner's index. A score does not depend on whether its trial
+/// stood, was replayed from the cache or re-run, so the victim is the
+/// one the naive loop would pick, bit for bit.
+fn select_victim(jobs: &[StandingJob]) -> Option<usize> {
+    let mut best: Option<usize> = None;
+    for (ji, job) in jobs.iter().enumerate() {
+        let better = best.is_none_or(|bji| {
+            let b = &jobs[bji];
+            if heats_tie(job.heat, b.heat) {
+                (job.overhead, job.vid.0, job.of.loc.0, job.of.window.start)
+                    < (b.overhead, b.vid.0, b.of.loc.0, b.of.window.start)
+            } else {
+                job.heat > b.heat
             }
-        };
+        });
         if better {
-            best = Some((heat, overhead, ji));
+            best = Some(ji);
         }
     }
     best
@@ -392,8 +431,9 @@ fn select_victim(
 /// The resolution loop's whole working set, extracted so the per-shard
 /// and global-reconciliation passes of [`crate::shard_solve`] can share
 /// one machine: the priced schedule, the occupancy ledger, the
-/// accumulated bans, the incremental [`OverflowMonitor`], and the trial
-/// cache with its commit-delta history. [`SolveState::new`] +
+/// accumulated bans, the incremental [`OverflowMonitor`], the standing
+/// jobs, and the trial cache with its commit-delta history.
+/// [`SolveState::new`] +
 /// [`SolveState::resolve`] + [`SolveState::into_outcome`] *are*
 /// [`sorp_solve_priced`]; the sharded path resolves one state per shard,
 /// merges them (transplanting surviving trial-cache entries and bans),
@@ -406,12 +446,17 @@ pub(crate) struct SolveState {
     pub(crate) iterations: usize,
     pub(crate) forced_fallbacks: usize,
     monitor: OverflowMonitor,
+    /// The last iteration's jobs, in (storage, window start, participant)
+    /// order, each with its trial attached. Empty between passes:
+    /// [`SolveState::resolve`] hands every trial back to `cache` on exit.
+    jobs: Vec<StandingJob>,
     pub(crate) cache: HashMap<VideoId, Vec<CachedTrial>>,
-    /// One [`LedgerDelta`] per commit, in commit order; cache entries
-    /// validate lazily against the suffix that landed after their epoch.
+    /// One [`LedgerDelta`] per commit, in commit order; trials validate
+    /// lazily against the suffix that landed after their epoch.
     pub(crate) deltas: Vec<LedgerDelta>,
     pub(crate) trials_run: usize,
     pub(crate) trials_cached: usize,
+    pub(crate) jobs_rebuilt: usize,
     pub(crate) nodes_rescanned: usize,
     pub(crate) initial_cost: Dollars,
 }
@@ -438,10 +483,12 @@ impl SolveState {
             iterations: 0,
             forced_fallbacks: 0,
             monitor: OverflowMonitor::new(),
+            jobs: Vec::new(),
             cache: HashMap::new(),
             deltas: Vec::new(),
             trials_run: 0,
             trials_cached: 0,
+            jobs_rebuilt: 0,
             nodes_rescanned: 0,
         }
     }
@@ -453,21 +500,25 @@ impl SolveState {
     /// degenerates to a no-op when the shards never conflicted.
     pub(crate) fn resolve(&mut self, ctx: &SchedCtx<'_>, cfg: &SorpConfig, mode: ExecMode) {
         let cap = self.iterations + cfg.max_iterations;
+        let mut rebuilt = Vec::new();
         loop {
-            let overflows = self.monitor.refresh(ctx.topo, &self.ledger);
-            self.nodes_rescanned += self.monitor.nodes_rescanned();
-            if overflows.is_empty() {
+            self.nodes_rescanned += self.monitor.refresh(ctx.topo, &self.ledger);
+            let scans = self.monitor.scans();
+            if scans.iter().all(|(_, _, ofs)| ofs.is_empty()) {
                 break;
             }
             if self.iterations >= cap {
-                // Fallback: force one participant of the first overflow to
-                // direct-only delivery. Strictly reduces stored bytes, so
-                // this loop tail terminates.
-                let victim = overflow_set(&self.ledger, &overflows[0])
-                    .first()
-                    .and_then(|&(vid, _)| self.priced.schedule().video(vid));
+                // Fallback: force one participant of the first overflow
+                // that has any to direct-only delivery. Strictly reduces
+                // stored bytes, so this loop tail terminates. An overflow
+                // of external occupancy alone has no participant and is
+                // passed over: the ones behind it can still be cleared.
+                let victim = scans.iter().flat_map(|(_, _, ofs)| ofs).find_map(|of| {
+                    let &(vid, _) = overflow_set(&self.ledger, of).first()?;
+                    self.priced.schedule().video(vid)
+                });
                 let Some(old) = victim else {
-                    break; // purely external overflow: unresolvable
+                    break; // purely external overflows: unresolvable
                 };
                 let new_vs = force_direct(ctx, old);
                 self.commit(ctx, new_vs);
@@ -476,90 +527,126 @@ impl SolveState {
             }
             self.iterations += 1;
 
-            // Materialize every overflow participant's trial in scan order.
-            let mut jobs: Vec<TrialJob<'_>> = Vec::new();
-            for (of_idx, of) in overflows.iter().enumerate() {
-                for (vid, profile) in overflow_set(&self.ledger, of) {
-                    // The ledger holds only scheduled, priced videos, and a
-                    // residency without deliveries cannot occur; a job that
-                    // broke either would have nothing to reschedule.
-                    let (Some(old_vs), Some(old_cost)) =
-                        (self.priced.schedule().video(vid), self.priced.video_cost(vid))
-                    else {
-                        continue;
-                    };
-                    if old_vs.delivered().next().is_none() {
-                        continue;
+            // A storage that did not move keeps its jobs; one that moved
+            // hands their trials back to the cache and rebuilds them from
+            // its overflow sets, in place, so the list stays in scan order.
+            let mut at = 0;
+            for (loc, version, ofs) in scans {
+                let end = at + self.jobs[at..].iter().take_while(|j| j.of.loc == *loc).count();
+                // Nothing to do: its jobs stand, or it has neither jobs
+                // nor overflows.
+                if self.jobs[at..end].first().map_or(ofs.is_empty(), |j| j.version == *version) {
+                    at = end;
+                    continue;
+                }
+                for of in ofs {
+                    for (vid, profile) in overflow_set(&self.ledger, of) {
+                        // The ledger holds only scheduled, priced videos, and a
+                        // residency without deliveries cannot occur; a job that
+                        // broke either would have nothing to reschedule.
+                        let (Some(old_vs), Some(old_cost)) =
+                            (self.priced.schedule().video(vid), self.priced.video_cost(vid))
+                        else {
+                            continue;
+                        };
+                        if old_vs.delivered().next().is_none() {
+                            continue;
+                        }
+                        let mut bans = self.forbidden.get(&vid).cloned().unwrap_or_default();
+                        bans.push((of.loc, of.window));
+                        rebuilt.push(StandingJob {
+                            of: of.clone(),
+                            version: *version,
+                            vid,
+                            profile,
+                            old_cost,
+                            bans,
+                            trial: None,
+                            heat: 0.0,
+                            overhead: 0.0,
+                        });
                     }
-                    let mut bans = self.forbidden.get(&vid).cloned().unwrap_or_default();
-                    bans.push((of.loc, of.window));
-                    jobs.push(TrialJob { of_idx, vid, old_vs, bans, profile, old_cost });
+                }
+                self.jobs_rebuilt += rebuilt.len();
+                let next = at + rebuilt.len();
+                let stale = self.jobs.splice(at..end, rebuilt.drain(..));
+                for trial in stale.filter_map(|job| job.trial) {
+                    bank_trial(&mut self.cache, trial);
+                }
+                at = next;
+            }
+            debug_assert_eq!(at, self.jobs.len(), "a job stood at a storage the monitor skips");
+
+            // A standing job's trial is re-checked in place; a rebuilt
+            // job, or one whose trial no longer replays (stale for
+            // everyone: dropped), looks one up in the cache.
+            let mut replayer = Replayer {
+                ctx,
+                ledger: &self.ledger,
+                deltas: &self.deltas,
+                suffixes: Vec::new(),
+                cursor: LedgerCursor::new(),
+            };
+            let mut misses = Vec::new();
+            for (ji, job) in self.jobs.iter_mut().enumerate() {
+                match &mut job.trial {
+                    Some(trial) if replayer.replays(trial, &job.bans) => {
+                        trial.epoch = replayer.deltas.len();
+                    }
+                    _ => match take_cached(&mut self.cache, job.vid, &job.bans, &mut replayer) {
+                        Some(trial) => job.attach(trial, cfg.metric),
+                        None => {
+                            job.trial = None;
+                            misses.push(ji);
+                        }
+                    },
                 }
             }
+            self.trials_run += misses.len();
+            self.trials_cached += self.jobs.len() - misses.len();
 
-            // Pull each job's trial out of the cache where a memoized one
-            // still replays under the job's bans and the current ledger.
-            let (ledger, deltas) = (&self.ledger, &self.deltas);
-            let mut suffixes = HashMap::new();
-            let slots: Vec<Option<CachedTrial>> = jobs
-                .iter()
-                .map(|job| take_cached(&mut self.cache, job, deltas, &mut suffixes, ctx, ledger))
-                .collect();
-            let miss_idx: Vec<usize> = (0..jobs.len()).filter(|&ji| slots[ji].is_none()).collect();
-            self.trials_run += miss_idx.len();
-            self.trials_cached += jobs.len() - miss_idx.len();
-
-            // Fan out only the cache misses: each is a pure function of
-            // its job, the (frozen) ledger, and the context, and carries
-            // its dependency trace home for future lookups.
-            let fresh = map_with_mode(mode, &miss_idx, |&ji| {
+            // Fan out only the misses: each is a pure function of its
+            // job, the (frozen) ledger, and the context, and carries its
+            // dependency trace home for later validations.
+            let (jobs, ledger, priced, epoch) =
+                (&self.jobs, &self.ledger, &self.priced, self.deltas.len());
+            let fresh = map_with_mode(mode, &misses, |&ji| {
                 let job = &jobs[ji];
                 let cons = Constraints { ledger, exclude: Some(job.vid), forbidden: &job.bans };
-                let requests = job.old_vs.delivered_requests();
+                let requests = priced
+                    .schedule()
+                    .video(job.vid)
+                    .map_or_else(Vec::new, |vs| vs.delivered_requests());
                 let (new_vs, trace) =
                     reschedule_video_traced_with(ctx, &requests, &cons, cfg.policy);
                 let new_cost = ctx.video_cost(&new_vs);
-                CachedTrial { new_vs, new_cost, bans: job.bans.clone(), trace, epoch: deltas.len() }
+                CachedTrial { new_vs, new_cost, bans: job.bans.clone(), trace, epoch }
             });
-            // The misses ran in job order, so refilling the empty slots
-            // in order hands each job its own trial.
-            let mut fresh = fresh.into_iter();
-            let mut trials: Vec<CachedTrial> =
-                slots.into_iter().filter_map(|slot| slot.or_else(|| fresh.next())).collect();
-
-            // Score every job, then reduce sequentially in job order. The
-            // heat inputs that are cheap and iteration-local (the overflow,
-            // the participant's profile, the memoized current cost) are
-            // always read fresh; only the greedy's output is memoized.
-            let scored: Vec<(f64, Dollars)> = jobs
-                .iter()
-                .zip(&trials)
-                .map(|(job, trial)| {
-                    let overhead = trial.new_cost - job.old_cost;
-                    (heat_of(cfg.metric, &overflows[job.of_idx], &job.profile, overhead), overhead)
-                })
-                .collect();
-            let Some((heat, overhead, ji)) = select_victim(&jobs, &overflows, &scored) else {
-                break; // purely external overflows: nothing to reschedule
-            };
-            let winner = trials.remove(ji);
-            // Bank every non-winning trial for later iterations, in job
-            // order.
-            for trial in trials {
-                bank_trial(&mut self.cache, trial);
+            for (&ji, trial) in misses.iter().zip(fresh) {
+                self.jobs[ji].attach(trial, cfg.metric);
             }
 
-            let (vid, of) = (jobs[ji].vid, &overflows[jobs[ji].of_idx]);
+            // Reduce sequentially in job order.
+            let Some(ji) = select_victim(&self.jobs) else {
+                break; // purely external overflows: nothing to reschedule
+            };
+            let job = self.jobs.remove(ji);
+            let (vid, of) = (job.vid, job.of);
             self.forbidden.entry(vid).or_default().push((of.loc, of.window));
             self.victims.push(VictimRecord {
                 video: vid,
                 loc: of.loc,
                 window_start: of.window.start,
                 window_end: of.window.end,
-                overhead,
-                heat,
+                overhead: job.overhead,
+                heat: job.heat,
             });
-            self.commit(ctx, winner.new_vs);
+            self.commit(ctx, job.trial.expect("every job was just scored").new_vs);
+        }
+        // The trials still attached go back to the cache: reconciliation
+        // transplants it, and a later pass over this state starts there.
+        for trial in self.jobs.drain(..).filter_map(|job| job.trial) {
+            bank_trial(&mut self.cache, trial);
         }
     }
 
@@ -635,6 +722,7 @@ impl SolveState {
             forced_fallbacks: self.forced_fallbacks,
             trials_run: self.trials_run,
             trials_cached: self.trials_cached,
+            jobs_rebuilt: self.jobs_rebuilt,
             nodes_rescanned: self.nodes_rescanned,
         }
     }
@@ -866,5 +954,108 @@ mod tests {
         assert!(outcome.forced_fallbacks > 0);
         assert_eq!(outcome.iterations, 0);
         assert_eq!(outcome.schedule.delivery_count(), wl.requests.len());
+    }
+
+    #[test]
+    fn fallback_passes_over_a_purely_external_overflow() {
+        // Occupancy committed outside the schedule holds the first storage
+        // in scan order over capacity on its own, for good: no victim can
+        // ever clear it. With no heat-driven iteration allowed, the tail
+        // must still clear every overflow behind it.
+        let cfgb = builders::PaperFig4Config { capacity_gb: 5.0, ..Default::default() };
+        let topo = builders::paper_fig4(&cfgb);
+        let wl = Workload::generate(&topo, &CatalogConfig::small(80), &RequestConfig::paper(), 1);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+        let first = topo.storages().next().expect("a storage exists");
+        let squatter = SpaceProfile { start: 0.0, full: 0.0, last: 1e7, end: 1e7, plateau: 6e9 };
+        let external = [(first, squatter)];
+        let priced = crate::ivsp_solve_priced(&ctx, &wl.requests);
+        let phase1 = StorageLedger::from_schedule(&topo, &wl.catalog, priced.schedule());
+        assert!(
+            detect_overflows(&topo, &phase1).iter().any(|of| of.loc != first),
+            "phase 1 must overflow a storage behind the squatted one"
+        );
+
+        let cfg = SorpConfig { max_iterations: 0, ..SorpConfig::default() };
+        let out = sorp_solve_priced(&ctx, priced, &cfg, &external, ExecMode::Sequential);
+        assert_eq!(out.iterations, 0);
+        assert!(out.forced_fallbacks > 0);
+        assert_eq!(out.schedule.delivery_count(), wl.requests.len());
+        assert!(!out.overflow_free, "the squatter's overflow is still there");
+        let mut ledger = external_ledger(&ctx, &external);
+        for r in out.schedule.residencies() {
+            ledger.add(r.loc, r.video, r.profile(wl.catalog.get(r.video)));
+        }
+        for of in detect_overflows(&topo, &ledger) {
+            assert_eq!(of.loc, first, "an overflow the tail could clear was left at {}", of.loc);
+            assert!(overflow_set(&ledger, &of).is_empty(), "a participant was left in place");
+        }
+    }
+
+    #[test]
+    fn an_unmoved_storage_keeps_its_overflows_participants_and_bystanders() {
+        // The standing-job invariant, re-enacted commit by commit on the
+        // solver's own victim sequence: between two iterations a storage
+        // whose node version did not move shows the same overflows and
+        // the same overflow sets, and the victim committed in between is
+        // not among its participants.
+        use crate::reschedule_video_with;
+        let cfgb = builders::PaperFig4Config { capacity_gb: 5.0, ..Default::default() };
+        let topo = builders::paper_fig4(&cfgb);
+        let wl = Workload::generate(&topo, &CatalogConfig::small(80), &RequestConfig::paper(), 9);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+        let cfg = SorpConfig::default();
+        let mut schedule = ivsp_solve(&ctx, &wl.requests);
+        let victims = sorp_solve(&ctx, &schedule, &cfg).victims;
+        assert!(victims.len() > 3, "instance too easy to move any storage");
+
+        type Seen = (u64, Vec<(Interval, u64, Vec<(VideoId, SpaceProfile)>)>);
+        let snapshot = |ledger: &StorageLedger| -> Vec<(NodeId, Seen)> {
+            let mut per: Vec<(NodeId, Seen)> =
+                topo.storages().map(|l| (l, (ledger.node_version(l), Vec::new()))).collect();
+            for of in detect_overflows(&topo, ledger) {
+                let seen = &mut per.iter_mut().find(|(l, _)| *l == of.loc).expect("a storage").1;
+                seen.1.push((of.window, of.peak_excess.to_bits(), overflow_set(ledger, &of)));
+            }
+            per
+        };
+        let mut ledger = StorageLedger::from_schedule(&topo, &wl.catalog, &schedule);
+        let mut forbidden: HashMap<VideoId, Vec<(NodeId, Interval)>> = HashMap::new();
+        let (mut stood, mut before) = (0, snapshot(&ledger));
+        for v in &victims {
+            let bans = forbidden.entry(v.video).or_default();
+            bans.push((v.loc, Interval::new(v.window_start, v.window_end)));
+            let old = schedule.video(v.video).expect("a victim is scheduled").clone();
+            let cons = Constraints { ledger: &ledger, exclude: Some(v.video), forbidden: bans };
+            let new_vs = reschedule_video_with(&ctx, &old.delivered_requests(), &cons, cfg.policy);
+            for r in &old.residencies {
+                ledger.remove(r.loc, v.video);
+            }
+            for r in &new_vs.residencies {
+                ledger.add(r.loc, r.video, r.profile(wl.catalog.get(r.video)));
+            }
+            schedule.upsert(new_vs);
+
+            let after = snapshot(&ledger);
+            for ((loc, was), (_, is)) in before.iter().zip(&after) {
+                if was.0 != is.0 {
+                    continue;
+                }
+                stood += was.1.len();
+                assert!(was.1 == is.1, "{loc} did not move, yet its overflows or their sets did");
+                let took_part = |(_, _, set): &(_, _, Vec<(VideoId, SpaceProfile)>)| {
+                    set.iter().any(|(vid, _)| *vid == v.video)
+                };
+                assert!(!is.1.iter().any(took_part), "{loc} did not move under its own victim");
+            }
+            before = after;
+        }
+        assert!(
+            detect_overflows(&topo, &ledger).is_empty(),
+            "the re-enactment left the solver's path"
+        );
+        assert!(stood > 0, "no overflow ever stood across a commit");
     }
 }

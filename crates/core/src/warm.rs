@@ -41,8 +41,8 @@ pub struct WarmStats {
     pub trials_revalidated: usize,
     /// Always 0, see [`WarmStats::trials_carried`].
     pub phase1_hits: usize,
-    /// Trial jobs answered from the solve's own trial cache this cycle
-    /// (the solver's `trials_cached`).
+    /// Trial jobs scored without a greedy run this cycle — a standing
+    /// trial or a cache hit (the solver's `trials_cached`).
     pub trials_hit: usize,
     /// Committed occupancy profiles still active after eviction.
     pub committed_active: usize,

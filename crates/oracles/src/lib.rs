@@ -1,10 +1,10 @@
 //! The naive SORP loop, kept as the equivalence oracle for
 //! [`vod_core::sorp_solve_priced`].
 //!
-//! This is the resolution loop as it stood before the trial cache and
+//! This is the resolution loop without standing jobs, the trial cache or
 //! the incremental overflow monitor: every iteration re-detects every
-//! overflow with a full scan and re-runs every participant's trial
-//! reschedule. It is written against `vod_core`'s public API only, shares
+//! overflow with a full scan, rebuilds every participant's job and
+//! re-runs its trial reschedule. It is written against `vod_core`'s public API only, shares
 //! no code with the production loop beyond the paper's building blocks
 //! (overflow detection, the rejective greedy, the heat metrics and their
 //! tie tolerance), and can
@@ -60,8 +60,9 @@ struct Job<'s> {
 /// Resolve every storage overflow of `priced` with the naive loop, over
 /// a ledger in `ledger_mode` seeded with the immutable `external`
 /// occupancy. Same contract as [`vod_core::sorp_solve_priced`]; the
-/// outcome's `trials_cached` is always 0 and `nodes_rescanned` counts
-/// every finite-capacity storage once per iteration.
+/// outcome's `trials_cached` is always 0, `jobs_rebuilt` is every job
+/// scored, and `nodes_rescanned` counts every finite-capacity storage
+/// once per iteration.
 pub fn sorp_solve_naive(
     ctx: &SchedCtx<'_>,
     mut priced: PricedSchedule,
@@ -95,14 +96,15 @@ pub fn sorp_solve_naive(
             break;
         }
         if iterations >= cfg.max_iterations {
-            // Fallback: force one participant of the first overflow to
-            // direct-only delivery. Strictly reduces stored bytes, so
-            // this loop tail terminates.
-            let victim = overflow_set(&ledger, &overflows[0])
-                .first()
-                .and_then(|&(vid, _)| priced.schedule().video(vid));
+            // Fallback: force one participant of the first overflow that
+            // has any to direct-only delivery. Strictly reduces stored
+            // bytes, so this loop tail terminates.
+            let victim = overflows.iter().find_map(|of| {
+                let &(vid, _) = overflow_set(&ledger, of).first()?;
+                priced.schedule().video(vid)
+            });
             let Some(old) = victim else {
-                break; // purely external overflow: unresolvable
+                break; // purely external overflows: unresolvable
             };
             let vw = ctx.topo.warehouse();
             let mut new_vs = VideoSchedule::new(old.video);
@@ -197,6 +199,7 @@ pub fn sorp_solve_naive(
         forced_fallbacks,
         trials_run,
         trials_cached: 0,
+        jobs_rebuilt: trials_run,
         nodes_rescanned,
     }
 }

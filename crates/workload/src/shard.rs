@@ -127,23 +127,23 @@ fn partition_by_region(
 }
 
 fn partition_by_time(batch: &RequestBatch, spec: &ShardSpec) -> Vec<RequestBatch> {
-    let mut requests: Vec<Request> = batch.iter().copied().collect();
-    let shards = spec.shards.clamp(1, requests.len().max(1));
     // Chronological order with a seeded tie-break on simultaneous
     // reservations, so slice boundaries are reproducible and unbiased.
-    requests.sort_by(|a, b| {
-        let ka = (mix(spec.seed, a.user.0 as u64, a.video.0 as u64), a.user.0, a.video.0);
-        let kb = (mix(spec.seed, b.user.0 as u64, b.video.0 as u64), b.user.0, b.video.0);
-        a.start.total_cmp(&b.start).then(ka.cmp(&kb))
+    // Each request is hashed once, ahead of the sort.
+    let mut keyed: Vec<(u64, Request)> =
+        batch.iter().map(|r| (mix(spec.seed, r.user.0 as u64, r.video.0 as u64), *r)).collect();
+    let shards = spec.shards.clamp(1, keyed.len().max(1));
+    keyed.sort_by(|(ma, a), (mb, b)| {
+        a.start.total_cmp(&b.start).then((ma, a.user.0, a.video.0).cmp(&(mb, b.user.0, b.video.0)))
     });
 
-    let n = requests.len();
+    let n = keyed.len();
     let (base, rem) = (n / shards, n % shards);
     let mut out = Vec::with_capacity(shards);
     let mut taken = 0;
     for s in 0..shards {
         let len = base + usize::from(s < rem);
-        out.push(RequestBatch::new(requests[taken..taken + len].to_vec()));
+        out.push(RequestBatch::new(keyed[taken..taken + len].iter().map(|&(_, r)| r).collect()));
         taken += len;
     }
     debug_assert_eq!(taken, n);
@@ -286,5 +286,61 @@ mod tests {
         }
         let biggest = *counts.values().max().unwrap();
         assert!(max - min <= biggest, "spread {max}-{min} exceeds biggest neighborhood {biggest}");
+    }
+
+    /// `partition_by_time` as it stood before the sort was decorated: the
+    /// comparator hashes both sides of every comparison. Kept verbatim as
+    /// the reference the keyed sort must reproduce.
+    fn partition_by_time_rehashing(batch: &RequestBatch, spec: &ShardSpec) -> Vec<RequestBatch> {
+        let mut requests: Vec<Request> = batch.iter().copied().collect();
+        let shards = spec.shards.clamp(1, requests.len().max(1));
+        requests.sort_by(|a, b| {
+            let ka = (mix(spec.seed, a.user.0 as u64, a.video.0 as u64), a.user.0, a.video.0);
+            let kb = (mix(spec.seed, b.user.0 as u64, b.video.0 as u64), b.user.0, b.video.0);
+            a.start.total_cmp(&b.start).then(ka.cmp(&kb))
+        });
+
+        let n = requests.len();
+        let (base, rem) = (n / shards, n % shards);
+        let mut out = Vec::with_capacity(shards);
+        let mut taken = 0;
+        for s in 0..shards {
+            let len = base + usize::from(s < rem);
+            out.push(RequestBatch::new(requests[taken..taken + len].to_vec()));
+            taken += len;
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Few distinct instants, users and titles: most slice boundaries
+        /// fall inside a run of simultaneous reservations, where only the
+        /// seeded tie-break decides which side a request lands on.
+        #[test]
+        fn keyed_time_partition_equals_the_rehashing_comparators(
+            raw in proptest::collection::vec((0u32..12, 0u32..6, 0u32..5), 0..120),
+            shards in 1usize..9,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use vod_cost_model::VideoId;
+            use vod_topology::UserId;
+            let requests = raw
+                .iter()
+                .map(|&(u, v, t)| Request { user: UserId(u), video: VideoId(v), start: 600.0 * t as f64 })
+                .collect();
+            let batch = RequestBatch::new(requests);
+            let spec = ShardSpec::by_time_slice(shards, seed);
+            let keyed = partition_by_time(&batch, &spec);
+            let reference = partition_by_time_rehashing(&batch, &spec);
+            proptest::prop_assert_eq!(keyed.len(), reference.len());
+            for (a, b) in keyed.iter().zip(&reference) {
+                proptest::prop_assert!(
+                    a.iter().map(|r| (r.user, r.video, r.start.to_bits())).eq(b
+                        .iter()
+                        .map(|r| (r.user, r.video, r.start.to_bits()))),
+                    "a slice differs from the reference partition"
+                );
+            }
+        }
     }
 }

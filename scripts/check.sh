@@ -54,6 +54,10 @@ cargo test -q --offline -p vod-core --test route_props
 cargo test -q --offline -p vod-cost-model --test batch_props
 cargo test -q --offline --test alloc_budget
 cargo test -q --offline --test admission_budget
+cargo test -q --offline --test resolve_budget
+# The benchmark's overload_faults cell must replay clean on every rung (the
+# fallback tail used to give up behind a purely external overflow).
+cargo test -q --offline --test service_overload_e2e overload_faults_cell_replays_clean_on_every_rung
 
 echo "==> telemetry suite (obs crate + recorder transparency + e2e reconcile)"
 cargo test -q --offline -p vod-obs
@@ -111,6 +115,20 @@ awk '/^#\[cfg\(test\)\]/ { exit }
        if (calls != 1) { print "error: " calls + 0 " .admits( call sites in " FILENAME "; the kernel has one"; exit 1 }
        if (stray) { print "error: " FILENAME ":" stray ": .admits( outside the source loop or ahead of its allow_remote_placement filter"; exit 1 }
      }' crates/core/src/greedy.rs >&2
+
+echo "==> standing-jobs lint (jobs are rebuilt, and trials looked up, in one place)"
+# Outside its test module sorp.rs reads an overflow set in two places — the
+# rebuild of a moved storage's jobs and the fallback tail — and looks a
+# trial up in one; a second site is the rebuild-everything loop coming back.
+for want in 'overflow_set(:2' 'take_cached(:1'; do
+  call="${want%:*}"
+  n="$(awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// && !/^fn / { print }' crates/core/src/sorp.rs \
+      | grep -oF "$call" | wc -l)"
+  if [ "$n" -ne "${want#*:}" ]; then
+    echo "error: $n calls of $call in crates/core/src/sorp.rs, expected ${want#*:}" >&2
+    exit 1
+  fi
+done
 
 echo "==> one-pipeline lint (no oracle switches, one pipeline body in shard.rs)"
 # Reference implementations live in crates/oracles, not behind a bool on a

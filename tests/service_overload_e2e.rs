@@ -5,10 +5,15 @@
 //! shedding, zero-loss accounting, and strict replay of whatever each
 //! cycle actually committed.
 
-use vod_paradigm::core::{service_run, BackoffPolicy, ExecMode, Rung, SchedCtx, ServiceConfig};
+use vod_paradigm::core::{
+    service_run, BackoffPolicy, ExecMode, Rung, SchedCtx, ServiceConfig, ShardConfig,
+};
+use vod_paradigm::faults::{FaultConfig, FaultPlan};
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::{check_service_accounting, cycle_is_clean, replay_service_cycle};
-use vod_paradigm::workload::{generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig};
+use vod_paradigm::workload::{
+    generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig, RequestConfig,
+};
 
 const H: f64 = 24.0 * 3_600.0;
 
@@ -123,5 +128,73 @@ fn oracle_config_serves_everything_and_replays_strict() {
         assert_eq!(out.stats.rung, Rung::Full);
         let sim = replay_service_cycle(&topo, &catalog, &model, out);
         assert!(sim.is_valid(), "cycle {} violations: {:?}", out.stats.cycle, sim.violations);
+    }
+}
+
+/// The benchmark's `overload_faults` cell at seed 1997, built as
+/// `benchmark/src/adapter.rs` builds it, over its first 48 cycles. Fault
+/// repair over-commits the book on purpose, so the book alone can exceed
+/// a store; on the degraded rungs only SORP's fallback tail runs, and it
+/// used to give up on every overflow as soon as the first one in scan
+/// order held external occupancy alone — cycle 41, on the `Shed` rung,
+/// then committed a schedule that replays `CapacityExceeded`.
+#[test]
+fn overload_faults_cell_replays_clean_on_every_rung() {
+    const CYCLES: usize = 48;
+    const RUN_CYCLES: usize = 800; // the fault plan is drawn over the whole benchmark run
+    let topo = builders::paper_fig4(&builders::PaperFig4Config {
+        capacity_gb: 5.0,
+        users_per_neighborhood: 10,
+        ..Default::default()
+    });
+    let catalog = generate_catalog(&CatalogConfig::small(120), 0xCA7A_10C0_FFEE_0001);
+    let model = CostModel::per_hop();
+    let ctx = SchedCtx::new(&topo, &model, &catalog);
+    // A cycle's arrivals depend on its own index alone, so two cycles past
+    // the last one driven give the benchmark trace's prefix.
+    let arrivals = generate_arrivals(
+        &topo,
+        &catalog,
+        &ArrivalConfig {
+            request: RequestConfig { requests_per_user: 2, ..RequestConfig::with_alpha(0.271) },
+            cycles: CYCLES + 2,
+            burst: (0..CYCLES + 2).filter(|k| k % 8 == 1).map(|k| (k, 8)).collect(),
+            ..Default::default()
+        },
+        1997,
+    );
+    let n = RUN_CYCLES / 4;
+    let faults = FaultPlan::generate(
+        &topo,
+        &FaultConfig {
+            node_outages: n,
+            link_failures: n,
+            link_degradations: n / 2,
+            horizon: RUN_CYCLES as f64 * H,
+            ..Default::default()
+        },
+        1997 ^ 0xFA17_0000_0000_0001,
+    );
+    let cfg = ServiceConfig {
+        shard: ShardConfig::by_region(4),
+        horizon: H,
+        queue_bound: Some(2660),
+        budget_ns: Some(11e6),
+        faults,
+        ..ServiceConfig::default()
+    };
+    let (outcomes, _) =
+        service_run(&ctx, &arrivals, &cfg, CYCLES, ExecMode::Sequential).expect("a generated plan");
+
+    assert_eq!(outcomes[41].stats.rung, Rung::Shed, "cycle 41 runs on the Shed rung");
+    for out in &outcomes {
+        let sim = replay_service_cycle(&topo, &catalog, &model, out);
+        assert!(
+            cycle_is_clean(&sim),
+            "cycle {} ({:?} rung) replay violations: {:?}",
+            out.stats.cycle,
+            out.stats.rung,
+            sim.violations
+        );
     }
 }
