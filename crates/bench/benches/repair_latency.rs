@@ -58,7 +58,7 @@ fn truncated(wl: &Workload, n: usize) -> RequestBatch {
 
 fn committed(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> PricedSchedule {
     let phase1 = ivsp_solve_priced(ctx, batch);
-    let out = sorp_solve_priced(ctx, phase1, &SorpConfig::default(), &[], ExecMode::default());
+    let out = sorp_solve_priced(ctx, phase1, &SorpConfig::default(), &[], ExecMode::Sequential);
     PricedSchedule::price(ctx, out.schedule)
 }
 

@@ -27,7 +27,7 @@ fn main() {
     let all: Vec<Request> = wl.requests.groups().flat_map(|(_, g)| g.iter().copied()).collect();
     let batch = RequestBatch::new(all.into_iter().take(100).collect());
     let phase1 = ivsp_solve_priced(&ctx, &batch);
-    let out = sorp_solve_priced(&ctx, phase1, &SorpConfig::default(), &[], ExecMode::default());
+    let out = sorp_solve_priced(&ctx, phase1, &SorpConfig::default(), &[], ExecMode::Sequential);
     let priced = PricedSchedule::price(&ctx, out.schedule);
 
     let victim = priced

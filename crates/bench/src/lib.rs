@@ -3,9 +3,10 @@
 //! Each bench target regenerates one of the paper's evaluation artifacts
 //! (Figs. 5–9, Table 5) on a reduced grid — printing the reproduced rows
 //! once, then timing the per-cell scheduling pipeline that produces them —
-//! plus micro- and ablation benches for the scheduler itself.
+//! plus the ablation and repair-latency benches. Solver, shard and ledger
+//! timings live in the service benchmark (`benchmark/`), not here.
 
-use vod_core::{ivsp_solve, ivsp_solve_priced, PricedSchedule, SchedCtx};
+use vod_core::{ivsp_solve, SchedCtx};
 use vod_cost_model::{Catalog, CostModel, RequestBatch, Schedule};
 use vod_topology::builders::{paper_fig4, PaperFig4Config};
 use vod_topology::Topology;
@@ -50,12 +51,6 @@ impl Fixture {
     /// Phase-1 schedule for this fixture.
     pub fn phase1(&self) -> Schedule {
         ivsp_solve(&self.ctx(), &self.requests)
-    }
-
-    /// Phase-1 schedule with its pricing memo, ready for
-    /// [`vod_core::sorp_solve_priced`].
-    pub fn phase1_priced(&self) -> PricedSchedule {
-        ivsp_solve_priced(&self.ctx(), &self.requests)
     }
 }
 

@@ -24,27 +24,16 @@
 //! * [`StorageLedger::fits`] abandons the walk as soon as the running
 //!   peak exceeds the capacity threshold.
 //!
-//! The pre-timeline flat scan survives as the *reference* implementation
-//! ([`LedgerMode::Reference`], selected with
-//! [`StorageLedger::set_mode`]): the equivalence property tests and the
-//! `capacity_timeline` bench run both implementations against each other.
+//! The ledger has this one implementation. The flat per-profile rescan
+//! the timeline replaced lives in the dev-only `vod-oracles` crate as
+//! free functions over [`StorageLedger::profiles_at`]; the equivalence
+//! property tests and the audited naive SORP loop compare every answer
+//! given here against it.
 
 use crate::overflow::CAPACITY_EPS;
 use crate::timeline::OccupancyTimeline;
 use vod_cost_model::{Bytes, Catalog, Schedule, Secs, SpaceProfile, VideoId};
 use vod_topology::{NodeId, Topology};
-
-/// Which admission-test implementation a ledger runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LedgerMode {
-    /// The incremental occupancy timeline (the production path).
-    #[default]
-    Timeline,
-    /// The flat per-profile rescan the timeline replaced. Kept as the
-    /// oracle for equivalence tests and benchmarks; asymptotically O(k²)
-    /// per admission test.
-    Reference,
-}
 
 /// Reusable scratch buffers for the timeline admission test, so the hot
 /// `fits` path performs no per-call allocations. One cursor per greedy
@@ -245,8 +234,8 @@ impl LedgerDelta {
 #[derive(Clone, Debug)]
 pub struct StorageLedger {
     /// Per node: `(video, profile)` entries with positive plateau. The
-    /// flat list is the source of truth for removal bookkeeping, the
-    /// `exclude` overlays, and the reference oracle.
+    /// flat list is the source of truth for removal bookkeeping and the
+    /// `exclude` overlays, and what the flat-scan oracle reads.
     entries: Vec<Vec<(VideoId, SpaceProfile)>>,
     /// Per node: the aggregate occupancy as an incremental breakpoint
     /// timeline (always maintained alongside `entries`).
@@ -255,7 +244,6 @@ pub struct StorageLedger {
     /// aggregate occupancy at every instant, backing the O(1) headroom
     /// fast path.
     plateau_sum: Vec<Bytes>,
-    mode: LedgerMode,
 }
 
 impl StorageLedger {
@@ -266,7 +254,6 @@ impl StorageLedger {
             entries: vec![Vec::new(); n],
             timelines: vec![OccupancyTimeline::new(); n],
             plateau_sum: vec![0.0; n],
-            mode: LedgerMode::default(),
         }
     }
 
@@ -279,18 +266,6 @@ impl StorageLedger {
             ledger.add(r.loc, r.video, p);
         }
         ledger
-    }
-
-    /// Switch the admission-test implementation (equivalence testing and
-    /// benchmarking only — [`LedgerMode::Timeline`] is the default and
-    /// strictly faster).
-    pub fn set_mode(&mut self, mode: LedgerMode) {
-        self.mode = mode;
-    }
-
-    /// The active admission-test implementation.
-    pub fn mode(&self) -> LedgerMode {
-        self.mode
     }
 
     /// Record a profile at a storage (no-op for zero-space profiles).
@@ -421,12 +396,10 @@ impl StorageLedger {
     }
 
     /// Mutation version of the occupancy bookkeeping at `loc`: ticks on
-    /// every add or remove that actually touches the node, in either
-    /// [`LedgerMode`] (the timeline is maintained unconditionally). Equal
-    /// versions guarantee the node's aggregate occupancy — and the order
-    /// of its entries, which fixes the reference mode's float-summation
-    /// order — is bit-identical, which makes the version the dirty-node
-    /// signal behind incremental overflow detection.
+    /// every add or remove that actually touches the node. Equal
+    /// versions guarantee the node's aggregate occupancy — and its
+    /// entries, in order — is bit-identical, which makes the version the
+    /// dirty-node signal behind incremental overflow detection.
     pub fn node_version(&self, loc: NodeId) -> u64 {
         self.timelines[loc.index()].version()
     }
@@ -453,58 +426,18 @@ impl StorageLedger {
 
     /// Aggregate occupancy at `loc` at time `t`, in bytes, optionally
     /// excluding one video's profiles. Right-continuous in `t`.
-    /// O(log n + excluded) on the timeline path.
+    /// O(log n + excluded).
     pub fn usage_at(&self, loc: NodeId, t: Secs, exclude: Option<VideoId>) -> Bytes {
-        match self.mode {
-            LedgerMode::Reference => self.usage_at_reference(loc, t, exclude),
-            LedgerMode::Timeline => {
-                let i = loc.index();
-                let mut u = self.timelines[i].prefix(t).value_at(t);
-                if let Some(v) = exclude {
-                    for (vid, p) in &self.entries[i] {
-                        if *vid == v {
-                            u -= p.space_at(t);
-                        }
-                    }
-                }
-                u
-            }
-        }
-    }
-
-    /// Reference implementation of [`StorageLedger::usage_at`]: a flat
-    /// sum over every profile at the node (the equivalence oracle).
-    pub fn usage_at_reference(&self, loc: NodeId, t: Secs, exclude: Option<VideoId>) -> Bytes {
-        self.entries[loc.index()]
-            .iter()
-            .filter(|(v, _)| Some(*v) != exclude)
-            .map(|(_, p)| p.space_at(t))
-            .sum()
-    }
-
-    /// Every breakpoint of the profiles at `loc`, **sorted and deduped**,
-    /// optionally excluding one video.
-    pub fn breakpoints(&self, loc: NodeId, exclude: Option<VideoId>) -> Vec<Secs> {
         let i = loc.index();
-        match (self.mode, exclude) {
-            (LedgerMode::Timeline, None) => {
-                // The timeline's in-order walk is sorted and unique.
-                let mut out = Vec::with_capacity(self.timelines[i].breakpoint_count());
-                self.timelines[i].visit_all(|t, _, _| out.push(t));
-                out
-            }
-            _ => {
-                let mut out = Vec::with_capacity(self.entries[i].len() * 4);
-                for (v, p) in &self.entries[i] {
-                    if Some(*v) != exclude {
-                        out.extend(p.breakpoints());
-                    }
+        let mut u = self.timelines[i].prefix(t).value_at(t);
+        if let Some(v) = exclude {
+            for (vid, p) in &self.entries[i] {
+                if *vid == v {
+                    u -= p.space_at(t);
                 }
-                out.sort_by(f64::total_cmp);
-                out.dedup();
-                out
             }
         }
+        u
     }
 
     /// Walk every linear segment of the aggregate occupancy at `loc`
@@ -522,73 +455,8 @@ impl StorageLedger {
         candidate: &SpaceProfile,
         exclude: Option<VideoId>,
     ) -> Bytes {
-        match self.mode {
-            LedgerMode::Reference => self.peak_with_reference(loc, candidate, exclude),
-            LedgerMode::Timeline => {
-                let mut cursor = LedgerCursor::new();
-                self.peak_walk(loc, candidate, exclude, &mut cursor, f64::INFINITY)
-            }
-        }
-    }
-
-    /// [`StorageLedger::peak_with`] on caller-provided scratch buffers
-    /// (no per-call allocation once the cursor has warmed up).
-    pub fn peak_with_cursor(
-        &self,
-        loc: NodeId,
-        candidate: &SpaceProfile,
-        exclude: Option<VideoId>,
-        cursor: &mut LedgerCursor,
-    ) -> Bytes {
-        match self.mode {
-            LedgerMode::Reference => self.peak_with_reference(loc, candidate, exclude),
-            LedgerMode::Timeline => self.peak_walk(loc, candidate, exclude, cursor, f64::INFINITY),
-        }
-    }
-
-    /// Reference implementation of [`StorageLedger::peak_with`]: collect
-    /// every breakpoint at the node, then rescan all profiles twice per
-    /// segment, recovering left limits from a midpoint probe. O(k²).
-    pub fn peak_with_reference(
-        &self,
-        loc: NodeId,
-        candidate: &SpaceProfile,
-        exclude: Option<VideoId>,
-    ) -> Bytes {
-        if candidate.peak() == 0.0 {
-            return 0.0;
-        }
-        let mut points = Vec::with_capacity(self.entries[loc.index()].len() * 4 + 6);
-        for (v, p) in &self.entries[loc.index()] {
-            if Some(*v) != exclude {
-                points.extend(p.breakpoints());
-            }
-        }
-        points.extend(candidate.breakpoints());
-        points.retain(|&t| (candidate.start..=candidate.end).contains(&t));
-        points.push(candidate.start);
-        points.push(candidate.end);
-        points.sort_by(f64::total_cmp);
-        points.dedup();
-
-        let combined = |t: Secs| self.usage_at_reference(loc, t, exclude) + candidate.space_at(t);
-        let mut peak: Bytes = 0.0;
-        for w in points.windows(2) {
-            let (t0, t1) = (w[0], w[1]);
-            if t1 <= t0 {
-                continue;
-            }
-            // Linear on [t0, t1): check the right-continuous start value
-            // and the left limit at t1 (recovered via the midpoint).
-            let u0 = combined(t0);
-            let umid = combined(0.5 * (t0 + t1));
-            let u1 = 2.0 * umid - u0;
-            peak = peak.max(u0).max(u1);
-        }
-        if points.len() < 2 {
-            peak = peak.max(combined(candidate.start));
-        }
-        peak
+        let mut cursor = LedgerCursor::new();
+        self.peak_walk(loc, candidate, exclude, &mut cursor, f64::INFINITY)
     }
 
     /// The timeline peak walk: evaluate `aggregate + candidate −
@@ -721,20 +589,15 @@ impl StorageLedger {
         if !capacity.is_finite() {
             return true;
         }
-        let threshold = capacity * (1.0 + CAPACITY_EPS) + CAPACITY_EPS;
-        match self.mode {
-            LedgerMode::Reference => self.peak_with_reference(loc, candidate, exclude) <= threshold,
-            LedgerMode::Timeline => {
-                // O(1) fast path: the plateau sum bounds the aggregate
-                // from above at every instant (profiles are non-negative,
-                // and any excluded profiles only tighten the bound), so a
-                // candidate fitting under it fits, full stop.
-                if self.plateau_sum[loc.index()] + candidate.peak() <= capacity {
-                    return true;
-                }
-                self.peak_walk(loc, candidate, exclude, cursor, threshold) <= threshold
-            }
+        // O(1) fast path: the plateau sum bounds the aggregate from
+        // above at every instant (profiles are non-negative, and any
+        // excluded profiles only tighten the bound), so a candidate
+        // fitting under it fits, full stop.
+        if self.plateau_sum[loc.index()] + candidate.peak() <= capacity {
+            return true;
         }
+        let threshold = capacity * (1.0 + CAPACITY_EPS) + CAPACITY_EPS;
+        self.peak_walk(loc, candidate, exclude, cursor, threshold) <= threshold
     }
 }
 
@@ -757,7 +620,6 @@ mod tests {
         let t = topo(5.0);
         let l = StorageLedger::new(&t);
         assert_eq!(l.usage_at(NodeId(1), 0.0, None), 0.0);
-        assert!(l.breakpoints(NodeId(1), None).is_empty());
         assert_eq!(l.profile_count(NodeId(1)), 0);
         assert_eq!(l.plateau_sum(NodeId(1)), 0.0);
     }
@@ -864,47 +726,6 @@ mod tests {
         l.add(NodeId(1), VideoId(0), profile(0.0, 5000.0));
         // Exactly 2 + 2 = 4 GB.
         assert!(l.fits(&t, NodeId(1), &profile(0.0, 5000.0), None));
-    }
-
-    #[test]
-    fn breakpoints_are_sorted_and_deduped() {
-        let t = topo(5.0);
-        let mut l = StorageLedger::new(&t);
-        l.add(NodeId(1), VideoId(0), profile(0.0, 5000.0));
-        l.add(NodeId(1), VideoId(1), profile(0.0, 4000.0)); // shares t = 0
-        l.add(NodeId(1), VideoId(2), profile(200.0, 5000.0)); // shares t = 5000
-        let bps = l.breakpoints(NodeId(1), None);
-        assert!(bps.windows(2).all(|w| w[0] < w[1]), "sorted, unique: {bps:?}");
-        // {0, 200, 4000, 5000, 6000} — 0 and 5000 shared.
-        assert_eq!(bps.len(), 5, "{bps:?}");
-        // The exclude path filters the excluded video's private times
-        // while keeping shared ones.
-        let without_v1 = l.breakpoints(NodeId(1), Some(VideoId(1)));
-        assert!(without_v1.windows(2).all(|w| w[0] < w[1]));
-        assert!(!without_v1.contains(&4000.0));
-        assert!(without_v1.contains(&0.0), "t = 0 still backed by video 0");
-    }
-
-    #[test]
-    fn reference_and_timeline_modes_agree_here() {
-        let t = topo(4.0);
-        let mut l = StorageLedger::new(&t);
-        l.add(NodeId(1), VideoId(0), profile(0.0, 5000.0));
-        l.add(NodeId(1), VideoId(1), profile(3000.0, 8000.0));
-        let mut reference = l.clone();
-        reference.set_mode(LedgerMode::Reference);
-        for cand in [profile(1000.0, 4000.0), profile(5500.0, 9000.0), profile(8000.0, 8200.0)] {
-            for exclude in [None, Some(VideoId(0)), Some(VideoId(7))] {
-                assert_eq!(
-                    l.fits(&t, NodeId(1), &cand, exclude),
-                    reference.fits(&t, NodeId(1), &cand, exclude),
-                    "cand {cand:?} exclude {exclude:?}"
-                );
-                let a = l.peak_with(NodeId(1), &cand, exclude);
-                let b = reference.peak_with(NodeId(1), &cand, exclude);
-                assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()), "{a} vs {b}");
-            }
-        }
     }
 
     #[test]

@@ -33,7 +33,6 @@ use vod_cost_model::{
     Dollars, Request, RequestBatch, Residency, Schedule, Secs, SpaceProfile, Video, VideoId,
     VideoSchedule,
 };
-use vod_parallel::{map_with_mode, ExecMode};
 use vod_topology::{NodeId, Topology};
 
 /// Relative tolerance for treating two candidate costs as equal, letting
@@ -149,12 +148,10 @@ impl Constraints<'_> {
     /// `dirty` touches the candidate's (node, support), re-derived from
     /// the ledger otherwise. Reuse is sound because a profile whose
     /// support is disjoint from every mutation contributes exactly `0.0`
-    /// at every instant of the candidate's support, which neither moves
-    /// the timeline's peak (the plateau-sum fast path is
-    /// conservative-consistent: it can flip which code path answers but
-    /// never the boolean) nor perturbs the reference mode's float
-    /// summation (adding an exact IEEE zero to a non-negative sum is the
-    /// identity, at any position).
+    /// at every instant of the candidate's support, so it cannot move
+    /// the timeline's peak over that support (the plateau-sum fast path
+    /// is conservative-consistent: it can flip which code path answers
+    /// but never the boolean).
     ///
     /// [`admits`]: Constraints::admits
     pub fn check_replays(
@@ -269,27 +266,10 @@ pub fn ivsp_solve(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Schedule {
     ivsp_solve_with(ctx, batch, GreedyPolicy::default())
 }
 
-/// [`ivsp_solve`] under an explicit [`GreedyPolicy`] (ablations).
+/// [`ivsp_solve`] under an explicit [`GreedyPolicy`] (ablations). Video
+/// groups are scheduled in input (video-id) order, on the calling thread.
 pub fn ivsp_solve_with(ctx: &SchedCtx<'_>, batch: &RequestBatch, policy: GreedyPolicy) -> Schedule {
-    ivsp_solve_with_mode(ctx, batch, policy, ExecMode::default())
-}
-
-/// [`ivsp_solve_with`] under an explicit [`ExecMode`].
-///
-/// Video groups are independent (phase 1 is capacity-blind), so they
-/// fan out across cores; results are collected in input (video-id)
-/// order, making the parallel schedule bit-identical to the sequential
-/// one.
-pub fn ivsp_solve_with_mode(
-    ctx: &SchedCtx<'_>,
-    batch: &RequestBatch,
-    policy: GreedyPolicy,
-    mode: ExecMode,
-) -> Schedule {
-    let groups: Vec<_> = batch.groups().collect();
-    map_with_mode(mode, &groups, |(_, group)| greedy(ctx, group, None, policy))
-        .into_iter()
-        .collect()
+    batch.groups().map(|(_, group)| greedy(ctx, group, None, policy)).collect()
 }
 
 /// The rejective greedy (paper §4.4): recompute one video's schedule under

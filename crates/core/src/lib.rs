@@ -70,15 +70,13 @@ mod warm;
 pub use bandwidth_aware::{
     bandwidth_aware_solve, constrained_cheapest_path, BandwidthAwareOutcome, LinkLedger,
 };
-pub use capacity::{
-    AdmissionCheck, LedgerCursor, LedgerDelta, LedgerMode, StorageLedger, TrialTrace,
-};
+pub use capacity::{AdmissionCheck, LedgerCursor, LedgerDelta, StorageLedger, TrialTrace};
 pub use ctx::SchedCtx;
 pub use exact::{find_optimal_video_schedule, ExactOutcome};
 pub use greedy::{
-    find_video_schedule, find_video_schedule_with, ivsp_solve, ivsp_solve_with,
-    ivsp_solve_with_mode, reschedule_video, reschedule_video_traced, reschedule_video_traced_with,
-    reschedule_video_with, Constraints, GreedyPolicy,
+    find_video_schedule, find_video_schedule_with, ivsp_solve, ivsp_solve_with, reschedule_video,
+    reschedule_video_traced, reschedule_video_traced_with, reschedule_video_with, Constraints,
+    GreedyPolicy,
 };
 pub use heat::{delta_s, heat_of, improved_period, improvement_window, HeatMetric};
 pub use overflow::{detect_overflows, overflow_set, Interval, Overflow, OverflowMonitor};
@@ -98,5 +96,5 @@ pub use sorp::{
     EXTERNAL_OCCUPANCY,
 };
 pub use timeline::{OccupancyTimeline, Prefix};
-pub use vod_parallel::{map_with_mode, parallel_map, ExecMode};
+pub use vod_parallel::ExecMode;
 pub use warm::{CommittedBook, WarmState, WarmStats};

@@ -13,7 +13,6 @@
 //! so no midpoint probing is needed and near-vertical segments suffer no
 //! float cancellation.
 
-use crate::capacity::LedgerMode;
 use crate::{StorageLedger, EXTERNAL_OCCUPANCY};
 use vod_cost_model::{Bytes, Secs, SpaceProfile, VideoId};
 use vod_topology::{NodeId, Topology};
@@ -145,34 +144,12 @@ impl OverflowMonitor {
     }
 }
 
-/// Overflow intervals at one storage given its capacity.
+/// Overflow intervals at one storage given its capacity: a single
+/// in-order timeline walk, each linear segment arriving with its exact
+/// endpoint values straight from the slope aggregates.
 fn overflows_at(ledger: &StorageLedger, loc: NodeId, capacity: Bytes) -> Vec<Overflow> {
     let mut scan = OverflowScan::new(loc, capacity);
-    match ledger.mode() {
-        LedgerMode::Timeline => {
-            // Single in-order timeline walk: each linear segment arrives
-            // with its exact endpoint values straight from the slope
-            // aggregates.
-            ledger.for_each_segment(loc, |t0, t1, u0, u1| scan.segment(t0, t1, u0, u1));
-        }
-        LedgerMode::Reference => {
-            // Already sorted and deduped by the ledger.
-            let points = ledger.breakpoints(loc, None);
-            for w in points.windows(2) {
-                let (t0, t1) = (w[0], w[1]);
-                // Aggregate usage is linear on [t0, t1) but may jump
-                // *upward* at breakpoints (space is reserved
-                // instantaneously at a residency's t_s, §2.2.1).
-                // usage_at is right-continuous, so the segment's start
-                // value is usage_at(t0) and its end value is the left
-                // limit at t1, recovered from the midpoint by linearity.
-                let u0 = ledger.usage_at(loc, t0, None);
-                let umid = ledger.usage_at(loc, 0.5 * (t0 + t1), None);
-                let u1 = 2.0 * umid - u0;
-                scan.segment(t0, t1, u0, u1);
-            }
-        }
-    }
+    ledger.for_each_segment(loc, |t0, t1, u0, u1| scan.segment(t0, t1, u0, u1));
     scan.finish()
 }
 

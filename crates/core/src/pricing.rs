@@ -18,7 +18,7 @@ use crate::greedy::{find_video_schedule_with, GreedyPolicy};
 use crate::SchedCtx;
 use std::collections::HashMap;
 use vod_cost_model::{Dollars, RequestBatch, Schedule, VideoId, VideoSchedule};
-use vod_parallel::{map_with_mode, ExecMode};
+use vod_parallel::ExecMode;
 
 /// Relative tolerance for the incremental-vs-closed-form cross-checks.
 /// Delta accumulation drifts by at most a few ulps per commit; 1e-6
@@ -40,30 +40,23 @@ pub struct PricedSchedule {
 }
 
 impl PricedSchedule {
-    /// Price every video of `schedule` (in parallel) and take ownership.
+    /// Price every video of `schedule` and take ownership. The total is
+    /// the per-video costs summed in schedule order.
     pub fn price(ctx: &SchedCtx<'_>, schedule: Schedule) -> Self {
-        Self::price_with_mode(ctx, schedule, ExecMode::default())
-    }
-
-    /// [`PricedSchedule::price`] with an explicit execution mode; both
-    /// modes produce bit-identical totals (per-video costs are computed
-    /// independently and summed in schedule order).
-    pub fn price_with_mode(ctx: &SchedCtx<'_>, schedule: Schedule, mode: ExecMode) -> Self {
-        let videos: Vec<&VideoSchedule> = schedule.videos().collect();
-        let priced = map_with_mode(mode, &videos, |vs| ctx.video_cost(vs));
-        let mut costs = HashMap::with_capacity(videos.len());
+        let mut costs = HashMap::with_capacity(schedule.video_count());
         let mut total = 0.0;
-        for (vs, cost) in videos.iter().zip(&priced) {
-            costs.insert(vs.video, *cost);
-            total += *cost;
+        for vs in schedule.videos() {
+            let cost = ctx.video_cost(vs);
+            costs.insert(vs.video, cost);
+            total += cost;
         }
         Self { schedule, costs, total }
     }
 
     /// Assemble from already-priced per-video schedules (the phase-1
-    /// path: the greedy worker that built a video's schedule also priced
-    /// it). The total is summed in schedule (video-id) order so it is
-    /// bit-identical to [`PricedSchedule::price`] of the same schedule.
+    /// path: each video is priced as its schedule is built). The total
+    /// is summed in schedule (video-id) order so it is bit-identical to
+    /// [`PricedSchedule::price`] of the same schedule.
     pub fn from_priced_videos(pairs: Vec<(VideoSchedule, Dollars)>) -> Self {
         let mut costs = HashMap::with_capacity(pairs.len());
         let mut schedule = Schedule::new();
@@ -172,27 +165,32 @@ impl PricedSchedule {
     }
 }
 
-/// Phase 1 with pricing fused in: schedule every video group in
-/// parallel, pricing each group's schedule on the worker that built it.
-/// The result is ready for [`crate::sorp_solve_priced`] with no full
-/// `schedule_cost` pass in between.
+/// Phase 1 with pricing fused in: each video group is scheduled and its
+/// schedule priced in one step. The result is ready for
+/// [`crate::sorp_solve_priced`] with no full `schedule_cost` pass in
+/// between.
 pub fn ivsp_solve_priced(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> PricedSchedule {
-    ivsp_solve_priced_with(ctx, batch, GreedyPolicy::default(), ExecMode::default())
+    ivsp_solve_priced_with(ctx, batch, GreedyPolicy::default(), ExecMode::Sequential)
 }
 
-/// [`ivsp_solve_priced`] under an explicit policy and execution mode.
+/// [`ivsp_solve_priced`] under an explicit policy. Runs on the calling
+/// thread: `_mode` is accepted and ignored, kept only because the frozen
+/// benchmark adapter passes one (drop with benchmark revision 2, like
+/// the always-zero [`crate::WarmStats`] fields).
 pub fn ivsp_solve_priced_with(
     ctx: &SchedCtx<'_>,
     batch: &RequestBatch,
     policy: GreedyPolicy,
-    mode: ExecMode,
+    _mode: ExecMode,
 ) -> PricedSchedule {
-    let groups: Vec<_> = batch.groups().collect();
-    let pairs = map_with_mode(mode, &groups, |(_, group)| {
-        let vs = find_video_schedule_with(ctx, group, policy);
-        let cost = ctx.video_cost(&vs);
-        (vs, cost)
-    });
+    let pairs = batch
+        .groups()
+        .map(|(_, group)| {
+            let vs = find_video_schedule_with(ctx, group, policy);
+            let cost = ctx.video_cost(&vs);
+            (vs, cost)
+        })
+        .collect();
     PricedSchedule::from_priced_videos(pairs)
 }
 

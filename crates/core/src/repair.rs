@@ -124,6 +124,15 @@ impl RepairOutcome {
     }
 }
 
+/// The multiplier of backoff attempt `attempt` (1-based): `2^(attempt−1)`,
+/// the exponent clamped at 16 — past 2^16 a delay is already far beyond
+/// any fault window or cycle cap, and an unclamped exponent is a shift
+/// overflow once a retry budget reaches 65. Shared by the in-cycle
+/// repair retries here and [`crate::BackoffPolicy::delay`].
+pub(crate) fn backoff_multiplier(attempt: u32) -> u64 {
+    1u64 << attempt.saturating_sub(1).min(16)
+}
+
 /// Repair a committed schedule against a fault plan. Deterministic:
 /// the same schedule + plan + config always yields bit-identical repair
 /// decisions. An empty or irrelevant plan returns the input schedule
@@ -136,10 +145,22 @@ pub fn repair_schedule(
     cfg: &RepairConfig,
 ) -> Result<RepairOutcome, FaultError> {
     plan.validate(ctx.topo)?;
+    Ok(repair_validated(ctx, priced, plan, cfg))
+}
+
+/// The body of [`repair_schedule`], for a `plan` already validated
+/// against `ctx.topo` — or made of faults taken from one that was, which
+/// is how the service loop calls it every faulted cycle.
+pub(crate) fn repair_validated(
+    ctx: &SchedCtx<'_>,
+    priced: PricedSchedule,
+    plan: &FaultPlan,
+    cfg: &RepairConfig,
+) -> RepairOutcome {
     let impact = plan.impact(priced.schedule(), ctx.catalog, ctx.model.space_model());
     let pre_repair_cost = priced.total();
     if impact.affected_videos.is_empty() {
-        return Ok(RepairOutcome {
+        return RepairOutcome {
             priced,
             pre_repair_cost,
             repaired_videos: Vec::new(),
@@ -147,7 +168,7 @@ pub fn repair_schedule(
             delayed: Vec::new(),
             retry_attempts: 0,
             unchanged: true,
-        });
+        };
     }
 
     // Degraded context: route around every failed link for the whole
@@ -227,12 +248,7 @@ pub fn repair_schedule(
                     req.start
                 } else {
                     retry_attempts += 1;
-                    // Clamp the exponent like `BackoffPolicy::delay`:
-                    // past 2^16 the delay is already far beyond any
-                    // fault window, and an uncapped `k` is a shift
-                    // overflow once `max_retries` ≥ 65.
-                    let exp = (k - 1).min(16);
-                    req.start + cfg.base_backoff * (1u64 << exp) as f64
+                    req.start + cfg.base_backoff * backoff_multiplier(k) as f64
                 };
                 let clear = route
                     .windows(2)
@@ -272,7 +288,7 @@ pub fn repair_schedule(
             .f64("post_repair_cost", priced.total());
     });
 
-    Ok(RepairOutcome {
+    RepairOutcome {
         priced,
         pre_repair_cost,
         repaired_videos,
@@ -280,7 +296,7 @@ pub fn repair_schedule(
         delayed,
         retry_attempts,
         unchanged: false,
-    })
+    }
 }
 
 /// Replace one video's schedule in both the ledger and the pricing memo
@@ -324,7 +340,7 @@ mod tests {
     fn committed(ctx: &SchedCtx<'_>, wl: &Workload) -> PricedSchedule {
         let phase1 = ivsp_solve_priced(ctx, &wl.requests);
         let outcome =
-            sorp_solve_priced(ctx, phase1, &SorpConfig::default(), &[], ExecMode::default());
+            sorp_solve_priced(ctx, phase1, &SorpConfig::default(), &[], ExecMode::Sequential);
         PricedSchedule::price(ctx, outcome.schedule)
     }
 

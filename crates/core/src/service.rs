@@ -51,9 +51,9 @@
 //! replay of the same arrival trace, and with it every
 //! [`BudgetModel::pick`].
 
+use crate::repair::{backoff_multiplier, repair_validated};
 use crate::{
-    repair_schedule, shard_solve_warm, PricedSchedule, RepairConfig, SchedCtx, ShardConfig,
-    WarmState, WarmStats,
+    shard_solve_warm, PricedSchedule, RepairConfig, SchedCtx, ShardConfig, WarmState, WarmStats,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -161,8 +161,9 @@ impl BackoffPolicy {
     /// queue: `base · 2^(attempts−1)`, capped at `max_cycles` and never
     /// below one cycle.
     pub fn delay(&self, attempts: u32) -> usize {
-        let exp = attempts.saturating_sub(1).min(16);
-        self.base_cycles.saturating_mul(1usize << exp).clamp(1, self.max_cycles.max(1))
+        self.base_cycles
+            .saturating_mul(backoff_multiplier(attempts) as usize)
+            .clamp(1, self.max_cycles.max(1))
     }
 }
 
@@ -833,10 +834,9 @@ impl ServiceLoop {
         if !cycle_faults.is_empty() && !served.is_empty() {
             let sub = FaultPlan::new(cycle_faults);
             let priced = PricedSchedule::price(ctx, schedule);
-            // The sub-plan is a subset of the plan `new` validated
-            // against this topology, so validation cannot fail here.
-            let repair = repair_schedule(ctx, priced, &sub, &self.cfg.repair)
-                .expect("sub-plan of the plan validated at construction");
+            // `new` validated the whole plan against this topology, and
+            // validity is per fault: the sub-plan needs no second look.
+            let repair = repair_validated(ctx, priced, &sub, &self.cfg.repair);
             for s in &repair.shed {
                 stats.shed += 1;
                 shed_now.push(s.request);

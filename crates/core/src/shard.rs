@@ -26,11 +26,12 @@
 //!
 //! ## Determinism and equivalence contract
 //!
-//! * The partition is a pure function of `(batch, spec)`; per-shard
-//!   solves run under [`ExecMode::inner`] (always sequential; a lone
-//!   shard keeps the caller's mode, there being no fan-out above it) and
-//!   the global pass reduces sequentially in job order — so the sharded
-//!   output is **bit-identical across runs** in both [`ExecMode`]s, and
+//! * The partition is a pure function of `(batch, spec)`; the map over
+//!   shards in `solve_over` is the one fan-out of the whole solve — the
+//!   only place this crate reads an [`ExecMode`] — each shard's IVSP and
+//!   resolution run on the thread that picked the shard up, and the
+//!   global pass runs on the caller's — so the sharded output is
+//!   **bit-identical across runs** in both [`ExecMode`]s, and
 //!   `shards = 1` (or a 1-region batch) *is* the monolith: its output is
 //!   bit-identical to [`crate::sorp_solve_priced`] over
 //!   [`ivsp_solve_priced_with`] on the whole batch.
@@ -179,7 +180,9 @@ impl ShardOutcome {
     }
 }
 
-/// Solve one cycle's batch with the sharded two-phase pipeline.
+/// Solve one cycle's batch with the sharded two-phase pipeline. `mode`
+/// says how the map over shards runs, and nothing else: every solve
+/// inside it stays on the thread that took the shard.
 pub fn shard_solve(
     ctx: &SchedCtx<'_>,
     batch: &RequestBatch,
@@ -238,15 +241,14 @@ fn solve_over(
     let spec = ShardSpec { shards: cfg.shards, strategy: cfg.strategy, seed: cfg.seed };
     let batches = partition_requests(ctx.topo, batch, &spec);
 
-    // Per-shard pipeline: IVSP then a full resolution pass, each under
-    // the inner (sequential) mode — the fan-out across shards is where
-    // this call's parallelism lives. A lone shard has no fan-out (a
-    // one-item map runs inline), so it keeps the caller's full mode.
-    let inner = if batches.len() == 1 { mode } else { mode.inner() };
+    // Per-shard pipeline: IVSP then a full resolution pass. The shard
+    // is the independent unit of work (the paper's region); this map is
+    // the solve's one fan-out, and a one-item map runs inline.
     let states = map_with_mode(mode, &batches, |shard_batch| {
-        let priced = ivsp_solve_priced_with(ctx, shard_batch, cfg.sorp.policy, inner);
+        let priced =
+            ivsp_solve_priced_with(ctx, shard_batch, cfg.sorp.policy, ExecMode::Sequential);
         let mut state = SolveState::new(ctx, priced, base.clone());
-        state.resolve(ctx, &cfg.sorp, inner);
+        state.resolve(ctx, &cfg.sorp);
         state
     });
 
@@ -279,7 +281,7 @@ fn solve_over(
             reconcile_victims: 0,
             trials_transplanted: 0,
         },
-        Err(states) => reconcile(ctx, cfg, base, states, per_shard, mode),
+        Err(states) => reconcile(ctx, cfg, base, states, per_shard),
     };
     out.record(&ctx.recorder, batch.len());
     out
@@ -292,7 +294,6 @@ fn reconcile(
     base: &StorageLedger,
     states: Vec<SolveState>,
     per_shard: Vec<ShardStats>,
-    mode: ExecMode,
 ) -> ShardOutcome {
     // Which storages hold residencies from several shards, straight off
     // the per-shard schedules: each node remembers the one shard seen
@@ -376,7 +377,7 @@ fn reconcile(
 
     let victims_before = global.victims.len();
     let iters_before = global.iterations;
-    global.resolve(ctx, &cfg.sorp, mode);
+    global.resolve(ctx, &cfg.sorp);
     let reconcile_iterations = global.iterations - iters_before;
     let reconcile_victims = global.victims.len() - victims_before;
 

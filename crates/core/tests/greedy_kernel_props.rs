@@ -22,12 +22,12 @@
 use proptest::prelude::*;
 use vod_core::{
     find_video_schedule_with, ivsp_solve_with, reschedule_video_traced_with, reschedule_video_with,
-    AdmissionCheck, Constraints, GreedyPolicy, Interval, LedgerCursor, LedgerMode, SchedCtx,
-    StorageLedger,
+    AdmissionCheck, Constraints, GreedyPolicy, Interval, LedgerCursor, SchedCtx, StorageLedger,
 };
 use vod_cost_model::{
     CostModel, Request, RequestBatch, SpaceModel, SpaceProfile, Video, VideoSchedule,
 };
+use vod_oracles::audit_admissions;
 use vod_topology::{builders, units, NodeId, RouteTable, Topology, TopologyBuilder};
 use vod_workload::{CatalogConfig, RequestConfig, SplitMix64, Workload};
 
@@ -512,13 +512,13 @@ proptest! {
 
     /// The invariant under the memo: on one frozen ledger and one set of
     /// windows, a residency rejected when extended to `t` is rejected
-    /// when extended to every later `t'`.
+    /// when extended to every later `t'` — and every capacity answer on
+    /// the way is the flat scan's.
     #[test]
     fn admission_is_monotone_in_the_extension(
         seed in 0u64..10_000,
         capacity_gb in prop_oneof![Just(4.0), Just(5.0), Just(8.0)],
         gradual in any::<bool>(),
-        reference in any::<bool>(),
     ) {
         let topo = builders::paper_fig4(&builders::PaperFig4Config { capacity_gb, ..Default::default() });
         let wl = Workload::generate(&topo, &CatalogConfig::small(24), &RequestConfig::paper(), seed);
@@ -526,10 +526,7 @@ proptest! {
         let model = CostModel::per_hop().with_space_model(space);
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
         let phase1 = ivsp_solve_with(&ctx, &wl.requests, GreedyPolicy::default());
-        let mut ledger = StorageLedger::from_schedule(&topo, &wl.catalog, &phase1);
-        if reference {
-            ledger.set_mode(LedgerMode::Reference);
-        }
+        let ledger = StorageLedger::from_schedule(&topo, &wl.catalog, &phase1);
         let mut rng = SplitMix64::new(seed ^ 0x0A11_D0E5);
         let storages: Vec<NodeId> = topo.storages().collect();
         let window = |rng: &mut SplitMix64| {
@@ -539,9 +536,9 @@ proptest! {
         let forbidden: Vec<(NodeId, Interval)> =
             (0..4).map(|_| (storages[rng.index(storages.len())], window(&mut rng))).collect();
 
-        let mut cursor = LedgerCursor::new();
         let (mut admitted, mut rejected) = (0usize, 0usize);
         for _ in 0..400 {
+            let mut cursor = LedgerCursor::tracing();
             let loc = storages[rng.index(storages.len())];
             let video = wl.catalog.iter().nth(rng.index(wl.catalog.len())).expect("index in range");
             let exclude = (rng.index(2) == 0).then_some(video.id);
@@ -560,6 +557,8 @@ proptest! {
                 dead |= !ok;
                 if ok { admitted += 1 } else { rejected += 1 }
             }
+            let asked = cursor.take_trace().checks;
+            prop_assert_eq!(audit_admissions(&topo, &ledger, exclude, &asked), Ok(()));
         }
         prop_assert!(admitted > 0 && rejected > 0, "vacuous: {admitted} admitted, {rejected} rejected");
     }

@@ -79,7 +79,7 @@ fn build(s: &Scenario) -> (Topology, Workload, FaultPlan) {
 
 fn committed(ctx: &SchedCtx<'_>, wl: &Workload) -> (PricedSchedule, bool) {
     let phase1 = ivsp_solve_priced(ctx, &wl.requests);
-    let out = sorp_solve_priced(ctx, phase1, &SorpConfig::default(), &[], ExecMode::default());
+    let out = sorp_solve_priced(ctx, phase1, &SorpConfig::default(), &[], ExecMode::Sequential);
     let overflow_free = out.overflow_free;
     (PricedSchedule::price(ctx, out.schedule), overflow_free)
 }

@@ -235,6 +235,43 @@ proptest! {
     }
 }
 
+/// A faulted cycle — solve, then repair against the window's outage and
+/// link failure — commits the same outcome whichever `ExecMode` the
+/// caller passes: the mode reaches the shard map and nothing else.
+#[test]
+fn a_faulted_cycle_is_the_same_outcome_under_either_exec_mode() {
+    use vod_faults::{FaultConfig, FaultPlan};
+
+    let (topo, catalog) = world(11);
+    let model = CostModel::per_hop();
+    let recorder = vod_obs::Recorder::enabled();
+    let ctx = SchedCtx::new(&topo, &model, &catalog).with_recorder(recorder.clone());
+    let arrivals = arrivals_for(&topo, &catalog, 11, 2, vec![]);
+    let faults = FaultPlan::generate(
+        &topo,
+        &FaultConfig { node_outages: 2, link_failures: 2, horizon: HORIZON, ..Default::default() },
+        11,
+    );
+    let cfg = ServiceConfig { faults, ..ServiceConfig::default() };
+    let run = |mode| service_run(&ctx, &arrivals, &cfg, 2, mode).expect("a generated plan").0;
+    let (seq, par) = (run(ExecMode::Sequential), run(ExecMode::Parallel));
+
+    let recording = recorder.recording().expect("enabled");
+    let repaired: u64 =
+        recording.events_of("repair").filter_map(|e| e.u64("repaired_videos")).sum();
+    assert!(repaired > 0, "the faults broke nothing a cycle had scheduled");
+    for (a, b) in seq.iter().zip(&par) {
+        let k = a.stats.cycle;
+        assert!(a.schedule == b.schedule, "cycle {k}: schedules diverged");
+        assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "cycle {k}");
+        assert_eq!(a.stats, b.stats, "cycle {k}");
+        assert_eq!(a.served, b.served, "cycle {k}: delayed deliveries diverged");
+        assert_eq!(a.served_originals, b.served_originals, "cycle {k}");
+        assert_eq!(a.shed_now, b.shed_now, "cycle {k}");
+        assert_eq!(a.dropped_now, b.dropped_now, "cycle {k}");
+    }
+}
+
 /// Backoff re-entry can make two tickets hold one `(user, video, start)`
 /// request with different original reservations. The cycle that serves
 /// both pairs the most recently enqueued ticket with the first batch

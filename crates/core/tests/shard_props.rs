@@ -287,7 +287,7 @@ fn cold_monolithic_matches_the_legacy_loop() {
             ivsp_solve_priced(&ctx, &batch),
             &SorpConfig::default(),
             &committed,
-            ExecMode::default(),
+            ExecMode::Sequential,
         );
         assert_eq!(ours.sorp.cost.to_bits(), legacy.cost.to_bits(), "cycle {k}");
         assert_eq!(ours.sorp.victims.len(), legacy.victims.len(), "cycle {k}");

@@ -1,20 +1,20 @@
 //! Property tests for the conflict-scoped SORP solver: across random
-//! topologies, workloads, heat metrics and execution modes, the solver
-//! (standing trial jobs + trial cache + incremental overflow monitor over
-//! the occupancy timeline) must be **bit-identical** to the naive loop
-//! [`vod_oracles::sorp_solve_naive`] on the same ledger — same schedule,
-//! same cost bits, same victims, same iteration count — take the same
-//! decisions as that loop on the reference ledger, and its counters must
-//! reconcile: every materialized trial job is either run or answered
-//! from the cache.
+//! topologies, workloads and heat metrics, the solver (standing trial
+//! jobs + trial cache + incremental overflow monitor over the occupancy
+//! timeline) must be **bit-identical** to the naive loop
+//! [`vod_oracles::sorp_solve_naive`] — same schedule, same cost bits,
+//! same victims, same iteration count — while that loop audits every
+//! overflow scan and every capacity answer of the production ledger
+//! against the flat scan, and its counters must reconcile: every
+//! materialized trial job is either run or answered from the cache.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use vod_core::{
     detect_overflows, ivsp_solve_priced, ivsp_solve_priced_with, overflow_set,
     reschedule_video_traced_with, shard_solve_warm, sorp_solve_priced, Constraints, ExecMode,
-    GreedyPolicy, HeatMetric, Interval, LedgerCursor, LedgerDelta, LedgerMode, SchedCtx,
-    ShardConfig, SorpConfig, SorpOutcome, StorageLedger, TrialTrace, WarmState,
+    GreedyPolicy, HeatMetric, Interval, LedgerCursor, LedgerDelta, SchedCtx, ShardConfig,
+    SorpConfig, SorpOutcome, StorageLedger, TrialTrace, WarmState,
 };
 use vod_cost_model::{CostModel, RequestBatch, SpaceProfile, VideoId};
 use vod_oracles::sorp_solve_naive;
@@ -32,8 +32,6 @@ struct Scenario {
     capacity_gb: f64,
     workload_seed: u64,
     metric: HeatMetric,
-    parallel: bool,
-    reference_ledger: bool,
     max_iterations: usize,
 }
 
@@ -49,28 +47,15 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
             Just(HeatMetric::TimeSpace),
             Just(HeatMetric::TimeSpacePerCost),
         ],
-        any::<bool>(),
-        any::<bool>(),
         prop_oneof![Just(3usize), Just(10_000)],
     )
         .prop_map(
-            |(
+            |(topo_kind, storages, capacity_gb, workload_seed, metric, max_iterations)| Scenario {
                 topo_kind,
                 storages,
                 capacity_gb,
                 workload_seed,
                 metric,
-                parallel,
-                reference_ledger,
-                max_iterations,
-            )| Scenario {
-                topo_kind,
-                storages,
-                capacity_gb,
-                workload_seed,
-                metric,
-                parallel,
-                reference_ledger,
                 max_iterations,
             },
         )
@@ -94,71 +79,34 @@ fn build_topo(s: &Scenario) -> Topology {
     }
 }
 
-/// The production solver, or — `oracle: Some(ledger)` — the naive loop on
-/// that ledger implementation.
-fn solve(
-    ctx: &SchedCtx<'_>,
-    wl: &Workload,
-    s: &Scenario,
-    oracle: Option<LedgerMode>,
-) -> SorpOutcome {
+/// The production solver, or — `naive` — the audited naive loop.
+fn solve(ctx: &SchedCtx<'_>, wl: &Workload, s: &Scenario, naive: bool) -> SorpOutcome {
     let cfg =
         SorpConfig { metric: s.metric, max_iterations: s.max_iterations, ..Default::default() };
-    let mode = if s.parallel { ExecMode::Parallel } else { ExecMode::Sequential };
     let phase1 = ivsp_solve_priced(ctx, &wl.requests);
-    match oracle {
-        Some(ledger) => sorp_solve_naive(ctx, phase1, &cfg, &[], ledger, mode),
-        None => sorp_solve_priced(ctx, phase1, &cfg, &[], mode),
+    if naive {
+        sorp_solve_naive(ctx, phase1, &cfg, &[])
+    } else {
+        sorp_solve_priced(ctx, phase1, &cfg, &[], ExecMode::Sequential)
     }
 }
 
 /// Field-by-field bit equality of two outcomes' decisions.
 fn assert_bit_identical(cached: &SorpOutcome, oracle: &SorpOutcome) -> Result<(), TestCaseError> {
-    assert_same_decisions(cached, oracle)?;
+    prop_assert!(cached.schedule == oracle.schedule, "schedules diverged");
+    prop_assert_eq!(cached.cost.to_bits(), oracle.cost.to_bits());
+    prop_assert_eq!(cached.initial_cost.to_bits(), oracle.initial_cost.to_bits());
+    prop_assert_eq!(cached.iterations, oracle.iterations);
+    prop_assert_eq!(cached.overflow_free, oracle.overflow_free);
+    prop_assert_eq!(cached.forced_fallbacks, oracle.forced_fallbacks);
+    prop_assert_eq!(cached.victims.len(), oracle.victims.len());
     for (a, b) in cached.victims.iter().zip(&oracle.victims) {
+        prop_assert_eq!(a.video, b.video);
+        prop_assert_eq!(a.loc, b.loc);
+        prop_assert_eq!(a.overhead.to_bits(), b.overhead.to_bits());
         prop_assert_eq!(a.window_start.to_bits(), b.window_start.to_bits());
         prop_assert_eq!(a.window_end.to_bits(), b.window_end.to_bits());
         prop_assert_eq!(a.heat.to_bits(), b.heat.to_bits());
-    }
-    Ok(())
-}
-
-/// Everything [`assert_bit_identical`] checks except the victims' overflow
-/// window and heat: schedule, Ψ bits, iterations, fallbacks, and each
-/// victim's video, storage and overhead bits.
-fn assert_same_decisions(a: &SorpOutcome, b: &SorpOutcome) -> Result<(), TestCaseError> {
-    prop_assert!(a.schedule == b.schedule, "schedules diverged");
-    prop_assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-    prop_assert_eq!(a.initial_cost.to_bits(), b.initial_cost.to_bits());
-    prop_assert_eq!(a.iterations, b.iterations);
-    prop_assert_eq!(a.overflow_free, b.overflow_free);
-    prop_assert_eq!(a.forced_fallbacks, b.forced_fallbacks);
-    prop_assert_eq!(a.victims.len(), b.victims.len());
-    for (va, vb) in a.victims.iter().zip(&b.victims) {
-        prop_assert_eq!(va.video, vb.video);
-        prop_assert_eq!(va.loc, vb.loc);
-        prop_assert_eq!(va.overhead.to_bits(), vb.overhead.to_bits());
-    }
-    Ok(())
-}
-
-/// The cross-ledger comparison: the timeline solver against the naive
-/// loop on the reference ledger. Decisions are exact; the overflow
-/// windows the two report (and the heats computed from them) may sit an
-/// ulp apart, because the two implementations sum the same profiles in
-/// different orders and so interpolate the instant usage crosses the
-/// capacity differently — hence 1e-9 relative on those three floats, here
-/// and nowhere else.
-fn assert_agrees_across_ledgers(
-    timeline: &SorpOutcome,
-    reference: &SorpOutcome,
-) -> Result<(), TestCaseError> {
-    let close = |a: f64, b: f64| a == b || (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
-    assert_same_decisions(timeline, reference)?;
-    for (a, b) in timeline.victims.iter().zip(&reference.victims) {
-        prop_assert!(close(a.window_start, b.window_start), "window start diverged");
-        prop_assert!(close(a.window_end, b.window_end), "window end diverged");
-        prop_assert!(close(a.heat, b.heat), "heat diverged");
     }
     Ok(())
 }
@@ -183,8 +131,10 @@ proptest! {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
 
-        let cached = solve(&ctx, &wl, &s, None);
-        let oracle = solve(&ctx, &wl, &s, Some(LedgerMode::Timeline));
+        // The oracle panics if the flat scan ever disagrees with the
+        // ledger, on an overflow window or on a capacity answer.
+        let cached = solve(&ctx, &wl, &s, false);
+        let oracle = solve(&ctx, &wl, &s, true);
         assert_bit_identical(&cached, &oracle)?;
 
         // Counter reconciliation: the oracle never caches, and its
@@ -194,17 +144,8 @@ proptest! {
         // The monitor never rescans more than the full scan does.
         prop_assert!(cached.nodes_rescanned <= oracle.nodes_rescanned);
 
-        // The same loop over the reference ledger takes the same
-        // decisions and does the same work.
-        if s.reference_ledger {
-            let reference = solve(&ctx, &wl, &s, Some(LedgerMode::Reference));
-            assert_agrees_across_ledgers(&cached, &reference)?;
-            prop_assert_eq!(reference.trials_run, oracle.trials_run);
-            prop_assert_eq!(reference.nodes_rescanned, oracle.nodes_rescanned);
-        }
-
         // Determinism of the cached path itself.
-        let again = solve(&ctx, &wl, &s, None);
+        let again = solve(&ctx, &wl, &s, false);
         assert_bit_identical(&again, &cached)?;
         prop_assert_eq!(again.trials_run, cached.trials_run);
         prop_assert_eq!(again.trials_cached, cached.trials_cached);
@@ -212,8 +153,10 @@ proptest! {
     }
 }
 
-/// The timeline solver and the naive loop over the reference ledger
-/// take identical decisions on the paper instance.
+/// On the paper instance the timeline ledger's every answer — overflow
+/// windows each iteration, capacity verdicts each trial — is the flat
+/// scan's (the naive loop's audit), and the solver takes the decisions of
+/// that audited loop.
 #[test]
 fn timeline_and_reference_ledgers_give_bit_identical_schedules() {
     for seed in [1, 7, 11] {
@@ -231,22 +174,11 @@ fn timeline_and_reference_ledgers_give_bit_identical_schedules() {
             &[],
             ExecMode::Sequential,
         );
-        let oracle = sorp_solve_naive(
-            &ctx,
-            priced,
-            &SorpConfig::default(),
-            &[],
-            LedgerMode::Reference,
-            ExecMode::Sequential,
-        );
+        let oracle = sorp_solve_naive(&ctx, priced, &SorpConfig::default(), &[]);
         assert!(fast.resolved_anything(), "seed {seed}: nothing to resolve");
-        assert!(
-            fast.schedule == oracle.schedule,
-            "seed {seed}: schedules diverged between ledger modes"
-        );
-        assert_eq!(fast.cost.to_bits(), oracle.cost.to_bits(), "seed {seed}");
-        assert_eq!(fast.iterations, oracle.iterations, "seed {seed}");
-        assert_eq!(fast.victims.len(), oracle.victims.len(), "seed {seed}");
+        if let Err(e) = assert_bit_identical(&fast, &oracle) {
+            panic!("seed {seed}: {e:?}");
+        }
     }
 }
 
@@ -270,12 +202,10 @@ fn cache_and_monitor_actually_save_work_on_the_paper_instance() {
         capacity_gb: 5.0,
         workload_seed: 1,
         metric: HeatMetric::TimeSpacePerCost,
-        parallel: false,
-        reference_ledger: false,
         max_iterations: 10_000,
     };
-    let cached = solve(&ctx, &wl, &s, None);
-    let oracle = solve(&ctx, &wl, &s, Some(LedgerMode::Timeline));
+    let cached = solve(&ctx, &wl, &s, false);
+    let oracle = solve(&ctx, &wl, &s, true);
     assert!(cached.iterations > 1, "instance too easy to exercise the cache");
     assert!(cached.trials_cached > 0, "no trial was ever answered from the cache");
     assert!(
@@ -376,8 +306,6 @@ fn shortened_traces_stay_exact_when_commits_land_in_dead_gaps() {
         capacity_gb: 5.0,
         workload_seed: 0,
         metric: HeatMetric::TimeSpacePerCost,
-        parallel: false,
-        reference_ledger: false,
         max_iterations: 10_000,
     };
     let mut in_class = 0usize;
@@ -385,8 +313,8 @@ fn shortened_traces_stay_exact_when_commits_land_in_dead_gaps() {
         let wl = Workload::generate(&topo, &CatalogConfig::small(8), &requests, seed);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let cached = solve(&ctx, &wl, &s, None);
-        let oracle = solve(&ctx, &wl, &s, Some(LedgerMode::Timeline));
+        let cached = solve(&ctx, &wl, &s, false);
+        let oracle = solve(&ctx, &wl, &s, true);
         if let Err(e) = assert_bit_identical(&cached, &oracle) {
             panic!("seed {seed}: {e:?}");
         }
@@ -581,14 +509,7 @@ fn contended_cell_against_naive(max_iterations: usize) -> (usize, usize) {
             let phase1 = ivsp_solve_priced_with(ctx, part, sorp.policy, ExecMode::Sequential);
             let cached =
                 sorp_solve_priced(ctx, phase1.clone(), &sorp, external, ExecMode::Sequential);
-            let oracle = sorp_solve_naive(
-                ctx,
-                phase1,
-                &sorp,
-                external,
-                LedgerMode::Timeline,
-                ExecMode::Sequential,
-            );
+            let oracle = sorp_solve_naive(ctx, phase1, &sorp, external);
             if let Err(e) = assert_bit_identical(&cached, &oracle) {
                 panic!("cycle {k}, solve {si} of {}: {e:?}", solves.len());
             }
@@ -644,14 +565,7 @@ fn fallback_tail_agrees_with_the_oracle_behind_an_external_overflow() {
     for cap in [0, 3] {
         let cfg = SorpConfig { max_iterations: cap, ..SorpConfig::default() };
         let cached = sorp_solve_priced(&ctx, phase1.clone(), &cfg, &external, ExecMode::Sequential);
-        let oracle = sorp_solve_naive(
-            &ctx,
-            phase1.clone(),
-            &cfg,
-            &external,
-            LedgerMode::Timeline,
-            ExecMode::Sequential,
-        );
+        let oracle = sorp_solve_naive(&ctx, phase1.clone(), &cfg, &external);
         if let Err(e) = assert_bit_identical(&cached, &oracle) {
             panic!("cap {cap}: {e:?}");
         }

@@ -1,11 +1,13 @@
-//! Property tests: the incremental occupancy timeline must agree with the
-//! naive reference ledger — same `usage_at`, `peak_with`, `fits`, sorted
-//! breakpoints, and overflow detection — on random workloads, including
-//! add/remove interleavings and the `exclude` path.
+//! Property tests: the production ledger (incremental occupancy
+//! timeline) must agree with the flat scan of its own entries
+//! (`vod_oracles::flat`) — same `usage_at`, `peak_with`, `fits`, and
+//! overflow detection — on random workloads, including add/remove
+//! interleavings and the `exclude` path.
 
 use proptest::prelude::*;
-use vod_core::{detect_overflows, LedgerMode, StorageLedger};
+use vod_core::{detect_overflows, StorageLedger};
 use vod_cost_model::{Secs, SpaceModel, SpaceProfile, VideoId};
+use vod_oracles::flat;
 use vod_topology::{builders, units, NodeId, Topology};
 
 /// One residency profile drawn from the strategy, plus where it lives.
@@ -84,24 +86,18 @@ fn workload_strategy() -> impl Strategy<Value = Workload> {
         })
 }
 
-/// Build timeline- and reference-mode ledgers by replaying the same
-/// add/remove interleaving into both.
-fn build_ledgers(topo: &Topology, w: &Workload) -> (StorageLedger, StorageLedger) {
-    let mut fast = StorageLedger::new(topo);
-    let mut oracle = StorageLedger::new(topo);
-    oracle.set_mode(LedgerMode::Reference);
+/// Build the ledger by replaying the workload's add/remove interleaving.
+fn build_ledger(topo: &Topology, w: &Workload) -> StorageLedger {
+    let mut ledger = StorageLedger::new(topo);
     for (i, item) in w.items.iter().enumerate() {
-        let p = item.profile();
-        fast.add(NodeId(item.loc), VideoId(item.video), p);
-        oracle.add(NodeId(item.loc), VideoId(item.video), p);
+        ledger.add(NodeId(item.loc), VideoId(item.video), item.profile());
         for (after, vid) in &w.remove_after {
             if *after == i {
-                fast.remove_video(VideoId(*vid));
-                oracle.remove_video(VideoId(*vid));
+                ledger.remove_video(VideoId(*vid));
             }
         }
     }
-    (fast, oracle)
+    ledger
 }
 
 /// Agreement within 1e-9 *relative to the magnitude of the ingredients*:
@@ -116,71 +112,57 @@ fn rel_close(a: f64, b: f64, scale: f64) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// `usage_at` agrees between the timeline and the naive sum at random
+    /// `usage_at` agrees between the timeline and the flat sum at random
     /// times, at every breakpoint, and under exclusion.
     #[test]
     fn usage_at_matches_reference(w in workload_strategy()) {
         let topo = builders::paper_fig2(16.0, 8.0, 1.0, w.capacity_gb);
-        let (fast, oracle) = build_ledgers(&topo, &w);
+        let fast = build_ledger(&topo, &w);
         let exclude = w.exclude.map(VideoId);
         for loc in [NodeId(1), NodeId(2)] {
+            let entries = fast.profiles_at(loc);
             let scale = fast.plateau_sum(loc);
             let mut times = w.query_times.clone();
-            times.extend(fast.breakpoints(loc, None));
+            times.extend(entries.iter().flat_map(|(_, p)| p.breakpoints()));
             for &t in &times {
                 let a = fast.usage_at(loc, t, exclude);
-                let b = oracle.usage_at(loc, t, exclude);
+                let b = flat::usage_at(entries, t, exclude);
                 prop_assert!(rel_close(a, b, scale), "usage_at({loc:?}, {t}) {a} vs {b}");
             }
         }
     }
 
     /// `peak_with` and `fits` agree between the timeline walk and the
-    /// naive midpoint rescan for random candidates, with and without
+    /// flat midpoint rescan for random candidates, with and without
     /// exclusion.
     #[test]
     fn peak_and_fits_match_reference(w in workload_strategy()) {
         let topo = builders::paper_fig2(16.0, 8.0, 1.0, w.capacity_gb);
-        let (fast, oracle) = build_ledgers(&topo, &w);
+        let fast = build_ledger(&topo, &w);
         let cand = w.candidate.profile();
         let exclude = w.exclude.map(VideoId);
         for loc in [NodeId(1), NodeId(2)] {
+            let entries = fast.profiles_at(loc);
             let scale = fast.plateau_sum(loc) + cand.peak();
             let a = fast.peak_with(loc, &cand, exclude);
-            let b = oracle.peak_with(loc, &cand, exclude);
+            let b = flat::peak_with(entries, &cand, exclude);
             prop_assert!(rel_close(a, b, scale), "peak_with({loc:?}) {a} vs {b}");
             prop_assert_eq!(
                 fast.fits(&topo, loc, &cand, exclude),
-                oracle.fits(&topo, loc, &cand, exclude),
+                flat::fits(entries, topo.capacity(loc), &cand, exclude),
                 "fits({:?}) diverged at peak {}", loc, a
             );
         }
     }
 
-    /// The timeline's breakpoint list is sorted, deduped, and set-equal
-    /// to the reference's (which sorts/dedups per call).
-    #[test]
-    fn breakpoints_sorted_deduped_and_equal(w in workload_strategy()) {
-        let topo = builders::paper_fig2(16.0, 8.0, 1.0, w.capacity_gb);
-        let (fast, oracle) = build_ledgers(&topo, &w);
-        for loc in [NodeId(1), NodeId(2)] {
-            for exclude in [None, w.exclude.map(VideoId)] {
-                let a = fast.breakpoints(loc, exclude);
-                let b = oracle.breakpoints(loc, exclude);
-                prop_assert!(a.windows(2).all(|p| p[0] < p[1]), "unsorted/duped: {a:?}");
-                prop_assert_eq!(a, b);
-            }
-        }
-    }
-
     /// Overflow detection — windows and peak excess — agrees between the
-    /// timeline segment walk and the naive midpoint scan.
+    /// timeline segment walk and the flat midpoint scan.
     #[test]
     fn detect_overflows_matches_reference(w in workload_strategy()) {
         let topo = builders::paper_fig2(16.0, 8.0, 1.0, w.capacity_gb);
-        let (fast, oracle) = build_ledgers(&topo, &w);
+        let fast = build_ledger(&topo, &w);
         let a = detect_overflows(&topo, &fast);
-        let b = detect_overflows(&topo, &oracle);
+        let b = flat::detect_overflows(&topo, &fast);
         prop_assert_eq!(a.len(), b.len(), "{a:?} vs {b:?}");
         for (x, y) in a.iter().zip(&b) {
             prop_assert_eq!(x.loc, y.loc);
@@ -200,14 +182,16 @@ proptest! {
     #[test]
     fn full_removal_leaves_exact_zero(w in workload_strategy()) {
         let topo = builders::paper_fig2(16.0, 8.0, 1.0, w.capacity_gb);
-        let (mut fast, _) = build_ledgers(&topo, &w);
+        let mut fast = build_ledger(&topo, &w);
         for v in 0..12 {
             fast.remove_video(VideoId(v));
         }
         for loc in [NodeId(1), NodeId(2)] {
             prop_assert_eq!(fast.profile_count(loc), 0);
             prop_assert_eq!(fast.plateau_sum(loc), 0.0);
-            prop_assert!(fast.breakpoints(loc, None).is_empty());
+            let mut segments = 0;
+            fast.for_each_segment(loc, |_, _, _, _| segments += 1);
+            prop_assert_eq!(segments, 0);
             for &t in &w.query_times {
                 prop_assert_eq!(fast.usage_at(loc, t, None), 0.0);
             }

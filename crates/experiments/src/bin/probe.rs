@@ -37,7 +37,7 @@ fn policy_ablation() {
             ivsp_solve_priced(&ctx, &wl.requests),
             &SorpConfig::default(),
             &[],
-            ExecMode::default(),
+            ExecMode::Sequential,
         )
         .cost;
         println!("space_model/{name}: resolved cost = {cost:.0}");
@@ -67,7 +67,7 @@ fn main() {
             let ledger = StorageLedger::from_schedule(&topo, &wl.catalog, priced.schedule());
             let ofs = detect_overflows(&topo, &ledger);
             let outcome =
-                sorp_solve_priced(&ctx, priced, &SorpConfig::default(), &[], ExecMode::default());
+                sorp_solve_priced(&ctx, priced, &SorpConfig::default(), &[], ExecMode::Sequential);
             println!(
                 "alpha={alpha:<6} cap={cap:<4} real_residencies={real:<4} overflows={:<3} victims={:<3} rel_inc={:.2}% hit_gain={:.1}%",
                 ofs.len(),

@@ -155,7 +155,7 @@ fn main() -> ExitCode {
                     ivsp_solve_priced(&ctx, &wl.requests),
                     &SorpConfig::default(),
                     &[],
-                    ExecMode::default(),
+                    ExecMode::Sequential,
                 );
                 let analysis = vod_simulator::analysis::ScheduleAnalysis::of(
                     &topo,

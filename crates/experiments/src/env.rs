@@ -125,7 +125,7 @@ pub fn evaluate_cell(params: &EnvParams, metric: HeatMetric) -> EvalResult {
         individual,
         &SorpConfig::with_metric(metric),
         &[],
-        ExecMode::default(),
+        ExecMode::Sequential,
     );
     debug_assert!(outcome.overflow_free);
     let network_only = ctx.schedule_cost(&baselines::network_only(&ctx, &wl.requests));
@@ -159,7 +159,7 @@ pub fn evaluate_cell_all_metrics(params: &EnvParams) -> [EvalResult; 4] {
             individual.clone(),
             &SorpConfig::with_metric(metric),
             &[],
-            ExecMode::default(),
+            ExecMode::Sequential,
         );
         EvalResult {
             two_phase: outcome.cost,

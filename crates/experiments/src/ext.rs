@@ -207,7 +207,7 @@ pub fn bandwidth(preset: Preset) -> BandwidthResult {
             ivsp_solve_priced(&ctx, &requests),
             &SorpConfig::default(),
             &[],
-            ExecMode::default(),
+            ExecMode::Sequential,
         );
         let overloads =
             vod_core::bandwidth::detect_link_overloads(&topo, &catalog, &oblivious.schedule).len();

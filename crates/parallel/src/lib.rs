@@ -1,9 +1,7 @@
 //! Order-preserving parallel primitives with a determinism contract.
 //!
-//! This crate hosts the `parallel_map` that used to live inside the
-//! experiments crate, so the scheduler core, experiments, and benches
-//! can all share one implementation. The contract every caller relies
-//! on:
+//! One `parallel_map` shared by the scheduler core and the experiment
+//! sweeps. The contract every caller relies on:
 //!
 //! * **Order preservation.** `parallel_map(items, f)` returns exactly
 //!   `items.iter().map(f).collect()` — result `i` came from item `i`,
@@ -14,10 +12,16 @@
 //!   borrows only.
 //!
 //! Together these make parallel execution *bit-identical* to sequential
-//! execution for any caller that consumes the results in order — which
-//! is how the two-phase scheduler keeps its deterministic tie-breaking
-//! while fanning trial reschedules out across cores (see
-//! `DESIGN.md` § "Incremental pricing & parallel execution").
+//! execution for any caller that consumes the results in order.
+//!
+//! There is one fan-out level, and a map never nests inside another: the
+//! scheduler core maps over the shards of a batch (`vod_core`'s
+//! `solve_over`, the one place it reads an [`ExecMode`]) and each shard's
+//! solve runs on the thread that picked it up; the experiment sweeps map
+//! over independent cells, each of which solves on its own thread. A
+//! map inside a solve spawned scoped threads thousands of times per
+//! cycle and lost at every size measured (EXPERIMENTS.md, *Inner fan-out:
+//! measured, then removed*).
 //!
 //! Built on `std::thread::scope`; no external dependencies.
 
@@ -26,11 +30,10 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// How a parallelizable stage should execute.
-///
-/// The parallel path is the default everywhere; the sequential path is
-/// kept as a first-class mode so tests can assert bit-identical output
-/// and benches can measure the speedup.
+/// How a fan-out over independent items should execute. Both modes
+/// produce bit-identical output; the sequential one exists so callers on
+/// a shared or single core (the service benchmark's timed path) keep
+/// every solve on their own thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
     /// Run on the calling thread, in input order.
@@ -38,21 +41,6 @@ pub enum ExecMode {
     /// Fan out across `available_parallelism` worker threads.
     #[default]
     Parallel,
-}
-
-impl ExecMode {
-    /// The mode a stage nested *inside* a parallel fan-out should run
-    /// under: always [`ExecMode::Sequential`]. An outer `parallel_map`
-    /// already saturates `available_parallelism`, so a nested parallel
-    /// stage would only oversubscribe the machine with `workers²`
-    /// threads — and by the determinism contract the nested stage's
-    /// output is bit-identical either way, so demoting it is free.
-    /// The sharded SORP solver fans out per shard with the caller's
-    /// mode and runs each shard's IVSP + resolution loop under
-    /// `mode.inner()`.
-    pub fn inner(self) -> ExecMode {
-        ExecMode::Sequential
-    }
 }
 
 /// Map `f` over `items` on all available cores, preserving input order.
@@ -72,8 +60,7 @@ where
 
 /// `available_parallelism`, resolved once per process. The std call is
 /// not cached and re-reads the cgroup CPU quota on every invocation —
-/// microseconds that multiply into milliseconds when a resolution pass
-/// fans out per trial thousands of times per solve.
+/// microseconds a service loop would pay on every cycle's shard map.
 fn default_workers() -> usize {
     use std::sync::OnceLock;
     static WORKERS: OnceLock<usize> = OnceLock::new();
@@ -165,21 +152,6 @@ mod tests {
         let forced = parallel_map_with_workers(&items, 8, |&x| x.wrapping_mul(0x9E37));
         assert_eq!(seq, par);
         assert_eq!(seq, forced);
-    }
-
-    #[test]
-    fn inner_mode_is_sequential_and_agrees_with_outer() {
-        assert_eq!(ExecMode::Parallel.inner(), ExecMode::Sequential);
-        assert_eq!(ExecMode::Sequential.inner(), ExecMode::Sequential);
-        // Nested fan-out: an outer parallel map whose body maps again
-        // under `inner()` equals the all-sequential computation.
-        let chunks: Vec<Vec<u64>> = (0..8).map(|c| (c * 100..c * 100 + 57).collect()).collect();
-        let run = |outer: ExecMode| {
-            map_with_mode(outer, &chunks, |chunk| {
-                map_with_mode(outer.inner(), chunk, |&x| x.wrapping_mul(0x9E37_79B9))
-            })
-        };
-        assert_eq!(run(ExecMode::Parallel), run(ExecMode::Sequential));
     }
 
     #[test]

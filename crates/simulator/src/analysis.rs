@@ -227,7 +227,7 @@ mod tests {
                 ivsp_solve_priced(&ctx, &wl.requests),
                 &SorpConfig::default(),
                 &[],
-                ExecMode::default(),
+                ExecMode::Sequential,
             )
             .schedule
         };

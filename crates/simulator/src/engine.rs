@@ -494,7 +494,7 @@ mod tests {
             ivsp_solve_priced(&ctx, &wl.requests),
             &SorpConfig::default(),
             &[],
-            ExecMode::default(),
+            ExecMode::Sequential,
         );
         let report =
             simulate(&topo, &wl.catalog, &model, &out.schedule, &SimOptions::strict(&wl.requests));

@@ -13,25 +13,20 @@ cargo test -q --offline
 echo "==> cargo test -q --release (workspace, optimized)"
 cargo test -q --release --offline --workspace
 
-echo "==> bench smoke run (capacity_timeline --test)"
-cargo bench --offline -p vod-bench --bench capacity_timeline -- --test
-
 echo "==> bench smoke run (repair_latency --test)"
 cargo bench --offline -p vod-bench --bench repair_latency -- --test
 
-echo "==> bench smoke run (sorp_scaling --test)"
-cargo bench --offline -p vod-bench --bench sorp_scaling -- --test
-
-echo "==> bench smoke run (sorp_sharded --test)"
-cargo bench --offline -p vod-bench --bench sorp_sharded -- --test
-
-echo "==> oracle crate + solver equivalence suites"
+echo "==> oracle crate + solver and ledger equivalence suites"
+# vod-oracles' own tests show its audit has teeth; sorp_cache_props runs
+# the production solver against the audited naive loop (and carries the
+# trial-cache exactness regressions: the contended cell, the hand-built
+# rebind); timeline_props and greedy_kernel_props hold the ledger to the
+# flat scan directly.
 cargo test -q --offline -p vod-oracles
-# sorp_cache_props carries the trial-cache exactness regressions (the
-# contended cell against the naive loop, and the hand-built rebind).
 cargo test -q --offline -p vod-core --test sorp_cache_props
-cargo test -q --offline -p vod-core --test shard_props
+cargo test -q --offline -p vod-core --test timeline_props
 cargo test -q --offline -p vod-core --test greedy_kernel_props
+cargo test -q --offline -p vod-core --test shard_props
 
 echo "==> warm-start property suite"
 cargo test -q --offline -p vod-core --test warm_start_props
@@ -152,6 +147,30 @@ if awk 'FNR == 1 { sec = "" } /^\[/ { sec = $0 }
           print FILENAME ":" FNR ": " $0; bad = 1 }
         END { exit !bad }' Cargo.toml crates/*/Cargo.toml; then
   echo "error: vod-oracles may appear under [dev-dependencies] only" >&2
+  exit 1
+fi
+
+echo "==> one-fan-out lint (the shard map is the only fan-out in core; one ledger implementation)"
+# Outside test modules crates/core/src maps with an ExecMode in exactly one
+# place (solve_over's map over shards), never calls parallel_map, never
+# picks a mode for its caller, and has no second ledger or mode-taking twin.
+core_src="$(for f in crates/core/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$f"; done)"
+if [ "$(grep -cF 'map_with_mode(' <<<"$core_src")" -ne 1 ] \
+    || ! grep -F 'map_with_mode(' <<<"$core_src" | grep -q '^crates/core/src/shard.rs:'; then
+  grep -F 'map_with_mode(' <<<"$core_src" >&2 || true
+  echo "error: crates/core/src has one map_with_mode( call, in shard.rs::solve_over" >&2
+  exit 1
+fi
+if grep -E 'parallel_map\(|ExecMode::default\(\)|ivsp_solve_with_mode|price_with_mode|LedgerMode' <<<"$core_src"; then
+  echo "error: no inner fan-out, hidden ExecMode or ledger switch in crates/core/src (see DESIGN.md §8)" >&2
+  exit 1
+fi
+# The experiments hand ExecMode::default() to service_run (the shard map may
+# use it) and to nothing else: the two pinned solver signatures ignore their
+# mode and get ExecMode::Sequential, so a sweep cell never looks parallel.
+if grep -rn --include='*.rs' -F 'ExecMode::default()' crates/experiments/src | grep -v 'service_run('; then
+  echo "error: under crates/experiments/src only service_run takes ExecMode::default()" >&2
   exit 1
 fi
 

@@ -8,10 +8,10 @@
 # Usage:
 #   scripts/profile.sh <bench> [stat|record|flame] [extra bench args...]
 #
-#   scripts/profile.sh sorp_sharded              # perf stat, full bench
-#   scripts/profile.sh sorp_scaling stat -- --test   # counters on the smoke run
-#   scripts/profile.sh repair_latency record     # perf record -> perf.data
-#   scripts/profile.sh sorp_sharded flame        # flamegraph SVG (needs tooling)
+#   scripts/profile.sh repair_latency                 # perf stat, full bench
+#   scripts/profile.sh repair_latency stat -- --test  # counters on the smoke run
+#   scripts/profile.sh ablations record               # perf record -> perf.data
+#   scripts/profile.sh repair_latency flame           # flamegraph SVG (needs tooling)
 #
 # Artifacts land in results/profile/: <bench>.stat.txt, <bench>.perf.data,
 # <bench>.flame.svg. Each tool degrades gracefully: without `perf` the

@@ -22,7 +22,7 @@ fn world(seed: u64) -> (Topology, Workload, CostModel) {
 
 fn committed(ctx: &SchedCtx<'_>, wl: &Workload) -> PricedSchedule {
     let phase1 = ivsp_solve_priced(ctx, &wl.requests);
-    let out = sorp_solve_priced(ctx, phase1, &SorpConfig::default(), &[], ExecMode::default());
+    let out = sorp_solve_priced(ctx, phase1, &SorpConfig::default(), &[], ExecMode::Sequential);
     assert!(out.overflow_free);
     PricedSchedule::price(ctx, out.schedule)
 }

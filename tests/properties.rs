@@ -4,13 +4,15 @@
 
 use proptest::prelude::*;
 use vod_paradigm::core::{
-    baselines, detect_overflows, ivsp_solve, ivsp_solve_priced, ivsp_solve_with_mode,
-    reschedule_video, sorp_solve, sorp_solve_priced, Constraints, ExecMode, GreedyPolicy,
-    HeatMetric, Interval, PricedSchedule, SchedCtx, SorpConfig, StorageLedger,
+    baselines, detect_overflows, ivsp_solve, ivsp_solve_priced, reschedule_video, shard_solve,
+    sorp_solve, sorp_solve_priced, Constraints, ExecMode, HeatMetric, Interval, SchedCtx,
+    ShardConfig, ShardOutcome, SorpConfig, StorageLedger,
 };
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::{simulate, SimOptions};
-use vod_paradigm::workload::{generate_requests, CatalogConfig, RequestConfig, SplitMix64, Zipf};
+use vod_paradigm::workload::{
+    generate_requests, CatalogConfig, RequestConfig, ShardStrategy, SplitMix64, Zipf,
+};
 
 /// A random small service environment plus workload, fully determined by
 /// the strategy's draws.
@@ -235,7 +237,7 @@ proptest! {
             ivsp_solve_priced(&ctx, &requests),
             &SorpConfig::default(),
             &[],
-            ExecMode::default(),
+            ExecMode::Sequential,
         );
         let full = ctx.schedule_cost(&outcome.schedule);
         prop_assert!(
@@ -252,33 +254,46 @@ proptest! {
         );
     }
 
-    /// Parallel execution is bit-identical to sequential in both phases:
-    /// same schedules, same victims, and the same Ψ down to the last bit.
+    /// The shard map — the pipeline's one fan-out — is bit-identical
+    /// under `Parallel` and `Sequential`, for both partitioning
+    /// strategies: same schedule, same Ψ down to the last bit, same
+    /// victims, and every work counter.
     #[test]
     fn parallel_pipeline_is_bit_identical_to_sequential(w in world_strategy()) {
         let (topo, catalog, requests) = build(&w);
-        prop_assume!(!requests.is_empty());
+        prop_assume!(requests.len() >= 2);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
 
-        let seq1 = ivsp_solve_with_mode(
-            &ctx, &requests, GreedyPolicy::default(), ExecMode::Sequential,
-        );
-        let par1 = ivsp_solve_with_mode(
-            &ctx, &requests, GreedyPolicy::default(), ExecMode::Parallel,
-        );
-        prop_assert_eq!(&seq1, &par1);
-
-        let cfg = SorpConfig::default();
-        let seq = sorp_solve_priced(
-            &ctx, PricedSchedule::price(&ctx, seq1), &cfg, &[], ExecMode::Sequential,
-        );
-        let par = sorp_solve_priced(
-            &ctx, PricedSchedule::price(&ctx, par1), &cfg, &[], ExecMode::Parallel,
-        );
-        prop_assert_eq!(&seq.schedule, &par.schedule);
-        prop_assert_eq!(seq.cost.to_bits(), par.cost.to_bits());
-        prop_assert_eq!(seq.iterations, par.iterations);
-        prop_assert_eq!(seq.victims.len(), par.victims.len());
+        for strategy in [ShardStrategy::ByRegion, ShardStrategy::ByTimeSlice] {
+            let cfg = ShardConfig { shards: 3, strategy, ..ShardConfig::default() };
+            let seq = shard_solve(&ctx, &requests, &cfg, ExecMode::Sequential);
+            let par = shard_solve(&ctx, &requests, &cfg, ExecMode::Parallel);
+            prop_assert!(
+                seq.shards >= 2 || strategy == ShardStrategy::ByRegion,
+                "two requests fill two time slices"
+            );
+            prop_assert_eq!(&seq.sorp.schedule, &par.sorp.schedule);
+            prop_assert_eq!(seq.sorp.cost.to_bits(), par.sorp.cost.to_bits());
+            prop_assert_eq!(seq.sorp.initial_cost.to_bits(), par.sorp.initial_cost.to_bits());
+            prop_assert_eq!(seq.sorp.victims.len(), par.sorp.victims.len());
+            for (a, b) in seq.sorp.victims.iter().zip(&par.sorp.victims) {
+                prop_assert_eq!((a.video, a.loc), (b.video, b.loc));
+                prop_assert_eq!(a.window_start.to_bits(), b.window_start.to_bits());
+                prop_assert_eq!(a.window_end.to_bits(), b.window_end.to_bits());
+                prop_assert_eq!(a.overhead.to_bits(), b.overhead.to_bits());
+                prop_assert_eq!(a.heat.to_bits(), b.heat.to_bits());
+            }
+            let counters = |o: &ShardOutcome| {
+                let s = &o.sorp;
+                [
+                    s.iterations, s.forced_fallbacks, s.trials_run, s.trials_cached,
+                    s.jobs_rebuilt, s.nodes_rescanned, usize::from(s.overflow_free),
+                    o.shards, o.split_videos, o.shared_storages, o.cross_shard_overflows,
+                    o.reconcile_iterations, o.reconcile_victims, o.trials_transplanted,
+                ]
+            };
+            prop_assert_eq!(counters(&seq), counters(&par));
+        }
     }
 }
