@@ -88,13 +88,11 @@ pub use service::{
     service_run, BackoffPolicy, BudgetModel, IntakeError, Rung, ServiceConfig, ServiceCycleOutcome,
     ServiceCycleStats, ServiceLoop, ServiceReport,
 };
-pub use shard::{
-    shard_solve, shard_solve_seeded, shard_solve_warm, ShardConfig, ShardOutcome, ShardStats,
-};
+pub use shard::{shard_solve, shard_solve_seeded, ShardConfig, ShardOutcome, ShardStats};
 pub use sorp::{
     heats_tie, sorp_solve, sorp_solve_priced, SorpConfig, SorpOutcome, VictimRecord,
     EXTERNAL_OCCUPANCY,
 };
 pub use timeline::{OccupancyTimeline, Prefix};
 pub use vod_parallel::ExecMode;
-pub use warm::{CommittedBook, WarmState, WarmStats};
+pub use warm::{CommittedBook, WarmStats};

@@ -1,16 +1,19 @@
 //! Incremental schedule repair after injected faults (degraded-mode
 //! operation).
 //!
-//! Given a committed [`PricedSchedule`] and a [`FaultPlan`], the repair
-//! scheduler invalidates only the videos a fault actually breaks
+//! Repair is one more pass over a solve's own state: given a
+//! [`FaultPlan`], it invalidates only the videos a fault actually breaks
 //! ([`FaultPlan::impact`]) and re-admits them through the existing SORP
 //! machinery: the rejective greedy re-sources each broken service from
 //! the warehouse or a surviving cache, routed over a degraded route
 //! table that avoids every failed link, with the outage windows handed
-//! to the greedy as forbidden placement intervals. The untouched
-//! majority of the schedule keeps its memoized Ψ — repair cost is the
-//! sum of per-video commit deltas, exactly like a SORP iteration, not a
-//! from-scratch reschedule.
+//! to the greedy as forbidden placement intervals. It admits against the
+//! state's ledger — the schedule *and* the base occupancy it was solved
+//! over (the service's committed book; empty under [`repair_schedule`])
+//! — and lands through the state's commit. The untouched majority of the
+//! schedule keeps its memoized Ψ — repair cost is the sum of per-video
+//! commit deltas, exactly like a SORP iteration, not a from-scratch
+//! reschedule.
 //!
 //! Requests whose home storage is unreachable without the failed links
 //! cannot be rerouted at their reserved time. For those the repair
@@ -24,6 +27,7 @@
 //! of panicking or silently dropping service.
 
 use crate::greedy::{reschedule_video, Constraints};
+use crate::sorp::SolveState;
 use crate::{Interval, PricedSchedule, SchedCtx, StorageLedger};
 use vod_cost_model::{Dollars, Request, Secs, Transfer, VideoId, VideoSchedule};
 use vod_faults::{FaultError, FaultPlan};
@@ -108,20 +112,38 @@ impl RepairOutcome {
     /// delivery time. This is what strict replay must check coverage
     /// against.
     pub fn adjusted_requests(&self, original: &[Request]) -> Vec<Request> {
-        let key = |r: &Request| (r.user, r.video, r.start.to_bits());
-        let shed: std::collections::HashSet<_> =
-            self.shed.iter().map(|s| key(&s.request)).collect();
-        let delayed: std::collections::HashMap<_, Secs> =
-            self.delayed.iter().map(|d| (key(&d.request), d.delayed_start)).collect();
-        original
-            .iter()
-            .filter(|r| !shed.contains(&key(r)))
-            .map(|r| match delayed.get(&key(r)) {
-                Some(&t) => Request { start: t, ..*r },
-                None => *r,
-            })
-            .collect()
+        adjusted_requests(&self.shed, &self.delayed, original)
     }
+}
+
+/// What one repair pass did, besides moving its state's schedule: the
+/// like-named fields of [`RepairOutcome`].
+#[derive(Default)]
+pub(crate) struct RepairPass {
+    repaired_videos: Vec<VideoId>,
+    pub(crate) shed: Vec<ShedRecord>,
+    pub(crate) delayed: Vec<DelayRecord>,
+    retry_attempts: u32,
+}
+
+/// [`RepairOutcome::adjusted_requests`] over a pass's records.
+pub(crate) fn adjusted_requests(
+    shed: &[ShedRecord],
+    delayed: &[DelayRecord],
+    original: &[Request],
+) -> Vec<Request> {
+    let key = |r: &Request| (r.user, r.video, r.start.to_bits());
+    let shed: std::collections::HashSet<_> = shed.iter().map(|s| key(&s.request)).collect();
+    let delayed: std::collections::HashMap<_, Secs> =
+        delayed.iter().map(|d| (key(&d.request), d.delayed_start)).collect();
+    original
+        .iter()
+        .filter(|r| !shed.contains(&key(r)))
+        .map(|r| match delayed.get(&key(r)) {
+            Some(&t) => Request { start: t, ..*r },
+            None => *r,
+        })
+        .collect()
 }
 
 /// The multiplier of backoff attempt `attempt` (1-based): `2^(attempt−1)`,
@@ -145,31 +167,35 @@ pub fn repair_schedule(
     cfg: &RepairConfig,
 ) -> Result<RepairOutcome, FaultError> {
     plan.validate(ctx.topo)?;
-    Ok(repair_validated(ctx, priced, plan, cfg))
+    let pre_repair_cost = priced.total();
+    let mut state = SolveState::new(ctx, priced, StorageLedger::new(ctx.topo));
+    let RepairPass { repaired_videos, shed, delayed, retry_attempts } =
+        repair_state(ctx, &mut state, plan, cfg);
+    Ok(RepairOutcome {
+        priced: state.priced,
+        pre_repair_cost,
+        unchanged: repaired_videos.is_empty(),
+        repaired_videos,
+        shed,
+        delayed,
+        retry_attempts,
+    })
 }
 
-/// The body of [`repair_schedule`], for a `plan` already validated
-/// against `ctx.topo` — or made of faults taken from one that was, which
-/// is how the service loop calls it every faulted cycle.
-pub(crate) fn repair_validated(
+/// The repair pass, for a `plan` already validated against `ctx.topo` —
+/// or made of faults taken from one that was, which is how the service
+/// loop calls it every faulted cycle, on the state its solve returned.
+pub(crate) fn repair_state(
     ctx: &SchedCtx<'_>,
-    priced: PricedSchedule,
+    state: &mut SolveState,
     plan: &FaultPlan,
     cfg: &RepairConfig,
-) -> RepairOutcome {
-    let impact = plan.impact(priced.schedule(), ctx.catalog, ctx.model.space_model());
-    let pre_repair_cost = priced.total();
+) -> RepairPass {
+    let impact = plan.impact(state.priced.schedule(), ctx.catalog, ctx.model.space_model());
     if impact.affected_videos.is_empty() {
-        return RepairOutcome {
-            priced,
-            pre_repair_cost,
-            repaired_videos: Vec::new(),
-            shed: Vec::new(),
-            delayed: Vec::new(),
-            retry_attempts: 0,
-            unchanged: true,
-        };
+        return RepairPass::default();
     }
+    let pre_repair_cost = state.priced.total();
 
     // Degraded context: route around every failed link for the whole
     // horizon (conservative — a repaired stream must not depend on the
@@ -188,10 +214,9 @@ pub(crate) fn repair_validated(
         &owned_dctx
     };
 
-    // Occupancy of the whole committed schedule; repaired videos are
-    // excluded per-video via `Constraints::exclude` and re-entered on
-    // commit, exactly like a SORP iteration.
-    let mut ledger = StorageLedger::from_schedule(ctx.topo, ctx.catalog, priced.schedule());
+    // The state's ledger holds the whole schedule over its base;
+    // repaired videos are excluded per-video via `Constraints::exclude`
+    // and re-entered on commit, exactly like a SORP iteration.
     let forbidden: Vec<_> = plan
         .outage_windows()
         .into_iter()
@@ -199,7 +224,6 @@ pub(crate) fn repair_validated(
         .collect();
 
     let vw = ctx.topo.warehouse();
-    let mut priced = priced;
     let mut shed = Vec::new();
     let mut delayed = Vec::new();
     let mut retry_attempts = 0u32;
@@ -209,7 +233,7 @@ pub(crate) fn repair_validated(
         // Impact only lists scheduled videos, but the service loop feeds
         // this path continuously — a stale or hostile plan must degrade
         // to a skip, never a panic.
-        let Some(old_vs) = priced.schedule().video(vid).cloned() else { continue };
+        let Some(old_vs) = state.priced.schedule().video(vid) else { continue };
         let requests = old_vs.delivered_requests();
         let heat = requests.len();
         let playback = ctx.catalog.get(vid).playback;
@@ -230,7 +254,8 @@ pub(crate) fn repair_validated(
         let mut new_vs = if servable.is_empty() {
             VideoSchedule::new(vid)
         } else {
-            let cons = Constraints { ledger: &ledger, exclude: Some(vid), forbidden: &forbidden };
+            let cons =
+                Constraints { ledger: &state.ledger, exclude: Some(vid), forbidden: &forbidden };
             reschedule_video(dctx, &servable, &cons)
         };
 
@@ -268,7 +293,7 @@ pub(crate) fn repair_validated(
             }
         }
 
-        commit(ctx, &mut priced, &mut ledger, new_vs);
+        state.commit(ctx, new_vs);
     }
 
     // Graceful degradation reports lowest-heat casualties first; ties
@@ -285,39 +310,10 @@ pub(crate) fn repair_validated(
             .u64("delayed", delayed.len() as u64)
             .u64("retry_attempts", retry_attempts as u64)
             .f64("pre_repair_cost", pre_repair_cost)
-            .f64("post_repair_cost", priced.total());
+            .f64("post_repair_cost", state.priced.total());
     });
 
-    RepairOutcome {
-        priced,
-        pre_repair_cost,
-        repaired_videos,
-        shed,
-        delayed,
-        retry_attempts,
-        unchanged: false,
-    }
-}
-
-/// Replace one video's schedule in both the ledger and the pricing memo
-/// (the SORP commit discipline).
-fn commit(
-    ctx: &SchedCtx<'_>,
-    priced: &mut PricedSchedule,
-    ledger: &mut StorageLedger,
-    new_vs: VideoSchedule,
-) {
-    let vid = new_vs.video;
-    if let Some(old_vs) = priced.schedule().video(vid) {
-        for r in &old_vs.residencies {
-            ledger.remove(r.loc, vid);
-        }
-    }
-    debug_assert!(!ledger.contains_video(vid), "stale ledger profiles for repaired video");
-    for r in &new_vs.residencies {
-        ledger.add(r.loc, r.video, r.profile(ctx.catalog.get(r.video)));
-    }
-    priced.commit(ctx, new_vs);
+    RepairPass { repaired_videos, shed, delayed, retry_attempts }
 }
 
 #[cfg(test)]
@@ -438,6 +434,47 @@ mod tests {
         let post = plan.impact(out.priced.schedule(), &wl.catalog, space);
         assert!(post.is_empty(), "repair left broken services: {post:?}");
         assert!(out.priced.consistent_with(&ctx), "pricing memo diverged");
+    }
+
+    #[test]
+    fn repair_over_carried_occupancy_admits_against_base_plus_schedule() {
+        // Every store carries a squatter that leaves room for one file and
+        // no more; the batch is resolved over it, then a third of the
+        // stores go down all day and every broken video is re-placed. The
+        // pass admits on the state's own ledger, so base + schedule stays
+        // feasible (a ledger rebuilt from the schedule alone would show
+        // the squatted stores as empty and fill them twice).
+        let (topo, wl) = world(5.0, 26);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+        let largest = wl.catalog.iter().map(|v| v.size).fold(0.0, f64::max);
+        let mut base = StorageLedger::new(&topo);
+        for loc in topo.storages() {
+            let plateau = topo.capacity(loc) - largest;
+            let squatter = vod_cost_model::SpaceProfile {
+                start: 0.0,
+                full: 0.0,
+                last: 1e7,
+                end: 1e7,
+                plateau,
+            };
+            base.add(loc, crate::EXTERNAL_OCCUPANCY, squatter);
+        }
+        let mut state = SolveState::new(&ctx, ivsp_solve_priced(&ctx, &wl.requests), base);
+        state.resolve(&ctx, &SorpConfig::default());
+        assert!(crate::detect_overflows(&topo, &state.ledger).is_empty());
+
+        let down = topo.storages().step_by(3);
+        let plan = FaultPlan::new(
+            down.map(|node| Fault::NodeOutage { node, from: 0.0, until: 86_400.0 }).collect(),
+        );
+        let pass = repair_state(&ctx, &mut state, &plan, &RepairConfig::default());
+        assert!(!pass.repaired_videos.is_empty(), "the outages broke nothing");
+        let moved = pass.repaired_videos.iter().filter_map(|&v| state.priced.schedule().video(v));
+        assert!(moved.flat_map(|vs| &vs.residencies).count() > 0, "repair cached nothing anew");
+        let over = crate::detect_overflows(&topo, &state.ledger);
+        assert!(over.is_empty(), "repair over-committed base + schedule: {over:?}");
+        assert!(state.priced.consistent_with(&ctx), "pricing memo diverged");
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! The paper frames VOR as a *service*: requests arrive continuously
 //! ahead of their reserved start times, and the provider must keep
 //! admitting, scheduling, and serving them. [`ServiceLoop`] is that
-//! request-intake layer on top of [`crate::shard_solve_warm`]:
+//! request-intake layer on top of the sharded solve:
 //!
 //! * arriving requests enter a **bounded intake queue** in
 //!   oldest-deadline-first order, behind a reject-before-enqueue
-//!   admission test against the committed occupancy the [`WarmState`]
-//!   already carries ([`IntakeError`] is the typed backpressure);
+//!   admission test against the committed occupancy the
+//!   [`CommittedBook`] already carries ([`IntakeError`] is the typed
+//!   backpressure);
 //! * each cycle's drained batch is solved under a **per-cycle deadline
 //!   budget** enforced by a degradation ladder ([`Rung`]): full warm
 //!   sharded solve → reduced SORP trial budget → greedy-only placement
@@ -24,8 +25,11 @@
 //! * shed and fault-displaced requests **re-enqueue into later cycles**
 //!   with capped exponential backoff and a drop-after-N policy
 //!   ([`BackoffPolicy`]); [`vod_faults::FaultPlan`] outages are wired
-//!   straight into the loop, so [`crate::repair_schedule`] runs between
-//!   cycles instead of only in one-shot tests;
+//!   straight into the loop: a faulted cycle runs the repair pass of
+//!   [`crate::repair_schedule`] on the solve's own state, whose ledger
+//!   is the book plus this cycle's schedule;
+//! * a cycle commits **once**: the schedule it returns, post-repair, is
+//!   the only thing the book absorbs, so the book never exceeds a store;
 //! * everything is accounted in a [`ServiceReport`]: per-cycle rung,
 //!   queue-depth high-water mark, admitted / deferred / shed / dropped
 //!   counts, deadline misses, and the backoff histogram, with a
@@ -38,9 +42,9 @@
 //! on exactly the window's arrivals
 //! ([`vod_cost_model::RequestBatch::new`] normalises request order, so
 //! queue ordering is invisible to the solver) — committed schedules and
-//! Ψ are bit-identical to calling [`crate::shard_solve_warm`] on each
-//! window's batch over one [`WarmState`]. The `service_props` suite
-//! asserts this.
+//! Ψ are bit-identical to evicting, calling [`crate::shard_solve_seeded`]
+//! over the book's ledger and absorbing the result, window by window
+//! over one [`CommittedBook`]. The `service_props` suite asserts this.
 //!
 //! ## Determinism of the ladder
 //!
@@ -51,10 +55,9 @@
 //! replay of the same arrival trace, and with it every
 //! [`BudgetModel::pick`].
 
-use crate::repair::{backoff_multiplier, repair_validated};
-use crate::{
-    shard_solve_warm, PricedSchedule, RepairConfig, SchedCtx, ShardConfig, WarmState, WarmStats,
-};
+use crate::repair::{adjusted_requests, backoff_multiplier, repair_state};
+use crate::shard::solve_over;
+use crate::{detect_overflows, CommittedBook, RepairConfig, SchedCtx, ShardConfig, WarmStats};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -73,7 +76,7 @@ pub enum Rung {
     /// The full warm sharded solve (the oracle path).
     #[default]
     Full,
-    /// SORP trial budget clamped to [`ServiceConfig::reduced_trials`].
+    /// SORP trial budget clamped to a small fixed iteration count.
     ReducedTrials,
     /// Greedy placement only: `max_iterations = 0`, overflows cleared by
     /// the deterministic direct-delivery fallback.
@@ -189,8 +192,6 @@ pub struct ServiceConfig {
     pub saturation_bytes: Option<f64>,
     /// Backoff policy for shed and fault-displaced requests.
     pub backoff: BackoffPolicy,
-    /// SORP iteration budget on the [`Rung::ReducedTrials`] rung.
-    pub reduced_trials: usize,
     /// Faults injected over the run; each cycle repairs against the
     /// sub-plan of faults overlapping its window.
     pub faults: FaultPlan,
@@ -207,7 +208,6 @@ impl Default for ServiceConfig {
             budget_ns: None,
             saturation_bytes: None,
             backoff: BackoffPolicy::default(),
-            reduced_trials: 32,
             faults: FaultPlan::empty(),
             repair: RepairConfig::default(),
         }
@@ -216,6 +216,8 @@ impl Default for ServiceConfig {
 
 /// EMA weight of a new observation.
 const EMA_ALPHA: f64 = 0.3;
+/// SORP iteration budget on the [`Rung::ReducedTrials`] rung.
+const REDUCED_TRIALS: usize = 32;
 
 /// Simulated cost per scheduled request (the phase-1 greedy share).
 const REQUEST_NS: f64 = 4_000.0;
@@ -336,10 +338,6 @@ struct Ticket {
 /// the float.
 fn ticket_key(t: &Ticket) -> (u64, u32, u32) {
     (t.request.start.to_bits(), t.request.video.0, t.request.user.0)
-}
-
-fn request_key(r: &Request) -> (u32, u32, u64) {
-    (r.user.0, r.video.0, r.start.to_bits())
 }
 
 /// Per-cycle service accounting, threaded into the [`ServiceReport`]
@@ -531,7 +529,8 @@ impl ServiceReport {
 /// The long-running cycle-driven service loop. See the module docs.
 pub struct ServiceLoop {
     cfg: ServiceConfig,
-    warm: WarmState,
+    /// What crosses a cycle boundary: every shipped schedule's occupancy.
+    book: CommittedBook,
     /// The intake queue, sorted by [`ticket_key`] (oldest deadline
     /// first). A sorted `Vec` keeps drains a cheap prefix split and
     /// inserts deterministic.
@@ -539,9 +538,6 @@ pub struct ServiceLoop {
     /// Backoff parking lot: `(eligible_cycle, ticket)`, sorted by
     /// `(eligible_cycle, ticket_key)`.
     pending: Vec<(usize, Ticket)>,
-    /// Keys of permanently dropped originals — a dropped request must
-    /// never resurrect.
-    dropped_keys: std::collections::HashSet<(u32, u32, u64)>,
     budget: BudgetModel,
     cycle: usize,
     // Intake counters since the previous cycle ran.
@@ -565,10 +561,9 @@ impl ServiceLoop {
         );
         Ok(Self {
             cfg,
-            warm: WarmState::new(topo),
+            book: CommittedBook::new(topo),
             queue: Vec::new(),
             pending: Vec::new(),
-            dropped_keys: std::collections::HashSet::new(),
             budget: BudgetModel::default(),
             cycle: 0,
             offered: 0,
@@ -580,9 +575,9 @@ impl ServiceLoop {
         })
     }
 
-    /// The carried warm state (the committed-occupancy book).
-    pub fn warm(&self) -> &WarmState {
-        &self.warm
+    /// The committed-occupancy book carried across cycles.
+    pub fn book(&self) -> &CommittedBook {
+        &self.book
     }
 
     /// The budget model's current state.
@@ -600,18 +595,13 @@ impl ServiceLoop {
         self.queue.len()
     }
 
-    /// Requests parked for a later cycle by backoff.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Offer one arriving request to the intake queue. Rejection is
     /// typed backpressure: the request was not enqueued, and the
     /// rejection is recorded in the next cycle's stats.
     pub fn offer(&mut self, r: Request) -> Result<(), IntakeError> {
         self.offered += 1;
         if let Some(limit) = self.cfg.saturation_bytes {
-            let spillover = self.warm.committed().spillover_at(r.start);
+            let spillover = self.book.spillover_at(r.start);
             if spillover >= limit {
                 self.rejected_saturated += 1;
                 return Err(IntakeError::Saturated {
@@ -651,7 +641,6 @@ impl ServiceLoop {
     ) -> Option<Request> {
         t.attempts += 1;
         if t.attempts > self.cfg.backoff.drop_after {
-            self.dropped_keys.insert(request_key(&t.original));
             stats.dropped += 1;
             return Some(t.original);
         }
@@ -671,8 +660,9 @@ impl ServiceLoop {
     }
 
     /// Run one scheduling cycle: release due backoff parkings, drain the
-    /// window's batch, pick the ladder rung, solve, repair against the
-    /// window's faults, and account everything.
+    /// window's batch, pick the ladder rung, solve over the book, repair
+    /// the solve's state against the window's faults, commit what ships
+    /// to the book, and account everything.
     pub fn run_cycle(&mut self, ctx: &SchedCtx<'_>, mode: ExecMode) -> ServiceCycleOutcome {
         let k = self.cycle;
         let t0 = k as f64 * self.cfg.horizon;
@@ -764,10 +754,11 @@ impl ServiceLoop {
             kept = solved;
         }
 
-        // 5. Solve on the chosen rung. An empty batch still opens the
-        //    cycle (eviction + stats) so idle ticks stay visible. The
-        //    tickets go into batch order first, so that batch entry `i`
-        //    is ticket `i`; of tickets holding one request, the most
+        // 5. Solve on the chosen rung over the book, less what drained
+        //    before the window. An empty batch still opens the cycle
+        //    (eviction + stats) so idle ticks stay visible. The tickets
+        //    go into batch order first, so that batch entry `i` is
+        //    ticket `i`; of tickets holding one request, the most
         //    recently enqueued takes the first slot.
         kept.reverse();
         kept.sort_by(|a, b| a.request.batch_order(&b.request));
@@ -776,35 +767,33 @@ impl ServiceLoop {
         match rung {
             Rung::Full => {}
             Rung::ReducedTrials => {
-                shard_cfg.sorp.max_iterations =
-                    shard_cfg.sorp.max_iterations.min(self.cfg.reduced_trials);
+                shard_cfg.sorp.max_iterations = shard_cfg.sorp.max_iterations.min(REDUCED_TRIALS);
             }
             Rung::GreedyOnly | Rung::Shed => shard_cfg.sorp.max_iterations = 0,
         }
         let solve_started = std::time::Instant::now();
-        let (mut schedule, mut cost, initial_cost, victims, overflow_free, iterations, fallbacks) =
-            if batch.is_empty() {
-                self.warm.begin_cycle(t0);
-                (Schedule::new(), 0.0, 0.0, 0, true, 0, 0)
-            } else {
-                let out = shard_solve_warm(ctx, &batch, &shard_cfg, &mut self.warm, t0, mode);
-                (
-                    out.sorp.schedule,
-                    out.sorp.cost,
-                    out.sorp.initial_cost,
-                    out.sorp.victims.len(),
-                    out.sorp.overflow_free,
-                    out.sorp.iterations,
-                    out.sorp.forced_fallbacks,
-                )
-            };
+        let committed_evicted = self.book.evict_expired(t0);
+        let mut warm = WarmStats {
+            committed_evicted,
+            committed_active: self.book.active(),
+            spillover_bytes: self.book.spillover_at(t0),
+            ..WarmStats::default()
+        };
+        let mut state = (!batch.is_empty()).then(|| {
+            let solve = solve_over(ctx, &batch, &shard_cfg, self.book.ledger(), mode);
+            warm.trials_hit = solve.state.trials_cached;
+            warm.shards_used = solve.shards;
+            solve.state
+        });
         // Reporting only — no decision ever reads this (the ladder runs
         // on simulated time), so determinism is preserved.
-        self.warm.stats.solve_ns = solve_started.elapsed().as_nanos() as u64;
-        let warm_stats = self.warm.stats.clone();
-        warm_stats.record(&ctx.recorder);
+        warm.solve_ns = solve_started.elapsed().as_nanos() as u64;
+        warm.record(&ctx.recorder);
 
         // 6. Feed the budget model with the solve's simulated time.
+        let (iterations, victims, fallbacks) = state
+            .as_ref()
+            .map_or((0, 0, 0), |s| (s.iterations, s.victims.len(), s.forced_fallbacks));
         let sim_ns = BudgetModel::simulated_ns(batch.len(), iterations, victims, fallbacks);
         stats.sim_ns = sim_ns;
         stats.over_budget = self.cfg.budget_ns.is_some_and(|b| sim_ns as f64 > b);
@@ -818,8 +807,9 @@ impl ServiceLoop {
                 .f64("ema_greedy_ns", greedy);
         });
 
-        // 7. Repair against the window's faults; displaced requests
-        //    re-enter the backoff pipeline.
+        // 7. Repair the state against the window's faults, on its own
+        //    ledger (the book plus this cycle's schedule); displaced
+        //    requests re-enter the backoff pipeline.
         let mut served: Vec<Request> = batch.iter().copied().collect();
         // Tickets repair shed; the others are what the schedule serves.
         let mut repair_shed = vec![false; kept.len()];
@@ -831,12 +821,11 @@ impl ServiceLoop {
             .filter(|f| f.overlaps(t0, window_end))
             .copied()
             .collect();
-        if !cycle_faults.is_empty() && !served.is_empty() {
-            let sub = FaultPlan::new(cycle_faults);
-            let priced = PricedSchedule::price(ctx, schedule);
+        if let Some(state) = state.as_mut().filter(|_| !cycle_faults.is_empty()) {
             // `new` validated the whole plan against this topology, and
             // validity is per fault: the sub-plan needs no second look.
-            let repair = repair_validated(ctx, priced, &sub, &self.cfg.repair);
+            let sub = FaultPlan::new(cycle_faults);
+            let repair = repair_state(ctx, state, &sub, &self.cfg.repair);
             for s in &repair.shed {
                 stats.shed += 1;
                 shed_now.push(s.request);
@@ -857,11 +846,21 @@ impl ServiceLoop {
                 dropped_now.extend(self.defer_or_drop(t, k, &mut stats));
             }
             stats.delayed = repair.delayed.len();
-            served = repair.adjusted_requests(&served);
-            self.warm.absorb_repaired(ctx, repair.priced.schedule(), &repair.repaired_videos);
-            cost = repair.cost();
-            schedule = repair.priced.schedule().clone();
+            served = adjusted_requests(&repair.shed, &repair.delayed, &served);
         }
+
+        // 8. Finish the state and commit what ships — the one place a
+        //    residency enters the book, which `overflow_free` speaks for.
+        let (schedule, cost, initial_cost, overflow_free) =
+            state.map_or((Schedule::new(), 0.0, 0.0, true), |state| {
+                let out = state.into_outcome(ctx);
+                (out.schedule, out.cost, out.initial_cost, out.overflow_free)
+            });
+        self.book.absorb(ctx, &schedule);
+        debug_assert!(
+            detect_overflows(ctx.topo, self.book.ledger()).is_empty(),
+            "cycle {k} over-committed the book"
+        );
 
         // A request is late when repair delayed it or when backoff moved
         // it into a window after its original reservation.
@@ -909,7 +908,7 @@ impl ServiceLoop {
             initial_cost,
             victims,
             overflow_free,
-            warm: warm_stats,
+            warm,
             served,
             served_originals: kept
                 .iter()

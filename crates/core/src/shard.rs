@@ -49,25 +49,25 @@
 //!   a split video across regions in ways no shard sees, so only
 //!   feasibility — not Ψ-equality — is promised.
 //!
-//! ## One body, three entry points
+//! ## One body, two entry points
 //!
-//! [`shard_solve`], [`shard_solve_seeded`] and [`shard_solve_warm`] run
-//! the same pipeline body over a *base ledger* — the occupancy committed
-//! outside this batch, which no pass may victimise. They differ only in
-//! where the base comes from: empty, built from a flat profile list, or
-//! the warm state's incrementally maintained [`crate::CommittedBook`].
-//! A cold solve is the warm solve over an empty book.
+//! [`shard_solve`] and [`shard_solve_seeded`] run the same pipeline body
+//! over a *base ledger* — the occupancy committed outside this batch,
+//! which no pass may victimise: empty, or the caller's. The body hands
+//! back its final [`SolveState`] (ledger = base + schedule, schedule
+//! priced) and the entry points finish it into a [`ShardOutcome`];
+//! [`crate::ServiceLoop::run_cycle`] calls the body over its
+//! [`crate::CommittedBook`] and repairs the state before finishing it.
+//! A cold solve is the service's solve over an empty book.
 
-use crate::sorp::{external_ledger, SolveState};
-use crate::warm::WarmState;
+use crate::sorp::SolveState;
 use crate::{
     detect_overflows, ivsp_solve_priced_with, PricedSchedule, SchedCtx, SorpConfig, SorpOutcome,
     StorageLedger,
 };
 use serde::{Deserialize, Serialize};
-use vod_cost_model::{Dollars, RequestBatch, Secs, SpaceProfile};
+use vod_cost_model::{Dollars, RequestBatch};
 use vod_parallel::{map_with_mode, ExecMode};
-use vod_topology::NodeId;
 use vod_workload::{partition_requests, ShardSpec, ShardStrategy};
 
 /// Configuration of the sharded solver: the partition plus the SORP
@@ -152,13 +152,28 @@ pub struct ShardOutcome {
     pub trials_transplanted: usize,
 }
 
-impl ShardOutcome {
+/// What the pipeline body hands back: the batch's final [`SolveState`]
+/// and the shard-level diagnostics of [`ShardOutcome`].
+pub(crate) struct ShardSolve {
+    pub(crate) state: SolveState,
+    pub(crate) shards: usize,
+    per_shard: Vec<ShardStats>,
+    split_videos: usize,
+    shared_storages: usize,
+    cross_shard_overflows: usize,
+    reconcile_iterations: usize,
+    reconcile_victims: usize,
+    trials_transplanted: usize,
+}
+
+impl ShardSolve {
     /// Emit this solve as a `"shard_solve"` flight-recorder event under
     /// the recorder's current cycle scope: sharding shape, SORP work
     /// counters, and cache-reuse totals — every decision input the
     /// issue's debugging scenarios need.
-    fn record(&self, rec: &vod_obs::Recorder, requests: usize) {
-        rec.event("shard_solve", |e| {
+    fn record(&self, ctx: &SchedCtx<'_>, requests: usize) {
+        let s = &self.state;
+        ctx.recorder.event("shard_solve", |e| {
             e.u64("shards", self.shards as u64)
                 .u64("requests", requests as u64)
                 .u64("split_videos", self.split_videos as u64)
@@ -167,16 +182,31 @@ impl ShardOutcome {
                 .u64("reconcile_iterations", self.reconcile_iterations as u64)
                 .u64("reconcile_victims", self.reconcile_victims as u64)
                 .u64("trials_transplanted", self.trials_transplanted as u64)
-                .u64("iterations", self.sorp.iterations as u64)
-                .u64("victims", self.sorp.victims.len() as u64)
-                .u64("forced_fallbacks", self.sorp.forced_fallbacks as u64)
-                .u64("trials_run", self.sorp.trials_run as u64)
-                .u64("trials_cached", self.sorp.trials_cached as u64)
-                .u64("nodes_rescanned", self.sorp.nodes_rescanned as u64)
-                .bool("overflow_free", self.sorp.overflow_free)
-                .f64("cost", self.sorp.cost)
-                .f64("initial_cost", self.sorp.initial_cost);
+                .u64("iterations", s.iterations as u64)
+                .u64("victims", s.victims.len() as u64)
+                .u64("forced_fallbacks", s.forced_fallbacks as u64)
+                .u64("trials_run", s.trials_run as u64)
+                .u64("trials_cached", s.trials_cached as u64)
+                .u64("nodes_rescanned", s.nodes_rescanned as u64)
+                .bool("overflow_free", detect_overflows(ctx.topo, &s.ledger).is_empty())
+                .f64("cost", s.priced.total())
+                .f64("initial_cost", s.initial_cost);
         });
+    }
+
+    /// Finish the state and package the outcome.
+    pub(crate) fn finish(self, ctx: &SchedCtx<'_>) -> ShardOutcome {
+        ShardOutcome {
+            sorp: self.state.into_outcome(ctx),
+            shards: self.shards,
+            per_shard: self.per_shard,
+            split_videos: self.split_videos,
+            shared_storages: self.shared_storages,
+            cross_shard_overflows: self.cross_shard_overflows,
+            reconcile_iterations: self.reconcile_iterations,
+            reconcile_victims: self.reconcile_victims,
+            trials_transplanted: self.trials_transplanted,
+        }
     }
 }
 
@@ -189,55 +219,35 @@ pub fn shard_solve(
     cfg: &ShardConfig,
     mode: ExecMode,
 ) -> ShardOutcome {
-    shard_solve_seeded(ctx, batch, cfg, &[], mode)
+    shard_solve_seeded(ctx, batch, cfg, &StorageLedger::new(ctx.topo), mode)
 }
 
-/// [`shard_solve`] with immutable external occupancy: residencies from
-/// earlier scheduling cycles that are still draining when this one
-/// starts. Every shard's ledger and the merged ledger carry it; it can
-/// never be victimised, and an overflow consisting *only* of external
-/// occupancy is unresolvable and leaves `overflow_free = false`.
+/// [`shard_solve`] over immutable external occupancy: `base` holds, under
+/// [`crate::EXTERNAL_OCCUPANCY`], residencies from earlier scheduling
+/// cycles that are still draining when this one starts. Every shard's
+/// ledger and the merged ledger carry it; it can never be victimised,
+/// and an overflow consisting *only* of external occupancy is
+/// unresolvable and leaves `overflow_free = false`.
 pub fn shard_solve_seeded(
-    ctx: &SchedCtx<'_>,
-    batch: &RequestBatch,
-    cfg: &ShardConfig,
-    external: &[(NodeId, SpaceProfile)],
-    mode: ExecMode,
-) -> ShardOutcome {
-    solve_over(ctx, batch, cfg, &external_ledger(ctx, external), mode)
-}
-
-/// [`shard_solve_seeded`] over the committed occupancy of `warm` instead
-/// of a flat profile list. `window_start` is the new cycle's window
-/// origin: [`WarmState::begin_cycle`] first evicts every committed
-/// profile fully drained before it, and the resolved schedule is
-/// absorbed into the book afterwards for the cycles to come.
-pub fn shard_solve_warm(
-    ctx: &SchedCtx<'_>,
-    batch: &RequestBatch,
-    cfg: &ShardConfig,
-    warm: &mut WarmState,
-    window_start: Secs,
-    mode: ExecMode,
-) -> ShardOutcome {
-    warm.begin_cycle(window_start);
-    let out = solve_over(ctx, batch, cfg, warm.committed().ledger(), mode);
-    warm.stats.trials_hit = out.sorp.trials_cached;
-    warm.stats.shards_used = out.shards;
-    warm.absorb_schedule(ctx, &out.sorp.schedule);
-    out
-}
-
-/// The pipeline body: partition, per-shard IVSP + resolution over a
-/// clone of `base`, then — unless one shard took the whole batch —
-/// cross-shard reconciliation.
-fn solve_over(
     ctx: &SchedCtx<'_>,
     batch: &RequestBatch,
     cfg: &ShardConfig,
     base: &StorageLedger,
     mode: ExecMode,
 ) -> ShardOutcome {
+    solve_over(ctx, batch, cfg, base, mode).finish(ctx)
+}
+
+/// The pipeline body: partition, per-shard IVSP + resolution over a
+/// clone of `base`, then — unless one shard took the whole batch —
+/// cross-shard reconciliation.
+pub(crate) fn solve_over(
+    ctx: &SchedCtx<'_>,
+    batch: &RequestBatch,
+    cfg: &ShardConfig,
+    base: &StorageLedger,
+    mode: ExecMode,
+) -> ShardSolve {
     let spec = ShardSpec { shards: cfg.shards, strategy: cfg.strategy, seed: cfg.seed };
     let batches = partition_requests(ctx.topo, batch, &spec);
 
@@ -270,8 +280,8 @@ fn solve_over(
     // `sorp_solve_priced` on the whole batch. The array pattern proves
     // the shard exists — no panic path.
     let out = match <[SolveState; 1]>::try_from(states) {
-        Ok([state]) => ShardOutcome {
-            sorp: state.into_outcome(ctx),
+        Ok([state]) => ShardSolve {
+            state,
             shards: 1,
             per_shard,
             split_videos: 0,
@@ -283,7 +293,7 @@ fn solve_over(
         },
         Err(states) => reconcile(ctx, cfg, base, states, per_shard),
     };
-    out.record(&ctx.recorder, batch.len());
+    out.record(ctx, batch.len());
     out
 }
 
@@ -294,7 +304,7 @@ fn reconcile(
     base: &StorageLedger,
     states: Vec<SolveState>,
     per_shard: Vec<ShardStats>,
-) -> ShardOutcome {
+) -> ShardSolve {
     // Which storages hold residencies from several shards, straight off
     // the per-shard schedules: each node remembers the one shard seen
     // there until a second one shows up.
@@ -381,8 +391,8 @@ fn reconcile(
     let reconcile_iterations = global.iterations - iters_before;
     let reconcile_victims = global.victims.len() - victims_before;
 
-    ShardOutcome {
-        sorp: global.into_outcome(ctx),
+    ShardSolve {
+        state: global,
         shards: per_shard.len(),
         per_shard,
         split_videos: split.len(),
@@ -489,16 +499,21 @@ mod tests {
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
         // Permanently occupy most of one storage.
         let loc = topo.storages().next().expect("a storage exists");
-        let external = vec![(
-            loc,
-            SpaceProfile { start: 0.0, full: 0.0, last: 1e7, end: 1e7, plateau: 4.5e9 },
-        )];
+        let squatter = vod_cost_model::SpaceProfile {
+            start: 0.0,
+            full: 0.0,
+            last: 1e7,
+            end: 1e7,
+            plateau: 4.5e9,
+        };
+        let mut base = StorageLedger::new(&topo);
+        base.add(loc, crate::EXTERNAL_OCCUPANCY, squatter);
         let cfg = ShardConfig::by_region(4);
-        let out = shard_solve_seeded(&ctx, &wl.requests, &cfg, &external, ExecMode::Sequential);
+        let out = shard_solve_seeded(&ctx, &wl.requests, &cfg, &base, ExecMode::Sequential);
         assert!(out.sorp.overflow_free);
         // Rebuild the ledger with the external occupancy and re-check.
         let mut ledger = StorageLedger::from_schedule(&topo, &wl.catalog, &out.sorp.schedule);
-        ledger.add(loc, crate::EXTERNAL_OCCUPANCY, external[0].1);
+        ledger.add(loc, crate::EXTERNAL_OCCUPANCY, squatter);
         assert!(detect_overflows(&topo, &ledger).is_empty());
     }
 }

@@ -442,7 +442,8 @@ fn select_victim(jobs: &[StandingJob]) -> Option<usize> {
 /// [`SolveState::resolve`] + [`SolveState::into_outcome`] *are*
 /// [`sorp_solve_priced`]; the sharded path resolves one state per shard,
 /// merges them (transplanting surviving trial-cache entries and bans),
-/// and resolves the merged state once more.
+/// and resolves the merged state once more; the service loop's fault
+/// repair is one more pass over that final state, before it is finished.
 pub(crate) struct SolveState {
     pub(crate) priced: PricedSchedule,
     pub(crate) ledger: StorageLedger,
@@ -654,8 +655,10 @@ impl SolveState {
     /// outgoing schedule actually used, and the running Ψ moves by the
     /// commit's delta. The supports of every profile actually removed or
     /// added become the commit's [`LedgerDelta`] — its (node, window)
-    /// footprint, which scopes trial-cache invalidation.
-    fn commit(&mut self, ctx: &SchedCtx<'_>, new_vs: VideoSchedule) {
+    /// footprint, which scopes trial-cache invalidation. The one commit:
+    /// a resolution iteration, the fallback tail and the fault-repair
+    /// pass ([`crate::repair_schedule`]) all land here.
+    pub(crate) fn commit(&mut self, ctx: &SchedCtx<'_>, new_vs: VideoSchedule) {
         let vid = new_vs.video;
         let mut delta = LedgerDelta::new();
         if let Some(old_vs) = self.priced.schedule().video(vid) {
@@ -755,10 +758,7 @@ pub fn sorp_solve_priced(
 
 /// The base ledger of a solve seeded from a flat profile list: every
 /// `(storage, profile)` pair under [`EXTERNAL_OCCUPANCY`], in list order.
-pub(crate) fn external_ledger(
-    ctx: &SchedCtx<'_>,
-    external: &[(NodeId, SpaceProfile)],
-) -> StorageLedger {
+fn external_ledger(ctx: &SchedCtx<'_>, external: &[(NodeId, SpaceProfile)]) -> StorageLedger {
     let mut ledger = StorageLedger::new(ctx.topo);
     for (loc, profile) in external {
         ledger.add(*loc, EXTERNAL_OCCUPANCY, *profile);

@@ -121,11 +121,6 @@ impl OccupancyTimeline {
         self.version
     }
 
-    /// Number of distinct breakpoint times.
-    pub fn breakpoint_count(&self) -> usize {
-        self.len
-    }
-
     /// Whether the timeline holds no breakpoints.
     pub fn is_empty(&self) -> bool {
         self.len == 0

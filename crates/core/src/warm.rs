@@ -1,17 +1,18 @@
 //! Cross-cycle warm start: the state [`crate::ServiceLoop`] keeps
-//! between [`crate::shard_solve_warm`] calls.
+//! between cycles.
 //!
 //! What crosses a cycle boundary is the **committed occupancy** and
 //! nothing else: every residency profile of every earlier cycle's
-//! resolved schedule, in an incrementally maintained [`StorageLedger`]
-//! under [`EXTERNAL_OCCUPANCY`] ([`CommittedBook`]), instead of a flat
-//! profile list re-added on every cycle. Profiles whose drain completed
-//! before the new cycle's window are evicted
+//! schedule as it shipped — absorbed once, after fault repair
+//! ([`CommittedBook::absorb`]) — in an incrementally maintained
+//! [`StorageLedger`] under [`EXTERNAL_OCCUPANCY`] ([`CommittedBook`]),
+//! instead of a flat profile list re-added on every cycle. Profiles
+//! whose drain completed before the new cycle's window are evicted
 //! ([`StorageLedger::remove_drained`]) — they can no longer intersect
 //! any admission test of a batch whose reservations start inside the
 //! window, so eviction is invisible to every verdict. A cycle's solve
 //! reads the book as its base ledger and is otherwise the cold solve:
-//! a fresh [`WarmState`] *is* the cold path.
+//! an empty book *is* the cold path.
 //!
 //! The SORP trial cache does **not** cross the boundary. A memoized
 //! trial may only answer a job over exactly the request set it was
@@ -23,10 +24,11 @@
 
 use crate::{SchedCtx, StorageLedger, EXTERNAL_OCCUPANCY};
 use serde::{Deserialize, Serialize};
-use vod_cost_model::{Schedule, Secs, VideoId};
+use vod_cost_model::{Schedule, Secs};
 use vod_topology::{NodeId, Topology};
 
-/// Per-cycle warm-start accounting, reset by [`WarmState::begin_cycle`].
+/// Per-cycle warm-start accounting, filled by
+/// [`crate::ServiceLoop::run_cycle`].
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct WarmStats {
     /// Always 0, like the three fields below: nothing they counted
@@ -44,7 +46,8 @@ pub struct WarmStats {
     /// Trial jobs scored without a greedy run this cycle — a standing
     /// trial or a cache hit (the solver's `trials_cached`).
     pub trials_hit: usize,
-    /// Committed occupancy profiles still active after eviction.
+    /// Committed occupancy profiles still active after eviction: what
+    /// the cycle carries, not its own output.
     pub committed_active: usize,
     /// Committed profiles evicted (drained before the window).
     pub committed_evicted: usize,
@@ -113,6 +116,14 @@ impl CommittedBook {
         }
     }
 
+    /// Commit a cycle's shipped schedule, so later cycles see its
+    /// occupancy.
+    pub fn absorb(&mut self, ctx: &SchedCtx<'_>, schedule: &Schedule) {
+        for r in schedule.residencies() {
+            self.commit(r.loc, r.profile(ctx.catalog.get(r.video)));
+        }
+    }
+
     /// Evict every profile fully drained by `t` and return the count.
     pub fn evict_expired(&mut self, t: Secs) -> usize {
         let mut evicted = 0;
@@ -135,66 +146,6 @@ impl CommittedBook {
         self.touched
             .iter()
             .flat_map(move |&loc| self.ledger.profiles_at(loc).iter().map(move |&(_, p)| (loc, p)))
-    }
-}
-
-/// Persistent solver state carried across service cycles. See the
-/// module docs for what it holds and why.
-pub struct WarmState {
-    /// Committed cross-cycle occupancy.
-    committed: CommittedBook,
-    /// Current cycle's accounting.
-    pub stats: WarmStats,
-}
-
-impl WarmState {
-    /// Fresh warm state: an empty book.
-    pub fn new(topo: &Topology) -> Self {
-        Self { committed: CommittedBook::new(topo), stats: WarmStats::default() }
-    }
-
-    /// The committed cross-cycle occupancy.
-    pub fn committed(&self) -> &CommittedBook {
-        &self.committed
-    }
-
-    /// Open a new cycle whose reservations start at `window_start`:
-    /// reset the per-cycle stats and evict committed profiles that
-    /// drained before the window.
-    pub fn begin_cycle(&mut self, window_start: Secs) {
-        let committed_evicted = self.committed.evict_expired(window_start);
-        self.stats = WarmStats {
-            committed_evicted,
-            committed_active: self.committed.active(),
-            spillover_bytes: self.committed.spillover_at(window_start),
-            ..WarmStats::default()
-        };
-    }
-
-    /// Commit the cycle's resolved schedule into the book so later
-    /// cycles see its occupancy. `stats.committed_active` deliberately
-    /// keeps its begin-of-cycle value: it counts *carried* occupancy,
-    /// not this cycle's own output.
-    pub fn absorb_schedule(&mut self, ctx: &SchedCtx<'_>, schedule: &Schedule) {
-        for r in schedule.residencies() {
-            self.committed.commit(r.loc, r.profile(ctx.catalog.get(r.video)));
-        }
-    }
-
-    /// Commit the residencies of `videos` from a *repaired* schedule on
-    /// top of an already-absorbed pre-repair schedule. The pre-repair
-    /// residencies of the repaired videos stay committed too — a
-    /// conservative over-commitment (the service loop would rather
-    /// over-reserve than let a later cycle squat on space a repair moved
-    /// away from), bounded because expired profiles are evicted at every
-    /// cycle boundary.
-    pub fn absorb_repaired(&mut self, ctx: &SchedCtx<'_>, schedule: &Schedule, videos: &[VideoId]) {
-        for &vid in videos {
-            let Some(vs) = schedule.video(vid) else { continue };
-            for r in &vs.residencies {
-                self.committed.commit(r.loc, r.profile(ctx.catalog.get(r.video)));
-            }
-        }
     }
 }
 

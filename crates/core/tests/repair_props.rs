@@ -7,12 +7,14 @@
 use proptest::prelude::*;
 use vod_core::{
     detect_overflows, ivsp_solve_priced, repair_schedule, sorp_solve_priced, ExecMode,
-    PricedSchedule, RepairConfig, SchedCtx, SorpConfig, StorageLedger,
+    PricedSchedule, RepairConfig, SchedCtx, ServiceConfig, ServiceLoop, SorpConfig, StorageLedger,
 };
 use vod_cost_model::{CostModel, Request};
 use vod_faults::{FaultConfig, FaultPlan};
 use vod_topology::{builders, Topology};
 use vod_workload::{CatalogConfig, RequestConfig, Workload};
+
+const HORIZON: f64 = 24.0 * 3_600.0;
 
 /// A random degraded-mode scenario: which workload, which faults, and how
 /// patient the retry policy is.
@@ -58,6 +60,18 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         )
 }
 
+/// The scenario's fault plan, its draw repeated over `days` windows.
+fn plan_over(topo: &Topology, s: &Scenario, days: usize) -> FaultPlan {
+    let fcfg = FaultConfig {
+        node_outages: days * s.node_outages,
+        link_failures: days * s.link_failures,
+        link_degradations: days * s.link_degradations,
+        horizon: days as f64 * HORIZON,
+        ..FaultConfig::default()
+    };
+    FaultPlan::generate(topo, &fcfg, s.fault_seed)
+}
+
 fn build(s: &Scenario) -> (Topology, Workload, FaultPlan) {
     let cfg = builders::PaperFig4Config { capacity_gb: s.capacity_gb, ..Default::default() };
     let topo = builders::paper_fig4(&cfg);
@@ -67,13 +81,7 @@ fn build(s: &Scenario) -> (Topology, Workload, FaultPlan) {
         &RequestConfig::paper(),
         s.workload_seed,
     );
-    let fcfg = FaultConfig {
-        node_outages: s.node_outages,
-        link_failures: s.link_failures,
-        link_degradations: s.link_degradations,
-        ..FaultConfig::default()
-    };
-    let plan = FaultPlan::generate(&topo, &fcfg, s.fault_seed);
+    let plan = plan_over(&topo, s, 1);
     (topo, wl, plan)
 }
 
@@ -138,6 +146,24 @@ proptest! {
         let ledger = StorageLedger::from_schedule(&topo, &wl.catalog, out.priced.schedule());
         let overflows = detect_overflows(&topo, &ledger);
         prop_assert!(overflows.is_empty(), "repair re-introduced overflows: {overflows:?}");
+
+        // The same over carried occupancy: the service loop solves the
+        // batch on three consecutive days, each over what the days before
+        // shipped (at 5 GB a store holds one ≈3.4 GB file, so every store
+        // in use is within one profile of capacity) and repairs it on that
+        // very ledger — base + schedule never overflows.
+        let faults = plan_over(&topo, &s, 3);
+        let service = ServiceConfig { faults, repair: cfg, ..ServiceConfig::default() };
+        let mut svc = ServiceLoop::new(&topo, service).unwrap();
+        for day in 0..3 {
+            for r in wl.requests.iter() {
+                svc.offer(Request { start: r.start + day as f64 * HORIZON, ..*r }).unwrap();
+            }
+            let cycle = svc.run_cycle(&ctx, ExecMode::Sequential);
+            prop_assert!(cycle.overflow_free, "day {day}: repair over the book left an overflow");
+            let overflows = detect_overflows(&topo, svc.book().ledger());
+            prop_assert!(overflows.is_empty(), "day {day}: the book overflows: {overflows:?}");
+        }
     }
 
     /// Zero faults: repair is a bit-identical no-op, whatever the config.

@@ -2,15 +2,17 @@
 //! budget and an unbounded queue the service loop must be bit-identical
 //! to the plain rolling warm loop on the same arrivals, no reservation
 //! may be both served and shed in the same cycle, a dropped reservation
-//! must never resurrect, and the ladder's rung trace must be a
+//! must never resurrect, the ladder's rung trace must be a
 //! deterministic function of the trace + config (identical across
-//! repeated runs and across `ExecMode`s).
+//! repeated runs and across `ExecMode`s), and whatever the faults, the
+//! budget, the queue bound and the sharding, the book is feasible after
+//! every cycle.
 
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use vod_core::{
-    service_run, shard_solve_warm, BackoffPolicy, ExecMode, Rung, SchedCtx, ServiceConfig,
-    WarmState,
+    detect_overflows, service_run, shard_solve_seeded, BackoffPolicy, CommittedBook, ExecMode,
+    Rung, SchedCtx, ServiceConfig, ServiceLoop, ShardConfig,
 };
 use vod_cost_model::{Catalog, CostModel, Request, RequestBatch};
 use vod_topology::Topology;
@@ -79,7 +81,7 @@ proptest! {
         let (outcomes, report) =
             service_run(&ctx, &arrivals, &cfg, cycles, ExecMode::Sequential).unwrap();
 
-        let mut warm = WarmState::new(&topo);
+        let mut book = CommittedBook::new(&topo);
         for (k, out) in outcomes.iter().enumerate() {
             let t0 = k as f64 * HORIZON;
             let window: Vec<Request> = arrivals
@@ -88,8 +90,10 @@ proptest! {
                 .filter(|r| r.start >= t0 && r.start < t0 + HORIZON)
                 .collect();
             let batch = RequestBatch::new(window);
+            book.evict_expired(t0);
             let manual =
-                shard_solve_warm(&ctx, &batch, &cfg.shard, &mut warm, t0, ExecMode::Sequential);
+                shard_solve_seeded(&ctx, &batch, &cfg.shard, book.ledger(), ExecMode::Sequential);
+            book.absorb(&ctx, &manual.sorp.schedule);
             prop_assert_eq!(
                 out.cost.to_bits(),
                 manual.sorp.cost.to_bits(),
@@ -235,6 +239,77 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// One commit per cycle: whatever the fault plan, the budget, the
+    /// queue bound, the sharding and the `ExecMode`, after every cycle
+    /// the book holds no overflow, the cycle says so (`overflow_free`),
+    /// what it shipped replays strictly, and no request is lost.
+    #[test]
+    fn the_book_is_feasible_after_every_cycle(
+        seed in 0u64..500,
+        fault_seed in 0u64..500,
+        tight_budget in any::<bool>(),
+        queue_bound in prop_oneof![Just(None), Just(Some(150usize))],
+        shards in 1usize..5,
+        by_region in any::<bool>(),
+        parallel in any::<bool>(),
+    ) {
+        use vod_faults::{FaultConfig, FaultPlan};
+        use vod_simulator::{cycle_is_clean, replay_service_cycle};
+
+        let (topo, catalog) = world(seed);
+        let model = CostModel::per_hop();
+        let recorder = vod_obs::Recorder::enabled();
+        let ctx = SchedCtx::new(&topo, &model, &catalog).with_recorder(recorder.clone());
+        let cycles = 4usize;
+        let arrivals = arrivals_for(&topo, &catalog, seed, cycles, vec![(1, 3)]);
+        let faults = FaultPlan::generate(
+            &topo,
+            &FaultConfig {
+                node_outages: 8,
+                link_failures: 4,
+                link_degradations: 1,
+                horizon: cycles as f64 * HORIZON,
+                ..Default::default()
+            },
+            fault_seed,
+        );
+        let shard = if by_region {
+            ShardConfig::by_region(shards)
+        } else {
+            ShardConfig::by_time_slice(shards)
+        };
+        let cfg = ServiceConfig {
+            shard,
+            queue_bound,
+            budget_ns: tight_budget.then_some(120.0 * 9_700.0),
+            faults,
+            ..overload_cfg(2)
+        };
+        let mode = if parallel { ExecMode::Parallel } else { ExecMode::Sequential };
+
+        let mut svc = ServiceLoop::new(&topo, cfg).unwrap();
+        let mut next = 0;
+        for k in 0..cycles + 3 {
+            while next < arrivals.len() && arrivals[next].at <= k as f64 * HORIZON {
+                let _ = svc.offer(arrivals[next].request);
+                next += 1;
+            }
+            let out = svc.run_cycle(&ctx, mode);
+            prop_assert!(out.overflow_free, "cycle {} ({}) reports an overflow", k, out.stats.rung);
+            let over = detect_overflows(&topo, svc.book().ledger());
+            prop_assert!(over.is_empty(), "cycle {}: the book exceeds a store: {:?}", k, over);
+            let sim = replay_service_cycle(&topo, &catalog, &model, &out);
+            prop_assert!(cycle_is_clean(&sim), "cycle {}: {:?}", k, sim.violations);
+        }
+        prop_assert_eq!(svc.finish().conservation_error(), 0);
+        // A run whose faults broke nothing says nothing about repair.
+        prop_assume!(recorder.recording().expect("enabled").events_of("repair").count() > 0);
+    }
+}
+
 /// A faulted cycle — solve, then repair against the window's outage and
 /// link failure — commits the same outcome whichever `ExecMode` the
 /// caller passes: the mode reaches the shard map and nothing else.
@@ -278,7 +353,6 @@ fn a_faulted_cycle_is_the_same_outcome_under_either_exec_mode() {
 /// slot, and across cycles every offered reservation is served once.
 #[test]
 fn colliding_tickets_keep_their_original_pairing() {
-    use vod_core::ServiceLoop;
     use vod_cost_model::VideoId;
     use vod_topology::UserId;
 

@@ -5,8 +5,8 @@
 //! (region shards + neighborhood-local policy + region-unique videos)
 //! the sharded Ψ must equal the monolithic Ψ within 1e-9 relative, one
 //! shard must stay the monolith over non-empty external occupancy, and
-//! the warm entry point must be the cold one over an empty book, in
-//! either execution mode.
+//! the warm cycle (evict, solve over the book's ledger, absorb) must be
+//! the cold solve over an empty book, in either execution mode.
 //!
 //! The monolith is the two phases composed directly on the whole batch:
 //! [`sorp_solve_priced`] over [`ivsp_solve_priced_with`].
@@ -14,8 +14,8 @@
 use proptest::prelude::*;
 use vod_core::{
     detect_overflows, ivsp_solve_priced, ivsp_solve_priced_with, shard_solve, shard_solve_seeded,
-    shard_solve_warm, sorp_solve_priced, ExecMode, GreedyPolicy, SchedCtx, ShardConfig, SorpConfig,
-    SorpOutcome, StorageLedger, WarmState,
+    sorp_solve_priced, CommittedBook, ExecMode, GreedyPolicy, SchedCtx, ShardConfig, SorpConfig,
+    SorpOutcome, StorageLedger, EXTERNAL_OCCUPANCY,
 };
 use vod_cost_model::{CostModel, Request, RequestBatch, SpaceProfile};
 use vod_topology::{builders, NodeId, Topology};
@@ -281,7 +281,11 @@ fn cold_monolithic_matches_the_legacy_loop() {
         let batch = RequestBatch::new(
             raw.iter().map(|r| Request { start: r.start + k as f64 * horizon, ..*r }).collect(),
         );
-        let ours = shard_solve_seeded(&ctx, &batch, &cfg, &committed, ExecMode::default());
+        let mut base = StorageLedger::new(&topo);
+        for &(loc, profile) in &committed {
+            base.add(loc, EXTERNAL_OCCUPANCY, profile);
+        }
+        let ours = shard_solve_seeded(&ctx, &batch, &cfg, &base, ExecMode::default());
         let legacy = sorp_solve_priced(
             &ctx,
             ivsp_solve_priced(&ctx, &batch),
@@ -301,7 +305,7 @@ fn cold_monolithic_matches_the_legacy_loop() {
     }
 }
 
-/// The warm entry point over a fresh [`WarmState`] is the cold solve,
+/// The seeded solve over a fresh [`CommittedBook`]'s ledger is the cold solve,
 /// bit for bit: same schedule, Ψ, and work counters, for every shard
 /// count and both strategies.
 #[test]
@@ -313,9 +317,9 @@ fn warm_solve_over_an_empty_book_is_the_cold_solve() {
         for shards in 1..=6 {
             let cfg = ShardConfig { shards, strategy, ..ShardConfig::default() };
             let cold = shard_solve(&ctx, &wl.requests, &cfg, ExecMode::Sequential);
-            let mut warm = WarmState::new(&topo);
+            let book = CommittedBook::new(&topo);
             let w =
-                shard_solve_warm(&ctx, &wl.requests, &cfg, &mut warm, 0.0, ExecMode::Sequential);
+                shard_solve_seeded(&ctx, &wl.requests, &cfg, book.ledger(), ExecMode::Sequential);
             let what = format!("{strategy:?}, {shards} shards");
             assert!(w.sorp.schedule == cold.sorp.schedule, "{what}: schedules diverged");
             assert_eq!(w.sorp.cost.to_bits(), cold.sorp.cost.to_bits(), "{what}");
@@ -323,8 +327,7 @@ fn warm_solve_over_an_empty_book_is_the_cold_solve() {
             assert_eq!(w.sorp.victims.len(), cold.sorp.victims.len(), "{what}");
             assert_eq!(w.sorp.trials_run, cold.sorp.trials_run, "{what}");
             assert_eq!(w.sorp.trials_cached, cold.sorp.trials_cached, "{what}");
-            assert_eq!(warm.stats.trials_hit, cold.sorp.trials_cached, "{what}");
-            assert_eq!(warm.stats.shards_used, cold.shards, "{what}");
+            assert_eq!(w.shards, cold.shards, "{what}");
         }
     }
 }
@@ -338,23 +341,31 @@ fn warm_solve_is_bit_identical_across_exec_modes() {
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
     let horizon = 24.0 * 3_600.0;
     let cfg = ShardConfig::by_time_slice(4);
-    let (mut seq, mut par) = (WarmState::new(&topo), WarmState::new(&topo));
+    let (mut seq, mut par) = (CommittedBook::new(&topo), CommittedBook::new(&topo));
     let mut reconciled = 0;
     for k in 0..3usize {
         let t0 = k as f64 * horizon;
         let raw = generate_requests(&topo, &wl.catalog, &RequestConfig::paper(), 5 + k as u64);
         let batch =
             RequestBatch::new(raw.iter().map(|r| Request { start: r.start + t0, ..*r }).collect());
-        let a = shard_solve_warm(&ctx, &batch, &cfg, &mut seq, t0, ExecMode::Sequential);
-        let b = shard_solve_warm(&ctx, &batch, &cfg, &mut par, t0, ExecMode::Parallel);
+        // A warm cycle, as `ServiceLoop::run_cycle` runs it around its solve.
+        let evicted = (seq.evict_expired(t0), par.evict_expired(t0));
+        let a = shard_solve_seeded(&ctx, &batch, &cfg, seq.ledger(), ExecMode::Sequential);
+        let b = shard_solve_seeded(&ctx, &batch, &cfg, par.ledger(), ExecMode::Parallel);
+        seq.absorb(&ctx, &a.sorp.schedule);
+        par.absorb(&ctx, &b.sorp.schedule);
         assert!(a.sorp.schedule == b.sorp.schedule, "cycle {k}: schedules diverged");
         assert_eq!(a.sorp.cost.to_bits(), b.sorp.cost.to_bits(), "cycle {k}");
         assert_eq!(a.sorp.iterations, b.sorp.iterations, "cycle {k}");
         assert_eq!(a.reconcile_iterations, b.reconcile_iterations, "cycle {k}");
         assert_eq!(a.trials_transplanted, b.trials_transplanted, "cycle {k}");
-        assert_eq!(seq.stats, par.stats, "cycle {k}: warm stats diverged");
+        assert_eq!(a.sorp.trials_cached, b.sorp.trials_cached, "cycle {k}");
+        assert_eq!(a.shards, b.shards, "cycle {k}");
+        assert_eq!(evicted.0, evicted.1, "cycle {k}: eviction diverged");
+        assert_eq!(seq.active(), par.active(), "cycle {k}: the books diverged");
+        assert_eq!(seq.spillover_at(t0).to_bits(), par.spillover_at(t0).to_bits(), "cycle {k}");
         reconciled += a.reconcile_iterations;
     }
     assert!(reconciled > 0, "no cycle reached the global pass");
-    assert!(seq.committed().active() > 0, "nothing was committed across the cycles");
+    assert!(seq.active() > 0, "nothing was committed across the cycles");
 }

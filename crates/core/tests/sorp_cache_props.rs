@@ -12,9 +12,9 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use vod_core::{
     detect_overflows, ivsp_solve_priced, ivsp_solve_priced_with, overflow_set,
-    reschedule_video_traced_with, shard_solve_warm, sorp_solve_priced, Constraints, ExecMode,
-    GreedyPolicy, HeatMetric, Interval, LedgerCursor, LedgerDelta, SchedCtx, ShardConfig,
-    SorpConfig, SorpOutcome, StorageLedger, TrialTrace, WarmState,
+    reschedule_video_traced_with, shard_solve_seeded, sorp_solve_priced, CommittedBook,
+    Constraints, ExecMode, GreedyPolicy, HeatMetric, Interval, LedgerCursor, LedgerDelta, SchedCtx,
+    ShardConfig, SorpConfig, SorpOutcome, StorageLedger, TrialTrace,
 };
 use vod_cost_model::{CostModel, RequestBatch, SpaceProfile, VideoId};
 use vod_oracles::sorp_solve_naive;
@@ -398,7 +398,7 @@ fn rebinding_under_a_ban_forgets_the_capacity_verdict_it_skipped() {
     );
 }
 
-/// One benchmark cell, cycle by cycle over a [`WarmState`]: what
+/// One benchmark cell, cycle by cycle over a [`CommittedBook`]: what
 /// `benchmark/src/adapter.rs` builds from a workload spec.
 struct Cell {
     topo: Topology,
@@ -457,7 +457,7 @@ impl Cell {
         Self { topo, catalog, arrivals, cycles, cfg }
     }
 
-    /// Drive every cycle through the sharded pipeline over one warm state.
+    /// Drive every cycle through the sharded pipeline over one book.
     /// `each` sees the cycle's index and batch, the occupancy earlier
     /// cycles had committed when it was solved, and the solve's outcome.
     fn drive(
@@ -472,7 +472,7 @@ impl Cell {
     ) {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&self.topo, &model, &self.catalog);
-        let mut warm = WarmState::new(&self.topo);
+        let mut book = CommittedBook::new(&self.topo);
         let mut next = 0;
         for k in 0..self.cycles {
             let t0 = k as f64 * HORIZON;
@@ -482,10 +482,11 @@ impl Cell {
             }
             let batch =
                 RequestBatch::new(self.arrivals[first..next].iter().map(|a| a.request).collect());
-            warm.begin_cycle(t0);
-            let external: Vec<(NodeId, SpaceProfile)> = warm.committed().profiles().collect();
+            book.evict_expired(t0);
+            let external: Vec<(NodeId, SpaceProfile)> = book.profiles().collect();
             let out =
-                shard_solve_warm(&ctx, &batch, &self.cfg, &mut warm, t0, ExecMode::Sequential);
+                shard_solve_seeded(&ctx, &batch, &self.cfg, book.ledger(), ExecMode::Sequential);
+            book.absorb(&ctx, &out.sorp.schedule);
             each(&ctx, k, &batch, &external, &out);
         }
     }

@@ -2,10 +2,14 @@
 //! equal the cold-start oracle's Ψ on every cycle across seeds and
 //! shard counts, and the warm state must never resurrect an expired
 //! reservation (neither in the committed book nor in the delivered
-//! schedule).
+//! schedule). A warm cycle is what `ServiceLoop::run_cycle` does around
+//! its solve: evict, solve over the book's ledger, absorb.
 
 use proptest::prelude::*;
-use vod_core::{shard_solve_seeded, shard_solve_warm, ExecMode, SchedCtx, ShardConfig, WarmState};
+use vod_core::{
+    shard_solve_seeded, CommittedBook, ExecMode, SchedCtx, ShardConfig, ShardOutcome,
+    StorageLedger, EXTERNAL_OCCUPANCY,
+};
 use vod_cost_model::{Catalog, CostModel, Request, RequestBatch, SpaceProfile};
 use vod_topology::{builders, NodeId, Topology};
 use vod_workload::{generate_catalog, generate_requests, CatalogConfig, RequestConfig};
@@ -25,6 +29,31 @@ fn cycle_batch(topo: &Topology, catalog: &Catalog, seed: u64, k: usize) -> Reque
     RequestBatch::new(
         raw.iter().map(|r| Request { start: r.start + k as f64 * HORIZON, ..*r }).collect(),
     )
+}
+
+/// The cold reference's base: a flat committed-profile list as a ledger.
+fn flat_ledger(topo: &Topology, committed: &[(NodeId, SpaceProfile)]) -> StorageLedger {
+    let mut ledger = StorageLedger::new(topo);
+    for &(loc, profile) in committed {
+        ledger.add(loc, EXTERNAL_OCCUPANCY, profile);
+    }
+    ledger
+}
+
+/// One warm cycle over `book`; returns the outcome and the eviction's
+/// `(profiles kept, profiles evicted)`.
+fn warm_cycle(
+    ctx: &SchedCtx<'_>,
+    batch: &RequestBatch,
+    cfg: &ShardConfig,
+    book: &mut CommittedBook,
+    t0: f64,
+) -> (ShardOutcome, (usize, usize)) {
+    let evicted = book.evict_expired(t0);
+    let kept = book.active();
+    let out = shard_solve_seeded(ctx, batch, cfg, book.ledger(), ExecMode::Sequential);
+    book.absorb(ctx, &out.sorp.schedule);
+    (out, (kept, evicted))
 }
 
 fn request_multiset(batch: &RequestBatch) -> Vec<(u32, u32, u64)> {
@@ -65,13 +94,14 @@ proptest! {
         let ctx = SchedCtx::new(&topo, &model, &catalog);
         let cfg = ShardConfig { shards, ..ShardConfig::default() };
 
-        let mut warm = WarmState::new(&topo);
+        let mut book = CommittedBook::new(&topo);
         let mut committed: Vec<(NodeId, SpaceProfile)> = Vec::new();
         for k in 0..3usize {
             let batch = cycle_batch(&topo, &catalog, seed, k);
             let t0 = k as f64 * HORIZON;
-            let w = shard_solve_warm(&ctx, &batch, &cfg, &mut warm, t0, ExecMode::Sequential);
-            let c = shard_solve_seeded(&ctx, &batch, &cfg, &committed, ExecMode::Sequential);
+            let (w, _) = warm_cycle(&ctx, &batch, &cfg, &mut book, t0);
+            let base = flat_ledger(&topo, &committed);
+            let c = shard_solve_seeded(&ctx, &batch, &cfg, &base, ExecMode::Sequential);
             prop_assert!(w.sorp.overflow_free && c.sorp.overflow_free, "cycle {k} left overflows");
             let rel = (w.sorp.cost - c.sorp.cost).abs() / c.sorp.cost.max(1.0);
             prop_assert!(
@@ -103,23 +133,23 @@ proptest! {
         let ctx = SchedCtx::new(&topo, &model, &catalog);
         let cfg = ShardConfig { shards, ..ShardConfig::default() };
 
-        let mut warm = WarmState::new(&topo);
+        let mut book = CommittedBook::new(&topo);
         let mut prev_active = 0usize;
         for k in 0..3usize {
             let batch = cycle_batch(&topo, &catalog, seed, k);
             let t0 = k as f64 * HORIZON;
-            let out = shard_solve_warm(&ctx, &batch, &cfg, &mut warm, t0, ExecMode::Sequential);
+            let (out, (kept, evicted)) = warm_cycle(&ctx, &batch, &cfg, &mut book, t0);
 
-            // Eviction accounting: what begin_cycle kept plus what it
+            // Eviction accounting: what the eviction kept plus what it
             // dropped is exactly what the previous cycle left behind.
             prop_assert_eq!(
-                warm.stats.committed_active + warm.stats.committed_evicted,
+                kept + evicted,
                 prev_active,
                 "cycle {}: eviction accounting leaked profiles", k
             );
             // Every surviving profile (carried or freshly absorbed) still
             // holds space past the window start.
-            for (loc, p) in warm.committed().profiles() {
+            for (loc, p) in book.profiles() {
                 prop_assert!(
                     p.end > t0,
                     "cycle {}: drained profile [{}, {}] at {} survived eviction",
@@ -132,7 +162,7 @@ proptest! {
                 request_multiset(&batch),
                 "cycle {}: delivered requests diverged from the batch", k
             );
-            prev_active = warm.committed().active();
+            prev_active = book.active();
         }
     }
 }
@@ -148,9 +178,9 @@ fn repeated_batch_agrees_with_cold_oracle() {
     let cfg = ShardConfig::default();
     let batch = cycle_batch(&topo, &catalog, 9, 0);
 
-    let mut warm = WarmState::new(&topo);
-    let first = shard_solve_warm(&ctx, &batch, &cfg, &mut warm, 0.0, ExecMode::Sequential);
-    let second = shard_solve_warm(&ctx, &batch, &cfg, &mut warm, 0.0, ExecMode::Sequential);
+    let mut book = CommittedBook::new(&topo);
+    let (first, _) = warm_cycle(&ctx, &batch, &cfg, &mut book, 0.0);
+    let (second, _) = warm_cycle(&ctx, &batch, &cfg, &mut book, 0.0);
 
     // Cold oracle for the second pass: from-scratch solve over the first
     // pass's committed occupancy.
@@ -161,7 +191,13 @@ fn repeated_batch_agrees_with_cold_oracle() {
         .map(|r| (r.loc, r.profile(catalog.get(r.video))))
         .filter(|(_, p)| p.peak() > 0.0)
         .collect();
-    let cold = shard_solve_seeded(&ctx, &batch, &cfg, &committed, ExecMode::Sequential);
+    let cold = shard_solve_seeded(
+        &ctx,
+        &batch,
+        &cfg,
+        &flat_ledger(&topo, &committed),
+        ExecMode::Sequential,
+    );
     let rel = (second.sorp.cost - cold.sorp.cost).abs() / cold.sorp.cost.max(1.0);
     assert!(rel <= 1e-9, "repeat Ψ {} vs cold {} (rel {rel:e})", second.sorp.cost, cold.sorp.cost);
 }

@@ -36,9 +36,6 @@ pub struct ServiceParams {
     /// Overload bursts: `(cycle, multiplier)` scaling that cycle's
     /// arrival rate.
     pub burst: Vec<(usize, usize)>,
-    /// Generate a [`vod_faults::FaultConfig::default`] fault plan from
-    /// this seed and wire it into the loop (`None` = fault-free).
-    pub fault_seed: Option<u64>,
     /// Stop generating arrivals after this many cycles (`None` = the
     /// whole run). Later cycles run as idle service ticks — they still
     /// appear in the report.
@@ -57,8 +54,8 @@ pub fn service_catalog(params: &EnvParams) -> vod_cost_model::Catalog {
 /// Returns the per-cycle [`RollingOutcome`], the aggregated
 /// [`ServiceReport`], and the raw per-cycle [`ServiceCycleOutcome`]s
 /// (schedules, served/shed request sets) for replay-style validation.
-/// Every cycle's rung, intake, warm-start, shard solve, and repair
-/// decision lands in `recorder`, in simulated time; pass
+/// Every cycle's rung, intake, warm-start and shard solve decision
+/// lands in `recorder`, in simulated time (the run is fault-free); pass
 /// [`vod_obs::Recorder::disabled`] for the no-op path.
 pub fn service_horizon(
     params: &EnvParams,
@@ -83,21 +80,14 @@ pub fn service_horizon(
     };
     let arrivals = generate_arrivals(&topo, &catalog, &arrival_cfg, params.seed);
 
-    let faults = match sp.fault_seed {
-        Some(seed) => {
-            vod_faults::FaultPlan::generate(&topo, &vod_faults::FaultConfig::default(), seed)
-        }
-        None => vod_faults::FaultPlan::empty(),
-    };
     let cfg = ServiceConfig {
         horizon: arrival_cfg.request.horizon_hours * 3_600.0,
         queue_bound: sp.queue_bound,
         budget_ns: sp.budget_ns,
-        faults,
         ..ServiceConfig::default()
     };
     let (outcomes, report) = service_run(&ctx, &arrivals, &cfg, n_cycles, ExecMode::default())
-        .expect("a generated fault plan validates by construction");
+        .expect("the empty fault plan validates");
     let cycles = outcomes
         .iter()
         .map(|out| CycleReport {

@@ -50,9 +50,13 @@ cargo test -q --offline -p vod-cost-model --test batch_props
 cargo test -q --offline --test alloc_budget
 cargo test -q --offline --test admission_budget
 cargo test -q --offline --test resolve_budget
-# The benchmark's overload_faults cell must replay clean on every rung (the
-# fallback tail used to give up behind a purely external overflow).
+# One commit per cycle: on the benchmark's overload_faults cell, and over
+# random fault plans, budgets, queue bounds and shardings, every cycle is
+# overflow-free, leaves the book feasible and replays clean on every rung;
+# repair over carried occupancy never overflows base + schedule.
 cargo test -q --offline --test service_overload_e2e overload_faults_cell_replays_clean_on_every_rung
+cargo test -q --offline -p vod-core --test repair_props repair_preserves_capacity_feasibility
+cargo test -q --offline -p vod-core --test service_props the_book_is_feasible_after_every_cycle
 
 echo "==> telemetry suite (obs crate + recorder transparency + e2e reconcile)"
 cargo test -q --offline -p vod-obs
@@ -176,9 +180,8 @@ fi
 
 echo "==> one-driver lint (service_run over ServiceLoop is the only code that runs a cycle)"
 # Outside test modules: ServiceLoop::run_cycle is called once, from
-# service_run; the warm solve is called from the service loop alone; and no
-# entry point has a *_recorded twin (the recorder rides in SchedCtx) — the
-# replay event's producer in the simulator excepted.
+# service_run, and no entry point has a *_recorded twin (the recorder rides
+# in SchedCtx) — the replay event's producer in the simulator excepted.
 driver_hits="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { test = 0; fn = "" }
     /^#\[cfg\(test\)\]/ { test = 1 }
@@ -189,12 +192,37 @@ driver_hits="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
     /\.run_cycle\(/ { calls++ }
     /fn [a-z_]*_recorded[(<]/ && fn != "replay_service_cycle_recorded" {
       print FILENAME ":" FNR ": a *_recorded twin" }
-    /shard_solve_warm\(/ && !/pub fn shard_solve_warm\(/ && FILENAME != "crates/core/src/service.rs" {
-      print FILENAME ":" FNR ": shard_solve_warm called outside the service loop" }
     END { if (calls != 1) print calls + 0 " .run_cycle( calls under crates/*/src; service_run has the one" }')"
 if [ -n "$driver_hits" ]; then
   echo "$driver_hits" >&2
   echo "error: drive cycles through vod_core::service_run" >&2
+  exit 1
+fi
+
+echo "==> one-commit lint (a cycle's schedule enters the book once, after repair, from run_cycle)"
+# Outside test modules crates/core/src has one call of the book's absorb(,
+# inside run_cycle, and no second commit path: no warm-state wrapper that
+# commits inside the solve, no repair-side commit or ledger rebuild that
+# cannot see the book, no re-pricing of the schedule between solve and repair.
+commit_hits="$(awk '
+    FNR == 1 { test = 0; fn = "" }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    test { next }
+    match($0, /fn [a-z_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    /\.absorb\(/ && FILENAME != "crates/core/src/timeline.rs" { calls++  # Prefix::absorb folds a breakpoint
+      if (!(FILENAME == "crates/core/src/service.rs" && fn == "run_cycle")) {
+        print FILENAME ":" FNR ": the book absorbs outside run_cycle" } }
+    /absorb_repaired|shard_solve_warm|WarmState([^s]|$)/ {
+      print FILENAME ":" FNR ": a second commit path (absorb_repaired / shard_solve_warm / WarmState)" }
+    FILENAME == "crates/core/src/repair.rs" && /fn commit\(|from_schedule\(/ {
+      print FILENAME ":" FNR ": repair commits through SolveState::commit on the state ledger" }
+    FILENAME == "crates/core/src/service.rs" && /PricedSchedule::price\(/ {
+      print FILENAME ":" FNR ": run_cycle re-prices the schedule" }
+    END { if (calls != 1) print calls + 0 " .absorb( calls under crates/core/src; run_cycle has the one" }
+    ' crates/core/src/*.rs)"
+if [ -n "$commit_hits" ]; then
+  echo "$commit_hits" >&2
+  echo "error: one commit per cycle — solve, repair the state, absorb what ships (see DESIGN.md §11.3)" >&2
   exit 1
 fi
 

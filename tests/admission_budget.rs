@@ -15,7 +15,7 @@
 
 use vod_paradigm::core::{
     detect_overflows, ivsp_solve_priced_with, overflow_set, reschedule_video_traced_with,
-    shard_solve_warm, Constraints, ExecMode, SchedCtx, ShardConfig, StorageLedger, WarmState,
+    shard_solve_seeded, CommittedBook, Constraints, ExecMode, SchedCtx, ShardConfig, StorageLedger,
     EXTERNAL_OCCUPANCY,
 };
 use vod_paradigm::prelude::*;
@@ -58,7 +58,7 @@ fn a_sorp_trial_stays_within_its_admission_budget() {
     let ctx = SchedCtx::new(&topo, &model, &catalog);
     let cfg = ShardConfig::by_time_slice(4);
     let spec = ShardSpec { shards: cfg.shards, strategy: cfg.strategy, seed: cfg.seed };
-    let mut warm = WarmState::new(&topo);
+    let mut book = CommittedBook::new(&topo);
 
     let (mut next, mut trials, mut checks) = (0, 0usize, 0usize);
     for k in 0..CYCLES {
@@ -72,11 +72,11 @@ fn a_sorp_trial_stays_within_its_admission_budget() {
         // Every trial of each shard's first resolution iteration: one per
         // participant of each overflow of the shard's phase-1 schedule
         // laid over the occupancy earlier cycles committed.
-        warm.begin_cycle(t0);
+        book.evict_expired(t0);
         for part in partition_requests(&topo, &batch, &spec) {
             let phase1 = ivsp_solve_priced_with(&ctx, &part, cfg.sorp.policy, ExecMode::Sequential);
             let mut ledger = StorageLedger::new(&topo);
-            for (loc, profile) in warm.committed().profiles() {
+            for (loc, profile) in book.profiles() {
                 ledger.add(loc, EXTERNAL_OCCUPANCY, profile);
             }
             for r in phase1.schedule().residencies() {
@@ -99,7 +99,8 @@ fn a_sorp_trial_stays_within_its_admission_budget() {
                 }
             }
         }
-        shard_solve_warm(&ctx, &batch, &cfg, &mut warm, t0, ExecMode::Sequential);
+        let out = shard_solve_seeded(&ctx, &batch, &cfg, book.ledger(), ExecMode::Sequential);
+        book.absorb(&ctx, &out.sorp.schedule);
     }
     let per_trial = checks as f64 / trials as f64;
     assert!(trials >= 24 * 50, "the cell opens about 90 trials a cycle, got {trials}");

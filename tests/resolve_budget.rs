@@ -9,7 +9,7 @@
 //! Over the benchmark's 200-cycle run the same ratio reads 0.175
 //! (EXPERIMENTS.md, *Standing trial jobs*).
 
-use vod_paradigm::core::{shard_solve_warm, ExecMode, SchedCtx, ShardConfig, WarmState};
+use vod_paradigm::core::{shard_solve_seeded, CommittedBook, ExecMode, SchedCtx, ShardConfig};
 use vod_paradigm::prelude::*;
 use vod_paradigm::workload::{
     generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig, RequestConfig,
@@ -49,7 +49,7 @@ fn a_resolution_iteration_rebuilds_only_the_jobs_its_commit_moved() {
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &catalog);
     let cfg = ShardConfig::by_time_slice(4);
-    let mut warm = WarmState::new(&topo);
+    let mut book = CommittedBook::new(&topo);
 
     let (mut next, mut rebuilt, mut scored) = (0, 0usize, 0usize);
     for k in 0..CYCLES {
@@ -59,7 +59,9 @@ fn a_resolution_iteration_rebuilds_only_the_jobs_its_commit_moved() {
             next += 1;
         }
         let batch = RequestBatch::new(arrivals[first..next].iter().map(|a| a.request).collect());
-        let out = shard_solve_warm(&ctx, &batch, &cfg, &mut warm, t0, ExecMode::Sequential);
+        book.evict_expired(t0);
+        let out = shard_solve_seeded(&ctx, &batch, &cfg, book.ledger(), ExecMode::Sequential);
+        book.absorb(&ctx, &out.sorp.schedule);
         rebuilt += out.sorp.jobs_rebuilt;
         scored += out.sorp.trials_run + out.sorp.trials_cached;
     }
