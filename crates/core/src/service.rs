@@ -59,7 +59,6 @@ use crate::repair::{adjusted_requests, backoff_multiplier, repair_state};
 use crate::shard::solve_over;
 use crate::{detect_overflows, CommittedBook, RepairConfig, SchedCtx, ShardConfig, WarmStats};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use vod_cost_model::{Dollars, Request, RequestBatch, Schedule, Secs};
@@ -184,7 +183,12 @@ pub struct ServiceConfig {
     /// Intake queue bound; `None` is unbounded.
     pub queue_bound: Option<usize>,
     /// Per-cycle deadline budget in simulated nanoseconds; `None` is
-    /// infinite (the ladder never leaves [`Rung::Full`]).
+    /// infinite (the ladder never leaves [`Rung::Full`]), and `Some(+∞)`
+    /// runs the same rungs and schedules. A budget no request fits — zero,
+    /// negative or NaN — puts every non-empty cycle on [`Rung::Shed`]
+    /// keeping none: each ticket is shed into backoff and dropped once it
+    /// has failed more than `backoff.drop_after` attempts; the accounting
+    /// still balances.
     pub budget_ns: Option<f64>,
     /// Admission saturation limit: reject a request outright when the
     /// committed occupancy at its start already holds at least this many
@@ -326,7 +330,7 @@ impl BudgetModel {
 /// One queued request: the (possibly backoff-shifted) request to solve,
 /// the original reservation it descends from, and how many failed
 /// attempts it has accumulated.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Ticket {
     request: Request,
     original: Request,
@@ -338,6 +342,84 @@ struct Ticket {
 /// the float.
 fn ticket_key(t: &Ticket) -> (u64, u32, u32) {
     (t.request.start.to_bits(), t.request.video.0, t.request.user.0)
+}
+
+/// Sort key of the backoff parking lot.
+fn parking_key((eligible, t): &(usize, Ticket)) -> (usize, (u64, u32, u32)) {
+    (*eligible, ticket_key(t))
+}
+
+/// `x`'s bits mapped so that unsigned order is [`f64::total_cmp`]
+/// order: a negative flips every bit, a positive sets the sign bit.
+fn total_order_bits(x: f64) -> u64 {
+    let b = x.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | 1 << 63
+    }
+}
+
+/// The ladder's heat ranking: which `n − keep` of the `n` tickets to
+/// shed. Lowest heat (fewest same-video tickets in the batch) goes
+/// first, ties broken on `(video, user, start)` — the repair scheduler's
+/// convention — and then on position, so of identical requests the one
+/// nearer the queue head goes first. Every ticket's rank key is built
+/// once; the position makes keys unique, so the `n − keep` smallest are
+/// one set however an unstable selection orders them, and it is the set
+/// a stable sort on the rest of the key would put first.
+fn shed_mask(tickets: &[Ticket], keep: usize) -> Vec<bool> {
+    let n = tickets.len();
+    let mut shed = vec![false; n];
+    if keep >= n {
+        return shed;
+    }
+    // Heat: the length of each video's run once the batch is grouped.
+    let mut by_video: Vec<(u32, usize)> =
+        tickets.iter().enumerate().map(|(i, t)| (t.request.video.0, i)).collect();
+    by_video.sort_unstable();
+    let mut heat = vec![0; n];
+    for run in by_video.chunk_by(|a, b| a.0 == b.0) {
+        for &(_, i) in run {
+            heat[i] = run.len();
+        }
+    }
+    let mut keys: Vec<(usize, u32, u32, u64, usize)> = tickets
+        .iter()
+        .zip(heat)
+        .enumerate()
+        .map(|(i, (t, h))| {
+            let r = &t.request;
+            (h, r.video.0, r.user.0, total_order_bits(r.start), i)
+        })
+        .collect();
+    let cut = n - keep;
+    keys.select_nth_unstable(cut - 1);
+    for key in &keys[..cut] {
+        shed[key.4] = true;
+    }
+    shed
+}
+
+/// Merge `incoming` into `sorted`, both ordered by `key`, each incoming
+/// item behind the items of `sorted` with an equal key — what inserting
+/// them one at a time at `partition_point(|q| key(q) <= key(t))` leaves,
+/// in one pass.
+fn merge_behind<T, K: Ord>(sorted: &mut Vec<T>, incoming: Vec<T>, key: impl Fn(&T) -> K) {
+    if incoming.is_empty() {
+        return;
+    }
+    let mut old = std::mem::take(sorted).into_iter().peekable();
+    let mut merged = Vec::with_capacity(old.len() + incoming.len());
+    for t in incoming {
+        let k = key(&t);
+        while let Some(q) = old.next_if(|q| key(q) <= k) {
+            merged.push(q);
+        }
+        merged.push(t);
+    }
+    merged.extend(old);
+    *sorted = merged;
 }
 
 /// Per-cycle service accounting, threaded into the [`ServiceReport`]
@@ -630,14 +712,15 @@ impl ServiceLoop {
 
     /// Give a failed ticket its next life: count the attempt, drop it
     /// permanently past the policy's limit (returning the dropped
-    /// original so the cycle outcome can report it), otherwise park it
-    /// for `now + backoff` cycles with its start shifted into that
-    /// window.
+    /// original so the cycle outcome can report it), otherwise add it to
+    /// `parked` for `now + backoff` cycles with its start shifted into
+    /// that window; [`ServiceLoop::park`] moves `parked` into the lot.
     fn defer_or_drop(
         &mut self,
         mut t: Ticket,
         now: usize,
         stats: &mut ServiceCycleStats,
+        parked: &mut Vec<(usize, Ticket)>,
     ) -> Option<Request> {
         t.attempts += 1;
         if t.attempts > self.cfg.backoff.drop_after {
@@ -653,10 +736,43 @@ impl ServiceLoop {
         }
         self.backoff_histogram[idx] += 1;
         stats.deferred += 1;
-        let key = (eligible, ticket_key(&t));
-        let at = self.pending.partition_point(|(e, q)| (*e, ticket_key(q)) <= key);
-        self.pending.insert(at, (eligible, t));
+        parked.push((eligible, t));
         None
+    }
+
+    /// Merge a batch of parkings into the lot in one pass: each lands
+    /// behind the parkings already there with its key, in batch order
+    /// among its own — where one sorted insert each would put it.
+    fn park(&mut self, mut parked: Vec<(usize, Ticket)>) {
+        parked.sort_by_key(parking_key);
+        merge_behind(&mut self.pending, parked, parking_key);
+    }
+
+    /// Step 1 of cycle `k`: move the parkings due by `k` back into the
+    /// queue, returning the originals this dropped. The bound still
+    /// applies: the queue only grows here, so the first `bound − len`
+    /// released tickets enter — merged in behind equal keys, as
+    /// [`ServiceLoop::enqueue`] would put them — and every later one
+    /// bounces off a full queue, one more failed attempt each.
+    fn release(&mut self, k: usize, stats: &mut ServiceCycleStats) -> Vec<Request> {
+        let due = self.pending.partition_point(|(e, _)| *e <= k);
+        let mut released: Vec<Ticket> = self.pending.drain(..due).map(|(_, t)| t).collect();
+        let room =
+            self.cfg.queue_bound.map_or(released.len(), |b| b.saturating_sub(self.queue.len()));
+        let bounced = released.split_off(room.min(released.len()));
+        let mut dropped = Vec::new();
+        let mut parked = Vec::new();
+        for t in bounced {
+            dropped.extend(self.defer_or_drop(t, k + 1, stats, &mut parked));
+        }
+        self.park(parked);
+        // A parking's start was re-stamped into its eligible window, so
+        // the due ones leave the lot in queue order already and this
+        // stable sort finds one run; it keeps the merge exact regardless.
+        released.sort_by_key(ticket_key);
+        merge_behind(&mut self.queue, released, ticket_key);
+        self.queue_high_water = self.queue_high_water.max(self.queue.len());
+        dropped
     }
 
     /// Run one scheduling cycle: release due backoff parkings, drain the
@@ -679,20 +795,8 @@ impl ServiceLoop {
         self.rejected_full = 0;
         self.rejected_saturated = 0;
 
-        // 1. Release backoff parkings that became eligible. The bound
-        //    still applies: a re-enqueue bouncing off a full queue is
-        //    one more failed attempt.
-        let mut dropped_now: Vec<Request> = Vec::new();
-        let due = self.pending.partition_point(|(e, _)| *e <= k);
-        let released: Vec<Ticket> = self.pending.drain(..due).map(|(_, t)| t).collect();
-        for t in released {
-            let full = self.cfg.queue_bound.is_some_and(|b| self.queue.len() >= b);
-            if full {
-                dropped_now.extend(self.defer_or_drop(t, k + 1, &mut stats));
-            } else {
-                self.enqueue(t);
-            }
-        }
+        // 1. Release backoff parkings that became eligible.
+        let mut dropped_now = self.release(k, &mut stats);
 
         // 2. Drain this window's batch (starts before the window end).
         let cut = self.queue.partition_point(|t| t.request.start < window_end);
@@ -723,30 +827,19 @@ impl ServiceLoop {
                 .f64("ema_greedy_ns", greedy);
         });
 
-        // 4. Heat-ranked shedding: lowest heat (fewest same-video
-        //    requests in the batch) goes first, ties broken on
-        //    (video, user, start) — the repair scheduler's convention.
+        // 4. Heat-ranked shedding (`shed_mask`). This cycle's parkings,
+        //    ladder and repair alike, enter the lot together once repair
+        //    is done.
         let mut shed_now: Vec<Request> = Vec::new();
+        let mut parked = Vec::new();
         if keep < kept.len() {
-            let mut heat: HashMap<u32, usize> = HashMap::new();
-            for t in &kept {
-                *heat.entry(t.request.video.0).or_insert(0) += 1;
-            }
-            let mut order: Vec<usize> = (0..kept.len()).collect();
-            order.sort_by(|&a, &b| {
-                let (ra, rb) = (&kept[a].request, &kept[b].request);
-                (heat[&ra.video.0], ra.video.0, ra.user.0)
-                    .cmp(&(heat[&rb.video.0], rb.video.0, rb.user.0))
-                    .then(ra.start.total_cmp(&rb.start))
-            });
-            let shed_idx: std::collections::HashSet<usize> =
-                order[..kept.len() - keep].iter().copied().collect();
+            let shed = shed_mask(&kept, keep);
             let mut solved = Vec::with_capacity(keep);
-            for (i, t) in kept.into_iter().enumerate() {
-                if shed_idx.contains(&i) {
+            for (t, shed) in kept.into_iter().zip(shed) {
+                if shed {
                     stats.shed += 1;
                     shed_now.push(t.request);
-                    dropped_now.extend(self.defer_or_drop(t, k, &mut stats));
+                    dropped_now.extend(self.defer_or_drop(t, k, &mut stats, &mut parked));
                 } else {
                     solved.push(t);
                 }
@@ -843,11 +936,12 @@ impl ServiceLoop {
                     }
                     None => Ticket { request: s.request, original: s.request, attempts: 0 },
                 };
-                dropped_now.extend(self.defer_or_drop(t, k, &mut stats));
+                dropped_now.extend(self.defer_or_drop(t, k, &mut stats, &mut parked));
             }
             stats.delayed = repair.delayed.len();
             served = adjusted_requests(&repair.shed, &repair.delayed, &served);
         }
+        self.park(parked);
 
         // 8. Finish the state and commit what ships — the one place a
         //    residency enters the book, which `overflow_free` speaks for.
@@ -863,12 +957,11 @@ impl ServiceLoop {
         );
 
         // A request is late when repair delayed it or when backoff moved
-        // it into a window after its original reservation.
-        let mut shed_sorted = shed_now.clone();
-        shed_sorted.sort_by(Request::batch_order);
-        let was_shed = |r: &Request| shed_sorted.binary_search_by(|s| s.batch_order(r)).is_ok();
-        stats.deadline_misses =
-            stats.delayed + kept.iter().filter(|t| t.attempts > 0 && !was_shed(&t.request)).count();
+        // it into a window after its original reservation. `kept` holds
+        // no ladder-shed ticket, and `repair_shed` marks exactly the
+        // tickets repair shed — not their identical twins.
+        stats.deadline_misses = stats.delayed
+            + kept.iter().zip(&repair_shed).filter(|(t, &shed)| t.attempts > 0 && !shed).count();
         stats.served = served.len();
 
         ctx.recorder.event("cycle_end", |e| {
@@ -976,6 +1069,8 @@ pub fn service_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use vod_cost_model::CostModel;
     use vod_topology::builders::{paper_fig4, PaperFig4Config};
     use vod_workload::{generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig};
@@ -1204,6 +1299,200 @@ mod tests {
             );
         }
         assert_eq!(report.conservation_error(), 0);
+    }
+
+    /// Starts that tie, differ in the last bit, or differ only in sign.
+    const STARTS: [f64; 8] = [
+        0.0,
+        -0.0,
+        100.0,
+        f64::from_bits(100f64.to_bits() + 1),
+        -5.0,
+        7.5,
+        H,
+        f64::from_bits(H.to_bits() + 1),
+    ];
+
+    fn ticket(user: u32, video: u32, start: f64) -> Ticket {
+        let r = Request {
+            user: vod_topology::UserId(user),
+            video: vod_cost_model::VideoId(video),
+            start,
+        };
+        Ticket { request: r, original: r, attempts: 0 }
+    }
+
+    /// The ladder's ranking as it was before [`shed_mask`], verbatim: a
+    /// stable sort under a `HashMap`-indexed comparator, and a `HashSet`
+    /// of the shed positions.
+    fn shed_mask_by_comparator(kept: &[Ticket], keep: usize) -> Vec<bool> {
+        use std::collections::{HashMap, HashSet};
+        let mut heat: HashMap<u32, usize> = HashMap::new();
+        for t in kept {
+            *heat.entry(t.request.video.0).or_insert(0) += 1;
+        }
+        let mut order: Vec<usize> = (0..kept.len()).collect();
+        order.sort_by(|&a, &b| {
+            let (ra, rb) = (&kept[a].request, &kept[b].request);
+            (heat[&ra.video.0], ra.video.0, ra.user.0)
+                .cmp(&(heat[&rb.video.0], rb.video.0, rb.user.0))
+                .then(ra.start.total_cmp(&rb.start))
+        });
+        let shed_idx: HashSet<usize> = order[..kept.len() - keep].iter().copied().collect();
+        (0..kept.len()).map(|i| shed_idx.contains(&i)).collect()
+    }
+
+    /// What the one-pass hand-offs replaced: every released, bounced or
+    /// shed ticket placed with its own sorted insert.
+    fn release_per_ticket(
+        svc: &mut ServiceLoop,
+        k: usize,
+        stats: &mut ServiceCycleStats,
+    ) -> Vec<Request> {
+        let mut dropped = Vec::new();
+        let due = svc.pending.partition_point(|(e, _)| *e <= k);
+        let released: Vec<Ticket> = svc.pending.drain(..due).map(|(_, t)| t).collect();
+        for t in released {
+            if svc.cfg.queue_bound.is_some_and(|b| svc.queue.len() >= b) {
+                dropped.extend(defer_or_drop_per_ticket(svc, t, k + 1, stats));
+            } else {
+                svc.enqueue(t);
+            }
+        }
+        dropped
+    }
+
+    fn defer_or_drop_per_ticket(
+        svc: &mut ServiceLoop,
+        t: Ticket,
+        now: usize,
+        stats: &mut ServiceCycleStats,
+    ) -> Option<Request> {
+        let mut parked = Vec::new();
+        let dropped = svc.defer_or_drop(t, now, stats, &mut parked);
+        for p in parked {
+            let at = svc.pending.partition_point(|q| parking_key(q) <= parking_key(&p));
+            svc.pending.insert(at, p);
+        }
+        dropped
+    }
+
+    #[test]
+    fn total_order_bits_orders_like_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in xs.iter().chain(&STARTS) {
+            for b in xs.iter().chain(&STARTS) {
+                assert_eq!(
+                    total_order_bits(*a).cmp(&total_order_bits(*b)),
+                    a.total_cmp(b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 400, ..Default::default() })]
+
+        /// [`shed_mask`] sheds exactly the tickets the comparator sort
+        /// did — over batches with twins, equal heats, a single video,
+        /// `keep` = 0 and `keep` = n − 1, and starts a bit apart.
+        #[test]
+        fn shed_order_matches_the_comparator_sort(
+            batch in vec((0u32..3, 0u32..4, 0usize..STARTS.len()), 1..48),
+            single_video in any::<bool>(),
+            keep_pick in 0usize..4,
+            frac in 0usize..1_000,
+        ) {
+            let tickets: Vec<Ticket> = batch
+                .iter()
+                .map(|&(user, video, s)| ticket(user, if single_video { 7 } else { video }, STARTS[s]))
+                .collect();
+            let n = tickets.len();
+            let keep = match keep_pick {
+                0 => 0,
+                1 => n - 1,
+                _ => frac * n / 1_000,
+            };
+            let want = shed_mask_by_comparator(&tickets, keep);
+            prop_assert_eq!(shed_mask(&tickets, keep), want);
+            prop_assert_eq!(shed_mask(&tickets, n), vec![false; n]);
+        }
+
+        /// The release merge and the parking merge leave the queue, the
+        /// lot, the high-water mark, the counts and the histogram exactly
+        /// as one sorted insert per ticket did — including when the
+        /// queue bound is hit mid-release.
+        #[test]
+        fn release_and_park_merges_match_per_ticket_inserts(
+            queued in vec((0u32..2, 0u32..2, 0usize..3, 0u32..3), 0..12),
+            parked in vec((0u32..2, 0u32..2, 0usize..3, 0u32..3, 0usize..4), 0..16),
+            shed in vec((0u32..2, 0u32..2, 0usize..3, 0u32..3), 0..12),
+            room in 0usize..18,
+            bounded in any::<bool>(),
+        ) {
+            const K: usize = 5;
+            // A ticket of cycle `cycle`: slot `s` of that window, an
+            // original reservation `attempts` windows earlier.
+            let at = |cycle: usize, (user, video, s, attempts): (u32, u32, usize, u32)| {
+                let mut t = ticket(user, video, cycle as f64 * H + [10.0, 10.0, 20.0][s]);
+                t.original.start = t.request.start - f64::from(attempts) * H;
+                t.attempts = attempts;
+                t
+            };
+            let cfg = ServiceConfig {
+                queue_bound: bounded.then_some(queued.len() + room),
+                backoff: BackoffPolicy { base_cycles: 1, max_cycles: 4, drop_after: 2 },
+                ..ServiceConfig::default()
+            };
+            let (topo, _) = world(1);
+            let mut merged = ServiceLoop::new(&topo, cfg.clone()).unwrap();
+            let mut per_ticket = ServiceLoop::new(&topo, cfg).unwrap();
+            for svc in [&mut merged, &mut per_ticket] {
+                for &q in &queued {
+                    svc.enqueue(at(K, q));
+                }
+                // Due parkings (eligible K − 1 and K) and later ones, all
+                // stamped into window K, so the due ones leave the lot
+                // out of queue order.
+                for &(user, video, s, attempts, e) in &parked {
+                    let p = (K - 1 + e, at(K, (user, video, s, attempts)));
+                    let i = svc.pending.partition_point(|q| parking_key(q) <= parking_key(&p));
+                    svc.pending.insert(i, p);
+                }
+            }
+
+            let (mut a, mut b) = (ServiceCycleStats::default(), ServiceCycleStats::default());
+            let mut dropped_a = merged.release(K, &mut a);
+            let mut dropped_b = release_per_ticket(&mut per_ticket, K, &mut b);
+            prop_assert_eq!(&merged.queue, &per_ticket.queue);
+            prop_assert_eq!(&merged.pending, &per_ticket.pending);
+
+            let mut lot = Vec::new();
+            for &s in &shed {
+                dropped_a.extend(merged.defer_or_drop(at(K, s), K, &mut a, &mut lot));
+                dropped_b.extend(defer_or_drop_per_ticket(&mut per_ticket, at(K, s), K, &mut b));
+            }
+            merged.park(lot);
+
+            prop_assert_eq!(&merged.queue, &per_ticket.queue);
+            prop_assert_eq!(&merged.pending, &per_ticket.pending);
+            prop_assert_eq!(merged.queue_high_water, per_ticket.queue_high_water);
+            prop_assert_eq!((a.deferred, a.dropped), (b.deferred, b.dropped));
+            prop_assert_eq!(dropped_a, dropped_b);
+            prop_assert_eq!(&merged.backoff_histogram, &per_ticket.backoff_histogram);
+        }
     }
 
     #[test]

@@ -386,3 +386,43 @@ fn colliding_tickets_keep_their_original_pairing() {
     assert_eq!(served, key_counts(offered.iter()));
     assert_eq!(svc.finish().conservation_error(), 0);
 }
+
+/// A late ticket is a deadline miss even when its identical twin was
+/// shed: `early`, shed in cycle 0, comes back re-stamped onto the slot of
+/// `late`, a fresh reservation of the same user and video, and cycle 1's
+/// budget sheds exactly one of the two — `late`, nearer the queue head.
+/// `early` is then served a cycle after its reservation.
+#[test]
+fn a_served_twin_of_a_shed_ticket_is_still_a_deadline_miss() {
+    use vod_cost_model::VideoId;
+    use vod_topology::UserId;
+
+    let (topo, catalog) = world(7);
+    let model = CostModel::per_hop();
+    let ctx = SchedCtx::new(&topo, &model, &catalog);
+    // Keeps two greedy-rung requests of three, before and after cycle 0's
+    // observation moves the greedy unit.
+    let cfg = ServiceConfig { budget_ns: Some(2.5 * 4_200.0), ..ServiceConfig::default() };
+    let mut svc = ServiceLoop::new(&topo, cfg).unwrap();
+    let req = |user, video, start| Request { user: UserId(user), video: VideoId(video), start };
+    let early = req(0, 5, 100.0);
+    for r in [early, req(1, 1, 200.0), req(2, 1, 300.0)] {
+        svc.offer(r).unwrap();
+    }
+    let c0 = svc.run_cycle(&ctx, ExecMode::Sequential);
+    assert_eq!(c0.shed_now, vec![early]);
+
+    let late = req(0, 5, HORIZON + 100.0);
+    let other = req(1, 5, HORIZON + 200.0);
+    svc.offer(late).unwrap();
+    svc.offer(other).unwrap();
+    let c1 = svc.run_cycle(&ctx, ExecMode::Sequential);
+    assert_eq!(c1.stats.rung, Rung::Shed);
+    assert_eq!(c1.shed_now, vec![late], "one of the twins is shed");
+    assert_eq!(c1.served_originals, vec![early, other]);
+    assert_eq!(c1.stats.deadline_misses, 1, "`early` is served late");
+
+    let report = svc.finish();
+    assert_eq!(report.in_flight, 1, "`late` is parked");
+    assert_eq!(report.conservation_error(), 0);
+}

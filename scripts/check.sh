@@ -57,6 +57,15 @@ cargo test -q --offline --test resolve_budget
 cargo test -q --offline --test service_overload_e2e overload_faults_cell_replays_clean_on_every_rung
 cargo test -q --offline -p vod-core --test repair_props repair_preserves_capacity_feasibility
 cargo test -q --offline -p vod-core --test service_props the_book_is_feasible_after_every_cycle
+# Burst-cycle bookkeeping: the key-selected heat ranking and the one-pass
+# queue / park merges against the code they replaced (private, so unit
+# tests), deadline misses by ticket, the cell's pinned decisions, and
+# budgets no request fits.
+cargo test -q --offline -p vod-core --lib service::tests::shed_order_matches_the_comparator_sort
+cargo test -q --offline -p vod-core --lib service::tests::release_and_park_merges_match_per_ticket_inserts
+cargo test -q --offline -p vod-core --test service_props a_served_twin_of_a_shed_ticket_is_still_a_deadline_miss
+cargo test -q --offline --test service_overload_e2e overload_faults_cell_decisions_are_pinned
+cargo test -q --offline --test service_overload_e2e adversarial_budgets_shed_or_run_full_and_conserve
 
 echo "==> telemetry suite (obs crate + recorder transparency + e2e reconcile)"
 cargo test -q --offline -p vod-obs

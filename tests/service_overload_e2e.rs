@@ -13,7 +13,7 @@ use vod_paradigm::faults::{FaultConfig, FaultPlan};
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::{check_service_accounting, cycle_is_clean, replay_service_cycle};
 use vod_paradigm::workload::{
-    generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig, RequestConfig,
+    generate_arrivals, generate_catalog, Arrival, ArrivalConfig, CatalogConfig, RequestConfig,
 };
 
 const H: f64 = 24.0 * 3_600.0;
@@ -132,20 +132,13 @@ fn oracle_config_serves_everything_and_replays_strict() {
     }
 }
 
+/// How many cycles of the `overload_faults` cell the tests drive.
+const CELL_CYCLES: usize = 48;
+
 /// The benchmark's `overload_faults` cell at seed 1997, built as
-/// `benchmark/src/adapter.rs` builds it and driven as `service_run`
-/// drives it, over its first 48 cycles. A cycle commits once: fault
-/// repair runs on the solve's own state, whose ledger is the book plus
-/// the cycle's schedule, and only the repaired schedule enters the book —
-/// so after every cycle, on every rung, the book holds no overflow and
-/// the cycle reports `overflow_free`. (Committing the repaired
-/// residencies a second time overflows the book from cycle 2 on, and
-/// cycle 3's solve, on the `Full` rung, then faces an overflow no victim
-/// clears.) Cycle 41 runs on the `Shed` rung, where SORP's fallback tail
-/// is the whole pass and must clear every overflow that has a participant.
-#[test]
-fn overload_faults_cell_replays_clean_on_every_rung() {
-    const CYCLES: usize = 48;
+/// `benchmark/src/adapter.rs` builds it: topology, catalog, the arrival
+/// trace's prefix and the service config.
+fn overload_faults_cell() -> (Topology, Catalog, Vec<Arrival>, ServiceConfig) {
     const RUN_CYCLES: usize = 800; // the fault plan is drawn over the whole benchmark run
     let topo = builders::paper_fig4(&builders::PaperFig4Config {
         capacity_gb: 5.0,
@@ -153,8 +146,6 @@ fn overload_faults_cell_replays_clean_on_every_rung() {
         ..Default::default()
     });
     let catalog = generate_catalog(&CatalogConfig::small(120), 0xCA7A_10C0_FFEE_0001);
-    let model = CostModel::per_hop();
-    let ctx = SchedCtx::new(&topo, &model, &catalog);
     // A cycle's arrivals depend on its own index alone, so two cycles past
     // the last one driven give the benchmark trace's prefix.
     let arrivals = generate_arrivals(
@@ -162,8 +153,8 @@ fn overload_faults_cell_replays_clean_on_every_rung() {
         &catalog,
         &ArrivalConfig {
             request: RequestConfig { requests_per_user: 2, ..RequestConfig::with_alpha(0.271) },
-            cycles: CYCLES + 2,
-            burst: (0..CYCLES + 2).filter(|k| k % 8 == 1).map(|k| (k, 8)).collect(),
+            cycles: CELL_CYCLES + 2,
+            burst: (0..CELL_CYCLES + 2).filter(|k| k % 8 == 1).map(|k| (k, 8)).collect(),
             ..Default::default()
         },
         1997,
@@ -188,9 +179,27 @@ fn overload_faults_cell_replays_clean_on_every_rung() {
         faults,
         ..ServiceConfig::default()
     };
+    (topo, catalog, arrivals, cfg)
+}
+
+/// The `overload_faults` cell driven as `service_run` drives it, over its
+/// first 48 cycles. A cycle commits once: fault repair runs on the
+/// solve's own state, whose ledger is the book plus the cycle's schedule,
+/// and only the repaired schedule enters the book — so after every cycle,
+/// on every rung, the book holds no overflow and the cycle reports
+/// `overflow_free`. (Committing the repaired residencies a second time
+/// overflows the book from cycle 2 on, and cycle 3's solve, on the `Full`
+/// rung, then faces an overflow no victim clears.) Cycle 41 runs on the
+/// `Shed` rung, where SORP's fallback tail is the whole pass and must
+/// clear every overflow that has a participant.
+#[test]
+fn overload_faults_cell_replays_clean_on_every_rung() {
+    let (topo, catalog, arrivals, cfg) = overload_faults_cell();
+    let model = CostModel::per_hop();
+    let ctx = SchedCtx::new(&topo, &model, &catalog);
     let mut svc = ServiceLoop::new(&topo, cfg).expect("a generated plan");
     let mut next = 0;
-    for k in 0..CYCLES {
+    for k in 0..CELL_CYCLES {
         while next < arrivals.len() && arrivals[next].at <= k as f64 * H {
             let _ = svc.offer(arrivals[next].request);
             next += 1;
@@ -209,5 +218,168 @@ fn overload_faults_cell_replays_clean_on_every_rung() {
             "cycle {k} ({rung:?} rung) replay violations: {:?}",
             sim.violations
         );
+    }
+}
+
+/// FNV-1a over each request's `(user, video, start bits)`, in order.
+fn digest(reqs: &[Request]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for r in reqs {
+        for word in [r.user.0 as u64, r.video.0 as u64, r.start.to_bits()] {
+            h = (h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Per cycle of the `overload_faults` cell: rung, how many requests were
+/// shed and their digest in shed order, deferred, dropped, deadline
+/// misses. Captured from the commit before the ladder's heat ranking and
+/// the queue and parking lot's hand-offs became one-pass merges; those
+/// must move no decision.
+const PINNED_DECISIONS: &str = "\
+0  full       0 -                   0   0    0
+1  shed      41 8daee711b591fbeb   41   0    0
+2  full       0 -                   0   0   41
+3  full       0 -                   0   0    0
+4  full       0 -                   0   0    0
+5  full       0 -                   0   0    0
+6  full       0 -                   0   0    0
+7  full       0 -                   0   0    0
+8  full       0 -                   0   0    0
+9  shed     384 760b7dad473d08c0  384   0    0
+10 reduced    0 -                   0   0  384
+11 full       0 -                   0   0    0
+12 full       0 -                   0   0    0
+13 full       0 -                   0   0    0
+14 full       0 -                   0   0    0
+15 full       0 -                   0   0    0
+16 full       0 -                   0   0    0
+17 shed     552 73d96f215d6b9f0b  552   0    0
+18 greedy     0 -                   0   0  552
+19 full       0 -                   0   0    0
+20 full       0 -                   0   0    0
+21 full       0 -                   0   0    0
+22 full       0 -                   0   0    0
+23 full       0 -                   0   0    0
+24 full       0 -                   0   0    0
+25 shed     830 6f7c22cbb380d479  830   0    0
+26 greedy     0 -                   0   0  830
+27 full       0 -                   0   0    0
+28 full       0 -                   0   0    0
+29 full       0 -                   0   0    0
+30 full       0 -                   0   0    0
+31 full       0 -                   0   0    0
+32 full       0 -                   0   0    0
+33 shed     937 c5715fe8ce6aac0d  937   0    0
+34 greedy     0 -                   0   0  937
+35 full       0 -                   0   0    0
+36 full       0 -                   0   0    0
+37 full       0 -                   0   0    0
+38 full       0 -                   0   0    0
+39 full       0 -                   0   0    0
+40 full       0 -                   0   0    0
+41 shed     967 9218c111f48d4c8d  967   0    0
+42 greedy     0 -                   0   0  967
+43 full       0 -                   0   0    0
+44 full       0 -                   0   0    0
+45 full       0 -                   0   0    0
+46 full       0 -                   0   0    0
+47 full       0 -                   0   0    0
+";
+
+/// The `overload_faults` cell's shedding, backoff and deadline decisions
+/// over its first 48 cycles are exactly the pinned ones.
+#[test]
+fn overload_faults_cell_decisions_are_pinned() {
+    let (topo, catalog, arrivals, cfg) = overload_faults_cell();
+    let model = CostModel::per_hop();
+    let ctx = SchedCtx::new(&topo, &model, &catalog);
+    let (outcomes, report) =
+        service_run(&ctx, &arrivals, &cfg, CELL_CYCLES, ExecMode::Sequential).unwrap();
+    let got: Vec<String> = outcomes
+        .iter()
+        .map(|o| {
+            let s = &o.stats;
+            let shed = if o.shed_now.is_empty() {
+                "-".to_string()
+            } else {
+                format!("{:016x}", digest(&o.shed_now))
+            };
+            format!(
+                "{:<2} {:<7} {:>4} {:<16} {:>4} {:>3} {:>4}",
+                s.cycle,
+                s.rung.label(),
+                o.shed_now.len(),
+                shed,
+                s.deferred,
+                s.dropped,
+                s.deadline_misses
+            )
+        })
+        .collect();
+    for (got, want) in got.iter().zip(PINNED_DECISIONS.lines()) {
+        assert_eq!(got, want, "the first divergent cycle");
+    }
+    assert_eq!(got.len(), PINNED_DECISIONS.lines().count());
+    assert_eq!(report.queue_high_water, 2660);
+    assert_eq!(report.backoff_histogram, vec![3711]);
+    assert_eq!(report.conservation_error(), 0);
+}
+
+/// Budgets no request fits — zero, negative, NaN — shed every ticket
+/// into backoff and drop it after `drop_after` failed attempts, without a
+/// panic and with balanced accounting; `+∞` is the same run as `None`.
+#[test]
+fn adversarial_budgets_shed_or_run_full_and_conserve() {
+    const CYCLES: usize = 6;
+    let (topo, catalog) = world(23);
+    let model = CostModel::per_hop();
+    let ctx = SchedCtx::new(&topo, &model, &catalog).with_recorder(vod_obs::Recorder::enabled());
+    let arrivals = generate_arrivals(
+        &topo,
+        &catalog,
+        &ArrivalConfig { cycles: 2, burst: vec![(1, 3)], ..Default::default() },
+        23,
+    );
+    let backoff = BackoffPolicy { base_cycles: 1, max_cycles: 2, drop_after: 1 };
+    let run = |budget_ns: Option<f64>| {
+        let cfg = ServiceConfig { budget_ns, backoff, ..ServiceConfig::default() };
+        let mut svc = ServiceLoop::new(&topo, cfg).expect("empty fault plan");
+        let mut next = 0;
+        let mut outcomes = Vec::new();
+        for k in 0..CYCLES {
+            while next < arrivals.len() && arrivals[next].at <= k as f64 * H {
+                let _ = svc.offer(arrivals[next].request);
+                next += 1;
+            }
+            outcomes.push(svc.run_cycle(&ctx, ExecMode::Sequential));
+        }
+        let report = svc.finish();
+        assert_eq!(report.conservation_error(), 0, "budget {budget_ns:?}");
+        (outcomes, report)
+    };
+
+    for budget in [0.0, -1e6, f64::NAN] {
+        let (outcomes, report) = run(Some(budget));
+        for o in &outcomes {
+            let s = &o.stats;
+            if s.admitted > 0 {
+                assert_eq!(s.rung, Rung::Shed, "budget {budget}, cycle {}", s.cycle);
+            }
+            assert_eq!(s.served, 0, "budget {budget}, cycle {}", s.cycle);
+            assert_eq!(s.shed, s.admitted, "budget {budget}, cycle {}", s.cycle);
+        }
+        assert_eq!(report.served, 0);
+        assert_eq!(report.in_flight, 0, "budget {budget}: every ticket is dropped by the end");
+        assert_eq!(report.dropped, report.accepted());
+    }
+
+    let (unbounded, _) = run(None);
+    let (infinite, _) = run(Some(f64::INFINITY));
+    for (a, b) in unbounded.iter().zip(&infinite) {
+        assert_eq!(a.stats, b.stats, "cycle {}", a.stats.cycle);
+        assert!(a.schedule == b.schedule, "cycle {}: schedules diverged", a.stats.cycle);
+        assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "cycle {}", a.stats.cycle);
     }
 }
