@@ -423,7 +423,7 @@ fn merge_behind<T, K: Ord>(sorted: &mut Vec<T>, incoming: Vec<T>, key: impl Fn(&
 }
 
 /// Per-cycle service accounting, threaded into the [`ServiceReport`]
-/// and `vod_experiments`' `CycleReport`.
+/// and the cycle's [`ServiceCycleOutcome`].
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServiceCycleStats {
     /// Cycle index (0-based).
@@ -984,13 +984,6 @@ impl ServiceLoop {
                 .u64("victims", victims as u64)
                 .bool("overflow_free", overflow_free);
         });
-        ctx.recorder.count("service.offered", stats.offered as u64);
-        ctx.recorder.count("service.served", stats.served as u64);
-        ctx.recorder.count("service.shed", stats.shed as u64);
-        ctx.recorder.count("service.deferred", stats.deferred as u64);
-        ctx.recorder.count("service.dropped", stats.dropped as u64);
-        ctx.recorder.gauge("service.queue_depth", stats.queue_depth as f64);
-        ctx.recorder.observe("service.sim_ns", &[1e5, 1e6, 1e7, 1e8, 1e9], stats.sim_ns as f64);
 
         self.cycle += 1;
         self.cycles.push(stats.clone());

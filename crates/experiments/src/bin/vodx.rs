@@ -9,11 +9,15 @@
 //! Prints each experiment as an aligned text table (the rows the paper
 //! plots) and, with `--out`, also writes CSV/text outputs for replotting.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use vod_core::{ivsp_solve_priced, sorp_solve_priced, ExecMode, SchedCtx, SorpConfig};
+use vod_core::{
+    ivsp_solve_priced, sorp_solve_priced, ExecMode, SchedCtx, ServiceCycleOutcome, SorpConfig,
+};
 use vod_cost_model::CostModel;
 use vod_experiments::{ext, figures, render_csv, render_table, service, table5, EnvParams, Preset};
+use vod_topology::units;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -95,7 +99,7 @@ fn main() -> ExitCode {
         match vod_obs::Recording::from_jsonl(&text) {
             Ok(rec) => {
                 println!("# Flight recording {path}");
-                print!("{}", rec.summarize());
+                print!("{}{}", rec.summarize(), render_cycle_end_totals(&rec));
                 return ExitCode::SUCCESS;
             }
             Err(e) => {
@@ -204,8 +208,8 @@ fn main() -> ExitCode {
                     Some(_) => vod_obs::Recorder::enabled(),
                     None => vod_obs::Recorder::disabled(),
                 };
-                let (r, report, _) = service::service_horizon(&params, n, &sp, &recorder);
-                let text = format!("{}\n{}", r.render(), report.render());
+                let (outcomes, report) = service::service_horizon(&params, n, &sp, &recorder);
+                let text = format!("{}\n{}", render_cycles(&outcomes), report.render());
                 println!("{text}");
                 write_recording(&record, &recorder)
                     .and_then(|()| write_out(&out_dir, &format!("{target}.txt"), &text))
@@ -242,6 +246,73 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The per-cycle table of a service run. Every cycle gets a row —
+/// including idle ones with zero requests (the service loop's idle
+/// ticks) — with the solve's wall clock in `solve ms` and a trailing
+/// rung/shed section.
+fn render_cycles(outcomes: &[ServiceCycleOutcome]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "# Rolling-horizon operation ({} cycles)", outcomes.len());
+    let _ = writeln!(
+        out,
+        "{:>7}{:>10}{:>14}{:>10}{:>10}{:>14}{:>8}{:>8}{:>11}{:>7}{:>9}{:>7}{:>7}{:>7}{:>7}",
+        "cycle",
+        "requests",
+        "cost $",
+        "+res%",
+        "victims",
+        "spillover GB",
+        "shards",
+        "hits",
+        "solve ms",
+        "clean",
+        "rung",
+        "shed",
+        "defer",
+        "drop",
+        "queue"
+    );
+    for c in outcomes {
+        let _ = writeln!(
+            out,
+            "{:>7}{:>10}{:>14.0}{:>9.1}%{:>10}{:>14.2}{:>8}{:>8}{:>11.2}{:>7}{:>9}{:>7}{:>7}{:>7}{:>7}",
+            c.stats.cycle,
+            c.served.len(),
+            c.cost,
+            100.0 * c.rel_increase(),
+            c.victims,
+            c.warm.spillover_bytes / units::GB,
+            c.warm.shards_used,
+            c.warm.trials_hit,
+            c.warm.solve_ns as f64 / 1e6,
+            if c.overflow_free { "yes" } else { "NO" },
+            c.stats.rung.label(),
+            c.stats.shed,
+            c.stats.deferred,
+            c.stats.dropped,
+            c.stats.queue_depth
+        );
+    }
+    let _ = writeln!(out, "total: ${:.0}", outcomes.iter().map(|c| c.cost).sum::<f64>());
+    out
+}
+
+/// The run's service totals in a recording: the `offered`, `served`,
+/// `shed`, `deferred` and `dropped` fields of the service loop's
+/// `cycle_end` events, summed. Empty when the recording has none.
+fn render_cycle_end_totals(rec: &vod_obs::Recording) -> String {
+    let mut out = String::new();
+    if rec.events_of("cycle_end").next().is_none() {
+        return out;
+    }
+    let _ = writeln!(out, "cycle_end totals:");
+    for field in ["deferred", "dropped", "offered", "served", "shed"] {
+        let total: u64 = rec.events_of("cycle_end").filter_map(|e| e.u64(field)).sum();
+        let _ = writeln!(out, "  {:<40} {total}", format!("service.{field}"));
+    }
+    out
+}
+
 /// With `--out`, write `body` to `file` in that directory.
 fn write_out(out_dir: &Option<PathBuf>, file: &str, body: &str) -> Result<(), String> {
     let Some(dir) = out_dir else { return Ok(()) };
@@ -271,4 +342,89 @@ fn usage() -> &'static str {
      --budget-ns B service: per-cycle deadline budget in simulated ns\n\
      --record F    cycles/service: write a JSONL flight recording to F\n\
      trace F       dump + summarize a recording written by --record"
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vod_obs::Recorder;
+
+    fn cheap_params() -> EnvParams {
+        EnvParams { videos: 50, users_per_neighborhood: 4, ..EnvParams::fast() }
+    }
+
+    #[test]
+    fn render_includes_service_columns_and_idle_cycles() {
+        let params = cheap_params();
+        // Arrivals stop after cycle 0; cycles 1–2 are idle service ticks.
+        let sp = service::ServiceParams { trace_cycles: Some(1), ..Default::default() };
+        let (outcomes, report) = service::service_horizon(&params, 3, &sp, &Recorder::disabled());
+        assert!(outcomes[1].served.is_empty(), "cycle 1 must be idle");
+        assert_eq!(report.cycles.len(), 3);
+        let text = render_cycles(&outcomes);
+        assert!(text.contains("cycle") && text.contains("solve ms"));
+        assert!(text.contains("rung"), "service runs must render the ladder column");
+        // Every cycle gets a row, idle ones included.
+        assert_eq!(
+            text.lines().filter(|l| l.trim_start().starts_with(char::is_numeric)).count(),
+            3
+        );
+    }
+
+    #[test]
+    fn spillover_column_is_in_gigabytes() {
+        let params = cheap_params();
+        let sp = service::ServiceParams::default();
+        let (outcomes, _) = service::service_horizon(&params, 3, &sp, &Recorder::disabled());
+        let text = render_cycles(&outcomes);
+        let rows: Vec<_> =
+            text.lines().filter(|l| l.trim_start().starts_with(char::is_numeric)).collect();
+        assert_eq!(rows.len(), outcomes.len());
+        let capacity_budget_gb = 19.0 * params.capacity_gb; // every storage full
+        let mut seen_positive = false;
+        for (row, c) in rows.iter().zip(&outcomes) {
+            let column = row.split_whitespace().nth(5).expect("spillover column");
+            // The column is the byte counter scaled by exactly 1 GB.
+            assert_eq!(column, format!("{:.2}", c.warm.spillover_bytes / units::GB), "{row}");
+            // Sanity: a GB figure fits the hardware; the raw byte count
+            // (1e9× larger) could not.
+            let spillover_gb: f64 = column.parse().expect("a number");
+            assert!(
+                spillover_gb <= capacity_budget_gb,
+                "cycle {}: {spillover_gb} GB exceeds the {capacity_budget_gb} GB of disk that exists",
+                c.stats.cycle
+            );
+            seen_positive |= spillover_gb > 0.0;
+        }
+        assert!(seen_positive, "no cycle saw spillover; the unit check never engaged");
+    }
+
+    #[test]
+    fn trace_totals_are_the_report_sums() {
+        let params = cheap_params();
+        let sp = service::ServiceParams {
+            queue_bound: Some(1_000),
+            budget_ns: Some(100.0 * 4_200.0),
+            burst: vec![(1, 4)],
+            ..service::ServiceParams::default()
+        };
+        let recorder = Recorder::enabled();
+        let (_, report) = service::service_horizon(&params, 3, &sp, &recorder);
+        let text = render_cycle_end_totals(&recorder.recording().expect("enabled"));
+        let total = |name: &str| -> u64 {
+            let line = text
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(name))
+                .unwrap_or_else(|| panic!("no {name} line:\n{text}"));
+            line.split_whitespace().nth(1).and_then(|v| v.parse().ok()).expect("integer total")
+        };
+        assert_eq!(total("service.offered"), report.offered as u64);
+        assert_eq!(total("service.served"), report.served as u64);
+        assert_eq!(total("service.shed"), report.shed_events as u64);
+        assert_eq!(total("service.deferred"), report.deferred_events as u64);
+        assert_eq!(total("service.dropped"), report.dropped as u64);
+        assert!(report.shed_events > 0, "the burst must shed, or the sums are vacuous");
+        // A recording without cycle_end events has no totals section.
+        assert!(render_cycle_end_totals(&vod_obs::Recording::default()).is_empty());
+    }
 }

@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cycles;
 mod env;
 pub mod ext;
 pub mod figures;

@@ -1,19 +1,17 @@
 //! # vod-obs — structured telemetry for the service pipeline
 //!
-//! A zero-dependency observability layer with two halves:
+//! A zero-dependency **flight recorder** ([`Recorder`]): typed events
+//! stamped in *simulated* time, capturing every per-cycle decision the
+//! service loop makes (rung picks, shed/backoff counts, warm-start
+//! stats, SORP trial reuse, repair retries). The recording holds only
+//! events; run-level totals are sums over them, taken by whoever knows
+//! the event schema ([`Recording::summarize`] only counts per kind).
 //!
-//! - a **metrics registry** ([`Registry`]): named counters, gauges,
-//!   and fixed-bucket histograms with deterministic ordering;
-//! - a **flight recorder** ([`Recorder`]): typed events stamped in
-//!   *simulated* time, capturing every per-cycle decision the service
-//!   loop makes (rung picks, shed/backoff counts, warm-start stats,
-//!   SORP trial reuse, repair retries).
-//!
-//! Recordings export to JSONL ([`Recording::to_jsonl`]) and reload
-//! bit-identically ([`Recording::from_jsonl`]); the wire format is
-//! hand-rolled in [`json`] because this workspace's serde is a no-op
-//! shim. The default [`Recorder`] is a static no-op sink so the
-//! disabled path costs a single branch — asserted by
+//! Recordings export to JSONL ([`Recording::to_jsonl`], one line per
+//! event) and reload bit-identically ([`Recording::from_jsonl`]); the
+//! wire format is hand-rolled in [`json`] because this workspace's serde
+//! is a no-op shim. The default [`Recorder`] is a static no-op sink so
+//! the disabled path costs a single branch — asserted by
 //! `telemetry_props`.
 //!
 //! ## Determinism rules
@@ -27,9 +25,7 @@
 //!    to the live one.
 
 pub mod json;
-pub mod metrics;
 pub mod recorder;
 
 pub use json::{Json, JsonError};
-pub use metrics::{Histogram, Registry};
 pub use recorder::{Event, EventBuilder, Recorder, Recording, Value};

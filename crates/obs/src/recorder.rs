@@ -1,6 +1,6 @@
 //! The flight recorder: a cheap, clonable handle that captures typed
-//! events stamped in *simulated* time, plus a metrics registry, and
-//! round-trips the whole recording through JSONL bit-identically.
+//! events stamped in *simulated* time and round-trips the recording
+//! through JSONL bit-identically.
 //!
 //! The default handle is disabled: every method is a single `Option`
 //! check and no allocation, lock, or clock read happens. Enabled
@@ -14,7 +14,6 @@
 //! across machines and `ExecMode`s.
 
 use crate::json::{emit_f64, emit_str, Json, JsonError};
-use crate::metrics::Registry;
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -55,7 +54,7 @@ impl PartialEq for Value {
 /// the tagged string `"f64:<16 hex digits>"` (the bit pattern).
 /// Genuine strings that begin with `f64:` or `str:` get a `str:`
 /// prefix so decoding is unambiguous.
-pub(crate) fn emit_f64_tagged(out: &mut String, v: f64) {
+fn emit_f64_tagged(out: &mut String, v: f64) {
     if v.is_finite() {
         emit_f64(out, v);
     } else {
@@ -64,7 +63,7 @@ pub(crate) fn emit_f64_tagged(out: &mut String, v: f64) {
 }
 
 /// Decode a float written by [`emit_f64_tagged`].
-pub(crate) fn f64_from_tagged(v: &Json) -> Option<f64> {
+fn f64_from_tagged(v: &Json) -> Option<f64> {
     match v {
         Json::Float(f) => Some(*f),
         Json::Int(n) => Some(*n as f64),
@@ -260,7 +259,6 @@ struct State {
     cycle: u64,
     sim_t: f64,
     events: Vec<Event>,
-    metrics: Registry,
 }
 
 struct Shared {
@@ -320,12 +318,7 @@ impl Recorder {
             inner: Some(Arc::new(Shared {
                 wall_clock,
                 start: Instant::now(),
-                state: Mutex::new(State {
-                    cycle: 0,
-                    sim_t: 0.0,
-                    events: Vec::new(),
-                    metrics: Registry::new(),
-                }),
+                state: Mutex::new(State { cycle: 0, sim_t: 0.0, events: Vec::new() }),
             })),
         }
     }
@@ -348,77 +341,50 @@ impl Recorder {
     /// Record an event under the current cycle scope. The closure runs
     /// only when enabled.
     pub fn event(&self, kind: &str, f: impl FnOnce(&mut EventBuilder)) {
-        let Some(shared) = &self.inner else { return };
-        let mut b = EventBuilder::default();
-        f(&mut b);
-        let wall_ns = shared.wall_clock.then(|| shared.start.elapsed().as_nanos() as u64);
-        let mut st = lock(shared);
-        let (cycle, sim_t) = (st.cycle, st.sim_t);
-        st.events.push(Event { sim_t, cycle, kind: kind.to_string(), wall_ns, fields: b.fields });
+        self.push(None, kind, f);
     }
 
     /// Record an event with an explicit (cycle, simulated-time) stamp,
     /// bypassing the scope — for out-of-loop stages like replay.
     pub fn event_at(&self, cycle: u64, sim_t: f64, kind: &str, f: impl FnOnce(&mut EventBuilder)) {
+        self.push(Some((cycle, sim_t)), kind, f);
+    }
+
+    /// The one event body: build, stamp (with `stamp`, or the current
+    /// scope read under the same lock that pushes), append.
+    fn push(&self, stamp: Option<(u64, f64)>, kind: &str, f: impl FnOnce(&mut EventBuilder)) {
         let Some(shared) = &self.inner else { return };
         let mut b = EventBuilder::default();
         f(&mut b);
         let wall_ns = shared.wall_clock.then(|| shared.start.elapsed().as_nanos() as u64);
         let mut st = lock(shared);
+        let (cycle, sim_t) = stamp.unwrap_or((st.cycle, st.sim_t));
         st.events.push(Event { sim_t, cycle, kind: kind.to_string(), wall_ns, fields: b.fields });
-    }
-
-    /// Add `by` to the named counter.
-    pub fn count(&self, name: &str, by: u64) {
-        if let Some(shared) = &self.inner {
-            lock(shared).metrics.count(name, by);
-        }
-    }
-
-    /// Set the named gauge.
-    pub fn gauge(&self, name: &str, v: f64) {
-        if let Some(shared) = &self.inner {
-            lock(shared).metrics.gauge(name, v);
-        }
-    }
-
-    /// Observe into the named fixed-bucket histogram.
-    pub fn observe(&self, name: &str, bounds: &[f64], v: f64) {
-        if let Some(shared) = &self.inner {
-            lock(shared).metrics.observe(name, bounds, v);
-        }
     }
 
     /// Snapshot the recording so far. `None` when disabled.
     pub fn recording(&self) -> Option<Recording> {
         let shared = self.inner.as_ref()?;
         let st = lock(shared);
-        Some(Recording { events: st.events.clone(), metrics: st.metrics.clone() })
+        Some(Recording { events: st.events.clone() })
     }
 }
 
-/// A captured (or JSONL-reloaded) recording: the event stream plus the
-/// final metrics snapshot.
+/// A captured (or JSONL-reloaded) recording: the event stream.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Recording {
     /// Events in capture order.
     pub events: Vec<Event>,
-    /// Final metrics registry state.
-    pub metrics: Registry,
 }
 
 impl Recording {
-    /// Serialize as JSONL: one object per event, then a trailing
-    /// `__metrics__` line with the registry snapshot.
+    /// Serialize as JSONL: one object per event, one event per line.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in &self.events {
             ev.emit_jsonl(&mut out);
             out.push('\n');
         }
-        out.push_str("{\"kind\":\"__metrics__\",\"metrics\":");
-        self.metrics.emit_json(&mut out);
-        out.push_str("}\n");
         out
     }
 
@@ -426,24 +392,13 @@ impl Recording {
     /// Bit-identical round-trip is guaranteed (and proptested).
     pub fn from_jsonl(text: &str) -> Result<Recording, JsonError> {
         let mut events = Vec::new();
-        let mut metrics = Registry::new();
         for line in text.lines() {
             let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let v = crate::json::parse(line)?;
-            if v.get("kind").and_then(Json::as_str) == Some("__metrics__") {
-                let m = v.get("metrics").ok_or_else(|| JsonError {
-                    at: 0,
-                    message: "__metrics__ line without metrics".to_string(),
-                })?;
-                metrics = Registry::from_json(m)?;
-            } else {
-                events.push(Event::decode(&v)?);
+            if !line.is_empty() {
+                events.push(Event::decode(&crate::json::parse(line)?)?);
             }
         }
-        Ok(Recording { events, metrics })
+        Ok(Recording { events })
     }
 
     /// Events of one kind, in capture order.
@@ -451,8 +406,8 @@ impl Recording {
         self.events.iter().filter(move |e| e.kind == kind)
     }
 
-    /// Human-readable digest: per-kind counts, cycle span, and the
-    /// metrics table — what `vodx trace` prints.
+    /// Human-readable digest: event count, cycle span and per-kind
+    /// counts — the head of what `vodx trace` prints.
     pub fn summarize(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "events: {}", self.events.len());
@@ -473,10 +428,6 @@ impl Recording {
         for (k, n) in &kinds {
             let _ = writeln!(out, "  {k:<20} {n}");
         }
-        let metrics = self.metrics.render();
-        if !metrics.is_empty() {
-            out.push_str(&metrics);
-        }
         out
     }
 }
@@ -493,7 +444,6 @@ mod tests {
         rec.event("rung", |e| {
             e.str("rung", "full");
         });
-        rec.count("served", 10);
         assert!(rec.recording().is_none());
     }
 
@@ -505,13 +455,11 @@ mod tests {
         other.event("intake", |e| {
             e.u64("offered", 7);
         });
-        rec.count("served", 3);
         let r = rec.recording().expect("enabled");
         assert_eq!(r.events.len(), 1);
         assert_eq!(r.events[0].cycle, 1);
         assert_eq!(r.events[0].sim_t, 0.25);
         assert_eq!(r.events[0].u64("offered"), Some(7));
-        assert_eq!(r.metrics.counter("served"), 3);
     }
 
     #[test]
@@ -529,9 +477,6 @@ mod tests {
                 .str("tagged", "f64:deadbeef")
                 .str("tagged2", "str:already");
         });
-        rec.count("cycles", 2);
-        rec.gauge("last_cost", f64::INFINITY);
-        rec.observe("ns", &[100.0], 42.0);
         let r = rec.recording().expect("enabled");
         let text = r.to_jsonl();
         let back = Recording::from_jsonl(&text).expect("round-trip");
@@ -567,11 +512,9 @@ mod tests {
         rec.event("rung", |_| {});
         rec.event("rung", |_| {});
         rec.event("warm", |_| {});
-        rec.count("served", 5);
         let s = rec.recording().expect("enabled").summarize();
         assert!(s.contains("events: 3"));
-        assert!(s.contains("rung"));
-        assert!(s.contains("warm"));
-        assert!(s.contains("served"));
+        let has = |kind: &str, n: &str| s.lines().any(|l| l.split_whitespace().eq([kind, n]));
+        assert!(has("rung", "2") && has("warm", "1"), "{s}");
     }
 }

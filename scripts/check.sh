@@ -13,9 +13,6 @@ cargo test -q --offline
 echo "==> cargo test -q --release (workspace, optimized)"
 cargo test -q --release --offline --workspace
 
-echo "==> bench smoke run (repair_latency --test)"
-cargo bench --offline -p vod-bench --bench repair_latency -- --test
-
 echo "==> oracle crate + solver and ledger equivalence suites"
 # vod-oracles' own tests show its audit has teeth; sorp_cache_props runs
 # the production solver against the audited naive loop (and carries the
@@ -160,6 +157,16 @@ if awk 'FNR == 1 { sec = "" } /^\[/ { sec = $0 }
           print FILENAME ":" FNR ": " $0; bad = 1 }
         END { exit !bad }' Cargo.toml crates/*/Cargo.toml; then
   echo "error: vod-oracles may appear under [dev-dependencies] only" >&2
+  exit 1
+fi
+
+echo "==> one-timer lint (no [[bench]] targets, no criterion dependency)"
+# Timings come from the service benchmark (benchmark/, BENCHMARK.json) and
+# the paper's figures from `vodx`; a bench target would be a third timer.
+manifests="$(find . \( -name target -o -name .bench_build -o -name .git \) -prune -o -name Cargo.toml -print)"
+# shellcheck disable=SC2086
+if grep -nE '^\[\[bench\]\]|^[[:space:]]*criterion[[:space:]]*[.=]|dependencies\.criterion' $manifests; then
+  echo "error: time through benchmark/run.sh, not a [[bench]] target or criterion" >&2
   exit 1
 fi
 

@@ -1,26 +1,30 @@
 #!/usr/bin/env bash
-# Profiling harness around the criterion benches: wraps a single bench
-# binary in `perf stat` (instruction/cycle/cache counters) and, when
-# available, `perf record` + flamegraph/stackcollapse for a flame SVG —
-# so "makes a hot path measurably faster" PRs can cite instruction
-# counts, not just wall-clock medians.
+# Profiling harness around the service benchmark: builds benchmark/ and runs
+# one workload exactly as BENCHMARK.json times it
+# (`vod-service-benchmark --workload W --trace 0`) under `perf stat`
+# (instruction/cycle/cache counters) or `perf record`, and, when available,
+# renders a flame SVG — so "makes a hot path measurably faster" PRs can cite
+# instruction counts of the timed code path, not just wall-clock medians.
 #
 # Usage:
-#   scripts/profile.sh <bench> [stat|record|flame] [extra bench args...]
+#   scripts/profile.sh <workload> [stat|record|flame] [extra harness args...]
 #
-#   scripts/profile.sh repair_latency                 # perf stat, full bench
-#   scripts/profile.sh repair_latency stat -- --test  # counters on the smoke run
-#   scripts/profile.sh ablations record               # perf record -> perf.data
-#   scripts/profile.sh repair_latency flame           # flamegraph SVG (needs tooling)
+#   scripts/profile.sh contended                      # perf stat, full-length run
+#   scripts/profile.sh contended stat --seconds 5     # counters on a short run
+#   scripts/profile.sh overload_faults record         # perf record -> perf.data
+#   scripts/profile.sh steady flame --seconds 5       # flamegraph SVG (needs tooling)
 #
-# Artifacts land in results/profile/: <bench>.stat.txt, <bench>.perf.data,
-# <bench>.flame.svg. Each tool degrades gracefully: without `perf` the
-# script falls back to /usr/bin/time -v (or a plain timed run), and
-# `flame` explains what is missing instead of failing the build.
+# Workloads are those `benchmark/run.sh` runs (`vod-service-benchmark --list`).
+# Artifacts land in results/profile/: <workload>.stat.txt, <workload>.perf.data,
+# <workload>.flame.svg (and under out/ whatever the harness writes when the
+# extra args include `--trace 1`). Each tool
+# degrades gracefully: without `perf` the script falls back to
+# /usr/bin/time -v (or a plain timed run), and `flame` explains what is
+# missing instead of failing the build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH="${1:?usage: scripts/profile.sh <bench> [stat|record|flame] [args...]}"
+WORKLOAD="${1:?usage: scripts/profile.sh <workload> [stat|record|flame] [args...]}"
 MODE="${2:-stat}"
 shift || true
 [ "$#" -gt 0 ] && shift || true
@@ -28,34 +32,29 @@ shift || true
 OUT_DIR="results/profile"
 mkdir -p "$OUT_DIR"
 
-echo "==> building bench '$BENCH' (release, no run)"
-cargo bench --offline -p vod-bench --bench "$BENCH" --no-run
-
-# Resolve the freshest bench binary for this bench name.
-BIN="$(ls -t target/release/deps/${BENCH}-* 2>/dev/null | grep -v '\.d$' | head -1 || true)"
-if [ -z "$BIN" ]; then
-    echo "error: no built binary matching target/release/deps/${BENCH}-*" >&2
-    exit 1
-fi
-echo "==> profiling $BIN ($MODE) $*"
+echo "==> building the service benchmark (release)"
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+BIN="${CARGO_TARGET_DIR:-benchmark/target}/release/vod-service-benchmark"
+RUN=("$BIN" --workload "$WORKLOAD" --trace 0 --out "$OUT_DIR/out" "$@")
+echo "==> profiling ${RUN[*]} ($MODE)"
 
 case "$MODE" in
     stat)
-        STAT_OUT="$OUT_DIR/${BENCH}.stat.txt"
+        STAT_OUT="$OUT_DIR/${WORKLOAD}.stat.txt"
         if command -v perf >/dev/null 2>&1; then
             # Portable counter set; unsupported counters print <not counted>
             # rather than failing.
             perf stat -o "$STAT_OUT" \
                 -e task-clock,instructions,cycles,branches,branch-misses,cache-references,cache-misses \
-                -- "$BIN" --bench "$@" || {
+                -- "${RUN[@]}" || {
                 echo "perf stat failed (often: perf_event_paranoid); falling back to time -v" >&2
-                { /usr/bin/time -v "$BIN" --bench "$@"; } 2> "$STAT_OUT" \
-                    || { time "$BIN" --bench "$@"; } 2> "$STAT_OUT"
+                { /usr/bin/time -v "${RUN[@]}"; } 2> "$STAT_OUT" \
+                    || { time "${RUN[@]}"; } 2> "$STAT_OUT"
             }
         else
             echo "perf not installed; recording /usr/bin/time -v instead" >&2
-            { /usr/bin/time -v "$BIN" --bench "$@"; } 2> "$STAT_OUT" \
-                || { time "$BIN" --bench "$@"; } 2> "$STAT_OUT"
+            { /usr/bin/time -v "${RUN[@]}"; } 2> "$STAT_OUT" \
+                || { time "${RUN[@]}"; } 2> "$STAT_OUT"
         fi
         echo "==> counters written to $STAT_OUT"
         sed -n '1,30p' "$STAT_OUT"
@@ -65,8 +64,8 @@ case "$MODE" in
             echo "error: 'record' needs perf installed" >&2
             exit 1
         fi
-        PERF_DATA="$OUT_DIR/${BENCH}.perf.data"
-        perf record -o "$PERF_DATA" -g --call-graph dwarf -- "$BIN" --bench "$@"
+        PERF_DATA="$OUT_DIR/${WORKLOAD}.perf.data"
+        perf record -o "$PERF_DATA" -g --call-graph dwarf -- "${RUN[@]}"
         echo "==> samples written to $PERF_DATA"
         echo "    inspect with: perf report -i $PERF_DATA"
         ;;
@@ -75,9 +74,9 @@ case "$MODE" in
             echo "error: 'flame' needs perf installed" >&2
             exit 1
         fi
-        PERF_DATA="$OUT_DIR/${BENCH}.perf.data"
-        SVG="$OUT_DIR/${BENCH}.flame.svg"
-        perf record -o "$PERF_DATA" -g --call-graph dwarf -- "$BIN" --bench "$@"
+        PERF_DATA="$OUT_DIR/${WORKLOAD}.perf.data"
+        SVG="$OUT_DIR/${WORKLOAD}.flame.svg"
+        perf record -o "$PERF_DATA" -g --call-graph dwarf -- "${RUN[@]}"
         if command -v flamegraph.pl >/dev/null 2>&1 && command -v stackcollapse-perf.pl >/dev/null 2>&1; then
             perf script -i "$PERF_DATA" | stackcollapse-perf.pl | flamegraph.pl > "$SVG"
             echo "==> flamegraph written to $SVG"

@@ -1,21 +1,19 @@
 //! End-to-end audit of the flight recorder against the service
 //! pipeline's own accounting: a recorder-enabled `service` horizon must
 //! emit per-cycle records that reconcile *exactly* with the
-//! [`ServiceReport`]/[`CycleReport`] totals the run returns, the JSONL
-//! export must round-trip bit-for-bit, and replay validation events must
-//! slot into the same recording.
+//! [`ServiceReport`] and [`ServiceCycleOutcome`]s the run returns, the
+//! JSONL export must round-trip bit-for-bit, and replay validation
+//! events must slot into the same recording.
 
-use vod_core::ServiceReport;
+use vod_core::{ServiceCycleOutcome, ServiceReport};
 use vod_cost_model::CostModel;
-use vod_experiments::cycles::RollingOutcome;
 use vod_experiments::{service, EnvParams, Preset};
 use vod_obs::{Recorder, Recording};
 use vod_simulator::service::replay_service_cycle_recorded;
 
 const N_CYCLES: usize = 4;
 
-fn recorded_run() -> (RollingOutcome, ServiceReport, Vec<vod_core::ServiceCycleOutcome>, Recording)
-{
+fn recorded_run() -> (Vec<ServiceCycleOutcome>, ServiceReport, Recording) {
     let params = EnvParams::for_preset(Preset::Fast);
     // Bounded queue + tight budget + a burst cycle: exercises admission
     // rejection, the degradation ladder, shedding, and backoff — every
@@ -27,17 +25,17 @@ fn recorded_run() -> (RollingOutcome, ServiceReport, Vec<vod_core::ServiceCycleO
         ..service::ServiceParams::default()
     };
     let recorder = Recorder::enabled();
-    let (outcome, report, cycles) = service::service_horizon(&params, N_CYCLES, &sp, &recorder);
+    let (outcomes, report) = service::service_horizon(&params, N_CYCLES, &sp, &recorder);
     let recording = recorder.recording().expect("recorder is enabled");
-    (outcome, report, cycles, recording)
+    (outcomes, report, recording)
 }
 
 /// Every `cycle_end` event mirrors the corresponding
-/// [`vod_core::ServiceCycleStats`] row field by field, and the metrics
-/// registry's counters equal the report's run-level totals.
+/// [`vod_core::ServiceCycleStats`] row field by field, and the totals
+/// `vodx trace` sums over them equal the report's run-level totals.
 #[test]
 fn cycle_records_reconcile_with_the_service_report() {
-    let (outcome, report, _, recording) = recorded_run();
+    let (outcomes, report, recording) = recorded_run();
 
     let ends: Vec<_> = recording.events_of("cycle_end").collect();
     assert_eq!(ends.len(), report.cycles.len(), "one cycle_end per cycle");
@@ -74,30 +72,23 @@ fn cycle_records_reconcile_with_the_service_report() {
         assert_eq!(ev.bool("over_budget"), Some(stats.over_budget), "cycle {c} over_budget");
     }
 
-    // The per-cycle rows also agree with the experiment-side CycleReport.
-    for (ev, cr) in ends.iter().zip(&outcome.cycles) {
-        assert_eq!(ev.u64("served"), Some(cr.service.served as u64));
-        assert_eq!(
-            ev.f64("cost").map(f64::to_bits),
-            Some(cr.cost.to_bits()),
-            "cycle {} Ψ",
-            cr.cycle
-        );
-        assert_eq!(ev.u64("victims"), Some(cr.victims as u64));
-        assert_eq!(ev.bool("overflow_free"), Some(cr.overflow_free));
+    // The per-cycle rows also agree with the cycle outcomes.
+    for (ev, out) in ends.iter().zip(&outcomes) {
+        let c = out.stats.cycle;
+        assert_eq!(ev.u64("served"), Some(out.served.len() as u64));
+        assert_eq!(ev.f64("cost").map(f64::to_bits), Some(out.cost.to_bits()), "cycle {c} Ψ");
+        assert_eq!(ev.u64("victims"), Some(out.victims as u64));
+        assert_eq!(ev.bool("overflow_free"), Some(out.overflow_free));
     }
 
-    // Run-level counters are the exact column sums of the report.
-    let m = &recording.metrics;
-    assert_eq!(m.counter("service.offered"), report.offered as u64);
-    assert_eq!(m.counter("service.served"), report.served as u64);
-    assert_eq!(m.counter("service.shed"), report.shed_events as u64);
-    assert_eq!(m.counter("service.deferred"), report.deferred_events as u64);
-    assert_eq!(m.counter("service.dropped"), report.dropped as u64);
-    let h = m.histogram("service.sim_ns").expect("sim_ns histogram");
-    assert_eq!(h.total(), N_CYCLES as u64, "one sim_ns observation per cycle");
-    let sim_total: u64 = report.cycles.iter().map(|c| c.sim_ns).sum();
-    assert_eq!(h.sum().to_bits(), (sim_total as f64).to_bits());
+    // The run-level totals `vodx trace` prints — the `cycle_end` fields
+    // summed over the recording — are the exact column sums of the report.
+    let total = |field: &str| -> u64 { ends.iter().filter_map(|e| e.u64(field)).sum() };
+    assert_eq!(total("offered"), report.offered as u64);
+    assert_eq!(total("served"), report.served as u64);
+    assert_eq!(total("shed"), report.shed_events as u64);
+    assert_eq!(total("deferred"), report.deferred_events as u64);
+    assert_eq!(total("dropped"), report.dropped as u64);
 
     // The run must actually have exercised the interesting paths,
     // otherwise the reconciliation above is vacuous.
@@ -114,7 +105,7 @@ fn cycle_records_reconcile_with_the_service_report() {
 /// queued growth is audited via the loop's own fields).
 #[test]
 fn per_stage_events_are_complete_and_ordered() {
-    let (outcome, report, _, recording) = recorded_run();
+    let (outcomes, report, recording) = recorded_run();
 
     for kind in ["intake", "rung", "warm", "budget"] {
         let n = recording.events_of(kind).count();
@@ -130,10 +121,10 @@ fn per_stage_events_are_complete_and_ordered() {
         assert_eq!(ev.u64("admitted"), Some(stats.admitted as u64));
         assert_eq!(ev.u64("rejected_full"), Some(stats.rejected_full as u64));
     }
-    for (ev, cr) in recording.events_of("warm").zip(&outcome.cycles) {
-        assert_eq!(ev.u64("shards_used"), Some(cr.warm.shards_used as u64));
-        assert_eq!(ev.u64("committed_active"), Some(cr.warm.committed_active as u64));
-        assert_eq!(ev.u64("trials_hit"), Some(cr.warm.trials_hit as u64));
+    for (ev, out) in recording.events_of("warm").zip(&outcomes) {
+        assert_eq!(ev.u64("shards_used"), Some(out.warm.shards_used as u64));
+        assert_eq!(ev.u64("committed_active"), Some(out.warm.committed_active as u64));
+        assert_eq!(ev.u64("trials_hit"), Some(out.warm.trials_hit as u64));
     }
 
     // Events are globally ordered by capture; simulated time must be
@@ -149,7 +140,7 @@ fn per_stage_events_are_complete_and_ordered() {
 /// including f64 bit patterns — and a second emit is byte-identical.
 #[test]
 fn jsonl_export_round_trips_bit_for_bit() {
-    let (_, _, _, recording) = recorded_run();
+    let (_, _, recording) = recorded_run();
     assert!(!recording.events.is_empty());
 
     let text = recording.to_jsonl();
@@ -168,7 +159,7 @@ fn replay_events_validate_every_cycle() {
         ..service::ServiceParams::default()
     };
     let recorder = Recorder::enabled();
-    let (_, _, cycles) = service::service_horizon(&params, 3, &sp, &recorder);
+    let (cycles, _) = service::service_horizon(&params, 3, &sp, &recorder);
 
     let (topo, _) = params.build();
     let catalog = service::service_catalog(&params);
