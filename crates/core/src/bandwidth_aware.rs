@@ -7,8 +7,9 @@
 //! link declares a capacity (bytes/s) and the scheduler must not
 //! over-subscribe it. [`bandwidth_aware_solve`] processes the *entire*
 //! batch in one global chronological pass (links are shared across videos,
-//! so per-video scheduling cannot see cross-video contention), maintaining
-//! a [`LinkLedger`] of committed stream intervals:
+//! so per-video scheduling cannot see cross-video contention), holding
+//! every committed residency and stream in one [`StorageLedger`] — its
+//! storage rows and its link rows:
 //!
 //! * every candidate plan is admitted only if its route has spare capacity
 //!   for the whole playback duration;
@@ -26,99 +27,21 @@
 use crate::{SchedCtx, StorageLedger};
 use std::collections::BTreeMap;
 use vod_cost_model::{
-    Dollars, Request, RequestBatch, Residency, Schedule, Secs, SpaceProfile, Transfer, VideoId,
+    Dollars, Request, RequestBatch, Residency, Schedule, SpaceProfile, Transfer, VideoId,
     VideoSchedule,
 };
 use vod_topology::{NodeId, Topology};
 
-/// Per-link committed stream intervals.
-#[derive(Clone, Debug)]
-pub struct LinkLedger {
-    /// `streams[edge]` holds `(start, end, bytes_per_sec)` occupations.
-    streams: Vec<Vec<(Secs, Secs, f64)>>,
-}
-
-impl LinkLedger {
-    /// An empty ledger for a topology.
-    pub fn new(topo: &Topology) -> Self {
-        Self { streams: vec![Vec::new(); topo.edge_count()] }
-    }
-
-    /// Peak committed load on an edge over `[t0, t1)`, bytes/s.
-    pub fn peak_over(&self, edge: usize, t0: Secs, t1: Secs) -> f64 {
-        // Sweep the overlapping intervals' endpoints.
-        let xs = &self.streams[edge];
-        let mut events: Vec<(Secs, f64)> = Vec::new();
-        for &(s, e, bw) in xs {
-            if s < t1 && e > t0 {
-                events.push((s.max(t0), bw));
-                events.push((e.min(t1), -bw));
-            }
-        }
-        events.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut load = 0.0;
-        let mut peak = 0.0f64;
-        for (_, d) in events {
-            load += d;
-            peak = peak.max(load);
-        }
-        peak
-    }
-
-    /// Whether an extra stream of `bw` bytes/s fits on `edge` over
-    /// `[t0, t1)` under `capacity`.
-    pub fn fits(&self, edge: usize, t0: Secs, t1: Secs, bw: f64, capacity: f64) -> bool {
-        self.peak_over(edge, t0, t1) + bw <= capacity * (1.0 + 1e-9)
-    }
-
-    /// Whether a whole route fits (links without declared capacity always
-    /// do).
-    pub fn route_fits(
-        &self,
-        topo: &Topology,
-        route: &[NodeId],
-        t0: Secs,
-        dur: Secs,
-        bw: f64,
-    ) -> bool {
-        route.windows(2).all(|hop| {
-            let Some(edge) = topo.edge_index(hop[0], hop[1]) else {
-                return false;
-            };
-            match topo.edges()[edge].bandwidth {
-                Some(cap) => self.fits(edge, t0, t0 + dur, bw, cap),
-                None => true,
-            }
-        })
-    }
-
-    /// Commit a stream along a route.
-    pub fn commit_route(
-        &mut self,
-        topo: &Topology,
-        route: &[NodeId],
-        t0: Secs,
-        dur: Secs,
-        bw: f64,
-    ) {
-        for hop in route.windows(2) {
-            let edge = topo.edge_index(hop[0], hop[1]).expect("committed route hops are links");
-            self.streams[edge].push((t0, t0 + dur, bw));
-        }
-    }
-}
-
-/// Cheapest path from `src` to `dst` using only links with at least `bw`
-/// spare capacity over `[t0, t0 + dur)`. Returns `None` when the residual
-/// graph disconnects the pair.
+/// Cheapest path from `src` to `dst` using only links on which `stream`
+/// (a step profile, [`SpaceProfile::step`]) still fits
+/// ([`StorageLedger::link_fits`]). Returns `None` when the residual graph
+/// disconnects the pair.
 pub fn constrained_cheapest_path(
     topo: &Topology,
-    ledger: &LinkLedger,
+    ledger: &StorageLedger,
     src: NodeId,
     dst: NodeId,
-    t0: Secs,
-    dur: Secs,
-    bw: f64,
+    stream: &SpaceProfile,
 ) -> Option<(Vec<NodeId>, f64)> {
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
@@ -158,13 +81,10 @@ pub fn constrained_cheapest_path(
             break;
         }
         for &(nb, edge) in topo.neighbors(node) {
-            let e = &topo.edges()[edge];
-            if let Some(cap) = e.bandwidth {
-                if !ledger.fits(edge, t0, t0 + dur, bw, cap) {
-                    continue;
-                }
+            if !ledger.link_fits(topo, edge, stream) {
+                continue;
             }
-            let cand = cost + e.nrate;
+            let cand = cost + topo.edges()[edge].nrate;
             if cand < dist[nb.index()] {
                 dist[nb.index()] = cand;
                 prev[nb.index()] = Some(node);
@@ -230,8 +150,7 @@ pub fn bandwidth_aware_solve(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Bandwi
         a.start.total_cmp(&b.start).then(a.video.cmp(&b.video)).then(a.user.cmp(&b.user))
     });
 
-    let mut links = LinkLedger::new(topo);
-    let mut storage = StorageLedger::new(topo);
+    let mut ledger = StorageLedger::new(topo);
     let mut caches: BTreeMap<(VideoId, NodeId), Residency> = BTreeMap::new();
     let mut per_video: BTreeMap<VideoId, VideoSchedule> = BTreeMap::new();
     let mut blocked = Vec::new();
@@ -240,8 +159,7 @@ pub fn bandwidth_aware_solve(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Bandwi
         let video = ctx.catalog.get(req.video);
         let amortized = video.amortized_bytes();
         let local = topo.home_of(req.user);
-        let dur = video.playback;
-        let bw = video.bandwidth;
+        let stream = SpaceProfile::step(req.start, req.start + video.playback, video.bandwidth);
 
         let mut best: Option<Cand> = None;
         let consider = |cand: Cand, best: &mut Option<Cand>| {
@@ -283,7 +201,7 @@ pub fn bandwidth_aware_solve(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Bandwi
                     // Admission uses the paper's instant-reservation
                     // profile — the space a disk must guarantee up front.
                     let reserve = SpaceProfile::new(r.start, req.start, video.size, video.playback);
-                    if !storage.fits(topo, src, &reserve, None) {
+                    if !ledger.fits(topo, src, &reserve, None) {
                         continue;
                     }
                     let old = r.profile_with(video, model);
@@ -295,7 +213,7 @@ pub fn bandwidth_aware_solve(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Bandwi
             // (a) Direct delivery src → local over a capacity-feasible
             // cheapest route.
             if let Some((route, rate)) =
-                constrained_cheapest_path(topo, &links, src, local, req.start, dur, bw)
+                constrained_cheapest_path(topo, &ledger, src, local, &stream)
             {
                 let priority = if src == local {
                     1
@@ -315,13 +233,11 @@ pub fn bandwidth_aware_solve(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Bandwi
                 if m == src || caches.contains_key(&(req.video, m)) {
                     continue;
                 }
-                let Some((r1, rate1)) =
-                    constrained_cheapest_path(topo, &links, src, m, req.start, dur, bw)
+                let Some((r1, rate1)) = constrained_cheapest_path(topo, &ledger, src, m, &stream)
                 else {
                     continue;
                 };
-                let Some((r2, rate2)) =
-                    constrained_cheapest_path(topo, &links, m, local, req.start, dur, bw)
+                let Some((r2, rate2)) = constrained_cheapest_path(topo, &ledger, m, local, &stream)
                 else {
                     continue;
                 };
@@ -347,17 +263,12 @@ pub fn bandwidth_aware_solve(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Bandwi
         };
 
         // Commit link usage, storage, schedule.
-        links.commit_route(topo, &plan.route, req.start, dur, bw);
+        ledger.add_stream(topo, &plan.route, req.video, stream);
         if let Some(r) = caches.get_mut(&(req.video, plan.src)) {
-            // Replace the profile in the storage ledger with the extension.
+            // Replace the source copy's profile with the extension.
             r.extend(req);
-            storage.remove_video(req.video);
-            for ((_, _), res) in
-                caches.range((req.video, NodeId(0))..=(req.video, NodeId(u32::MAX)))
-            {
-                let p = res.profile(video);
-                storage.add(res.loc, req.video, p);
-            }
+            ledger.remove(r.loc, req.video);
+            ledger.add(r.loc, req.video, r.profile(video));
         }
         let vs = per_video.entry(req.video).or_insert_with(|| VideoSchedule::new(req.video));
         vs.transfers.push(Transfer {
@@ -383,7 +294,8 @@ pub fn bandwidth_aware_solve(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Bandwi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_cost_model::CostModel;
+    use crate::{detect_link_overloads, detect_overflows};
+    use vod_cost_model::{Catalog, CostModel};
     use vod_topology::{builders, units};
     use vod_workload::{CatalogConfig, RequestConfig, Workload};
 
@@ -401,6 +313,15 @@ mod tests {
         (topo, wl)
     }
 
+    /// Whether `schedule` keeps every storage and every link within its
+    /// capacity: one ledger holding its residencies and its streams.
+    fn feasible(topo: &Topology, catalog: &Catalog, schedule: &Schedule) -> bool {
+        let mut ledger = StorageLedger::from_schedule(topo, catalog, schedule);
+        ledger.add_streams(topo, catalog, schedule);
+        detect_overflows(topo, &ledger).is_empty()
+            && detect_link_overloads(topo, &ledger).is_empty()
+    }
+
     #[test]
     fn unlimited_links_block_nothing() {
         let (topo, wl) = world(None, 1);
@@ -410,10 +331,7 @@ mod tests {
         assert!(out.blocked.is_empty());
         assert_eq!(out.schedule.delivery_count(), wl.requests.len());
         assert_eq!(out.blocking_probability(wl.requests.len()), 0.0);
-        // Feasible under both detectors.
-        assert!(
-            crate::bandwidth::detect_link_overloads(&topo, &wl.catalog, &out.schedule).is_empty()
-        );
+        assert!(feasible(&topo, &wl.catalog, &out.schedule));
     }
 
     #[test]
@@ -423,12 +341,9 @@ mod tests {
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
         let out = bandwidth_aware_solve(&ctx, &wl.requests);
         assert!(
-            crate::bandwidth::detect_link_overloads(&topo, &wl.catalog, &out.schedule).is_empty(),
-            "bandwidth-aware schedule must not overload links"
+            feasible(&topo, &wl.catalog, &out.schedule),
+            "bandwidth-aware schedule must respect every link and storage"
         );
-        // Storage is respected too.
-        let ledger = StorageLedger::from_schedule(&topo, &wl.catalog, &out.schedule);
-        assert!(crate::detect_overflows(&topo, &ledger).is_empty());
         assert_eq!(out.schedule.delivery_count() + out.blocked.len(), wl.requests.len());
     }
 
@@ -442,9 +357,7 @@ mod tests {
         let out = bandwidth_aware_solve(&ctx, &wl.requests);
         assert!(!out.blocked.is_empty(), "one-stream links must block someone");
         assert!(out.blocking_probability(wl.requests.len()) > 0.0);
-        assert!(
-            crate::bandwidth::detect_link_overloads(&topo, &wl.catalog, &out.schedule).is_empty()
-        );
+        assert!(feasible(&topo, &wl.catalog, &out.schedule));
     }
 
     #[test]
@@ -479,39 +392,26 @@ mod tests {
             b.add_users(s2, 1);
             b.build().unwrap()
         };
-        let mut ledger = LinkLedger::new(&topo);
+        let mut ledger = StorageLedger::new(&topo);
         let vw = topo.warehouse();
         let s2 = NodeId(2);
+        let stream = SpaceProfile::step(0.0, 100.0, 4.0);
+        let hog = SpaceProfile::step(0.0, 1000.0, 8.0);
         // Unsaturated: cheap 2-hop route wins.
-        let (path, rate) =
-            constrained_cheapest_path(&topo, &ledger, vw, s2, 0.0, 100.0, 4.0).unwrap();
+        let (path, rate) = constrained_cheapest_path(&topo, &ledger, vw, s2, &stream).unwrap();
         assert_eq!(path.len(), 3);
         assert_eq!(rate, 2.0);
         // Saturate VW—IS1: the expensive direct link is chosen.
-        ledger.commit_route(&topo, &[vw, NodeId(1)], 0.0, 1000.0, 8.0);
-        let (path, rate) =
-            constrained_cheapest_path(&topo, &ledger, vw, s2, 0.0, 100.0, 4.0).unwrap();
+        ledger.add_stream(&topo, &[vw, NodeId(1)], VideoId(0), hog);
+        let (path, rate) = constrained_cheapest_path(&topo, &ledger, vw, s2, &stream).unwrap();
         assert_eq!(path, vec![vw, s2]);
         assert_eq!(rate, 5.0);
         // Saturate everything: no route at all.
-        ledger.commit_route(&topo, &[vw, s2], 0.0, 1000.0, 8.0);
-        assert!(constrained_cheapest_path(&topo, &ledger, vw, s2, 0.0, 100.0, 4.0).is_none());
-        // …but a later window is free again.
-        assert!(constrained_cheapest_path(&topo, &ledger, vw, s2, 2000.0, 100.0, 4.0).is_some());
-    }
-
-    #[test]
-    fn link_ledger_peak_accounting() {
-        let topo = builders::paper_fig2(16.0, 8.0, 1.0, 5.0);
-        let mut l = LinkLedger::new(&topo);
-        assert_eq!(l.peak_over(0, 0.0, 100.0), 0.0);
-        l.streams[0].push((0.0, 50.0, 2.0));
-        l.streams[0].push((25.0, 75.0, 3.0));
-        assert_eq!(l.peak_over(0, 0.0, 100.0), 5.0);
-        assert_eq!(l.peak_over(0, 60.0, 100.0), 3.0);
-        assert_eq!(l.peak_over(0, 80.0, 100.0), 0.0);
-        assert!(l.fits(0, 80.0, 100.0, 4.0, 4.0));
-        assert!(!l.fits(0, 0.0, 100.0, 4.0, 4.0));
+        ledger.add_stream(&topo, &[vw, s2], VideoId(1), hog);
+        assert!(constrained_cheapest_path(&topo, &ledger, vw, s2, &stream).is_none());
+        // …but a later window is free again, from the hog's very end.
+        let later = SpaceProfile::step(1000.0, 1100.0, 4.0);
+        assert!(constrained_cheapest_path(&topo, &ledger, vw, s2, &later).is_some());
     }
 
     #[test]

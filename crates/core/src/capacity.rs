@@ -1,4 +1,4 @@
-//! Per-storage occupancy bookkeeping.
+//! Per-storage and per-link occupancy bookkeeping.
 //!
 //! The scheduler "maintains information about the available space at the
 //! intermediate storages" (paper §4.1). The ledger stores every
@@ -11,14 +11,23 @@
 //!   everything else ([`StorageLedger::fits`]) — the admission test of the
 //!   rejective greedy (§4.4).
 //!
-//! Both queries run against an incremental [`OccupancyTimeline`] per
-//! storage: adding or removing a residency folds its ≤ 4 breakpoint
+//! Links are rows of the same ledger (the paper's §6 future work: "the
+//! bandwidth constraints of the … communication network"). A row per
+//! topology node comes first, then one per link; a stream is a step
+//! profile — its video's bandwidth over its playback — on every link of
+//! its route ([`StorageLedger::add_stream`]), and a link row's capacity is
+//! the edge's declared bandwidth, ∞ when it declares none
+//! ([`StorageLedger::link_fits`]). The solve pipeline fills node rows
+//! only.
+//!
+//! Every query runs against an incremental [`OccupancyTimeline`] per
+//! row: adding or removing a residency folds its ≤ 4 breakpoint
 //! deltas into an ordered aggregate in O(log n) each, and the admission
 //! test walks only the breakpoints inside the candidate's support with
 //! exact left-limits — O(log n + span) instead of the naive O(k²)
 //! rescan of every profile at the node. Two further fast paths:
 //!
-//! * a cached per-node **plateau sum** upper-bounds the aggregate
+//! * a cached per-row **plateau sum** upper-bounds the aggregate
 //!   everywhere, so any candidate with `plateau_sum + peak ≤ capacity`
 //!   is admitted in O(1) without touching the timeline;
 //! * [`StorageLedger::fits`] abandons the walk as soon as the running
@@ -26,14 +35,19 @@
 //!
 //! The ledger has this one implementation. The flat per-profile rescan
 //! the timeline replaced lives in the dev-only `vod-oracles` crate as
-//! free functions over [`StorageLedger::profiles_at`]; the equivalence
-//! property tests and the audited naive SORP loop compare every answer
-//! given here against it.
+//! free functions over [`StorageLedger::profiles_at`] and
+//! [`StorageLedger::link_profiles`]; the equivalence property tests and
+//! the audited naive SORP loop compare every answer given here against it.
 
 use crate::overflow::CAPACITY_EPS;
 use crate::timeline::OccupancyTimeline;
 use vod_cost_model::{Bytes, Catalog, Schedule, Secs, SpaceProfile, VideoId};
 use vod_topology::{NodeId, Topology};
+
+/// Link `edge`'s capacity in bytes/s: its declared bandwidth, or ∞.
+pub(crate) fn link_capacity(topo: &Topology, edge: usize) -> f64 {
+    topo.edges()[edge].bandwidth.unwrap_or(f64::INFINITY)
+}
 
 /// Reusable scratch buffers for the timeline admission test, so the hot
 /// `fits` path performs no per-call allocations. One cursor per greedy
@@ -230,30 +244,34 @@ impl LedgerDelta {
     }
 }
 
-/// Occupancy ledger over every intermediate storage.
+/// Occupancy ledger over every intermediate storage and every link.
 #[derive(Clone, Debug)]
 pub struct StorageLedger {
-    /// Per node: `(video, profile)` entries with positive plateau. The
+    /// Per row: `(video, profile)` entries with positive plateau. The
     /// flat list is the source of truth for removal bookkeeping and the
     /// `exclude` overlays, and what the flat-scan oracle reads.
     entries: Vec<Vec<(VideoId, SpaceProfile)>>,
-    /// Per node: the aggregate occupancy as an incremental breakpoint
+    /// Per row: the aggregate occupancy as an incremental breakpoint
     /// timeline (always maintained alongside `entries`).
     timelines: Vec<OccupancyTimeline>,
-    /// Per node: Σ plateau over resident profiles — an upper bound on the
+    /// Per row: Σ plateau over resident profiles — an upper bound on the
     /// aggregate occupancy at every instant, backing the O(1) headroom
     /// fast path.
     plateau_sum: Vec<Bytes>,
+    /// Node rows come first, indexed by [`NodeId::index`]; link `e`'s row
+    /// is `nodes + e`.
+    nodes: usize,
 }
 
 impl StorageLedger {
-    /// An empty ledger for a topology.
+    /// An empty ledger for a topology: a row per node, then one per link.
     pub fn new(topo: &Topology) -> Self {
-        let n = topo.node_count();
+        let (nodes, rows) = (topo.node_count(), topo.node_count() + topo.edge_count());
         Self {
-            entries: vec![Vec::new(); n],
-            timelines: vec![OccupancyTimeline::new(); n],
-            plateau_sum: vec![0.0; n],
+            entries: vec![Vec::new(); rows],
+            timelines: vec![OccupancyTimeline::new(); rows],
+            plateau_sum: vec![0.0; rows],
+            nodes,
         }
     }
 
@@ -271,8 +289,11 @@ impl StorageLedger {
     /// Record a profile at a storage (no-op for zero-space profiles).
     /// O(log n) in the node's breakpoint count.
     pub fn add(&mut self, loc: NodeId, video: VideoId, profile: SpaceProfile) {
+        self.add_row(loc.index(), video, profile);
+    }
+
+    fn add_row(&mut self, i: usize, video: VideoId, profile: SpaceProfile) {
         if profile.peak() > 0.0 {
-            let i = loc.index();
             self.entries[i].push((video, profile));
             for d in &profile.slope_deltas() {
                 self.timelines[i].add(d.t, d.jump, d.slope);
@@ -281,41 +302,41 @@ impl StorageLedger {
         }
     }
 
-    /// Drop every profile belonging to `video` (ahead of rescheduling it).
+    /// Record a stream of `video` on every link of `route` — `stream` is
+    /// its step profile, the video's bandwidth over its playback.
     ///
-    /// Scans every node; when the caller knows which storages the video
-    /// occupies (SORP's commit does — the outgoing schedule lists its
-    /// residencies), prefer the incremental [`StorageLedger::remove`].
-    pub fn remove_video(&mut self, video: VideoId) {
-        for loc in 0..self.entries.len() {
-            self.remove_at_index(loc, video);
+    /// # Panics
+    ///
+    /// Panics if a hop of `route` is not a link of `topo`.
+    pub fn add_stream(
+        &mut self,
+        topo: &Topology,
+        route: &[NodeId],
+        video: VideoId,
+        stream: SpaceProfile,
+    ) {
+        for hop in route.windows(2) {
+            let edge = topo
+                .edge_index(hop[0], hop[1])
+                .unwrap_or_else(|| panic!("route hop {}-{} is not a link", hop[0], hop[1]));
+            self.add_row(self.nodes + edge, video, stream);
         }
     }
 
-    /// Drop every profile of `video` recorded at `loc` only — the
-    /// incremental counterpart of [`StorageLedger::remove_video`].
-    /// Idempotent, and a no-op if the video has nothing recorded there.
+    /// Record every transfer of `schedule` on the links it crosses, as
+    /// [`StorageLedger::add_stream`] does. Node rows are left alone.
+    pub fn add_streams(&mut self, topo: &Topology, catalog: &Catalog, schedule: &Schedule) {
+        for t in schedule.transfers() {
+            let video = catalog.get(t.video);
+            let stream = SpaceProfile::step(t.start, t.start + video.playback, video.bandwidth);
+            self.add_stream(topo, &t.route, t.video, stream);
+        }
+    }
+
+    /// Drop every profile of `video` recorded at `loc`. Idempotent, and a
+    /// no-op if the video has nothing recorded there.
     pub fn remove(&mut self, loc: NodeId, video: VideoId) {
-        self.remove_at_index(loc.index(), video);
-    }
-
-    fn remove_at_index(&mut self, i: usize, video: VideoId) {
-        let (timeline, plateau_sum) = (&mut self.timelines[i], &mut self.plateau_sum[i]);
-        self.entries[i].retain(|(v, p)| {
-            if *v != video {
-                return true;
-            }
-            for d in &p.slope_deltas() {
-                timeline.remove(d.t, d.jump, d.slope);
-            }
-            *plateau_sum -= p.peak();
-            false
-        });
-        if self.entries[i].is_empty() {
-            // Clamp float drift: an empty node occupies exactly nothing.
-            *plateau_sum = 0.0;
-            debug_assert!(timeline.is_empty());
-        }
+        self.remove_where(loc.index(), |v, _| v == video);
     }
 
     /// Drop only the profiles of `video` at `loc` that have fully
@@ -325,11 +346,15 @@ impl StorageLedger {
     /// as [`StorageLedger::remove`], including the plateau-sum clamp
     /// when the node empties.
     pub fn remove_drained(&mut self, loc: NodeId, video: VideoId, t: Secs) -> usize {
-        let i = loc.index();
+        self.remove_where(loc.index(), |v, p| v == video && p.end <= t)
+    }
+
+    /// Drop the entries of row `i` that `drop` picks; returns how many.
+    fn remove_where(&mut self, i: usize, drop: impl Fn(VideoId, &SpaceProfile) -> bool) -> usize {
         let (timeline, plateau_sum) = (&mut self.timelines[i], &mut self.plateau_sum[i]);
         let before = self.entries[i].len();
         self.entries[i].retain(|(v, p)| {
-            if *v != video || p.end > t {
+            if !drop(*v, p) {
                 return true;
             }
             for d in &p.slope_deltas() {
@@ -339,7 +364,7 @@ impl StorageLedger {
             false
         });
         if self.entries[i].is_empty() {
-            // Clamp float drift: an empty node occupies exactly nothing.
+            // Clamp float drift: an empty row occupies exactly nothing.
             *plateau_sum = 0.0;
             debug_assert!(timeline.is_empty());
         }
@@ -352,13 +377,19 @@ impl StorageLedger {
         &self.entries[loc.index()]
     }
 
+    /// The recorded `(video, stream)` entries on link `edge`, in insertion
+    /// order.
+    pub fn link_profiles(&self, edge: usize) -> &[(VideoId, SpaceProfile)] {
+        &self.entries[self.nodes + edge]
+    }
+
     /// A [`LedgerDelta`] covering every recorded profile's support, one
     /// unioned span per occupied node — the "everything this ledger
     /// holds" footprint a cross-cycle warm start validates carried trial
     /// caches against.
     pub fn span_delta(&self) -> LedgerDelta {
         let mut delta = LedgerDelta::new();
-        for (i, node) in self.entries.iter().enumerate() {
+        for (i, node) in self.entries[..self.nodes].iter().enumerate() {
             for (_, p) in node {
                 delta.record(NodeId(i as u32), p.start, p.end);
             }
@@ -407,7 +438,7 @@ impl StorageLedger {
     /// Whether any profile of `video` is recorded at any storage.
     /// O(total entries); used by tests and SORP's debug cross-checks.
     pub fn contains_video(&self, video: VideoId) -> bool {
-        self.entries.iter().any(|node| node.iter().any(|(v, _)| *v == video))
+        self.entries[..self.nodes].iter().any(|node| node.iter().any(|(v, _)| *v == video))
     }
 
     /// Number of recorded (non-degenerate) profiles at `loc`.
@@ -448,6 +479,11 @@ impl StorageLedger {
         self.timelines[loc.index()].for_each_segment(f);
     }
 
+    /// [`StorageLedger::for_each_segment`] over link `edge`'s row.
+    pub(crate) fn for_each_link_segment<F: FnMut(Secs, Secs, f64, f64)>(&self, edge: usize, f: F) {
+        self.timelines[self.nodes + edge].for_each_segment(f);
+    }
+
     /// Peak of `usage + candidate` over the candidate's support.
     pub fn peak_with(
         &self,
@@ -456,13 +492,14 @@ impl StorageLedger {
         exclude: Option<VideoId>,
     ) -> Bytes {
         let mut cursor = LedgerCursor::new();
-        self.peak_walk(loc, candidate, exclude, &mut cursor, f64::INFINITY)
+        self.peak_walk(loc.index(), candidate, exclude, &mut cursor, f64::INFINITY)
     }
 
-    /// The timeline peak walk: evaluate `aggregate + candidate −
-    /// excluded` at the support's endpoints and at every breakpoint
-    /// inside it — right-continuous values and exact left limits — and
-    /// abandon early once the running peak exceeds `stop_above`.
+    /// The timeline peak walk over row `i`: evaluate `aggregate +
+    /// candidate − excluded` at the support's endpoints and at every
+    /// breakpoint inside it — right-continuous values and exact left
+    /// limits — and abandon early once the running peak exceeds
+    /// `stop_above`.
     ///
     /// The candidate and the excluded video's profiles are merged in as a
     /// small *overlay* delta list (the excluded deltas negated — they are
@@ -470,7 +507,7 @@ impl StorageLedger {
     /// timeline itself is never modified by a query.
     fn peak_walk(
         &self,
-        loc: NodeId,
+        i: usize,
         candidate: &SpaceProfile,
         exclude: Option<VideoId>,
         cursor: &mut LedgerCursor,
@@ -479,7 +516,6 @@ impl StorageLedger {
         if candidate.peak() == 0.0 {
             return 0.0;
         }
-        let i = loc.index();
         let (cs, ce) = (candidate.start, candidate.end);
 
         let overlay = &mut cursor.overlay;
@@ -556,8 +592,12 @@ impl StorageLedger {
                 return peak;
             }
         }
-        // Left limit at the support end (= value: the aggregate only
-        // jumps upward, and the candidate holds nothing at its end).
+        // The candidate has a breakpoint at its end, so the loop took the
+        // left limit there. What remains is the value at `ce` after every
+        // delta there: the candidate holds nothing then, so this is the
+        // rest of the row at `ce` — conservatively including a profile
+        // that starts exactly at `ce`, and below the left limit wherever
+        // the row drops there (a stream ending on a link row).
         peak.max(p.value_at(ce))
     }
 
@@ -585,7 +625,25 @@ impl StorageLedger {
         exclude: Option<VideoId>,
         cursor: &mut LedgerCursor,
     ) -> bool {
-        let capacity = topo.capacity(loc);
+        self.row_fits(loc.index(), topo.capacity(loc), candidate, exclude, cursor)
+    }
+
+    /// Link admission: would `stream` on link `edge` keep the load within
+    /// the link's declared bandwidth at all times? Always true on a link
+    /// that declares none.
+    pub fn link_fits(&self, topo: &Topology, edge: usize, stream: &SpaceProfile) -> bool {
+        let capacity = link_capacity(topo, edge);
+        self.row_fits(self.nodes + edge, capacity, stream, None, &mut LedgerCursor::new())
+    }
+
+    fn row_fits(
+        &self,
+        i: usize,
+        capacity: f64,
+        candidate: &SpaceProfile,
+        exclude: Option<VideoId>,
+        cursor: &mut LedgerCursor,
+    ) -> bool {
         if !capacity.is_finite() {
             return true;
         }
@@ -593,11 +651,11 @@ impl StorageLedger {
         // above at every instant (profiles are non-negative, and any
         // excluded profiles only tighten the bound), so a candidate
         // fitting under it fits, full stop.
-        if self.plateau_sum[loc.index()] + candidate.peak() <= capacity {
+        if self.plateau_sum[i] + candidate.peak() <= capacity {
             return true;
         }
         let threshold = capacity * (1.0 + CAPACITY_EPS) + CAPACITY_EPS;
-        self.peak_walk(loc, candidate, exclude, cursor, threshold) <= threshold
+        self.peak_walk(i, candidate, exclude, cursor, threshold) <= threshold
     }
 }
 
@@ -651,18 +709,84 @@ mod tests {
     }
 
     #[test]
-    fn remove_video_clears_everywhere() {
+    fn remove_clears_one_video_at_one_node() {
         let t = topo(5.0);
         let mut l = StorageLedger::new(&t);
         l.add(NodeId(1), VideoId(0), profile(0.0, 5000.0));
         l.add(NodeId(2), VideoId(0), profile(0.0, 5000.0));
         l.add(NodeId(1), VideoId(1), profile(0.0, 5000.0));
-        l.remove_video(VideoId(0));
+        l.remove(NodeId(2), VideoId(0));
+        l.remove(NodeId(1), VideoId(0));
         assert_eq!(l.profile_count(NodeId(1)), 1);
         assert_eq!(l.profile_count(NodeId(2)), 0);
+        assert!(!l.contains_video(VideoId(0)));
         // The cleared node's occupancy reads exactly zero again.
         assert_eq!(l.usage_at(NodeId(2), 1000.0, None), 0.0);
         assert_eq!(l.plateau_sum(NodeId(2)), 0.0);
+    }
+
+    #[test]
+    fn a_step_reads_exactly_zero_after_its_end() {
+        let t = topo(5.0);
+        let mut l = StorageLedger::new(&t);
+        // A zero-length drain: the squatters of the SORP, shard and repair
+        // tests, and every stream on a link row.
+        let step = SpaceProfile { start: 0.0, full: 0.0, last: 1e7, end: 1e7, plateau: 1e9 };
+        l.add(NodeId(1), VideoId(0), step);
+        l.add(NodeId(1), VideoId(1), profile(0.0, 5000.0));
+        assert_eq!(l.usage_at(NodeId(1), 1e7 - 1.0, None), units::gb(1.0));
+        assert_eq!(l.usage_at(NodeId(1), 1e7, None), 0.0);
+        assert_eq!(l.usage_at(NodeId(1), 2e7, None), 0.0);
+        let mut segments = 0;
+        l.for_each_segment(NodeId(1), |t0, t1, u0, u1| {
+            segments += 1;
+            assert!([t0, t1, u0, u1].iter().all(|x| x.is_finite()), "{t0} {t1} {u0} {u1}");
+        });
+        assert_eq!(segments, 3, "between breakpoints 0, 5000, 6000, 1e7");
+        l.remove(NodeId(1), VideoId(0));
+        assert_eq!(l.usage_at(NodeId(1), 1e7 - 1.0, None), 0.0);
+    }
+
+    /// Two streams on one link: 2 B/s over [10, 15), 3 B/s over [12, 17).
+    fn two_streams() -> (Topology, StorageLedger) {
+        let mut t = topo(5.0);
+        t.set_uniform_bandwidth(Some(4.0)).unwrap();
+        let route = [NodeId(0), NodeId(1)];
+        let mut l = StorageLedger::new(&t);
+        l.add_stream(&t, &route, VideoId(0), SpaceProfile::step(10.0, 15.0, 2.0));
+        l.add_stream(&t, &route, VideoId(1), SpaceProfile::step(12.0, 17.0, 3.0));
+        (t, l)
+    }
+
+    #[test]
+    fn link_rows_accumulate_and_release_streams() {
+        let (t, l) = two_streams();
+        let edge = t.edge_index(NodeId(0), NodeId(1)).unwrap();
+        assert_eq!(l.link_profiles(edge).len(), 2);
+        let mut steps = Vec::new();
+        l.for_each_link_segment(edge, |t0, t1, u0, u1| steps.push((t0, t1, u0, u1)));
+        assert_eq!(steps, [(10.0, 12.0, 2.0, 2.0), (12.0, 15.0, 5.0, 5.0), (15.0, 17.0, 3.0, 3.0)]);
+        // Node rows are untouched, and the other link carries nothing.
+        assert_eq!(l.profile_count(NodeId(0)) + l.profile_count(NodeId(1)), 0);
+        assert!(!l.contains_video(VideoId(0)));
+        assert!(l.span_delta().is_empty());
+        let other = t.edge_index(NodeId(1), NodeId(2)).unwrap();
+        assert!(l.link_profiles(other).is_empty());
+    }
+
+    #[test]
+    fn link_fits_respects_declared_bandwidth() {
+        let (mut t, l) = two_streams();
+        let edge = t.edge_index(NodeId(0), NodeId(1)).unwrap();
+        // 4 B/s: 1 B/s more fits beside the 3 B/s tail, not the 5 B/s peak.
+        assert!(l.link_fits(&t, edge, &SpaceProfile::step(15.0, 30.0, 1.0)));
+        assert!(!l.link_fits(&t, edge, &SpaceProfile::step(0.0, 30.0, 1.0)));
+        // End-to-start in either order is not an overlap.
+        assert!(l.link_fits(&t, edge, &SpaceProfile::step(17.0, 30.0, 4.0)));
+        assert!(l.link_fits(&t, edge, &SpaceProfile::step(0.0, 10.0, 4.0)));
+        // A link declaring no bandwidth admits anything.
+        t.set_uniform_bandwidth(None).unwrap();
+        assert!(l.link_fits(&t, edge, &SpaceProfile::step(0.0, 30.0, 1e12)));
     }
 
     #[test]

@@ -273,21 +273,12 @@ pub fn ivsp_solve_with(ctx: &SchedCtx<'_>, batch: &RequestBatch, policy: GreedyP
 }
 
 /// The rejective greedy (paper §4.4): recompute one video's schedule under
-/// capacity and forbidden-placement constraints. Always succeeds — direct
-/// warehouse delivery needs no storage.
+/// capacity and forbidden-placement constraints, and under the policy the
+/// video was first scheduled with — SORP trials and fault repair must not
+/// place where phase 1 could not (e.g. the neighborhood-local regime the
+/// sharded solver's Ψ-equality contract relies on). Always succeeds —
+/// direct warehouse delivery needs no storage.
 pub fn reschedule_video(
-    ctx: &SchedCtx<'_>,
-    requests: &[Request],
-    constraints: &Constraints<'_>,
-) -> VideoSchedule {
-    reschedule_video_with(ctx, requests, constraints, GreedyPolicy::default())
-}
-
-/// [`reschedule_video`] under an explicit [`GreedyPolicy`], so SORP
-/// trials resolve overflows under the same policy phase 1 scheduled
-/// with (e.g. the neighborhood-local regime the sharded solver's
-/// Ψ-equality contract relies on).
-pub fn reschedule_video_with(
     ctx: &SchedCtx<'_>,
     requests: &[Request],
     constraints: &Constraints<'_>,
@@ -306,15 +297,6 @@ pub fn reschedule_video_with(
 /// per check via [`Constraints::check_replays`]) cannot change any
 /// admission answer, so the whole greedy replays identically.
 pub fn reschedule_video_traced(
-    ctx: &SchedCtx<'_>,
-    requests: &[Request],
-    constraints: &Constraints<'_>,
-) -> (VideoSchedule, TrialTrace) {
-    reschedule_video_traced_with(ctx, requests, constraints, GreedyPolicy::default())
-}
-
-/// [`reschedule_video_traced`] under an explicit [`GreedyPolicy`].
-pub fn reschedule_video_traced_with(
     ctx: &SchedCtx<'_>,
     requests: &[Request],
     constraints: &Constraints<'_>,
@@ -670,7 +652,7 @@ mod tests {
             vec![(NodeId(1), Interval::new(0.0, 1e6)), (NodeId(2), Interval::new(0.0, 1e6))];
         let cons =
             Constraints { ledger: &ledger, exclude: Some(VideoId(0)), forbidden: &forbidden };
-        let vs = reschedule_video(&ctx, &fig2_requests(), &cons);
+        let vs = reschedule_video(&ctx, &fig2_requests(), &cons, GreedyPolicy::default());
         let cost = ctx.video_cost(&vs);
         assert!((cost - 259.2).abs() < 1e-6, "forbidden caching must force direct: {cost}");
         for r in &vs.residencies {
@@ -689,7 +671,7 @@ mod tests {
         ledger.add(NodeId(1), VideoId(9), full);
         ledger.add(NodeId(2), VideoId(9), full);
         let cons = Constraints { ledger: &ledger, exclude: Some(VideoId(0)), forbidden: &[] };
-        let vs = reschedule_video(&ctx, &fig2_requests(), &cons);
+        let vs = reschedule_video(&ctx, &fig2_requests(), &cons, GreedyPolicy::default());
         let cost = ctx.video_cost(&vs);
         assert!((cost - 259.2).abs() < 1e-6, "full stores must force direct: {cost}");
     }
@@ -708,7 +690,7 @@ mod tests {
             SpaceProfile::new(0.0, 1e6, units::gb(5.0), units::minutes(90.0)),
         );
         let cons = Constraints { ledger: &ledger, exclude: Some(VideoId(0)), forbidden: &[] };
-        let vs = reschedule_video(&ctx, &fig2_requests(), &cons);
+        let vs = reschedule_video(&ctx, &fig2_requests(), &cons, GreedyPolicy::default());
         // U1 direct ($64.8); U2 VW→IS1→IS2 caching at IS2 ($97.2); U3 from
         // IS2's copy (storage extension only, $5.625).
         let cost = ctx.video_cost(&vs);
@@ -725,7 +707,7 @@ mod tests {
         let ledger = StorageLedger::new(&topo);
         let cons = Constraints { ledger: &ledger, exclude: None, forbidden: &[] };
         let a = find_video_schedule(&ctx, &fig2_requests());
-        let b = reschedule_video(&ctx, &fig2_requests(), &cons);
+        let b = reschedule_video(&ctx, &fig2_requests(), &cons, GreedyPolicy::default());
         assert!((ctx.video_cost(&a) - ctx.video_cost(&b)).abs() < 1e-9);
         assert_eq!(a.transfers.len(), b.transfers.len());
     }

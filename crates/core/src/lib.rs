@@ -26,8 +26,9 @@
 //!
 //! The [`baselines`] module provides the paper's comparator (the
 //! *network-only system*) and additional reference policies; the
-//! [`bandwidth`] module implements the paper's stated future-work
-//! extension (link bandwidth constraints).
+//! [`bandwidth_aware`] module implements the paper's stated future-work
+//! extension (link bandwidth constraints) over the link rows of the same
+//! [`StorageLedger`] ([`detect_link_overloads`]).
 //!
 //! # Example
 //!
@@ -50,7 +51,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bandwidth;
 pub mod bandwidth_aware;
 pub mod baselines;
 mod capacity;
@@ -68,18 +68,20 @@ mod timeline;
 mod warm;
 
 pub use bandwidth_aware::{
-    bandwidth_aware_solve, constrained_cheapest_path, BandwidthAwareOutcome, LinkLedger,
+    bandwidth_aware_solve, constrained_cheapest_path, BandwidthAwareOutcome,
 };
 pub use capacity::{AdmissionCheck, LedgerCursor, LedgerDelta, StorageLedger, TrialTrace};
 pub use ctx::SchedCtx;
 pub use exact::{find_optimal_video_schedule, ExactOutcome};
 pub use greedy::{
     find_video_schedule, find_video_schedule_with, ivsp_solve, ivsp_solve_with, reschedule_video,
-    reschedule_video_traced, reschedule_video_traced_with, reschedule_video_with, Constraints,
-    GreedyPolicy,
+    reschedule_video_traced, Constraints, GreedyPolicy,
 };
 pub use heat::{delta_s, heat_of, improved_period, improvement_window, HeatMetric};
-pub use overflow::{detect_overflows, overflow_set, Interval, Overflow, OverflowMonitor};
+pub use overflow::{
+    detect_link_overloads, detect_overflows, overflow_set, Interval, LinkOverload, Overflow,
+    OverflowMonitor,
+};
 pub use pricing::{ivsp_solve_priced, ivsp_solve_priced_with, PricedSchedule};
 pub use repair::{
     repair_schedule, DelayRecord, RepairConfig, RepairOutcome, ShedReason, ShedRecord,

@@ -1,4 +1,4 @@
-//! Storage overflow detection (paper §4.1).
+//! Storage overflow and link overload detection (paper §4.1).
 //!
 //! When the individual schedules are integrated, an intermediate storage
 //! may be over-committed during some interval. A **storage overflow**
@@ -12,7 +12,11 @@
 //! start, exact left limit at the end) directly from its slope aggregates,
 //! so no midpoint probing is needed and near-vertical segments suffer no
 //! float cancellation.
+//!
+//! A link overload ([`detect_link_overloads`]) is the same scan over a
+//! link row of the ledger against the link's declared bandwidth.
 
+use crate::capacity::link_capacity;
 use crate::{StorageLedger, EXTERNAL_OCCUPANCY};
 use vod_cost_model::{Bytes, Secs, SpaceProfile, VideoId};
 use vod_topology::{NodeId, Topology};
@@ -144,58 +148,78 @@ impl OverflowMonitor {
     }
 }
 
-/// Overflow intervals at one storage given its capacity: a single
-/// in-order timeline walk, each linear segment arriving with its exact
-/// endpoint values straight from the slope aggregates.
+/// Overflow intervals at one storage given its capacity.
 fn overflows_at(ledger: &StorageLedger, loc: NodeId, capacity: Bytes) -> Vec<Overflow> {
-    let mut scan = OverflowScan::new(loc, capacity);
+    let mut out = Vec::new();
+    let emit = |window, peak_excess| out.push(Overflow { loc, window, peak_excess });
+    let mut scan = OverflowScan { capacity, open: None, last_t: f64::NEG_INFINITY, emit };
     ledger.for_each_segment(loc, |t0, t1, u0, u1| scan.segment(t0, t1, u0, u1));
-    scan.finish()
+    scan.finish();
+    out
 }
 
-/// Streaming scan over the linear segments of one storage's aggregate
-/// occupancy, accumulating maximal over-capacity windows. Segments must
-/// arrive in time order; `u0` is the right-continuous value at `t0` and
-/// `u1` the exact left limit at `t1`.
-struct OverflowScan {
-    loc: NodeId,
-    capacity: Bytes,
-    threshold: Bytes,
-    out: Vec<Overflow>,
-    /// `(window start, running peak excess)` of the open window, if any.
-    open: Option<(Secs, Bytes)>,
-    last_t: Secs,
+/// A detected link overload: a maximal interval during which the streams
+/// crossing a link demand more than its declared bandwidth.
+#[derive(Clone, Debug)]
+pub struct LinkOverload {
+    /// Index into [`Topology::edges`].
+    pub edge: usize,
+    /// The maximal interval during which demand exceeds the bandwidth.
+    pub window: Interval,
+    /// Peak excess demand over the bandwidth within the window, bytes/s.
+    pub peak_excess: f64,
 }
 
-impl OverflowScan {
-    fn new(loc: NodeId, capacity: Bytes) -> Self {
-        Self {
-            loc,
-            capacity,
-            threshold: capacity * (1.0 + CAPACITY_EPS) + CAPACITY_EPS,
-            out: Vec::new(),
-            open: None,
-            last_t: f64::NEG_INFINITY,
+/// Detect every overload on the ledger's link rows, by link then start
+/// time — the same scan as [`detect_overflows`]. Links that declare no
+/// bandwidth are never overloaded.
+pub fn detect_link_overloads(topo: &Topology, ledger: &StorageLedger) -> Vec<LinkOverload> {
+    let mut out = Vec::new();
+    for edge in 0..topo.edge_count() {
+        let capacity = link_capacity(topo, edge);
+        if !capacity.is_finite() {
+            continue;
         }
+        let emit = |window, peak_excess| out.push(LinkOverload { edge, window, peak_excess });
+        let mut scan = OverflowScan { capacity, open: None, last_t: f64::NEG_INFINITY, emit };
+        ledger.for_each_link_segment(edge, |t0, t1, u0, u1| scan.segment(t0, t1, u0, u1));
+        scan.finish();
     }
+    out
+}
 
-    fn segment(&mut self, t0: Secs, t1: Secs, u0: Bytes, u1: Bytes) {
+/// Streaming scan over the linear segments of one ledger row's aggregate
+/// occupancy, handing each maximal over-capacity window and its peak
+/// excess to `emit`; the caller attaches the storage or the link.
+/// Segments must arrive in time order, each with its exact endpoint
+/// values straight from the timeline's slope aggregates: `u0` the
+/// right-continuous value at `t0`, `u1` the exact left limit at `t1`.
+struct OverflowScan<F: FnMut(Interval, f64)> {
+    capacity: f64,
+    /// `(window start, running peak excess)` of the open window, if any.
+    open: Option<(Secs, f64)>,
+    last_t: Secs,
+    emit: F,
+}
+
+impl<F: FnMut(Interval, f64)> OverflowScan<F> {
+    fn segment(&mut self, t0: Secs, t1: Secs, u0: f64, u1: f64) {
         if t1 <= t0 {
             return;
         }
         self.last_t = t1;
-        let loc = self.loc;
-        let over0 = u0 > self.threshold;
-        let over1 = u1 > self.threshold;
+        let capacity = self.capacity;
+        let threshold = capacity * (1.0 + CAPACITY_EPS) + CAPACITY_EPS;
+        let over0 = u0 > threshold;
+        let over1 = u1 > threshold;
         if !over0 && !over1 {
             if let Some((s, peak)) = self.open.take() {
-                self.out.push(Overflow { loc, window: Interval::new(s, t0), peak_excess: peak });
+                (self.emit)(Interval::new(s, t0), peak);
             }
             return;
         }
         // Crossing point of the linear segment with the capacity line.
-        let capacity = self.capacity;
-        let cross = |target: Bytes| -> Secs { t0 + (target - u0) / (u1 - u0) * (t1 - t0) };
+        let cross = |target: f64| -> Secs { t0 + (target - u0) / (u1 - u0) * (t1 - t0) };
         let (seg_start, seg_end) = match (over0, over1) {
             (true, true) => (t0, t1),
             (false, true) => (cross(capacity), t1),
@@ -210,20 +234,14 @@ impl OverflowScan {
         // Close if the segment ends under capacity before t1.
         if !over1 {
             let (s, peak) = self.open.take().expect("window was open");
-            self.out.push(Overflow { loc, window: Interval::new(s, seg_end), peak_excess: peak });
+            (self.emit)(Interval::new(s, seg_end), peak);
         }
     }
 
-    fn finish(mut self) -> Vec<Overflow> {
+    fn finish(mut self) {
         if let Some((s, peak)) = self.open.take() {
-            let loc = self.loc;
-            self.out.push(Overflow {
-                loc,
-                window: Interval::new(s, self.last_t),
-                peak_excess: peak,
-            });
+            (self.emit)(Interval::new(s, self.last_t), peak);
         }
-        self.out
     }
 }
 
@@ -414,6 +432,49 @@ mod tests {
         let s = Schedule::new();
         let ledger = StorageLedger::from_schedule(&topo, &catalog, &s);
         assert!(detect_overflows(&topo, &ledger).is_empty());
+    }
+
+    /// The streams of the baseline that ships every request from the
+    /// warehouse, on fig4 with the given per-link bandwidth.
+    fn network_only_streams(bandwidth: Option<f64>) -> (Topology, StorageLedger) {
+        use crate::{baselines, SchedCtx};
+        use vod_cost_model::CostModel;
+        use vod_workload::{CatalogConfig, RequestConfig, Workload};
+        let mut topo = builders::paper_fig4(&builders::PaperFig4Config::default());
+        topo.set_uniform_bandwidth(bandwidth).unwrap();
+        let wl = Workload::generate(&topo, &CatalogConfig::small(40), &RequestConfig::paper(), 1);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+        let mut ledger = StorageLedger::new(&topo);
+        ledger.add_streams(&topo, &wl.catalog, &baselines::network_only(&ctx, &wl.requests));
+        (topo, ledger)
+    }
+
+    #[test]
+    fn unlimited_links_never_overload() {
+        let (topo, ledger) = network_only_streams(None);
+        assert!((0..topo.edge_count()).any(|e| !ledger.link_profiles(e).is_empty()));
+        assert!(detect_link_overloads(&topo, &ledger).is_empty());
+        assert!(detect_overflows(&topo, &ledger).is_empty(), "streams occupy no storage");
+    }
+
+    #[test]
+    fn tight_links_overload_under_network_only() {
+        // One stream's worth of bandwidth per link: concurrent streams on a
+        // shared link must trip detection.
+        let (topo, ledger) = network_only_streams(Some(units::mbps(5.0)));
+        let overloads = detect_link_overloads(&topo, &ledger);
+        assert!(
+            !overloads.is_empty(),
+            "190 daily streams through a 1-stream backbone must collide"
+        );
+        for o in &overloads {
+            assert!(o.peak_excess > 0.0);
+            assert!(o.window.len() > 0.0);
+        }
+        assert!(overloads
+            .windows(2)
+            .all(|w| (w[0].edge, w[0].window.end) <= (w[1].edge, w[1].window.start)));
     }
 
     fn same_overflows(a: &[Overflow], b: &[Overflow]) -> bool {

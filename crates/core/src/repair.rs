@@ -26,7 +26,7 @@
 //! heat is its delivered-request count, the popularity proxy) instead
 //! of panicking or silently dropping service.
 
-use crate::greedy::{reschedule_video, Constraints};
+use crate::greedy::{reschedule_video, Constraints, GreedyPolicy};
 use crate::sorp::SolveState;
 use crate::{Interval, PricedSchedule, SchedCtx, StorageLedger};
 use vod_cost_model::{Dollars, Request, Secs, Transfer, VideoId, VideoSchedule};
@@ -155,8 +155,9 @@ pub(crate) fn backoff_multiplier(attempt: u32) -> u64 {
     1u64 << attempt.saturating_sub(1).min(16)
 }
 
-/// Repair a committed schedule against a fault plan. Deterministic:
-/// the same schedule + plan + config always yields bit-identical repair
+/// Repair a committed schedule against a fault plan, re-placing broken
+/// videos under the default [`GreedyPolicy`]. Deterministic: the same
+/// schedule + plan + config always yields bit-identical repair
 /// decisions. An empty or irrelevant plan returns the input schedule
 /// unchanged (bit-identical, `unchanged = true`). Errs only when the
 /// plan does not validate against the topology.
@@ -170,7 +171,7 @@ pub fn repair_schedule(
     let pre_repair_cost = priced.total();
     let mut state = SolveState::new(ctx, priced, StorageLedger::new(ctx.topo));
     let RepairPass { repaired_videos, shed, delayed, retry_attempts } =
-        repair_state(ctx, &mut state, plan, cfg);
+        repair_state(ctx, &mut state, plan, cfg, GreedyPolicy::default());
     Ok(RepairOutcome {
         priced: state.priced,
         pre_repair_cost,
@@ -184,12 +185,15 @@ pub fn repair_schedule(
 
 /// The repair pass, for a `plan` already validated against `ctx.topo` —
 /// or made of faults taken from one that was, which is how the service
-/// loop calls it every faulted cycle, on the state its solve returned.
+/// loop calls it every faulted cycle, on the state its solve returned and
+/// under the policy that solve ran. Broken videos are re-placed under
+/// `policy`, so repair caches nowhere the solve could not have.
 pub(crate) fn repair_state(
     ctx: &SchedCtx<'_>,
     state: &mut SolveState,
     plan: &FaultPlan,
     cfg: &RepairConfig,
+    policy: GreedyPolicy,
 ) -> RepairPass {
     let impact = plan.impact(state.priced.schedule(), ctx.catalog, ctx.model.space_model());
     if impact.affected_videos.is_empty() {
@@ -256,7 +260,7 @@ pub(crate) fn repair_state(
         } else {
             let cons =
                 Constraints { ledger: &state.ledger, exclude: Some(vid), forbidden: &forbidden };
-            reschedule_video(dctx, &servable, &cons)
+            reschedule_video(dctx, &servable, &cons, policy)
         };
 
         for req in bridge_dependent {
@@ -468,7 +472,13 @@ mod tests {
         let plan = FaultPlan::new(
             down.map(|node| Fault::NodeOutage { node, from: 0.0, until: 86_400.0 }).collect(),
         );
-        let pass = repair_state(&ctx, &mut state, &plan, &RepairConfig::default());
+        let pass = repair_state(
+            &ctx,
+            &mut state,
+            &plan,
+            &RepairConfig::default(),
+            GreedyPolicy::default(),
+        );
         assert!(!pass.repaired_videos.is_empty(), "the outages broke nothing");
         let moved = pass.repaired_videos.iter().filter_map(|&v| state.priced.schedule().video(v));
         assert!(moved.flat_map(|vs| &vs.residencies).count() > 0, "repair cached nothing anew");

@@ -918,7 +918,7 @@ impl ServiceLoop {
             // `new` validated the whole plan against this topology, and
             // validity is per fault: the sub-plan needs no second look.
             let sub = FaultPlan::new(cycle_faults);
-            let repair = repair_state(ctx, state, &sub, &self.cfg.repair);
+            let repair = repair_state(ctx, state, &sub, &self.cfg.repair, shard_cfg.sorp.policy);
             for s in &repair.shed {
                 stats.shed += 1;
                 shed_now.push(s.request);

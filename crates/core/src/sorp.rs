@@ -74,9 +74,9 @@
 //! ([`crate::shard_solve`]), not the trial.
 
 use crate::{
-    detect_overflows, heat_of, overflow_set, reschedule_video_traced_with, Constraints,
-    GreedyPolicy, HeatMetric, Interval, LedgerCursor, LedgerDelta, Overflow, OverflowMonitor,
-    PricedSchedule, SchedCtx, StorageLedger, TrialTrace,
+    detect_overflows, heat_of, overflow_set, reschedule_video_traced, Constraints, GreedyPolicy,
+    HeatMetric, Interval, LedgerCursor, LedgerDelta, Overflow, OverflowMonitor, PricedSchedule,
+    SchedCtx, StorageLedger, TrialTrace,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -617,7 +617,7 @@ impl SolveState {
                         .video(job.vid)
                         .map_or_else(Vec::new, |vs| vs.delivered_requests());
                     let (new_vs, trace) =
-                        reschedule_video_traced_with(ctx, &requests, &cons, cfg.policy);
+                        reschedule_video_traced(ctx, &requests, &cons, cfg.policy);
                     let new_cost = ctx.video_cost(&new_vs);
                     CachedTrial { new_vs, new_cost, bans: job.bans.clone(), trace, epoch }
                 });
@@ -978,7 +978,7 @@ mod tests {
         // whose node version did not move shows the same overflows and
         // the same overflow sets, and the victim committed in between is
         // not among its participants.
-        use crate::reschedule_video_with;
+        use crate::reschedule_video;
         let cfgb = builders::PaperFig4Config { capacity_gb: 5.0, ..Default::default() };
         let topo = builders::paper_fig4(&cfgb);
         let wl = Workload::generate(&topo, &CatalogConfig::small(80), &RequestConfig::paper(), 9);
@@ -1007,7 +1007,7 @@ mod tests {
             bans.push((v.loc, Interval::new(v.window_start, v.window_end)));
             let old = schedule.video(v.video).expect("a victim is scheduled").clone();
             let cons = Constraints { ledger: &ledger, exclude: Some(v.video), forbidden: bans };
-            let new_vs = reschedule_video_with(&ctx, &old.delivered_requests(), &cons, cfg.policy);
+            let new_vs = reschedule_video(&ctx, &old.delivered_requests(), &cons, cfg.policy);
             for r in &old.residencies {
                 ledger.remove(r.loc, v.video);
             }

@@ -21,7 +21,7 @@
 
 use proptest::prelude::*;
 use vod_core::{
-    find_video_schedule_with, ivsp_solve_with, reschedule_video_traced_with, reschedule_video_with,
+    find_video_schedule_with, ivsp_solve_with, reschedule_video, reschedule_video_traced,
     AdmissionCheck, Constraints, GreedyPolicy, Interval, LedgerCursor, SchedCtx, StorageLedger,
 };
 use vod_cost_model::{
@@ -409,10 +409,10 @@ fn kernels_agree(
                 policy,
                 &mut LedgerCursor::new(),
             );
-            if !same(&reschedule_video_with(ctx, group, &cons, policy), &old) {
+            if !same(&reschedule_video(ctx, group, &cons, policy), &old) {
                 return Err(at("rejective greedy diverged"));
             }
-            let (traced, trace) = reschedule_video_traced_with(ctx, group, &cons, policy);
+            let (traced, trace) = reschedule_video_traced(ctx, group, &cons, policy);
             if !same(&traced, &old) {
                 return Err(at("traced rejective greedy diverged"));
             }

@@ -347,6 +347,58 @@ fn a_faulted_cycle_is_the_same_outcome_under_either_exec_mode() {
     }
 }
 
+/// Repair re-places broken videos under the policy the cycle solved with.
+/// With neighborhood-local placement, node outages breaking caches over
+/// six cycles at twelve seeds, every committed residency still sits at
+/// the home of a user it serves — as it does without faults.
+#[test]
+fn repair_keeps_the_configured_placement_policy() {
+    use vod_core::{GreedyPolicy, SorpConfig};
+    use vod_faults::{FaultConfig, FaultPlan};
+
+    let model = CostModel::per_hop();
+    let cycles = 6;
+    let policy = GreedyPolicy { allow_remote_placement: false, ..GreedyPolicy::default() };
+    let shard = ShardConfig {
+        sorp: SorpConfig { policy, ..SorpConfig::default() },
+        ..ShardConfig::default()
+    };
+    let (mut residencies, mut repaired) = (0, 0);
+    for seed in 0..12 {
+        let (topo, catalog) = world(seed);
+        let recorder = vod_obs::Recorder::enabled();
+        let ctx = SchedCtx::new(&topo, &model, &catalog).with_recorder(recorder.clone());
+        let arrivals = arrivals_for(&topo, &catalog, seed, cycles, vec![]);
+        let faults = FaultPlan::generate(
+            &topo,
+            &FaultConfig {
+                node_outages: 6,
+                link_failures: 0,
+                horizon: cycles as f64 * HORIZON,
+                ..Default::default()
+            },
+            seed,
+        );
+        let cfg = ServiceConfig { shard: shard.clone(), faults, ..ServiceConfig::default() };
+        let (outs, _) = service_run(&ctx, &arrivals, &cfg, cycles, ExecMode::Sequential).unwrap();
+        for (k, out) in outs.iter().enumerate() {
+            for r in out.schedule.residencies() {
+                residencies += 1;
+                assert!(
+                    r.services.iter().any(|s| topo.home_of(s.user) == r.loc),
+                    "seed {seed}, cycle {k}: video {:?} cached at {}, home to none of its users",
+                    r.video,
+                    r.loc
+                );
+            }
+        }
+        let recording = recorder.recording().expect("enabled");
+        repaired +=
+            recording.events_of("repair").filter_map(|e| e.u64("repaired_videos")).sum::<u64>();
+    }
+    assert!(residencies > 0 && repaired > 0, "{residencies} residencies, {repaired} repaired");
+}
+
 /// Backoff re-entry can make two tickets hold one `(user, video, start)`
 /// request with different original reservations. The cycle that serves
 /// both pairs the most recently enqueued ticket with the first batch

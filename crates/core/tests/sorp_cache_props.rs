@@ -12,9 +12,9 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use vod_core::{
     detect_overflows, ivsp_solve_priced, ivsp_solve_priced_with, overflow_set,
-    reschedule_video_traced_with, shard_solve_seeded, sorp_solve_priced, CommittedBook,
-    Constraints, ExecMode, GreedyPolicy, HeatMetric, Interval, LedgerCursor, LedgerDelta, SchedCtx,
-    ShardConfig, SorpConfig, SorpOutcome, StorageLedger, TrialTrace,
+    reschedule_video_traced, shard_solve_seeded, sorp_solve_priced, CommittedBook, Constraints,
+    ExecMode, GreedyPolicy, HeatMetric, Interval, LedgerCursor, LedgerDelta, SchedCtx, ShardConfig,
+    SorpConfig, SorpOutcome, StorageLedger, TrialTrace,
 };
 use vod_cost_model::{CostModel, RequestBatch, SpaceProfile, VideoId};
 use vod_oracles::sorp_solve_naive;
@@ -251,8 +251,7 @@ fn first_commit_lands_in_a_dead_gap(
     let trial = |vid: VideoId, ban: (NodeId, Interval)| {
         let requests = schedule.video(vid).expect("participant is scheduled").delivered_requests();
         let cons = Constraints { ledger: &ledger, exclude: Some(vid), forbidden: &[ban] };
-        let (vs, trace) =
-            reschedule_video_traced_with(ctx, &requests, &cons, GreedyPolicy::default());
+        let (vs, trace) = reschedule_video_traced(ctx, &requests, &cons, GreedyPolicy::default());
         (vs, trace, requests)
     };
 
@@ -356,7 +355,7 @@ fn rebinding_under_a_ban_forgets_the_capacity_verdict_it_skipped() {
     ledger.add(is1, squatter, SpaceProfile::new(0.0, 1e6, units::gb(5.0), units::minutes(90.0)));
     let trial = |ledger: &StorageLedger, bans: &[(NodeId, Interval)]| {
         let cons = Constraints { ledger, exclude: Some(vid), forbidden: bans };
-        reschedule_video_traced_with(&ctx, &requests, &cons, GreedyPolicy::default())
+        reschedule_video_traced(&ctx, &requests, &cons, GreedyPolicy::default())
     };
     let replays = |ledger: &StorageLedger,
                    bans: &[(NodeId, Interval)],

@@ -2,10 +2,11 @@
 //! timeline) must agree with the flat scan of its own entries
 //! (`vod_oracles::flat`) — same `usage_at`, `peak_with`, `fits`, and
 //! overflow detection — on random workloads, including add/remove
-//! interleavings and the `exclude` path.
+//! interleavings and the `exclude` path, and on link rows filled with
+//! streams.
 
 use proptest::prelude::*;
-use vod_core::{detect_overflows, StorageLedger};
+use vod_core::{detect_link_overloads, detect_overflows, StorageLedger};
 use vod_cost_model::{Secs, SpaceModel, SpaceProfile, VideoId};
 use vod_oracles::flat;
 use vod_topology::{builders, units, NodeId, Topology};
@@ -93,11 +94,46 @@ fn build_ledger(topo: &Topology, w: &Workload) -> StorageLedger {
         ledger.add(NodeId(item.loc), VideoId(item.video), item.profile());
         for (after, vid) in &w.remove_after {
             if *after == i {
-                ledger.remove_video(VideoId(*vid));
+                for loc in [NodeId(1), NodeId(2)] {
+                    ledger.remove(loc, VideoId(*vid));
+                }
             }
         }
     }
     ledger
+}
+
+/// One stream drawn from the strategy: a step on one of the Fig. 2
+/// topology's two links, and optionally a partner step abutting it
+/// end-to-start, offered after it or before it.
+#[derive(Clone, Debug)]
+struct Stream {
+    edge: usize,
+    start: Secs,
+    dur: Secs,
+    /// In units of one 5 Mbps stream.
+    rate: u32,
+    /// `(partner duration, partner rate, partner offered first)`.
+    partner: Option<(Secs, u32, bool)>,
+}
+
+fn stream_strategy() -> impl Strategy<Value = Stream> {
+    let partner = (any::<bool>(), 1.0f64..20_000.0, 1u32..4, any::<bool>())
+        .prop_map(|(some, dur, rate, first)| some.then_some((dur, rate, first)));
+    (0usize..2, 0.0f64..50_000.0, 1.0f64..20_000.0, 1u32..4, partner)
+        .prop_map(|(edge, start, dur, rate, partner)| Stream { edge, start, dur, rate, partner })
+}
+
+impl Stream {
+    /// The steps this draw offers, in offer order, each on its link.
+    fn steps(&self) -> Vec<(usize, SpaceProfile)> {
+        let unit = units::mbps(5.0);
+        let own = SpaceProfile::step(self.start, self.start + self.dur, unit * self.rate as f64);
+        let Some((dur, rate, first)) = self.partner else { return vec![(self.edge, own)] };
+        let partner = SpaceProfile::step(own.end, own.end + dur, unit * rate as f64);
+        let pair = if first { [partner, own] } else { [own, partner] };
+        pair.map(|p| (self.edge, p)).to_vec()
+    }
 }
 
 /// Agreement within 1e-9 *relative to the magnitude of the ingredients*:
@@ -177,14 +213,60 @@ proptest! {
         }
     }
 
+    /// Link rows built through admission: every `link_fits` verdict on the
+    /// way equals the flat scan's `fits` on the row's entries, and the
+    /// overload windows of the rows against a tighter bandwidth equal the
+    /// flat scan's. Verdicts, not peaks: the walk also counts a stream
+    /// that starts exactly at the candidate's end, which never decides a
+    /// verdict on rows that admission kept under their capacity.
+    #[test]
+    fn link_rows_match_reference(
+        streams in proptest::collection::vec(stream_strategy(), 1..32),
+        capacity in 2u32..6,
+    ) {
+        let unit = units::mbps(5.0);
+        let mut admit = builders::paper_fig2(16.0, 8.0, 1.0, 5.0);
+        admit.set_uniform_bandwidth(Some(unit * capacity as f64)).unwrap();
+        let mut tight = admit.clone();
+        tight.set_uniform_bandwidth(Some(unit * (capacity - 1) as f64)).unwrap();
+        let mut ledger = StorageLedger::new(&admit);
+        let mut admitted = 0;
+        for (i, s) in streams.iter().enumerate() {
+            for (edge, step) in s.steps() {
+                let e = &admit.edges()[edge];
+                let cap = e.bandwidth.unwrap();
+                let fits = ledger.link_fits(&admit, edge, &step);
+                let want = flat::fits(ledger.link_profiles(edge), cap, &step, None);
+                prop_assert_eq!(fits, want, "stream {} on link {}: {:?}", i, edge, step);
+                if fits {
+                    ledger.add_stream(&admit, &[e.a, e.b], VideoId(i as u32), step);
+                    admitted += 1;
+                }
+            }
+        }
+        prop_assert!(admitted > 0);
+        prop_assert!(detect_link_overloads(&admit, &ledger).is_empty());
+        let found = detect_link_overloads(&tight, &ledger);
+        let want: Vec<_> = (0..tight.edge_count())
+            .flat_map(|edge| {
+                let windows = flat::overflows_at(ledger.link_profiles(edge), unit * (capacity - 1) as f64);
+                windows.into_iter().map(move |(window, peak)| (edge, window, peak))
+            })
+            .collect();
+        prop_assert_eq!(found.len(), want.len(), "{:?} vs {:?}", found, want);
+        for (got, (edge, window, peak)) in found.iter().zip(&want) {
+            prop_assert_eq!((got.edge, got.window, got.peak_excess), (*edge, *window, *peak));
+        }
+    }
+
     /// Removing everything returns the ledger to an exactly-empty state:
     /// no float residue in the timeline aggregates.
     #[test]
     fn full_removal_leaves_exact_zero(w in workload_strategy()) {
         let topo = builders::paper_fig2(16.0, 8.0, 1.0, w.capacity_gb);
         let mut fast = build_ledger(&topo, &w);
-        for v in 0..12 {
-            fast.remove_video(VideoId(v));
+        for (v, loc) in (0..12).flat_map(|v| [(v, NodeId(1)), (v, NodeId(2))]) {
+            fast.remove(loc, VideoId(v));
         }
         for loc in [NodeId(1), NodeId(2)] {
             prop_assert_eq!(fast.profile_count(loc), 0);

@@ -105,6 +105,19 @@ impl SpaceProfile {
         }
     }
 
+    /// A step: `height` over `[start, end)`, zero elsewhere — no rise, no
+    /// drain (`last == end`). A stream occupying a link at its video's
+    /// bandwidth for its playback is one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end < start` or `height < 0`.
+    pub fn step(start: Secs, end: Secs, height: f64) -> Self {
+        assert!(end >= start, "step interval reversed: [{start}, {end}]");
+        assert!(height >= 0.0, "height must be non-negative, got {height}");
+        Self { start, full: start, last: end, end, plateau: height }
+    }
+
     /// The γ coefficient of Eq. 7 expressed as the plateau fraction of the
     /// full file size (`0 ≤ γ ≤ 1`).
     pub fn gamma(&self, size: Bytes) -> f64 {
@@ -201,10 +214,12 @@ impl SpaceProfile {
     /// This is the exact-slope representation the occupancy timeline
     /// aggregates: a degenerate rise (`full == start`, the paper's
     /// instant-reservation model) becomes a right-continuous value jump
-    /// of the full plateau, a real rise becomes a ±slope pair, and the
-    /// drain always contributes a ±slope pair at `last`/`end`. Degenerate
-    /// (zero-plateau) profiles decompose into nothing. At most 4 deltas;
-    /// times are non-decreasing but may repeat (e.g. `full == last`).
+    /// of the full plateau, a real rise becomes a ±slope pair, and a real
+    /// drain a ±slope pair at `last`/`end`; a degenerate drain (`last ==
+    /// end`, a [`SpaceProfile::step`]) is one downward jump of the plateau
+    /// at `end`. Degenerate (zero-plateau) profiles decompose into
+    /// nothing. At most 4 deltas; times are non-decreasing but may repeat
+    /// (e.g. `full == last`).
     pub fn slope_deltas(&self) -> BreakDeltas {
         let mut out = BreakDeltas::default();
         if self.plateau == 0.0 {
@@ -217,9 +232,13 @@ impl SpaceProfile {
         } else {
             out.push(BreakDelta { t: self.start, jump: self.plateau, slope: 0.0 });
         }
-        let m_drain = self.plateau / (self.end - self.last);
-        out.push(BreakDelta { t: self.last, jump: 0.0, slope: -m_drain });
-        out.push(BreakDelta { t: self.end, jump: 0.0, slope: m_drain });
+        if self.end > self.last {
+            let m_drain = self.plateau / (self.end - self.last);
+            out.push(BreakDelta { t: self.last, jump: 0.0, slope: -m_drain });
+            out.push(BreakDelta { t: self.end, jump: 0.0, slope: m_drain });
+        } else {
+            out.push(BreakDelta { t: self.end, jump: -self.plateau, slope: 0.0 });
+        }
         out
     }
 }
@@ -479,6 +498,25 @@ mod tests {
         // Past the support the deltas cancel to ~0 (exact cancellation of
         // the ± slope pairs up to one rounding of plateau/drain).
         assert!(eval_deltas(&d, 1e6).abs() < 1e-6);
+    }
+
+    #[test]
+    fn slope_deltas_of_a_step_are_two_finite_jumps() {
+        let p = SpaceProfile::step(10.0, 40.0, SZ);
+        assert_eq!((p.space_at(9.0), p.space_at(10.0), p.space_at(39.9)), (0.0, SZ, SZ));
+        assert_eq!(p.space_at(40.0), 0.0);
+        assert_eq!(p.integral(), SZ * 30.0);
+        let d = p.slope_deltas();
+        assert_eq!(
+            d.as_slice(),
+            [
+                BreakDelta { t: 10.0, jump: SZ, slope: 0.0 },
+                BreakDelta { t: 40.0, jump: -SZ, slope: 0.0 }
+            ]
+        );
+        for t in [0.0, 10.0, 25.0, 40.0, 1e9] {
+            assert_eq!(eval_deltas(&d, t), p.space_at(t), "t={t}");
+        }
     }
 
     #[test]

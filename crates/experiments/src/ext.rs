@@ -12,8 +12,8 @@ use crate::{EnvParams, Preset};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use vod_core::{
-    bandwidth_aware_solve, find_optimal_video_schedule, find_video_schedule, ivsp_solve_priced,
-    sorp_solve_priced, ExecMode, SchedCtx, SorpConfig,
+    bandwidth_aware_solve, detect_link_overloads, find_optimal_video_schedule, find_video_schedule,
+    ivsp_solve_priced, sorp_solve_priced, ExecMode, SchedCtx, SorpConfig, StorageLedger,
 };
 use vod_cost_model::CostModel;
 use vod_parallel::parallel_map;
@@ -209,8 +209,9 @@ pub fn bandwidth(preset: Preset) -> BandwidthResult {
             &[],
             ExecMode::Sequential,
         );
-        let overloads =
-            vod_core::bandwidth::detect_link_overloads(&topo, &catalog, &oblivious.schedule).len();
+        let mut links = StorageLedger::new(&topo);
+        links.add_streams(&topo, &catalog, &oblivious.schedule);
+        let overloads = detect_link_overloads(&topo, &links).len();
 
         BandwidthRow {
             streams_per_link: streams,

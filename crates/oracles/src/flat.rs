@@ -1,15 +1,16 @@
-//! The flat scan of one storage's occupancy: every query re-sums every
-//! profile recorded at the node, in entry order. This is the ledger
+//! The flat scan of one ledger row's occupancy: every query re-sums every
+//! profile recorded on the row, in entry order. This is the ledger
 //! implementation the incremental occupancy timeline replaced, kept as
 //! the reference [`vod_core::StorageLedger`]'s answers are compared
-//! against. The functions read a node's entries as
-//! [`vod_core::StorageLedger::profiles_at`] hands them out and share no
-//! code with the timeline; each admission test is O(k²) in the node's
-//! profile count.
+//! against. The functions read a row's entries as
+//! [`vod_core::StorageLedger::profiles_at`] (a storage) or
+//! [`vod_core::StorageLedger::link_profiles`] (a link) hands them out and
+//! share no code with the timeline; each admission test is O(k²) in the
+//! row's profile count.
 
 use vod_core::{Interval, Overflow, StorageLedger};
 use vod_cost_model::{Bytes, Secs, SpaceProfile, VideoId};
-use vod_topology::{NodeId, Topology};
+use vod_topology::Topology;
 
 /// `vod_core`'s capacity tolerance (private there): a storage filled
 /// exactly to the brim is neither an overflow nor a rejection.
@@ -81,12 +82,12 @@ pub fn fits(
     !capacity.is_finite() || peak_with(entries, candidate, exclude) <= threshold(capacity)
 }
 
-/// Every maximal over-capacity window at the node, in time order.
+/// Every maximal over-capacity window on the row, in time order, with its
+/// peak excess.
 pub fn overflows_at(
     entries: &[(VideoId, SpaceProfile)],
-    loc: NodeId,
     capacity: Bytes,
-) -> Vec<Overflow> {
+) -> Vec<(Interval, Bytes)> {
     let threshold = threshold(capacity);
     let mut points: Vec<Secs> = entries.iter().flat_map(|(_, p)| p.breakpoints()).collect();
     points.sort_by(f64::total_cmp);
@@ -96,15 +97,16 @@ pub fn overflows_at(
     // `(window start, running peak excess)` of the open window, if any.
     let mut open: Option<(Secs, Bytes)> = None;
     let mut close = |s: Secs, end: Secs, peak_excess: Bytes| {
-        out.push(Overflow { loc, window: Interval::new(s, end), peak_excess });
+        out.push((Interval::new(s, end), peak_excess));
     };
     for w in points.windows(2) {
         let (t0, t1) = (w[0], w[1]);
-        // Aggregate usage is linear on [t0, t1) but may jump *upward* at
+        // Aggregate usage is linear on [t0, t1) but may jump at
         // breakpoints (space is reserved instantaneously at a
-        // residency's t_s, §2.2.1). `usage_at` is right-continuous, so
-        // the segment's start value is usage_at(t0) and its end value is
-        // the left limit at t1, recovered from the midpoint by linearity.
+        // residency's t_s, §2.2.1; a stream leaves a link at once).
+        // `usage_at` is right-continuous, so the segment's start value is
+        // usage_at(t0) and its end value is the left limit at t1,
+        // recovered from the midpoint by linearity.
         let u0 = usage_at(entries, t0, None);
         let umid = usage_at(entries, 0.5 * (t0 + t1), None);
         let u1 = 2.0 * umid - u0;
@@ -139,6 +141,13 @@ pub fn overflows_at(
 pub fn detect_overflows(topo: &Topology, ledger: &StorageLedger) -> Vec<Overflow> {
     topo.storages()
         .filter(|&loc| topo.capacity(loc).is_finite())
-        .flat_map(|loc| overflows_at(ledger.profiles_at(loc), loc, topo.capacity(loc)))
+        .flat_map(|loc| {
+            let windows = overflows_at(ledger.profiles_at(loc), topo.capacity(loc));
+            windows.into_iter().map(move |(window, peak_excess)| Overflow {
+                loc,
+                window,
+                peak_excess,
+            })
+        })
         .collect()
 }

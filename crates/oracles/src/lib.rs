@@ -31,9 +31,9 @@ pub mod flat;
 
 use std::collections::HashMap;
 use vod_core::{
-    detect_overflows, heat_of, heats_tie, overflow_set, reschedule_video_traced_with,
-    AdmissionCheck, Constraints, Interval, Overflow, PricedSchedule, SchedCtx, SorpConfig,
-    SorpOutcome, StorageLedger, VictimRecord, EXTERNAL_OCCUPANCY,
+    detect_overflows, heat_of, heats_tie, overflow_set, reschedule_video_traced, AdmissionCheck,
+    Constraints, Interval, Overflow, PricedSchedule, SchedCtx, SorpConfig, SorpOutcome,
+    StorageLedger, VictimRecord, EXTERNAL_OCCUPANCY,
 };
 use vod_cost_model::{Dollars, SpaceProfile, Transfer, VideoId, VideoSchedule};
 use vod_topology::{NodeId, Topology};
@@ -212,7 +212,7 @@ pub fn sorp_solve_naive(
             let cons =
                 Constraints { ledger: &ledger, exclude: Some(job.vid), forbidden: &job.bans };
             let requests = job.old_vs.delivered_requests();
-            let (new_vs, trace) = reschedule_video_traced_with(ctx, &requests, &cons, cfg.policy);
+            let (new_vs, trace) = reschedule_video_traced(ctx, &requests, &cons, cfg.policy);
             if let Err(e) = audit_admissions(ctx.topo, &ledger, Some(job.vid), &trace.checks) {
                 panic!("admission audit, iteration {iterations}: {e}");
             }
@@ -336,8 +336,7 @@ mod tests {
         };
         let requests = [at(0, 13.0), at(1, 14.5), at(2, 16.0)];
         let cons = Constraints { ledger: &ledger, exclude: Some(VideoId(0)), forbidden: &[] };
-        let (_, trace) =
-            reschedule_video_traced_with(&ctx, &requests, &cons, GreedyPolicy::default());
+        let (_, trace) = reschedule_video_traced(&ctx, &requests, &cons, GreedyPolicy::default());
         let verdicts: Vec<bool> = trace.checks.iter().filter_map(|c| c.fits).collect();
         assert!(verdicts.contains(&true) && verdicts.contains(&false), "{verdicts:?}");
         assert_eq!(audit_admissions(&topo, &ledger, Some(VideoId(0)), &trace.checks), Ok(()));

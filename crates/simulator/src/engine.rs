@@ -557,6 +557,8 @@ mod tests {
         let dreport =
             simulate(&topo, &wl.catalog, &model, &direct, &SimOptions::strict(&wl.requests));
         assert!(report.metrics.warehouse_egress_bytes < dreport.metrics.warehouse_egress_bytes);
+        // …and the bytes shipped over every link.
+        assert!(report.metrics.link_bytes < dreport.metrics.link_bytes);
     }
 
     #[test]

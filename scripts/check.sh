@@ -25,6 +25,21 @@ cargo test -q --offline -p vod-core --test timeline_props
 cargo test -q --offline -p vod-core --test greedy_kernel_props
 cargo test -q --offline -p vod-core --test shard_props
 
+echo "==> link rows of the one ledger (bandwidth golden, link-row oracle, steps, repair policy)"
+# Links are rows of StorageLedger: the bandwidth experiment must print the
+# committed table byte for byte, link admission and overload windows must
+# equal the flat scan's, a step must leave its row at exactly zero, and
+# repair must re-place under the policy the cycle solved with.
+tmp="$(mktemp -d /tmp/vod-bandwidth.XXXXXX)"
+cargo run -q --release --offline -p vod-experiments --bin vodx -- bandwidth --out "$tmp" >/dev/null
+diff "$tmp/bandwidth.txt" results/bandwidth.txt
+rm -rf "$tmp"
+cargo test -q --offline -p vod-core --test timeline_props link_rows_match_reference
+cargo test -q --offline -p vod-core --lib capacity::tests::a_step_reads_exactly_zero_after_its_end
+cargo test -q --offline -p vod-cost-model --lib space::tests::slope_deltas_of_a_step_are_two_finite_jumps
+cargo test -q --offline -p vod-core --test service_props repair_keeps_the_configured_placement_policy
+cargo test -q --offline --test properties_ext bandwidth_aware_conserves_and_respects_links
+
 echo "==> warm-start property suite"
 cargo test -q --offline -p vod-core --test warm_start_props
 

@@ -14,7 +14,7 @@
 //! same kernel change reads 18.1 → 6.5 (EXPERIMENTS.md).
 
 use vod_paradigm::core::{
-    detect_overflows, ivsp_solve_priced_with, overflow_set, reschedule_video_traced_with,
+    detect_overflows, ivsp_solve_priced_with, overflow_set, reschedule_video_traced,
     shard_solve_seeded, CommittedBook, Constraints, ExecMode, SchedCtx, ShardConfig, StorageLedger,
     EXTERNAL_OCCUPANCY,
 };
@@ -88,7 +88,7 @@ fn a_sorp_trial_stays_within_its_admission_budget() {
                     let bans = [(of.loc, of.window)];
                     let cons =
                         Constraints { ledger: &ledger, exclude: Some(vid), forbidden: &bans };
-                    let (_, trace) = reschedule_video_traced_with(
+                    let (_, trace) = reschedule_video_traced(
                         &ctx,
                         &vs.delivered_requests(),
                         &cons,

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use vod_paradigm::core::{
     baselines, detect_overflows, ivsp_solve, ivsp_solve_priced, reschedule_video, shard_solve,
-    sorp_solve, sorp_solve_priced, Constraints, ExecMode, HeatMetric, Interval, SchedCtx,
-    ShardConfig, ShardOutcome, SorpConfig, StorageLedger,
+    sorp_solve, sorp_solve_priced, Constraints, ExecMode, GreedyPolicy, HeatMetric, Interval,
+    SchedCtx, ShardConfig, ShardOutcome, SorpConfig, StorageLedger,
 };
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::{simulate, SimOptions};
@@ -155,7 +155,7 @@ proptest! {
                 exclude: Some(video),
                 forbidden: &forbidden,
             };
-            let vs = reschedule_video(&ctx, group, &cons);
+            let vs = reschedule_video(&ctx, group, &cons, GreedyPolicy::default());
             for r in &vs.residencies {
                 let p = r.profile(catalog.get(r.video));
                 if p.peak() > 0.0 {

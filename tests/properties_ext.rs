@@ -1,6 +1,6 @@
 //! Property tests for the extension surfaces: trace round-trips, the
-//! generalised space profile, link ledgers, bandwidth-aware scheduling,
-//! and the exact solver.
+//! generalised space profile, bandwidth-aware scheduling, and the exact
+//! solver.
 
 use proptest::prelude::*;
 use vod_paradigm::core::{
@@ -8,6 +8,7 @@ use vod_paradigm::core::{
 };
 use vod_paradigm::cost_model::{SpaceModel, SpaceProfile};
 use vod_paradigm::prelude::*;
+use vod_paradigm::simulator::{simulate, SimOptions, Violation};
 use vod_paradigm::workload::{trace, SplitMix64};
 
 proptest! {
@@ -155,7 +156,8 @@ proptest! {
     }
 
     /// The bandwidth-aware scheduler conserves requests (admitted +
-    /// blocked = offered) and never overloads a declared link.
+    /// blocked = offered), and the strict replay of what it admitted finds
+    /// no overloaded link.
     #[test]
     fn bandwidth_aware_conserves_and_respects_links(
         seed in 0u64..40,
@@ -185,9 +187,17 @@ proptest! {
             out.schedule.delivery_count() + out.blocked.len(),
             requests.len()
         );
-        prop_assert!(vod_paradigm::core::bandwidth::detect_link_overloads(
-            &topo, &catalog, &out.schedule
-        )
-        .is_empty());
+        let key = |r: &Request| (r.user, r.video, r.start.to_bits());
+        let blocked: Vec<_> = out.blocked.iter().map(key).collect();
+        let admitted = RequestBatch::new(
+            requests.iter().filter(|r| !blocked.contains(&key(r))).copied().collect(),
+        );
+        let report =
+            simulate(&topo, &catalog, &model, &out.schedule, &SimOptions::strict(&admitted));
+        prop_assert!(
+            !report.violations.iter().any(|v| matches!(v, Violation::LinkOverloaded { .. })),
+            "{:?}", report.violations
+        );
+        prop_assert!(report.is_valid(), "{:?}", report.violations);
     }
 }
