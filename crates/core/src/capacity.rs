@@ -383,20 +383,6 @@ impl StorageLedger {
         &self.entries[self.nodes + edge]
     }
 
-    /// A [`LedgerDelta`] covering every recorded profile's support, one
-    /// unioned span per occupied node — the "everything this ledger
-    /// holds" footprint a cross-cycle warm start validates carried trial
-    /// caches against.
-    pub fn span_delta(&self) -> LedgerDelta {
-        let mut delta = LedgerDelta::new();
-        for (i, node) in self.entries[..self.nodes].iter().enumerate() {
-            for (_, p) in node {
-                delta.record(NodeId(i as u32), p.start, p.end);
-            }
-        }
-        delta
-    }
-
     /// [`StorageLedger::add`] that also records the profile's support
     /// into `delta` (skipped, like the add itself, for zero-space
     /// profiles). SORP's commit uses this to build the commit delta that
@@ -769,7 +755,6 @@ mod tests {
         // Node rows are untouched, and the other link carries nothing.
         assert_eq!(l.profile_count(NodeId(0)) + l.profile_count(NodeId(1)), 0);
         assert!(!l.contains_video(VideoId(0)));
-        assert!(l.span_delta().is_empty());
         let other = t.edge_index(NodeId(1), NodeId(2)).unwrap();
         assert!(l.link_profiles(other).is_empty());
     }
@@ -913,21 +898,6 @@ mod tests {
         assert_eq!(l.remove_drained(NodeId(1), VideoId(1), 1e9), 1);
         assert_eq!(l.profile_count(NodeId(1)), 0);
         assert_eq!(l.plateau_sum(NodeId(1)), 0.0);
-    }
-
-    #[test]
-    fn span_delta_covers_every_profile() {
-        let t = topo(5.0);
-        let mut l = StorageLedger::new(&t);
-        assert!(l.span_delta().is_empty());
-        l.add(NodeId(1), VideoId(0), profile(100.0, 5000.0));
-        l.add(NodeId(1), VideoId(1), profile(4000.0, 9000.0));
-        l.add(NodeId(2), VideoId(2), profile(0.0, 1000.0));
-        let d = l.span_delta();
-        assert_eq!(d.spans().len(), 2);
-        assert!(d.intersects(&[(NodeId(1), 9500.0, 9600.0)]), "drain tail covered");
-        assert!(!d.intersects(&[(NodeId(1), 10_500.0, 11_000.0)]));
-        assert!(d.intersects(&[(NodeId(2), 500.0, 600.0)]));
     }
 
     #[test]

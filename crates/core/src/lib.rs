@@ -90,7 +90,7 @@ pub use service::{
     service_run, BackoffPolicy, BudgetModel, IntakeError, Rung, ServiceConfig, ServiceCycleOutcome,
     ServiceCycleStats, ServiceLoop, ServiceReport,
 };
-pub use shard::{shard_solve, shard_solve_seeded, ShardConfig, ShardOutcome, ShardStats};
+pub use shard::{shard_solve, shard_solve_seeded, ShardConfig, ShardOutcome};
 pub use sorp::{
     heats_tie, sorp_solve, sorp_solve_priced, SorpConfig, SorpOutcome, VictimRecord,
     EXTERNAL_OCCUPANCY,

@@ -9,20 +9,15 @@
 //! 1. the per-shard [`PricedSchedule`]s merge without recomputation
 //!    ([`PricedSchedule::merge`]: Ψ is additive over transfers and
 //!    residencies);
-//! 2. a fresh global [`SolveState`] is built over the merged schedule
-//!    and seeded with one [`crate::LedgerDelta`] covering the global
-//!    ledger's whole footprint ([`crate::StorageLedger::span_delta`]),
-//!    so transplanted trial-cache entries (epoch 0) lazily re-validate
-//!    against the occupancy the *other* shards contributed — the
-//!    conflict-detection machinery of [`crate::sorp_solve_priced`]
-//!    reused across shard boundaries. The delta only selects which
-//!    entries are re-checked; the re-check itself is exact, so any
-//!    delta covering the foreign occupancy keeps the same survivors;
+//! 2. a fresh global [`SolveState`] is built over the base ledger and
+//!    the merged schedule, and every shard's bans are appended to it —
+//!    the schedule and the bans are all that crosses from a shard pass
+//!    to the global one;
 //! 3. cross-shard capacity overflows (storages individually feasible
-//!    per shard but jointly over capacity) are detected by the standard
-//!    scan and resolved by one bounded global SORP pass whose victim
-//!    loop starts from the per-shard outcomes: surviving trials replay
-//!    instead of re-running the greedy, and per-shard bans carry over.
+//!    per shard but jointly over capacity) are counted by the global
+//!    state's first overflow refresh and resolved by one bounded global
+//!    SORP pass, [`SolveState::resolve`] like any other: its trials run
+//!    against the merged ledger under the carried bans.
 //!
 //! ## Determinism and equivalence contract
 //!
@@ -66,7 +61,8 @@ use crate::{
     StorageLedger,
 };
 use serde::{Deserialize, Serialize};
-use vod_cost_model::{Dollars, RequestBatch};
+use std::collections::HashMap;
+use vod_cost_model::{RequestBatch, VideoId};
 use vod_parallel::{map_with_mode, ExecMode};
 use vod_workload::{partition_requests, ShardSpec, ShardStrategy};
 
@@ -106,23 +102,6 @@ impl ShardConfig {
     }
 }
 
-/// Per-shard diagnostics, in shard order.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ShardStats {
-    /// Requests assigned to this shard.
-    pub requests: usize,
-    /// Distinct videos in the shard's schedule.
-    pub videos: usize,
-    /// Phase-1 Ψ of the shard.
-    pub initial_cost: Dollars,
-    /// Ψ after the shard's own resolution pass.
-    pub resolved_cost: Dollars,
-    /// Resolution iterations the shard ran.
-    pub iterations: usize,
-    /// Victims the shard committed.
-    pub victims: usize,
-}
-
 /// Result of [`shard_solve`]: the reconciled [`SorpOutcome`] plus
 /// shard-level diagnostics.
 #[derive(Clone, Debug)]
@@ -134,8 +113,6 @@ pub struct ShardOutcome {
     pub sorp: SorpOutcome,
     /// Effective shard count after clamping.
     pub shards: usize,
-    /// Per-shard diagnostics.
-    pub per_shard: Vec<ShardStats>,
     /// Videos whose requests landed in more than one shard.
     pub split_videos: usize,
     /// Storages holding residencies from more than one shard.
@@ -147,9 +124,6 @@ pub struct ShardOutcome {
     pub reconcile_iterations: usize,
     /// Victims the global reconciliation pass committed.
     pub reconcile_victims: usize,
-    /// Trial-cache entries transplanted from the shards into the global
-    /// pass.
-    pub trials_transplanted: usize,
 }
 
 /// What the pipeline body hands back: the batch's final [`SolveState`]
@@ -157,13 +131,11 @@ pub struct ShardOutcome {
 pub(crate) struct ShardSolve {
     pub(crate) state: SolveState,
     pub(crate) shards: usize,
-    per_shard: Vec<ShardStats>,
     split_videos: usize,
     shared_storages: usize,
     cross_shard_overflows: usize,
     reconcile_iterations: usize,
     reconcile_victims: usize,
-    trials_transplanted: usize,
 }
 
 impl ShardSolve {
@@ -181,7 +153,6 @@ impl ShardSolve {
                 .u64("cross_shard_overflows", self.cross_shard_overflows as u64)
                 .u64("reconcile_iterations", self.reconcile_iterations as u64)
                 .u64("reconcile_victims", self.reconcile_victims as u64)
-                .u64("trials_transplanted", self.trials_transplanted as u64)
                 .u64("iterations", s.iterations as u64)
                 .u64("victims", s.victims.len() as u64)
                 .u64("forced_fallbacks", s.forced_fallbacks as u64)
@@ -199,13 +170,11 @@ impl ShardSolve {
         ShardOutcome {
             sorp: self.state.into_outcome(ctx),
             shards: self.shards,
-            per_shard: self.per_shard,
             split_videos: self.split_videos,
             shared_storages: self.shared_storages,
             cross_shard_overflows: self.cross_shard_overflows,
             reconcile_iterations: self.reconcile_iterations,
             reconcile_victims: self.reconcile_victims,
-            trials_transplanted: self.trials_transplanted,
         }
     }
 }
@@ -262,19 +231,6 @@ pub(crate) fn solve_over(
         state
     });
 
-    let per_shard: Vec<ShardStats> = batches
-        .iter()
-        .zip(&states)
-        .map(|(b, s)| ShardStats {
-            requests: b.len(),
-            videos: s.priced.schedule().videos().count(),
-            initial_cost: s.initial_cost,
-            resolved_cost: s.priced.total(),
-            iterations: s.iterations,
-            victims: s.victims.len(),
-        })
-        .collect();
-
     // One shard is the monolithic pipeline verbatim: its state (and its
     // delta-accumulated running total) is the outcome, bit-identical to
     // `sorp_solve_priced` on the whole batch. The array pattern proves
@@ -283,15 +239,13 @@ pub(crate) fn solve_over(
         Ok([state]) => ShardSolve {
             state,
             shards: 1,
-            per_shard,
             split_videos: 0,
             shared_storages: 0,
             cross_shard_overflows: 0,
             reconcile_iterations: 0,
             reconcile_victims: 0,
-            trials_transplanted: 0,
         },
-        Err(states) => reconcile(ctx, cfg, base, states, per_shard),
+        Err(states) => reconcile(ctx, cfg, base, states),
     };
     out.record(ctx, batch.len());
     out
@@ -303,8 +257,8 @@ fn reconcile(
     cfg: &ShardConfig,
     base: &StorageLedger,
     states: Vec<SolveState>,
-    per_shard: Vec<ShardStats>,
 ) -> ShardSolve {
+    let shards = states.len();
     // Which storages hold residencies from several shards, straight off
     // the per-shard schedules: each node remembers the one shard seen
     // there until a second one shows up.
@@ -324,10 +278,10 @@ fn reconcile(
         }
     }
 
-    // Tear the shard states apart: schedules merge, caches and bans
-    // transplant, counters aggregate.
-    let mut parts = Vec::with_capacity(states.len());
-    let mut handovers = Vec::with_capacity(states.len());
+    // Tear the shard states apart: schedules merge, bans append in shard
+    // order, counters aggregate. Nothing else crosses.
+    let mut parts = Vec::with_capacity(shards);
+    let mut forbidden: HashMap<VideoId, Vec<_>> = HashMap::new();
     let mut initial_cost = 0.0;
     let mut iterations = 0;
     let mut forced_fallbacks = 0;
@@ -345,7 +299,9 @@ fn reconcile(
         jobs_rebuilt += s.jobs_rebuilt;
         nodes_rescanned += s.nodes_rescanned;
         victims.append(&mut s.victims);
-        handovers.push((s.cache, s.forbidden));
+        for (vid, bans) in s.forbidden {
+            forbidden.entry(vid).or_default().extend(bans);
+        }
         parts.push(s.priced);
     }
 
@@ -353,25 +309,7 @@ fn reconcile(
     // which ones landed in several.
     let (merged, split) = PricedSchedule::merge(parts);
     let mut global = SolveState::new(ctx, merged, base.clone());
-
-    // One delta covering the global ledger's whole footprint (merged
-    // residencies and the base occupancy): transplanted entries
-    // re-validate against it on first lookup, which is exactly "did any
-    // *other* shard's occupancy flip one of my recorded admission
-    // answers?".
-    global.deltas = vec![global.ledger.span_delta()];
-
-    let mut trials_transplanted = 0;
-    for (mut cache, forbidden) in handovers {
-        // A split video's per-shard request set is a strict subset of
-        // its global one, so its memoized trials violate the cache's
-        // request-invariance assumption in the merged state: drop them.
-        // Unsplit videos' entries carry over and re-validate lazily.
-        cache.retain(|vid, _| split.binary_search(vid).is_err());
-        trials_transplanted += global.adopt(cache, forbidden);
-    }
-
-    let cross_shard_overflows = detect_overflows(ctx.topo, &global.ledger).len();
+    global.forbidden = forbidden;
 
     // Seed the aggregate counters so the final outcome reports totals
     // across every pass; `resolve` budgets `max_iterations` *on top of*
@@ -385,6 +323,9 @@ fn reconcile(
     global.nodes_rescanned = nodes_rescanned;
     global.victims = victims;
 
+    // The conflicts the shards could not see: the global pass's first
+    // overflow scan, which `resolve` then finds current.
+    let cross_shard_overflows = global.refresh_overflows(ctx);
     let victims_before = global.victims.len();
     let iters_before = global.iterations;
     global.resolve(ctx, &cfg.sorp);
@@ -393,14 +334,12 @@ fn reconcile(
 
     ShardSolve {
         state: global,
-        shards: per_shard.len(),
-        per_shard,
+        shards,
         split_videos: split.len(),
         shared_storages,
         cross_shard_overflows,
         reconcile_iterations,
         reconcile_victims,
-        trials_transplanted,
     }
 }
 
@@ -477,15 +416,21 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_account_for_every_request() {
+    fn sharded_outcome_accounts_for_every_request() {
         let (topo, wl) = world(5.0, 5);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
         let cfg = ShardConfig::by_region(4);
         let out = shard_solve(&ctx, &wl.requests, &cfg, ExecMode::Sequential);
-        assert_eq!(out.shards, out.per_shard.len());
-        assert_eq!(out.per_shard.iter().map(|s| s.requests).sum::<usize>(), wl.requests.len());
-        let summed: Dollars = out.per_shard.iter().map(|s| s.initial_cost).sum();
+        let spec = ShardSpec { shards: cfg.shards, strategy: cfg.strategy, seed: cfg.seed };
+        let batches = partition_requests(&topo, &wl.requests, &spec);
+        assert!(out.shards > 1, "four regions made one shard");
+        assert_eq!(out.shards, batches.len());
+        assert_eq!(out.sorp.schedule.delivery_count(), wl.requests.len());
+        let summed: f64 = batches
+            .iter()
+            .map(|b| ivsp_solve_priced_with(&ctx, b, cfg.sorp.policy, ExecMode::Sequential).total())
+            .sum();
         assert!(
             (out.sorp.initial_cost - summed).abs() <= 1e-9 * summed.max(1.0),
             "aggregate initial cost must be the per-shard sum"

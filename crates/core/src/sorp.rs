@@ -51,13 +51,14 @@
 //!   ([`crate::Constraints::check_replays`]), the exact condition for a
 //!   bit-identical replay;
 //! * a **trial cache** keyed by video holds the trials no job has
-//!   attached: those a moved storage's jobs handed back, and every one
-//!   still attached when a pass returns. A rebuilt job looks up there,
-//!   entries bound to its own bans first; one bound to other bans that
-//!   still replays is rebound — which is what lets a trial survive a
-//!   commit that merely *shifts* an overflow window without changing any
-//!   greedy decision, the dominant case once a victim vacates a
-//!   contended node. Only a miss runs the rejective greedy;
+//!   attached: those a moved storage's jobs handed back. A rebuilt job
+//!   looks up there, entries bound to its own bans first; one bound to
+//!   other bans that still replays is rebound — which is what lets a
+//!   trial survive a commit that merely *shifts* an overflow window
+//!   without changing any greedy decision, the dominant case once a
+//!   victim vacates a contended node. Only a miss runs the rejective
+//!   greedy. The cache lives and dies with its pass: the next pass —
+//!   the sharded solve's global one included — starts with none;
 //! * the [`crate::OverflowMonitor`] rescans only storages whose ledger
 //!   version moved, instead of every node's full timeline.
 //!
@@ -173,9 +174,9 @@ pub struct SorpOutcome {
     pub iterations: usize,
     /// Every committed victim, in order.
     pub victims: Vec<VictimRecord>,
-    /// Whether the final schedule is overflow-free (always true unless the
-    /// iteration cap was exhausted *and* the fallback could not finish,
-    /// which cannot happen for finite schedules).
+    /// Whether the final schedule is overflow-free. False only when an
+    /// overflow consists of external occupancy alone: no victim can clear
+    /// it, and the fallback tail passes over it.
     pub overflow_free: bool,
     /// Number of videos forced to all-direct delivery by the fallback.
     pub forced_fallbacks: usize,
@@ -266,7 +267,7 @@ impl StandingJob {
 /// ledger (ledger minus the video's own profiles, `exclude`) — need no
 /// check: a video's delivered request set is invariant across
 /// reschedules, and the video's own occupancy is invisible to its trials.
-pub(crate) struct CachedTrial {
+struct CachedTrial {
     /// The trial reschedule's output.
     new_vs: VideoSchedule,
     /// `ctx.video_cost(&new_vs)`, computed once at trial time.
@@ -441,9 +442,11 @@ fn select_victim(jobs: &[StandingJob]) -> Option<usize> {
 /// [`SolveState::new`] +
 /// [`SolveState::resolve`] + [`SolveState::into_outcome`] *are*
 /// [`sorp_solve_priced`]; the sharded path resolves one state per shard,
-/// merges them (transplanting surviving trial-cache entries and bans),
-/// and resolves the merged state once more; the service loop's fault
-/// repair is one more pass over that final state, before it is finished.
+/// builds a fresh state over their merged schedules, appends their bans,
+/// and resolves it once more; the service loop's fault repair is one
+/// more pass over that final state, before it is finished. Only the
+/// schedule and the bans outlive a pass: its jobs, cache and deltas are
+/// private to this module and start empty in every new state.
 pub(crate) struct SolveState {
     pub(crate) priced: PricedSchedule,
     pub(crate) ledger: StorageLedger,
@@ -454,12 +457,12 @@ pub(crate) struct SolveState {
     monitor: OverflowMonitor,
     /// The last iteration's jobs, in (storage, window start, participant)
     /// order, each with its trial attached. Empty between passes:
-    /// [`SolveState::resolve`] hands every trial back to `cache` on exit.
+    /// [`SolveState::resolve`] clears them on exit.
     jobs: Vec<StandingJob>,
-    pub(crate) cache: HashMap<VideoId, Vec<CachedTrial>>,
+    cache: HashMap<VideoId, Vec<CachedTrial>>,
     /// One [`LedgerDelta`] per commit, in commit order; trials validate
     /// lazily against the suffix that landed after their epoch.
-    pub(crate) deltas: Vec<LedgerDelta>,
+    deltas: Vec<LedgerDelta>,
     pub(crate) trials_run: usize,
     pub(crate) trials_cached: usize,
     pub(crate) jobs_rebuilt: usize,
@@ -507,12 +510,8 @@ impl SolveState {
     pub(crate) fn resolve(&mut self, ctx: &SchedCtx<'_>, cfg: &SorpConfig) {
         let cap = self.iterations + cfg.max_iterations;
         let mut rebuilt = Vec::new();
-        loop {
-            self.nodes_rescanned += self.monitor.refresh(ctx.topo, &self.ledger);
+        while self.refresh_overflows(ctx) > 0 {
             let scans = self.monitor.scans();
-            if scans.iter().all(|(_, _, ofs)| ofs.is_empty()) {
-                break;
-            }
             if self.iterations >= cap {
                 // Fallback: force one participant of the first overflow
                 // that has any to direct-only delivery. Strictly reduces
@@ -643,11 +642,16 @@ impl SolveState {
             });
             self.commit(ctx, job.trial.expect("every job was just scored").new_vs);
         }
-        // The trials still attached go back to the cache: reconciliation
-        // transplants it, and a later pass over this state starts there.
-        for trial in self.jobs.drain(..).filter_map(|job| job.trial) {
-            bank_trial(&mut self.cache, trial);
-        }
+        self.jobs.clear();
+    }
+
+    /// Bring the overflow monitor up to date, adding the storages it
+    /// rescanned to `nodes_rescanned`, and return how many overflows the
+    /// ledger holds. A [`SolveState::resolve`] right after finds every
+    /// storage current and rescans none.
+    pub(crate) fn refresh_overflows(&mut self, ctx: &SchedCtx<'_>) -> usize {
+        self.nodes_rescanned += self.monitor.refresh(ctx.topo, &self.ledger);
+        self.monitor.scans().iter().map(|(_, _, ofs)| ofs.len()).sum()
     }
 
     /// Replace a video's schedule, updating ledger and pricing
@@ -676,34 +680,6 @@ impl SolveState {
         }
         self.priced.commit(ctx, new_vs);
         self.deltas.push(delta);
-    }
-
-    /// Transplant another pass's surviving trial-cache entries and bans
-    /// into this state — the cross-shard handover. Entries arrive with
-    /// `epoch = 0`, so every one lazily re-validates against `deltas[0]`
-    /// (the merged occupancy footprint of all *other* shards recorded by
-    /// the caller) before its first reuse: an entry whose recorded
-    /// admission answers survive the foreign occupancy replays verbatim
-    /// and is reused without re-running the greedy; one that conflicts
-    /// is evicted by the standard lookup path. Bans are appended in call
-    /// order (deterministic across runs).
-    pub(crate) fn adopt(
-        &mut self,
-        cache: HashMap<VideoId, Vec<CachedTrial>>,
-        forbidden: HashMap<VideoId, Vec<(NodeId, Interval)>>,
-    ) -> usize {
-        let mut transplanted = 0;
-        for (vid, mut list) in cache {
-            for e in &mut list {
-                e.epoch = 0;
-            }
-            transplanted += list.len();
-            self.cache.entry(vid).or_default().extend(list);
-        }
-        for (vid, bans) in forbidden {
-            self.forbidden.entry(vid).or_default().extend(bans);
-        }
-        transplanted
     }
 
     /// Finish the pass: cross-check the delta accounting once, re-detect

@@ -358,7 +358,6 @@ fn warm_solve_is_bit_identical_across_exec_modes() {
         assert_eq!(a.sorp.cost.to_bits(), b.sorp.cost.to_bits(), "cycle {k}");
         assert_eq!(a.sorp.iterations, b.sorp.iterations, "cycle {k}");
         assert_eq!(a.reconcile_iterations, b.reconcile_iterations, "cycle {k}");
-        assert_eq!(a.trials_transplanted, b.trials_transplanted, "cycle {k}");
         assert_eq!(a.sorp.trials_cached, b.sorp.trials_cached, "cycle {k}");
         assert_eq!(a.shards, b.shards, "cycle {k}");
         assert_eq!(evicted.0, evicted.1, "cycle {k}: eviction diverged");

@@ -62,6 +62,9 @@ cargo test -q --offline -p vod-cost-model --test batch_props
 cargo test -q --offline --test alloc_budget
 cargo test -q --offline --test admission_budget
 cargo test -q --offline --test resolve_budget
+# Reconciliation is one more resolve over the merged schedule and the
+# shards' bans: its decisions on the steady and contended cells are pinned.
+cargo test -q --offline --test reconcile_pin
 # One commit per cycle: on the benchmark's overload_faults cell, and over
 # random fault plans, budgets, queue bounds and shardings, every cycle is
 # overflow-free, leaves the book feasible and replays clean on every rung;

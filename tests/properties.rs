@@ -290,7 +290,7 @@ proptest! {
                     s.iterations, s.forced_fallbacks, s.trials_run, s.trials_cached,
                     s.jobs_rebuilt, s.nodes_rescanned, usize::from(s.overflow_free),
                     o.shards, o.split_videos, o.shared_storages, o.cross_shard_overflows,
-                    o.reconcile_iterations, o.reconcile_victims, o.trials_transplanted,
+                    o.reconcile_iterations, o.reconcile_victims,
                 ]
             };
             prop_assert_eq!(counters(&seq), counters(&par));
