@@ -14,7 +14,7 @@
 //! * every candidate plan is admitted only if its route has spare capacity
 //!   for the whole playback duration;
 //! * when the cheapest route is saturated, a capacity-constrained Dijkstra
-//!   ([`constrained_cheapest_path`]) searches for the cheapest route that
+//!   (`constrained_cheapest_path`) searches for the cheapest route that
 //!   still fits;
 //! * a request with no feasible plan at all is **blocked** — the outcome
 //!   reports the blocking probability, connecting to the VOD
@@ -36,7 +36,7 @@ use vod_topology::{NodeId, Topology};
 /// (a step profile, [`SpaceProfile::step`]) still fits
 /// ([`StorageLedger::link_fits`]). Returns `None` when the residual graph
 /// disconnects the pair.
-pub fn constrained_cheapest_path(
+fn constrained_cheapest_path(
     topo: &Topology,
     ledger: &StorageLedger,
     src: NodeId,

@@ -67,9 +67,7 @@ mod sorp;
 mod timeline;
 mod warm;
 
-pub use bandwidth_aware::{
-    bandwidth_aware_solve, constrained_cheapest_path, BandwidthAwareOutcome,
-};
+pub use bandwidth_aware::{bandwidth_aware_solve, BandwidthAwareOutcome};
 pub use capacity::{AdmissionCheck, LedgerCursor, LedgerDelta, StorageLedger, TrialTrace};
 pub use ctx::SchedCtx;
 pub use exact::{find_optimal_video_schedule, ExactOutcome};
@@ -80,21 +78,17 @@ pub use greedy::{
 pub use heat::{delta_s, heat_of, improved_period, improvement_window, HeatMetric};
 pub use overflow::{
     detect_link_overloads, detect_overflows, overflow_set, Interval, LinkOverload, Overflow,
-    OverflowMonitor,
 };
 pub use pricing::{ivsp_solve_priced, ivsp_solve_priced_with, PricedSchedule};
-pub use repair::{
-    repair_schedule, DelayRecord, RepairConfig, RepairOutcome, ShedReason, ShedRecord,
-};
+pub use repair::{repair_schedule, DelayRecord, RepairOutcome};
 pub use service::{
     service_run, BackoffPolicy, BudgetModel, IntakeError, Rung, ServiceConfig, ServiceCycleOutcome,
-    ServiceCycleStats, ServiceLoop, ServiceReport,
+    ServiceCycleStats, ServiceError, ServiceLoop, ServiceReport,
 };
 pub use shard::{shard_solve, shard_solve_seeded, ShardConfig, ShardOutcome};
 pub use sorp::{
     heats_tie, sorp_solve, sorp_solve_priced, SorpConfig, SorpOutcome, VictimRecord,
     EXTERNAL_OCCUPANCY,
 };
-pub use timeline::{OccupancyTimeline, Prefix};
 pub use vod_parallel::ExecMode;
 pub use warm::{CommittedBook, WarmStats};

@@ -15,16 +15,13 @@
 //! commit deltas, exactly like a SORP iteration, not a from-scratch
 //! reschedule.
 //!
-//! Requests whose home storage is unreachable without the failed links
-//! cannot be rerouted at their reserved time. For those the repair
-//! retries in sim-time with exponential backoff
-//! (`start + base_backoff · 2^(k−1)` for attempt `k`), delivering
-//! directly over the original route in the first window where every hop
-//! is fault-free for a full playback. When no attempt within
-//! [`RepairConfig::max_retries`] finds a clear window, the request is
-//! *shed* — reported in the outcome (lowest-heat first, where a video's
-//! heat is its delivered-request count, the popularity proxy) instead
-//! of panicking or silently dropping service.
+//! A request whose home storage is unreachable without the failed links
+//! is *cut off*: it cannot be rerouted at its reserved time. The plan is
+//! known in advance, so repair reads off it when the intact cheapest
+//! route is next clear for a whole playback
+//! ([`FaultPlan::first_clear_start`]) and streams the request directly
+//! over that route then — on time when the route is already clear,
+//! otherwise late, reported as a [`DelayRecord`]. Repair never sheds.
 
 use crate::greedy::{reschedule_video, Constraints, GreedyPolicy};
 use crate::sorp::SolveState;
@@ -33,52 +30,14 @@ use vod_cost_model::{Dollars, Request, Secs, Transfer, VideoId, VideoSchedule};
 use vod_faults::{FaultError, FaultPlan};
 use vod_topology::RouteTable;
 
-/// Retry/backoff policy for bridge-dependent requests.
-#[derive(Clone, Debug)]
-pub struct RepairConfig {
-    /// Maximum delayed delivery attempts per request (attempt 0 at the
-    /// reserved time is free; each later attempt backs off exponentially).
-    pub max_retries: u32,
-    /// First backoff step in seconds; attempt `k ≥ 1` fires at
-    /// `start + base_backoff · 2^(k−1)`.
-    pub base_backoff: Secs,
-}
-
-impl Default for RepairConfig {
-    fn default() -> Self {
-        Self { max_retries: 4, base_backoff: 900.0 }
-    }
-}
-
-/// Why a request was shed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShedReason {
-    /// Every delivery attempt within the retry budget hit an active
-    /// link failure on the only route to the user's home storage.
-    RetriesExhausted,
-}
-
-/// One request the repair could not serve.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ShedRecord {
-    /// The dropped request (original reserved time).
-    pub request: Request,
-    /// The video's heat proxy: its delivered-request count before the
-    /// fault. Records are sorted ascending, lowest-heat first.
-    pub heat: usize,
-    /// Why no feasible repair existed.
-    pub reason: ShedReason,
-}
-
-/// One request served later than reserved (backoff found a clear window).
+/// One request served later than reserved: its route was not clear for a
+/// whole playback until `delayed_start`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DelayRecord {
     /// The request at its original reserved time.
     pub request: Request,
     /// The delivery time the repair settled on.
     pub delayed_start: Secs,
-    /// Which backoff attempt succeeded (`1` = first retry).
-    pub attempts: u32,
 }
 
 /// The result of [`repair_schedule`].
@@ -90,12 +49,8 @@ pub struct RepairOutcome {
     pub pre_repair_cost: Dollars,
     /// Videos the repair re-admitted, ascending.
     pub repaired_videos: Vec<VideoId>,
-    /// Requests shed for lack of any feasible repair, lowest heat first.
-    pub shed: Vec<ShedRecord>,
-    /// Requests delivered late after backoff.
+    /// Requests delivered late, at the first instant their route cleared.
     pub delayed: Vec<DelayRecord>,
-    /// Total backoff attempts spent across all bridge-dependent requests.
-    pub retry_attempts: u32,
     /// Whether the plan broke nothing and the schedule is bit-identical
     /// to the input.
     pub unchanged: bool,
@@ -108,11 +63,10 @@ impl RepairOutcome {
     }
 
     /// The request set the repaired schedule actually serves: `original`
-    /// minus shed requests, with delayed requests shifted to their
-    /// delivery time. This is what strict replay must check coverage
-    /// against.
+    /// with delayed requests shifted to their delivery time. This is what
+    /// strict replay must check coverage against.
     pub fn adjusted_requests(&self, original: &[Request]) -> Vec<Request> {
-        adjusted_requests(&self.shed, &self.delayed, original)
+        adjusted_requests(&self.delayed, original)
     }
 }
 
@@ -121,24 +75,16 @@ impl RepairOutcome {
 #[derive(Default)]
 pub(crate) struct RepairPass {
     repaired_videos: Vec<VideoId>,
-    pub(crate) shed: Vec<ShedRecord>,
     pub(crate) delayed: Vec<DelayRecord>,
-    retry_attempts: u32,
 }
 
 /// [`RepairOutcome::adjusted_requests`] over a pass's records.
-pub(crate) fn adjusted_requests(
-    shed: &[ShedRecord],
-    delayed: &[DelayRecord],
-    original: &[Request],
-) -> Vec<Request> {
+pub(crate) fn adjusted_requests(delayed: &[DelayRecord], original: &[Request]) -> Vec<Request> {
     let key = |r: &Request| (r.user, r.video, r.start.to_bits());
-    let shed: std::collections::HashSet<_> = shed.iter().map(|s| key(&s.request)).collect();
     let delayed: std::collections::HashMap<_, Secs> =
         delayed.iter().map(|d| (key(&d.request), d.delayed_start)).collect();
     original
         .iter()
-        .filter(|r| !shed.contains(&key(r)))
         .map(|r| match delayed.get(&key(r)) {
             Some(&t) => Request { start: t, ..*r },
             None => *r,
@@ -146,40 +92,28 @@ pub(crate) fn adjusted_requests(
         .collect()
 }
 
-/// The multiplier of backoff attempt `attempt` (1-based): `2^(attempt−1)`,
-/// the exponent clamped at 16 — past 2^16 a delay is already far beyond
-/// any fault window or cycle cap, and an unclamped exponent is a shift
-/// overflow once a retry budget reaches 65. Shared by the in-cycle
-/// repair retries here and [`crate::BackoffPolicy::delay`].
-pub(crate) fn backoff_multiplier(attempt: u32) -> u64 {
-    1u64 << attempt.saturating_sub(1).min(16)
-}
-
 /// Repair a committed schedule against a fault plan, re-placing broken
 /// videos under the default [`GreedyPolicy`]. Deterministic: the same
-/// schedule + plan + config always yields bit-identical repair
-/// decisions. An empty or irrelevant plan returns the input schedule
-/// unchanged (bit-identical, `unchanged = true`). Errs only when the
-/// plan does not validate against the topology.
+/// schedule + plan always yields bit-identical repair decisions. An
+/// empty or irrelevant plan returns the input schedule unchanged
+/// (bit-identical, `unchanged = true`). Errs only when the plan does not
+/// validate against the topology.
 pub fn repair_schedule(
     ctx: &SchedCtx<'_>,
     priced: PricedSchedule,
     plan: &FaultPlan,
-    cfg: &RepairConfig,
 ) -> Result<RepairOutcome, FaultError> {
     plan.validate(ctx.topo)?;
     let pre_repair_cost = priced.total();
     let mut state = SolveState::new(ctx, priced, StorageLedger::new(ctx.topo));
-    let RepairPass { repaired_videos, shed, delayed, retry_attempts } =
-        repair_state(ctx, &mut state, plan, cfg, GreedyPolicy::default());
+    let RepairPass { repaired_videos, delayed } =
+        repair_state(ctx, &mut state, plan, GreedyPolicy::default());
     Ok(RepairOutcome {
         priced: state.priced,
         pre_repair_cost,
         unchanged: repaired_videos.is_empty(),
         repaired_videos,
-        shed,
         delayed,
-        retry_attempts,
     })
 }
 
@@ -192,7 +126,6 @@ pub(crate) fn repair_state(
     ctx: &SchedCtx<'_>,
     state: &mut SolveState,
     plan: &FaultPlan,
-    cfg: &RepairConfig,
     policy: GreedyPolicy,
 ) -> RepairPass {
     let impact = plan.impact(state.priced.schedule(), ctx.catalog, ctx.model.space_model());
@@ -228,9 +161,7 @@ pub(crate) fn repair_state(
         .collect();
 
     let vw = ctx.topo.warehouse();
-    let mut shed = Vec::new();
     let mut delayed = Vec::new();
-    let mut retry_attempts = 0u32;
     let repaired_videos: Vec<VideoId> = impact.affected_videos.iter().copied().collect();
 
     for &vid in &repaired_videos {
@@ -239,21 +170,14 @@ pub(crate) fn repair_state(
         // to a skip, never a panic.
         let Some(old_vs) = state.priced.schedule().video(vid) else { continue };
         let requests = old_vs.delivered_requests();
-        let heat = requests.len();
         let playback = ctx.catalog.get(vid).playback;
 
         // Partition: requests whose home is reachable around the failed
-        // links are re-admitted at their reserved time; the rest depend
-        // on a failed bridge and enter the retry/backoff path.
-        let mut servable = Vec::new();
-        let mut bridge_dependent = Vec::new();
-        for req in requests {
-            if dctx.routes.reachable(vw, ctx.topo.home_of(req.user)) {
-                servable.push(req);
-            } else {
-                bridge_dependent.push(req);
-            }
-        }
+        // links are re-admitted at their reserved time; the rest are cut
+        // off and wait for their route to clear.
+        let (servable, cut_off): (Vec<Request>, Vec<Request>) = requests
+            .into_iter()
+            .partition(|req| dctx.routes.reachable(vw, ctx.topo.home_of(req.user)));
 
         let mut new_vs = if servable.is_empty() {
             VideoSchedule::new(vid)
@@ -263,71 +187,41 @@ pub(crate) fn repair_state(
             reschedule_video(dctx, &servable, &cons, policy)
         };
 
-        for req in bridge_dependent {
-            // The original cheapest route exists on the full topology;
-            // deliver over it in the first backoff window where every
-            // hop stays up for the whole playback.
+        for req in cut_off {
+            // The intact topology's cheapest route, at the first instant
+            // every hop of it stays up for the whole playback.
             let route = ctx
                 .routes
                 .shared_path(vw, ctx.topo.home_of(req.user))
                 .expect("the intact topology reaches every home");
-            let mut served = false;
-            for k in 0..=cfg.max_retries {
-                let t = if k == 0 {
-                    req.start
-                } else {
-                    retry_attempts += 1;
-                    req.start + cfg.base_backoff * backoff_multiplier(k) as f64
-                };
-                let clear = route
-                    .windows(2)
-                    .all(|hop| !plan.link_failed_during(hop[0], hop[1], t, t + playback));
-                if clear {
-                    let shifted = Request { start: t, ..req };
-                    new_vs.transfers.push(Transfer::for_user(&shifted, route.clone()));
-                    if k > 0 {
-                        delayed.push(DelayRecord { request: req, delayed_start: t, attempts: k });
-                    }
-                    served = true;
-                    break;
-                }
+            let start = plan.first_clear_start(&route, req.start, playback);
+            if start > req.start {
+                delayed.push(DelayRecord { request: req, delayed_start: start });
             }
-            if !served {
-                shed.push(ShedRecord { request: req, heat, reason: ShedReason::RetriesExhausted });
-            }
+            new_vs.transfers.push(Transfer::for_user(&Request { start, ..req }, route));
         }
 
         state.commit(ctx, new_vs);
     }
 
-    // Graceful degradation reports lowest-heat casualties first; ties
-    // break on (video, user, time) for determinism.
-    shed.sort_by(|a, b| {
-        (a.heat, a.request.video, a.request.user)
-            .cmp(&(b.heat, b.request.video, b.request.user))
-            .then(a.request.start.total_cmp(&b.request.start))
-    });
-
     ctx.recorder.event("repair", |e| {
         e.u64("repaired_videos", repaired_videos.len() as u64)
-            .u64("shed", shed.len() as u64)
             .u64("delayed", delayed.len() as u64)
-            .u64("retry_attempts", retry_attempts as u64)
             .f64("pre_repair_cost", pre_repair_cost)
             .f64("post_repair_cost", state.priced.total());
     });
 
-    RepairPass { repaired_videos, shed, delayed, retry_attempts }
+    RepairPass { repaired_videos, delayed }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{ivsp_solve_priced, sorp_solve_priced, ExecMode, SorpConfig};
-    use vod_cost_model::CostModel;
+    use vod_cost_model::{Catalog, CostModel, RequestBatch};
     use vod_faults::{Fault, FaultConfig};
-    use vod_topology::{builders, NodeId, Topology};
-    use vod_workload::{CatalogConfig, RequestConfig, Workload};
+    use vod_topology::{builders, units, NodeId, Topology, TopologyBuilder};
+    use vod_workload::{generate_catalog, CatalogConfig, RequestConfig, Workload};
 
     fn world(capacity_gb: f64, seed: u64) -> (Topology, Workload) {
         let cfg = builders::PaperFig4Config { capacity_gb, ..Default::default() };
@@ -337,8 +231,8 @@ mod tests {
         (topo, wl)
     }
 
-    fn committed(ctx: &SchedCtx<'_>, wl: &Workload) -> PricedSchedule {
-        let phase1 = ivsp_solve_priced(ctx, &wl.requests);
+    fn committed(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> PricedSchedule {
+        let phase1 = ivsp_solve_priced(ctx, batch);
         let outcome =
             sorp_solve_priced(ctx, phase1, &SorpConfig::default(), &[], ExecMode::Sequential);
         PricedSchedule::price(ctx, outcome.schedule)
@@ -349,17 +243,15 @@ mod tests {
         let (topo, wl) = world(5.0, 21);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let priced = committed(&ctx, &wl);
+        let priced = committed(&ctx, &wl.requests);
         let before = priced.schedule().clone();
         let total = priced.total();
 
-        let out =
-            repair_schedule(&ctx, priced, &FaultPlan::empty(), &RepairConfig::default()).unwrap();
+        let out = repair_schedule(&ctx, priced, &FaultPlan::empty()).unwrap();
         assert!(out.unchanged);
         assert_eq!(out.priced.schedule(), &before, "no-op repair must be bit-identical");
         assert_eq!(out.cost(), total);
-        assert!(out.shed.is_empty() && out.delayed.is_empty());
-        assert_eq!(out.retry_attempts, 0);
+        assert!(out.delayed.is_empty());
     }
 
     #[test]
@@ -367,13 +259,13 @@ mod tests {
         let (topo, wl) = world(5.0, 22);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let priced = committed(&ctx, &wl);
+        let priced = committed(&ctx, &wl.requests);
         let before = priced.schedule().clone();
 
         // An outage far outside the horizon breaks nothing.
         let plan =
             FaultPlan::new(vec![Fault::NodeOutage { node: NodeId(1), from: 1e9, until: 2e9 }]);
-        let out = repair_schedule(&ctx, priced, &plan, &RepairConfig::default()).unwrap();
+        let out = repair_schedule(&ctx, priced, &plan).unwrap();
         assert!(out.unchanged);
         assert_eq!(out.priced.schedule(), &before);
     }
@@ -383,13 +275,13 @@ mod tests {
         let (topo, wl) = world(5.0, 23);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let priced = committed(&ctx, &wl);
+        let priced = committed(&ctx, &wl.requests);
         let plan = FaultPlan::new(vec![Fault::NodeOutage {
             node: topo.warehouse(),
             from: 0.0,
             until: 1.0,
         }]);
-        let err = repair_schedule(&ctx, priced, &plan, &RepairConfig::default()).unwrap_err();
+        let err = repair_schedule(&ctx, priced, &plan).unwrap_err();
         assert_eq!(err, FaultError::WarehouseOutage(topo.warehouse()));
     }
 
@@ -398,7 +290,7 @@ mod tests {
         let (topo, wl) = world(5.0, 24);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let priced = committed(&ctx, &wl);
+        let priced = committed(&ctx, &wl.requests);
 
         // Find a storage actually hosting data mid-horizon.
         let victim = priced
@@ -415,7 +307,7 @@ mod tests {
         let impact = plan.impact(priced.schedule(), &wl.catalog, model.space_model());
         assert!(!impact.broken_residencies.is_empty());
 
-        let out = repair_schedule(&ctx, priced, &plan, &RepairConfig::default()).unwrap();
+        let out = repair_schedule(&ctx, priced, &plan).unwrap();
         assert!(!out.unchanged);
         assert_eq!(out.repaired_videos, impact.affected_videos.iter().copied().collect::<Vec<_>>());
         // No repaired video may still store data at the down node during
@@ -431,8 +323,9 @@ mod tests {
                 );
             }
         }
-        // Nothing was shed: every home stays reachable (no link failures).
-        assert!(out.shed.is_empty());
+        // Every request is served, none late: no link failed, so every
+        // home stays reachable.
+        assert_eq!(out.priced.schedule().delivery_count(), wl.requests.len());
         assert!(out.delayed.is_empty());
         // The plan no longer breaks anything.
         let post = plan.impact(out.priced.schedule(), &wl.catalog, space);
@@ -472,13 +365,7 @@ mod tests {
         let plan = FaultPlan::new(
             down.map(|node| Fault::NodeOutage { node, from: 0.0, until: 86_400.0 }).collect(),
         );
-        let pass = repair_state(
-            &ctx,
-            &mut state,
-            &plan,
-            &RepairConfig::default(),
-            GreedyPolicy::default(),
-        );
+        let pass = repair_state(&ctx, &mut state, &plan, GreedyPolicy::default());
         assert!(!pass.repaired_videos.is_empty(), "the outages broke nothing");
         let moved = pass.repaired_videos.iter().filter_map(|&v| state.priced.schedule().video(v));
         assert!(moved.flat_map(|vs| &vs.residencies).count() > 0, "repair cached nothing anew");
@@ -495,149 +382,156 @@ mod tests {
         let plan = FaultPlan::generate(&topo, &FaultConfig::default(), 77);
 
         let run = || {
-            let priced = committed(&ctx, &wl);
-            let out = repair_schedule(&ctx, priced, &plan, &RepairConfig::default()).unwrap();
-            (out.priced.schedule().clone(), out.cost(), out.shed, out.delayed)
+            let out = repair_schedule(&ctx, committed(&ctx, &wl.requests), &plan).unwrap();
+            (out.priced.schedule().clone(), out.cost(), out.delayed)
         };
-        let (s1, c1, shed1, delayed1) = run();
-        let (s2, c2, shed2, delayed2) = run();
+        let (s1, c1, delayed1) = run();
+        let (s2, c2, delayed2) = run();
         assert_eq!(s1, s2, "same plan must give bit-identical repairs");
         assert_eq!(c1, c2);
-        assert_eq!(shed1, shed2);
         assert_eq!(delayed1, delayed2);
     }
 
-    /// A line topology VW—IS1—IS2 where IS2's only route crosses IS1—IS2:
-    /// failing that bridge forces backoff, and a failure outlasting the
-    /// budget forces shedding.
-    fn line() -> (Topology, Workload) {
-        let mut b = vod_topology::TopologyBuilder::new();
-        let vw = b.add_warehouse("VW");
-        let is1 = b.add_storage("IS1", vod_topology::units::srate_per_gb_hour(1.0), 5e9);
-        let is2 = b.add_storage("IS2", vod_topology::units::srate_per_gb_hour(1.0), 5e9);
-        b.connect(vw, is1, vod_topology::units::nrate_per_gb(100.0)).unwrap();
-        b.connect(is1, is2, vod_topology::units::nrate_per_gb(100.0)).unwrap();
-        b.add_users(is1, 2);
-        b.add_users(is2, 2);
-        let topo = b.build().unwrap();
-        let wl = Workload::generate(&topo, &CatalogConfig::small(6), &RequestConfig::paper(), 31);
-        (topo, wl)
+    /// A line topology VW—IS1—IS2 where IS2's only route crosses the
+    /// IS1—IS2 bridge: failing the bridge cuts IS2's users off. Storage is
+    /// priced out, so every request streams straight from the warehouse
+    /// and every delivery to IS2 crosses the bridge.
+    struct Line {
+        topo: Topology,
+        catalog: Catalog,
+        model: CostModel,
     }
 
-    #[test]
-    fn bridge_failure_delays_or_sheds_cut_off_requests() {
-        let (topo, wl) = line();
-        let model = CostModel::per_hop();
-        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let priced = committed(&ctx, &wl);
+    const IS1: NodeId = NodeId(1);
+    const IS2: NodeId = NodeId(2);
+    /// Reserved start of the first request in each scenario.
+    const T: Secs = 10_000.0;
 
-        // Fail the IS1—IS2 bridge around some victim delivery long enough
-        // that the first backoff attempts land inside the failure but a
-        // later one clears it.
-        let victim = priced
+    impl Line {
+        fn new() -> Self {
+            let mut b = TopologyBuilder::new();
+            let vw = b.add_warehouse("VW");
+            let srate = units::srate_per_gb_hour(1e6);
+            let is1 = b.add_storage("IS1", srate, units::gb(5.0));
+            let is2 = b.add_storage("IS2", srate, units::gb(5.0));
+            assert_eq!((is1, is2), (IS1, IS2));
+            b.connect(vw, is1, units::nrate_per_gb(100.0)).unwrap();
+            b.connect(is1, is2, units::nrate_per_gb(100.0)).unwrap();
+            b.add_users(is1, 2);
+            b.add_users(is2, 2);
+            let topo = b.build().unwrap();
+            let catalog = generate_catalog(&CatalogConfig::small(6), 31);
+            Self { topo, catalog, model: CostModel::per_hop() }
+        }
+
+        fn playback(&self) -> Secs {
+            self.catalog.get(VideoId(0)).playback
+        }
+
+        /// The first user of `home` watching video 0 from `start`.
+        fn request(&self, home: NodeId, start: Secs) -> Request {
+            Request { user: self.topo.users_at(home)[0], video: VideoId(0), start }
+        }
+
+        fn repair(&self, requests: &[Request], faults: &[Fault]) -> RepairOutcome {
+            let ctx = SchedCtx::new(&self.topo, &self.model, &self.catalog);
+            let priced = committed(&ctx, &RequestBatch::new(requests.to_vec()));
+            let out = repair_schedule(&ctx, priced, &FaultPlan::new(faults.to_vec())).unwrap();
+            assert!(!out.unchanged, "the faults broke no delivery");
+            out
+        }
+    }
+
+    fn bridge_failure(from: Secs, until: Secs) -> Fault {
+        Fault::LinkFailure { a: IS1, b: IS2, from, until }
+    }
+
+    /// The start of every delivery in `out`, ascending.
+    fn delivery_starts(out: &RepairOutcome) -> Vec<Secs> {
+        let mut starts: Vec<Secs> = out
+            .priced
             .schedule()
             .transfers()
-            .find(|t| {
-                t.user.is_some()
-                    && t.route.windows(2).any(|h| {
-                        (h[0] == NodeId(1) && h[1] == NodeId(2))
-                            || (h[0] == NodeId(2) && h[1] == NodeId(1))
-                    })
-            })
-            .cloned()
-            .expect("some delivery crosses the bridge");
-        let playback = wl.catalog.get(victim.video).playback;
-        let cfg = RepairConfig::default();
-
-        // Recoverable: failure ends before the last backoff attempt.
-        let clears_at = victim.start + cfg.base_backoff * 4.0; // attempt 3 fires at +4·base
-        let plan = FaultPlan::new(vec![Fault::LinkFailure {
-            a: NodeId(1),
-            b: NodeId(2),
-            from: victim.start - 1.0,
-            until: clears_at,
-        }]);
-        let out = repair_schedule(&ctx, committed(&ctx, &wl), &plan, &cfg).unwrap();
-        assert!(!out.delayed.is_empty(), "the victim must be delivered late");
-        assert!(out.retry_attempts > 0);
-        for d in &out.delayed {
-            assert!(d.delayed_start >= clears_at, "delivery inside the failure window");
-            // The delayed transfer exists in the repaired schedule.
-            let vs = out.priced.schedule().video(d.request.video).unwrap();
-            assert!(vs
-                .transfers
-                .iter()
-                .any(|t| t.user == Some(d.request.user) && t.start == d.delayed_start));
-        }
-
-        // Unrecoverable: failure outlasts every backoff attempt + playback.
-        let horizon = victim.start + cfg.base_backoff * 100.0 + playback * 4.0;
-        let plan = FaultPlan::new(vec![Fault::LinkFailure {
-            a: NodeId(1),
-            b: NodeId(2),
-            from: 0.0,
-            until: horizon,
-        }]);
-        let out = repair_schedule(&ctx, committed(&ctx, &wl), &plan, &cfg).unwrap();
-        assert!(!out.shed.is_empty(), "cut-off requests must be shed, not dropped silently");
-        assert!(out.shed.windows(2).all(|w| w[0].heat <= w[1].heat), "lowest heat first");
-        for s in &out.shed {
-            assert_eq!(s.reason, ShedReason::RetriesExhausted);
-            assert_eq!(topo.home_of(s.request.user), NodeId(2), "only cut-off homes shed");
-        }
-        // adjusted_requests drops exactly the shed set.
-        let original: Vec<Request> =
-            wl.requests.groups().flat_map(|(_, g)| g.iter().copied()).collect();
-        let adjusted = out.adjusted_requests(&original);
-        assert_eq!(adjusted.len(), original.len() - out.shed.len());
+            .filter(|t| t.user.is_some())
+            .map(|t| t.start)
+            .collect();
+        starts.sort_by(f64::total_cmp);
+        starts
     }
 
-    /// Regression: `max_retries = 80` used to shift `1u64 << 79` — a
-    /// debug panic / release wrap. The exponent now clamps at 16, so a
-    /// huge retry budget degrades to "try at the capped delay
-    /// repeatedly" and either delivers past the failure or sheds.
     #[test]
-    fn huge_retry_budget_does_not_overflow_the_backoff_shift() {
-        let (topo, wl) = line();
-        let model = CostModel::per_hop();
-        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let cfg = RepairConfig { max_retries: 80, ..RepairConfig::default() };
+    fn a_cut_off_request_whose_route_is_clear_at_start_is_on_time() {
+        let line = Line::new();
+        let p = line.playback();
+        // The failure catches the first delivery; the second, three
+        // playbacks later, finds the bridge up for its whole stream.
+        let (caught, clear) = (line.request(IS2, T), line.request(IS2, T + 3.0 * p));
+        let out = line.repair(&[caught, clear], &[bridge_failure(T - 1.0, T + p / 2.0)]);
+        assert_eq!(out.delayed, vec![DelayRecord { request: caught, delayed_start: T + p / 2.0 }]);
+        assert_eq!(delivery_starts(&out), vec![T + p / 2.0, T + 3.0 * p]);
+    }
 
-        // Recoverable within the capped delay: the bridge heals after
-        // 2^10 base backoffs, well below the 2^16 cap, so some attempt
-        // in 1..=80 lands past the failure and the victim is delayed,
-        // never shed.
-        let clears_at = 1024.0 * cfg.base_backoff;
-        let plan = FaultPlan::new(vec![Fault::LinkFailure {
-            a: NodeId(1),
-            b: NodeId(2),
-            from: 0.0,
-            until: clears_at,
-        }]);
-        let out = repair_schedule(&ctx, committed(&ctx, &wl), &plan, &cfg).unwrap();
-        assert!(!out.delayed.is_empty(), "victims must recover via the capped backoff");
-        for d in &out.delayed {
-            assert!(d.delayed_start >= clears_at);
-            assert!(
-                d.delayed_start <= d.request.start + cfg.base_backoff * (1u64 << 16) as f64,
-                "delay beyond the clamped exponent"
-            );
-        }
+    #[test]
+    fn a_cut_off_request_is_delivered_when_the_covering_failure_ends() {
+        let line = Line::new();
+        let p = line.playback();
+        let req = line.request(IS2, T);
+        let out = line.repair(&[req], &[bridge_failure(T - 1.0, T + 2.0 * p)]);
+        assert_eq!(out.delayed, vec![DelayRecord { request: req, delayed_start: T + 2.0 * p }]);
+        assert_eq!(delivery_starts(&out), vec![T + 2.0 * p]);
+    }
 
-        // Unrecoverable even at the cap: every attempt (all clamped to
-        // ≤ 2^16 · base) lands inside the failure — shed, not panic.
-        let playback = wl.catalog.get(wl.requests.groups().next().unwrap().0).playback;
-        let horizon = cfg.base_backoff * (1u64 << 17) as f64 + playback * 4.0;
-        let plan = FaultPlan::new(vec![Fault::LinkFailure {
-            a: NodeId(1),
-            b: NodeId(2),
-            from: 0.0,
-            until: horizon,
-        }]);
-        let out = repair_schedule(&ctx, committed(&ctx, &wl), &plan, &cfg).unwrap();
-        assert!(!out.shed.is_empty(), "cut-off requests past the cap must shed");
-        for s in &out.shed {
-            assert_eq!(s.reason, ShedReason::RetriesExhausted);
-        }
+    #[test]
+    fn chained_failures_on_different_hops_deliver_after_the_later_one() {
+        let line = Line::new();
+        let p = line.playback();
+        let req = line.request(IS2, T);
+        // The bridge is down until half-way through the reserved stream;
+        // VW—IS1 goes down one playback after the reserved start, so a
+        // stream started when the bridge clears runs into it.
+        let vw_is1 = Fault::LinkFailure { a: NodeId(0), b: IS1, from: T + p, until: T + 3.0 * p };
+        let out = line.repair(&[req], &[bridge_failure(T - 1.0, T + p / 2.0), vw_is1]);
+        assert_eq!(out.delayed, vec![DelayRecord { request: req, delayed_start: T + 3.0 * p }]);
+        assert_eq!(delivery_starts(&out), vec![T + 3.0 * p]);
+    }
+
+    #[test]
+    fn a_failure_after_the_stream_ends_leaves_it_on_time() {
+        let line = Line::new();
+        let p = line.playback();
+        // The failure starts the instant the first stream ends (windows
+        // are half-open) and catches the second, in flight from T + 1.5p.
+        let (before, caught) = (line.request(IS2, T), line.request(IS2, T + 1.5 * p));
+        let out = line.repair(&[before, caught], &[bridge_failure(T + p, T + 2.0 * p)]);
+        assert_eq!(out.delayed, vec![DelayRecord { request: caught, delayed_start: T + 2.0 * p }]);
+        assert_eq!(delivery_starts(&out), vec![T, T + 2.0 * p]);
+    }
+
+    #[test]
+    fn a_day_long_bridge_failure_is_delivered_not_shed_and_replays_clean() {
+        let line = Line::new();
+        let p = line.playback();
+        // The bridge stays down for most of a day; IS1's user is not cut
+        // off and keeps its reservation.
+        let until = T + 20.0 * 3_600.0 + p;
+        let plan = FaultPlan::new(vec![bridge_failure(0.0, until)]);
+        let requests = [line.request(IS2, T), line.request(IS1, T), line.request(IS2, T + p)];
+        let out = line.repair(&requests, plan.faults());
+        assert_eq!(out.delayed.len(), 2, "both of IS2's requests wait: {:?}", out.delayed);
+        assert!(out.delayed.iter().all(|d| d.delayed_start == until));
+        assert_eq!(delivery_starts(&out), vec![T, until, until]);
+
+        let batch = RequestBatch::new(out.adjusted_requests(&requests));
+        let report = vod_simulator::simulate_with_faults(
+            &line.topo,
+            &line.catalog,
+            &line.model,
+            out.priced.schedule(),
+            &plan,
+            &[],
+            &vod_simulator::SimOptions::strict(&batch),
+        )
+        .expect("the plan validates");
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 }

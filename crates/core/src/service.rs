@@ -22,12 +22,14 @@
 //!   deterministic work counters — never from the wall clock, so a
 //!   run's rung sequence is bit-reproducible across machines and
 //!   [`ExecMode`]s;
-//! * shed and fault-displaced requests **re-enqueue into later cycles**
-//!   with capped exponential backoff and a drop-after-N policy
-//!   ([`BackoffPolicy`]); [`vod_faults::FaultPlan`] outages are wired
-//!   straight into the loop: a faulted cycle runs the repair pass of
-//!   [`crate::repair_schedule`] on the solve's own state, whose ledger
-//!   is the book plus this cycle's schedule;
+//! * shed requests **re-enqueue into later cycles** with capped
+//!   exponential backoff and a drop-after-N policy ([`BackoffPolicy`]);
+//! * [`vod_faults::FaultPlan`] faults are wired straight into the loop: a
+//!   faulted cycle runs the repair pass of [`crate::repair_schedule`] on
+//!   the solve's own state, whose ledger is the book plus this cycle's
+//!   schedule. Repair serves every request it is handed — a cut-off one
+//!   streams at the first instant its route is clear, counted as a
+//!   deadline miss — so faults never shed;
 //! * a cycle commits **once**: the schedule it returns, post-repair, is
 //!   the only thing the book absorbs, so the book never exceeds a store;
 //! * everything is accounted in a [`ServiceReport`]: per-cycle rung,
@@ -55,9 +57,9 @@
 //! replay of the same arrival trace, and with it every
 //! [`BudgetModel::pick`].
 
-use crate::repair::{adjusted_requests, backoff_multiplier, repair_state};
+use crate::repair::{adjusted_requests, repair_state};
 use crate::shard::solve_over;
-use crate::{detect_overflows, CommittedBook, RepairConfig, SchedCtx, ShardConfig, WarmStats};
+use crate::{detect_overflows, CommittedBook, SchedCtx, ShardConfig, WarmStats};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fmt::Write as _;
@@ -140,7 +142,7 @@ impl fmt::Display for IntakeError {
 
 impl std::error::Error for IntakeError {}
 
-/// Re-enqueue policy for shed and fault-displaced requests.
+/// Re-enqueue policy for shed requests.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct BackoffPolicy {
     /// Cycles to wait after the first failed attempt.
@@ -169,6 +171,49 @@ impl BackoffPolicy {
     }
 }
 
+/// The multiplier of backoff attempt `attempt` (1-based): `2^(attempt−1)`,
+/// the exponent clamped at 16 — past 2^16 a delay is already far beyond
+/// any cycle cap, and an unclamped exponent is a shift overflow from
+/// attempt 65 on.
+fn backoff_multiplier(attempt: u32) -> u64 {
+    1u64 << attempt.saturating_sub(1).min(16)
+}
+
+/// Why [`ServiceLoop::new`] refused a configuration.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ServiceError {
+    /// The fault plan does not validate against the topology.
+    Faults(FaultError),
+    /// The cycle horizon is not a positive, finite number of seconds.
+    Horizon(Secs),
+}
+
+impl fmt::Display for ServiceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServiceError::Faults(e) => write!(f, "invalid fault plan: {e}"),
+            ServiceError::Horizon(h) => {
+                write!(f, "cycle horizon {h} s is not positive and finite")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ServiceError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ServiceError::Faults(e) => Some(e),
+            ServiceError::Horizon(_) => None,
+        }
+    }
+}
+
+impl From<FaultError> for ServiceError {
+    fn from(e: FaultError) -> Self {
+        ServiceError::Faults(e)
+    }
+}
+
 /// Configuration of the service loop. The default is the *oracle*
 /// configuration: unbounded queue, infinite budget, no admission limit,
 /// no faults — bit-identical to the plain warm loop (see the module
@@ -194,13 +239,11 @@ pub struct ServiceConfig {
     /// committed occupancy at its start already holds at least this many
     /// bytes. `None` disables the test.
     pub saturation_bytes: Option<f64>,
-    /// Backoff policy for shed and fault-displaced requests.
+    /// Backoff policy for shed requests.
     pub backoff: BackoffPolicy,
     /// Faults injected over the run; each cycle repairs against the
     /// sub-plan of faults overlapping its window.
     pub faults: FaultPlan,
-    /// Retry/backoff policy handed to [`crate::repair_schedule`].
-    pub repair: RepairConfig,
 }
 
 impl Default for ServiceConfig {
@@ -213,7 +256,6 @@ impl Default for ServiceConfig {
             saturation_bytes: None,
             backoff: BackoffPolicy::default(),
             faults: FaultPlan::empty(),
-            repair: RepairConfig::default(),
         }
     }
 }
@@ -362,12 +404,12 @@ fn total_order_bits(x: f64) -> u64 {
 
 /// The ladder's heat ranking: which `n − keep` of the `n` tickets to
 /// shed. Lowest heat (fewest same-video tickets in the batch) goes
-/// first, ties broken on `(video, user, start)` — the repair scheduler's
-/// convention — and then on position, so of identical requests the one
-/// nearer the queue head goes first. Every ticket's rank key is built
-/// once; the position makes keys unique, so the `n − keep` smallest are
-/// one set however an unstable selection orders them, and it is the set
-/// a stable sort on the rest of the key would put first.
+/// first, ties broken on `(video, user, start)` and then on position, so
+/// of identical requests the one nearer the queue head goes first. Every
+/// ticket's rank key is built once; the position makes keys unique, so
+/// the `n − keep` smallest are one set however an unstable selection
+/// orders them, and it is the set a stable sort on the rest of the key
+/// would put first.
 fn shed_mask(tickets: &[Ticket], keep: usize) -> Vec<bool> {
     let n = tickets.len();
     let mut shed = vec![false; n];
@@ -441,9 +483,8 @@ pub struct ServiceCycleStats {
     pub admitted: usize,
     /// Requests the committed schedule actually serves (post-repair).
     pub served: usize,
-    /// Shed events this cycle: ladder shedding plus repair shedding.
-    /// Each shed request is also counted once under `deferred` or
-    /// `dropped`, whichever disposition it received.
+    /// Requests the ladder shed this cycle. Each is also counted once
+    /// under `deferred` or `dropped`, whichever disposition it received.
     pub shed: usize,
     /// Requests re-enqueued into a later cycle with backoff.
     pub deferred: usize,
@@ -491,8 +532,8 @@ pub struct ServiceCycleOutcome {
     /// solved batch. Lets callers check that no reservation is served
     /// twice or resurrected after a drop.
     pub served_originals: Vec<Request>,
-    /// Requests shed this cycle (ladder + repair), at the start they
-    /// were scheduled for when shed.
+    /// Requests the ladder shed this cycle, at the start they were
+    /// scheduled for when shed.
     pub shed_now: Vec<Request>,
     /// Original reservations dropped permanently this cycle
     /// (drop-after-N exceeded).
@@ -633,14 +674,13 @@ pub struct ServiceLoop {
 
 impl ServiceLoop {
     /// Open a service loop over `topo`. Fails when the configured fault
-    /// plan does not validate against the topology — the only poisoned
-    /// input a caller can hand in.
-    pub fn new(topo: &Topology, cfg: ServiceConfig) -> Result<Self, FaultError> {
+    /// plan does not validate against the topology, or when the cycle
+    /// horizon is not a positive, finite number of seconds.
+    pub fn new(topo: &Topology, cfg: ServiceConfig) -> Result<Self, ServiceError> {
         cfg.faults.validate(topo)?;
-        assert!(
-            cfg.horizon.is_finite() && cfg.horizon > 0.0,
-            "cycle horizon must be positive and finite"
-        );
+        if !(cfg.horizon.is_finite() && cfg.horizon > 0.0) {
+            return Err(ServiceError::Horizon(cfg.horizon));
+        }
         Ok(Self {
             cfg,
             book: CommittedBook::new(topo),
@@ -827,12 +867,11 @@ impl ServiceLoop {
                 .f64("ema_greedy_ns", greedy);
         });
 
-        // 4. Heat-ranked shedding (`shed_mask`). This cycle's parkings,
-        //    ladder and repair alike, enter the lot together once repair
-        //    is done.
+        // 4. Heat-ranked shedding (`shed_mask`); the shed tickets enter
+        //    the lot together.
         let mut shed_now: Vec<Request> = Vec::new();
-        let mut parked = Vec::new();
         if keep < kept.len() {
+            let mut parked = Vec::new();
             let shed = shed_mask(&kept, keep);
             let mut solved = Vec::with_capacity(keep);
             for (t, shed) in kept.into_iter().zip(shed) {
@@ -844,6 +883,7 @@ impl ServiceLoop {
                     solved.push(t);
                 }
             }
+            self.park(parked);
             kept = solved;
         }
 
@@ -901,11 +941,9 @@ impl ServiceLoop {
         });
 
         // 7. Repair the state against the window's faults, on its own
-        //    ledger (the book plus this cycle's schedule); displaced
-        //    requests re-enter the backoff pipeline.
+        //    ledger (the book plus this cycle's schedule); it serves every
+        //    ticket, a cut-off one late.
         let mut served: Vec<Request> = batch.iter().copied().collect();
-        // Tickets repair shed; the others are what the schedule serves.
-        let mut repair_shed = vec![false; kept.len()];
         let cycle_faults: Vec<Fault> = self
             .cfg
             .faults
@@ -918,30 +956,10 @@ impl ServiceLoop {
             // `new` validated the whole plan against this topology, and
             // validity is per fault: the sub-plan needs no second look.
             let sub = FaultPlan::new(cycle_faults);
-            let repair = repair_state(ctx, state, &sub, &self.cfg.repair, shard_cfg.sorp.policy);
-            for s in &repair.shed {
-                stats.shed += 1;
-                shed_now.push(s.request);
-                // Map the request back to its ticket — the first of its
-                // run not shed yet — so attempts and the original
-                // reservation survive the round trip.
-                let run = kept.partition_point(|t| t.request.batch_order(&s.request).is_lt());
-                let hit = (run..kept.len())
-                    .take_while(|&i| kept[i].request.batch_order(&s.request).is_eq())
-                    .find(|&i| !repair_shed[i]);
-                let t = match hit {
-                    Some(i) => {
-                        repair_shed[i] = true;
-                        kept[i]
-                    }
-                    None => Ticket { request: s.request, original: s.request, attempts: 0 },
-                };
-                dropped_now.extend(self.defer_or_drop(t, k, &mut stats, &mut parked));
-            }
+            let repair = repair_state(ctx, state, &sub, shard_cfg.sorp.policy);
             stats.delayed = repair.delayed.len();
-            served = adjusted_requests(&repair.shed, &repair.delayed, &served);
+            served = adjusted_requests(&repair.delayed, &served);
         }
-        self.park(parked);
 
         // 8. Finish the state and commit what ships — the one place a
         //    residency enters the book, which `overflow_free` speaks for.
@@ -958,10 +976,8 @@ impl ServiceLoop {
 
         // A request is late when repair delayed it or when backoff moved
         // it into a window after its original reservation. `kept` holds
-        // no ladder-shed ticket, and `repair_shed` marks exactly the
-        // tickets repair shed — not their identical twins.
-        stats.deadline_misses = stats.delayed
-            + kept.iter().zip(&repair_shed).filter(|(t, &shed)| t.attempts > 0 && !shed).count();
+        // no ladder-shed ticket.
+        stats.deadline_misses = stats.delayed + kept.iter().filter(|t| t.attempts > 0).count();
         stats.served = served.len();
 
         ctx.recorder.event("cycle_end", |e| {
@@ -996,12 +1012,7 @@ impl ServiceLoop {
             overflow_free,
             warm,
             served,
-            served_originals: kept
-                .iter()
-                .zip(&repair_shed)
-                .filter(|(_, &shed)| !shed)
-                .map(|(t, _)| t.original)
-                .collect(),
+            served_originals: kept.iter().map(|t| t.original).collect(),
             shed_now,
             dropped_now,
         }
@@ -1038,7 +1049,7 @@ pub fn service_run(
     cfg: &ServiceConfig,
     n_cycles: usize,
     mode: ExecMode,
-) -> Result<(Vec<ServiceCycleOutcome>, ServiceReport), FaultError> {
+) -> Result<(Vec<ServiceCycleOutcome>, ServiceReport), ServiceError> {
     debug_assert!(
         arrivals.windows(2).all(|w| w[0].at <= w[1].at),
         "arrival trace must be sorted by arrival time"
@@ -1129,6 +1140,13 @@ mod tests {
         assert_eq!(p.delay(4), 8);
         assert_eq!(p.delay(5), 8, "delay must cap at max_cycles");
         assert_eq!(p.delay(30), 8, "huge attempt counts must not overflow");
+        // From attempt 65 on an unclamped `1 << (attempt − 1)` overflows
+        // the shift; the exponent clamps at 16 instead.
+        assert_eq!(p.delay(80), 8);
+        assert_eq!(p.delay(u32::MAX), 8);
+        let uncapped = BackoffPolicy { max_cycles: usize::MAX, ..p };
+        assert_eq!(uncapped.delay(80), 1 << 16);
+        assert_eq!(uncapped.delay(u32::MAX), 1 << 16);
     }
 
     #[test]
@@ -1500,6 +1518,24 @@ mod tests {
             ..ServiceConfig::default()
         };
         let err = ServiceLoop::new(&topo, cfg).map(|_| ()).unwrap_err();
-        assert_eq!(err, FaultError::WarehouseOutage(topo.warehouse()));
+        assert!(
+            matches!(err, ServiceError::Faults(FaultError::WarehouseOutage(n)) if n == topo.warehouse())
+        );
+    }
+
+    #[test]
+    fn a_bad_horizon_is_a_typed_error() {
+        let (topo, _) = world(8);
+        for horizon in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -1.0] {
+            let cfg = ServiceConfig { horizon, ..ServiceConfig::default() };
+            let err = ServiceLoop::new(&topo, cfg).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(err, ServiceError::Horizon(h) if h.to_bits() == horizon.to_bits()),
+                "horizon {horizon}: {err:?}"
+            );
+            assert!(err.to_string().contains("horizon"));
+        }
+        let cfg = ServiceConfig { horizon: H, ..ServiceConfig::default() };
+        assert!(ServiceLoop::new(&topo, cfg).is_ok());
     }
 }

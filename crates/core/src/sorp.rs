@@ -59,7 +59,7 @@
 //!   victim vacates a contended node. Only a miss runs the rejective
 //!   greedy. The cache lives and dies with its pass: the next pass —
 //!   the sharded solve's global one included — starts with none;
-//! * the [`crate::OverflowMonitor`] rescans only storages whose ledger
+//! * the [`OverflowMonitor`] rescans only storages whose ledger
 //!   version moved, instead of every node's full timeline.
 //!
 //! The naive loop — re-detect every overflow with a full scan and re-run
@@ -74,10 +74,11 @@
 //! thread; the independent unit of work is the shard
 //! ([`crate::shard_solve`]), not the trial.
 
+use crate::overflow::OverflowMonitor;
 use crate::{
     detect_overflows, heat_of, overflow_set, reschedule_video_traced, Constraints, GreedyPolicy,
-    HeatMetric, Interval, LedgerCursor, LedgerDelta, Overflow, OverflowMonitor, PricedSchedule,
-    SchedCtx, StorageLedger, TrialTrace,
+    HeatMetric, Interval, LedgerCursor, LedgerDelta, Overflow, PricedSchedule, SchedCtx,
+    StorageLedger, TrialTrace,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;

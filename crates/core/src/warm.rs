@@ -140,13 +140,6 @@ impl CommittedBook {
     pub fn spillover_at(&self, t: Secs) -> f64 {
         self.touched.iter().map(|&loc| self.ledger.usage_at(loc, t, None)).sum::<f64>().max(0.0)
     }
-
-    /// Every active `(storage, profile)` pair, in commit order per node.
-    pub fn profiles(&self) -> impl Iterator<Item = (NodeId, vod_cost_model::SpaceProfile)> + '_ {
-        self.touched
-            .iter()
-            .flat_map(move |&loc| self.ledger.profiles_at(loc).iter().map(move |&(_, p)| (loc, p)))
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +165,7 @@ mod tests {
         // The early profile (end 6 000) drains before t = 50 000.
         assert_eq!(book.evict_expired(50_000.0), 1);
         assert_eq!(book.active(), 1);
-        assert_eq!(book.profiles().count(), 1);
+        assert_eq!(book.ledger().profile_count(loc), 1);
         assert_eq!(book.spillover_at(1_000.0), 0.0, "evicted profile holds nothing");
         assert!(book.spillover_at(90_000.0) > 0.0);
     }

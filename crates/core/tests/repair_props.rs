@@ -1,23 +1,23 @@
 //! Property tests for incremental schedule repair: random fault plans
-//! over random workloads must leave no service broken, account for every
-//! request (served, delayed, or shed — never silently dropped), respect
-//! storage capacities, and stay deterministic; the zero-fault repair must
-//! be a bit-identical no-op.
+//! over random workloads must leave no service broken, serve every
+//! request (late, never shed), respect storage capacities, and stay
+//! deterministic; the zero-fault repair must be a bit-identical no-op.
+//! And generated fault plans never cut a home off for a cycle, which is
+//! why repair's cut-off branch carries no benchmark traffic.
 
 use proptest::prelude::*;
 use vod_core::{
     detect_overflows, ivsp_solve_priced, repair_schedule, sorp_solve_priced, ExecMode,
-    PricedSchedule, RepairConfig, SchedCtx, ServiceConfig, ServiceLoop, SorpConfig, StorageLedger,
+    PricedSchedule, SchedCtx, ServiceConfig, ServiceLoop, SorpConfig, StorageLedger,
 };
 use vod_cost_model::{CostModel, Request};
-use vod_faults::{FaultConfig, FaultPlan};
-use vod_topology::{builders, Topology};
+use vod_faults::{Fault, FaultConfig, FaultPlan};
+use vod_topology::{builders, RouteTable, Topology};
 use vod_workload::{CatalogConfig, RequestConfig, Workload};
 
 const HORIZON: f64 = 24.0 * 3_600.0;
 
-/// A random degraded-mode scenario: which workload, which faults, and how
-/// patient the retry policy is.
+/// A random degraded-mode scenario: which workload and which faults.
 #[derive(Clone, Debug)]
 struct Scenario {
     workload_seed: u64,
@@ -26,7 +26,6 @@ struct Scenario {
     node_outages: usize,
     link_failures: usize,
     link_degradations: usize,
-    max_retries: u32,
 }
 
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
@@ -37,7 +36,6 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         0usize..3,
         0usize..3,
         0usize..2,
-        0u32..6,
     )
         .prop_map(
             |(
@@ -47,7 +45,6 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
                 node_outages,
                 link_failures,
                 link_degradations,
-                max_retries,
             )| Scenario {
                 workload_seed,
                 fault_seed,
@@ -55,7 +52,6 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
                 node_outages,
                 link_failures,
                 link_degradations,
-                max_retries,
             },
         )
 }
@@ -97,34 +93,28 @@ proptest! {
 
     /// After repair, the fault plan breaks nothing: no transfer crosses a
     /// failed link during its failure window and no live copy overlaps an
-    /// outage at its node. Every original request is served, delayed, or
-    /// shed — the counts reconcile exactly — and repair is deterministic.
+    /// outage at its node. Every original request is delivered exactly
+    /// once, and repair is deterministic.
     #[test]
     fn repair_leaves_no_broken_service(s in scenario_strategy()) {
         let (topo, wl, plan) = build(&s);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
         let (priced, _) = committed(&ctx, &wl);
-        let cfg = RepairConfig { max_retries: s.max_retries, ..RepairConfig::default() };
 
-        let out = repair_schedule(&ctx, priced.clone(), &plan, &cfg).unwrap();
+        let out = repair_schedule(&ctx, priced.clone(), &plan).unwrap();
         let post = plan.impact(out.priced.schedule(), &wl.catalog, model.space_model());
         prop_assert!(post.is_empty(), "repair left broken services: {post:?}");
 
-        // Request accounting: deliveries + shed = original batch.
-        let deliveries = out.priced.schedule().delivery_count();
-        prop_assert_eq!(deliveries + out.shed.len(), wl.requests.len());
+        // Full delivery: repair never sheds.
+        prop_assert_eq!(out.priced.schedule().delivery_count(), wl.requests.len());
         let original: Vec<Request> =
             wl.requests.groups().flat_map(|(_, g)| g.iter().copied()).collect();
-        prop_assert_eq!(out.adjusted_requests(&original).len(), deliveries);
-
-        // Shed records come lowest-heat first.
-        prop_assert!(out.shed.windows(2).all(|w| w[0].heat <= w[1].heat));
+        prop_assert_eq!(out.adjusted_requests(&original).len(), wl.requests.len());
 
         // Bit-identical decisions on a second run.
-        let again = repair_schedule(&ctx, priced, &plan, &cfg).unwrap();
+        let again = repair_schedule(&ctx, priced, &plan).unwrap();
         prop_assert_eq!(out.priced.schedule(), again.priced.schedule());
-        prop_assert_eq!(out.shed, again.shed);
         prop_assert_eq!(out.delayed, again.delayed);
 
         // The pricing memo stays consistent with a from-scratch pricing.
@@ -140,9 +130,8 @@ proptest! {
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
         let (priced, overflow_free) = committed(&ctx, &wl);
         prop_assume!(overflow_free);
-        let cfg = RepairConfig { max_retries: s.max_retries, ..RepairConfig::default() };
 
-        let out = repair_schedule(&ctx, priced, &plan, &cfg).unwrap();
+        let out = repair_schedule(&ctx, priced, &plan).unwrap();
         let ledger = StorageLedger::from_schedule(&topo, &wl.catalog, out.priced.schedule());
         let overflows = detect_overflows(&topo, &ledger);
         prop_assert!(overflows.is_empty(), "repair re-introduced overflows: {overflows:?}");
@@ -153,7 +142,7 @@ proptest! {
         // in use is within one profile of capacity) and repairs it on that
         // very ledger — base + schedule never overflows.
         let faults = plan_over(&topo, &s, 3);
-        let service = ServiceConfig { faults, repair: cfg, ..ServiceConfig::default() };
+        let service = ServiceConfig { faults, ..ServiceConfig::default() };
         let mut svc = ServiceLoop::new(&topo, service).unwrap();
         for day in 0..3 {
             for r in wl.requests.iter() {
@@ -166,12 +155,11 @@ proptest! {
         }
     }
 
-    /// Zero faults: repair is a bit-identical no-op, whatever the config.
+    /// Zero faults: repair is a bit-identical no-op.
     #[test]
     fn zero_faults_is_a_bit_identical_noop(
         workload_seed in 0u64..1_000,
         capacity_gb in prop_oneof![Just(5.0), Just(10_000.0)],
-        max_retries in 0u32..6,
     ) {
         let s = Scenario {
             workload_seed,
@@ -180,7 +168,6 @@ proptest! {
             node_outages: 0,
             link_failures: 0,
             link_degradations: 0,
-            max_retries,
         };
         let (topo, wl, plan) = build(&s);
         prop_assert!(plan.is_empty());
@@ -190,12 +177,60 @@ proptest! {
         let before = priced.schedule().clone();
         let total = priced.total();
 
-        let cfg = RepairConfig { max_retries, ..RepairConfig::default() };
-        let out = repair_schedule(&ctx, priced, &plan, &cfg).unwrap();
+        let out = repair_schedule(&ctx, priced, &plan).unwrap();
         prop_assert!(out.unchanged);
         prop_assert_eq!(out.priced.schedule(), &before);
         prop_assert_eq!(out.cost(), total);
-        prop_assert!(out.shed.is_empty() && out.delayed.is_empty());
-        prop_assert_eq!(out.retry_attempts, 0);
+        prop_assert!(out.delayed.is_empty());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// A generated plan only fails links whose removal keeps the graph
+    /// connected, so no cycle's faults cut a home off: for every 24 h
+    /// sub-plan of a 3-day plan — the faults overlapping that window, as
+    /// the service loop repairs against — every home stays reachable from
+    /// the warehouse around the sub-plan's failed links. This is why
+    /// repair's cut-off branch is never taken on a generated plan.
+    #[test]
+    fn generated_plans_never_cut_a_home_off_for_a_cycle(
+        fault_seed in any::<u64>(),
+        topo_seed in 0u64..1_000,
+        node_outages in 0usize..=4,
+        link_failures in 0usize..=6,
+        link_degradations in 0usize..=2,
+        fig4 in any::<bool>(),
+        extra_edges in 0usize..=3,
+    ) {
+        let topo = if fig4 {
+            builders::paper_fig4(&builders::PaperFig4Config::default())
+        } else {
+            builders::random_connected(&builders::GenConfig::default(), extra_edges, topo_seed)
+        };
+        let days = 3;
+        let fcfg = FaultConfig {
+            node_outages,
+            link_failures,
+            link_degradations,
+            horizon: days as f64 * HORIZON,
+            ..FaultConfig::default()
+        };
+        let plan = FaultPlan::generate(&topo, &fcfg, fault_seed);
+        let vw = topo.warehouse();
+        for day in 0..days {
+            let (t0, t1) = (day as f64 * HORIZON, (day + 1) as f64 * HORIZON);
+            let sub: Vec<Fault> =
+                plan.faults().iter().filter(|f| f.overlaps(t0, t1)).copied().collect();
+            let sub = FaultPlan::new(sub);
+            let routes = RouteTable::build_avoiding(&topo, &sub.failed_links());
+            for user in topo.users() {
+                prop_assert!(
+                    routes.reachable(vw, user.home),
+                    "day {}: home {} cut off by {:?}", day, user.home, sub.failed_links()
+                );
+            }
+        }
     }
 }

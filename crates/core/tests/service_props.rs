@@ -478,3 +478,55 @@ fn a_served_twin_of_a_shed_ticket_is_still_a_deadline_miss() {
     assert_eq!(report.in_flight, 1, "`late` is parked");
     assert_eq!(report.conservation_error(), 0);
 }
+
+/// A hand-built plan cuts IS2 off for the whole first cycle (the IS1—IS2
+/// bridge is IS2's only link). The cycle still serves every request it
+/// admitted — IS2's at the instant the bridge comes back, each counted as
+/// a deadline miss — sheds nothing, and replays clean.
+#[test]
+fn a_cut_off_storage_is_served_late_not_shed() {
+    use vod_faults::{Fault, FaultPlan};
+    use vod_simulator::{cycle_is_clean, replay_service_cycle};
+    use vod_topology::{units, TopologyBuilder};
+
+    let mut b = TopologyBuilder::new();
+    let vw = b.add_warehouse("VW");
+    let is1 = b.add_storage("IS1", units::srate_per_gb_hour(1.0), units::gb(5.0));
+    let is2 = b.add_storage("IS2", units::srate_per_gb_hour(1.0), units::gb(5.0));
+    b.connect(vw, is1, units::nrate_per_gb(100.0)).unwrap();
+    b.connect(is1, is2, units::nrate_per_gb(100.0)).unwrap();
+    b.add_users(is1, 4);
+    b.add_users(is2, 4);
+    let topo = b.build().unwrap();
+    let catalog = generate_catalog(&CatalogConfig::small(30), 5);
+    let model = CostModel::per_hop();
+    let ctx = SchedCtx::new(&topo, &model, &catalog);
+    let arrivals = arrivals_for(&topo, &catalog, 5, 2, vec![]);
+    let faults =
+        FaultPlan::new(vec![Fault::LinkFailure { a: is1, b: is2, from: 0.0, until: HORIZON }]);
+    let cfg = ServiceConfig { faults, ..ServiceConfig::default() };
+    let (outs, report) = service_run(&ctx, &arrivals, &cfg, 2, ExecMode::Sequential).unwrap();
+
+    for out in &outs {
+        let k = out.stats.cycle;
+        assert!(out.shed_now.is_empty(), "cycle {k} shed {:?}", out.shed_now);
+        assert_eq!(out.stats.shed, 0, "cycle {k}");
+        assert_eq!(out.served.len(), out.stats.admitted, "cycle {k}");
+        assert_eq!(out.schedule.delivery_count(), out.served.len(), "cycle {k}");
+        assert_eq!(out.stats.deadline_misses, out.stats.delayed, "cycle {k}");
+        let sim = replay_service_cycle(&topo, &catalog, &model, out);
+        assert!(cycle_is_clean(&sim), "cycle {k}: {:?}", sim.violations);
+    }
+    // Cycle 0 serves IS2's requests exactly when the bridge comes back,
+    // and IS1's on time.
+    let (cut_off, reachable): (Vec<&Request>, Vec<&Request>) =
+        outs[0].served.iter().partition(|r| topo.home_of(r.user) == is2);
+    assert!(cut_off.iter().all(|r| r.start == HORIZON), "{cut_off:?}");
+    assert!(reachable.iter().all(|r| r.start < HORIZON), "{reachable:?}");
+    assert_eq!(outs[0].stats.delayed, cut_off.len());
+    assert!(outs[0].stats.delayed > 0, "the plan cut nobody off");
+    assert_eq!(outs[1].stats.delayed, 0, "the bridge is back in cycle 1");
+    assert_eq!(report.served, arrivals.len());
+    assert_eq!(report.deadline_misses, outs[0].stats.delayed);
+    assert_eq!(report.conservation_error(), 0);
+}

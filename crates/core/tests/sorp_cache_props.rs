@@ -451,7 +451,11 @@ impl Cell {
             let batch =
                 RequestBatch::new(self.arrivals[first..next].iter().map(|a| a.request).collect());
             book.evict_expired(t0);
-            let external: Vec<(NodeId, SpaceProfile)> = book.profiles().collect();
+            let external: Vec<(NodeId, SpaceProfile)> = self
+                .topo
+                .storages()
+                .flat_map(|loc| book.ledger().profiles_at(loc).iter().map(move |&(_, p)| (loc, p)))
+                .collect();
             let out =
                 shard_solve_seeded(&ctx, &batch, &self.cfg, book.ledger(), ExecMode::Sequential);
             book.absorb(&ctx, &out.sorp.schedule);

@@ -149,12 +149,14 @@ proptest! {
             );
             // Every surviving profile (carried or freshly absorbed) still
             // holds space past the window start.
-            for (loc, p) in book.profiles() {
-                prop_assert!(
-                    p.end > t0,
-                    "cycle {}: drained profile [{}, {}] at {} survived eviction",
-                    k, p.start, p.end, loc
-                );
+            for loc in topo.storages() {
+                for &(_, p) in book.ledger().profiles_at(loc) {
+                    prop_assert!(
+                        p.end > t0,
+                        "cycle {}: drained profile [{}, {}] at {} survived eviction",
+                        k, p.start, p.end, loc
+                    );
+                }
             }
             // The schedule serves exactly this cycle's batch.
             prop_assert_eq!(

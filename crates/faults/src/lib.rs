@@ -91,10 +91,26 @@ impl Fault {
     pub fn link(&self) -> Option<(NodeId, NodeId)> {
         match *self {
             Fault::LinkFailure { a, b, .. } | Fault::LinkDegraded { a, b, .. } => {
-                Some(if a.0 <= b.0 { (a, b) } else { (b, a) })
+                Some(link_key(a, b))
             }
             Fault::NodeOutage { .. } => None,
         }
+    }
+
+    /// Whether this is a link failure on some hop of `route`, either
+    /// orientation.
+    fn fails_a_hop_of(&self, route: &[NodeId]) -> bool {
+        matches!(self, Fault::LinkFailure { .. })
+            && route.windows(2).any(|hop| self.link() == Some(link_key(hop[0], hop[1])))
+    }
+}
+
+/// The link `a—b` normalised so the smaller id comes first.
+fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+    if a.0 <= b.0 {
+        (a, b)
+    } else {
+        (b, a)
     }
 }
 
@@ -334,17 +350,6 @@ impl FaultPlan {
         Self { faults }
     }
 
-    /// Storages hit by at least one outage, ascending.
-    pub fn down_nodes(&self) -> BTreeSet<NodeId> {
-        self.faults
-            .iter()
-            .filter_map(|f| match *f {
-                Fault::NodeOutage { node, .. } => Some(node),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Links hit by at least one failure, normalised `a <= b`, sorted and
     /// deduplicated.
     pub fn failed_links(&self) -> Vec<(NodeId, NodeId)> {
@@ -359,17 +364,6 @@ impl FaultPlan {
         set.into_iter().collect()
     }
 
-    /// The outage windows at `node`, in injection order.
-    pub fn outages_at(&self, node: NodeId) -> Vec<(Secs, Secs)> {
-        self.faults
-            .iter()
-            .filter_map(|f| match *f {
-                Fault::NodeOutage { node: n, from, until } if n == node => Some((from, until)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// All outage windows as `(node, from, until)`, in injection order.
     pub fn outage_windows(&self) -> Vec<(NodeId, Secs, Secs)> {
         self.faults
@@ -381,23 +375,25 @@ impl FaultPlan {
             .collect()
     }
 
-    /// Whether `node` suffers an outage overlapping `[start, end)`.
-    pub fn node_down_during(&self, node: NodeId, start: Secs, end: Secs) -> bool {
-        self.faults.iter().any(|f| match *f {
-            Fault::NodeOutage { node: n, .. } => n == node && f.overlaps(start, end),
-            _ => false,
-        })
-    }
-
-    /// Whether the link `a—b` (either orientation) fails during
-    /// `[start, end)`.
-    pub fn link_failed_during(&self, a: NodeId, b: NodeId, start: Secs, end: Secs) -> bool {
-        let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        self.faults.iter().any(|f| {
-            matches!(f, Fault::LinkFailure { .. })
-                && f.link() == Some(key)
-                && f.overlaps(start, end)
-        })
+    /// The first instant `t ≥ from` at which a stream of length `playback`
+    /// over `route` crosses no failed link: no link failure on a hop of
+    /// the route (either orientation) overlaps `[t, t + playback)`. While
+    /// some failure does, `t` jumps to the latest such `until`; a failure
+    /// jumped past never overlaps again, so there is at most one step per
+    /// failure.
+    pub fn first_clear_start(&self, route: &[NodeId], from: Secs, playback: Secs) -> Secs {
+        let failures: Vec<&Fault> =
+            self.faults.iter().filter(|f| f.fails_a_hop_of(route)).collect();
+        let mut t = from;
+        while let Some(until) = failures
+            .iter()
+            .filter(|f| f.overlaps(t, t + playback))
+            .map(|f| f.window().1)
+            .reduce(f64::max)
+        {
+            t = until;
+        }
+        t
     }
 
     /// The everything-failed-at-once topology: the original graph with
@@ -421,18 +417,10 @@ impl FaultPlan {
             let playback = catalog.get(vs.video).playback;
             for t in &vs.transfers {
                 let in_flight = (t.start, t.start + playback);
-                let broken = self.faults.iter().find(|f| {
-                    matches!(f, Fault::LinkFailure { .. })
-                        && f.overlaps(in_flight.0, in_flight.1)
-                        && t.route.windows(2).any(|hop| {
-                            let key = if hop[0].0 <= hop[1].0 {
-                                (hop[0], hop[1])
-                            } else {
-                                (hop[1], hop[0])
-                            };
-                            f.link() == Some(key)
-                        })
-                });
+                let broken = self
+                    .faults
+                    .iter()
+                    .find(|f| f.overlaps(in_flight.0, in_flight.1) && f.fails_a_hop_of(&t.route));
                 if let Some(&fault) = broken {
                     impact.broken_transfers.push(BrokenTransfer {
                         fault,
@@ -639,17 +627,62 @@ mod tests {
             Fault::NodeOutage { node: NodeId(2), from: 100.0, until: 200.0 },
             Fault::LinkFailure { a: NodeId(3), b: NodeId(0), from: 50.0, until: 60.0 },
         ]);
-        assert!(plan.node_down_during(NodeId(2), 150.0, 160.0));
-        assert!(plan.node_down_during(NodeId(2), 0.0, 101.0));
-        assert!(!plan.node_down_during(NodeId(2), 200.0, 300.0), "half-open window");
-        assert!(!plan.node_down_during(NodeId(1), 150.0, 160.0));
-        assert!(plan.link_failed_during(NodeId(0), NodeId(3), 55.0, 56.0));
-        assert!(plan.link_failed_during(NodeId(3), NodeId(0), 55.0, 56.0));
-        assert!(!plan.link_failed_during(NodeId(3), NodeId(0), 60.0, 70.0));
-        assert_eq!(plan.down_nodes().into_iter().collect::<Vec<_>>(), vec![NodeId(2)]);
         assert_eq!(plan.failed_links(), vec![(NodeId(0), NodeId(3))]);
-        assert_eq!(plan.outages_at(NodeId(2)), vec![(100.0, 200.0)]);
         assert_eq!(plan.outage_windows(), vec![(NodeId(2), 100.0, 200.0)]);
+    }
+
+    fn failure(a: u32, b: u32, from: Secs, until: Secs) -> Fault {
+        Fault::LinkFailure { a: NodeId(a), b: NodeId(b), from, until }
+    }
+
+    #[test]
+    fn first_clear_start_is_from_when_the_route_is_clear() {
+        let route = [NodeId(0), NodeId(1), NodeId(2)];
+        let plan = FaultPlan::new(vec![
+            // Wholly after the stream: `[100, 150)` ends where it starts.
+            failure(1, 2, 150.0, 400.0),
+            // Wholly before it.
+            failure(0, 1, 0.0, 100.0),
+            // Overlapping, but on a link off the route.
+            failure(2, 3, 0.0, 1e6),
+            // Overlapping, but only an outage and a degradation.
+            Fault::NodeOutage { node: NodeId(1), from: 0.0, until: 1e6 },
+            Fault::LinkDegraded { a: NodeId(0), b: NodeId(1), from: 0.0, until: 1e6, factor: 0.5 },
+        ]);
+        assert_eq!(plan.first_clear_start(&route, 100.0, 50.0), 100.0);
+        assert_eq!(FaultPlan::empty().first_clear_start(&route, 100.0, 50.0), 100.0);
+        assert_eq!(plan.first_clear_start(&route[..1], 100.0, 1e9), 100.0, "a zero-hop route");
+    }
+
+    #[test]
+    fn first_clear_start_jumps_to_the_end_of_the_covering_failure() {
+        let route = [NodeId(0), NodeId(1), NodeId(2)];
+        // Either orientation of a hop counts.
+        for plan in [
+            FaultPlan::new(vec![failure(1, 2, 90.0, 500.0)]),
+            FaultPlan::new(vec![failure(2, 1, 90.0, 500.0)]),
+        ] {
+            assert_eq!(plan.first_clear_start(&route, 100.0, 50.0), 500.0);
+        }
+        // A failure starting inside the stream blocks it too.
+        let plan = FaultPlan::new(vec![failure(0, 1, 140.0, 300.0)]);
+        assert_eq!(plan.first_clear_start(&route, 100.0, 50.0), 300.0);
+    }
+
+    #[test]
+    fn first_clear_start_chains_failures_on_different_hops() {
+        let route = [NodeId(0), NodeId(1), NodeId(2)];
+        // Clearing the first failure at 200 lands the stream `[200, 250)`
+        // on the second, which clears at 600; the third starts at 650.
+        let plan = FaultPlan::new(vec![
+            failure(2, 1, 240.0, 600.0),
+            failure(0, 1, 90.0, 200.0),
+            failure(0, 1, 650.0, 700.0),
+        ]);
+        assert_eq!(plan.first_clear_start(&route, 100.0, 50.0), 600.0);
+        // Two failures overlapping the same start: the later end wins.
+        let plan = FaultPlan::new(vec![failure(0, 1, 0.0, 300.0), failure(1, 2, 0.0, 200.0)]);
+        assert_eq!(plan.first_clear_start(&route, 100.0, 50.0), 300.0);
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! `CacheFillStart → [CacheFillComplete] → CacheDrainStart →
 //! CacheDrainEnd`; `FaultStart → FaultEnd`). The replay expands every
 //! chain up front, sorts the flat list once by [`Event::replay_order`],
-//! and sweeps it — no queue. Along a chain the times are non-decreasing
-//! and the order's kind rank strictly increases, so the sorted list is
-//! exactly the sequence a streaming min-heap over the chain heads would
-//! pop (the `replay_props` suite holds that heap as its oracle).
+//! and sweeps it — no queue. Along a chain the times are non-decreasing,
+//! and where two links of a chain share a time the order's kind rank
+//! increases (a fault's two events never do: its window is validated
+//! non-empty), so the sorted list is exactly the sequence a streaming
+//! min-heap over the chain heads would pop (the `replay_props` suite
+//! holds that heap as its oracle).
 
 use std::cmp::Ordering;
 use vod_cost_model::{Secs, VideoId};
@@ -81,17 +83,19 @@ impl Event {
     /// NOT assumed — order is purely for determinism), then video, node.
     fn key(&self) -> (u8, u32, u32, usize) {
         let (d, idx) = match self.kind {
-            // Faults open first and close last at equal times, so a stream
-            // starting the instant a failure begins is counted as running
-            // on a dead link, and one starting at recovery is not.
-            EventKind::FaultStart { fault } => (0, fault),
-            EventKind::StreamStart { transfer } => (1, transfer),
-            EventKind::CacheFillStart { residency } => (2, residency),
-            EventKind::CacheFillComplete { residency } => (3, residency),
-            EventKind::CacheDrainStart { residency } => (4, residency),
-            EventKind::StreamEnd { transfer } => (5, transfer),
-            EventKind::CacheDrainEnd { residency } => (6, residency),
-            EventKind::FaultEnd { fault } => (7, fault),
+            // Faults close, then open, before anything else at equal
+            // times, so a stream starting the instant a failure begins is
+            // counted as running on a dead link, and one starting at
+            // recovery is not: the half-open `[from, until)` windows of
+            // `vod_faults`.
+            EventKind::FaultEnd { fault } => (0, fault),
+            EventKind::FaultStart { fault } => (1, fault),
+            EventKind::StreamStart { transfer } => (2, transfer),
+            EventKind::CacheFillStart { residency } => (3, residency),
+            EventKind::CacheFillComplete { residency } => (4, residency),
+            EventKind::CacheDrainStart { residency } => (5, residency),
+            EventKind::StreamEnd { transfer } => (6, transfer),
+            EventKind::CacheDrainEnd { residency } => (7, residency),
         };
         (d, self.video.0, self.node.0, idx)
     }
@@ -148,17 +152,24 @@ mod tests {
     }
 
     #[test]
-    fn faults_bracket_everything_else_at_equal_times() {
+    fn faults_close_then_open_before_everything_else_at_equal_times() {
         let kinds: Vec<_> = sorted(vec![
             ev(2.0, EventKind::StreamStart { transfer: 0 }),
-            ev(2.0, EventKind::FaultEnd { fault: 0 }),
             ev(2.0, EventKind::FaultStart { fault: 1 }),
             ev(2.0, EventKind::CacheDrainEnd { residency: 0 }),
+            ev(2.0, EventKind::FaultEnd { fault: 0 }),
         ])
         .iter()
         .map(|e| e.kind)
         .collect();
-        assert_eq!(kinds.first(), Some(&EventKind::FaultStart { fault: 1 }));
-        assert_eq!(kinds.last(), Some(&EventKind::FaultEnd { fault: 0 }));
+        assert_eq!(
+            kinds,
+            [
+                EventKind::FaultEnd { fault: 0 },
+                EventKind::FaultStart { fault: 1 },
+                EventKind::StreamStart { transfer: 0 },
+                EventKind::CacheDrainEnd { residency: 0 },
+            ]
+        );
     }
 }

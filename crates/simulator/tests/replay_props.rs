@@ -42,17 +42,19 @@ mod oracle {
     fn key(this: &Event) -> (u8, u32, u32, usize) {
         {
             let (d, idx) = match this.kind {
-                // Faults open first and close last at equal times, so a stream
-                // starting the instant a failure begins is counted as running
-                // on a dead link, and one starting at recovery is not.
-                EventKind::FaultStart { fault } => (0, fault),
-                EventKind::StreamStart { transfer } => (1, transfer),
-                EventKind::CacheFillStart { residency } => (2, residency),
-                EventKind::CacheFillComplete { residency } => (3, residency),
-                EventKind::CacheDrainStart { residency } => (4, residency),
-                EventKind::StreamEnd { transfer } => (5, transfer),
-                EventKind::CacheDrainEnd { residency } => (6, residency),
-                EventKind::FaultEnd { fault } => (7, fault),
+                // Faults close, then open, before anything else at equal
+                // times, so a stream starting the instant a failure begins is
+                // counted as running on a dead link, and one starting at
+                // recovery is not: the half-open `[from, until)` windows of
+                // `vod_faults`.
+                EventKind::FaultEnd { fault } => (0, fault),
+                EventKind::FaultStart { fault } => (1, fault),
+                EventKind::StreamStart { transfer } => (2, transfer),
+                EventKind::CacheFillStart { residency } => (3, residency),
+                EventKind::CacheFillComplete { residency } => (4, residency),
+                EventKind::CacheDrainStart { residency } => (5, residency),
+                EventKind::StreamEnd { transfer } => (6, transfer),
+                EventKind::CacheDrainEnd { residency } => (7, residency),
             };
             (d, this.video.0, this.node.0, idx)
         }
@@ -130,10 +132,11 @@ mod oracle {
     ///
     /// **Order preservation.** The streamed pop sequence is bit-identical to
     /// sorting all events up front, because along every chain the times are
-    /// non-decreasing *and* the deterministic key's discriminant strictly
-    /// increases — so a chain's unpopped earliest event is always its
-    /// pending head, and the heap's minimum over heads is the global
-    /// minimum over all remaining events. `pop` debug-asserts the
+    /// non-decreasing *and*, where two links share a time, the deterministic
+    /// key's discriminant increases (a validated fault window is non-empty,
+    /// so its two events never do) — so a chain's unpopped earliest event
+    /// is always its pending head, and the heap's minimum over heads is
+    /// the global minimum over all remaining events. `pop` debug-asserts the
     /// non-decreasing half of that contract on every advance.
     pub struct PendingQueue<F: FnMut(&Event) -> Option<Event>> {
         queue: EventQueue,

@@ -55,6 +55,28 @@ cargo test -q --offline -p vod-core repair
 cargo test -q --offline -p vod-core --test repair_props
 cargo test -q --offline --test fault_injection_e2e --test failure_injection
 cargo test -q --offline -p vod-simulator --test replay_props
+# Repair reads the plan instead of probing it: a cut-off request streams
+# at the first clear instant and is never shed, replay honours the
+# half-open fault windows that instant sits on, generated plans never cut
+# a home off for a cycle, and a bad horizon is a typed error.
+cargo test -q --offline -p vod-faults --lib -- first_clear_start_
+cargo test -q --offline -p vod-core --lib -- --exact \
+  repair::tests::a_cut_off_request_whose_route_is_clear_at_start_is_on_time \
+  repair::tests::a_cut_off_request_is_delivered_when_the_covering_failure_ends \
+  repair::tests::chained_failures_on_different_hops_deliver_after_the_later_one \
+  repair::tests::a_failure_after_the_stream_ends_leaves_it_on_time \
+  repair::tests::a_day_long_bridge_failure_is_delivered_not_shed_and_replays_clean \
+  service::tests::backoff_delay_is_capped_exponential \
+  service::tests::invalid_fault_plan_is_a_typed_error \
+  service::tests::a_bad_horizon_is_a_typed_error
+cargo test -q --offline -p vod-simulator --lib -- --exact \
+  event::tests::faults_close_then_open_before_everything_else_at_equal_times
+cargo test -q --offline -p vod-core --test repair_props -- --exact \
+  generated_plans_never_cut_a_home_off_for_a_cycle repair_leaves_no_broken_service
+cargo test -q --offline -p vod-core --test service_props -- --exact \
+  a_cut_off_storage_is_served_late_not_shed
+cargo test -q --offline --test fault_injection_e2e -- --exact \
+  link_failure_repair_replays_cleanly_under_the_plan
 
 echo "==> data-model suites (shared routes, flat batches) and the per-request budgets"
 cargo test -q --offline -p vod-core --test route_props

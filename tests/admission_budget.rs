@@ -76,8 +76,10 @@ fn a_sorp_trial_stays_within_its_admission_budget() {
         for part in partition_requests(&topo, &batch, &spec) {
             let phase1 = ivsp_solve_priced_with(&ctx, &part, cfg.sorp.policy, ExecMode::Sequential);
             let mut ledger = StorageLedger::new(&topo);
-            for (loc, profile) in book.profiles() {
-                ledger.add(loc, EXTERNAL_OCCUPANCY, profile);
+            for loc in topo.storages() {
+                for &(_, profile) in book.ledger().profiles_at(loc) {
+                    ledger.add(loc, EXTERNAL_OCCUPANCY, profile);
+                }
             }
             for r in phase1.schedule().residencies() {
                 ledger.add(r.loc, r.video, r.profile(catalog.get(r.video)));

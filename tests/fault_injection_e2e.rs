@@ -5,8 +5,8 @@
 //! robustness extension.
 
 use vod_paradigm::core::{
-    ivsp_solve_priced, repair_schedule, sorp_solve_priced, ExecMode, PricedSchedule, RepairConfig,
-    SchedCtx, SorpConfig,
+    ivsp_solve_priced, repair_schedule, sorp_solve_priced, ExecMode, PricedSchedule, SchedCtx,
+    SorpConfig,
 };
 use vod_paradigm::faults::{Fault, FaultConfig, FaultPlan};
 use vod_paradigm::prelude::*;
@@ -76,9 +76,9 @@ fn is_outage_mid_horizon_repairs_to_strict_valid() {
     // Repair, then strict replay over the post-fault topology (a node
     // outage removes no links, so the degraded topology is structurally
     // identical — the schedule just must not store anything there).
-    let out = repair_schedule(&ctx, priced, &plan, &RepairConfig::default()).unwrap();
+    let out = repair_schedule(&ctx, priced, &plan).unwrap();
     assert!(!out.unchanged);
-    assert!(out.shed.is_empty(), "no link failed; nothing may be shed");
+    assert!(out.delayed.is_empty(), "no link failed; nothing may be late");
     let degraded = plan.degraded_topology(&topo).expect("outages cut no links");
     let batch = RequestBatch::new(out.adjusted_requests(&all_requests(&wl)));
     let report = simulate(
@@ -105,10 +105,9 @@ fn is_outage_mid_horizon_repairs_to_strict_valid() {
     assert!(post.is_valid(), "post-repair fault replay: {:?}", post.violations);
 }
 
-/// A timed link failure: streams caught in the window are rerouted or
-/// delayed; anything truly unservable is shed and reported — and the
-/// repaired schedule replays under the same fault plan with RequestShed
-/// as the only violations.
+/// A timed link failure: streams caught in the window are rerouted, or
+/// delayed until their route clears — and the repaired schedule replays
+/// under the same fault plan with no violation at all.
 #[test]
 fn link_failure_repair_replays_cleanly_under_the_plan() {
     let (topo, wl, model) = world(42);
@@ -146,9 +145,9 @@ fn link_failure_repair_replays_cleanly_under_the_plan() {
         pre.violations
     );
 
-    let out = repair_schedule(&ctx, priced, &plan, &RepairConfig::default()).unwrap();
+    let out = repair_schedule(&ctx, priced, &plan).unwrap();
     assert!(!out.unchanged);
-    let shed: Vec<Request> = out.shed.iter().map(|s| s.request).collect();
+    assert_eq!(out.priced.schedule().delivery_count(), wl.requests.len());
     let batch = RequestBatch::new(out.adjusted_requests(&all_requests(&wl)));
     let report = simulate_with_faults(
         &topo,
@@ -156,14 +155,15 @@ fn link_failure_repair_replays_cleanly_under_the_plan() {
         &model,
         out.priced.schedule(),
         &plan,
-        &shed,
+        &[],
         &SimOptions::strict(&batch),
     )
     .expect("plan validates");
-    let non_shed: Vec<_> =
-        report.violations.iter().filter(|v| !matches!(v, Violation::RequestShed { .. })).collect();
-    assert!(non_shed.is_empty(), "only declared shedding may remain: {non_shed:?}");
-    assert_eq!(report.violations.len(), shed.len(), "exactly one RequestShed per shed request");
+    assert!(
+        report.violations.is_empty(),
+        "repaired schedule breaks under the plan: {:?}",
+        report.violations
+    );
 }
 
 /// Same seed + same fault plan ⇒ bit-identical repair decisions and
@@ -179,9 +179,7 @@ fn repair_and_replay_are_deterministic() {
     );
 
     let run = || {
-        let out =
-            repair_schedule(&ctx, committed(&ctx, &wl), &plan, &RepairConfig::default()).unwrap();
-        let shed: Vec<Request> = out.shed.iter().map(|s| s.request).collect();
+        let out = repair_schedule(&ctx, committed(&ctx, &wl), &plan).unwrap();
         let batch = RequestBatch::new(out.adjusted_requests(&all_requests(&wl)));
         let report = simulate_with_faults(
             &topo,
@@ -189,7 +187,7 @@ fn repair_and_replay_are_deterministic() {
             &model,
             out.priced.schedule(),
             &plan,
-            &shed,
+            &[],
             &SimOptions::strict(&batch),
         )
         .expect("generated plans validate");
