@@ -123,6 +123,12 @@ pub enum IntakeError {
         /// The configured admission limit.
         limit_bytes: f64,
     },
+    /// The request's start is NaN or infinite: no window ever drains it.
+    /// Refused before it counts as offered.
+    NonFiniteStart {
+        /// The offending start.
+        start: Secs,
+    },
 }
 
 impl fmt::Display for IntakeError {
@@ -136,6 +142,9 @@ impl fmt::Display for IntakeError {
                 "admission rejected: {spillover_bytes:.0} B committed at the requested start \
                  exceeds the {limit_bytes:.0} B saturation limit"
             ),
+            IntakeError::NonFiniteStart { start } => {
+                write!(f, "request start {start} is not finite")
+            }
         }
     }
 }
@@ -379,11 +388,11 @@ struct Ticket {
     attempts: u32,
 }
 
-/// Total-order sort key: oldest deadline first, then (video, user) for
-/// determinism. Starts are non-negative, so the bit pattern orders like
-/// the float.
+/// Total-order sort key: oldest deadline first (by `f64::total_cmp`, so a
+/// negative start sorts ahead of every positive one, as the drain's
+/// `start < window_end` cut needs), then (video, user) for determinism.
 fn ticket_key(t: &Ticket) -> (u64, u32, u32) {
-    (t.request.start.to_bits(), t.request.video.0, t.request.user.0)
+    (total_order_bits(t.request.start), t.request.video.0, t.request.user.0)
 }
 
 /// Sort key of the backoff parking lot.
@@ -441,6 +450,45 @@ fn shed_mask(tickets: &[Ticket], keep: usize) -> Vec<bool> {
         shed[key.4] = true;
     }
     shed
+}
+
+/// The tickets in batch order, so that batch entry `i` is ticket `i`:
+/// [`Request::batch_order`], and of tickets holding one request the one
+/// later in `tickets` first — what reversing `tickets` and stable-sorting
+/// by `batch_order` leaves, since that sort breaks ties by reversed
+/// position. A counting pass over the video ids (which index the
+/// catalog of `titles` videos) groups the tickets by video, stably; each
+/// video's run is then ordered on (start, user, reversed position),
+/// unique keys. A drained batch comes in queue order, which within a
+/// video already is (start, user), so that sort mostly confirms one run
+/// and only turns identical requests around.
+fn into_batch_order(tickets: Vec<Ticket>, titles: usize) -> Vec<Ticket> {
+    let span = tickets.iter().map(|t| t.request.video.index() + 1).max().unwrap_or(0);
+    assert!(span <= titles, "a drained request names a video outside the catalog");
+    // Video `v`'s run is `order[ends[v]..ends[v + 1]]`.
+    let mut ends = vec![0usize; span + 1];
+    for t in &tickets {
+        ends[t.request.video.index() + 1] += 1;
+    }
+    let mut total = 0;
+    for end in &mut ends {
+        total += *end;
+        *end = total;
+    }
+    let mut next = ends.clone();
+    let mut order = vec![0usize; tickets.len()];
+    for (i, t) in tickets.iter().enumerate() {
+        let slot = &mut next[t.request.video.index()];
+        order[*slot] = i;
+        *slot += 1;
+    }
+    for run in ends.windows(2) {
+        order[run[0]..run[1]].sort_unstable_by_key(|&i| {
+            let r = &tickets[i].request;
+            (total_order_bits(r.start), r.user.0, std::cmp::Reverse(i))
+        });
+    }
+    order.into_iter().map(|i| tickets[i]).collect()
 }
 
 /// Merge `incoming` into `sorted`, both ordered by `key`, each incoming
@@ -719,8 +767,13 @@ impl ServiceLoop {
 
     /// Offer one arriving request to the intake queue. Rejection is
     /// typed backpressure: the request was not enqueued, and the
-    /// rejection is recorded in the next cycle's stats.
+    /// rejection is recorded in the next cycle's stats. A start that is
+    /// not finite is refused before the offer is counted, so the
+    /// accounting never sees it.
     pub fn offer(&mut self, r: Request) -> Result<(), IntakeError> {
+        if !r.start.is_finite() {
+            return Err(IntakeError::NonFiniteStart { start: r.start });
+        }
         self.offered += 1;
         if let Some(limit) = self.cfg.saturation_bytes {
             let spillover = self.book.spillover_at(r.start);
@@ -893,8 +946,7 @@ impl ServiceLoop {
         //    go into batch order first, so that batch entry `i` is
         //    ticket `i`; of tickets holding one request, the most
         //    recently enqueued takes the first slot.
-        kept.reverse();
-        kept.sort_by(|a, b| a.request.batch_order(&b.request));
+        let kept = into_batch_order(kept, ctx.catalog.len());
         let batch = RequestBatch::new(kept.iter().map(|t| t.request).collect());
         let mut shard_cfg = self.cfg.shard.clone();
         match rung {
@@ -1353,6 +1405,14 @@ mod tests {
         (0..kept.len()).map(|i| shed_idx.contains(&i)).collect()
     }
 
+    /// How `run_cycle` put the drained tickets into batch order before
+    /// [`into_batch_order`], verbatim.
+    fn batch_order_by_comparator(mut kept: Vec<Ticket>) -> Vec<Ticket> {
+        kept.reverse();
+        kept.sort_by(|a, b| a.request.batch_order(&b.request));
+        kept
+    }
+
     /// What the one-pass hand-offs replaced: every released, bounced or
     /// shed ticket placed with its own sorted insert.
     fn release_per_ticket(
@@ -1439,6 +1499,31 @@ mod tests {
             let want = shed_mask_by_comparator(&tickets, keep);
             prop_assert_eq!(shed_mask(&tickets, keep), want);
             prop_assert_eq!(shed_mask(&tickets, n), vec![false; n]);
+        }
+
+        /// [`into_batch_order`] leaves every ticket where `reverse` and a
+        /// stable sort by `batch_order` did: identical requests told apart
+        /// by their originals, starts that tie, differ in the last bit or
+        /// only in sign, in queue order and in arbitrary order.
+        #[test]
+        fn batch_order_matches_reverse_and_stable_sort(
+            batch in vec((0u32..3, 0u32..4, 0usize..STARTS.len()), 0..48),
+            queued in any::<bool>(),
+        ) {
+            let mut tickets: Vec<Ticket> = batch
+                .iter()
+                .enumerate()
+                .map(|(i, &(user, video, s))| {
+                    let mut t = ticket(user, video, STARTS[s]);
+                    t.original.start = i as f64;
+                    t
+                })
+                .collect();
+            if queued {
+                tickets.sort_by_key(ticket_key);
+            }
+            let want = batch_order_by_comparator(tickets.clone());
+            prop_assert_eq!(into_batch_order(tickets, 4), want);
         }
 
         /// The release merge and the parking merge leave the queue, the
@@ -1537,5 +1622,43 @@ mod tests {
         }
         let cfg = ServiceConfig { horizon: H, ..ServiceConfig::default() };
         assert!(ServiceLoop::new(&topo, cfg).is_ok());
+    }
+
+    /// A NaN or infinite start is refused before it counts, so nothing is
+    /// left in flight forever; a negative or −0.0 start queues ahead of
+    /// every positive one and drains with the first window, not after a
+    /// later-window ticket the queue had put in front of it.
+    #[test]
+    fn intake_refuses_non_finite_starts_and_drains_negative_ones() {
+        let (topo, catalog) = world(9);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &catalog);
+        let mut svc = ServiceLoop::new(&topo, ServiceConfig::default()).expect("valid");
+        let user = topo.users()[0].id;
+        let req = |video, start| Request { user, video: vod_cost_model::VideoId(video), start };
+        for start in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = svc.offer(req(0, start)).unwrap_err();
+            assert!(
+                matches!(err, IntakeError::NonFiniteStart { start: s } if s.to_bits() == start.to_bits()),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("not finite"));
+        }
+        let first_window = [req(1, 100.0), req(2, -5.0), req(3, -0.0)];
+        for r in first_window.into_iter().chain([req(4, H + 100.0)]) {
+            svc.offer(r).expect("finite starts are admitted");
+        }
+        assert_eq!(svc.queue_len(), 4);
+
+        let c0 = svc.run_cycle(&ctx, ExecMode::Sequential);
+        let mut served = c0.served_originals.clone();
+        served.sort_by(Request::batch_order);
+        assert_eq!(served, first_window);
+        assert_eq!(svc.run_cycle(&ctx, ExecMode::Sequential).served, vec![req(4, H + 100.0)]);
+        svc.run_cycle(&ctx, ExecMode::Sequential);
+
+        let report = svc.finish();
+        assert_eq!((report.offered, report.served, report.in_flight), (4, 4, 0));
+        assert_eq!(report.conservation_error(), 0);
     }
 }

@@ -132,19 +132,32 @@ pub(crate) fn replay(
 
     let faults = plan.faults();
     let relay_points = residencies.iter().zip(&profiles).filter(|(_, p)| p.peak() == 0.0).count();
-    // Expand every source's event chain (transfer, materialized residency,
-    // fault) and sort once; see [`crate::event`] for why that is the order
-    // a streaming queue over the chain heads would pop.
+    // Expand the event chain of every source that changes replay state
+    // (multi-hop transfer, materialized residency, fault) and sort once;
+    // see [`crate::event`] for why that is the order a streaming queue
+    // over the chain heads would pop.
+    //
+    // A one-node stream crosses no link: its two events would touch no
+    // link counter and no failed-link check, so it stays out of the list
+    // (as a relay point does) and is counted, and its times folded into
+    // the makespan, here. Every chain still counts as processed.
     //
     // A non-finite time anywhere would make the order meaningless; the
     // offenders are already reported, so leave the list empty and skip
     // the dynamic replay.
     let mut events: Vec<Event> = Vec::new();
+    let mut one_node_events = 0usize;
+    let mut makespan: Secs = 0.0;
     if times_ok {
         events.reserve(2 * (transfers.len() + faults.len()) + 4 * residencies.len());
         let mut push = |time, video, node, kind| events.push(Event { time, video, node, kind });
         for (i, t) in transfers.iter().enumerate() {
             let end = t.start + catalog.get(t.video).playback;
+            if t.hop_count() == 0 {
+                one_node_events += 2;
+                makespan = makespan.max(t.start).max(end);
+                continue;
+            }
             push(t.start, t.video, t.src(), EventKind::StreamStart { transfer: i });
             push(end, t.video, t.src(), EventKind::StreamEnd { transfer: i });
         }
@@ -204,8 +217,7 @@ pub(crate) fn replay(
         residencies_at[node.index()].iter().map(|&i| profiles[i].space_at(t)).sum()
     };
 
-    let events_processed = events.len();
-    let mut makespan: Secs = 0.0;
+    let events_processed = events.len() + one_node_events;
 
     for ev in events {
         makespan = makespan.max(ev.time);

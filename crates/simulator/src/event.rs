@@ -3,8 +3,11 @@
 //! Each source's events form a fixed chain (`StreamStart → StreamEnd`;
 //! `CacheFillStart → [CacheFillComplete] → CacheDrainStart →
 //! CacheDrainEnd`; `FaultStart → FaultEnd`). The replay expands every
-//! chain up front, sorts the flat list once by [`Event::replay_order`],
-//! and sweeps it — no queue. Along a chain the times are non-decreasing,
+//! chain that changes replay state up front (not a one-node stream's, nor
+//! a zero-space relay point's), sorts the flat list once by
+//! [`Event::replay_order`], and sweeps it — no queue. Dropping whole
+//! chains leaves the others' relative order as it was. Along a chain the
+//! times are non-decreasing,
 //! and where two links of a chain share a time the order's kind rank
 //! increases (a fault's two events never do: its window is validated
 //! non-empty), so the sorted list is exactly the sequence a streaming

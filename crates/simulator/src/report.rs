@@ -180,9 +180,13 @@ pub struct Metrics {
     pub peak_occupancy: Vec<f64>,
     /// Peak concurrent streams per link (indexed like `Topology::edges`).
     pub peak_link_streams: Vec<usize>,
-    /// Events processed during replay.
+    /// Events of every chain the replay covers: two per transfer, three or
+    /// four per materialized residency, two per fault. A one-node
+    /// transfer's two count although the sweep skips them (they change no
+    /// replay state). 0 when a non-finite time skipped the replay.
     pub events_processed: usize,
-    /// End of the simulated timeline (last event time).
+    /// End of the simulated timeline (last event time, one-node transfers
+    /// included).
     pub makespan: Secs,
 }
 

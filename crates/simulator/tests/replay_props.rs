@@ -10,14 +10,16 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use vod_core::{ivsp_solve_priced, sorp_solve_priced, ExecMode, SchedCtx, SorpConfig};
+use vod_core::{
+    ivsp_solve_priced_with, sorp_solve_priced, ExecMode, GreedyPolicy, SchedCtx, SorpConfig,
+};
 use vod_cost_model::{
     Catalog, CostModel, Request, RequestBatch, Schedule, SpaceModel, Transfer, VideoSchedule,
 };
-use vod_faults::{FaultConfig, FaultPlan};
+use vod_faults::{Fault, FaultConfig, FaultPlan};
 use vod_simulator::{simulate_with_faults, Event, EventKind, SimOptions, SimReport, Violation};
 use vod_topology::{builders, units, NodeId, Topology};
-use vod_workload::{CatalogConfig, RequestConfig, Workload};
+use vod_workload::{generate_regional_requests, CatalogConfig, RequestConfig, Workload};
 
 /// The pre-PR replay, kept verbatim as the oracle: the streaming
 /// `PendingQueue` over a binary heap, the hash-map `check_coverage`, and
@@ -831,6 +833,10 @@ struct World {
     capacity_gb: f64,
     link_mbps: Option<f64>,
     gradual_fill: bool,
+    /// Regional requests solved with `allow_remote_placement = false`:
+    /// most deliveries are then served from the home storage over a
+    /// one-node route, which crosses no link.
+    local_only: bool,
     seed: u64,
 }
 
@@ -840,18 +846,24 @@ fn world_strategy() -> impl Strategy<Value = World> {
         prop_oneof![Just(5.0), Just(10.0), Just(10_000.0)],
         prop_oneof![Just(None), Just(Some(8.0)), Just(Some(400.0))],
         any::<bool>(),
+        any::<bool>(),
         0u64..10_000,
     )
-        .prop_map(|(fig4, capacity_gb, link_mbps, gradual_fill, seed)| World {
+        .prop_map(|(fig4, capacity_gb, link_mbps, gradual_fill, local_only, seed)| World {
             fig4,
             capacity_gb,
             link_mbps,
             gradual_fill,
+            local_only,
             seed,
         })
 }
 
 impl World {
+    fn policy(&self) -> GreedyPolicy {
+        GreedyPolicy { allow_remote_placement: !self.local_only, ..GreedyPolicy::default() }
+    }
+
     fn build(&self) -> (Topology, Workload, CostModel) {
         let mut topo = if self.fig4 {
             builders::paper_fig4(&builders::PaperFig4Config {
@@ -867,12 +879,18 @@ impl World {
             builders::random_connected(&cfg, 4, self.seed)
         };
         topo.set_uniform_bandwidth(self.link_mbps.map(units::mbps)).expect("positive link cap");
-        let wl = Workload::generate(
+        let mut wl = Workload::generate(
             &topo,
             &CatalogConfig::small(30),
             &RequestConfig::paper(),
             self.seed,
         );
+        if self.local_only {
+            // `ample_wide`'s shape: each neighborhood requests its own
+            // titles, so a home cache serves most of its requests.
+            let cfg = RequestConfig { requests_per_user: 3, ..RequestConfig::paper() };
+            wl.requests = generate_regional_requests(&topo, &wl.catalog, &cfg, self.seed);
+        }
         let space = if self.gradual_fill {
             SpaceModel::GradualFill
         } else {
@@ -883,13 +901,45 @@ impl World {
 }
 
 /// Phase-1 and resolved schedules of one world.
-fn schedules(topo: &Topology, wl: &Workload, model: &CostModel) -> (Schedule, Schedule) {
+fn schedules(w: &World, topo: &Topology, wl: &Workload, model: &CostModel) -> (Schedule, Schedule) {
     let ctx = SchedCtx::new(topo, model, &wl.catalog);
-    let phase1 = ivsp_solve_priced(&ctx, &wl.requests);
+    let policy = w.policy();
+    let phase1 = ivsp_solve_priced_with(&ctx, &wl.requests, policy, ExecMode::Sequential);
     let individual = phase1.schedule().clone();
-    let resolved =
-        sorp_solve_priced(&ctx, phase1, &SorpConfig::default(), &[], ExecMode::Sequential);
+    let cfg = SorpConfig { policy, ..SorpConfig::default() };
+    let resolved = sorp_solve_priced(&ctx, phase1, &cfg, &[], ExecMode::Sequential);
     (individual, resolved.schedule)
+}
+
+/// The one-node transfers of `schedule` (route of one storage, no link
+/// crossed), in `Schedule::transfers` order.
+fn one_node(schedule: &Schedule) -> Vec<&Transfer> {
+    schedule.transfers().filter(|t| t.hop_count() == 0).collect()
+}
+
+/// Faults that land on the `pick`-th one-node stream: an outage of its
+/// storage from the instant it starts, and a failure of a link at that
+/// storage from mid-stream until it ends.
+fn faults_on_a_one_node_stream(
+    topo: &Topology,
+    catalog: &Catalog,
+    schedule: &Schedule,
+    pick: u64,
+) -> Vec<Fault> {
+    let streams: Vec<_> =
+        one_node(schedule).into_iter().filter(|t| !topo.is_warehouse(t.src())).collect();
+    let t = streams[pick as usize % streams.len()];
+    let (node, playback) = (t.src(), catalog.get(t.video).playback);
+    let (neighbor, _) = topo.neighbors(node)[0];
+    vec![
+        Fault::NodeOutage { node, from: t.start, until: t.start + 0.5 * playback },
+        Fault::LinkFailure {
+            a: node,
+            b: neighbor,
+            from: t.start + 0.5 * playback,
+            until: t.start + playback,
+        },
+    ]
 }
 
 /// A deterministic pick of `k` distinct-position entries of `0..n`.
@@ -950,9 +1000,12 @@ enum Tamper {
     BrokenRoute,
     UnfedResidency,
     NanStart,
+    /// An unrequested one-node delivery after everything else: its end is
+    /// the makespan, and no event in the sorted list carries it.
+    LateOneNodeDelivery,
 }
 
-const TAMPERS: [Tamper; 7] = [
+const TAMPERS: [Tamper; 8] = [
     Tamper::DropDeliveries,
     Tamper::DuplicateDelivery,
     Tamper::UnrequestedDelivery,
@@ -960,6 +1013,7 @@ const TAMPERS: [Tamper; 7] = [
     Tamper::BrokenRoute,
     Tamper::UnfedResidency,
     Tamper::NanStart,
+    Tamper::LateOneNodeDelivery,
 ];
 
 fn tamper(topo: &Topology, schedule: &Schedule, how: Tamper, salt: u64) -> Schedule {
@@ -1018,6 +1072,10 @@ fn tamper(topo: &Topology, schedule: &Schedule, how: Tamper, salt: u64) -> Sched
             }
             out
         }
+        Tamper::LateOneNodeDelivery => edit_transfer(schedule, nth, is_delivery, |t| {
+            let late = Transfer { start: t.start + 1e7, route: vec![t.dst()].into(), ..t.clone() };
+            vec![t, late]
+        }),
         Tamper::NanStart => edit_transfer(
             schedule,
             nth,
@@ -1038,7 +1096,11 @@ proptest! {
     #[test]
     fn clean_schedules_replay_identically(w in world_strategy()) {
         let (topo, wl, model) = w.build();
-        let (phase1, resolved) = schedules(&topo, &wl, &model);
+        let (phase1, resolved) = schedules(&w, &topo, &wl, &model);
+        // Local-only worlds serve about half (random networks) to 97 %
+        // (Fig. 4) of their deliveries over one-node routes.
+        let local = one_node(&resolved).iter().filter(|t| t.user.is_some()).count();
+        prop_assert!(!w.local_only || local > 0, "a local-only world with no one-node delivery");
         let none = FaultPlan::empty();
         let strict = SimOptions::strict(&wl.requests);
         let report = both(&topo, &wl.catalog, &model, &resolved, &none, &[], &strict)?;
@@ -1058,9 +1120,9 @@ proptest! {
         shed_count in 0usize..6,
     ) {
         let (topo, wl, model) = w.build();
-        let (_, resolved) = schedules(&topo, &wl, &model);
+        let (_, resolved) = schedules(&w, &topo, &wl, &model);
         let (node_outages, link_failures, link_degradations) = fault_counts;
-        let plan = FaultPlan::generate(
+        let generated = FaultPlan::generate(
             &topo,
             &FaultConfig { node_outages, link_failures, link_degradations, ..FaultConfig::default() },
             fault_seed,
@@ -1086,6 +1148,15 @@ proptest! {
             shed.push(Request { start: first.start + 0.5, ..first });
         }
         let wanted = RequestBatch::new(wanted);
+        // One of the schedule's one-node streams loses its storage as it
+        // starts and a link at that storage mid-flight.
+        let mut faults = generated.faults().to_vec();
+        let at_storage = one_node(&schedule).iter().any(|t| !topo.is_warehouse(t.src()));
+        prop_assert!(at_storage || !w.local_only, "a local-only schedule with no one-node stream");
+        if at_storage {
+            faults.extend(faults_on_a_one_node_stream(&topo, &wl.catalog, &schedule, fault_seed));
+        }
+        let plan = FaultPlan::new(faults);
         let strict = SimOptions::strict(&wanted);
         both(&topo, &wl.catalog, &model, &schedule, &plan, &shed, &strict)?;
         both(&topo, &wl.catalog, &model, &schedule, &plan, &shed, &SimOptions::lenient())?;
@@ -1100,7 +1171,7 @@ proptest! {
         resolved_base in any::<bool>(),
     ) {
         let (topo, wl, model) = w.build();
-        let (phase1, resolved) = schedules(&topo, &wl, &model);
+        let (phase1, resolved) = schedules(&w, &topo, &wl, &model);
         let base = if resolved_base { resolved } else { phase1 };
         let plan = FaultPlan::generate(&topo, &FaultConfig::default(), salt);
         let strict = SimOptions::strict(&wl.requests);

@@ -24,7 +24,6 @@
 
 use crate::SplitMix64;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use vod_cost_model::{Request, RequestBatch};
 use vod_topology::{NodeId, Topology};
 
@@ -96,32 +95,39 @@ fn partition_by_region(
     batch: &RequestBatch,
     spec: &ShardSpec,
 ) -> Vec<RequestBatch> {
-    // Request count per populated neighborhood, keyed by home IS.
-    let mut counts: BTreeMap<NodeId, usize> = BTreeMap::new();
+    // Request count per home IS, a dense table over node indices.
+    let mut counts = vec![0usize; topo.node_count()];
     for r in batch.iter() {
-        *counts.entry(topo.home_of(r.user)).or_insert(0) += 1;
+        counts[topo.home_of(r.user).index()] += 1;
     }
-    let shards = spec.shards.clamp(1, counts.len().max(1));
+    // The populated neighborhoods, in ascending node order.
+    let mut regions: Vec<(NodeId, usize)> = counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &count)| count > 0)
+        .map(|(i, &count)| (NodeId(i as u32), count))
+        .collect();
+    let shards = spec.shards.clamp(1, regions.len().max(1));
 
     // Longest-processing-time packing: place neighborhoods in
     // descending-load order onto the currently lightest shard. Equal
     // loads order by the seeded hash, then node id, so two
     // equally-popular neighborhoods don't always co-locate by id.
-    let mut regions: Vec<(NodeId, usize)> = counts.into_iter().collect();
     regions.sort_by_key(|&(node, count)| {
         (std::cmp::Reverse(count), mix(spec.seed, node.0 as u64, 0xA11), node.0)
     });
     let mut loads = vec![0usize; shards];
-    let mut assignment: BTreeMap<NodeId, usize> = BTreeMap::new();
+    // Shard per home IS; only populated entries are ever read.
+    let mut assignment = vec![0usize; topo.node_count()];
     for (node, count) in regions {
         let shard = (0..shards).min_by_key(|&s| (loads[s], s)).expect("at least one shard");
         loads[shard] += count;
-        assignment.insert(node, shard);
+        assignment[node.index()] = shard;
     }
 
     let mut buckets: Vec<Vec<Request>> = vec![Vec::new(); shards];
     for r in batch.iter() {
-        buckets[assignment[&topo.home_of(r.user)]].push(*r);
+        buckets[assignment[topo.home_of(r.user).index()]].push(*r);
     }
     buckets.into_iter().map(RequestBatch::new).collect()
 }
@@ -154,6 +160,7 @@ fn partition_by_time(batch: &RequestBatch, spec: &ShardSpec) -> Vec<RequestBatch
 mod tests {
     use super::*;
     use crate::{CatalogConfig, RequestConfig, Workload};
+    use std::collections::BTreeMap;
     use vod_topology::builders::{paper_fig4, PaperFig4Config};
 
     fn setup(seed: u64) -> (Topology, RequestBatch) {
@@ -312,7 +319,81 @@ mod tests {
         out
     }
 
+    /// `partition_by_region` as it stood before its tables went dense: two
+    /// `BTreeMap`s keyed by home IS. Kept verbatim as the reference the
+    /// dense tables must reproduce.
+    fn partition_by_region_btree(
+        topo: &Topology,
+        batch: &RequestBatch,
+        spec: &ShardSpec,
+    ) -> Vec<RequestBatch> {
+        // Request count per populated neighborhood, keyed by home IS.
+        let mut counts: BTreeMap<NodeId, usize> = BTreeMap::new();
+        for r in batch.iter() {
+            *counts.entry(topo.home_of(r.user)).or_insert(0) += 1;
+        }
+        let shards = spec.shards.clamp(1, counts.len().max(1));
+
+        // Longest-processing-time packing: place neighborhoods in
+        // descending-load order onto the currently lightest shard. Equal
+        // loads order by the seeded hash, then node id, so two
+        // equally-popular neighborhoods don't always co-locate by id.
+        let mut regions: Vec<(NodeId, usize)> = counts.into_iter().collect();
+        regions.sort_by_key(|&(node, count)| {
+            (std::cmp::Reverse(count), mix(spec.seed, node.0 as u64, 0xA11), node.0)
+        });
+        let mut loads = vec![0usize; shards];
+        let mut assignment: BTreeMap<NodeId, usize> = BTreeMap::new();
+        for (node, count) in regions {
+            let shard = (0..shards).min_by_key(|&s| (loads[s], s)).expect("at least one shard");
+            loads[shard] += count;
+            assignment.insert(node, shard);
+        }
+
+        let mut buckets: Vec<Vec<Request>> = vec![Vec::new(); shards];
+        for r in batch.iter() {
+            buckets[assignment[&topo.home_of(r.user)]].push(*r);
+        }
+        buckets.into_iter().map(RequestBatch::new).collect()
+    }
+
     proptest::proptest! {
+        /// Random batches over the Fig. 4 network's users, few enough that
+        /// some neighborhoods stay empty and loads tie, under shard counts
+        /// from one to past the number of populated neighborhoods (19 at
+        /// most), including the empty batch.
+        #[test]
+        fn dense_region_partition_equals_the_btree_maps(
+            raw in proptest::collection::vec((0usize..1_000, 0u32..8, 0u32..4), 0..60),
+            shards in 1usize..24,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use vod_cost_model::VideoId;
+            let topo = paper_fig4(&PaperFig4Config::default());
+            let users = topo.users();
+            let requests = raw
+                .iter()
+                .map(|&(u, v, t)| Request {
+                    user: users[u % users.len()].id,
+                    video: VideoId(v),
+                    start: 600.0 * t as f64,
+                })
+                .collect();
+            let batch = RequestBatch::new(requests);
+            let spec = ShardSpec::by_region(shards, seed);
+            let dense = partition_by_region(&topo, &batch, &spec);
+            let reference = partition_by_region_btree(&topo, &batch, &spec);
+            proptest::prop_assert_eq!(dense.len(), reference.len());
+            for (a, b) in dense.iter().zip(&reference) {
+                proptest::prop_assert!(
+                    a.iter().map(|r| (r.user, r.video, r.start.to_bits())).eq(b
+                        .iter()
+                        .map(|r| (r.user, r.video, r.start.to_bits()))),
+                    "a shard differs from the reference partition"
+                );
+            }
+        }
+
         /// Few distinct instants, users and titles: most slice boundaries
         /// fall inside a run of simultaneous reservations, where only the
         /// seeded tie-break decides which side a request lands on.

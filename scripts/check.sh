@@ -103,6 +103,16 @@ cargo test -q --offline -p vod-core --lib service::tests::release_and_park_merge
 cargo test -q --offline -p vod-core --test service_props a_served_twin_of_a_shed_ticket_is_still_a_deadline_miss
 cargo test -q --offline --test service_overload_e2e overload_faults_cell_decisions_are_pinned
 cargo test -q --offline --test service_overload_e2e adversarial_budgets_shed_or_run_full_and_conserve
+# Per-request path, part 2: one-node streams stay out of the replay's event
+# list (the reduced ample_wide cell's replay rows are pinned), the batch
+# order and the dense region partition equal the code they replaced, and
+# intake refuses a start no window drains.
+cargo test -q --offline --test replay_pin
+cargo test -q --offline -p vod-core --lib -- --exact \
+  service::tests::batch_order_matches_reverse_and_stable_sort \
+  service::tests::intake_refuses_non_finite_starts_and_drains_negative_ones
+cargo test -q --offline -p vod-core --test service_props colliding_tickets_keep_their_original_pairing
+cargo test -q --offline -p vod-workload --lib shard::tests::dense_region_partition_equals_the_btree_maps
 
 echo "==> telemetry suite (obs crate + recorder transparency + e2e reconcile)"
 cargo test -q --offline -p vod-obs
@@ -132,6 +142,15 @@ echo "==> determinism lint (no hash containers in the replay simulator)"
 # run; RandomState iteration order does not.
 if grep -rn --include='*.rs' -E 'Hash(Map|Set)' crates/simulator/src; then
   echo "error: keep HashMap/HashSet out of crates/simulator/src (sort, or use BTreeMap)" >&2
+  exit 1
+fi
+
+echo "==> dense-partition lint (no map containers in the region partition)"
+# partition_by_region counts and assigns through per-node tables indexed by
+# NodeId; the BTreeMap version lives on only as its test oracle.
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' crates/workload/src/shard.rs \
+    | grep -E 'BTreeMap|HashMap'; then
+  echo "error: keep BTreeMap/HashMap out of crates/workload/src/shard.rs outside its tests (index per-node tables)" >&2
   exit 1
 fi
 
