@@ -38,9 +38,13 @@
 //! free functions over [`StorageLedger::profiles_at`] and
 //! [`StorageLedger::link_profiles`]; the equivalence property tests and
 //! the audited naive SORP loop compare every answer given here against it.
+//!
+//! Rows are **copy-on-write** `Arc`s, so a clone costs a refcount per row
+//! and finished rows are taken over, not rebuilt (DESIGN.md §9).
 
 use crate::overflow::CAPACITY_EPS;
 use crate::timeline::OccupancyTimeline;
+use std::sync::Arc;
 use vod_cost_model::{Bytes, Catalog, Schedule, Secs, SpaceProfile, VideoId};
 use vod_topology::{NodeId, Topology};
 
@@ -244,35 +248,33 @@ impl LedgerDelta {
     }
 }
 
+/// A finished solve's ledger and its dirty node rows.
+pub(crate) type Solved = (StorageLedger, Vec<bool>);
+
+/// One row: `(video, profile)` entries with positive plateau (removals,
+/// `exclude` overlays and the flat oracle read them), their aggregate as
+/// an incremental breakpoint timeline, and Σ plateau, an upper bound on
+/// it at every instant (the O(1) headroom fast path).
+#[derive(Clone, Debug, Default)]
+struct Row {
+    entries: Vec<(VideoId, SpaceProfile)>,
+    timeline: OccupancyTimeline,
+    plateau_sum: Bytes,
+}
+
 /// Occupancy ledger over every intermediate storage and every link.
 #[derive(Clone, Debug)]
 pub struct StorageLedger {
-    /// Per row: `(video, profile)` entries with positive plateau. The
-    /// flat list is the source of truth for removal bookkeeping and the
-    /// `exclude` overlays, and what the flat-scan oracle reads.
-    entries: Vec<Vec<(VideoId, SpaceProfile)>>,
-    /// Per row: the aggregate occupancy as an incremental breakpoint
-    /// timeline (always maintained alongside `entries`).
-    timelines: Vec<OccupancyTimeline>,
-    /// Per row: Σ plateau over resident profiles — an upper bound on the
-    /// aggregate occupancy at every instant, backing the O(1) headroom
-    /// fast path.
-    plateau_sum: Vec<Bytes>,
-    /// Node rows come first, indexed by [`NodeId::index`]; link `e`'s row
-    /// is `nodes + e`.
+    /// Node rows first, by [`NodeId::index`]; link `e`'s row is `nodes + e`.
+    rows: Vec<Arc<Row>>,
     nodes: usize,
 }
 
 impl StorageLedger {
     /// An empty ledger for a topology: a row per node, then one per link.
     pub fn new(topo: &Topology) -> Self {
-        let (nodes, rows) = (topo.node_count(), topo.node_count() + topo.edge_count());
-        Self {
-            entries: vec![Vec::new(); rows],
-            timelines: vec![OccupancyTimeline::new(); rows],
-            plateau_sum: vec![0.0; rows],
-            nodes,
-        }
+        let empty = Arc::new(Row::default());
+        Self { rows: vec![empty; topo.node_count() + topo.edge_count()], nodes: topo.node_count() }
     }
 
     /// Build the ledger of every residency in `schedule`. Degenerate
@@ -294,11 +296,12 @@ impl StorageLedger {
 
     fn add_row(&mut self, i: usize, video: VideoId, profile: SpaceProfile) {
         if profile.peak() > 0.0 {
-            self.entries[i].push((video, profile));
+            let row = Arc::make_mut(&mut self.rows[i]);
+            row.entries.push((video, profile));
             for d in &profile.slope_deltas() {
-                self.timelines[i].add(d.t, d.jump, d.slope);
+                row.timeline.add(d.t, d.jump, d.slope);
             }
-            self.plateau_sum[i] += profile.peak();
+            row.plateau_sum += profile.peak();
         }
     }
 
@@ -351,9 +354,12 @@ impl StorageLedger {
 
     /// Drop the entries of row `i` that `drop` picks; returns how many.
     fn remove_where(&mut self, i: usize, drop: impl Fn(VideoId, &SpaceProfile) -> bool) -> usize {
-        let (timeline, plateau_sum) = (&mut self.timelines[i], &mut self.plateau_sum[i]);
-        let before = self.entries[i].len();
-        self.entries[i].retain(|(v, p)| {
+        if !self.rows[i].entries.iter().any(|(v, p)| drop(*v, p)) {
+            return 0;
+        }
+        let Row { entries, timeline, plateau_sum } = Arc::make_mut(&mut self.rows[i]);
+        let before = entries.len();
+        entries.retain(|(v, p)| {
             if !drop(*v, p) {
                 return true;
             }
@@ -363,24 +369,51 @@ impl StorageLedger {
             *plateau_sum -= p.peak();
             false
         });
-        if self.entries[i].is_empty() {
+        if entries.is_empty() {
             // Clamp float drift: an empty row occupies exactly nothing.
             *plateau_sum = 0.0;
             debug_assert!(timeline.is_empty());
         }
-        before - self.entries[i].len()
+        before - entries.len()
+    }
+
+    /// Whether node `loc`'s row is `other`'s very row, untouched since a clone.
+    pub(crate) fn shares_row(&self, other: &StorageLedger, loc: NodeId) -> bool {
+        Arc::ptr_eq(&self.rows[loc.index()], &other.rows[loc.index()])
+    }
+
+    /// Take over (retagged `tag`, if given) every node row that exactly one
+    /// of `from`, clones of this ledger, wrote and left clean: one `Arc`
+    /// moves, no float. Returns the rows written by several, or dirty.
+    pub(crate) fn take_rows(&mut self, mut from: Vec<Solved>, tag: Option<VideoId>) -> Vec<bool> {
+        let mut rebuild = vec![false; self.nodes];
+        for (loc, rebuild) in (0..self.nodes as u32).map(NodeId).zip(&mut rebuild) {
+            let mut writers = from.iter_mut().filter(|(l, _)| !l.shares_row(self, loc));
+            match (writers.next(), writers.next()) {
+                (None, _) => {}
+                (Some((l, dirty)), None) if !dirty[loc.index()] => {
+                    let row = &mut self.rows[loc.index()];
+                    std::mem::swap(row, &mut l.rows[loc.index()]);
+                    if let Some(tag) = tag {
+                        Arc::make_mut(row).entries.iter_mut().for_each(|e| e.0 = tag);
+                    }
+                }
+                _ => *rebuild = true,
+            }
+        }
+        rebuild
     }
 
     /// The recorded `(video, profile)` entries at `loc`, in insertion
     /// order.
     pub fn profiles_at(&self, loc: NodeId) -> &[(VideoId, SpaceProfile)] {
-        &self.entries[loc.index()]
+        &self.rows[loc.index()].entries
     }
 
     /// The recorded `(video, stream)` entries on link `edge`, in insertion
     /// order.
     pub fn link_profiles(&self, edge: usize) -> &[(VideoId, SpaceProfile)] {
-        &self.entries[self.nodes + edge]
+        &self.rows[self.nodes + edge].entries
     }
 
     /// [`StorageLedger::add`] that also records the profile's support
@@ -404,7 +437,7 @@ impl StorageLedger {
     /// profiles actually dropped into `delta` (a no-op removal records
     /// nothing).
     pub fn remove_tracked(&mut self, loc: NodeId, video: VideoId, delta: &mut LedgerDelta) {
-        for (v, p) in &self.entries[loc.index()] {
+        for (v, p) in self.profiles_at(loc) {
             if *v == video {
                 delta.record(loc, p.start, p.end);
             }
@@ -418,18 +451,18 @@ impl StorageLedger {
     /// entries, in order — is bit-identical, which makes the version the
     /// dirty-node signal behind incremental overflow detection.
     pub fn node_version(&self, loc: NodeId) -> u64 {
-        self.timelines[loc.index()].version()
+        self.rows[loc.index()].timeline.version()
     }
 
     /// Whether any profile of `video` is recorded at any storage.
     /// O(total entries); used by tests and SORP's debug cross-checks.
     pub fn contains_video(&self, video: VideoId) -> bool {
-        self.entries[..self.nodes].iter().any(|node| node.iter().any(|(v, _)| *v == video))
+        self.rows[..self.nodes].iter().any(|row| row.entries.iter().any(|(v, _)| *v == video))
     }
 
     /// Number of recorded (non-degenerate) profiles at `loc`.
     pub fn profile_count(&self, loc: NodeId) -> usize {
-        self.entries[loc.index()].len()
+        self.profiles_at(loc).len()
     }
 
     /// Σ plateau over the profiles resident at `loc` — an upper bound on
@@ -438,17 +471,17 @@ impl StorageLedger {
     /// headroom: any candidate whose peak fits under it is admissible
     /// without a timeline walk.
     pub fn plateau_sum(&self, loc: NodeId) -> Bytes {
-        self.plateau_sum[loc.index()]
+        self.rows[loc.index()].plateau_sum
     }
 
     /// Aggregate occupancy at `loc` at time `t`, in bytes, optionally
     /// excluding one video's profiles. Right-continuous in `t`.
     /// O(log n + excluded).
     pub fn usage_at(&self, loc: NodeId, t: Secs, exclude: Option<VideoId>) -> Bytes {
-        let i = loc.index();
-        let mut u = self.timelines[i].prefix(t).value_at(t);
+        let row = &self.rows[loc.index()];
+        let mut u = row.timeline.prefix(t).value_at(t);
         if let Some(v) = exclude {
-            for (vid, p) in &self.entries[i] {
+            for (vid, p) in &row.entries {
                 if *vid == v {
                     u -= p.space_at(t);
                 }
@@ -462,12 +495,12 @@ impl StorageLedger {
     /// the right-continuous value `u0` at `t0` and the **exact** left
     /// limit `u1` at `t1`. Allocation-free; the overflow detector's scan.
     pub fn for_each_segment<F: FnMut(Secs, Secs, Bytes, Bytes)>(&self, loc: NodeId, f: F) {
-        self.timelines[loc.index()].for_each_segment(f);
+        self.rows[loc.index()].timeline.for_each_segment(f);
     }
 
     /// [`StorageLedger::for_each_segment`] over link `edge`'s row.
     pub(crate) fn for_each_link_segment<F: FnMut(Secs, Secs, f64, f64)>(&self, edge: usize, f: F) {
-        self.timelines[self.nodes + edge].for_each_segment(f);
+        self.rows[self.nodes + edge].timeline.for_each_segment(f);
     }
 
     /// Peak of `usage + candidate` over the candidate's support.
@@ -503,6 +536,7 @@ impl StorageLedger {
             return 0.0;
         }
         let (cs, ce) = (candidate.start, candidate.end);
+        let row = &self.rows[i];
 
         let overlay = &mut cursor.overlay;
         overlay.clear();
@@ -510,7 +544,7 @@ impl StorageLedger {
             overlay.push((d.t, d.jump, d.slope));
         }
         if let Some(v) = exclude {
-            for (vid, p) in &self.entries[i] {
+            for (vid, p) in &row.entries {
                 if *vid == v {
                     for d in &p.slope_deltas() {
                         overlay.push((d.t, -d.jump, -d.slope));
@@ -522,7 +556,7 @@ impl StorageLedger {
 
         // Running prefix of the combined function: aggregate up to the
         // support start, plus every overlay delta at or before it.
-        let mut p = self.timelines[i].prefix(cs);
+        let mut p = row.timeline.prefix(cs);
         let mut oi = 0;
         while oi < overlay.len() && overlay[oi].0 <= cs {
             let (t, jump, dslope) = overlay[oi];
@@ -539,7 +573,7 @@ impl StorageLedger {
         // Timeline breakpoints strictly inside the support (cs, ce].
         let support = &mut cursor.support;
         support.clear();
-        self.timelines[i].visit_range(cs, ce, |t, jump, dslope| support.push((t, jump, dslope)));
+        row.timeline.visit_range(cs, ce, |t, jump, dslope| support.push((t, jump, dslope)));
 
         // Merge-walk the two sorted delta lists. At each distinct time:
         // exact left limit first, then fold in every delta sharing that
@@ -637,7 +671,7 @@ impl StorageLedger {
         // above at every instant (profiles are non-negative, and any
         // excluded profiles only tighten the bound), so a candidate
         // fitting under it fits, full stop.
-        if self.plateau_sum[i] + candidate.peak() <= capacity {
+        if self.rows[i].plateau_sum + candidate.peak() <= capacity {
             return true;
         }
         let threshold = capacity * (1.0 + CAPACITY_EPS) + CAPACITY_EPS;
@@ -939,6 +973,91 @@ mod tests {
         assert_eq!(l.node_version(NodeId(1)), v1);
         l.remove(NodeId(1), VideoId(0));
         assert!(l.node_version(NodeId(1)) > v1);
+    }
+
+    /// One row as bits: entries, plateau sum, segments, version.
+    type RowBits = (Vec<(u32, [u64; 5])>, u64, Vec<[u64; 4]>, u64);
+
+    fn row_bits(l: &StorageLedger, loc: NodeId) -> RowBits {
+        let entries = l
+            .profiles_at(loc)
+            .iter()
+            .map(|(v, p)| (v.0, [p.start, p.full, p.last, p.end, p.plateau].map(f64::to_bits)))
+            .collect();
+        let mut segments = Vec::new();
+        l.for_each_segment(loc, |t0, t1, u0, u1| segments.push([t0, t1, u0, u1].map(f64::to_bits)));
+        (entries, l.plateau_sum(loc).to_bits(), segments, l.node_version(loc))
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_original_bit_identical() {
+        let t = topo(5.0);
+        let mut l = StorageLedger::new(&t);
+        l.add(NodeId(1), VideoId(0), profile(0.0, 5000.0));
+        l.add(NodeId(1), VideoId(1), profile(4000.0, 10_000.0));
+        let before = row_bits(&l, NodeId(1));
+        // Every mutation on the clone: add, remove, remove_drained.
+        let mut c = l.clone();
+        c.add(NodeId(1), VideoId(2), profile(100.0, 900.0));
+        c.remove(NodeId(1), VideoId(1));
+        assert_eq!(c.remove_drained(NodeId(1), VideoId(0), 1e9), 1);
+        assert_eq!(c.profile_count(NodeId(1)), 1);
+        assert!(row_bits(&l, NodeId(1)) == before, "the clone's mutations reached the original");
+        // And the other way round.
+        let mut c = l.clone();
+        let kept = row_bits(&c, NodeId(1));
+        l.add(NodeId(1), VideoId(2), profile(100.0, 900.0));
+        l.remove(NodeId(1), VideoId(1));
+        assert_eq!(l.remove_drained(NodeId(1), VideoId(0), 1e9), 1);
+        assert!(row_bits(&c, NodeId(1)) == kept, "the original's mutations reached the clone");
+        // The clone still mutates like a fresh ledger would.
+        c.remove(NodeId(1), VideoId(1));
+        c.remove(NodeId(1), VideoId(0));
+        assert_eq!((c.profile_count(NodeId(1)), c.plateau_sum(NodeId(1))), (0, 0.0));
+    }
+
+    #[test]
+    fn a_removal_that_drops_nothing_copies_no_shared_row() {
+        let t = topo(5.0);
+        let mut l = StorageLedger::new(&t);
+        l.add(NodeId(1), VideoId(0), profile(0.0, 5000.0));
+        let mut c = l.clone();
+        c.remove(NodeId(1), VideoId(7));
+        assert_eq!(c.remove_drained(NodeId(1), VideoId(0), 10.0), 0, "still live at t = 10");
+        c.add(NodeId(1), VideoId(3), profile(100.0, 100.0)); // zero space
+        assert!(c.shares_row(&l, NodeId(1)), "a no-op mutation copied the row");
+        c.remove(NodeId(1), VideoId(0));
+        assert!(!c.shares_row(&l, NodeId(1)));
+        // Only the row a mutation reached was copied.
+        assert!(c.shares_row(&l, NodeId(2)));
+    }
+
+    #[test]
+    fn taken_rows_keep_their_bits_and_a_retag_moves_no_float() {
+        let t = builders::paper_fig4(&builders::PaperFig4Config::default());
+        let mut base = StorageLedger::new(&t);
+        base.add(NodeId(3), VideoId(5), profile(0.0, 100.0));
+        let n = t.node_count();
+        // Node 1: one clean writer. Node 2: two writers. Node 3: one
+        // writer, dirty there. Node 4: nobody.
+        let (mut a, mut b) = (base.clone(), base.clone());
+        a.add(NodeId(1), VideoId(0), profile(0.0, 5000.0));
+        a.add(NodeId(1), VideoId(1), profile(4000.0, 10_000.0));
+        a.add(NodeId(2), VideoId(0), profile(0.0, 5000.0));
+        b.add(NodeId(2), VideoId(2), profile(0.0, 5000.0));
+        b.remove(NodeId(3), VideoId(5));
+        let mut b_dirty = vec![false; n];
+        b_dirty[3] = true;
+        let want = row_bits(&a, NodeId(1));
+        let mut l = base.clone();
+        let rebuild = l.take_rows(vec![(a, vec![false; n]), (b, b_dirty)], Some(VideoId(9)));
+        assert_eq!(&rebuild[1..5], &[false, true, true, false]);
+        let (entries, plateau, segments, version) = row_bits(&l, NodeId(1));
+        assert!(entries.iter().all(|(v, _)| *v == 9));
+        assert_eq!((plateau, segments, version), (want.1, want.2, want.3));
+        for loc in [2, 3, 4].map(NodeId) {
+            assert!(l.shares_row(&base, loc), "{loc} was not to be taken");
+        }
     }
 
     #[test]

@@ -148,9 +148,13 @@ impl OverflowMonitor {
     }
 }
 
-/// Overflow intervals at one storage given its capacity.
+/// Overflow intervals at one storage given its capacity; none where the
+/// plateau sum, `row_fits`' O(1) upper bound, fits.
 fn overflows_at(ledger: &StorageLedger, loc: NodeId, capacity: Bytes) -> Vec<Overflow> {
     let mut out = Vec::new();
+    if ledger.plateau_sum(loc) <= capacity {
+        return out;
+    }
     let emit = |window, peak_excess| out.push(Overflow { loc, window, peak_excess });
     let mut scan = OverflowScan { capacity, open: None, last_t: f64::NEG_INFINITY, emit };
     ledger.for_each_segment(loc, |t0, t1, u0, u1| scan.segment(t0, t1, u0, u1));
@@ -484,6 +488,60 @@ mod tests {
                     && x.window == y.window
                     && x.peak_excess.to_bits() == y.peak_excess.to_bits()
             })
+    }
+
+    /// [`overflows_at`] without its plateau-sum fast path: every row walked.
+    fn walked(ledger: &StorageLedger, topo: &Topology) -> Vec<Overflow> {
+        let mut out = Vec::new();
+        for loc in topo.storages() {
+            let capacity = topo.capacity(loc);
+            let emit = |window, peak_excess| out.push(Overflow { loc, window, peak_excess });
+            let mut scan = OverflowScan { capacity, open: None, last_t: f64::NEG_INFINITY, emit };
+            ledger.for_each_segment(loc, |t0, t1, u0, u1| scan.segment(t0, t1, u0, u1));
+            scan.finish();
+        }
+        out
+    }
+
+    #[test]
+    fn the_scan_fast_path_changes_no_answer_and_no_rescan_count() {
+        use vod_cost_model::SpaceProfile;
+        let p = |start: Secs, gb: f64| {
+            SpaceProfile::new(start, start + 20_000.0, units::gb(gb), units::minutes(90.0))
+        };
+        let mut ledger = StorageLedger::new(&setup(5.0).0);
+        ledger.add(NodeId(1), VideoId(0), p(0.0, 2.5 / 3.0));
+        ledger.add(NodeId(1), VideoId(1), p(10_000.0, 1.7 / 7.0));
+        ledger.add(NodeId(2), VideoId(0), p(0.0, 0.3));
+        // A long remove chain beside the residents drifts the plateau sum.
+        for _ in 0..500 {
+            ledger.add(NodeId(1), VideoId(2), p(3_000.0, 37.3 / 11.0));
+            ledger.remove(NodeId(1), VideoId(2));
+        }
+        let sum = ledger.plateau_sum(NodeId(1));
+        let exact = units::gb(2.5 / 3.0) + units::gb(1.7 / 7.0);
+        assert_ne!(sum, exact, "the chain left the sum exact");
+        let mut brim = 0.0f64;
+        ledger.for_each_segment(NodeId(1), |_, _, u0, u1| brim = brim.max(u0).max(u1));
+        let mut fast_paths = 0;
+        for capacity in [0.9 * sum, sum, f64::from_bits(sum.to_bits() + 1), brim, 0.9 * brim] {
+            let mut topo = setup(5.0).0;
+            topo.set_uniform_capacity(capacity).unwrap();
+            fast_paths += topo.storages().filter(|&l| ledger.plateau_sum(l) <= capacity).count();
+            let flat = |mon: &OverflowMonitor| -> Vec<Overflow> {
+                mon.scans().iter().flat_map(|(_, _, ofs)| ofs.iter().cloned()).collect()
+            };
+            let mut mon = OverflowMonitor::new();
+            assert_eq!(mon.refresh(&topo, &ledger), topo.storages().count());
+            assert!(same_overflows(&detect_overflows(&topo, &ledger), &walked(&ledger, &topo)));
+            assert!(same_overflows(&flat(&mon), &walked(&ledger, &topo)));
+            // A row that moved is rescanned — and counted — fast path or not.
+            let mut moved = ledger.clone();
+            moved.remove(NodeId(2), VideoId(0));
+            assert_eq!(mon.refresh(&topo, &moved), 1);
+            assert!(same_overflows(&flat(&mon), &walked(&moved, &topo)));
+        }
+        assert!(fast_paths > 0);
     }
 
     #[test]

@@ -1015,12 +1015,12 @@ impl ServiceLoop {
 
         // 8. Finish the state and commit what ships — the one place a
         //    residency enters the book, which `overflow_free` speaks for.
-        let (schedule, cost, initial_cost, overflow_free) =
-            state.map_or((Schedule::new(), 0.0, 0.0, true), |state| {
-                let out = state.into_outcome(ctx);
-                (out.schedule, out.cost, out.initial_cost, out.overflow_free)
+        let (schedule, cost, initial_cost, overflow_free, solved) =
+            state.map_or((Schedule::new(), 0.0, 0.0, true, None), |state| {
+                let (out, solved) = state.into_outcome(ctx);
+                (out.schedule, out.cost, out.initial_cost, out.overflow_free, Some(solved))
             });
-        self.book.absorb(ctx, &schedule);
+        self.book.absorb_solved(ctx, &schedule, solved);
         debug_assert!(
             detect_overflows(ctx.topo, self.book.ledger()).is_empty(),
             "cycle {k} over-committed the book"

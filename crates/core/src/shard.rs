@@ -11,8 +11,8 @@
 //!    residencies);
 //! 2. a fresh global [`SolveState`] is built over the base ledger and
 //!    the merged schedule, and every shard's bans are appended to it —
-//!    the schedule and the bans are all that crosses from a shard pass
-//!    to the global one;
+//!    the schedule, the bans and ledger rows (taken over where one shard
+//!    alone wrote them) are all that crosses from a shard pass;
 //! 3. cross-shard capacity overflows (storages individually feasible
 //!    per shard but jointly over capacity) are counted by the global
 //!    state's first overflow refresh and resolved by one bounded global
@@ -55,6 +55,7 @@
 //! [`crate::CommittedBook`] and repairs the state before finishing it.
 //! A cold solve is the service's solve over an empty book.
 
+use crate::capacity::Solved;
 use crate::sorp::SolveState;
 use crate::{
     detect_overflows, ivsp_solve_priced_with, PricedSchedule, SchedCtx, SorpConfig, SorpOutcome,
@@ -168,7 +169,7 @@ impl ShardSolve {
     /// Finish the state and package the outcome.
     pub(crate) fn finish(self, ctx: &SchedCtx<'_>) -> ShardOutcome {
         ShardOutcome {
-            sorp: self.state.into_outcome(ctx),
+            sorp: self.state.into_outcome(ctx).0,
             shards: self.shards,
             split_videos: self.split_videos,
             shared_storages: self.shared_storages,
@@ -279,8 +280,9 @@ fn reconcile(
     }
 
     // Tear the shard states apart: schedules merge, bans append in shard
-    // order, counters aggregate. Nothing else crosses.
+    // order, counters aggregate, ledgers give rows. Nothing else crosses.
     let mut parts = Vec::with_capacity(shards);
+    let mut ledgers = Vec::with_capacity(shards);
     let mut forbidden: HashMap<VideoId, Vec<_>> = HashMap::new();
     let mut initial_cost = 0.0;
     let mut iterations = 0;
@@ -302,13 +304,15 @@ fn reconcile(
         for (vid, bans) in s.forbidden {
             forbidden.entry(vid).or_default().extend(bans);
         }
+        ledgers.push((s.ledger, s.dirty));
         parts.push(s.priced);
     }
 
     // The merge meets every video of every shard once, so it also knows
     // which ones landed in several.
     let (merged, split) = PricedSchedule::merge(parts);
-    let mut global = SolveState::new(ctx, merged, base.clone());
+    let ledger = global_ledger(ctx, base, &merged, ledgers);
+    let mut global = SolveState::laid(ctx, merged, ledger);
     global.forbidden = forbidden;
 
     // Seed the aggregate counters so the final outcome reports totals
@@ -341,6 +345,25 @@ fn reconcile(
         reconcile_iterations,
         reconcile_victims,
     }
+}
+
+/// The global pass's ledger, bit-identical to `base` plus every merged
+/// residency in merged order: a row one shard wrote and never committed
+/// on is that shard's, whose order the merge keeps (DESIGN.md §11.2).
+fn global_ledger(
+    ctx: &SchedCtx<'_>,
+    base: &StorageLedger,
+    merged: &PricedSchedule,
+    shards: Vec<Solved>,
+) -> StorageLedger {
+    let mut ledger = base.clone();
+    let rebuild = ledger.take_rows(shards, None);
+    for r in merged.schedule().residencies() {
+        if rebuild[r.loc.index()] {
+            ledger.add(r.loc, r.video, r.profile(ctx.catalog.get(r.video)));
+        }
+    }
+    ledger
 }
 
 #[cfg(test)]
@@ -435,6 +458,75 @@ mod tests {
             (out.sorp.initial_cost - summed).abs() <= 1e-9 * summed.max(1.0),
             "aggregate initial cost must be the per-shard sum"
         );
+    }
+
+    #[test]
+    fn the_row_by_row_ledger_is_base_plus_every_merged_residency() {
+        use crate::EXTERNAL_OCCUPANCY;
+        use vod_cost_model::SpaceProfile;
+        use vod_topology::NodeId;
+        type RowBits = (Vec<(u32, [u64; 5])>, u64, Vec<[u64; 4]>, u64);
+        let bits = |topo: &vod_topology::Topology, l: &StorageLedger| -> Vec<RowBits> {
+            (0..topo.node_count() as u32)
+                .map(|i| {
+                    let loc = NodeId(i);
+                    let entries = l.profiles_at(loc).iter();
+                    let entries = entries
+                        .map(|(v, p)| (v.0, [p.start, p.full, p.last, p.end, p.plateau]))
+                        .map(|(v, p)| (v, p.map(f64::to_bits)))
+                        .collect();
+                    let mut segments = Vec::new();
+                    l.for_each_segment(loc, |a, b, c, d| {
+                        segments.push([a, b, c, d].map(f64::to_bits))
+                    });
+                    (entries, l.plateau_sum(loc).to_bits(), segments, l.node_version(loc))
+                })
+                .collect()
+        };
+        // Rows kept from the base, taken from a shard, rebuilt.
+        let (mut seen, mut committed) = ([0usize; 3], false);
+        for strategy in [ShardStrategy::ByRegion, ShardStrategy::ByTimeSlice] {
+            for commits in [false, true] {
+                let (topo, wl) = world(5.0, 1);
+                let model = CostModel::per_hop();
+                let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+                let cfg = ShardConfig { shards: 4, strategy, ..ShardConfig::default() };
+                let mut base = StorageLedger::new(&topo);
+                for loc in topo.storages().take(2) {
+                    let carried = SpaceProfile::new(0.0, 3_000.0, 1e9, 600.0);
+                    base.add(loc, EXTERNAL_OCCUPANCY, carried);
+                }
+                let spec = ShardSpec { shards: cfg.shards, strategy, seed: cfg.seed };
+                let (mut shards, mut parts) = (Vec::new(), Vec::new());
+                for batch in partition_requests(&topo, &wl.requests, &spec) {
+                    let priced =
+                        ivsp_solve_priced_with(&ctx, &batch, cfg.sorp.policy, ExecMode::Sequential);
+                    let mut s = SolveState::new(&ctx, priced, base.clone());
+                    if commits {
+                        s.resolve(&ctx, &cfg.sorp);
+                        committed |= s.dirty.contains(&true);
+                    }
+                    shards.push((s.ledger, s.dirty));
+                    parts.push(s.priced);
+                }
+                assert!(shards.len() > 1);
+                let before: Vec<StorageLedger> = shards.iter().map(|(l, _)| l.clone()).collect();
+                let (merged, _) = PricedSchedule::merge(parts);
+                let mut want = base.clone();
+                for r in merged.schedule().residencies() {
+                    want.add(r.loc, r.video, r.profile(wl.catalog.get(r.video)));
+                }
+                let got = global_ledger(&ctx, &base, &merged, shards);
+                let what = format!("{strategy:?}, shard-pass commits: {commits}");
+                assert!(bits(&topo, &got) == bits(&topo, &want), "{what}");
+                for loc in (0..topo.node_count() as u32).map(NodeId) {
+                    let taken = before.iter().any(|l| got.shares_row(l, loc));
+                    seen[if got.shares_row(&base, loc) { 0 } else { 2 - usize::from(taken) }] += 1;
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "kept / taken / rebuilt rows: {seen:?}");
+        assert!(committed, "no shard pass committed");
     }
 
     #[test]

@@ -74,6 +74,7 @@
 //! thread; the independent unit of work is the shard
 //! ([`crate::shard_solve`]), not the trial.
 
+use crate::capacity::Solved;
 use crate::overflow::OverflowMonitor;
 use crate::{
     detect_overflows, heat_of, overflow_set, reschedule_video_traced, Constraints, GreedyPolicy,
@@ -451,6 +452,9 @@ fn select_victim(jobs: &[StandingJob]) -> Option<usize> {
 pub(crate) struct SolveState {
     pub(crate) priced: PricedSchedule,
     pub(crate) ledger: StorageLedger,
+    /// Per node row: whether [`SolveState::commit`] touched it. A clean row
+    /// is the base's plus the state's residencies there, in schedule order.
+    pub(crate) dirty: Vec<bool>,
     pub(crate) forbidden: HashMap<VideoId, Vec<(NodeId, Interval)>>,
     pub(crate) victims: Vec<VictimRecord>,
     pub(crate) iterations: usize,
@@ -484,10 +488,16 @@ impl SolveState {
         for r in priced.schedule().residencies() {
             base.add(r.loc, r.video, r.profile(ctx.catalog.get(r.video)));
         }
+        Self::laid(ctx, priced, base)
+    }
+
+    /// Fresh state over a ledger [`SolveState::new`] would have laid.
+    pub(crate) fn laid(ctx: &SchedCtx<'_>, priced: PricedSchedule, ledger: StorageLedger) -> Self {
         Self {
             initial_cost: priced.total(),
             priced,
-            ledger: base,
+            ledger,
+            dirty: vec![false; ctx.topo.node_count()],
             forbidden: HashMap::new(),
             victims: Vec::new(),
             iterations: 0,
@@ -660,14 +670,15 @@ impl SolveState {
     /// outgoing schedule actually used, and the running Ψ moves by the
     /// commit's delta. The supports of every profile actually removed or
     /// added become the commit's [`LedgerDelta`] — its (node, window)
-    /// footprint, which scopes trial-cache invalidation. The one commit:
-    /// a resolution iteration, the fallback tail and the fault-repair
-    /// pass ([`crate::repair_schedule`]) all land here.
+    /// footprint, which scopes trial-cache invalidation; the rows are
+    /// marked dirty. The one commit: a resolution iteration, the fallback
+    /// tail and the fault-repair pass ([`crate::repair_schedule`]) all land here.
     pub(crate) fn commit(&mut self, ctx: &SchedCtx<'_>, new_vs: VideoSchedule) {
         let vid = new_vs.video;
         let mut delta = LedgerDelta::new();
         if let Some(old_vs) = self.priced.schedule().video(vid) {
             for r in &old_vs.residencies {
+                self.dirty[r.loc.index()] = true;
                 self.ledger.remove_tracked(r.loc, vid, &mut delta);
             }
         }
@@ -676,6 +687,7 @@ impl SolveState {
             "ledger held occupancy for video {vid:?} outside its scheduled residencies"
         );
         for r in &new_vs.residencies {
+            self.dirty[r.loc.index()] = true;
             let profile = r.profile(ctx.catalog.get(r.video));
             self.ledger.add_tracked(r.loc, r.video, profile, &mut delta);
         }
@@ -684,14 +696,14 @@ impl SolveState {
     }
 
     /// Finish the pass: cross-check the delta accounting once, re-detect
-    /// overflows from scratch, and package the outcome.
-    pub(crate) fn into_outcome(self, ctx: &SchedCtx<'_>) -> SorpOutcome {
+    /// overflows from scratch, and package the outcome beside the rows.
+    pub(crate) fn into_outcome(self, ctx: &SchedCtx<'_>) -> (SorpOutcome, Solved) {
         // The running total *is* the final cost; cross-check the delta
         // accounting against the closed form once, outside the loop.
         debug_assert!(self.priced.consistent_with(ctx), "SORP left an inconsistent pricing memo");
         let cost = self.priced.total();
         let overflow_free = detect_overflows(ctx.topo, &self.ledger).is_empty();
-        SorpOutcome {
+        let outcome = SorpOutcome {
             schedule: self.priced.into_schedule(),
             cost,
             initial_cost: self.initial_cost,
@@ -703,7 +715,8 @@ impl SolveState {
             trials_cached: self.trials_cached,
             jobs_rebuilt: self.jobs_rebuilt,
             nodes_rescanned: self.nodes_rescanned,
-        }
+        };
+        (outcome, (self.ledger, self.dirty))
     }
 }
 
@@ -730,7 +743,7 @@ pub fn sorp_solve_priced(
 ) -> SorpOutcome {
     let mut state = SolveState::new(ctx, priced, external_ledger(ctx, external));
     state.resolve(ctx, cfg);
-    state.into_outcome(ctx)
+    state.into_outcome(ctx).0
 }
 
 /// The base ledger of a solve seeded from a flat profile list: every

@@ -83,7 +83,7 @@ struct Node {
 }
 
 /// The incremental occupancy timeline of one storage.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct OccupancyTimeline {
     nodes: Vec<Node>,
     free: Vec<Idx>,
@@ -104,6 +104,12 @@ fn prio_of(t: f64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+impl Default for OccupancyTimeline {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl OccupancyTimeline {
@@ -448,6 +454,20 @@ mod tests {
         let mut segs = 0;
         tl.for_each_segment(|_, _, _, _| segs += 1);
         assert_eq!(segs, 0);
+    }
+
+    #[test]
+    fn default_is_the_empty_timeline() {
+        let mut tl = OccupancyTimeline::default();
+        assert_eq!(tl.root, OccupancyTimeline::new().root);
+        assert!(tl.is_empty());
+        assert_eq!(tl.version(), 0);
+        let p = SpaceProfile::new(100.0, 600.0, 1000.0, 200.0);
+        add_profile(&mut tl, &p);
+        tl.check_invariants();
+        assert_eq!(tl.prefix(300.0).value_at(300.0), 1000.0);
+        remove_profile(&mut tl, &p);
+        assert!(tl.is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! What crosses a cycle boundary is the **committed occupancy** and
 //! nothing else: every residency profile of every earlier cycle's
 //! schedule as it shipped — absorbed once, after fault repair
-//! ([`CommittedBook::absorb`]) — in an incrementally maintained
+//! ([`CommittedBook::absorb_solved`]) — in an incrementally maintained
 //! [`StorageLedger`] under [`EXTERNAL_OCCUPANCY`] ([`CommittedBook`]),
 //! instead of a flat profile list re-added on every cycle. Profiles
 //! whose drain completed before the new cycle's window are evicted
@@ -12,7 +12,9 @@
 //! any admission test of a batch whose reservations start inside the
 //! window, so eviction is invisible to every verdict. A cycle's solve
 //! reads the book as its base ledger and is otherwise the cold solve:
-//! an empty book *is* the cold path.
+//! an empty book *is* the cold path. The commit takes back, retagged,
+//! every row the finished state never committed on, instead of adding
+//! the same residencies to the book a second time.
 //!
 //! The SORP trial cache does **not** cross the boundary. A memoized
 //! trial may only answer a job over exactly the request set it was
@@ -22,6 +24,7 @@
 //! were adopted 0 times on every service workload (EXPERIMENTS.md), so
 //! the carry is gone and the trial counters in [`WarmStats`] read 0.
 
+use crate::capacity::Solved;
 use crate::{SchedCtx, StorageLedger, EXTERNAL_OCCUPANCY};
 use serde::{Deserialize, Serialize};
 use vod_cost_model::{Schedule, Secs};
@@ -86,13 +89,12 @@ pub struct CommittedBook {
     ledger: StorageLedger,
     /// Storages holding at least one committed profile, insertion order.
     touched: Vec<NodeId>,
-    active: usize,
 }
 
 impl CommittedBook {
     /// An empty book over a topology.
     pub fn new(topo: &Topology) -> Self {
-        Self { ledger: StorageLedger::new(topo), touched: Vec::new(), active: 0 }
+        Self { ledger: StorageLedger::new(topo), touched: Vec::new() }
     }
 
     /// The committed-occupancy ledger (external profiles only).
@@ -102,36 +104,53 @@ impl CommittedBook {
 
     /// Number of active committed profiles.
     pub fn active(&self) -> usize {
-        self.active
+        self.touched.iter().map(|&loc| self.ledger.profile_count(loc)).sum()
     }
 
     /// Commit one residency profile.
     pub fn commit(&mut self, loc: NodeId, profile: vod_cost_model::SpaceProfile) {
         if profile.peak() > 0.0 {
-            if !self.touched.contains(&loc) {
-                self.touched.push(loc);
-            }
+            self.touch(loc);
             self.ledger.add(loc, EXTERNAL_OCCUPANCY, profile);
-            self.active += 1;
+        }
+    }
+
+    fn touch(&mut self, loc: NodeId) {
+        if !self.touched.contains(&loc) {
+            self.touched.push(loc);
         }
     }
 
     /// Commit a cycle's shipped schedule, so later cycles see its
     /// occupancy.
     pub fn absorb(&mut self, ctx: &SchedCtx<'_>, schedule: &Schedule) {
+        self.absorb_solved(ctx, schedule, None);
+    }
+
+    /// [`CommittedBook::absorb`] given the solve's ledger (this book plus
+    /// the schedule) and dirty rows: a clean row it wrote is taken over,
+    /// retagged, in place of the same adds (DESIGN.md §11.3).
+    pub(crate) fn absorb_solved(
+        &mut self,
+        ctx: &SchedCtx<'_>,
+        schedule: &Schedule,
+        solved: Option<Solved>,
+    ) {
+        let rebuild = solved.map(|s| self.ledger.take_rows(vec![s], Some(EXTERNAL_OCCUPANCY)));
         for r in schedule.residencies() {
-            self.commit(r.loc, r.profile(ctx.catalog.get(r.video)));
+            let profile = r.profile(ctx.catalog.get(r.video));
+            if rebuild.as_ref().is_none_or(|d: &Vec<bool>| d[r.loc.index()]) {
+                self.commit(r.loc, profile);
+            } else if profile.peak() > 0.0 {
+                self.touch(r.loc);
+            }
         }
     }
 
     /// Evict every profile fully drained by `t` and return the count.
     pub fn evict_expired(&mut self, t: Secs) -> usize {
-        let mut evicted = 0;
-        for &loc in &self.touched {
-            evicted += self.ledger.remove_drained(loc, EXTERNAL_OCCUPANCY, t);
-        }
-        self.active -= evicted;
-        evicted
+        let ledger = &mut self.ledger;
+        self.touched.iter().map(|&loc| ledger.remove_drained(loc, EXTERNAL_OCCUPANCY, t)).sum()
     }
 
     /// Bytes of committed occupancy held at time `t`. Clamped at zero:

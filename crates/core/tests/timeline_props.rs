@@ -6,7 +6,8 @@
 //! streams.
 
 use proptest::prelude::*;
-use vod_core::{detect_link_overloads, detect_overflows, StorageLedger};
+use proptest::test_runner::TestCaseError;
+use vod_core::{detect_link_overloads, detect_overflows, Overflow, StorageLedger};
 use vod_cost_model::{Secs, SpaceModel, SpaceProfile, VideoId};
 use vod_oracles::flat;
 use vod_topology::{builders, units, NodeId, Topology};
@@ -136,6 +137,46 @@ impl Stream {
     }
 }
 
+/// One step of a ledger's history: add a residency, remove a video at both
+/// storages, or bring one large profile in and out `n` times beside
+/// whatever is resident — a long remove chain that drifts the row's
+/// plateau sum away from the exact sum of its residents' plateaus.
+#[derive(Clone, Debug)]
+enum Step {
+    Add(Item),
+    Remove(u32),
+    Churn(Item, usize),
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    (0u32..4, item_strategy(), 0u32..12, 1usize..300, 1.0f64..40.0).prop_map(
+        |(kind, item, video, n, churn_gb)| match kind {
+            0 | 1 => Step::Add(item),
+            2 => Step::Remove(video),
+            _ => Step::Churn(Item { video: 99, size_gb: churn_gb, ..item }, n),
+        },
+    )
+}
+
+impl Step {
+    fn apply(&self, ledger: &mut StorageLedger) {
+        match self {
+            Step::Add(item) => ledger.add(NodeId(item.loc), VideoId(item.video), item.profile()),
+            Step::Remove(video) => {
+                for loc in [NodeId(1), NodeId(2)] {
+                    ledger.remove(loc, VideoId(*video));
+                }
+            }
+            Step::Churn(item, n) => {
+                for _ in 0..*n {
+                    ledger.add(NodeId(item.loc), VideoId(item.video), item.profile());
+                    ledger.remove(NodeId(item.loc), VideoId(item.video));
+                }
+            }
+        }
+    }
+}
+
 /// Agreement within 1e-9 *relative to the magnitude of the ingredients*:
 /// timeline evaluation is a sum/difference of terms of size `scale`
 /// (bytes resident at the node), so near-zero results carry absolute
@@ -143,6 +184,33 @@ impl Stream {
 /// `1e-9 · scale`.
 fn rel_close(a: f64, b: f64, scale: f64) -> bool {
     (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()).max(scale))
+}
+
+/// `detect_overflows` equals the flat scan on `ledger`, window for window,
+/// at every storage or only at `at`.
+fn same_overflows(
+    topo: &Topology,
+    ledger: &StorageLedger,
+    at: Option<NodeId>,
+) -> Result<(), TestCaseError> {
+    let keep = |ofs: Vec<Overflow>| -> Vec<Overflow> {
+        ofs.into_iter().filter(|of| at.is_none_or(|loc| of.loc == loc)).collect()
+    };
+    let a = keep(detect_overflows(topo, ledger));
+    let b = keep(flat::detect_overflows(topo, ledger));
+    prop_assert_eq!(a.len(), b.len(), "{a:?} vs {b:?}");
+    for (x, y) in a.iter().zip(&b) {
+        prop_assert_eq!(x.loc, y.loc);
+        let scale = ledger.plateau_sum(x.loc);
+        // Crossing *times* amplify byte-level residue by the inverse
+        // segment slope, so compare them at a correspondingly looser
+        // (but still tight in absolute seconds) tolerance.
+        let tclose = |p: Secs, q: Secs| (p - q).abs() <= 1e-6 * (1.0 + p.abs().max(q.abs()));
+        prop_assert!(tclose(x.window.start, y.window.start), "{x:?} vs {y:?}");
+        prop_assert!(tclose(x.window.end, y.window.end), "{x:?} vs {y:?}");
+        prop_assert!(rel_close(x.peak_excess, y.peak_excess, scale), "{x:?} vs {y:?}");
+    }
+    Ok(())
 }
 
 proptest! {
@@ -197,19 +265,35 @@ proptest! {
     fn detect_overflows_matches_reference(w in workload_strategy()) {
         let topo = builders::paper_fig2(16.0, 8.0, 1.0, w.capacity_gb);
         let fast = build_ledger(&topo, &w);
-        let a = detect_overflows(&topo, &fast);
-        let b = flat::detect_overflows(&topo, &fast);
-        prop_assert_eq!(a.len(), b.len(), "{a:?} vs {b:?}");
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert_eq!(x.loc, y.loc);
-            let scale = fast.plateau_sum(x.loc);
-            // Crossing *times* amplify byte-level residue by the inverse
-            // segment slope, so compare them at a correspondingly looser
-            // (but still tight in absolute seconds) tolerance.
-            let tclose = |p: Secs, q: Secs| (p - q).abs() <= 1e-6 * (1.0 + p.abs().max(q.abs()));
-            prop_assert!(tclose(x.window.start, y.window.start), "{x:?} vs {y:?}");
-            prop_assert!(tclose(x.window.end, y.window.end), "{x:?} vs {y:?}");
-            prop_assert!(rel_close(x.peak_excess, y.peak_excess, scale), "{x:?} vs {y:?}");
+        same_overflows(&topo, &fast, None)?;
+    }
+
+    /// The scan's fast path — a row whose plateau sum fits its capacity is
+    /// not walked — changes no window: over random add/remove histories,
+    /// long remove chains among them, at capacities below, at and just
+    /// above each row's (drifted) plateau sum and at its exact brim, the
+    /// production scan equals the flat scan window for window. Only the
+    /// row the capacity was drawn for is compared: the capacity applies to
+    /// both storages, and near zero it sits below the timeline's
+    /// cancellation residue on the other one.
+    #[test]
+    fn scan_fast_path_matches_reference(
+        steps in proptest::collection::vec(step_strategy(), 1..32),
+        below in 0.001f64..0.5,
+    ) {
+        let mut ledger = StorageLedger::new(&builders::paper_fig2(16.0, 8.0, 1.0, 1.0));
+        for step in &steps {
+            step.apply(&mut ledger);
+        }
+        for loc in [NodeId(1), NodeId(2)] {
+            let sum = ledger.plateau_sum(loc);
+            let mut brim = 0.0f64;
+            ledger.for_each_segment(loc, |_, _, u0, u1| brim = brim.max(u0).max(u1));
+            for capacity in [sum * (1.0 - below), sum, f64::from_bits(sum.to_bits() + 1), brim] {
+                let mut topo = builders::paper_fig2(16.0, 8.0, 1.0, 1.0);
+                topo.set_uniform_capacity(capacity).unwrap();
+                same_overflows(&topo, &ledger, Some(loc))?;
+            }
         }
     }
 

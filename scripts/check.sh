@@ -113,6 +113,19 @@ cargo test -q --offline -p vod-core --lib -- --exact \
   service::tests::intake_refuses_non_finite_starts_and_drains_negative_ones
 cargo test -q --offline -p vod-core --test service_props colliding_tickets_keep_their_original_pairing
 cargo test -q --offline -p vod-workload --lib shard::tests::dense_region_partition_equals_the_btree_maps
+# One occupancy ledger per cycle: copy-on-write rows, the reconciliation
+# ledger built row by row, the book taking over clean rows (held to a book
+# fed one residency at a time, by bits, on four reduced cells), and the
+# overflow scan skipping rows whose plateau sum fits.
+cargo test -q --offline --test book_pin
+cargo test -q --offline -p vod-core --lib -- --exact \
+  capacity::tests::mutating_a_clone_leaves_the_original_bit_identical \
+  capacity::tests::a_removal_that_drops_nothing_copies_no_shared_row \
+  capacity::tests::taken_rows_keep_their_bits_and_a_retag_moves_no_float \
+  shard::tests::the_row_by_row_ledger_is_base_plus_every_merged_residency \
+  overflow::tests::the_scan_fast_path_changes_no_answer_and_no_rescan_count \
+  timeline::tests::default_is_the_empty_timeline
+cargo test -q --offline -p vod-core --test timeline_props scan_fast_path_matches_reference
 
 echo "==> telemetry suite (obs crate + recorder transparency + e2e reconcile)"
 cargo test -q --offline -p vod-obs
@@ -275,25 +288,33 @@ if [ -n "$driver_hits" ]; then
 fi
 
 echo "==> one-commit lint (a cycle's schedule enters the book once, after repair, from run_cycle)"
-# Outside test modules crates/core/src has one call of the book's absorb(,
-# inside run_cycle, and no second commit path: no warm-state wrapper that
-# commits inside the solve, no repair-side commit or ledger rebuild that
-# cannot see the book, no re-pricing of the schedule between solve and repair.
+# Outside test modules crates/core/src has one book commit, the call of
+# absorb_solved( inside run_cycle (absorb( is its every-row-dirty form for
+# callers without a solve ledger, and only wraps it), one residency loop
+# into the book, in absorb_solved, and no second commit path: no warm-state
+# wrapper that commits inside the solve, no repair-side commit or ledger
+# rebuild that cannot see the book, no re-pricing of the schedule between
+# solve and repair.
 commit_hits="$(awk '
     FNR == 1 { test = 0; fn = "" }
     /^#\[cfg\(test\)\]/ { test = 1 }
     test { next }
     match($0, /fn [a-z_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
-    /\.absorb\(/ && FILENAME != "crates/core/src/timeline.rs" { calls++  # Prefix::absorb folds a breakpoint
+    /\.absorb(_solved)?\(/ && FILENAME != "crates/core/src/timeline.rs" {  # Prefix::absorb folds a breakpoint
+      if (FILENAME == "crates/core/src/warm.rs" && fn == "absorb") { next }
+      calls++
       if (!(FILENAME == "crates/core/src/service.rs" && fn == "run_cycle")) {
         print FILENAME ":" FNR ": the book absorbs outside run_cycle" } }
+    FILENAME == "crates/core/src/warm.rs" && /\.residencies\(\)/ { loops++
+      if (fn != "absorb_solved") { print FILENAME ":" FNR ": a second residency loop into the book" } }
     /absorb_repaired|shard_solve_warm|WarmState([^s]|$)/ {
       print FILENAME ":" FNR ": a second commit path (absorb_repaired / shard_solve_warm / WarmState)" }
     FILENAME == "crates/core/src/repair.rs" && /fn commit\(|from_schedule\(/ {
       print FILENAME ":" FNR ": repair commits through SolveState::commit on the state ledger" }
     FILENAME == "crates/core/src/service.rs" && /PricedSchedule::price\(/ {
       print FILENAME ":" FNR ": run_cycle re-prices the schedule" }
-    END { if (calls != 1) print calls + 0 " .absorb( calls under crates/core/src; run_cycle has the one" }
+    END { if (calls != 1) print calls + 0 " book commits under crates/core/src; run_cycle has the one"
+          if (loops != 1) print loops + 0 " residency loops in warm.rs; absorb_solved has the one" }
     ' crates/core/src/*.rs)"
 if [ -n "$commit_hits" ]; then
   echo "$commit_hits" >&2
