@@ -114,6 +114,26 @@ fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     }
 }
 
+/// Whether the warehouse reaches every node of `topo` over the edges
+/// neither marked in `cut` nor joining the endpoint pair `also` — the
+/// connectivity check of `Topology::without_links`, on an edge mask.
+fn reaches_every_node(topo: &Topology, cut: &[bool], also: (NodeId, NodeId)) -> bool {
+    let mut seen = vec![false; topo.node_count()];
+    let mut queue = std::collections::VecDeque::from([topo.warehouse()]);
+    seen[topo.warehouse().index()] = true;
+    let mut reached = 1;
+    while let Some(n) = queue.pop_front() {
+        for &(m, e) in topo.neighbors(n) {
+            if !seen[m.index()] && !cut[e] && link_key(n, m) != also {
+                seen[m.index()] = true;
+                reached += 1;
+                queue.push_back(m);
+            }
+        }
+    }
+    reached == topo.node_count()
+}
+
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -314,7 +334,9 @@ impl FaultPlan {
             faults.push(Fault::NodeOutage { node, from, until });
         }
 
-        let mut failed: Vec<(NodeId, NodeId)> = Vec::new();
+        // Edges failed so far, cut by endpoint pair as
+        // `Topology::without_links` cuts them.
+        let mut cut = vec![false; topo.edge_count()];
         for _ in 0..cfg.link_failures {
             let m = topo.edge_count();
             if m == 0 {
@@ -325,13 +347,14 @@ impl FaultPlan {
             let offset = rng.index(m);
             let chosen = (0..m).map(|i| (offset + i) % m).find(|&i| {
                 let e = &topo.edges()[i];
-                let mut trial = failed.clone();
-                trial.push((e.a, e.b));
-                topo.without_links(&trial).is_ok()
+                reaches_every_node(topo, &cut, link_key(e.a, e.b))
             });
             let Some(i) = chosen else { break };
             let e = &topo.edges()[i];
-            failed.push((e.a, e.b));
+            let pair = link_key(e.a, e.b);
+            for (j, other) in topo.edges().iter().enumerate() {
+                cut[j] |= link_key(other.a, other.b) == pair;
+            }
             let (from, until) = window(&mut rng);
             faults.push(Fault::LinkFailure { a: e.a, b: e.b, from, until });
         }

@@ -9,7 +9,7 @@
 use crate::{SplitMix64, Zipf};
 use serde::{Deserialize, Serialize};
 use vod_cost_model::{Catalog, Request, RequestBatch, VideoId};
-use vod_topology::Topology;
+use vod_topology::{NodeId, Topology};
 
 /// When, within the cycle, reservations fall.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -71,27 +71,7 @@ pub fn generate_requests(
     cfg: &RequestConfig,
     seed: u64,
 ) -> RequestBatch {
-    assert!(cfg.horizon_hours > 0.0, "horizon must be positive");
-    assert!(!catalog.is_empty(), "catalog must not be empty");
-
-    let mut rng = SplitMix64::new(seed);
-    let zipf = Zipf::new(catalog.len(), cfg.zipf_alpha);
-    let horizon = cfg.horizon_hours * 3_600.0;
-
-    let mut requests = Vec::with_capacity(topo.user_count() * cfg.requests_per_user);
-    for user in topo.users() {
-        for _ in 0..cfg.requests_per_user {
-            let video = VideoId(zipf.sample(&mut rng) as u32);
-            let start = match cfg.arrivals {
-                ArrivalPattern::Uniform => rng.range_f64(0.0, horizon),
-                ArrivalPattern::Peak { peak_fraction } => {
-                    sample_triangular(&mut rng, horizon, peak_fraction.clamp(0.0, 1.0))
-                }
-            };
-            requests.push(Request { user: user.id, video, start });
-        }
-    }
-    RequestBatch::new(requests)
+    RequestBatch::new(draw_requests(topo, catalog, cfg, seed))
 }
 
 /// Generate a batch in which every neighborhood requests only from its
@@ -116,6 +96,29 @@ pub fn generate_regional_requests(
     cfg: &RequestConfig,
     seed: u64,
 ) -> RequestBatch {
+    RequestBatch::new(draw_regional_requests(topo, catalog, cfg, seed))
+}
+
+/// [`generate_requests`]' draw in user order, before any batch sort.
+pub(crate) fn draw_requests(
+    topo: &Topology,
+    catalog: &Catalog,
+    cfg: &RequestConfig,
+    seed: u64,
+) -> Vec<Request> {
+    assert!(cfg.horizon_hours > 0.0, "horizon must be positive");
+    assert!(!catalog.is_empty(), "catalog must not be empty");
+    draw(topo, cfg, seed, catalog.len(), |_| 0)
+}
+
+/// [`generate_regional_requests`]' draw in user order, before any batch
+/// sort.
+pub(crate) fn draw_regional_requests(
+    topo: &Topology,
+    catalog: &Catalog,
+    cfg: &RequestConfig,
+    seed: u64,
+) -> Vec<Request> {
     assert!(cfg.horizon_hours > 0.0, "horizon must be positive");
 
     // Populated neighborhoods in node-id order (storages() is sorted).
@@ -128,17 +131,29 @@ pub fn generate_regional_requests(
         catalog.len(),
         regions.len()
     );
-    let region_of = |is: vod_topology::NodeId| -> usize {
+    let region_of = |is: NodeId| -> usize {
         regions.iter().position(|&r| r == is).expect("user home is a populated storage")
     };
+    draw(topo, cfg, seed, per, |home| region_of(home) * per)
+}
 
+/// `cfg.requests_per_user` reservations for every user of `topo`, in user
+/// order: a Zipf rank over `titles` offset by `first_title(home)`, then a
+/// start from `cfg.arrivals`, both from one stream seeded with `seed`.
+fn draw(
+    topo: &Topology,
+    cfg: &RequestConfig,
+    seed: u64,
+    titles: usize,
+    first_title: impl Fn(NodeId) -> usize,
+) -> Vec<Request> {
     let mut rng = SplitMix64::new(seed);
-    let zipf = Zipf::new(per, cfg.zipf_alpha);
+    let zipf = Zipf::new(titles, cfg.zipf_alpha);
     let horizon = cfg.horizon_hours * 3_600.0;
 
     let mut requests = Vec::with_capacity(topo.user_count() * cfg.requests_per_user);
     for user in topo.users() {
-        let base = region_of(topo.home_of(user.id)) * per;
+        let base = first_title(topo.home_of(user.id));
         for _ in 0..cfg.requests_per_user {
             let video = VideoId((base + zipf.sample(&mut rng)) as u32);
             let start = match cfg.arrivals {
@@ -150,7 +165,7 @@ pub fn generate_regional_requests(
             requests.push(Request { user: user.id, video, start });
         }
     }
-    RequestBatch::new(requests)
+    requests
 }
 
 /// Triangular distribution on `[0, horizon]` with mode at

@@ -127,6 +127,17 @@ cargo test -q --offline -p vod-core --lib -- --exact \
   timeline::tests::default_is_the_empty_timeline
 cargo test -q --offline -p vod-core --test timeline_props scan_fast_path_matches_reference
 
+echo "==> set-up in one pass (arrival trace and fault plan pinned, trace memory bounded)"
+# The trace is sorted one cycle block at a time in place and the fault plan
+# tests connectivity on an edge mask: both are held bit for bit to the code
+# they replaced, a boundary the rounding hole puts out of order is mended,
+# and generating the trace holds at most the trace plus 1 MB.
+cargo test -q --offline --test setup_pin
+cargo test -q --offline --test trace_memory
+cargo test -q --offline -p vod-workload --lib -- --exact \
+  arrivals::tests::a_boundary_tie_on_at_is_mended_by_one_whole_sort \
+  arrivals::tests::the_block_key_orders_like_the_comparator_within_a_cycle
+
 echo "==> telemetry suite (obs crate + recorder transparency + e2e reconcile)"
 cargo test -q --offline -p vod-obs
 cargo test -q --offline -p vod-core --test telemetry_props
@@ -164,6 +175,23 @@ echo "==> dense-partition lint (no map containers in the region partition)"
 if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' crates/workload/src/shard.rs \
     | grep -E 'BTreeMap|HashMap'; then
   echo "error: keep BTreeMap/HashMap out of crates/workload/src/shard.rs outside its tests (index per-node tables)" >&2
+  exit 1
+fi
+
+echo "==> one-pass set-up lint (one draw path, no whole-trace stable sort, no topology per fault candidate)"
+# Outside its tests arrivals.rs draws through the crate-private draw
+# functions and sorts cycle blocks in place; FaultPlan::generate tests
+# connectivity on an edge mask instead of building a topology per candidate.
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' crates/workload/src/arrivals.rs \
+    | grep -E 'generate_requests\(|generate_regional_requests\(|\.sort_by\('; then
+  echo "error: crates/workload/src/arrivals.rs draws through draw_requests / draw_regional_requests and sorts blocks in place" >&2
+  exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/ { exit }
+        match($0, /fn [a-z_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        fn == "generate" && /without_links\(/ { print FILENAME ":" FNR ":" $0 }' crates/faults/src/lib.rs \
+    | grep .; then
+  echo "error: FaultPlan::generate tests connectivity on an edge mask, not through without_links(" >&2
   exit 1
 fi
 
