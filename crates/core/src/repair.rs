@@ -215,7 +215,7 @@ pub(crate) fn repair_state(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{ivsp_solve_priced, sorp_solve_priced, ExecMode, SorpConfig};
     use vod_cost_model::{Catalog, CostModel, RequestBatch};
@@ -396,19 +396,19 @@ mod tests {
     /// IS1—IS2 bridge: failing the bridge cuts IS2's users off. Storage is
     /// priced out, so every request streams straight from the warehouse
     /// and every delivery to IS2 crosses the bridge.
-    struct Line {
-        topo: Topology,
-        catalog: Catalog,
-        model: CostModel,
+    pub(crate) struct Line {
+        pub(crate) topo: Topology,
+        pub(crate) catalog: Catalog,
+        pub(crate) model: CostModel,
     }
 
-    const IS1: NodeId = NodeId(1);
-    const IS2: NodeId = NodeId(2);
+    pub(crate) const IS1: NodeId = NodeId(1);
+    pub(crate) const IS2: NodeId = NodeId(2);
     /// Reserved start of the first request in each scenario.
     const T: Secs = 10_000.0;
 
     impl Line {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             let mut b = TopologyBuilder::new();
             let vw = b.add_warehouse("VW");
             let srate = units::srate_per_gb_hour(1e6);
@@ -424,12 +424,12 @@ mod tests {
             Self { topo, catalog, model: CostModel::per_hop() }
         }
 
-        fn playback(&self) -> Secs {
+        pub(crate) fn playback(&self) -> Secs {
             self.catalog.get(VideoId(0)).playback
         }
 
         /// The first user of `home` watching video 0 from `start`.
-        fn request(&self, home: NodeId, start: Secs) -> Request {
+        pub(crate) fn request(&self, home: NodeId, start: Secs) -> Request {
             Request { user: self.topo.users_at(home)[0], video: VideoId(0), start }
         }
 
@@ -442,7 +442,7 @@ mod tests {
         }
     }
 
-    fn bridge_failure(from: Secs, until: Secs) -> Fault {
+    pub(crate) fn bridge_failure(from: Secs, until: Secs) -> Fault {
         Fault::LinkFailure { a: IS1, b: IS2, from, until }
     }
 

@@ -25,11 +25,13 @@
 //! * shed requests **re-enqueue into later cycles** with capped
 //!   exponential backoff and a drop-after-N policy ([`BackoffPolicy`]);
 //! * [`vod_faults::FaultPlan`] faults are wired straight into the loop: a
-//!   faulted cycle runs the repair pass of [`crate::repair_schedule`] on
-//!   the solve's own state, whose ledger is the book plus this cycle's
-//!   schedule. Repair serves every request it is handed — a cut-off one
-//!   streams at the first instant its route is clear, counted as a
-//!   deadline miss — so faults never shed;
+//!   cycle whose schedule runs into a fault — inside its window or later,
+//!   up to the end of its last stream or stored residency — runs the
+//!   repair pass of [`crate::repair_schedule`] on the solve's own state,
+//!   whose ledger is the book plus this cycle's schedule. Repair serves
+//!   every request it is handed — a cut-off one streams at the first
+//!   instant its route is clear, counted as a deadline miss — so faults
+//!   never shed;
 //! * a cycle commits **once**: the schedule it returns, post-repair, is
 //!   the only thing the book absorbs, so the book never exceeds a store;
 //! * everything is accounted in a [`ServiceReport`]: per-cycle rung,
@@ -251,7 +253,10 @@ pub struct ServiceConfig {
     /// Backoff policy for shed requests.
     pub backoff: BackoffPolicy,
     /// Faults injected over the run; each cycle repairs against the
-    /// sub-plan of faults overlapping its window.
+    /// sub-plan of faults its solved schedule runs into: those overlapping
+    /// `[window start, reach)`, where `reach` is the latest end of any of
+    /// its streams (`start + playback`) or stored residencies (profile
+    /// end).
     pub faults: FaultPlan,
 }
 
@@ -510,6 +515,16 @@ fn merge_behind<T, K: Ord>(sorted: &mut Vec<T>, incoming: Vec<T>, key: impl Fn(&
     }
     merged.extend(old);
     *sorted = merged;
+}
+
+/// The last instant `schedule` uses a link or a store: the latest end of
+/// any of its streams (`start + playback`) or residencies (profile end).
+fn schedule_reach(ctx: &SchedCtx<'_>, schedule: &Schedule) -> Secs {
+    let space = ctx.model.space_model();
+    let streams = schedule.transfers().map(|t| t.start + ctx.catalog.get(t.video).playback);
+    let stored =
+        schedule.residencies().map(|r| r.profile_with(ctx.catalog.get(r.video), space).end);
+    streams.chain(stored).fold(f64::NEG_INFINITY, f64::max)
 }
 
 /// Per-cycle service accounting, threaded into the [`ServiceReport`]
@@ -870,8 +885,8 @@ impl ServiceLoop {
 
     /// Run one scheduling cycle: release due backoff parkings, drain the
     /// window's batch, pick the ladder rung, solve over the book, repair
-    /// the solve's state against the window's faults, commit what ships
-    /// to the book, and account everything.
+    /// the solve's state against the faults its schedule runs into, commit
+    /// what ships to the book, and account everything.
     pub fn run_cycle(&mut self, ctx: &SchedCtx<'_>, mode: ExecMode) -> ServiceCycleOutcome {
         let k = self.cycle;
         let t0 = k as f64 * self.cfg.horizon;
@@ -992,25 +1007,30 @@ impl ServiceLoop {
                 .f64("ema_greedy_ns", greedy);
         });
 
-        // 7. Repair the state against the window's faults, on its own
+        // 7. Repair the state against every fault its schedule runs into —
+        //    those overlapping `[t0, reach)`, where `reach` is the end of
+        //    the schedule's last stream or stored residency — on its own
         //    ledger (the book plus this cycle's schedule); it serves every
         //    ticket, a cut-off one late.
         let mut served: Vec<Request> = batch.iter().copied().collect();
-        let cycle_faults: Vec<Fault> = self
-            .cfg
-            .faults
-            .faults()
-            .iter()
-            .filter(|f| f.overlaps(t0, window_end))
-            .copied()
-            .collect();
-        if let Some(state) = state.as_mut().filter(|_| !cycle_faults.is_empty()) {
-            // `new` validated the whole plan against this topology, and
-            // validity is per fault: the sub-plan needs no second look.
-            let sub = FaultPlan::new(cycle_faults);
-            let repair = repair_state(ctx, state, &sub, shard_cfg.sorp.policy);
-            stats.delayed = repair.delayed.len();
-            served = adjusted_requests(&repair.delayed, &served);
+        if let Some(state) = state.as_mut().filter(|_| !self.cfg.faults.is_empty()) {
+            let reach = schedule_reach(ctx, state.priced.schedule());
+            let cycle_faults: Vec<Fault> = self
+                .cfg
+                .faults
+                .faults()
+                .iter()
+                .filter(|f| f.overlaps(t0, reach))
+                .copied()
+                .collect();
+            if !cycle_faults.is_empty() {
+                // `new` validated the whole plan against this topology, and
+                // validity is per fault: the sub-plan needs no second look.
+                let sub = FaultPlan::new(cycle_faults);
+                let repair = repair_state(ctx, state, &sub, shard_cfg.sorp.policy);
+                stats.delayed = repair.delayed.len();
+                served = adjusted_requests(&repair.delayed, &served);
+            }
         }
 
         // 8. Finish the state and commit what ships — the one place a
@@ -1362,6 +1382,42 @@ mod tests {
             );
         }
         assert_eq!(report.conservation_error(), 0);
+    }
+
+    /// Repair's line topology (VW—IS1—IS2, IS2's users behind the IS1—IS2
+    /// bridge, every request streamed from VW): a request to IS2 reserved
+    /// half a playback before the window ends streams across the bridge
+    /// past the window end, when the bridge fails. Repair must see that
+    /// failure too: the request is delivered when the bridge clears, as a
+    /// deadline miss, and the cycle replays clean under the plan.
+    #[test]
+    fn a_stream_running_past_the_window_into_a_failure_is_delivered_late() {
+        use crate::repair::tests::{bridge_failure, Line, IS2};
+        let line = Line::new();
+        let ctx = SchedCtx::new(&line.topo, &line.model, &line.catalog);
+        let p = line.playback();
+        let req = line.request(IS2, H - p / 2.0);
+        let cleared = H + 2.0 * p;
+        let plan = FaultPlan::new(vec![bridge_failure(H, cleared)]);
+        let cfg = ServiceConfig { faults: plan.clone(), ..ServiceConfig::default() };
+        let mut svc = ServiceLoop::new(&line.topo, cfg).expect("the plan validates");
+        svc.offer(req).expect("an empty queue takes the request");
+        let out = svc.run_cycle(&ctx, ExecMode::Sequential);
+
+        let batch = RequestBatch::new(out.served.clone());
+        let report = vod_simulator::simulate_with_faults(
+            &line.topo,
+            &line.catalog,
+            &line.model,
+            &out.schedule,
+            &plan,
+            &[],
+            &vod_simulator::SimOptions::strict(&batch),
+        )
+        .expect("the plan validates");
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(out.served, vec![Request { start: cleared, ..req }]);
+        assert_eq!((out.stats.delayed, out.stats.deadline_misses), (1, 1));
     }
 
     /// Starts that tie, differ in the last bit, or differ only in sign.

@@ -19,6 +19,8 @@
 //! never refunds storage and relay detours obey the triangle inequality
 //! (the direct-hop bound).
 
+#![allow(clippy::disallowed_methods)] // the nested-scan oracle walks routes per call
+
 use proptest::prelude::*;
 use vod_core::{
     find_video_schedule_with, ivsp_solve_with, reschedule_video, reschedule_video_traced,

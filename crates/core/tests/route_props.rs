@@ -4,6 +4,8 @@
 //! and degraded tables alike — and a pair the table cannot connect is a
 //! typed error on every ask, never a panic and never a cached empty path.
 
+#![allow(clippy::disallowed_methods)] // the per-call walk is the oracle
+
 use proptest::prelude::*;
 use std::sync::Arc;
 use vod_core::SchedCtx;

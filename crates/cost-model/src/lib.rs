@@ -52,6 +52,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// clippy.toml's rules hold for production code; tests walk routes freely.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 mod cost;
 mod request;

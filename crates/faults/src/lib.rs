@@ -16,6 +16,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// The rule in clippy.toml holds for `FaultPlan::generate`, denied there.
+#![allow(clippy::disallowed_methods)]
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -315,6 +317,7 @@ impl FaultPlan {
     /// graph (in combination with already-chosen failures) are skipped so
     /// [`FaultPlan::degraded_topology`] always succeeds on a generated
     /// plan.
+    #[deny(clippy::disallowed_methods)]
     pub fn generate(topo: &Topology, cfg: &FaultConfig, seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed);
         let mut faults = Vec::new();

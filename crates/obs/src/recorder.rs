@@ -338,27 +338,15 @@ impl Recorder {
         }
     }
 
-    /// Record an event under the current cycle scope. The closure runs
-    /// only when enabled.
+    /// Record an event under the current cycle scope, read under the same
+    /// lock that appends it. The closure runs only when enabled.
     pub fn event(&self, kind: &str, f: impl FnOnce(&mut EventBuilder)) {
-        self.push(None, kind, f);
-    }
-
-    /// Record an event with an explicit (cycle, simulated-time) stamp,
-    /// bypassing the scope — for out-of-loop stages like replay.
-    pub fn event_at(&self, cycle: u64, sim_t: f64, kind: &str, f: impl FnOnce(&mut EventBuilder)) {
-        self.push(Some((cycle, sim_t)), kind, f);
-    }
-
-    /// The one event body: build, stamp (with `stamp`, or the current
-    /// scope read under the same lock that pushes), append.
-    fn push(&self, stamp: Option<(u64, f64)>, kind: &str, f: impl FnOnce(&mut EventBuilder)) {
         let Some(shared) = &self.inner else { return };
         let mut b = EventBuilder::default();
         f(&mut b);
         let wall_ns = shared.wall_clock.then(|| shared.start.elapsed().as_nanos() as u64);
         let mut st = lock(shared);
-        let (cycle, sim_t) = stamp.unwrap_or((st.cycle, st.sim_t));
+        let (cycle, sim_t) = (st.cycle, st.sim_t);
         st.events.push(Event { sim_t, cycle, kind: kind.to_string(), wall_ns, fields: b.fields });
     }
 

@@ -32,21 +32,6 @@ pub fn replay_service_cycle(
     model: &CostModel,
     cycle: &ServiceCycleOutcome,
 ) -> SimReport {
-    replay_service_cycle_recorded(topo, catalog, model, cycle, &vod_obs::Recorder::disabled())
-}
-
-/// [`replay_service_cycle`] that also records a `"replay"` event —
-/// deliveries, violation count, excused sheds, and the clean verdict —
-/// stamped with the cycle's own index and simulated window start, so a
-/// flight recording can carry replay validation alongside the solve
-/// events it validates.
-pub fn replay_service_cycle_recorded(
-    topo: &Topology,
-    catalog: &Catalog,
-    model: &CostModel,
-    cycle: &ServiceCycleOutcome,
-    rec: &vod_obs::Recorder,
-) -> SimReport {
     let mut expected = cycle.served.clone();
     expected.extend(cycle.shed_now.iter().copied());
     let batch = RequestBatch::new(expected);
@@ -65,28 +50,6 @@ pub fn replay_service_cycle_recorded(
             }
         }
     }
-    let sim_t = cycle
-        .served
-        .iter()
-        .chain(cycle.shed_now.iter())
-        .map(|r| r.start)
-        .fold(f64::INFINITY, f64::min);
-    rec.event_at(
-        cycle.stats.cycle as u64,
-        if sim_t.is_finite() { sim_t } else { 0.0 },
-        "replay",
-        |e| {
-            let shed_excused = report
-                .violations
-                .iter()
-                .filter(|v| matches!(v, Violation::RequestShed { .. }))
-                .count();
-            e.u64("deliveries", report.metrics.deliveries as u64)
-                .u64("violations", report.violations.len() as u64)
-                .u64("shed_excused", shed_excused as u64)
-                .bool("clean", cycle_is_clean(&report));
-        },
-    );
     report
 }
 

@@ -159,6 +159,7 @@ fn concat_blocks<B: IntoIterator<Item = Arrival>>(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the whole-trace sort_by is the oracle
 mod tests {
     use super::*;
     use crate::{generate_catalog, generate_requests, CatalogConfig};

@@ -28,11 +28,15 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// The rules in clippy.toml hold for one module each, denied below.
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
+#[deny(clippy::disallowed_methods)]
 mod arrivals;
 mod catalog;
 mod requests;
 mod rng;
+#[deny(clippy::disallowed_types)]
 mod shard;
 pub mod trace;
 mod zipf;

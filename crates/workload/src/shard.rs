@@ -157,6 +157,7 @@ fn partition_by_time(batch: &RequestBatch, spec: &ShardSpec) -> Vec<RequestBatch
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types)] // the BTreeMap partition is the oracle
 mod tests {
     use super::*;
     use crate::{CatalogConfig, RequestConfig, Workload};

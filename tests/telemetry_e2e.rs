@@ -1,15 +1,12 @@
 //! End-to-end audit of the flight recorder against the service
 //! pipeline's own accounting: a recorder-enabled `service` horizon must
 //! emit per-cycle records that reconcile *exactly* with the
-//! [`ServiceReport`] and [`ServiceCycleOutcome`]s the run returns, the
-//! JSONL export must round-trip bit-for-bit, and replay validation
-//! events must slot into the same recording.
+//! [`ServiceReport`] and [`ServiceCycleOutcome`]s the run returns, and
+//! its JSONL export must round-trip bit-for-bit.
 
 use vod_core::{ServiceCycleOutcome, ServiceReport};
-use vod_cost_model::CostModel;
 use vod_experiments::{service, EnvParams, Preset};
 use vod_obs::{Recorder, Recording};
-use vod_simulator::service::replay_service_cycle_recorded;
 
 const N_CYCLES: usize = 4;
 
@@ -147,34 +144,4 @@ fn jsonl_export_round_trips_bit_for_bit() {
     let back = Recording::from_jsonl(&text).expect("own export must parse");
     assert_eq!(back, recording);
     assert_eq!(back.to_jsonl(), text, "re-emit must be byte-identical");
-}
-
-/// Replay validation slots into the same recording: one clean `replay`
-/// event per cycle, with delivery counts matching the served sets.
-#[test]
-fn replay_events_validate_every_cycle() {
-    let params = EnvParams::for_preset(Preset::Fast);
-    let sp = service::ServiceParams {
-        budget_ns: Some(120.0 * 9_700.0),
-        ..service::ServiceParams::default()
-    };
-    let recorder = Recorder::enabled();
-    let (cycles, _) = service::service_horizon(&params, 3, &sp, &recorder);
-
-    let (topo, _) = params.build();
-    let catalog = service::service_catalog(&params);
-    let model = CostModel::per_hop();
-    for c in &cycles {
-        replay_service_cycle_recorded(&topo, &catalog, &model, c, &recorder);
-    }
-
-    let recording = recorder.recording().expect("enabled");
-    let replays: Vec<_> = recording.events_of("replay").collect();
-    assert_eq!(replays.len(), cycles.len());
-    for (ev, c) in replays.iter().zip(&cycles) {
-        assert_eq!(ev.cycle, c.stats.cycle as u64);
-        assert_eq!(ev.u64("deliveries"), Some(c.served.len() as u64));
-        assert_eq!(ev.bool("clean"), Some(true), "cycle {} replay dirty", c.stats.cycle);
-        assert_eq!(ev.u64("shed_excused"), Some(c.shed_now.len() as u64));
-    }
 }
