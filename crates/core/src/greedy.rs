@@ -732,7 +732,18 @@ mod tests {
         let policy = GreedyPolicy { allow_remote_placement: false, ..Default::default() };
         let vs = find_video_schedule_with(&ctx, &fig2_requests(), policy);
         for r in &vs.residencies {
-            let locals: Vec<NodeId> = r.services.iter().map(|s| topo.home_of(s.user)).collect();
+            // The cache's services: the delivery that fills it (starting at
+            // `t_s`, routed from its source through it) and those it serves.
+            let locals: Vec<NodeId> = vs
+                .transfers
+                .iter()
+                .filter(|t| {
+                    let fills = t.start == r.start && t.src() == r.src && t.route.contains(&r.loc);
+                    let served = t.src() == r.loc && (r.start..=r.last_service).contains(&t.start);
+                    fills || served
+                })
+                .filter_map(|t| t.user.map(|u| topo.home_of(u)))
+                .collect();
             assert!(locals.contains(&r.loc), "cache at {} serves no local user", r.loc);
         }
         // Still at least as cheap as all-direct (local caching helps U3).

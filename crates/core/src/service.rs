@@ -68,7 +68,7 @@ use std::fmt::Write as _;
 use vod_cost_model::{Dollars, Request, RequestBatch, Schedule, Secs};
 use vod_faults::{Fault, FaultError, FaultPlan};
 use vod_parallel::ExecMode;
-use vod_topology::Topology;
+use vod_topology::{Topology, UserId};
 use vod_workload::Arrival;
 
 /// The degradation ladder, cheapest-first from the bottom. Every cycle
@@ -131,6 +131,12 @@ pub enum IntakeError {
         /// The offending start.
         start: Secs,
     },
+    /// The request names a user the loop's topology does not have: no
+    /// storage is its home. Refused before it counts as offered.
+    UnknownUser {
+        /// The offending user.
+        user: UserId,
+    },
 }
 
 impl fmt::Display for IntakeError {
@@ -146,6 +152,9 @@ impl fmt::Display for IntakeError {
             ),
             IntakeError::NonFiniteStart { start } => {
                 write!(f, "request start {start} is not finite")
+            }
+            IntakeError::UnknownUser { user } => {
+                write!(f, "request names user {user}, which the topology does not have")
             }
         }
     }
@@ -726,6 +735,8 @@ pub struct ServiceLoop {
     pending: Vec<(usize, Ticket)>,
     budget: BudgetModel,
     cycle: usize,
+    /// The topology's user count: intake refuses any user at or past it.
+    users: usize,
     // Intake counters since the previous cycle ran.
     offered: usize,
     rejected_full: usize,
@@ -751,6 +762,7 @@ impl ServiceLoop {
             pending: Vec::new(),
             budget: BudgetModel::default(),
             cycle: 0,
+            users: topo.user_count(),
             offered: 0,
             rejected_full: 0,
             rejected_saturated: 0,
@@ -783,11 +795,14 @@ impl ServiceLoop {
     /// Offer one arriving request to the intake queue. Rejection is
     /// typed backpressure: the request was not enqueued, and the
     /// rejection is recorded in the next cycle's stats. A start that is
-    /// not finite is refused before the offer is counted, so the
-    /// accounting never sees it.
+    /// not finite, or a user the topology does not have, is refused
+    /// before the offer is counted, so the accounting never sees it.
     pub fn offer(&mut self, r: Request) -> Result<(), IntakeError> {
         if !r.start.is_finite() {
             return Err(IntakeError::NonFiniteStart { start: r.start });
+        }
+        if r.user.index() >= self.users {
+            return Err(IntakeError::UnknownUser { user: r.user });
         }
         self.offered += 1;
         if let Some(limit) = self.cfg.saturation_bytes {
@@ -810,11 +825,17 @@ impl ServiceLoop {
         Ok(())
     }
 
-    /// Sorted insert preserving the oldest-deadline-first order.
+    /// Sorted insert preserving the oldest-deadline-first order. A ticket
+    /// keyed at or past the tail (every offer of a trace in arrival order)
+    /// goes where the search would put it, at the end, without one.
     fn enqueue(&mut self, t: Ticket) {
         let key = ticket_key(&t);
-        let at = self.queue.partition_point(|q| ticket_key(q) <= key);
-        self.queue.insert(at, t);
+        if self.queue.last().is_none_or(|q| ticket_key(q) <= key) {
+            self.queue.push(t);
+        } else {
+            let at = self.queue.partition_point(|q| ticket_key(q) <= key);
+            self.queue.insert(at, t);
+        }
         self.queue_high_water = self.queue_high_water.max(self.queue.len());
     }
 
@@ -1645,6 +1666,39 @@ mod tests {
             prop_assert_eq!(dropped_a, dropped_b);
             prop_assert_eq!(&merged.backoff_histogram, &per_ticket.backoff_histogram);
         }
+
+        /// Intake leaves the queue, ticket for ticket, as one
+        /// `partition_point` insert per offer did — whether the offers
+        /// come in queue order (the append), reversed, shuffled, or hold
+        /// identical requests.
+        #[test]
+        fn intake_matches_per_ticket_inserts(
+            offers in vec((0u32..3, 0u32..3, 0usize..STARTS.len(), any::<u32>()), 0..40),
+            order in 0usize..3,
+        ) {
+            let mut tickets: Vec<(Ticket, u32)> = offers
+                .iter()
+                .map(|&(user, video, s, rank)| (ticket(user, video, STARTS[s]), rank))
+                .collect();
+            match order {
+                0 => tickets.sort_by_key(|(t, _)| ticket_key(t)),
+                1 => {
+                    tickets.sort_by_key(|(t, _)| ticket_key(t));
+                    tickets.reverse();
+                }
+                _ => tickets.sort_by_key(|&(_, rank)| rank),
+            }
+            let (topo, _) = world(1);
+            let mut svc = ServiceLoop::new(&topo, ServiceConfig::default()).unwrap();
+            let mut want: Vec<Ticket> = Vec::new();
+            for &(t, _) in &tickets {
+                svc.offer(t.request).expect("an unbounded queue admits every finite offer");
+                let at = want.partition_point(|q| ticket_key(q) <= ticket_key(&t));
+                want.insert(at, t);
+            }
+            prop_assert_eq!(&svc.queue, &want);
+            prop_assert_eq!(svc.queue_high_water, want.len());
+        }
     }
 
     #[test]
@@ -1716,5 +1770,27 @@ mod tests {
         let report = svc.finish();
         assert_eq!((report.offered, report.served, report.in_flight), (4, 4, 0));
         assert_eq!(report.conservation_error(), 0);
+    }
+
+    /// A user the topology lacks has no home storage: intake refuses the
+    /// request before counting it, instead of queueing it for a cycle that
+    /// would index past the user table.
+    #[test]
+    fn intake_refuses_a_user_the_topology_lacks() {
+        let (topo, catalog) = world(10);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &catalog);
+        let mut svc = ServiceLoop::new(&topo, ServiceConfig::default()).expect("valid");
+        let user = vod_topology::UserId(topo.user_count() as u32);
+        let r = Request { user, video: vod_cost_model::VideoId(0), start: 100.0 };
+        let err = svc.offer(r).unwrap_err();
+        assert_eq!(err, IntakeError::UnknownUser { user });
+        assert!(err.to_string().contains("does not have"), "{err}");
+        assert_eq!(svc.queue_len(), 0);
+
+        let cycle = svc.run_cycle(&ctx, ExecMode::Sequential);
+        assert!(cycle.served.is_empty());
+        let report = svc.finish();
+        assert_eq!((report.offered, report.served, report.in_flight), (0, 0, 0));
     }
 }

@@ -382,14 +382,26 @@ fn repair_keeps_the_configured_placement_policy() {
         let cfg = ServiceConfig { shard: shard.clone(), faults, ..ServiceConfig::default() };
         let (outs, _) = service_run(&ctx, &arrivals, &cfg, cycles, ExecMode::Sequential).unwrap();
         for (k, out) in outs.iter().enumerate() {
-            for r in out.schedule.residencies() {
-                residencies += 1;
-                assert!(
-                    r.services.iter().any(|s| topo.home_of(s.user) == r.loc),
-                    "seed {seed}, cycle {k}: video {:?} cached at {}, home to none of its users",
-                    r.video,
-                    r.loc
-                );
+            for vs in out.schedule.videos() {
+                for r in &vs.residencies {
+                    residencies += 1;
+                    // The cache's services: the delivery that fills it
+                    // (starting at `t_s`, routed from its source through
+                    // it) and those it serves.
+                    let mut users = vs.transfers.iter().filter_map(|t| {
+                        let fills =
+                            t.start == r.start && t.src() == r.src && t.route.contains(&r.loc);
+                        let served =
+                            t.src() == r.loc && (r.start..=r.last_service).contains(&t.start);
+                        t.user.filter(|_| fills || served)
+                    });
+                    assert!(
+                        users.any(|u| topo.home_of(u) == r.loc),
+                        "seed {seed}, cycle {k}: video {:?} cached at {}, home to none of its users",
+                        r.video,
+                        r.loc
+                    );
+                }
             }
         }
         let recording = recorder.recording().expect("enabled");

@@ -46,8 +46,13 @@ pub struct RequestBatch {
 
 impl RequestBatch {
     /// Partition a flat request list into chronological per-video groups.
+    /// A list already in [`Request::batch_order`] is taken as it is
+    /// (requests that compare equal are bit-identical, so a stable sort
+    /// would leave it unchanged).
     pub fn new(mut requests: Vec<Request>) -> Self {
-        requests.sort_by(Request::batch_order);
+        if !requests.is_sorted_by(|a, b| a.batch_order(b).is_le()) {
+            requests.sort_by(Request::batch_order);
+        }
         let mut index: Vec<(VideoId, usize)> = Vec::new();
         for (i, r) in requests.iter().enumerate() {
             match index.last_mut() {
@@ -96,6 +101,12 @@ impl RequestBatch {
     /// Iterate over every request in the batch (video-major order).
     pub fn iter(&self) -> impl Iterator<Item = &Request> + '_ {
         self.requests.iter()
+    }
+
+    /// Every request in the batch, in [`Request::batch_order`].
+    #[inline]
+    pub fn as_slice(&self) -> &[Request] {
+        &self.requests
     }
 }
 

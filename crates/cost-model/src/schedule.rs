@@ -68,7 +68,11 @@ impl Transfer {
 /// `c_i = ([t_s, t_f], loc_i, id_i, n_src, service_list)`: file `id_i` is
 /// cached at storage `loc_i`, loaded by copying blocks from the stream
 /// arriving from `n_src` starting at `t_s`; `t_f` is the start time of the
-/// chronologically last service delivered out of this cache.
+/// chronologically last service delivered out of this cache. Pricing
+/// (Eqs. 2–3) reads the interval and the location only, so the service
+/// list is kept as its length: the services themselves are the video's
+/// delivery transfers (the filling one starts at `t_s`, the rest leave
+/// `loc_i` within `[t_s, t_f]`).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Residency {
     /// The cached file.
@@ -83,10 +87,9 @@ pub struct Residency {
     /// Start of the last service `t_f` (`≥ start`). Space remains occupied
     /// until `t_f + P` while the last service drains the cache.
     pub last_service: Secs,
-    /// The requests served out of this cache (the paper's `service_list`),
-    /// in chronological order. The first entry is the request whose stream
-    /// filled the cache.
-    pub services: Vec<Request>,
+    /// How many requests this cache serves (the length of the paper's
+    /// `service_list`), the request whose stream filled it included.
+    pub service_count: u32,
 }
 
 impl Residency {
@@ -100,7 +103,7 @@ impl Residency {
             src,
             start: first.start,
             last_service: first.start,
-            services: vec![first],
+            service_count: 1,
         }
     }
 
@@ -116,7 +119,8 @@ impl Residency {
     }
 
     /// Extend the residency with a later service. Panics if `req` starts
-    /// before the current last service (services must stay chronological).
+    /// before the current last service (services must stay chronological)
+    /// or asks for another video.
     pub fn extend(&mut self, req: Request) {
         assert!(
             req.start >= self.last_service,
@@ -126,7 +130,7 @@ impl Residency {
         );
         assert_eq!(req.video, self.video, "residency/service video mismatch");
         self.last_service = req.start;
-        self.services.push(req);
+        self.service_count += 1;
     }
 
     /// The space-occupancy profile of this residency for its video under
@@ -204,8 +208,14 @@ impl Schedule {
     }
 
     /// Add (or replace) the schedule of one video. Keeps per-video
-    /// schedules sorted by video id for deterministic iteration.
+    /// schedules sorted by video id for deterministic iteration; a video
+    /// past the last one (how schedules are built, in id order) is
+    /// appended without a search.
     pub fn upsert(&mut self, vs: VideoSchedule) {
+        if self.videos.last().is_none_or(|last| last.video < vs.video) {
+            self.videos.push(vs);
+            return;
+        }
         match self.videos.binary_search_by(|x| x.video.cmp(&vs.video)) {
             Ok(i) => self.videos[i] = vs,
             Err(i) => self.videos.insert(i, vs),
@@ -297,7 +307,7 @@ mod tests {
     fn residency_begin_is_degenerate_relay() {
         let r = Residency::begin(NodeId(1), NodeId(0), req(0, 3, 100.0));
         assert_eq!(r.duration(), 0.0);
-        assert_eq!(r.services.len(), 1);
+        assert_eq!(r.service_count, 1);
         assert!(!r.is_long(60.0));
     }
 
@@ -310,7 +320,7 @@ mod tests {
         assert_eq!(r.duration(), 300.0);
         assert!(r.is_long(300.0));
         assert!(!r.is_long(301.0));
-        assert_eq!(r.services.len(), 3);
+        assert_eq!(r.service_count, 3);
     }
 
     #[test]

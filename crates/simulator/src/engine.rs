@@ -4,6 +4,7 @@
 use crate::event::{Event, EventKind};
 use crate::report::{Metrics, SimReport, Violation};
 use crate::validate::{check_finite_times, structural_checks, take_match};
+use std::borrow::Cow;
 use vod_cost_model::{
     Catalog, ChargingBasis, CostModel, Request, RequestBatch, Schedule, Secs, SpaceProfile, VideoId,
 };
@@ -40,6 +41,42 @@ impl<'a> SimOptions<'a> {
     /// exceed capacities by design.
     pub fn lenient() -> Self {
         Self { requests: None, check_capacity: false, check_bandwidth: false, check_cost: true }
+    }
+}
+
+/// Items grouped by node in flat rows: row `n` lists, ascending, the
+/// indices of the items at node `n`. Items at a node past the last row
+/// are in none.
+struct NodeRows {
+    /// Row `n` is `items[starts[n]..starts[n + 1]]`.
+    starts: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl NodeRows {
+    /// Index `nodes` (item `i` sits at node `nodes[i]`) into `rows` rows.
+    fn new(rows: usize, nodes: impl Iterator<Item = usize> + Clone) -> Self {
+        let mut starts = vec![0usize; rows + 1];
+        for node in nodes.clone().filter(|&node| node < rows) {
+            starts[node + 1] += 1;
+        }
+        for n in 1..=rows {
+            starts[n] += starts[n - 1];
+        }
+        // Each row's start is its fill cursor; filled, it holds the row's
+        // end, the next row's start, so one rotation restores the starts.
+        let mut items = vec![0usize; starts[rows]];
+        for (i, node) in nodes.enumerate().filter(|&(_, node)| node < rows) {
+            items[starts[node]] = i;
+            starts[node] += 1;
+        }
+        starts.rotate_right(1);
+        starts[0] = 0;
+        Self { starts, items }
+    }
+
+    fn row(&self, node: NodeId) -> &[usize] {
+        &self.items[self.starts[node.index()]..self.starts[node.index() + 1]]
     }
 }
 
@@ -101,12 +138,16 @@ pub(crate) fn replay(
     }
     // Shed requests are accounted for above; take them out of the batch
     // (as a multiset, one merge over the two sorted lists) so coverage
-    // does not re-report them as missing deliveries.
-    let wanted: Option<Vec<Request>> = options.requests.map(|batch| {
+    // does not re-report them as missing deliveries. With nothing shed,
+    // the batch is what coverage wants.
+    let wanted: Option<Cow<'_, [Request]>> = options.requests.map(|batch| {
+        if shed.is_empty() {
+            return Cow::Borrowed(batch.as_slice());
+        }
         let mut excused = shed.to_vec();
         excused.sort_by(Request::batch_order);
         let mut excused = excused.iter().peekable();
-        batch.iter().filter(|r| !take_match(&mut excused, r)).copied().collect()
+        Cow::Owned(batch.iter().filter(|r| !take_match(&mut excused, r)).copied().collect())
     });
     structural_checks(topo, schedule, wanted.as_deref(), &mut violations);
     let times_ok = check_finite_times(schedule, &mut violations);
@@ -123,12 +164,7 @@ pub(crate) fn replay(
     // A residency at a node the topology lacks is indexed nowhere: as a
     // relay point it raises no event, and nothing else looks it up.
     let n = topo.node_count();
-    let mut residencies_at: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, r) in residencies.iter().enumerate() {
-        if let Some(list) = residencies_at.get_mut(r.loc.index()) {
-            list.push(i);
-        }
-    }
+    let residencies_at = NodeRows::new(n, residencies.iter().map(|r| r.loc.index()));
 
     let faults = plan.faults();
     let relay_points = residencies.iter().zip(&profiles).filter(|(_, p)| p.peak() == 0.0).count();
@@ -214,7 +250,7 @@ pub(crate) fn replay(
     }
 
     let occupancy_at = |node: NodeId, t: Secs| -> f64 {
-        residencies_at[node.index()].iter().map(|&i| profiles[i].space_at(t)).sum()
+        residencies_at.row(node).iter().map(|&i| profiles[i].space_at(t)).sum()
     };
 
     let events_processed = events.len() + one_node_events;
@@ -272,7 +308,7 @@ pub(crate) fn replay(
                 Fault::NodeOutage { node, .. } => {
                     node_down[node.index()] += 1;
                     // Every live copy with blocks on the dead node is lost.
-                    for &i in &residencies_at[node.index()] {
+                    for &i in residencies_at.row(node) {
                         if residency_active[i] && profiles[i].space_at(ev.time) > 0.0 {
                             violations.push(Violation::ResidencyLostToOutage {
                                 video: residencies[i].video,
@@ -424,6 +460,11 @@ pub(crate) fn replay(
         makespan,
         ..Metrics::default()
     };
+    // The cost cross-check's network side is accumulated in the same pass:
+    // amortized bytes × summed hop rates, from the transfers exactly as
+    // the replay shipped them.
+    let cross_check = options.check_cost && routes_ok && model.basis() == ChargingBasis::PerHop;
+    let mut measured_network = 0.0;
     for t in &transfers {
         let video = catalog.get(t.video);
         metrics.link_bytes += video.amortized_bytes() * t.hop_count() as f64;
@@ -438,6 +479,15 @@ pub(crate) fn replay(
         if topo.is_warehouse(t.src()) {
             metrics.warehouse_egress_bytes += video.amortized_bytes();
         }
+        if cross_check {
+            let rate: f64 = t
+                .route
+                .windows(2)
+                .filter_map(|hop| topo.edge_between(hop[0], hop[1]))
+                .map(|e| e.nrate)
+                .sum();
+            measured_network += video.amortized_bytes() * rate;
+        }
     }
     for (r, p) in residencies.iter().zip(&profiles) {
         if p.peak() > 0.0 {
@@ -449,20 +499,7 @@ pub(crate) fn replay(
     }
 
     // --- Cost cross-check ----------------------------------------------
-    if options.check_cost && routes_ok && model.basis() == ChargingBasis::PerHop {
-        // Network: amortized bytes × summed hop rates, accumulated from the
-        // transfers exactly as the replay shipped them.
-        let mut measured_network = 0.0;
-        for t in &transfers {
-            let video = catalog.get(t.video);
-            let rate: f64 = t
-                .route
-                .windows(2)
-                .filter_map(|hop| topo.edge_between(hop[0], hop[1]))
-                .map(|e| e.nrate)
-                .sum();
-            measured_network += video.amortized_bytes() * rate;
-        }
+    if cross_check {
         // Storage: the replay's per-node occupancy integrals × srate.
         let measured_storage: f64 = node_integral
             .iter()

@@ -103,7 +103,7 @@ pub fn video_schedule_summary(
                     topo.node(r.loc).name,
                     topo.node(r.src).name,
                     r.duration() / 3600.0,
-                    r.services.len()
+                    r.service_count
                 ),
             ));
         }

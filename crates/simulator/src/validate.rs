@@ -405,6 +405,47 @@ mod tests {
         assert!(run(&s, None).is_empty());
     }
 
+    /// One video cached twice at IS1, over `[50, 100]` and `[5000, 9000]`,
+    /// with one stream out of each copy, plus an extra stream from IS1 at
+    /// `extra` when given.
+    fn two_copies_at_one_storage(extra: Option<f64>) -> Schedule {
+        let t = topo();
+        let mut vs = VideoSchedule::new(VideoId(0));
+        let stream = |route: Vec<NodeId>, start: f64, user: u32| Transfer {
+            video: VideoId(0),
+            route: route.into(),
+            start,
+            user: Some(UserId(user)),
+        };
+        for (fill, serve) in [(50.0, 100.0), (5_000.0, 9_000.0)] {
+            vs.transfers.push(stream(vec![t.warehouse(), NodeId(1)], fill, 0));
+            vs.transfers.push(stream(vec![NodeId(1), NodeId(2)], serve, 1));
+            let mut r = Residency::begin(NodeId(1), t.warehouse(), req(0, fill));
+            r.extend(req(1, serve));
+            vs.residencies.push(r);
+        }
+        if let Some(start) = extra {
+            vs.transfers.push(stream(vec![NodeId(1), NodeId(2)], start, 1));
+        }
+        let mut s = Schedule::new();
+        s.upsert(vs);
+        s
+    }
+
+    #[test]
+    fn a_stream_covered_by_the_second_copy_at_its_source_passes() {
+        assert!(run(&two_copies_at_one_storage(None), None).is_empty());
+    }
+
+    #[test]
+    fn a_stream_between_two_copies_at_its_source_has_no_data() {
+        let v = run(&two_copies_at_one_storage(Some(2_000.0)), None);
+        assert_eq!(
+            v,
+            [Violation::SourceHasNoData { video: VideoId(0), src: NodeId(1), start: 2_000.0 }]
+        );
+    }
+
     #[test]
     fn unfed_residency_detected() {
         let t = topo();
