@@ -54,12 +54,11 @@ pub(crate) fn link_capacity(topo: &Topology, edge: usize) -> f64 {
 }
 
 /// Reusable scratch buffers for the timeline admission test, so the hot
-/// `fits` path performs no per-call allocations. One cursor per greedy
-/// run: each run builds its own and threads it through every admission
-/// test of that video. Cursors are deliberately not pooled across runs:
-/// the thread-local pool prototyped for ISSUE 14 measured 0 % on every
-/// benchmark workload (the allocator's thread cache already serves
-/// these sizes).
+/// `fits` path performs no per-call allocations. A resolution pass keeps
+/// one for its greedy runs and one for its trial replays, each threaded
+/// through every admission test it asks; a stand-alone greedy run builds
+/// its own. There is no thread-local pool: one measured 0 % on every
+/// benchmark workload.
 #[derive(Clone, Debug, Default)]
 pub struct LedgerCursor {
     /// Overlay deltas: the candidate's breakpoints plus the negated
@@ -156,6 +155,11 @@ impl LedgerCursor {
     /// the trial's outcome bit-identical.
     pub fn tracing() -> Self {
         Self { trace: Some(TrialTrace::default()), ..Self::default() }
+    }
+
+    /// Start tracing an empty [`TrialTrace`], keeping the scratch buffers.
+    pub(crate) fn start_trace(&mut self) {
+        self.trace = Some(TrialTrace::default());
     }
 
     /// Record one admission test's dependency (no-op unless tracing).

@@ -302,9 +302,30 @@ pub fn reschedule_video_traced(
     constraints: &Constraints<'_>,
     policy: GreedyPolicy,
 ) -> (VideoSchedule, TrialTrace) {
-    let mut cursor = LedgerCursor::tracing();
-    let vs = greedy_with_cursor(ctx, requests, Some(constraints), policy, &mut cursor);
-    (vs, cursor.take_trace())
+    reschedule_traced_in(ctx, requests, constraints, policy, &mut GreedyScratch::default())
+}
+
+/// [`reschedule_video_traced`] in `scratch`.
+pub(crate) fn reschedule_traced_in(
+    ctx: &SchedCtx<'_>,
+    requests: &[Request],
+    constraints: &Constraints<'_>,
+    policy: GreedyPolicy,
+    scratch: &mut GreedyScratch,
+) -> (VideoSchedule, TrialTrace) {
+    scratch.cursor.start_trace();
+    let vs = greedy_with_cursor(ctx, requests, Some(constraints), policy, scratch);
+    (vs, scratch.cursor.take_trace())
+}
+
+/// [`find_video_schedule_with`] in `scratch`.
+pub(crate) fn schedule_video_in(
+    ctx: &SchedCtx<'_>,
+    requests: &[Request],
+    policy: GreedyPolicy,
+    scratch: &mut GreedyScratch,
+) -> VideoSchedule {
+    greedy_with_cursor(ctx, requests, None, policy, scratch)
 }
 
 fn greedy(
@@ -313,8 +334,16 @@ fn greedy(
     constraints: Option<&Constraints<'_>>,
     policy: GreedyPolicy,
 ) -> VideoSchedule {
-    let mut cursor = LedgerCursor::new();
-    greedy_with_cursor(ctx, requests, constraints, policy, &mut cursor)
+    greedy_with_cursor(ctx, requests, constraints, policy, &mut GreedyScratch::default())
+}
+
+/// The buffers greedy runs work in, kept across the runs of one phase-1
+/// solve or one resolution pass: the dense slot table and the admission
+/// cursor's scratch. A run's output never borrows from them.
+#[derive(Default)]
+pub(crate) struct GreedyScratch {
+    slots: Vec<Slot>,
+    cursor: LedgerCursor,
 }
 
 /// What one greedy run knows about a storage node.
@@ -333,8 +362,9 @@ fn greedy_with_cursor(
     requests: &[Request],
     constraints: Option<&Constraints<'_>>,
     policy: GreedyPolicy,
-    cursor: &mut LedgerCursor,
+    scratch: &mut GreedyScratch,
 ) -> VideoSchedule {
+    let GreedyScratch { slots, cursor } = scratch;
     let first = requests.first().expect("cannot schedule an empty request group");
     let vid = first.video;
     debug_assert!(
@@ -348,7 +378,8 @@ fn greedy_with_cursor(
     // Active caches, sorted by hosting storage for deterministic
     // iteration, mirrored densely by node index in `slots`.
     let mut caches: Vec<Residency> = Vec::new();
-    let mut slots = vec![Slot::Free; ctx.topo.node_count()];
+    slots.clear();
+    slots.resize(ctx.topo.node_count(), Slot::Free);
     let mut schedule = VideoSchedule::new(vid);
     // One delivery per request.
     schedule.transfers.reserve_exact(requests.len());

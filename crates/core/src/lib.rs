@@ -51,7 +51,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 // clippy.toml's rules hold for production code; tests walk routes freely.
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod bandwidth_aware;
 pub mod baselines;

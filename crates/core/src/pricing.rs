@@ -14,9 +14,8 @@
 //! participant per iteration, and previously recomputed from scratch
 //! every time.
 
-use crate::greedy::{find_video_schedule_with, GreedyPolicy};
+use crate::greedy::{schedule_video_in, GreedyPolicy, GreedyScratch};
 use crate::SchedCtx;
-use std::collections::HashMap;
 use vod_cost_model::{Dollars, RequestBatch, Schedule, VideoId, VideoSchedule};
 use vod_parallel::ExecMode;
 
@@ -28,6 +27,10 @@ const PRICING_EPS: f64 = 1e-6;
 
 /// A [`Schedule`] bundled with its per-video Ψ memo and running total.
 ///
+/// The memo is a table beside the schedule's video list: entry `i` prices
+/// the video at [`Schedule::position`] `i`, so a lookup is the schedule's
+/// own binary search and a walk in id order reads both in step.
+///
 /// Invariant: `total()` equals the ordered sum of the memoized per-video
 /// costs over `schedule().videos()`, which in turn equals
 /// `ctx.schedule_cost(schedule())` up to delta-accumulation noise (the
@@ -35,7 +38,7 @@ const PRICING_EPS: f64 = 1e-6;
 #[derive(Clone, Debug)]
 pub struct PricedSchedule {
     schedule: Schedule,
-    costs: HashMap<VideoId, Dollars>,
+    costs: Vec<Dollars>,
     total: Dollars,
 }
 
@@ -43,13 +46,8 @@ impl PricedSchedule {
     /// Price every video of `schedule` and take ownership. The total is
     /// the per-video costs summed in schedule order.
     pub fn price(ctx: &SchedCtx<'_>, schedule: Schedule) -> Self {
-        let mut costs = HashMap::with_capacity(schedule.video_count());
-        let mut total = 0.0;
-        for vs in schedule.videos() {
-            let cost = ctx.video_cost(vs);
-            costs.insert(vs.video, cost);
-            total += cost;
-        }
+        let costs: Vec<Dollars> = schedule.videos().map(|vs| ctx.video_cost(vs)).collect();
+        let total = costs.iter().fold(0.0, |total, cost| total + cost);
         Self { schedule, costs, total }
     }
 
@@ -58,14 +56,14 @@ impl PricedSchedule {
     /// is summed in schedule (video-id) order so it is bit-identical to
     /// [`PricedSchedule::price`] of the same schedule.
     pub fn from_priced_videos(pairs: Vec<(VideoSchedule, Dollars)>) -> Self {
-        let mut costs = HashMap::with_capacity(pairs.len());
-        let mut schedule = Schedule::new();
+        let videos = pairs.len();
+        let (schedule, costs) = (Schedule::with_capacity(videos), Vec::with_capacity(videos));
+        let mut priced = Self { schedule, costs, total: 0.0 };
         for (vs, cost) in pairs {
-            costs.insert(vs.video, cost);
-            schedule.upsert(vs);
+            let _ = priced.put(vs, cost);
         }
-        let total = schedule.videos().map(|vs| costs[&vs.video]).sum();
-        Self { schedule, costs, total }
+        priced.total = priced.costs.iter().sum();
+        priced
     }
 
     /// Merge per-shard priced schedules into one global memo **without
@@ -79,27 +77,46 @@ impl PricedSchedule {
     /// their memo entry verbatim. A single part is returned unchanged
     /// (bit-identical total), which is what makes the 1-shard sharded
     /// pipeline coincide with the monolithic one.
+    pub fn merge(parts: Vec<PricedSchedule>) -> (Self, Vec<VideoId>) {
+        Self::merge_with(parts, |_, _, _| {})
+    }
+
+    /// [`PricedSchedule::merge`], telling `each(part, at, merged_at)` where
+    /// every part's video lands: part `part`'s position `at` went to the
+    /// merged position `merged_at`, in merged order and, for a video
+    /// several parts hold, in part order — so a caller carries its own
+    /// per-video tables across in the same walk.
     ///
     /// Every part lists its videos in id order, so this is a k-way merge:
     /// the smallest id at any part's head comes next, and the parts
     /// holding it are concatenated (and their costs added) in part order.
-    pub fn merge(mut parts: Vec<PricedSchedule>) -> (Self, Vec<VideoId>) {
+    pub(crate) fn merge_with(
+        mut parts: Vec<PricedSchedule>,
+        mut each: impl FnMut(usize, usize, usize),
+    ) -> (Self, Vec<VideoId>) {
         if parts.len() == 1 {
-            return (parts.pop().expect("one part is present"), Vec::new());
+            let only = parts.pop().expect("one part is present");
+            (0..only.costs.len()).for_each(|at| each(0, at, at));
+            return (only, Vec::new());
         }
-        // Per part: what is left of its videos, and its memo.
-        let videos = parts.iter().map(|p| p.schedule.video_count()).sum();
-        let mut parts: Vec<_> = parts
+        // Per part: what is left of its videos, each beside its position
+        // and its memo entry.
+        let videos = parts.iter().map(|p| p.costs.len()).sum();
+        let mut heads: Vec<_> = parts
             .into_iter()
-            .map(|p| (p.schedule.into_videos().into_iter().peekable(), p.costs))
+            .map(|p| p.schedule.into_videos().into_iter().zip(p.costs).enumerate().peekable())
             .collect();
-        let mut pairs: Vec<(VideoSchedule, Dollars)> = Vec::with_capacity(videos);
+        let (schedule, costs) = (Schedule::with_capacity(videos), Vec::with_capacity(videos));
+        let mut merged = Self { schedule, costs, total: 0.0 };
         let mut split = Vec::new();
         while let Some(vid) =
-            parts.iter_mut().filter_map(|(head, _)| head.peek()).map(|vs| vs.video).min()
+            heads.iter_mut().filter_map(|h| h.peek()).map(|(_, (vs, _))| vs.video).min()
         {
-            let mut holders = parts.iter_mut().filter_map(|(head, costs)| {
-                Some((head.next_if(|vs| vs.video == vid)?, costs[&vid]))
+            let merged_at = merged.costs.len();
+            let mut holders = heads.iter_mut().enumerate().filter_map(|(part, head)| {
+                let (at, held) = head.next_if(|(_, (vs, _))| vs.video == vid)?;
+                each(part, at, merged_at);
+                Some(held)
             });
             let (mut acc, mut acc_cost) = holders.next().expect("some head holds the smallest id");
             let mut several = false;
@@ -112,9 +129,10 @@ impl PricedSchedule {
             if several {
                 split.push(vid);
             }
-            pairs.push((acc, acc_cost));
+            let _ = merged.put(acc, acc_cost);
         }
-        (Self::from_priced_videos(pairs), split)
+        merged.total = merged.costs.iter().sum();
+        (merged, split)
     }
 
     /// The running total Ψ of the whole schedule.
@@ -124,7 +142,12 @@ impl PricedSchedule {
 
     /// The memoized Ψ of one video's current schedule.
     pub fn video_cost(&self, video: VideoId) -> Option<Dollars> {
-        self.costs.get(&video).copied()
+        self.schedule.position(video).ok().map(|i| self.costs[i])
+    }
+
+    /// The memoized Ψ of the video at [`Schedule::position`] `i`.
+    pub(crate) fn cost_at(&self, i: usize) -> Dollars {
+        self.costs[i]
     }
 
     /// Read access to the underlying schedule.
@@ -143,17 +166,44 @@ impl PricedSchedule {
     /// closed-form full recompute under `debug_assert`.
     pub fn commit(&mut self, ctx: &SchedCtx<'_>, new_vs: VideoSchedule) -> Dollars {
         let new_cost = ctx.video_cost(&new_vs);
-        let old_cost = self.costs.insert(new_vs.video, new_cost).unwrap_or(0.0);
+        self.commit_priced(ctx, new_vs, new_cost).0
+    }
+
+    /// [`PricedSchedule::commit`] of a schedule already priced at
+    /// `new_cost` (`ctx.video_cost(&new_vs)`, which a SORP trial computed
+    /// when it ran). Also returns where the video went: `Ok(i)` replaced
+    /// position `i`, `Err(i)` inserted a new video there.
+    pub(crate) fn commit_priced(
+        &mut self,
+        ctx: &SchedCtx<'_>,
+        new_vs: VideoSchedule,
+        new_cost: Dollars,
+    ) -> (Dollars, Result<usize, usize>) {
+        debug_assert_eq!(new_cost.to_bits(), ctx.video_cost(&new_vs).to_bits(), "a stale price");
+        let (old_cost, at) = self.put(new_vs, new_cost);
         let delta = new_cost - old_cost;
         self.total += delta;
-        self.schedule.upsert(new_vs);
         debug_assert!(
             self.consistent_with(ctx),
             "incremental Ψ {} diverged from closed-form recompute {}",
             self.total,
             ctx.schedule_cost(&self.schedule)
         );
-        delta
+        (delta, at)
+    }
+
+    /// Upsert `vs` with its memo entry, leaving the total alone; returns
+    /// the entry it replaced (0 for a new video) and where it went, as
+    /// [`PricedSchedule::commit_priced`].
+    fn put(&mut self, vs: VideoSchedule, cost: Dollars) -> (Dollars, Result<usize, usize>) {
+        let videos = self.costs.len();
+        let i = self.schedule.upsert(vs);
+        if self.schedule.video_count() > videos {
+            self.costs.insert(i, cost);
+            (0.0, Err(i))
+        } else {
+            (std::mem::replace(&mut self.costs[i], cost), Ok(i))
+        }
     }
 
     /// Whether the running total agrees with the closed-form
@@ -183,10 +233,11 @@ pub fn ivsp_solve_priced_with(
     policy: GreedyPolicy,
     _mode: ExecMode,
 ) -> PricedSchedule {
+    let mut scratch = GreedyScratch::default();
     let pairs = batch
         .groups()
         .map(|(_, group)| {
-            let vs = find_video_schedule_with(ctx, group, policy);
+            let vs = schedule_video_in(ctx, group, policy, &mut scratch);
             let cost = ctx.video_cost(&vs);
             (vs, cost)
         })
@@ -197,8 +248,8 @@ pub fn ivsp_solve_priced_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ivsp_solve;
-    use vod_cost_model::CostModel;
+    use crate::{find_video_schedule_with, ivsp_solve};
+    use vod_cost_model::{CostModel, Request};
     use vod_topology::builders;
     use vod_workload::{CatalogConfig, RequestConfig, Workload};
 
@@ -273,6 +324,150 @@ mod tests {
         assert!(!split.is_empty(), "time slices split the popular titles");
         assert_eq!(split, held_by_several);
         assert!(merged.consistent_with(&ctx));
+    }
+
+    /// The memo as it stood before it became a table beside the schedule:
+    /// a `HashMap` by video id, kept as the reference the table must
+    /// answer like, bit for bit.
+    #[derive(Clone)]
+    struct HashMemo {
+        schedule: Schedule,
+        costs: std::collections::HashMap<VideoId, Dollars>,
+        total: Dollars,
+    }
+
+    impl HashMemo {
+        fn price(ctx: &SchedCtx<'_>, schedule: Schedule) -> Self {
+            let mut costs = std::collections::HashMap::new();
+            let mut total = 0.0;
+            for vs in schedule.videos() {
+                let cost = ctx.video_cost(vs);
+                costs.insert(vs.video, cost);
+                total += cost;
+            }
+            Self { schedule, costs, total }
+        }
+
+        fn from_priced_videos(pairs: Vec<(VideoSchedule, Dollars)>) -> Self {
+            let mut costs = std::collections::HashMap::new();
+            let mut schedule = Schedule::new();
+            for (vs, cost) in pairs {
+                costs.insert(vs.video, cost);
+                schedule.upsert(vs);
+            }
+            let total = schedule.videos().map(|vs| costs[&vs.video]).sum();
+            Self { schedule, costs, total }
+        }
+
+        fn merge(mut parts: Vec<HashMemo>) -> Self {
+            if parts.len() == 1 {
+                return parts.pop().expect("one part");
+            }
+            let mut parts: Vec<_> = parts
+                .into_iter()
+                .map(|p| (p.schedule.into_videos().into_iter().peekable(), p.costs))
+                .collect();
+            let mut pairs = Vec::new();
+            while let Some(vid) =
+                parts.iter_mut().filter_map(|(head, _)| head.peek()).map(|vs| vs.video).min()
+            {
+                let mut holders = parts.iter_mut().filter_map(|(head, costs)| {
+                    Some((head.next_if(|vs| vs.video == vid)?, costs[&vid]))
+                });
+                let (mut acc, mut acc_cost) = holders.next().expect("a head holds it");
+                for (vs, cost) in holders {
+                    acc.transfers.extend(vs.transfers);
+                    acc.residencies.extend(vs.residencies);
+                    acc_cost += cost;
+                }
+                pairs.push((acc, acc_cost));
+            }
+            Self::from_priced_videos(pairs)
+        }
+
+        fn commit(&mut self, ctx: &SchedCtx<'_>, new_vs: VideoSchedule) -> Dollars {
+            let new_cost = ctx.video_cost(&new_vs);
+            let old_cost = self.costs.insert(new_vs.video, new_cost).unwrap_or(0.0);
+            self.total += new_cost - old_cost;
+            self.schedule.upsert(new_vs);
+            new_cost - old_cost
+        }
+    }
+
+    /// Answers alike: every id's memo entry and the total, by bits.
+    fn agree(table: &PricedSchedule, reference: &HashMemo, ids: u32) -> bool {
+        table.schedule() == &reference.schedule
+            && table.total().to_bits() == reference.total.to_bits()
+            && (0..ids).map(VideoId).all(|v| {
+                table.video_cost(v).map(f64::to_bits)
+                    == reference.costs.get(&v).copied().map(f64::to_bits)
+            })
+    }
+
+    proptest::proptest! {
+        /// Parts assembled from pairs in any order (repeats included),
+        /// repriced, merged, then committed to — commits of videos the
+        /// schedule lacks insert out of order.
+        #[test]
+        fn the_position_memo_answers_like_a_hash_map(
+            parts in proptest::collection::vec(
+                proptest::collection::vec((0u32..24, 0usize..190, 1usize..4), 0..10),
+                1..5,
+            ),
+            reprice in proptest::prelude::any::<bool>(),
+            commits in proptest::collection::vec((0u32..32, 0usize..190, 1usize..4), 0..12),
+        ) {
+            const IDS: u32 = 32;
+            let (topo, wl) = world(21);
+            let model = CostModel::per_hop();
+            let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+            let users = topo.users();
+            // A greedy schedule of `video` for `n` requests, users and
+            // starts spread out from `u`.
+            let video_schedule = |video: u32, u: usize, n: usize| {
+                let requests: Vec<Request> = (0..n)
+                    .map(|i| Request {
+                        user: users[(u + 37 * i) % users.len()].id,
+                        video: VideoId(video),
+                        start: 900.0 * (u % 7 + 3 * i) as f64,
+                    })
+                    .collect();
+                find_video_schedule_with(&ctx, &requests, GreedyPolicy::default())
+            };
+            let mut tables = Vec::new();
+            let mut references = Vec::new();
+            for part in &parts {
+                let pairs: Vec<(VideoSchedule, Dollars)> = part
+                    .iter()
+                    .map(|&(v, u, n)| {
+                        let vs = video_schedule(v, u, n);
+                        let cost = ctx.video_cost(&vs);
+                        (vs, cost)
+                    })
+                    .collect();
+                let (mut table, mut reference) = (
+                    PricedSchedule::from_priced_videos(pairs.clone()),
+                    HashMemo::from_priced_videos(pairs),
+                );
+                proptest::prop_assert!(agree(&table, &reference, IDS));
+                if reprice {
+                    table = PricedSchedule::price(&ctx, table.into_schedule());
+                    reference = HashMemo::price(&ctx, reference.schedule);
+                    proptest::prop_assert!(agree(&table, &reference, IDS));
+                }
+                tables.push(table);
+                references.push(reference);
+            }
+            let (mut table, _) = PricedSchedule::merge(tables);
+            let mut reference = HashMemo::merge(references);
+            proptest::prop_assert!(agree(&table, &reference, IDS));
+            for &(v, u, n) in &commits {
+                let vs = video_schedule(v, u, n);
+                let delta = table.commit(&ctx, vs.clone());
+                proptest::prop_assert_eq!(delta.to_bits(), reference.commit(&ctx, vs).to_bits());
+                proptest::prop_assert!(agree(&table, &reference, IDS));
+            }
+        }
     }
 
     #[test]

@@ -78,16 +78,19 @@ pub(crate) struct RepairPass {
     pub(crate) delayed: Vec<DelayRecord>,
 }
 
-/// [`RepairOutcome::adjusted_requests`] over a pass's records.
+/// [`RepairOutcome::adjusted_requests`] over a pass's records: the
+/// records sorted by request, each request looked up there. Identical
+/// requests share one route and one clearing instant, so whichever of
+/// their records answers, the delivery time is the same.
 pub(crate) fn adjusted_requests(delayed: &[DelayRecord], original: &[Request]) -> Vec<Request> {
     let key = |r: &Request| (r.user, r.video, r.start.to_bits());
-    let delayed: std::collections::HashMap<_, Secs> =
-        delayed.iter().map(|d| (key(&d.request), d.delayed_start)).collect();
+    let mut delayed: Vec<_> = delayed.iter().map(|d| (key(&d.request), d.delayed_start)).collect();
+    delayed.sort_unstable_by_key(|&(k, _)| k);
     original
         .iter()
-        .map(|r| match delayed.get(&key(r)) {
-            Some(&t) => Request { start: t, ..*r },
-            None => *r,
+        .map(|r| match delayed.binary_search_by_key(&key(r), |&(k, _)| k) {
+            Ok(i) => Request { start: delayed[i].1, ..*r },
+            Err(_) => *r,
         })
         .collect()
 }

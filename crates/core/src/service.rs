@@ -550,8 +550,11 @@ pub struct ServiceCycleStats {
     pub rejected_full: usize,
     /// Offers rejected by the saturation admission test.
     pub rejected_saturated: usize,
+    /// Drained tickets naming a video outside the catalog: refused at
+    /// the drain, the first point the loop sees the catalog.
+    pub rejected_unknown: usize,
     /// Tickets drained into this cycle's batch (including any later
-    /// shed by the ladder).
+    /// shed by the ladder, excluding `rejected_unknown`).
     pub admitted: usize,
     /// Requests the committed schedule actually serves (post-repair).
     pub served: usize,
@@ -635,6 +638,9 @@ pub struct ServiceReport {
     pub rejected_full: usize,
     /// Offers rejected by the saturation admission test.
     pub rejected_saturated: usize,
+    /// Accepted offers refused at the drain for a video outside the
+    /// catalog.
+    pub rejected_unknown: usize,
     /// Requests served across all committed schedules.
     pub served: usize,
     /// Total shed events (a request re-shed after backoff counts once
@@ -656,9 +662,10 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
-    /// Offers that passed admission and entered the queue.
+    /// Offers that passed admission, entered the queue, and named a
+    /// video of the catalog.
     pub fn accepted(&self) -> usize {
-        self.offered - self.rejected_full - self.rejected_saturated
+        self.offered - self.rejected_full - self.rejected_saturated - self.rejected_unknown
     }
 
     /// Conservation balance: every accepted request must be served,
@@ -928,8 +935,15 @@ impl ServiceLoop {
         let mut dropped_now = self.release(k, &mut stats);
 
         // 2. Drain this window's batch (starts before the window end).
+        //    A ticket for a video outside the catalog leaves here: intake
+        //    could not tell, and nothing past this point could place it.
         let cut = self.queue.partition_point(|t| t.request.start < window_end);
         let mut kept: Vec<Ticket> = self.queue.drain(..cut).collect();
+        let titles = ctx.catalog.len();
+        if kept.iter().any(|t| t.request.video.index() >= titles) {
+            kept.retain(|t| t.request.video.index() < titles);
+            stats.rejected_unknown = cut - kept.len();
+        }
         stats.admitted = kept.len();
         stats.queue_depth = self.queue.len();
         ctx.recorder.event("intake", |e| {
@@ -1118,6 +1132,7 @@ impl ServiceLoop {
             offered: sum(|c| c.offered) + self.offered,
             rejected_full: sum(|c| c.rejected_full) + self.rejected_full,
             rejected_saturated: sum(|c| c.rejected_saturated) + self.rejected_saturated,
+            rejected_unknown: sum(|c| c.rejected_unknown),
             served: sum(|c| c.served),
             shed_events: sum(|c| c.shed),
             deferred_events: sum(|c| c.deferred),

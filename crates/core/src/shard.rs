@@ -56,14 +56,13 @@
 //! A cold solve is the service's solve over an empty book.
 
 use crate::capacity::Solved;
-use crate::sorp::SolveState;
+use crate::sorp::{PerVideo, SolveState};
 use crate::{
     detect_overflows, ivsp_solve_priced_with, PricedSchedule, SchedCtx, SorpConfig, SorpOutcome,
     StorageLedger,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use vod_cost_model::{RequestBatch, VideoId};
+use vod_cost_model::RequestBatch;
 use vod_parallel::{map_with_mode, ExecMode};
 use vod_workload::{partition_requests, ShardSpec, ShardStrategy};
 
@@ -283,7 +282,7 @@ fn reconcile(
     // order, counters aggregate, ledgers give rows. Nothing else crosses.
     let mut parts = Vec::with_capacity(shards);
     let mut ledgers = Vec::with_capacity(shards);
-    let mut forbidden: HashMap<VideoId, Vec<_>> = HashMap::new();
+    let mut shard_bans: Vec<PerVideo<_>> = Vec::with_capacity(shards);
     let mut initial_cost = 0.0;
     let mut iterations = 0;
     let mut forced_fallbacks = 0;
@@ -301,16 +300,23 @@ fn reconcile(
         jobs_rebuilt += s.jobs_rebuilt;
         nodes_rescanned += s.nodes_rescanned;
         victims.append(&mut s.victims);
-        for (vid, bans) in s.forbidden {
-            forbidden.entry(vid).or_default().extend(bans);
-        }
+        shard_bans.push(s.forbidden);
         ledgers.push((s.ledger, s.dirty));
         parts.push(s.priced);
     }
 
     // The merge meets every video of every shard once, so it also knows
-    // which ones landed in several.
-    let (merged, split) = PricedSchedule::merge(parts);
+    // which ones landed in several, and carries each shard's bans over to
+    // the video's merged position, appended in shard order. The table is
+    // sized by the parts' video total and trimmed to the merged count.
+    let mut forbidden: PerVideo<Vec<_>> = PerVideo::new();
+    let videos = parts.iter().map(|p| p.schedule().video_count()).sum();
+    let (merged, split) = PricedSchedule::merge_with(parts, |shard, at, merged_at| {
+        if let Some(bans) = shard_bans[shard].written(at).filter(|bans| !bans.is_empty()) {
+            forbidden.get_mut(merged_at, videos).append(bans);
+        }
+    });
+    forbidden.truncate(merged.schedule().video_count());
     let ledger = global_ledger(ctx, base, &merged, ledgers);
     let mut global = SolveState::laid(ctx, merged, ledger);
     global.forbidden = forbidden;

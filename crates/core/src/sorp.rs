@@ -50,7 +50,7 @@
 //!   recorded admission answer re-evaluates unchanged
 //!   ([`crate::Constraints::check_replays`]), the exact condition for a
 //!   bit-identical replay;
-//! * a **trial cache** keyed by video holds the trials no job has
+//! * a **trial cache** per video holds the trials no job has
 //!   attached: those a moved storage's jobs handed back. A rebuilt job
 //!   looks up there, entries bound to its own bans first; one bound to
 //!   other bans that still replays is rebound — which is what lets a
@@ -61,6 +61,11 @@
 //!   the sharded solve's global one included — starts with none;
 //! * the [`OverflowMonitor`] rescans only storages whose ledger
 //!   version moved, instead of every node's full timeline.
+//!
+//! Per-video state — the accumulated bans, the trial cache, a pass's
+//! request lists — sits in [`PerVideo`] tables indexed by the video's
+//! [`Schedule::position`], beside the pricing memo: a pass only replaces
+//! videos, so a position found once names its video for the whole pass.
 //!
 //! The naive loop — re-detect every overflow with a full scan and re-run
 //! every participant's trial, every iteration — is the equivalence oracle
@@ -75,15 +80,14 @@
 //! ([`crate::shard_solve`]), not the trial.
 
 use crate::capacity::Solved;
+use crate::greedy::{reschedule_traced_in, GreedyScratch};
 use crate::overflow::OverflowMonitor;
 use crate::{
-    detect_overflows, heat_of, overflow_set, reschedule_video_traced, Constraints, GreedyPolicy,
-    HeatMetric, Interval, LedgerCursor, LedgerDelta, Overflow, PricedSchedule, SchedCtx,
-    StorageLedger, TrialTrace,
+    detect_overflows, heat_of, overflow_set, Constraints, GreedyPolicy, HeatMetric, Interval,
+    LedgerCursor, LedgerDelta, Overflow, PricedSchedule, SchedCtx, StorageLedger, TrialTrace,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use vod_cost_model::{Dollars, Schedule, SpaceProfile, VideoId, VideoSchedule};
+use vod_cost_model::{Dollars, Request, Schedule, SpaceProfile, VideoId, VideoSchedule};
 use vod_parallel::ExecMode;
 use vod_topology::NodeId;
 
@@ -232,6 +236,8 @@ struct StandingJob {
     version: u64,
     /// The participating video.
     vid: VideoId,
+    /// Its [`Schedule::position`], stable for the pass.
+    at: usize,
     /// The participating residency's space profile (heat input).
     profile: SpaceProfile,
     /// The video's current cost, read from the pricing memo.
@@ -364,12 +370,11 @@ impl Replayer<'_, '_> {
 /// that fails under *different* bans is kept — it may replay verbatim
 /// for another overflow's job.
 fn take_cached(
-    cache: &mut HashMap<VideoId, Vec<CachedTrial>>,
+    list: &mut Vec<CachedTrial>,
     vid: VideoId,
     bans: &[(NodeId, Interval)],
     replayer: &mut Replayer<'_, '_>,
 ) -> Option<CachedTrial> {
-    let list = cache.get_mut(&vid)?;
     for exact in [true, false] {
         let mut i = list.len();
         while i > 0 {
@@ -403,13 +408,55 @@ fn take_cached(
 /// predecessor of this one), and the per-video cap drops the oldest
 /// entry first — both deterministic, so the cache contents are a pure
 /// function of the commit history.
-fn bank_trial(cache: &mut HashMap<VideoId, Vec<CachedTrial>>, trial: CachedTrial) {
-    let list = cache.entry(trial.new_vs.video).or_default();
+fn bank_trial(list: &mut Vec<CachedTrial>, trial: CachedTrial) {
     list.retain(|e| e.bans != trial.bans);
     if list.len() >= MAX_TRIALS_PER_VIDEO {
         list.remove(0);
     }
     list.push(trial);
+}
+
+/// A per-video table beside a [`SolveState`]'s priced schedule: entry `i`
+/// belongs to the video at [`Schedule::position`] `i`. It takes its
+/// length on the first write, so a table a pass never writes costs
+/// nothing, and a commit that inserts a video inserts its entry too.
+pub(crate) struct PerVideo<T>(Vec<T>);
+
+impl<T: Default> PerVideo<T> {
+    pub(crate) fn new() -> Self {
+        Self(Vec::new())
+    }
+
+    /// The entry at `at`, when the table has been written.
+    pub(crate) fn get(&self, at: usize) -> Option<&T> {
+        self.0.get(at)
+    }
+
+    /// The entry at `at` of a schedule of `videos` videos, sizing the
+    /// table first if this is its first write.
+    pub(crate) fn get_mut(&mut self, at: usize, videos: usize) -> &mut T {
+        if self.0.is_empty() {
+            self.0.resize_with(videos, T::default);
+        }
+        &mut self.0[at]
+    }
+
+    /// The written entry at `at`, if any; never sizes the table.
+    pub(crate) fn written(&mut self, at: usize) -> Option<&mut T> {
+        self.0.get_mut(at)
+    }
+
+    /// Drop the entries past the first `videos`.
+    pub(crate) fn truncate(&mut self, videos: usize) {
+        self.0.truncate(videos);
+    }
+
+    /// Keep step with a schedule that gained a video at `at`.
+    fn inserted(&mut self, at: usize) {
+        if !self.0.is_empty() {
+            self.0.insert(at, T::default());
+        }
+    }
 }
 
 /// The sequential reduce: scan the scored jobs in order with the
@@ -455,7 +502,8 @@ pub(crate) struct SolveState {
     /// Per node row: whether [`SolveState::commit`] touched it. A clean row
     /// is the base's plus the state's residencies there, in schedule order.
     pub(crate) dirty: Vec<bool>,
-    pub(crate) forbidden: HashMap<VideoId, Vec<(NodeId, Interval)>>,
+    /// Per video: the windows it was banned from, in ban order.
+    pub(crate) forbidden: PerVideo<Vec<(NodeId, Interval)>>,
     pub(crate) victims: Vec<VictimRecord>,
     pub(crate) iterations: usize,
     pub(crate) forced_fallbacks: usize,
@@ -464,7 +512,8 @@ pub(crate) struct SolveState {
     /// order, each with its trial attached. Empty between passes:
     /// [`SolveState::resolve`] clears them on exit.
     jobs: Vec<StandingJob>,
-    cache: HashMap<VideoId, Vec<CachedTrial>>,
+    /// Per video: its banked trials, oldest first.
+    cache: PerVideo<Vec<CachedTrial>>,
     /// One [`LedgerDelta`] per commit, in commit order; trials validate
     /// lazily against the suffix that landed after their epoch.
     deltas: Vec<LedgerDelta>,
@@ -498,13 +547,13 @@ impl SolveState {
             priced,
             ledger,
             dirty: vec![false; ctx.topo.node_count()],
-            forbidden: HashMap::new(),
+            forbidden: PerVideo::new(),
             victims: Vec::new(),
             iterations: 0,
             forced_fallbacks: 0,
             monitor: OverflowMonitor::new(),
             jobs: Vec::new(),
-            cache: HashMap::new(),
+            cache: PerVideo::new(),
             deltas: Vec::new(),
             trials_run: 0,
             trials_cached: 0,
@@ -520,7 +569,14 @@ impl SolveState {
     /// degenerates to a no-op when the shards never conflicted.
     pub(crate) fn resolve(&mut self, ctx: &SchedCtx<'_>, cfg: &SorpConfig) {
         let cap = self.iterations + cfg.max_iterations;
+        let videos = self.priced.schedule().video_count();
         let mut rebuilt = Vec::new();
+        // A video's delivered requests, sorted, read off its schedule on
+        // its first trial miss: no commit of the pass changes the set.
+        let mut requests: PerVideo<Vec<Request>> = PerVideo::new();
+        // The pass's greedy buffers, and its replay cursor's.
+        let mut scratch = GreedyScratch::default();
+        let mut replay_cursor = LedgerCursor::new();
         while self.refresh_overflows(ctx) > 0 {
             let scans = self.monitor.scans();
             if self.iterations >= cap {
@@ -557,25 +613,24 @@ impl SolveState {
                 }
                 for of in ofs {
                     for (vid, profile) in overflow_set(&self.ledger, of) {
-                        // The ledger holds only scheduled, priced videos, and a
-                        // residency without deliveries cannot occur; a job that
-                        // broke either would have nothing to reschedule.
-                        let (Some(old_vs), Some(old_cost)) =
-                            (self.priced.schedule().video(vid), self.priced.video_cost(vid))
-                        else {
-                            continue;
-                        };
-                        if old_vs.delivered().next().is_none() {
+                        // The ledger holds only scheduled videos, and a
+                        // residency without deliveries cannot occur; a job
+                        // that broke either would have nothing to reschedule.
+                        let Ok(pos) = self.priced.schedule().position(vid) else { continue };
+                        if self.priced.schedule().video_at(pos).delivered().next().is_none() {
                             continue;
                         }
-                        let mut bans = self.forbidden.get(&vid).cloned().unwrap_or_default();
+                        let held = self.forbidden.get(pos).map_or(&[][..], Vec::as_slice);
+                        let mut bans = Vec::with_capacity(held.len() + 1);
+                        bans.extend_from_slice(held);
                         bans.push((of.loc, of.window));
                         rebuilt.push(StandingJob {
                             of: of.clone(),
                             version: *version,
                             vid,
+                            at: pos,
                             profile,
-                            old_cost,
+                            old_cost: self.priced.cost_at(pos),
                             bans,
                             trial: None,
                             heat: 0.0,
@@ -586,8 +641,10 @@ impl SolveState {
                 self.jobs_rebuilt += rebuilt.len();
                 let next = at + rebuilt.len();
                 let stale = self.jobs.splice(at..end, rebuilt.drain(..));
-                for trial in stale.filter_map(|job| job.trial) {
-                    bank_trial(&mut self.cache, trial);
+                for job in stale {
+                    if let Some(trial) = job.trial {
+                        bank_trial(self.cache.get_mut(job.at, videos), trial);
+                    }
                 }
                 at = next;
             }
@@ -608,7 +665,7 @@ impl SolveState {
                 ledger,
                 deltas: &self.deltas,
                 suffixes: Vec::new(),
-                cursor: LedgerCursor::new(),
+                cursor: std::mem::take(&mut replay_cursor),
             };
             let mut misses = 0;
             for job in &mut self.jobs {
@@ -618,21 +675,29 @@ impl SolveState {
                         continue;
                     }
                 }
-                let cached = take_cached(&mut self.cache, job.vid, &job.bans, &mut replayer);
-                let trial = cached.unwrap_or_else(|| {
-                    misses += 1;
-                    let cons = Constraints { ledger, exclude: Some(job.vid), forbidden: &job.bans };
-                    let requests = priced
-                        .schedule()
-                        .video(job.vid)
-                        .map_or_else(Vec::new, |vs| vs.delivered_requests());
-                    let (new_vs, trace) =
-                        reschedule_video_traced(ctx, &requests, &cons, cfg.policy);
-                    let new_cost = ctx.video_cost(&new_vs);
-                    CachedTrial { new_vs, new_cost, bans: job.bans.clone(), trace, epoch }
-                });
+                let cached = self
+                    .cache
+                    .written(job.at)
+                    .and_then(|list| take_cached(list, job.vid, &job.bans, &mut replayer));
+                let trial = match cached {
+                    Some(trial) => trial,
+                    None => {
+                        misses += 1;
+                        let requests = requests.get_mut(job.at, videos);
+                        if requests.is_empty() {
+                            *requests = priced.schedule().video_at(job.at).delivered_requests();
+                        }
+                        let cons =
+                            Constraints { ledger, exclude: Some(job.vid), forbidden: &job.bans };
+                        let (new_vs, trace) =
+                            reschedule_traced_in(ctx, requests, &cons, cfg.policy, &mut scratch);
+                        let new_cost = ctx.video_cost(&new_vs);
+                        CachedTrial { new_vs, new_cost, bans: job.bans.clone(), trace, epoch }
+                    }
+                };
                 job.attach(trial, cfg.metric);
             }
+            replay_cursor = replayer.cursor;
             self.trials_run += misses;
             self.trials_cached += self.jobs.len() - misses;
 
@@ -642,7 +707,7 @@ impl SolveState {
             };
             let job = self.jobs.remove(ji);
             let (vid, of) = (job.vid, job.of);
-            self.forbidden.entry(vid).or_default().push((of.loc, of.window));
+            self.forbidden.get_mut(job.at, videos).push((of.loc, of.window));
             self.victims.push(VictimRecord {
                 video: vid,
                 loc: of.loc,
@@ -651,7 +716,9 @@ impl SolveState {
                 overhead: job.overhead,
                 heat: job.heat,
             });
-            self.commit(ctx, job.trial.expect("every job was just scored").new_vs);
+            // The trial priced its schedule when it ran: commit at that price.
+            let trial = job.trial.expect("every job was just scored");
+            self.commit_priced(ctx, trial.new_vs, trial.new_cost);
         }
         self.jobs.clear();
     }
@@ -674,6 +741,12 @@ impl SolveState {
     /// marked dirty. The one commit: a resolution iteration, the fallback
     /// tail and the fault-repair pass ([`crate::repair_schedule`]) all land here.
     pub(crate) fn commit(&mut self, ctx: &SchedCtx<'_>, new_vs: VideoSchedule) {
+        let new_cost = ctx.video_cost(&new_vs);
+        self.commit_priced(ctx, new_vs, new_cost);
+    }
+
+    /// [`SolveState::commit`] of a schedule already priced at `new_cost`.
+    fn commit_priced(&mut self, ctx: &SchedCtx<'_>, new_vs: VideoSchedule, new_cost: Dollars) {
         let vid = new_vs.video;
         let mut delta = LedgerDelta::new();
         if let Some(old_vs) = self.priced.schedule().video(vid) {
@@ -691,7 +764,11 @@ impl SolveState {
             let profile = r.profile(ctx.catalog.get(r.video));
             self.ledger.add_tracked(r.loc, r.video, profile, &mut delta);
         }
-        self.priced.commit(ctx, new_vs);
+        if let (_, Err(at)) = self.priced.commit_priced(ctx, new_vs, new_cost) {
+            debug_assert!(self.jobs.is_empty(), "a pass inserted a video under its jobs");
+            self.forbidden.inserted(at);
+            self.cache.inserted(at);
+        }
         self.deltas.push(delta);
     }
 
@@ -990,7 +1067,8 @@ mod tests {
             per
         };
         let mut ledger = StorageLedger::from_schedule(&topo, &wl.catalog, &schedule);
-        let mut forbidden: HashMap<VideoId, Vec<(NodeId, Interval)>> = HashMap::new();
+        let mut forbidden: std::collections::HashMap<VideoId, Vec<(NodeId, Interval)>> =
+            Default::default();
         let (mut stood, mut before) = (0, snapshot(&ledger));
         for v in &victims {
             let bans = forbidden.entry(v.video).or_default();

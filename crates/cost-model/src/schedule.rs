@@ -207,24 +207,47 @@ impl Schedule {
         Self::default()
     }
 
-    /// Add (or replace) the schedule of one video. Keeps per-video
-    /// schedules sorted by video id for deterministic iteration; a video
-    /// past the last one (how schedules are built, in id order) is
-    /// appended without a search.
-    pub fn upsert(&mut self, vs: VideoSchedule) {
+    /// An empty schedule with room for `videos` per-video schedules.
+    pub fn with_capacity(videos: usize) -> Self {
+        Self { videos: Vec::with_capacity(videos) }
+    }
+
+    /// Add (or replace) the schedule of one video and return its position
+    /// in id order. Keeps per-video schedules sorted by video id for
+    /// deterministic iteration; a video past the last one (how schedules
+    /// are built, in id order) is appended without a search.
+    pub fn upsert(&mut self, vs: VideoSchedule) -> usize {
         if self.videos.last().is_none_or(|last| last.video < vs.video) {
             self.videos.push(vs);
-            return;
+            return self.videos.len() - 1;
         }
-        match self.videos.binary_search_by(|x| x.video.cmp(&vs.video)) {
-            Ok(i) => self.videos[i] = vs,
-            Err(i) => self.videos.insert(i, vs),
+        match self.position(vs.video) {
+            Ok(i) => {
+                self.videos[i] = vs;
+                i
+            }
+            Err(i) => {
+                self.videos.insert(i, vs);
+                i
+            }
         }
+    }
+
+    /// Where `video` sits among the per-video schedules, in id order:
+    /// `Ok(i)` when it is scheduled, else `Err(i)`, where it would go.
+    /// Tables kept beside a schedule index by this position.
+    pub fn position(&self, video: VideoId) -> Result<usize, usize> {
+        self.videos.binary_search_by(|x| x.video.cmp(&video))
     }
 
     /// The per-video schedule, if present.
     pub fn video(&self, video: VideoId) -> Option<&VideoSchedule> {
-        self.videos.binary_search_by(|x| x.video.cmp(&video)).ok().map(|i| &self.videos[i])
+        self.position(video).ok().map(|i| &self.videos[i])
+    }
+
+    /// The per-video schedule at position `i` of [`Schedule::videos`].
+    pub fn video_at(&self, i: usize) -> &VideoSchedule {
+        &self.videos[i]
     }
 
     /// Iterate over per-video schedules in video-id order.
@@ -353,16 +376,18 @@ mod tests {
     #[test]
     fn schedule_upsert_replaces_and_sorts() {
         let mut s = Schedule::new();
-        s.upsert(VideoSchedule::new(VideoId(5)));
-        s.upsert(VideoSchedule::new(VideoId(1)));
+        assert_eq!(s.upsert(VideoSchedule::new(VideoId(5))), 0);
+        assert_eq!(s.upsert(VideoSchedule::new(VideoId(1))), 0, "inserted ahead of 5");
         let mut vs = VideoSchedule::new(VideoId(5));
         vs.transfers.push(Transfer::cache_fill(VideoId(5), route(&[0]), 0.0));
-        s.upsert(vs);
+        assert_eq!(s.upsert(vs), 1, "replaced in place");
         assert_eq!(s.video_count(), 2);
         let ids: Vec<u32> = s.videos().map(|v| v.video.0).collect();
         assert_eq!(ids, vec![1, 5]);
         assert_eq!(s.video(VideoId(5)).unwrap().transfers.len(), 1);
+        assert_eq!(s.video_at(1).video, VideoId(5));
         assert!(s.video(VideoId(9)).is_none());
+        assert_eq!((s.position(VideoId(5)), s.position(VideoId(3))), (Ok(1), Err(1)));
     }
 
     #[test]

@@ -78,10 +78,14 @@ pub fn check_service_accounting(report: &ServiceReport) -> Vec<String> {
             report.in_flight
         ));
     }
-    if report.rejected_full + report.rejected_saturated > report.offered {
+    let rejected = report.rejected_full + report.rejected_saturated + report.rejected_unknown;
+    if rejected > report.offered {
         errors.push(format!(
-            "rejections ({} full + {} saturated) exceed {} offers",
-            report.rejected_full, report.rejected_saturated, report.offered
+            "rejections ({} full + {} saturated + {} unknown video) exceed {} offers",
+            report.rejected_full,
+            report.rejected_saturated,
+            report.rejected_unknown,
+            report.offered
         ));
     }
     if report.shed_events != report.deferred_events + report.dropped {
@@ -119,6 +123,7 @@ pub fn check_service_accounting(report: &ServiceReport) -> Vec<String> {
 mod tests {
     use super::*;
     use vod_core::{service_run, ExecMode, SchedCtx, ServiceConfig};
+    use vod_cost_model::VideoId;
     use vod_topology::builders::{paper_fig4, PaperFig4Config};
     use vod_workload::{generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig};
 
@@ -177,6 +182,31 @@ mod tests {
                 .count();
             assert_eq!(sheds, o.shed_now.len());
         }
+        assert!(check_service_accounting(&report).is_empty());
+    }
+
+    /// Intake cannot see the catalog, so a ticket for a video outside it
+    /// is queued; the cycle refuses it at the drain and serves the rest.
+    #[test]
+    fn a_ticket_for_a_video_outside_the_catalog_is_refused_at_the_drain() {
+        use vod_core::ServiceLoop;
+        let (topo, catalog) = world();
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &catalog);
+        let mut svc = ServiceLoop::new(&topo, ServiceConfig::default()).expect("valid");
+        let user = topo.users()[0].id;
+        let known = Request { user, video: VideoId(0), start: 100.0 };
+        let unknown = Request { video: VideoId(catalog.len() as u32), ..known };
+        svc.offer(known).expect("queued");
+        svc.offer(unknown).expect("intake does not know the catalog");
+
+        let cycle = svc.run_cycle(&ctx, ExecMode::Sequential);
+        assert_eq!(cycle.stats.rejected_unknown, 1);
+        assert_eq!((cycle.stats.admitted, cycle.served.as_slice()), (1, &[known][..]));
+        assert!(cycle_is_clean(&replay_service_cycle(&topo, &catalog, &model, &cycle)));
+        let report = svc.finish();
+        assert_eq!((report.offered, report.rejected_unknown, report.served), (2, 1, 1));
+        assert_eq!(report.conservation_error(), 0);
         assert!(check_service_accounting(&report).is_empty());
     }
 

@@ -44,6 +44,14 @@ pub(crate) fn take_match<'a>(
 /// comes from one merge of `wanted` against the sorted deliveries, so
 /// duplicate, unrequested and missing deliveries appear in
 /// [`Request::batch_order`] of their key.
+///
+/// Videos come in id order and a video's deliveries mostly in batch order
+/// already (the greedy emits them in request order), so the deliveries
+/// are sorted one video's run at a time, and only a run that is out of
+/// order — a split video's, concatenated shard by shard — is sorted at
+/// all. Requests that compare equal are bit-identical, so this is the
+/// list a whole-list sort gives; a run that starts below the previous
+/// one (a transfer filed under another video) falls back to that sort.
 fn check_coverage(
     topo: &Topology,
     schedule: &Schedule,
@@ -51,16 +59,36 @@ fn check_coverage(
     out: &mut Vec<Violation>,
 ) {
     debug_assert!(wanted.windows(2).all(|w| w[0].batch_order(&w[1]).is_le()));
+    let in_order = |a: &Request, b: &Request| a.batch_order(b).is_le();
     let mut delivered: Vec<Request> = Vec::with_capacity(wanted.len());
-    for t in schedule.transfers() {
-        let Some(user) = t.user else { continue };
-        let expected = topo.home_of(user);
-        if t.dst() != expected {
-            out.push(Violation::WrongDestination { user, got: t.dst(), expected });
+    let mut runs_in_order = true;
+    for vs in schedule.videos() {
+        let from = delivered.len();
+        for t in &vs.transfers {
+            let Some(user) = t.user else { continue };
+            let expected = topo.home_of(user);
+            if t.dst() != expected {
+                out.push(Violation::WrongDestination { user, got: t.dst(), expected });
+            }
+            delivered.push(Request { user, video: t.video, start: t.start });
         }
-        delivered.push(Request { user, video: t.video, start: t.start });
+        let run = &mut delivered[from..];
+        if !run.is_sorted_by(in_order) {
+            run.sort_by(Request::batch_order);
+        }
+        if let (Some(last), Some(first)) = (from.checked_sub(1), delivered.get(from)) {
+            runs_in_order &= in_order(&delivered[last], first);
+        }
     }
-    delivered.sort_by(Request::batch_order);
+    if !runs_in_order {
+        delivered.sort_by(Request::batch_order);
+    }
+    merge_coverage(wanted, &delivered, out);
+}
+
+/// The merge of [`check_coverage`]: `wanted` against the sorted
+/// `delivered`, both in [`Request::batch_order`].
+fn merge_coverage(wanted: &[Request], delivered: &[Request], out: &mut Vec<Violation>) {
     let (mut w, mut d) = (0, 0);
     while w < wanted.len() || d < delivered.len() {
         let order = match (wanted.get(w), delivered.get(d)) {
@@ -258,6 +286,81 @@ mod tests {
         for _ in 0..2 {
             assert_eq!(run(&s, Some(&b)), expected);
         }
+    }
+
+    /// `check_coverage` as it stood before it sorted by video run: every
+    /// delivery collected, then the whole list sorted.
+    fn check_coverage_whole_sort(
+        topo: &Topology,
+        schedule: &Schedule,
+        wanted: &[Request],
+        out: &mut Vec<Violation>,
+    ) {
+        let mut delivered: Vec<Request> = Vec::with_capacity(wanted.len());
+        for t in schedule.transfers() {
+            let Some(user) = t.user else { continue };
+            let expected = topo.home_of(user);
+            if t.dst() != expected {
+                out.push(Violation::WrongDestination { user, got: t.dst(), expected });
+            }
+            delivered.push(Request { user, video: t.video, start: t.start });
+        }
+        delivered.sort_by(Request::batch_order);
+        merge_coverage(wanted, &delivered, out);
+    }
+
+    #[test]
+    fn a_split_videos_out_of_order_run_reports_like_a_whole_list_sort() {
+        let t = topo();
+        let at = |user: u32, video: u32, start: f64| Request {
+            user: UserId(user),
+            video: VideoId(video),
+            start,
+        };
+        let deliver = |vs: &mut VideoSchedule, r: Request| {
+            vs.transfers.push(Transfer {
+                video: r.video,
+                route: vec![t.warehouse(), t.home_of(r.user)].into(),
+                start: r.start,
+                user: Some(r.user),
+            });
+        };
+        // Video 0 was split across two shards and merged shard by shard:
+        // the second shard's deliveries start earlier than the first's
+        // end. One reservation is delivered twice, one not at all.
+        let mut split = VideoSchedule::new(VideoId(0));
+        for r in [at(1, 0, 100.0), at(2, 0, 300.0), at(0, 0, 50.0), at(2, 0, 300.0)] {
+            deliver(&mut split, r);
+        }
+        deliver(&mut split, at(0, 0, 200.0));
+        let mut whole = VideoSchedule::new(VideoId(1));
+        deliver(&mut whole, at(2, 1, 10.0));
+        let mut s = Schedule::new();
+        s.upsert(split);
+        s.upsert(whole);
+        let wanted: Vec<Request> = batch(vec![
+            at(0, 0, 200.0),
+            at(1, 0, 100.0),
+            at(2, 0, 300.0),
+            at(0, 0, 50.0),
+            at(1, 0, 400.0),
+            at(2, 1, 10.0),
+        ])
+        .iter()
+        .copied()
+        .collect();
+
+        let (mut by_run, mut whole_sort) = (Vec::new(), Vec::new());
+        check_coverage(&t, &s, &wanted, &mut by_run);
+        check_coverage_whole_sort(&t, &s, &wanted, &mut whole_sort);
+        assert_eq!(by_run, whole_sort);
+        assert_eq!(
+            by_run,
+            vec![
+                Violation::DuplicateDelivery { user: UserId(2), video: VideoId(0) },
+                Violation::MissingDelivery { user: UserId(1), video: VideoId(0), start: 400.0 },
+            ]
+        );
     }
 
     #[test]

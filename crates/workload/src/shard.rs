@@ -132,28 +132,47 @@ fn partition_by_region(
     buckets.into_iter().map(RequestBatch::new).collect()
 }
 
+/// Time slices: requests ranked by start with a seeded tie-break on
+/// simultaneous reservations, so slice boundaries are reproducible and
+/// unbiased, and the ranks cut into contiguous runs of near-equal size.
+/// Each request gets one integer key — start's total-order bits, the
+/// seeded hash, user, video, and its batch index, which makes keys unique
+/// and keeps identical requests in batch order — and a slice is filled
+/// by walking the batch, so it comes out in batch order and
+/// [`RequestBatch::new`] finds it sorted.
 fn partition_by_time(batch: &RequestBatch, spec: &ShardSpec) -> Vec<RequestBatch> {
-    // Chronological order with a seeded tie-break on simultaneous
-    // reservations, so slice boundaries are reproducible and unbiased.
-    // Each request is hashed once, ahead of the sort.
-    let mut keyed: Vec<(u64, Request)> =
-        batch.iter().map(|r| (mix(spec.seed, r.user.0 as u64, r.video.0 as u64), *r)).collect();
-    let shards = spec.shards.clamp(1, keyed.len().max(1));
-    keyed.sort_by(|(ma, a), (mb, b)| {
-        a.start.total_cmp(&b.start).then((ma, a.user.0, a.video.0).cmp(&(mb, b.user.0, b.video.0)))
-    });
+    let n = batch.len();
+    let shards = spec.shards.clamp(1, n.max(1));
+    let mut ranked: Vec<(u64, u64, u32, u32, usize)> = batch
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let bits = r.start.to_bits();
+            // `f64::total_cmp`'s map to an order-preserving unsigned integer.
+            let start = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
+            (start, mix(spec.seed, r.user.0 as u64, r.video.0 as u64), r.user.0, r.video.0, i)
+        })
+        .collect();
+    ranked.sort_unstable();
 
-    let n = keyed.len();
+    // The first `rem` slices take one request more than the rest.
     let (base, rem) = (n / shards, n % shards);
-    let mut out = Vec::with_capacity(shards);
-    let mut taken = 0;
-    for s in 0..shards {
-        let len = base + usize::from(s < rem);
-        out.push(RequestBatch::new(keyed[taken..taken + len].iter().map(|&(_, r)| r).collect()));
-        taken += len;
+    let mut slice_of = vec![0; n];
+    let (mut slice, mut left) = (0, base + usize::from(rem > 0));
+    for &(.., i) in &ranked {
+        if left == 0 {
+            slice += 1;
+            left = base + usize::from(slice < rem);
+        }
+        slice_of[i] = slice;
+        left -= 1;
     }
-    debug_assert_eq!(taken, n);
-    out
+    let mut slices: Vec<Vec<Request>> =
+        (0..shards).map(|s| Vec::with_capacity(base + usize::from(s < rem))).collect();
+    for (r, &s) in batch.iter().zip(&slice_of) {
+        slices[s].push(*r);
+    }
+    slices.into_iter().map(RequestBatch::new).collect()
 }
 
 #[cfg(test)]
@@ -296,6 +315,38 @@ mod tests {
         assert!(max - min <= biggest, "spread {max}-{min} exceeds biggest neighborhood {biggest}");
     }
 
+    /// `partition_by_time` as it stood before it ranked integer keys: a
+    /// comparator sort over (start, seeded hash, user, video), the slices
+    /// cut off the sorted list. Kept verbatim as the reference the ranked
+    /// partition must reproduce.
+    fn partition_by_time_comparator(batch: &RequestBatch, spec: &ShardSpec) -> Vec<RequestBatch> {
+        // Chronological order with a seeded tie-break on simultaneous
+        // reservations, so slice boundaries are reproducible and unbiased.
+        // Each request is hashed once, ahead of the sort.
+        let mut keyed: Vec<(u64, Request)> =
+            batch.iter().map(|r| (mix(spec.seed, r.user.0 as u64, r.video.0 as u64), *r)).collect();
+        let shards = spec.shards.clamp(1, keyed.len().max(1));
+        keyed.sort_by(|(ma, a), (mb, b)| {
+            a.start
+                .total_cmp(&b.start)
+                .then((ma, a.user.0, a.video.0).cmp(&(mb, b.user.0, b.video.0)))
+        });
+
+        let n = keyed.len();
+        let (base, rem) = (n / shards, n % shards);
+        let mut out = Vec::with_capacity(shards);
+        let mut taken = 0;
+        for s in 0..shards {
+            let len = base + usize::from(s < rem);
+            out.push(RequestBatch::new(
+                keyed[taken..taken + len].iter().map(|&(_, r)| r).collect(),
+            ));
+            taken += len;
+        }
+        debug_assert_eq!(taken, n);
+        out
+    }
+
     /// `partition_by_time` as it stood before the sort was decorated: the
     /// comparator hashes both sides of every comparison. Kept verbatim as
     /// the reference the keyed sort must reproduce.
@@ -422,6 +473,47 @@ mod tests {
                         .map(|r| (r.user, r.video, r.start.to_bits()))),
                     "a slice differs from the reference partition"
                 );
+            }
+        }
+
+        /// Few distinct instants, users and titles: most slice boundaries
+        /// fall inside a run of simultaneous reservations, where only the
+        /// seeded tie-break decides which side a request lands on, and
+        /// most requests have an identical twin in the batch. Starts
+        /// include −0.0, +0.0 and a negative instant, which only the
+        /// total order tells apart.
+        #[test]
+        fn ranked_time_partition_equals_the_comparator_sorts(
+            raw in proptest::collection::vec((0u32..12, 0u32..6, 0usize..6), 0..120),
+            twins in proptest::collection::vec((0u32..3, 0u32..2, 0usize..2), 0..40),
+            shards in 1usize..9,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use vod_cost_model::VideoId;
+            use vod_topology::UserId;
+            const STARTS: [f64; 6] = [0.0, -0.0, -600.0, 600.0, 1_200.0, 1_800.0];
+            let requests = raw
+                .iter()
+                .chain(&twins)
+                .map(|&(u, v, t)| Request { user: UserId(u), video: VideoId(v), start: STARTS[t] })
+                .collect();
+            let batch = RequestBatch::new(requests);
+            let spec = ShardSpec::by_time_slice(shards, seed);
+            let ranked = partition_by_time(&batch, &spec);
+            let bits = |b: &RequestBatch| -> Vec<(u32, u32, u64)> {
+                b.iter().map(|r| (r.user.0, r.video.0, r.start.to_bits())).collect()
+            };
+            for reference in [
+                partition_by_time_comparator(&batch, &spec),
+                partition_by_time_rehashing(&batch, &spec),
+            ] {
+                proptest::prop_assert_eq!(ranked.len(), reference.len());
+                for (a, b) in ranked.iter().zip(&reference) {
+                    proptest::prop_assert!(
+                        bits(a) == bits(b),
+                        "a slice differs from the reference partition"
+                    );
+                }
             }
         }
     }

@@ -3,9 +3,11 @@
 //! flat `Vec`, so a service cycle — intake, partition, both phases, commit
 //! and strict replay — costs a bounded number of allocator calls per
 //! served request. The ceiling sits 25 % above the measured value; a
-//! per-request `Vec` route (16.1 calls per request before routes were shared)
-//! or a per-residency service list (7.54 before a residency counted its
-//! services) cannot come back under it.
+//! per-request `Vec` route (16.1 calls per request before routes were shared),
+//! a per-residency service list (7.54 before a residency counted its
+//! services) or the solver's per-video hash maps and per-run greedy buffers
+//! (5.71 before they became position-indexed tables and per-pass scratch)
+//! cannot come back under it.
 //!
 //! This file holds one test on purpose: the counter is process-wide.
 
@@ -57,8 +59,8 @@ static ALLOCATOR: Counting = Counting;
 
 const HORIZON: f64 = 24.0 * 3_600.0;
 const CYCLES: usize = 25;
-/// 25 % above the 5.71 calls per served request measured for this cell.
-const CEILING: f64 = 7.14;
+/// 25 % above the 4.41 calls per served request measured for this cell.
+const CEILING: f64 = 5.51;
 
 #[test]
 fn a_service_cycle_stays_within_its_allocation_budget() {
