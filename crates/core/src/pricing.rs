@@ -25,6 +25,12 @@ use vod_parallel::ExecMode;
 /// any real accounting bug.
 const PRICING_EPS: f64 = 1e-6;
 
+/// The per-video costs summed in order from `+0.0`, so an empty schedule
+/// totals `+0.0` (`Iterator::sum` starts from `-0.0`).
+fn sum_in_order(costs: &[Dollars]) -> Dollars {
+    costs.iter().fold(0.0, |total, cost| total + cost)
+}
+
 /// A [`Schedule`] bundled with its per-video Ψ memo and running total.
 ///
 /// The memo is a table beside the schedule's video list: entry `i` prices
@@ -47,7 +53,7 @@ impl PricedSchedule {
     /// the per-video costs summed in schedule order.
     pub fn price(ctx: &SchedCtx<'_>, schedule: Schedule) -> Self {
         let costs: Vec<Dollars> = schedule.videos().map(|vs| ctx.video_cost(vs)).collect();
-        let total = costs.iter().fold(0.0, |total, cost| total + cost);
+        let total = sum_in_order(&costs);
         Self { schedule, costs, total }
     }
 
@@ -62,7 +68,7 @@ impl PricedSchedule {
         for (vs, cost) in pairs {
             let _ = priced.put(vs, cost);
         }
-        priced.total = priced.costs.iter().sum();
+        priced.total = sum_in_order(&priced.costs);
         priced
     }
 
@@ -131,7 +137,7 @@ impl PricedSchedule {
             }
             let _ = merged.put(acc, acc_cost);
         }
-        merged.total = merged.costs.iter().sum();
+        merged.total = sum_in_order(&merged.costs);
         (merged, split)
     }
 
@@ -355,7 +361,7 @@ mod tests {
                 costs.insert(vs.video, cost);
                 schedule.upsert(vs);
             }
-            let total = schedule.videos().map(|vs| costs[&vs.video]).sum();
+            let total = schedule.videos().fold(0.0, |total, vs| total + costs[&vs.video]);
             Self { schedule, costs, total }
         }
 
@@ -468,6 +474,21 @@ mod tests {
                 proptest::prop_assert!(agree(&table, &reference, IDS));
             }
         }
+    }
+
+    /// An empty batch totals `+0.0` on every path, the bits of pricing an
+    /// empty schedule.
+    #[test]
+    fn an_empty_batch_totals_positive_zero() {
+        let (topo, wl) = world(13);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+        let empty = RequestBatch::default();
+        let priced = PricedSchedule::price(&ctx, Schedule::new()).total();
+        assert_eq!(priced.to_bits(), 0.0f64.to_bits());
+        assert_eq!(ivsp_solve_priced(&ctx, &empty).total().to_bits(), priced.to_bits());
+        let sharded = crate::shard_solve(&ctx, &empty, &Default::default(), ExecMode::Sequential);
+        assert_eq!(sharded.sorp.cost.to_bits(), priced.to_bits());
     }
 
     #[test]

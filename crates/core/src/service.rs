@@ -20,8 +20,7 @@
 //!   → heat-ranked shedding. The rung is chosen by a [`BudgetModel`] —
 //!   an EMA over **simulated** nanoseconds derived from the solver's
 //!   deterministic work counters — never from the wall clock, so a
-//!   run's rung sequence is bit-reproducible across machines and
-//!   [`ExecMode`]s;
+//!   run's rung sequence is bit-reproducible across runs and machines;
 //! * shed requests **re-enqueue into later cycles** with capped
 //!   exponential backoff and a drop-after-N policy ([`BackoffPolicy`]);
 //! * [`vod_faults::FaultPlan`] faults are wired straight into the loop: a
@@ -54,10 +53,9 @@
 //!
 //! [`BudgetModel::simulated_ns`] is a fixed linear form over the
 //! solver's `(requests, iterations, victims, forced_fallbacks)`
-//! counters, which the sharded solver keeps bit-stable across runs and
-//! [`ExecMode`]s. The EMA state therefore evolves identically on every
-//! replay of the same arrival trace, and with it every
-//! [`BudgetModel::pick`].
+//! counters, which the sharded solver keeps bit-stable across runs. The
+//! EMA state therefore evolves identically on every replay of the same
+//! arrival trace, and with it every [`BudgetModel::pick`].
 
 use crate::repair::{adjusted_requests, repair_state};
 use crate::shard::solve_over;
@@ -323,8 +321,8 @@ impl Default for BudgetModel {
 
 impl BudgetModel {
     /// Simulated nanoseconds of one cycle's solve: a fixed linear form
-    /// over the solver's deterministic work counters. Run-to-run and
-    /// [`ExecMode`]-stable because every input is.
+    /// over the solver's deterministic work counters. Run-to-run stable
+    /// because every input is.
     pub fn simulated_ns(
         requests: usize,
         iterations: usize,
@@ -915,7 +913,11 @@ impl ServiceLoop {
     /// window's batch, pick the ladder rung, solve over the book, repair
     /// the solve's state against the faults its schedule runs into, commit
     /// what ships to the book, and account everything.
-    pub fn run_cycle(&mut self, ctx: &SchedCtx<'_>, mode: ExecMode) -> ServiceCycleOutcome {
+    ///
+    /// Runs on the calling thread: `_mode` is accepted and ignored, kept
+    /// only because the frozen benchmark adapter passes one (drop with
+    /// benchmark revision 2, like the always-zero [`WarmStats`] fields).
+    pub fn run_cycle(&mut self, ctx: &SchedCtx<'_>, _mode: ExecMode) -> ServiceCycleOutcome {
         let k = self.cycle;
         let t0 = k as f64 * self.cfg.horizon;
         let window_end = (k + 1) as f64 * self.cfg.horizon;
@@ -1015,7 +1017,7 @@ impl ServiceLoop {
             ..WarmStats::default()
         };
         let mut state = (!batch.is_empty()).then(|| {
-            let solve = solve_over(ctx, &batch, &shard_cfg, self.book.ledger(), mode);
+            let solve = solve_over(ctx, &batch, &shard_cfg, self.book.ledger());
             warm.trials_hit = solve.state.trials_cached;
             warm.shards_used = solve.shards;
             solve.state
@@ -1156,7 +1158,6 @@ pub fn service_run(
     arrivals: &[Arrival],
     cfg: &ServiceConfig,
     n_cycles: usize,
-    mode: ExecMode,
 ) -> Result<(Vec<ServiceCycleOutcome>, ServiceReport), ServiceError> {
     debug_assert!(
         arrivals.windows(2).all(|w| w[0].at <= w[1].at),
@@ -1173,7 +1174,7 @@ pub fn service_run(
             let _ = svc.offer(arrivals[next].request);
             next += 1;
         }
-        outcomes.push(svc.run_cycle(ctx, mode));
+        outcomes.push(svc.run_cycle(ctx, ExecMode::Sequential));
     }
     Ok((outcomes, svc.finish()))
 }
@@ -1304,8 +1305,7 @@ mod tests {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
         let (outcomes, report) =
-            service_run(&ctx, &[], &ServiceConfig::default(), 3, ExecMode::Sequential)
-                .expect("empty plan validates");
+            service_run(&ctx, &[], &ServiceConfig::default(), 3).expect("empty plan validates");
         assert_eq!(outcomes.len(), 3);
         assert_eq!(report.cycles.len(), 3);
         for o in &outcomes {
@@ -1322,9 +1322,8 @@ mod tests {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
         let arrivals = arrivals_for(&topo, &catalog, 3, 7);
-        let (outcomes, report) =
-            service_run(&ctx, &arrivals, &ServiceConfig::default(), 3, ExecMode::Sequential)
-                .expect("empty plan validates");
+        let (outcomes, report) = service_run(&ctx, &arrivals, &ServiceConfig::default(), 3)
+            .expect("empty plan validates");
         assert_eq!(report.served, arrivals.len());
         assert_eq!(report.shed_events, 0);
         assert_eq!(report.dropped, 0);
@@ -1354,8 +1353,7 @@ mod tests {
             backoff: BackoffPolicy { drop_after: 1, ..BackoffPolicy::default() },
             ..ServiceConfig::default()
         };
-        let (outcomes, report) =
-            service_run(&ctx, &arrivals, &cfg, 4, ExecMode::Sequential).expect("valid");
+        let (outcomes, report) = service_run(&ctx, &arrivals, &cfg, 4).expect("valid");
         assert!(outcomes.iter().any(|o| o.stats.rung == Rung::Shed));
         assert!(report.shed_events > 0);
         assert!(report.dropped > 0, "drop-after-1 must drop re-shed requests");
@@ -1377,8 +1375,7 @@ mod tests {
             backoff: BackoffPolicy { drop_after: 1, base_cycles: 1, max_cycles: 2 },
             ..ServiceConfig::default()
         };
-        let (outcomes, report) =
-            service_run(&ctx, &arrivals, &cfg, 6, ExecMode::Sequential).expect("valid");
+        let (outcomes, report) = service_run(&ctx, &arrivals, &cfg, 6).expect("valid");
         assert!(report.dropped > 0);
         // Once a cycle drops a request, no later cycle may serve one
         // descending from the same original reservation.
@@ -1405,8 +1402,7 @@ mod tests {
             faults: FaultPlan::new(vec![Fault::NodeOutage { node: victim, from: 0.0, until: H }]),
             ..ServiceConfig::default()
         };
-        let (outcomes, report) =
-            service_run(&ctx, &arrivals, &cfg, 2, ExecMode::Sequential).expect("valid plan");
+        let (outcomes, report) = service_run(&ctx, &arrivals, &cfg, 2).expect("valid plan");
         // The repaired schedule must not cache at the down node in the
         // outage window.
         let space = model.space_model();

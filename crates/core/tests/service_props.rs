@@ -4,7 +4,7 @@
 //! may be both served and shed in the same cycle, a dropped reservation
 //! must never resurrect, the ladder's rung trace must be a
 //! deterministic function of the trace + config (identical across
-//! repeated runs and across `ExecMode`s), and whatever the faults, the
+//! repeated runs), and whatever the faults, the
 //! budget, the queue bound and the sharding, the book is feasible after
 //! every cycle.
 
@@ -79,7 +79,7 @@ proptest! {
 
         let cfg = ServiceConfig::default();
         let (outcomes, report) =
-            service_run(&ctx, &arrivals, &cfg, cycles, ExecMode::Sequential).unwrap();
+            service_run(&ctx, &arrivals, &cfg, cycles).unwrap();
 
         let mut book = CommittedBook::new(&topo);
         for (k, out) in outcomes.iter().enumerate() {
@@ -92,7 +92,7 @@ proptest! {
             let batch = RequestBatch::new(window);
             book.evict_expired(t0);
             let manual =
-                shard_solve_seeded(&ctx, &batch, &cfg.shard, book.ledger(), ExecMode::Sequential);
+                shard_solve_seeded(&ctx, &batch, &cfg.shard, book.ledger());
             book.absorb(&ctx, &manual.sorp.schedule);
             prop_assert_eq!(
                 out.cost.to_bits(),
@@ -130,7 +130,7 @@ proptest! {
             arrivals_for(&topo, &catalog, seed, cycles, vec![(burst_cycle, 3)]);
         let cfg = overload_cfg(2);
         let (outcomes, report) =
-            service_run(&ctx, &arrivals, &cfg, cycles + 4, ExecMode::Sequential).unwrap();
+            service_run(&ctx, &arrivals, &cfg, cycles + 4).unwrap();
 
         for out in &outcomes {
             let served = key_counts(out.served.iter());
@@ -172,7 +172,7 @@ proptest! {
         let arrivals = arrivals_for(&topo, &catalog, seed, cycles, vec![(0, 4)]);
         let cfg = overload_cfg(drop_after);
         let (outcomes, report) =
-            service_run(&ctx, &arrivals, &cfg, cycles + 5, ExecMode::Sequential).unwrap();
+            service_run(&ctx, &arrivals, &cfg, cycles + 5).unwrap();
 
         let offered = key_counts(arrivals.iter().map(|a| &a.request));
         let mut dropped: HashSet<(u32, u32, u64)> = HashSet::new();
@@ -200,10 +200,10 @@ proptest! {
     }
 
     /// The rung trace — and every per-cycle counter — is deterministic:
-    /// identical across repeated runs and across `ExecMode`s, because
-    /// ladder decisions run on simulated time only.
+    /// identical across repeated runs, because ladder decisions run on
+    /// simulated time only.
     #[test]
-    fn rung_trace_is_deterministic_across_runs_and_modes(
+    fn rung_trace_is_deterministic_across_runs(
         seed in 0u64..500,
         burst in 2usize..4,
     ) {
@@ -214,10 +214,8 @@ proptest! {
         let arrivals = arrivals_for(&topo, &catalog, seed, cycles, vec![(1, burst)]);
         let cfg = overload_cfg(2);
 
-        let runs: Vec<_> = [ExecMode::Sequential, ExecMode::Parallel, ExecMode::Sequential]
-            .iter()
-            .map(|&mode| service_run(&ctx, &arrivals, &cfg, cycles + 2, mode).unwrap())
-            .collect();
+        let runs: Vec<_> =
+            (0..2).map(|_| service_run(&ctx, &arrivals, &cfg, cycles + 2).unwrap()).collect();
         let (base_out, base_rep) = &runs[0];
         for (out, rep) in &runs[1..] {
             for (a, b) in base_out.iter().zip(out.iter()) {
@@ -243,7 +241,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// One commit per cycle: whatever the fault plan, the budget, the
-    /// queue bound, the sharding and the `ExecMode`, after every cycle
+    /// queue bound and the sharding, after every cycle
     /// the book holds no overflow, the cycle says so (`overflow_free`),
     /// what it shipped replays strictly, and no request is lost.
     #[test]
@@ -254,7 +252,6 @@ proptest! {
         queue_bound in prop_oneof![Just(None), Just(Some(150usize))],
         shards in 1usize..5,
         by_region in any::<bool>(),
-        parallel in any::<bool>(),
     ) {
         use vod_faults::{FaultConfig, FaultPlan};
         use vod_simulator::{cycle_is_clean, replay_service_cycle};
@@ -288,8 +285,6 @@ proptest! {
             faults,
             ..overload_cfg(2)
         };
-        let mode = if parallel { ExecMode::Parallel } else { ExecMode::Sequential };
-
         let mut svc = ServiceLoop::new(&topo, cfg).unwrap();
         let mut next = 0;
         for k in 0..cycles + 3 {
@@ -297,7 +292,7 @@ proptest! {
                 let _ = svc.offer(arrivals[next].request);
                 next += 1;
             }
-            let out = svc.run_cycle(&ctx, mode);
+            let out = svc.run_cycle(&ctx, ExecMode::Sequential);
             prop_assert!(out.overflow_free, "cycle {} ({}) reports an overflow", k, out.stats.rung);
             let over = detect_overflows(&topo, svc.book().ledger());
             prop_assert!(over.is_empty(), "cycle {}: the book exceeds a store: {:?}", k, over);
@@ -311,10 +306,9 @@ proptest! {
 }
 
 /// A faulted cycle — solve, then repair against the window's outage and
-/// link failure — commits the same outcome whichever `ExecMode` the
-/// caller passes: the mode reaches the shard map and nothing else.
+/// link failure — commits the same outcome on every run.
 #[test]
-fn a_faulted_cycle_is_the_same_outcome_under_either_exec_mode() {
+fn a_faulted_cycle_is_the_same_outcome_on_every_run() {
     use vod_faults::{FaultConfig, FaultPlan};
 
     let (topo, catalog) = world(11);
@@ -328,14 +322,14 @@ fn a_faulted_cycle_is_the_same_outcome_under_either_exec_mode() {
         11,
     );
     let cfg = ServiceConfig { faults, ..ServiceConfig::default() };
-    let run = |mode| service_run(&ctx, &arrivals, &cfg, 2, mode).expect("a generated plan").0;
-    let (seq, par) = (run(ExecMode::Sequential), run(ExecMode::Parallel));
+    let run = || service_run(&ctx, &arrivals, &cfg, 2).expect("a generated plan").0;
+    let (first, second) = (run(), run());
 
     let recording = recorder.recording().expect("enabled");
     let repaired: u64 =
         recording.events_of("repair").filter_map(|e| e.u64("repaired_videos")).sum();
     assert!(repaired > 0, "the faults broke nothing a cycle had scheduled");
-    for (a, b) in seq.iter().zip(&par) {
+    for (a, b) in first.iter().zip(&second) {
         let k = a.stats.cycle;
         assert!(a.schedule == b.schedule, "cycle {k}: schedules diverged");
         assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "cycle {k}");
@@ -380,7 +374,7 @@ fn repair_keeps_the_configured_placement_policy() {
             seed,
         );
         let cfg = ServiceConfig { shard: shard.clone(), faults, ..ServiceConfig::default() };
-        let (outs, _) = service_run(&ctx, &arrivals, &cfg, cycles, ExecMode::Sequential).unwrap();
+        let (outs, _) = service_run(&ctx, &arrivals, &cfg, cycles).unwrap();
         for (k, out) in outs.iter().enumerate() {
             for vs in out.schedule.videos() {
                 for r in &vs.residencies {
@@ -517,7 +511,7 @@ fn a_cut_off_storage_is_served_late_not_shed() {
     let faults =
         FaultPlan::new(vec![Fault::LinkFailure { a: is1, b: is2, from: 0.0, until: HORIZON }]);
     let cfg = ServiceConfig { faults, ..ServiceConfig::default() };
-    let (outs, report) = service_run(&ctx, &arrivals, &cfg, 2, ExecMode::Sequential).unwrap();
+    let (outs, report) = service_run(&ctx, &arrivals, &cfg, 2).unwrap();
 
     for out in &outs {
         let k = out.stats.cycle;

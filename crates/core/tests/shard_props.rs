@@ -285,7 +285,7 @@ fn cold_monolithic_matches_the_legacy_loop() {
         for &(loc, profile) in &committed {
             base.add(loc, EXTERNAL_OCCUPANCY, profile);
         }
-        let ours = shard_solve_seeded(&ctx, &batch, &cfg, &base, ExecMode::default());
+        let ours = shard_solve_seeded(&ctx, &batch, &cfg, &base);
         let legacy = sorp_solve_priced(
             &ctx,
             ivsp_solve_priced(&ctx, &batch),
@@ -318,8 +318,7 @@ fn warm_solve_over_an_empty_book_is_the_cold_solve() {
             let cfg = ShardConfig { shards, strategy, ..ShardConfig::default() };
             let cold = shard_solve(&ctx, &wl.requests, &cfg, ExecMode::Sequential);
             let book = CommittedBook::new(&topo);
-            let w =
-                shard_solve_seeded(&ctx, &wl.requests, &cfg, book.ledger(), ExecMode::Sequential);
+            let w = shard_solve_seeded(&ctx, &wl.requests, &cfg, book.ledger());
             let what = format!("{strategy:?}, {shards} shards");
             assert!(w.sorp.schedule == cold.sorp.schedule, "{what}: schedules diverged");
             assert_eq!(w.sorp.cost.to_bits(), cold.sorp.cost.to_bits(), "{what}");
@@ -332,16 +331,16 @@ fn warm_solve_over_an_empty_book_is_the_cold_solve() {
     }
 }
 
-/// Shard-level fan-out on the warm path: three consecutive cycles under
-/// `Parallel` agree bit for bit with `Sequential`, cycle by cycle.
+/// The warm path is run-to-run deterministic: two books fed the same
+/// three consecutive cycles agree bit for bit, cycle by cycle.
 #[test]
-fn warm_solve_is_bit_identical_across_exec_modes() {
+fn warm_solve_is_run_to_run_deterministic() {
     let (topo, wl) = paper_world(4.0, 5);
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
     let horizon = 24.0 * 3_600.0;
     let cfg = ShardConfig::by_time_slice(4);
-    let (mut seq, mut par) = (CommittedBook::new(&topo), CommittedBook::new(&topo));
+    let (mut one, mut two) = (CommittedBook::new(&topo), CommittedBook::new(&topo));
     let mut reconciled = 0;
     for k in 0..3usize {
         let t0 = k as f64 * horizon;
@@ -349,11 +348,11 @@ fn warm_solve_is_bit_identical_across_exec_modes() {
         let batch =
             RequestBatch::new(raw.iter().map(|r| Request { start: r.start + t0, ..*r }).collect());
         // A warm cycle, as `ServiceLoop::run_cycle` runs it around its solve.
-        let evicted = (seq.evict_expired(t0), par.evict_expired(t0));
-        let a = shard_solve_seeded(&ctx, &batch, &cfg, seq.ledger(), ExecMode::Sequential);
-        let b = shard_solve_seeded(&ctx, &batch, &cfg, par.ledger(), ExecMode::Parallel);
-        seq.absorb(&ctx, &a.sorp.schedule);
-        par.absorb(&ctx, &b.sorp.schedule);
+        let evicted = (one.evict_expired(t0), two.evict_expired(t0));
+        let a = shard_solve_seeded(&ctx, &batch, &cfg, one.ledger());
+        let b = shard_solve_seeded(&ctx, &batch, &cfg, two.ledger());
+        one.absorb(&ctx, &a.sorp.schedule);
+        two.absorb(&ctx, &b.sorp.schedule);
         assert!(a.sorp.schedule == b.sorp.schedule, "cycle {k}: schedules diverged");
         assert_eq!(a.sorp.cost.to_bits(), b.sorp.cost.to_bits(), "cycle {k}");
         assert_eq!(a.sorp.iterations, b.sorp.iterations, "cycle {k}");
@@ -361,10 +360,10 @@ fn warm_solve_is_bit_identical_across_exec_modes() {
         assert_eq!(a.sorp.trials_cached, b.sorp.trials_cached, "cycle {k}");
         assert_eq!(a.shards, b.shards, "cycle {k}");
         assert_eq!(evicted.0, evicted.1, "cycle {k}: eviction diverged");
-        assert_eq!(seq.active(), par.active(), "cycle {k}: the books diverged");
-        assert_eq!(seq.spillover_at(t0).to_bits(), par.spillover_at(t0).to_bits(), "cycle {k}");
+        assert_eq!(one.active(), two.active(), "cycle {k}: the books diverged");
+        assert_eq!(one.spillover_at(t0).to_bits(), two.spillover_at(t0).to_bits(), "cycle {k}");
         reconciled += a.reconcile_iterations;
     }
     assert!(reconciled > 0, "no cycle reached the global pass");
-    assert!(seq.active() > 0, "nothing was committed across the cycles");
+    assert!(one.active() > 0, "nothing was committed across the cycles");
 }

@@ -456,8 +456,7 @@ impl Cell {
                 .storages()
                 .flat_map(|loc| book.ledger().profiles_at(loc).iter().map(move |&(_, p)| (loc, p)))
                 .collect();
-            let out =
-                shard_solve_seeded(&ctx, &batch, &self.cfg, book.ledger(), ExecMode::Sequential);
+            let out = shard_solve_seeded(&ctx, &batch, &self.cfg, book.ledger());
             book.absorb(&ctx, &out.sorp.schedule);
             each(&ctx, k, &batch, &external);
         }

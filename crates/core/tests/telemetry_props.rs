@@ -1,9 +1,8 @@
 //! Recorder-transparency properties: attaching the flight recorder to a
 //! scheduling context must never change a single scheduling decision.
 //! Schedules, costs, and service accounting are compared bit-for-bit
-//! between recorder-off and recorder-on runs across seeds and
-//! [`ExecMode`]s, and the captured events must agree with the stats the
-//! loop reports.
+//! between recorder-off and recorder-on runs across seeds, and the
+//! captured events must agree with the stats the loop reports.
 
 use proptest::prelude::*;
 use vod_core::{service_run, ExecMode, SchedCtx, ServiceConfig, ShardConfig};
@@ -27,7 +26,6 @@ fn world(seed: u64) -> (Topology, Catalog) {
 /// plus the outcomes for follow-up checks.
 fn run_twice(
     seed: u64,
-    mode: ExecMode,
     cfg: &ServiceConfig,
 ) -> (vod_obs::Recording, Vec<vod_core::ServiceCycleOutcome>, vod_core::ServiceReport) {
     let (topo, catalog) = world(seed ^ 0xBEEF);
@@ -41,12 +39,11 @@ fn run_twice(
 
     let ctx_off = SchedCtx::new(&topo, &model, &catalog);
     let (out_off, rep_off) =
-        service_run(&ctx_off, &arrivals, cfg, 3, mode).expect("empty plan validates");
+        service_run(&ctx_off, &arrivals, cfg, 3).expect("empty plan validates");
 
     let recorder = Recorder::enabled();
     let ctx_on = SchedCtx::new(&topo, &model, &catalog).with_recorder(recorder.clone());
-    let (out_on, rep_on) =
-        service_run(&ctx_on, &arrivals, cfg, 3, mode).expect("empty plan validates");
+    let (out_on, rep_on) = service_run(&ctx_on, &arrivals, cfg, 3).expect("empty plan validates");
 
     assert_eq!(out_off.len(), out_on.len());
     for (a, b) in out_off.iter().zip(&out_on) {
@@ -71,40 +68,38 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     /// Recorder on vs off: identical schedules and Ψ for arbitrary
-    /// seeds under both exec modes, with and without a budget ladder.
+    /// seeds, with and without a budget ladder.
     #[test]
     fn recorder_never_changes_the_schedule(seed in 0u64..1_000_000, tight in any::<bool>()) {
         let cfg = ServiceConfig {
             budget_ns: tight.then_some(120.0 * 9_700.0),
             ..ServiceConfig::default()
         };
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            let (recording, outcomes, _) = run_twice(seed, mode, &cfg);
-            // Every cycle produced exactly one cycle_end event whose
-            // fields mirror the loop's own accounting.
-            let ends: Vec<_> = recording.events_of("cycle_end").collect();
-            prop_assert_eq!(ends.len(), outcomes.len());
-            for (ev, out) in ends.iter().zip(&outcomes) {
-                let s = &out.stats;
-                prop_assert_eq!(ev.cycle, s.cycle as u64);
-                prop_assert_eq!(ev.str("rung"), Some(s.rung.label()));
-                prop_assert_eq!(ev.u64("served"), Some(s.served as u64));
-                prop_assert_eq!(ev.u64("shed"), Some(s.shed as u64));
-                prop_assert_eq!(ev.u64("sim_ns"), Some(s.sim_ns));
-                prop_assert_eq!(ev.f64("cost").map(f64::to_bits), Some(out.cost.to_bits()));
-            }
+        let (recording, outcomes, _) = run_twice(seed, &cfg);
+        // Every cycle produced exactly one cycle_end event whose
+        // fields mirror the loop's own accounting.
+        let ends: Vec<_> = recording.events_of("cycle_end").collect();
+        prop_assert_eq!(ends.len(), outcomes.len());
+        for (ev, out) in ends.iter().zip(&outcomes) {
+            let s = &out.stats;
+            prop_assert_eq!(ev.cycle, s.cycle as u64);
+            prop_assert_eq!(ev.str("rung"), Some(s.rung.label()));
+            prop_assert_eq!(ev.u64("served"), Some(s.served as u64));
+            prop_assert_eq!(ev.u64("shed"), Some(s.shed as u64));
+            prop_assert_eq!(ev.u64("sim_ns"), Some(s.sim_ns));
+            prop_assert_eq!(ev.f64("cost").map(f64::to_bits), Some(out.cost.to_bits()));
         }
     }
 
-    /// Both exec modes capture the *same* recording (the simulated-time
+    /// Two runs capture the *same* recording (the simulated-time
     /// determinism contract): event streams compare equal, which also
     /// ignores the wall-ns side field by construction.
     #[test]
-    fn recordings_are_exec_mode_invariant(seed in 0u64..1_000_000) {
+    fn recordings_are_run_to_run_identical(seed in 0u64..1_000_000) {
         let cfg = ServiceConfig { budget_ns: Some(200.0 * 9_700.0), ..ServiceConfig::default() };
-        let (seq, _, _) = run_twice(seed, ExecMode::Sequential, &cfg);
-        let (par, _, _) = run_twice(seed, ExecMode::Parallel, &cfg);
-        prop_assert_eq!(seq, par);
+        let (first, _, _) = run_twice(seed, &cfg);
+        let (second, _, _) = run_twice(seed, &cfg);
+        prop_assert_eq!(first, second);
     }
 }
 
@@ -143,7 +138,7 @@ fn shard_solve_is_recorder_transparent() {
 #[test]
 fn rung_events_trace_the_ladder() {
     let cfg = ServiceConfig { budget_ns: Some(40.0 * 4_200.0), ..ServiceConfig::default() };
-    let (recording, outcomes, _) = run_twice(4242, ExecMode::Sequential, &cfg);
+    let (recording, outcomes, _) = run_twice(4242, &cfg);
     let rungs: Vec<_> = recording.events_of("rung").collect();
     assert_eq!(rungs.len(), outcomes.len());
     for (ev, out) in rungs.iter().zip(&outcomes) {

@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use vod_core::{
-    shard_solve_seeded, CommittedBook, ExecMode, SchedCtx, ShardConfig, ShardOutcome,
-    StorageLedger, EXTERNAL_OCCUPANCY,
+    shard_solve_seeded, CommittedBook, SchedCtx, ShardConfig, ShardOutcome, StorageLedger,
+    EXTERNAL_OCCUPANCY,
 };
 use vod_cost_model::{Catalog, CostModel, Request, RequestBatch, SpaceProfile};
 use vod_topology::{builders, NodeId, Topology};
@@ -51,7 +51,7 @@ fn warm_cycle(
 ) -> (ShardOutcome, (usize, usize)) {
     let evicted = book.evict_expired(t0);
     let kept = book.active();
-    let out = shard_solve_seeded(ctx, batch, cfg, book.ledger(), ExecMode::Sequential);
+    let out = shard_solve_seeded(ctx, batch, cfg, book.ledger());
     book.absorb(ctx, &out.sorp.schedule);
     (out, (kept, evicted))
 }
@@ -101,7 +101,7 @@ proptest! {
             let t0 = k as f64 * HORIZON;
             let (w, _) = warm_cycle(&ctx, &batch, &cfg, &mut book, t0);
             let base = flat_ledger(&topo, &committed);
-            let c = shard_solve_seeded(&ctx, &batch, &cfg, &base, ExecMode::Sequential);
+            let c = shard_solve_seeded(&ctx, &batch, &cfg, &base);
             prop_assert!(w.sorp.overflow_free && c.sorp.overflow_free, "cycle {k} left overflows");
             let rel = (w.sorp.cost - c.sorp.cost).abs() / c.sorp.cost.max(1.0);
             prop_assert!(
@@ -193,13 +193,7 @@ fn repeated_batch_agrees_with_cold_oracle() {
         .map(|r| (r.loc, r.profile(catalog.get(r.video))))
         .filter(|(_, p)| p.peak() > 0.0)
         .collect();
-    let cold = shard_solve_seeded(
-        &ctx,
-        &batch,
-        &cfg,
-        &flat_ledger(&topo, &committed),
-        ExecMode::Sequential,
-    );
+    let cold = shard_solve_seeded(&ctx, &batch, &cfg, &flat_ledger(&topo, &committed));
     let rel = (second.sorp.cost - cold.sorp.cost).abs() / cold.sorp.cost.max(1.0);
     assert!(rel <= 1e-9, "repeat Ψ {} vs cold {} (rel {rel:e})", second.sorp.cost, cold.sorp.cost);
 }

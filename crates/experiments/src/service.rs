@@ -18,9 +18,7 @@
 
 use crate::EnvParams;
 use serde::{Deserialize, Serialize};
-use vod_core::{
-    service_run, ExecMode, SchedCtx, ServiceConfig, ServiceCycleOutcome, ServiceReport,
-};
+use vod_core::{service_run, SchedCtx, ServiceConfig, ServiceCycleOutcome, ServiceReport};
 use vod_cost_model::CostModel;
 use vod_workload::{
     generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig, RequestConfig,
@@ -88,8 +86,7 @@ pub fn service_horizon(
         budget_ns: sp.budget_ns,
         ..ServiceConfig::default()
     };
-    service_run(&ctx, &arrivals, &cfg, n_cycles, ExecMode::default())
-        .expect("the empty fault plan validates")
+    service_run(&ctx, &arrivals, &cfg, n_cycles).expect("the empty fault plan validates")
 }
 
 #[cfg(test)]

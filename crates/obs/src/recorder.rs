@@ -11,7 +11,7 @@
 //! scheduler's simulated clock and decision state only. Wall-clock
 //! nanoseconds are an *optional* side field (`wall_ns`), off by
 //! default, and excluded from equality so recordings compare stable
-//! across machines and `ExecMode`s.
+//! across runs and machines.
 
 use crate::json::{emit_f64, emit_str, Json, JsonError};
 use std::fmt;

@@ -1,7 +1,7 @@
 //! Order-preserving parallel primitives with a determinism contract.
 //!
-//! One `parallel_map` shared by the scheduler core and the experiment
-//! sweeps. The contract every caller relies on:
+//! One `parallel_map` for the experiment sweeps. The contract every
+//! caller relies on:
 //!
 //! * **Order preservation.** `parallel_map(items, f)` returns exactly
 //!   `items.iter().map(f).collect()` — result `i` came from item `i`,
@@ -14,14 +14,13 @@
 //! Together these make parallel execution *bit-identical* to sequential
 //! execution for any caller that consumes the results in order.
 //!
-//! There is one fan-out level, and a map never nests inside another: the
-//! scheduler core maps over the shards of a batch (`vod_core`'s
-//! `solve_over`, the one place it reads an [`ExecMode`]) and each shard's
-//! solve runs on the thread that picked it up; the experiment sweeps map
-//! over independent cells, each of which solves on its own thread. A
-//! map inside a solve spawned scoped threads thousands of times per
-//! cycle and lost at every size measured (EXPERIMENTS.md, *Inner fan-out:
-//! measured, then removed*).
+//! The sweeps map over independent cells, each of which solves on the
+//! thread that picked it up. A scheduler solve never fans out: `vod_core`
+//! runs it on its caller's thread (DESIGN.md §8). A map over a batch's
+//! shards lost to the in-order loop at every benchmark workload on two
+//! vCPUs, and a map inside a solve lost at every size measured
+//! (EXPERIMENTS.md, *One thread per solve* and *Inner fan-out: measured,
+//! then removed*).
 //!
 //! Built on `std::thread::scope`; no external dependencies.
 
@@ -30,16 +29,15 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// How a fan-out over independent items should execute. Both modes
-/// produce bit-identical output; the sequential one exists so callers on
-/// a shared or single core (the service benchmark's timed path) keep
-/// every solve on their own thread.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// How a fan-out over independent items should execute. No code in
+/// this workspace branches on it: it survives only as the type of the
+/// ignored `_mode` parameter on the four `vod_core` entry points the
+/// benchmark harness calls, and leaves with benchmark revision 2.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
     /// Run on the calling thread, in input order.
     Sequential,
-    /// Fan out across `available_parallelism` worker threads.
-    #[default]
+    /// Fan out across worker threads.
     Parallel,
 }
 
@@ -55,16 +53,8 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_with_workers(items, default_workers(), f)
-}
-
-/// `available_parallelism`, resolved once per process. The std call is
-/// not cached and re-reads the cgroup CPU quota on every invocation —
-/// microseconds a service loop would pay on every cycle's shard map.
-fn default_workers() -> usize {
-    use std::sync::OnceLock;
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    parallel_map_with_workers(items, workers, f)
 }
 
 /// [`parallel_map`] with an explicit worker count (single-worker calls
@@ -112,20 +102,6 @@ where
     slots.into_iter().map(|s| s.expect("every slot filled exactly once")).collect()
 }
 
-/// [`parallel_map`] with an explicit [`ExecMode`]; both modes produce
-/// identical output for pure `f`.
-pub fn map_with_mode<T, R, F>(mode: ExecMode, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    match mode {
-        ExecMode::Sequential => items.iter().map(f).collect(),
-        ExecMode::Parallel => parallel_map(items, f),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,13 +120,13 @@ mod tests {
         assert_eq!(parallel_map(&[7u32], |&x| x + 1), vec![8]);
     }
 
+    /// The two ways to map agree: in order on the caller's thread, and
+    /// across more workers than the machine has.
     #[test]
     fn modes_agree() {
         let items: Vec<u64> = (0..257).collect();
-        let seq = map_with_mode(ExecMode::Sequential, &items, |&x| x.wrapping_mul(0x9E37));
-        let par = map_with_mode(ExecMode::Parallel, &items, |&x| x.wrapping_mul(0x9E37));
+        let seq: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(0x9E37)).collect();
         let forced = parallel_map_with_workers(&items, 8, |&x| x.wrapping_mul(0x9E37));
-        assert_eq!(seq, par);
         assert_eq!(seq, forced);
     }
 

@@ -144,9 +144,8 @@ mod tests {
             &ArrivalConfig { cycles: 2, ..ArrivalConfig::default() },
             31,
         );
-        let (outcomes, report) =
-            service_run(&ctx, &arrivals, &ServiceConfig::default(), 2, ExecMode::Sequential)
-                .expect("empty plan validates");
+        let (outcomes, report) = service_run(&ctx, &arrivals, &ServiceConfig::default(), 2)
+            .expect("empty plan validates");
         for o in &outcomes {
             let sim = replay_service_cycle(&topo, &catalog, &model, o);
             assert!(cycle_is_clean(&sim), "violations: {:?}", sim.violations);
@@ -168,8 +167,7 @@ mod tests {
         );
         // A budget small enough to force heat-ranked shedding.
         let cfg = ServiceConfig { budget_ns: Some(10.0 * 4_200.0), ..ServiceConfig::default() };
-        let (outcomes, report) =
-            service_run(&ctx, &arrivals, &cfg, 2, ExecMode::Sequential).expect("valid");
+        let (outcomes, report) = service_run(&ctx, &arrivals, &cfg, 2).expect("valid");
         let shed_total: usize = outcomes.iter().map(|o| o.shed_now.len()).sum();
         assert!(shed_total > 0, "the tiny budget must shed");
         for o in &outcomes {
@@ -222,8 +220,7 @@ mod tests {
             35,
         );
         let (_, mut report) =
-            service_run(&ctx, &arrivals, &ServiceConfig::default(), 1, ExecMode::Sequential)
-                .expect("valid");
+            service_run(&ctx, &arrivals, &ServiceConfig::default(), 1).expect("valid");
         assert!(check_service_accounting(&report).is_empty());
         report.served += 1;
         let errors = check_service_accounting(&report);

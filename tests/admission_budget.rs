@@ -101,7 +101,7 @@ fn a_sorp_trial_stays_within_its_admission_budget() {
                 }
             }
         }
-        let out = shard_solve_seeded(&ctx, &batch, &cfg, book.ledger(), ExecMode::Sequential);
+        let out = shard_solve_seeded(&ctx, &batch, &cfg, book.ledger());
         book.absorb(&ctx, &out.sorp.schedule);
     }
     let per_trial = checks as f64 / trials as f64;

@@ -1,8 +1,15 @@
 //! The paper's qualitative claims, asserted on the experiment harness
-//! (Fast preset — the Paper preset regenerates the full figures via
-//! `vodx`; see EXPERIMENTS.md for the recorded outputs).
+//! (Fast preset), and the committed `results/` artifacts, regenerated
+//! under the Paper preset as `vodx <target> --out DIR` writes them (see
+//! EXPERIMENTS.md for the recorded outputs).
 
-use vod_paradigm::experiments::{figures, table5, Preset, Series};
+use vod_paradigm::experiments::{ext, figures, render_csv, table5, Preset, Series};
+
+/// A committed artifact under `results/`.
+fn committed(name: &str) -> String {
+    let path = format!("{}/results/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+}
 
 fn gaps(direct: &Series, with_is: &Series) -> Vec<f64> {
     direct.points.iter().zip(&with_is.points).map(|(d, w)| d.1 - w.1).collect()
@@ -183,4 +190,38 @@ fn fig2_golden_costs() {
     copy.extend(reqs[2]);
     s2.residencies.push(copy);
     assert!((model.video_schedule_cost(&topo, &video, &s2) - 138.975).abs() < 1e-9);
+}
+
+/// `vodx fig5 … fig9 --out DIR` reproduces the committed CSVs: the same
+/// header and grid, every value within 1e-9 relative (the figures sum
+/// Ψ over cells, so summation order may move the last bits).
+#[test]
+fn committed_figures_are_reproduced() {
+    for id in ["fig5", "fig6", "fig7", "fig8", "fig9"] {
+        let fresh = render_csv(&figures::by_id(id, Preset::Paper).expect("a figure id"));
+        let golden = committed(&format!("{id}.csv"));
+        assert_eq!(fresh.lines().count(), golden.lines().count(), "{id}: row count");
+        for (row, (a, b)) in fresh.lines().zip(golden.lines()).enumerate() {
+            let (a, b): (Vec<_>, Vec<_>) = (a.split(',').collect(), b.split(',').collect());
+            assert_eq!(a.len(), b.len(), "{id} row {row}: column count");
+            for (x, y) in a.iter().zip(&b) {
+                match (x.parse::<f64>(), y.parse::<f64>()) {
+                    (Ok(x), Ok(y)) => assert!(
+                        (x - y).abs() <= 1e-9 * x.abs().max(y.abs()),
+                        "{id} row {row}: {x} vs committed {y}"
+                    ),
+                    _ => assert_eq!(x, y, "{id} row {row}"),
+                }
+            }
+        }
+    }
+}
+
+/// `vodx table5 gap bandwidth --out DIR` reproduces the committed text
+/// byte for byte.
+#[test]
+fn committed_tables_are_reproduced() {
+    assert_eq!(table5::run(Preset::Paper).render(), committed("table5.txt"), "table5.txt");
+    assert_eq!(ext::gap(Preset::Paper).render(), committed("gap.txt"), "gap.txt");
+    assert_eq!(ext::bandwidth(Preset::Paper).render(), committed("bandwidth.txt"), "bandwidth.txt");
 }

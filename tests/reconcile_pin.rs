@@ -8,7 +8,7 @@
 //! run, or a trial replayed from a cache) may move, so the rows pin
 //! `trials_run + trials_cached` and not the split.
 
-use vod_paradigm::core::{shard_solve_seeded, CommittedBook, ExecMode, SchedCtx, ShardConfig};
+use vod_paradigm::core::{shard_solve_seeded, CommittedBook, SchedCtx, ShardConfig};
 use vod_paradigm::prelude::*;
 use vod_paradigm::workload::{
     generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig, RequestConfig,
@@ -52,7 +52,7 @@ fn drive(
         }
         let batch = RequestBatch::new(arrivals[first..next].iter().map(|a| a.request).collect());
         book.evict_expired(t0);
-        let out = shard_solve_seeded(&ctx, &batch, cfg, book.ledger(), ExecMode::Sequential);
+        let out = shard_solve_seeded(&ctx, &batch, cfg, book.ledger());
         book.absorb(&ctx, &out.sorp.schedule);
         let s = &out.sorp;
         let got = (

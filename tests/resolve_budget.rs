@@ -9,7 +9,7 @@
 //! Over the benchmark's 200-cycle run the same ratio reads 0.175
 //! (EXPERIMENTS.md, *Standing trial jobs*).
 
-use vod_paradigm::core::{shard_solve_seeded, CommittedBook, ExecMode, SchedCtx, ShardConfig};
+use vod_paradigm::core::{shard_solve_seeded, CommittedBook, SchedCtx, ShardConfig};
 use vod_paradigm::prelude::*;
 use vod_paradigm::workload::{
     generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig, RequestConfig,
@@ -60,7 +60,7 @@ fn a_resolution_iteration_rebuilds_only_the_jobs_its_commit_moved() {
         }
         let batch = RequestBatch::new(arrivals[first..next].iter().map(|a| a.request).collect());
         book.evict_expired(t0);
-        let out = shard_solve_seeded(&ctx, &batch, &cfg, book.ledger(), ExecMode::Sequential);
+        let out = shard_solve_seeded(&ctx, &batch, &cfg, book.ledger());
         book.absorb(&ctx, &out.sorp.schedule);
         rebuilt += out.sorp.jobs_rebuilt;
         scored += out.sorp.trials_run + out.sorp.trials_cached;

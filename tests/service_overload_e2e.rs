@@ -53,8 +53,7 @@ fn burst_4x_sheds_deterministically_and_replays_clean() {
     assert_eq!(burst_count, 4 * steady_per_cycle, "burst multiplier not applied");
 
     let cfg = burst_cfg();
-    let (outcomes, report) =
-        service_run(&ctx, &arrivals, &cfg, 8, ExecMode::Sequential).expect("empty fault plan");
+    let (outcomes, report) = service_run(&ctx, &arrivals, &cfg, 8).expect("empty fault plan");
 
     // 1. The queue bound held: the high-water mark never exceeds it,
     //    and the burst actually produced typed rejections.
@@ -93,21 +92,19 @@ fn burst_4x_sheds_deterministically_and_replays_clean() {
         assert_eq!(sim.metrics.deliveries, out.served.len(), "cycle {}", out.stats.cycle);
     }
 
-    // 5. Shedding is deterministic: a re-run (even under a different
-    //    ExecMode) sheds the same requests in the same order.
-    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-        let (again, rep2) = service_run(&ctx, &arrivals, &cfg, 8, mode).unwrap();
-        assert_eq!(outcomes.len(), again.len());
-        for (a, b) in outcomes.iter().zip(again.iter()) {
-            assert_eq!(a.stats, b.stats, "cycle stats diverged on re-run ({mode:?})");
-            let shed = |o: &vod_paradigm::core::ServiceCycleOutcome| -> Vec<(u32, u32, u64)> {
-                o.shed_now.iter().map(|r| (r.user.0, r.video.0, r.start.to_bits())).collect()
-            };
-            assert_eq!(shed(a), shed(b), "shed order diverged on re-run ({mode:?})");
-        }
-        assert_eq!(report.served, rep2.served);
-        assert_eq!(report.dropped, rep2.dropped);
+    // 5. Shedding is deterministic: a re-run sheds the same requests in
+    //    the same order.
+    let (again, rep2) = service_run(&ctx, &arrivals, &cfg, 8).unwrap();
+    assert_eq!(outcomes.len(), again.len());
+    for (a, b) in outcomes.iter().zip(again.iter()) {
+        assert_eq!(a.stats, b.stats, "cycle stats diverged on re-run");
+        let shed = |o: &vod_paradigm::core::ServiceCycleOutcome| -> Vec<(u32, u32, u64)> {
+            o.shed_now.iter().map(|r| (r.user.0, r.video.0, r.start.to_bits())).collect()
+        };
+        assert_eq!(shed(a), shed(b), "shed order diverged on re-run");
     }
+    assert_eq!(report.served, rep2.served);
+    assert_eq!(report.dropped, rep2.dropped);
 }
 
 #[test]
@@ -118,8 +115,7 @@ fn oracle_config_serves_everything_and_replays_strict() {
     let arrivals =
         generate_arrivals(&topo, &catalog, &ArrivalConfig { cycles: 2, ..Default::default() }, 11);
 
-    let (outcomes, report) =
-        service_run(&ctx, &arrivals, &ServiceConfig::default(), 2, ExecMode::Sequential).unwrap();
+    let (outcomes, report) = service_run(&ctx, &arrivals, &ServiceConfig::default(), 2).unwrap();
 
     assert_eq!(report.served, arrivals.len());
     assert_eq!(report.shed_events, 0);
@@ -295,8 +291,7 @@ fn overload_faults_cell_decisions_are_pinned() {
     let (topo, catalog, arrivals, cfg) = overload_faults_cell();
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &catalog);
-    let (outcomes, report) =
-        service_run(&ctx, &arrivals, &cfg, CELL_CYCLES, ExecMode::Sequential).unwrap();
+    let (outcomes, report) = service_run(&ctx, &arrivals, &cfg, CELL_CYCLES).unwrap();
     let got: Vec<String> = outcomes
         .iter()
         .map(|o| {

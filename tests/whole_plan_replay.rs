@@ -4,7 +4,7 @@
 //! outlives its cycle's window and runs into a fault that starts later
 //! must have been repaired around that fault too.
 
-use vod_paradigm::core::{service_run, ExecMode, SchedCtx, ServiceConfig, ShardConfig};
+use vod_paradigm::core::{service_run, SchedCtx, ServiceConfig, ShardConfig};
 use vod_paradigm::faults::{FaultConfig, FaultPlan};
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::{cycle_is_clean, simulate_with_faults, SimOptions};
@@ -66,8 +66,7 @@ fn every_cycle_replays_clean_under_the_whole_plan(seed: u64) {
     let (topo, catalog, arrivals, cfg) = overload_faults_cell(seed);
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &catalog);
-    let (outcomes, _) =
-        service_run(&ctx, &arrivals, &cfg, CYCLES, ExecMode::Sequential).expect("a generated plan");
+    let (outcomes, _) = service_run(&ctx, &arrivals, &cfg, CYCLES).expect("a generated plan");
     let dirty: Vec<String> = outcomes
         .iter()
         .filter_map(|out| {
