@@ -64,7 +64,7 @@ pub fn cache_local_always(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Schedule 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ivsp_solve;
+    use crate::{ivsp_solve, GreedyPolicy};
     use vod_cost_model::CostModel;
     use vod_topology::builders;
     use vod_workload::{CatalogConfig, RequestConfig, Workload};
@@ -95,7 +95,8 @@ mod tests {
         let (topo, wl) = setup(2);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let greedy_cost = ctx.schedule_cost(&ivsp_solve(&ctx, &wl.requests));
+        let greedy_cost =
+            ctx.schedule_cost(ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()).schedule());
         let direct_cost = ctx.schedule_cost(&network_only(&ctx, &wl.requests));
         assert!(
             greedy_cost <= direct_cost + 1e-6,
@@ -139,7 +140,8 @@ mod tests {
         let (topo, wl) = setup(5);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let two_phase = ctx.schedule_cost(&ivsp_solve(&ctx, &wl.requests));
+        let two_phase =
+            ctx.schedule_cost(ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()).schedule());
         let naive = ctx.schedule_cost(&cache_local_always(&ctx, &wl.requests));
         assert!(two_phase <= naive + 1e-6, "two-phase {two_phase} vs naive {naive}");
     }

@@ -23,6 +23,8 @@
 //! bound prune keeps typical cases far below the worst case).
 
 use crate::SchedCtx;
+use std::cmp::Ordering;
+use std::fmt;
 use vod_cost_model::{Dollars, Request, Residency, SpaceProfile, VideoSchedule};
 use vod_topology::NodeId;
 
@@ -37,36 +39,71 @@ pub struct ExactOutcome {
     pub nodes_expanded: usize,
 }
 
-/// Hard cap on search nodes; instances that would exceed it are rejected
-/// up front by [`find_optimal_video_schedule`].
+/// Hard cap on search nodes, asserted during the search. The size check
+/// is [`MAX_REQUESTS`]; no instance within it is known to reach the cap.
 const NODE_CAP: usize = 50_000_000;
 
 /// Maximum requests the exact solver accepts.
 pub const MAX_REQUESTS: usize = 8;
 
+/// Why [`find_optimal_video_schedule`] refused a request group.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ExactError {
+    /// The group holds no request.
+    Empty,
+    /// The group holds this many requests, more than [`MAX_REQUESTS`].
+    TooManyRequests(usize),
+    /// The request at this index starts before the one ahead of it, or
+    /// one of the two starts is NaN.
+    Unsorted(usize),
+    /// The request at this index is for another video than request 0.
+    MixedVideos(usize),
+}
+
+impl fmt::Display for ExactError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ExactError::Empty => write!(f, "cannot schedule an empty request group"),
+            ExactError::TooManyRequests(got) => {
+                write!(f, "exact solver accepts at most {MAX_REQUESTS} requests, got {got}")
+            }
+            ExactError::Unsorted(at) => {
+                write!(f, "request {at} starts before the one ahead of it")
+            }
+            ExactError::MixedVideos(at) => {
+                write!(f, "request {at} is for another video than request 0")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ExactError {}
+
 /// Compute the optimal schedule for one video's chronologically sorted
-/// requests (capacities ignored, like phase 1 of the heuristic).
-///
-/// # Panics
-///
-/// Panics if `requests` is empty, exceeds [`MAX_REQUESTS`], is unsorted,
-/// or mixes videos.
-pub fn find_optimal_video_schedule(ctx: &SchedCtx<'_>, requests: &[Request]) -> ExactOutcome {
-    assert!(!requests.is_empty(), "cannot schedule an empty request group");
-    assert!(
-        requests.len() <= MAX_REQUESTS,
-        "exact solver accepts at most {MAX_REQUESTS} requests, got {}",
-        requests.len()
-    );
-    assert!(
-        requests.windows(2).all(|w| w[0].start <= w[1].start && w[0].video == w[1].video),
-        "requests must be chronologically sorted and of one video"
-    );
+/// requests (capacities ignored, like phase 1 of the heuristic), or say
+/// why the group is not such a list within [`MAX_REQUESTS`].
+pub fn find_optimal_video_schedule(
+    ctx: &SchedCtx<'_>,
+    requests: &[Request],
+) -> Result<ExactOutcome, ExactError> {
+    let first = requests.first().ok_or(ExactError::Empty)?;
+    if requests.len() > MAX_REQUESTS {
+        return Err(ExactError::TooManyRequests(requests.len()));
+    }
+    for (at, pair) in requests.windows(2).enumerate() {
+        let (prev, req) = (&pair[0], &pair[1]);
+        if req.video != first.video {
+            return Err(ExactError::MixedVideos(at + 1));
+        }
+        if prev.start.partial_cmp(&req.start).is_none_or(Ordering::is_gt) {
+            return Err(ExactError::Unsorted(at + 1));
+        }
+    }
 
     let mut search = Search {
         ctx,
         requests,
-        video: *ctx.catalog.get(requests[0].video),
+        video: *ctx.catalog.get(first.video),
         best_cost: f64::INFINITY,
         best_plans: Vec::new(),
         plans: Vec::with_capacity(requests.len()),
@@ -77,7 +114,7 @@ pub fn find_optimal_video_schedule(ctx: &SchedCtx<'_>, requests: &[Request]) -> 
     assert!(search.best_cost.is_finite(), "all-direct plan is always feasible");
 
     let schedule = materialise(ctx, requests, &search.best_plans);
-    ExactOutcome { schedule, cost: search.best_cost, nodes_expanded: search.nodes }
+    Ok(ExactOutcome { schedule, cost: search.best_cost, nodes_expanded: search.nodes })
 }
 
 /// One request's plan: stream source and optional new cache.
@@ -237,7 +274,7 @@ fn materialise(ctx: &SchedCtx<'_>, requests: &[Request], plans: &[Plan]) -> Vide
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::find_video_schedule;
+    use crate::GreedyPolicy;
     use vod_cost_model::{Catalog, CostModel, Video, VideoId};
     use vod_topology::{builders, units, UserId};
 
@@ -245,6 +282,16 @@ mod tests {
         let topo = builders::paper_fig2(16.0, 8.0, 1.0, 5.0);
         let video = Video::new(VideoId(0), units::gb(2.5), units::minutes(90.0), units::mbps(6.0));
         (topo, Catalog::new(vec![video]))
+    }
+
+    /// The unconstrained greedy under the paper's policy.
+    fn greedy_schedule(ctx: &SchedCtx<'_>, requests: &[Request]) -> VideoSchedule {
+        crate::find_video_schedule(ctx, requests, GreedyPolicy::default(), None)
+    }
+
+    /// The exact optimum of a group the tests build well-formed.
+    fn optimum(ctx: &SchedCtx<'_>, requests: &[Request]) -> ExactOutcome {
+        find_optimal_video_schedule(ctx, requests).expect("a well-formed group")
     }
 
     fn fig2_requests() -> Vec<Request> {
@@ -260,8 +307,8 @@ mod tests {
         let (topo, catalog) = fig2_setup();
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
-        let exact = find_optimal_video_schedule(&ctx, &fig2_requests());
-        let greedy = find_video_schedule(&ctx, &fig2_requests());
+        let exact = optimum(&ctx, &fig2_requests());
+        let greedy = greedy_schedule(&ctx, &fig2_requests());
         assert!((exact.cost - 108.45).abs() < 1e-6, "optimal {}", exact.cost);
         assert!((ctx.video_cost(&greedy) - exact.cost).abs() < 1e-6);
         assert!(exact.nodes_expanded > 3);
@@ -287,8 +334,8 @@ mod tests {
                 if group.len() > 5 {
                     continue;
                 }
-                let exact = find_optimal_video_schedule(&ctx, group);
-                let greedy = ctx.video_cost(&find_video_schedule(&ctx, group));
+                let exact = optimum(&ctx, group);
+                let greedy = ctx.video_cost(&greedy_schedule(&ctx, group));
                 assert!(
                     exact.cost <= greedy * (1.0 + 1e-9) + 1e-9,
                     "seed {seed}: exact {} > greedy {greedy}",
@@ -356,8 +403,8 @@ mod tests {
             let mut requests = requests;
             requests.sort_by(|a, b| a.start.total_cmp(&b.start));
 
-            let exact = find_optimal_video_schedule(&ctx, &requests);
-            let greedy = ctx.video_cost(&find_video_schedule(&ctx, &requests));
+            let exact = optimum(&ctx, &requests);
+            let greedy = ctx.video_cost(&greedy_schedule(&ctx, &requests));
             assert!(exact.cost <= greedy + 1e-6);
             if exact.cost < greedy * (1.0 - 1e-9) - 1e-9 {
                 strictly_better += 1;
@@ -370,8 +417,10 @@ mod tests {
         );
     }
 
+    /// A caller that unwraps the outcome of an oversized group panics
+    /// with the typed refusal.
     #[test]
-    #[should_panic(expected = "at most")]
+    #[should_panic(expected = "a well-formed group: TooManyRequests(9)")]
     fn too_many_requests_rejected() {
         let (topo, catalog) = fig2_setup();
         let model = CostModel::per_hop();
@@ -379,7 +428,29 @@ mod tests {
         let reqs: Vec<Request> = (0..9)
             .map(|u| Request { user: UserId(u % 3), video: VideoId(0), start: u as f64 })
             .collect();
-        find_optimal_video_schedule(&ctx, &reqs);
+        optimum(&ctx, &reqs);
+    }
+
+    #[test]
+    fn malformed_groups_are_typed_errors() {
+        let (topo, _) = fig2_setup();
+        let video =
+            |id| Video::new(VideoId(id), units::gb(2.5), units::minutes(90.0), units::mbps(6.0));
+        let catalog = Catalog::new(vec![video(0), video(1)]);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &catalog);
+        let exact = |reqs: &[Request]| find_optimal_video_schedule(&ctx, reqs).map(|_| ());
+        let req =
+            |video: u32, start: f64| Request { user: UserId(1), video: VideoId(video), start };
+
+        assert_eq!(exact(&[]), Err(ExactError::Empty));
+        assert_eq!(exact(&[req(0, 0.0); 9]), Err(ExactError::TooManyRequests(9)));
+        let too_many = ExactError::TooManyRequests(9).to_string();
+        assert!(too_many.contains("at most 8"), "{too_many}");
+        assert_eq!(exact(&[req(0, 0.0), req(0, 9.0), req(0, 5.0)]), Err(ExactError::Unsorted(2)));
+        assert_eq!(exact(&[req(0, 0.0), req(0, f64::NAN)]), Err(ExactError::Unsorted(1)));
+        assert_eq!(exact(&[req(0, 0.0), req(1, 5.0)]), Err(ExactError::MixedVideos(1)));
+        assert_eq!(exact(&[req(0, 0.0); MAX_REQUESTS]), Ok(()), "the bound itself is accepted");
     }
 
     #[test]
@@ -388,7 +459,7 @@ mod tests {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
         let req = vec![Request { user: UserId(2), video: VideoId(0), start: 0.0 }];
-        let exact = find_optimal_video_schedule(&ctx, &req);
+        let exact = optimum(&ctx, &req);
         // 4.05 GB × $24/GB (VW→IS2) = $97.20.
         assert!((exact.cost - 97.2).abs() < 1e-9);
     }

@@ -25,13 +25,11 @@
 //! Serving directly from the warehouse is always admissible, so the
 //! rejective greedy always produces a feasible schedule.
 
-use crate::{
-    AdmissionCheck, Interval, LedgerCursor, LedgerDelta, SchedCtx, StorageLedger, TrialTrace,
-};
+use crate::capacity::{AdmissionCheck, LedgerCursor, LedgerDelta, TrialTrace};
+use crate::{Interval, PricedSchedule, SchedCtx, StorageLedger};
 use serde::{Deserialize, Serialize};
 use vod_cost_model::{
-    Dollars, Request, RequestBatch, Residency, Schedule, Secs, SpaceProfile, Video, VideoId,
-    VideoSchedule,
+    Dollars, Request, RequestBatch, Residency, Secs, SpaceProfile, Video, VideoId, VideoSchedule,
 };
 use vod_topology::{NodeId, Topology};
 
@@ -240,62 +238,61 @@ impl Candidate {
     }
 }
 
-/// Compute the greedy schedule for one video's chronologically sorted
-/// requests, ignoring storage capacities — the `find_video_schedule`
-/// subroutine of the paper's Algorithm 1.
+/// The greedy schedule of one video's chronologically sorted requests
+/// under `policy` — with no `constraints`, the `find_video_schedule`
+/// subroutine of the paper's Algorithm 1, which ignores storage
+/// capacities.
+///
+/// With `constraints` it is the rejective greedy (paper §4.4): capacity
+/// and forbidden-placement filters on every candidate. SORP trials and
+/// fault repair pass the policy the video was first scheduled with: they
+/// must not place where phase 1 could not (e.g. the neighborhood-local
+/// regime the sharded solver's Ψ-equality contract relies on). It always
+/// succeeds — direct warehouse delivery needs no storage.
 ///
 /// # Panics
 ///
 /// Panics if `requests` is empty, unsorted, or mixes videos.
-pub fn find_video_schedule(ctx: &SchedCtx<'_>, requests: &[Request]) -> VideoSchedule {
-    greedy(ctx, requests, None, GreedyPolicy::default())
-}
-
-/// [`find_video_schedule`] under an explicit [`GreedyPolicy`] (ablations).
-pub fn find_video_schedule_with(
+pub fn find_video_schedule(
     ctx: &SchedCtx<'_>,
     requests: &[Request],
     policy: GreedyPolicy,
+    constraints: Option<&Constraints<'_>>,
 ) -> VideoSchedule {
-    greedy(ctx, requests, None, policy)
+    greedy_with_cursor(ctx, requests, constraints, policy, &mut GreedyScratch::default())
 }
 
 /// Phase 1, `IVSP_solve` (paper Algorithm 1): schedule every video group
-/// of the batch independently and take the union.
-pub fn ivsp_solve(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> Schedule {
-    ivsp_solve_with(ctx, batch, GreedyPolicy::default())
-}
-
-/// [`ivsp_solve`] under an explicit [`GreedyPolicy`] (ablations). Video
-/// groups are scheduled in input (video-id) order, on the calling thread.
-pub fn ivsp_solve_with(ctx: &SchedCtx<'_>, batch: &RequestBatch, policy: GreedyPolicy) -> Schedule {
-    batch.groups().map(|(_, group)| greedy(ctx, group, None, policy)).collect()
-}
-
-/// The rejective greedy (paper §4.4): recompute one video's schedule under
-/// capacity and forbidden-placement constraints, and under the policy the
-/// video was first scheduled with — SORP trials and fault repair must not
-/// place where phase 1 could not (e.g. the neighborhood-local regime the
-/// sharded solver's Ψ-equality contract relies on). Always succeeds —
-/// direct warehouse delivery needs no storage.
-pub fn reschedule_video(
+/// of the batch independently under `policy`, pricing each schedule as it
+/// is built, and take the union. Video groups are scheduled in input
+/// (video-id) order, on the calling thread. The result is ready for
+/// [`crate::sorp_solve`] with no full `schedule_cost` pass in between.
+pub fn ivsp_solve(
     ctx: &SchedCtx<'_>,
-    requests: &[Request],
-    constraints: &Constraints<'_>,
+    batch: &RequestBatch,
     policy: GreedyPolicy,
-) -> VideoSchedule {
-    greedy(ctx, requests, Some(constraints), policy)
+) -> PricedSchedule {
+    let mut scratch = GreedyScratch::default();
+    let pairs = batch
+        .groups()
+        .map(|(_, group)| {
+            let vs = greedy_with_cursor(ctx, group, None, policy, &mut scratch);
+            let cost = ctx.video_cost(&vs);
+            (vs, cost)
+        })
+        .collect();
+    PricedSchedule::from_priced_videos(pairs)
 }
 
-/// [`reschedule_video`] that additionally returns the trial's
-/// dependency trace: the per-node footprint union of the
+/// The rejective [`find_video_schedule`] that additionally returns the
+/// trial's dependency trace: the per-node footprint union of the
 /// ledger-consulting checks plus the exact sequence of admission tests
-/// and their answers. The schedule is bit-identical to
-/// [`reschedule_video`]'s — tracing only records, it never filters —
-/// and the trace is exactly what SORP's trial cache needs: bans or
-/// ledger mutations that leave every recorded answer unchanged (checked
-/// per check via [`Constraints::check_replays`]) cannot change any
-/// admission answer, so the whole greedy replays identically.
+/// and their answers. The schedule is bit-identical to the untraced
+/// one's — tracing only records, it never filters — and the trace is
+/// exactly what SORP's trial cache needs: bans or ledger mutations that
+/// leave every recorded answer unchanged (checked per check via
+/// [`Constraints::check_replays`]) cannot change any admission answer, so
+/// the whole greedy replays identically.
 pub fn reschedule_video_traced(
     ctx: &SchedCtx<'_>,
     requests: &[Request],
@@ -316,25 +313,6 @@ pub(crate) fn reschedule_traced_in(
     scratch.cursor.start_trace();
     let vs = greedy_with_cursor(ctx, requests, Some(constraints), policy, scratch);
     (vs, scratch.cursor.take_trace())
-}
-
-/// [`find_video_schedule_with`] in `scratch`.
-pub(crate) fn schedule_video_in(
-    ctx: &SchedCtx<'_>,
-    requests: &[Request],
-    policy: GreedyPolicy,
-    scratch: &mut GreedyScratch,
-) -> VideoSchedule {
-    greedy_with_cursor(ctx, requests, None, policy, scratch)
-}
-
-fn greedy(
-    ctx: &SchedCtx<'_>,
-    requests: &[Request],
-    constraints: Option<&Constraints<'_>>,
-    policy: GreedyPolicy,
-) -> VideoSchedule {
-    greedy_with_cursor(ctx, requests, constraints, policy, &mut GreedyScratch::default())
 }
 
 /// The buffers greedy runs work in, kept across the runs of one phase-1
@@ -551,7 +529,7 @@ mod tests {
         let (topo, catalog) = fig2();
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
-        let vs = find_video_schedule(&ctx, &fig2_requests());
+        let vs = find_video_schedule(&ctx, &fig2_requests(), GreedyPolicy::default(), None);
         let cost = ctx.video_cost(&vs);
         // The paper's hand-enumerated S1 costs $259.20 and S2 $138.975;
         // the greedy must do at least as well as S2 (it additionally
@@ -566,7 +544,7 @@ mod tests {
         let (topo, catalog) = fig2();
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
-        let vs = find_video_schedule(&ctx, &fig2_requests());
+        let vs = find_video_schedule(&ctx, &fig2_requests(), GreedyPolicy::default(), None);
         // U1's stream creates a cache at IS1, U2's at IS2.
         let locs: Vec<NodeId> = vs.residencies.iter().map(|r| r.loc).collect();
         assert!(locs.contains(&NodeId(1)));
@@ -584,7 +562,7 @@ mod tests {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
         let reqs = vec![Request { user: UserId(0), video: VideoId(0), start: T1 }];
-        let vs = find_video_schedule(&ctx, &reqs);
+        let vs = find_video_schedule(&ctx, &reqs, GreedyPolicy::default(), None);
         // Network: one stream VW→IS1 at $64.80; the relay cache is free.
         let cost = ctx.video_cost(&vs);
         assert!((cost - 64.8).abs() < 1e-9);
@@ -601,7 +579,7 @@ mod tests {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
         for (_, group) in wl.requests.groups() {
-            let vs = find_video_schedule(&ctx, group);
+            let vs = find_video_schedule(&ctx, group, GreedyPolicy::default(), None);
             let direct: Dollars = group
                 .iter()
                 .map(|r| {
@@ -626,7 +604,7 @@ mod tests {
         let wl = Workload::generate(&topo, &CatalogConfig::small(40), &RequestConfig::paper(), 4);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let schedule = ivsp_solve(&ctx, &wl.requests);
+        let schedule = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()).into_schedule();
         assert_eq!(schedule.delivery_count(), wl.requests.len());
         // Deliveries terminate at the right local storage.
         for t in schedule.transfers() {
@@ -647,7 +625,7 @@ mod tests {
         let catalog = Catalog::new(vec![video]);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
-        let vs = find_video_schedule(&ctx, &fig2_requests());
+        let vs = find_video_schedule(&ctx, &fig2_requests(), GreedyPolicy::default(), None);
         let cost = ctx.video_cost(&vs);
         // All three direct: $259.20, the paper's S1.
         assert!((cost - 259.2).abs() < 1e-6, "cost {cost}");
@@ -664,7 +642,7 @@ mod tests {
         let catalog = Catalog::new(vec![video]);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
-        let vs = find_video_schedule(&ctx, &fig2_requests());
+        let vs = find_video_schedule(&ctx, &fig2_requests(), GreedyPolicy::default(), None);
         // U1: VW→IS1 ($64.8); U2: cache fill IS1→IS2 ($32.4); U3: free from
         // IS2's copy. Storage costs nothing.
         let cost = ctx.video_cost(&vs);
@@ -683,7 +661,7 @@ mod tests {
             vec![(NodeId(1), Interval::new(0.0, 1e6)), (NodeId(2), Interval::new(0.0, 1e6))];
         let cons =
             Constraints { ledger: &ledger, exclude: Some(VideoId(0)), forbidden: &forbidden };
-        let vs = reschedule_video(&ctx, &fig2_requests(), &cons, GreedyPolicy::default());
+        let vs = find_video_schedule(&ctx, &fig2_requests(), GreedyPolicy::default(), Some(&cons));
         let cost = ctx.video_cost(&vs);
         assert!((cost - 259.2).abs() < 1e-6, "forbidden caching must force direct: {cost}");
         for r in &vs.residencies {
@@ -702,7 +680,7 @@ mod tests {
         ledger.add(NodeId(1), VideoId(9), full);
         ledger.add(NodeId(2), VideoId(9), full);
         let cons = Constraints { ledger: &ledger, exclude: Some(VideoId(0)), forbidden: &[] };
-        let vs = reschedule_video(&ctx, &fig2_requests(), &cons, GreedyPolicy::default());
+        let vs = find_video_schedule(&ctx, &fig2_requests(), GreedyPolicy::default(), Some(&cons));
         let cost = ctx.video_cost(&vs);
         assert!((cost - 259.2).abs() < 1e-6, "full stores must force direct: {cost}");
     }
@@ -721,7 +699,7 @@ mod tests {
             SpaceProfile::new(0.0, 1e6, units::gb(5.0), units::minutes(90.0)),
         );
         let cons = Constraints { ledger: &ledger, exclude: Some(VideoId(0)), forbidden: &[] };
-        let vs = reschedule_video(&ctx, &fig2_requests(), &cons, GreedyPolicy::default());
+        let vs = find_video_schedule(&ctx, &fig2_requests(), GreedyPolicy::default(), Some(&cons));
         // U1 direct ($64.8); U2 VW→IS1→IS2 caching at IS2 ($97.2); U3 from
         // IS2's copy (storage extension only, $5.625).
         let cost = ctx.video_cost(&vs);
@@ -737,8 +715,8 @@ mod tests {
         let ctx = SchedCtx::new(&topo, &model, &catalog);
         let ledger = StorageLedger::new(&topo);
         let cons = Constraints { ledger: &ledger, exclude: None, forbidden: &[] };
-        let a = find_video_schedule(&ctx, &fig2_requests());
-        let b = reschedule_video(&ctx, &fig2_requests(), &cons, GreedyPolicy::default());
+        let a = find_video_schedule(&ctx, &fig2_requests(), GreedyPolicy::default(), None);
+        let b = find_video_schedule(&ctx, &fig2_requests(), GreedyPolicy::default(), Some(&cons));
         assert!((ctx.video_cost(&a) - ctx.video_cost(&b)).abs() < 1e-9);
         assert_eq!(a.transfers.len(), b.transfers.len());
     }
@@ -749,7 +727,7 @@ mod tests {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
         let policy = GreedyPolicy { allow_new_caches: false, ..Default::default() };
-        let vs = find_video_schedule_with(&ctx, &fig2_requests(), policy);
+        let vs = find_video_schedule(&ctx, &fig2_requests(), policy, None);
         assert!(vs.residencies.is_empty());
         // All three direct: the paper's S1 at $259.20.
         assert!((ctx.video_cost(&vs) - 259.2).abs() < 1e-6);
@@ -761,7 +739,7 @@ mod tests {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
         let policy = GreedyPolicy { allow_remote_placement: false, ..Default::default() };
-        let vs = find_video_schedule_with(&ctx, &fig2_requests(), policy);
+        let vs = find_video_schedule(&ctx, &fig2_requests(), policy, None);
         for r in &vs.residencies {
             // The cache's services: the delivery that fills it (starting at
             // `t_s`, routed from its source through it) and those it serves.
@@ -780,7 +758,12 @@ mod tests {
         // Still at least as cheap as all-direct (local caching helps U3).
         assert!(ctx.video_cost(&vs) <= 259.2 + 1e-6);
         // And no cheaper than the unrestricted greedy.
-        let full = ctx.video_cost(&find_video_schedule(&ctx, &fig2_requests()));
+        let full = ctx.video_cost(&find_video_schedule(
+            &ctx,
+            &fig2_requests(),
+            GreedyPolicy::default(),
+            None,
+        ));
         assert!(ctx.video_cost(&vs) >= full - 1e-6);
     }
 
@@ -796,12 +779,13 @@ mod tests {
         );
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let full = ctx.schedule_cost(&ivsp_solve(&ctx, &wl.requests));
+        let full =
+            ctx.schedule_cost(ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()).schedule());
         for policy in [
             GreedyPolicy { allow_new_caches: false, ..Default::default() },
             GreedyPolicy { allow_remote_placement: false, ..Default::default() },
         ] {
-            let restricted = ctx.schedule_cost(&ivsp_solve_with(&ctx, &wl.requests, policy));
+            let restricted = ctx.schedule_cost(ivsp_solve(&ctx, &wl.requests, policy).schedule());
             assert!(
                 full <= restricted + 1e-6,
                 "restricted policy {policy:?} beat the full greedy: {restricted} < {full}"
@@ -819,8 +803,13 @@ mod tests {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
         let plain = GreedyPolicy { prefer_local_cache_on_ties: false, ..Default::default() };
-        let a = ctx.video_cost(&find_video_schedule(&ctx, &fig2_requests()));
-        let b = ctx.video_cost(&find_video_schedule_with(&ctx, &fig2_requests(), plain));
+        let a = ctx.video_cost(&find_video_schedule(
+            &ctx,
+            &fig2_requests(),
+            GreedyPolicy::default(),
+            None,
+        ));
+        let b = ctx.video_cost(&find_video_schedule(&ctx, &fig2_requests(), plain, None));
         assert!(a <= b + 1e-6, "default tie-break lost: {a} vs {b}");
     }
 
@@ -830,6 +819,6 @@ mod tests {
         let (topo, catalog) = fig2();
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
-        find_video_schedule(&ctx, &[]);
+        find_video_schedule(&ctx, &[], GreedyPolicy::default(), None);
     }
 }

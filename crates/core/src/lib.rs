@@ -20,9 +20,15 @@
 //!    ([`detect_overflows`]), the resolver repeatedly picks the **victim**
 //!    residency whose rescheduling has the largest **heat**
 //!    ([`HeatMetric`], Eqs. 8–11) and re-schedules that video with the
-//!    **rejective greedy** ([`reschedule_video`]) — the same greedy made
-//!    capacity-aware and forbidden to cache at the overflowing storage
-//!    during the overflow window.
+//!    **rejective greedy** ([`find_video_schedule`] under [`Constraints`]) —
+//!    the same greedy made capacity-aware and forbidden to cache at the
+//!    overflowing storage during the overflow window.
+//!
+//! Each layer has one entry point: [`find_video_schedule`] for one
+//! video, [`ivsp_solve`] for phase 1 (it prices as it schedules, so its
+//! [`PricedSchedule`] feeds phase 2 directly), [`sorp_solve`] for phase
+//! 2 over an optional base ledger, [`shard_solve_seeded`] for a sharded
+//! batch and [`ServiceLoop`] / [`service_run`] for a running service.
 //!
 //! The [`baselines`] module provides the paper's comparator (the
 //! *network-only system*) and additional reference policies; the
@@ -43,8 +49,9 @@
 //! let model = CostModel::per_hop();
 //! let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
 //!
-//! let individual = ivsp_solve(&ctx, &wl.requests);
-//! let outcome = sorp_solve(&ctx, &individual, &SorpConfig::default());
+//! let cfg = SorpConfig::default();
+//! let individual = ivsp_solve(&ctx, &wl.requests, cfg.policy);
+//! let outcome = sorp_solve(&ctx, individual, &cfg, None);
 //! assert!(outcome.overflow_free, "resolution must clear every overflow");
 //! ```
 
@@ -58,6 +65,7 @@ pub mod baselines;
 mod capacity;
 mod ctx;
 pub mod exact;
+mod frozen;
 mod greedy;
 pub mod heat;
 mod overflow;
@@ -70,27 +78,32 @@ mod timeline;
 mod warm;
 
 pub use bandwidth_aware::{bandwidth_aware_solve, BandwidthAwareOutcome};
-pub use capacity::{AdmissionCheck, LedgerCursor, LedgerDelta, StorageLedger, TrialTrace};
+pub use capacity::StorageLedger;
 pub use ctx::SchedCtx;
-pub use exact::{find_optimal_video_schedule, ExactOutcome};
-pub use greedy::{
-    find_video_schedule, find_video_schedule_with, ivsp_solve, ivsp_solve_with, reschedule_video,
-    reschedule_video_traced, Constraints, GreedyPolicy,
-};
-pub use heat::{delta_s, heat_of, improved_period, improvement_window, HeatMetric};
-pub use overflow::{
-    detect_link_overloads, detect_overflows, overflow_set, Interval, LinkOverload, Overflow,
-};
-pub use pricing::{ivsp_solve_priced, ivsp_solve_priced_with, PricedSchedule};
+pub use exact::{find_optimal_video_schedule, ExactError, ExactOutcome};
+#[doc(hidden)]
+pub use frozen::{ivsp_solve_priced_with, sorp_solve_priced};
+pub use greedy::{find_video_schedule, ivsp_solve, Constraints, GreedyPolicy};
+pub use heat::HeatMetric;
+pub use overflow::{detect_link_overloads, detect_overflows, Interval, LinkOverload, Overflow};
+pub use pricing::PricedSchedule;
 pub use repair::{repair_schedule, DelayRecord, RepairOutcome};
 pub use service::{
-    service_run, BackoffPolicy, BudgetModel, IntakeError, Rung, ServiceConfig, ServiceCycleOutcome,
+    service_run, BackoffPolicy, IntakeError, Rung, ServiceConfig, ServiceCycleOutcome,
     ServiceCycleStats, ServiceError, ServiceLoop, ServiceReport,
 };
 pub use shard::{shard_solve, shard_solve_seeded, ShardConfig, ShardOutcome};
-pub use sorp::{
-    heats_tie, sorp_solve, sorp_solve_priced, SorpConfig, SorpOutcome, VictimRecord,
-    EXTERNAL_OCCUPANCY,
-};
+pub use sorp::{sorp_solve, SorpConfig, SorpOutcome, VictimRecord, EXTERNAL_OCCUPANCY};
 pub use vod_parallel::ExecMode;
 pub use warm::{CommittedBook, WarmStats};
+
+/// What the equivalence oracles (`vod-oracles`) and the property tests
+/// reach into: the traced rejective greedy, the admission cursor and its
+/// trace, the commit deltas, the heat tie rule and the overflow set. Not
+/// a stable API — these follow the solver's internals.
+pub mod audit {
+    pub use crate::capacity::{AdmissionCheck, LedgerCursor, LedgerDelta, TrialTrace};
+    pub use crate::greedy::reschedule_video_traced;
+    pub use crate::overflow::overflow_set;
+    pub use crate::sorp::heats_tie;
+}

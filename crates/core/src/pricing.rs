@@ -14,10 +14,8 @@
 //! participant per iteration, and previously recomputed from scratch
 //! every time.
 
-use crate::greedy::{schedule_video_in, GreedyPolicy, GreedyScratch};
 use crate::SchedCtx;
-use vod_cost_model::{Dollars, RequestBatch, Schedule, VideoId, VideoSchedule};
-use vod_parallel::ExecMode;
+use vod_cost_model::{Dollars, Schedule, VideoId, VideoSchedule};
 
 /// Relative tolerance for the incremental-vs-closed-form cross-checks.
 /// Delta accumulation drifts by at most a few ulps per commit; 1e-6
@@ -78,7 +76,7 @@ impl PricedSchedule {
     /// (`video_cost` is their ordered sum), so a video split across
     /// shards prices its concatenated schedule at exactly the sum of its
     /// per-shard memo costs — up to float summation order, which is why
-    /// every consumer compares through [`PRICING_EPS`]-relative checks
+    /// every consumer compares through `PRICING_EPS`-relative checks
     /// rather than bit equality. Videos owned by a single shard keep
     /// their memo entry verbatim. A single part is returned unchanged
     /// (bit-identical total), which is what makes the 1-shard sharded
@@ -213,7 +211,7 @@ impl PricedSchedule {
     }
 
     /// Whether the running total agrees with the closed-form
-    /// `schedule_cost` recompute within [`PRICING_EPS`] (relative).
+    /// `schedule_cost` recompute within `PRICING_EPS` (relative).
     /// O(videos) — meant for `debug_assert` and tests, not hot paths.
     pub fn consistent_with(&self, ctx: &SchedCtx<'_>) -> bool {
         let full = ctx.schedule_cost(&self.schedule);
@@ -221,41 +219,11 @@ impl PricedSchedule {
     }
 }
 
-/// Phase 1 with pricing fused in: each video group is scheduled and its
-/// schedule priced in one step. The result is ready for
-/// [`crate::sorp_solve_priced`] with no full `schedule_cost` pass in
-/// between.
-pub fn ivsp_solve_priced(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> PricedSchedule {
-    ivsp_solve_priced_with(ctx, batch, GreedyPolicy::default(), ExecMode::Sequential)
-}
-
-/// [`ivsp_solve_priced`] under an explicit policy. Runs on the calling
-/// thread: `_mode` is accepted and ignored, kept only because the frozen
-/// benchmark adapter passes one (drop with benchmark revision 2, like
-/// the always-zero [`crate::WarmStats`] fields).
-pub fn ivsp_solve_priced_with(
-    ctx: &SchedCtx<'_>,
-    batch: &RequestBatch,
-    policy: GreedyPolicy,
-    _mode: ExecMode,
-) -> PricedSchedule {
-    let mut scratch = GreedyScratch::default();
-    let pairs = batch
-        .groups()
-        .map(|(_, group)| {
-            let vs = schedule_video_in(ctx, group, policy, &mut scratch);
-            let cost = ctx.video_cost(&vs);
-            (vs, cost)
-        })
-        .collect();
-    PricedSchedule::from_priced_videos(pairs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{find_video_schedule_with, ivsp_solve};
-    use vod_cost_model::{CostModel, Request};
+    use crate::{find_video_schedule, ivsp_solve, GreedyPolicy};
+    use vod_cost_model::{CostModel, Request, RequestBatch};
     use vod_topology::builders;
     use vod_workload::{CatalogConfig, RequestConfig, Workload};
 
@@ -272,19 +240,24 @@ mod tests {
         let (topo, wl) = world(11);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let schedule = ivsp_solve(&ctx, &wl.requests);
+        let schedule = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()).into_schedule();
         let full = ctx.schedule_cost(&schedule);
         let priced = PricedSchedule::price(&ctx, schedule);
         assert_eq!(priced.total(), full, "ordered per-video sum must be bit-identical");
     }
 
     #[test]
-    fn ivsp_solve_priced_agrees_with_ivsp_solve() {
+    fn ivsp_solve_prices_the_greedy_union() {
         let (topo, wl) = world(12);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let plain = ivsp_solve(&ctx, &wl.requests);
-        let priced = ivsp_solve_priced(&ctx, &wl.requests);
+        let policy = GreedyPolicy::default();
+        let plain: Schedule = wl
+            .requests
+            .groups()
+            .map(|(_, group)| find_video_schedule(&ctx, group, policy, None))
+            .collect();
+        let priced = ivsp_solve(&ctx, &wl.requests, policy);
         assert_eq!(priced.total(), ctx.schedule_cost(&plain));
         assert!(priced.schedule() == &plain, "schedules must be identical");
     }
@@ -298,7 +271,7 @@ mod tests {
         let spec = ShardSpec { shards: 3, strategy: ShardStrategy::ByTimeSlice, seed: 0 };
         let parts: Vec<PricedSchedule> = partition_requests(&topo, &wl.requests, &spec)
             .iter()
-            .map(|b| ivsp_solve_priced(&ctx, b))
+            .map(|b| ivsp_solve(&ctx, b, GreedyPolicy::default()))
             .collect();
         assert_eq!(parts.len(), 3);
 
@@ -438,7 +411,7 @@ mod tests {
                         start: 900.0 * (u % 7 + 3 * i) as f64,
                     })
                     .collect();
-                find_video_schedule_with(&ctx, &requests, GreedyPolicy::default())
+                find_video_schedule(&ctx, &requests, GreedyPolicy::default(), None)
             };
             let mut tables = Vec::new();
             let mut references = Vec::new();
@@ -486,8 +459,16 @@ mod tests {
         let empty = RequestBatch::default();
         let priced = PricedSchedule::price(&ctx, Schedule::new()).total();
         assert_eq!(priced.to_bits(), 0.0f64.to_bits());
-        assert_eq!(ivsp_solve_priced(&ctx, &empty).total().to_bits(), priced.to_bits());
-        let sharded = crate::shard_solve(&ctx, &empty, &Default::default(), ExecMode::Sequential);
+        assert_eq!(
+            ivsp_solve(&ctx, &empty, GreedyPolicy::default()).total().to_bits(),
+            priced.to_bits()
+        );
+        let sharded = crate::shard_solve_seeded(
+            &ctx,
+            &empty,
+            &Default::default(),
+            &crate::StorageLedger::new(&topo),
+        );
         assert_eq!(sharded.sorp.cost.to_bits(), priced.to_bits());
     }
 
@@ -496,7 +477,7 @@ mod tests {
         let (topo, wl) = world(13);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let mut priced = ivsp_solve_priced(&ctx, &wl.requests);
+        let mut priced = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default());
 
         // Re-commit an altered schedule for the first few videos and
         // check the memo tracks the recomputed per-video cost exactly.

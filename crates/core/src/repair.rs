@@ -23,7 +23,7 @@
 //! over that route then — on time when the route is already clear,
 //! otherwise late, reported as a [`DelayRecord`]. Repair never sheds.
 
-use crate::greedy::{reschedule_video, Constraints, GreedyPolicy};
+use crate::greedy::{find_video_schedule, Constraints, GreedyPolicy};
 use crate::sorp::SolveState;
 use crate::{Interval, PricedSchedule, SchedCtx, StorageLedger};
 use vod_cost_model::{Dollars, Request, Secs, Transfer, VideoId, VideoSchedule};
@@ -187,7 +187,7 @@ pub(crate) fn repair_state(
         } else {
             let cons =
                 Constraints { ledger: &state.ledger, exclude: Some(vid), forbidden: &forbidden };
-            reschedule_video(dctx, &servable, &cons, policy)
+            find_video_schedule(dctx, &servable, policy, Some(&cons))
         };
 
         for req in cut_off {
@@ -220,7 +220,7 @@ pub(crate) fn repair_state(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::{ivsp_solve_priced, sorp_solve_priced, ExecMode, SorpConfig};
+    use crate::{ivsp_solve, sorp_solve, SorpConfig};
     use vod_cost_model::{Catalog, CostModel, RequestBatch};
     use vod_faults::{Fault, FaultConfig};
     use vod_topology::{builders, units, NodeId, Topology, TopologyBuilder};
@@ -235,9 +235,8 @@ pub(crate) mod tests {
     }
 
     fn committed(ctx: &SchedCtx<'_>, batch: &RequestBatch) -> PricedSchedule {
-        let phase1 = ivsp_solve_priced(ctx, batch);
-        let outcome =
-            sorp_solve_priced(ctx, phase1, &SorpConfig::default(), &[], ExecMode::Sequential);
+        let cfg = SorpConfig::default();
+        let outcome = sorp_solve(ctx, ivsp_solve(ctx, batch, cfg.policy), &cfg, None);
         PricedSchedule::price(ctx, outcome.schedule)
     }
 
@@ -360,7 +359,8 @@ pub(crate) mod tests {
             };
             base.add(loc, crate::EXTERNAL_OCCUPANCY, squatter);
         }
-        let mut state = SolveState::new(&ctx, ivsp_solve_priced(&ctx, &wl.requests), base);
+        let phase1 = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default());
+        let mut state = SolveState::new(&ctx, phase1, base);
         state.resolve(&ctx, &SorpConfig::default());
         assert!(crate::detect_overflows(&topo, &state.ledger).is_empty());
 

@@ -27,8 +27,8 @@
 //!   the caller's thread — so the sharded output is **bit-identical
 //!   across runs**, and
 //!   `shards = 1` (or a 1-region batch) *is* the monolith: its output is
-//!   bit-identical to [`crate::sorp_solve_priced`] over
-//!   [`ivsp_solve_priced_with`] on the whole batch.
+//!   bit-identical to [`crate::sorp_solve`] over [`ivsp_solve`] on the
+//!   whole batch.
 //! * Reconciliation guarantees **feasibility**: every request served,
 //!   no overflow, for any shard count, strategy, or policy.
 //! * **Ψ-equality with the monolith** additionally holds in the
@@ -57,8 +57,7 @@
 use crate::capacity::Solved;
 use crate::sorp::{PerVideo, SolveState};
 use crate::{
-    detect_overflows, ivsp_solve_priced_with, PricedSchedule, SchedCtx, SorpConfig, SorpOutcome,
-    StorageLedger,
+    detect_overflows, ivsp_solve, PricedSchedule, SchedCtx, SorpConfig, SorpOutcome, StorageLedger,
 };
 use serde::{Deserialize, Serialize};
 use vod_cost_model::RequestBatch;
@@ -223,8 +222,7 @@ pub(crate) fn solve_over(
     let states: Vec<SolveState> = batches
         .iter()
         .map(|shard_batch| {
-            let priced =
-                ivsp_solve_priced_with(ctx, shard_batch, cfg.sorp.policy, ExecMode::Sequential);
+            let priced = ivsp_solve(ctx, shard_batch, cfg.sorp.policy);
             let mut state = SolveState::new(ctx, priced, base.clone());
             state.resolve(ctx, &cfg.sorp);
             state
@@ -233,7 +231,7 @@ pub(crate) fn solve_over(
 
     // One shard is the monolithic pipeline verbatim: its state (and its
     // delta-accumulated running total) is the outcome, bit-identical to
-    // `sorp_solve_priced` on the whole batch. The array pattern proves
+    // `sorp_solve` on the whole batch. The array pattern proves
     // the shard exists — no panic path.
     let out = match <[SolveState; 1]>::try_from(states) {
         Ok([state]) => ShardSolve {
@@ -453,10 +451,8 @@ mod tests {
         assert!(out.shards > 1, "four regions made one shard");
         assert_eq!(out.shards, batches.len());
         assert_eq!(out.sorp.schedule.delivery_count(), wl.requests.len());
-        let summed: f64 = batches
-            .iter()
-            .map(|b| ivsp_solve_priced_with(&ctx, b, cfg.sorp.policy, ExecMode::Sequential).total())
-            .sum();
+        let summed: f64 =
+            batches.iter().map(|b| ivsp_solve(&ctx, b, cfg.sorp.policy).total()).sum();
         assert!(
             (out.sorp.initial_cost - summed).abs() <= 1e-9 * summed.max(1.0),
             "aggregate initial cost must be the per-shard sum"
@@ -502,8 +498,7 @@ mod tests {
                 let spec = ShardSpec { shards: cfg.shards, strategy, seed: cfg.seed };
                 let (mut shards, mut parts) = (Vec::new(), Vec::new());
                 for batch in partition_requests(&topo, &wl.requests, &spec) {
-                    let priced =
-                        ivsp_solve_priced_with(&ctx, &batch, cfg.sorp.policy, ExecMode::Sequential);
+                    let priced = ivsp_solve(&ctx, &batch, cfg.sorp.policy);
                     let mut s = SolveState::new(&ctx, priced, base.clone());
                     if commits {
                         s.resolve(&ctx, &cfg.sorp);

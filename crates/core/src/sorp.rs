@@ -79,16 +79,16 @@
 //! thread; the independent unit of work is the shard
 //! ([`crate::shard_solve`]), not the trial.
 
-use crate::capacity::Solved;
+use crate::capacity::{LedgerCursor, LedgerDelta, Solved, TrialTrace};
 use crate::greedy::{reschedule_traced_in, GreedyScratch};
-use crate::overflow::OverflowMonitor;
+use crate::heat::heat_of;
+use crate::overflow::{overflow_set, OverflowMonitor};
 use crate::{
-    detect_overflows, heat_of, overflow_set, Constraints, GreedyPolicy, HeatMetric, Interval,
-    LedgerCursor, LedgerDelta, Overflow, PricedSchedule, SchedCtx, StorageLedger, TrialTrace,
+    detect_overflows, Constraints, GreedyPolicy, HeatMetric, Interval, Overflow, PricedSchedule,
+    SchedCtx, StorageLedger,
 };
 use serde::{Deserialize, Serialize};
 use vod_cost_model::{Dollars, Request, Schedule, SpaceProfile, VideoId, VideoSchedule};
-use vod_parallel::ExecMode;
 use vod_topology::NodeId;
 
 /// Relative tolerance for treating two heat values as equal, mirroring
@@ -97,11 +97,11 @@ use vod_topology::NodeId;
 /// float luck.
 const HEAT_EPS: f64 = 1e-9;
 
-/// Whether two heats are equal up to [`HEAT_EPS`] (relative). Infinite
+/// Whether two heats are equal up to `HEAT_EPS` (relative). Infinite
 /// heats (the ratio metrics return `+∞` for non-positive overhead) tie
 /// only with themselves — `∞ − ∞` is NaN, so they never enter the
-/// epsilon comparison. Public so the naive-loop oracle applies the same
-/// tolerance instead of a copy of it.
+/// epsilon comparison. Exported through [`crate::audit`] so the
+/// naive-loop oracle applies the same tolerance instead of a copy of it.
 pub fn heats_tie(a: f64, b: f64) -> bool {
     if a == b {
         return true;
@@ -218,12 +218,6 @@ impl SorpOutcome {
     pub fn resolved_anything(&self) -> bool {
         !self.victims.is_empty() || self.forced_fallbacks > 0
     }
-}
-
-/// Run storage overflow resolution on an integrated schedule.
-pub fn sorp_solve(ctx: &SchedCtx<'_>, initial: &Schedule, cfg: &SorpConfig) -> SorpOutcome {
-    let priced = PricedSchedule::price(ctx, initial.clone());
-    sorp_solve_priced(ctx, priced, cfg, &[], ExecMode::Sequential)
 }
 
 /// One overflow participant's trial reschedule, kept from iteration to
@@ -490,7 +484,7 @@ fn select_victim(jobs: &[StandingJob]) -> Option<usize> {
 /// jobs, and the trial cache with its commit-delta history.
 /// [`SolveState::new`] +
 /// [`SolveState::resolve`] + [`SolveState::into_outcome`] *are*
-/// [`sorp_solve_priced`]; the sharded path resolves one state per shard,
+/// [`sorp_solve`]; the sharded path resolves one state per shard,
 /// builds a fresh state over their merged schedules, appends their bans,
 /// and resolves it once more; the service loop's fault repair is one
 /// more pass over that final state, before it is finished. Only the
@@ -797,8 +791,14 @@ impl SolveState {
     }
 }
 
-/// The full-control SORP entry point: resolve overflows on an
-/// already-priced schedule over immutable `external` occupancy.
+/// Phase 2, `SORP_solve` (paper Table 3): resolve every storage overflow
+/// of an already-priced schedule over the immutable occupancy of `base`
+/// (`None`: an empty ledger). `base` holds residencies committed outside
+/// this schedule under [`EXTERNAL_OCCUPANCY`]; they are never victimised,
+/// and an overflow of external occupancy alone is left standing with
+/// `overflow_free = false`. A caller holding a flat `(storage, profile)`
+/// list adds each pair to a fresh [`StorageLedger`] under
+/// [`EXTERNAL_OCCUPANCY`], in list order.
 ///
 /// Each iteration scores the trial-reschedule jobs in deterministic
 /// order and reduces them in that order with the epsilon-aware heat
@@ -806,31 +806,17 @@ impl SolveState {
 /// victim's current cost comes from the pricing memo and the commit
 /// updates the running Ψ by delta (cross-checked under `debug_assert`);
 /// no caller performs a full `schedule_cost` recompute inside the loop.
-///
-/// Runs on the calling thread: `_mode` is accepted and ignored, kept
-/// only because the frozen benchmark adapter passes one (drop with
-/// benchmark revision 2, like the always-zero [`crate::WarmStats`]
-/// fields).
-pub fn sorp_solve_priced(
+/// Runs on the calling thread.
+pub fn sorp_solve(
     ctx: &SchedCtx<'_>,
     priced: PricedSchedule,
     cfg: &SorpConfig,
-    external: &[(NodeId, SpaceProfile)],
-    _mode: ExecMode,
+    base: Option<&StorageLedger>,
 ) -> SorpOutcome {
-    let mut state = SolveState::new(ctx, priced, external_ledger(ctx, external));
+    let base = base.map_or_else(|| StorageLedger::new(ctx.topo), StorageLedger::clone);
+    let mut state = SolveState::new(ctx, priced, base);
     state.resolve(ctx, cfg);
     state.into_outcome(ctx).0
-}
-
-/// The base ledger of a solve seeded from a flat profile list: every
-/// `(storage, profile)` pair under [`EXTERNAL_OCCUPANCY`], in list order.
-fn external_ledger(ctx: &SchedCtx<'_>, external: &[(NodeId, SpaceProfile)]) -> StorageLedger {
-    let mut ledger = StorageLedger::new(ctx.topo);
-    for (loc, profile) in external {
-        ledger.add(*loc, EXTERNAL_OCCUPANCY, *profile);
-    }
-    ledger
 }
 
 /// All-direct delivery schedule for a video (no residencies at all).
@@ -844,7 +830,7 @@ fn force_direct(ctx: &SchedCtx<'_>, old: &VideoSchedule) -> VideoSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ivsp_solve;
+    use crate::{find_video_schedule, ivsp_solve};
     use vod_cost_model::CostModel;
     use vod_topology::builders;
     use vod_workload::{CatalogConfig, RequestConfig, Workload};
@@ -856,9 +842,10 @@ mod tests {
             Workload::generate(&topo, &CatalogConfig::small(80), &RequestConfig::paper(), seed);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let individual = ivsp_solve(&ctx, &wl.requests);
-        let icost = ctx.schedule_cost(&individual);
-        (sorp_solve(&ctx, &individual, &SorpConfig::with_metric(metric)), icost)
+        let cfg = SorpConfig::with_metric(metric);
+        let individual = ivsp_solve(&ctx, &wl.requests, cfg.policy);
+        let icost = ctx.schedule_cost(individual.schedule());
+        (sorp_solve(&ctx, individual, &cfg, None), icost)
     }
 
     #[test]
@@ -904,8 +891,8 @@ mod tests {
         let wl = Workload::generate(&topo, &CatalogConfig::small(80), &RequestConfig::paper(), 4);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let individual = ivsp_solve(&ctx, &wl.requests);
-        let outcome = sorp_solve(&ctx, &individual, &SorpConfig::default());
+        let cfg = SorpConfig::default();
+        let outcome = sorp_solve(&ctx, ivsp_solve(&ctx, &wl.requests, cfg.policy), &cfg, None);
         assert_eq!(outcome.schedule.delivery_count(), wl.requests.len());
     }
 
@@ -965,18 +952,17 @@ mod tests {
         // The trial loop reads each participant's current cost from the
         // pricing memo; verify the memo tracks ctx.video_cost exactly
         // through a full resolution run.
-        use crate::ivsp_solve_priced;
         let cfgb = builders::PaperFig4Config { capacity_gb: 5.0, ..Default::default() };
         let topo = builders::paper_fig4(&cfgb);
         let wl = Workload::generate(&topo, &CatalogConfig::small(80), &RequestConfig::paper(), 8);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let priced = ivsp_solve_priced(&ctx, &wl.requests);
+        let cfg = SorpConfig::default();
+        let priced = ivsp_solve(&ctx, &wl.requests, cfg.policy);
         for vs in priced.schedule().videos() {
             assert_eq!(priced.video_cost(vs.video), Some(ctx.video_cost(vs)));
         }
-        let outcome =
-            sorp_solve_priced(&ctx, priced, &SorpConfig::default(), &[], ExecMode::Sequential);
+        let outcome = sorp_solve(&ctx, priced, &cfg, None);
         assert!(outcome.resolved_anything(), "tight capacity must reschedule something");
         // After resolution the outcome cost equals the closed form.
         assert!(
@@ -992,9 +978,8 @@ mod tests {
         let wl = Workload::generate(&topo, &CatalogConfig::small(80), &RequestConfig::paper(), 1);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let individual = ivsp_solve(&ctx, &wl.requests);
         let cfg = SorpConfig { max_iterations: 0, ..SorpConfig::default() };
-        let outcome = sorp_solve(&ctx, &individual, &cfg);
+        let outcome = sorp_solve(&ctx, ivsp_solve(&ctx, &wl.requests, cfg.policy), &cfg, None);
         assert!(outcome.overflow_free);
         assert!(outcome.forced_fallbacks > 0);
         assert_eq!(outcome.iterations, 0);
@@ -1014,21 +999,22 @@ mod tests {
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
         let first = topo.storages().next().expect("a storage exists");
         let squatter = SpaceProfile { start: 0.0, full: 0.0, last: 1e7, end: 1e7, plateau: 6e9 };
-        let external = [(first, squatter)];
-        let priced = crate::ivsp_solve_priced(&ctx, &wl.requests);
+        let mut base = StorageLedger::new(&topo);
+        base.add(first, EXTERNAL_OCCUPANCY, squatter);
+        let cfg = SorpConfig { max_iterations: 0, ..SorpConfig::default() };
+        let priced = ivsp_solve(&ctx, &wl.requests, cfg.policy);
         let phase1 = StorageLedger::from_schedule(&topo, &wl.catalog, priced.schedule());
         assert!(
             detect_overflows(&topo, &phase1).iter().any(|of| of.loc != first),
             "phase 1 must overflow a storage behind the squatted one"
         );
 
-        let cfg = SorpConfig { max_iterations: 0, ..SorpConfig::default() };
-        let out = sorp_solve_priced(&ctx, priced, &cfg, &external, ExecMode::Sequential);
+        let out = sorp_solve(&ctx, priced, &cfg, Some(&base));
         assert_eq!(out.iterations, 0);
         assert!(out.forced_fallbacks > 0);
         assert_eq!(out.schedule.delivery_count(), wl.requests.len());
         assert!(!out.overflow_free, "the squatter's overflow is still there");
-        let mut ledger = external_ledger(&ctx, &external);
+        let mut ledger = base;
         for r in out.schedule.residencies() {
             ledger.add(r.loc, r.video, r.profile(wl.catalog.get(r.video)));
         }
@@ -1045,15 +1031,15 @@ mod tests {
         // whose node version did not move shows the same overflows and
         // the same overflow sets, and the victim committed in between is
         // not among its participants.
-        use crate::reschedule_video;
         let cfgb = builders::PaperFig4Config { capacity_gb: 5.0, ..Default::default() };
         let topo = builders::paper_fig4(&cfgb);
         let wl = Workload::generate(&topo, &CatalogConfig::small(80), &RequestConfig::paper(), 9);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
         let cfg = SorpConfig::default();
-        let mut schedule = ivsp_solve(&ctx, &wl.requests);
-        let victims = sorp_solve(&ctx, &schedule, &cfg).victims;
+        let priced = ivsp_solve(&ctx, &wl.requests, cfg.policy);
+        let mut schedule = priced.schedule().clone();
+        let victims = sorp_solve(&ctx, priced, &cfg, None).victims;
         assert!(victims.len() > 3, "instance too easy to move any storage");
 
         type Seen = (u64, Vec<(Interval, u64, Vec<(VideoId, SpaceProfile)>)>);
@@ -1075,7 +1061,8 @@ mod tests {
             bans.push((v.loc, Interval::new(v.window_start, v.window_end)));
             let old = schedule.video(v.video).expect("a victim is scheduled").clone();
             let cons = Constraints { ledger: &ledger, exclude: Some(v.video), forbidden: bans };
-            let new_vs = reschedule_video(&ctx, &old.delivered_requests(), &cons, cfg.policy);
+            let new_vs =
+                find_video_schedule(&ctx, &old.delivered_requests(), cfg.policy, Some(&cons));
             for r in &old.residencies {
                 ledger.remove(r.loc, v.video);
             }

@@ -22,9 +22,9 @@
 #![allow(clippy::disallowed_methods)] // the nested-scan oracle walks routes per call
 
 use proptest::prelude::*;
+use vod_core::audit::{reschedule_video_traced, AdmissionCheck, LedgerCursor};
 use vod_core::{
-    find_video_schedule_with, ivsp_solve_with, reschedule_video, reschedule_video_traced,
-    AdmissionCheck, Constraints, GreedyPolicy, Interval, LedgerCursor, SchedCtx, StorageLedger,
+    find_video_schedule, ivsp_solve, Constraints, GreedyPolicy, Interval, SchedCtx, StorageLedger,
 };
 use vod_cost_model::{
     CostModel, Request, RequestBatch, SpaceModel, SpaceProfile, Video, VideoSchedule,
@@ -37,7 +37,8 @@ use vod_workload::{CatalogConfig, RequestConfig, SplitMix64, Workload};
 /// commit): the kernel, its candidate comparison and its extension cost.
 mod pre_pr {
     use std::collections::BTreeMap;
-    use vod_core::{Constraints, GreedyPolicy, LedgerCursor, SchedCtx};
+    use vod_core::audit::LedgerCursor;
+    use vod_core::{Constraints, GreedyPolicy, SchedCtx};
     use vod_cost_model::{
         Dollars, Request, Residency, Secs, SpaceProfile, Transfer, Video, VideoSchedule,
     };
@@ -381,7 +382,7 @@ fn kernels_agree(
         let ledger = StorageLedger::from_schedule(
             ctx.topo,
             ctx.catalog,
-            &ivsp_solve_with(ctx, batch, policy),
+            ivsp_solve(ctx, batch, policy).schedule(),
         );
         let forbidden: Vec<(NodeId, Interval)> = (0..2)
             .map(|_| {
@@ -399,7 +400,7 @@ fn kernels_agree(
 
             let old =
                 pre_pr::greedy_with_cursor(ctx, group, None, policy, &mut LedgerCursor::new());
-            if !same(&find_video_schedule_with(ctx, group, policy), &old) {
+            if !same(&find_video_schedule(ctx, group, policy, None), &old) {
                 return Err(at("unconstrained greedy diverged"));
             }
 
@@ -411,7 +412,7 @@ fn kernels_agree(
                 policy,
                 &mut LedgerCursor::new(),
             );
-            if !same(&reschedule_video(ctx, group, &cons, policy), &old) {
+            if !same(&find_video_schedule(ctx, group, policy, Some(&cons)), &old) {
                 return Err(at("rejective greedy diverged"));
             }
             let (traced, trace) = reschedule_video_traced(ctx, group, &cons, policy);
@@ -527,8 +528,8 @@ proptest! {
         let space = if gradual { SpaceModel::GradualFill } else { SpaceModel::InstantReservation };
         let model = CostModel::per_hop().with_space_model(space);
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let phase1 = ivsp_solve_with(&ctx, &wl.requests, GreedyPolicy::default());
-        let ledger = StorageLedger::from_schedule(&topo, &wl.catalog, &phase1);
+        let phase1 = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default());
+        let ledger = StorageLedger::from_schedule(&topo, &wl.catalog, phase1.schedule());
         let mut rng = SplitMix64::new(seed ^ 0x0A11_D0E5);
         let storages: Vec<NodeId> = topo.storages().collect();
         let window = |rng: &mut SplitMix64| {

@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use vod_core::{
-    detect_overflows, ivsp_solve_priced, repair_schedule, sorp_solve_priced, ExecMode,
-    PricedSchedule, SchedCtx, ServiceConfig, ServiceLoop, SorpConfig, StorageLedger,
+    detect_overflows, ivsp_solve, repair_schedule, sorp_solve, ExecMode, PricedSchedule, SchedCtx,
+    ServiceConfig, ServiceLoop, SorpConfig, StorageLedger,
 };
 use vod_cost_model::{CostModel, Request};
 use vod_faults::{Fault, FaultConfig, FaultPlan};
@@ -82,8 +82,8 @@ fn build(s: &Scenario) -> (Topology, Workload, FaultPlan) {
 }
 
 fn committed(ctx: &SchedCtx<'_>, wl: &Workload) -> (PricedSchedule, bool) {
-    let phase1 = ivsp_solve_priced(ctx, &wl.requests);
-    let out = sorp_solve_priced(ctx, phase1, &SorpConfig::default(), &[], ExecMode::Sequential);
+    let cfg = SorpConfig::default();
+    let out = sorp_solve(ctx, ivsp_solve(ctx, &wl.requests, cfg.policy), &cfg, None);
     let overflow_free = out.overflow_free;
     (PricedSchedule::price(ctx, out.schedule), overflow_free)
 }

@@ -9,13 +9,13 @@
 //! the cold solve over an empty book, in either execution mode.
 //!
 //! The monolith is the two phases composed directly on the whole batch:
-//! [`sorp_solve_priced`] over [`ivsp_solve_priced_with`].
+//! [`sorp_solve`] over [`ivsp_solve`].
 
 use proptest::prelude::*;
 use vod_core::{
-    detect_overflows, ivsp_solve_priced, ivsp_solve_priced_with, shard_solve, shard_solve_seeded,
-    sorp_solve_priced, CommittedBook, ExecMode, GreedyPolicy, SchedCtx, ShardConfig, SorpConfig,
-    SorpOutcome, StorageLedger, EXTERNAL_OCCUPANCY,
+    detect_overflows, ivsp_solve, shard_solve, shard_solve_seeded, sorp_solve, CommittedBook,
+    ExecMode, GreedyPolicy, SchedCtx, ShardConfig, SorpConfig, SorpOutcome, StorageLedger,
+    EXTERNAL_OCCUPANCY,
 };
 use vod_cost_model::{CostModel, Request, RequestBatch, SpaceProfile};
 use vod_topology::{builders, NodeId, Topology};
@@ -72,8 +72,7 @@ fn build(s: &Scenario) -> (Topology, Workload, ShardConfig) {
 
 /// The monolithic two-phase solve of the whole batch.
 fn monolith(ctx: &SchedCtx<'_>, batch: &RequestBatch, sorp: &SorpConfig) -> SorpOutcome {
-    let mode = ExecMode::Sequential;
-    sorp_solve_priced(ctx, ivsp_solve_priced_with(ctx, batch, sorp.policy, mode), sorp, &[], mode)
+    sorp_solve(ctx, ivsp_solve(ctx, batch, sorp.policy), sorp, None)
 }
 
 fn delivered_multiset(schedule: &vod_cost_model::Schedule) -> Vec<(u32, u32, u64)> {
@@ -266,7 +265,7 @@ fn regional_regime_matches_monolithic_psi() {
 /// One shard over *non-empty* external occupancy is still the monolith,
 /// bit for bit: three consecutive cycles, each solved against the flat
 /// list of every earlier cycle's residency profiles — the original
-/// rolling loop (`ivsp` + `sorp_solve_priced` over the committed list).
+/// rolling loop (`ivsp` + `sorp` over a ledger of the committed list).
 #[test]
 fn cold_monolithic_matches_the_legacy_loop() {
     let (topo, wl) = paper_world(5.0, 3);
@@ -286,13 +285,8 @@ fn cold_monolithic_matches_the_legacy_loop() {
             base.add(loc, EXTERNAL_OCCUPANCY, profile);
         }
         let ours = shard_solve_seeded(&ctx, &batch, &cfg, &base);
-        let legacy = sorp_solve_priced(
-            &ctx,
-            ivsp_solve_priced(&ctx, &batch),
-            &SorpConfig::default(),
-            &committed,
-            ExecMode::Sequential,
-        );
+        let sorp = SorpConfig::default();
+        let legacy = sorp_solve(&ctx, ivsp_solve(&ctx, &batch, sorp.policy), &sorp, Some(&base));
         assert_eq!(ours.sorp.cost.to_bits(), legacy.cost.to_bits(), "cycle {k}");
         assert_eq!(ours.sorp.victims.len(), legacy.victims.len(), "cycle {k}");
         for r in legacy.schedule.residencies() {

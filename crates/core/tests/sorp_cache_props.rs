@@ -10,11 +10,13 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use vod_core::audit::{
+    overflow_set, reschedule_video_traced, LedgerCursor, LedgerDelta, TrialTrace,
+};
 use vod_core::{
-    detect_overflows, ivsp_solve_priced, ivsp_solve_priced_with, overflow_set,
-    reschedule_video_traced, shard_solve_seeded, sorp_solve_priced, CommittedBook, Constraints,
-    ExecMode, GreedyPolicy, HeatMetric, Interval, LedgerCursor, LedgerDelta, SchedCtx, ShardConfig,
-    SorpConfig, SorpOutcome, StorageLedger, TrialTrace,
+    detect_overflows, ivsp_solve, shard_solve_seeded, sorp_solve, CommittedBook, Constraints,
+    GreedyPolicy, HeatMetric, Interval, SchedCtx, ShardConfig, SorpConfig, SorpOutcome,
+    StorageLedger, EXTERNAL_OCCUPANCY,
 };
 use vod_cost_model::{CostModel, RequestBatch, SpaceProfile, VideoId};
 use vod_oracles::sorp_solve_naive;
@@ -83,11 +85,11 @@ fn build_topo(s: &Scenario) -> Topology {
 fn solve(ctx: &SchedCtx<'_>, wl: &Workload, s: &Scenario, naive: bool) -> SorpOutcome {
     let cfg =
         SorpConfig { metric: s.metric, max_iterations: s.max_iterations, ..Default::default() };
-    let phase1 = ivsp_solve_priced(ctx, &wl.requests);
+    let phase1 = ivsp_solve(ctx, &wl.requests, cfg.policy);
     if naive {
-        sorp_solve_naive(ctx, phase1, &cfg, &[])
+        sorp_solve_naive(ctx, phase1, &cfg, None)
     } else {
-        sorp_solve_priced(ctx, phase1, &cfg, &[], ExecMode::Sequential)
+        sorp_solve(ctx, phase1, &cfg, None)
     }
 }
 
@@ -166,15 +168,10 @@ fn timeline_and_reference_ledgers_give_bit_identical_schedules() {
             Workload::generate(&topo, &CatalogConfig::small(80), &RequestConfig::paper(), seed);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let priced = ivsp_solve_priced(&ctx, &wl.requests);
-        let fast = sorp_solve_priced(
-            &ctx,
-            priced.clone(),
-            &SorpConfig::default(),
-            &[],
-            ExecMode::Sequential,
-        );
-        let oracle = sorp_solve_naive(&ctx, priced, &SorpConfig::default(), &[]);
+        let cfg = SorpConfig::default();
+        let priced = ivsp_solve(&ctx, &wl.requests, cfg.policy);
+        let fast = sorp_solve(&ctx, priced.clone(), &cfg, None);
+        let oracle = sorp_solve_naive(&ctx, priced, &cfg, None);
         assert!(fast.resolved_anything(), "seed {seed}: nothing to resolve");
         if let Err(e) = assert_bit_identical(&fast, &oracle) {
             panic!("seed {seed}: {e:?}");
@@ -245,7 +242,7 @@ fn first_commit_lands_in_a_dead_gap(
     oracle: &SorpOutcome,
 ) -> bool {
     let Some(first) = oracle.victims.first() else { return false };
-    let phase1 = ivsp_solve_priced(ctx, &wl.requests);
+    let phase1 = ivsp_solve(ctx, &wl.requests, GreedyPolicy::default());
     let schedule = phase1.schedule();
     let ledger = StorageLedger::from_schedule(ctx.topo, ctx.catalog, schedule);
     let trial = |vid: VideoId, ban: (NodeId, Interval)| {
@@ -433,11 +430,9 @@ impl Cell {
 
     /// Drive every cycle through the sharded pipeline over one book.
     /// `each` sees the cycle's index and batch, and the occupancy earlier
-    /// cycles had committed when it was solved.
-    fn drive(
-        &self,
-        mut each: impl FnMut(&SchedCtx<'_>, usize, &RequestBatch, &[(NodeId, SpaceProfile)]),
-    ) {
+    /// cycles had committed when it was solved, rebuilt from the book's
+    /// flat profile list under [`EXTERNAL_OCCUPANCY`].
+    fn drive(&self, mut each: impl FnMut(&SchedCtx<'_>, usize, &RequestBatch, &StorageLedger)) {
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&self.topo, &model, &self.catalog);
         let mut book = CommittedBook::new(&self.topo);
@@ -451,11 +446,12 @@ impl Cell {
             let batch =
                 RequestBatch::new(self.arrivals[first..next].iter().map(|a| a.request).collect());
             book.evict_expired(t0);
-            let external: Vec<(NodeId, SpaceProfile)> = self
-                .topo
-                .storages()
-                .flat_map(|loc| book.ledger().profiles_at(loc).iter().map(move |&(_, p)| (loc, p)))
-                .collect();
+            let mut external = StorageLedger::new(&self.topo);
+            for loc in self.topo.storages() {
+                for &(_, p) in book.ledger().profiles_at(loc) {
+                    external.add(loc, EXTERNAL_OCCUPANCY, p);
+                }
+            }
             let out = shard_solve_seeded(&ctx, &batch, &self.cfg, book.ledger());
             book.absorb(&ctx, &out.sorp.schedule);
             each(&ctx, k, &batch, &external);
@@ -478,10 +474,9 @@ fn contended_cell_against_naive(max_iterations: usize) -> (usize, usize) {
         let mut solves = partition_requests(&cell.topo, batch, &spec);
         solves.push(batch.clone());
         for (si, part) in solves.iter().enumerate() {
-            let phase1 = ivsp_solve_priced_with(ctx, part, sorp.policy, ExecMode::Sequential);
-            let cached =
-                sorp_solve_priced(ctx, phase1.clone(), &sorp, external, ExecMode::Sequential);
-            let oracle = sorp_solve_naive(ctx, phase1, &sorp, external);
+            let phase1 = ivsp_solve(ctx, part, sorp.policy);
+            let cached = sorp_solve(ctx, phase1.clone(), &sorp, Some(external));
+            let oracle = sorp_solve_naive(ctx, phase1, &sorp, Some(external));
             if let Err(e) = assert_bit_identical(&cached, &oracle) {
                 panic!("cycle {k}, solve {si} of {}: {e:?}", solves.len());
             }
@@ -532,12 +527,13 @@ fn fallback_tail_agrees_with_the_oracle_behind_an_external_overflow() {
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
     let first = topo.storages().next().expect("a storage exists");
     let squatter = SpaceProfile { start: 0.0, full: 0.0, last: 1e7, end: 1e7, plateau: 6e9 };
-    let external = [(first, squatter)];
-    let phase1 = ivsp_solve_priced(&ctx, &wl.requests);
+    let mut external = StorageLedger::new(&topo);
+    external.add(first, EXTERNAL_OCCUPANCY, squatter);
+    let phase1 = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default());
     for cap in [0, 3] {
         let cfg = SorpConfig { max_iterations: cap, ..SorpConfig::default() };
-        let cached = sorp_solve_priced(&ctx, phase1.clone(), &cfg, &external, ExecMode::Sequential);
-        let oracle = sorp_solve_naive(&ctx, phase1.clone(), &cfg, &external);
+        let cached = sorp_solve(&ctx, phase1.clone(), &cfg, Some(&external));
+        let oracle = sorp_solve_naive(&ctx, phase1.clone(), &cfg, Some(&external));
         if let Err(e) = assert_bit_identical(&cached, &oracle) {
             panic!("cap {cap}: {e:?}");
         }

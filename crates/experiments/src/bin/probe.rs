@@ -1,8 +1,7 @@
 //! Ad-hoc diagnostics: residency and overflow structure per cell.
 
 use vod_core::{
-    detect_overflows, ivsp_solve_priced, sorp_solve_priced, ExecMode, SchedCtx, SorpConfig,
-    StorageLedger,
+    detect_overflows, ivsp_solve, sorp_solve, GreedyPolicy, SchedCtx, SorpConfig, StorageLedger,
 };
 use vod_cost_model::CostModel;
 use vod_experiments::EnvParams;
@@ -11,7 +10,6 @@ use vod_experiments::EnvParams;
 /// the resolved cost under each space model (the numbers quoted in
 /// EXPERIMENTS.md's ablation section).
 fn policy_ablation() {
-    use vod_core::{ivsp_solve_with, GreedyPolicy};
     use vod_cost_model::SpaceModel;
     let params = EnvParams::paper();
     let (topo, wl) = params.build();
@@ -24,7 +22,7 @@ fn policy_ablation() {
         ("no_new_caches", GreedyPolicy { allow_new_caches: false, ..Default::default() }),
     ];
     for (name, policy) in policies {
-        let cost = ctx.schedule_cost(&ivsp_solve_with(&ctx, &wl.requests, policy));
+        let cost = ctx.schedule_cost(ivsp_solve(&ctx, &wl.requests, policy).schedule());
         println!("greedy_policy/{name}: phase-1 cost = {cost:.0}");
     }
     for (name, sm) in
@@ -32,12 +30,11 @@ fn policy_ablation() {
     {
         let priced = CostModel::per_hop().with_space_model(sm);
         let ctx = SchedCtx::new(&topo, &priced, &wl.catalog);
-        let cost = sorp_solve_priced(
+        let cost = sorp_solve(
             &ctx,
-            ivsp_solve_priced(&ctx, &wl.requests),
+            ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()),
             &SorpConfig::default(),
-            &[],
-            ExecMode::Sequential,
+            None,
         )
         .cost;
         println!("space_model/{name}: resolved cost = {cost:.0}");
@@ -61,13 +58,12 @@ fn main() {
             let (topo, wl) = params.build();
             let model = CostModel::per_hop();
             let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-            let priced = ivsp_solve_priced(&ctx, &wl.requests);
+            let priced = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default());
             let real: usize =
                 priced.schedule().residencies().filter(|r| r.duration() > 0.0).count();
             let ledger = StorageLedger::from_schedule(&topo, &wl.catalog, priced.schedule());
             let ofs = detect_overflows(&topo, &ledger);
-            let outcome =
-                sorp_solve_priced(&ctx, priced, &SorpConfig::default(), &[], ExecMode::Sequential);
+            let outcome = sorp_solve(&ctx, priced, &SorpConfig::default(), None);
             println!(
                 "alpha={alpha:<6} cap={cap:<4} real_residencies={real:<4} overflows={:<3} victims={:<3} rel_inc={:.2}% hit_gain={:.1}%",
                 ofs.len(),

@@ -12,9 +12,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use vod_core::{
-    ivsp_solve_priced, sorp_solve_priced, ExecMode, SchedCtx, ServiceCycleOutcome, SorpConfig,
-};
+use vod_core::{ivsp_solve, sorp_solve, GreedyPolicy, SchedCtx, ServiceCycleOutcome, SorpConfig};
 use vod_cost_model::CostModel;
 use vod_experiments::{ext, figures, render_csv, render_table, service, table5, EnvParams, Preset};
 use vod_topology::units;
@@ -154,12 +152,11 @@ fn main() -> ExitCode {
                 let (topo, wl) = params.build();
                 let model = CostModel::per_hop();
                 let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-                let outcome = sorp_solve_priced(
+                let outcome = sorp_solve(
                     &ctx,
-                    ivsp_solve_priced(&ctx, &wl.requests),
+                    ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()),
                     &SorpConfig::default(),
-                    &[],
-                    ExecMode::Sequential,
+                    None,
                 );
                 let analysis = vod_simulator::analysis::ScheduleAnalysis::of(
                     &topo,

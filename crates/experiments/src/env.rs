@@ -1,9 +1,7 @@
 //! One experiment cell: environment parameters → scheduled costs.
 
 use serde::{Deserialize, Serialize};
-use vod_core::{
-    baselines, ivsp_solve_priced, sorp_solve_priced, ExecMode, HeatMetric, SchedCtx, SorpConfig,
-};
+use vod_core::{baselines, ivsp_solve, sorp_solve, GreedyPolicy, HeatMetric, SchedCtx, SorpConfig};
 use vod_cost_model::CostModel;
 use vod_topology::builders::{paper_fig4, PaperFig4Config};
 use vod_workload::{CatalogConfig, RequestConfig, Workload};
@@ -119,14 +117,8 @@ pub fn evaluate_cell(params: &EnvParams, metric: HeatMetric) -> EvalResult {
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
 
-    let individual = ivsp_solve_priced(&ctx, &wl.requests);
-    let outcome = sorp_solve_priced(
-        &ctx,
-        individual,
-        &SorpConfig::with_metric(metric),
-        &[],
-        ExecMode::Sequential,
-    );
+    let individual = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default());
+    let outcome = sorp_solve(&ctx, individual, &SorpConfig::with_metric(metric), None);
     debug_assert!(outcome.overflow_free);
     let network_only = ctx.schedule_cost(&baselines::network_only(&ctx, &wl.requests));
 
@@ -150,17 +142,11 @@ pub fn evaluate_cell_all_metrics(params: &EnvParams) -> [EvalResult; 4] {
 
     // Phase 1 is metric-independent: price it once, share the priced
     // schedule (memo included) across all four resolution runs.
-    let individual = ivsp_solve_priced(&ctx, &wl.requests);
+    let individual = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default());
     let network_only = ctx.schedule_cost(&baselines::network_only(&ctx, &wl.requests));
 
     HeatMetric::ALL.map(|metric| {
-        let outcome = sorp_solve_priced(
-            &ctx,
-            individual.clone(),
-            &SorpConfig::with_metric(metric),
-            &[],
-            ExecMode::Sequential,
-        );
+        let outcome = sorp_solve(&ctx, individual.clone(), &SorpConfig::with_metric(metric), None);
         EvalResult {
             two_phase: outcome.cost,
             phase1: outcome.initial_cost,

@@ -2,7 +2,7 @@
 //!
 //! * [`gap`] — measures the individual-video greedy's optimality gap
 //!   against the exact branch-and-bound solver on small random instances,
-//!   making the paper's "within 15 % of optimal [9], hence ≈30 % overall"
+//!   making the paper's "within 15 % of optimal \[9\], hence ≈30 % overall"
 //!   argument (§5.5/§6) empirically checkable.
 //! * [`bandwidth`] — exercises the paper's stated future work: scheduling
 //!   under link bandwidth constraints, reporting blocking probability and
@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use vod_core::{
     bandwidth_aware_solve, detect_link_overloads, find_optimal_video_schedule, find_video_schedule,
-    ivsp_solve_priced, sorp_solve_priced, ExecMode, SchedCtx, SorpConfig, StorageLedger,
+    ivsp_solve, sorp_solve, GreedyPolicy, SchedCtx, SorpConfig, StorageLedger,
 };
 use vod_cost_model::CostModel;
 use vod_parallel::parallel_map;
@@ -99,8 +99,10 @@ pub fn gap(preset: Preset) -> GapResult {
             .collect();
         requests.sort_by(|a, b| a.start.total_cmp(&b.start));
 
-        let greedy = ctx.video_cost(&find_video_schedule(&ctx, &requests));
-        let exact = find_optimal_video_schedule(&ctx, &requests);
+        let greedy =
+            ctx.video_cost(&find_video_schedule(&ctx, &requests, GreedyPolicy::default(), None));
+        let exact = find_optimal_video_schedule(&ctx, &requests)
+            .expect("2–5 sorted requests of one video are within the exact solver's bounds");
         let gap = if exact.cost > 0.0 { (greedy - exact.cost) / exact.cost } else { 0.0 };
         (gap.max(0.0), exact.nodes_expanded)
     });
@@ -202,12 +204,11 @@ pub fn bandwidth(preset: Preset) -> BandwidthResult {
         let ctx = SchedCtx::new(&topo, &model, &catalog);
 
         let aware = bandwidth_aware_solve(&ctx, &requests);
-        let oblivious = sorp_solve_priced(
+        let oblivious = sorp_solve(
             &ctx,
-            ivsp_solve_priced(&ctx, &requests),
+            ivsp_solve(&ctx, &requests, GreedyPolicy::default()),
             &SorpConfig::default(),
-            &[],
-            ExecMode::Sequential,
+            None,
         );
         let mut links = StorageLedger::new(&topo);
         links.add_streams(&topo, &catalog, &oblivious.schedule);

@@ -1,6 +1,6 @@
 //! Reference implementations the equivalence suites compare `vod_core`
 //! against: the naive SORP loop ([`sorp_solve_naive`], the oracle for
-//! [`vod_core::sorp_solve_priced`]) and the flat-scan ledger queries
+//! [`vod_core::sorp_solve`]) and the flat-scan ledger queries
 //! ([`flat`], the oracle for [`vod_core::StorageLedger`]).
 //!
 //! The naive loop is the resolution loop without standing jobs, the trial
@@ -30,10 +30,11 @@
 pub mod flat;
 
 use std::collections::HashMap;
+use vod_core::audit::{heats_tie, overflow_set, reschedule_video_traced, AdmissionCheck};
+use vod_core::heat::heat_of;
 use vod_core::{
-    detect_overflows, heat_of, heats_tie, overflow_set, reschedule_video_traced, AdmissionCheck,
-    Constraints, Interval, Overflow, PricedSchedule, SchedCtx, SorpConfig, SorpOutcome,
-    StorageLedger, VictimRecord, EXTERNAL_OCCUPANCY,
+    detect_overflows, Constraints, Interval, Overflow, PricedSchedule, SchedCtx, SorpConfig,
+    SorpOutcome, StorageLedger, VictimRecord,
 };
 use vod_cost_model::{Dollars, SpaceProfile, Transfer, VideoId, VideoSchedule};
 use vod_topology::{NodeId, Topology};
@@ -122,9 +123,9 @@ struct Job<'s> {
 }
 
 /// Resolve every storage overflow of `priced` with the naive loop, over
-/// a ledger seeded with the immutable `external` occupancy, auditing the
+/// the immutable occupancy of `base` (`None`: empty), auditing the
 /// ledger's every answer against the flat scan (see the crate docs).
-/// Same contract as [`vod_core::sorp_solve_priced`]; the outcome's
+/// Same contract as [`vod_core::sorp_solve`]; the outcome's
 /// `trials_cached` is always 0, `jobs_rebuilt` is every job scored, and
 /// `nodes_rescanned` counts every finite-capacity storage once per
 /// iteration.
@@ -136,15 +137,12 @@ pub fn sorp_solve_naive(
     ctx: &SchedCtx<'_>,
     mut priced: PricedSchedule,
     cfg: &SorpConfig,
-    external: &[(NodeId, SpaceProfile)],
+    base: Option<&StorageLedger>,
 ) -> SorpOutcome {
     let initial_cost = priced.total();
-    // External occupancy first, schedule second: the production solver's
-    // order, so both loops read the same entries in the same order.
-    let mut ledger = StorageLedger::new(ctx.topo);
-    for (loc, profile) in external {
-        ledger.add(*loc, EXTERNAL_OCCUPANCY, *profile);
-    }
+    // The base first, schedule second: the production solver's order, so
+    // both loops read the same entries in the same order.
+    let mut ledger = base.map_or_else(|| StorageLedger::new(ctx.topo), StorageLedger::clone);
     for r in priced.schedule().residencies() {
         ledger.add(r.loc, r.video, r.profile(ctx.catalog.get(r.video)));
     }

@@ -205,9 +205,7 @@ impl ScheduleAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_core::{
-        baselines, ivsp_solve_priced, sorp_solve_priced, ExecMode, SchedCtx, SorpConfig,
-    };
+    use vod_core::{baselines, ivsp_solve, sorp_solve, GreedyPolicy, SchedCtx, SorpConfig};
     use vod_topology::builders;
     use vod_workload::{CatalogConfig, RequestConfig, Workload};
 
@@ -222,12 +220,11 @@ mod tests {
         let model = CostModel::per_hop();
         let schedule = {
             let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-            sorp_solve_priced(
+            sorp_solve(
                 &ctx,
-                ivsp_solve_priced(&ctx, &wl.requests),
+                ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()),
                 &SorpConfig::default(),
-                &[],
-                ExecMode::Sequential,
+                None,
             )
             .schedule
         };

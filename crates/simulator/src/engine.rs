@@ -519,9 +519,7 @@ pub(crate) fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_core::{
-        baselines, ivsp_solve, ivsp_solve_priced, sorp_solve_priced, ExecMode, SchedCtx, SorpConfig,
-    };
+    use vod_core::{baselines, ivsp_solve, sorp_solve, GreedyPolicy, SchedCtx, SorpConfig};
     use vod_topology::builders;
     use vod_workload::{CatalogConfig, RequestConfig, Workload};
 
@@ -538,12 +536,11 @@ mod tests {
         let (topo, wl) = world(5.0, 1);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let out = sorp_solve_priced(
+        let out = sorp_solve(
             &ctx,
-            ivsp_solve_priced(&ctx, &wl.requests),
+            ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()),
             &SorpConfig::default(),
-            &[],
-            ExecMode::Sequential,
+            None,
         );
         let report =
             simulate(&topo, &wl.catalog, &model, &out.schedule, &SimOptions::strict(&wl.requests));
@@ -559,7 +556,7 @@ mod tests {
         let (topo, wl) = world(5.0, 2);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let individual = ivsp_solve(&ctx, &wl.requests);
+        let individual = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()).into_schedule();
 
         let lenient = simulate(&topo, &wl.catalog, &model, &individual, &SimOptions::lenient());
         assert!(lenient.is_valid(), "violations: {:?}", lenient.violations);
@@ -594,7 +591,7 @@ mod tests {
         let (topo, wl) = world(10_000.0, 4);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let s = ivsp_solve(&ctx, &wl.requests);
+        let s = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()).into_schedule();
         let report = simulate(&topo, &wl.catalog, &model, &s, &SimOptions::strict(&wl.requests));
         assert!(report.is_valid(), "violations: {:?}", report.violations);
         assert!(report.metrics.served_from_cache > 0, "popular titles must hit caches");
@@ -621,7 +618,7 @@ mod tests {
         let (topo, wl) = world(10_000.0, 5);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let s = ivsp_solve(&ctx, &wl.requests);
+        let s = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()).into_schedule();
         let report = simulate(&topo, &wl.catalog, &model, &s, &SimOptions::lenient());
         assert!(
             !report.violations.iter().any(|v| matches!(v, Violation::CostMismatch { .. })),
@@ -635,7 +632,7 @@ mod tests {
         let (topo, wl) = world(10_000.0, 4);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let s = ivsp_solve(&ctx, &wl.requests);
+        let s = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()).into_schedule();
         let plain = simulate(&topo, &wl.catalog, &model, &s, &SimOptions::strict(&wl.requests));
         let faulted = simulate_with_faults(
             &topo,
@@ -655,7 +652,7 @@ mod tests {
         let (topo, wl) = world(10_000.0, 4);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let s = ivsp_solve(&ctx, &wl.requests);
+        let s = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()).into_schedule();
         let clean = simulate(&topo, &wl.catalog, &model, &s, &SimOptions::lenient());
         // Outage at the busiest storage, covering the whole horizon.
         let (loser, _) = clean

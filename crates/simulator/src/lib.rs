@@ -1,11 +1,11 @@
 //! Discrete-event execution and validation of service schedules.
 //!
 //! The scheduler crates reason about schedules symbolically; this crate
-//! *runs* them. [`simulate`] expands a [`Schedule`] into a time-ordered
-//! event list (stream starts/ends, cache fill begin/complete, residency
-//! drain-out), sweeps it while tracking per-storage occupancy and
-//! per-link concurrency, and checks the invariants a real deployment would
-//! need:
+//! *runs* them. [`simulate`] expands a
+//! [`Schedule`](vod_cost_model::Schedule) into a time-ordered event list
+//! (stream starts/ends, cache fill begin/complete, residency drain-out),
+//! sweeps it while tracking per-storage occupancy and per-link
+//! concurrency, and checks the invariants a real deployment would need:
 //!
 //! * every request receives exactly one delivery, at its reserved start
 //!   time, terminating at the requesting user's local storage;
@@ -42,7 +42,8 @@
 //! let wl = Workload::generate(&topo, &CatalogConfig::small(50), &RequestConfig::paper(), 7);
 //! let model = CostModel::per_hop();
 //! let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-//! let resolved = sorp_solve(&ctx, &ivsp_solve(&ctx, &wl.requests), &SorpConfig::default());
+//! let cfg = SorpConfig::default();
+//! let resolved = sorp_solve(&ctx, ivsp_solve(&ctx, &wl.requests, cfg.policy), &cfg, None);
 //!
 //! let report = simulate(&topo, &wl.catalog, &model, &resolved.schedule,
 //!                       &SimOptions::strict(&wl.requests));

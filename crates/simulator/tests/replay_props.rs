@@ -10,9 +10,7 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use vod_core::{
-    ivsp_solve_priced_with, sorp_solve_priced, ExecMode, GreedyPolicy, SchedCtx, SorpConfig,
-};
+use vod_core::{ivsp_solve, sorp_solve, GreedyPolicy, SchedCtx, SorpConfig};
 use vod_cost_model::{
     Catalog, CostModel, Request, RequestBatch, Schedule, SpaceModel, Transfer, VideoSchedule,
 };
@@ -904,10 +902,10 @@ impl World {
 fn schedules(w: &World, topo: &Topology, wl: &Workload, model: &CostModel) -> (Schedule, Schedule) {
     let ctx = SchedCtx::new(topo, model, &wl.catalog);
     let policy = w.policy();
-    let phase1 = ivsp_solve_priced_with(&ctx, &wl.requests, policy, ExecMode::Sequential);
+    let phase1 = ivsp_solve(&ctx, &wl.requests, policy);
     let individual = phase1.schedule().clone();
     let cfg = SorpConfig { policy, ..SorpConfig::default() };
-    let resolved = sorp_solve_priced(&ctx, phase1, &cfg, &[], ExecMode::Sequential);
+    let resolved = sorp_solve(&ctx, phase1, &cfg, None);
     (individual, resolved.schedule)
 }
 

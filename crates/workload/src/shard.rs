@@ -2,8 +2,9 @@
 //!
 //! The sharded SORP pipeline (`vod-core::shard_solve`) splits one
 //! scheduling cycle's [`RequestBatch`] into sub-batches that are solved
-//! concurrently and then reconciled. Two partitioning strategies are
-//! provided, mirroring how production VoD deployments decompose load:
+//! one after another, in shard order, and then reconciled. Two
+//! partitioning strategies are provided, mirroring how production VoD
+//! deployments decompose load:
 //!
 //! * **By region** ([`ShardStrategy::ByRegion`]): requests are grouped
 //!   by the requesting user's home intermediate storage (the paper's

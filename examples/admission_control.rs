@@ -14,8 +14,8 @@
 //! ```
 
 use vod_paradigm::core::{
-    bandwidth_aware_solve, detect_link_overloads, ivsp_solve, sorp_solve, SchedCtx, SorpConfig,
-    StorageLedger,
+    bandwidth_aware_solve, detect_link_overloads, ivsp_solve, sorp_solve, GreedyPolicy, SchedCtx,
+    SorpConfig, StorageLedger,
 };
 use vod_paradigm::prelude::*;
 use vod_paradigm::workload::{generate_catalog, generate_requests, CatalogConfig, RequestConfig};
@@ -54,7 +54,12 @@ fn main() {
             "the admission-controlled schedule must respect every link"
         );
 
-        let oblivious = sorp_solve(&ctx, &ivsp_solve(&ctx, &requests), &SorpConfig::default());
+        let oblivious = sorp_solve(
+            &ctx,
+            ivsp_solve(&ctx, &requests, GreedyPolicy::default()),
+            &SorpConfig::default(),
+            None,
+        );
         let oblivious_overloads = overloads(&topo, &catalog, &oblivious.schedule);
 
         println!(

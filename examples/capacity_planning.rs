@@ -10,7 +10,7 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
-use vod_paradigm::core::{ivsp_solve, sorp_solve, SchedCtx, SorpConfig};
+use vod_paradigm::core::{ivsp_solve, sorp_solve, GreedyPolicy, SchedCtx, SorpConfig};
 use vod_paradigm::prelude::*;
 use vod_paradigm::workload::{CatalogConfig, RequestConfig, Workload};
 
@@ -39,7 +39,12 @@ fn main() {
             );
             let model = CostModel::per_hop();
             let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-            let outcome = sorp_solve(&ctx, &ivsp_solve(&ctx, &wl.requests), &SorpConfig::default());
+            let outcome = sorp_solve(
+                &ctx,
+                ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()),
+                &SorpConfig::default(),
+                None,
+            );
             assert!(outcome.overflow_free);
             row.push_str(&format!(
                 "{:>14.0}{:>13.1}%{:>10}",

@@ -9,7 +9,7 @@
 //! cargo run --release --example heat_metric_ablation
 //! ```
 
-use vod_paradigm::core::{ivsp_solve, sorp_solve, HeatMetric, SchedCtx, SorpConfig};
+use vod_paradigm::core::{ivsp_solve, sorp_solve, GreedyPolicy, HeatMetric, SchedCtx, SorpConfig};
 use vod_paradigm::prelude::*;
 use vod_paradigm::workload::{CatalogConfig, RequestConfig, Workload};
 
@@ -21,8 +21,8 @@ fn main() {
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
 
-    let phase1 = ivsp_solve(&ctx, &wl.requests);
-    let phase1_cost = ctx.schedule_cost(&phase1);
+    let phase1 = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default());
+    let phase1_cost = ctx.schedule_cost(phase1.schedule());
     println!("phase-1 schedule (capacity-blind): Psi = ${phase1_cost:.0}\n");
 
     println!(
@@ -31,7 +31,7 @@ fn main() {
     );
     let mut best: Option<(HeatMetric, f64)> = None;
     for metric in HeatMetric::ALL {
-        let outcome = sorp_solve(&ctx, &phase1, &SorpConfig::with_metric(metric));
+        let outcome = sorp_solve(&ctx, phase1.clone(), &SorpConfig::with_metric(metric), None);
         assert!(outcome.overflow_free);
         println!(
             "{:<24}{:>12.0}{:>12.0}{:>9.1}%{:>10}{:>12}",

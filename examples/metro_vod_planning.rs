@@ -11,7 +11,7 @@
 //! cargo run --release --example metro_vod_planning
 //! ```
 
-use vod_paradigm::core::{baselines, ivsp_solve, sorp_solve, SchedCtx, SorpConfig};
+use vod_paradigm::core::{baselines, ivsp_solve, sorp_solve, GreedyPolicy, SchedCtx, SorpConfig};
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::{simulate, SimOptions};
 use vod_paradigm::workload::{generate_requests, ArrivalPattern, CatalogConfig, RequestConfig};
@@ -42,7 +42,13 @@ fn main() {
         ("cache-local-always", baselines::cache_local_always(&ctx, &requests), false),
         (
             "two-phase (paper)",
-            sorp_solve(&ctx, &ivsp_solve(&ctx, &requests), &SorpConfig::default()).schedule,
+            sorp_solve(
+                &ctx,
+                ivsp_solve(&ctx, &requests, GreedyPolicy::default()),
+                &SorpConfig::default(),
+                None,
+            )
+            .schedule,
             true,
         ),
     ];

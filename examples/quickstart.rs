@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use vod_paradigm::core::{ivsp_solve, sorp_solve, SchedCtx, SorpConfig};
+use vod_paradigm::core::{ivsp_solve, sorp_solve, GreedyPolicy, SchedCtx, SorpConfig};
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::{simulate, SimOptions};
 use vod_paradigm::workload::{CatalogConfig, RequestConfig, Workload};
@@ -55,7 +55,8 @@ fn fig2_worked_example() {
 
     // The greedy finds an even cheaper plan (it also caches at IS2).
     let ctx = SchedCtx::new(&topo, &model, &catalog);
-    let greedy = vod_paradigm::core::find_video_schedule(&ctx, &requests);
+    let greedy =
+        vod_paradigm::core::find_video_schedule(&ctx, &requests, GreedyPolicy::default(), None);
     println!("Psi(greedy) = ${:.3}", ctx.video_cost(&greedy));
     println!();
 }
@@ -77,10 +78,11 @@ fn full_pipeline() {
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
 
-    let phase1 = ivsp_solve(&ctx, &wl.requests);
-    println!("phase 1 (individual schedules): Psi = ${:.0}", ctx.schedule_cost(&phase1));
+    let cfg = SorpConfig::default();
+    let phase1 = ivsp_solve(&ctx, &wl.requests, cfg.policy);
+    println!("phase 1 (individual schedules): Psi = ${:.0}", ctx.schedule_cost(phase1.schedule()));
 
-    let outcome = sorp_solve(&ctx, &phase1, &SorpConfig::default());
+    let outcome = sorp_solve(&ctx, phase1, &cfg, None);
     println!(
         "phase 2 (overflow resolution):  Psi = ${:.0}  ({} victims, +{:.1} %)",
         outcome.cost,

@@ -7,7 +7,7 @@
 //! cargo run --release --example schedule_inspection
 //! ```
 
-use vod_paradigm::core::{ivsp_solve, sorp_solve, SchedCtx, SorpConfig};
+use vod_paradigm::core::{ivsp_solve, sorp_solve, GreedyPolicy, SchedCtx, SorpConfig};
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::analysis::ScheduleAnalysis;
 use vod_paradigm::simulator::render::{occupancy_timeline, video_schedule_summary};
@@ -24,7 +24,12 @@ fn main() {
     );
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-    let outcome = sorp_solve(&ctx, &ivsp_solve(&ctx, &wl.requests), &SorpConfig::default());
+    let outcome = sorp_solve(
+        &ctx,
+        ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()),
+        &SorpConfig::default(),
+        None,
+    );
 
     // --- Operator analysis ------------------------------------------
     let analysis = ScheduleAnalysis::of(&topo, &wl.catalog, &model, &outcome.schedule);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: every suite once (`cargo test`; the root manifest's
 # default members are the whole workspace), then only what no test can
-# say — vodx runs, the benchmark smoke, call-site lints — fmt and clippy
-# (which also checks the crates' clippy.toml "not used here" rules).
+# say — vodx runs, the benchmark smoke and its untouched lock file,
+# call-site lints — rustdoc, fmt and clippy (which also checks the
+# crates' clippy.toml "not used here" rules).
 # Usage: scripts/check.sh  (from anywhere; runs at the repo root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,6 +31,12 @@ echo "==> service benchmark (smoke run, harness tests and lints)"
 # benchmark/src/adapter.rs; a core change that breaks it must fail here.
 benchmark/run.sh --smoke >/dev/null
 (cd benchmark && cargo test -q --offline && cargo clippy --offline --all-targets -- -D warnings)
+# run.sh builds without --locked: a changed dependency edge would rewrite
+# the harness's lock file silently, and the harness is frozen.
+if ! git diff --quiet -- benchmark/Cargo.lock; then
+  echo "error: building the harness changed benchmark/Cargo.lock" >&2
+  exit 1
+fi
 
 echo "==> comparator lint (no panicking partial_cmp in first-party code)"
 # NaN-poisoned sorts panic at runtime; f64::total_cmp is the workspace rule.
@@ -156,6 +163,9 @@ if [ -n "$commit_hits" ]; then
   echo "error: one commit per cycle — solve, repair the state, absorb what ships (see DESIGN.md §11.3)" >&2
   exit 1
 fi
+
+echo "==> cargo doc (rustdoc warnings, e.g. a broken intra-doc link, fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -2,9 +2,7 @@
 //! charging bases, and the space-model alternative — each run through the
 //! full pipeline including simulator validation.
 
-use vod_paradigm::core::{
-    ivsp_solve, ivsp_solve_with, sorp_solve, GreedyPolicy, SchedCtx, SorpConfig,
-};
+use vod_paradigm::core::{ivsp_solve, sorp_solve, GreedyPolicy, SchedCtx, SorpConfig};
 use vod_paradigm::cost_model::SpaceModel;
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::{simulate, SimOptions};
@@ -28,7 +26,12 @@ fn gradual_fill_pipeline_is_valid_end_to_end() {
     let (topo, wl) = world(1);
     let model = CostModel::per_hop().with_space_model(SpaceModel::GradualFill);
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-    let outcome = sorp_solve(&ctx, &ivsp_solve(&ctx, &wl.requests), &SorpConfig::default());
+    let outcome = sorp_solve(
+        &ctx,
+        ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()),
+        &SorpConfig::default(),
+        None,
+    );
     assert!(outcome.overflow_free);
     let report =
         simulate(&topo, &wl.catalog, &model, &outcome.schedule, &SimOptions::strict(&wl.requests));
@@ -45,7 +48,7 @@ fn space_models_differ_only_in_storage_component() {
     let instant = CostModel::per_hop();
     let gradual = CostModel::per_hop().with_space_model(SpaceModel::GradualFill);
     let ctx = SchedCtx::new(&topo, &instant, &wl.catalog);
-    let schedule = ivsp_solve(&ctx, &wl.requests);
+    let schedule = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()).into_schedule();
 
     let (net_i, sto_i) = instant.schedule_cost_split(&topo, &wl.catalog, &schedule);
     let (net_g, sto_g) = gradual.schedule_cost_split(&topo, &wl.catalog, &schedule);
@@ -65,17 +68,24 @@ fn greedy_policies_order_as_expected() {
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
 
-    let full = ctx.schedule_cost(&ivsp_solve(&ctx, &wl.requests));
-    let local_only = ctx.schedule_cost(&ivsp_solve_with(
-        &ctx,
-        &wl.requests,
-        GreedyPolicy { allow_remote_placement: false, ..Default::default() },
-    ));
-    let no_caching = ctx.schedule_cost(&ivsp_solve_with(
-        &ctx,
-        &wl.requests,
-        GreedyPolicy { allow_new_caches: false, ..Default::default() },
-    ));
+    let full =
+        ctx.schedule_cost(ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()).schedule());
+    let local_only = ctx.schedule_cost(
+        ivsp_solve(
+            &ctx,
+            &wl.requests,
+            GreedyPolicy { allow_remote_placement: false, ..Default::default() },
+        )
+        .schedule(),
+    );
+    let no_caching = ctx.schedule_cost(
+        ivsp_solve(
+            &ctx,
+            &wl.requests,
+            GreedyPolicy { allow_new_caches: false, ..Default::default() },
+        )
+        .schedule(),
+    );
     let network_only =
         ctx.schedule_cost(&vod_paradigm::core::baselines::network_only(&ctx, &wl.requests));
 
@@ -94,7 +104,12 @@ fn end_to_end_basis_simulates_cleanly() {
     let (topo, wl) = world(4);
     let model = CostModel::end_to_end(&topo);
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-    let outcome = sorp_solve(&ctx, &ivsp_solve(&ctx, &wl.requests), &SorpConfig::default());
+    let outcome = sorp_solve(
+        &ctx,
+        ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()),
+        &SorpConfig::default(),
+        None,
+    );
     let report =
         simulate(&topo, &wl.catalog, &model, &outcome.schedule, &SimOptions::strict(&wl.requests));
     assert!(report.is_valid(), "violations: {:?}", report.violations);
@@ -111,10 +126,16 @@ fn gradual_fill_encourages_caching() {
 
     let ctx_i = SchedCtx::new(&topo, &instant, &wl.catalog);
     let ctx_g = SchedCtx::new(&topo, &gradual, &wl.catalog);
-    let cached_i =
-        ivsp_solve(&ctx_i, &wl.requests).residencies().filter(|r| r.duration() > 0.0).count();
-    let cached_g =
-        ivsp_solve(&ctx_g, &wl.requests).residencies().filter(|r| r.duration() > 0.0).count();
+    let cached_i = ivsp_solve(&ctx_i, &wl.requests, GreedyPolicy::default())
+        .into_schedule()
+        .residencies()
+        .filter(|r| r.duration() > 0.0)
+        .count();
+    let cached_g = ivsp_solve(&ctx_g, &wl.requests, GreedyPolicy::default())
+        .into_schedule()
+        .residencies()
+        .filter(|r| r.duration() > 0.0)
+        .count();
     // Not guaranteed strictly greater in every instance, but it must never
     // collapse: allow equality, forbid a large drop.
     assert!(

@@ -13,10 +13,10 @@
 //! with longer request chains; over every trial of the benchmark run the
 //! same kernel change reads 18.1 → 6.5 (EXPERIMENTS.md).
 
+use vod_paradigm::core::audit::{overflow_set, reschedule_video_traced};
 use vod_paradigm::core::{
-    detect_overflows, ivsp_solve_priced_with, overflow_set, reschedule_video_traced,
-    shard_solve_seeded, CommittedBook, Constraints, ExecMode, SchedCtx, ShardConfig, StorageLedger,
-    EXTERNAL_OCCUPANCY,
+    detect_overflows, ivsp_solve, shard_solve_seeded, CommittedBook, Constraints, SchedCtx,
+    ShardConfig, StorageLedger, EXTERNAL_OCCUPANCY,
 };
 use vod_paradigm::prelude::*;
 use vod_paradigm::workload::{
@@ -74,7 +74,7 @@ fn a_sorp_trial_stays_within_its_admission_budget() {
         // laid over the occupancy earlier cycles committed.
         book.evict_expired(t0);
         for part in partition_requests(&topo, &batch, &spec) {
-            let phase1 = ivsp_solve_priced_with(&ctx, &part, cfg.sorp.policy, ExecMode::Sequential);
+            let phase1 = ivsp_solve(&ctx, &part, cfg.sorp.policy);
             let mut ledger = StorageLedger::new(&topo);
             for loc in topo.storages() {
                 for &(_, profile) in book.ledger().profiles_at(loc) {

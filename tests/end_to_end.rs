@@ -2,8 +2,8 @@
 //! simulator validation, across seeds and environments.
 
 use vod_paradigm::core::{
-    baselines, detect_overflows, ivsp_solve, sorp_solve, HeatMetric, SchedCtx, SorpConfig,
-    StorageLedger,
+    baselines, detect_overflows, ivsp_solve, sorp_solve, GreedyPolicy, HeatMetric, SchedCtx,
+    SorpConfig, StorageLedger,
 };
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::{simulate, SimOptions};
@@ -28,7 +28,12 @@ fn pipeline_is_valid_across_seeds_and_capacities() {
             let (topo, wl) = paper_world(capacity, 0.271, seed);
             let model = CostModel::per_hop();
             let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-            let outcome = sorp_solve(&ctx, &ivsp_solve(&ctx, &wl.requests), &SorpConfig::default());
+            let outcome = sorp_solve(
+                &ctx,
+                ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()),
+                &SorpConfig::default(),
+                None,
+            );
             assert!(outcome.overflow_free, "seed {seed} cap {capacity}");
             let report = simulate(
                 &topo,
@@ -49,7 +54,12 @@ fn two_phase_beats_network_only_at_paper_baseline() {
         let (topo, wl) = paper_world(5.0, 0.271, seed);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let two_phase = sorp_solve(&ctx, &ivsp_solve(&ctx, &wl.requests), &SorpConfig::default());
+        let two_phase = sorp_solve(
+            &ctx,
+            ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()),
+            &SorpConfig::default(),
+            None,
+        );
         let direct = ctx.schedule_cost(&baselines::network_only(&ctx, &wl.requests));
         assert!(
             two_phase.cost <= direct + 1e-6,
@@ -65,7 +75,12 @@ fn resolution_cost_is_bounded_and_nonnegative() {
         let (topo, wl) = paper_world(5.0, 0.1, seed);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let outcome = sorp_solve(&ctx, &ivsp_solve(&ctx, &wl.requests), &SorpConfig::default());
+        let outcome = sorp_solve(
+            &ctx,
+            ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()),
+            &SorpConfig::default(),
+            None,
+        );
         let rel = outcome.relative_cost_increase();
         assert!(rel >= -1e-9, "resolution made the schedule cheaper by {rel}");
         // The paper observes ≤34 % worst-case; leave generous headroom but
@@ -79,9 +94,9 @@ fn resolved_ledger_is_overflow_free_under_every_metric() {
     let (topo, wl) = paper_world(5.0, 0.1, 9);
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-    let phase1 = ivsp_solve(&ctx, &wl.requests);
+    let phase1 = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default());
     for metric in HeatMetric::ALL {
-        let outcome = sorp_solve(&ctx, &phase1, &SorpConfig::with_metric(metric));
+        let outcome = sorp_solve(&ctx, phase1.clone(), &SorpConfig::with_metric(metric), None);
         let ledger = StorageLedger::from_schedule(&topo, &wl.catalog, &outcome.schedule);
         assert!(detect_overflows(&topo, &ledger).is_empty(), "metric {metric} left an overflow");
     }
@@ -93,7 +108,12 @@ fn whole_pipeline_is_deterministic() {
         let (topo, wl) = paper_world(5.0, 0.271, 77);
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        let outcome = sorp_solve(&ctx, &ivsp_solve(&ctx, &wl.requests), &SorpConfig::default());
+        let outcome = sorp_solve(
+            &ctx,
+            ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()),
+            &SorpConfig::default(),
+            None,
+        );
         (outcome.cost, outcome.iterations, outcome.victims.len())
     };
     assert_eq!(run(), run());
@@ -104,7 +124,12 @@ fn end_to_end_charging_basis_also_works() {
     let (topo, wl) = paper_world(8.0, 0.271, 5);
     let model = CostModel::end_to_end(&topo);
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-    let outcome = sorp_solve(&ctx, &ivsp_solve(&ctx, &wl.requests), &SorpConfig::default());
+    let outcome = sorp_solve(
+        &ctx,
+        ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()),
+        &SorpConfig::default(),
+        None,
+    );
     assert!(outcome.overflow_free);
     // End-to-end charging never exceeds per-hop charging for the same
     // schedule (it prices every stream at the cheapest route).
@@ -129,7 +154,12 @@ fn cache_local_baseline_overflows_where_two_phase_does_not() {
         "expected the naive policy to overflow 5 GB stores"
     );
 
-    let resolved = sorp_solve(&ctx, &ivsp_solve(&ctx, &wl.requests), &SorpConfig::default());
+    let resolved = sorp_solve(
+        &ctx,
+        ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()),
+        &SorpConfig::default(),
+        None,
+    );
     let ledger = StorageLedger::from_schedule(&topo, &wl.catalog, &resolved.schedule);
     assert!(detect_overflows(&topo, &ledger).is_empty());
 }
@@ -139,7 +169,7 @@ fn simulator_flags_phase1_overcommitment() {
     let (topo, wl) = paper_world(5.0, 0.1, 2);
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-    let phase1 = ivsp_solve(&ctx, &wl.requests);
+    let phase1 = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()).into_schedule();
     let strict = simulate(&topo, &wl.catalog, &model, &phase1, &SimOptions::strict(&wl.requests));
     assert!(!strict.is_valid(), "phase-1 schedules on 5 GB stores should overflow");
     let lenient = simulate(&topo, &wl.catalog, &model, &phase1, &SimOptions::lenient());

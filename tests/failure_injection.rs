@@ -3,7 +3,7 @@
 //! violation — the validator itself is load-bearing for every other test,
 //! so it gets its own adversarial suite.
 
-use vod_paradigm::core::{ivsp_solve, sorp_solve, SchedCtx, SorpConfig};
+use vod_paradigm::core::{ivsp_solve, sorp_solve, GreedyPolicy, SchedCtx, SorpConfig};
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::{simulate, SimOptions, Violation};
 use vod_paradigm::workload::{CatalogConfig, RequestConfig, Workload};
@@ -26,7 +26,13 @@ fn valid_world() -> World {
     let model = CostModel::per_hop();
     let schedule = {
         let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-        sorp_solve(&ctx, &ivsp_solve(&ctx, &wl.requests), &SorpConfig::default()).schedule
+        sorp_solve(
+            &ctx,
+            ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default()),
+            &SorpConfig::default(),
+            None,
+        )
+        .schedule
     };
     World { topo, wl, model, schedule }
 }

@@ -5,8 +5,7 @@
 //! robustness extension.
 
 use vod_paradigm::core::{
-    ivsp_solve_priced, repair_schedule, sorp_solve_priced, ExecMode, PricedSchedule, SchedCtx,
-    SorpConfig,
+    ivsp_solve, repair_schedule, sorp_solve, GreedyPolicy, PricedSchedule, SchedCtx, SorpConfig,
 };
 use vod_paradigm::faults::{Fault, FaultConfig, FaultPlan};
 use vod_paradigm::prelude::*;
@@ -21,8 +20,8 @@ fn world(seed: u64) -> (Topology, Workload, CostModel) {
 }
 
 fn committed(ctx: &SchedCtx<'_>, wl: &Workload) -> PricedSchedule {
-    let phase1 = ivsp_solve_priced(ctx, &wl.requests);
-    let out = sorp_solve_priced(ctx, phase1, &SorpConfig::default(), &[], ExecMode::Sequential);
+    let phase1 = ivsp_solve(ctx, &wl.requests, GreedyPolicy::default());
+    let out = sorp_solve(ctx, phase1, &SorpConfig::default(), None);
     assert!(out.overflow_free);
     PricedSchedule::price(ctx, out.schedule)
 }

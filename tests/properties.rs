@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 use vod_paradigm::core::{
-    baselines, detect_overflows, ivsp_solve, ivsp_solve_priced, reschedule_video, shard_solve,
-    sorp_solve, sorp_solve_priced, Constraints, ExecMode, GreedyPolicy, HeatMetric, Interval,
-    SchedCtx, ShardConfig, ShardOutcome, SorpConfig, StorageLedger,
+    baselines, detect_overflows, find_video_schedule, ivsp_solve, shard_solve, sorp_solve,
+    Constraints, ExecMode, GreedyPolicy, HeatMetric, Interval, SchedCtx, ShardConfig, ShardOutcome,
+    SorpConfig, StorageLedger,
 };
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::{simulate, SimOptions};
@@ -90,7 +90,7 @@ proptest! {
         prop_assume!(!requests.is_empty());
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
-        let greedy = ctx.schedule_cost(&ivsp_solve(&ctx, &requests));
+        let greedy = ctx.schedule_cost(ivsp_solve(&ctx, &requests, GreedyPolicy::default()).schedule());
         let direct = ctx.schedule_cost(&baselines::network_only(&ctx, &requests));
         prop_assert!(greedy <= direct * (1.0 + 1e-9) + 1e-6);
     }
@@ -103,9 +103,9 @@ proptest! {
         prop_assume!(!requests.is_empty());
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
-        let phase1 = ivsp_solve(&ctx, &requests);
+        let phase1 = ivsp_solve(&ctx, &requests, GreedyPolicy::default());
         for metric in HeatMetric::ALL {
-            let outcome = sorp_solve(&ctx, &phase1, &SorpConfig::with_metric(metric));
+            let outcome = sorp_solve(&ctx, phase1.clone(), &SorpConfig::with_metric(metric), None);
             prop_assert!(outcome.overflow_free, "metric {metric}");
             prop_assert_eq!(outcome.schedule.delivery_count(), requests.len());
             let ledger = StorageLedger::from_schedule(&topo, &catalog, &outcome.schedule);
@@ -123,7 +123,7 @@ proptest! {
         prop_assume!(!requests.is_empty());
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
-        let outcome = sorp_solve(&ctx, &ivsp_solve(&ctx, &requests), &SorpConfig::default());
+        let outcome = sorp_solve(&ctx, ivsp_solve(&ctx, &requests, GreedyPolicy::default()), &SorpConfig::default(), None);
         let report = simulate(&topo, &catalog, &model, &outcome.schedule,
                               &SimOptions::strict(&requests));
         prop_assert!(report.is_valid(), "{:?}", report.violations);
@@ -155,7 +155,7 @@ proptest! {
                 exclude: Some(video),
                 forbidden: &forbidden,
             };
-            let vs = reschedule_video(&ctx, group, &cons, GreedyPolicy::default());
+            let vs = find_video_schedule(&ctx, group, GreedyPolicy::default(), Some(&cons));
             for r in &vs.residencies {
                 let p = r.profile(catalog.get(r.video));
                 if p.peak() > 0.0 {
@@ -176,7 +176,7 @@ proptest! {
         prop_assume!(!requests.is_empty());
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
-        let schedule = ivsp_solve(&ctx, &requests);
+        let schedule = ivsp_solve(&ctx, &requests, GreedyPolicy::default()).into_schedule();
         let total = ctx.schedule_cost(&schedule);
         let sum: f64 = schedule.videos().map(|vs| ctx.video_cost(vs)).sum();
         prop_assert!(total >= 0.0);
@@ -232,13 +232,7 @@ proptest! {
         prop_assume!(!requests.is_empty());
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
-        let outcome = sorp_solve_priced(
-            &ctx,
-            ivsp_solve_priced(&ctx, &requests),
-            &SorpConfig::default(),
-            &[],
-            ExecMode::Sequential,
-        );
+        let outcome = sorp_solve(&ctx, ivsp_solve(&ctx, &requests, GreedyPolicy::default()), &SorpConfig::default(), None);
         let full = ctx.schedule_cost(&outcome.schedule);
         prop_assert!(
             (outcome.cost - full).abs() <= 1e-6 * full.abs().max(1.0),
@@ -247,7 +241,7 @@ proptest! {
             full
         );
         // Phase-1 pricing itself is bit-identical to the closed form.
-        let phase1 = ivsp_solve_priced(&ctx, &requests);
+        let phase1 = ivsp_solve(&ctx, &requests, GreedyPolicy::default());
         prop_assert_eq!(
             phase1.total().to_bits(),
             ctx.schedule_cost(phase1.schedule()).to_bits()

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use vod_paradigm::core::{
-    bandwidth_aware_solve, find_optimal_video_schedule, find_video_schedule, SchedCtx,
+    bandwidth_aware_solve, find_optimal_video_schedule, find_video_schedule, GreedyPolicy, SchedCtx,
 };
 use vod_paradigm::cost_model::{SpaceModel, SpaceProfile};
 use vod_paradigm::prelude::*;
@@ -113,8 +113,9 @@ proptest! {
 
         let model = CostModel::per_hop();
         let ctx = SchedCtx::new(&topo, &model, &catalog);
-        let exact = find_optimal_video_schedule(&ctx, &requests);
-        let greedy = ctx.video_cost(&find_video_schedule(&ctx, &requests));
+        let exact = find_optimal_video_schedule(&ctx, &requests)
+            .expect("2–4 sorted requests of one video are within the exact solver's bounds");
+        let greedy = ctx.video_cost(&find_video_schedule(&ctx, &requests, GreedyPolicy::default(), None));
         prop_assert!(exact.cost <= greedy * (1.0 + 1e-9) + 1e-9);
         prop_assert!(
             (ctx.video_cost(&exact.schedule) - exact.cost).abs()
@@ -136,7 +137,8 @@ proptest! {
         playback in 1.0f64..1e4,
         overhead in -100.0f64..1e5,
     ) {
-        use vod_paradigm::core::{heat_of, HeatMetric, Interval, Overflow};
+        use vod_paradigm::core::heat::heat_of;
+        use vod_paradigm::core::{HeatMetric, Interval, Overflow};
         let of = Overflow {
             loc: NodeId(1),
             window: Interval::new(of_start, of_start + of_len),

@@ -23,9 +23,9 @@ fn prelude_covers_the_quickstart_flow() {
 
     let model = CostModel::per_hop();
     let ctx = vod_paradigm::core::SchedCtx::new(&topo, &model, &catalog);
-    let schedule = vod_paradigm::core::ivsp_solve(&ctx, &batch);
-    let outcome =
-        vod_paradigm::core::sorp_solve(&ctx, &schedule, &vod_paradigm::core::SorpConfig::default());
+    let cfg = vod_paradigm::core::SorpConfig::default();
+    let phase1 = vod_paradigm::core::ivsp_solve(&ctx, &batch, cfg.policy);
+    let outcome = vod_paradigm::core::sorp_solve(&ctx, phase1, &cfg, None);
     assert!(outcome.overflow_free);
     assert!(outcome.cost > 0.0);
 

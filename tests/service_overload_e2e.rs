@@ -5,16 +5,15 @@
 //! shedding, zero-loss accounting, and strict replay of whatever each
 //! cycle actually committed.
 
+mod common;
+
 use vod_paradigm::core::{
     detect_overflows, service_run, BackoffPolicy, ExecMode, Rung, SchedCtx, ServiceConfig,
-    ServiceLoop, ShardConfig,
+    ServiceLoop,
 };
-use vod_paradigm::faults::{FaultConfig, FaultPlan};
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::{check_service_accounting, cycle_is_clean, replay_service_cycle};
-use vod_paradigm::workload::{
-    generate_arrivals, generate_catalog, Arrival, ArrivalConfig, CatalogConfig, RequestConfig,
-};
+use vod_paradigm::workload::{generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig};
 
 const H: f64 = 24.0 * 3_600.0;
 
@@ -131,53 +130,6 @@ fn oracle_config_serves_everything_and_replays_strict() {
 /// How many cycles of the `overload_faults` cell the tests drive.
 const CELL_CYCLES: usize = 48;
 
-/// The benchmark's `overload_faults` cell at seed 1997, built as
-/// `benchmark/src/adapter.rs` builds it: topology, catalog, the arrival
-/// trace's prefix and the service config.
-fn overload_faults_cell() -> (Topology, Catalog, Vec<Arrival>, ServiceConfig) {
-    const RUN_CYCLES: usize = 800; // the fault plan is drawn over the whole benchmark run
-    let topo = builders::paper_fig4(&builders::PaperFig4Config {
-        capacity_gb: 5.0,
-        users_per_neighborhood: 10,
-        ..Default::default()
-    });
-    let catalog = generate_catalog(&CatalogConfig::small(120), 0xCA7A_10C0_FFEE_0001);
-    // A cycle's arrivals depend on its own index alone, so two cycles past
-    // the last one driven give the benchmark trace's prefix.
-    let arrivals = generate_arrivals(
-        &topo,
-        &catalog,
-        &ArrivalConfig {
-            request: RequestConfig { requests_per_user: 2, ..RequestConfig::with_alpha(0.271) },
-            cycles: CELL_CYCLES + 2,
-            burst: (0..CELL_CYCLES + 2).filter(|k| k % 8 == 1).map(|k| (k, 8)).collect(),
-            ..Default::default()
-        },
-        1997,
-    );
-    let n = RUN_CYCLES / 4;
-    let faults = FaultPlan::generate(
-        &topo,
-        &FaultConfig {
-            node_outages: n,
-            link_failures: n,
-            link_degradations: n / 2,
-            horizon: RUN_CYCLES as f64 * H,
-            ..Default::default()
-        },
-        1997 ^ 0xFA17_0000_0000_0001,
-    );
-    let cfg = ServiceConfig {
-        shard: ShardConfig::by_region(4),
-        horizon: H,
-        queue_bound: Some(2660),
-        budget_ns: Some(11e6),
-        faults,
-        ..ServiceConfig::default()
-    };
-    (topo, catalog, arrivals, cfg)
-}
-
 /// The `overload_faults` cell driven as `service_run` drives it, over its
 /// first 48 cycles. A cycle commits once: fault repair runs on the
 /// solve's own state, whose ledger is the book plus the cycle's schedule,
@@ -190,7 +142,7 @@ fn overload_faults_cell() -> (Topology, Catalog, Vec<Arrival>, ServiceConfig) {
 /// clear every overflow that has a participant.
 #[test]
 fn overload_faults_cell_replays_clean_on_every_rung() {
-    let (topo, catalog, arrivals, cfg) = overload_faults_cell();
+    let (topo, catalog, arrivals, cfg) = common::overload_faults_cell(1997, CELL_CYCLES);
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &catalog);
     let mut svc = ServiceLoop::new(&topo, cfg).expect("a generated plan");
@@ -288,7 +240,7 @@ const PINNED_DECISIONS: &str = "\
 /// over its first 48 cycles are exactly the pinned ones.
 #[test]
 fn overload_faults_cell_decisions_are_pinned() {
-    let (topo, catalog, arrivals, cfg) = overload_faults_cell();
+    let (topo, catalog, arrivals, cfg) = common::overload_faults_cell(1997, CELL_CYCLES);
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &catalog);
     let (outcomes, report) = service_run(&ctx, &arrivals, &cfg, CELL_CYCLES).unwrap();
