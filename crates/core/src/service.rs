@@ -9,10 +9,8 @@
 //! request-intake layer on top of the sharded solve:
 //!
 //! * arriving requests enter a **bounded intake queue** in
-//!   oldest-deadline-first order, behind a reject-before-enqueue
-//!   admission test against the committed occupancy the
-//!   [`CommittedBook`] already carries ([`IntakeError`] is the typed
-//!   backpressure);
+//!   oldest-deadline-first order; a full queue rejects before enqueue
+//!   ([`IntakeError`] is the typed backpressure);
 //! * each cycle's drained batch is solved under a **per-cycle deadline
 //!   budget** enforced by a degradation ladder ([`Rung`]): full warm
 //!   sharded solve → reduced SORP trial budget → greedy-only placement
@@ -40,9 +38,9 @@
 //!
 //! ## Oracle configuration
 //!
-//! With an unbounded queue, an infinite budget, no saturation limit,
-//! and an empty fault plan, every cycle runs the [`Rung::Full`] solve
-//! on exactly the window's arrivals
+//! With an unbounded queue, an infinite budget and an empty fault plan,
+//! every cycle runs the [`Rung::Full`] solve on exactly the window's
+//! arrivals
 //! ([`vod_cost_model::RequestBatch::new`] normalises request order, so
 //! queue ordering is invisible to the solver) — committed schedules and
 //! Ψ are bit-identical to evicting, calling [`crate::shard_solve_seeded`]
@@ -61,6 +59,7 @@ use crate::repair::{adjusted_requests, repair_state};
 use crate::shard::solve_over;
 use crate::{detect_overflows, CommittedBook, SchedCtx, ShardConfig, WarmStats};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 use std::fmt::Write as _;
 use vod_cost_model::{Dollars, Request, RequestBatch, Schedule, Secs};
@@ -114,15 +113,6 @@ pub enum IntakeError {
         /// The configured bound the queue is sitting at.
         bound: usize,
     },
-    /// Admission control rejected the request before enqueueing: the
-    /// committed occupancy already held at the request's start time is
-    /// at or beyond the configured saturation limit.
-    Saturated {
-        /// Committed bytes held at the request's start.
-        spillover_bytes: f64,
-        /// The configured admission limit.
-        limit_bytes: f64,
-    },
     /// The request's start is NaN or infinite: no window ever drains it.
     /// Refused before it counts as offered.
     NonFiniteStart {
@@ -143,11 +133,6 @@ impl fmt::Display for IntakeError {
             IntakeError::QueueFull { bound } => {
                 write!(f, "intake queue full at its bound of {bound}")
             }
-            IntakeError::Saturated { spillover_bytes, limit_bytes } => write!(
-                f,
-                "admission rejected: {spillover_bytes:.0} B committed at the requested start \
-                 exceeds the {limit_bytes:.0} B saturation limit"
-            ),
             IntakeError::NonFiniteStart { start } => {
                 write!(f, "request start {start} is not finite")
             }
@@ -197,13 +182,20 @@ fn backoff_multiplier(attempt: u32) -> u64 {
     1u64 << attempt.saturating_sub(1).min(16)
 }
 
-/// Why [`ServiceLoop::new`] refused a configuration.
+/// Why [`ServiceLoop::new`] refused a configuration, or [`service_run`]
+/// its arrival trace.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServiceError {
     /// The fault plan does not validate against the topology.
     Faults(FaultError),
     /// The cycle horizon is not a positive, finite number of seconds.
     Horizon(Secs),
+    /// The arrival trace is not sorted by arrival time: arrival `index`
+    /// arrives before arrival `index − 1` (or either time is NaN).
+    UnsortedArrivals {
+        /// The first arrival out of order.
+        index: usize,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -213,6 +205,11 @@ impl fmt::Display for ServiceError {
             ServiceError::Horizon(h) => {
                 write!(f, "cycle horizon {h} s is not positive and finite")
             }
+            ServiceError::UnsortedArrivals { index } => write!(
+                f,
+                "arrival {index} arrives before arrival {}; the trace must be sorted by arrival time",
+                index - 1
+            ),
         }
     }
 }
@@ -221,7 +218,7 @@ impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServiceError::Faults(e) => Some(e),
-            ServiceError::Horizon(_) => None,
+            ServiceError::Horizon(_) | ServiceError::UnsortedArrivals { .. } => None,
         }
     }
 }
@@ -233,9 +230,8 @@ impl From<FaultError> for ServiceError {
 }
 
 /// Configuration of the service loop. The default is the *oracle*
-/// configuration: unbounded queue, infinite budget, no admission limit,
-/// no faults — bit-identical to the plain warm loop (see the module
-/// docs).
+/// configuration: unbounded queue, infinite budget, no faults —
+/// bit-identical to the plain warm loop (see the module docs).
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// The sharded-solver configuration the [`Rung::Full`] solve runs
@@ -253,10 +249,6 @@ pub struct ServiceConfig {
     /// has failed more than `backoff.drop_after` attempts; the accounting
     /// still balances.
     pub budget_ns: Option<f64>,
-    /// Admission saturation limit: reject a request outright when the
-    /// committed occupancy at its start already holds at least this many
-    /// bytes. `None` disables the test.
-    pub saturation_bytes: Option<f64>,
     /// Backoff policy for shed requests.
     pub backoff: BackoffPolicy,
     /// Faults injected over the run; each cycle repairs against the
@@ -274,7 +266,6 @@ impl Default for ServiceConfig {
             horizon: 24.0 * 3_600.0,
             queue_bound: None,
             budget_ns: None,
-            saturation_bytes: None,
             backoff: BackoffPolicy::default(),
             faults: FaultPlan::empty(),
         }
@@ -546,7 +537,8 @@ pub struct ServiceCycleStats {
     pub offered: usize,
     /// Offers bounced off the queue bound.
     pub rejected_full: usize,
-    /// Offers rejected by the saturation admission test.
+    /// Always 0: intake has no saturation test. Kept only because the
+    /// benchmark adapter and the recording format name it.
     pub rejected_saturated: usize,
     /// Drained tickets naming a video outside the catalog: refused at
     /// the drain, the first point the loop sees the catalog.
@@ -634,7 +626,8 @@ pub struct ServiceReport {
     pub offered: usize,
     /// Offers bounced off the queue bound.
     pub rejected_full: usize,
-    /// Offers rejected by the saturation admission test.
+    /// Always 0: intake has no saturation test. Kept only because the
+    /// benchmark adapter and the recording format name it.
     pub rejected_saturated: usize,
     /// Accepted offers refused at the drain for a video outside the
     /// catalog.
@@ -745,7 +738,6 @@ pub struct ServiceLoop {
     // Intake counters since the previous cycle ran.
     offered: usize,
     rejected_full: usize,
-    rejected_saturated: usize,
     queue_high_water: usize,
     backoff_histogram: Vec<usize>,
     cycles: Vec<ServiceCycleStats>,
@@ -770,7 +762,6 @@ impl ServiceLoop {
             users: topo.user_count(),
             offered: 0,
             rejected_full: 0,
-            rejected_saturated: 0,
             queue_high_water: 0,
             backoff_histogram: Vec::new(),
             cycles: Vec::new(),
@@ -780,16 +771,6 @@ impl ServiceLoop {
     /// The committed-occupancy book carried across cycles.
     pub fn book(&self) -> &CommittedBook {
         &self.book
-    }
-
-    /// The budget model's current state.
-    pub fn budget(&self) -> &BudgetModel {
-        &self.budget
-    }
-
-    /// Index of the next cycle [`ServiceLoop::run_cycle`] will run.
-    pub fn cycle(&self) -> usize {
-        self.cycle
     }
 
     /// Current intake-queue depth.
@@ -810,16 +791,6 @@ impl ServiceLoop {
             return Err(IntakeError::UnknownUser { user: r.user });
         }
         self.offered += 1;
-        if let Some(limit) = self.cfg.saturation_bytes {
-            let spillover = self.book.spillover_at(r.start);
-            if spillover >= limit {
-                self.rejected_saturated += 1;
-                return Err(IntakeError::Saturated {
-                    spillover_bytes: spillover,
-                    limit_bytes: limit,
-                });
-            }
-        }
         if let Some(bound) = self.cfg.queue_bound {
             if self.queue.len() >= bound {
                 self.rejected_full += 1;
@@ -926,12 +897,10 @@ impl ServiceLoop {
             cycle: k,
             offered: self.offered,
             rejected_full: self.rejected_full,
-            rejected_saturated: self.rejected_saturated,
             ..ServiceCycleStats::default()
         };
         self.offered = 0;
         self.rejected_full = 0;
-        self.rejected_saturated = 0;
 
         // 1. Release backoff parkings that became eligible.
         let mut dropped_now = self.release(k, &mut stats);
@@ -1133,7 +1102,7 @@ impl ServiceLoop {
         ServiceReport {
             offered: sum(|c| c.offered) + self.offered,
             rejected_full: sum(|c| c.rejected_full) + self.rejected_full,
-            rejected_saturated: sum(|c| c.rejected_saturated) + self.rejected_saturated,
+            rejected_saturated: sum(|c| c.rejected_saturated),
             rejected_unknown: sum(|c| c.rejected_unknown),
             served: sum(|c| c.served),
             shed_events: sum(|c| c.shed),
@@ -1152,17 +1121,20 @@ impl ServiceLoop {
 /// before cycle `k` runs, every arrival with `at ≤ k·horizon` is offered
 /// to intake (rejections are recorded, not returned). `arrivals` must be
 /// sorted by arrival time, as [`vod_workload::generate_arrivals`]
-/// produces them.
+/// produces them; an arrival behind its predecessor would be offered one
+/// or more cycles late, so an unsorted trace is refused with
+/// [`ServiceError::UnsortedArrivals`] before any cycle runs.
 pub fn service_run(
     ctx: &SchedCtx<'_>,
     arrivals: &[Arrival],
     cfg: &ServiceConfig,
     n_cycles: usize,
 ) -> Result<(Vec<ServiceCycleOutcome>, ServiceReport), ServiceError> {
-    debug_assert!(
-        arrivals.windows(2).all(|w| w[0].at <= w[1].at),
-        "arrival trace must be sorted by arrival time"
-    );
+    let unsorted =
+        arrivals.windows(2).position(|w| w[0].at.partial_cmp(&w[1].at).is_none_or(Ordering::is_gt));
+    if let Some(i) = unsorted {
+        return Err(ServiceError::UnsortedArrivals { index: i + 1 });
+    }
     let mut svc = ServiceLoop::new(ctx.topo, cfg.clone())?;
     let mut next = 0usize;
     let mut outcomes = Vec::with_capacity(n_cycles);
@@ -1287,16 +1259,22 @@ mod tests {
         assert_eq!(report.conservation_error(), 0);
     }
 
+    /// An arrival behind its predecessor would be offered a cycle late;
+    /// `service_run` names it instead of running any cycle.
     #[test]
-    fn saturation_admission_rejects_before_enqueue() {
-        let (topo, catalog) = world(2);
-        let cfg = ServiceConfig { saturation_bytes: Some(0.0), ..ServiceConfig::default() };
-        let mut svc = ServiceLoop::new(&topo, cfg).expect("empty plan validates");
-        // A zero-byte limit saturates immediately (spillover ≥ 0 always).
-        let arrivals = arrivals_for(&topo, &catalog, 1, 3);
-        let err = svc.offer(arrivals[0].request).unwrap_err();
-        assert!(matches!(err, IntakeError::Saturated { .. }));
-        assert_eq!(svc.queue_len(), 0);
+    fn an_unsorted_trace_is_a_typed_error() {
+        let (topo, catalog) = world(4);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &catalog);
+        let mut arrivals = arrivals_for(&topo, &catalog, 2, 4);
+        let late = arrivals.iter().position(|a| a.at > 0.0).expect("cycle 1 arrives after 0");
+        arrivals.swap(late - 1, late);
+        let err =
+            service_run(&ctx, &arrivals, &ServiceConfig::default(), 2).map(|_| ()).unwrap_err();
+        assert_eq!(err, ServiceError::UnsortedArrivals { index: late });
+        assert!(err.to_string().contains(&format!("arrival {late} arrives before")), "{err}");
+        arrivals.swap(late - 1, late);
+        assert!(service_run(&ctx, &arrivals, &ServiceConfig::default(), 2).is_ok());
     }
 
     #[test]

@@ -14,7 +14,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use vod_core::{ivsp_solve, sorp_solve, GreedyPolicy, SchedCtx, ServiceCycleOutcome, SorpConfig};
 use vod_cost_model::CostModel;
-use vod_experiments::{ext, figures, render_csv, render_table, service, table5, EnvParams, Preset};
+use vod_experiments::{
+    ext, figures, render_csv, render_table, table5, EnvParams, Preset, Scenario,
+};
 use vod_topology::units;
 
 fn main() -> ExitCode {
@@ -190,22 +192,22 @@ fn main() -> ExitCode {
                 let fast = preset == Preset::Fast;
                 // `cycles` is the service loop's oracle configuration;
                 // `service` bounds the queue and the budget under a burst.
-                let (n, sp) = if target == "cycles" {
-                    (if fast { 3 } else { 7 }, service::ServiceParams::default())
+                let scenario = if target == "cycles" {
+                    Scenario::paper(&params, if fast { 3 } else { 7 })
                 } else {
-                    let sp = service::ServiceParams {
+                    let mut s = Scenario {
                         queue_bound: Some(4 * params.users_per_neighborhood * 19),
                         budget_ns: budget_ns.or(Some(500.0 * 9_700.0)),
-                        burst: vec![(1, burst.unwrap_or(4))],
-                        ..service::ServiceParams::default()
+                        ..Scenario::paper(&params, if fast { 4 } else { 8 })
                     };
-                    (if fast { 4 } else { 8 }, sp)
+                    s.arrivals.burst = vec![(1, burst.unwrap_or(4))];
+                    s
                 };
                 let recorder = match &record {
                     Some(_) => vod_obs::Recorder::enabled(),
                     None => vod_obs::Recorder::disabled(),
                 };
-                let (outcomes, report) = service::service_horizon(&params, n, &sp, &recorder);
+                let (outcomes, report) = scenario.run(&recorder);
                 let text = format!("{}\n{}", render_cycles(&outcomes), report.render());
                 println!("{text}");
                 write_recording(&record, &recorder)
@@ -352,10 +354,10 @@ mod tests {
 
     #[test]
     fn render_includes_service_columns_and_idle_cycles() {
-        let params = cheap_params();
         // Arrivals stop after cycle 0; cycles 1–2 are idle service ticks.
-        let sp = service::ServiceParams { trace_cycles: Some(1), ..Default::default() };
-        let (outcomes, report) = service::service_horizon(&params, 3, &sp, &Recorder::disabled());
+        let mut scenario = Scenario::paper(&cheap_params(), 3);
+        scenario.arrivals.cycles = 1;
+        let (outcomes, report) = scenario.run(&Recorder::disabled());
         assert!(outcomes[1].served.is_empty(), "cycle 1 must be idle");
         assert_eq!(report.cycles.len(), 3);
         let text = render_cycles(&outcomes);
@@ -371,8 +373,7 @@ mod tests {
     #[test]
     fn spillover_column_is_in_gigabytes() {
         let params = cheap_params();
-        let sp = service::ServiceParams::default();
-        let (outcomes, _) = service::service_horizon(&params, 3, &sp, &Recorder::disabled());
+        let (outcomes, _) = Scenario::paper(&params, 3).run(&Recorder::disabled());
         let text = render_cycles(&outcomes);
         let rows: Vec<_> =
             text.lines().filter(|l| l.trim_start().starts_with(char::is_numeric)).collect();
@@ -398,15 +399,14 @@ mod tests {
 
     #[test]
     fn trace_totals_are_the_report_sums() {
-        let params = cheap_params();
-        let sp = service::ServiceParams {
+        let mut scenario = Scenario {
             queue_bound: Some(1_000),
             budget_ns: Some(100.0 * 4_200.0),
-            burst: vec![(1, 4)],
-            ..service::ServiceParams::default()
+            ..Scenario::paper(&cheap_params(), 3)
         };
+        scenario.arrivals.burst = vec![(1, 4)];
         let recorder = Recorder::enabled();
-        let (_, report) = service::service_horizon(&params, 3, &sp, &recorder);
+        let (_, report) = scenario.run(&recorder);
         let text = render_cycle_end_totals(&recorder.recording().expect("enabled"));
         let total = |name: &str| -> u64 {
             let line = text

@@ -71,15 +71,21 @@ impl EnvParams {
         }
     }
 
-    /// Build the topology and workload for this cell.
-    pub fn build(&self) -> (vod_topology::Topology, Workload) {
-        let topo = paper_fig4(&PaperFig4Config {
+    /// The cell's network: the paper's Fig. 4 at this cell's rates,
+    /// capacity and users.
+    pub fn network(&self) -> PaperFig4Config {
+        PaperFig4Config {
             nrate_per_gb: self.nrate_per_gb,
             srate_per_gb_hour: self.srate_per_gb_hour,
             capacity_gb: self.capacity_gb,
             users_per_neighborhood: self.users_per_neighborhood,
             ..PaperFig4Config::default()
-        });
+        }
+    }
+
+    /// Build the topology and workload for this cell.
+    pub fn build(&self) -> (vod_topology::Topology, Workload) {
+        let topo = paper_fig4(&self.network());
         let catalog_cfg = CatalogConfig { videos: self.videos, ..CatalogConfig::paper() };
         let request_cfg = RequestConfig {
             requests_per_user: self.requests_per_user,

@@ -13,6 +13,9 @@
 //! * [`figures::fig5`] … [`figures::fig9`] — one function per figure,
 //!   returning a [`FigureResult`] of labelled series;
 //! * [`table5::run`] — the heat-metric comparison grid behind Table 5;
+//! * [`Scenario`] — one service run as plain data: the service
+//!   benchmark's four workloads ([`Scenario::named`]) and the paper's
+//!   environment as a service ([`Scenario::paper`]);
 //! * the `vodx` binary — CLI that renders any experiment as an aligned
 //!   text table and CSV files.
 //!
@@ -33,3 +36,4 @@ pub mod table5;
 
 pub use env::{evaluate_cell, evaluate_cell_all_metrics, EnvParams, EvalResult, Preset};
 pub use report::{render_csv, render_table, FigureResult, Series};
+pub use service::{Net, Scenario};

@@ -1,92 +1,201 @@
-//! Service experiments: the paper's environment run cycle after cycle
-//! through `vod_core::service`'s intake queue, degradation ladder, and
-//! backoff pipeline.
-//!
-//! [`service_horizon`] builds the topology, catalog, cost model and an
-//! arrival trace ([`vod_workload::generate_arrivals`]: one fresh
-//! workload draw per cycle, shifted onto that cycle's window) and hands
-//! them to [`vod_core::service_run`]. Under [`ServiceParams::default`] —
-//! no queue bound, no budget, no burst, no faults — every cycle is the
-//! full warm sharded solve of its window's batch (`vodx cycles`; the
-//! `service_props` suite asserts the equivalence, a test below pins the
-//! numbers); with them it exercises admission control, the ladder, and
-//! overload shedding under the exact environment the paper's
-//! experiments use (`vodx service`). Copies cached late in cycle `k` are
-//! still draining when cycle `k+1` starts; the loop's book carries them
-//! into the next solve, so capacity commitments cross the cycle boundary
-//! exactly as they would on real disks.
+//! Service scenarios: a [`Scenario`] is one service run as plain data,
+//! and [`Scenario::build`] draws what [`vod_core::service_run`] takes.
+//! [`Scenario::named`] holds the service benchmark's four workloads as
+//! `benchmark/src/adapter.rs::setup` builds them (a root test holds the two
+//! equal by digest); [`Scenario::paper`] is the paper's environment as a
+//! service, which `vodx cycles` runs as it is (every cycle the full warm
+//! sharded solve of its window's batch) and `vodx service` under a queue
+//! bound, a budget and a burst. A test reduces a cell by overriding fields
+//! (`Scenario { cycles: 20, ..Scenario::named("overload_faults") }`) rather
+//! than rebuilding it. Copies cached late in cycle `k` are still draining
+//! when cycle `k+1` starts; the loop's book carries them into the next
+//! solve, as real disks would.
 
 use crate::EnvParams;
-use serde::{Deserialize, Serialize};
-use vod_core::{service_run, SchedCtx, ServiceConfig, ServiceCycleOutcome, ServiceReport};
-use vod_cost_model::CostModel;
+use vod_core::{
+    service_run, SchedCtx, ServiceConfig, ServiceCycleOutcome, ServiceReport, ShardConfig,
+};
+use vod_cost_model::{Catalog, CostModel};
+use vod_faults::{FaultConfig, FaultPlan};
+use vod_obs::Recorder;
+use vod_topology::builders::{paper_fig4, random_connected, GenConfig, PaperFig4Config};
+use vod_topology::Topology;
 use vod_workload::{
-    generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig, RequestConfig,
+    generate_arrivals, generate_catalog, Arrival, ArrivalConfig, CatalogConfig, RequestConfig,
 };
 
-/// Service-frontend knobs layered over an [`EnvParams`] environment.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct ServiceParams {
-    /// Intake queue bound (`None` = unbounded).
+/// The benchmark's catalog seed, the same for every load seed: the catalog
+/// belongs to the environment, like the network.
+const CATALOG_SEED: u64 = 0xCA7A_10C0_FFEE_0001;
+/// Split off the load seed to seed the fault plan.
+const FAULT_SEED: u64 = 0xFA17_0000_0000_0001;
+
+/// Which network a scenario runs on.
+#[derive(Clone, Debug)]
+pub enum Net {
+    /// The paper's Fig. 4 metro network (19 intermediate storages).
+    PaperFig4(PaperFig4Config),
+    /// [`random_connected`]`(gen, extra_edges, seed)`.
+    Random {
+        /// Storages, rates, capacity and users per neighborhood.
+        gen: GenConfig,
+        /// Links beyond the spanning tree.
+        extra_edges: usize,
+        /// Wiring seed, fixed so the load seed never varies the network.
+        seed: u64,
+    },
+}
+
+/// One service run as plain data.
+#[derive(Clone, Debug)]
+pub struct Scenario {
+    /// The network.
+    pub net: Net,
+    /// Titles in the catalog ([`CatalogConfig::small`]).
+    pub titles: usize,
+    /// Seed of the catalog draw.
+    pub catalog_seed: u64,
+    /// Each cycle's request draw, regional catalogs and bursts; arrivals
+    /// stop after its `cycles`, and later cycles run idle.
+    pub arrivals: ArrivalConfig,
+    /// Faults drawn over their own `horizon` (`None`: the empty plan).
+    pub faults: Option<FaultConfig>,
+    /// Shards, strategy and SORP settings, the greedy policy among them.
+    pub shard: ShardConfig,
+    /// Intake queue bound (`None`: unbounded).
     pub queue_bound: Option<usize>,
-    /// Per-cycle deadline budget in simulated nanoseconds (`None` =
-    /// infinite; the ladder never engages).
+    /// Per-cycle deadline budget, simulated ns (`None`: the ladder never
+    /// engages).
     pub budget_ns: Option<f64>,
-    /// Overload bursts: `(cycle, multiplier)` scaling that cycle's
-    /// arrival rate.
-    pub burst: Vec<(usize, usize)>,
-    /// Stop generating arrivals after this many cycles (`None` = the
-    /// whole run). Later cycles run as idle service ticks — they still
-    /// appear in the report.
-    pub trace_cycles: Option<usize>,
+    /// Load seed: the arrival trace and, split off, the fault plan.
+    pub seed: u64,
+    /// Cycles a run drives.
+    pub cycles: usize,
 }
 
-/// The catalog a service horizon run over `params` uses — the same
-/// seed-splitting convention as [`vod_workload::Workload::generate`],
-/// exposed so replay-side validation can reconstruct it exactly.
-pub fn service_catalog(params: &EnvParams) -> vod_cost_model::Catalog {
-    let catalog_cfg = CatalogConfig { videos: params.videos, ..CatalogConfig::paper() };
-    generate_catalog(&catalog_cfg, params.seed ^ 0xCA7A_10C0_FFEE_0001)
-}
+impl Scenario {
+    /// The service benchmark's workloads, in `BENCHMARK.json` order.
+    pub const NAMES: [&'static str; 4] = ["steady", "contended", "overload_faults", "ample_wide"];
 
-/// Run `n_cycles` of the environment through the service frontend.
-/// Returns one [`ServiceCycleOutcome`] per cycle (Ψ, victims, warm-start
-/// stats, schedules and served/shed request sets — what `vodx cycles`
-/// tabulates and replay-style validation reads) and the aggregated
-/// [`ServiceReport`].
-/// Every cycle's rung, intake, warm-start and shard solve decision
-/// lands in `recorder`, in simulated time (the run is fault-free); pass
-/// [`vod_obs::Recorder::disabled`] for the no-op path.
-pub fn service_horizon(
-    params: &EnvParams,
-    n_cycles: usize,
-    sp: &ServiceParams,
-    recorder: &vod_obs::Recorder,
-) -> (Vec<ServiceCycleOutcome>, ServiceReport) {
-    assert!(n_cycles >= 1, "need at least one cycle");
-    let (topo, _) = params.build();
-    let catalog = service_catalog(params);
-    let model = CostModel::per_hop();
-    let ctx = SchedCtx::new(&topo, &model, &catalog).with_recorder(recorder.clone());
+    /// The benchmark workload `name` at the harness's default seed (1997)
+    /// and run length. Panics on a name outside [`Scenario::NAMES`].
+    pub fn named(name: &str) -> Self {
+        let fig4 = Net::PaperFig4(PaperFig4Config {
+            capacity_gb: 5.0,
+            users_per_neighborhood: 10,
+            ..PaperFig4Config::default()
+        });
+        let random = |capacity_gb, users_per_neighborhood| Net::Random {
+            gen: GenConfig {
+                storages: 24,
+                capacity_gb,
+                users_per_neighborhood,
+                ..GenConfig::default()
+            },
+            extra_edges: 3,
+            seed: 0xB0B,
+        };
+        let (net, titles, requests_per_user, cycles, shard) = match name {
+            "steady" => (fig4, 500, 2, 1000, ShardConfig::by_region(4)),
+            "contended" => (random(1.8, 4), 150, 7, 200, ShardConfig::by_time_slice(4)),
+            "overload_faults" => (fig4, 120, 2, 800, ShardConfig::by_region(4)),
+            "ample_wide" => (random(40.0, 6), 240, 28, 300, ShardConfig::by_region(8)),
+            _ => panic!("no scenario named {name:?}; the names are {:?}", Self::NAMES),
+        };
+        let request = RequestConfig { requests_per_user, ..RequestConfig::with_alpha(0.271) };
+        let mut s = Scenario {
+            net,
+            titles,
+            catalog_seed: CATALOG_SEED,
+            arrivals: ArrivalConfig { request, cycles, ..ArrivalConfig::default() },
+            faults: None,
+            shard,
+            queue_bound: None,
+            budget_ns: None,
+            seed: 1997,
+            cycles,
+        };
+        if name == "overload_faults" {
+            // 8× bursts every eighth cycle; per four cycles one outage and
+            // one link failure, per eight one degradation. Under a 4e6 ns
+            // budget a long run would leave the Full rung for good.
+            s.arrivals.burst = (0..cycles).filter(|k| k % 8 == 1).map(|k| (k, 8)).collect();
+            let n = cycles / 4;
+            s.faults = Some(FaultConfig {
+                node_outages: n,
+                link_failures: n,
+                link_degradations: n / 2,
+                horizon: cycles as f64 * 24.0 * 3_600.0,
+                ..FaultConfig::default()
+            });
+            (s.queue_bound, s.budget_ns) = (Some(2660), Some(11e6));
+        } else if name == "ample_wide" {
+            // Regional catalogs, neighborhood-local placement.
+            s.arrivals.regional = true;
+            s.shard.sorp.policy.allow_remote_placement = false;
+        }
+        s
+    }
 
-    let arrival_cfg = ArrivalConfig {
-        request: RequestConfig {
+    /// The paper's environment `params` as a service of `cycles` cycles:
+    /// no queue bound, budget, burst or faults; four region shards. Its
+    /// catalog seed is `params.seed` XOR the benchmark's.
+    pub fn paper(params: &EnvParams, cycles: usize) -> Self {
+        let request = RequestConfig {
             requests_per_user: params.requests_per_user,
             ..RequestConfig::with_alpha(params.zipf_alpha)
-        },
-        cycles: sp.trace_cycles.map_or(n_cycles, |t| t.min(n_cycles)),
-        regional: false,
-        burst: sp.burst.clone(),
-    };
-    let arrivals = generate_arrivals(&topo, &catalog, &arrival_cfg, params.seed);
+        };
+        Scenario {
+            net: Net::PaperFig4(params.network()),
+            titles: params.videos,
+            catalog_seed: params.seed ^ CATALOG_SEED,
+            arrivals: ArrivalConfig { request, cycles, ..ArrivalConfig::default() },
+            faults: None,
+            shard: ShardConfig::default(),
+            queue_bound: None,
+            budget_ns: None,
+            seed: params.seed,
+            cycles,
+        }
+    }
 
-    let cfg = ServiceConfig {
-        horizon: arrival_cfg.request.horizon_hours * 3_600.0,
-        queue_bound: sp.queue_bound,
-        budget_ns: sp.budget_ns,
-        ..ServiceConfig::default()
-    };
-    service_run(&ctx, &arrivals, &cfg, n_cycles).expect("the empty fault plan validates")
+    /// The topology, catalog, arrival trace and service config. The trace
+    /// runs one cycle past the last one driven (the next cycle's earliest
+    /// arrivals can fall due at the last window start), so a reduced run
+    /// offers exactly the full run's prefix.
+    pub fn build(&self) -> (Topology, Catalog, Vec<Arrival>, ServiceConfig) {
+        let topo = match &self.net {
+            Net::PaperFig4(cfg) => paper_fig4(cfg),
+            Net::Random { gen, extra_edges, seed } => random_connected(gen, *extra_edges, *seed),
+        };
+        let catalog = generate_catalog(&CatalogConfig::small(self.titles), self.catalog_seed);
+        let cycles = self.arrivals.cycles.min(self.cycles + 1);
+        let trace = ArrivalConfig { cycles, ..self.arrivals.clone() };
+        let arrivals = generate_arrivals(&topo, &catalog, &trace, self.seed);
+        let faults = self.faults.as_ref().map_or_else(FaultPlan::empty, |f| {
+            FaultPlan::generate(&topo, f, self.seed ^ FAULT_SEED)
+        });
+        let cfg = ServiceConfig {
+            shard: self.shard.clone(),
+            horizon: self.arrivals.request.horizon_hours * 3_600.0,
+            queue_bound: self.queue_bound,
+            budget_ns: self.budget_ns,
+            faults,
+            ..ServiceConfig::default()
+        };
+        (topo, catalog, arrivals, cfg)
+    }
+
+    /// Build and drive every cycle through [`vod_core::service_run`]
+    /// under the per-hop cost model, recording into `recorder`: one
+    /// [`ServiceCycleOutcome`] per cycle and the [`ServiceReport`].
+    pub fn run(&self, recorder: &Recorder) -> (Vec<ServiceCycleOutcome>, ServiceReport) {
+        let (topo, catalog, arrivals, cfg) = self.build();
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &catalog).with_recorder(recorder.clone());
+        service_run(&ctx, &arrivals, &cfg, self.cycles)
+            .expect("a generated trace is sorted and a generated plan validates")
+    }
 }
 
 #[cfg(test)]
@@ -94,7 +203,6 @@ mod tests {
     use super::*;
     use crate::Preset;
     use vod_core::{detect_overflows, Rung, StorageLedger, EXTERNAL_OCCUPANCY};
-    use vod_obs::Recorder;
     use vod_topology::units;
 
     fn cheap_params() -> EnvParams {
@@ -103,7 +211,7 @@ mod tests {
 
     /// The oracle configuration: `vodx cycles`.
     fn oracle_run(params: &EnvParams, n_cycles: usize) -> Vec<ServiceCycleOutcome> {
-        service_horizon(params, n_cycles, &ServiceParams::default(), &Recorder::disabled()).0
+        Scenario::paper(params, n_cycles).run(&Recorder::disabled()).0
     }
 
     #[test]
@@ -138,8 +246,7 @@ mod tests {
         // What the rolling-horizon driver removed at PR 17 printed for
         // `vodx cycles --fast`, captured from the parent build.
         let params = EnvParams::for_preset(Preset::Fast);
-        let (out, report) =
-            service_horizon(&params, 3, &ServiceParams::default(), &Recorder::disabled());
+        let (out, report) = Scenario::paper(&params, 3).run(&Recorder::disabled());
         let pinned: [(u64, usize, usize); 3] = [
             (0x4120835c0ac33515, 27, 171),
             (0x412075fe3953e0c7, 25, 164),
@@ -196,8 +303,7 @@ mod tests {
         let outcomes = oracle_run(&params, 3);
         // Every cycle's commitments in one ledger: the union never
         // over-commits a storage.
-        let (topo, _) = params.build();
-        let catalog = service_catalog(&params);
+        let (topo, catalog, _, _) = Scenario::paper(&params, 3).build();
         let mut ledger = StorageLedger::new(&topo);
         for out in &outcomes {
             assert!(out.overflow_free);
@@ -210,14 +316,13 @@ mod tests {
 
     #[test]
     fn overload_burst_engages_the_ladder() {
-        let params = cheap_params();
-        let sp = ServiceParams {
+        let mut scenario = Scenario {
             queue_bound: Some(1_000),
             budget_ns: Some(100.0 * 4_200.0),
-            burst: vec![(1, 4)],
-            ..ServiceParams::default()
+            ..Scenario::paper(&cheap_params(), 3)
         };
-        let (out, report) = service_horizon(&params, 3, &sp, &Recorder::disabled());
+        scenario.arrivals.burst = vec![(1, 4)];
+        let (out, report) = scenario.run(&Recorder::disabled());
         assert!(report.cycles.iter().any(|c| c.rung != Rung::Full), "budget never engaged");
         assert_eq!(report.conservation_error(), 0);
         for (k, c) in out.iter().enumerate() {

@@ -12,10 +12,11 @@
 //! guarantees (conservation, shed disposition, backoff histogram,
 //! queue-bound respect).
 
-use crate::validate::take_match;
-use crate::{simulate, SimOptions, SimReport, Violation};
+use crate::engine::replay;
+use crate::{SimOptions, SimReport, Violation};
 use vod_core::{ServiceCycleOutcome, ServiceReport};
-use vod_cost_model::{Catalog, CostModel, Request, RequestBatch};
+use vod_cost_model::{Catalog, CostModel, RequestBatch};
+use vod_faults::FaultPlan;
 use vod_topology::Topology;
 
 /// Strictly replay one service cycle's committed schedule. The expected
@@ -35,22 +36,16 @@ pub fn replay_service_cycle(
     let mut expected = cycle.served.clone();
     expected.extend(cycle.shed_now.iter().copied());
     let batch = RequestBatch::new(expected);
-    let mut report = simulate(topo, catalog, model, &cycle.schedule, &SimOptions::strict(&batch));
-    // Re-tag the excused shed deliveries: `simulate` has no shed list, so
-    // coverage reports them as missing — convert exactly those back, one
-    // per shed entry. Missing deliveries arrive in `batch_order`, so one
-    // merge against the sorted shed list finds them.
-    let mut shed = cycle.shed_now.clone();
-    shed.sort_by(Request::batch_order);
-    let mut shed = shed.iter().peekable();
-    for v in &mut report.violations {
-        if let Violation::MissingDelivery { user, video, start } = *v {
-            if take_match(&mut shed, &Request { user, video, start }) {
-                *v = Violation::RequestShed { user, video, start };
-            }
-        }
-    }
-    report
+    let plan = FaultPlan::empty();
+    replay(
+        topo,
+        catalog,
+        model,
+        &cycle.schedule,
+        &plan,
+        &cycle.shed_now,
+        &SimOptions::strict(&batch),
+    )
 }
 
 /// Is every violation in `report` an excused [`Violation::RequestShed`]?
@@ -123,7 +118,7 @@ pub fn check_service_accounting(report: &ServiceReport) -> Vec<String> {
 mod tests {
     use super::*;
     use vod_core::{service_run, ExecMode, SchedCtx, ServiceConfig};
-    use vod_cost_model::VideoId;
+    use vod_cost_model::{Request, VideoId};
     use vod_topology::builders::{paper_fig4, PaperFig4Config};
     use vod_workload::{generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig};
 

@@ -164,6 +164,16 @@ if [ -n "$commit_hits" ]; then
   exit 1
 fi
 
+echo "==> one-definition lint (root tests build the benchmark cells from Scenario)"
+# vod_experiments::Scenario::named is the one definition of each cell; a
+# root test that draws the harness's catalog seed itself is a hand copy
+# that silently stops matching when the cell changes. tests/setup_pin.rs
+# pins the generators against their oracles and keeps its own inputs.
+if grep -rn --include='*.rs' '0xCA7A_10C0_FFEE_0001' tests | grep -v '^tests/setup_pin\.rs:'; then
+  echo "error: reduce Scenario::named(..) instead of rebuilding a benchmark cell by hand" >&2
+  exit 1
+fi
+
 echo "==> cargo doc (rustdoc warnings, e.g. a broken intra-doc link, fail)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 

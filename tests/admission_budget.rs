@@ -16,15 +16,12 @@
 use vod_paradigm::core::audit::{overflow_set, reschedule_video_traced};
 use vod_paradigm::core::{
     detect_overflows, ivsp_solve, shard_solve_seeded, CommittedBook, Constraints, SchedCtx,
-    ShardConfig, StorageLedger, EXTERNAL_OCCUPANCY,
+    StorageLedger, EXTERNAL_OCCUPANCY,
 };
+use vod_paradigm::experiments::Scenario;
 use vod_paradigm::prelude::*;
-use vod_paradigm::workload::{
-    generate_arrivals, generate_catalog, partition_requests, ArrivalConfig, CatalogConfig,
-    RequestConfig, ShardSpec,
-};
+use vod_paradigm::workload::{partition_requests, ShardSpec};
 
-const HORIZON: f64 = 24.0 * 3_600.0;
 const CYCLES: usize = 24;
 /// 25 % above the 4.35 checks per trial measured for this cell.
 const CEILING: f64 = 5.44;
@@ -33,36 +30,17 @@ const CEILING: f64 = 5.44;
 fn a_sorp_trial_stays_within_its_admission_budget() {
     // The benchmark's `contended` cell: 24 stores of 1.8 GB, 96 users
     // asking seven times a cycle out of 150 titles, four time slices.
-    let topo = builders::random_connected(
-        &builders::GenConfig {
-            storages: 24,
-            capacity_gb: 1.8,
-            users_per_neighborhood: 4,
-            ..Default::default()
-        },
-        3,
-        0xB0B,
-    );
-    let catalog = generate_catalog(&CatalogConfig::small(150), 0xCA7A_10C0_FFEE_0001);
-    let arrivals = generate_arrivals(
-        &topo,
-        &catalog,
-        &ArrivalConfig {
-            request: RequestConfig { requests_per_user: 7, ..RequestConfig::with_alpha(0.271) },
-            cycles: CYCLES,
-            ..Default::default()
-        },
-        1997,
-    );
+    let (topo, catalog, arrivals, svc) =
+        Scenario { cycles: CYCLES, ..Scenario::named("contended") }.build();
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &catalog);
-    let cfg = ShardConfig::by_time_slice(4);
+    let cfg = svc.shard;
     let spec = ShardSpec { shards: cfg.shards, strategy: cfg.strategy, seed: cfg.seed };
     let mut book = CommittedBook::new(&topo);
 
     let (mut next, mut trials, mut checks) = (0, 0usize, 0usize);
     for k in 0..CYCLES {
-        let t0 = k as f64 * HORIZON;
+        let t0 = k as f64 * svc.horizon;
         let first = next;
         while next < arrivals.len() && arrivals[next].at <= t0 {
             next += 1;

@@ -8,44 +8,26 @@
 //! run, or a trial replayed from a cache) may move, so the rows pin
 //! `trials_run + trials_cached` and not the split.
 
-use vod_paradigm::core::{shard_solve_seeded, CommittedBook, SchedCtx, ShardConfig};
+use vod_paradigm::core::{shard_solve_seeded, CommittedBook, SchedCtx};
+use vod_paradigm::experiments::Scenario;
 use vod_paradigm::prelude::*;
-use vod_paradigm::workload::{
-    generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig, RequestConfig,
-};
-
-const HORIZON: f64 = 24.0 * 3_600.0;
 
 /// One cycle: Ψ bits, then victims, iterations, reconcile iterations,
 /// reconcile victims, cross-shard overflows, storages rescanned and
 /// trial jobs scored.
 type Row = (u64, [usize; 7]);
 
-/// Drive one cycle per row of `want`, `requests_per_user` requests per
-/// user over `titles` titles, through `cfg` and one committed book, and
-/// assert each cycle's row.
-fn drive(
-    topo: &Topology,
-    titles: usize,
-    requests_per_user: usize,
-    cfg: &ShardConfig,
-    want: &[Row],
-) {
-    let cycles = want.len();
-    let catalog = generate_catalog(&CatalogConfig::small(titles), 0xCA7A_10C0_FFEE_0001);
-    let request = RequestConfig { requests_per_user, ..RequestConfig::with_alpha(0.271) };
-    let arrivals = generate_arrivals(
-        topo,
-        &catalog,
-        &ArrivalConfig { request, cycles, ..Default::default() },
-        1997,
-    );
+/// Drive one cycle of `scenario` per row of `want` through its shard
+/// config and one committed book, and assert each cycle's row.
+fn drive(scenario: Scenario, want: &[Row]) {
+    let (topo, catalog, arrivals, svc) = Scenario { cycles: want.len(), ..scenario }.build();
+    let cfg = &svc.shard;
     let model = CostModel::per_hop();
-    let ctx = SchedCtx::new(topo, &model, &catalog);
-    let mut book = CommittedBook::new(topo);
+    let ctx = SchedCtx::new(&topo, &model, &catalog);
+    let mut book = CommittedBook::new(&topo);
     let mut next = 0;
     for (k, want) in want.iter().enumerate() {
-        let t0 = k as f64 * HORIZON;
+        let t0 = k as f64 * svc.horizon;
         let first = next;
         while next < arrivals.len() && arrivals[next].at <= t0 {
             next += 1;
@@ -76,30 +58,15 @@ fn drive(
 /// overflows make the global pass commit victims.
 #[test]
 fn steady_cell_reconciles_as_pinned() {
-    let topo = builders::paper_fig4(&builders::PaperFig4Config {
-        capacity_gb: 5.0,
-        users_per_neighborhood: 10,
-        ..Default::default()
-    });
     assert!(STEADY.iter().any(|(_, r)| r[2] > 0), "the global pass never ran an iteration");
-    drive(&topo, 500, 2, &ShardConfig::by_region(4), &STEADY);
+    drive(Scenario::named("steady"), &STEADY);
 }
 
 /// `contended`: 24 stores of 1.8 GB, 150 titles, 672 requests a cycle in
 /// four time slices sharing every storage.
 #[test]
 fn contended_cell_reconciles_as_pinned() {
-    let topo = builders::random_connected(
-        &builders::GenConfig {
-            storages: 24,
-            capacity_gb: 1.8,
-            users_per_neighborhood: 4,
-            ..Default::default()
-        },
-        3,
-        0xB0B,
-    );
-    drive(&topo, 150, 7, &ShardConfig::by_time_slice(4), &CONTENDED);
+    drive(Scenario::named("contended"), &CONTENDED);
 }
 
 #[rustfmt::skip]

@@ -10,16 +10,11 @@
 //! bits of its per-node peak occupancy, a digest of its per-link peak
 //! stream counts, its cache-served deliveries and its violation count.
 
-use vod_paradigm::core::{
-    ExecMode, GreedyPolicy, SchedCtx, ServiceConfig, ServiceLoop, ShardConfig, SorpConfig,
-};
+mod common;
+
+use vod_paradigm::core::{ExecMode, SchedCtx, ServiceLoop};
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::replay_service_cycle;
-use vod_paradigm::workload::{
-    generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig, RequestConfig,
-};
-
-const HORIZON: f64 = 24.0 * 3_600.0;
 
 /// `(events_processed, makespan bits, Ψ bits, peak occupancy digest,
 /// peak link streams digest, served from cache, violations)`.
@@ -34,40 +29,15 @@ fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
 
 #[test]
 fn ample_wide_cell_replays_as_pinned() {
-    let topo = builders::random_connected(
-        &builders::GenConfig {
-            storages: 12,
-            capacity_gb: 40.0,
-            users_per_neighborhood: 4,
-            ..Default::default()
-        },
-        3,
-        0xB0B,
-    );
-    let catalog = generate_catalog(&CatalogConfig::small(120), 0xCA7A_10C0_FFEE_0001);
-    let request = RequestConfig { requests_per_user: 12, ..RequestConfig::with_alpha(0.271) };
-    let arrivals = generate_arrivals(
-        &topo,
-        &catalog,
-        &ArrivalConfig { request, cycles: PINNED.len(), regional: true, ..Default::default() },
-        1997,
-    );
-    let policy = GreedyPolicy { allow_remote_placement: false, ..GreedyPolicy::default() };
-    let cfg = ServiceConfig {
-        shard: ShardConfig {
-            sorp: SorpConfig { policy, ..SorpConfig::default() },
-            ..ShardConfig::by_region(4)
-        },
-        horizon: HORIZON,
-        ..ServiceConfig::default()
-    };
+    let (topo, catalog, arrivals, cfg) = common::small_ample_wide(PINNED.len()).build();
+    let horizon = cfg.horizon;
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &catalog);
     let mut svc = ServiceLoop::new(&topo, cfg).expect("an empty plan validates");
 
     let (mut next, mut one_node, mut deliveries) = (0, 0, 0);
     for (k, want) in PINNED.iter().enumerate() {
-        let t0 = k as f64 * HORIZON;
+        let t0 = k as f64 * horizon;
         while next < arrivals.len() && arrivals[next].at <= t0 {
             svc.offer(arrivals[next].request).expect("an unbounded queue admits every offer");
             next += 1;

@@ -9,13 +9,10 @@
 //! Over the benchmark's 200-cycle run the same ratio reads 0.175
 //! (EXPERIMENTS.md, *Standing trial jobs*).
 
-use vod_paradigm::core::{shard_solve_seeded, CommittedBook, SchedCtx, ShardConfig};
+use vod_paradigm::core::{shard_solve_seeded, CommittedBook, SchedCtx};
+use vod_paradigm::experiments::Scenario;
 use vod_paradigm::prelude::*;
-use vod_paradigm::workload::{
-    generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig, RequestConfig,
-};
 
-const HORIZON: f64 = 24.0 * 3_600.0;
 const CYCLES: usize = 24;
 /// 25 % above the 0.175 of scored jobs (3 395 of 19 398) measured as
 /// rebuilt for this cell.
@@ -25,35 +22,16 @@ const CEILING: f64 = 0.219;
 fn a_resolution_iteration_rebuilds_only_the_jobs_its_commit_moved() {
     // The benchmark's `contended` cell: 24 stores of 1.8 GB, 96 users
     // asking seven times a cycle out of 150 titles, four time slices.
-    let topo = builders::random_connected(
-        &builders::GenConfig {
-            storages: 24,
-            capacity_gb: 1.8,
-            users_per_neighborhood: 4,
-            ..Default::default()
-        },
-        3,
-        0xB0B,
-    );
-    let catalog = generate_catalog(&CatalogConfig::small(150), 0xCA7A_10C0_FFEE_0001);
-    let arrivals = generate_arrivals(
-        &topo,
-        &catalog,
-        &ArrivalConfig {
-            request: RequestConfig { requests_per_user: 7, ..RequestConfig::with_alpha(0.271) },
-            cycles: CYCLES,
-            ..Default::default()
-        },
-        1997,
-    );
+    let (topo, catalog, arrivals, svc) =
+        Scenario { cycles: CYCLES, ..Scenario::named("contended") }.build();
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &catalog);
-    let cfg = ShardConfig::by_time_slice(4);
+    let cfg = svc.shard;
     let mut book = CommittedBook::new(&topo);
 
     let (mut next, mut rebuilt, mut scored) = (0, 0usize, 0usize);
     for k in 0..CYCLES {
-        let t0 = k as f64 * HORIZON;
+        let t0 = k as f64 * svc.horizon;
         let first = next;
         while next < arrivals.len() && arrivals[next].at <= t0 {
             next += 1;

@@ -5,12 +5,11 @@
 //! shedding, zero-loss accounting, and strict replay of whatever each
 //! cycle actually committed.
 
-mod common;
-
 use vod_paradigm::core::{
     detect_overflows, service_run, BackoffPolicy, ExecMode, Rung, SchedCtx, ServiceConfig,
     ServiceLoop,
 };
+use vod_paradigm::experiments::Scenario;
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::{check_service_accounting, cycle_is_clean, replay_service_cycle};
 use vod_paradigm::workload::{generate_arrivals, generate_catalog, ArrivalConfig, CatalogConfig};
@@ -142,7 +141,8 @@ const CELL_CYCLES: usize = 48;
 /// clear every overflow that has a participant.
 #[test]
 fn overload_faults_cell_replays_clean_on_every_rung() {
-    let (topo, catalog, arrivals, cfg) = common::overload_faults_cell(1997, CELL_CYCLES);
+    let (topo, catalog, arrivals, cfg) =
+        Scenario { cycles: CELL_CYCLES, ..Scenario::named("overload_faults") }.build();
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &catalog);
     let mut svc = ServiceLoop::new(&topo, cfg).expect("a generated plan");
@@ -240,7 +240,8 @@ const PINNED_DECISIONS: &str = "\
 /// over its first 48 cycles are exactly the pinned ones.
 #[test]
 fn overload_faults_cell_decisions_are_pinned() {
-    let (topo, catalog, arrivals, cfg) = common::overload_faults_cell(1997, CELL_CYCLES);
+    let (topo, catalog, arrivals, cfg) =
+        Scenario { cycles: CELL_CYCLES, ..Scenario::named("overload_faults") }.build();
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &catalog);
     let (outcomes, report) = service_run(&ctx, &arrivals, &cfg, CELL_CYCLES).unwrap();

@@ -5,7 +5,7 @@
 //! its JSONL export must round-trip bit-for-bit.
 
 use vod_core::{ServiceCycleOutcome, ServiceReport};
-use vod_experiments::{service, EnvParams, Preset};
+use vod_experiments::{EnvParams, Preset, Scenario};
 use vod_obs::{Recorder, Recording};
 
 const N_CYCLES: usize = 4;
@@ -15,14 +15,14 @@ fn recorded_run() -> (Vec<ServiceCycleOutcome>, ServiceReport, Recording) {
     // Bounded queue + tight budget + a burst cycle: exercises admission
     // rejection, the degradation ladder, shedding, and backoff — every
     // row of the telemetry schema the acceptance criterion names.
-    let sp = service::ServiceParams {
+    let mut scenario = Scenario {
         queue_bound: Some(params.users_per_neighborhood * 19),
         budget_ns: Some(30.0 * 9_700.0),
-        burst: vec![(1, 4)],
-        ..service::ServiceParams::default()
+        ..Scenario::paper(&params, N_CYCLES)
     };
+    scenario.arrivals.burst = vec![(1, 4)];
     let recorder = Recorder::enabled();
-    let (outcomes, report) = service::service_horizon(&params, N_CYCLES, &sp, &recorder);
+    let (outcomes, report) = scenario.run(&recorder);
     let recording = recorder.recording().expect("recorder is enabled");
     (outcomes, report, recording)
 }

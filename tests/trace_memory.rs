@@ -9,11 +9,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use vod_paradigm::prelude::*;
-use vod_paradigm::topology::builders::GenConfig;
-use vod_paradigm::workload::{
-    generate_arrivals, generate_catalog, Arrival, ArrivalConfig, CatalogConfig, RequestConfig,
-};
+use vod_paradigm::experiments::Scenario;
+use vod_paradigm::workload::{generate_arrivals, Arrival, ArrivalConfig};
 
 /// Bytes currently allocated, as requested by the callers.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -85,24 +82,15 @@ fn generating_a_trace_holds_little_beyond_the_trace() {
     // The benchmark's `ample_wide` cell, 60 cycles: a random 24-storage
     // network with 6 users per neighborhood asking 28 times a cycle out of
     // regional catalogs of 240 titles.
-    let cfg = GenConfig {
-        storages: 24,
-        capacity_gb: 40.0,
-        users_per_neighborhood: 6,
-        ..Default::default()
-    };
-    let topo = builders::random_connected(&cfg, 3, 0xB0B);
-    let catalog = generate_catalog(&CatalogConfig::small(240), 0xCA7A_10C0_FFEE_0001);
-    let arrival_cfg = ArrivalConfig {
-        request: RequestConfig { requests_per_user: 28, ..RequestConfig::with_alpha(0.271) },
-        cycles: CYCLES,
-        regional: true,
-        burst: Vec::new(),
-    };
+    let cell = Scenario::named("ample_wide");
+    let arrival_cfg = ArrivalConfig { cycles: CYCLES, ..cell.arrivals.clone() };
+    // The cell's network and catalog; its trace is the one measured below.
+    let (topo, catalog, _, _) =
+        Scenario { arrivals: ArrivalConfig { cycles: 0, ..cell.arrivals }, ..cell }.build();
 
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
-    let trace = generate_arrivals(&topo, &catalog, &arrival_cfg, 1997);
+    let trace = generate_arrivals(&topo, &catalog, &arrival_cfg, cell.seed);
     let peak = PEAK.load(Ordering::Relaxed) - before;
 
     assert_eq!(trace.len(), CYCLES * topo.user_count() * 28);

@@ -4,9 +4,8 @@
 //! outlives its cycle's window and runs into a fault that starts later
 //! must have been repaired around that fault too.
 
-mod common;
-
 use vod_paradigm::core::{service_run, SchedCtx};
+use vod_paradigm::experiments::Scenario;
 use vod_paradigm::prelude::*;
 use vod_paradigm::simulator::{cycle_is_clean, simulate_with_faults, SimOptions};
 
@@ -16,7 +15,8 @@ const CYCLES: usize = 200;
 /// Drive the cell at `seed` and replay each committed cycle under the
 /// whole plan, its ladder sheds excused; no other violation may show.
 fn every_cycle_replays_clean_under_the_whole_plan(seed: u64) {
-    let (topo, catalog, arrivals, cfg) = common::overload_faults_cell(seed, CYCLES);
+    let (topo, catalog, arrivals, cfg) =
+        Scenario { seed, cycles: CYCLES, ..Scenario::named("overload_faults") }.build();
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &catalog);
     let (outcomes, _) = service_run(&ctx, &arrivals, &cfg, CYCLES).expect("a generated plan");
