@@ -131,8 +131,9 @@ pub(crate) fn repair_state(
     plan: &FaultPlan,
     policy: GreedyPolicy,
 ) -> RepairPass {
-    let impact = plan.impact(state.priced.schedule(), ctx.catalog, ctx.model.space_model());
-    if impact.affected_videos.is_empty() {
+    let repaired_videos =
+        plan.impact(state.priced.schedule(), ctx.catalog, ctx.model.space_model());
+    if repaired_videos.is_empty() {
         return RepairPass::default();
     }
     let pre_repair_cost = state.priced.total();
@@ -165,7 +166,6 @@ pub(crate) fn repair_state(
 
     let vw = ctx.topo.warehouse();
     let mut delayed = Vec::new();
-    let repaired_videos: Vec<VideoId> = impact.affected_videos.iter().copied().collect();
 
     for &vid in &repaired_videos {
         // Impact only lists scheduled videos, but the service loop feeds
@@ -306,12 +306,12 @@ pub(crate) mod tests {
             from: 0.0,
             until: 48.0 * 3600.0,
         }]);
-        let impact = plan.impact(priced.schedule(), &wl.catalog, model.space_model());
-        assert!(!impact.broken_residencies.is_empty());
+        let broken = plan.impact(priced.schedule(), &wl.catalog, model.space_model());
+        assert!(!broken.is_empty());
 
         let out = repair_schedule(&ctx, priced, &plan).unwrap();
         assert!(!out.unchanged);
-        assert_eq!(out.repaired_videos, impact.affected_videos.iter().copied().collect::<Vec<_>>());
+        assert_eq!(out.repaired_videos, broken);
         // No repaired video may still store data at the down node during
         // the outage.
         let space = model.space_model();
@@ -329,9 +329,23 @@ pub(crate) mod tests {
         // home stays reachable.
         assert_eq!(out.priced.schedule().delivery_count(), wl.requests.len());
         assert!(out.delayed.is_empty());
-        // The plan no longer breaks anything.
-        let post = plan.impact(out.priced.schedule(), &wl.catalog, space);
-        assert!(post.is_empty(), "repair left broken services: {post:?}");
+        // Replayed under the plan, the repaired schedule loses no copy.
+        let report = vod_simulator::simulate_with_faults(
+            &topo,
+            &wl.catalog,
+            &model,
+            out.priced.schedule(),
+            &plan,
+            &[],
+            &vod_simulator::SimOptions::lenient(),
+        )
+        .unwrap();
+        let lost: Vec<_> = report
+            .violations
+            .iter()
+            .filter(|v| matches!(v, vod_simulator::Violation::ResidencyLostToOutage { .. }))
+            .collect();
+        assert!(lost.is_empty(), "repair left broken services: {lost:?}");
         assert!(out.priced.consistent_with(&ctx), "pricing memo diverged");
     }
 

@@ -27,6 +27,7 @@
 //! cancellation on near-vertical segments.
 
 use vod_cost_model::{Bytes, Secs};
+use vod_topology::SplitMix64;
 
 /// Arena index; `NIL` is the empty subtree.
 type Idx = u32;
@@ -95,15 +96,6 @@ pub struct OccupancyTimeline {
     /// set, same tree shape, same accumulation order) — the commit-delta
     /// signal behind the dirty-node overflow rescan.
     version: u64,
-}
-
-/// SplitMix64 finalizer: deterministic, well-mixed priority from the
-/// time's bit pattern.
-fn prio_of(t: f64) -> u64 {
-    let mut z = t.to_bits().wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl Default for OccupancyTimeline {
@@ -230,7 +222,9 @@ impl OccupancyTimeline {
     fn alloc(&mut self, t: f64, jump: f64, dslope: f64) -> Idx {
         let node = Node {
             t,
-            prio: prio_of(t),
+            // Deterministic, well-mixed priority: the first SplitMix64
+            // draw seeded with the time's bit pattern.
+            prio: SplitMix64::new(t.to_bits()).next_u64(),
             jump,
             dslope,
             refs: 1,

@@ -10,8 +10,9 @@ use vod_core::{
     detect_overflows, ivsp_solve, repair_schedule, sorp_solve, ExecMode, PricedSchedule, SchedCtx,
     ServiceConfig, ServiceLoop, SorpConfig, StorageLedger,
 };
-use vod_cost_model::{CostModel, Request};
+use vod_cost_model::{CostModel, Request, RequestBatch};
 use vod_faults::{Fault, FaultConfig, FaultPlan};
+use vod_simulator::{simulate_with_faults, SimOptions, Violation};
 use vod_topology::{builders, RouteTable, Topology};
 use vod_workload::{CatalogConfig, RequestConfig, Workload};
 
@@ -91,10 +92,10 @@ fn committed(ctx: &SchedCtx<'_>, wl: &Workload) -> (PricedSchedule, bool) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 14, ..ProptestConfig::default() })]
 
-    /// After repair, the fault plan breaks nothing: no transfer crosses a
-    /// failed link during its failure window and no live copy overlaps an
-    /// outage at its node. Every original request is delivered exactly
-    /// once, and repair is deterministic.
+    /// After repair, the fault plan breaks nothing: replayed under the
+    /// plan, no stream crosses a failed link during its failure window and
+    /// no live copy overlaps an outage at its node. Every original request
+    /// is delivered exactly once, and repair is deterministic.
     #[test]
     fn repair_leaves_no_broken_service(s in scenario_strategy()) {
         let (topo, wl, plan) = build(&s);
@@ -103,14 +104,34 @@ proptest! {
         let (priced, _) = committed(&ctx, &wl);
 
         let out = repair_schedule(&ctx, priced.clone(), &plan).unwrap();
-        let post = plan.impact(out.priced.schedule(), &wl.catalog, model.space_model());
-        prop_assert!(post.is_empty(), "repair left broken services: {post:?}");
+        let original: Vec<Request> =
+            wl.requests.groups().flat_map(|(_, g)| g.iter().copied()).collect();
+        let served = RequestBatch::new(out.adjusted_requests(&original));
+        let report = simulate_with_faults(
+            &topo,
+            &wl.catalog,
+            &model,
+            out.priced.schedule(),
+            &plan,
+            &[],
+            &SimOptions::strict(&served),
+        )
+        .unwrap();
+        let broken: Vec<&Violation> = report
+            .violations
+            .iter()
+            .filter(|v| {
+                matches!(
+                    v,
+                    Violation::StreamOnFailedLink { .. } | Violation::ResidencyLostToOutage { .. }
+                )
+            })
+            .collect();
+        prop_assert!(broken.is_empty(), "repair left broken services: {broken:?}");
 
         // Full delivery: repair never sheds.
         prop_assert_eq!(out.priced.schedule().delivery_count(), wl.requests.len());
-        let original: Vec<Request> =
-            wl.requests.groups().flat_map(|(_, g)| g.iter().copied()).collect();
-        prop_assert_eq!(out.adjusted_requests(&original).len(), wl.requests.len());
+        prop_assert_eq!(served.len(), wl.requests.len());
 
         // Bit-identical decisions on a second run.
         let again = repair_schedule(&ctx, priced, &plan).unwrap();

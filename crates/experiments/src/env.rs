@@ -119,40 +119,34 @@ pub struct EvalResult {
 
 /// Run the full pipeline for one cell under one heat metric.
 pub fn evaluate_cell(params: &EnvParams, metric: HeatMetric) -> EvalResult {
-    let (topo, wl) = params.build();
-    let model = CostModel::per_hop();
-    let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
-
-    let individual = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default());
-    let outcome = sorp_solve(&ctx, individual, &SorpConfig::with_metric(metric), None);
-    debug_assert!(outcome.overflow_free);
-    let network_only = ctx.schedule_cost(&baselines::network_only(&ctx, &wl.requests));
-
-    EvalResult {
-        two_phase: outcome.cost,
-        phase1: outcome.initial_cost,
-        network_only,
-        sorp_iterations: outcome.iterations,
-        rel_increase: outcome.relative_cost_increase(),
-        resolution_changed_cost: outcome.resolved_anything(),
-    }
+    let [result] = evaluate_metrics(params, [metric]);
+    result
 }
 
 /// Run the pipeline once and price the resolved schedule under **all
-/// four** heat metrics, sharing the phase-1 schedule (which is metric-
-/// independent). Returns results in `HeatMetric::ALL` order.
+/// four** heat metrics. Returns results in `HeatMetric::ALL` order.
 pub fn evaluate_cell_all_metrics(params: &EnvParams) -> [EvalResult; 4] {
+    evaluate_metrics(params, HeatMetric::ALL)
+}
+
+/// One cell under each of `metrics`. Phase 1 and the network-only
+/// baseline are metric-independent: they are priced once, and every
+/// resolution run starts from the same priced phase-1 schedule (memo
+/// included).
+fn evaluate_metrics<const N: usize>(
+    params: &EnvParams,
+    metrics: [HeatMetric; N],
+) -> [EvalResult; N] {
     let (topo, wl) = params.build();
     let model = CostModel::per_hop();
     let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
 
-    // Phase 1 is metric-independent: price it once, share the priced
-    // schedule (memo included) across all four resolution runs.
     let individual = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default());
     let network_only = ctx.schedule_cost(&baselines::network_only(&ctx, &wl.requests));
 
-    HeatMetric::ALL.map(|metric| {
+    metrics.map(|metric| {
         let outcome = sorp_solve(&ctx, individual.clone(), &SorpConfig::with_metric(metric), None);
+        debug_assert!(outcome.overflow_free);
         EvalResult {
             two_phase: outcome.cost,
             phase1: outcome.initial_cost,

@@ -18,7 +18,7 @@ use vod_core::{
 use vod_cost_model::CostModel;
 use vod_parallel::parallel_map;
 use vod_topology::{builders, units};
-use vod_workload::{generate_catalog, generate_requests, CatalogConfig, RequestConfig};
+use vod_workload::{generate_catalog, CatalogConfig};
 
 // ---------------------------------------------------------------------
 // Optimality gap
@@ -186,32 +186,25 @@ pub fn bandwidth(preset: Preset) -> BandwidthResult {
         Preset::Fast => vec![1.0, 4.0, 16.0],
     };
 
+    // One workload for every capacity point: link bandwidth plays no part
+    // in drawing it, so each point schedules the identical request set.
+    let (topo, wl) = base.build();
+    let requests = &wl.requests;
     let rows = parallel_map(&capacities, |&streams| {
-        let (mut topo, _) = base.build();
+        let mut topo = topo.clone();
         topo.set_uniform_bandwidth(Some(units::mbps(5.0) * streams)).expect("positive capacity");
-        // Rebuild the workload against the capped topology (same seed, so
-        // the request pattern is identical across capacity points).
-        let catalog_cfg = CatalogConfig { videos: base.videos, ..CatalogConfig::paper() };
-        let request_cfg = RequestConfig {
-            requests_per_user: base.requests_per_user,
-            ..RequestConfig::with_alpha(base.zipf_alpha)
-        };
-        let catalog = generate_catalog(&catalog_cfg, base.seed ^ 0xCA7A_10C0_FFEE_0001);
-        let requests =
-            generate_requests(&topo, &catalog, &request_cfg, base.seed ^ 0x5EED_0000_0000_0002);
-
         let model = CostModel::per_hop();
-        let ctx = SchedCtx::new(&topo, &model, &catalog);
+        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
 
-        let aware = bandwidth_aware_solve(&ctx, &requests);
+        let aware = bandwidth_aware_solve(&ctx, requests);
         let oblivious = sorp_solve(
             &ctx,
-            ivsp_solve(&ctx, &requests, GreedyPolicy::default()),
+            ivsp_solve(&ctx, requests, GreedyPolicy::default()),
             &SorpConfig::default(),
             None,
         );
         let mut links = StorageLedger::new(&topo);
-        links.add_streams(&topo, &catalog, &oblivious.schedule);
+        links.add_streams(&topo, &wl.catalog, &oblivious.schedule);
         let overloads = detect_link_overloads(&topo, &links).len();
 
         BandwidthRow {
@@ -223,12 +216,7 @@ pub fn bandwidth(preset: Preset) -> BandwidthResult {
         }
     });
 
-    let offered = {
-        let (topo, wl) = base.build();
-        let _ = topo;
-        wl.requests.len()
-    };
-    BandwidthResult { offered, rows }
+    BandwidthResult { offered: requests.len(), rows }
 }
 
 #[cfg(test)]

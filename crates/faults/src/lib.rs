@@ -6,10 +6,11 @@
 //! outages (cached residencies lost for a window), link failures, and
 //! link bandwidth degradations. A [`FaultPlan`] is a plain value —
 //! seedable via [`FaultPlan::generate`], validated against a topology,
-//! and analysable against a committed schedule via
-//! [`FaultPlan::impact`] — so the same plan drives both the repair
+//! and asked which videos of a committed schedule it breaks
+//! ([`FaultPlan::impact`]) — so the same plan drives both the repair
 //! scheduler (`vod-core`) and fault-aware replay (`vod-simulator`)
-//! deterministically.
+//! deterministically. The replay, not `impact`, judges what a repaired
+//! schedule still loses.
 //!
 //! Windows are half-open `[from, until)`: a fault starting exactly when
 //! another ends does not overlap it.
@@ -22,8 +23,8 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
-use vod_cost_model::{Catalog, Schedule, Secs, SpaceModel, VideoId};
-use vod_topology::{NodeId, Topology, TopologyError, UserId};
+use vod_cost_model::{Catalog, Schedule, Secs, SpaceModel, VideoId, VideoSchedule};
+use vod_topology::{NodeId, Topology};
 use vod_workload::SplitMix64;
 
 /// One injected fault, active over the half-open window `[from, until)`.
@@ -116,26 +117,6 @@ fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     }
 }
 
-/// Whether the warehouse reaches every node of `topo` over the edges
-/// neither marked in `cut` nor joining the endpoint pair `also` — the
-/// connectivity check of `Topology::without_links`, on an edge mask.
-fn reaches_every_node(topo: &Topology, cut: &[bool], also: (NodeId, NodeId)) -> bool {
-    let mut seen = vec![false; topo.node_count()];
-    let mut queue = std::collections::VecDeque::from([topo.warehouse()]);
-    seen[topo.warehouse().index()] = true;
-    let mut reached = 1;
-    while let Some(n) = queue.pop_front() {
-        for &(m, e) in topo.neighbors(n) {
-            if !seen[m.index()] && !cut[e] && link_key(n, m) != also {
-                seen[m.index()] = true;
-                reached += 1;
-                queue.push_back(m);
-            }
-        }
-    }
-    reached == topo.node_count()
-}
-
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -203,7 +184,8 @@ pub struct FaultConfig {
     pub node_outages: usize,
     /// Number of link failures to inject. Candidates whose removal would
     /// disconnect the graph (together with previously chosen failures)
-    /// are skipped, so the degraded topology stays buildable.
+    /// are skipped, so the warehouse reaches every node around all of
+    /// them at once.
     pub link_failures: usize,
     /// Number of link bandwidth degradations to inject.
     pub link_degradations: usize,
@@ -314,9 +296,9 @@ impl FaultPlan {
 
     /// Generate a plan from a seed. Same topology + config + seed →
     /// identical plan. Link-failure candidates that would disconnect the
-    /// graph (in combination with already-chosen failures) are skipped so
-    /// [`FaultPlan::degraded_topology`] always succeeds on a generated
-    /// plan.
+    /// graph (in combination with already-chosen failures) are skipped, so
+    /// a route table built around every [`failed_links`](Self::failed_links)
+    /// edge reaches every node from the warehouse.
     #[deny(clippy::disallowed_methods)]
     pub fn generate(topo: &Topology, cfg: &FaultConfig, seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed);
@@ -337,8 +319,7 @@ impl FaultPlan {
             faults.push(Fault::NodeOutage { node, from, until });
         }
 
-        // Edges failed so far, cut by endpoint pair as
-        // `Topology::without_links` cuts them.
+        // Edges failed so far (a topology has one edge per node pair).
         let mut cut = vec![false; topo.edge_count()];
         for _ in 0..cfg.link_failures {
             let m = topo.edge_count();
@@ -348,16 +329,12 @@ impl FaultPlan {
             // Walk edges from a random offset; take the first whose
             // removal keeps the graph connected.
             let offset = rng.index(m);
-            let chosen = (0..m).map(|i| (offset + i) % m).find(|&i| {
-                let e = &topo.edges()[i];
-                reaches_every_node(topo, &cut, link_key(e.a, e.b))
-            });
+            let chosen = (0..m)
+                .map(|i| (offset + i) % m)
+                .find(|&i| topo.first_unreachable(|e| e != i && !cut[e]).is_none());
             let Some(i) = chosen else { break };
+            cut[i] = true;
             let e = &topo.edges()[i];
-            let pair = link_key(e.a, e.b);
-            for (j, other) in topo.edges().iter().enumerate() {
-                cut[j] |= link_key(other.a, other.b) == pair;
-            }
             let (from, until) = window(&mut rng);
             faults.push(Fault::LinkFailure { a: e.a, b: e.b, from, until });
         }
@@ -422,114 +399,46 @@ impl FaultPlan {
         t
     }
 
-    /// The everything-failed-at-once topology: the original graph with
-    /// every [`failed_links`](Self::failed_links) edge removed. Errs with
-    /// [`TopologyError::Disconnected`] when the failures cut a node off.
-    pub fn degraded_topology(&self, topo: &Topology) -> Result<Topology, TopologyError> {
-        topo.without_links(&self.failed_links())
-    }
-
-    /// Which committed services each fault breaks. A delivery or cache-fill
-    /// transfer is broken when a failed link lies on its route while the
-    /// stream is in flight (`[start, start + playback)`); a residency is
-    /// broken when its hosting storage suffers an outage overlapping the
-    /// window it actually holds data (`[profile.start, profile.end)`,
-    /// space > 0 — degenerate relay residencies store nothing and
-    /// survive). Degradations break nothing: streams still flow, only
-    /// slower.
-    pub fn impact(&self, schedule: &Schedule, catalog: &Catalog, space: SpaceModel) -> FaultImpact {
-        let mut impact = FaultImpact::default();
-        for vs in schedule.videos() {
+    /// The videos of `schedule` with a service some fault breaks,
+    /// ascending: what repair re-places. A delivery or cache-fill transfer
+    /// is broken when a failed link lies on its route while the stream is
+    /// in flight (`[start, start + playback)`); a residency is broken when
+    /// its hosting storage suffers an outage overlapping the window it
+    /// actually holds data (`[profile.start, profile.end)`, space > 0 —
+    /// degenerate relay residencies store nothing and survive).
+    /// Degradations break nothing: streams still flow, only slower.
+    pub fn impact(
+        &self,
+        schedule: &Schedule,
+        catalog: &Catalog,
+        space: SpaceModel,
+    ) -> Vec<VideoId> {
+        let breaks = |vs: &VideoSchedule| {
             let playback = catalog.get(vs.video).playback;
-            for t in &vs.transfers {
-                let in_flight = (t.start, t.start + playback);
-                let broken = self
-                    .faults
+            let stream_broken = vs.transfers.iter().any(|t| {
+                self.faults
                     .iter()
-                    .find(|f| f.overlaps(in_flight.0, in_flight.1) && f.fails_a_hop_of(&t.route));
-                if let Some(&fault) = broken {
-                    impact.broken_transfers.push(BrokenTransfer {
-                        fault,
-                        video: t.video,
-                        user: t.user,
-                        start: t.start,
-                    });
-                    impact.affected_videos.insert(t.video);
-                }
-            }
-            for r in &vs.residencies {
-                let profile = r.profile_with(catalog.get(r.video), space);
-                if profile.peak() <= 0.0 {
-                    continue;
-                }
-                let broken = self.faults.iter().find(|f| {
-                    matches!(f, Fault::NodeOutage { node, .. } if *node == r.loc)
-                        && f.overlaps(profile.start, profile.end)
-                });
-                if let Some(&fault) = broken {
-                    impact.broken_residencies.push(BrokenResidency {
-                        fault,
-                        video: r.video,
-                        loc: r.loc,
-                        start: r.start,
-                    });
-                    impact.affected_videos.insert(r.video);
-                }
-            }
-        }
-        impact
-    }
-}
-
-/// A committed transfer a fault breaks.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BrokenTransfer {
-    /// The breaking fault.
-    pub fault: Fault,
-    /// The streamed video.
-    pub video: VideoId,
-    /// The delivered user, or `None` for a cache-fill stream.
-    pub user: Option<UserId>,
-    /// Stream start time.
-    pub start: Secs,
-}
-
-/// A committed residency a fault destroys.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BrokenResidency {
-    /// The breaking fault.
-    pub fault: Fault,
-    /// The cached video.
-    pub video: VideoId,
-    /// The hosting storage.
-    pub loc: NodeId,
-    /// Caching start time.
-    pub start: Secs,
-}
-
-/// Everything a [`FaultPlan`] breaks in one committed schedule.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FaultImpact {
-    /// Transfers crossing a failed link while in flight.
-    pub broken_transfers: Vec<BrokenTransfer>,
-    /// Residencies whose storage suffers an outage while holding data.
-    pub broken_residencies: Vec<BrokenResidency>,
-    /// The union of videos with at least one broken service, ascending.
-    pub affected_videos: BTreeSet<VideoId>,
-}
-
-impl FaultImpact {
-    /// Whether no committed service is affected.
-    pub fn is_empty(&self) -> bool {
-        self.broken_transfers.is_empty() && self.broken_residencies.is_empty()
+                    .any(|f| f.overlaps(t.start, t.start + playback) && f.fails_a_hop_of(&t.route))
+            });
+            stream_broken
+                || vs.residencies.iter().any(|r| {
+                    let profile = r.profile_with(catalog.get(r.video), space);
+                    profile.peak() > 0.0
+                        && self.faults.iter().any(|f| {
+                            matches!(f, Fault::NodeOutage { node, .. } if *node == r.loc)
+                                && f.overlaps(profile.start, profile.end)
+                        })
+                })
+        };
+        schedule.videos().filter(|vs| breaks(vs)).map(|vs| vs.video).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_cost_model::{Request, Residency, Transfer, VideoSchedule};
-    use vod_topology::{builders, units, Route};
+    use vod_cost_model::{Request, Residency, Transfer};
+    use vod_topology::{builders, units, Route, RouteTable, UserId};
     use vod_workload::{generate_catalog, CatalogConfig};
 
     fn topo() -> Topology {
@@ -547,6 +456,14 @@ mod tests {
         b.connect(is1, is2, 1.0).unwrap();
         b.add_users(is1, 1);
         b.build().unwrap()
+    }
+
+    /// Whether the warehouse reaches every node around every link `plan`
+    /// fails, by a route table built around them: an independent check of
+    /// the edge-mask search `generate` runs.
+    fn routes_around(plan: &FaultPlan, t: &Topology) -> bool {
+        let routes = RouteTable::build_avoiding(t, &plan.failed_links());
+        t.nodes().all(|n| routes.reachable(t.warehouse(), n))
     }
 
     fn catalog() -> Catalog {
@@ -627,8 +544,8 @@ mod tests {
         assert!(!a.is_empty());
         let c = FaultPlan::generate(&t, &cfg, 43);
         assert_ne!(a, c, "different seeds should diverge");
-        // Generated link failures never disconnect the degraded topology.
-        assert!(a.degraded_topology(&t).is_ok());
+        // Generated link failures never cut a node off.
+        assert!(routes_around(&a, &t));
     }
 
     #[test]
@@ -644,7 +561,7 @@ mod tests {
         let tri = triangle();
         let plan = FaultPlan::generate(&tri, &cfg, 9);
         assert_eq!(plan.failed_links().len(), 1);
-        assert!(plan.degraded_topology(&tri).is_ok());
+        assert!(routes_around(&plan, &tri));
     }
 
     #[test]
@@ -736,11 +653,15 @@ mod tests {
             from: 100.0 + playback / 2.0,
             until: 100.0 + playback,
         }]);
-        let impact = plan.impact(&schedule, &cat, SpaceModel::InstantReservation);
-        assert_eq!(impact.broken_transfers.len(), 1);
-        assert_eq!(impact.broken_transfers[0].user, Some(UserId(0)));
-        assert!(impact.broken_residencies.is_empty());
-        assert!(impact.affected_videos.contains(&vid));
+        assert_eq!(plan.impact(&schedule, &cat, SpaceModel::InstantReservation), [vid]);
+        // The same failure once the stream has ended breaks nothing.
+        let late = FaultPlan::new(vec![Fault::LinkFailure {
+            a: NodeId(2),
+            b: NodeId(1),
+            from: 100.0 + playback,
+            until: 100.0 + 2.0 * playback,
+        }]);
+        assert!(late.impact(&schedule, &cat, SpaceModel::InstantReservation).is_empty());
 
         // An outage at the hosting storage while it holds data.
         let plan = FaultPlan::new(vec![Fault::NodeOutage {
@@ -748,10 +669,7 @@ mod tests {
             from: 100.0 + playback,
             until: 100.0 + 2.0 * playback,
         }]);
-        let impact = plan.impact(&schedule, &cat, SpaceModel::InstantReservation);
-        assert!(impact.broken_transfers.is_empty());
-        assert_eq!(impact.broken_residencies.len(), 1);
-        assert_eq!(impact.broken_residencies[0].loc, NodeId(2));
+        assert_eq!(plan.impact(&schedule, &cat, SpaceModel::InstantReservation), [vid]);
 
         // An outage somewhere irrelevant breaks nothing.
         let plan =
@@ -776,23 +694,25 @@ mod tests {
     }
 
     #[test]
-    fn degraded_topology_removes_failed_links() {
+    fn route_tables_go_around_failed_links() {
         let t = triangle();
-        let removable = t
-            .edges()
-            .iter()
-            .find(|e| t.without_links(&[(e.a, e.b)]).is_ok())
-            .expect("a triangle always has a removable edge")
-            .clone();
-        let plan = FaultPlan::new(vec![Fault::LinkFailure {
-            a: removable.a,
-            b: removable.b,
-            from: 0.0,
-            until: 1.0,
-        }]);
-        let degraded = plan.degraded_topology(&t).unwrap();
-        assert_eq!(degraded.edge_count(), t.edge_count() - 1);
-        assert!(degraded.edge_between(removable.a, removable.b).is_none());
+        let e = t.edges()[0].clone();
+        let plan =
+            FaultPlan::new(vec![Fault::LinkFailure { a: e.b, b: e.a, from: 0.0, until: 1.0 }]);
+        assert!(routes_around(&plan, &t));
+        let routes = RouteTable::build_avoiding(&t, &plan.failed_links());
+        let detour = routes.try_path(e.a, e.b).unwrap();
+        assert_eq!(detour.hop_count(), 2, "the two surviving links carry {}—{}", e.a, e.b);
+        // Failing a second link of the triangle cuts a node off.
+        let f = t.edges()[1].clone();
+        let both = FaultPlan::new(
+            plan.faults()
+                .iter()
+                .copied()
+                .chain([Fault::LinkFailure { a: f.a, b: f.b, from: 0.0, until: 1.0 }])
+                .collect(),
+        );
+        assert!(!routes_around(&both, &t));
     }
 
     #[test]

@@ -68,4 +68,4 @@ pub use report::{Metrics, SimReport, Violation};
 pub use service::{check_service_accounting, cycle_is_clean, replay_service_cycle};
 // Re-exported so replay callers can build fault plans without a separate
 // dependency on the fault-model crate.
-pub use vod_faults::{Fault, FaultConfig, FaultError, FaultImpact, FaultPlan};
+pub use vod_faults::{Fault, FaultConfig, FaultError, FaultPlan};

@@ -10,10 +10,10 @@
 //! rates are explicitly arbitrary units and every experiment sweeps rates
 //! uniformly, the trends of §5 do not depend on the precise wiring.
 //!
-//! The remaining generators (star, line, ring, tree, random) support the
+//! The remaining generators (line, ring, tree, random) support the
 //! extended test/benchmark suite.
 
-use crate::{units, NodeId, Topology, TopologyBuilder};
+use crate::{units, NodeId, SplitMix64, Topology, TopologyBuilder};
 
 /// Parameters for [`paper_fig4`] (defaults = the paper's Table 4 baseline).
 #[derive(Clone, Debug)]
@@ -90,12 +90,9 @@ pub fn paper_fig4(cfg: &PaperFig4Config) -> Topology {
     b.connect(leaves[0][3], leaves[1][0], nrate).expect("cross link 0-1");
     b.connect(leaves[2][3], leaves[3][0], nrate).expect("cross link 2-3");
 
-    // Every intermediate storage hosts a neighborhood of users.
-    let storages: Vec<NodeId> = {
-        let t = b.clone().build().expect("fig4 wiring is valid");
-        t.storages().collect()
-    };
-    for s in storages {
+    // Every intermediate storage hosts a neighborhood of users, in id
+    // order: the hubs, then the leaves.
+    for &s in hubs.iter().chain(leaves.iter().flatten()) {
         b.add_users(s, cfg.users_per_neighborhood);
     }
 
@@ -170,17 +167,6 @@ fn finish(mut b: TopologyBuilder, storages: &[NodeId], users: usize) -> Topology
     b.build().expect("generated wiring is valid")
 }
 
-/// Star: every storage hangs directly off the warehouse. No storage can
-/// relay for another more cheaply than the warehouse can serve it, which
-/// makes this a useful adversarial shape for caching.
-pub fn star(cfg: &GenConfig) -> Topology {
-    let (mut b, vw, storages, nrate) = start(cfg);
-    for &s in &storages {
-        b.connect(vw, s, nrate).expect("star edge");
-    }
-    finish(b, &storages, cfg.users_per_neighborhood)
-}
-
 /// Line: `VW - IS0 - IS1 - … - ISk`. Distance from the warehouse grows
 /// linearly, so downstream caching pays off strongly.
 pub fn line(cfg: &GenConfig) -> Topology {
@@ -245,104 +231,6 @@ pub fn random_connected(cfg: &GenConfig, extra_edges: usize, seed: u64) -> Topol
     finish(b, &storages, cfg.users_per_neighborhood)
 }
 
-/// Parameters for [`hierarchical`] metro networks.
-#[derive(Clone, Debug)]
-pub struct HierarchicalConfig {
-    /// Number of regional hubs directly attached to the warehouse (and to
-    /// each other on a backbone ring when ≥ 2).
-    pub regions: usize,
-    /// Leaf storages per region (`regions` entries; shorter slices repeat
-    /// their last element, an empty slice means hub-only regions).
-    pub leaves_per_region: Vec<usize>,
-    /// Access-link charging rate, $/GB per hop.
-    pub nrate_per_gb: f64,
-    /// Backbone (warehouse↔hub, hub↔hub) rate multiplier.
-    pub backbone_rate_multiplier: f64,
-    /// Storage charging rate, $/(GB·hour).
-    pub srate_per_gb_hour: f64,
-    /// Storage capacity, GB.
-    pub capacity_gb: f64,
-    /// Users per neighborhood (hubs and leaves alike).
-    pub users_per_neighborhood: usize,
-}
-
-impl Default for HierarchicalConfig {
-    fn default() -> Self {
-        Self {
-            regions: 4,
-            leaves_per_region: vec![4],
-            nrate_per_gb: 300.0,
-            backbone_rate_multiplier: 2.0,
-            srate_per_gb_hour: 3.0,
-            capacity_gb: 5.0,
-            users_per_neighborhood: 10,
-        }
-    }
-}
-
-/// Build a two-tier metro network: the warehouse feeds `regions` hub
-/// storages (ring-connected backbone), each hub fans out to its leaves.
-/// [`paper_fig4`] is the `regions = 4`, `leaves = [4, 4, 4, 3]` instance
-/// of this family (plus two cross links); this generator supports the
-/// scale sweeps in the extended benchmarks.
-pub fn hierarchical(cfg: &HierarchicalConfig) -> Topology {
-    assert!(cfg.regions >= 1, "need at least one region");
-    let nrate = units::nrate_per_gb(cfg.nrate_per_gb);
-    let backbone = nrate * cfg.backbone_rate_multiplier;
-    let srate = units::srate_per_gb_hour(cfg.srate_per_gb_hour);
-    let cap = units::gb(cfg.capacity_gb);
-
-    let mut b = TopologyBuilder::new();
-    let vw = b.add_warehouse("VW");
-    let hubs: Vec<NodeId> =
-        (0..cfg.regions).map(|i| b.add_storage(format!("H{i}"), srate, cap)).collect();
-    for &h in &hubs {
-        b.connect(vw, h, backbone).expect("hub link");
-    }
-    if cfg.regions >= 2 {
-        for i in 0..cfg.regions {
-            let j = (i + 1) % cfg.regions;
-            if i < j || cfg.regions > 2 {
-                // Avoid the duplicate edge a 2-ring would create.
-                let _ = b.connect(hubs[i], hubs[j], backbone);
-            }
-        }
-    }
-
-    let mut all_storages = hubs.clone();
-    for (hi, &hub) in hubs.iter().enumerate() {
-        let k =
-            cfg.leaves_per_region.get(hi).or(cfg.leaves_per_region.last()).copied().unwrap_or(0);
-        for li in 0..k {
-            let leaf = b.add_storage(format!("L{hi}{li}"), srate, cap);
-            b.connect(hub, leaf, nrate).expect("leaf link");
-            all_storages.push(leaf);
-        }
-    }
-    for &s in &all_storages {
-        b.add_users(s, cfg.users_per_neighborhood);
-    }
-    b.build().expect("hierarchical wiring is valid")
-}
-
-/// Minimal deterministic RNG for topology generation (SplitMix64). The
-/// full-featured seeded RNG for workloads lives in `vod-workload`; this
-/// private copy avoids a dependency cycle.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        Self(seed)
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,9 +290,7 @@ mod tests {
     #[test]
     fn generators_build_connected_graphs() {
         let cfg = GenConfig { storages: 7, ..GenConfig::default() };
-        for t in
-            [star(&cfg), line(&cfg), ring(&cfg), binary_tree(&cfg), random_connected(&cfg, 4, 42)]
-        {
+        for t in [line(&cfg), ring(&cfg), binary_tree(&cfg), random_connected(&cfg, 4, 42)] {
             assert_eq!(t.storage_count(), 7);
             assert_eq!(t.user_count(), 7 * cfg.users_per_neighborhood);
             // build() already enforces connectivity; sanity-check routing.
@@ -445,64 +331,9 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_builds_expected_shape() {
-        let t = hierarchical(&HierarchicalConfig {
-            regions: 3,
-            leaves_per_region: vec![2, 1, 0],
-            users_per_neighborhood: 5,
-            ..Default::default()
-        });
-        // 1 VW + 3 hubs + 3 leaves.
-        assert_eq!(t.node_count(), 7);
-        assert_eq!(t.storage_count(), 6);
-        assert_eq!(t.user_count(), 30);
-        // Backbone hops are twice the access rate.
-        let rt = RouteTable::build(&t);
-        let vw = t.warehouse();
-        let hub0 = NodeId(1);
-        let leaf00 = NodeId(4);
-        assert!((rt.rate(vw, hub0) / rt.rate(hub0, leaf00) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hierarchical_repeats_last_leaf_count() {
-        let t = hierarchical(&HierarchicalConfig {
-            regions: 4,
-            leaves_per_region: vec![3], // all four regions get 3 leaves
-            ..Default::default()
-        });
-        assert_eq!(t.storage_count(), 4 + 12);
-    }
-
-    #[test]
-    fn hierarchical_single_region_works() {
-        let t = hierarchical(&HierarchicalConfig {
-            regions: 1,
-            leaves_per_region: vec![5],
-            ..Default::default()
-        });
-        assert_eq!(t.storage_count(), 6);
-        let rt = RouteTable::build(&t);
-        for s in t.storages() {
-            assert!(rt.rate(t.warehouse(), s).is_finite());
-        }
-    }
-
-    #[test]
-    fn hierarchical_two_regions_has_no_duplicate_ring_edge() {
-        let t = hierarchical(&HierarchicalConfig {
-            regions: 2,
-            leaves_per_region: vec![1],
-            ..Default::default()
-        });
-        // VW-H0, VW-H1, H0-H1, two leaf links = 5 edges.
-        assert_eq!(t.edge_count(), 5);
-    }
-
-    #[test]
     fn single_storage_degenerate_cases() {
         let cfg = GenConfig { storages: 1, users_per_neighborhood: 3, ..GenConfig::default() };
-        for t in [star(&cfg), line(&cfg), ring(&cfg), binary_tree(&cfg)] {
+        for t in [line(&cfg), ring(&cfg), binary_tree(&cfg)] {
             assert_eq!(t.storage_count(), 1);
             assert_eq!(t.user_count(), 3);
         }

@@ -239,73 +239,29 @@ impl Topology {
         Ok(())
     }
 
-    /// A copy of this topology with the given links removed (pairs match
-    /// in either orientation) — the post-fault graph after permanent link
-    /// failures. Errs with [`TopologyError::Disconnected`] when a node
-    /// would be cut off from the warehouse, and with
-    /// [`TopologyError::UnknownNode`] when a pair references a node
-    /// outside the graph. Removing a pair with no edge between is a
-    /// no-op.
-    pub fn without_links(&self, links: &[(NodeId, NodeId)]) -> Result<Topology, TopologyError> {
-        for &(a, b) in links {
-            for n in [a, b] {
-                if n.index() >= self.nodes.len() {
-                    return Err(TopologyError::UnknownNode(n));
-                }
-            }
-        }
-        let cut = |a: NodeId, b: NodeId| {
-            links.iter().any(|&(x, y)| (x == a && y == b) || (x == b && y == a))
-        };
-        let edges: Vec<Edge> = self.edges.iter().filter(|e| !cut(e.a, e.b)).cloned().collect();
-
-        let (adj, edge_at) = wire(self.nodes.len(), &edges);
-
-        // Connectivity check, as in TopologyBuilder::build.
+    /// The lowest-numbered node the warehouse cannot reach over the links
+    /// `usable` keeps (by index into [`Topology::edges`]), or `None` when
+    /// it reaches every node. The one warehouse-reachability search:
+    /// construction asks it over every link, fault-plan generation over
+    /// the links a candidate failure would leave up.
+    pub fn first_unreachable(&self, usable: impl Fn(usize) -> bool) -> Option<NodeId> {
         let mut seen = vec![false; self.nodes.len()];
-        let mut queue = std::collections::VecDeque::new();
+        let mut queue = std::collections::VecDeque::from([self.warehouse]);
         seen[self.warehouse.index()] = true;
-        queue.push_back(self.warehouse);
         while let Some(n) = queue.pop_front() {
-            for &(m, _) in &adj[n.index()] {
-                if !seen[m.index()] {
+            for &(m, e) in &self.adj[n.index()] {
+                if !seen[m.index()] && usable(e) {
                     seen[m.index()] = true;
                     queue.push_back(m);
                 }
             }
         }
-        if let Some(i) = seen.iter().position(|&s| !s) {
-            return Err(TopologyError::Disconnected(NodeId(i as u32)));
-        }
-
-        Ok(Topology {
-            nodes: self.nodes.clone(),
-            edges,
-            adj,
-            edge_at,
-            warehouse: self.warehouse,
-            users: self.users.clone(),
-            neighborhood: self.neighborhood.clone(),
-        })
+        seen.iter().position(|&s| !s).map(|i| NodeId(i as u32))
     }
 }
 
 /// The `edge_at` entry of a pair with no link.
 const NO_EDGE: u32 = u32::MAX;
-
-/// The adjacency lists and the dense edge-index table of `edges` over
-/// `n` nodes.
-fn wire(n: usize, edges: &[Edge]) -> (Vec<Vec<(NodeId, usize)>>, Vec<u32>) {
-    let mut adj = vec![Vec::new(); n];
-    let mut edge_at = vec![NO_EDGE; n * n];
-    for (i, e) in edges.iter().enumerate() {
-        adj[e.a.index()].push((e.b, i));
-        adj[e.b.index()].push((e.a, i));
-        edge_at[e.a.index() * n + e.b.index()] = i as u32;
-        edge_at[e.b.index() * n + e.a.index()] = i as u32;
-    }
-    (adj, edge_at)
-}
 
 fn validate_rate(what: &'static str, value: f64) -> Result<(), TopologyError> {
     if !value.is_finite() || value < 0.0 {
@@ -436,31 +392,20 @@ impl TopologyBuilder {
             }
         }
 
-        let (adj, edge_at) = wire(self.nodes.len(), &self.edges);
-
-        // Connectivity check: BFS from the warehouse.
-        let mut seen = vec![false; self.nodes.len()];
-        let mut queue = std::collections::VecDeque::new();
-        seen[warehouse.index()] = true;
-        queue.push_back(warehouse);
-        while let Some(n) = queue.pop_front() {
-            for &(m, _) in &adj[n.index()] {
-                if !seen[m.index()] {
-                    seen[m.index()] = true;
-                    queue.push_back(m);
-                }
-            }
+        let n = self.nodes.len();
+        let mut adj = vec![Vec::new(); n];
+        let mut edge_at = vec![NO_EDGE; n * n];
+        for (i, e) in self.edges.iter().enumerate() {
+            adj[e.a.index()].push((e.b, i));
+            adj[e.b.index()].push((e.a, i));
+            edge_at[e.a.index() * n + e.b.index()] = i as u32;
+            edge_at[e.b.index() * n + e.a.index()] = i as u32;
         }
-        if let Some(i) = seen.iter().position(|&s| !s) {
-            return Err(TopologyError::Disconnected(NodeId(i as u32)));
-        }
-
-        let mut neighborhood = vec![Vec::new(); self.nodes.len()];
+        let mut neighborhood = vec![Vec::new(); n];
         for u in &self.users {
             neighborhood[u.home.index()].push(u.id);
         }
-
-        Ok(Topology {
+        let topo = Topology {
             nodes: self.nodes,
             edges: self.edges,
             adj,
@@ -468,7 +413,11 @@ impl TopologyBuilder {
             warehouse,
             users: self.users,
             neighborhood,
-        })
+        };
+        match topo.first_unreachable(|_| true) {
+            Some(n) => Err(TopologyError::Disconnected(n)),
+            None => Ok(topo),
+        }
     }
 }
 
@@ -655,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn without_links_removes_edges_and_preserves_structure() {
+    fn first_unreachable_searches_the_usable_links_only() {
         let mut b = TopologyBuilder::new();
         let vw = b.add_warehouse("VW");
         let is1 = b.add_storage("IS1", 0.0, units::gb(5.0));
@@ -663,31 +612,18 @@ mod tests {
         b.connect(vw, is1, 1.0).unwrap();
         b.connect(vw, is2, 1.0).unwrap();
         b.connect(is1, is2, 1.0).unwrap();
-        b.add_users(is1, 2);
         let t = b.build().unwrap();
+        let link = |a, b| t.edge_index(a, b).unwrap();
 
-        let cut = t.without_links(&[(is2, is1)]).unwrap(); // reversed orientation
-        assert_eq!(cut.edge_count(), 2);
-        assert!(cut.edge_between(is1, is2).is_none());
-        assert!(cut.edge_between(vw, is1).is_some());
-        // Surviving links are renumbered; the table follows.
-        assert_eq!(cut.edge_index(vw, is2), Some(1));
-        assert_eq!(cut.user_count(), 2);
-        assert_eq!(cut.users_at(is1).len(), 2);
-        // Adjacency was rebuilt consistently.
-        assert_eq!(cut.neighbors(is1).len(), 1);
-
-        // Cutting a nonexistent pair is a no-op; unknown nodes are typed
-        // errors; disconnecting cuts are rejected.
-        assert_eq!(t.without_links(&[]).unwrap().edge_count(), 3);
-        assert_eq!(
-            t.without_links(&[(vw, NodeId(9))]).unwrap_err(),
-            TopologyError::UnknownNode(NodeId(9))
-        );
-        assert_eq!(
-            t.without_links(&[(vw, is1), (is1, is2)]).unwrap_err(),
-            TopologyError::Disconnected(is1)
-        );
+        assert_eq!(t.first_unreachable(|_| true), None);
+        // Any one link of a triangle can go; the other two still reach.
+        for e in 0..t.edge_count() {
+            assert_eq!(t.first_unreachable(|u| u != e), None, "without link {e}");
+        }
+        // Two cuts isolate the node they share; none reach every node.
+        let (vw_is1, is1_is2) = (link(vw, is1), link(is2, is1));
+        assert_eq!(t.first_unreachable(|u| u != vw_is1 && u != is1_is2), Some(is1));
+        assert_eq!(t.first_unreachable(|_| false), Some(is1), "the lowest id is reported");
     }
 
     #[test]

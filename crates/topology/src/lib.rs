@@ -14,7 +14,9 @@
 //! * cheapest-route computation over per-byte charging rates
 //!   ([`RouteTable`]),
 //! * deterministic topology generators, including a faithful stand-in for
-//!   the paper's 20-node evaluation network ([`builders::paper_fig4`]).
+//!   the paper's 20-node evaluation network ([`builders::paper_fig4`]),
+//! * the seeded [`SplitMix64`] generator every random draw in the
+//!   workspace takes (networks, workloads, fault plans).
 //!
 //! # Units
 //!
@@ -48,10 +50,12 @@ pub mod dot;
 mod error;
 mod graph;
 mod ids;
+mod rng;
 mod routing;
 pub mod units;
 
 pub use error::TopologyError;
 pub use graph::{Edge, NodeInfo, Topology, TopologyBuilder, User};
 pub use ids::{NodeId, NodeKind, UserId};
+pub use rng::SplitMix64;
 pub use routing::{Route, RouteTable};

@@ -1,10 +1,11 @@
 //! Deterministic pseudo-random number generation.
 //!
 //! Experiments must be bit-reproducible across platforms and dependency
-//! upgrades, so the workload generator uses its own SplitMix64 stream
-//! (Steele, Lea & Flood 2014) instead of an external RNG crate. SplitMix64
-//! passes BigCrush, is trivially seedable, and every value is a pure
-//! function of `(seed, position)`.
+//! upgrades, so the random networks here, the workload generator in
+//! `vod-workload` and the fault plans in `vod-faults` draw from one
+//! SplitMix64 stream (Steele, Lea & Flood 2014) instead of an external RNG
+//! crate. SplitMix64 passes BigCrush, is trivially seedable, and every
+//! value is a pure function of `(seed, position)`.
 
 /// SplitMix64 pseudo-random generator.
 #[derive(Clone, Debug)]
@@ -16,11 +17,13 @@ impl SplitMix64 {
     /// Create a generator from a seed. Distinct seeds give independent-
     /// looking streams; the all-zero seed is fine (SplitMix64 has no weak
     /// seeds).
+    #[inline]
     pub fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -30,12 +33,14 @@ impl SplitMix64 {
     }
 
     /// Uniform float in `[0, 1)` with 53 bits of precision.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform float in `[lo, hi)`. Returns `lo` when the interval is
     /// empty or degenerate.
+    #[inline]
     pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         if hi <= lo {
             return lo;
@@ -45,23 +50,10 @@ impl SplitMix64 {
 
     /// Uniform integer in `[0, n)` via rejection-free multiply-shift
     /// (Lemire). `n` must be non-zero.
+    #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index() needs a non-empty range");
         (((self.next_u64() as u128) * (n as u128)) >> 64) as usize
-    }
-
-    /// Fork an independent generator: child streams are decorrelated from
-    /// the parent by hashing the label into the state.
-    pub fn fork(&mut self, label: u64) -> SplitMix64 {
-        SplitMix64::new(self.next_u64() ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.index(i + 1);
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -139,25 +131,5 @@ mod tests {
     #[should_panic(expected = "non-empty range")]
     fn index_zero_panics() {
         SplitMix64::new(0).index(0);
-    }
-
-    #[test]
-    fn fork_streams_are_decorrelated() {
-        let mut parent = SplitMix64::new(42);
-        let mut a = parent.fork(1);
-        let mut b = parent.fork(2);
-        let same = (0..100).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SplitMix64::new(17);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, (0..50).collect::<Vec<_>>(), "shuffle left input untouched");
     }
 }

@@ -35,7 +35,6 @@
 mod arrivals;
 mod catalog;
 mod requests;
-mod rng;
 #[deny(clippy::disallowed_types)]
 mod shard;
 pub mod trace;
@@ -44,8 +43,10 @@ mod zipf;
 pub use arrivals::{generate_arrivals, Arrival, ArrivalConfig};
 pub use catalog::{generate_catalog, CatalogConfig};
 pub use requests::{generate_regional_requests, generate_requests, ArrivalPattern, RequestConfig};
-pub use rng::SplitMix64;
 pub use shard::{partition_requests, ShardSpec, ShardStrategy};
+/// The seeded generator behind every draw here; it lives in `vod-topology`,
+/// the lowest crate that draws from it.
+pub use vod_topology::SplitMix64;
 pub use zipf::Zipf;
 
 use vod_cost_model::{Catalog, RequestBatch};

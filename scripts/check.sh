@@ -16,15 +16,21 @@ cargo build --release --offline
 echo "==> cargo test -q (every suite in the workspace)"
 cargo test -q --offline
 
-echo "==> vodx runs (service, cycles, flight recording)"
+echo "==> vodx runs (service, cycles, flight recording, inspect, table5 --rpu 3)"
 # The service drivers run end to end, and a recording reads back. The
-# committed results/ artifacts are pinned by tests/paper_claims.rs.
+# committed results/ artifacts are pinned by tests/paper_claims.rs, except
+# two regenerated here byte for byte: inspect.txt (vodx assembles it; no
+# library call returns it) and table5_rpu3.txt (too slow for tier-1).
 tmp="$(mktemp -d /tmp/vod-check.XXXXXX)"
 trap 'rm -rf "$tmp"' EXIT
 vodx service >/dev/null
 vodx cycles --fast >/dev/null
 vodx service --fast --record "$tmp/flight.jsonl" >/dev/null
 vodx trace "$tmp/flight.jsonl" >/dev/null
+vodx inspect >"$tmp/inspect.txt"
+diff results/inspect.txt "$tmp/inspect.txt"
+vodx table5 --rpu 3 --out "$tmp" >/dev/null
+diff results/table5_rpu3.txt "$tmp/table5.txt"
 
 echo "==> service benchmark (smoke run, harness tests and lints)"
 # The harness is its own package calling the core API through
@@ -183,7 +189,7 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings (with the crates' clippy.toml rules)"
 # crates/simulator: no HashMap / HashSet. crates/workload: no BTreeMap /
 # HashMap in shard.rs; no generate_requests / generate_regional_requests /
-# slice::sort_by in arrivals.rs. crates/faults: no Topology::without_links
+# slice::sort_by in arrivals.rs. crates/faults: no RouteTable::build_avoiding
 # in FaultPlan::generate. crates/core: no RouteTable::path / try_path, no
 # parallel_map or std::thread::{spawn, scope}, no HashMap / HashSet.
 cargo clippy --workspace --offline -- -D warnings

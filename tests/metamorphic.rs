@@ -11,6 +11,13 @@
 //! the greedy's candidate comparison, or in SORP's heat ties — breaks the
 //! relation at one end of the scale or the other.
 //!
+//! R2, size scaling. Every byte quantity of a run — each video's size and
+//! bandwidth and the storages' uniform capacity — scaled by 2^k changes no
+//! comparison between bytes, so every decision must stay identical and Ψ
+//! (bytes times rates) must scale by exactly 2^k. A tolerance or floor
+//! stated in bytes — an absolute term in a capacity comparison — breaks
+//! the relation at one end of the scale or the other.
+//!
 //! R3, irrelevant faults. A cycle repairs against the faults its schedule
 //! runs into, those overlapping `[window start, reach)`; faults that end by
 //! cycle 0 or start after the whole run's reach must change nothing, to
@@ -21,8 +28,8 @@
 //! unbudgeted run makes must keep every cycle on Full with the same
 //! schedule; only `over_budget` may read differently.
 //!
-//! R3 and R4 run over the benchmark's four scenarios, each cut to a few
-//! cycles.
+//! R2, R3 and R4 run over the benchmark's four scenarios, each cut to a
+//! few cycles.
 
 use vod_obs::Recorder;
 use vod_paradigm::core::{
@@ -37,12 +44,18 @@ use vod_paradigm::workload::Arrival;
 /// The exponents the relation is checked at.
 const KS: [i32; 2] = [-10, 10];
 
+/// The one value a per-storage attribute takes on every storage.
+fn uniform(topo: &Topology, attribute: impl Fn(NodeId) -> f64) -> f64 {
+    let mut values = topo.storages().map(attribute);
+    let value = values.next().expect("a storage");
+    assert!(values.all(|v| v == value), "the cell's storages are uniform");
+    value
+}
+
 /// `topo` with every link's `nrate` and the storages' uniform `srate`
 /// multiplied by 2^k.
 fn scaled(topo: &Topology, k: i32) -> Topology {
-    let mut srates = topo.storages().map(|n| topo.srate(n));
-    let srate = srates.next().expect("a storage");
-    assert!(srates.all(|r| r == srate), "the cell's storage rate is uniform");
+    let srate = uniform(topo, |n| topo.srate(n));
     let mut t = topo.clone();
     t.scale_nrates(2f64.powi(k)).expect("a positive factor");
     t.set_uniform_srate(srate * 2f64.powi(k)).expect("a valid rate");
@@ -111,24 +124,12 @@ fn r1_rate_scaling_keeps_every_service_decision() {
     let rungs: Vec<Rung> = base.iter().map(|o| o.stats.rung).collect();
     assert!(rungs.contains(&Rung::Full) && rungs.contains(&Rung::Shed), "{rungs:?}");
     for k in KS {
-        let f = 2f64.powi(k);
-        let outcomes = run(&scaled(&topo, k));
-        assert_eq!(outcomes.len(), base.len());
-        for (b, s) in base.iter().zip(&outcomes) {
-            let at = format!("cycle {}, k = {k}", b.stats.cycle);
-            assert_eq!(s.stats, b.stats, "{at}: rung or accounting differ");
-            assert_eq!(s.served, b.served, "{at}: served requests differ");
-            assert_eq!(s.shed_now, b.shed_now, "{at}: shed requests differ");
-            assert!(s.schedule == b.schedule, "{at}: the schedules differ");
-            assert_eq!(s.victims, b.victims, "{at}");
-            assert_eq!(s.initial_cost.to_bits(), (b.initial_cost * f).to_bits(), "{at}");
-            assert_eq!(s.cost.to_bits(), (b.cost * f).to_bits(), "{at}");
-        }
+        assert_same(&base, &run(&scaled(&topo, k)), false, 2f64.powi(k), &format!("k = {k}"));
     }
 }
 
-/// The benchmark's scenarios and the cycles R3 and R4 drive of each, at
-/// two load seeds.
+/// The benchmark's scenarios and the cycles R2, R3 and R4 drive of each,
+/// at two load seeds.
 const CELLS: [(&str, usize); 4] =
     [("steady", 6), ("contended", 3), ("overload_faults", 24), ("ample_wide", 2)];
 const SEEDS: [u64; 2] = [1997, 4242];
@@ -163,15 +164,35 @@ impl Cell {
             service_run(&ctx, &self.arrivals, cfg, self.cycles).expect("a valid plan");
         (outcomes, ctx.recorder.recording().expect("recording"))
     }
+
+    /// The cell with every video's size and bandwidth and the storages'
+    /// uniform capacity multiplied by 2^k.
+    fn resized(&self, k: i32) -> Cell {
+        let f = 2f64.powi(k);
+        let videos =
+            self.catalog.iter().map(|v| Video::new(v.id, v.size * f, v.playback, v.bandwidth * f));
+        let capacity = uniform(&self.topo, |n| self.topo.capacity(n));
+        let mut topo = self.topo.clone();
+        topo.set_uniform_capacity(capacity * f).expect("a valid capacity");
+        Cell {
+            name: format!("{}, k = {k}", self.name),
+            topo,
+            catalog: Catalog::new(videos.collect()),
+            arrivals: self.arrivals.clone(),
+            cfg: self.cfg.clone(),
+            cycles: self.cycles,
+        }
+    }
 }
 
 /// `got` made every decision `base` made: rung and accounting (with
 /// `over_budget` masked when `mask_over_budget`), served and shed sets,
-/// schedule, victims and the bits of Ψ.
+/// schedule and victims; and its Ψ is `base`'s times `f`, bit for bit.
 fn assert_same(
     base: &[ServiceCycleOutcome],
     got: &[ServiceCycleOutcome],
     mask_over_budget: bool,
+    f: f64,
     at: &str,
 ) {
     assert_eq!(got.len(), base.len(), "{at}");
@@ -186,8 +207,8 @@ fn assert_same(
         assert_eq!(g.shed_now, b.shed_now, "{at}: shed requests differ");
         assert!(g.schedule == b.schedule, "{at}: the schedules differ");
         assert_eq!(g.victims, b.victims, "{at}");
-        assert_eq!(g.initial_cost.to_bits(), b.initial_cost.to_bits(), "{at}");
-        assert_eq!(g.cost.to_bits(), b.cost.to_bits(), "{at}");
+        assert_eq!(g.initial_cost.to_bits(), (b.initial_cost * f).to_bits(), "{at}");
+        assert_eq!(g.cost.to_bits(), (b.cost * f).to_bits(), "{at}");
     }
 }
 
@@ -221,6 +242,18 @@ fn irrelevant_faults(topo: &Topology, reach: f64) -> Vec<Fault> {
 }
 
 #[test]
+fn r2_size_scaling_keeps_every_service_decision() {
+    for cell in cells() {
+        let (base, _) = cell.run(&cell.cfg);
+        for k in KS {
+            let resized = cell.resized(k);
+            let (got, _) = resized.run(&resized.cfg);
+            assert_same(&base, &got, false, 2f64.powi(k), &resized.name);
+        }
+    }
+}
+
+#[test]
 fn r3_irrelevant_faults_change_no_decision_and_no_recorded_byte() {
     for cell in cells() {
         let (base, base_rec) = cell.run(&cell.cfg);
@@ -229,7 +262,7 @@ fn r3_irrelevant_faults_change_no_decision_and_no_recorded_byte() {
         faults.extend(irrelevant_faults(&cell.topo, reach));
         let cfg = ServiceConfig { faults: FaultPlan::new(faults), ..cell.cfg.clone() };
         let (got, rec) = cell.run(&cfg);
-        assert_same(&base, &got, false, &cell.name);
+        assert_same(&base, &got, false, 1.0, &cell.name);
         assert!(rec.to_jsonl() == base_rec.to_jsonl(), "{}: the recordings differ", cell.name);
     }
 }
@@ -247,7 +280,7 @@ fn r4_a_budget_at_the_largest_full_prediction_changes_no_decision() {
             .fold(f64::NEG_INFINITY, f64::max);
         assert!(budget > 0.0, "{}: no Full-rung prediction recorded", cell.name);
         let (got, _) = cell.run(&ServiceConfig { budget_ns: Some(budget), ..unbudgeted });
-        assert_same(&base, &got, true, &cell.name);
+        assert_same(&base, &got, true, 1.0, &cell.name);
         over += got.iter().filter(|o| o.stats.over_budget).count();
     }
     assert!(over > 0, "no cycle overran the budget; over_budget never differed");

@@ -1,9 +1,11 @@
 //! The paper's qualitative claims, asserted on the experiment harness
 //! (Fast preset), and the committed `results/` artifacts, regenerated
 //! under the Paper preset as `vodx <target> --out DIR` writes them (see
-//! EXPERIMENTS.md for the recorded outputs).
+//! EXPERIMENTS.md for the recorded outputs). `scripts/check.sh`
+//! regenerates the other two, `inspect.txt` and `table5_rpu3.txt`.
 
-use vod_paradigm::experiments::{ext, figures, render_csv, table5, Preset, Series};
+use vod_paradigm::experiments::{ext, figures, render_csv, table5, EnvParams, Preset, Series};
+use vod_paradigm::topology::{builders, dot};
 
 /// A committed artifact under `results/`.
 fn committed(name: &str) -> String {
@@ -217,11 +219,14 @@ fn committed_figures_are_reproduced() {
     }
 }
 
-/// `vodx table5 gap bandwidth --out DIR` reproduces the committed text
-/// byte for byte.
+/// `vodx table5 gap bandwidth inspect --out DIR` reproduces the committed
+/// text byte for byte (`inspect` writes the baseline cell's network as
+/// DOT).
 #[test]
 fn committed_tables_are_reproduced() {
     assert_eq!(table5::run(Preset::Paper).render(), committed("table5.txt"), "table5.txt");
     assert_eq!(ext::gap(Preset::Paper).render(), committed("gap.txt"), "gap.txt");
     assert_eq!(ext::bandwidth(Preset::Paper).render(), committed("bandwidth.txt"), "bandwidth.txt");
+    let network = builders::paper_fig4(&EnvParams::paper().network());
+    assert_eq!(dot::to_dot(&network), committed("topology.dot"), "topology.dot");
 }
