@@ -272,11 +272,38 @@ pub fn ivsp_solve(
     batch: &RequestBatch,
     policy: GreedyPolicy,
 ) -> PricedSchedule {
+    place(ctx, batch, policy, None)
+}
+
+/// Schedule every video group of the batch in input (video-id) order
+/// under `policy`, pricing each schedule as it is built. With no
+/// `ledger` this is [`ivsp_solve`]. With one it is the rejective pass
+/// (paper §4.4): each group runs the rejective greedy against the
+/// ledger, and its residencies join the ledger before the next group.
+/// The pass places nothing where it does not fit, so it adds no overflow
+/// to the ledger. Where no capacity binds, every admission test passes
+/// and the schedule is [`ivsp_solve`]'s, bit for bit.
+pub(crate) fn place(
+    ctx: &SchedCtx<'_>,
+    batch: &RequestBatch,
+    policy: GreedyPolicy,
+    mut ledger: Option<&mut StorageLedger>,
+) -> PricedSchedule {
     let mut scratch = GreedyScratch::default();
     let pairs = batch
         .groups()
         .map(|(_, group)| {
-            let vs = greedy_with_cursor(ctx, group, None, policy, &mut scratch);
+            let vs = match ledger.as_deref_mut() {
+                None => greedy_with_cursor(ctx, group, None, policy, &mut scratch),
+                Some(ledger) => {
+                    let cons = Constraints { ledger, exclude: None, forbidden: &[] };
+                    let vs = greedy_with_cursor(ctx, group, Some(&cons), policy, &mut scratch);
+                    for r in &vs.residencies {
+                        ledger.add(r.loc, r.video, r.profile(ctx.catalog.get(r.video)));
+                    }
+                    vs
+                }
+            };
             let cost = ctx.video_cost(&vs);
             (vs, cost)
         })

@@ -13,9 +13,10 @@
 //!   ([`IntakeError`] is the typed backpressure);
 //! * each cycle's drained batch is solved under a **per-cycle deadline
 //!   budget** enforced by a degradation ladder ([`Rung`]): full warm
-//!   sharded solve → reduced SORP trial budget → greedy-only placement
-//!   (`max_iterations = 0`, the deterministic direct-delivery fallback)
-//!   → heat-ranked shedding. The rung is chosen by a [`BudgetModel`] —
+//!   sharded solve → reduced SORP trial budget → one rejective-greedy
+//!   pass (paper §4.4) that places the batch against the book, feasible
+//!   by construction → heat-ranked shedding, then that pass over what is
+//!   kept. The rung is chosen by a [`BudgetModel`] —
 //!   an EMA over **simulated** nanoseconds derived from the solver's
 //!   deterministic work counters — never from the wall clock, so a
 //!   run's rung sequence is bit-reproducible across runs and machines;
@@ -56,7 +57,7 @@
 //! arrival trace, and with it every [`BudgetModel::pick`].
 
 use crate::repair::{adjusted_requests, repair_state};
-use crate::shard::solve_over;
+use crate::shard::{place_over, solve_over};
 use crate::{detect_overflows, CommittedBook, SchedCtx, ShardConfig, WarmStats};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -78,11 +79,13 @@ pub enum Rung {
     Full,
     /// SORP trial budget clamped to a small fixed iteration count.
     ReducedTrials,
-    /// Greedy placement only: `max_iterations = 0`, overflows cleared by
-    /// the deterministic direct-delivery fallback.
+    /// One rejective-greedy pass over the whole batch: each video, in
+    /// video-id order, placed against the book plus the videos before it,
+    /// so nothing overflows and nothing is resolved.
     GreedyOnly,
-    /// Even the greedy cannot finish in budget: shed the lowest-heat
-    /// requests until the remainder fits, then run greedy-only.
+    /// Even the pass cannot finish in budget: shed the lowest-heat
+    /// requests until the remainder fits, then place the rest as
+    /// [`Rung::GreedyOnly`] does.
     Shed,
 }
 
@@ -235,7 +238,8 @@ impl From<FaultError> for ServiceError {
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// The sharded-solver configuration the [`Rung::Full`] solve runs
-    /// under; lower rungs derive from it by clamping the trial budget.
+    /// under. [`Rung::ReducedTrials`] clamps its trial budget; the two
+    /// lower rungs read only its greedy policy.
     pub shard: ShardConfig,
     /// Cycle length in seconds (cycle `k` serves `[k·h, (k+1)·h)`).
     pub horizon: Secs,
@@ -962,7 +966,9 @@ impl ServiceLoop {
         }
 
         // 5. Solve on the chosen rung over the book, less what drained
-        //    before the window. An empty batch still opens the cycle
+        //    before the window: the sharded IVSP → SORP pipeline on `Full`
+        //    and `ReducedTrials`, one rejective-greedy pass on the two
+        //    lower rungs. An empty batch still opens the cycle
         //    (eviction + stats) so idle ticks stay visible. The tickets
         //    go into batch order first, so that batch entry `i` is
         //    ticket `i`; of tickets holding one request, the most
@@ -970,12 +976,8 @@ impl ServiceLoop {
         let kept = into_batch_order(kept, ctx.catalog.len());
         let batch = RequestBatch::new(kept.iter().map(|t| t.request).collect());
         let mut shard_cfg = self.cfg.shard.clone();
-        match rung {
-            Rung::Full => {}
-            Rung::ReducedTrials => {
-                shard_cfg.sorp.max_iterations = shard_cfg.sorp.max_iterations.min(REDUCED_TRIALS);
-            }
-            Rung::GreedyOnly | Rung::Shed => shard_cfg.sorp.max_iterations = 0,
+        if rung == Rung::ReducedTrials {
+            shard_cfg.sorp.max_iterations = shard_cfg.sorp.max_iterations.min(REDUCED_TRIALS);
         }
         let solve_started = std::time::Instant::now();
         let committed_evicted = self.book.evict_expired(t0);
@@ -986,7 +988,13 @@ impl ServiceLoop {
             ..WarmStats::default()
         };
         let mut state = (!batch.is_empty()).then(|| {
-            let solve = solve_over(ctx, &batch, &shard_cfg, self.book.ledger());
+            let book = self.book.ledger();
+            let solve = match rung {
+                Rung::Full | Rung::ReducedTrials => solve_over(ctx, &batch, &shard_cfg, book),
+                Rung::GreedyOnly | Rung::Shed => {
+                    place_over(ctx, &batch, shard_cfg.sorp.policy, book)
+                }
+            };
             warm.trials_hit = solve.state.trials_cached;
             warm.shards_used = solve.shards;
             solve.state

@@ -57,7 +57,8 @@
 use crate::capacity::Solved;
 use crate::sorp::{PerVideo, SolveState};
 use crate::{
-    detect_overflows, ivsp_solve, PricedSchedule, SchedCtx, SorpConfig, SorpOutcome, StorageLedger,
+    detect_overflows, ivsp_solve, GreedyPolicy, PricedSchedule, SchedCtx, SorpConfig, SorpOutcome,
+    StorageLedger,
 };
 use serde::{Deserialize, Serialize};
 use vod_cost_model::RequestBatch;
@@ -137,6 +138,20 @@ pub(crate) struct ShardSolve {
 }
 
 impl ShardSolve {
+    /// One state that saw the whole batch: nothing split, shared or
+    /// reconciled.
+    fn single(state: SolveState) -> Self {
+        Self {
+            state,
+            shards: 1,
+            split_videos: 0,
+            shared_storages: 0,
+            cross_shard_overflows: 0,
+            reconcile_iterations: 0,
+            reconcile_victims: 0,
+        }
+    }
+
     /// Emit this solve as a `"shard_solve"` flight-recorder event under
     /// the recorder's current cycle scope: sharding shape, SORP work
     /// counters, and cache-reuse totals — every decision input the
@@ -234,17 +249,23 @@ pub(crate) fn solve_over(
     // `sorp_solve` on the whole batch. The array pattern proves
     // the shard exists — no panic path.
     let out = match <[SolveState; 1]>::try_from(states) {
-        Ok([state]) => ShardSolve {
-            state,
-            shards: 1,
-            split_videos: 0,
-            shared_storages: 0,
-            cross_shard_overflows: 0,
-            reconcile_iterations: 0,
-            reconcile_victims: 0,
-        },
+        Ok([state]) => ShardSolve::single(state),
         Err(states) => reconcile(ctx, cfg, base, states),
     };
+    out.record(ctx, batch.len());
+    out
+}
+
+/// The degraded rungs' placement: one rejective-greedy pass over the
+/// whole batch against `base` ([`SolveState::placed`]), recorded as a
+/// one-shard solve with no resolution work.
+pub(crate) fn place_over(
+    ctx: &SchedCtx<'_>,
+    batch: &RequestBatch,
+    policy: GreedyPolicy,
+    base: &StorageLedger,
+) -> ShardSolve {
+    let out = ShardSolve::single(SolveState::placed(ctx, batch, policy, base.clone()));
     out.record(ctx, batch.len());
     out
 }

@@ -80,7 +80,7 @@
 //! ([`crate::shard_solve`]), not the trial.
 
 use crate::capacity::{LedgerCursor, LedgerDelta, Solved, TrialTrace};
-use crate::greedy::{reschedule_traced_in, GreedyScratch};
+use crate::greedy::{place, reschedule_traced_in, GreedyScratch};
 use crate::heat::heat_of;
 use crate::overflow::{overflow_set, OverflowMonitor};
 use crate::{
@@ -88,7 +88,9 @@ use crate::{
     SchedCtx, StorageLedger,
 };
 use serde::{Deserialize, Serialize};
-use vod_cost_model::{Dollars, Request, Schedule, SpaceProfile, VideoId, VideoSchedule};
+use vod_cost_model::{
+    Dollars, Request, RequestBatch, Schedule, SpaceProfile, VideoId, VideoSchedule,
+};
 use vod_topology::NodeId;
 
 /// Relative tolerance for treating two heat values as equal, mirroring
@@ -534,6 +536,24 @@ impl SolveState {
         Self::laid(ctx, priced, base)
     }
 
+    /// Fresh state placed by one rejective-greedy pass over `batch`
+    /// against `base` ([`crate::greedy::place`]): video groups in batch
+    /// (video-id) order, each admitted against the base plus the videos
+    /// placed before it. Nothing overflows where `base` did not, so there
+    /// is nothing to resolve. Each row holds the base's entries, then the
+    /// schedule's residencies in schedule order: the ledger
+    /// [`SolveState::new`] would have laid, every row clean. The pass's
+    /// own Ψ is its `initial_cost`.
+    pub(crate) fn placed(
+        ctx: &SchedCtx<'_>,
+        batch: &RequestBatch,
+        policy: GreedyPolicy,
+        mut base: StorageLedger,
+    ) -> Self {
+        let priced = place(ctx, batch, policy, Some(&mut base));
+        Self::laid(ctx, priced, base)
+    }
+
     /// Fresh state over a ledger [`SolveState::new`] would have laid.
     pub(crate) fn laid(ctx: &SchedCtx<'_>, priced: PricedSchedule, ledger: StorageLedger) -> Self {
         Self {
@@ -817,6 +837,18 @@ pub fn sorp_solve(
     let mut state = SolveState::new(ctx, priced, base);
     state.resolve(ctx, cfg);
     state.into_outcome(ctx).0
+}
+
+/// One rejective-greedy pass over `batch` against `base`, finished: the
+/// placement the service's `GreedyOnly` and `Shed` rungs commit. Exported
+/// through [`crate::audit`] for the property suites.
+pub fn rejective_pass(
+    ctx: &SchedCtx<'_>,
+    batch: &RequestBatch,
+    policy: GreedyPolicy,
+    base: &StorageLedger,
+) -> SorpOutcome {
+    SolveState::placed(ctx, batch, policy, base.clone()).into_outcome(ctx).0
 }
 
 /// All-direct delivery schedule for a video (no residencies at all).

@@ -6,7 +6,7 @@
 //! where the paper draws it). All runs use the default heat metric
 //! (Eq. 11), the paper's best.
 
-use crate::{EnvParams, FigureResult, Preset, Series};
+use crate::{EnvParams, EvalResult, FigureResult, Preset, Series};
 use vod_core::HeatMetric;
 use vod_parallel::parallel_map;
 
@@ -54,9 +54,10 @@ pub fn fig5(preset: Preset) -> FigureResult {
     let base = EnvParams::for_preset(preset);
     let nrates = nrate_grid(preset);
 
-    let mut series: Vec<Series> = srate_small_grid(preset)
-        .into_iter()
-        .map(|srate| {
+    let srates = srate_small_grid(preset);
+    let results: Vec<Vec<EvalResult>> = srates
+        .iter()
+        .map(|&srate| {
             let cells: Vec<EnvParams> = nrates
                 .iter()
                 .map(|&nrate| EnvParams {
@@ -65,15 +66,21 @@ pub fn fig5(preset: Preset) -> FigureResult {
                     ..base.clone()
                 })
                 .collect();
-            let costs = parallel_map(&cells, |p| crate::env::evaluate_cell(p, METRIC).two_phase);
+            parallel_map(&cells, |p| crate::env::evaluate_cell(p, METRIC))
+        })
+        .collect();
+    let mut series: Vec<Series> = srates
+        .iter()
+        .zip(&results)
+        .map(|(srate, cells)| {
+            let costs = cells.iter().map(|r| r.two_phase);
             Series::new(format!("srate = {srate}"), nrates.iter().copied().zip(costs).collect())
         })
         .collect();
-
-    // The network-only system is independent of srate; compute it once.
-    let cells: Vec<EnvParams> =
-        nrates.iter().map(|&nrate| EnvParams { nrate_per_gb: nrate, ..base.clone() }).collect();
-    let direct = parallel_map(&cells, |p| crate::env::evaluate_cell(p, METRIC).network_only);
+    // The network-only system is independent of srate: it is read off the
+    // cells of the base srate, the grid's first curve.
+    assert_eq!(srates[0], base.srate_per_gb_hour, "fig5's grid starts at the base srate");
+    let direct = results[0].iter().map(|r| r.network_only);
     series.push(Series::new("Network only system", nrates.iter().copied().zip(direct).collect()));
 
     FigureResult {

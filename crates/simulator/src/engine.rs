@@ -6,7 +6,8 @@ use crate::report::{Metrics, SimReport, Violation};
 use crate::validate::{check_finite_times, structural_checks, take_match};
 use std::borrow::Cow;
 use vod_cost_model::{
-    Catalog, ChargingBasis, CostModel, Request, RequestBatch, Schedule, Secs, SpaceProfile, VideoId,
+    Catalog, ChargingBasis, CostModel, Request, RequestBatch, Residency, Schedule, Secs,
+    SpaceProfile, VideoId,
 };
 use vod_faults::{Fault, FaultError, FaultPlan};
 use vod_topology::{NodeId, Topology};
@@ -77,6 +78,70 @@ impl NodeRows {
 
     fn row(&self, node: NodeId) -> &[usize] {
         &self.items[self.starts[node.index()]..self.starts[node.index() + 1]]
+    }
+}
+
+/// Per-node storage occupancy for queries at non-decreasing times per
+/// node, as the replay asks them. A query at `t` sums `space_at(t)` over
+/// the node's live residencies — materialized, started by `t`, not
+/// drained before the node's previous query — in ascending index,
+/// folding from `+0.0`. Every other residency of the node holds exactly
+/// `±0.0` at `t` (a relay point holds no blocks at any time), which
+/// leaves such a sum unchanged, so the result is the sum over the node's
+/// every residency in index order, bit for bit.
+struct Occupancy<'a> {
+    profiles: &'a [SpaceProfile],
+    /// The materialized residencies by node, each row sorted by
+    /// `(start, index)`. A row's first `live` slots hold its live
+    /// residencies, ascending; the slots from `started` on, the ones yet
+    /// to start.
+    rows: NodeRows,
+    /// Per node: `(started, live)`.
+    counts: Vec<(usize, usize)>,
+}
+
+impl<'a> Occupancy<'a> {
+    fn new(n: usize, residencies: &[&Residency], profiles: &'a [SpaceProfile]) -> Self {
+        // A relay point goes to row `n`, which does not exist.
+        let nodes = residencies.iter().zip(profiles);
+        let mut rows =
+            NodeRows::new(n, nodes.map(|(r, p)| if p.peak() == 0.0 { n } else { r.loc.index() }));
+        for w in rows.starts.windows(2) {
+            rows.items[w[0]..w[1]].sort_unstable_by(|&i, &j| {
+                profiles[i].start.total_cmp(&profiles[j].start).then(i.cmp(&j))
+            });
+        }
+        Self { profiles, rows, counts: vec![(0, 0); n] }
+    }
+
+    /// Occupancy at `node` at `t`, no earlier than the node's previous
+    /// query. A residency drained by `t` leaves the live list for good.
+    fn at(&mut self, node: NodeId, t: Secs) -> f64 {
+        let ni = node.index();
+        let row = &mut self.rows.items[self.rows.starts[ni]..self.rows.starts[ni + 1]];
+        let (started, live) = &mut self.counts[ni];
+        // Move each residency that has started into the live prefix, at
+        // its index rank; the slot past the prefix is free or its own.
+        while *started < row.len() && self.profiles[row[*started]].start <= t {
+            let i = row[*started];
+            let at = row[..*live].partition_point(|&j| j < i);
+            row.copy_within(at..*live, at + 1);
+            row[at] = i;
+            *started += 1;
+            *live += 1;
+        }
+        let mut sum = 0.0;
+        let mut kept = 0;
+        for k in 0..*live {
+            let p = &self.profiles[row[k]];
+            if p.end > t {
+                sum += p.space_at(t);
+                row[kept] = row[k];
+                kept += 1;
+            }
+        }
+        *live = kept;
+        sum
     }
 }
 
@@ -159,8 +224,7 @@ pub(crate) fn replay(
         .iter()
         .map(|r| r.profile_with(catalog.get(r.video), model.space_model()))
         .collect();
-    // Residency indices per hosting node, ascending, so a node's occupancy
-    // sums the same terms in the same order as a scan of every residency.
+    // Residency indices per hosting node, ascending, for the outage scan.
     // A residency at a node the topology lacks is indexed nowhere: as a
     // relay point it raises no event, and nothing else looks it up.
     let n = topo.node_count();
@@ -249,9 +313,7 @@ pub(crate) fn replay(
         }
     }
 
-    let occupancy_at = |node: NodeId, t: Secs| -> f64 {
-        residencies_at.row(node).iter().map(|&i| profiles[i].space_at(t)).sum()
-    };
+    let mut occupancy = Occupancy::new(n, &residencies, &profiles);
 
     let events_processed = events.len() + one_node_events;
 
@@ -397,12 +459,12 @@ pub(crate) fn replay(
                 // Close the integral segment since this node's last event.
                 let last = node_last_event[ni];
                 if last.is_finite() && ev.time > last {
-                    let mid = occupancy_at(node, 0.5 * (last + ev.time));
+                    let mid = occupancy.at(node, 0.5 * (last + ev.time));
                     node_integral[ni] += mid * (ev.time - last);
                 }
                 node_last_event[ni] = ev.time;
 
-                let usage = occupancy_at(node, ev.time);
+                let usage = occupancy.at(node, ev.time);
                 peak_occupancy[ni] = peak_occupancy[ni].max(usage);
                 if options.check_capacity {
                     let cap = topo.capacity(node);

@@ -88,10 +88,14 @@ fn contended_cell_book_is_the_reference() {
 }
 
 /// `overload_faults`: bursts, a bounded queue, a budget and faults, so
-/// repair commits and the degraded rungs run.
+/// repair commits and the degraded rungs run. Under the cell's own 11e6 ns
+/// budget its first 20 cycles place every burst on `GreedyOnly` or `Shed`
+/// and never run `ReducedTrials`; a 9e6 ns budget visits every rung.
 #[test]
 fn overload_faults_cell_book_is_the_reference() {
-    let (rec, rungs) = drive(&Scenario { cycles: 20, ..Scenario::named("overload_faults") });
+    let scenario =
+        Scenario { cycles: 20, budget_ns: Some(9e6), ..Scenario::named("overload_faults") };
+    let (rec, rungs) = drive(&scenario);
     assert!(sum(&rec, "repair", "repaired_videos") > 0, "repair never committed");
     for rung in [Rung::ReducedTrials, Rung::GreedyOnly, Rung::Shed] {
         assert!(rungs.contains(&rung), "no cycle ran on {rung:?}");

@@ -136,9 +136,10 @@ const CELL_CYCLES: usize = 48;
 /// on every rung, the book holds no overflow and the cycle reports
 /// `overflow_free`. (Committing the repaired residencies a second time
 /// overflows the book from cycle 2 on, and cycle 3's solve, on the `Full`
-/// rung, then faces an overflow no victim clears.) Cycle 41 runs on the
-/// `Shed` rung, where SORP's fallback tail is the whole pass and must
-/// clear every overflow that has a participant.
+/// rung, then faces an overflow no victim clears.) Cycle 9, a burst, runs
+/// on the `Shed` rung: the rejective pass places what it keeps against a
+/// book still holding the drain tails of earlier cycles, and nothing
+/// resolves after it.
 #[test]
 fn overload_faults_cell_replays_clean_on_every_rung() {
     let (topo, catalog, arrivals, cfg) =
@@ -154,8 +155,8 @@ fn overload_faults_cell_replays_clean_on_every_rung() {
         }
         let out = svc.run_cycle(&ctx, ExecMode::Sequential);
         let rung = out.stats.rung;
-        if k == 41 {
-            assert_eq!(rung, Rung::Shed, "cycle 41 runs on the Shed rung");
+        if k == 9 {
+            assert_eq!(rung, Rung::Shed, "cycle 9 runs on the Shed rung");
         }
         assert!(out.overflow_free, "cycle {k} ({rung:?} rung) reports an overflow");
         let over = detect_overflows(&topo, svc.book().ledger());
@@ -166,6 +167,34 @@ fn overload_faults_cell_replays_clean_on_every_rung() {
             "cycle {k} ({rung:?} rung) replay violations: {:?}",
             sim.violations
         );
+    }
+}
+
+/// The degraded rungs place with one rejective-greedy pass. At two load
+/// seeds, every `GreedyOnly` and `Shed` cycle of the `overload_faults` cell
+/// records a one-shard solve that resolved nothing: no iteration, no
+/// victim, no video forced to direct delivery, and no overflow left.
+#[test]
+fn degraded_rungs_force_no_video_to_direct_delivery() {
+    for seed in [1997, 4242] {
+        let recorder = vod_obs::Recorder::enabled();
+        Scenario { seed, cycles: CELL_CYCLES, ..Scenario::named("overload_faults") }.run(&recorder);
+        let rec = recorder.recording().expect("an enabled recorder");
+        let degraded: Vec<u64> = rec
+            .events_of("rung")
+            .filter(|e| matches!(e.str("rung"), Some("greedy" | "shed")))
+            .map(|e| e.cycle)
+            .collect();
+        let solves: Vec<_> =
+            rec.events_of("shard_solve").filter(|e| degraded.contains(&e.cycle)).collect();
+        assert!(solves.len() >= 2, "seed {seed}: degraded cycles {degraded:?} solved too little");
+        for e in solves {
+            for field in ["forced_fallbacks", "iterations", "victims"] {
+                assert_eq!(e.u64(field), Some(0), "seed {seed}, cycle {}: {field}", e.cycle);
+            }
+            assert_eq!(e.u64("shards"), Some(1), "seed {seed}, cycle {}", e.cycle);
+            assert_eq!(e.bool("overflow_free"), Some(true), "seed {seed}, cycle {}", e.cycle);
+        }
     }
 }
 
@@ -182,9 +211,10 @@ fn digest(reqs: &[Request]) -> u64 {
 
 /// Per cycle of the `overload_faults` cell: rung, how many requests were
 /// shed and their digest in shed order, deferred, dropped, deadline
-/// misses. Captured from the commit before the ladder's heat ranking and
-/// the queue and parking lot's hand-offs became one-pass merges; those
-/// must move no decision.
+/// misses. Re-captured when the `GreedyOnly` and `Shed` rungs began placing
+/// with one rejective-greedy pass: a burst's predicted cost no longer
+/// carries the direct-delivery fallback's term, so from cycle 17 on the
+/// bursts run on `GreedyOnly` and nothing is shed.
 const PINNED_DECISIONS: &str = "\
 0  full       0 -                   0   0    0
 1  shed      41 8daee711b591fbeb   41   0    0
@@ -195,40 +225,40 @@ const PINNED_DECISIONS: &str = "\
 6  full       0 -                   0   0    0
 7  full       0 -                   0   0    0
 8  full       0 -                   0   0    0
-9  shed     384 760b7dad473d08c0  384   0    0
-10 reduced    0 -                   0   0  384
+9  shed       3 4275bf6cf2f8e8ae    3   0    0
+10 full       0 -                   0   0    3
 11 full       0 -                   0   0    0
 12 full       0 -                   0   0    0
 13 full       0 -                   0   0    0
 14 full       0 -                   0   0    0
 15 full       0 -                   0   0    0
 16 full       0 -                   0   0    0
-17 shed     552 73d96f215d6b9f0b  552   0    0
-18 greedy     0 -                   0   0  552
+17 greedy     0 -                   0   0    0
+18 full       0 -                   0   0    0
 19 full       0 -                   0   0    0
 20 full       0 -                   0   0    0
 21 full       0 -                   0   0    0
 22 full       0 -                   0   0    0
 23 full       0 -                   0   0    0
 24 full       0 -                   0   0    0
-25 shed     830 6f7c22cbb380d479  830   0    0
-26 greedy     0 -                   0   0  830
+25 greedy     0 -                   0   0    0
+26 full       0 -                   0   0    0
 27 full       0 -                   0   0    0
 28 full       0 -                   0   0    0
 29 full       0 -                   0   0    0
 30 full       0 -                   0   0    0
 31 full       0 -                   0   0    0
 32 full       0 -                   0   0    0
-33 shed     937 c5715fe8ce6aac0d  937   0    0
-34 greedy     0 -                   0   0  937
+33 greedy     0 -                   0   0    0
+34 full       0 -                   0   0    0
 35 full       0 -                   0   0    0
 36 full       0 -                   0   0    0
 37 full       0 -                   0   0    0
 38 full       0 -                   0   0    0
 39 full       0 -                   0   0    0
 40 full       0 -                   0   0    0
-41 shed     967 9218c111f48d4c8d  967   0    0
-42 greedy     0 -                   0   0  967
+41 greedy     0 -                   0   0    0
+42 full       0 -                   0   0    0
 43 full       0 -                   0   0    0
 44 full       0 -                   0   0    0
 45 full       0 -                   0   0    0
@@ -271,7 +301,7 @@ fn overload_faults_cell_decisions_are_pinned() {
     }
     assert_eq!(got.len(), PINNED_DECISIONS.lines().count());
     assert_eq!(report.queue_high_water, 2660);
-    assert_eq!(report.backoff_histogram, vec![3711]);
+    assert_eq!(report.backoff_histogram, vec![44]);
     assert_eq!(report.conservation_error(), 0);
 }
 
