@@ -20,30 +20,30 @@
 //! ([`StorageLedger::link_fits`]). The solve pipeline fills node rows
 //! only.
 //!
-//! Every query runs against an incremental [`OccupancyTimeline`] per
-//! row: adding or removing a residency folds its ≤ 4 breakpoint
-//! deltas into an ordered aggregate in O(log n) each, and the admission
-//! test walks only the breakpoints inside the candidate's support with
-//! exact left-limits — O(log n + span) instead of the naive O(k²)
-//! rescan of every profile at the node. Two further fast paths:
+//! Every query runs against one sorted breakpoint array per row: the
+//! aggregate's `(t, Δvalue, Δslope)` deltas, one refcounted entry per
+//! distinct time. Adding or removing a residency folds its ≤ 4 deltas in
+//! by binary search and `Vec::insert` / `Vec::remove`, and a query is one
+//! forward walk with exact left limits — O(k) per operation in the row's
+//! breakpoint count k, which on the service benchmark's workloads is at
+//! most 60, p50 6–48 (DESIGN.md §9). Two fast paths:
 //!
 //! * a cached per-row **plateau sum** upper-bounds the aggregate
 //!   everywhere, so any candidate with `plateau_sum + peak ≤ capacity`
-//!   is admitted in O(1) without touching the timeline;
+//!   is admitted in O(1) without a walk;
 //! * [`StorageLedger::fits`] abandons the walk as soon as the running
 //!   peak exceeds the capacity threshold.
 //!
 //! The ledger has this one implementation. The flat per-profile rescan
-//! the timeline replaced lives in the dev-only `vod-oracles` crate as
-//! free functions over [`StorageLedger::profiles_at`] and
-//! [`StorageLedger::link_profiles`]; the equivalence property tests and
-//! the audited naive SORP loop compare every answer given here against it.
+//! lives in the dev-only `vod-oracles` crate as free functions over
+//! [`StorageLedger::profiles_at`] and [`StorageLedger::link_profiles`];
+//! the equivalence property tests and the audited naive SORP loop compare
+//! every answer given here against it.
 //!
 //! Rows are **copy-on-write** `Arc`s, so a clone costs a refcount per row
 //! and finished rows are taken over, not rebuilt (DESIGN.md §9).
 
 use crate::overflow::CAPACITY_EPS;
-use crate::timeline::OccupancyTimeline;
 use std::sync::Arc;
 use vod_cost_model::{Bytes, Catalog, Schedule, Secs, SpaceProfile, VideoId};
 use vod_topology::{NodeId, Topology};
@@ -53,8 +53,8 @@ pub(crate) fn link_capacity(topo: &Topology, edge: usize) -> f64 {
     topo.edges()[edge].bandwidth.unwrap_or(f64::INFINITY)
 }
 
-/// Reusable scratch buffers for the timeline admission test, so the hot
-/// `fits` path performs no per-call allocations. A resolution pass keeps
+/// Reusable scratch buffer for the admission walk, so the hot `fits`
+/// path performs no per-call allocations. A resolution pass keeps
 /// one for its greedy runs and one for its trial replays, each threaded
 /// through every admission test it asks; a stand-alone greedy run builds
 /// its own. There is no thread-local pool: one measured 0 % on every
@@ -64,8 +64,6 @@ pub struct LedgerCursor {
     /// Overlay deltas: the candidate's breakpoints plus the negated
     /// breakpoints of the excluded video, sorted by time.
     overlay: Vec<(Secs, Bytes, f64)>,
-    /// Timeline breakpoints inside the candidate's support.
-    support: Vec<(Secs, Bytes, f64)>,
     /// When tracing, the trial's recorded ledger dependency.
     trace: Option<TrialTrace>,
 }
@@ -257,13 +255,110 @@ pub(crate) type Solved = (StorageLedger, Vec<bool>);
 
 /// One row: `(video, profile)` entries with positive plateau (removals,
 /// `exclude` overlays and the flat oracle read them), their aggregate as
-/// an incremental breakpoint timeline, and Σ plateau, an upper bound on
-/// it at every instant (the O(1) headroom fast path).
+/// sorted breakpoints, Σ plateau — an upper bound on the aggregate at
+/// every instant (the O(1) headroom fast path) — and the mutation
+/// counter behind [`StorageLedger::node_version`].
 #[derive(Clone, Debug, Default)]
 struct Row {
     entries: Vec<(VideoId, SpaceProfile)>,
-    timeline: OccupancyTimeline,
+    /// Strictly increasing in time (by `total_cmp`).
+    breaks: Vec<Break>,
     plateau_sum: Bytes,
+    /// Ticks on every breakpoint delta folded in or out.
+    version: u64,
+}
+
+/// The summed deltas of every profile breakpoint at one time.
+#[derive(Clone, Copy, Debug)]
+struct Break {
+    t: Secs,
+    jump: Bytes,
+    dslope: f64,
+    /// How many profile breakpoints share `t`; the entry leaves with its
+    /// last contributor, so an emptied row holds no float residue.
+    refs: u32,
+}
+
+/// Running sums of the deltas up to some time `t`: the aggregate there
+/// is `jump + slope·t − slope_t`, and a left limit is the same form
+/// before the deltas at `t` are folded in.
+#[derive(Clone, Copy, Default)]
+struct Sums {
+    jump: f64,
+    slope: f64,
+    slope_t: f64,
+}
+
+impl Sums {
+    #[inline]
+    fn fold(&mut self, t: Secs, jump: Bytes, dslope: f64) {
+        self.jump += jump;
+        self.slope += dslope;
+        self.slope_t += dslope * t;
+    }
+
+    #[inline]
+    fn at(&self, t: Secs) -> Bytes {
+        self.jump + self.slope * t - self.slope_t
+    }
+}
+
+impl Row {
+    fn add_break(&mut self, t: Secs, jump: Bytes, dslope: f64) {
+        debug_assert!(t.is_finite(), "breakpoint time must be finite, got {t}");
+        self.version += 1;
+        match self.breaks.binary_search_by(|b| b.t.total_cmp(&t)) {
+            Ok(i) => {
+                let b = &mut self.breaks[i];
+                b.jump += jump;
+                b.dslope += dslope;
+                b.refs += 1;
+            }
+            Err(i) => self.breaks.insert(i, Break { t, jump, dslope, refs: 1 }),
+        }
+    }
+
+    /// Undo one [`Row::add_break`] with the same arguments.
+    fn remove_break(&mut self, t: Secs, jump: Bytes, dslope: f64) {
+        self.version += 1;
+        let Ok(i) = self.breaks.binary_search_by(|b| b.t.total_cmp(&t)) else {
+            panic!("removing a breakpoint that was never added (t = {t})");
+        };
+        let b = &mut self.breaks[i];
+        b.refs -= 1;
+        if b.refs == 0 {
+            self.breaks.remove(i);
+        } else {
+            b.jump -= jump;
+            b.dslope -= dslope;
+        }
+    }
+
+    /// The sums over every breakpoint at or before `t`, and how many
+    /// breakpoints that is.
+    fn sums_to(&self, t: Secs) -> (Sums, usize) {
+        let mut p = Sums::default();
+        let n = self.breaks.iter().take_while(|b| b.t <= t).count();
+        for b in &self.breaks[..n] {
+            p.fold(b.t, b.jump, b.dslope);
+        }
+        (p, n)
+    }
+
+    /// Every linear segment `[t0, t1)` between consecutive breakpoints as
+    /// `(t0, t1, u0, u1)`: `u0` the right-continuous value at `t0`, `u1`
+    /// the exact left limit at `t1` from the running slope.
+    fn for_each_segment<F: FnMut(Secs, Secs, Bytes, Bytes)>(&self, mut f: F) {
+        let mut p = Sums::default();
+        let mut prev: Option<(Secs, Bytes)> = None;
+        for b in &self.breaks {
+            if let Some((t0, u0)) = prev {
+                f(t0, b.t, u0, p.at(b.t));
+            }
+            p.fold(b.t, b.jump, b.dslope);
+            prev = Some((b.t, p.at(b.t)));
+        }
+    }
 }
 
 /// Occupancy ledger over every intermediate storage and every link.
@@ -293,7 +388,7 @@ impl StorageLedger {
     }
 
     /// Record a profile at a storage (no-op for zero-space profiles).
-    /// O(log n) in the node's breakpoint count.
+    /// O(k) in the node's breakpoint count.
     pub fn add(&mut self, loc: NodeId, video: VideoId, profile: SpaceProfile) {
         self.add_row(loc.index(), video, profile);
     }
@@ -303,7 +398,7 @@ impl StorageLedger {
             let row = Arc::make_mut(&mut self.rows[i]);
             row.entries.push((video, profile));
             for d in &profile.slope_deltas() {
-                row.timeline.add(d.t, d.jump, d.slope);
+                row.add_break(d.t, d.jump, d.slope);
             }
             row.plateau_sum += profile.peak();
         }
@@ -361,24 +456,27 @@ impl StorageLedger {
         if !self.rows[i].entries.iter().any(|(v, p)| drop(*v, p)) {
             return 0;
         }
-        let Row { entries, timeline, plateau_sum } = Arc::make_mut(&mut self.rows[i]);
+        let row = Arc::make_mut(&mut self.rows[i]);
+        let mut entries = std::mem::take(&mut row.entries);
         let before = entries.len();
         entries.retain(|(v, p)| {
             if !drop(*v, p) {
                 return true;
             }
             for d in &p.slope_deltas() {
-                timeline.remove(d.t, d.jump, d.slope);
+                row.remove_break(d.t, d.jump, d.slope);
             }
-            *plateau_sum -= p.peak();
+            row.plateau_sum -= p.peak();
             false
         });
         if entries.is_empty() {
             // Clamp float drift: an empty row occupies exactly nothing.
-            *plateau_sum = 0.0;
-            debug_assert!(timeline.is_empty());
+            row.plateau_sum = 0.0;
+            debug_assert!(row.breaks.is_empty());
         }
-        before - entries.len()
+        let dropped = before - entries.len();
+        row.entries = entries;
+        dropped
     }
 
     /// Whether node `loc`'s row is `other`'s very row, untouched since a clone.
@@ -455,7 +553,7 @@ impl StorageLedger {
     /// entries, in order — is bit-identical, which makes the version the
     /// dirty-node signal behind incremental overflow detection.
     pub fn node_version(&self, loc: NodeId) -> u64 {
-        self.rows[loc.index()].timeline.version()
+        self.rows[loc.index()].version
     }
 
     /// Whether any profile of `video` is recorded at any storage.
@@ -473,17 +571,17 @@ impl StorageLedger {
     /// the aggregate occupancy at every instant, maintained in O(1) per
     /// add/remove. `capacity − plateau_sum` is the node's guaranteed
     /// headroom: any candidate whose peak fits under it is admissible
-    /// without a timeline walk.
+    /// without a walk.
     pub fn plateau_sum(&self, loc: NodeId) -> Bytes {
         self.rows[loc.index()].plateau_sum
     }
 
     /// Aggregate occupancy at `loc` at time `t`, in bytes, optionally
     /// excluding one video's profiles. Right-continuous in `t`.
-    /// O(log n + excluded).
+    /// O(k + entries).
     pub fn usage_at(&self, loc: NodeId, t: Secs, exclude: Option<VideoId>) -> Bytes {
         let row = &self.rows[loc.index()];
-        let mut u = row.timeline.prefix(t).value_at(t);
+        let mut u = row.sums_to(t).0.at(t);
         if let Some(v) = exclude {
             for (vid, p) in &row.entries {
                 if *vid == v {
@@ -499,12 +597,12 @@ impl StorageLedger {
     /// the right-continuous value `u0` at `t0` and the **exact** left
     /// limit `u1` at `t1`. Allocation-free; the overflow detector's scan.
     pub fn for_each_segment<F: FnMut(Secs, Secs, Bytes, Bytes)>(&self, loc: NodeId, f: F) {
-        self.rows[loc.index()].timeline.for_each_segment(f);
+        self.rows[loc.index()].for_each_segment(f);
     }
 
     /// [`StorageLedger::for_each_segment`] over link `edge`'s row.
     pub(crate) fn for_each_link_segment<F: FnMut(Secs, Secs, f64, f64)>(&self, edge: usize, f: F) {
-        self.rows[self.nodes + edge].timeline.for_each_segment(f);
+        self.rows[self.nodes + edge].for_each_segment(f);
     }
 
     /// Peak of `usage + candidate` over the candidate's support.
@@ -518,16 +616,15 @@ impl StorageLedger {
         self.peak_walk(loc.index(), candidate, exclude, &mut cursor, f64::INFINITY)
     }
 
-    /// The timeline peak walk over row `i`: evaluate `aggregate +
-    /// candidate − excluded` at the support's endpoints and at every
-    /// breakpoint inside it — right-continuous values and exact left
-    /// limits — and abandon early once the running peak exceeds
-    /// `stop_above`.
+    /// The peak walk over row `i`: evaluate `aggregate + candidate −
+    /// excluded` at the support's endpoints and at every breakpoint inside
+    /// it — right-continuous values and exact left limits — and abandon
+    /// early once the running peak exceeds `stop_above`.
     ///
     /// The candidate and the excluded video's profiles are merged in as a
     /// small *overlay* delta list (the excluded deltas negated — they are
-    /// part of the aggregate and must be backed out), so the aggregate
-    /// timeline itself is never modified by a query.
+    /// part of the aggregate and must be backed out), so a query never
+    /// modifies the row.
     fn peak_walk(
         &self,
         i: usize,
@@ -558,59 +655,50 @@ impl StorageLedger {
         }
         overlay.sort_by(|a, b| a.0.total_cmp(&b.0));
 
-        // Running prefix of the combined function: aggregate up to the
+        // Running sums of the combined function: the row up to the
         // support start, plus every overlay delta at or before it.
-        let mut p = row.timeline.prefix(cs);
+        let (mut p, first) = row.sums_to(cs);
         let mut oi = 0;
         while oi < overlay.len() && overlay[oi].0 <= cs {
             let (t, jump, dslope) = overlay[oi];
-            p.jump += jump;
-            p.slope += dslope;
-            p.slope_t += dslope * t;
+            p.fold(t, jump, dslope);
             oi += 1;
         }
-        let mut peak: Bytes = p.value_at(cs).max(0.0);
+        let mut peak: Bytes = p.at(cs).max(0.0);
         if peak > stop_above {
             return peak;
         }
 
-        // Timeline breakpoints strictly inside the support (cs, ce].
-        let support = &mut cursor.support;
-        support.clear();
-        row.timeline.visit_range(cs, ce, |t, jump, dslope| support.push((t, jump, dslope)));
-
-        // Merge-walk the two sorted delta lists. At each distinct time:
-        // exact left limit first, then fold in every delta sharing that
-        // time, then the right-continuous value (skipped at the support
-        // end — the candidate no longer occupies space there).
-        let (mut si, n_s, n_o) = (0usize, support.len(), overlay.len());
-        while si < n_s || oi < n_o {
+        // Merge-walk the row's breakpoints past `cs` with the overlay. At
+        // each distinct time: exact left limit first, then fold in every
+        // delta sharing that time, then the right-continuous value
+        // (skipped at the support end — the candidate no longer occupies
+        // space there).
+        let support = &row.breaks[first..];
+        let (mut si, n_o) = (0usize, overlay.len());
+        while si < support.len() || oi < n_o {
             let t = match (support.get(si), overlay.get(oi)) {
-                (Some(s), Some(o)) => s.0.min(o.0),
-                (Some(s), None) => s.0,
+                (Some(s), Some(o)) => s.t.min(o.0),
+                (Some(s), None) => s.t,
                 (None, Some(o)) => o.0,
                 (None, None) => unreachable!("loop condition"),
             };
             if t > ce {
-                break; // overlay deltas past the support are irrelevant
+                break; // deltas past the support are irrelevant
             }
-            peak = peak.max(p.value_at(t));
-            while si < n_s && support[si].0 == t {
-                let (bt, jump, dslope) = support[si];
-                p.jump += jump;
-                p.slope += dslope;
-                p.slope_t += dslope * bt;
+            peak = peak.max(p.at(t));
+            while si < support.len() && support[si].t == t {
+                let b = &support[si];
+                p.fold(b.t, b.jump, b.dslope);
                 si += 1;
             }
             while oi < n_o && overlay[oi].0 == t {
                 let (bt, jump, dslope) = overlay[oi];
-                p.jump += jump;
-                p.slope += dslope;
-                p.slope_t += dslope * bt;
+                p.fold(bt, jump, dslope);
                 oi += 1;
             }
             if t < ce {
-                peak = peak.max(p.value_at(t));
+                peak = peak.max(p.at(t));
             }
             if peak > stop_above {
                 return peak;
@@ -622,7 +710,7 @@ impl StorageLedger {
         // rest of the row at `ce` — conservatively including a profile
         // that starts exactly at `ce`, and below the left limit wherever
         // the row drops there (a stream ending on a link row).
-        peak.max(p.value_at(ce))
+        peak.max(p.at(ce))
     }
 
     /// Admission test: would adding `candidate` at `loc` keep aggregate
@@ -701,9 +789,14 @@ mod tests {
     fn empty_ledger_reads_zero() {
         let t = topo(5.0);
         let l = StorageLedger::new(&t);
+        check_row(&l, NodeId(1));
         assert_eq!(l.usage_at(NodeId(1), 0.0, None), 0.0);
         assert_eq!(l.profile_count(NodeId(1)), 0);
         assert_eq!(l.plateau_sum(NodeId(1)), 0.0);
+        assert_eq!(l.node_version(NodeId(1)), 0);
+        let mut segs = 0;
+        l.for_each_segment(NodeId(1), |_, _, _, _| segs += 1);
+        assert_eq!(segs, 0);
     }
 
     use vod_topology::Topology;
@@ -962,21 +1055,25 @@ mod tests {
     fn node_version_ticks_only_on_real_mutations() {
         let t = topo(5.0);
         let mut l = StorageLedger::new(&t);
-        let v0 = l.node_version(NodeId(1));
-        l.add(NodeId(1), VideoId(0), profile(0.0, 5000.0));
+        let p = profile(0.0, 5000.0);
+        add_checked(&mut l, 0, p);
+        // One tick per breakpoint delta folded in.
         let v1 = l.node_version(NodeId(1));
-        assert!(v1 > v0);
+        assert_eq!(v1, p.slope_deltas().as_slice().len() as u64);
         // Other nodes untouched; queries don't tick.
         assert_eq!(l.node_version(NodeId(2)), 0);
         let _ = l.usage_at(NodeId(1), 100.0, None);
-        let _ = l.fits(&t, NodeId(1), &profile(1000.0, 2000.0), None);
+        let _ = l.fits(&t, NodeId(1), &profile(1000.0, 2000.0), Some(VideoId(0)));
+        l.for_each_segment(NodeId(1), |_, _, _, _| {});
         assert_eq!(l.node_version(NodeId(1)), v1);
         // Degenerate add and no-op removal don't tick.
-        l.add(NodeId(1), VideoId(1), profile(9.0, 9.0));
-        l.remove(NodeId(1), VideoId(42));
+        add_checked(&mut l, 1, profile(9.0, 9.0));
+        remove_checked(&mut l, 42);
         assert_eq!(l.node_version(NodeId(1)), v1);
-        l.remove(NodeId(1), VideoId(0));
-        assert!(l.node_version(NodeId(1)) > v1);
+        // Removing back to empty still moves the version forward: equal
+        // versions mean "identical function", not the converse.
+        remove_checked(&mut l, 0);
+        assert_eq!(l.node_version(NodeId(1)), 2 * v1);
     }
 
     /// One row as bits: entries, plateau sum, segments, version.
@@ -1131,5 +1228,192 @@ mod tests {
         // first; also detected.
         l.add(NodeId(1), VideoId(2), SpaceProfile::new(0.0, 5000.0, units::gb(4.0), 1000.0));
         assert!(!replay(&l, &[]));
+    }
+
+    /// The row check run after every mutation below: times strictly
+    /// increasing, every entry referenced, one reference per delta of the
+    /// row's profiles, and no breakpoints exactly when no profiles.
+    fn check_row(l: &StorageLedger, loc: NodeId) {
+        let row = &l.rows[loc.index()];
+        assert!(row.breaks.windows(2).all(|w| w[0].t.total_cmp(&w[1].t).is_lt()), "unsorted row");
+        assert!(row.breaks.iter().all(|b| b.refs >= 1));
+        let refs: u32 = row.breaks.iter().map(|b| b.refs).sum();
+        let deltas: usize =
+            row.entries.iter().map(|(_, p)| p.slope_deltas().as_slice().len()).sum();
+        assert_eq!(refs as usize, deltas, "one reference per profile delta");
+        assert_eq!(row.entries.is_empty(), row.breaks.is_empty());
+    }
+
+    fn add_checked(l: &mut StorageLedger, video: u32, p: SpaceProfile) {
+        l.add(NodeId(1), VideoId(video), p);
+        check_row(l, NodeId(1));
+    }
+
+    fn remove_checked(l: &mut StorageLedger, video: u32) {
+        l.remove(NodeId(1), VideoId(video));
+        check_row(l, NodeId(1));
+    }
+
+    fn usage(l: &StorageLedger, t: Secs) -> Bytes {
+        l.usage_at(NodeId(1), t, None)
+    }
+
+    #[test]
+    fn single_profile_matches_space_at() {
+        let p = SpaceProfile::new(100.0, 600.0, 1000.0, 200.0);
+        let mut l = StorageLedger::new(&topo(5.0));
+        add_checked(&mut l, 0, p);
+        for t in [0.0, 99.0, 100.0, 300.0, 599.0, 650.0, 700.0, 800.0, 1e4] {
+            let got = usage(&l, t);
+            assert!((got - p.space_at(t)).abs() < 1e-6, "t={t}: {got} vs {}", p.space_at(t));
+        }
+    }
+
+    #[test]
+    fn sum_of_profiles_matches_pointwise_sum() {
+        let ps = [
+            SpaceProfile::new(0.0, 500.0, 1000.0, 200.0),
+            SpaceProfile::new(250.0, 400.0, 800.0, 300.0),
+            SpaceProfile::new(600.0, 601.0, 500.0, 100.0),
+        ];
+        let mut l = StorageLedger::new(&topo(5.0));
+        for (v, p) in ps.iter().enumerate() {
+            add_checked(&mut l, v as u32, *p);
+        }
+        for t in (0..1200).map(|i| i as f64) {
+            let want: f64 = ps.iter().map(|p| p.space_at(t)).sum();
+            assert!((usage(&l, t) - want).abs() < 1e-6, "t={t}: {} vs {want}", usage(&l, t));
+        }
+    }
+
+    #[test]
+    fn remove_restores_the_previous_function_and_empties_cleanly() {
+        let a = SpaceProfile::new(0.0, 500.0, 1000.0, 200.0);
+        let b = SpaceProfile::new(100.0, 300.0, 700.0, 150.0);
+        let mut l = StorageLedger::new(&topo(5.0));
+        add_checked(&mut l, 0, a);
+        add_checked(&mut l, 1, b);
+        remove_checked(&mut l, 1);
+        for t in (0..800).map(|i| i as f64) {
+            assert!((usage(&l, t) - a.space_at(t)).abs() < 1e-6);
+        }
+        remove_checked(&mut l, 0);
+        assert!(l.rows[1].breaks.is_empty(), "all contributors removed → exactly empty");
+        assert_eq!(usage(&l, 250.0), 0.0);
+    }
+
+    #[test]
+    fn breakpoints_stay_sorted_and_merge_at_equal_times() {
+        let mut l = StorageLedger::new(&topo(5.0));
+        // Starts every 10 s and drains of 95 s: every other drain end
+        // lands on a later profile's start.
+        for i in 0..50 {
+            let s = i as f64 * 10.0;
+            add_checked(&mut l, i, SpaceProfile::new(s, s + 95.0, 100.0, 50.0));
+        }
+        let times: Vec<_> = l.rows[1].breaks.iter().map(|b| b.t).collect();
+        let mut distinct: Vec<_> = (0..50)
+            .flat_map(|i| {
+                SpaceProfile::new(i as f64 * 10.0, i as f64 * 10.0 + 95.0, 100.0, 50.0)
+                    .breakpoints()
+            })
+            .collect();
+        distinct.sort_by(f64::total_cmp);
+        distinct.dedup();
+        assert_eq!(times, distinct);
+    }
+
+    #[test]
+    fn segments_cover_consecutive_breakpoints_with_exact_left_limits() {
+        let mut l = StorageLedger::new(&topo(5.0));
+        add_checked(&mut l, 0, SpaceProfile::new(0.0, 500.0, 1000.0, 200.0));
+        let mut segs = Vec::new();
+        l.for_each_segment(NodeId(1), |t0, t1, u0, u1| segs.push((t0, t1, u0, u1)));
+        // Breakpoints 0, 500, 700 → two segments.
+        assert_eq!(segs.len(), 2);
+        assert_eq!(
+            segs[0],
+            (0.0, 500.0, 1000.0, 1000.0),
+            "left limit at drain start is the plateau"
+        );
+        let (_, _, v0, v1) = segs[1];
+        assert_eq!(v0, 1000.0);
+        assert!(v1.abs() < 1e-9, "drain closes to zero, got {v1}");
+    }
+
+    #[test]
+    fn an_empty_row_sums_to_zero_and_has_no_segments() {
+        let row = Row::default();
+        let (p, n) = row.sums_to(123.0);
+        assert_eq!((p.at(123.0), n), (0.0, 0));
+        let mut segs = 0;
+        row.for_each_segment(|_, _, _, _| segs += 1);
+        assert_eq!(segs, 0);
+    }
+
+    #[test]
+    fn a_new_ledger_row_is_the_default_row_and_returns_to_it() {
+        let is_default =
+            |row: &Row| row.entries.is_empty() && row.breaks.is_empty() && row.plateau_sum == 0.0;
+        let mut l = StorageLedger::new(&topo(5.0));
+        assert!(is_default(&l.rows[1]) && l.rows[1].version == 0);
+        assert!(is_default(&Row::default()) && Row::default().version == 0);
+        add_checked(&mut l, 0, SpaceProfile::new(100.0, 600.0, 1000.0, 200.0));
+        assert_eq!(usage(&l, 300.0), 1000.0);
+        remove_checked(&mut l, 0);
+        assert!(is_default(&l.rows[1]));
+    }
+
+    #[test]
+    fn row_version_ticks_on_every_break_delta_and_only_then() {
+        let mut row = Row::default();
+        assert_eq!(row.version, 0);
+        row.add_break(0.0, 5.0, 0.0);
+        row.add_break(10.0, 0.0, -0.5);
+        // A delta merged into an existing time still ticks.
+        row.add_break(10.0, -5.0, 0.5);
+        assert_eq!((row.version, row.breaks.len()), (3, 2));
+        // Queries never tick it.
+        let _ = row.sums_to(5.0);
+        row.for_each_segment(|_, _, _, _| {});
+        assert_eq!(row.version, 3);
+        // Removing back to empty still moves the version forward: equal
+        // versions mean "identical function", not the converse.
+        row.remove_break(10.0, -5.0, 0.5);
+        row.remove_break(10.0, 0.0, -0.5);
+        row.remove_break(0.0, 5.0, 0.0);
+        assert_eq!(row.version, 6);
+        assert!(row.breaks.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "never added")]
+    fn removing_unknown_breakpoint_panics() {
+        let mut row = Row::default();
+        row.add_break(1.0, 5.0, 0.0);
+        row.remove_break(2.0, 5.0, 0.0);
+    }
+
+    #[test]
+    fn heavy_churn_keeps_the_row_check() {
+        let ps: Vec<SpaceProfile> = (0..200)
+            .map(|i| {
+                let s = (i * 7919 % 86_400) as f64;
+                SpaceProfile::new(s, s + 1000.0 + (i % 13) as f64 * 311.0, 2.5e9, 5400.0)
+            })
+            .collect();
+        let mut l = StorageLedger::new(&topo(5.0));
+        for (v, p) in ps.iter().enumerate() {
+            add_checked(&mut l, v as u32, *p);
+        }
+        for v in (0..200).step_by(2) {
+            remove_checked(&mut l, v);
+        }
+        for (v, p) in ps.iter().enumerate().step_by(2) {
+            add_checked(&mut l, v as u32, *p);
+        }
+        let want: f64 = ps.iter().map(|p| p.space_at(40_000.0)).sum();
+        let got = usage(&l, 40_000.0);
+        assert!((got - want).abs() <= 1e-9 * (1.0 + want.abs()));
     }
 }

@@ -147,7 +147,7 @@ impl Constraints<'_> {
     /// the ledger otherwise. Reuse is sound because a profile whose
     /// support is disjoint from every mutation contributes exactly `0.0`
     /// at every instant of the candidate's support, so it cannot move
-    /// the timeline's peak over that support (the plateau-sum fast path
+    /// the row's peak over that support (the plateau-sum fast path
     /// is conservative-consistent: it can flip which code path answers
     /// but never the boolean).
     ///

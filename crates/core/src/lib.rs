@@ -74,7 +74,6 @@ mod repair;
 pub mod service;
 mod shard;
 mod sorp;
-mod timeline;
 mod warm;
 
 pub use bandwidth_aware::{bandwidth_aware_solve, BandwidthAwareOutcome};

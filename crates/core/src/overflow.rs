@@ -6,12 +6,12 @@
 //! interval during which the summed space requirement exceeds the
 //! capacity. Because every residency's occupancy is piecewise linear
 //! (Eq. 6), the aggregate occupancy is piecewise linear too and the exact
-//! overflow boundaries are found by scanning the ledger's occupancy
-//! timeline segment by segment and interpolating the crossings. The
-//! timeline yields each segment's exact endpoint values (right-continuous
-//! start, exact left limit at the end) directly from its slope aggregates,
-//! so no midpoint probing is needed and near-vertical segments suffer no
-//! float cancellation.
+//! overflow boundaries are found by scanning a ledger row's sorted
+//! breakpoints segment by segment and interpolating the crossings. The
+//! walk yields each segment's exact endpoint values (right-continuous
+//! start, exact left limit at the end) from its running slope sums, so no
+//! midpoint probing is needed and near-vertical segments suffer no float
+//! cancellation.
 //!
 //! A link overload ([`detect_link_overloads`]) is the same scan over a
 //! link row of the ledger against the link's declared bandwidth.
@@ -196,7 +196,7 @@ pub fn detect_link_overloads(topo: &Topology, ledger: &StorageLedger) -> Vec<Lin
 /// occupancy, handing each maximal over-capacity window and its peak
 /// excess to `emit`; the caller attaches the storage or the link.
 /// Segments must arrive in time order, each with its exact endpoint
-/// values straight from the timeline's slope aggregates: `u0` the
+/// values straight from the row's running slope sums: `u0` the
 /// right-continuous value at `t0`, `u1` the exact left limit at `t1`.
 struct OverflowScan<F: FnMut(Interval, f64)> {
     capacity: f64,

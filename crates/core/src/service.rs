@@ -193,6 +193,9 @@ pub enum ServiceError {
     Faults(FaultError),
     /// The cycle horizon is not a positive, finite number of seconds.
     Horizon(Secs),
+    /// The deadline budget is not a positive, finite number of simulated
+    /// nanoseconds.
+    Budget(f64),
     /// The arrival trace is not sorted by arrival time: arrival `index`
     /// arrives before arrival `index − 1` (or either time is NaN).
     UnsortedArrivals {
@@ -208,6 +211,9 @@ impl fmt::Display for ServiceError {
             ServiceError::Horizon(h) => {
                 write!(f, "cycle horizon {h} s is not positive and finite")
             }
+            ServiceError::Budget(b) => {
+                write!(f, "deadline budget {b} ns is not positive and finite")
+            }
             ServiceError::UnsortedArrivals { index } => write!(
                 f,
                 "arrival {index} arrives before arrival {}; the trace must be sorted by arrival time",
@@ -221,7 +227,9 @@ impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServiceError::Faults(e) => Some(e),
-            ServiceError::Horizon(_) | ServiceError::UnsortedArrivals { .. } => None,
+            ServiceError::Horizon(_)
+            | ServiceError::Budget(_)
+            | ServiceError::UnsortedArrivals { .. } => None,
         }
     }
 }
@@ -246,11 +254,11 @@ pub struct ServiceConfig {
     /// Intake queue bound; `None` is unbounded.
     pub queue_bound: Option<usize>,
     /// Per-cycle deadline budget in simulated nanoseconds; `None` is
-    /// infinite (the ladder never leaves [`Rung::Full`]), and `Some(+∞)`
-    /// runs the same rungs and schedules. A budget no request fits — zero,
-    /// negative or NaN — puts every non-empty cycle on [`Rung::Shed`]
-    /// keeping none: each ticket is shed into backoff and dropped once it
-    /// has failed more than `backoff.drop_after` attempts; the accounting
+    /// infinite (the ladder never leaves [`Rung::Full`]). A budget must be
+    /// positive and finite ([`ServiceError::Budget`] otherwise). A budget
+    /// no request fits puts every non-empty cycle on [`Rung::Shed`] keeping
+    /// none: each ticket is shed into backoff and dropped once it has
+    /// failed more than `backoff.drop_after` attempts; the accounting
     /// still balances.
     pub budget_ns: Option<f64>,
     /// Backoff policy for shed requests.
@@ -750,11 +758,14 @@ pub struct ServiceLoop {
 impl ServiceLoop {
     /// Open a service loop over `topo`. Fails when the configured fault
     /// plan does not validate against the topology, or when the cycle
-    /// horizon is not a positive, finite number of seconds.
+    /// horizon or the deadline budget is not a positive, finite number.
     pub fn new(topo: &Topology, cfg: ServiceConfig) -> Result<Self, ServiceError> {
         cfg.faults.validate(topo)?;
         if !(cfg.horizon.is_finite() && cfg.horizon > 0.0) {
             return Err(ServiceError::Horizon(cfg.horizon));
+        }
+        if let Some(b) = cfg.budget_ns.filter(|b| !(b.is_finite() && *b > 0.0)) {
+            return Err(ServiceError::Budget(b));
         }
         Ok(Self {
             cfg,
@@ -1729,6 +1740,24 @@ mod tests {
         }
         let cfg = ServiceConfig { horizon: H, ..ServiceConfig::default() };
         assert!(ServiceLoop::new(&topo, cfg).is_ok());
+    }
+
+    #[test]
+    fn a_bad_budget_is_a_typed_error() {
+        let (topo, _) = world(8);
+        for budget in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -5.0] {
+            let cfg = ServiceConfig { budget_ns: Some(budget), ..ServiceConfig::default() };
+            let err = ServiceLoop::new(&topo, cfg).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(err, ServiceError::Budget(b) if b.to_bits() == budget.to_bits()),
+                "budget {budget}: {err:?}"
+            );
+            assert!(err.to_string().contains("budget"));
+        }
+        for budget_ns in [None, Some(f64::MIN_POSITIVE), Some(f64::MAX)] {
+            let cfg = ServiceConfig { budget_ns, ..ServiceConfig::default() };
+            assert!(ServiceLoop::new(&topo, cfg).is_ok(), "budget {budget_ns:?}");
+        }
     }
 
     /// A NaN or infinite start is refused before it counts, so nothing is

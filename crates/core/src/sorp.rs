@@ -60,7 +60,7 @@
 //!   greedy. The cache lives and dies with its pass: the next pass —
 //!   the sharded solve's global one included — starts with none;
 //! * the [`OverflowMonitor`] rescans only storages whose ledger
-//!   version moved, instead of every node's full timeline.
+//!   version moved, instead of every node's full row.
 //!
 //! Per-video state — the accumulated bans, the trial cache, a pass's
 //! request lists — sits in [`PerVideo`] tables indexed by the video's
@@ -199,7 +199,7 @@ pub struct SorpOutcome {
     /// storage the last commit moved; the others stood. The naive oracle
     /// rebuilds every job it scores.
     pub jobs_rebuilt: usize,
-    /// Finite-capacity storages whose occupancy timeline was rescanned by
+    /// Finite-capacity storages whose occupancy row was rescanned by
     /// overflow detection, summed over all loop iterations.
     pub nodes_rescanned: usize,
 }

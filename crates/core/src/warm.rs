@@ -154,7 +154,7 @@ impl CommittedBook {
     }
 
     /// Bytes of committed occupancy held at time `t`. Clamped at zero:
-    /// timeline breakpoint arithmetic can leave a tiny negative residue
+    /// row breakpoint arithmetic can leave a tiny negative residue
     /// where the true occupancy is exactly 0.
     pub fn spillover_at(&self, t: Secs) -> f64 {
         self.touched.iter().map(|&loc| self.ledger.usage_at(loc, t, None)).sum::<f64>().max(0.0)

@@ -1,7 +1,7 @@
 //! Property tests for the conflict-scoped SORP solver: across random
 //! topologies, workloads and heat metrics, the solver (standing trial
-//! jobs + trial cache + incremental overflow monitor over the occupancy
-//! timeline) must be **bit-identical** to the naive loop
+//! jobs + trial cache + incremental overflow monitor over the ledger's
+//! breakpoint rows) must be **bit-identical** to the naive loop
 //! [`vod_oracles::sorp_solve_naive`] — same schedule, same cost bits,
 //! same victims, same iteration count — while that loop audits every
 //! overflow scan and every capacity answer of the production ledger
@@ -155,7 +155,7 @@ proptest! {
     }
 }
 
-/// On the paper instance the timeline ledger's every answer — overflow
+/// On the paper instance the production ledger's every answer — overflow
 /// windows each iteration, capacity verdicts each trial — is the flat
 /// scan's (the naive loop's audit), and the solver takes the decisions of
 /// that audited loop.

@@ -1,9 +1,10 @@
-//! Property tests: the production ledger (incremental occupancy
-//! timeline) must agree with the flat scan of its own entries
+//! Property tests: the production ledger (one sorted breakpoint array
+//! per row) must agree with the flat scan of its own entries
 //! (`vod_oracles::flat`) — same `usage_at`, `peak_with`, `fits`, and
 //! overflow detection — on random workloads, including add/remove
 //! interleavings and the `exclude` path, and on link rows filled with
-//! streams.
+//! streams; and a row must read the same bits whatever order its
+//! residencies arrived in.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -177,8 +178,27 @@ impl Step {
     }
 }
 
+/// The bits a row reads: `usage_at` at `times`, `peak_with` of the
+/// candidate, every segment, and the `fits` verdict.
+fn row_reading(
+    topo: &Topology,
+    ledger: &StorageLedger,
+    loc: NodeId,
+    w: &Workload,
+    times: &[Secs],
+) -> (Vec<u64>, u64, Vec<[u64; 4]>, bool) {
+    let cand = w.candidate.profile();
+    let exclude = w.exclude.map(VideoId);
+    let usage = times.iter().map(|&t| ledger.usage_at(loc, t, None).to_bits()).collect();
+    let mut segments = Vec::new();
+    ledger
+        .for_each_segment(loc, |t0, t1, u0, u1| segments.push([t0, t1, u0, u1].map(f64::to_bits)));
+    let peak = ledger.peak_with(loc, &cand, exclude).to_bits();
+    (usage, peak, segments, ledger.fits(topo, loc, &cand, exclude))
+}
+
 /// Agreement within 1e-9 *relative to the magnitude of the ingredients*:
-/// timeline evaluation is a sum/difference of terms of size `scale`
+/// row evaluation is a sum/difference of terms of size `scale`
 /// (bytes resident at the node), so near-zero results carry absolute
 /// cancellation residue on the order of `scale · ulp`, far below
 /// `1e-9 · scale`.
@@ -216,7 +236,7 @@ fn same_overflows(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// `usage_at` agrees between the timeline and the flat sum at random
+    /// `usage_at` agrees between the ledger and the flat sum at random
     /// times, at every breakpoint, and under exclusion.
     #[test]
     fn usage_at_matches_reference(w in workload_strategy()) {
@@ -236,7 +256,7 @@ proptest! {
         }
     }
 
-    /// `peak_with` and `fits` agree between the timeline walk and the
+    /// `peak_with` and `fits` agree between the ledger's walk and the
     /// flat midpoint rescan for random candidates, with and without
     /// exclusion.
     #[test]
@@ -260,7 +280,7 @@ proptest! {
     }
 
     /// Overflow detection — windows and peak excess — agrees between the
-    /// timeline segment walk and the flat midpoint scan.
+    /// ledger's segment walk and the flat midpoint scan.
     #[test]
     fn detect_overflows_matches_reference(w in workload_strategy()) {
         let topo = builders::paper_fig2(16.0, 8.0, 1.0, w.capacity_gb);
@@ -274,7 +294,7 @@ proptest! {
     /// above each row's (drifted) plateau sum and at its exact brim, the
     /// production scan equals the flat scan window for window. Only the
     /// row the capacity was drawn for is compared: the capacity applies to
-    /// both storages, and near zero it sits below the timeline's
+    /// both storages, and near zero it sits below the row's
     /// cancellation residue on the other one.
     #[test]
     fn scan_fast_path_matches_reference(
@@ -343,8 +363,44 @@ proptest! {
         }
     }
 
+    /// A row is its breakpoints sorted by time, so a residency set whose
+    /// breakpoint times are distinct reads bit-identically whatever order
+    /// it was added in: `usage_at`, `peak_with` and every segment to the
+    /// bit, and the same `fits` verdict. (Deltas at an equal time fold
+    /// into one entry in arrival order.)
+    #[test]
+    fn insertion_order_changes_no_bit(
+        w in workload_strategy(),
+        keys in proptest::collection::vec((any::<u64>(), any::<u64>()), 24..25),
+    ) {
+        let mut deltas: Vec<Secs> = w
+            .items
+            .iter()
+            .flat_map(|i| i.profile().slope_deltas().as_slice().iter().map(|d| d.t).collect::<Vec<_>>())
+            .collect();
+        deltas.sort_by(f64::total_cmp);
+        prop_assume!(deltas.windows(2).all(|d| d[0] != d[1]));
+        let topo = builders::paper_fig2(16.0, 8.0, 1.0, w.capacity_gb);
+        let build = |key: fn(&(u64, u64)) -> u64| {
+            let mut order: Vec<usize> = (0..w.items.len()).collect();
+            order.sort_by_key(|&i| key(&keys[i]));
+            let mut ledger = StorageLedger::new(&topo);
+            for i in order {
+                let item = &w.items[i];
+                ledger.add(NodeId(item.loc), VideoId(item.video), item.profile());
+            }
+            ledger
+        };
+        let (a, b) = (build(|k| k.0), build(|k| k.1));
+        let mut times = w.query_times.clone();
+        times.extend(deltas);
+        for loc in [NodeId(1), NodeId(2)] {
+            prop_assert_eq!(row_reading(&topo, &a, loc, &w, &times), row_reading(&topo, &b, loc, &w, &times));
+        }
+    }
+
     /// Removing everything returns the ledger to an exactly-empty state:
-    /// no float residue in the timeline aggregates.
+    /// no float residue in the row's breakpoints.
     #[test]
     fn full_removal_leaves_exact_zero(w in workload_strategy()) {
         let topo = builders::paper_fig2(16.0, 8.0, 1.0, w.capacity_gb);

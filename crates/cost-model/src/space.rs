@@ -211,7 +211,7 @@ impl SpaceProfile {
     /// breakpoints: summing `jump + slope · (t − delta.t)` over every
     /// delta with `delta.t ≤ t` reproduces [`SpaceProfile::space_at`].
     ///
-    /// This is the exact-slope representation the occupancy timeline
+    /// This is the exact-slope representation a ledger row
     /// aggregates: a degenerate rise (`full == start`, the paper's
     /// instant-reservation model) becomes a right-continuous value jump
     /// of the full plateau, a real rise becomes a ±slope pair, and a real

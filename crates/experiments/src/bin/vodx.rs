@@ -54,10 +54,10 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--budget-ns" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => budget_ns = Some(n),
-                None => {
-                    eprintln!("--budget-ns needs a number argument");
+            "--budget-ns" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
+                Some(n) if n.is_finite() && n > 0.0 => budget_ns = Some(n),
+                _ => {
+                    eprintln!("--budget-ns needs a positive, finite number of ns");
                     return ExitCode::FAILURE;
                 }
             },
@@ -338,7 +338,7 @@ fn usage() -> &'static str {
      --out D  additionally write CSV/text outputs into directory D\n\
      --rpu N  reservations per user per cycle for table5 (default 2)\n\
      --burst N     service: arrival multiplier for the burst cycle (default 4)\n\
-     --budget-ns B service: per-cycle deadline budget in simulated ns\n\
+     --budget-ns B service: per-cycle deadline budget in simulated ns (> 0)\n\
      --record F    cycles/service: write a JSONL flight recording to F\n\
      trace F       dump + summarize a recording written by --record"
 }

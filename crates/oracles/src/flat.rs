@@ -1,12 +1,11 @@
 //! The flat scan of one ledger row's occupancy: every query re-sums every
-//! profile recorded on the row, in entry order. This is the ledger
-//! implementation the incremental occupancy timeline replaced, kept as
-//! the reference [`vod_core::StorageLedger`]'s answers are compared
-//! against. The functions read a row's entries as
+//! profile recorded on the row, in entry order. It is the reference
+//! [`vod_core::StorageLedger`]'s answers are compared against. The
+//! functions read a row's entries as
 //! [`vod_core::StorageLedger::profiles_at`] (a storage) or
 //! [`vod_core::StorageLedger::link_profiles`] (a link) hands them out and
-//! share no code with the timeline; each admission test is O(k²) in the
-//! row's profile count.
+//! share no code with the ledger's sorted breakpoint rows; each admission
+//! test is O(k²) in the row's profile count.
 
 use vod_core::{Interval, Overflow, StorageLedger};
 use vod_cost_model::{Bytes, Secs, SpaceProfile, VideoId};

@@ -148,7 +148,7 @@ commit_hits="$(awk '
     /^#\[cfg\(test\)\]/ { test = 1 }
     test { next }
     match($0, /fn [a-z_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
-    /\.absorb(_solved)?\(/ && FILENAME != "crates/core/src/timeline.rs" {  # Prefix::absorb folds a breakpoint
+    /\.absorb(_solved)?\(/ {
       if (FILENAME == "crates/core/src/warm.rs" && fn == "absorb") { next }
       calls++
       if (!(FILENAME == "crates/core/src/service.rs" && fn == "run_cycle")) {

@@ -305,9 +305,11 @@ fn overload_faults_cell_decisions_are_pinned() {
     assert_eq!(report.conservation_error(), 0);
 }
 
-/// Budgets no request fits — zero, negative, NaN — shed every ticket
-/// into backoff and drop it after `drop_after` failed attempts, without a
-/// panic and with balanced accounting; `+∞` is the same run as `None`.
+/// Budgets no request fits — the smallest positive ones — shed every
+/// ticket into backoff and drop it after `drop_after` failed attempts,
+/// without a panic and with balanced accounting; the largest finite budget
+/// is the same run as `None`. `ServiceLoop::new` refuses a zero, negative,
+/// NaN or infinite budget (`service::tests::a_bad_budget_is_a_typed_error`).
 #[test]
 fn adversarial_budgets_shed_or_run_full_and_conserve() {
     const CYCLES: usize = 6;
@@ -338,7 +340,7 @@ fn adversarial_budgets_shed_or_run_full_and_conserve() {
         (outcomes, report)
     };
 
-    for budget in [0.0, -1e6, f64::NAN] {
+    for budget in [f64::MIN_POSITIVE, 1.0] {
         let (outcomes, report) = run(Some(budget));
         for o in &outcomes {
             let s = &o.stats;
@@ -354,7 +356,7 @@ fn adversarial_budgets_shed_or_run_full_and_conserve() {
     }
 
     let (unbounded, _) = run(None);
-    let (infinite, _) = run(Some(f64::INFINITY));
+    let (infinite, _) = run(Some(f64::MAX));
     for (a, b) in unbounded.iter().zip(&infinite) {
         assert_eq!(a.stats, b.stats, "cycle {}", a.stats.cycle);
         assert!(a.schedule == b.schedule, "cycle {}: schedules diverged", a.stats.cycle);
