@@ -379,12 +379,17 @@ impl StorageLedger {
     /// Build the ledger of every residency in `schedule`. Degenerate
     /// (zero-space) residencies are skipped — they are pure relays.
     pub fn from_schedule(topo: &Topology, catalog: &Catalog, schedule: &Schedule) -> Self {
-        let mut ledger = Self::new(topo);
+        Self::new(topo).with_schedule(catalog, schedule)
+    }
+
+    /// This ledger plus every residency in `schedule`, each under its
+    /// video, in schedule order.
+    pub(crate) fn with_schedule(mut self, catalog: &Catalog, schedule: &Schedule) -> Self {
         for r in schedule.residencies() {
             let p = r.profile(catalog.get(r.video));
-            ledger.add(r.loc, r.video, p);
+            self.add(r.loc, r.video, p);
         }
-        ledger
+        self
     }
 
     /// Record a profile at a storage (no-op for zero-space profiles).

@@ -39,8 +39,9 @@ pub struct ExactOutcome {
     pub nodes_expanded: usize,
 }
 
-/// Hard cap on search nodes, asserted during the search. The size check
-/// is [`MAX_REQUESTS`]; no instance within it is known to reach the cap.
+/// Hard cap on search nodes: a search that would expand more stops with
+/// [`ExactError::NodeCap`]. The size check is [`MAX_REQUESTS`]; no
+/// instance within it is known to reach the cap.
 const NODE_CAP: usize = 50_000_000;
 
 /// Maximum requests the exact solver accepts.
@@ -58,6 +59,8 @@ pub enum ExactError {
     Unsorted(usize),
     /// The request at this index is for another video than request 0.
     MixedVideos(usize),
+    /// The search would expand more than this many nodes.
+    NodeCap(usize),
 }
 
 impl fmt::Display for ExactError {
@@ -72,6 +75,9 @@ impl fmt::Display for ExactError {
             }
             ExactError::MixedVideos(at) => {
                 write!(f, "request {at} is for another video than request 0")
+            }
+            ExactError::NodeCap(cap) => {
+                write!(f, "exact search would expand more than {cap} nodes")
             }
         }
     }
@@ -99,18 +105,28 @@ pub fn find_optimal_video_schedule(
             return Err(ExactError::Unsorted(at + 1));
         }
     }
+    search_within(ctx, requests, NODE_CAP)
+}
 
+/// The branch-and-bound over a well-formed group, expanding at most `cap`
+/// nodes.
+fn search_within(
+    ctx: &SchedCtx<'_>,
+    requests: &[Request],
+    cap: usize,
+) -> Result<ExactOutcome, ExactError> {
     let mut search = Search {
         ctx,
         requests,
-        video: *ctx.catalog.get(first.video),
+        video: *ctx.catalog.get(requests[0].video),
         best_cost: f64::INFINITY,
         best_plans: Vec::new(),
         plans: Vec::with_capacity(requests.len()),
         caches: Vec::new(),
         nodes: 0,
+        cap,
     };
-    search.dfs(0, 0.0);
+    search.dfs(0, 0.0)?;
     assert!(search.best_cost.is_finite(), "all-direct plan is always feasible");
 
     let schedule = materialise(ctx, requests, &search.best_plans);
@@ -141,19 +157,23 @@ struct Search<'a, 'c> {
     plans: Vec<Plan>,
     caches: Vec<CacheState>,
     nodes: usize,
+    /// Most nodes the search may expand.
+    cap: usize,
 }
 
 impl Search<'_, '_> {
-    fn dfs(&mut self, i: usize, cost_so_far: Dollars) {
+    fn dfs(&mut self, i: usize, cost_so_far: Dollars) -> Result<(), ExactError> {
         self.nodes += 1;
-        assert!(self.nodes <= NODE_CAP, "exact search exceeded the node cap");
+        if self.nodes > self.cap {
+            return Err(ExactError::NodeCap(self.cap));
+        }
         if cost_so_far >= self.best_cost {
-            return; // bound: incremental costs are non-negative
+            return Ok(()); // bound: incremental costs are non-negative
         }
         if i == self.requests.len() {
             self.best_cost = cost_so_far;
             self.best_plans = self.plans.clone();
-            return;
+            return Ok(());
         }
 
         let req = self.requests[i];
@@ -173,7 +193,7 @@ impl Search<'_, '_> {
 
             // (a) deliver directly.
             let direct = cost_so_far + amortized * self.ctx.routes.rate(src, local) + ext_cost;
-            self.apply(i, src_idx, Plan { src, new_cache: None }, req.start, direct);
+            self.apply(i, src_idx, Plan { src, new_cache: None }, req.start, direct)?;
 
             // (b) deliver via a new cache at any unused storage.
             let used: Vec<NodeId> = self.caches.iter().map(|c| c.loc).collect();
@@ -183,9 +203,10 @@ impl Search<'_, '_> {
                 let net =
                     amortized * (self.ctx.routes.rate(src, m) + self.ctx.routes.rate(m, local));
                 let cost = cost_so_far + net + ext_cost;
-                self.apply_with_cache(i, src_idx, m, req, cost);
+                self.apply_with_cache(i, src_idx, m, req, cost)?;
             }
         }
+        Ok(())
     }
 
     /// Incremental storage cost of extending `cache` to serve at `t`.
@@ -204,7 +225,14 @@ impl Search<'_, '_> {
     }
 
     /// Recurse with a plan that only extends the source cache.
-    fn apply(&mut self, i: usize, src_idx: usize, plan: Plan, t: f64, cost: Dollars) {
+    fn apply(
+        &mut self,
+        i: usize,
+        src_idx: usize,
+        plan: Plan,
+        t: f64,
+        cost: Dollars,
+    ) -> Result<(), ExactError> {
         let saved_last = if src_idx > 0 {
             let c = &mut self.caches[src_idx - 1];
             let saved = c.last;
@@ -214,11 +242,12 @@ impl Search<'_, '_> {
             None
         };
         self.plans.push(plan);
-        self.dfs(i + 1, cost);
+        let searched = self.dfs(i + 1, cost);
         self.plans.pop();
         if let Some(saved) = saved_last {
             self.caches[src_idx - 1].last = saved;
         }
+        searched
     }
 
     /// Recurse with a plan that additionally creates a cache at `m`.
@@ -229,7 +258,7 @@ impl Search<'_, '_> {
         m: NodeId,
         req: Request,
         cost: Dollars,
-    ) {
+    ) -> Result<(), ExactError> {
         let saved_last = if src_idx > 0 {
             let c = &mut self.caches[src_idx - 1];
             let saved = c.last;
@@ -242,12 +271,13 @@ impl Search<'_, '_> {
             if src_idx == 0 { self.ctx.topo.warehouse() } else { self.caches[src_idx - 1].loc };
         self.caches.push(CacheState { loc: m, start: req.start, last: req.start });
         self.plans.push(Plan { src, new_cache: Some(m) });
-        self.dfs(i + 1, cost);
+        let searched = self.dfs(i + 1, cost);
         self.plans.pop();
         self.caches.pop();
         if let Some(saved) = saved_last {
             self.caches[src_idx - 1].last = saved;
         }
+        searched
     }
 }
 
@@ -451,6 +481,25 @@ mod tests {
         assert_eq!(exact(&[req(0, 0.0), req(0, f64::NAN)]), Err(ExactError::Unsorted(1)));
         assert_eq!(exact(&[req(0, 0.0), req(1, 5.0)]), Err(ExactError::MixedVideos(1)));
         assert_eq!(exact(&[req(0, 0.0); MAX_REQUESTS]), Ok(()), "the bound itself is accepted");
+    }
+
+    /// A search that would expand more nodes than its cap stops with a
+    /// typed error instead of a panic; one the cap admits answers as an
+    /// uncapped one does.
+    #[test]
+    fn a_search_past_its_node_cap_is_a_typed_error() {
+        let (topo, catalog) = fig2_setup();
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &catalog);
+        let reqs = fig2_requests();
+        let full = optimum(&ctx, &reqs);
+        assert!(full.nodes_expanded > 3);
+        let capped = search_within(&ctx, &reqs, full.nodes_expanded - 1).map(|o| o.cost);
+        assert_eq!(capped, Err(ExactError::NodeCap(full.nodes_expanded - 1)));
+        assert!(ExactError::NodeCap(7).to_string().contains("more than 7 nodes"));
+        let exact = search_within(&ctx, &reqs, full.nodes_expanded).expect("the cap admits it");
+        assert_eq!(exact.cost.to_bits(), full.cost.to_bits());
+        assert_eq!(exact.nodes_expanded, full.nodes_expanded);
     }
 
     #[test]

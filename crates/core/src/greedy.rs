@@ -26,6 +26,7 @@
 //! rejective greedy always produces a feasible schedule.
 
 use crate::capacity::{AdmissionCheck, LedgerCursor, LedgerDelta, TrialTrace};
+use crate::warm::HeldCopies;
 use crate::{Interval, PricedSchedule, SchedCtx, StorageLedger};
 use serde::{Deserialize, Serialize};
 use vod_cost_model::{
@@ -259,7 +260,20 @@ pub fn find_video_schedule(
     policy: GreedyPolicy,
     constraints: Option<&Constraints<'_>>,
 ) -> VideoSchedule {
-    greedy_with_cursor(ctx, requests, constraints, policy, &mut GreedyScratch::default())
+    find_held_video_schedule(ctx, requests, &[], policy, constraints)
+}
+
+/// [`find_video_schedule`] starting from the copies `held` keeps of the
+/// video, by storage (see [`HeldCopies`]): how fault repair re-places a
+/// video of a cycle that inherited some.
+pub(crate) fn find_held_video_schedule(
+    ctx: &SchedCtx<'_>,
+    requests: &[Request],
+    held: &[Residency],
+    policy: GreedyPolicy,
+    constraints: Option<&Constraints<'_>>,
+) -> VideoSchedule {
+    greedy_with_cursor(ctx, requests, held, constraints, policy, &mut GreedyScratch::default())
 }
 
 /// Phase 1, `IVSP_solve` (paper Algorithm 1): schedule every video group
@@ -272,7 +286,7 @@ pub fn ivsp_solve(
     batch: &RequestBatch,
     policy: GreedyPolicy,
 ) -> PricedSchedule {
-    place(ctx, batch, policy, None)
+    place(ctx, batch, policy, None, &HeldCopies::default())
 }
 
 /// Schedule every video group of the batch in input (video-id) order
@@ -282,22 +296,26 @@ pub fn ivsp_solve(
 /// ledger, and its residencies join the ledger before the next group.
 /// The pass places nothing where it does not fit, so it adds no overflow
 /// to the ledger. Where no capacity binds, every admission test passes
-/// and the schedule is [`ivsp_solve`]'s, bit for bit.
+/// and the schedule is [`ivsp_solve`]'s, bit for bit. Each group's run
+/// starts from the copies `held` keeps of its video.
 pub(crate) fn place(
     ctx: &SchedCtx<'_>,
     batch: &RequestBatch,
     policy: GreedyPolicy,
     mut ledger: Option<&mut StorageLedger>,
+    held: &HeldCopies,
 ) -> PricedSchedule {
     let mut scratch = GreedyScratch::default();
     let pairs = batch
         .groups()
-        .map(|(_, group)| {
+        .map(|(vid, group)| {
+            let held = held.of(vid);
             let vs = match ledger.as_deref_mut() {
-                None => greedy_with_cursor(ctx, group, None, policy, &mut scratch),
+                None => greedy_with_cursor(ctx, group, held, None, policy, &mut scratch),
                 Some(ledger) => {
                     let cons = Constraints { ledger, exclude: None, forbidden: &[] };
-                    let vs = greedy_with_cursor(ctx, group, Some(&cons), policy, &mut scratch);
+                    let vs =
+                        greedy_with_cursor(ctx, group, held, Some(&cons), policy, &mut scratch);
                     for r in &vs.residencies {
                         ledger.add(r.loc, r.video, r.profile(ctx.catalog.get(r.video)));
                     }
@@ -326,19 +344,20 @@ pub fn reschedule_video_traced(
     constraints: &Constraints<'_>,
     policy: GreedyPolicy,
 ) -> (VideoSchedule, TrialTrace) {
-    reschedule_traced_in(ctx, requests, constraints, policy, &mut GreedyScratch::default())
+    reschedule_traced_in(ctx, requests, &[], constraints, policy, &mut GreedyScratch::default())
 }
 
-/// [`reschedule_video_traced`] in `scratch`.
+/// [`reschedule_video_traced`] in `scratch`, from the copies `held`.
 pub(crate) fn reschedule_traced_in(
     ctx: &SchedCtx<'_>,
     requests: &[Request],
+    held: &[Residency],
     constraints: &Constraints<'_>,
     policy: GreedyPolicy,
     scratch: &mut GreedyScratch,
 ) -> (VideoSchedule, TrialTrace) {
     scratch.cursor.start_trace();
-    let vs = greedy_with_cursor(ctx, requests, Some(constraints), policy, scratch);
+    let vs = greedy_with_cursor(ctx, requests, held, Some(constraints), policy, scratch);
     (vs, scratch.cursor.take_trace())
 }
 
@@ -365,6 +384,7 @@ enum Slot {
 fn greedy_with_cursor(
     ctx: &SchedCtx<'_>,
     requests: &[Request],
+    held: &[Residency],
     constraints: Option<&Constraints<'_>>,
     policy: GreedyPolicy,
     scratch: &mut GreedyScratch,
@@ -381,10 +401,16 @@ fn greedy_with_cursor(
     let amortized = video.amortized_bytes();
 
     // Active caches, sorted by hosting storage for deterministic
-    // iteration, mirrored densely by node index in `slots`.
-    let mut caches: Vec<Residency> = Vec::new();
+    // iteration, mirrored densely by node index in `slots`. They start as
+    // the copies an earlier cycle held for this run: each extends like any
+    // cache, and enters the schedule only if it serves.
+    let mut caches: Vec<Residency> = held.iter().map(Residency::carry).collect();
+    debug_assert!(caches.windows(2).all(|w| w[0].loc < w[1].loc), "held copies by storage");
     slots.clear();
     slots.resize(ctx.topo.node_count(), Slot::Free);
+    for c in &caches {
+        slots[c.loc.index()] = Slot::Cache;
+    }
     let mut schedule = VideoSchedule::new(vid);
     // One delivery per request.
     schedule.transfers.reserve_exact(requests.len());
@@ -409,7 +435,9 @@ fn greedy_with_cursor(
         // Enumerate sources: the warehouse plus every live cache.
         for cache in std::iter::once(None).chain(caches.iter().map(Some)) {
             let src = cache.map_or(vw, |r| r.loc);
-            if slots[src.index()] == Slot::Dead {
+            // A held copy serves from the instant it was held to on.
+            if slots[src.index()] == Slot::Dead || cache.is_some_and(|r| req.start < r.last_service)
+            {
                 continue;
             }
             if !policy.allow_remote_placement && src != vw && src != local {
@@ -510,6 +538,7 @@ fn greedy_with_cursor(
         }
     }
 
+    caches.retain(|r| r.service_count > 0);
     schedule.residencies = caches;
     schedule
 }
@@ -517,12 +546,18 @@ fn greedy_with_cursor(
 /// Extending cache `r` so its last service starts at `t`: the incremental
 /// storage cost, and the grown occupancy profile an admission test would
 /// have to place. Pure arithmetic — whether the extension is admissible
-/// is the caller's question, asked only when the answer matters.
-fn extension(ctx: &SchedCtx<'_>, video: &Video, r: &Residency, t: Secs) -> (Dollars, SpaceProfile) {
+/// is the caller's question, asked only when the answer matters. The
+/// commit prices a hold to the next cycle with it too.
+pub(crate) fn extension(
+    ctx: &SchedCtx<'_>,
+    video: &Video,
+    r: &Residency,
+    t: Secs,
+) -> (Dollars, SpaceProfile) {
     debug_assert!(t >= r.last_service, "requests are processed chronologically");
     let model = ctx.model.space_model();
     let old = r.profile_with(video, model);
-    let new = SpaceProfile::with_model(r.start, t, video.size, video.playback, model);
+    let new = Residency { last_service: t, ..r.clone() }.profile_with(video, model);
     (ctx.topo.srate(r.loc) * (new.integral() - old.integral()), new)
 }
 
@@ -549,6 +584,37 @@ mod tests {
             Request { user: UserId(1), video: VideoId(0), start: T2 },
             Request { user: UserId(2), video: VideoId(0), start: T3 },
         ]
+    }
+
+    /// A held copy is a cache from the instant it was held to: a later
+    /// request extends it instead of fetching the title, an earlier one
+    /// cannot use it, and a copy no request extends stays out of the
+    /// schedule.
+    #[test]
+    fn a_held_copy_serves_as_an_existing_cache_from_its_hold() {
+        let (topo, catalog) = fig2();
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &catalog);
+        let (is1, is2) = (NodeId(1), NodeId(2));
+        let hold = 15.0 * 3600.0;
+        let copy = |loc| {
+            let first = Request { user: UserId(1), video: VideoId(0), start: 10.0 * 3600.0 };
+            Residency { last_service: hold, ..Residency::begin(loc, topo.warehouse(), first) }
+        };
+        let reqs = [
+            Request { user: UserId(2), video: VideoId(0), start: 14.0 * 3600.0 },
+            Request { user: UserId(2), video: VideoId(0), start: T3 },
+        ];
+        let held = [copy(is1), copy(is2)];
+        let policy = GreedyPolicy::default();
+        let vs = greedy_with_cursor(&ctx, &reqs, &held, None, policy, &mut Default::default());
+        let carried =
+            Residency { last_service: T3, service_count: 1, ..Residency::carry(&held[1]) };
+        assert_eq!(vs.residencies, vec![carried], "only the extended copy ships");
+        let srcs: Vec<NodeId> = vs.transfers.iter().map(|t| t.src()).collect();
+        assert_eq!(srcs, vec![topo.warehouse(), is2], "the early request fetches the title");
+        // $97.20 to fetch 4.05 GB over $24/GB, $2.50 to keep 2.5 GB an hour.
+        assert!((ctx.video_cost(&vs) - 99.7).abs() < 1e-9, "{}", ctx.video_cost(&vs));
     }
 
     #[test]

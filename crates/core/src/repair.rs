@@ -23,7 +23,7 @@
 //! over that route then — on time when the route is already clear,
 //! otherwise late, reported as a [`DelayRecord`]. Repair never sheds.
 
-use crate::greedy::{find_video_schedule, Constraints, GreedyPolicy};
+use crate::greedy::{find_held_video_schedule, Constraints, GreedyPolicy};
 use crate::sorp::SolveState;
 use crate::{Interval, PricedSchedule, SchedCtx, StorageLedger};
 use vod_cost_model::{Dollars, Request, Secs, Transfer, VideoId, VideoSchedule};
@@ -187,7 +187,7 @@ pub(crate) fn repair_state(
         } else {
             let cons =
                 Constraints { ledger: &state.ledger, exclude: Some(vid), forbidden: &forbidden };
-            find_video_schedule(dctx, &servable, policy, Some(&cons))
+            find_held_video_schedule(dctx, &servable, state.held.of(vid), policy, Some(&cons))
         };
 
         for req in cut_off {

@@ -31,7 +31,11 @@
 //!   instant its route is clear, counted as a deadline miss — so faults
 //!   never shed;
 //! * a cycle commits **once**: the schedule it returns, post-repair, is
-//!   the only thing the book absorbs, so the book never exceeds a store;
+//!   the only thing the book absorbs, so the book never exceeds a store.
+//!   The commit may hold a shipped copy whole until the next commit; the
+//!   hold ships in the schedule and is charged to the cycle, and the next
+//!   cycle's greedy continues the copy as an existing cache
+//!   ([`crate::CommittedBook`], "held copies");
 //! * everything is accounted in a [`ServiceReport`]: per-cycle rung,
 //!   queue-depth high-water mark, admitted / deferred / shed / dropped
 //!   counts, deadline misses, and the backoff histogram, with a
@@ -44,8 +48,9 @@
 //! arrivals
 //! ([`vod_cost_model::RequestBatch::new`] normalises request order, so
 //! queue ordering is invisible to the solver) — committed schedules and
-//! Ψ are bit-identical to evicting, calling [`crate::shard_solve_seeded`]
-//! over the book's ledger and absorbing the result, window by window
+//! Ψ are bit-identical to evicting, solving over the book from its held
+//! copies ([`CommittedBook::solve`]) and absorbing the result with holds
+//! until the next window ([`CommittedBook::absorb`]), window by window
 //! over one [`CommittedBook`]. The `service_props` suite asserts this.
 //!
 //! ## Determinism of the ladder
@@ -58,12 +63,13 @@
 
 use crate::repair::{adjusted_requests, repair_state};
 use crate::shard::{place_over, solve_over};
+use crate::warm::HoldUntil;
 use crate::{detect_overflows, CommittedBook, SchedCtx, ShardConfig, WarmStats};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::fmt::Write as _;
-use vod_cost_model::{Dollars, Request, RequestBatch, Schedule, Secs};
+use vod_cost_model::{Dollars, Request, RequestBatch, Residency, Schedule, Secs};
 use vod_faults::{Fault, FaultError, FaultPlan};
 use vod_parallel::ExecMode;
 use vod_topology::{Topology, UserId};
@@ -601,6 +607,11 @@ pub struct ServiceCycleOutcome {
     pub overflow_free: bool,
     /// Warm-start accounting snapshot for the cycle.
     pub warm: WarmStats,
+    /// The copies an earlier commit held that this schedule continues, as
+    /// that commit shipped them: each carried residency of `schedule`
+    /// starts where one of these ends, at its storage. A replay of this
+    /// schedule alone takes them as present at the window start.
+    pub inherited: Vec<Residency>,
     /// The requests the schedule serves, post-repair adjustment
     /// (delayed requests carry their delivery time).
     pub served: Vec<Request>,
@@ -998,12 +1009,17 @@ impl ServiceLoop {
             spillover_bytes: self.book.spillover_at(t0),
             ..WarmStats::default()
         };
+        // The copies the last commit held for the videos this batch asks:
+        // every greedy run of such a video starts from them.
+        let held = self.book.held_for(&batch);
         let mut state = (!batch.is_empty()).then(|| {
             let book = self.book.ledger();
             let solve = match rung {
-                Rung::Full | Rung::ReducedTrials => solve_over(ctx, &batch, &shard_cfg, book),
+                Rung::Full | Rung::ReducedTrials => {
+                    solve_over(ctx, &batch, &shard_cfg, book, &held)
+                }
                 Rung::GreedyOnly | Rung::Shed => {
-                    place_over(ctx, &batch, shard_cfg.sorp.policy, book)
+                    place_over(ctx, &batch, shard_cfg.sorp.policy, book, &held)
                 }
             };
             warm.trials_hit = solve.state.trials_cached;
@@ -1013,7 +1029,6 @@ impl ServiceLoop {
         // Reporting only — no decision ever reads this (the ladder runs
         // on simulated time), so determinism is preserved.
         warm.solve_ns = solve_started.elapsed().as_nanos() as u64;
-        warm.record(&ctx.recorder);
 
         // 6. Feed the budget model with the solve's simulated time.
         let (iterations, victims, fallbacks) = state
@@ -1060,16 +1075,33 @@ impl ServiceLoop {
 
         // 8. Finish the state and commit what ships — the one place a
         //    residency enters the book, which `overflow_free` speaks for.
-        let (schedule, cost, initial_cost, overflow_free, solved) =
+        //    The commit holds some copies whole until the next one; the
+        //    holds ship in this schedule and are charged to this cycle.
+        let (mut schedule, mut cost, initial_cost, overflow_free, solved) =
             state.map_or((Schedule::new(), 0.0, 0.0, true, None), |state| {
                 let (out, solved) = state.into_outcome(ctx);
                 (out.schedule, out.cost, out.initial_cost, out.overflow_free, Some(solved))
             });
-        self.book.absorb_solved(ctx, &schedule, solved);
+        let inherited: Vec<Residency> = schedule
+            .residencies()
+            .filter(|r| r.carried)
+            .filter_map(|r| held.at(r.video, r.loc).cloned())
+            .collect();
+        let hold = HoldUntil { until: window_end, faults: &self.cfg.faults };
+        let holding = self.book.absorb_solved(ctx, &mut schedule, solved, Some(hold));
+        cost += holding.cost;
         debug_assert!(
             detect_overflows(ctx.topo, self.book.ledger()).is_empty(),
             "cycle {k} over-committed the book"
         );
+        debug_assert!(
+            (cost - ctx.schedule_cost(&schedule)).abs() <= 1e-9 * cost.abs().max(1.0),
+            "cycle {k}: the held schedule's Ψ is not its cost"
+        );
+        warm.held = holding.copies;
+        warm.held_used = inherited.len();
+        warm.held_bytes = holding.bytes;
+        warm.record(&ctx.recorder);
 
         // A request is late when repair delayed it or when backoff moved
         // it into a window after its original reservation. `kept` holds
@@ -1108,6 +1140,7 @@ impl ServiceLoop {
             victims,
             overflow_free,
             warm,
+            inherited,
             served,
             served_originals: kept.iter().map(|t| t.original).collect(),
             shed_now,

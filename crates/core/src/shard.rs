@@ -27,7 +27,7 @@
 //!   the caller's thread — so the sharded output is **bit-identical
 //!   across runs**, and
 //!   `shards = 1` (or a 1-region batch) *is* the monolith: its output is
-//!   bit-identical to [`crate::sorp_solve`] over [`ivsp_solve`] on the
+//!   bit-identical to [`crate::sorp_solve`] over [`crate::ivsp_solve`] on the
 //!   whole batch.
 //! * Reconciliation guarantees **feasibility**: every request served,
 //!   no overflow, for any shard count, strategy, or policy.
@@ -55,9 +55,11 @@
 //! A cold solve is the service's solve over an empty book.
 
 use crate::capacity::Solved;
+use crate::greedy::place;
 use crate::sorp::{PerVideo, SolveState};
+use crate::warm::HeldCopies;
 use crate::{
-    detect_overflows, ivsp_solve, GreedyPolicy, PricedSchedule, SchedCtx, SorpConfig, SorpOutcome,
+    detect_overflows, GreedyPolicy, PricedSchedule, SchedCtx, SorpConfig, SorpOutcome,
     StorageLedger,
 };
 use serde::{Deserialize, Serialize};
@@ -217,28 +219,34 @@ pub fn shard_solve_seeded(
     cfg: &ShardConfig,
     base: &StorageLedger,
 ) -> ShardOutcome {
-    solve_over(ctx, batch, cfg, base).finish(ctx)
+    solve_over(ctx, batch, cfg, base, &HeldCopies::default()).finish(ctx)
 }
 
 /// The pipeline body: partition, per-shard IVSP + resolution over a
 /// clone of `base`, then — unless one shard took the whole batch —
-/// cross-shard reconciliation.
+/// cross-shard reconciliation. Each of the `held` copies goes to one
+/// shard's runs of its video ([`HeldCopies::deal`]); the global pass
+/// sees them all.
 pub(crate) fn solve_over(
     ctx: &SchedCtx<'_>,
     batch: &RequestBatch,
     cfg: &ShardConfig,
     base: &StorageLedger,
+    held: &HeldCopies,
 ) -> ShardSolve {
     let spec = ShardSpec { shards: cfg.shards, strategy: cfg.strategy, seed: cfg.seed };
     let batches = partition_requests(ctx.topo, batch, &spec);
+    let dealt = held.deal(ctx.topo, &batches);
 
     // Per-shard pipeline: IVSP then a full resolution pass. The shard
     // is the independent unit of work (the paper's region).
     let states: Vec<SolveState> = batches
         .iter()
-        .map(|shard_batch| {
-            let priced = ivsp_solve(ctx, shard_batch, cfg.sorp.policy);
+        .zip(dealt)
+        .map(|(shard_batch, held)| {
+            let priced = place(ctx, shard_batch, cfg.sorp.policy, None, &held);
             let mut state = SolveState::new(ctx, priced, base.clone());
+            state.held = held;
             state.resolve(ctx, &cfg.sorp);
             state
         })
@@ -250,22 +258,24 @@ pub(crate) fn solve_over(
     // the shard exists — no panic path.
     let out = match <[SolveState; 1]>::try_from(states) {
         Ok([state]) => ShardSolve::single(state),
-        Err(states) => reconcile(ctx, cfg, base, states),
+        Err(states) => reconcile(ctx, cfg, base, states, held),
     };
     out.record(ctx, batch.len());
     out
 }
 
 /// The degraded rungs' placement: one rejective-greedy pass over the
-/// whole batch against `base` ([`SolveState::placed`]), recorded as a
-/// one-shard solve with no resolution work.
+/// whole batch against `base` ([`SolveState::placed`]) from the `held`
+/// copies, recorded as a one-shard solve with no resolution work.
 pub(crate) fn place_over(
     ctx: &SchedCtx<'_>,
     batch: &RequestBatch,
     policy: GreedyPolicy,
     base: &StorageLedger,
+    held: &HeldCopies,
 ) -> ShardSolve {
-    let out = ShardSolve::single(SolveState::placed(ctx, batch, policy, base.clone()));
+    let state = SolveState::placed(ctx, batch, policy, base.clone(), held.clone());
+    let out = ShardSolve::single(state);
     out.record(ctx, batch.len());
     out
 }
@@ -276,6 +286,7 @@ fn reconcile(
     cfg: &ShardConfig,
     base: &StorageLedger,
     states: Vec<SolveState>,
+    held: &HeldCopies,
 ) -> ShardSolve {
     let shards = states.len();
     // Which storages hold residencies from several shards, straight off
@@ -339,6 +350,7 @@ fn reconcile(
     let ledger = global_ledger(ctx, base, &merged, ledgers);
     let mut global = SolveState::laid(ctx, merged, ledger);
     global.forbidden = forbidden;
+    global.held = held.clone();
 
     // Seed the aggregate counters so the final outcome reports totals
     // across every pass; `resolve` budgets `max_iterations` *on top of*
@@ -394,6 +406,7 @@ fn global_ledger(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ivsp_solve;
     use vod_cost_model::CostModel;
     use vod_topology::builders::{self, PaperFig4Config};
     use vod_workload::{CatalogConfig, RequestConfig, Workload};

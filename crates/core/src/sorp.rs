@@ -83,6 +83,7 @@ use crate::capacity::{LedgerCursor, LedgerDelta, Solved, TrialTrace};
 use crate::greedy::{place, reschedule_traced_in, GreedyScratch};
 use crate::heat::heat_of;
 use crate::overflow::{overflow_set, OverflowMonitor};
+use crate::warm::HeldCopies;
 use crate::{
     detect_overflows, Constraints, GreedyPolicy, HeatMetric, Interval, Overflow, PricedSchedule,
     SchedCtx, StorageLedger,
@@ -503,6 +504,9 @@ pub(crate) struct SolveState {
     pub(crate) victims: Vec<VictimRecord>,
     pub(crate) iterations: usize,
     pub(crate) forced_fallbacks: usize,
+    /// The copies earlier cycles held for this state's videos: every
+    /// trial and repair run of a video starts from the video's.
+    pub(crate) held: HeldCopies,
     monitor: OverflowMonitor,
     /// The last iteration's jobs, in (storage, window start, participant)
     /// order, each with its trial attached. Empty between passes:
@@ -549,9 +553,10 @@ impl SolveState {
         batch: &RequestBatch,
         policy: GreedyPolicy,
         mut base: StorageLedger,
+        held: HeldCopies,
     ) -> Self {
-        let priced = place(ctx, batch, policy, Some(&mut base));
-        Self::laid(ctx, priced, base)
+        let priced = place(ctx, batch, policy, Some(&mut base), &held);
+        Self { held, ..Self::laid(ctx, priced, base) }
     }
 
     /// Fresh state over a ledger [`SolveState::new`] would have laid.
@@ -565,6 +570,7 @@ impl SolveState {
             victims: Vec::new(),
             iterations: 0,
             forced_fallbacks: 0,
+            held: HeldCopies::default(),
             monitor: OverflowMonitor::new(),
             jobs: Vec::new(),
             cache: PerVideo::new(),
@@ -673,7 +679,8 @@ impl SolveState {
             // Every moved storage banked its trials above, before the
             // first lookup, and a fresh trial goes to its job, not to the
             // cache: no lookup sees this pass's own work.
-            let (ledger, priced, epoch) = (&self.ledger, &self.priced, self.deltas.len());
+            let (ledger, priced, held) = (&self.ledger, &self.priced, &self.held);
+            let epoch = self.deltas.len();
             let mut replayer = Replayer {
                 ctx,
                 ledger,
@@ -703,8 +710,15 @@ impl SolveState {
                         }
                         let cons =
                             Constraints { ledger, exclude: Some(job.vid), forbidden: &job.bans };
-                        let (new_vs, trace) =
-                            reschedule_traced_in(ctx, requests, &cons, cfg.policy, &mut scratch);
+                        let held = held.of(job.vid);
+                        let (new_vs, trace) = reschedule_traced_in(
+                            ctx,
+                            requests,
+                            held,
+                            &cons,
+                            cfg.policy,
+                            &mut scratch,
+                        );
                         let new_cost = ctx.video_cost(&new_vs);
                         CachedTrial { new_vs, new_cost, bans: job.bans.clone(), trace, epoch }
                     }
@@ -848,7 +862,7 @@ pub fn rejective_pass(
     policy: GreedyPolicy,
     base: &StorageLedger,
 ) -> SorpOutcome {
-    SolveState::placed(ctx, batch, policy, base.clone()).into_outcome(ctx).0
+    SolveState::placed(ctx, batch, policy, base.clone(), HeldCopies::default()).into_outcome(ctx).0
 }
 
 /// All-direct delivery schedule for a video (no residencies at all).

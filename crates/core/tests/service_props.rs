@@ -11,8 +11,8 @@
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use vod_core::{
-    detect_overflows, service_run, shard_solve_seeded, BackoffPolicy, CommittedBook, ExecMode,
-    Rung, SchedCtx, ServiceConfig, ServiceLoop, ShardConfig,
+    detect_overflows, service_run, BackoffPolicy, CommittedBook, ExecMode, Rung, SchedCtx,
+    ServiceConfig, ServiceLoop, ShardConfig,
 };
 use vod_cost_model::{Catalog, CostModel, Request, RequestBatch};
 use vod_topology::Topology;
@@ -64,9 +64,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     /// With the default (oracle) config — no budget, no queue bound, no
-    /// faults — the service loop is the rolling warm loop: per-cycle Ψ
-    /// is bit-identical and the delivered request multiset matches the
-    /// window's batch exactly.
+    /// faults — the service loop is the rolling warm loop (solve over the
+    /// book from its held copies, commit holding until the next window):
+    /// per-cycle schedule and Ψ are bit-identical and the delivered
+    /// request multiset matches the window's batch exactly.
     #[test]
     fn infinite_budget_service_is_bit_identical_to_warm_loop(
         seed in 0u64..500,
@@ -91,13 +92,17 @@ proptest! {
                 .collect();
             let batch = RequestBatch::new(window);
             book.evict_expired(t0);
-            let manual =
-                shard_solve_seeded(&ctx, &batch, &cfg.shard, book.ledger());
-            book.absorb(&ctx, &manual.sorp.schedule);
+            let mut manual = book.solve(&ctx, &batch, &cfg.shard);
+            let held = book.absorb(&ctx, &mut manual.sorp.schedule, Some(t0 + HORIZON));
             prop_assert_eq!(
                 out.cost.to_bits(),
-                manual.sorp.cost.to_bits(),
+                (manual.sorp.cost + held).to_bits(),
                 "cycle {} Ψ diverged from the plain warm loop",
+                k
+            );
+            prop_assert!(
+                out.schedule == manual.sorp.schedule,
+                "cycle {} committed another schedule",
                 k
             );
             prop_assert_eq!(out.stats.rung, Rung::Full);

@@ -343,10 +343,10 @@ fn warm_solve_is_run_to_run_deterministic() {
             RequestBatch::new(raw.iter().map(|r| Request { start: r.start + t0, ..*r }).collect());
         // A warm cycle, as `ServiceLoop::run_cycle` runs it around its solve.
         let evicted = (one.evict_expired(t0), two.evict_expired(t0));
-        let a = shard_solve_seeded(&ctx, &batch, &cfg, one.ledger());
-        let b = shard_solve_seeded(&ctx, &batch, &cfg, two.ledger());
-        one.absorb(&ctx, &a.sorp.schedule);
-        two.absorb(&ctx, &b.sorp.schedule);
+        let mut a = shard_solve_seeded(&ctx, &batch, &cfg, one.ledger());
+        let mut b = shard_solve_seeded(&ctx, &batch, &cfg, two.ledger());
+        one.absorb(&ctx, &mut a.sorp.schedule, None);
+        two.absorb(&ctx, &mut b.sorp.schedule, None);
         assert!(a.sorp.schedule == b.sorp.schedule, "cycle {k}: schedules diverged");
         assert_eq!(a.sorp.cost.to_bits(), b.sorp.cost.to_bits(), "cycle {k}");
         assert_eq!(a.sorp.iterations, b.sorp.iterations, "cycle {k}");

@@ -452,8 +452,8 @@ impl Cell {
                     external.add(loc, EXTERNAL_OCCUPANCY, p);
                 }
             }
-            let out = shard_solve_seeded(&ctx, &batch, &self.cfg, book.ledger());
-            book.absorb(&ctx, &out.sorp.schedule);
+            let mut out = shard_solve_seeded(&ctx, &batch, &self.cfg, book.ledger());
+            book.absorb(&ctx, &mut out.sorp.schedule, None);
             each(&ctx, k, &batch, &external);
         }
     }

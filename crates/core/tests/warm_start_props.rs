@@ -51,8 +51,8 @@ fn warm_cycle(
 ) -> (ShardOutcome, (usize, usize)) {
     let evicted = book.evict_expired(t0);
     let kept = book.active();
-    let out = shard_solve_seeded(ctx, batch, cfg, book.ledger());
-    book.absorb(ctx, &out.sorp.schedule);
+    let mut out = shard_solve_seeded(ctx, batch, cfg, book.ledger());
+    book.absorb(ctx, &mut out.sorp.schedule, None);
     (out, (kept, evicted))
 }
 

@@ -2,7 +2,7 @@
 //! `c_i`, per-video schedules `S_i`, and the global schedule `S` (paper
 //! §2.1).
 
-use crate::{Request, Secs, SpaceProfile, Video, VideoId};
+use crate::{Request, Secs, SpaceModel, SpaceProfile, Video, VideoId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vod_topology::{NodeId, UserId};
@@ -73,6 +73,14 @@ impl Transfer {
 /// list is kept as its length: the services themselves are the video's
 /// delivery transfers (the filling one starts at `t_s`, the rest leave
 /// `loc_i` within `[t_s, t_f]`).
+///
+/// A *carried* residency continues a whole copy an earlier scheduling
+/// cycle filled and held at `loc_i` until `t_s`, its commit instant: that
+/// cycle charged the copy up to `t_s` and its drain after it, so this one
+/// is the extension alone. Its occupancy is what the extension adds to the
+/// held copy's drain — a rise to the full size over `P`, the plateau to
+/// `t_f` and a drain over `P` — which is the [`SpaceModel::GradualFill`]
+/// profile of `[t_s, t_f]`, and its cost `srate · size · (t_f − t_s)`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Residency {
     /// The cached file.
@@ -90,6 +98,10 @@ pub struct Residency {
     /// How many requests this cache serves (the length of the paper's
     /// `service_list`), the request whose stream filled it included.
     pub service_count: u32,
+    /// Whether this residency continues a copy held over from an earlier
+    /// cycle (see the type's docs): no stream fills it, `src` is `loc`,
+    /// and `start` is the instant the copy was held to.
+    pub carried: bool,
 }
 
 impl Residency {
@@ -104,6 +116,22 @@ impl Residency {
             start: first.start,
             last_service: first.start,
             service_count: 1,
+            carried: false,
+        }
+    }
+
+    /// Continue at `held.loc` the whole copy `held`, held there until its
+    /// last service: a carried residency that has served no request yet
+    /// and occupies nothing beyond the held copy.
+    pub fn carry(held: &Residency) -> Self {
+        Self {
+            video: held.video,
+            loc: held.loc,
+            src: held.loc,
+            start: held.last_service,
+            last_service: held.last_service,
+            service_count: 0,
+            carried: true,
         }
     }
 
@@ -136,13 +164,15 @@ impl Residency {
     /// The space-occupancy profile of this residency for its video under
     /// the paper's instant-reservation model.
     pub fn profile(&self, video: &Video) -> SpaceProfile {
-        debug_assert_eq!(video.id, self.video);
-        SpaceProfile::new(self.start, self.last_service, video.size, video.playback)
+        self.profile_with(video, SpaceModel::InstantReservation)
     }
 
-    /// The space-occupancy profile under an explicit space model.
-    pub fn profile_with(&self, video: &Video, model: crate::SpaceModel) -> SpaceProfile {
+    /// The space-occupancy profile under an explicit space model. A
+    /// carried residency's is the gradual-fill shape under every model:
+    /// the extension of a whole copy (see the type's docs).
+    pub fn profile_with(&self, video: &Video, model: SpaceModel) -> SpaceProfile {
         debug_assert_eq!(video.id, self.video);
+        let model = if self.carried { SpaceModel::GradualFill } else { model };
         SpaceProfile::with_model(self.start, self.last_service, video.size, video.playback, model)
     }
 }
@@ -270,6 +300,12 @@ impl Schedule {
         self.videos.iter().flat_map(|v| v.residencies.iter())
     }
 
+    /// Every residency, mutably — for changing a residency's interval in
+    /// place (a cycle's commit holds some until the next one).
+    pub fn residencies_mut(&mut self) -> impl Iterator<Item = &mut Residency> + '_ {
+        self.videos.iter_mut().flat_map(|v| v.residencies.iter_mut())
+    }
+
     /// Every residency hosted at `loc`, across videos.
     pub fn residencies_at(&self, loc: NodeId) -> impl Iterator<Item = &Residency> + '_ {
         self.residencies().filter(move |r| r.loc == loc)
@@ -371,6 +407,30 @@ mod tests {
         assert_eq!(p.end, 280.0);
         // Short residency: γ = 60/120 = 0.5.
         assert!((p.plateau - 500.0).abs() < 1e-12);
+    }
+
+    /// A continuation of a held whole copy adds, at every instant, what
+    /// extending the copy itself would add — and costs the extension.
+    #[test]
+    fn a_carried_residency_holds_and_costs_only_its_extension() {
+        let v = Video::new(VideoId(0), 1000.0, 120.0, 10.0);
+        let mut held = Residency::begin(NodeId(1), NodeId(0), req(0, 0, 100.0));
+        held.extend(req(1, 0, 500.0));
+        let mut c = Residency::carry(&held);
+        assert!(c.carried && c.src == c.loc && c.service_count == 0);
+        assert_eq!((c.start, c.last_service), (500.0, 500.0));
+        assert_eq!(c.profile(&v).peak(), 0.0, "an unextended continuation adds nothing");
+        c.extend(req(2, 0, 560.0));
+        let p = c.profile(&v);
+        assert_eq!((p.start, p.full, p.last, p.end), (500.0, 560.0, 620.0, 680.0));
+        assert!((p.plateau - 500.0).abs() < 1e-9);
+        assert_eq!(c.profile_with(&v, SpaceModel::InstantReservation), p, "any model");
+        let whole = Residency { last_service: 560.0, ..held.clone() }.profile(&v);
+        for t in [400.0, 500.0, 530.0, 560.0, 600.0, 640.0, 679.0] {
+            let sum = held.profile(&v).space_at(t) + p.space_at(t);
+            assert!((sum - whole.space_at(t)).abs() < 1e-9, "at {t}: {sum}");
+        }
+        assert!((p.integral() - 1000.0 * 60.0).abs() < 1e-6, "size × extension");
     }
 
     #[test]

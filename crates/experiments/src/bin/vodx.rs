@@ -1,7 +1,7 @@
 //! `vodx` — run the paper's experiments from the command line.
 //!
 //! ```text
-//! vodx <fig5|fig6|fig7|fig8|fig9|table5|gap|bandwidth|cycles|service|inspect|all>
+//! vodx <fig5|fig6|fig7|fig8|fig9|table5|gap|bandwidth|cycles|service|inspect|windows|all>
 //!      [--fast] [--out DIR] [--rpu N] [--burst N] [--budget-ns B] [--record FILE]
 //! vodx trace FILE
 //! ```
@@ -15,7 +15,7 @@ use std::process::ExitCode;
 use vod_core::{ivsp_solve, sorp_solve, GreedyPolicy, SchedCtx, ServiceCycleOutcome, SorpConfig};
 use vod_cost_model::CostModel;
 use vod_experiments::{
-    ext, figures, render_csv, render_table, table5, EnvParams, Preset, Scenario,
+    ext, figures, render_csv, render_table, table5, windows, EnvParams, Preset, Scenario,
 };
 use vod_topology::units;
 
@@ -99,7 +99,12 @@ fn main() -> ExitCode {
         match vod_obs::Recording::from_jsonl(&text) {
             Ok(rec) => {
                 println!("# Flight recording {path}");
-                print!("{}{}", rec.summarize(), render_cycle_end_totals(&rec));
+                print!(
+                    "{}{}{}",
+                    rec.summarize(),
+                    render_cycle_end_totals(&rec),
+                    render_hold_totals(&rec)
+                );
                 return ExitCode::SUCCESS;
             }
             Err(e) => {
@@ -223,6 +228,11 @@ fn main() -> ExitCode {
                 println!("{text}");
                 write_out(&out_dir, "bandwidth.txt", &text)
             }
+            "windows" => {
+                let text = windows::windows(preset).render();
+                println!("{text}");
+                write_out(&out_dir, "windows.txt", &text)
+            }
             "table5" => {
                 let text = table5::run_with(preset, rpu).render();
                 println!("{text}");
@@ -312,6 +322,26 @@ fn render_cycle_end_totals(rec: &vod_obs::Recording) -> String {
     out
 }
 
+/// The run's held copies in a recording: the `held` and `held_used`
+/// fields of the `warm` events, summed, and the hold hit rate — the share
+/// of held copies a next cycle continued. Empty when the recording has no
+/// `warm` event.
+fn render_hold_totals(rec: &vod_obs::Recording) -> String {
+    let mut out = String::new();
+    if rec.events_of("warm").next().is_none() {
+        return out;
+    }
+    let total = |field| rec.events_of("warm").filter_map(|e| e.u64(field)).sum::<u64>();
+    let (held, used) = (total("held"), total("held_used"));
+    let _ = writeln!(out, "held copies:");
+    let _ = writeln!(out, "  {:<40} {held}", "warm.held");
+    let _ = writeln!(out, "  {:<40} {used}", "warm.held_used");
+    let rate =
+        if held == 0 { "-".to_string() } else { format!("{:.3}", used as f64 / held as f64) };
+    let _ = writeln!(out, "  {:<40} {rate}", "warm.hold_hit_rate");
+    out
+}
+
 /// With `--out`, write `body` to `file` in that directory.
 fn write_out(out_dir: &Option<PathBuf>, file: &str, body: &str) -> Result<(), String> {
     let Some(dir) = out_dir else { return Ok(()) };
@@ -330,7 +360,7 @@ fn write_recording(record: &Option<PathBuf>, recorder: &vod_obs::Recorder) -> Re
 }
 
 fn usage() -> &'static str {
-    "usage: vodx <fig5|fig6|fig7|fig8|fig9|table5|gap|bandwidth|cycles|service|inspect|all> [--fast] [--out DIR]\n\
+    "usage: vodx <fig5|fig6|fig7|fig8|fig9|table5|gap|bandwidth|cycles|service|inspect|windows|all> [--fast] [--out DIR]\n\
      \x20      vodx trace FILE\n\
      \n\
      Reproduces the evaluation of Won & Srivastava (HPDC 1997).\n\
@@ -340,6 +370,8 @@ fn usage() -> &'static str {
      --burst N     service: arrival multiplier for the burst cycle (default 4)\n\
      --budget-ns B service: per-cycle deadline budget in simulated ns (> 0)\n\
      --record F    cycles/service: write a JSONL flight recording to F\n\
+     windows       Ψ per request with several windows solved as one batch, beside the service's\n\
+     \x20             own (which holds copies across the window boundary)\n\
      trace F       dump + summarize a recording written by --record"
 }
 
@@ -423,5 +455,24 @@ mod tests {
         assert!(report.shed_events > 0, "the burst must shed, or the sums are vacuous");
         // A recording without cycle_end events has no totals section.
         assert!(render_cycle_end_totals(&vod_obs::Recording::default()).is_empty());
+    }
+
+    #[test]
+    fn trace_prints_the_hold_hit_rate() {
+        let recorder = Recorder::enabled();
+        let (outcomes, _) = Scenario::paper(&cheap_params(), 3).run(&recorder);
+        let text = render_hold_totals(&recorder.recording().expect("enabled"));
+        let value = |name: &str| -> String {
+            let line = text.lines().find(|l| l.split_whitespace().next() == Some(name));
+            let line = line.unwrap_or_else(|| panic!("no {name} line:\n{text}"));
+            line.split_whitespace().nth(1).expect("a value").to_string()
+        };
+        let held: usize = outcomes.iter().map(|o| o.warm.held).sum();
+        let used: usize = outcomes.iter().map(|o| o.warm.held_used).sum();
+        assert!(held > 0 && used > 0, "the cell must hold and continue copies");
+        assert_eq!(value("warm.held"), held.to_string());
+        assert_eq!(value("warm.held_used"), used.to_string());
+        assert_eq!(value("warm.hold_hit_rate"), format!("{:.3}", used as f64 / held as f64));
+        assert!(render_hold_totals(&vod_obs::Recording::default()).is_empty());
     }
 }

@@ -16,6 +16,9 @@
 //! * [`Scenario`] — one service run as plain data: the service
 //!   benchmark's four workloads ([`Scenario::named`]) and the paper's
 //!   environment as a service ([`Scenario::paper`]);
+//! * [`windows::windows`] — Ψ per request when several windows are
+//!   solved as one batch, the bound held copies chase, beside the
+//!   service's own;
 //! * the `vodx` binary — CLI that renders any experiment as an aligned
 //!   text table and CSV files.
 //!
@@ -33,6 +36,7 @@ pub mod figures;
 mod report;
 pub mod service;
 pub mod table5;
+pub mod windows;
 
 pub use env::{evaluate_cell, evaluate_cell_all_metrics, EnvParams, EvalResult, Preset};
 pub use report::{render_csv, render_table, FigureResult, Series};

@@ -243,14 +243,17 @@ mod tests {
 
     #[test]
     fn default_params_reproduce_the_pinned_fast_preset_numbers() {
-        // What the rolling-horizon driver removed at PR 17 printed for
-        // `vodx cycles --fast`, captured from the parent build.
+        // `vodx cycles --fast`, captured once copies are held across the
+        // window boundary. Its 5 GB stores rarely have room for a held
+        // copy and one more: cycle 0 decides as before and pays for the 4
+        // copies it holds; cycles 1 and 2 continue one each, 0.15 % less Ψ
+        // over the three.
         let params = EnvParams::for_preset(Preset::Fast);
         let (out, report) = Scenario::paper(&params, 3).run(&Recorder::disabled());
         let pinned: [(u64, usize, usize); 3] = [
-            (0x4120835c0ac33515, 27, 171),
-            (0x412075fe3953e0c7, 25, 164),
-            (0x41202ecf92eed6e4, 26, 173),
+            (0x4120836e82992119, 27, 171),
+            (0x41207e5bae648c98, 26, 181),
+            (0x412013408c9518cd, 27, 180),
         ];
         for (c, (cost_bits, victims, hits)) in out.iter().zip(pinned) {
             let k = c.stats.cycle;

@@ -25,6 +25,11 @@ pub struct SimOptions<'a> {
     /// Cross-check the cost model's closed form against measured
     /// resource-time integrals (per-hop charging only).
     pub check_cost: bool,
+    /// Copies earlier cycles held that the schedule's carried residencies
+    /// continue, as those cycles shipped them. A carried residency is fed
+    /// by the one here at its video and storage whose last service is its
+    /// start; without one it has no feed.
+    pub inherited: &'a [Residency],
 }
 
 impl<'a> SimOptions<'a> {
@@ -35,13 +40,20 @@ impl<'a> SimOptions<'a> {
             check_capacity: true,
             check_bandwidth: true,
             check_cost: true,
+            inherited: &[],
         }
     }
 
     /// Structural and cost checks only — for phase-1 schedules that may
     /// exceed capacities by design.
     pub fn lenient() -> Self {
-        Self { requests: None, check_capacity: false, check_bandwidth: false, check_cost: true }
+        Self {
+            requests: None,
+            check_capacity: false,
+            check_bandwidth: false,
+            check_cost: true,
+            inherited: &[],
+        }
     }
 }
 
@@ -214,7 +226,7 @@ pub(crate) fn replay(
         let mut excused = excused.iter().peekable();
         Cow::Owned(batch.iter().filter(|r| !take_match(&mut excused, r)).copied().collect())
     });
-    structural_checks(topo, schedule, wanted.as_deref(), &mut violations);
+    structural_checks(topo, schedule, wanted.as_deref(), options.inherited, &mut violations);
     let times_ok = check_finite_times(schedule, &mut violations);
 
     // Flatten transfers and residencies for index-based events.

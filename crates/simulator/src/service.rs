@@ -22,7 +22,9 @@ use vod_topology::Topology;
 /// Strictly replay one service cycle's committed schedule. The expected
 /// batch is the cycle's served plus shed requests; shed ones surface as
 /// [`Violation::RequestShed`] and are excused from coverage, so a valid
-/// cycle report contains no *other* violation.
+/// cycle report contains no *other* violation. The copies the cycle
+/// inherited are present at its window start: a carried residency is fed
+/// by its inherited copy and charged only for its continuation.
 ///
 /// Faults are deliberately not re-injected: the schedule under replay is
 /// the post-repair one, whose contract is to be clean on the healthy
@@ -44,7 +46,7 @@ pub fn replay_service_cycle(
         &cycle.schedule,
         &plan,
         &cycle.shed_now,
-        &SimOptions::strict(&batch),
+        &SimOptions { inherited: &cycle.inherited, ..SimOptions::strict(&batch) },
     )
 }
 

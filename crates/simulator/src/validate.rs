@@ -3,21 +3,23 @@
 
 use crate::report::Violation;
 use std::cmp::Ordering;
-use vod_cost_model::{Request, Schedule};
+use vod_cost_model::{Request, Residency, Schedule};
 use vod_topology::Topology;
 
 /// Run every structural check, appending failures to `out`. `wanted` is
 /// the request multiset the schedule must deliver, in
-/// [`Request::batch_order`].
+/// [`Request::batch_order`]; `inherited` the held copies its carried
+/// residencies continue.
 pub fn structural_checks(
     topo: &Topology,
     schedule: &Schedule,
     wanted: Option<&[Request]>,
+    inherited: &[Residency],
     out: &mut Vec<Violation>,
 ) {
     check_routes(topo, schedule, out);
     check_sources(topo, schedule, out);
-    check_residency_feeds(schedule, out);
+    check_residency_feeds(schedule, inherited, out);
     if let Some(wanted) = wanted {
         check_coverage(topo, schedule, wanted, out);
     }
@@ -176,21 +178,29 @@ fn check_sources(topo: &Topology, schedule: &Schedule, out: &mut Vec<Violation>)
 
 /// Every residency must be fed by a stream of its video that starts at the
 /// caching start, passes the hosting storage, and arrives from the
-/// residency's declared source.
-fn check_residency_feeds(schedule: &Schedule, out: &mut Vec<Violation>) {
+/// residency's declared source — or, carried, by the inherited copy of
+/// its video at its storage held until its start.
+fn check_residency_feeds(schedule: &Schedule, inherited: &[Residency], out: &mut Vec<Violation>) {
+    let mut held: Vec<_> =
+        inherited.iter().map(|h| (h.video, h.loc, h.last_service.to_bits())).collect();
+    held.sort_unstable();
     for vs in schedule.videos() {
         for r in &vs.residencies {
-            let fed = vs.transfers.iter().any(|t| {
-                if t.start != r.start {
-                    return false;
-                }
-                let Some(loc_pos) = t.route.iter().position(|&n| n == r.loc) else {
-                    return false;
-                };
-                // The declared source must be on the route at or before
-                // the hosting storage.
-                t.route[..=loc_pos].contains(&r.src) || r.src == r.loc
-            });
+            let fed = if r.carried {
+                held.binary_search(&(r.video, r.loc, r.start.to_bits())).is_ok()
+            } else {
+                vs.transfers.iter().any(|t| {
+                    if t.start != r.start {
+                        return false;
+                    }
+                    let Some(loc_pos) = t.route.iter().position(|&n| n == r.loc) else {
+                        return false;
+                    };
+                    // The declared source must be on the route at or
+                    // before the hosting storage.
+                    t.route[..=loc_pos].contains(&r.src) || r.src == r.loc
+                })
+            };
             if !fed {
                 out.push(Violation::ResidencyWithoutFeed {
                     video: r.video,
@@ -227,7 +237,7 @@ mod tests {
     fn run(schedule: &Schedule, b: Option<&RequestBatch>) -> Vec<Violation> {
         let wanted: Option<Vec<Request>> = b.map(|b| b.iter().copied().collect());
         let mut out = Vec::new();
-        structural_checks(&topo(), schedule, wanted.as_deref(), &mut out);
+        structural_checks(&topo(), schedule, wanted.as_deref(), &[], &mut out);
         out
     }
 

@@ -63,6 +63,7 @@ fn main() {
             check_capacity: *check_capacity,
             check_bandwidth: false,
             check_cost: true,
+            inherited: &[],
         };
         let report = simulate(&topo, &catalog, &model, schedule, &options);
         println!(

@@ -16,8 +16,9 @@ cargo build --release --offline
 echo "==> cargo test -q (every suite in the workspace)"
 cargo test -q --offline
 
-echo "==> vodx runs (service, cycles, flight recording, inspect, table5 --rpu 3)"
-# The service drivers run end to end, and a recording reads back. The
+echo "==> vodx runs (service, cycles, flight recording, windows, inspect, table5 --rpu 3)"
+# The service drivers run end to end, and a recording reads back; the
+# windows-per-solve table re-measures the bound held copies chase. The
 # committed results/ artifacts are pinned by tests/paper_claims.rs, except
 # two regenerated here byte for byte: inspect.txt (vodx assembles it; no
 # library call returns it) and table5_rpu3.txt (too slow for tier-1).
@@ -27,6 +28,7 @@ vodx service >/dev/null
 vodx cycles --fast >/dev/null
 vodx service --fast --record "$tmp/flight.jsonl" >/dev/null
 vodx trace "$tmp/flight.jsonl" >/dev/null
+vodx windows --fast >/dev/null
 vodx inspect >"$tmp/inspect.txt"
 diff results/inspect.txt "$tmp/inspect.txt"
 vodx table5 --rpu 3 --out "$tmp" >/dev/null
@@ -139,10 +141,12 @@ echo "==> one-commit lint (a cycle's schedule enters the book once, after repair
 # Outside test modules crates/core/src has one book commit, the call of
 # absorb_solved( inside run_cycle (absorb( is its every-row-dirty form for
 # callers without a solve ledger, and only wraps it), one residency loop
-# into the book, in absorb_solved, and no second commit path: no warm-state
-# wrapper that commits inside the solve, no repair-side commit or ledger
-# rebuild that cannot see the book, no re-pricing of the schedule between
-# solve and repair.
+# into the book, in absorb_solved, the holds decided and priced there too
+# (its one walk over the schedule's residencies to extend them and its one
+# extension( pricing), no residency changed anywhere else after the solve,
+# and no second commit path: no warm-state wrapper that commits inside the
+# solve, no repair-side commit or ledger rebuild that cannot see the book,
+# no re-pricing of the schedule between solve and repair.
 commit_hits="$(awk '
     FNR == 1 { test = 0; fn = "" }
     /^#\[cfg\(test\)\]/ { test = 1 }
@@ -155,6 +159,10 @@ commit_hits="$(awk '
         print FILENAME ":" FNR ": the book absorbs outside run_cycle" } }
     FILENAME == "crates/core/src/warm.rs" && /\.residencies\(\)/ { loops++
       if (fn != "absorb_solved") { print FILENAME ":" FNR ": a second residency loop into the book" } }
+    FILENAME == "crates/core/src/warm.rs" && /\.residencies_mut\(\)|[^a-z_]extension\(/ { holds++
+      if (fn != "absorb_solved") { print FILENAME ":" FNR ": a hold decided outside absorb_solved" } }
+    FILENAME != "crates/core/src/warm.rs" && /\.residencies_mut\(\)/ {
+      print FILENAME ":" FNR ": a residency changed after the solve, outside the commit" }
     /absorb_repaired|shard_solve_warm|WarmState([^s]|$)/ {
       print FILENAME ":" FNR ": a second commit path (absorb_repaired / shard_solve_warm / WarmState)" }
     FILENAME == "crates/core/src/repair.rs" && /fn commit\(|from_schedule\(/ {
@@ -162,7 +170,8 @@ commit_hits="$(awk '
     FILENAME == "crates/core/src/service.rs" && /PricedSchedule::price\(/ {
       print FILENAME ":" FNR ": run_cycle re-prices the schedule" }
     END { if (calls != 1) print calls + 0 " book commits under crates/core/src; run_cycle has the one"
-          if (loops != 1) print loops + 0 " residency loops in warm.rs; absorb_solved has the one" }
+          if (loops != 1) print loops + 0 " residency loops in warm.rs; absorb_solved has the one"
+          if (holds != 2) print holds + 0 " hold sites in warm.rs; absorb_solved walks and prices the holds once each" }
     ' crates/core/src/*.rs)"
 if [ -n "$commit_hits" ]; then
   echo "$commit_hits" >&2

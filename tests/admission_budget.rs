@@ -79,8 +79,8 @@ fn a_sorp_trial_stays_within_its_admission_budget() {
                 }
             }
         }
-        let out = shard_solve_seeded(&ctx, &batch, &cfg, book.ledger());
-        book.absorb(&ctx, &out.sorp.schedule);
+        let mut out = shard_solve_seeded(&ctx, &batch, &cfg, book.ledger());
+        book.absorb(&ctx, &mut out.sorp.schedule, None);
     }
     let per_trial = checks as f64 / trials as f64;
     assert!(trials >= 24 * 50, "the cell opens about 90 trials a cycle, got {trials}");

@@ -28,8 +28,18 @@
 //! unbudgeted run makes must keep every cycle on Full with the same
 //! schedule; only `over_budget` may read differently.
 //!
-//! R2, R3 and R4 run over the benchmark's four scenarios, each cut to a
-//! few cycles.
+//! R5, order-preserving relabelling. Renumbering the videos and the
+//! users by a strictly increasing map keeps every comparison between ids,
+//! so the run must be the same up to the renaming: the same schedules,
+//! held copies, sheds and accounting, Ψ bit for bit and the recording to
+//! its last byte. A decision that reads an id's value rather than its rank
+//! — a parity, a hash, an index used as a weight — breaks it.
+//!
+//! Holding copies across the window boundary keeps R1–R4: the hold rule
+//! weighs dollars against dollars and bytes against bytes.
+//!
+//! R2, R3, R4 and R5 run over the benchmark's four scenarios, each cut to
+//! a few cycles.
 
 use vod_obs::Recorder;
 use vod_paradigm::core::{
@@ -128,8 +138,8 @@ fn r1_rate_scaling_keeps_every_service_decision() {
     }
 }
 
-/// The benchmark's scenarios and the cycles R2, R3 and R4 drive of each,
-/// at two load seeds.
+/// The benchmark's scenarios and the cycles R2–R5 drive of each, at two
+/// load seeds.
 const CELLS: [(&str, usize); 4] =
     [("steady", 6), ("contended", 3), ("overload_faults", 24), ("ample_wide", 2)];
 const SEEDS: [u64; 2] = [1997, 4242];
@@ -182,6 +192,98 @@ impl Cell {
             cfg: self.cfg.clone(),
             cycles: self.cycles,
         }
+    }
+
+    /// The cell with every video `v` renumbered `2v + 1` and every user
+    /// `u` renumbered `2u + 1`. Each even id is a filler that no request
+    /// names: a copy of the title after it, a user at the same home.
+    fn relabelled(&self) -> Cell {
+        let videos = self.catalog.iter().flat_map(|v| {
+            [2 * v.id.0, 2 * v.id.0 + 1]
+                .map(|id| Video::new(VideoId(id), v.size, v.playback, v.bandwidth))
+        });
+        let mut b = TopologyBuilder::new();
+        for n in self.topo.nodes() {
+            let info = self.topo.node(n);
+            if self.topo.is_warehouse(n) {
+                b.add_warehouse(info.name.clone());
+            } else {
+                b.add_storage(info.name.clone(), info.srate, info.capacity);
+            }
+        }
+        for e in self.topo.edges() {
+            b.connect_with_bandwidth(e.a, e.b, e.nrate, e.bandwidth).expect("the cell's link");
+        }
+        for u in self.topo.users() {
+            b.add_users(u.home, 2);
+        }
+        let arrivals =
+            self.arrivals.iter().map(|a| Arrival { request: renamed(&a.request), ..*a }).collect();
+        Cell {
+            name: format!("{}, relabelled", self.name),
+            topo: b.build().expect("the cell's network"),
+            catalog: Catalog::new(videos.collect()),
+            arrivals,
+            cfg: self.cfg.clone(),
+            cycles: self.cycles,
+        }
+    }
+}
+
+/// R5's renaming of a video.
+fn video_renamed(v: VideoId) -> VideoId {
+    VideoId(2 * v.0 + 1)
+}
+
+/// R5's renaming of a request.
+fn renamed(r: &Request) -> Request {
+    Request { user: UserId(2 * r.user.0 + 1), video: video_renamed(r.video), start: r.start }
+}
+
+/// R5's renaming of a schedule.
+fn schedule_renamed(s: &Schedule) -> Schedule {
+    let residency = |r: &Residency| Residency { video: video_renamed(r.video), ..r.clone() };
+    s.videos()
+        .map(|vs| VideoSchedule {
+            video: video_renamed(vs.video),
+            transfers: vs
+                .transfers
+                .iter()
+                .map(|t| Transfer {
+                    video: video_renamed(t.video),
+                    user: t.user.map(|u| UserId(2 * u.0 + 1)),
+                    ..t.clone()
+                })
+                .collect(),
+            residencies: vs.residencies.iter().map(residency).collect(),
+        })
+        .collect()
+}
+
+/// `got` is `base` under R5's renaming: every request, schedule and
+/// inherited copy renamed, and the rest — accounting, victim counts and
+/// Ψ — identical to the bit.
+fn assert_renamed(base: &[ServiceCycleOutcome], got: &[ServiceCycleOutcome], at: &str) {
+    assert_eq!(got.len(), base.len(), "{at}");
+    let requests = |rs: &[Request]| rs.iter().map(renamed).collect::<Vec<_>>();
+    for (b, g) in base.iter().zip(got) {
+        let at = format!("{at}, cycle {}", b.stats.cycle);
+        assert_eq!(g.stats, b.stats, "{at}: rung or accounting differ");
+        assert_eq!(g.served, requests(&b.served), "{at}: served requests differ");
+        assert_eq!(g.served_originals, requests(&b.served_originals), "{at}");
+        assert_eq!(g.shed_now, requests(&b.shed_now), "{at}: shed requests differ");
+        assert_eq!(g.dropped_now, requests(&b.dropped_now), "{at}: dropped requests differ");
+        assert!(g.schedule == schedule_renamed(&b.schedule), "{at}: the schedules differ");
+        let inherited: Vec<Residency> = b
+            .inherited
+            .iter()
+            .map(|r| Residency { video: video_renamed(r.video), ..r.clone() })
+            .collect();
+        assert_eq!(g.inherited, inherited, "{at}: the inherited copies differ");
+        assert_eq!(g.victims, b.victims, "{at}: the victim counts differ");
+        assert_eq!(g.warm.held, b.warm.held, "{at}: the holds differ");
+        assert_eq!(g.initial_cost.to_bits(), b.initial_cost.to_bits(), "{at}");
+        assert_eq!(g.cost.to_bits(), b.cost.to_bits(), "{at}");
     }
 }
 
@@ -284,4 +386,18 @@ fn r4_a_budget_at_the_largest_full_prediction_changes_no_decision() {
         over += got.iter().filter(|o| o.stats.over_budget).count();
     }
     assert!(over > 0, "no cycle overran the budget; over_budget never differed");
+}
+
+#[test]
+fn r5_an_order_preserving_relabelling_changes_no_decision_and_no_recorded_byte() {
+    let mut held = 0;
+    for cell in cells() {
+        let (base, base_rec) = cell.run(&cell.cfg);
+        let relabelled = cell.relabelled();
+        let (got, rec) = relabelled.run(&relabelled.cfg);
+        assert_renamed(&base, &got, &relabelled.name);
+        assert!(rec.to_jsonl() == base_rec.to_jsonl(), "{}: the recordings differ", cell.name);
+        held += base.iter().map(|o| o.warm.held).sum::<usize>();
+    }
+    assert!(held > 0, "no cell held a copy; the relation never saw one");
 }

@@ -34,8 +34,8 @@ fn drive(scenario: Scenario, want: &[Row]) {
         }
         let batch = RequestBatch::new(arrivals[first..next].iter().map(|a| a.request).collect());
         book.evict_expired(t0);
-        let out = shard_solve_seeded(&ctx, &batch, cfg, book.ledger());
-        book.absorb(&ctx, &out.sorp.schedule);
+        let mut out = shard_solve_seeded(&ctx, &batch, cfg, book.ledger());
+        book.absorb(&ctx, &mut out.sorp.schedule, None);
         let s = &out.sorp;
         let got = (
             s.cost.to_bits(),

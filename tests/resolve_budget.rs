@@ -38,8 +38,8 @@ fn a_resolution_iteration_rebuilds_only_the_jobs_its_commit_moved() {
         }
         let batch = RequestBatch::new(arrivals[first..next].iter().map(|a| a.request).collect());
         book.evict_expired(t0);
-        let out = shard_solve_seeded(&ctx, &batch, &cfg, book.ledger());
-        book.absorb(&ctx, &out.sorp.schedule);
+        let mut out = shard_solve_seeded(&ctx, &batch, &cfg, book.ledger());
+        book.absorb(&ctx, &mut out.sorp.schedule, None);
         rebuilt += out.sorp.jobs_rebuilt;
         scored += out.sorp.trials_run + out.sorp.trials_cached;
     }

@@ -33,7 +33,7 @@ fn every_cycle_replays_clean_under_the_whole_plan(seed: u64) {
                 &out.schedule,
                 &cfg.faults,
                 &out.shed_now,
-                &SimOptions::strict(&batch),
+                &SimOptions { inherited: &out.inherited, ..SimOptions::strict(&batch) },
             )
             .expect("a generated plan validates");
             (!cycle_is_clean(&sim))
