@@ -35,8 +35,9 @@ use vod_cost_model::{
 use vod_topology::{NodeId, Topology};
 
 /// Relative tolerance for treating two candidate costs as equal, letting
-/// the deterministic tie-break order decide.
-const COST_EPS: f64 = 1e-9;
+/// the deterministic tie-break order decide. SORP's release sweep keeps a
+/// re-placement only when it is cheaper by more than this share.
+pub(crate) const COST_EPS: f64 = 1e-9;
 
 /// Tunable design choices of the greedy, exposed for the ablation studies
 /// called out in DESIGN.md. The default enables everything — the paper's
@@ -381,7 +382,9 @@ enum Slot {
     Dead,
 }
 
-fn greedy_with_cursor(
+/// The greedy run itself, in `scratch`: rejective under `constraints`,
+/// traced when the scratch cursor is.
+pub(crate) fn greedy_with_cursor(
     ctx: &SchedCtx<'_>,
     requests: &[Request],
     held: &[Residency],

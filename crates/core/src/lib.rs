@@ -98,12 +98,12 @@ pub use warm::{CommittedBook, WarmStats};
 
 /// What the equivalence oracles (`vod-oracles`) and the property tests
 /// reach into: the traced rejective greedy, the admission cursor and its
-/// trace, the commit deltas, the heat tie rule, the overflow set and the
-/// degraded rungs' rejective pass. Not a stable API — these follow the
-/// solver's internals.
+/// trace, the commit deltas, the heat tie rule, the overflow set, the
+/// degraded rungs' rejective pass and SORP followed by the release sweep.
+/// Not a stable API — these follow the solver's internals.
 pub mod audit {
     pub use crate::capacity::{AdmissionCheck, LedgerCursor, LedgerDelta, TrialTrace};
     pub use crate::greedy::reschedule_video_traced;
     pub use crate::overflow::overflow_set;
-    pub use crate::sorp::{heats_tie, rejective_pass};
+    pub use crate::sorp::{heats_tie, rejective_pass, sorp_solve_released, Release};
 }

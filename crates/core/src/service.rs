@@ -301,7 +301,7 @@ const REQUEST_NS: f64 = 4_000.0;
 const ITERATION_NS: f64 = 60_000.0;
 /// Simulated cost per committed victim reschedule.
 const VICTIM_NS: f64 = 90_000.0;
-/// Simulated cost per forced direct-delivery fallback.
+/// Simulated cost per re-placement of the resolution tail past its cap.
 const FALLBACK_NS: f64 = 20_000.0;
 
 /// Deadline-budget model for the degradation ladder: one EMA of

@@ -20,6 +20,14 @@
 //!    SORP pass, [`SolveState::resolve`] like any other: its trials run
 //!    against the merged ledger under the carried bans.
 //!
+//! Every solve — one shard or several — ends in one **release sweep**
+//! ([`SolveState::release`]): each victim video, in video-id order, is
+//! re-placed once by the rejective greedy with its bans lifted against
+//! the final ledger, and the re-placement is kept when it is cheaper.
+//! Bans only accumulate, so a title evicted early stays evicted after
+//! later victims freed its window; the sweep takes that Ψ back without
+//! overflowing anything.
+//!
 //! ## Determinism and equivalence contract
 //!
 //! * The partition is a pure function of `(batch, spec)`, and every
@@ -28,7 +36,8 @@
 //!   across runs**, and
 //!   `shards = 1` (or a 1-region batch) *is* the monolith: its output is
 //!   bit-identical to [`crate::sorp_solve`] over [`crate::ivsp_solve`] on the
-//!   whole batch.
+//!   whole batch, followed by the release sweep
+//!   ([`crate::audit::sorp_solve_released`]).
 //! * Reconciliation guarantees **feasibility**: every request served,
 //!   no overflow, for any shard count, strategy, or policy.
 //! * **Ψ-equality with the monolith** additionally holds in the
@@ -56,7 +65,7 @@
 
 use crate::capacity::Solved;
 use crate::greedy::place;
-use crate::sorp::{PerVideo, SolveState};
+use crate::sorp::{PerVideo, Release, Settled, SolveState};
 use crate::warm::HeldCopies;
 use crate::{
     detect_overflows, GreedyPolicy, PricedSchedule, SchedCtx, SorpConfig, SorpOutcome,
@@ -137,6 +146,7 @@ pub(crate) struct ShardSolve {
     cross_shard_overflows: usize,
     reconcile_iterations: usize,
     reconcile_victims: usize,
+    released: Release,
 }
 
 impl ShardSolve {
@@ -151,13 +161,14 @@ impl ShardSolve {
             cross_shard_overflows: 0,
             reconcile_iterations: 0,
             reconcile_victims: 0,
+            released: Release::default(),
         }
     }
 
     /// Emit this solve as a `"shard_solve"` flight-recorder event under
     /// the recorder's current cycle scope: sharding shape, SORP work
-    /// counters, and cache-reuse totals — every decision input the
-    /// issue's debugging scenarios need.
+    /// counters, cache-reuse totals and what the release sweep tried,
+    /// kept and saved.
     fn record(&self, ctx: &SchedCtx<'_>, requests: usize) {
         let s = &self.state;
         ctx.recorder.event("shard_solve", |e| {
@@ -174,6 +185,9 @@ impl ShardSolve {
                 .u64("trials_run", s.trials_run as u64)
                 .u64("trials_cached", s.trials_cached as u64)
                 .u64("nodes_rescanned", s.nodes_rescanned as u64)
+                .u64("released_tried", self.released.tried as u64)
+                .u64("released_kept", self.released.kept as u64)
+                .f64("released_saved", self.released.saved)
                 .bool("overflow_free", detect_overflows(ctx.topo, &s.ledger).is_empty())
                 .f64("cost", s.priced.total())
                 .f64("initial_cost", s.initial_cost);
@@ -224,9 +238,9 @@ pub fn shard_solve_seeded(
 
 /// The pipeline body: partition, per-shard IVSP + resolution over a
 /// clone of `base`, then — unless one shard took the whole batch —
-/// cross-shard reconciliation. Each of the `held` copies goes to one
-/// shard's runs of its video ([`HeldCopies::deal`]); the global pass
-/// sees them all.
+/// cross-shard reconciliation, and last the release sweep. Each of the
+/// `held` copies goes to one shard's runs of its video
+/// ([`HeldCopies::deal`]); the global pass and the sweep see them all.
 pub(crate) fn solve_over(
     ctx: &SchedCtx<'_>,
     batch: &RequestBatch,
@@ -256,10 +270,11 @@ pub(crate) fn solve_over(
     // delta-accumulated running total) is the outcome, bit-identical to
     // `sorp_solve` on the whole batch. The array pattern proves
     // the shard exists — no panic path.
-    let out = match <[SolveState; 1]>::try_from(states) {
+    let mut out = match <[SolveState; 1]>::try_from(states) {
         Ok([state]) => ShardSolve::single(state),
         Err(states) => reconcile(ctx, cfg, base, states, held),
     };
+    out.released = out.state.release(ctx, cfg.sorp.policy);
     out.record(ctx, batch.len());
     out
 }
@@ -309,10 +324,12 @@ fn reconcile(
     }
 
     // Tear the shard states apart: schedules merge, bans append in shard
-    // order, counters aggregate, ledgers give rows. Nothing else crosses.
+    // order, committed trials carry over, counters aggregate, ledgers give
+    // rows. Nothing else crosses.
     let mut parts = Vec::with_capacity(shards);
     let mut ledgers = Vec::with_capacity(shards);
     let mut shard_bans: Vec<PerVideo<_>> = Vec::with_capacity(shards);
+    let mut shard_settled: Vec<PerVideo<_>> = Vec::with_capacity(shards);
     let mut initial_cost = 0.0;
     let mut iterations = 0;
     let mut forced_fallbacks = 0;
@@ -331,25 +348,38 @@ fn reconcile(
         nodes_rescanned += s.nodes_rescanned;
         victims.append(&mut s.victims);
         shard_bans.push(s.forbidden);
+        shard_settled.push(s.settled);
         ledgers.push((s.ledger, s.dirty));
         parts.push(s.priced);
     }
 
     // The merge meets every video of every shard once, so it also knows
     // which ones landed in several, and carries each shard's bans over to
-    // the video's merged position, appended in shard order. The table is
-    // sized by the parts' video total and trimmed to the merged count.
+    // the video's merged position, appended in shard order, and its
+    // committed trial. The tables are sized by the parts' video total and
+    // trimmed to the merged count. A split video's merged schedule is no
+    // trial's output: its trials stay behind.
     let mut forbidden: PerVideo<Vec<_>> = PerVideo::new();
+    let mut settled: PerVideo<Option<Settled>> = PerVideo::new();
     let videos = parts.iter().map(|p| p.schedule().video_count()).sum();
     let (merged, split) = PricedSchedule::merge_with(parts, |shard, at, merged_at| {
         if let Some(bans) = shard_bans[shard].written(at).filter(|bans| !bans.is_empty()) {
             forbidden.get_mut(merged_at, videos).append(bans);
         }
+        if let Some(trial) = shard_settled[shard].take(at) {
+            *settled.get_mut(merged_at, videos) = Some(trial.carried());
+        }
     });
     forbidden.truncate(merged.schedule().video_count());
+    settled.truncate(merged.schedule().video_count());
+    for &vid in &split {
+        let at = merged.schedule().position(vid).expect("a split video is merged");
+        settled.take(at);
+    }
     let ledger = global_ledger(ctx, base, &merged, ledgers);
     let mut global = SolveState::laid(ctx, merged, ledger);
     global.forbidden = forbidden;
+    global.settled = settled;
     global.held = held.clone();
 
     // Seed the aggregate counters so the final outcome reports totals
@@ -381,6 +411,7 @@ fn reconcile(
         cross_shard_overflows,
         reconcile_iterations,
         reconcile_victims,
+        released: Release::default(),
     }
 }
 

@@ -15,10 +15,11 @@
 //!
 //! Because the rejective greedy admits a residency only where capacity
 //! remains, a committed reschedule never *creates* an overflow, and the
-//! forbidden-window sets grow monotonically, so the loop terminates. A
-//! deterministic fallback (forcing remaining overflow participants to
-//! direct warehouse delivery, which uses no storage) guards the iteration
-//! cap regardless.
+//! forbidden-window sets grow monotonically, so the loop terminates.
+//! Past the iteration cap a deterministic tail takes over: the first
+//! participant of the first overflow is re-placed by the same rejective
+//! greedy under its bans plus that overflow's window, without scoring —
+//! direct delivery needs no storage, so the re-placement always exists.
 //!
 //! ## Conflict-scoped incrementality
 //!
@@ -78,9 +79,20 @@
 //! The loop commits one victim per iteration and runs on the calling
 //! thread; the independent unit of work is the shard
 //! ([`crate::shard_solve`]), not the trial.
+//!
+//! ## The release sweep
+//!
+//! Bans only accumulate, so a title banned from a window early stays out
+//! of it after later victims have freed it. The sharded pipeline ends
+//! every solve in one sweep (`SolveState::release`) that re-places each
+//! victim once with its bans lifted and keeps the re-placement when it is
+//! cheaper; [`sorp_solve`], the paper's Phase 2, does not sweep. A victim
+//! whose committed trial replays unchanged without its bans would get its
+//! own schedule back, and is skipped. The oracle,
+//! `vod_oracles::sorp_solve_naive_released`, re-places every victim.
 
-use crate::capacity::{LedgerCursor, LedgerDelta, Solved, TrialTrace};
-use crate::greedy::{place, reschedule_traced_in, GreedyScratch};
+use crate::capacity::{AdmissionCheck, LedgerCursor, LedgerDelta, Solved, TrialTrace};
+use crate::greedy::{greedy_with_cursor, place, reschedule_traced_in, GreedyScratch, COST_EPS};
 use crate::heat::heat_of;
 use crate::overflow::{overflow_set, OverflowMonitor};
 use crate::warm::HeldCopies;
@@ -92,7 +104,7 @@ use serde::{Deserialize, Serialize};
 use vod_cost_model::{
     Dollars, Request, RequestBatch, Schedule, SpaceProfile, VideoId, VideoSchedule,
 };
-use vod_topology::NodeId;
+use vod_topology::{NodeId, Topology};
 
 /// Relative tolerance for treating two heat values as equal, mirroring
 /// the greedy's `COST_EPS` candidate comparison: near-equal heats fall
@@ -126,8 +138,8 @@ pub struct SorpConfig {
     /// Victim-selection criterion. Default: Eq. 11 (`ΔS/overhead`), the
     /// paper's best performer.
     pub metric: HeatMetric,
-    /// Safety cap on resolution iterations before the direct-delivery
-    /// fallback engages. The loop normally terminates far earlier.
+    /// Safety cap on heat-driven resolution iterations before the
+    /// unscored tail takes over. The loop normally terminates far earlier.
     pub max_iterations: usize,
     /// The [`GreedyPolicy`] trial reschedules run under. Defaults to the
     /// paper's full algorithm; the sharded solver sets the same policy
@@ -170,6 +182,19 @@ pub struct VictimRecord {
     pub heat: f64,
 }
 
+/// What one release sweep did: victim videos re-placed with their bans
+/// lifted, the re-placements kept, and the Ψ they saved.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Release {
+    /// Victim videos the sweep re-placed.
+    pub tried: usize,
+    /// Re-placements committed, each strictly cheaper than the schedule
+    /// it replaced.
+    pub kept: usize,
+    /// Ψ the kept re-placements saved, in dollars.
+    pub saved: Dollars,
+}
+
 /// Result of [`sorp_solve`].
 #[derive(Clone, Debug)]
 pub struct SorpOutcome {
@@ -185,9 +210,10 @@ pub struct SorpOutcome {
     pub victims: Vec<VictimRecord>,
     /// Whether the final schedule is overflow-free. False only when an
     /// overflow consists of external occupancy alone: no victim can clear
-    /// it, and the fallback tail passes over it.
+    /// it, and the tail passes over it.
     pub overflow_free: bool,
-    /// Number of videos forced to all-direct delivery by the fallback.
+    /// Re-placements the tail past the iteration cap committed, each an
+    /// unscored rejective-greedy run of one overflow participant.
     pub forced_fallbacks: usize,
     /// Trial reschedules actually executed by the rejective greedy.
     /// `trials_run + trials_cached` equals the number of trial jobs
@@ -286,6 +312,51 @@ struct CachedTrial {
     /// to replay bit-identically against the ledger as of
     /// `deltas[..epoch]`.
     epoch: usize,
+}
+
+/// A victim's committed trial, kept for the release sweep: the greedy run
+/// whose output is the video's schedule, and since when its recorded
+/// verdicts are current. The sweep's run differs from it only in the
+/// bans, so when every recorded admission answer re-answers the same
+/// with the bans lifted ([`Constraints::check_replays`]) the sweep would
+/// reproduce the schedule bit for bit, and has nothing to try.
+#[derive(Default)]
+pub(crate) struct Settled {
+    trace: TrialTrace,
+    /// `Some(e)`: the verdicts are current as of `deltas[..e]`. `None`:
+    /// the trial ran in a shard pass, against another ledger; every
+    /// capacity verdict is re-derived.
+    epoch: Option<usize>,
+}
+
+impl Settled {
+    /// This trial carried out of its shard pass into the global one,
+    /// whose ledger its verdicts were not taken against.
+    pub(crate) fn carried(self) -> Self {
+        Self { epoch: None, ..self }
+    }
+
+    /// Whether every recorded admission test re-answers the same under
+    /// `cons`, given the commit `deltas` of the state the trial settled
+    /// in: the exact condition for the greedy to replay the trial.
+    fn replays(
+        &self,
+        topo: &Topology,
+        cons: &Constraints<'_>,
+        deltas: &[LedgerDelta],
+        cursor: &mut LedgerCursor,
+    ) -> bool {
+        let mut dirty = LedgerDelta::new();
+        let Some(epoch) = self.epoch else {
+            // Taken against another ledger: every capacity verdict is asked
+            // again.
+            return self.trace.checks.iter().all(|c| {
+                cons.check_replays(topo, &AdmissionCheck { fits: None, ..*c }, &dirty, cursor)
+            });
+        };
+        deltas[epoch..].iter().for_each(|d| dirty.merge(d));
+        self.trace.checks.iter().all(|c| cons.check_replays(topo, c, &dirty, cursor))
+    }
 }
 
 /// Cap on memoized trials per video. A video keeps one entry per
@@ -448,6 +519,11 @@ impl<T: Default> PerVideo<T> {
         self.0.truncate(videos);
     }
 
+    /// The entry at `at`, taken, leaving the default behind.
+    pub(crate) fn take(&mut self, at: usize) -> T {
+        self.0.get_mut(at).map(std::mem::take).unwrap_or_default()
+    }
+
     /// Keep step with a schedule that gained a video at `at`.
     fn inserted(&mut self, at: usize) {
         if !self.0.is_empty() {
@@ -489,10 +565,12 @@ fn select_victim(jobs: &[StandingJob]) -> Option<usize> {
 /// [`SolveState::resolve`] + [`SolveState::into_outcome`] *are*
 /// [`sorp_solve`]; the sharded path resolves one state per shard,
 /// builds a fresh state over their merged schedules, appends their bans,
-/// and resolves it once more; the service loop's fault repair is one
+/// resolves it once more and ends in the release sweep
+/// ([`SolveState::release`]); the service loop's fault repair is one
 /// more pass over that final state, before it is finished. Only the
-/// schedule and the bans outlive a pass: its jobs, cache and deltas are
-/// private to this module and start empty in every new state.
+/// schedule, the bans and the victims' committed trials outlive a pass:
+/// its jobs, cache and deltas are private to this module and start empty
+/// in every new state.
 pub(crate) struct SolveState {
     pub(crate) priced: PricedSchedule,
     pub(crate) ledger: StorageLedger,
@@ -517,6 +595,11 @@ pub(crate) struct SolveState {
     /// One [`LedgerDelta`] per commit, in commit order; trials validate
     /// lazily against the suffix that landed after their epoch.
     deltas: Vec<LedgerDelta>,
+    /// The buffers every greedy run of the state works in.
+    scratch: GreedyScratch,
+    /// Per video: its committed trial, while that trial's output is its
+    /// schedule.
+    pub(crate) settled: PerVideo<Option<Settled>>,
     pub(crate) trials_run: usize,
     pub(crate) trials_cached: usize,
     pub(crate) jobs_rebuilt: usize,
@@ -575,6 +658,8 @@ impl SolveState {
             jobs: Vec::new(),
             cache: PerVideo::new(),
             deltas: Vec::new(),
+            scratch: GreedyScratch::default(),
+            settled: PerVideo::new(),
             trials_run: 0,
             trials_cached: 0,
             jobs_rebuilt: 0,
@@ -583,7 +668,7 @@ impl SolveState {
     }
 
     /// Run the heat-driven resolution loop to an overflow-free fixpoint
-    /// (or through the fallback past the iteration cap). Idempotent: a
+    /// (or through the tail past the iteration cap). Idempotent: a
     /// second call on an already-resolved state detects no overflows and
     /// returns immediately — which is how the sharded path's global pass
     /// degenerates to a no-op when the shards never conflicted.
@@ -594,25 +679,39 @@ impl SolveState {
         // A video's delivered requests, sorted, read off its schedule on
         // its first trial miss: no commit of the pass changes the set.
         let mut requests: PerVideo<Vec<Request>> = PerVideo::new();
-        // The pass's greedy buffers, and its replay cursor's.
-        let mut scratch = GreedyScratch::default();
         let mut replay_cursor = LedgerCursor::new();
         while self.refresh_overflows(ctx) > 0 {
             let scans = self.monitor.scans();
             if self.iterations >= cap {
-                // Fallback: force one participant of the first overflow
-                // that has any to direct-only delivery. Strictly reduces
-                // stored bytes, so this loop tail terminates. An overflow
-                // of external occupancy alone has no participant and is
-                // passed over: the ones behind it can still be cleared.
+                // The tail: re-place one participant of the first overflow
+                // that has any under its bans plus that overflow's window,
+                // unscored. The ban stays, and admission is rejective, so
+                // the overflowing set only shrinks and the tail terminates.
+                // An overflow of external occupancy alone has no
+                // participant and is passed over: the ones behind it can
+                // still be cleared.
                 let victim = scans.iter().flat_map(|(_, _, ofs)| ofs).find_map(|of| {
                     let &(vid, _) = overflow_set(&self.ledger, of).first()?;
-                    self.priced.schedule().video(vid)
+                    let at = self.priced.schedule().position(vid).ok()?;
+                    Some((vid, at, (of.loc, of.window)))
                 });
-                let Some(old) = victim else {
+                let Some((vid, at, ban)) = victim else {
                     break; // purely external overflows: unresolvable
                 };
-                let new_vs = force_direct(ctx, old);
+                let bans = self.forbidden.get_mut(at, videos);
+                bans.push(ban);
+                let cons =
+                    Constraints { ledger: &self.ledger, exclude: Some(vid), forbidden: bans };
+                let requests = self.priced.schedule().video_at(at).delivered_requests();
+                let held = self.held.of(vid);
+                let new_vs = greedy_with_cursor(
+                    ctx,
+                    &requests,
+                    held,
+                    Some(&cons),
+                    cfg.policy,
+                    &mut self.scratch,
+                );
                 self.commit(ctx, new_vs);
                 self.forced_fallbacks += 1;
                 continue;
@@ -717,7 +816,7 @@ impl SolveState {
                             held,
                             &cons,
                             cfg.policy,
-                            &mut scratch,
+                            &mut self.scratch,
                         );
                         let new_cost = ctx.video_cost(&new_vs);
                         CachedTrial { new_vs, new_cost, bans: job.bans.clone(), trace, epoch }
@@ -747,8 +846,60 @@ impl SolveState {
             // The trial priced its schedule when it ran: commit at that price.
             let trial = job.trial.expect("every job was just scored");
             self.commit_priced(ctx, trial.new_vs, trial.new_cost);
+            let settled = Settled { trace: trial.trace, epoch: Some(trial.epoch) };
+            *self.settled.get_mut(job.at, videos) = Some(settled);
         }
         self.jobs.clear();
+    }
+
+    /// The release sweep: every victim video, once each in video-id
+    /// order, re-placed by the rejective greedy with its bans lifted,
+    /// against the ledger as it stands (less the video's own profiles).
+    /// The re-placement is committed only when it is cheaper than the
+    /// video's schedule by more than the greedy's relative `COST_EPS`, a
+    /// share of the cost, so doubling every rate doubles every decision's
+    /// inputs and changes none. Admission is rejective: a kept
+    /// re-placement overflows nothing the ledger did not, and it delivers
+    /// the same requests.
+    ///
+    /// A victim whose committed trial re-answers every admission test the
+    /// same with its bans lifted ([`Settled`]) would get its own schedule
+    /// back: it counts as tried, and the greedy does not run.
+    pub(crate) fn release(&mut self, ctx: &SchedCtx<'_>, policy: GreedyPolicy) -> Release {
+        let mut videos: Vec<VideoId> = self.victims.iter().map(|v| v.video).collect();
+        videos.sort_unstable();
+        videos.dedup();
+        let mut out = Release::default();
+        let mut cursor = LedgerCursor::new();
+        for vid in videos {
+            let Ok(at) = self.priced.schedule().position(vid) else { continue };
+            let requests = self.priced.schedule().video_at(at).delivered_requests();
+            if requests.is_empty() {
+                continue;
+            }
+            out.tried += 1;
+            let cons = Constraints { ledger: &self.ledger, exclude: Some(vid), forbidden: &[] };
+            let held = self.held.of(vid);
+            let rerun = |scratch: &mut GreedyScratch| {
+                greedy_with_cursor(ctx, &requests, held, Some(&cons), policy, scratch)
+            };
+            let settled = self.settled.take(at);
+            if settled.is_some_and(|s| s.replays(ctx.topo, &cons, &self.deltas, &mut cursor)) {
+                debug_assert!(
+                    rerun(&mut self.scratch) == *self.priced.schedule().video_at(at),
+                    "video {vid:?}: a replaying trial would have moved"
+                );
+                continue;
+            }
+            let new_vs = rerun(&mut self.scratch);
+            let (old_cost, new_cost) = (self.priced.cost_at(at), ctx.video_cost(&new_vs));
+            if new_cost < old_cost - COST_EPS * old_cost.abs() {
+                out.kept += 1;
+                out.saved += old_cost - new_cost;
+                self.commit_priced(ctx, new_vs, new_cost);
+            }
+        }
+        out
     }
 
     /// Bring the overflow monitor up to date, adding the storages it
@@ -766,8 +917,9 @@ impl SolveState {
     /// commit's delta. The supports of every profile actually removed or
     /// added become the commit's [`LedgerDelta`] — its (node, window)
     /// footprint, which scopes trial-cache invalidation; the rows are
-    /// marked dirty. The one commit: a resolution iteration, the fallback
-    /// tail and the fault-repair pass ([`crate::repair_schedule`]) all land here.
+    /// marked dirty. The one commit: a resolution iteration, the tail past
+    /// the cap, the release sweep and the fault-repair pass
+    /// ([`crate::repair_schedule`]) all land here.
     pub(crate) fn commit(&mut self, ctx: &SchedCtx<'_>, new_vs: VideoSchedule) {
         let new_cost = ctx.video_cost(&new_vs);
         self.commit_priced(ctx, new_vs, new_cost);
@@ -792,10 +944,14 @@ impl SolveState {
             let profile = r.profile(ctx.catalog.get(r.video));
             self.ledger.add_tracked(r.loc, r.video, profile, &mut delta);
         }
-        if let (_, Err(at)) = self.priced.commit_priced(ctx, new_vs, new_cost) {
-            debug_assert!(self.jobs.is_empty(), "a pass inserted a video under its jobs");
-            self.forbidden.inserted(at);
-            self.cache.inserted(at);
+        match self.priced.commit_priced(ctx, new_vs, new_cost).1 {
+            Ok(at) => drop(self.settled.take(at)),
+            Err(at) => {
+                debug_assert!(self.jobs.is_empty(), "a pass inserted a video under its jobs");
+                self.forbidden.inserted(at);
+                self.cache.inserted(at);
+                self.settled.inserted(at);
+            }
         }
         self.deltas.push(delta);
     }
@@ -865,12 +1021,21 @@ pub fn rejective_pass(
     SolveState::placed(ctx, batch, policy, base.clone(), HeldCopies::default()).into_outcome(ctx).0
 }
 
-/// All-direct delivery schedule for a video (no residencies at all).
-fn force_direct(ctx: &SchedCtx<'_>, old: &VideoSchedule) -> VideoSchedule {
-    let mut vs = VideoSchedule::new(old.video);
-    let vw = ctx.topo.warehouse();
-    vs.transfers.extend(old.delivered_requests().iter().map(|req| ctx.delivery(req, vw, None)));
-    vs
+/// [`sorp_solve`] followed by the release sweep (see the module docs):
+/// what the sharded pipeline computes on one
+/// shard, and the monolithic reference of the shard properties. Exported
+/// through [`crate::audit`] for the property suites.
+pub fn sorp_solve_released(
+    ctx: &SchedCtx<'_>,
+    priced: PricedSchedule,
+    cfg: &SorpConfig,
+    base: Option<&StorageLedger>,
+) -> (SorpOutcome, Release) {
+    let base = base.map_or_else(|| StorageLedger::new(ctx.topo), StorageLedger::clone);
+    let mut state = SolveState::new(ctx, priced, base);
+    state.resolve(ctx, cfg);
+    let release = state.release(ctx, cfg.policy);
+    (state.into_outcome(ctx).0, release)
 }
 
 #[cfg(test)]

@@ -8,10 +8,15 @@
 //! the warm cycle (evict, solve over the book's ledger, absorb) must be
 //! the cold solve over an empty book, in either execution mode.
 //!
-//! The monolith is the two phases composed directly on the whole batch:
-//! [`sorp_solve`] over [`ivsp_solve`].
+//! The monolith is the two phases composed directly on the whole batch,
+//! then the release sweep the pipeline ends in: [`sorp_solve_released`]
+//! over [`ivsp_solve`]. The sweep itself is held to three properties
+//! against [`sorp_solve`]'s schedule: no video's Ψ rises, every video
+//! delivers the same requests, and no overflow appears.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use vod_core::audit::sorp_solve_released;
 use vod_core::{
     detect_overflows, ivsp_solve, shard_solve, shard_solve_seeded, sorp_solve, CommittedBook,
     ExecMode, GreedyPolicy, SchedCtx, ShardConfig, SorpConfig, SorpOutcome, StorageLedger,
@@ -70,9 +75,9 @@ fn build(s: &Scenario) -> (Topology, Workload, ShardConfig) {
     (topo, wl, shard_cfg)
 }
 
-/// The monolithic two-phase solve of the whole batch.
+/// The monolithic two-phase solve of the whole batch, swept.
 fn monolith(ctx: &SchedCtx<'_>, batch: &RequestBatch, sorp: &SorpConfig) -> SorpOutcome {
-    sorp_solve(ctx, ivsp_solve(ctx, batch, sorp.policy), sorp, None)
+    sorp_solve_released(ctx, ivsp_solve(ctx, batch, sorp.policy), sorp, None).0
 }
 
 fn delivered_multiset(schedule: &vod_cost_model::Schedule) -> Vec<(u32, u32, u64)> {
@@ -205,6 +210,101 @@ proptest! {
     }
 }
 
+/// Hold one release sweep to its contract against the unswept solve it
+/// started from: only swept victims change, each to a strictly lower Ψ;
+/// every video delivers the requests it did; when the unswept solve is
+/// overflow-free, so is a from-scratch ledger of the swept schedule over
+/// `base`; the counters add up. Returns whether the sweep kept any
+/// re-placement.
+fn check_sweep(
+    ctx: &SchedCtx<'_>,
+    phase1: vod_core::PricedSchedule,
+    sorp: &SorpConfig,
+    base: &StorageLedger,
+) -> Result<bool, TestCaseError> {
+    let plain = sorp_solve(ctx, phase1.clone(), sorp, Some(base));
+    let (swept, release) = sorp_solve_released(ctx, phase1, sorp, Some(base));
+    let mut victims: Vec<_> = plain.victims.iter().map(|v| v.video).collect();
+    victims.sort_unstable();
+    victims.dedup();
+    prop_assert_eq!(swept.victims.len(), plain.victims.len(), "the sweep is not a victim");
+    prop_assert!(release.kept <= release.tried && release.tried <= victims.len());
+    prop_assert_eq!(swept.schedule.video_count(), plain.schedule.video_count());
+    let mut changed = 0;
+    for (was, is) in plain.schedule.videos().zip(swept.schedule.videos()) {
+        prop_assert_eq!(was.video, is.video);
+        prop_assert_eq!(was.delivered_requests(), is.delivered_requests(), "{:?}", is.video);
+        let (before, after) = (ctx.video_cost(was), ctx.video_cost(is));
+        if was != is {
+            changed += 1;
+            prop_assert!(victims.binary_search(&is.video).is_ok(), "{:?} swept", is.video);
+            prop_assert!(after < before, "{:?}: Ψ {} -> {}", is.video, before, after);
+        }
+    }
+    prop_assert_eq!(changed, release.kept, "every kept re-placement changes one video");
+    let saved = plain.cost - swept.cost;
+    prop_assert!(
+        (saved - release.saved).abs() <= 1e-9 * plain.cost.abs().max(1.0),
+        "saved {} against Ψ {} -> {}",
+        release.saved,
+        plain.cost,
+        swept.cost
+    );
+    let mut ledger = base.clone();
+    for r in swept.schedule.residencies() {
+        ledger.add(r.loc, r.video, r.profile(ctx.catalog.get(r.video)));
+    }
+    prop_assert_eq!(swept.overflow_free, plain.overflow_free);
+    if plain.overflow_free {
+        prop_assert!(detect_overflows(ctx.topo, &ledger).is_empty(), "the sweep overflowed");
+    }
+    Ok(release.kept > 0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// The release sweep never raises a video's Ψ, keeps every video's
+    /// delivered requests and leaves no overflow, alone and over external
+    /// occupancy.
+    #[test]
+    fn the_release_sweep_lowers_psi_and_keeps_requests_and_capacity(
+        s in scenario_strategy(),
+        squatted in any::<bool>(),
+    ) {
+        let (topo, wl, cfg) = build(&s);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+        let mut base = StorageLedger::new(&topo);
+        if squatted {
+            let loc = topo.storages().next().expect("a storage exists");
+            base.add(loc, EXTERNAL_OCCUPANCY, SpaceProfile::new(0.0, 40_000.0, 2e9, 3_600.0));
+        }
+        let phase1 = ivsp_solve(&ctx, &wl.requests, cfg.sorp.policy);
+        check_sweep(&ctx, phase1, &cfg.sorp, &base)?;
+    }
+}
+
+/// On the paper instance at 5 GB the sweep keeps re-placements, so the
+/// property above is not vacuous there.
+#[test]
+fn the_release_sweep_keeps_re_placements_on_the_paper_instance() {
+    let mut kept = 0;
+    for seed in 1..6 {
+        let (topo, wl) = paper_world(5.0, seed);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+        let sorp = SorpConfig::default();
+        let phase1 = ivsp_solve(&ctx, &wl.requests, sorp.policy);
+        let base = StorageLedger::new(&topo);
+        match check_sweep(&ctx, phase1, &sorp, &base) {
+            Ok(any) => kept += usize::from(any),
+            Err(e) => panic!("seed {seed}: {e:?}"),
+        }
+    }
+    assert!(kept > 0, "no seed's sweep kept a re-placement");
+}
+
 fn paper_world(capacity_gb: f64, seed: u64) -> (Topology, Workload) {
     let topo =
         builders::paper_fig4(&builders::PaperFig4Config { capacity_gb, ..Default::default() });
@@ -265,7 +365,8 @@ fn regional_regime_matches_monolithic_psi() {
 /// One shard over *non-empty* external occupancy is still the monolith,
 /// bit for bit: three consecutive cycles, each solved against the flat
 /// list of every earlier cycle's residency profiles — the original
-/// rolling loop (`ivsp` + `sorp` over a ledger of the committed list).
+/// rolling loop (`ivsp` + `sorp` + the sweep over a ledger of the
+/// committed list).
 #[test]
 fn cold_monolithic_matches_the_legacy_loop() {
     let (topo, wl) = paper_world(5.0, 3);
@@ -286,7 +387,8 @@ fn cold_monolithic_matches_the_legacy_loop() {
         }
         let ours = shard_solve_seeded(&ctx, &batch, &cfg, &base);
         let sorp = SorpConfig::default();
-        let legacy = sorp_solve(&ctx, ivsp_solve(&ctx, &batch, sorp.policy), &sorp, Some(&base));
+        let phase1 = ivsp_solve(&ctx, &batch, sorp.policy);
+        let (legacy, _) = sorp_solve_released(&ctx, phase1, &sorp, Some(&base));
         assert_eq!(ours.sorp.cost.to_bits(), legacy.cost.to_bits(), "cycle {k}");
         assert_eq!(ours.sorp.victims.len(), legacy.victims.len(), "cycle {k}");
         for r in legacy.schedule.residencies() {

@@ -6,12 +6,17 @@
 //! same victims, same iteration count — while that loop audits every
 //! overflow scan and every capacity answer of the production ledger
 //! against the flat scan, and its counters must reconcile: every
-//! materialized trial job is either run or answered from the cache.
+//! materialized trial job is either run or answered from the cache. The
+//! same holds after the release sweep the sharded pipeline ends in:
+//! [`sorp_solve_released`], which skips the victims whose committed trial
+//! provably replays, against [`sorp_solve_naive_released`], which
+//! re-places every victim.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use vod_core::audit::{
-    overflow_set, reschedule_video_traced, LedgerCursor, LedgerDelta, TrialTrace,
+    overflow_set, reschedule_video_traced, sorp_solve_released, LedgerCursor, LedgerDelta, Release,
+    TrialTrace,
 };
 use vod_core::{
     detect_overflows, ivsp_solve, shard_solve_seeded, sorp_solve, CommittedBook, Constraints,
@@ -19,7 +24,7 @@ use vod_core::{
     StorageLedger, EXTERNAL_OCCUPANCY,
 };
 use vod_cost_model::{CostModel, RequestBatch, SpaceProfile, VideoId};
-use vod_oracles::sorp_solve_naive;
+use vod_oracles::{sorp_solve_naive, sorp_solve_naive_released};
 use vod_topology::{builders, NodeId, Topology};
 use vod_workload::{
     generate_arrivals, generate_catalog, partition_requests, ArrivalConfig, CatalogConfig,
@@ -93,6 +98,35 @@ fn solve(ctx: &SchedCtx<'_>, wl: &Workload, s: &Scenario, naive: bool) -> SorpOu
     }
 }
 
+/// The production solver swept, or — `naive` — the audited naive loop
+/// and sweep.
+fn solve_released(
+    ctx: &SchedCtx<'_>,
+    wl: &Workload,
+    s: &Scenario,
+    naive: bool,
+) -> (SorpOutcome, Release) {
+    let cfg =
+        SorpConfig { metric: s.metric, max_iterations: s.max_iterations, ..Default::default() };
+    let phase1 = ivsp_solve(ctx, &wl.requests, cfg.policy);
+    if naive {
+        sorp_solve_naive_released(ctx, phase1, &cfg, None)
+    } else {
+        sorp_solve_released(ctx, phase1, &cfg, None)
+    }
+}
+
+/// Bit equality of two sweeps: their outcomes' decisions and counters.
+fn assert_sweeps_agree(
+    (cached, a): &(SorpOutcome, Release),
+    (oracle, b): &(SorpOutcome, Release),
+) -> Result<(), TestCaseError> {
+    assert_bit_identical(cached, oracle)?;
+    prop_assert_eq!((a.tried, a.kept), (b.tried, b.kept));
+    prop_assert_eq!(a.saved.to_bits(), b.saved.to_bits());
+    Ok(())
+}
+
 /// Field-by-field bit equality of two outcomes' decisions.
 fn assert_bit_identical(cached: &SorpOutcome, oracle: &SorpOutcome) -> Result<(), TestCaseError> {
     prop_assert!(cached.schedule == oracle.schedule, "schedules diverged");
@@ -146,6 +180,12 @@ proptest! {
         // The monitor never rescans more than the full scan does.
         prop_assert!(cached.nodes_rescanned <= oracle.nodes_rescanned);
 
+        // The sweep, with its skips, against the naive one re-placing
+        // every victim.
+        let swept = solve_released(&ctx, &wl, &s, false);
+        assert_sweeps_agree(&swept, &solve_released(&ctx, &wl, &s, true))?;
+        prop_assert!(swept.0.cost <= cached.cost, "the sweep raised Ψ");
+
         // Determinism of the cached path itself.
         let again = solve(&ctx, &wl, &s, false);
         assert_bit_identical(&again, &cached)?;
@@ -171,10 +211,15 @@ fn timeline_and_reference_ledgers_give_bit_identical_schedules() {
         let cfg = SorpConfig::default();
         let priced = ivsp_solve(&ctx, &wl.requests, cfg.policy);
         let fast = sorp_solve(&ctx, priced.clone(), &cfg, None);
-        let oracle = sorp_solve_naive(&ctx, priced, &cfg, None);
+        let oracle = sorp_solve_naive(&ctx, priced.clone(), &cfg, None);
         assert!(fast.resolved_anything(), "seed {seed}: nothing to resolve");
         if let Err(e) = assert_bit_identical(&fast, &oracle) {
             panic!("seed {seed}: {e:?}");
+        }
+        let swept = sorp_solve_released(&ctx, priced.clone(), &cfg, None);
+        let naive = sorp_solve_naive_released(&ctx, priced, &cfg, None);
+        if let Err(e) = assert_sweeps_agree(&swept, &naive) {
+            panic!("seed {seed}, swept: {e:?}");
         }
     }
 }
@@ -469,17 +514,23 @@ fn contended_cell_against_naive(max_iterations: usize) -> (usize, usize) {
     let cell = Cell::contended(8);
     let sorp = SorpConfig { max_iterations, ..cell.cfg.sorp.clone() };
     let spec = ShardSpec { shards: cell.cfg.shards, strategy: cell.cfg.strategy, seed: 0 };
-    let (mut rebuilt, mut scored, mut fallbacks) = (0, 0, 0);
+    let (mut rebuilt, mut scored, mut fallbacks, mut kept) = (0, 0, 0, 0);
     cell.drive(|ctx, k, batch, external| {
         let mut solves = partition_requests(&cell.topo, batch, &spec);
         solves.push(batch.clone());
         for (si, part) in solves.iter().enumerate() {
             let phase1 = ivsp_solve(ctx, part, sorp.policy);
             let cached = sorp_solve(ctx, phase1.clone(), &sorp, Some(external));
-            let oracle = sorp_solve_naive(ctx, phase1, &sorp, Some(external));
+            let oracle = sorp_solve_naive(ctx, phase1.clone(), &sorp, Some(external));
             if let Err(e) = assert_bit_identical(&cached, &oracle) {
                 panic!("cycle {k}, solve {si} of {}: {e:?}", solves.len());
             }
+            let swept = sorp_solve_released(ctx, phase1.clone(), &sorp, Some(external));
+            let naive = sorp_solve_naive_released(ctx, phase1, &sorp, Some(external));
+            if let Err(e) = assert_sweeps_agree(&swept, &naive) {
+                panic!("cycle {k}, solve {si} of {}, swept: {e:?}", solves.len());
+            }
+            kept += swept.1.kept;
             assert_eq!(cached.trials_run + cached.trials_cached, oracle.trials_run);
             assert_eq!(oracle.jobs_rebuilt, oracle.trials_run);
             fallbacks += cached.forced_fallbacks;
@@ -490,6 +541,8 @@ fn contended_cell_against_naive(max_iterations: usize) -> (usize, usize) {
         }
     });
     assert_eq!(fallbacks > 0, max_iterations < 10_000, "cap {max_iterations} vs the fallback tail");
+    // Only heat-driven victims are swept: the tail's re-placements are not.
+    assert_eq!(kept > 0, max_iterations > 0, "cap {max_iterations}: {kept} kept");
     (rebuilt, scored)
 }
 
@@ -536,6 +589,11 @@ fn fallback_tail_agrees_with_the_oracle_behind_an_external_overflow() {
         let oracle = sorp_solve_naive(&ctx, phase1.clone(), &cfg, Some(&external));
         if let Err(e) = assert_bit_identical(&cached, &oracle) {
             panic!("cap {cap}: {e:?}");
+        }
+        let swept = sorp_solve_released(&ctx, phase1.clone(), &cfg, Some(&external));
+        let naive = sorp_solve_naive_released(&ctx, phase1.clone(), &cfg, Some(&external));
+        if let Err(e) = assert_sweeps_agree(&swept, &naive) {
+            panic!("cap {cap}, swept: {e:?}");
         }
         assert!(!cached.overflow_free && cached.forced_fallbacks > 0, "cap {cap}");
         assert_eq!(cached.schedule.delivery_count(), wl.requests.len(), "cap {cap}");

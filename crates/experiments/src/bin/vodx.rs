@@ -100,10 +100,11 @@ fn main() -> ExitCode {
             Ok(rec) => {
                 println!("# Flight recording {path}");
                 print!(
-                    "{}{}{}",
+                    "{}{}{}{}",
                     rec.summarize(),
                     render_cycle_end_totals(&rec),
-                    render_hold_totals(&rec)
+                    render_hold_totals(&rec),
+                    render_release_totals(&rec)
                 );
                 return ExitCode::SUCCESS;
             }
@@ -342,6 +343,25 @@ fn render_hold_totals(rec: &vod_obs::Recording) -> String {
     out
 }
 
+/// The run's release sweeps in a recording: the `released_tried`,
+/// `released_kept` and `released_saved` fields of the `shard_solve`
+/// events, summed — the victims the sweeps re-placed with their bans
+/// lifted, the re-placements kept, and the Ψ they saved. Empty when the
+/// recording has no `shard_solve` event.
+fn render_release_totals(rec: &vod_obs::Recording) -> String {
+    let mut out = String::new();
+    if rec.events_of("shard_solve").next().is_none() {
+        return out;
+    }
+    let count = |field| rec.events_of("shard_solve").filter_map(|e| e.u64(field)).sum::<u64>();
+    let saved: f64 = rec.events_of("shard_solve").filter_map(|e| e.f64("released_saved")).sum();
+    let _ = writeln!(out, "release sweeps:");
+    let _ = writeln!(out, "  {:<40} {}", "shard.released_tried", count("released_tried"));
+    let _ = writeln!(out, "  {:<40} {}", "shard.released_kept", count("released_kept"));
+    let _ = writeln!(out, "  {:<40} {saved:.2}", "shard.released_saved");
+    out
+}
+
 /// With `--out`, write `body` to `file` in that directory.
 fn write_out(out_dir: &Option<PathBuf>, file: &str, body: &str) -> Result<(), String> {
     let Some(dir) = out_dir else { return Ok(()) };
@@ -455,6 +475,30 @@ mod tests {
         assert!(report.shed_events > 0, "the burst must shed, or the sums are vacuous");
         // A recording without cycle_end events has no totals section.
         assert!(render_cycle_end_totals(&vod_obs::Recording::default()).is_empty());
+    }
+
+    #[test]
+    fn trace_sums_the_release_sweeps() {
+        let recorder = Recorder::enabled();
+        let (outcomes, _) = Scenario::paper(&cheap_params(), 3).run(&recorder);
+        let rec = recorder.recording().expect("enabled");
+        let text = render_release_totals(&rec);
+        let value = |name: &str| -> String {
+            let line = text.lines().find(|l| l.split_whitespace().next() == Some(name));
+            let line = line.unwrap_or_else(|| panic!("no {name} line:\n{text}"));
+            line.split_whitespace().nth(1).expect("a value").to_string()
+        };
+        let events: Vec<_> = rec.events_of("shard_solve").collect();
+        assert_eq!(events.len(), outcomes.iter().filter(|o| !o.served.is_empty()).count());
+        let sum = |field| events.iter().filter_map(|e| e.u64(field)).sum::<u64>();
+        let (tried, kept) = (sum("released_tried"), sum("released_kept"));
+        assert!(kept > 0 && tried >= kept, "the cell must keep re-placements: {kept} of {tried}");
+        assert_eq!(value("shard.released_tried"), tried.to_string());
+        assert_eq!(value("shard.released_kept"), kept.to_string());
+        let saved: f64 = events.iter().filter_map(|e| e.f64("released_saved")).sum();
+        assert!(saved > 0.0);
+        assert_eq!(value("shard.released_saved"), format!("{saved:.2}"));
+        assert!(render_release_totals(&vod_obs::Recording::default()).is_empty());
     }
 
     #[test]

@@ -10,6 +10,15 @@
 //! table sets the bound beside the service's own Ψ per request, which
 //! holds copies ([`crate::Scenario::run`]), and reports the share of the
 //! `m = 2` bound the service captures.
+//!
+//! The `m` columns run the plain solve-and-commit loop: none of the
+//! cell's budget, queue bound or fault plan applies, so every arrival is
+//! solved on the full pipeline the cycle it is due and nothing is shed,
+//! deferred or repaired. The service column runs the cell as configured.
+//! On the three cells without those (`steady`, `contended`,
+//! `ample_wide`) `m = 1` is the service without holds; on
+//! `overload_faults` the two differ in what they serve and when, and the
+//! column is no bound there.
 
 use crate::{Preset, Scenario};
 use std::fmt::Write as _;
@@ -61,6 +70,11 @@ impl WindowsTable {
             out,
             "# m = k solves k windows as one batch over a book that holds nothing; \
              the service solves one a cycle and holds copies across the boundary"
+        );
+        let _ = writeln!(
+            out,
+            "# the m columns run the plain solve-and-commit loop: no budget, no queue bound, \
+             no faults; the service runs the cell's own"
         );
         let ms: Vec<usize> = self.rows.first().map_or_else(Vec::new, |r| {
             r.per_m.iter().map(|&(m, _)| m).filter(|&m| m > 1).collect()

@@ -1,7 +1,10 @@
 //! Reference implementations the equivalence suites compare `vod_core`
 //! against: the naive SORP loop ([`sorp_solve_naive`], the oracle for
-//! [`vod_core::sorp_solve`]) and the flat-scan ledger queries
-//! ([`flat`], the oracle for [`vod_core::StorageLedger`]).
+//! [`vod_core::sorp_solve`]), the same loop followed by the release
+//! sweep ([`sorp_solve_naive_released`], the oracle for
+//! `vod_core::audit::sorp_solve_released` and so for the sharded
+//! pipeline) and the flat-scan ledger queries ([`flat`], the oracle for
+//! [`vod_core::StorageLedger`]).
 //!
 //! The naive loop is the resolution loop without standing jobs, the trial
 //! cache or the incremental overflow monitor: every iteration re-detects
@@ -16,10 +19,11 @@
 //! While it runs, the loop **audits** the production ledger with the flat
 //! scan: every iteration's [`detect_overflows`] is compared with the
 //! flat-scan windows ([`audit_overflows`]) and every ledger-consulting
-//! admission test of every trial is re-answered by the flat-scan `fits`
-//! ([`audit_admissions`]). A disagreement panics with the storage and the
-//! two answers. That is the "a reference ledger takes the same decisions"
-//! property, without a second ledger inside the production struct.
+//! admission test of every trial — the tail's and the sweep's included —
+//! is re-answered by the flat-scan `fits` ([`audit_admissions`]). A
+//! disagreement panics with the storage and the two answers. That is the
+//! "a reference ledger takes the same decisions" property, without a
+//! second ledger inside the production struct.
 //!
 //! Dev-only: nothing outside `[dev-dependencies]` may depend on this
 //! crate.
@@ -30,13 +34,13 @@
 pub mod flat;
 
 use std::collections::HashMap;
-use vod_core::audit::{heats_tie, overflow_set, reschedule_video_traced, AdmissionCheck};
+use vod_core::audit::{heats_tie, overflow_set, reschedule_video_traced, AdmissionCheck, Release};
 use vod_core::heat::heat_of;
 use vod_core::{
     detect_overflows, Constraints, Interval, Overflow, PricedSchedule, SchedCtx, SorpConfig,
     SorpOutcome, StorageLedger, VictimRecord,
 };
-use vod_cost_model::{Dollars, SpaceProfile, Transfer, VideoId, VideoSchedule};
+use vod_cost_model::{Dollars, Schedule, SpaceProfile, VideoId, VideoSchedule};
 use vod_topology::{NodeId, Topology};
 
 /// Compare the overflows production detected on `ledger` with the flat
@@ -122,6 +126,45 @@ struct Job<'s> {
     old_cost: Dollars,
 }
 
+/// One traced rejective-greedy run of `vid`'s delivered requests against
+/// `ledger` less the video's own profiles, its every capacity answer
+/// re-answered by the flat scan.
+fn audited_trial(
+    ctx: &SchedCtx<'_>,
+    ledger: &StorageLedger,
+    old_vs: &VideoSchedule,
+    bans: &[(NodeId, Interval)],
+    cfg: &SorpConfig,
+    what: &dyn std::fmt::Display,
+) -> VideoSchedule {
+    let vid = old_vs.video;
+    let cons = Constraints { ledger, exclude: Some(vid), forbidden: bans };
+    let (new_vs, trace) =
+        reschedule_video_traced(ctx, &old_vs.delivered_requests(), &cons, cfg.policy);
+    if let Err(e) = audit_admissions(ctx.topo, ledger, Some(vid), &trace.checks) {
+        panic!("admission audit, {what}: {e}");
+    }
+    new_vs
+}
+
+/// The naive loop's working set when it stops, beside its outcome, whose
+/// schedule, Ψ and overflow verdict [`Naive::finish`] reads off the set.
+struct Naive {
+    priced: PricedSchedule,
+    ledger: StorageLedger,
+    outcome: SorpOutcome,
+}
+
+impl Naive {
+    fn finish(self, ctx: &SchedCtx<'_>) -> SorpOutcome {
+        let Naive { priced, ledger, mut outcome } = self;
+        outcome.cost = priced.total();
+        outcome.overflow_free = detect_overflows(ctx.topo, &ledger).is_empty();
+        outcome.schedule = priced.into_schedule();
+        outcome
+    }
+}
+
 /// Resolve every storage overflow of `priced` with the naive loop, over
 /// the immutable occupancy of `base` (`None`: empty), auditing the
 /// ledger's every answer against the flat scan (see the crate docs).
@@ -135,10 +178,61 @@ struct Job<'s> {
 /// Panics when the production ledger and the flat scan disagree.
 pub fn sorp_solve_naive(
     ctx: &SchedCtx<'_>,
-    mut priced: PricedSchedule,
+    priced: PricedSchedule,
     cfg: &SorpConfig,
     base: Option<&StorageLedger>,
 ) -> SorpOutcome {
+    resolve_naive(ctx, priced, cfg, base).finish(ctx)
+}
+
+/// [`sorp_solve_naive`] followed by the release sweep, the oracle for
+/// `vod_core::audit::sorp_solve_released`: every victim video, once each
+/// in video-id order, re-placed by the rejective greedy under no bans
+/// against the ledger as it stands, its admissions audited, and the
+/// re-placement committed only when it is cheaper than the video's
+/// schedule by more than one part in 10⁹ of that cost. Every victim is
+/// re-placed in full: nothing is skipped.
+///
+/// # Panics
+///
+/// Panics when the production ledger and the flat scan disagree.
+pub fn sorp_solve_naive_released(
+    ctx: &SchedCtx<'_>,
+    priced: PricedSchedule,
+    cfg: &SorpConfig,
+    base: Option<&StorageLedger>,
+) -> (SorpOutcome, Release) {
+    let mut naive = resolve_naive(ctx, priced, cfg, base);
+    let mut videos: Vec<VideoId> = naive.outcome.victims.iter().map(|v| v.video).collect();
+    videos.sort_unstable();
+    videos.dedup();
+    let Naive { priced, ledger, .. } = &mut naive;
+    let mut release = Release::default();
+    for vid in videos {
+        let Some(old_vs) = priced.schedule().video(vid) else { continue };
+        if old_vs.delivered().next().is_none() {
+            continue;
+        }
+        let new_vs = audited_trial(ctx, ledger, old_vs, &[], cfg, &"release sweep");
+        release.tried += 1;
+        let old_cost = priced.video_cost(vid).expect("a scheduled video is priced");
+        let new_cost = ctx.video_cost(&new_vs);
+        if new_cost < old_cost - 1e-9 * old_cost.abs() {
+            release.kept += 1;
+            release.saved += old_cost - new_cost;
+            commit(ctx, priced, ledger, new_vs);
+        }
+    }
+    (naive.finish(ctx), release)
+}
+
+/// The naive loop itself.
+fn resolve_naive(
+    ctx: &SchedCtx<'_>,
+    mut priced: PricedSchedule,
+    cfg: &SorpConfig,
+    base: Option<&StorageLedger>,
+) -> Naive {
     let initial_cost = priced.total();
     // The base first, schedule second: the production solver's order, so
     // both loops read the same entries in the same order.
@@ -163,22 +257,19 @@ pub fn sorp_solve_naive(
             break;
         }
         if iterations >= cfg.max_iterations {
-            // Fallback: force one participant of the first overflow that
-            // has any to direct-only delivery. Strictly reduces stored
-            // bytes, so this loop tail terminates.
+            // The tail: re-place one participant of the first overflow
+            // that has any under its bans plus that overflow's window,
+            // unscored; the ban stays.
             let victim = overflows.iter().find_map(|of| {
                 let &(vid, _) = overflow_set(&ledger, of).first()?;
-                priced.schedule().video(vid)
+                Some((priced.schedule().video(vid)?, (of.loc, of.window)))
             });
-            let Some(old) = victim else {
+            let Some((old, ban)) = victim else {
                 break; // purely external overflows: unresolvable
             };
-            let vw = ctx.topo.warehouse();
-            let mut new_vs = VideoSchedule::new(old.video);
-            new_vs.transfers.extend(old.delivered_requests().iter().map(|req| {
-                let route = ctx.routes.shared_path(vw, ctx.topo.home_of(req.user));
-                Transfer::for_user(req, route.expect("the warehouse reaches every user"))
-            }));
+            let bans = forbidden.entry(old.video).or_default();
+            bans.push(ban);
+            let new_vs = audited_trial(ctx, &ledger, old, bans, cfg, &"tail");
             commit(ctx, &mut priced, &mut ledger, new_vs);
             forced_fallbacks += 1;
             continue;
@@ -207,13 +298,8 @@ pub fn sorp_solve_naive(
         trials_run += jobs.len();
         let mut trials = Vec::with_capacity(jobs.len());
         for job in &jobs {
-            let cons =
-                Constraints { ledger: &ledger, exclude: Some(job.vid), forbidden: &job.bans };
-            let requests = job.old_vs.delivered_requests();
-            let (new_vs, trace) = reschedule_video_traced(ctx, &requests, &cons, cfg.policy);
-            if let Err(e) = audit_admissions(ctx.topo, &ledger, Some(job.vid), &trace.checks) {
-                panic!("admission audit, iteration {iterations}: {e}");
-            }
+            let what = format_args!("iteration {iterations}");
+            let new_vs = audited_trial(ctx, &ledger, job.old_vs, &job.bans, cfg, &what);
             let overhead = ctx.video_cost(&new_vs) - job.old_cost;
             let heat = heat_of(cfg.metric, &overflows[job.of_idx], &job.profile, overhead);
             trials.push((heat, overhead, new_vs));
@@ -258,21 +344,20 @@ pub fn sorp_solve_naive(
         commit(ctx, &mut priced, &mut ledger, new_vs);
     }
 
-    let cost = priced.total();
-    let overflow_free = detect_overflows(ctx.topo, &ledger).is_empty();
-    SorpOutcome {
-        schedule: priced.into_schedule(),
-        cost,
+    let outcome = SorpOutcome {
+        schedule: Schedule::new(),
+        cost: 0.0,
         initial_cost,
         iterations,
         victims,
-        overflow_free,
+        overflow_free: false,
         forced_fallbacks,
         trials_run,
         trials_cached: 0,
         jobs_rebuilt: trials_run,
         nodes_rescanned,
-    }
+    };
+    Naive { priced, ledger, outcome }
 }
 
 #[cfg(test)]

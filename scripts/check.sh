@@ -59,7 +59,7 @@ echo "==> admission lint (the kernel asks the constraints in one place, after th
 # site, or one ahead of the allow_remote_placement filter, would ask (and
 # record) about sources that cannot take the request.
 awk '/^#\[cfg\(test\)\]/ { exit }
-     /^fn greedy_with_cursor/ { kernel = 1 }
+     /^(pub\(crate\) )?fn greedy_with_cursor/ { kernel = 1 }
      /^}/ { kernel = 0 }
      kernel && /!policy\.allow_remote_placement/ && !filter { filter = FNR }
      /\.admits\(/ { calls++; if (!kernel || !filter) stray = FNR }

@@ -96,10 +96,44 @@ fn cycle_records_reconcile_with_the_service_report() {
     );
 }
 
+/// Every `shard_solve` event reports its release sweep: it tries each
+/// distinct victim at most once, keeps a subset, and saves Ψ exactly when
+/// it keeps. Returns the re-placements kept over the recording.
+fn check_release_fields(recording: &Recording) -> u64 {
+    let mut kept_total = 0;
+    for ev in recording.events_of("shard_solve") {
+        let field = |name| ev.u64(name).unwrap_or_else(|| panic!("shard_solve lacks {name}"));
+        let (tried, kept) = (field("released_tried"), field("released_kept"));
+        let saved = ev.f64("released_saved").expect("shard_solve records released_saved");
+        assert!(kept <= tried && tried <= field("victims"), "{kept} of {tried} kept");
+        assert_eq!(kept > 0, saved > 0.0, "{kept} kept, {saved} saved");
+        kept_total += kept;
+    }
+    kept_total
+}
+
+/// On the full rung the sweeps keep re-placements — so the checks above
+/// are not vacuous — and the recording stays byte-deterministic with the
+/// new fields in it. (The budgeted run above places every cycle on a
+/// degraded rung, whose pass has no victims to sweep.)
+#[test]
+fn release_sweeps_are_recorded_on_the_full_rung() {
+    let params = EnvParams::for_preset(Preset::Fast);
+    let run = || {
+        let recorder = Recorder::enabled();
+        let _ = Scenario::paper(&params, 2).run(&recorder);
+        recorder.recording().expect("recorder is enabled")
+    };
+    let recording = run();
+    assert!(check_release_fields(&recording) > 0, "no sweep kept a re-placement");
+    assert_eq!(recording.to_jsonl(), run().to_jsonl(), "recordings diverged");
+}
+
 /// Intake, rung, warm, and shard-solve events arrive once per cycle, in
 /// simulated-time order, and their per-cycle fields agree with the
 /// report rows (intake conservation: offered = admitted + rejections +
-/// queued growth is audited via the loop's own fields).
+/// queued growth is audited via the loop's own fields); every solve
+/// records its release sweep.
 #[test]
 fn per_stage_events_are_complete_and_ordered() {
     let (outcomes, report, recording) = recorded_run();
@@ -118,6 +152,7 @@ fn per_stage_events_are_complete_and_ordered() {
         assert_eq!(ev.u64("admitted"), Some(stats.admitted as u64));
         assert_eq!(ev.u64("rejected_full"), Some(stats.rejected_full as u64));
     }
+    check_release_fields(&recording);
     for (ev, out) in recording.events_of("warm").zip(&outcomes) {
         assert_eq!(ev.u64("shards_used"), Some(out.warm.shards_used as u64));
         assert_eq!(ev.u64("committed_active"), Some(out.warm.committed_active as u64));
