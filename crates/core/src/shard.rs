@@ -65,7 +65,7 @@
 
 use crate::capacity::Solved;
 use crate::greedy::place;
-use crate::sorp::{PerVideo, Release, Settled, SolveState};
+use crate::sorp::{PerVideo, Release, SolveState};
 use crate::warm::HeldCopies;
 use crate::{
     detect_overflows, GreedyPolicy, PricedSchedule, SchedCtx, SorpConfig, SorpOutcome,
@@ -324,12 +324,10 @@ fn reconcile(
     }
 
     // Tear the shard states apart: schedules merge, bans append in shard
-    // order, committed trials carry over, counters aggregate, ledgers give
-    // rows. Nothing else crosses.
+    // order, counters aggregate, ledgers give rows. Nothing else crosses.
     let mut parts = Vec::with_capacity(shards);
     let mut ledgers = Vec::with_capacity(shards);
     let mut shard_bans: Vec<PerVideo<_>> = Vec::with_capacity(shards);
-    let mut shard_settled: Vec<PerVideo<_>> = Vec::with_capacity(shards);
     let mut initial_cost = 0.0;
     let mut iterations = 0;
     let mut forced_fallbacks = 0;
@@ -348,38 +346,25 @@ fn reconcile(
         nodes_rescanned += s.nodes_rescanned;
         victims.append(&mut s.victims);
         shard_bans.push(s.forbidden);
-        shard_settled.push(s.settled);
         ledgers.push((s.ledger, s.dirty));
         parts.push(s.priced);
     }
 
     // The merge meets every video of every shard once, so it also knows
     // which ones landed in several, and carries each shard's bans over to
-    // the video's merged position, appended in shard order, and its
-    // committed trial. The tables are sized by the parts' video total and
-    // trimmed to the merged count. A split video's merged schedule is no
-    // trial's output: its trials stay behind.
+    // the video's merged position, appended in shard order. The table is
+    // sized by the parts' video total and trimmed to the merged count.
     let mut forbidden: PerVideo<Vec<_>> = PerVideo::new();
-    let mut settled: PerVideo<Option<Settled>> = PerVideo::new();
     let videos = parts.iter().map(|p| p.schedule().video_count()).sum();
     let (merged, split) = PricedSchedule::merge_with(parts, |shard, at, merged_at| {
         if let Some(bans) = shard_bans[shard].written(at).filter(|bans| !bans.is_empty()) {
             forbidden.get_mut(merged_at, videos).append(bans);
         }
-        if let Some(trial) = shard_settled[shard].take(at) {
-            *settled.get_mut(merged_at, videos) = Some(trial.carried());
-        }
     });
     forbidden.truncate(merged.schedule().video_count());
-    settled.truncate(merged.schedule().video_count());
-    for &vid in &split {
-        let at = merged.schedule().position(vid).expect("a split video is merged");
-        settled.take(at);
-    }
     let ledger = global_ledger(ctx, base, &merged, ledgers);
     let mut global = SolveState::laid(ctx, merged, ledger);
     global.forbidden = forbidden;
-    global.settled = settled;
     global.held = held.clone();
 
     // Seed the aggregate counters so the final outcome reports totals

@@ -86,12 +86,10 @@
 //! of it after later victims have freed it. The sharded pipeline ends
 //! every solve in one sweep (`SolveState::release`) that re-places each
 //! victim once with its bans lifted and keeps the re-placement when it is
-//! cheaper; [`sorp_solve`], the paper's Phase 2, does not sweep. A victim
-//! whose committed trial replays unchanged without its bans would get its
-//! own schedule back, and is skipped. The oracle,
-//! `vod_oracles::sorp_solve_naive_released`, re-places every victim.
+//! cheaper; [`sorp_solve`], the paper's Phase 2, does not sweep. The
+//! oracle is `vod_oracles::sorp_solve_naive_released`.
 
-use crate::capacity::{AdmissionCheck, LedgerCursor, LedgerDelta, Solved, TrialTrace};
+use crate::capacity::{LedgerCursor, LedgerDelta, Solved, TrialTrace};
 use crate::greedy::{greedy_with_cursor, place, reschedule_traced_in, GreedyScratch, COST_EPS};
 use crate::heat::heat_of;
 use crate::overflow::{overflow_set, OverflowMonitor};
@@ -104,7 +102,7 @@ use serde::{Deserialize, Serialize};
 use vod_cost_model::{
     Dollars, Request, RequestBatch, Schedule, SpaceProfile, VideoId, VideoSchedule,
 };
-use vod_topology::{NodeId, Topology};
+use vod_topology::NodeId;
 
 /// Relative tolerance for treating two heat values as equal, mirroring
 /// the greedy's `COST_EPS` candidate comparison: near-equal heats fall
@@ -314,51 +312,6 @@ struct CachedTrial {
     epoch: usize,
 }
 
-/// A victim's committed trial, kept for the release sweep: the greedy run
-/// whose output is the video's schedule, and since when its recorded
-/// verdicts are current. The sweep's run differs from it only in the
-/// bans, so when every recorded admission answer re-answers the same
-/// with the bans lifted ([`Constraints::check_replays`]) the sweep would
-/// reproduce the schedule bit for bit, and has nothing to try.
-#[derive(Default)]
-pub(crate) struct Settled {
-    trace: TrialTrace,
-    /// `Some(e)`: the verdicts are current as of `deltas[..e]`. `None`:
-    /// the trial ran in a shard pass, against another ledger; every
-    /// capacity verdict is re-derived.
-    epoch: Option<usize>,
-}
-
-impl Settled {
-    /// This trial carried out of its shard pass into the global one,
-    /// whose ledger its verdicts were not taken against.
-    pub(crate) fn carried(self) -> Self {
-        Self { epoch: None, ..self }
-    }
-
-    /// Whether every recorded admission test re-answers the same under
-    /// `cons`, given the commit `deltas` of the state the trial settled
-    /// in: the exact condition for the greedy to replay the trial.
-    fn replays(
-        &self,
-        topo: &Topology,
-        cons: &Constraints<'_>,
-        deltas: &[LedgerDelta],
-        cursor: &mut LedgerCursor,
-    ) -> bool {
-        let mut dirty = LedgerDelta::new();
-        let Some(epoch) = self.epoch else {
-            // Taken against another ledger: every capacity verdict is asked
-            // again.
-            return self.trace.checks.iter().all(|c| {
-                cons.check_replays(topo, &AdmissionCheck { fits: None, ..*c }, &dirty, cursor)
-            });
-        };
-        deltas[epoch..].iter().for_each(|d| dirty.merge(d));
-        self.trace.checks.iter().all(|c| cons.check_replays(topo, c, &dirty, cursor))
-    }
-}
-
 /// Cap on memoized trials per video. A video keeps one entry per
 /// distinct bans-behavior it was recently trialed under — in practice
 /// one per overflow it participates in — so the cap only guards
@@ -519,11 +472,6 @@ impl<T: Default> PerVideo<T> {
         self.0.truncate(videos);
     }
 
-    /// The entry at `at`, taken, leaving the default behind.
-    pub(crate) fn take(&mut self, at: usize) -> T {
-        self.0.get_mut(at).map(std::mem::take).unwrap_or_default()
-    }
-
     /// Keep step with a schedule that gained a video at `at`.
     fn inserted(&mut self, at: usize) {
         if !self.0.is_empty() {
@@ -568,9 +516,8 @@ fn select_victim(jobs: &[StandingJob]) -> Option<usize> {
 /// resolves it once more and ends in the release sweep
 /// ([`SolveState::release`]); the service loop's fault repair is one
 /// more pass over that final state, before it is finished. Only the
-/// schedule, the bans and the victims' committed trials outlive a pass:
-/// its jobs, cache and deltas are private to this module and start empty
-/// in every new state.
+/// schedule and the bans outlive a pass: its jobs, cache and deltas are
+/// private to this module and start empty in every new state.
 pub(crate) struct SolveState {
     pub(crate) priced: PricedSchedule,
     pub(crate) ledger: StorageLedger,
@@ -597,9 +544,6 @@ pub(crate) struct SolveState {
     deltas: Vec<LedgerDelta>,
     /// The buffers every greedy run of the state works in.
     scratch: GreedyScratch,
-    /// Per video: its committed trial, while that trial's output is its
-    /// schedule.
-    pub(crate) settled: PerVideo<Option<Settled>>,
     pub(crate) trials_run: usize,
     pub(crate) trials_cached: usize,
     pub(crate) jobs_rebuilt: usize,
@@ -659,7 +603,6 @@ impl SolveState {
             cache: PerVideo::new(),
             deltas: Vec::new(),
             scratch: GreedyScratch::default(),
-            settled: PerVideo::new(),
             trials_run: 0,
             trials_cached: 0,
             jobs_rebuilt: 0,
@@ -846,8 +789,6 @@ impl SolveState {
             // The trial priced its schedule when it ran: commit at that price.
             let trial = job.trial.expect("every job was just scored");
             self.commit_priced(ctx, trial.new_vs, trial.new_cost);
-            let settled = Settled { trace: trial.trace, epoch: Some(trial.epoch) };
-            *self.settled.get_mut(job.at, videos) = Some(settled);
         }
         self.jobs.clear();
     }
@@ -861,16 +802,11 @@ impl SolveState {
     /// inputs and changes none. Admission is rejective: a kept
     /// re-placement overflows nothing the ledger did not, and it delivers
     /// the same requests.
-    ///
-    /// A victim whose committed trial re-answers every admission test the
-    /// same with its bans lifted ([`Settled`]) would get its own schedule
-    /// back: it counts as tried, and the greedy does not run.
     pub(crate) fn release(&mut self, ctx: &SchedCtx<'_>, policy: GreedyPolicy) -> Release {
         let mut videos: Vec<VideoId> = self.victims.iter().map(|v| v.video).collect();
         videos.sort_unstable();
         videos.dedup();
         let mut out = Release::default();
-        let mut cursor = LedgerCursor::new();
         for vid in videos {
             let Ok(at) = self.priced.schedule().position(vid) else { continue };
             let requests = self.priced.schedule().video_at(at).delivered_requests();
@@ -880,18 +816,8 @@ impl SolveState {
             out.tried += 1;
             let cons = Constraints { ledger: &self.ledger, exclude: Some(vid), forbidden: &[] };
             let held = self.held.of(vid);
-            let rerun = |scratch: &mut GreedyScratch| {
-                greedy_with_cursor(ctx, &requests, held, Some(&cons), policy, scratch)
-            };
-            let settled = self.settled.take(at);
-            if settled.is_some_and(|s| s.replays(ctx.topo, &cons, &self.deltas, &mut cursor)) {
-                debug_assert!(
-                    rerun(&mut self.scratch) == *self.priced.schedule().video_at(at),
-                    "video {vid:?}: a replaying trial would have moved"
-                );
-                continue;
-            }
-            let new_vs = rerun(&mut self.scratch);
+            let new_vs =
+                greedy_with_cursor(ctx, &requests, held, Some(&cons), policy, &mut self.scratch);
             let (old_cost, new_cost) = (self.priced.cost_at(at), ctx.video_cost(&new_vs));
             if new_cost < old_cost - COST_EPS * old_cost.abs() {
                 out.kept += 1;
@@ -944,14 +870,10 @@ impl SolveState {
             let profile = r.profile(ctx.catalog.get(r.video));
             self.ledger.add_tracked(r.loc, r.video, profile, &mut delta);
         }
-        match self.priced.commit_priced(ctx, new_vs, new_cost).1 {
-            Ok(at) => drop(self.settled.take(at)),
-            Err(at) => {
-                debug_assert!(self.jobs.is_empty(), "a pass inserted a video under its jobs");
-                self.forbidden.inserted(at);
-                self.cache.inserted(at);
-                self.settled.inserted(at);
-            }
+        if let (_, Err(at)) = self.priced.commit_priced(ctx, new_vs, new_cost) {
+            debug_assert!(self.jobs.is_empty(), "a pass inserted a video under its jobs");
+            self.forbidden.inserted(at);
+            self.cache.inserted(at);
         }
         self.deltas.push(delta);
     }

@@ -8,9 +8,8 @@
 //! against the flat scan, and its counters must reconcile: every
 //! materialized trial job is either run or answered from the cache. The
 //! same holds after the release sweep the sharded pipeline ends in:
-//! [`sorp_solve_released`], which skips the victims whose committed trial
-//! provably replays, against [`sorp_solve_naive_released`], which
-//! re-places every victim.
+//! [`sorp_solve_released`] against [`sorp_solve_naive_released`], whose
+//! sweep audits its every admission the same way.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -180,8 +179,7 @@ proptest! {
         // The monitor never rescans more than the full scan does.
         prop_assert!(cached.nodes_rescanned <= oracle.nodes_rescanned);
 
-        // The sweep, with its skips, against the naive one re-placing
-        // every victim.
+        // The sweep against the audited naive one.
         let swept = solve_released(&ctx, &wl, &s, false);
         assert_sweeps_agree(&swept, &solve_released(&ctx, &wl, &s, true))?;
         prop_assert!(swept.0.cost <= cached.cost, "the sweep raised Ψ");
