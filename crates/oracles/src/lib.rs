@@ -40,7 +40,7 @@ use vod_core::{
     detect_overflows, Constraints, Interval, Overflow, PricedSchedule, SchedCtx, SorpConfig,
     SorpOutcome, StorageLedger, VictimRecord,
 };
-use vod_cost_model::{Dollars, Schedule, SpaceProfile, VideoId, VideoSchedule};
+use vod_cost_model::{Dollars, SpaceProfile, VideoId, VideoSchedule};
 use vod_topology::{NodeId, Topology};
 
 /// Compare the overflows production detected on `ledger` with the flat
@@ -147,24 +147,6 @@ fn audited_trial(
     new_vs
 }
 
-/// The naive loop's working set when it stops, beside its outcome, whose
-/// schedule, Ψ and overflow verdict [`Naive::finish`] reads off the set.
-struct Naive {
-    priced: PricedSchedule,
-    ledger: StorageLedger,
-    outcome: SorpOutcome,
-}
-
-impl Naive {
-    fn finish(self, ctx: &SchedCtx<'_>) -> SorpOutcome {
-        let Naive { priced, ledger, mut outcome } = self;
-        outcome.cost = priced.total();
-        outcome.overflow_free = detect_overflows(ctx.topo, &ledger).is_empty();
-        outcome.schedule = priced.into_schedule();
-        outcome
-    }
-}
-
 /// Resolve every storage overflow of `priced` with the naive loop, over
 /// the immutable occupancy of `base` (`None`: empty), auditing the
 /// ledger's every answer against the flat scan (see the crate docs).
@@ -182,7 +164,7 @@ pub fn sorp_solve_naive(
     cfg: &SorpConfig,
     base: Option<&StorageLedger>,
 ) -> SorpOutcome {
-    resolve_naive(ctx, priced, cfg, base).finish(ctx)
+    solve_naive(ctx, priced, cfg, base, false).0
 }
 
 /// [`sorp_solve_naive`] followed by the release sweep, the oracle for
@@ -190,8 +172,7 @@ pub fn sorp_solve_naive(
 /// in video-id order, re-placed by the rejective greedy under no bans
 /// against the ledger as it stands, its admissions audited, and the
 /// re-placement committed only when it is cheaper than the video's
-/// schedule by more than one part in 10⁹ of that cost. Every victim is
-/// re-placed in full: nothing is skipped.
+/// schedule by more than one part in 10⁹ of that cost.
 ///
 /// # Panics
 ///
@@ -202,11 +183,20 @@ pub fn sorp_solve_naive_released(
     cfg: &SorpConfig,
     base: Option<&StorageLedger>,
 ) -> (SorpOutcome, Release) {
-    let mut naive = resolve_naive(ctx, priced, cfg, base);
-    let mut videos: Vec<VideoId> = naive.outcome.victims.iter().map(|v| v.video).collect();
+    solve_naive(ctx, priced, cfg, base, true)
+}
+
+/// The naive release sweep over the loop's final schedule and ledger.
+fn release_naive(
+    ctx: &SchedCtx<'_>,
+    priced: &mut PricedSchedule,
+    ledger: &mut StorageLedger,
+    victims: &[VictimRecord],
+    cfg: &SorpConfig,
+) -> Release {
+    let mut videos: Vec<VideoId> = victims.iter().map(|v| v.video).collect();
     videos.sort_unstable();
     videos.dedup();
-    let Naive { priced, ledger, .. } = &mut naive;
     let mut release = Release::default();
     for vid in videos {
         let Some(old_vs) = priced.schedule().video(vid) else { continue };
@@ -223,16 +213,18 @@ pub fn sorp_solve_naive_released(
             commit(ctx, priced, ledger, new_vs);
         }
     }
-    (naive.finish(ctx), release)
+    release
 }
 
-/// The naive loop itself.
-fn resolve_naive(
+/// The naive loop itself, followed by the naive release sweep when
+/// `sweep` is set.
+fn solve_naive(
     ctx: &SchedCtx<'_>,
     mut priced: PricedSchedule,
     cfg: &SorpConfig,
     base: Option<&StorageLedger>,
-) -> Naive {
+    sweep: bool,
+) -> (SorpOutcome, Release) {
     let initial_cost = priced.total();
     // The base first, schedule second: the production solver's order, so
     // both loops read the same entries in the same order.
@@ -344,20 +336,27 @@ fn resolve_naive(
         commit(ctx, &mut priced, &mut ledger, new_vs);
     }
 
+    let release = if sweep {
+        release_naive(ctx, &mut priced, &mut ledger, &victims, cfg)
+    } else {
+        Release::default()
+    };
+    let cost = priced.total();
+    let overflow_free = detect_overflows(ctx.topo, &ledger).is_empty();
     let outcome = SorpOutcome {
-        schedule: Schedule::new(),
-        cost: 0.0,
+        schedule: priced.into_schedule(),
+        cost,
         initial_cost,
         iterations,
         victims,
-        overflow_free: false,
+        overflow_free,
         forced_fallbacks,
         trials_run,
         trials_cached: 0,
         jobs_rebuilt: trials_run,
         nodes_rescanned,
     };
-    Naive { priced, ledger, outcome }
+    (outcome, release)
 }
 
 #[cfg(test)]
