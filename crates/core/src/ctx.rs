@@ -112,6 +112,8 @@ impl<'a> SchedCtx<'a> {
             None => self.routes.shared_path(src, local),
             Some(m) => self.relay_route(src, m, local),
         };
+        // Cannot fire from the solvers: they refuse a plan at an infinite
+        // cost, and a finite rate is a path the table holds.
         Transfer::for_user(req, route.expect("a plan priced at a finite rate has a route"))
     }
 

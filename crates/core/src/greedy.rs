@@ -393,6 +393,8 @@ pub(crate) fn greedy_with_cursor(
     scratch: &mut GreedyScratch,
 ) -> VideoSchedule {
     let GreedyScratch { slots, cursor } = scratch;
+    // Cannot fire from the solver: every caller passes a batch group or a
+    // video's delivered requests, and the batch has no empty group.
     let first = requests.first().expect("cannot schedule an empty request group");
     let vid = first.video;
     debug_assert!(
@@ -527,6 +529,9 @@ pub(crate) fn greedy_with_cursor(
             best = lead;
         }
 
+        // Cannot fire: the warehouse, the first source, is never dead, asks
+        // no admission, and reaches every home a caller passes at a finite
+        // rate (repair passes only homes reachable around failed links).
         let plan = best.expect("direct warehouse delivery is always admissible");
 
         // Apply the chosen plan.

@@ -375,7 +375,7 @@ pub(crate) mod tests {
         }
         let phase1 = ivsp_solve(&ctx, &wl.requests, GreedyPolicy::default());
         let mut state = SolveState::new(&ctx, phase1, base);
-        state.resolve(&ctx, &SorpConfig::default());
+        state.resolve(&ctx, &wl.requests, &SorpConfig::default());
         assert!(crate::detect_overflows(&topo, &state.ledger).is_empty());
 
         let down = topo.storages().step_by(3);

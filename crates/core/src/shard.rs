@@ -21,12 +21,12 @@
 //!    against the merged ledger under the carried bans.
 //!
 //! Every solve — one shard or several — ends in one **release sweep**
-//! ([`SolveState::release`]): each victim video, in video-id order, is
-//! re-placed once by the rejective greedy with its bans lifted against
-//! the final ledger, and the re-placement is kept when it is cheaper.
-//! Bans only accumulate, so a title evicted early stays evicted after
-//! later victims freed its window; the sweep takes that Ψ back without
-//! overflowing anything.
+//! ([`SolveState::release`]): each victim and split video, in id order,
+//! is re-placed once by the rejective greedy with its bans lifted against
+//! the final ledger, kept when cheaper. Bans only accumulate, and a split
+//! video is its parts concatenated. A video that is neither still holds
+//! its shard's capacity-free greedy output (unless the tail past the cap
+//! moved it), which its re-run in an overflow-free ledger reproduces.
 //!
 //! ## Determinism and equivalence contract
 //!
@@ -72,7 +72,7 @@ use crate::{
     StorageLedger,
 };
 use serde::{Deserialize, Serialize};
-use vod_cost_model::RequestBatch;
+use vod_cost_model::{RequestBatch, VideoId};
 use vod_parallel::ExecMode;
 use vod_workload::{partition_requests, ShardSpec, ShardStrategy};
 
@@ -141,7 +141,8 @@ pub struct ShardOutcome {
 pub(crate) struct ShardSolve {
     pub(crate) state: SolveState,
     pub(crate) shards: usize,
-    split_videos: usize,
+    /// Videos whose requests landed in more than one shard, in id order.
+    split: Vec<VideoId>,
     shared_storages: usize,
     cross_shard_overflows: usize,
     reconcile_iterations: usize,
@@ -156,7 +157,7 @@ impl ShardSolve {
         Self {
             state,
             shards: 1,
-            split_videos: 0,
+            split: Vec::new(),
             shared_storages: 0,
             cross_shard_overflows: 0,
             reconcile_iterations: 0,
@@ -174,7 +175,7 @@ impl ShardSolve {
         ctx.recorder.event("shard_solve", |e| {
             e.u64("shards", self.shards as u64)
                 .u64("requests", requests as u64)
-                .u64("split_videos", self.split_videos as u64)
+                .u64("split_videos", self.split.len() as u64)
                 .u64("shared_storages", self.shared_storages as u64)
                 .u64("cross_shard_overflows", self.cross_shard_overflows as u64)
                 .u64("reconcile_iterations", self.reconcile_iterations as u64)
@@ -187,6 +188,8 @@ impl ShardSolve {
                 .u64("nodes_rescanned", s.nodes_rescanned as u64)
                 .u64("released_tried", self.released.tried as u64)
                 .u64("released_kept", self.released.kept as u64)
+                .u64("released_split_tried", self.released.split_tried as u64)
+                .u64("released_split_kept", self.released.split_kept as u64)
                 .f64("released_saved", self.released.saved)
                 .bool("overflow_free", detect_overflows(ctx.topo, &s.ledger).is_empty())
                 .f64("cost", s.priced.total())
@@ -199,7 +202,7 @@ impl ShardSolve {
         ShardOutcome {
             sorp: self.state.into_outcome(ctx).0,
             shards: self.shards,
-            split_videos: self.split_videos,
+            split_videos: self.split.len(),
             shared_storages: self.shared_storages,
             cross_shard_overflows: self.cross_shard_overflows,
             reconcile_iterations: self.reconcile_iterations,
@@ -261,7 +264,7 @@ pub(crate) fn solve_over(
             let priced = place(ctx, shard_batch, cfg.sorp.policy, None, &held);
             let mut state = SolveState::new(ctx, priced, base.clone());
             state.held = held;
-            state.resolve(ctx, &cfg.sorp);
+            state.resolve(ctx, shard_batch, &cfg.sorp);
             state
         })
         .collect();
@@ -272,9 +275,9 @@ pub(crate) fn solve_over(
     // the shard exists — no panic path.
     let mut out = match <[SolveState; 1]>::try_from(states) {
         Ok([state]) => ShardSolve::single(state),
-        Err(states) => reconcile(ctx, cfg, base, states, held),
+        Err(states) => reconcile(ctx, batch, cfg, base, states, held),
     };
-    out.released = out.state.release(ctx, cfg.sorp.policy);
+    out.released = out.state.release(ctx, batch, cfg.sorp.policy, &out.split);
     out.record(ctx, batch.len());
     out
 }
@@ -298,6 +301,7 @@ pub(crate) fn place_over(
 /// Merge the resolved shard states and run the global pass over them.
 fn reconcile(
     ctx: &SchedCtx<'_>,
+    batch: &RequestBatch,
     cfg: &ShardConfig,
     base: &StorageLedger,
     states: Vec<SolveState>,
@@ -384,14 +388,14 @@ fn reconcile(
     let cross_shard_overflows = global.refresh_overflows(ctx);
     let victims_before = global.victims.len();
     let iters_before = global.iterations;
-    global.resolve(ctx, &cfg.sorp);
+    global.resolve(ctx, batch, &cfg.sorp);
     let reconcile_iterations = global.iterations - iters_before;
     let reconcile_victims = global.victims.len() - victims_before;
 
     ShardSolve {
         state: global,
         shards,
-        split_videos: split.len(),
+        split,
         shared_storages,
         cross_shard_overflows,
         reconcile_iterations,
@@ -551,7 +555,7 @@ mod tests {
                     let priced = ivsp_solve(&ctx, &batch, cfg.sorp.policy);
                     let mut s = SolveState::new(&ctx, priced, base.clone());
                     if commits {
-                        s.resolve(&ctx, &cfg.sorp);
+                        s.resolve(&ctx, &batch, &cfg.sorp);
                         committed |= s.dirty.contains(&true);
                     }
                     shards.push((s.ledger, s.dirty));

@@ -63,10 +63,11 @@
 //! * the [`OverflowMonitor`] rescans only storages whose ledger
 //!   version moved, instead of every node's full row.
 //!
-//! Per-video state — the accumulated bans, the trial cache, a pass's
-//! request lists — sits in [`PerVideo`] tables indexed by the video's
-//! [`Schedule::position`], beside the pricing memo: a pass only replaces
-//! videos, so a position found once names its video for the whole pass.
+//! Per-video state — the accumulated bans and the trial cache — sits in
+//! [`PerVideo`] tables indexed by the video's [`Schedule::position`],
+//! beside the pricing memo: a pass only replaces videos, so a position
+//! found once names its video for the whole pass. A greedy run reads its
+//! video's requests as a slice of the batch the pass solves.
 //!
 //! The naive loop — re-detect every overflow with a full scan and re-run
 //! every participant's trial, every iteration — is the equivalence oracle
@@ -82,12 +83,12 @@
 //!
 //! ## The release sweep
 //!
-//! Bans only accumulate, so a title banned from a window early stays out
-//! of it after later victims have freed it. The sharded pipeline ends
+//! Bans only accumulate, and a split video's schedule is its shards' parts
+//! concatenated, which no greedy run produced. The sharded pipeline ends
 //! every solve in one sweep (`SolveState::release`) that re-places each
-//! victim once with its bans lifted and keeps the re-placement when it is
-//! cheaper; [`sorp_solve`], the paper's Phase 2, does not sweep. The
-//! oracle is `vod_oracles::sorp_solve_naive_released`.
+//! victim and split video once with its bans lifted, keeping the cheaper;
+//! [`sorp_solve`], the paper's Phase 2, does not sweep. The oracle (one
+//! shard, no split videos) is `vod_oracles::sorp_solve_naive_released`.
 
 use crate::capacity::{LedgerCursor, LedgerDelta, Solved, TrialTrace};
 use crate::greedy::{greedy_with_cursor, place, reschedule_traced_in, GreedyScratch, COST_EPS};
@@ -180,15 +181,19 @@ pub struct VictimRecord {
     pub heat: f64,
 }
 
-/// What one release sweep did: victim videos re-placed with their bans
-/// lifted, the re-placements kept, and the Ψ they saved.
+/// What one release sweep did: videos re-placed with their bans lifted,
+/// the re-placements kept, and the Ψ they saved.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Release {
-    /// Victim videos the sweep re-placed.
+    /// Videos the sweep re-placed: victims and split videos.
     pub tried: usize,
     /// Re-placements committed, each strictly cheaper than the schedule
     /// it replaced.
     pub kept: usize,
+    /// Of `tried`, the videos reconciliation merged from several shards.
+    pub split_tried: usize,
+    /// Of `kept`, the videos reconciliation merged from several shards.
+    pub split_kept: usize,
     /// Ψ the kept re-placements saved, in dollars.
     pub saved: Dollars,
 }
@@ -247,9 +252,8 @@ impl SorpOutcome {
     }
 }
 
-/// One overflow participant's trial reschedule, kept from iteration to
-/// iteration while its storage does not move (see the module docs).
-struct StandingJob {
+/// One overflow participant's trial reschedule: what its trial answers.
+struct Job {
     /// The overflow the job would relieve, as the monitor scanned it.
     of: Overflow,
     /// `of.loc`'s ledger version when the job was built: the job stands
@@ -265,23 +269,37 @@ struct StandingJob {
     old_cost: Dollars,
     /// Accumulated forbidden windows plus this overflow's window.
     bans: Vec<(NodeId, Interval)>,
-    /// The trial that answers the job, bound to `bans`; `None` only
-    /// inside an iteration, between the rebuild and the scoring.
-    trial: Option<CachedTrial>,
-    /// The attached trial's `new_cost − old_cost`.
+}
+
+/// A [`Job`] with its trial attached and scored, kept from iteration to
+/// iteration while its storage does not move (see the module docs).
+struct StandingJob {
+    job: Job,
+    /// The trial that answers the job, bound to `job.bans`.
+    trial: CachedTrial,
+    /// The trial's `new_cost − old_cost`.
     overhead: Dollars,
-    /// [`heat_of`] rescheduling `profile` out of `of` at that overhead.
+    /// [`heat_of`] rescheduling the job's profile out of its overflow at
+    /// that overhead.
     heat: f64,
 }
 
 impl StandingJob {
     /// Attach the job's trial and score it. Only the greedy's output is
     /// memoized; the other heat inputs are the job's own.
-    fn attach(&mut self, trial: CachedTrial, metric: HeatMetric) {
-        self.overhead = trial.new_cost - self.old_cost;
-        self.heat = heat_of(metric, &self.of, &self.profile, self.overhead);
-        self.trial = Some(trial);
+    fn scored(job: Job, trial: CachedTrial, metric: HeatMetric) -> Self {
+        let overhead = trial.new_cost - job.old_cost;
+        let heat = heat_of(metric, &job.of, &job.profile, overhead);
+        Self { job, trial, overhead, heat }
     }
+}
+
+/// A job on its way into an iteration's list: one that stood, with the
+/// trial it last had, or one rebuilt from an overflow set, not yet
+/// answered.
+enum Pending {
+    Stood(StandingJob),
+    Rebuilt(Job),
 }
 
 /// A memoized trial: the greedy's output, its cost, and the dependency
@@ -480,6 +498,26 @@ impl<T: Default> PerVideo<T> {
     }
 }
 
+/// The requests `vs` delivers, read as its group of `batch`, the batch the
+/// state is solving: within one video, [`Request::batch_order`] is the
+/// order [`VideoSchedule::delivered_requests`] sorts into. `None` for a
+/// video the batch does not ask for.
+fn requests_of<'b>(batch: &'b RequestBatch, vs: &VideoSchedule) -> Option<&'b [Request]> {
+    let group = batch.group(vs.video);
+    debug_assert!(
+        group.unwrap_or_default() == vs.delivered_requests(),
+        "{:?} does not deliver its group of the batch",
+        vs.video
+    );
+    group
+}
+
+/// The batch a stand-alone solve of `schedule` reads its requests from:
+/// every request the schedule delivers.
+fn delivered_batch(schedule: &Schedule) -> RequestBatch {
+    RequestBatch::new(schedule.videos().flat_map(VideoSchedule::delivered).collect())
+}
+
 /// The sequential reduce: scan the scored jobs in order with the
 /// epsilon-aware comparison and the deterministic tie-break, returning
 /// the winner's index. A score does not depend on whether its trial
@@ -487,14 +525,14 @@ impl<T: Default> PerVideo<T> {
 /// one the naive loop would pick, bit for bit.
 fn select_victim(jobs: &[StandingJob]) -> Option<usize> {
     let mut best: Option<usize> = None;
-    for (ji, job) in jobs.iter().enumerate() {
+    for (ji, s) in jobs.iter().enumerate() {
         let better = best.is_none_or(|bji| {
-            let b = &jobs[bji];
-            if heats_tie(job.heat, b.heat) {
-                (job.overhead, job.vid.0, job.of.loc.0, job.of.window.start)
-                    < (b.overhead, b.vid.0, b.of.loc.0, b.of.window.start)
+            let (b, job) = (&jobs[bji], &s.job);
+            if heats_tie(s.heat, b.heat) {
+                (s.overhead, job.vid.0, job.of.loc.0, job.of.window.start)
+                    < (b.overhead, b.job.vid.0, b.job.of.loc.0, b.job.of.window.start)
             } else {
-                job.heat > b.heat
+                s.heat > b.heat
             }
         });
         if better {
@@ -614,14 +652,13 @@ impl SolveState {
     /// (or through the tail past the iteration cap). Idempotent: a
     /// second call on an already-resolved state detects no overflows and
     /// returns immediately — which is how the sharded path's global pass
-    /// degenerates to a no-op when the shards never conflicted.
-    pub(crate) fn resolve(&mut self, ctx: &SchedCtx<'_>, cfg: &SorpConfig) {
+    /// degenerates to a no-op when the shards never conflicted. Every
+    /// greedy run reads its video's requests off `batch`, the batch the
+    /// state's schedule delivers.
+    pub(crate) fn resolve(&mut self, ctx: &SchedCtx<'_>, batch: &RequestBatch, cfg: &SorpConfig) {
         let cap = self.iterations + cfg.max_iterations;
         let videos = self.priced.schedule().video_count();
-        let mut rebuilt = Vec::new();
-        // A video's delivered requests, sorted, read off its schedule on
-        // its first trial miss: no commit of the pass changes the set.
-        let mut requests: PerVideo<Vec<Request>> = PerVideo::new();
+        let mut pending = Vec::new();
         let mut replay_cursor = LedgerCursor::new();
         while self.refresh_overflows(ctx) > 0 {
             let scans = self.monitor.scans();
@@ -636,20 +673,20 @@ impl SolveState {
                 let victim = scans.iter().flat_map(|(_, _, ofs)| ofs).find_map(|of| {
                     let &(vid, _) = overflow_set(&self.ledger, of).first()?;
                     let at = self.priced.schedule().position(vid).ok()?;
-                    Some((vid, at, (of.loc, of.window)))
+                    let requests = requests_of(batch, self.priced.schedule().video_at(at))?;
+                    Some((vid, at, requests, (of.loc, of.window)))
                 });
-                let Some((vid, at, ban)) = victim else {
+                let Some((vid, at, requests, ban)) = victim else {
                     break; // purely external overflows: unresolvable
                 };
                 let bans = self.forbidden.get_mut(at, videos);
                 bans.push(ban);
                 let cons =
                     Constraints { ledger: &self.ledger, exclude: Some(vid), forbidden: bans };
-                let requests = self.priced.schedule().video_at(at).delivered_requests();
                 let held = self.held.of(vid);
                 let new_vs = greedy_with_cursor(
                     ctx,
-                    &requests,
+                    requests,
                     held,
                     Some(&cons),
                     cfg.policy,
@@ -663,54 +700,45 @@ impl SolveState {
 
             // A storage that did not move keeps its jobs; one that moved
             // hands their trials back to the cache and rebuilds them from
-            // its overflow sets, in place, so the list stays in scan order.
-            let mut at = 0;
+            // its overflow sets, so the list stays in scan order.
+            let mut list = std::mem::take(&mut self.jobs);
+            let mut last = list.drain(..).peekable();
             for (loc, version, ofs) in scans {
-                let end = at + self.jobs[at..].iter().take_while(|j| j.of.loc == *loc).count();
-                // Nothing to do: its jobs stand, or it has neither jobs
-                // nor overflows.
-                if self.jobs[at..end].first().map_or(ofs.is_empty(), |j| j.version == *version) {
-                    at = end;
+                let here = |s: &StandingJob| s.job.of.loc == *loc;
+                if last.peek().is_some_and(|s| here(s) && s.job.version == *version) {
+                    while let Some(s) = last.next_if(here) {
+                        pending.push(Pending::Stood(s));
+                    }
                     continue;
+                }
+                while let Some(s) = last.next_if(here) {
+                    bank_trial(self.cache.get_mut(s.job.at, videos), s.trial);
                 }
                 for of in ofs {
                     for (vid, profile) in overflow_set(&self.ledger, of) {
-                        // The ledger holds only scheduled videos, and a
-                        // residency without deliveries cannot occur; a job
-                        // that broke either would have nothing to reschedule.
+                        // The ledger holds only scheduled videos, each
+                        // delivering its group of the batch; a job that
+                        // broke either would have nothing to reschedule.
                         let Ok(pos) = self.priced.schedule().position(vid) else { continue };
-                        if self.priced.schedule().video_at(pos).delivered().next().is_none() {
+                        if batch.group(vid).is_none() {
                             continue;
                         }
                         let held = self.forbidden.get(pos).map_or(&[][..], Vec::as_slice);
                         let mut bans = Vec::with_capacity(held.len() + 1);
                         bans.extend_from_slice(held);
                         bans.push((of.loc, of.window));
-                        rebuilt.push(StandingJob {
-                            of: of.clone(),
-                            version: *version,
-                            vid,
-                            at: pos,
-                            profile,
-                            old_cost: self.priced.cost_at(pos),
-                            bans,
-                            trial: None,
-                            heat: 0.0,
-                            overhead: 0.0,
-                        });
+                        let old_cost = self.priced.cost_at(pos);
+                        let of = of.clone();
+                        let job =
+                            Job { of, version: *version, vid, at: pos, profile, old_cost, bans };
+                        pending.push(Pending::Rebuilt(job));
+                        self.jobs_rebuilt += 1;
                     }
                 }
-                self.jobs_rebuilt += rebuilt.len();
-                let next = at + rebuilt.len();
-                let stale = self.jobs.splice(at..end, rebuilt.drain(..));
-                for job in stale {
-                    if let Some(trial) = job.trial {
-                        bank_trial(self.cache.get_mut(job.at, videos), trial);
-                    }
-                }
-                at = next;
             }
-            debug_assert_eq!(at, self.jobs.len(), "a job stood at a storage the monitor skips");
+            debug_assert!(last.next().is_none(), "a job stood at a storage the monitor skips");
+            drop(last);
+            self.jobs = list;
 
             // A standing job's trial is re-checked in place; a rebuilt
             // job, or one whose trial no longer replays (stale for
@@ -731,13 +759,18 @@ impl SolveState {
                 cursor: std::mem::take(&mut replay_cursor),
             };
             let mut misses = 0;
-            for job in &mut self.jobs {
-                if let Some(trial) = &mut job.trial {
-                    if replayer.replays(trial, &job.bans) {
-                        trial.epoch = epoch;
-                        continue;
+            for p in pending.drain(..) {
+                let job = match p {
+                    Pending::Stood(mut s) => {
+                        if replayer.replays(&s.trial, &s.job.bans) {
+                            s.trial.epoch = epoch;
+                            self.jobs.push(s);
+                            continue;
+                        }
+                        s.job
                     }
-                }
+                    Pending::Rebuilt(job) => job,
+                };
                 let cached = self
                     .cache
                     .written(job.at)
@@ -745,11 +778,10 @@ impl SolveState {
                 let trial = match cached {
                     Some(trial) => trial,
                     None => {
+                        // Built above only for a video the batch asks for.
+                        let vs = priced.schedule().video_at(job.at);
+                        let Some(requests) = requests_of(batch, vs) else { continue };
                         misses += 1;
-                        let requests = requests.get_mut(job.at, videos);
-                        if requests.is_empty() {
-                            *requests = priced.schedule().video_at(job.at).delivered_requests();
-                        }
                         let cons =
                             Constraints { ledger, exclude: Some(job.vid), forbidden: &job.bans };
                         let held = held.of(job.vid);
@@ -765,7 +797,7 @@ impl SolveState {
                         CachedTrial { new_vs, new_cost, bans: job.bans.clone(), trace, epoch }
                     }
                 };
-                job.attach(trial, cfg.metric);
+                self.jobs.push(StandingJob::scored(job, trial, cfg.metric));
             }
             replay_cursor = replayer.cursor;
             self.trials_run += misses;
@@ -775,7 +807,7 @@ impl SolveState {
             let Some(ji) = select_victim(&self.jobs) else {
                 break; // purely external overflows: nothing to reschedule
             };
-            let job = self.jobs.remove(ji);
+            let StandingJob { job, trial, overhead, heat } = self.jobs.remove(ji);
             let (vid, of) = (job.vid, job.of);
             self.forbidden.get_mut(job.at, videos).push((of.loc, of.window));
             self.victims.push(VictimRecord {
@@ -783,44 +815,53 @@ impl SolveState {
                 loc: of.loc,
                 window_start: of.window.start,
                 window_end: of.window.end,
-                overhead: job.overhead,
-                heat: job.heat,
+                overhead,
+                heat,
             });
             // The trial priced its schedule when it ran: commit at that price.
-            let trial = job.trial.expect("every job was just scored");
             self.commit_priced(ctx, trial.new_vs, trial.new_cost);
         }
         self.jobs.clear();
     }
 
-    /// The release sweep: every victim video, once each in video-id
-    /// order, re-placed by the rejective greedy with its bans lifted,
-    /// against the ledger as it stands (less the video's own profiles).
-    /// The re-placement is committed only when it is cheaper than the
-    /// video's schedule by more than the greedy's relative `COST_EPS`, a
-    /// share of the cost, so doubling every rate doubles every decision's
-    /// inputs and changes none. Admission is rejective: a kept
-    /// re-placement overflows nothing the ledger did not, and it delivers
-    /// the same requests.
-    pub(crate) fn release(&mut self, ctx: &SchedCtx<'_>, policy: GreedyPolicy) -> Release {
+    /// The release sweep: every victim video and every video `split`
+    /// names (in id order: the ones reconciliation merged from several
+    /// shards), once each in video-id order, re-placed by the rejective
+    /// greedy with its bans lifted, against the ledger as it stands (less
+    /// the video's own profiles). The re-placement is committed only when
+    /// it is cheaper than the video's schedule by more than the greedy's
+    /// relative `COST_EPS`, a share of the cost, so doubling every rate
+    /// doubles every decision's inputs and changes none. Admission is
+    /// rejective: a kept re-placement overflows nothing the ledger did
+    /// not, and it delivers the same requests, its group of `batch`.
+    pub(crate) fn release(
+        &mut self,
+        ctx: &SchedCtx<'_>,
+        batch: &RequestBatch,
+        policy: GreedyPolicy,
+        split: &[VideoId],
+    ) -> Release {
         let mut videos: Vec<VideoId> = self.victims.iter().map(|v| v.video).collect();
+        videos.extend_from_slice(split);
         videos.sort_unstable();
         videos.dedup();
         let mut out = Release::default();
         for vid in videos {
             let Ok(at) = self.priced.schedule().position(vid) else { continue };
-            let requests = self.priced.schedule().video_at(at).delivered_requests();
-            if requests.is_empty() {
+            let Some(requests) = requests_of(batch, self.priced.schedule().video_at(at)) else {
                 continue;
-            }
+            };
+            let is_split = split.binary_search(&vid).is_ok();
             out.tried += 1;
+            out.split_tried += usize::from(is_split);
             let cons = Constraints { ledger: &self.ledger, exclude: Some(vid), forbidden: &[] };
             let held = self.held.of(vid);
             let new_vs =
-                greedy_with_cursor(ctx, &requests, held, Some(&cons), policy, &mut self.scratch);
+                greedy_with_cursor(ctx, requests, held, Some(&cons), policy, &mut self.scratch);
             let (old_cost, new_cost) = (self.priced.cost_at(at), ctx.video_cost(&new_vs));
             if new_cost < old_cost - COST_EPS * old_cost.abs() {
                 out.kept += 1;
+                out.split_kept += usize::from(is_split);
                 out.saved += old_cost - new_cost;
                 self.commit_priced(ctx, new_vs, new_cost);
             }
@@ -926,8 +967,9 @@ pub fn sorp_solve(
     base: Option<&StorageLedger>,
 ) -> SorpOutcome {
     let base = base.map_or_else(|| StorageLedger::new(ctx.topo), StorageLedger::clone);
+    let batch = delivered_batch(priced.schedule());
     let mut state = SolveState::new(ctx, priced, base);
-    state.resolve(ctx, cfg);
+    state.resolve(ctx, &batch, cfg);
     state.into_outcome(ctx).0
 }
 
@@ -954,9 +996,10 @@ pub fn sorp_solve_released(
     base: Option<&StorageLedger>,
 ) -> (SorpOutcome, Release) {
     let base = base.map_or_else(|| StorageLedger::new(ctx.topo), StorageLedger::clone);
+    let batch = delivered_batch(priced.schedule());
     let mut state = SolveState::new(ctx, priced, base);
-    state.resolve(ctx, cfg);
-    let release = state.release(ctx, cfg.policy);
+    state.resolve(ctx, &batch, cfg);
+    let release = state.release(ctx, &batch, cfg.policy, &[]);
     (state.into_outcome(ctx).0, release)
 }
 

@@ -12,17 +12,19 @@
 //! then the release sweep the pipeline ends in: [`sorp_solve_released`]
 //! over [`ivsp_solve`]. The sweep itself is held to three properties
 //! against [`sorp_solve`]'s schedule: no video's Ψ rises, every video
-//! delivers the same requests, and no overflow appears.
+//! delivers the same requests, and no overflow appears. On sharded
+//! outcomes, no video outside the swept set (victims and split videos)
+//! could gain from a re-run.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use vod_core::audit::sorp_solve_released;
 use vod_core::{
-    detect_overflows, ivsp_solve, shard_solve, shard_solve_seeded, sorp_solve, CommittedBook,
-    ExecMode, GreedyPolicy, SchedCtx, ShardConfig, SorpConfig, SorpOutcome, StorageLedger,
-    EXTERNAL_OCCUPANCY,
+    detect_overflows, find_video_schedule, ivsp_solve, shard_solve, shard_solve_seeded, sorp_solve,
+    CommittedBook, Constraints, ExecMode, GreedyPolicy, SchedCtx, ShardConfig, SorpConfig,
+    SorpOutcome, StorageLedger, EXTERNAL_OCCUPANCY,
 };
-use vod_cost_model::{CostModel, Request, RequestBatch, SpaceProfile};
+use vod_cost_model::{CostModel, Request, RequestBatch, SpaceProfile, VideoId};
 use vod_topology::{builders, NodeId, Topology};
 use vod_workload::{
     generate_catalog, generate_regional_requests, generate_requests, partition_requests,
@@ -282,6 +284,71 @@ proptest! {
         }
         let phase1 = ivsp_solve(&ctx, &wl.requests, cfg.sorp.policy);
         check_sweep(&ctx, phase1, &cfg.sorp, &base)?;
+    }
+
+    /// Why the sharded sweep re-places victims and split videos only: on
+    /// every overflow-free outcome at 2–4 shards, a video that is neither
+    /// still holds its shard's capacity-free greedy output, so its
+    /// rejective re-run with no bans against the final ledger (less its
+    /// own profiles) is no cheaper by more than the greedy's tolerance.
+    /// Every split video still delivers its group of the batch.
+    #[test]
+    fn only_victims_and_split_videos_can_gain_from_the_sweep(
+        s in scenario_strategy(),
+        squatted in any::<bool>(),
+    ) {
+        /// The greedy's relative cost tolerance, the sweep's keep rule.
+        const COST_EPS: f64 = 1e-9;
+        let (topo, wl, mut cfg) = build(&s);
+        cfg.shards = 2 + s.shards % 3;
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+        let mut base = StorageLedger::new(&topo);
+        if squatted {
+            let loc = topo.storages().next().expect("a storage exists");
+            base.add(loc, EXTERNAL_OCCUPANCY, SpaceProfile::new(0.0, 40_000.0, 2e9, 3_600.0));
+        }
+        for strategy in [ShardStrategy::ByRegion, ShardStrategy::ByTimeSlice] {
+            cfg.strategy = strategy;
+            let out = shard_solve_seeded(&ctx, &wl.requests, &cfg, &base);
+            if !out.sorp.overflow_free {
+                continue;
+            }
+            let spec = ShardSpec { shards: cfg.shards, strategy, seed: cfg.seed };
+            let parts = partition_requests(&topo, &wl.requests, &spec);
+            let mut seen: Vec<VideoId> =
+                parts.iter().flat_map(|b| b.groups().map(|(vid, _)| vid)).collect();
+            seen.sort_unstable();
+            let mut split: Vec<VideoId> =
+                seen.windows(2).filter(|w| w[0] == w[1]).map(|w| w[0]).collect();
+            split.dedup();
+            prop_assert_eq!(split.len(), out.split_videos);
+            let mut ledger = base.clone();
+            for r in out.sorp.schedule.residencies() {
+                ledger.add(r.loc, r.video, r.profile(wl.catalog.get(r.video)));
+            }
+            prop_assert!(detect_overflows(&topo, &ledger).is_empty(), "{strategy:?} overflowed");
+            let victims: Vec<VideoId> = out.sorp.victims.iter().map(|v| v.video).collect();
+            for vs in out.sorp.schedule.videos() {
+                let requests = vs.delivered_requests();
+                if split.binary_search(&vs.video).is_ok() {
+                    let group = wl.requests.group(vs.video).expect("a split video is requested");
+                    prop_assert_eq!(&requests[..], group, "{:?} lost requests", vs.video);
+                    continue;
+                }
+                if victims.contains(&vs.video) {
+                    continue;
+                }
+                let cons = Constraints { ledger: &ledger, exclude: Some(vs.video), forbidden: &[] };
+                let again = find_video_schedule(&ctx, &requests, cfg.sorp.policy, Some(&cons));
+                let (now, rerun) = (ctx.video_cost(vs), ctx.video_cost(&again));
+                prop_assert!(
+                    rerun >= now - COST_EPS * now.abs(),
+                    "{strategy:?}: {:?} re-runs at {rerun}, below its {now}",
+                    vs.video
+                );
+            }
+        }
     }
 }
 

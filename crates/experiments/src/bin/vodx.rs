@@ -344,10 +344,11 @@ fn render_hold_totals(rec: &vod_obs::Recording) -> String {
 }
 
 /// The run's release sweeps in a recording: the `released_tried`,
-/// `released_kept` and `released_saved` fields of the `shard_solve`
-/// events, summed — the victims the sweeps re-placed with their bans
-/// lifted, the re-placements kept, and the Ψ they saved. Empty when the
-/// recording has no `shard_solve` event.
+/// `released_kept`, `released_split_tried`, `released_split_kept` and
+/// `released_saved` fields of the `shard_solve` events, summed — the
+/// victims and split videos the sweeps re-placed with their bans lifted,
+/// the re-placements kept, the split videos' share of both, and the Ψ
+/// they saved. Empty when the recording has no `shard_solve` event.
 fn render_release_totals(rec: &vod_obs::Recording) -> String {
     let mut out = String::new();
     if rec.events_of("shard_solve").next().is_none() {
@@ -358,6 +359,9 @@ fn render_release_totals(rec: &vod_obs::Recording) -> String {
     let _ = writeln!(out, "release sweeps:");
     let _ = writeln!(out, "  {:<40} {}", "shard.released_tried", count("released_tried"));
     let _ = writeln!(out, "  {:<40} {}", "shard.released_kept", count("released_kept"));
+    for field in ["released_split_tried", "released_split_kept"] {
+        let _ = writeln!(out, "  {:<40} {}", format!("shard.{field}"), count(field));
+    }
     let _ = writeln!(out, "  {:<40} {saved:.2}", "shard.released_saved");
     out
 }
@@ -495,6 +499,10 @@ mod tests {
         assert!(kept > 0 && tried >= kept, "the cell must keep re-placements: {kept} of {tried}");
         assert_eq!(value("shard.released_tried"), tried.to_string());
         assert_eq!(value("shard.released_kept"), kept.to_string());
+        let (split_tried, split_kept) = (sum("released_split_tried"), sum("released_split_kept"));
+        assert!(split_kept > 0 && split_tried >= split_kept, "{split_kept} of {split_tried}");
+        assert_eq!(value("shard.released_split_tried"), split_tried.to_string());
+        assert_eq!(value("shard.released_split_kept"), split_kept.to_string());
         let saved: f64 = events.iter().filter_map(|e| e.f64("released_saved")).sum();
         assert!(saved > 0.0);
         assert_eq!(value("shard.released_saved"), format!("{saved:.2}"));

@@ -244,18 +244,19 @@ mod tests {
     #[test]
     fn default_params_reproduce_the_pinned_fast_preset_numbers() {
         // `vodx cycles --fast`, captured once every solve ends in the
-        // release sweep. Each cycle's victims are re-placed with their
-        // bans lifted and the cheaper re-placements kept: Ψ −2.3 %,
-        // −5.7 % and −4.8 % against the unswept pipeline's 541 111,
-        // 540 462 and 526 752. The kept re-placements reach cycle 2
+        // release sweep over victims and split videos, each re-placed with
+        // its bans lifted and the cheaper re-placements kept: Ψ −3.2 %,
+        // −6.5 % and −5.7 % against the unswept pipeline's 541 111,
+        // 540 462 and 526 752 (a sweep of victims alone read 528 607,
+        // 509 719 and 501 724). The kept re-placements reach cycle 2
         // through the book: one victim fewer (27 → 26) and 171 trial
         // hits instead of 180.
         let params = EnvParams::for_preset(Preset::Fast);
         let (out, report) = Scenario::paper(&params, 3).run(&Recorder::disabled());
         let pinned: [(u64, usize, usize); 3] = [
-            (0x412021bd32d5edc4, 27, 171),
-            (0x411f1c5c7d5dbd77, 26, 181),
-            (0x411e9f718c778e2a, 26, 171),
+            (0x411ffb58bfb4092d, 27, 171),
+            (0x411ed9ff965535db, 26, 181),
+            (0x411e51c9e7878da3, 26, 171),
         ];
         for (c, (cost_bits, victims, hits)) in out.iter().zip(pinned) {
             let k = c.stats.cycle;

@@ -57,7 +57,9 @@ static ALLOCATOR: Counting = Counting;
 
 const CYCLES: usize = 25;
 /// 25 % above the 4.41 calls per served request measured when the ceiling
-/// was set; this cell reads 4.33.
+/// was set. This cell reads 5.12 under `cargo test` and 4.71 in a release
+/// build: in the test profile, each solve's debug check that a video's
+/// batch slice is its delivered requests allocates those requests.
 const CEILING: f64 = 5.51;
 
 #[test]

@@ -97,23 +97,30 @@ fn cycle_records_reconcile_with_the_service_report() {
 }
 
 /// Every `shard_solve` event reports its release sweep: it tries each
-/// distinct victim at most once, keeps a subset, and saves Ψ exactly when
-/// it keeps. Returns the re-placements kept over the recording.
-fn check_release_fields(recording: &Recording) -> u64 {
-    let mut kept_total = 0;
+/// distinct victim and split video at most once, keeps a subset, and
+/// saves Ψ exactly when it keeps; its split tries and keeps are a part of
+/// those. Returns the re-placements, and the split videos' among them,
+/// kept over the recording.
+fn check_release_fields(recording: &Recording) -> (u64, u64) {
+    let mut kept_total = (0, 0);
     for ev in recording.events_of("shard_solve") {
         let field = |name| ev.u64(name).unwrap_or_else(|| panic!("shard_solve lacks {name}"));
         let (tried, kept) = (field("released_tried"), field("released_kept"));
+        let (split_tried, split_kept) =
+            (field("released_split_tried"), field("released_split_kept"));
         let saved = ev.f64("released_saved").expect("shard_solve records released_saved");
-        assert!(kept <= tried && tried <= field("victims"), "{kept} of {tried} kept");
+        let swept = field("victims") + field("split_videos");
+        assert!(kept <= tried && tried <= swept, "{kept} of {tried} kept");
+        assert!(split_tried <= tried && split_tried <= field("split_videos"));
+        assert!(split_kept <= kept && split_kept <= split_tried, "{split_kept} of {split_tried}");
         assert_eq!(kept > 0, saved > 0.0, "{kept} kept, {saved} saved");
-        kept_total += kept;
+        kept_total = (kept_total.0 + kept, kept_total.1 + split_kept);
     }
     kept_total
 }
 
-/// On the full rung the sweeps keep re-placements — so the checks above
-/// are not vacuous — and the recording stays byte-deterministic with the
+/// On the full rung the sweeps keep re-placements, split videos' among
+/// them — so the checks above are not vacuous — and the recording stays byte-deterministic with the
 /// new fields in it. (The budgeted run above places every cycle on a
 /// degraded rung, whose pass has no victims to sweep.)
 #[test]
@@ -125,7 +132,8 @@ fn release_sweeps_are_recorded_on_the_full_rung() {
         recorder.recording().expect("recorder is enabled")
     };
     let recording = run();
-    assert!(check_release_fields(&recording) > 0, "no sweep kept a re-placement");
+    let (kept, split_kept) = check_release_fields(&recording);
+    assert!(kept > 0 && split_kept > 0, "sweeps kept {kept}, {split_kept} of them split");
     assert_eq!(recording.to_jsonl(), run().to_jsonl(), "recordings diverged");
 }
 
