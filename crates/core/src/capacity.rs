@@ -117,25 +117,11 @@ pub struct AdmissionCheck {
 pub struct TrialTrace {
     /// Per-node union of every ledger-consulting check's candidate
     /// support (checks with `fits == None` are ledger-independent and
-    /// contribute nothing).
-    pub footprint: Vec<(NodeId, Secs, Secs)>,
+    /// contribute nothing). The greedy only ever grows one candidate
+    /// residency per node, so the union is tight.
+    pub footprint: LedgerDelta,
     /// Every admission test, in execution order.
     pub checks: Vec<AdmissionCheck>,
-}
-
-impl TrialTrace {
-    /// Union `[start, end]` at `loc` into the ledger footprint. Intervals
-    /// at the same node are unioned — the greedy only ever grows one
-    /// candidate residency per node, so the union is tight.
-    pub fn record_footprint(&mut self, loc: NodeId, start: Secs, end: Secs) {
-        match self.footprint.iter_mut().find(|(l, _, _)| *l == loc) {
-            Some((_, s, e)) => {
-                *s = s.min(start);
-                *e = e.max(end);
-            }
-            None => self.footprint.push((loc, start, end)),
-        }
-    }
 }
 
 impl LedgerCursor {
@@ -174,7 +160,7 @@ impl LedgerCursor {
     ) {
         if let Some(trace) = &mut self.trace {
             if fits.is_some() {
-                trace.record_footprint(loc, candidate.start, candidate.end);
+                trace.footprint.record(loc, candidate.start, candidate.end);
             }
             trace.checks.push(AdmissionCheck { loc, candidate: *candidate, verdict, fits });
         }
@@ -187,12 +173,14 @@ impl LedgerCursor {
     }
 }
 
-/// The (node, time-window) footprint of a batch of ledger mutations —
-/// SORP's commit delta. One residency add or remove contributes its
-/// profile's support; spans at the same node are unioned. A cached trial
-/// whose admission-test footprint is disjoint from every subsequent
-/// commit delta would replay bit-identically, so it can be reused
-/// without re-running the greedy.
+/// A per-node union of time windows, in two roles: the (node, window)
+/// footprint of a batch of ledger mutations — SORP's commit delta, where
+/// one residency add or remove contributes its profile's support — and a
+/// traced trial's ledger footprint ([`TrialTrace::footprint`]). Spans at
+/// the same node are unioned, one per node in first-touch order. A
+/// cached trial whose footprint is disjoint from every subsequent commit
+/// delta would replay bit-identically, so it can be reused without
+/// re-running the greedy.
 #[derive(Clone, Debug, Default)]
 pub struct LedgerDelta {
     /// Per touched node: the union interval of mutated profile supports.
@@ -215,7 +203,7 @@ impl LedgerDelta {
         self.spans.is_empty()
     }
 
-    /// Record one profile mutation at `loc` spanning `[start, end]`.
+    /// Union `[start, end]` into `loc`'s span.
     pub fn record(&mut self, loc: NodeId, start: Secs, end: Secs) {
         match self.spans.iter_mut().find(|(l, _, _)| *l == loc) {
             Some((_, s, e)) => {
@@ -1181,11 +1169,12 @@ mod tests {
         let trace = c.take_trace();
         // Footprint ends extend past the residency window by the drain
         // tail, so compare nodes and ordering plus the union property.
-        assert_eq!(trace.footprint.len(), 2);
-        assert_eq!(trace.footprint[0].0, NodeId(1));
-        assert_eq!(trace.footprint[0].1, profile(50.0, 150.0).start);
-        assert_eq!(trace.footprint[0].2, profile(100.0, 200.0).end);
-        assert_eq!(trace.footprint[1].0, NodeId(2));
+        let footprint = trace.footprint.spans();
+        assert_eq!(footprint.len(), 2);
+        assert_eq!(footprint[0].0, NodeId(1));
+        assert_eq!(footprint[0].1, profile(50.0, 150.0).start);
+        assert_eq!(footprint[0].2, profile(100.0, 200.0).end);
+        assert_eq!(footprint[1].0, NodeId(2));
         // Checks keep execution order and verdicts verbatim.
         assert_eq!(trace.checks.len(), 4);
         assert!(trace.checks[0].verdict && !trace.checks[1].verdict);

@@ -207,7 +207,7 @@ impl Constraints<'_> {
                 trace.checks[i].fits = None;
             } else if c.fits.is_none() {
                 trace.checks[i].fits = Some(c.verdict);
-                trace.record_footprint(c.loc, c.candidate.start, c.candidate.end);
+                trace.footprint.record(c.loc, c.candidate.start, c.candidate.end);
             }
         }
     }

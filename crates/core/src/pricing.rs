@@ -81,15 +81,12 @@ impl PricedSchedule {
     /// their memo entry verbatim. A single part is returned unchanged
     /// (bit-identical total), which is what makes the 1-shard sharded
     /// pipeline coincide with the monolithic one.
-    pub fn merge(parts: Vec<PricedSchedule>) -> (Self, Vec<VideoId>) {
-        Self::merge_with(parts, |_, _, _| {})
-    }
-
-    /// [`PricedSchedule::merge`], telling `each(part, at, merged_at)` where
-    /// every part's video lands: part `part`'s position `at` went to the
-    /// merged position `merged_at`, in merged order and, for a video
-    /// several parts hold, in part order — so a caller carries its own
-    /// per-video tables across in the same walk.
+    ///
+    /// `each(part, at, merged_at)` is told where every part's video
+    /// lands: part `part`'s position `at` went to the merged position
+    /// `merged_at`, in merged order and, for a video several parts hold,
+    /// in part order — so a caller carries its own per-video tables
+    /// across in the same walk.
     ///
     /// Every part lists its videos in id order, so this is a k-way merge:
     /// the smallest id at any part's head comes next, and the parts
@@ -275,7 +272,7 @@ mod tests {
             .collect();
         assert_eq!(parts.len(), 3);
 
-        let (merged, split) = PricedSchedule::merge(parts.clone());
+        let (merged, split) = PricedSchedule::merge_with(parts.clone(), |_, _, _| {});
         let ids: Vec<VideoId> = merged.schedule().videos().map(|vs| vs.video).collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "videos come out in id order, once each");
         let mut total = 0.0;
@@ -437,7 +434,7 @@ mod tests {
                 tables.push(table);
                 references.push(reference);
             }
-            let (mut table, _) = PricedSchedule::merge(tables);
+            let (mut table, _) = PricedSchedule::merge_with(tables, |_, _, _| {});
             let mut reference = HashMemo::merge(references);
             proptest::prop_assert!(agree(&table, &reference, IDS));
             for &(v, u, n) in &commits {

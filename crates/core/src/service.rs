@@ -13,13 +13,13 @@
 //!   ([`IntakeError`] is the typed backpressure);
 //! * each cycle's drained batch is solved under a **per-cycle deadline
 //!   budget** enforced by a degradation ladder ([`Rung`]): full warm
-//!   sharded solve → reduced SORP trial budget → one rejective-greedy
-//!   pass (paper §4.4) that places the batch against the book, feasible
-//!   by construction → heat-ranked shedding, then that pass over what is
-//!   kept. The rung is chosen by a [`BudgetModel`] —
-//!   an EMA over **simulated** nanoseconds derived from the solver's
-//!   deterministic work counters — never from the wall clock, so a
-//!   run's rung sequence is bit-reproducible across runs and machines;
+//!   sharded solve → one rejective-greedy pass (paper §4.4) that places
+//!   the batch against the book, feasible by construction → heat-ranked
+//!   shedding, then that pass over what is kept. The rung is chosen by a
+//!   [`BudgetModel`] — an EMA over **simulated** nanoseconds derived
+//!   from the solver's deterministic work counters — never from the wall
+//!   clock, so a run's rung sequence is bit-reproducible across runs and
+//!   machines;
 //! * shed requests **re-enqueue into later cycles** with capped
 //!   exponential backoff and a drop-after-N policy ([`BackoffPolicy`]);
 //! * [`vod_faults::FaultPlan`] faults are wired straight into the loop: a
@@ -69,7 +69,7 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::fmt::Write as _;
-use vod_cost_model::{Dollars, Request, RequestBatch, Residency, Schedule, Secs};
+use vod_cost_model::{total_order_bits, Dollars, Request, RequestBatch, Residency, Schedule, Secs};
 use vod_faults::{Fault, FaultError, FaultPlan};
 use vod_parallel::ExecMode;
 use vod_topology::{Topology, UserId};
@@ -83,7 +83,9 @@ pub enum Rung {
     /// The full warm sharded solve (the oracle path).
     #[default]
     Full,
-    /// SORP trial budget clamped to a small fixed iteration count.
+    /// Never chosen: a name only, kept because the frozen benchmark
+    /// adapter matches it (drop with benchmark revision 2, like
+    /// `rejected_saturated` and the always-zero [`WarmStats`] fields).
     ReducedTrials,
     /// One rejective-greedy pass over the whole batch: each video, in
     /// video-id order, placed against the book plus the videos before it,
@@ -252,8 +254,7 @@ impl From<FaultError> for ServiceError {
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// The sharded-solver configuration the [`Rung::Full`] solve runs
-    /// under. [`Rung::ReducedTrials`] clamps its trial budget; the two
-    /// lower rungs read only its greedy policy.
+    /// under; the two lower rungs read only its greedy policy.
     pub shard: ShardConfig,
     /// Cycle length in seconds (cycle `k` serves `[k·h, (k+1)·h)`).
     pub horizon: Secs,
@@ -292,8 +293,6 @@ impl Default for ServiceConfig {
 
 /// EMA weight of a new observation.
 const EMA_ALPHA: f64 = 0.3;
-/// SORP iteration budget on the [`Rung::ReducedTrials`] rung.
-const REDUCED_TRIALS: usize = 32;
 
 /// Simulated cost per scheduled request (the phase-1 greedy share).
 const REQUEST_NS: f64 = 4_000.0;
@@ -305,26 +304,25 @@ const VICTIM_NS: f64 = 90_000.0;
 const FALLBACK_NS: f64 = 20_000.0;
 
 /// Deadline-budget model for the degradation ladder: one EMA of
-/// simulated nanoseconds **per request** for each solve rung (shed
-/// cycles observe as greedy — the rung they actually solve on). Both
-/// the inputs ([`BudgetModel::simulated_ns`], a pure function of the
-/// solver's deterministic counters) and the decision rule
-/// ([`BudgetModel::pick`]) are wall-clock-free, so the ladder replays
-/// bit-identically.
+/// simulated nanoseconds **per request** for each solve, the full one
+/// and the pass (shed cycles observe as greedy — the rung they actually
+/// solve on). Both the inputs ([`BudgetModel::simulated_ns`], a pure
+/// function of the solver's deterministic counters) and the decision
+/// rule ([`BudgetModel::pick`]) are wall-clock-free, so the ladder
+/// replays bit-identically.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BudgetModel {
-    /// Per-request simulated ns for `[Full, ReducedTrials, GreedyOnly]`.
-    unit_ns: [f64; 3],
+    /// Per-request simulated ns for `[Full, GreedyOnly]`.
+    unit_ns: [f64; 2],
 }
 
 impl Default for BudgetModel {
     fn default() -> Self {
         // Seeds in the same currency as `simulated_ns`: a ~1k-request
-        // full solve runs a few hundred iterations, the reduced rung
-        // saves most of them, and the greedy rung is the bare
-        // per-request form. The EMA replaces the seeds within a couple
-        // of cycles.
-        Self { unit_ns: [9_700.0, 7_000.0, 4_200.0] }
+        // full solve runs a few hundred iterations, and the greedy rung
+        // is the bare per-request form. The EMA replaces the seeds within
+        // a couple of cycles.
+        Self { unit_ns: [9_700.0, 4_200.0] }
     }
 }
 
@@ -344,21 +342,24 @@ impl BudgetModel {
             + forced_fallbacks as f64 * FALLBACK_NS) as u64
     }
 
-    /// The current per-request EMA state, indexed `[Full,
-    /// ReducedTrials, GreedyOnly]` — exposed so the flight recorder can
-    /// capture the ladder's decision inputs.
-    pub fn unit_ns(&self) -> [f64; 3] {
+    /// The current per-request EMA state, indexed `[Full, GreedyOnly]`
+    /// — exposed so the flight recorder can capture the ladder's
+    /// decision inputs.
+    pub fn unit_ns(&self) -> [f64; 2] {
         self.unit_ns
+    }
+
+    /// The EMA a rung reads and feeds: the full solve's, or the pass's.
+    fn index(rung: Rung) -> usize {
+        match rung {
+            Rung::Full | Rung::ReducedTrials => 0,
+            Rung::GreedyOnly | Rung::Shed => 1,
+        }
     }
 
     /// Predicted simulated ns for solving `n` requests on `rung`.
     pub fn predict(&self, rung: Rung, n: usize) -> f64 {
-        let unit = match rung {
-            Rung::Full => self.unit_ns[0],
-            Rung::ReducedTrials => self.unit_ns[1],
-            Rung::GreedyOnly | Rung::Shed => self.unit_ns[2],
-        };
-        unit * n as f64
+        self.unit_ns[Self::index(rung)] * n as f64
     }
 
     /// Choose the cheapest rung whose prediction fits `budget`, and how
@@ -372,12 +373,12 @@ impl BudgetModel {
         if n == 0 {
             return (Rung::Full, 0);
         }
-        for rung in [Rung::Full, Rung::ReducedTrials, Rung::GreedyOnly] {
+        for rung in [Rung::Full, Rung::GreedyOnly] {
             if self.predict(rung, n) <= b {
                 return (rung, n);
             }
         }
-        let keep = (b / self.unit_ns[2].max(1.0)).floor() as usize;
+        let keep = (b / self.unit_ns[1].max(1.0)).floor() as usize;
         (Rung::Shed, keep.min(n.saturating_sub(1)))
     }
 
@@ -390,12 +391,8 @@ impl BudgetModel {
         if !(unit.is_finite() && unit > 0.0) {
             return;
         }
-        let idx = match rung {
-            Rung::Full => 0,
-            Rung::ReducedTrials => 1,
-            Rung::GreedyOnly | Rung::Shed => 2,
-        };
-        self.unit_ns[idx] += EMA_ALPHA * (unit - self.unit_ns[idx]);
+        let ema = &mut self.unit_ns[Self::index(rung)];
+        *ema += EMA_ALPHA * (unit - *ema);
     }
 }
 
@@ -419,17 +416,6 @@ fn ticket_key(t: &Ticket) -> (u64, u32, u32) {
 /// Sort key of the backoff parking lot.
 fn parking_key((eligible, t): &(usize, Ticket)) -> (usize, (u64, u32, u32)) {
     (*eligible, ticket_key(t))
-}
-
-/// `x`'s bits mapped so that unsigned order is [`f64::total_cmp`]
-/// order: a negative flips every bit, a positive sets the sign bit.
-fn total_order_bits(x: f64) -> u64 {
-    let b = x.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | 1 << 63
-    }
 }
 
 /// The ladder's heat ranking: which `n − keep` of the `n` tickets to
@@ -956,14 +942,13 @@ impl ServiceLoop {
         let (rung, keep) = self.budget.pick(kept.len(), self.cfg.budget_ns);
         stats.rung = rung;
         ctx.recorder.event("rung", |e| {
-            let [full, reduced, greedy] = self.budget.unit_ns();
+            let [full, greedy] = self.budget.unit_ns();
             e.str("rung", rung.label())
                 .u64("batch", stats.admitted as u64)
                 .u64("keep", keep as u64)
                 .f64("predicted_ns", self.budget.predict(rung, keep))
                 .f64("budget_ns", self.cfg.budget_ns.unwrap_or(f64::INFINITY))
                 .f64("ema_full_ns", full)
-                .f64("ema_reduced_ns", reduced)
                 .f64("ema_greedy_ns", greedy);
         });
 
@@ -988,19 +973,15 @@ impl ServiceLoop {
         }
 
         // 5. Solve on the chosen rung over the book, less what drained
-        //    before the window: the sharded IVSP → SORP pipeline on `Full`
-        //    and `ReducedTrials`, one rejective-greedy pass on the two
-        //    lower rungs. An empty batch still opens the cycle
-        //    (eviction + stats) so idle ticks stay visible. The tickets
+        //    before the window: the sharded IVSP → SORP pipeline on `Full`,
+        //    one rejective-greedy pass on the two lower rungs. An empty
+        //    batch still opens the cycle (eviction + stats) so idle ticks
+        //    stay visible. The tickets
         //    go into batch order first, so that batch entry `i` is
         //    ticket `i`; of tickets holding one request, the most
         //    recently enqueued takes the first slot.
         let kept = into_batch_order(kept, ctx.catalog.len());
         let batch = RequestBatch::new(kept.iter().map(|t| t.request).collect());
-        let mut shard_cfg = self.cfg.shard.clone();
-        if rung == Rung::ReducedTrials {
-            shard_cfg.sorp.max_iterations = shard_cfg.sorp.max_iterations.min(REDUCED_TRIALS);
-        }
         let solve_started = std::time::Instant::now();
         let committed_evicted = self.book.evict_expired(t0);
         let mut warm = WarmStats {
@@ -1014,12 +995,11 @@ impl ServiceLoop {
         let held = self.book.held_for(&batch);
         let mut state = (!batch.is_empty()).then(|| {
             let book = self.book.ledger();
+            let shard = &self.cfg.shard;
             let solve = match rung {
-                Rung::Full | Rung::ReducedTrials => {
-                    solve_over(ctx, &batch, &shard_cfg, book, &held)
-                }
+                Rung::Full | Rung::ReducedTrials => solve_over(ctx, &batch, shard, book, &held),
                 Rung::GreedyOnly | Rung::Shed => {
-                    place_over(ctx, &batch, shard_cfg.sorp.policy, book, &held)
+                    place_over(ctx, &batch, shard.sorp.policy, book, &held)
                 }
             };
             warm.trials_hit = solve.state.trials_cached;
@@ -1039,11 +1019,10 @@ impl ServiceLoop {
         stats.over_budget = self.cfg.budget_ns.is_some_and(|b| sim_ns as f64 > b);
         self.budget.observe(rung, batch.len(), sim_ns);
         ctx.recorder.event("budget", |e| {
-            let [full, reduced, greedy] = self.budget.unit_ns();
+            let [full, greedy] = self.budget.unit_ns();
             e.u64("sim_ns", sim_ns)
                 .bool("over_budget", stats.over_budget)
                 .f64("ema_full_ns", full)
-                .f64("ema_reduced_ns", reduced)
                 .f64("ema_greedy_ns", greedy);
         });
 
@@ -1067,7 +1046,7 @@ impl ServiceLoop {
                 // `new` validated the whole plan against this topology, and
                 // validity is per fault: the sub-plan needs no second look.
                 let sub = FaultPlan::new(cycle_faults);
-                let repair = repair_state(ctx, state, &sub, shard_cfg.sorp.policy);
+                let repair = repair_state(ctx, state, &sub, self.cfg.shard.sorp.policy);
                 stats.delayed = repair.delayed.len();
                 served = adjusted_requests(&repair.delayed, &served);
             }
@@ -1240,10 +1219,9 @@ mod tests {
         let n = 1_000;
         assert_eq!(m.pick(n, None), (Rung::Full, n));
         let full = m.predict(Rung::Full, n);
-        let reduced = m.predict(Rung::ReducedTrials, n);
         let greedy = m.predict(Rung::GreedyOnly, n);
         assert_eq!(m.pick(n, Some(full)), (Rung::Full, n));
-        assert_eq!(m.pick(n, Some(reduced)), (Rung::ReducedTrials, n));
+        assert_eq!(m.pick(n, Some(full - 1.0)), (Rung::GreedyOnly, n));
         assert_eq!(m.pick(n, Some(greedy)), (Rung::GreedyOnly, n));
         let (rung, keep) = m.pick(n, Some(greedy / 2.0));
         assert_eq!(rung, Rung::Shed);
@@ -1593,6 +1571,39 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 400, ..Default::default() })]
+
+        /// Over any batch size and any observed `Full` units, the ladder
+        /// has three rungs: `pick` never returns `ReducedTrials`, an
+        /// infinite budget is `(Full, n)`, and as the budget falls the
+        /// rung only degrades (Full → GreedyOnly → Shed) and `keep` only
+        /// shrinks.
+        #[test]
+        fn budget_pick_degrades_monotonically_over_three_rungs(
+            n in 0usize..5_000,
+            budgets in vec(1.0f64..1e8, 1..24),
+            observed in vec(1_000u64..40_000, 0..6),
+        ) {
+            let mut m = BudgetModel::default();
+            for unit in observed {
+                m.observe(Rung::Full, 100, unit * 100);
+            }
+            prop_assert_eq!(m.pick(n, None), (Rung::Full, n));
+            let mut budgets = budgets;
+            budgets.sort_by(|a, b| b.total_cmp(a));
+            let level = |rung: Rung| match rung {
+                Rung::Full | Rung::ReducedTrials => 0,
+                Rung::GreedyOnly => 1,
+                Rung::Shed => 2,
+            };
+            let mut last = (Rung::Full, n);
+            for b in budgets {
+                let (rung, keep) = m.pick(n, Some(b));
+                prop_assert!(!matches!(rung, Rung::ReducedTrials), "budget {} picked it", b);
+                prop_assert!(level(rung) >= level(last.0), "{:?} after {:?}", rung, last.0);
+                prop_assert!(keep <= last.1, "keep {} after {}", keep, last.1);
+                last = (rung, keep);
+            }
+        }
 
         /// [`shed_mask`] sheds exactly the tickets the comparator sort
         /// did — over batches with twins, equal heats, a single video,

@@ -8,7 +8,7 @@
 //! **reconciliation pass**:
 //!
 //! 1. the per-shard [`PricedSchedule`]s merge without recomputation
-//!    ([`PricedSchedule::merge`]: Ψ is additive over transfers and
+//!    (`PricedSchedule::merge_with`: Ψ is additive over transfers and
 //!    residencies);
 //! 2. a fresh global [`SolveState`] is built over the base ledger and
 //!    the merged schedule, and every shard's bans are appended to it —
@@ -563,7 +563,7 @@ mod tests {
                 }
                 assert!(shards.len() > 1);
                 let before: Vec<StorageLedger> = shards.iter().map(|(l, _)| l.clone()).collect();
-                let (merged, _) = PricedSchedule::merge(parts);
+                let (merged, _) = PricedSchedule::merge_with(parts, |_, _, _| {});
                 let mut want = base.clone();
                 for r in merged.schedule().residencies() {
                     want.add(r.loc, r.video, r.profile(wl.catalog.get(r.video)));

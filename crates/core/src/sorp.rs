@@ -376,7 +376,7 @@ impl Replayer<'_, '_> {
         });
         let dirty = &self.suffixes[memo].1;
         if e.bans == bans {
-            !dirty.intersects(&e.trace.footprint)
+            !dirty.intersects(e.trace.footprint.spans())
                 || e.trace.checks.iter().all(|c| match c.fits {
                     Some(v) if dirty.intersects(&[(c.loc, c.candidate.start, c.candidate.end)]) => {
                         ledger.fits_cursor(ctx.topo, c.loc, &c.candidate, Some(vid), cursor) == v
@@ -598,11 +598,9 @@ impl SolveState {
     /// per-node float summation does, and a cold solve over a flat
     /// external list must agree bit for bit with a warm one over the
     /// incrementally maintained [`crate::CommittedBook`] ledger.
-    pub(crate) fn new(ctx: &SchedCtx<'_>, priced: PricedSchedule, mut base: StorageLedger) -> Self {
-        for r in priced.schedule().residencies() {
-            base.add(r.loc, r.video, r.profile(ctx.catalog.get(r.video)));
-        }
-        Self::laid(ctx, priced, base)
+    pub(crate) fn new(ctx: &SchedCtx<'_>, priced: PricedSchedule, base: StorageLedger) -> Self {
+        let ledger = base.with_schedule(ctx.catalog, priced.schedule());
+        Self::laid(ctx, priced, ledger)
     }
 
     /// Fresh state placed by one rejective-greedy pass over `batch`

@@ -316,7 +316,7 @@ fn first_commit_lands_in_a_dead_gap(
             let (_, trace, requests) = trial(vid, (of.loc, of.window));
             let last = requests.last().expect("participants deliver");
             let drained = last.start + ctx.catalog.get(vid).playback;
-            !delta.intersects(&trace.footprint)
+            !delta.intersects(trace.footprint.spans())
                 && trace.checks.iter().any(|c| {
                     // Capacity-rejected away from the banned storage, so
                     // every implied check would have consulted the ledger.

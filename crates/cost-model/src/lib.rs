@@ -62,7 +62,7 @@ mod space;
 mod video;
 
 pub use cost::{ChargingBasis, CostModel};
-pub use request::{Request, RequestBatch};
+pub use request::{total_order_bits, Request, RequestBatch};
 pub use schedule::{Residency, Schedule, Transfer, VideoSchedule};
 pub use space::{BreakDelta, BreakDeltas, SpaceModel, SpaceProfile};
 pub use video::{Catalog, Video, VideoId};

@@ -30,6 +30,19 @@ impl Request {
     }
 }
 
+/// `x`'s bits mapped so that unsigned order is [`f64::total_cmp`] order,
+/// the order [`Request::batch_order`] compares starts in: a negative
+/// flips every bit, a positive sets the sign bit.
+#[inline]
+pub fn total_order_bits(x: f64) -> u64 {
+    let b = x.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | 1 << 63
+    }
+}
+
 /// The batch of requests collected for one scheduling cycle, pre-grouped
 /// per video: the scheduler "collects the requests for the cycle and
 /// partitions them into sets R_i with each of the m distinct video files

@@ -36,7 +36,7 @@ use crate::requests::{draw_regional_requests, draw_requests};
 use crate::RequestConfig;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use vod_cost_model::{Catalog, Request, Secs};
+use vod_cost_model::{total_order_bits, Catalog, Request, Secs};
 use vod_topology::Topology;
 
 /// One arriving reservation: offered to intake at `at`, reserved for
@@ -128,9 +128,7 @@ fn arrival_order(a: &Arrival, b: &Arrival) -> Ordering {
 /// monotone in their start, as within one cycle's block: start's
 /// total-order bits, then video, then user.
 fn block_key(a: &Arrival) -> u128 {
-    let bits = a.request.start.to_bits();
-    // `f64::total_cmp`'s map to an order-preserving unsigned integer.
-    let start = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
+    let start = total_order_bits(a.request.start);
     (start as u128) << 64 | (a.request.video.0 as u128) << 32 | a.request.user.0 as u128
 }
 

@@ -25,7 +25,7 @@
 
 use crate::SplitMix64;
 use serde::{Deserialize, Serialize};
-use vod_cost_model::{Request, RequestBatch};
+use vod_cost_model::{total_order_bits, Request, RequestBatch};
 use vod_topology::{NodeId, Topology};
 
 /// How a batch is split into shards.
@@ -148,9 +148,7 @@ fn partition_by_time(batch: &RequestBatch, spec: &ShardSpec) -> Vec<RequestBatch
         .iter()
         .enumerate()
         .map(|(i, r)| {
-            let bits = r.start.to_bits();
-            // `f64::total_cmp`'s map to an order-preserving unsigned integer.
-            let start = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
+            let start = total_order_bits(r.start);
             (start, mix(spec.seed, r.user.0 as u64, r.video.0 as u64), r.user.0, r.video.0, i)
         })
         .collect();

@@ -90,9 +90,9 @@ if grep -rn --include='*.rs' -E 'use_[a-z_]*: bool' crates/core/src crates/exper
   echo "error: no use_* switches in crates/{core,experiments}/src (put the reference in crates/oracles)" >&2
   exit 1
 fi
-for call in 'partition_requests(' 'PricedSchedule::merge('; do
+for call in 'partition_requests(' 'PricedSchedule::merge_with('; do
   n="$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/shard.rs | grep -cF "$call" || true)"
-  if [ "$n" -gt 1 ]; then
+  if [ "$n" -ne 1 ]; then
     echo "error: $n calls of $call in crates/core/src/shard.rs; the pipeline has one body" >&2
     exit 1
   fi
@@ -104,6 +104,21 @@ if awk 'FNR == 1 { sec = "" } /^\[/ { sec = $0 }
           print FILENAME ":" FNR ": " $0; bad = 1 }
         END { exit !bad }' Cargo.toml crates/*/Cargo.toml; then
   echo "error: vod-oracles may appear under [dev-dependencies] only" >&2
+  exit 1
+fi
+
+echo "==> panic-site ratchet (no new panicking site in crates/core/src outside tests)"
+# Every non-test panic!, unwrap(), expect(, unreachable! and assert(_eq)!
+# before a file's first #[cfg(test)] — debug_assert! and comment lines
+# aside — is a site a hostile input could reach. There are 16; a change
+# may remove one, not add one (then lower the ceiling).
+panic_sites="$(for f in crates/core/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f"
+  done | grep -E 'panic!|unwrap\(\)|expect\(|unreachable!|assert!|assert_eq!' | grep -v 'debug_assert' || true)"
+n="$(printf '%s' "$panic_sites" | grep -c . || true)"
+if [ "$n" -gt 16 ]; then
+  echo "$panic_sites" >&2
+  echo "error: $n panic sites in non-test crates/core/src, above the ceiling of 16" >&2
   exit 1
 fi
 
