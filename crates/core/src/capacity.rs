@@ -42,6 +42,12 @@
 //!
 //! Rows are **copy-on-write** `Arc`s, so a clone costs a refcount per row
 //! and finished rows are taken over, not rebuilt (DESIGN.md §9).
+//!
+//! A tracing [`LedgerCursor`] records every admission question a greedy
+//! run asks through it and the answer ([`TrialTrace`]); a
+//! [`LedgerDelta`] collects the (node, window) spans a batch of
+//! mutations touched. SORP's trial cache replays a memoized trial from
+//! the one against the other (DESIGN.md §11.1).
 
 use crate::overflow::CAPACITY_EPS;
 use std::sync::Arc;
@@ -69,13 +75,12 @@ pub struct LedgerCursor {
 }
 
 /// One admission test executed during a traced trial: the candidate
-/// profile that was tested at a node, the boolean the constraints
-/// answered, and — when the ledger was actually consulted — the capacity
-/// sub-verdict. The answer sequence is the trial's *only* dependency on
+/// profile that was tested at a storage and the boolean the constraints
+/// answered. The answer sequence is the trial's *only* dependency on
 /// anything outside its own inputs — the rejective greedy is otherwise a
 /// deterministic function of its requests — so a trial replays
-/// bit-identically under mutated bans and a mutated ledger iff every
-/// recorded check re-evaluates to the same overall verdict
+/// bit-identically under other bans and a mutated ledger iff every
+/// recorded check would get the same answer again
 /// ([`crate::Constraints::check_replays`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdmissionCheck {
@@ -84,41 +89,19 @@ pub struct AdmissionCheck {
     /// The candidate occupancy profile as tested (including any in-trial
     /// residency growth accumulated by earlier requests).
     pub candidate: SpaceProfile,
-    /// The overall admission answer the greedy observed at trial time.
+    /// The admission answer the greedy observed at trial time.
     pub verdict: bool,
-    /// The capacity sub-verdict, `Some` iff the ledger was consulted at a
-    /// finite-capacity node. `None` means the answer was
-    /// ledger-independent: either a forbidden-window rejection (`verdict`
-    /// is `false`) or an infinite-capacity storage (`verdict` is `true`).
-    pub fits: Option<bool>,
 }
 
 /// The external dependency of one traced trial, in two resolutions: a
-/// coarse per-node footprint of the *ledger-consulting* checks for cheap
-/// disjointness pre-filtering, and the exact admission-check sequence for
-/// verdict replay under possibly-changed bans.
-///
-/// Invariant relied on by SORP's cache validation, in both directions: a
-/// check at a finite-capacity storage has `fits == None` **iff** the
-/// forbidden windows the trace is currently bound to reject it (at an
-/// infinite-capacity storage `fits` is always `None`) — so every `None`
-/// is ledger-independent under those windows, and every `Some(v)` is a
-/// sub-verdict the ledger actually gave, re-derived whenever a commit
-/// since the entry's epoch touched its support, and covered by
-/// `footprint`. A `Some(v)` left on a check the bound windows reject
-/// would sit out every replay behind the ban while commits flip it, and
-/// be trusted, stale, once the ban lifts.
-/// [`LedgerCursor::record_admission`] establishes the invariant at trial
-/// time; [`crate::Constraints::rebind_trace`] restores it — demoting as
-/// well as promoting — when a cached trace is revalidated under
-/// different forbidden windows. (The footprint only grows: after a
-/// demotion it is a superset, which costs a fast-path hit at worst.)
+/// coarse per-node footprint for cheap disjointness pre-filtering, and
+/// the exact admission-check sequence for verdict replay. The footprint
+/// covers every check.
 #[derive(Clone, Debug, Default)]
 pub struct TrialTrace {
-    /// Per-node union of every ledger-consulting check's candidate
-    /// support (checks with `fits == None` are ledger-independent and
-    /// contribute nothing). The greedy only ever grows one candidate
-    /// residency per node, so the union is tight.
+    /// Per-node union of every check's candidate support. The greedy
+    /// only ever grows one candidate residency per node, so the union is
+    /// tight.
     pub footprint: LedgerDelta,
     /// Every admission test, in execution order.
     pub checks: Vec<AdmissionCheck>,
@@ -131,9 +114,8 @@ impl LedgerCursor {
     }
 
     /// A cursor that additionally records every admission test routed
-    /// through it — the coarse (node, support interval) footprint of the
-    /// ledger-consulting checks plus the exact [`AdmissionCheck`]
-    /// sequence. A trial evaluated with a tracing cursor depends on its
+    /// through it — the coarse (node, support interval) footprint plus
+    /// the exact [`AdmissionCheck`] sequence. A trial evaluated with a tracing cursor depends on its
     /// constraints *only* through the recorded verdicts: any change to
     /// the bans or the ledger that leaves every verdict unchanged leaves
     /// the trial's outcome bit-identical.
@@ -146,23 +128,12 @@ impl LedgerCursor {
         self.trace = Some(TrialTrace::default());
     }
 
-    /// Record one admission test's dependency (no-op unless tracing).
-    /// Only ledger-consulting checks (`fits.is_some()`) contribute to the
-    /// footprint; intervals at the same node are unioned — the greedy
-    /// only ever grows one candidate residency per node, so the union is
-    /// tight.
-    pub fn record_admission(
-        &mut self,
-        loc: NodeId,
-        candidate: &SpaceProfile,
-        verdict: bool,
-        fits: Option<bool>,
-    ) {
+    /// Record one admission test (no-op unless tracing): the check, and
+    /// its support unioned into the footprint at its node.
+    pub fn record_admission(&mut self, loc: NodeId, candidate: &SpaceProfile, verdict: bool) {
         if let Some(trace) = &mut self.trace {
-            if fits.is_some() {
-                trace.footprint.record(loc, candidate.start, candidate.end);
-            }
-            trace.checks.push(AdmissionCheck { loc, candidate: *candidate, verdict, fits });
+            trace.footprint.record(loc, candidate.start, candidate.end);
+            trace.checks.push(AdmissionCheck { loc, candidate: *candidate, verdict });
         }
     }
 
@@ -509,35 +480,6 @@ impl StorageLedger {
     /// order.
     pub fn link_profiles(&self, edge: usize) -> &[(VideoId, SpaceProfile)] {
         &self.rows[self.nodes + edge].entries
-    }
-
-    /// [`StorageLedger::add`] that also records the profile's support
-    /// into `delta` (skipped, like the add itself, for zero-space
-    /// profiles). SORP's commit uses this to build the commit delta that
-    /// scopes trial-cache invalidation.
-    pub fn add_tracked(
-        &mut self,
-        loc: NodeId,
-        video: VideoId,
-        profile: SpaceProfile,
-        delta: &mut LedgerDelta,
-    ) {
-        if profile.peak() > 0.0 {
-            delta.record(loc, profile.start, profile.end);
-        }
-        self.add(loc, video, profile);
-    }
-
-    /// [`StorageLedger::remove`] that also records the supports of the
-    /// profiles actually dropped into `delta` (a no-op removal records
-    /// nothing).
-    pub fn remove_tracked(&mut self, loc: NodeId, video: VideoId, delta: &mut LedgerDelta) {
-        for (v, p) in self.profiles_at(loc) {
-            if *v == video {
-                delta.record(loc, p.start, p.end);
-            }
-        }
-        self.remove(loc, video);
     }
 
     /// Mutation version of the occupancy bookkeeping at `loc`: ticks on
@@ -1025,26 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn tracked_mutations_record_their_footprint() {
-        let t = topo(5.0);
-        let mut l = StorageLedger::new(&t);
-        let mut d = LedgerDelta::new();
-        l.add_tracked(NodeId(1), VideoId(0), profile(0.0, 5000.0), &mut d);
-        assert_eq!(d.spans(), &[(NodeId(1), 0.0, 6000.0)]);
-        // Zero-space profile: neither recorded nor tracked.
-        d.clear();
-        l.add_tracked(NodeId(1), VideoId(1), profile(100.0, 100.0), &mut d);
-        assert!(d.is_empty());
-        // Removal records the dropped profile's support; a no-op removal
-        // records nothing.
-        l.remove_tracked(NodeId(1), VideoId(7), &mut d);
-        assert!(d.is_empty());
-        l.remove_tracked(NodeId(1), VideoId(0), &mut d);
-        assert_eq!(d.spans(), &[(NodeId(1), 0.0, 6000.0)]);
-        assert_eq!(l.profile_count(NodeId(1)), 0);
-    }
-
-    #[test]
     fn node_version_ticks_only_on_real_mutations() {
         let t = topo(5.0);
         let mut l = StorageLedger::new(&t);
@@ -1157,15 +1079,12 @@ mod tests {
     #[test]
     fn tracing_cursor_records_admission_footprints_and_checks() {
         let mut c = LedgerCursor::new();
-        c.record_admission(NodeId(1), &profile(0.0, 10.0), true, Some(true)); // not tracing
+        c.record_admission(NodeId(1), &profile(0.0, 10.0), true); // not tracing
         assert!(c.take_trace().footprint.is_empty());
         let mut c = LedgerCursor::tracing();
-        c.record_admission(NodeId(1), &profile(100.0, 200.0), true, Some(true));
-        c.record_admission(NodeId(1), &profile(50.0, 150.0), false, Some(false));
-        c.record_admission(NodeId(2), &profile(0.0, 10.0), true, Some(true));
-        // Ledger-independent answers (bans, infinite capacity) are in the
-        // check sequence but contribute no footprint.
-        c.record_admission(NodeId(3), &profile(0.0, 10.0), false, None);
+        c.record_admission(NodeId(1), &profile(100.0, 200.0), true);
+        c.record_admission(NodeId(1), &profile(50.0, 150.0), false);
+        c.record_admission(NodeId(2), &profile(0.0, 10.0), true);
         let trace = c.take_trace();
         // Footprint ends extend past the residency window by the drain
         // tail, so compare nodes and ordering plus the union property.
@@ -1176,10 +1095,9 @@ mod tests {
         assert_eq!(footprint[0].2, profile(100.0, 200.0).end);
         assert_eq!(footprint[1].0, NodeId(2));
         // Checks keep execution order and verdicts verbatim.
-        assert_eq!(trace.checks.len(), 4);
+        assert_eq!(trace.checks.len(), 3);
         assert!(trace.checks[0].verdict && !trace.checks[1].verdict);
         assert_eq!(trace.checks[1].candidate, profile(50.0, 150.0));
-        assert_eq!(trace.checks[3].fits, None);
     }
 
     #[test]
@@ -1190,20 +1108,20 @@ mod tests {
         l.add(NodeId(1), VideoId(0), profile(0.0, 5000.0));
         // Record the current verdicts of two probes: a fitting one on the
         // half-full node and a non-fitting oversized sibling. The dirty
-        // delta covers both supports, so every capacity sub-verdict is
-        // re-evaluated rather than trusted.
+        // delta covers both supports, so every verdict is re-answered by
+        // the ledger rather than trusted.
         let small = profile(0.0, 5000.0); // 2 GB atop 2 GB: fits in 5 GB
         let big = SpaceProfile::new(0.0, 5000.0, units::gb(4.0), 1000.0); // 4+2 GB: no
         let checks = [
-            AdmissionCheck { loc: NodeId(1), candidate: small, verdict: true, fits: Some(true) },
-            AdmissionCheck { loc: NodeId(1), candidate: big, verdict: false, fits: Some(false) },
+            AdmissionCheck { loc: NodeId(1), candidate: small, verdict: true },
+            AdmissionCheck { loc: NodeId(1), candidate: big, verdict: false },
         ];
         let mut dirty = LedgerDelta::new();
         dirty.record(NodeId(1), 0.0, 1e9);
         let replay = |l: &StorageLedger, bans: &[(NodeId, crate::Interval)]| {
             let cons = Constraints { ledger: l, exclude: None, forbidden: bans };
             let mut cursor = LedgerCursor::new();
-            checks.iter().all(|c| cons.check_replays(&t, c, &dirty, &mut cursor))
+            checks.iter().all(|c| cons.check_replays(&t, &[], c, &dirty, &mut cursor))
         };
         assert!(replay(&l, &[]));
         // A mutation inside the support that flips no verdict: removing

@@ -24,6 +24,13 @@
 //! *forbidden* `(storage, interval)` — the overflow being resolved.
 //! Serving directly from the warehouse is always admissible, so the
 //! rejective greedy always produces a feasible schedule.
+//!
+//! A traced run records each admission question it asks and the answer
+//! it got ([`TrialTrace`]). That record is all the run observed of its
+//! constraints, so [`Constraints::check_replays`] can tell from it alone
+//! whether the run would go the same way under other bans and a ledger
+//! that has moved since: SORP's trial cache reuses a memoized trial on
+//! exactly that condition.
 
 use crate::capacity::{AdmissionCheck, LedgerCursor, LedgerDelta, TrialTrace};
 use crate::warm::HeldCopies;
@@ -84,27 +91,23 @@ pub struct Constraints<'a> {
     pub forbidden: &'a [(NodeId, Interval)],
 }
 
-impl Constraints<'_> {
-    /// Whether `profile` overlaps a forbidden window at `loc` with
-    /// positive space — the ledger-independent half of [`admits`].
-    ///
-    /// [`admits`]: Constraints::admits
-    fn banned(&self, loc: NodeId, profile: &SpaceProfile) -> bool {
-        if profile.peak() <= 0.0 {
-            return false;
-        }
-        let support = Interval::new(profile.start, profile.end);
-        self.forbidden.iter().any(|(floc, window)| *floc == loc && support.overlaps(window))
+/// Whether `profile` overlaps a window of `forbidden` at `loc` with
+/// positive space — the ledger-independent half of admission.
+fn banned(forbidden: &[(NodeId, Interval)], loc: NodeId, profile: &SpaceProfile) -> bool {
+    if profile.peak() <= 0.0 {
+        return false;
     }
+    let support = Interval::new(profile.start, profile.end);
+    forbidden.iter().any(|(floc, window)| *floc == loc && support.overlaps(window))
+}
 
-    /// Whether `profile` may be placed at `loc`: it must not overlap any
-    /// forbidden window at `loc` with positive space, and it must fit
-    /// under the storage's capacity together with everything else. The
-    /// cursor carries reusable scratch buffers across admission tests so
-    /// the hot path allocates nothing; when tracing, every test is
-    /// recorded — banned and infinite-capacity answers with `fits =
-    /// None` (they are ledger-independent but still ban-dependent), and
-    /// ledger-consulting answers with their capacity sub-verdict.
+impl Constraints<'_> {
+    /// Whether `profile` may be placed at storage `loc`: it must not
+    /// overlap any forbidden window at `loc` with positive space, and it
+    /// must fit under the storage's capacity together with everything
+    /// else. The cursor carries reusable scratch buffers across admission
+    /// tests so the hot path allocates nothing; when tracing, it records
+    /// the question and the answer.
     ///
     /// Monotone in the residency's extension: on one ledger and one set
     /// of windows, a profile rejected when extended to `t` is rejected
@@ -120,96 +123,50 @@ impl Constraints<'_> {
         profile: &SpaceProfile,
         cursor: &mut LedgerCursor,
     ) -> bool {
-        if self.banned(loc, profile) {
-            cursor.record_admission(loc, profile, false, None);
-            return false;
-        }
-        let verdict = self.ledger.fits_cursor(ctx.topo, loc, profile, self.exclude, cursor);
-        let fits = ctx.topo.capacity(loc).is_finite().then_some(verdict);
-        cursor.record_admission(loc, profile, verdict, fits);
+        let verdict = !banned(self.forbidden, loc, profile)
+            && self.ledger.fits_cursor(ctx.topo, loc, profile, self.exclude, cursor);
+        cursor.record_admission(loc, profile, verdict);
         verdict
     }
 
-    /// Whether one recorded [`AdmissionCheck`] re-evaluates to its
-    /// trial-time verdict under *these* constraints — the current ledger
-    /// and the possibly-different forbidden windows. SORP's trial cache
-    /// keys entries by video alone and uses this to decide, at lookup
-    /// time, whether a memoized trial would replay bit-identically under
-    /// the bans the new trial job carries: the greedy observes its
-    /// constraints only through the sequence of [`admits`] booleans, so
-    /// by induction (each matching answer reproduces the exact state
-    /// that determined the next test) matching answers for every
-    /// recorded check imply an identical greedy execution and output.
+    /// Whether one [`AdmissionCheck`] recorded under the windows `bound`
+    /// would get its answer again under *these* constraints — the current
+    /// ledger and possibly other windows — given that the ledger has
+    /// moved since only inside `dirty`. The greedy observes its
+    /// constraints only through the sequence of [`admits`] answers, so by
+    /// induction (each matching answer reproduces the exact state that
+    /// determined the next test) matching answers for every recorded
+    /// check imply an identical greedy execution and output.
     ///
-    /// The re-evaluation mirrors [`admits`] exactly: a check banned
-    /// under the current windows answers `false`; an infinite-capacity
-    /// storage answers `true`; otherwise the capacity sub-verdict
-    /// decides — reused verbatim when it was recorded and no span of
-    /// `dirty` touches the candidate's (node, support), re-derived from
-    /// the ledger otherwise. Reuse is sound because a profile whose
-    /// support is disjoint from every mutation contributes exactly `0.0`
-    /// at every instant of the candidate's support, so it cannot move
-    /// the row's peak over that support (the plateau-sum fast path
-    /// is conservative-consistent: it can flip which code path answers
-    /// but never the boolean).
+    /// A check these windows ban answers `false`. One that neither they
+    /// nor `bound` ban, and whose (node, support) no span of `dirty`
+    /// touches, answered from the ledger then and would again: a profile
+    /// whose support is disjoint from the candidate's contributes exactly
+    /// `0.0` at every instant of it, so no mutation outside it can move
+    /// the peak there (the plateau-sum fast path can change which code
+    /// path answers, never the answer). Every other check asks the
+    /// ledger. Nothing the trace stores depends on the windows, so a
+    /// replay under other windows leaves nothing to go stale.
     ///
     /// [`admits`]: Constraints::admits
     pub fn check_replays(
         &self,
         topo: &Topology,
+        bound: &[(NodeId, Interval)],
         check: &AdmissionCheck,
         dirty: &LedgerDelta,
         cursor: &mut LedgerCursor,
     ) -> bool {
-        if self.banned(check.loc, &check.candidate) {
-            return !check.verdict;
+        let AdmissionCheck { loc, candidate, verdict } = *check;
+        if banned(self.forbidden, loc, &candidate) {
+            return !verdict;
         }
-        if !topo.capacity(check.loc).is_finite() {
-            return check.verdict;
+        if !banned(bound, loc, &candidate)
+            && !dirty.intersects(&[(loc, candidate.start, candidate.end)])
+        {
+            return true;
         }
-        let fits = match check.fits {
-            Some(v)
-                if !dirty.intersects(&[(
-                    check.loc,
-                    check.candidate.start,
-                    check.candidate.end,
-                )]) =>
-            {
-                v
-            }
-            _ => self.ledger.fits_cursor(topo, check.loc, &check.candidate, self.exclude, cursor),
-        };
-        fits == check.verdict
-    }
-
-    /// Rebind a trace whose every check was just verified (via
-    /// [`Constraints::check_replays`]) to *these* forbidden windows, in
-    /// both directions. A finite-capacity check the new windows ban
-    /// answered without the ledger, so whatever capacity sub-verdict it
-    /// carried was *not* re-derived by the replay and goes stale with the
-    /// next commit inside its support: it is demoted to `fits = None`. A
-    /// check recorded as ban-rejected (`fits == None`) that is no longer
-    /// banned has just had its capacity sub-verdict derived from the
-    /// ledger by the successful replay — it answered exactly `verdict`,
-    /// or the replay would have failed — so the dependency is
-    /// materialized (`fits = Some(verdict)`) and its support unioned into
-    /// the ledger footprint. This restores the [`TrialTrace`] invariant
-    /// that makes later validations sound: a finite-capacity check has
-    /// `fits == None` iff the bans the trace is bound to reject it, and
-    /// every other one is covered by the footprint.
-    pub fn rebind_trace(&self, topo: &Topology, trace: &mut TrialTrace) {
-        for i in 0..trace.checks.len() {
-            let c = trace.checks[i];
-            if !topo.capacity(c.loc).is_finite() {
-                continue;
-            }
-            if self.banned(c.loc, &c.candidate) {
-                trace.checks[i].fits = None;
-            } else if c.fits.is_none() {
-                trace.checks[i].fits = Some(c.verdict);
-                trace.footprint.record(c.loc, c.candidate.start, c.candidate.end);
-            }
-        }
+        self.ledger.fits_cursor(topo, loc, &candidate, self.exclude, cursor) == verdict
     }
 }
 
@@ -331,14 +288,14 @@ pub(crate) fn place(
 }
 
 /// The rejective [`find_video_schedule`] that additionally returns the
-/// trial's dependency trace: the per-node footprint union of the
-/// ledger-consulting checks plus the exact sequence of admission tests
-/// and their answers. The schedule is bit-identical to the untraced
-/// one's — tracing only records, it never filters — and the trace is
-/// exactly what SORP's trial cache needs: bans or ledger mutations that
-/// leave every recorded answer unchanged (checked per check via
-/// [`Constraints::check_replays`]) cannot change any admission answer, so
-/// the whole greedy replays identically.
+/// trial's dependency trace: the exact sequence of admission tests and
+/// their answers, and the per-node union of their supports. The schedule
+/// is bit-identical to the untraced one's — tracing only records, it
+/// never filters — and the trace is exactly what SORP's trial cache
+/// needs: bans or ledger mutations that leave every recorded answer
+/// unchanged (checked per check via [`Constraints::check_replays`])
+/// cannot change any admission answer, so the whole greedy replays
+/// identically.
 pub fn reschedule_video_traced(
     ctx: &SchedCtx<'_>,
     requests: &[Request],

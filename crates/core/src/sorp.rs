@@ -40,26 +40,28 @@
 //!   participant) order — the order the victim reduce, whose ε-tie rule
 //!   is not transitive, is defined over;
 //! * a trial carries its dependency trace (recorded by the tracing
-//!   [`crate::LedgerCursor`]): the bans it ran under, a coarse per-node
-//!   footprint of the ledger-consulting checks, and the exact sequence
-//!   of admission tests with their answers. Each commit records its
-//!   mutations into a [`crate::LedgerDelta`], and a trial is re-checked
-//!   against the deltas that landed since it was last known good: under
-//!   unchanged bans — a standing job's, in place — a disjoint footprint
-//!   means nothing moved and otherwise only the touched capacity
-//!   sub-verdicts are re-derived; under other bans it survives iff every
-//!   recorded admission answer re-evaluates unchanged
+//!   [`crate::LedgerCursor`]): the exact sequence of admission questions
+//!   with their answers, and the per-node union of their supports; the
+//!   entry also keeps the bans it is known good under. Each commit
+//!   records the supports it removes and adds into a
+//!   [`crate::LedgerDelta`], and a trial is re-checked against the
+//!   deltas that landed since it was last known good by one rule
 //!   ([`crate::Constraints::check_replays`]), the exact condition for a
-//!   bit-identical replay;
+//!   bit-identical replay: a check the new bans reject must have been a
+//!   rejection; one neither set of bans rejects and no delta touches
+//!   stands; every other one is re-answered by the ledger. Under
+//!   unchanged bans — a standing job's, in place — a footprint no delta
+//!   touches skips the rule;
 //! * a **trial cache** per video holds the trials no job has
 //!   attached: those a moved storage's jobs handed back. A rebuilt job
-//!   looks up there, entries bound to its own bans first; one bound to
-//!   other bans that still replays is rebound — which is what lets a
-//!   trial survive a commit that merely *shifts* an overflow window
-//!   without changing any greedy decision, the dominant case once a
-//!   victim vacates a contended node. Only a miss runs the rejective
-//!   greedy. The cache lives and dies with its pass: the next pass —
-//!   the sharded solve's global one included — starts with none;
+//!   looks up there, entries known good under its own bans first; one
+//!   known good under other bans that still replays is taken under the
+//!   job's — which is what lets a trial survive a commit that merely
+//!   *shifts* an overflow window without changing any greedy decision,
+//!   the dominant case once a victim vacates a contended node. Only a
+//!   miss runs the rejective greedy. The cache lives and dies with its
+//!   pass: the next pass — the sharded solve's global one included —
+//!   starts with none;
 //! * the [`OverflowMonitor`] rescans only storages whose ledger
 //!   version moved, instead of every node's full row.
 //!
@@ -74,8 +76,8 @@
 //! `vod_oracles::sorp_solve_naive` (a dev-only crate written against this
 //! crate's public API): the property tests assert both produce
 //! bit-identical schedules, costs, victims, and iteration counts, while
-//! the oracle re-answers every overflow scan and every ledger-consulting
-//! admission test with its own flat scan of the ledger's entries.
+//! the oracle re-answers every overflow scan and every admission test
+//! with its own ban check and flat scan of the ledger's entries.
 //!
 //! The loop commits one victim per iteration and runs on the calling
 //! thread; the independent unit of work is the shard
@@ -308,11 +310,10 @@ enum Pending {
 /// distinct bans-behavior). The bans are part of the entry and are
 /// re-validated (not merely compared) at lookup time, so an entry
 /// survives overflow windows that shifted without changing any admission
-/// answer, and is *rebound* to the new bans when it does (see
-/// [`crate::Constraints::rebind_trace`]). The inputs that are not
-/// validated explicitly — the video's current requests and the effective
-/// ledger (ledger minus the video's own profiles, `exclude`) — need no
-/// check: a video's delivered request set is invariant across
+/// answer, and is then known good under the new bans. The inputs that
+/// are not validated explicitly — the video's current requests and the
+/// effective ledger (ledger minus the video's own profiles, `exclude`) —
+/// need no check: a video's delivered request set is invariant across
 /// reschedules, and the video's own occupancy is invisible to its trials.
 struct CachedTrial {
     /// The trial reschedule's output.
@@ -321,8 +322,8 @@ struct CachedTrial {
     new_cost: Dollars,
     /// The forbidden windows the entry is currently known valid under.
     bans: Vec<(NodeId, Interval)>,
-    /// The trial's dependency: coarse ledger footprint plus the exact
-    /// admission-test sequence.
+    /// The trial's dependency: the exact admission-test sequence plus
+    /// its coarse footprint.
     trace: TrialTrace,
     /// Number of commit deltas already accounted for: the entry is known
     /// to replay bit-identically against the ledger as of
@@ -351,42 +352,30 @@ struct Replayer<'a, 'c> {
 
 impl Replayer<'_, '_> {
     /// Whether `e` would replay bit-identically under `bans` and the
-    /// *current* ledger. With the bans it is bound to, every ban outcome
-    /// replays a priori (same windows, same candidates): the fast path —
-    /// the deltas since the entry's epoch disjoint from its ledger
-    /// footprint — answers without re-evaluating anything, and otherwise
-    /// only the capacity sub-verdicts the dirty spans could have touched
-    /// are re-derived. Under other bans the entry qualifies iff every
-    /// recorded admission test re-answers identically
-    /// ([`Constraints::check_replays`]), a few near-O(1) probes instead
-    /// of a full greedy re-run. A `true` re-verified every
-    /// ledger-consulting sub-verdict the dirty spans could have touched:
-    /// the entry is then current as of the full delta list.
+    /// *current* ledger: every recorded check passes
+    /// [`Constraints::check_replays`] against the deltas since the
+    /// entry's epoch, with `e.bans` as the windows it was known good
+    /// under. Under those very bans a footprint the deltas do not touch
+    /// answers first, without a probe. A `true` leaves the entry current
+    /// as of the full delta list under `bans`.
     fn replays(&mut self, e: &CachedTrial, bans: &[(NodeId, Interval)]) -> bool {
-        let (ctx, ledger, deltas, vid) = (self.ctx, self.ledger, self.deltas, e.new_vs.video);
-        let cursor = &mut self.cursor;
         let memo = self.suffixes.iter().position(|(epoch, _)| *epoch == e.epoch);
         let memo = memo.unwrap_or_else(|| {
             let mut merged = LedgerDelta::new();
-            for d in &deltas[e.epoch..] {
+            for d in &self.deltas[e.epoch..] {
                 merged.merge(d);
             }
             self.suffixes.push((e.epoch, merged));
             self.suffixes.len() - 1
         });
         let dirty = &self.suffixes[memo].1;
-        if e.bans == bans {
-            !dirty.intersects(e.trace.footprint.spans())
-                || e.trace.checks.iter().all(|c| match c.fits {
-                    Some(v) if dirty.intersects(&[(c.loc, c.candidate.start, c.candidate.end)]) => {
-                        ledger.fits_cursor(ctx.topo, c.loc, &c.candidate, Some(vid), cursor) == v
-                    }
-                    _ => true,
-                })
-        } else {
-            let cons = Constraints { ledger, exclude: Some(vid), forbidden: bans };
-            e.trace.checks.iter().all(|c| cons.check_replays(ctx.topo, c, dirty, cursor))
+        if e.bans == bans && !dirty.intersects(e.trace.footprint.spans()) {
+            return true;
         }
+        let exclude = Some(e.new_vs.video);
+        let cons = Constraints { ledger: self.ledger, exclude, forbidden: bans };
+        let (topo, cursor) = (self.ctx.topo, &mut self.cursor);
+        e.trace.checks.iter().all(|c| cons.check_replays(topo, &e.bans, c, dirty, cursor))
     }
 }
 
@@ -410,7 +399,6 @@ impl Replayer<'_, '_> {
 /// for another overflow's job.
 fn take_cached(
     list: &mut Vec<CachedTrial>,
-    vid: VideoId,
     bans: &[(NodeId, Interval)],
     replayer: &mut Replayer<'_, '_>,
 ) -> Option<CachedTrial> {
@@ -426,12 +414,6 @@ fn take_cached(
                 e.epoch = replayer.deltas.len();
                 if !exact {
                     e.bans = bans.to_vec();
-                    // Rebinding can turn a ban-rejected check into a
-                    // ledger-dependent one; materialize that dependency in
-                    // the trace so later fast-path validations see it.
-                    let (ctx, ledger) = (replayer.ctx, replayer.ledger);
-                    let cons = Constraints { ledger, exclude: Some(vid), forbidden: bans };
-                    cons.rebind_trace(ctx.topo, &mut e.trace);
                 }
                 return Some(e);
             } else if exact {
@@ -772,7 +754,7 @@ impl SolveState {
                 let cached = self
                     .cache
                     .written(job.at)
-                    .and_then(|list| take_cached(list, job.vid, &job.bans, &mut replayer));
+                    .and_then(|list| take_cached(list, &job.bans, &mut replayer));
                 let trial = match cached {
                     Some(trial) => trial,
                     None => {
@@ -897,7 +879,10 @@ impl SolveState {
         if let Some(old_vs) = self.priced.schedule().video(vid) {
             for r in &old_vs.residencies {
                 self.dirty[r.loc.index()] = true;
-                self.ledger.remove_tracked(r.loc, vid, &mut delta);
+                for (_, p) in self.ledger.profiles_at(r.loc).iter().filter(|(v, _)| *v == vid) {
+                    delta.record(r.loc, p.start, p.end);
+                }
+                self.ledger.remove(r.loc, vid);
             }
         }
         debug_assert!(
@@ -907,7 +892,10 @@ impl SolveState {
         for r in &new_vs.residencies {
             self.dirty[r.loc.index()] = true;
             let profile = r.profile(ctx.catalog.get(r.video));
-            self.ledger.add_tracked(r.loc, r.video, profile, &mut delta);
+            if profile.peak() > 0.0 {
+                delta.record(r.loc, profile.start, profile.end);
+            }
+            self.ledger.add(r.loc, r.video, profile);
         }
         if let (_, Err(at)) = self.priced.commit_priced(ctx, new_vs, new_cost) {
             debug_assert!(self.jobs.is_empty(), "a pass inserted a video under its jobs");

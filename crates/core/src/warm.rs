@@ -107,9 +107,8 @@ pub struct WarmStats {
 impl WarmStats {
     /// Emit this snapshot as a `"warm"` flight-recorder event under the
     /// recorder's current cycle scope. `solve_ns` is deliberately NOT a
-    /// field: it is wall clock, and event payloads stay deterministic —
-    /// wall time only ever appears in the recorder's optional `wall_ns`
-    /// side stamp (and in `WarmStats` itself for reports).
+    /// field: it is wall clock, and recordings stay deterministic — wall
+    /// time only ever appears in `WarmStats` itself, for reports.
     pub fn record(&self, rec: &vod_obs::Recorder) {
         rec.event("warm", |e| {
             e.u64("trials_hit", self.trials_hit as u64)

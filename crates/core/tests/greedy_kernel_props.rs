@@ -561,7 +561,7 @@ proptest! {
                 if ok { admitted += 1 } else { rejected += 1 }
             }
             let asked = cursor.take_trace().checks;
-            prop_assert_eq!(audit_admissions(&topo, &ledger, exclude, &asked), Ok(()));
+            prop_assert_eq!(audit_admissions(&topo, &ledger, exclude, &forbidden, &asked), Ok(()));
         }
         prop_assert!(admitted > 0 && rejected > 0, "vacuous: {admitted} admitted, {rejected} rejected");
     }

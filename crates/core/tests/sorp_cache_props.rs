@@ -18,16 +18,16 @@ use vod_core::audit::{
     TrialTrace,
 };
 use vod_core::{
-    detect_overflows, ivsp_solve, shard_solve_seeded, sorp_solve, CommittedBook, Constraints,
-    GreedyPolicy, HeatMetric, Interval, SchedCtx, ShardConfig, SorpConfig, SorpOutcome,
-    StorageLedger, EXTERNAL_OCCUPANCY,
+    detect_overflows, find_video_schedule, ivsp_solve, shard_solve_seeded, sorp_solve,
+    CommittedBook, Constraints, GreedyPolicy, HeatMetric, Interval, SchedCtx, ShardConfig,
+    SorpConfig, SorpOutcome, StorageLedger, EXTERNAL_OCCUPANCY,
 };
 use vod_cost_model::{CostModel, RequestBatch, SpaceProfile, VideoId};
 use vod_oracles::{sorp_solve_naive, sorp_solve_naive_released};
-use vod_topology::{builders, NodeId, Topology};
+use vod_topology::{builders, units, NodeId, Topology};
 use vod_workload::{
     generate_arrivals, generate_catalog, partition_requests, ArrivalConfig, CatalogConfig,
-    RequestConfig, ShardSpec, Workload,
+    RequestConfig, ShardSpec, SplitMix64, Workload,
 };
 
 /// One randomized solver scenario.
@@ -318,9 +318,10 @@ fn first_commit_lands_in_a_dead_gap(
             let drained = last.start + ctx.catalog.get(vid).playback;
             !delta.intersects(trace.footprint.spans())
                 && trace.checks.iter().any(|c| {
-                    // Capacity-rejected away from the banned storage, so
-                    // every implied check would have consulted the ledger.
-                    c.fits == Some(false)
+                    // Rejected away from the banned storage, so on
+                    // capacity: every implied check would have consulted
+                    // the ledger.
+                    !c.verdict
                         && c.loc != of.loc
                         && c.candidate.last < last.start
                         && delta.intersects(&[(c.loc, c.candidate.start, drained)])
@@ -363,19 +364,21 @@ fn shortened_traces_stay_exact_when_commits_land_in_dead_gaps() {
     assert!(in_class > 0, "no instance exercised a commit landing in a dead gap");
 }
 
-/// The smallest instance of a rebind that must forget: on the paper's
-/// Fig. 2 line a trial finds IS1 full and records the capacity rejection
-/// of its cache there; a commit then empties IS1; the entry is hit under
-/// a ban that covers the rejected extension (the ban answers, the ledger
-/// is not asked, the entry's epoch moves past the commit); and is looked
-/// up once more under a ban elsewhere. The extension now fits, so a fresh
-/// trial serves U2 from IS1 and the memoized one must not be handed out.
-/// The lookup is [`Constraints::check_replays`] over every check, the hit
-/// [`Constraints::rebind_trace`] — the solver's protocol, step for step.
+/// The smallest instance of a hit under other bans that must forget: on
+/// the paper's Fig. 2 line a trial finds IS1 full and records the capacity
+/// rejection of its cache there; a commit then empties IS1; the entry is
+/// hit under a ban that covers the rejected extension (the ban answers,
+/// the ledger is not asked, the entry's epoch moves past the commit and
+/// it is known good under that ban from then on); and is looked up once
+/// more under a ban elsewhere. The extension now fits, so a fresh trial
+/// serves U2 from IS1 and the memoized one must not be handed out. The
+/// lookup is [`Constraints::check_replays`] over every check, under the
+/// bans the entry is known good under — the solver's protocol, step for
+/// step.
 #[test]
 fn rebinding_under_a_ban_forgets_the_capacity_verdict_it_skipped() {
     use vod_cost_model::{Catalog, Request, Video};
-    use vod_topology::{units, UserId};
+    use vod_topology::UserId;
 
     let topo = builders::paper_fig2(16.0, 8.0, 1.0, 5.0);
     let vid = VideoId(0);
@@ -398,43 +401,161 @@ fn rebinding_under_a_ban_forgets_the_capacity_verdict_it_skipped() {
         reschedule_video_traced(&ctx, &requests, &cons, GreedyPolicy::default())
     };
     let replays = |ledger: &StorageLedger,
+                   bound: &[(NodeId, Interval)],
                    bans: &[(NodeId, Interval)],
                    trace: &TrialTrace,
                    dirty: &LedgerDelta| {
         let cons = Constraints { ledger, exclude: Some(vid), forbidden: bans };
         let mut cursor = LedgerCursor::new();
-        trace.checks.iter().all(|c| cons.check_replays(&topo, c, dirty, &mut cursor))
+        trace.checks.iter().all(|c| cons.check_replays(&topo, bound, c, dirty, &mut cursor))
     };
 
     // The memoized trial: IS1's copy cannot be extended to serve U2.
-    let (memo, mut trace) = trial(&ledger, &[]);
+    let (memo, trace) = trial(&ledger, &[]);
     let rejected = *trace
         .checks
         .iter()
-        .find(|c| c.loc == is1 && c.fits == Some(false))
+        .find(|c| c.loc == is1 && !c.verdict)
         .expect("the full store rejects IS1's extension on capacity");
 
     // A commit vacates IS1, inside the rejected check's support.
     let mut commit = LedgerDelta::new();
-    ledger.remove_tracked(is1, squatter, &mut commit);
+    for &(_, p) in ledger.profiles_at(is1) {
+        commit.record(is1, p.start, p.end);
+    }
+    ledger.remove(is1, squatter);
     assert!(commit.intersects(&[(is1, rejected.candidate.start, rejected.candidate.end)]));
 
     // Hit under a ban over that support: same answer, for another reason.
     let over = [(is1, Interval::new(t1, t2))];
-    assert!(replays(&ledger, &over, &trace, &commit), "the ban re-rejects the extension");
+    assert!(replays(&ledger, &[], &over, &trace, &commit), "the ban re-rejects the extension");
     assert!(trial(&ledger, &over).0 == memo, "and a fresh trial agrees");
-    Constraints { ledger: &ledger, exclude: Some(vid), forbidden: &over }
-        .rebind_trace(&topo, &mut trace);
 
-    // The entry is now current as of the commit. Under a ban that misses
-    // the extension, nothing rejects it any more.
+    // The entry is now current as of the commit, known good under `over`.
+    // Under a ban that misses the extension, nothing rejects it any more.
     let elsewhere = [(is1, Interval::new(0.0, units::hours(1.0)))];
     let fresh = trial(&ledger, &elsewhere).0;
     assert!(fresh != memo, "IS1 has room now: U2 is served from its copy");
     assert!(
-        !replays(&ledger, &elsewhere, &trace, &LedgerDelta::new()),
-        "a stale capacity verdict was reused across the rebind"
+        !replays(&ledger, &over, &elsewhere, &trace, &LedgerDelta::new()),
+        "a stale capacity verdict was reused after the hit under other bans"
     );
+}
+
+/// Whether `bans` reject `profile` at `loc`: positive space overlapping a
+/// window there.
+fn banned_by(bans: &[(NodeId, Interval)], loc: NodeId, profile: &SpaceProfile) -> bool {
+    let support = Interval::new(profile.start, profile.end);
+    profile.peak() > 0.0 && bans.iter().any(|(l, w)| *l == loc && support.overlaps(w))
+}
+
+/// The replay rule is sound. On random instances — a contended ledger
+/// (every video's phase-1 residencies), bans `A`, a traced trial under
+/// them, one commit that re-places another video (its delta recorded as
+/// the solver's commit records it: the supports of the positive-space
+/// profiles it removes and adds) and bans `B` — whenever
+/// [`Constraints::check_replays`] accepts every check of the trial, a
+/// fresh traced run under `B` on the committed ledger returns the
+/// identical schedule and asks the identical questions; and under `B = A`
+/// a footprint the commit does not touch is always accepted (the
+/// solver's fast path). The instances must include accepted trials under
+/// other bans that re-ask the ledger about a check `A` banned, and
+/// accepted trials whose footprint the commit touched.
+#[test]
+fn an_accepted_replay_is_the_fresh_run() {
+    let policy = GreedyPolicy::default();
+    let (mut hits, mut reasked, mut touched) = (0usize, 0usize, 0usize);
+    for seed in 0..24u64 {
+        let s = Scenario {
+            topo_kind: (seed % 4) as u32,
+            storages: 4 + (seed % 8) as usize,
+            capacity_gb: [4.0, 5.0, 8.0][(seed % 3) as usize],
+            workload_seed: seed,
+            metric: HeatMetric::TimeSpacePerCost,
+            max_iterations: 10_000,
+        };
+        let topo = build_topo(&s);
+        let wl =
+            Workload::generate(&topo, &CatalogConfig::small(24), &RequestConfig::paper(), seed);
+        let model = CostModel::per_hop();
+        let ctx = SchedCtx::new(&topo, &model, &wl.catalog);
+        let schedule = ivsp_solve(&ctx, &wl.requests, policy).into_schedule();
+        let ledger = StorageLedger::from_schedule(&topo, &wl.catalog, &schedule);
+        let mut rng = SplitMix64::new(seed ^ 0x5E_91A7);
+
+        // Candidate windows: the overflows' own, and random ones.
+        let storages: Vec<NodeId> = topo.storages().collect();
+        let mut pool: Vec<(NodeId, Interval)> =
+            detect_overflows(&topo, &ledger).iter().map(|of| (of.loc, of.window)).collect();
+        for _ in 0..4 {
+            let start = rng.range_f64(0.0, units::hours(22.0));
+            let end = start + rng.range_f64(units::minutes(10.0), units::hours(4.0));
+            pool.push((storages[rng.index(storages.len())], Interval::new(start, end)));
+        }
+        let pick = |rng: &mut SplitMix64, n: usize| -> Vec<(NodeId, Interval)> {
+            (0..n).map(|_| pool[rng.index(pool.len())]).collect()
+        };
+
+        // One commit: a video with residencies re-placed under a ban.
+        let movers: Vec<VideoId> =
+            schedule.videos().filter(|vs| !vs.residencies.is_empty()).map(|vs| vs.video).collect();
+        let Some(&moved) = movers.get(rng.index(movers.len().max(1))) else { continue };
+        let old = schedule.video(moved).expect("a scheduled video");
+        let ban = pick(&mut rng, 1);
+        let cons = Constraints { ledger: &ledger, exclude: Some(moved), forbidden: &ban };
+        let new_vs = find_video_schedule(&ctx, &old.delivered_requests(), policy, Some(&cons));
+        let (mut committed, mut delta) = (ledger.clone(), LedgerDelta::new());
+        for r in &old.residencies {
+            for (_, p) in committed.profiles_at(r.loc).iter().filter(|(v, _)| *v == moved) {
+                delta.record(r.loc, p.start, p.end);
+            }
+            committed.remove(r.loc, moved);
+        }
+        for r in &new_vs.residencies {
+            let p = r.profile(wl.catalog.get(moved));
+            if p.peak() > 0.0 {
+                delta.record(r.loc, p.start, p.end);
+            }
+            committed.add(r.loc, moved, p);
+        }
+
+        for vs in schedule.videos() {
+            let (vid, requests) = (vs.video, vs.delivered_requests());
+            let (n, how, m) = (rng.index(3), rng.index(4), 1 + rng.index(2));
+            let a = pick(&mut rng, n);
+            let b = match how {
+                0 => a.clone(),
+                1 => [a.clone(), pick(&mut rng, 1)].concat(),
+                2 => a.iter().skip(1).copied().collect(),
+                _ => pick(&mut rng, m),
+            };
+            let cons = Constraints { ledger: &ledger, exclude: Some(vid), forbidden: &a };
+            let (memo, trace) = reschedule_video_traced(&ctx, &requests, &cons, policy);
+            let cons = Constraints { ledger: &committed, exclude: Some(vid), forbidden: &b };
+            let mut cursor = LedgerCursor::new();
+            let accepted =
+                trace.checks.iter().all(|c| cons.check_replays(&topo, &a, c, &delta, &mut cursor));
+            let footprint_touched = delta.intersects(trace.footprint.spans());
+            assert!(
+                accepted || a != b || footprint_touched,
+                "seed {seed}, {vid:?}: an untouched trial failed under its own bans"
+            );
+            if !accepted {
+                continue;
+            }
+            let (fresh, again) = reschedule_video_traced(&ctx, &requests, &cons, policy);
+            assert!(fresh == memo, "seed {seed}, {vid:?}: the accepted trial is not the fresh run");
+            assert!(again.checks == trace.checks, "seed {seed}, {vid:?}: other questions asked");
+            if a != b {
+                hits += 1;
+                reasked += usize::from(trace.checks.iter().any(|c| {
+                    banned_by(&a, c.loc, &c.candidate) && !banned_by(&b, c.loc, &c.candidate)
+                }));
+            }
+            touched += usize::from(footprint_touched);
+        }
+    }
+    assert!(hits > 0 && reasked > 0 && touched > 0, "vacuous: {hits} {reasked} {touched}");
 }
 
 /// One benchmark cell, cycle by cycle over a [`CommittedBook`]: what

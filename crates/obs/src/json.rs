@@ -112,9 +112,15 @@ pub fn emit_f64(out: &mut String, v: f64) {
     let _ = write!(out, "{v:?}");
 }
 
+/// How deeply arrays and objects may nest. A recording nests two deep;
+/// the parser recurses once per level, so an unbounded depth would let a
+/// line of `[`s overflow the stack.
+const MAX_DEPTH: usize = 64;
+
 /// Parse one JSON document, requiring nothing but whitespace after it.
+/// Nesting deeper than 64 arrays or objects is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -127,6 +133,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -168,11 +176,21 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nested deeper than {MAX_DEPTH}")))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -395,6 +413,17 @@ mod tests {
     fn surrogate_pairs_decode() {
         assert_eq!(parse(r#""\ud83d\ude00""#).expect("valid"), Json::Str("😀".into()));
         assert!(parse(r#""\ud83d""#).is_err(), "lone surrogate must be rejected");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        assert!(parse(&deep).unwrap_err().message.contains("nested deeper"));
+        let at = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&at(MAX_DEPTH)).is_ok());
+        assert!(parse(&at(MAX_DEPTH + 1)).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

@@ -8,16 +8,14 @@
 //! recorder into every pipeline stage observes one recording.
 //!
 //! Determinism contract: `sim_t`/`cycle`/`kind`/`fields` come from the
-//! scheduler's simulated clock and decision state only. Wall-clock
-//! nanoseconds are an *optional* side field (`wall_ns`), off by
-//! default, and excluded from equality so recordings compare stable
-//! across runs and machines.
+//! scheduler's simulated clock and decision state only, and nothing
+//! else is recorded, so recordings compare stable across runs and
+//! machines.
 
 use crate::json::{emit_f64, emit_str, Json, JsonError};
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// A typed event field value.
 ///
@@ -117,7 +115,7 @@ impl Value {
 }
 
 /// One recorded event. Field order is insertion order and part of the
-/// round-trip contract; `wall_ns` is excluded from equality.
+/// round-trip contract.
 #[derive(Clone, Debug)]
 pub struct Event {
     /// Simulated timestamp (seconds on the service clock).
@@ -126,13 +124,12 @@ pub struct Event {
     pub cycle: u64,
     /// Event kind, e.g. `"rung"`, `"shard_solve"`, `"repair"`.
     pub kind: String,
-    /// Optional wall-clock nanoseconds since recording start. Purely
-    /// informational; never compared.
-    pub wall_ns: Option<u64>,
     /// Typed payload, in emission order.
     pub fields: Vec<(String, Value)>,
 }
 
+/// Bit equality: a NaN or signed-zero timestamp compares equal to its
+/// own round trip, as [`Value::F64`] does.
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
         self.sim_t.to_bits() == other.sim_t.to_bits()
@@ -185,9 +182,6 @@ impl Event {
         emit_f64_tagged(out, self.sim_t);
         let _ = write!(out, ",\"cycle\":{},\"kind\":", self.cycle);
         emit_str(out, &self.kind);
-        if let Some(w) = self.wall_ns {
-            let _ = write!(out, ",\"wall_ns\":{w}");
-        }
         out.push_str(",\"fields\":{");
         for (i, (k, v)) in self.fields.iter().enumerate() {
             if i > 0 {
@@ -210,14 +204,13 @@ impl Event {
             .and_then(Json::as_str)
             .ok_or_else(|| bad("event without kind"))?
             .to_string();
-        let wall_ns = v.get("wall_ns").and_then(Json::as_u64);
         let mut fields = Vec::new();
         if let Some(Json::Obj(pairs)) = v.get("fields") {
             for (k, fv) in pairs {
                 fields.push((k.clone(), Value::decode(fv)?));
             }
         }
-        Ok(Event { sim_t, cycle, kind, wall_ns, fields })
+        Ok(Event { sim_t, cycle, kind, fields })
     }
 }
 
@@ -262,8 +255,6 @@ struct State {
 }
 
 struct Shared {
-    wall_clock: bool,
-    start: Instant,
     state: Mutex<State>,
 }
 
@@ -300,27 +291,10 @@ impl Recorder {
         Self { inner: None }
     }
 
-    /// A live recorder with wall-clock side fields off (fully
-    /// deterministic output).
+    /// A live recorder (fully deterministic output).
     pub fn enabled() -> Self {
-        Self::build(false)
-    }
-
-    /// A live recorder that additionally stamps each event with
-    /// wall-clock nanoseconds since creation. The side field is
-    /// ignored by equality and round-trip checks.
-    pub fn enabled_with_wall_clock() -> Self {
-        Self::build(true)
-    }
-
-    fn build(wall_clock: bool) -> Self {
-        Self {
-            inner: Some(Arc::new(Shared {
-                wall_clock,
-                start: Instant::now(),
-                state: Mutex::new(State { cycle: 0, sim_t: 0.0, events: Vec::new() }),
-            })),
-        }
+        let state = Mutex::new(State { cycle: 0, sim_t: 0.0, events: Vec::new() });
+        Self { inner: Some(Arc::new(Shared { state })) }
     }
 
     /// Whether events are being captured.
@@ -344,10 +318,9 @@ impl Recorder {
         let Some(shared) = &self.inner else { return };
         let mut b = EventBuilder::default();
         f(&mut b);
-        let wall_ns = shared.wall_clock.then(|| shared.start.elapsed().as_nanos() as u64);
         let mut st = lock(shared);
         let (cycle, sim_t) = (st.cycle, st.sim_t);
-        st.events.push(Event { sim_t, cycle, kind: kind.to_string(), wall_ns, fields: b.fields });
+        st.events.push(Event { sim_t, cycle, kind: kind.to_string(), fields: b.fields });
     }
 
     /// Snapshot the recording so far. `None` when disabled.
@@ -471,26 +444,6 @@ mod tests {
         assert_eq!(back, r);
         // And the re-serialization is byte-identical, too.
         assert_eq!(back.to_jsonl(), text);
-    }
-
-    #[test]
-    fn wall_clock_side_field_ignored_by_equality() {
-        let with = Recorder::enabled_with_wall_clock();
-        with.event("x", |e| {
-            e.u64("a", 1);
-        });
-        let without = Recorder::enabled();
-        without.event("x", |e| {
-            e.u64("a", 1);
-        });
-        let a = with.recording().expect("enabled");
-        let b = without.recording().expect("enabled");
-        assert!(a.events[0].wall_ns.is_some());
-        assert!(b.events[0].wall_ns.is_none());
-        assert_eq!(a, b);
-        // wall_ns survives its own round trip, though.
-        let back = Recording::from_jsonl(&a.to_jsonl()).expect("round-trip");
-        assert_eq!(back.events[0].wall_ns, a.events[0].wall_ns);
     }
 
     #[test]

@@ -53,8 +53,7 @@ impl Gen {
 
 fn arbitrary_recording(seed: u64) -> Recording {
     let mut g = Gen(seed);
-    let rec =
-        if g.next() & 1 == 0 { Recorder::enabled() } else { Recorder::enabled_with_wall_clock() };
+    let rec = Recorder::enabled();
     let n_events = g.below(20) as usize;
     for i in 0..n_events {
         if g.next() & 3 == 0 {

@@ -18,9 +18,9 @@
 //!
 //! While it runs, the loop **audits** the production ledger with the flat
 //! scan: every iteration's [`detect_overflows`] is compared with the
-//! flat-scan windows ([`audit_overflows`]) and every ledger-consulting
-//! admission test of every trial — the tail's and the sweep's included —
-//! is re-answered by the flat-scan `fits` ([`audit_admissions`]). A
+//! flat-scan windows ([`audit_overflows`]) and every admission test of
+//! every trial — the tail's and the sweep's included — is re-answered by
+//! its own ban check and the flat-scan `fits` ([`audit_admissions`]). A
 //! disagreement panics with the storage and the two answers. That is the
 //! "a reference ledger takes the same decisions" property, without a
 //! second ledger inside the production struct.
@@ -73,24 +73,28 @@ pub fn audit_overflows(
     Ok(())
 }
 
-/// Re-answer every ledger-consulting admission test of one greedy run —
-/// over `ledger` with `exclude`'s profiles left out — with the flat-scan
-/// `fits`; the booleans must agree exactly.
+/// Re-answer every admission test of one greedy run under `bans` — a
+/// candidate with positive space overlapping a window at its storage is
+/// rejected, any other is asked of the flat-scan `fits` over `ledger`
+/// with `exclude`'s profiles left out; the booleans must agree exactly.
 pub fn audit_admissions(
     topo: &Topology,
     ledger: &StorageLedger,
     exclude: Option<VideoId>,
+    bans: &[(NodeId, Interval)],
     checks: &[AdmissionCheck],
 ) -> Result<(), String> {
     for (i, c) in checks.iter().enumerate() {
-        let Some(got) = c.fits else { continue };
+        let support = Interval::new(c.candidate.start, c.candidate.end);
+        let banned = c.candidate.peak() > 0.0
+            && bans.iter().any(|(loc, window)| *loc == c.loc && support.overlaps(window));
         let entries = ledger.profiles_at(c.loc);
-        let want = flat::fits(entries, topo.capacity(c.loc), &c.candidate, exclude);
-        if got != want {
+        let want = !banned && flat::fits(entries, topo.capacity(c.loc), &c.candidate, exclude);
+        if c.verdict != want {
             return Err(format!(
-                "check {i} at {} excluding {exclude:?}: production answered fits = {got}, \
-                 the flat scan {want}, for {:?}",
-                c.loc, c.candidate
+                "check {i} at {} excluding {exclude:?}: production answered {}, the oracle \
+                 {want} (banned: {banned}), for {:?}",
+                c.loc, c.verdict, c.candidate
             ));
         }
     }
@@ -127,8 +131,8 @@ struct Job<'s> {
 }
 
 /// One traced rejective-greedy run of `vid`'s delivered requests against
-/// `ledger` less the video's own profiles, its every capacity answer
-/// re-answered by the flat scan.
+/// `ledger` less the video's own profiles, its every admission answer
+/// re-answered by the oracle's ban check and flat scan.
 fn audited_trial(
     ctx: &SchedCtx<'_>,
     ledger: &StorageLedger,
@@ -141,7 +145,7 @@ fn audited_trial(
     let cons = Constraints { ledger, exclude: Some(vid), forbidden: bans };
     let (new_vs, trace) =
         reschedule_video_traced(ctx, &old_vs.delivered_requests(), &cons, cfg.policy);
-    if let Err(e) = audit_admissions(ctx.topo, ledger, Some(vid), &trace.checks) {
+    if let Err(e) = audit_admissions(ctx.topo, ledger, Some(vid), bans, &trace.checks) {
         panic!("admission audit, {what}: {e}");
     }
     new_vs
@@ -417,20 +421,30 @@ mod tests {
             start: units::hours(hours),
         };
         let requests = [at(0, 13.0), at(1, 14.5), at(2, 16.0)];
-        let cons = Constraints { ledger: &ledger, exclude: Some(VideoId(0)), forbidden: &[] };
-        let (_, trace) = reschedule_video_traced(&ctx, &requests, &cons, GreedyPolicy::default());
-        let verdicts: Vec<bool> = trace.checks.iter().filter_map(|c| c.fits).collect();
-        assert!(verdicts.contains(&true) && verdicts.contains(&false), "{verdicts:?}");
-        assert_eq!(audit_admissions(&topo, &ledger, Some(VideoId(0)), &trace.checks), Ok(()));
-
-        for i in 0..trace.checks.len() {
-            let mut tampered = trace.checks.clone();
-            let Some(v) = tampered[i].fits else { continue };
-            tampered[i].fits = Some(!v);
+        // Under a ban over IS2 its extension is rejected by the ban alone:
+        // every check of both runs, ban-rejected ones included, must be
+        // re-answered under the run's own bans.
+        let ban = [(NodeId(2), Interval::new(0.0, 1e6))];
+        for bans in [&[][..], &ban[..]] {
+            let cons = Constraints { ledger: &ledger, exclude: Some(VideoId(0)), forbidden: bans };
+            let (_, trace) =
+                reschedule_video_traced(&ctx, &requests, &cons, GreedyPolicy::default());
+            let verdicts: Vec<(NodeId, bool)> =
+                trace.checks.iter().map(|c| (c.loc, c.verdict)).collect();
+            let is2 = (NodeId(2), bans.is_empty());
             assert!(
-                audit_admissions(&topo, &ledger, Some(VideoId(0)), &tampered).is_err(),
-                "check {i} flipped unnoticed"
+                verdicts.contains(&(NodeId(1), false)) && verdicts.contains(&is2),
+                "{verdicts:?}"
             );
+            let audit = |checks: &[AdmissionCheck]| {
+                audit_admissions(&topo, &ledger, Some(VideoId(0)), bans, checks)
+            };
+            assert_eq!(audit(&trace.checks), Ok(()));
+            for i in 0..trace.checks.len() {
+                let mut tampered = trace.checks.clone();
+                tampered[i].verdict = !tampered[i].verdict;
+                assert!(audit(&tampered).is_err(), "check {i} flipped unnoticed under {bans:?}");
+            }
         }
     }
 }

@@ -28,6 +28,16 @@ vodx service >/dev/null
 vodx cycles --fast >/dev/null
 vodx service --fast --record "$tmp/flight.jsonl" >/dev/null
 vodx trace "$tmp/flight.jsonl" >/dev/null
+# A 1 MB line of nested arrays is a bad recording (status 1), not a
+# stack overflow.
+head -c 1000000 /dev/zero | tr '\0' '[' >"$tmp/nested.jsonl"
+status=0
+vodx trace "$tmp/nested.jsonl" >/dev/null 2>"$tmp/nested.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "is not a valid recording" "$tmp/nested.err"; then
+  echo "error: vodx trace on a deeply nested line exited $status:" >&2
+  cat "$tmp/nested.err" >&2
+  exit 1
+fi
 vodx windows --fast >/dev/null
 vodx inspect >"$tmp/inspect.txt"
 diff results/inspect.txt "$tmp/inspect.txt"
